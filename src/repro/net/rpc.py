@@ -134,7 +134,8 @@ class RpcEndpoint(Endpoint):
         With the default ``deadline=None`` the event resolves only when a
         reply arrives -- the paper's reliable-channel primitive, which
         never resolves if the peer is crashed.  A ``deadline`` (virtual
-        seconds) bounds the wait: the pending slot is retired and the
+        seconds) bounds the wait: the pending slot is retired, an attached
+        failure detector is struck as for any timed-out attempt, and the
         event *fails* with :class:`RpcTimeoutError`, so a reply arriving
         later is dropped as stale.  Socket-backend callers should always
         pass one -- a real peer can be gone without any simulator crash
@@ -154,6 +155,8 @@ class RpcEndpoint(Endpoint):
         if event is None:
             return  # the reply won; its callback cancels this timer
         self.network.stats.rpc_timeouts += 1
+        if self.detector is not None:
+            self.detector.on_rpc_timeout(dst)
         event.fail(RpcTimeoutError(dst, msg_type, 1))
 
     def _send_request(

@@ -1,24 +1,23 @@
 """Per-shard primary-backup replication under the transactional core.
 
-Where :mod:`repro.replication.group` replicated a standalone state
-machine behind a client stub, this module folds replication *under* the
-cluster's one-node-per-site abstraction (the ROADMAP's "replication
-integration" item): every :class:`~repro.cluster.directory.ShardMap`
-shard keeps its primary -- the preferred site the directory already
-names -- plus ``replication_factor - 1`` backups chosen
-deterministically from the directory, and the primary streams its
-transactional state changes to them over per-(primary, backup) FIFO
-record streams (``docs/replication.md``).
+The paper treats each preferred site as one highly-available node; this
+module discharges that assumption under the cluster's one-node-per-site
+abstraction: every :class:`~repro.cluster.directory.ShardMap` shard
+keeps its primary -- the site the directory already names -- plus
+``replication_factor - 1`` backups chosen deterministically from the
+directory, and the primary streams its transactional state changes to
+them over per-(primary, backup) FIFO streams (``docs/replication.md``).
 
 The stream carries five record kinds (:class:`~repro.core.wire.
 ReplicationEntry`): ``prepare`` stages an in-flight 2PC participant's
 writes, ``abort`` drops a staged entry, ``decision`` records a commit
 this primary coordinated, ``apply`` installs a commit's versions
 verbatim, and ``frontier`` is a clock-only freshness update (coalesced
-in the outbox).  Acknowledgements are cumulative -- the backup applies
-strictly in sequence order and replies with its applied high-water mark
--- so an unacknowledged suffix simply retransmits after a partition or
-a lost reply, and duplicates are dropped by sequence comparison.
+in the outbox; enqueued only under ``read_from_backups``, whose frozen
+reads are its one consumer).  Acknowledgements are cumulative -- the
+backup applies strictly in sequence order and replies with its applied
+high-water mark -- so an unacknowledged suffix simply retransmits after
+a partition or a lost reply, and duplicates are dropped by sequence.
 
 In ``sync`` mode the primary defers its externally visible effects on
 the stream acks: a participant's yes-vote waits for the ``prepare``
@@ -31,28 +30,24 @@ mode never waits and only tracks the per-backup replicated frontier.
 Failover is driven by :class:`FailoverDriver`: when a majority of live
 armed failure detectors classify a shard owner dead, the freshest
 backup (highest applied stream sequence) is promoted behind the
-membership fence -- staged prepares are resolved through the decision
-log (or a TXN_STATUS query to a live coordinator), the dead
-coordinator's decisions are re-announced so wedged participants apply
-instead of presuming abort, the shard-map entries flip, and the
-surviving backups are re-bootstrapped from the new primary.  Racing
-prepares park on the fence and re-prepare against the new owner ("moved"
-votes), so a failover costs foreground traffic round trips, never
-aborts.
+membership fence -- staged prepares resolve through the decision log
+(or a TXN_STATUS query), the dead coordinator's decisions are
+re-announced, the shard-map entries flip, and the surviving backups are
+re-bootstrapped.  Racing prepares park on the fence and re-prepare
+against the new owner, so a failover costs round trips, never aborts.
 
 Read-forwarding (``read_from_backups``) lets backups serve *frozen*
-read-only requests Walter-style -- against the carried snapshot, with no
-clock merge -- but only when the backup's replicated frontier dominates
-the request's snapshot; otherwise the request is forwarded to the
-current primary.  See ``docs/replication.md`` for the freshness
-soundness argument.
+read-only requests Walter-style, but only when the backup's replicated
+frontier dominates the request's snapshot; otherwise the request is
+forwarded to the primary (soundness argument: ``docs/replication.md``).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.config import ReplicationConfig, RpcConfig
+from repro.config import ReplicationConfig
 from repro.core.vector_clock import VectorClock
 from repro.core.walter.visibility import select_walter_version
 from repro.core.wire import (
@@ -65,7 +60,8 @@ from repro.core.wire import (
     TxnStatusRequestBody,
 )
 from repro.net.message import MessageType
-from repro.sim import AnyOf, ConditionVariable
+from repro.sim import Event
+from repro.storage.wal import ReplicationRecord
 
 
 def backups_for_shard(
@@ -96,15 +92,36 @@ def backups_for_shard(
     return tuple(rotated[: max(0, factor - 1)])
 
 
+class _AckLatch(Event):
+    """One sync wait over several streams: True once every stream it is
+    registered on acknowledged (or closed), False if ``sync_timeout``
+    expires first -- either way its waiter wakes exactly once."""
+
+    __slots__ = ("remaining",)
+
+    def __init__(self, sim, count: int) -> None:
+        super().__init__(sim, name="ack-latch")
+        self.remaining = count
+
+    def count_down(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0 and not self.triggered:
+            self.succeed(True)
+
+    def expire(self) -> None:
+        if not self.triggered:
+            self.succeed(False)
+
+
 class ReplicationStream:
     """Primary-side state of one primary -> backup FIFO stream."""
 
     __slots__ = (
         "backup", "next_seq", "acked", "inflight_hi", "outbox", "closed",
-        "pumping", "acked_cv",
+        "inflight", "waiters",
     )
 
-    def __init__(self, sim, backup: int) -> None:
+    def __init__(self, backup: int) -> None:
         self.backup = backup
         #: Next sequence number to assign (dense, starting at 1).
         self.next_seq = 1
@@ -113,20 +130,19 @@ class ReplicationStream:
         #: Highest sequence number ever handed to the wire; frontier
         #: coalescing may only mutate entries above it.
         self.inflight_hi = 0
-        #: Unacknowledged suffix, in sequence order.
+        #: Unacknowledged suffix, dense: the head is ``acked + 1``.
         self.outbox: List[ReplicationEntry] = []
         #: Closed streams accept no records: the sender was deposed by a
         #: failover, or the backup lost its stream state and must be
         #: re-bootstrapped before streaming can resume.
         self.closed = False
-        self.pumping = False
-        #: Notified whenever ``acked`` advances or the stream closes.
-        self.acked_cv = ConditionVariable(sim)
-
-    @property
-    def lag(self) -> int:
-        """Records streamed but not yet acknowledged."""
-        return self.next_seq - 1 - self.acked
+        #: The one REPLICATE request on the wire or awaiting its
+        #: retransmission; later records ride the next batch.  Cleared
+        #: on close/restart, which makes that request's reply stale.
+        self.inflight: Optional[Event] = None
+        #: ``(seq, latch)`` per sync wait parked on this stream, in
+        #: sequence order; the ack path counts the latches down.
+        self.waiters: List[Tuple[int, _AckLatch]] = []
 
 
 class BackupState:
@@ -188,16 +204,6 @@ class NodeReplication:
         self._retired = False
         self._backup_cache: Tuple[int, ...] = ()
         self._backup_cache_key: Optional[Tuple[int, int]] = None
-        # Stream RPCs must never hang a pump on a crashed backup: under
-        # the reliable-channel default they get a private single-attempt
-        # deadline (the daemon's gossip pattern); with a global timeout
-        # configured they use the endpoint's detector-capped policy.
-        if owner.node.rpc.config.request_timeout is None:
-            self._rpc_config: Optional[RpcConfig] = RpcConfig(
-                request_timeout=self.config.retry_interval, max_attempts=1
-            )
-        else:
-            self._rpc_config = None
 
     # ------------------------------------------------------------------
     # Placement
@@ -222,8 +228,7 @@ class NodeReplication:
     def _stream(self, backup: int) -> ReplicationStream:
         stream = self.streams.get(backup)
         if stream is None:
-            stream = ReplicationStream(self.sim, backup)
-            self.streams[backup] = stream
+            stream = self.streams[backup] = ReplicationStream(backup)
         return stream
 
     def _enqueue(self, backup: int, kind: str, **fields) -> Optional[int]:
@@ -243,12 +248,8 @@ class NodeReplication:
         entry = ReplicationEntry(seq=stream.next_seq, kind=kind, **fields)
         stream.next_seq += 1
         stream.outbox.append(entry)
-        if not stream.pumping:
-            stream.pumping = True
-            self.sim.spawn(
-                self._pump(stream, self.owner._incarnation),
-                name=f"n{self.node_id}:replicate-{backup}",
-            )
+        if stream.inflight is None:
+            self._send_batch(stream)
         return entry.seq
 
     def _enqueue_by_key(
@@ -273,106 +274,113 @@ class NodeReplication:
                 targets.append((self.streams[backup], seq))
         return targets
 
-    def _pump(self, stream: ReplicationStream, incarnation: int):
-        """Drain one stream's outbox (lazily spawned, exits when empty)."""
-        config = self.config
-        owner = self.owner
-        rep = self.cluster_rep
-        try:
-            while True:
-                if (
-                    self._retired
-                    or owner._incarnation != incarnation
-                    or stream.closed
-                    or not stream.outbox
-                ):
-                    return
-                if rep.is_excluded(stream.backup):
-                    # The backup crashed or was failed over: stop
-                    # streaming and close -- the driver re-bootstraps it
-                    # from scratch if it ever comes back.
-                    self._close_stream(stream)
-                    return
-                batch = tuple(stream.outbox[: config.batch_records])
-                hi = batch[-1].seq
-                if hi > stream.inflight_hi:
-                    stream.inflight_hi = hi
-                ok, reply = yield from owner.node.rpc.call_settled(
-                    stream.backup,
-                    MessageType.REPLICATE,
-                    ReplicateBody(self.node_id, batch),
-                    config=self._rpc_config,
-                )
-                if self._retired or owner._incarnation != incarnation:
-                    return
-                if ok and reply.applied < 0:
-                    self._close_stream(stream)  # deposed by a failover
-                    return
-                if ok and reply.applied > stream.acked:
-                    advanced = reply.applied - stream.acked
-                    stream.acked = reply.applied
-                    outbox = stream.outbox
-                    while outbox and outbox[0].seq <= stream.acked:
-                        outbox.pop(0)
-                    stream.acked_cv.notify_all()
-                    self.metrics.on_replication_records(advanced)
-                    self.metrics.on_replication_lag(stream.lag)
-                    continue
-                if ok and 0 <= reply.applied < stream.acked:
-                    # The backup's applied mark regressed: it restarted
-                    # and lost its stream state.  Records below our ack
-                    # are gone from the outbox, so streaming cannot
-                    # resume -- close and let the driver re-bootstrap.
-                    self._close_stream(stream)
-                    return
-                # Timed out, or a retransmission made no progress: keep
-                # the suffix and retry after a pacing interval.
-                yield self.sim.timeout(config.retry_interval)
-        finally:
-            stream.pumping = False
+    def _send_batch(self, stream: ReplicationStream) -> None:
+        """Put the outbox head on the wire: one batch in flight per stream.
+
+        Its reply sends the next one; the ``retry_interval`` deadline
+        means a crashed backup can never hang the stream.
+        """
+        if self.cluster_rep.is_excluded(stream.backup):
+            # Crashed or failed over: the driver re-bootstraps it later.
+            self._close_stream(stream)
+            return
+        batch = tuple(stream.outbox[: self.config.batch_records])
+        hi = batch[-1].seq
+        if hi > stream.inflight_hi:
+            stream.inflight_hi = hi
+        stream.inflight = self.owner.node.rpc.request(
+            stream.backup,
+            MessageType.REPLICATE,
+            ReplicateBody(self.node_id, batch),
+            deadline=self.config.retry_interval,
+        )
+        stream.inflight.add_callback(partial(self._on_batch_reply, stream))
+
+    def _on_batch_reply(self, stream: ReplicationStream, reply: Event) -> None:
+        """A batch's cumulative ack arrived, or its deadline expired."""
+        if stream.inflight is not reply:
+            return  # closed, retired, crashed or re-bootstrapped since
+        if reply.ok:
+            applied = reply.value.applied
+            acked = stream.acked
+            if applied < acked:
+                # -1: a failover deposed us.  Otherwise the backup
+                # restarted and lost stream state we no longer hold:
+                # close, and let the driver re-bootstrap.
+                self._close_stream(stream)
+                return
+            if applied > acked:
+                stream.acked = applied
+                del stream.outbox[: applied - acked]
+                waiters = stream.waiters
+                while waiters and waiters[0][0] <= applied:
+                    waiters.pop(0)[1].count_down()
+                self.metrics.on_replication_records(applied - acked)
+                self.metrics.on_replication_lag(stream.next_seq - 1 - applied)
+                if stream.outbox:
+                    self._send_batch(stream)
+                else:
+                    stream.inflight = None
+                return
+        # Timed out (the endpoint struck the failure detector), or no
+        # progress: retransmit after a pacing interval.
+        self.sim.call_later(
+            self.config.retry_interval, self._retransmit, stream, reply
+        )
+
+    def _retransmit(self, stream: ReplicationStream, failed: Event) -> None:
+        if stream.inflight is failed:
+            self._send_batch(stream)
 
     def _close_stream(self, stream: ReplicationStream) -> None:
         stream.closed = True
         stream.outbox.clear()
-        stream.acked_cv.notify_all()
+        self._release(stream)
+
+    @staticmethod
+    def _release(stream: ReplicationStream) -> None:
+        """Orphan the in-flight batch and wake every parked waiter."""
+        stream.inflight = None
+        for _seq, latch in stream.waiters:
+            latch.count_down()
+        stream.waiters.clear()
 
     def _await_acks(self, targets: List[Tuple[ReplicationStream, int]]):
         """Sync mode: wait (bounded) for the listed records' acks.
 
-        Returns True when every target stream acknowledged, False when
+        True when every target stream acknowledged, False when
         ``sync_timeout`` expired first -- the caller proceeds anyway
-        (degrade to async; the records stay queued and retransmit), so
-        a partitioned backup costs latency and redundancy, never
-        availability.  Closed streams count as satisfied: their backup
-        is gone and holding the commit hostage would buy nothing.
+        (the records stay queued and retransmit), so a partitioned
+        backup costs latency and redundancy, never availability.
+        Closed streams count as satisfied: their backup is gone.
         """
-        if not targets or self.config.mode != "sync":
+        if self.config.mode != "sync":
             return True
-        sim = self.sim
-        deadline = sim.now + self.config.sync_timeout
-        while True:
-            pending = [
-                stream for stream, seq in targets
-                if not stream.closed and stream.acked < seq
-            ]
-            if not pending:
-                return True
-            now = sim.now
-            if now >= deadline:
-                self.metrics.on_replication_sync_degraded()
-                if self.tracer._enabled:
-                    self.tracer.emit(
-                        self.node_id, "replication_degraded",
-                        backups=tuple(s.backup for s in pending),
-                    )
-                return False
-            timer = sim.timeout(deadline - now)
-            yield AnyOf(
-                sim,
-                [stream.acked_cv.wait() for stream in pending] + [timer],
+        pending = [
+            (stream, seq) for stream, seq in targets
+            if not stream.closed and stream.acked < seq
+        ]
+        if not pending:
+            return True
+        latch = _AckLatch(self.sim, len(pending))
+        for stream, seq in pending:
+            stream.waiters.append((seq, latch))
+        timer = self.sim.call_later(self.config.sync_timeout, latch.expire)
+        acked = yield latch
+        if acked:
+            timer.cancel()
+            return True
+        late = []
+        for stream, seq in pending:
+            if (seq, latch) in stream.waiters:
+                stream.waiters.remove((seq, latch))
+                late.append(stream.backup)
+        self.metrics.on_replication_sync_degraded()
+        if self.tracer._enabled:
+            self.tracer.emit(
+                self.node_id, "replication_degraded", backups=tuple(late)
             )
-            if not timer.triggered:
-                timer.cancel()
+        return False
 
     # ------------------------------------------------------------------
     # Hooks called by the protocol node
@@ -432,8 +440,8 @@ class NodeReplication:
         Called right after the install and clock advance, so the
         carried frontier provably covers every version a backed key
         holds below it (the read-forwarding soundness invariant).
-        Backups not touched by these writes get a coalesced
-        clock-only frontier record instead.
+        With ``read_from_backups`` on, backups not touched by these
+        writes get a coalesced clock-only frontier record instead.
         """
         frontier = self.owner.site_vc.to_tuple()
         targets = self._enqueue_by_key(
@@ -446,13 +454,18 @@ class NodeReplication:
             collected=body.collected,
             frontier=frontier,
         )
+        if not self.config.read_from_backups:
+            return
         touched = {stream.backup for stream, _seq in targets}
         for backup in self._all_backups():
             if backup not in touched:
                 self._enqueue(backup, "frontier", frontier=frontier)
 
     def note_frontier(self) -> None:
-        """Stream a clock-only freshness update (coalesced per stream)."""
+        """Stream a clock-only freshness update (coalesced per stream);
+        frozen backup reads are the frontier's only reader."""
+        if not self.config.read_from_backups:
+            return
         frontier = self.owner.site_vc.to_tuple()
         for backup in self._all_backups():
             self._enqueue(backup, "frontier", frontier=frontier)
@@ -473,8 +486,7 @@ class NodeReplication:
         body: ReplicateBody = rpc.body_of(envelope)
         state = self.backup_state.get(body.primary)
         if state is None:
-            state = BackupState()
-            self.backup_state[body.primary] = state
+            state = self.backup_state[body.primary] = BackupState()
         if state.closed:
             rpc.reply(envelope, ReplicateAckBody(-1))
             return
@@ -502,7 +514,6 @@ class NodeReplication:
             state.decisions[entry.txn_id] = entry
         elif kind == "apply":
             state.staged.pop(entry.txn_id, None)
-            commit_vc = VectorClock(entry.commit_vc)
             store = self.owner.store
             now = self.sim.now
             for key, value in entry.writes:
@@ -511,11 +522,13 @@ class NodeReplication:
                 # chains -- including their vids -- replay the
                 # primary's exactly.  The backup's own clock is never
                 # touched; it advances through the normal Propagate/
-                # Decide traffic like any other node.
+                # Decide traffic like any other node.  One clock per
+                # key, as at the primary: the store aliases the clock
+                # it is handed (``Version.vc``).
                 store.install(
                     key,
                     value,
-                    commit_vc.copy(),
+                    VectorClock(entry.commit_vc),
                     origin=entry.origin,
                     seq=entry.seq_no,
                     writer_txn=entry.txn_id,
@@ -527,8 +540,6 @@ class NodeReplication:
             state.frontier = entry.frontier
         wal = self.owner.wal
         if wal is not None:
-            from repro.storage.wal import ReplicationRecord
-
             wal.append(
                 ReplicationRecord(
                     primary=primary,
@@ -683,7 +694,7 @@ class NodeReplication:
         stream.closed = False
         stream.acked = stream.next_seq - 1
         stream.inflight_hi = stream.acked
-        stream.acked_cv.notify_all()
+        self._release(stream)
 
     def adopt_stream(
         self, primary: int, applied: int, frontier: Optional[Tuple[int, ...]]
@@ -704,10 +715,6 @@ class NodeReplication:
         for stream in self.streams.values():
             self._close_stream(stream)
         self.backup_state.clear()
-        self.restore(replayed)
-
-    def restore(self, replayed: Dict[int, dict]) -> None:
-        """Reinstall backup-side stream state rebuilt by WAL replay."""
         for primary, snapshot in replayed.items():
             state = BackupState(
                 applied=snapshot.get("applied", 0),
@@ -793,37 +800,34 @@ class ClusterReplication:
         """Park until every listed site owns no shards (failed over).
 
         Generator subroutine used by the commit retry loop: instead of
-        aborting on a dead participant, the coordinator waits (bounded
-        by ten failover timeouts) for the promotion to flip the dead
-        site's shards, then re-prepares against the new owners.
-        Returns True when the flip happened in time.
+        aborting on a dead participant, the coordinator waits for the
+        promotion to flip the dead site's shards, then re-prepares
+        against the new owners.  Returns True when the flip happened in
+        time.
         """
-        if not self.failover_armed():
-            return False
-        timeout = self.config.failover_timeout
-        deadline = self.sim.now + timeout * 10
-        tick = timeout / 2
         sites = list(sites)
-        while True:
-            if all(not self.shard_map.shards_of(site) for site in sites):
-                return True
-            if self.sim.now >= deadline:
-                return False
-            yield self.sim.timeout(tick)
+        shards_of = self.shard_map.shards_of
+        return (yield from self._park_until(
+            lambda: all(not shards_of(site) for site in sites)
+        ))
 
     def wait_for_site_flip(self, key: Hashable, stale_owner: int):
         """Park until ``key`` routes away from ``stale_owner`` (bounded)."""
+        site = self.shard_map.site
+        return (yield from self._park_until(lambda: site(key) != stale_owner))
+
+    def _park_until(self, flipped):
+        """Poll ``flipped()`` every half failover timeout, for ten."""
         if not self.failover_armed():
             return False
         timeout = self.config.failover_timeout
         deadline = self.sim.now + timeout * 10
-        tick = timeout / 2
         while True:
-            if self.shard_map.site(key) != stale_owner:
+            if flipped():
                 return True
             if self.sim.now >= deadline:
                 return False
-            yield self.sim.timeout(tick)
+            yield self.sim.timeout(timeout / 2)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -886,11 +890,7 @@ class FailoverDriver:
     # Scan
     # ------------------------------------------------------------------
     def _live(self, node_id: int) -> bool:
-        return (
-            node_id not in self.rep.down
-            and node_id not in self.cluster._removed
-            and not self.cluster.network.is_crashed(node_id)
-        )
+        return not self.rep.is_excluded(node_id)
 
     def _majority_dead(self, target: int) -> bool:
         """Do a majority of live armed detectors classify ``target`` dead?

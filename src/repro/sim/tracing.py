@@ -79,6 +79,14 @@ class Tracer:
             "shard_migrate_start",
             "shard_migrated",
             "shard_migrate_failed",
+            "replication_degraded",
+            "backup_read",
+            "backup_bootstrap",
+            "failover_start",
+            "failover_promoted",
+            "failover_complete",
+            "failover_orphaned",
+            "nemesis_promotions",
         }
     )
 

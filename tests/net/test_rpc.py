@@ -1,5 +1,7 @@
 """Unit tests for RPC request/reply matching over the simulated network."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import Node
@@ -273,6 +275,8 @@ def test_bare_request_to_silent_peer_never_resolves():
 def test_request_deadline_fails_event_and_retires_slot():
     sim, client, server = build_pair()
     server.on("Void", lambda envelope: None)
+    strikes = []
+    client.rpc.detector = SimpleNamespace(on_rpc_timeout=strikes.append)
 
     def proc():
         try:
@@ -288,6 +292,7 @@ def test_request_deadline_fails_event_and_retires_slot():
     assert finished == pytest.approx(1e-3)
     assert client.rpc.pending_count == 0
     assert client.rpc.network.stats.rpc_timeouts == 1
+    assert strikes == [1]  # a timed-out attempt is detector evidence
 
 
 def test_late_reply_after_request_deadline_is_stale():

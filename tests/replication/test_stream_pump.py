@@ -1,0 +1,333 @@
+"""The primary -> backup stream machinery: pump, ack wait, traffic budget.
+
+Unit-level scenarios on small clusters, driven through the public hooks
+(``note_apply``, ``replicate_decision``) and observed from outside:
+``network.stats``, the metrics recorder, the tracer, and a
+``delay_policy`` tap that sees every envelope at send time.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from repro import (
+    Cluster,
+    ClusterConfig,
+    DurabilityConfig,
+    NetworkConfig,
+    ReplicationConfig,
+    RpcConfig,
+    ShardingConfig,
+)
+from repro.core.wire import DecideBody, ReplicateAckBody
+from repro.faults import Nemesis
+from repro.faults.schedules import CRASH_DURABLE, RESTART, FaultEvent
+from repro.healing.detector import ALIVE
+from repro.net.message import MessageType
+from repro.replication.shard import _AckLatch
+
+NUM_KEYS = 12
+REPLICATE = MessageType.REPLICATE
+
+pytestmark = pytest.mark.replication
+
+
+def build(num_nodes=3, *, factor=2, rpc=None, wal=False, **replication):
+    config = ClusterConfig(
+        num_nodes=num_nodes,
+        seed=7,
+        network=NetworkConfig(rpc=rpc or RpcConfig()),
+        sharding=ShardingConfig(enabled=True, num_shards=NUM_KEYS),
+        replication=ReplicationConfig(
+            enabled=True, replication_factor=factor, mode="sync", **replication
+        ),
+        durability=DurabilityConfig(wal_enabled=wal),
+    )
+    cluster = Cluster("fwkv", config)
+    for i in range(NUM_KEYS):
+        cluster.load(f"k{i}", 0)
+    return cluster
+
+
+def owned_key(cluster, node_id):
+    return next(
+        f"k{i}" for i in range(NUM_KEYS)
+        if cluster.directory.site(f"k{i}") == node_id
+    )
+
+
+def stream_apply(cluster, node_id, key, seq_no):
+    """One ``apply`` record from ``node_id`` to the backups of ``key``."""
+    width = len(cluster.nodes)
+    commit_vc = tuple(seq_no if i == node_id else 0 for i in range(width))
+    cluster.node(node_id).replication.note_apply(
+        DecideBody(1000 + seq_no, True, node_id, seq_no, commit_vc),
+        {key: seq_no},
+    )
+
+
+def cut(cluster, a, b):
+    cluster.network.partition(a, b)
+    cluster.network.partition(b, a)
+
+
+def replicate_count(cluster):
+    return cluster.network.stats.messages_by_type[REPLICATE]
+
+
+def live_timers(cluster, fn):
+    """Uncancelled scheduler entries that would call ``fn``."""
+    sim = cluster.sim
+    return [
+        entry for entry in list(sim._heap) + list(sim._ready)
+        if not entry[2].cancelled
+        and getattr(entry[3], "__func__", entry[3]) is fn
+    ]
+
+
+# ----------------------------------------------------------------------
+# Traffic budget
+# ----------------------------------------------------------------------
+def run_mixed_traffic(cluster, count=60):
+    """Serialized 2-key transactions, every third read-only; returns the
+    update-commit count and a tap's view of the REPLICATE traffic."""
+    kinds = Counter()
+    in_flight = Counter()
+    peak = Counter()
+    frontier_only = []
+
+    def tap(envelope):
+        link = (envelope.src, envelope.dst)
+        if envelope.msg_type == REPLICATE:
+            entries = envelope.payload.body.entries
+            kinds.update(entry.kind for entry in entries)
+            in_flight[link] += 1
+            peak[link] = max(peak[link], in_flight[link])
+            if all(entry.kind == "frontier" for entry in entries):
+                frontier_only.append(len(entries))
+        elif envelope.msg_type == MessageType.RPC_REPLY and isinstance(
+            envelope.payload.body, ReplicateAckBody
+        ):
+            in_flight[(envelope.dst, envelope.src)] -= 1
+        return 0.0
+
+    cluster.network.delay_policy = tap
+    rng = random.Random(1)
+    keys = [f"k{i}" for i in range(NUM_KEYS)]
+    updates = [0]
+
+    def driver():
+        for n in range(count):
+            node = cluster.node(n % 3)
+            read_only = n % 3 == 2
+            txn = node.begin(is_read_only=read_only)
+            chosen = rng.sample(keys, 2)
+            values = []
+            for key in chosen:
+                values.append((yield from node.read(txn, key)))
+            if not read_only:
+                for key, value in zip(chosen, values):
+                    node.write(txn, key, value + 1)
+                updates[0] += 1
+            assert (yield from node.commit(txn))
+            yield cluster.sim.timeout(2e-4)
+
+    cluster.run_process(driver())
+    return updates[0], kinds, peak, frontier_only
+
+
+def test_no_clock_only_records_without_backup_reads():
+    """``BackupState.frontier`` has no reader with ``read_from_backups``
+    off, so no frontier record is enqueued, and a 2-key update commit
+    costs at most 6 REPLICATE messages on 3 nodes: prepare and apply to
+    the <= 2 written shards' backups, decision to the coordinator's 2
+    streams."""
+    cluster = build(read_from_backups=False)
+    updates, kinds, peak, _ = run_mixed_traffic(cluster)
+    assert kinds["frontier"] == 0
+    assert kinds["prepare"] and kinds["decision"] and kinds["apply"]
+    assert replicate_count(cluster) <= 6 * updates
+    assert max(peak.values()) == 1
+    assert cluster.metrics.replication_sync_degraded == 0
+    assert cluster.network.stats.rpc_timeouts == 0
+
+
+def test_backup_reads_keep_the_coalesced_frontier_feed():
+    cluster = build(read_from_backups=True)
+    _, kinds, peak, frontier_only = run_mixed_traffic(cluster)
+    assert cluster.metrics.backup_reads_served > 0
+    assert kinds["frontier"] > 0
+    # One batch in flight per stream, and whatever frontier updates pile
+    # up behind it coalesce into the single trailing record.
+    assert max(peak.values()) == 1
+    assert set(frontier_only) == {1}
+    assert cluster.metrics.replication_sync_degraded == 0
+
+
+# ----------------------------------------------------------------------
+# Ack wait
+# ----------------------------------------------------------------------
+def decision_wait(cluster, node_id, txn_id=900, seq_no=1):
+    """Spawn one sync ``replicate_decision`` wait on ``node_id``; the
+    returned dict fills with the waiter's wake-up count and finish time."""
+    rep = cluster.node(node_id).replication
+    width = len(cluster.nodes)
+    report = {"wakeups": 0}
+
+    def waiter():
+        inner = rep.replicate_decision(
+            txn_id, seq_no, tuple([0] * width), frozenset()
+        )
+        try:
+            target = next(inner)
+            while True:
+                value = yield target
+                report["wakeups"] += 1
+                target = inner.send(value)
+        except StopIteration:
+            report["done_at"] = cluster.sim.now
+
+    cluster.spawn(waiter(), name="ack-wait")
+    return report
+
+
+def test_sync_wait_over_several_streams_wakes_once():
+    cluster = build(num_nodes=4, factor=3)
+    rep = cluster.node(0).replication
+    assert len(rep._all_backups()) == 3
+    report = decision_wait(cluster, 0)
+    cluster.run(until=1e-3)
+    assert report["wakeups"] == 1
+    assert report["done_at"] < 1e-4  # one round trip, not a timeout
+    assert all(
+        stream.acked == 1 and not stream.waiters
+        for stream in rep.streams.values()
+    )
+    assert cluster.metrics.replication_sync_degraded == 0
+    assert not live_timers(cluster, _AckLatch.expire)
+
+
+def test_sync_timeout_degrades_once_and_names_the_pending_backups():
+    cluster = build(num_nodes=4, factor=3)
+    cluster.tracer.enable("replication_degraded")
+    cut(cluster, 0, 2)
+    report = decision_wait(cluster, 0)
+    cluster.run(until=5e-3)
+    sync_timeout = cluster.config.replication.sync_timeout
+    assert report["wakeups"] == 1
+    assert report["done_at"] == pytest.approx(sync_timeout)
+    assert cluster.metrics.replication_sync_degraded == 1
+    (record,) = cluster.tracer.of_kind("replication_degraded")
+    assert record.node == 0 and record.details["backups"] == (2,)
+    # The record stays queued for retransmission; only the wait is gone.
+    stream = cluster.node(0).replication.streams[2]
+    assert stream.outbox and not stream.waiters
+    cluster.network.heal_all()
+    cluster.run(until=10e-3)
+    assert stream.acked == 1 and not stream.outbox
+
+
+@pytest.mark.parametrize("release", ["backup_crash", "retire"])
+def test_closing_stream_releases_the_waiter_before_the_timeout(release):
+    cluster = build(num_nodes=4, factor=3, sync_timeout=50e-3)
+    cut(cluster, 0, 2)
+    report = decision_wait(cluster, 0)
+    if release == "backup_crash":
+        # Noticed when the unacked batch comes up for retransmission.
+        cluster.network.crash(2)
+    else:
+        cluster.sim.call_later(3e-4, cluster.node(0).replication.retire)
+    cluster.run(until=10e-3)
+    assert report["wakeups"] == 1
+    assert report["done_at"] < 3e-3
+    assert cluster.node(0).replication.streams[2].closed
+    assert cluster.metrics.replication_sync_degraded == 0
+    assert not live_timers(cluster, _AckLatch.expire)
+
+
+def test_acked_waits_leave_no_timer_behind():
+    """1k sync waits against a far-away ``sync_timeout``: every wait's
+    timer is cancelled on its ack, and the scheduler compacts them."""
+    cluster = build(num_nodes=4, factor=3, sync_timeout=10.0)
+    rep = cluster.node(0).replication
+    width = len(cluster.nodes)
+
+    def driver():
+        for n in range(1000):
+            yield from rep.replicate_decision(
+                n, n + 1, tuple([0] * width), frozenset()
+            )
+
+    cluster.run_process(driver())
+    assert cluster.sim.now < 1.0
+    assert not live_timers(cluster, _AckLatch.expire)
+    assert cluster.sim.pending_count < 256
+    assert cluster.metrics.replication_sync_degraded == 0
+
+
+# ----------------------------------------------------------------------
+# Pump
+# ----------------------------------------------------------------------
+def test_lost_ack_retransmits_the_unacked_suffix_and_backup_dedups():
+    cluster = build(num_nodes=2)
+    key = owned_key(cluster, 0)
+    stream_apply(cluster, 0, key, 1)
+    stream = cluster.node(0).replication.streams[1]
+    cluster.network.partition(1, 0)  # the batch arrives, its ack is lost
+    cluster.run(until=5e-4)
+    backup = cluster.node(1).replication.backup_state[0]
+    assert backup.applied == 1 and stream.acked == 0
+    stream_apply(cluster, 0, key, 2)  # rides the retransmission
+    assert replicate_count(cluster) == 1
+    cluster.network.heal_all()
+    retry = cluster.config.replication.retry_interval
+    cluster.run(until=2 * retry + 5e-4)
+    assert cluster.network.stats.rpc_timeouts == 1
+    assert replicate_count(cluster) == 2  # [1, 2] in one batch
+    assert stream.acked == 2 and not stream.outbox and stream.inflight is None
+    assert backup.applied == 2
+    # Record 1 arrived twice and was installed once.
+    values = [version.value for version in cluster.node(1).store.chain(key)]
+    assert values == [0, 1, 2]
+
+
+def test_durable_primary_crash_orphans_the_inflight_batch():
+    cluster = build(num_nodes=3, wal=True)
+    nemesis = Nemesis(cluster)
+    key = owned_key(cluster, 0)
+    (backup,) = cluster.replication.backups_for_key(key)
+    stream_apply(cluster, 0, key, 1)
+    rep = cluster.node(0).replication
+    stream = rep.streams[backup]
+    assert stream.inflight is not None
+    incarnation = cluster.node(0)._incarnation
+    nemesis.apply(FaultEvent(0.0, CRASH_DURABLE, 0))
+    cluster.run(until=3e-4)
+    nemesis.apply(FaultEvent(cluster.sim.now, RESTART, 0))
+    assert cluster.node(0)._incarnation == incarnation + 1
+    assert stream.closed and stream.inflight is None
+    # The old batch's deadline and retry now fire into the new
+    # incarnation: nothing is retransmitted, struck or reopened.
+    cluster.run(until=10e-3)
+    assert replicate_count(cluster) == 1
+    assert stream.closed and stream.inflight is None and not stream.outbox
+    assert not live_timers(cluster, type(rep)._retransmit)
+
+
+def test_timed_out_batch_strikes_the_detector_under_a_global_timeout():
+    cluster = build(
+        num_nodes=3, rpc=RpcConfig(request_timeout=1.5e-3, max_attempts=3)
+    )
+    key = owned_key(cluster, 0)
+    (backup,) = cluster.replication.backups_for_key(key)
+    detector = cluster.node(0).healing.detector
+    assert cluster.node(0).node.rpc.detector is detector
+    cut(cluster, 0, backup)
+    stream_apply(cluster, 0, key, 1)
+    retry = cluster.config.replication.retry_interval
+    # Deadline (a strike) + pause per attempt; two strikes make a suspect.
+    cluster.run(until=4 * retry + 5e-4)
+    assert cluster.network.stats.rpc_timeouts == 2
+    assert replicate_count(cluster) == 3
+    assert detector.state(backup) != ALIVE
