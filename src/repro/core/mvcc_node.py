@@ -958,7 +958,7 @@ class MVCCNode(BaseProtocolNode):
         latest_vid = chain.latest.vid
 
         if needs_lock:
-            locks.release_read(lock_key, owner=lock_owner)
+            locks.release(lock_key, owner=lock_owner)
 
         if self._shard_map is not None:
             self.metrics.on_shard_access(self._shard_map.shard_of(request.key))
@@ -1022,6 +1022,13 @@ class MVCCNode(BaseProtocolNode):
                     self.directory.site(key) != self.node_id for key in keys
                 ):
                     return VoteBody(False, reason="moved")
+            if not self._validate(request):
+                # A chain's latest version only advances, so a "no" taken
+                # without the locks is final: refuse before queueing, or
+                # every doomed prepare holds a hot key's write lock for
+                # ``lock_op + prepare_key`` ahead of the one that can win.
+                yield from self.cpu.consume(self.costs.prepare_key * len(keys))
+                return VoteBody(False, reason=AbortReason.VALIDATION)
             timeout = self.shared.config.lock_timeout
             granted = yield from locks.acquire_write_all(
                 keys, owner=request.txn_id, timeout=timeout

@@ -21,8 +21,19 @@ from repro.sim.rng import make_rng
 from repro.system import Cluster
 from repro.workloads.base import Rollback, TxnContext, Workload
 
-#: Pause before retrying an aborted transaction, jittered per attempt.
+#: Base pause before retrying an aborted transaction.
 DEFAULT_RETRY_BACKOFF = 100e-6
+#: Truncation point of the binary exponential retry back-off: the pause
+#: after the n-th abort is ``backoff * min(2**(n-1), cap)``, jittered to
+#: up to twice that.  A client that keeps losing first-committer-wins on
+#: one hot key thereby stops re-arriving at the rate it is refused at.
+RETRY_BACKOFF_CAP = 64
+
+
+def retry_delay(backoff: float, attempts: int, rng) -> float:
+    """Pause before retry number ``attempts`` (one seeded draw)."""
+    scale = min(2 ** (attempts - 1), RETRY_BACKOFF_CAP)
+    return backoff * scale * (1.0 + rng.random())
 
 
 @dataclass
@@ -96,7 +107,7 @@ def client_loop(
                 break
             if max_retries is not None and attempts > max_retries:
                 break
-            yield sim.sleep(backoff * (1.0 + rng.random()))
+            yield sim.sleep(retry_delay(backoff, attempts, rng))
         if costs.client_think:
             yield sim.sleep(costs.client_think)
 

@@ -133,6 +133,9 @@ class MetricsRecorder:
         self.rollbacks = 0
         self.commits_by_profile: Counter = Counter()
         self.aborts_by_reason: Counter = Counter()
+        #: Aborted attempts per written key: names the keys a contention
+        #: collapse is made of (``summary()["abort_hot_keys"]``).
+        self.aborts_by_key: Counter = Counter()
         self.commit_latency = RunningStat()
         self.read_only_latency = RunningStat()
         self.update_latency = RunningStat()
@@ -296,6 +299,8 @@ class MetricsRecorder:
             return
         self.aborts += 1
         self.aborts_by_reason[reason] += 1
+        for key in txn.writeset:
+            self.aborts_by_key[key] += 1
 
     def on_rollback(self, txn) -> None:
         """Client-initiated rollback: business logic, not a conflict."""
@@ -513,6 +518,8 @@ class MetricsRecorder:
             "abort_rate": self.abort_rate,
             "throughput": self.throughput(),
             "aborts_by_reason": dict(self.aborts_by_reason),
+            "abort_hot_keys": self.aborts_by_key.most_common(5),
+            "attempts_per_commit": self.attempts_per_commit.as_dict(),
             "commits_by_profile": dict(self.commits_by_profile),
             "latency": self.commit_latency.as_dict(),
             "ro_latency": self.read_only_latency.as_dict(),

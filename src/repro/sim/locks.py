@@ -134,7 +134,9 @@ class RWLock:
     # ------------------------------------------------------------------
     # Release
     # ------------------------------------------------------------------
-    def release(self, owner: Owner) -> None:
+    def release(self, owner: Owner) -> bool:
+        """Drop one hold of ``owner``; ``True`` when that leaves the lock
+        idle (no holder, no queued request), so a table may reclaim it."""
         entry = self._holders.get(owner)
         if entry is None:
             raise LockError(f"owner {owner!r} does not hold this lock")
@@ -142,6 +144,7 @@ class RWLock:
         if entry[1] == 0:
             del self._holders[owner]
             self._drain()
+        return not self._holders and not self._queue
 
 
 class Mutex:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional
 
 from repro.sim import RWLock, Simulator
+from repro.sim.locks import LockError
 
 
 class LockTable:
@@ -14,6 +15,10 @@ class LockTable:
     handlers additionally take the shared side so read-only transactions
     "are still allowed to operate simultaneously on read handlers" while
     excluding concurrent conflicting update commits (paper Section 4.3).
+
+    A lock lives only while it has a holder or a queued request: the
+    release that empties it drops it from the table, so the table's size
+    follows the locks in use, not the keys ever touched.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -26,6 +31,14 @@ class LockTable:
             lock = RWLock(self.sim)
             self._locks[key] = lock
         return lock
+
+    def release(self, key: Hashable, owner) -> None:
+        """Release ``owner``'s hold on ``key``; reclaim the lock if idle."""
+        lock = self._locks.get(key)
+        if lock is None:
+            raise LockError(f"owner {owner!r} does not hold a lock on {key!r}")
+        if lock.release(owner):
+            del self._locks[key]
 
     # ------------------------------------------------------------------
     # Multi-key helpers (generator subroutines for protocol processes)
@@ -56,7 +69,7 @@ class LockTable:
 
     def release_write_all(self, keys: Iterable[Hashable], owner) -> None:
         for key in keys:
-            self.lock_for(key).release(owner)
+            self.release(key, owner)
 
     def acquire_mixed(
         self,
@@ -87,7 +100,7 @@ class LockTable:
                 granted = yield lock.acquire_read(owner, timeout)
             if not granted:
                 for got_key, _mode in held:
-                    self.lock_for(got_key).release(owner)
+                    self.release(got_key, owner)
                 return False, [], []
             held.append((key, mode))
         read_held = [key for key, mode in held if mode == "r"]
@@ -97,18 +110,20 @@ class LockTable:
     def release_keys(self, keys: Iterable[Hashable], owner) -> None:
         """Release a set of keys previously granted to ``owner``."""
         for key in keys:
-            self.lock_for(key).release(owner)
+            self.release(key, owner)
 
     def acquire_read(self, key: Hashable, owner, timeout: Optional[float]):
         """Event for a shared acquisition on one key."""
         return self.lock_for(key).acquire_read(owner, timeout)
 
-    def release_read(self, key: Hashable, owner) -> None:
-        self.lock_for(key).release(owner)
-
     # ------------------------------------------------------------------
     # Introspection (tests / invariants)
     # ------------------------------------------------------------------
+    def write_held(self, key: Hashable) -> bool:
+        """Whether ``key`` is write-locked; never materialises a lock."""
+        lock = self._locks.get(key)
+        return lock is not None and lock.write_held
+
     def any_locked(self) -> bool:
         return any(lock.is_locked for lock in self._locks.values())
 

@@ -449,7 +449,7 @@ class Cluster:
         cfg = self.config.membership
         deadline = self.sim.now + cfg.handoff_timeout
         locks = node.locks
-        while any(locks.lock_for(key).write_held for key in keys):
+        while any(locks.write_held(key) for key in keys):
             if self.sim.now >= deadline:
                 return False
             yield self.sim.timeout(cfg.ack_timeout)

@@ -162,3 +162,128 @@ def test_aborted_transactions_consume_no_sequence_numbers():
     assert cluster.node(1).curr_seq_no == 1
     # Every node converges on the winner's commit.
     assert cluster.site_clocks() == [(0, 1), (0, 1)]
+
+
+# ----------------------------------------------------------------------
+# Validate-before-lock (PR 13): a doomed prepare never queues on the lock
+# ----------------------------------------------------------------------
+def _stale_prepare(cluster, txn_id=9001, round=0):
+    """A Prepare for ``x`` at node 1 whose read of ``x`` has since been
+    overwritten: returns ``(node, request)``."""
+    from repro.core.wire import PrepareBody
+
+    node = cluster.node(1)
+    read_vid = node.store.chain("x").latest.vid
+    ok, _ = cluster.run_process(update_txn(cluster, 0, writes={"x": 1}))
+    assert ok and node.store.chain("x").latest.vid != read_vid
+    request = PrepareBody(
+        txn_id=txn_id,
+        coordinator=0,
+        writes={"x": 2},
+        vc=tuple(node.site_vc),
+        read_vids={"x": read_vid},
+        round=round,
+    )
+    return node, request
+
+
+@pytest.mark.parametrize("protocol", ["fwkv", "walter"])
+def test_stale_prepare_votes_no_without_queueing_on_the_write_lock(protocol):
+    """First-committer-wins is decided before the lock queue: while
+    another transaction holds the key's write lock, a prepare whose read
+    is already behind the chain's latest answers ``validation`` at once
+    (the parent queued it behind the holder and answered after the
+    release, or ``lock_timeout``)."""
+    cluster = make_cluster(protocol, 2, {"x": 1}, initial={"x": 0})
+    node, request = _stale_prepare(cluster)
+    lock = node.locks.lock_for("x")
+    seen = {"max_queue": 0}
+
+    def holder():
+        granted = yield lock.acquire_write("holder")
+        assert granted
+        yield cluster.sim.timeout(5e-3)
+        node.locks.release("x", "holder")
+
+    def watch():
+        while lock.is_locked:
+            seen["max_queue"] = max(seen["max_queue"], lock.queue_length)
+            yield cluster.sim.timeout(5e-6)
+
+    def prepare():
+        yield cluster.sim.timeout(1e-4)
+        started = cluster.sim.now
+        vote = yield from node._handle_prepare(request)
+        seen["vote"] = vote
+        seen["took"] = cluster.sim.now - started
+        seen["holder_still_in"] = lock.held_by("holder") == "w"
+
+    cluster.spawn(holder())
+    cluster.spawn(watch())
+    cluster.spawn(prepare())
+    cluster.run()
+    assert (seen["vote"].ok, seen["vote"].reason) == (False, "validation")
+    assert seen["holder_still_in"], "the vote must not wait for the holder"
+    # Only the per-key validation CPU was spent: no lock wait.
+    assert seen["took"] == pytest.approx(cluster.config.costs.prepare_key)
+    assert seen["max_queue"] == 0
+    assert request.txn_id not in node._prepared
+    assert "x" not in node.locks._locks, "idle lock reclaimed after release"
+
+
+def test_stale_prepare_on_a_fenced_then_moved_key_still_answers_moved():
+    """The fence / ownership checks run before validation, so a handoff
+    costs the coordinator a regroup round, never a spurious abort."""
+    cluster = make_cluster("fwkv", 2, {"x": 1}, initial={"x": 0})
+    node, request = _stale_prepare(cluster)
+    node.membership.fence(["x"])
+    result = {}
+
+    def prepare():
+        result["vote"] = yield from node._handle_prepare(request)
+        result["at"] = cluster.sim.now
+
+    def handoff():
+        yield cluster.sim.timeout(1e-3)
+        cluster.directory._placement["x"] = 0
+        node.membership.unfence(["x"])
+
+    started = cluster.sim.now
+    cluster.spawn(prepare())
+    cluster.spawn(handoff())
+    cluster.run()
+    assert (result["vote"].ok, result["vote"].reason) == (False, "moved")
+    assert result["at"] - started >= 1e-3, "parked on the fence, not refused"
+
+
+def test_prepare_idempotence_unchanged_by_early_validation():
+    """Duplicate, stale-round and newer-round Prepares behave as before:
+    the recorded vote is replayed, a stale round hears "moved", and a
+    newer round unstages the old entry before validating afresh."""
+    from repro.core.wire import PrepareBody
+
+    cluster = make_cluster("fwkv", 2, {"x": 1}, initial={"x": 0})
+    node = cluster.node(1)
+    vid = node.store.chain("x").latest.vid
+
+    def request(round):
+        return PrepareBody(
+            txn_id=77, coordinator=0, writes={"x": 9},
+            vc=tuple(node.site_vc), read_vids={"x": vid}, round=round,
+        )
+
+    first = cluster.run_process(node._handle_prepare(request(1)))
+    assert first.ok and node.locks.lock_for("x").held_by(77) == "w"
+    # Duplicate of the same round: the very same vote object, no re-lock.
+    again = cluster.run_process(node._handle_prepare(request(1)))
+    assert again is first
+    # A stale round arriving after its successor prepared.
+    stale = cluster.run_process(node._handle_prepare(request(0)))
+    assert (stale.ok, stale.reason) == (False, "moved")
+    assert node._prepared[77].round == 1
+    # A newer round supersedes: old entry unstaged, then prepared afresh.
+    newer = cluster.run_process(node._handle_prepare(request(2)))
+    assert newer.ok and node._prepared[77].round == 2
+    assert node.locks.lock_for("x").held_by(77) == "w"
+    node._abort_prepared(77, node._prepared[77])
+    assert not node.locks.any_locked() and not node.locks._locks

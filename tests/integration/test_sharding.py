@@ -163,6 +163,9 @@ def run_live_migration(seed, *, migrate):
 
     assert len(outcomes) == len(plan) and all(outcomes)
     assert cluster.metrics.aborts == 0, "a live migration must not abort"
+    # Quiescent: every lock was reclaimed, and the migration's write-lock
+    # drain peeked at the moved keys without materialising one per key.
+    assert all(not node.locks._locks for node in cluster.nodes)
     if migrate:
         assert moved.value is True
         assert cluster.directory.owner_of(shard) == dest

@@ -48,6 +48,36 @@ def test_commit_and_abort_counting():
     assert metrics.attempts_per_commit.mean == pytest.approx(1.5)
 
 
+def test_abort_attribution_names_the_hot_keys():
+    """Aborted attempts are counted per written key (top five reported)
+    and the attempts-per-commit stat reaches ``summary()``."""
+    sim = Simulator()
+    metrics = MetricsRecorder(sim)
+
+    def aborted(*keys):
+        txn = make_txn()
+        txn.writeset.update((key, 0) for key in keys)
+        metrics.on_abort(txn, "validation")
+
+    for _ in range(3):
+        aborted("hot", "a")
+    aborted("hot", "b")
+    for key in "cdefg":
+        aborted(key)
+    metrics.on_commit(make_txn(), latency=0.01, attempts=4)
+    metrics.on_commit(make_txn(), latency=0.01, attempts=1)
+    summary = metrics.summary()
+    assert summary["abort_hot_keys"][:2] == [("hot", 4), ("a", 3)]
+    assert len(summary["abort_hot_keys"]) == 5
+    assert summary["attempts_per_commit"] == {
+        "count": 2, "mean": 2.5, "min": 1, "max": 4,
+    }
+    # Outside the window nothing is attributed.
+    metrics.open_window(start=1.0, end=2.0)
+    aborted("late")
+    assert "late" not in metrics.aborts_by_key
+
+
 def test_window_excludes_events_outside():
     sim = Simulator()
     metrics = MetricsRecorder(sim)
