@@ -42,7 +42,6 @@ from repro.config import (
     CostModel,
     DurabilityConfig,
     HealingConfig,
-    MembershipConfig,
     NetworkConfig,
     ReplicationConfig,
     RpcConfig,
@@ -63,7 +62,6 @@ __all__ = [
     "CostModel",
     "DurabilityConfig",
     "HealingConfig",
-    "MembershipConfig",
     "MembershipView",
     "NetworkConfig",
     "NodeMembership",

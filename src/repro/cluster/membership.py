@@ -16,7 +16,7 @@ reconfiguration drivers:
 ``VIEW_COMMIT``
     Once every live member acked, the coordinator fans out the commit
     (one-way, idempotent).  Applying a commit widens or shrinks the
-    node's ``siteVC`` to the view's clock width, lifts any handoff
+    node's ``siteVC`` to the view's clock width, lifts any key-scoped
     fences, resets the failure detector's memory of removed peers, and
     logs a committed :class:`~repro.storage.wal.ViewChangeRecord` so
     crash recovery restores the view.  Stale or duplicate commits are
@@ -42,8 +42,19 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.core.wire import ViewAckBody, ViewCommitBody, ViewProposeBody
 from repro.net.message import MessageType
-from repro.sim import ConditionVariable
 from repro.storage.wal import ViewChangeRecord
+
+#: Propose/ack rounds attempted before a view change is abandoned; also
+#: the prepare rounds a commit spends regrouping across handoffs and
+#: failovers before it aborts.
+MAX_ATTEMPTS = 5
+#: The reconfiguration drivers' polling tick: how long a propose round
+#: waits for VIEW_ACKs, and how often a drain or bootstrap wait re-checks
+#: (a driver must never hang on a crashed member).
+ACK_TIMEOUT = 2e-3
+#: Deadline for a joiner's bootstrap, a drain, and each wait on a member
+#: to apply a view; exceeded handoffs are abandoned or reverted.
+HANDOFF_TIMEOUT = 200e-3
 
 #: Member lifecycle states carried in a view.
 JOINING = "joining"
@@ -59,7 +70,7 @@ _FANOUT_STATES = frozenset({ACTIVE, DRAINING, JOINING})
 class MembershipView:
     """An immutable epoch-numbered membership view."""
 
-    __slots__ = ("epoch", "members", "retired", "_ring", "_fanout")
+    __slots__ = ("epoch", "members", "retired", "ring_ids", "fanout_ids")
 
     def __init__(
         self,
@@ -70,10 +81,12 @@ class MembershipView:
         self.epoch = epoch
         self.members: Dict[int, str] = dict(members)
         self.retired: Dict[int, int] = dict(retired)
-        self._ring: Tuple[int, ...] = tuple(
+        #: Sites that own key ranges (directory placement domain).
+        self.ring_ids: Tuple[int, ...] = tuple(
             sorted(m for m, s in self.members.items() if s in _RING_STATES)
         )
-        self._fanout: Tuple[int, ...] = tuple(
+        #: Sites included in Propagate/gossip fan-out (ring + joining).
+        self.fanout_ids: Tuple[int, ...] = tuple(
             sorted(m for m, s in self.members.items() if s in _FANOUT_STATES)
         )
 
@@ -98,16 +111,6 @@ class MembershipView:
     # Derived sets
     # ------------------------------------------------------------------
     @property
-    def ring_ids(self) -> Tuple[int, ...]:
-        """Sites that own key ranges (directory placement domain)."""
-        return self._ring
-
-    @property
-    def fanout_ids(self) -> Tuple[int, ...]:
-        """Sites included in Propagate/gossip fan-out (ring + joining)."""
-        return self._fanout
-
-    @property
     def clock_width(self) -> int:
         """Vector-clock width this view requires.
 
@@ -130,20 +133,13 @@ class MembershipView:
         return tuple(sorted(self.retired.items()))
 
     def to_triple(self) -> Tuple[int, Tuple, Tuple]:
-        """``(epoch, members, retired)`` -- the WAL/checkpoint encoding."""
+        """``(epoch, members, retired)`` -- the wire, WAL and checkpoint
+        encoding (the leading fields of every view message and record)."""
         return (self.epoch, self.members_wire(), self.retired_wire())
-
-    @classmethod
-    def from_triple(cls, triple: Tuple[int, Tuple, Tuple]) -> "MembershipView":
-        epoch, members, retired = triple
-        return cls.from_wire(epoch, members, retired)
 
     # ------------------------------------------------------------------
     # Derivation (drivers build target views from the committed one)
     # ------------------------------------------------------------------
-    def with_epoch(self, epoch: int) -> "MembershipView":
-        return MembershipView(epoch, self.members, self.retired)
-
     def with_member(self, node_id: int, state: str) -> "MembershipView":
         members = dict(self.members)
         members[node_id] = state
@@ -176,11 +172,12 @@ class MembershipView:
 
 
 class NodeMembership:
-    """One node's membership state machine and handoff fences.
+    """One node's membership state machine.
 
     Owns the node-local side of the view-change protocol (propose/ack/
-    commit handlers), the committed and pending views, and the *moving*
-    fences that stall prepares on keys whose shard is mid-handoff.
+    commit handlers) and the committed and pending views.  Handoffs park
+    prepares on the node's one :class:`~repro.core.repair.Fence`; a view
+    commit raises its drain level or lifts its key-scoped level.
     """
 
     def __init__(self, owner) -> None:
@@ -193,14 +190,6 @@ class NodeMembership:
         self.pending: Optional[MembershipView] = None
         #: Proposer-side ack collection: epoch -> member ids that acked ok.
         self.acks: Dict[int, Set[int]] = {}
-        #: Notified on every commit apply and fence lift.
-        self.changed = ConditionVariable(self.sim)
-        #: Keys fenced for an outbound shard handoff: new prepares on them
-        #: park until the fence lifts (at view commit), then re-check
-        #: ownership and vote "moved" if the directory flipped.
-        self.moving: Set = set()
-        #: Drain fence: every local key is moving (decommission).
-        self.moving_all = False
         #: Origins whose clock entry this node truncated at a shrink
         #: commit.  A straggling Propagate/Decide from one of them must
         #: be dropped (its full frontier was provably applied before the
@@ -209,57 +198,13 @@ class NodeMembership:
         self.dropped: Set[int] = set()
 
     # ------------------------------------------------------------------
-    # Fences
-    # ------------------------------------------------------------------
-    def fence(self, keys: Iterable) -> None:
-        self.moving.update(keys)
-
-    def fence_all(self) -> None:
-        self.moving_all = True
-
-    def is_fenced(self, keys: Iterable) -> bool:
-        if self.moving_all:
-            return True
-        if not self.moving:
-            return False
-        return any(key in self.moving for key in keys)
-
-    def unfence(self, keys: Iterable) -> None:
-        """Lift the fence on exactly ``keys`` (shard-migration cutover).
-
-        Unlike :meth:`lift_fences` -- the view-commit sledgehammer that
-        clears every fence -- this is scoped: a rebalancer migrating one
-        shard releases only that shard's keys, leaving any concurrent
-        drain or migration fence intact.  Parked prepares wake, re-check
-        ownership against the (possibly flipped) directory, and either
-        proceed locally or vote "moved".
-        """
-        if not self.moving:
-            return
-        before = len(self.moving)
-        self.moving.difference_update(keys)
-        if len(self.moving) != before:
-            self.changed.notify_all()
-
-    def lift_fences(self) -> None:
-        if self.moving or self.moving_all:
-            self.moving.clear()
-            self.moving_all = False
-            self.changed.notify_all()
-
-    # ------------------------------------------------------------------
     # Protocol: proposer side
     # ------------------------------------------------------------------
     def propose(self, view: MembershipView) -> None:
         """Accept ``view`` locally and fan the proposal out (one-way)."""
         self._accept(view)
         self.acks.setdefault(view.epoch, set()).add(self.node_id)
-        body = ViewProposeBody(
-            epoch=view.epoch,
-            members=view.members_wire(),
-            retired=view.retired_wire(),
-            proposer=self.node_id,
-        )
+        body = ViewProposeBody(*view.to_triple(), proposer=self.node_id)
         for member in view.fanout_ids:
             if member != self.node_id:
                 self.owner.node.send(member, MessageType.VIEW_PROPOSE, body)
@@ -271,25 +216,20 @@ class NodeMembership:
 
     def commit(self, view: MembershipView) -> None:
         """Fan out the commit (one-way, idempotent) and apply it locally."""
-        body = ViewCommitBody(
-            epoch=view.epoch,
-            members=view.members_wire(),
-            retired=view.retired_wire(),
-        )
         for member in view.fanout_ids:
             if member != self.node_id:
-                self.owner.node.send(member, MessageType.VIEW_COMMIT, body)
+                self.send_commit_to(member, view)
         self.apply_commit(view)
 
-    def send_commit_to(self, peer: int) -> None:
-        """Re-send the committed view to one peer (gossip piggyback)."""
-        view = self.view
-        body = ViewCommitBody(
-            epoch=view.epoch,
-            members=view.members_wire(),
-            retired=view.retired_wire(),
+    def send_commit_to(
+        self, peer: int, view: Optional[MembershipView] = None
+    ) -> None:
+        """Send one peer a committed view -- by default ours, re-sent as
+        gossip's piggyback."""
+        view = view or self.view
+        self.owner.node.send(
+            peer, MessageType.VIEW_COMMIT, ViewCommitBody(*view.to_triple())
         )
-        self.owner.node.send(peer, MessageType.VIEW_COMMIT, body)
 
     # ------------------------------------------------------------------
     # Protocol: handlers (registered by the owning protocol node)
@@ -297,7 +237,14 @@ class NodeMembership:
     def on_view_propose(self, envelope) -> None:
         body = envelope.payload
         view = MembershipView.from_wire(body.epoch, body.members, body.retired)
-        ok = body.epoch > self.view.epoch and self._shrink_acceptable(view)
+        # Reject a shrinking proposal we cannot honor yet.  The commit
+        # path skips an unsafe shrink anyway (staying wide is always
+        # sound), but rejecting at ack time lets the coordinator retry
+        # later instead of committing a view some members cannot fully
+        # apply.
+        ok = body.epoch > self.view.epoch and self._shrink_safe(
+            view.clock_width, view
+        )
         if ok:
             self._accept(view)
         ack = ViewAckBody(
@@ -324,15 +271,13 @@ class NodeMembership:
     def _accept(self, view: MembershipView) -> None:
         """Record ``view`` as pending and log it (crash-safe ack)."""
         self.pending = view
+        self._log(view, committed=False)
+
+    def _log(self, view: MembershipView, committed: bool) -> None:
         wal = self.owner.wal
         if wal is not None:
             wal.append(
-                ViewChangeRecord(
-                    epoch=view.epoch,
-                    members=view.members_wire(),
-                    retired=view.retired_wire(),
-                    committed=False,
-                )
+                ViewChangeRecord(*view.to_triple(), committed=committed)
             )
 
     def apply_commit(self, view: MembershipView) -> bool:
@@ -357,38 +302,30 @@ class NodeMembership:
             self.pending = None
         for epoch in [e for e in self.acks if e <= view.epoch]:
             del self.acks[epoch]
-        wal = owner.wal
-        if wal is not None:
-            wal.append(
-                ViewChangeRecord(
-                    epoch=view.epoch,
-                    members=view.members_wire(),
-                    retired=view.retired_wire(),
-                    committed=True,
-                )
-            )
+        self._log(view, committed=True)
         # Entering DRAINING raises the drain fence on every local key;
         # any other transition for this node lifts handoff fences (the
-        # directory flipped before the commit was fanned out).
+        # directory flipped before the commit was fanned out).  Parked
+        # prepares wake, re-check ownership against the directory, and
+        # either proceed locally or vote "moved".
         if view.state_of(self.node_id) == DRAINING:
-            self.fence_all()
+            owner.fence.raise_every_key()
         else:
-            self.lift_fences()
+            owner.fence.lower_every_key()
         # Forget removed peers: the failure detector must not carry a
         # dead site's suspicion (or a rejoining site's stale history)
         # into the new view.
-        healing = getattr(owner, "healing", None)
-        if healing is not None and healing.detector is not None:
+        detector = owner.healing.detector
+        if detector is not None:
             for peer in previous.members:
                 if peer != self.node_id and view.state_of(peer) is None:
-                    healing.detector.forget(peer)
+                    detector.forget(peer)
         owner.metrics.on_view_committed()
         if owner.tracer._enabled:
             owner.tracer.emit(
                 self.node_id, "view_commit", epoch=view.epoch,
                 members=view.members_wire(), retired=view.retired_wire(),
             )
-        self.changed.notify_all()
         return True
 
     # ------------------------------------------------------------------
@@ -415,19 +352,6 @@ class NodeMembership:
                 return False
         return True
 
-    def _shrink_acceptable(self, view: MembershipView) -> bool:
-        """Ack-time gate: reject a shrinking proposal we cannot honor yet.
-
-        The commit path skips an unsafe shrink anyway (staying wide is
-        always sound), but rejecting at ack time lets the coordinator
-        retry later instead of committing a view some members cannot
-        fully apply.
-        """
-        width = view.clock_width
-        if width >= len(self.owner.site_vc):
-            return True
-        return self._shrink_safe(width, view)
-
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
@@ -444,13 +368,13 @@ class NodeMembership:
         any epochs committed during the outage.
         """
         if view_triple is not None:
-            view = MembershipView.from_triple(view_triple)
+            view = MembershipView.from_wire(*view_triple)
             if view.epoch > self.view.epoch:
                 self.view = view
                 width = view.clock_width
                 if width > len(self.owner.site_vc):
                     self.owner.site_vc.widen(width)
         if pending_triple is not None:
-            pending = MembershipView.from_triple(pending_triple)
+            pending = MembershipView.from_wire(*pending_triple)
             if pending.epoch > self.view.epoch:
                 self.pending = pending

@@ -1,28 +1,14 @@
 """Online shard rebalancing: fence, drain, stream, flip.
 
 A :class:`Rebalancer` moves one shard at a time between live nodes while
-foreground PSI traffic keeps committing.  A migration reuses the exact
-machinery the membership drivers built (docs/membership.md):
-
-1. **Fence** the shard's keys at the donor (``NodeMembership.fence``):
-   new prepares touching them park before taking locks.
-2. **Drain** the keys' write locks (``Cluster._drain_write_locks``):
-   prepares that already held locks finish through their Decide.
-3. **Stream** the shard's version chains to the recipient over the
-   PR-5 SNAPSHOT_OFFER/CHUNK/ACK protocol (``NodeHealing.ship_shard``)
-   with fingerprint verification at the receiver.
-4. **Flip** the single :class:`~repro.cluster.directory.ShardMap` owner
-   entry atomically (one epoch bump), then **unfence** -- scoped, so a
-   concurrent drain's fence stays up.  Parked prepares wake, re-check
-   ownership, and vote "moved"; the coordinator regroups against the
-   flipped map and re-prepares at the new owner.  Nothing aborts.
-
-A failed transfer (crashed donor or recipient, partition, drain
-timeout) unfences *without* flipping: ownership is unchanged, the
-receiver installed nothing (installs are all-or-nothing at the final
-chunk), and the parked prepares proceed locally -- so the failure is
-invisible to foreground traffic and the migration can simply be
-retried.
+foreground PSI traffic keeps committing.  A migration is one
+:func:`~repro.cluster.handoff.fenced_handoff` whose action under the
+fence is the single :class:`~repro.cluster.directory.ShardMap` owner
+flip (one epoch bump): parked prepares wake, re-check ownership, and
+vote "moved"; the coordinator regroups against the flipped map and
+re-prepares at the new owner.  Nothing aborts, and a failed transfer
+(crashed donor or recipient, partition, drain timeout) is invisible to
+foreground traffic and can simply be retried.
 
 Which shard to move comes from :func:`plan_moves`, a pure greedy
 planner over the per-shard access counters in
@@ -36,6 +22,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.cluster.directory import ShardMap
+from repro.cluster.handoff import fenced_handoff
+from repro.sim import PeriodicLoop
 
 
 def plan_moves(
@@ -101,9 +89,8 @@ class Rebalancer:
     Constructed by :class:`repro.system.Cluster` whenever the directory
     is a ShardMap.  Migrations run as simulator processes; the optional
     background loop (``ShardingConfig.rebalance_interval``) periodically
-    plans from the metrics counters and migrates, with the same
-    generation-token idempotent start/stop protocol as the healing
-    loops.  The loop should be stopped across membership changes: the
+    plans from the metrics counters and migrates.  The loop should be
+    stopped across membership changes: the
     join/leave drivers precompute ownership with ``with_nodes`` and a
     concurrent flip would skew that precomputation.
     """
@@ -115,8 +102,10 @@ class Rebalancer:
         self.metrics = cluster.metrics
         #: Completed migrations, as ``(shard, donor, recipient)`` (probe).
         self.migrations: List[Tuple[int, int, int]] = []
-        self._started = False
-        self._generation = 0
+        self._loop = PeriodicLoop(
+            self.sim, self.config.rebalance_interval, self.rebalance_once,
+            "rebalancer",
+        )
 
     @property
     def shard_map(self) -> ShardMap:
@@ -146,39 +135,23 @@ class Rebalancer:
             self.metrics.on_shard_migration_failed()
             return False
         donor = cluster.nodes[donor_id]
-        incarnation = donor._incarnation
         keys = sorted(
             (k for k in donor.store.keys() if shard_map.shard_of(k) == shard),
             key=repr,
         )
-        donor.membership.fence(keys)
         if tracer._enabled:
             tracer.emit(
                 donor_id, "shard_migrate_start", shard=shard, dest=dest,
                 keys=len(keys), epoch=shard_map.epoch,
             )
-        flipped = False
-        try:
-            drained = yield from cluster._drain_write_locks(donor, keys)
-            if drained and donor._incarnation == incarnation:
-                if keys:
-                    installed = yield from donor.healing.ship_shard(
-                        dest, keys, incarnation
-                    )
-                else:
-                    installed = True  # nothing resident; flip is pure metadata
-                if installed and shard_map.owner_of(shard) == donor_id:
-                    # Cutover: single table write, one epoch bump.  The
-                    # fence is still up, so no prepare can slip between
-                    # the stream and the flip.
-                    shard_map.assign(shard, dest)
-                    flipped = True
-        finally:
-            # Scoped: wakes only this shard's parked prepares.  On the
-            # success path they re-check ownership and vote "moved"; on
-            # the failure path the map never flipped and they proceed
-            # locally as if the migration had never started.
-            donor.membership.unfence(keys)
+
+        def flip():
+            # Cutover: single table write, one epoch bump.
+            if shard_map.owner_of(shard) != donor_id:
+                return False
+            shard_map.assign(shard, dest)
+
+        flipped = yield from fenced_handoff(donor, {dest: keys}, act=flip)
         if flipped:
             self.migrations.append((shard, donor_id, dest))
             self.metrics.on_shard_migrated(len(keys))
@@ -229,23 +202,10 @@ class Rebalancer:
         return done
 
     # ------------------------------------------------------------------
-    # Background loop (generation-token lifecycle, like NodeHealing)
+    # Background loop
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self.config.rebalance_interval is None or self._started:
-            return
-        self._started = True
-        self._generation += 1
-        self.sim.spawn(self._loop(self._generation), name="rebalancer")
+        self._loop.start()
 
     def stop(self) -> None:
-        self._started = False
-        self._generation += 1
-
-    def _loop(self, generation: int):
-        interval = self.config.rebalance_interval
-        while self._generation == generation:
-            yield self.sim.timeout(interval)
-            if self._generation != generation:
-                return
-            yield from self.rebalance_once()
+        self._loop.stop()

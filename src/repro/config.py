@@ -192,42 +192,22 @@ class BatchingConfig(ConfigSerde):
     Every committed update transaction fans out one Propagate envelope per
     uninvolved node (Alg. 4 line 27), and every committed read-only
     transaction contributes Remove identifiers per destination; at scale
-    these background messages dominate the event count.  This config
-    coalesces them.  The defaults preserve the unbatched behaviour
-    bit-for-bit: ``propagate_window=0.0`` sends one Propagate per commit
-    per uninvolved node at commit time, exactly as before.
+    these background messages dominate the event count.  The default
+    sends one Propagate per commit per uninvolved node at commit time,
+    the paper's behaviour message for message.
     """
 
-    #: Virtual-seconds window for Propagate fan-out batching.  ``0.0``
-    #: (default) sends immediately, one message per (commit, uninvolved
-    #: node).  ``> 0`` buffers the origin's committed sequence numbers per
-    #: destination and flushes them as one Propagate carrying the whole
-    #: window (``PropagateBody.seq_nos``), delaying remote snapshot
-    #: advancement by at most the window.
-    propagate_window: float = 0.0
-    #: FW-KV Remove coalescing interval: identifiers are batched per
-    #: destination and flushed on this timer.  ``None`` (default) falls
-    #: back to :attr:`ClusterConfig.remove_flush_interval`, the historical
-    #: location of this knob.
-    remove_flush_interval: Optional[float] = None
-    #: Adaptive windows: instead of the fixed ``propagate_window`` /
-    #: Remove interval, each destination's window is driven by observed
-    #: queue depth -- a flush that carried more than a small target depth
-    #: grows the window additively by ``adaptive_step`` (backlog: batching
-    #: pays), a flush that carried one item decays it multiplicatively by
-    #: ``adaptive_decay`` toward zero (idle: send immediately), and
-    #: depths in between hold it, so windows converge a few
-    #: inter-arrivals wide.  A closed (zero) window sends immediately and
-    #: reopens only once consecutive sends to that destination arrive
-    #: within ``adaptive_step`` of each other.  Windows never exceed
-    #: ``max_window``, bounding snapshot staleness.
+    #: Adaptive windows: each destination's Propagate (and Remove) window
+    #: is driven by observed queue depth -- a flush that carried more
+    #: than a small target depth grows the window additively (backlog:
+    #: batching pays), a flush that carried one item decays it
+    #: multiplicatively toward zero (idle: send immediately), and depths
+    #: in between hold it, so windows converge a few inter-arrivals wide.
+    #: A closed (zero) window sends immediately and reopens only under
+    #: sustained back-to-back sends to that destination.  Windows are
+    #: capped, bounding snapshot staleness; the controller's constants
+    #: live beside it in ``repro.core.mvcc_node``.
     adaptive: bool = False
-    #: Hard cap on any adaptive window (virtual seconds).
-    max_window: float = 1e-3
-    #: Additive window growth per backlogged flush.
-    adaptive_step: float = 50e-6
-    #: Multiplicative window decay per single-item flush.
-    adaptive_decay: float = 0.5
 
 
 @dataclass
@@ -246,7 +226,7 @@ class CheckpointConfig(ConfigSerde):
 
     #: Virtual-seconds period between checkpoint attempts by the healing
     #: daemon; ``None`` (default) disables automatic checkpointing
-    #: (tests may still call ``MVCCNode.checkpoint_now`` directly).
+    #: (tests may still call ``CheckpointManager.checkpoint_now``).
     interval: Optional[float] = None
     #: Skip an automatic checkpoint unless at least this many WAL records
     #: accumulated since the previous one (avoids checkpoint spam on idle
@@ -320,8 +300,9 @@ class HealingConfig(ConfigSerde):
     * the **failure detector** (default on) classifies peers
       alive/suspect/dead from message arrivals and RPC timeouts, caps the
       retry budget of calls to suspect/dead peers, and lets coordinators
-      fail commits fast instead of burning the full timeout ladder on a
-      participant that is known dead.  With the paper-model defaults
+      fail commits fast (``AbortReason.PEER_DEAD``) instead of burning
+      the full timeout ladder on a participant that is known dead.  With
+      the paper-model defaults
       (``rpc.request_timeout=None``, no heartbeats) the detector receives
       no evidence and is completely inert -- tier-1 behaviour is
       bit-identical;
@@ -337,18 +318,11 @@ class HealingConfig(ConfigSerde):
     #: Master switch for the accrual failure detector.
     detector_enabled: bool = True
     #: Active heartbeat period; ``None`` (default) relies purely on
-    #: passive evidence (foreground arrivals and RPC timeouts).
+    #: passive evidence (foreground arrivals and RPC timeouts).  Periods
+    #: are jittered per node, and a heartbeat to a peer with a message
+    #: already in flight is skipped -- foreground traffic is itself
+    #: liveness evidence.
     heartbeat_interval: Optional[float] = None
-    #: Seeded jitter fraction applied to each heartbeat period (desyncs
-    #: the per-node loops, like production gossip implementations).
-    heartbeat_jitter: float = 0.1
-    #: Skip a heartbeat to a peer the node already messaged within the
-    #: last interval -- foreground traffic is itself liveness evidence.
-    heartbeat_suppression: bool = True
-    #: Accrual (phi) thresholds, in units of the observed mean
-    #: inter-arrival time, used only when heartbeats are active.
-    phi_suspect: float = 3.0
-    phi_dead: float = 8.0
     #: Passive thresholds: consecutive RPC timeouts against a peer before
     #: it is classified suspect / dead.
     suspect_after_timeouts: int = 2
@@ -357,10 +331,6 @@ class HealingConfig(ConfigSerde):
     #: calls to a DEAD peer get one attempt, calls to a SUSPECT peer at
     #: most ``suspect_max_attempts``.
     suspect_max_attempts: int = 2
-    #: Coordinator fail-fast: an update commit with a known-dead
-    #: participant aborts immediately (``AbortReason.PEER_DEAD``) instead
-    #: of paying the prepare timeout ladder.
-    fail_fast_commits: bool = True
     #: Anti-entropy gossip period; ``None`` (default) disables the loop.
     anti_entropy_interval: Optional[float] = None
     #: Per-attempt reply deadline for gossip digest RPCs when the global
@@ -382,32 +352,6 @@ class HealingConfig(ConfigSerde):
         "checkpoint": CheckpointConfig,
         "snapshot": SnapshotTransferConfig,
     }
-
-
-@dataclass
-class MembershipConfig(ConfigSerde):
-    """Elastic membership: online join/leave via epoch-numbered views.
-
-    View changes run a propose/ack/commit round driven by
-    :meth:`repro.system.Cluster.add_node` /
-    :meth:`~repro.system.Cluster.remove_node`; joiners bootstrap state
-    over the checkpoint-snapshot path and decommissioned nodes drain
-    their owned keys through shard-scoped snapshot streams before
-    leaving.  See docs/membership.md.
-    """
-
-    #: Per-attempt deadline for one member's VIEW_ACK during the propose
-    #: round (the coordinator must never hang on a crashed member).
-    ack_timeout: float = 2e-3
-    #: Propose/ack rounds attempted before a view change is abandoned.
-    max_attempts: int = 5
-    #: Deadline for the joiner's bootstrap snapshot plus each shard
-    #: handoff stream; exceeded transfers are retried from the top.
-    handoff_timeout: float = 200e-3
-    #: Shrink clocks back down after a decommission, once the retired
-    #: trailing site's final frontier is dominated everywhere.  Off keeps
-    #: clocks at their historical maximum width forever (always safe).
-    shrink_clocks: bool = True
 
 
 @dataclass
@@ -538,12 +482,11 @@ class DurabilityConfig(ConfigSerde):
     #: lease expires *queries the coordinator* for the transaction's
     #: outcome instead of presuming abort.  Closes the window where an
     #: expired lease drops a committed transaction's writes at one site
-    #: (the ROADMAP termination-protocol item); the regression test is
-    #: ``tests/integration/test_chaos.py::test_indoubt_*``.
+    #: (regression test: ``tests/integration/test_chaos.py::
+    #: test_indoubt_*``).  The query is retried against an unreachable
+    #: coordinator ``repro.core.repair.TERMINATION_ATTEMPTS`` times
+    #: before falling back to presumed abort.
     termination_query: bool = False
-    #: Bounded retries for a termination/recovery status query against
-    #: an unreachable coordinator before falling back to presumed abort.
-    termination_max_attempts: int = 5
     #: Virtual seconds one durable sync ("fsync") costs.  ``0.0`` (the
     #: default, and the historical behaviour) makes every append durable
     #: the instant it is written -- durability is free.  ``> 0`` switches
@@ -619,9 +562,6 @@ class ClusterConfig(ConfigSerde):
     #: default) broadcasts Remove to every node, keeping VAS memory
     #: bounded; False reproduces the paper's literal behaviour.
     remove_broadcast: bool = True
-    #: FW-KV only: Remove identifiers are batched per destination and
-    #: flushed on this timer, bounding background message rate.
-    remove_flush_interval: float = 500e-6
     #: FW-KV ablations (see benchmarks/test_ablation.py).  Disabling
     #: visible reads removes the VAS machinery entirely -- reads stay
     #: fresh on first contact but the PSI consistency guard is gone, so
@@ -664,9 +604,6 @@ class ClusterConfig(ConfigSerde):
     #: The detector defaults on but is inert without timeout/heartbeat
     #: evidence; the periodic loops default off.
     healing: HealingConfig = field(default_factory=HealingConfig)
-    #: Elastic membership (online join/leave); the defaults only shape
-    #: reconfiguration runs -- static-membership runs never consult them.
-    membership: MembershipConfig = field(default_factory=MembershipConfig)
     #: Keyspace sharding + rebalancing; disabled by default, leaving the
     #: consistent-hash ring (and its exact placement) untouched.
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
@@ -685,7 +622,6 @@ class ClusterConfig(ConfigSerde):
         "batching": BatchingConfig,
         "durability": DurabilityConfig,
         "healing": HealingConfig,
-        "membership": MembershipConfig,
         "sharding": ShardingConfig,
         "replication": ReplicationConfig,
         "network": NetworkConfig,
@@ -700,21 +636,9 @@ class ClusterConfig(ConfigSerde):
             raise ValueError("clients_per_node must be non-negative")
 
     @property
-    def effective_remove_flush_interval(self) -> float:
-        """The Remove coalescing interval actually in force."""
-        if self.batching.remove_flush_interval is not None:
-            return self.batching.remove_flush_interval
-        return self.remove_flush_interval
-
-    @property
     def node_ids(self) -> range:
         """The node identifiers of this deployment (0..num_nodes-1)."""
         return range(self.num_nodes)
-
-    @property
-    def total_clients(self) -> int:
-        """Closed-loop clients across the whole cluster."""
-        return self.num_nodes * self.clients_per_node
 
 
 @dataclass

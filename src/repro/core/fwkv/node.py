@@ -10,11 +10,22 @@ from repro.core.fwkv.visibility import (
     select_update_version,
 )
 from repro.core.interfaces import SharedState
-from repro.core.mvcc_node import MVCCNode, _TARGET_DEPTH
+from repro.core.mvcc_node import (
+    ADAPTIVE_DECAY,
+    ADAPTIVE_STEP,
+    MAX_WINDOW,
+    MVCCNode,
+    _TARGET_DEPTH,
+)
 from repro.core.transaction import Transaction
 from repro.core.wire import ReadRequestBody, RemoveBody
 from repro.net.message import Envelope, MessageType
 from repro.storage.version import Version
+
+#: Remove identifiers are batched per destination and flushed on this
+#: timer, bounding background message rate (adaptive batching seeds each
+#: destination's own window with it).
+REMOVE_FLUSH_INTERVAL = 500e-6
 
 
 class FWKVNode(MVCCNode):
@@ -165,7 +176,6 @@ class FWKVNode(MVCCNode):
             # the commit critical path, so batching them is nearly free)
             # and then adapt per destination: observed batches grow the
             # window, lone flushes decay it toward immediate sends.
-            interval = config.effective_remove_flush_interval
             buffer = self._pending_removes
             windows = self._remove_windows
             for site in sites:
@@ -173,7 +183,7 @@ class FWKVNode(MVCCNode):
                 if pending is None:
                     buffer[site] = [txn.txn_id]
                     self.sim.call_later(
-                        windows.get(site, interval),
+                        windows.get(site, REMOVE_FLUSH_INTERVAL),
                         self._flush_removes_site,
                         site,
                     )
@@ -184,10 +194,7 @@ class FWKVNode(MVCCNode):
             self._pending_removes.setdefault(site, []).append(txn.txn_id)
         if not self._remove_flush_scheduled:
             self._remove_flush_scheduled = True
-            self.sim.call_later(
-                self.shared.config.effective_remove_flush_interval,
-                self._flush_removes,
-            )
+            self.sim.call_later(REMOVE_FLUSH_INTERVAL, self._flush_removes)
 
     def _on_client_abort(self, txn: Transaction) -> None:
         # A rolled-back read-only (or partially-read) transaction must
@@ -206,18 +213,12 @@ class FWKVNode(MVCCNode):
         if not ids:
             return
         self.node.send(site, MessageType.REMOVE, RemoveBody(tuple(ids)))
-        config = self.shared.config
-        batching = config.batching
-        interval = config.effective_remove_flush_interval
         windows = self._remove_windows
-        current = windows.get(site, interval)
+        current = windows.get(site, REMOVE_FLUSH_INTERVAL)
         if len(ids) > _TARGET_DEPTH:
-            windows[site] = min(
-                current + batching.adaptive_step,
-                max(batching.max_window, interval),
-            )
+            windows[site] = min(current + ADAPTIVE_STEP, MAX_WINDOW)
         elif len(ids) == 1 and current > 0.0:
-            decayed = current * batching.adaptive_decay
+            decayed = current * ADAPTIVE_DECAY
             windows[site] = 0.0 if decayed < 1e-9 else decayed
 
     # ------------------------------------------------------------------

@@ -6,6 +6,14 @@ preferred sites, and propagate commits asynchronously to uninvolved nodes.
 They differ in how reads select versions and in the version-access-set
 (visible reads) bookkeeping; those differences live in the protocol
 subclasses via the hook methods marked below.
+
+This module is the paper's Algorithms 1-6 and nothing else: begin, read
+and commit at the coordinator, and the read / prepare / decide /
+propagate handlers with their validation and version GC.  What the paper
+leaves out -- crashes, lost messages, moving keys -- is composed in
+(:mod:`repro.core.repair`, :mod:`repro.core.recovery`,
+:mod:`repro.healing`, :mod:`repro.cluster.membership`) across the seam
+DESIGN.md "Layer contracts" writes down.
 """
 
 from __future__ import annotations
@@ -13,26 +21,19 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.directory import ShardMap
-from repro.cluster.membership import NodeMembership
+from repro.cluster.membership import MAX_ATTEMPTS, NodeMembership
 from repro.cluster.node import Node
 from repro.core.interfaces import BaseProtocolNode, SharedState
-from repro.core.transaction import Transaction
-from repro.core.vector_clock import VectorClock
+from repro.core.recovery import NodeRecovery
+from repro.core.repair import Fence, InDoubtResolver
+from repro.core.transaction import PreparedTxn, Transaction
+from repro.core.vector_clock import VectorClock, covers
 from repro.core.wire import (
     DecideBody,
-    HeartbeatBody,
     PrepareBody,
     PropagateBody,
     ReadRequestBody,
     ReadReturnBody,
-    RemoveBody,
-    SnapshotAckBody,
-    SnapshotChunkBody,
-    SnapshotOfferBody,
-    SyncReplyBody,
-    SyncRequestBody,
-    TxnStatusReplyBody,
-    TxnStatusRequestBody,
     VoteBody,
 )
 from repro.healing import NodeHealing
@@ -47,20 +48,26 @@ from repro.storage.group_commit import WalFlusher
 from repro.storage.wal import (
     AbortRecord,
     ApplyRecord,
-    CheckpointMismatchError,
-    CheckpointRecord,
     DecisionRecord,
     LoadRecord,
     PrepareRecord,
     PropagateRecord,
-    ReplayResult,
     WriteAheadLog,
-    replay,
-    restore_store,
 )
 
+#: Adaptive batching: additive window growth per backlogged flush, and
+#: the arrival gap under which back-to-back sends count as "hot".
+ADAPTIVE_STEP = 50e-6
+
+#: Adaptive batching: hard cap on any window (virtual seconds), bounding
+#: snapshot staleness.
+MAX_WINDOW = 1e-3
+
+#: Adaptive batching: multiplicative window decay per single-item flush.
+ADAPTIVE_DECAY = 0.5
+
 #: Adaptive batching: consecutive same-destination sends spaced within
-#: ``adaptive_step`` of each other before a closed (zero) window opens.
+#: ``ADAPTIVE_STEP`` of each other before a closed (zero) window opens.
 #: Three back-to-back hot arrivals distinguish sustained backlog from a
 #: lone coincidence without delaying the first commits of a burst.
 _PRESSURE_OPEN = 3
@@ -68,34 +75,9 @@ _PRESSURE_OPEN = 3
 #: Adaptive batching: flush depth above which a window grows.  Growth
 #: only past this band (with decay at depth one and a hold in between)
 #: makes the controller converge on windows a few inter-arrivals wide
-#: instead of ratcheting to ``max_window`` -- any positive window batches
+#: instead of ratcheting to ``MAX_WINDOW`` -- any positive window batches
 #: *something* under load, so a bare ``depth > 1`` rule always grows.
 _TARGET_DEPTH = 4
-
-
-class _PreparedTxn:
-    """Participant-side state between a yes-vote and the Decide message."""
-
-    __slots__ = ("writes", "locked_keys", "vote", "coordinator", "round")
-
-    def __init__(
-        self,
-        writes: Dict[Hashable, object],
-        locked_keys,
-        vote,
-        coordinator,
-        round: int = 0,
-    ) -> None:
-        self.writes = writes
-        self.locked_keys = list(locked_keys)
-        #: The vote returned for this prepare, replayed verbatim if a
-        #: retried/duplicated Prepare arrives again (idempotency).
-        self.vote = vote
-        #: Who to ask when the in-doubt window must be terminated.
-        self.coordinator = coordinator
-        #: Prepare round (moved-retry); a newer round supersedes this
-        #: entry, and an abort Decide only cancels a matching round.
-        self.round = round
 
 
 class MVCCNode(BaseProtocolNode):
@@ -109,34 +91,12 @@ class MVCCNode(BaseProtocolNode):
         #: ``siteVC``: entry j is the newest sequence number from origin j
         #: applied at this node (paper Section 4.1).
         self.site_vc = VectorClock.zeros(size)
-        #: ``CurrSeqNo``: sequence number of the latest transaction issued
-        #: and committed at this node.
-        self.curr_seq_no = 0
         self.site_vc_changed = ConditionVariable(self.sim)
-        self.store = MultiVersionStore()
-        self.locks = LockTable(self.sim)
-        self._prepared: Dict[int, _PreparedTxn] = {}
-        #: Transactions whose prepare handler is currently between lock
-        #: acquisition and voting; duplicates racing that window vote no
-        #: instead of double-acquiring the same owner's locks.
-        self._preparing: Set[int] = set()
         #: Retried/duplicated read requests spawn concurrent handlers for
         #: the same transaction; a per-invocation token keeps their shared
         #: lock acquisitions independent of each other.
         self._read_token = 0
-        #: destination -> commit sequence numbers awaiting a coalesced
-        #: Propagate (only used when ``batching.propagate_window > 0``).
-        self._propagate_buffer: Dict[int, List[int]] = {}
-
-        #: Adaptive batching: per-destination Propagate windows (AIMD,
-        #: driven by observed flush batch size; see ``_flush_propagate``).
-        self._adaptive_windows: Dict[int, float] = {}
-        #: Adaptive batching pressure probe: destination ->
-        #: ``(last_send_time, consecutive_hot_sends)``.  While a window is
-        #: closed (zero) sends go out immediately; the probe opens a window
-        #: once enough back-to-back sends arrive within ``adaptive_step``
-        #: of each other (see ``_send_propagate``).
-        self._adaptive_pressure: Dict[int, Tuple[float, int]] = {}
+        self._reset_volatile()
 
         durability = shared.config.durability
         #: The node's "disk": survives a durable crash (see repro.storage.wal).
@@ -159,14 +119,8 @@ class MVCCNode(BaseProtocolNode):
             if self.wal is not None
             else None
         )
-        #: Coordinator-side commit outcomes, kept so TxnStatus queries can
-        #: be answered definitively.  Only maintained when some feature
-        #: needs it (WAL or termination queries); absent entry = aborted or
-        #: never decided, which presumed abort treats identically.
-        self._decisions: Dict[int, DecideBody] = {}
-        #: Anti-entropy streaming needs decisions addressable by their
-        #: sequence number, so the index rides along with the table.
-        self._decisions_by_seq: Dict[int, DecideBody] = {}
+        #: Whether the decision log is maintained: only when some
+        #: feature reads it.
         self._track_decisions = (
             durability.wal_enabled
             or durability.termination_query
@@ -175,54 +129,48 @@ class MVCCNode(BaseProtocolNode):
             # answers the promoted node's TXN_STATUS queries from here.
             or shared.config.replication.enabled
         )
-        #: Decide appliers between popping their prepared entry and
-        #: logging the ApplyRecord (WAL runs only).  While non-empty the
-        #: live store may hold versions the log does not yet explain, so
-        #: the checkpoint manager refuses to snapshot.
-        self._applying: Dict[int, int] = {}
-        #: True from the durable-crash instant until recovery completes;
-        #: read and prepare handlers park behind ``_recovered_cv`` so no
-        #: request observes the half-rebuilt store.
-        self._recovering = False
-        self._recovered_cv = ConditionVariable(self.sim)
+        #: What parks reads and prepares while the state under them is
+        #: repaired: node-wide from a durable crash until recovery (or a
+        #: checkpoint install) completes, key-scoped during a handoff.
+        self.fence = Fence(self.sim)
         #: Bumped by every volatile wipe.  In-flight processes that carry
         #: state across yields (decide appliers, propagate appliers,
         #: recovery itself) re-check it before mutating the store or the
         #: clock: a process from a wiped incarnation must not leak its
         #: effects into the rebuilt one.
         self._incarnation = 0
-        #: Completed recoveries at this node (asserted on by tests).
-        self.recoveries = 0
-        #: The inbound checkpoint transfer in progress, if any (at most
-        #: one at a time; a second offer is rejected as busy).  Holds the
-        #: offer's metadata, the chunks received so far, and the
-        #: incarnation the transfer belongs to.
-        self._snapshot_pending: Optional[Dict[str, object]] = None
-        #: Snapshots installed at this node (test probe).
-        self.snapshot_installs = 0
 
         node.on(MessageType.READ_REQUEST, self.on_read_request)
         node.on(MessageType.PREPARE, self.on_prepare)
         node.on(MessageType.DECIDE, self.on_decide)
         node.on(MessageType.PROPAGATE, self.on_propagate)
-        node.on(MessageType.TXN_STATUS, self.on_txn_status)
-        node.on(MessageType.SYNC, self.on_sync)
-        node.on(MessageType.HEARTBEAT, self.on_heartbeat)
-        node.on(MessageType.SNAPSHOT_OFFER, self.on_snapshot_offer)
-        node.on(MessageType.SNAPSHOT_CHUNK, self.on_snapshot_chunk)
-        node.on(MessageType.SNAPSHOT_ACK, self.on_snapshot_ack)
-        #: Elastic membership: committed/pending views, handoff fences,
-        #: and the view-change protocol handlers.  Constructed before the
-        #: healing layer so the gossip loops can derive their peer set
-        #: from the live view.
+        # The machinery around the protocol, composed: each component
+        # owns its handlers; DESIGN.md "Layer contracts" states what it
+        # may assume about this node and what it must leave true.
+        #: In-doubt termination, both the asking and the answering side.
+        self.in_doubt = InDoubtResolver(self)
+        node.on(MessageType.TXN_STATUS, self.in_doubt.on_txn_status)
+        #: Durable crash and WAL recovery.
+        self.recovery = NodeRecovery(self)
+        #: Elastic membership: committed/pending views and the
+        #: view-change protocol handlers.  Constructed before the healing
+        #: layer so the gossip loops can derive their peer set from the
+        #: live view.
         self.membership = NodeMembership(self)
         node.on(MessageType.VIEW_PROPOSE, self.membership.on_view_propose)
         node.on(MessageType.VIEW_ACK, self.membership.on_view_ack)
         node.on(MessageType.VIEW_COMMIT, self.membership.on_view_commit)
         #: The self-healing layer (failure detector, anti-entropy,
-        #: checkpoints).  Constructed unconditionally -- with the default
-        #: configuration it installs no hooks and its loops never spawn.
+        #: checkpoints, chain transfer).  Constructed unconditionally --
+        #: with the default configuration it installs no hooks and its
+        #: loops never spawn.
         self.healing = NodeHealing(self)
+        node.on(MessageType.SYNC, self.healing.on_sync)
+        node.on(MessageType.HEARTBEAT, self.healing.on_heartbeat)
+        transfer = self.healing.transfer
+        node.on(MessageType.SNAPSHOT_OFFER, transfer.on_offer)
+        node.on(MessageType.SNAPSHOT_CHUNK, transfer.on_chunk)
+        node.on(MessageType.SNAPSHOT_ACK, transfer.on_ack)
         #: Per-shard load tracking, armed only when the shared directory
         #: is a :class:`ShardMap` with tracking on; the static-directory
         #: hot path pays a single ``is None`` test per request.
@@ -239,19 +187,55 @@ class MVCCNode(BaseProtocolNode):
         #: ``ReplicationConfig.enabled`` is set, ``None`` otherwise.
         self.replication = None
 
+    def _reset_volatile(self) -> None:
+        """(Re)create the state a durable crash loses: everything but the
+        WAL -- and ``site_vc``, which the wipe zeroes in place."""
+        #: ``CurrSeqNo``: sequence number of the latest transaction issued
+        #: and committed at this node.
+        self.curr_seq_no = 0
+        self.store = MultiVersionStore()
+        self.locks = LockTable(self.sim)
+        self._prepared: Dict[int, PreparedTxn] = {}
+        #: Transactions whose prepare handler is currently between lock
+        #: acquisition and voting; duplicates racing that window vote no
+        #: instead of double-acquiring the same owner's locks.
+        self._preparing: Set[int] = set()
+        #: destination -> commit sequence numbers awaiting a coalesced
+        #: Propagate (adaptive batching only, while a window is open).
+        self._propagate_buffer: Dict[int, List[int]] = {}
+        #: Adaptive batching: per-destination Propagate windows (AIMD,
+        #: driven by observed flush batch size; see ``_flush_propagate``).
+        self._adaptive_windows: Dict[int, float] = {}
+        #: Adaptive batching pressure probe: destination ->
+        #: ``(last_send_time, consecutive_hot_sends)``.  While a window is
+        #: closed (zero) sends go out immediately; the probe opens a window
+        #: once enough back-to-back sends arrive within ``ADAPTIVE_STEP``
+        #: of each other (see ``_send_propagate``).
+        self._adaptive_pressure: Dict[int, Tuple[float, int]] = {}
+        #: Coordinator-side commit outcomes, kept so TxnStatus queries can
+        #: be answered definitively (absent entry = aborted or never
+        #: decided, which presumed abort treats identically).
+        self._decisions: Dict[int, DecideBody] = {}
+        #: Anti-entropy streaming needs decisions addressable by their
+        #: sequence number, so the index rides along with the table.
+        self._decisions_by_seq: Dict[int, DecideBody] = {}
+        #: Decide appliers between popping their prepared entry and
+        #: logging the ApplyRecord (WAL runs only).  While non-empty the
+        #: live store may hold versions the log does not yet explain, so
+        #: the checkpoint manager refuses to snapshot.
+        self._applying: Dict[int, int] = {}
+
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
     def load(self, key: Hashable, value: object) -> None:
-        if self.wal is not None:
-            # Setup-time write: durable immediately, never part of a
-            # crash's lost suffix (see WriteAheadLog.append_durable).
-            self.wal.append_durable(LoadRecord(((key, value),)))
-        self.store.create(key, value, VectorClock.zero(self.shared.num_nodes))
+        self.load_many(((key, value),))
 
     def load_many(self, items: Iterable[Tuple[Hashable, object]]) -> int:
         """Bulk-install initial versions (all share the interned zero VC)."""
         if self.wal is not None:
+            # Setup-time write: durable immediately, never part of a
+            # crash's lost suffix (see WriteAheadLog.append_durable).
             items = tuple(items)
             self.wal.append_durable(LoadRecord(items))
         return self.store.create_many(
@@ -265,6 +249,42 @@ class MVCCNode(BaseProtocolNode):
         # Alg. 1: T.VC <- siteVC_i; hasRead all false (fresh Transaction
         # objects already satisfy the latter).
         txn.vc = self.site_vc.copy()
+
+    def _read_request(
+        self, txn: Transaction, key: Hashable, frozen: bool = False
+    ) -> ReadRequestBody:
+        return ReadRequestBody(
+            txn_id=txn.txn_id,
+            is_read_only=txn.is_read_only,
+            key=key,
+            vc=txn.vc.to_tuple(),
+            has_read=txn.has_read_tuple(),
+            frozen=frozen,
+        )
+
+    def _observe(
+        self, txn: Transaction, key: Hashable, target: int,
+        reply: ReadReturnBody,
+    ):
+        """Alg. 2 lines 8-12: fold one ReadReturn into the transaction."""
+        if reply.max_vc is not None:
+            txn.vc.merge_seq(reply.max_vc)  # Alg. 2 line 9
+        first_contact = txn.note_read_site(target)  # Alg. 2 line 8
+        if txn.is_read_only:
+            txn.read_keys.add(key)  # Alg. 2 lines 10-12, for Remove
+            self.metrics.on_ro_read(
+                gap=reply.latest_vid - reply.vid,
+                first_contact=first_contact,
+            )
+        txn.read_cache[key] = reply.value
+        txn.read_versions[key] = reply.vid
+        if self.tracer._enabled:
+            self.tracer.emit(
+                self.node_id, "read", txn=txn.txn_id, key=key, vid=reply.vid,
+                latest=reply.latest_vid, site=target,
+            )
+        self._record_read(txn, key, reply.vid, reply.latest_vid)
+        return reply.value
 
     def read(self, txn: Transaction, key: Hashable):
         """Alg. 2: serve from the writeset, else ask the preferred site."""
@@ -297,14 +317,7 @@ class MVCCNode(BaseProtocolNode):
                 reply: ReadReturnBody = yield from self.node.rpc.call(
                     target,
                     MessageType.READ_REQUEST,
-                    ReadRequestBody(
-                        txn_id=txn.txn_id,
-                        is_read_only=txn.is_read_only,
-                        key=key,
-                        vc=txn.vc.to_tuple(),
-                        has_read=txn.has_read_tuple(),
-                        frozen=frozen,
-                    ),
+                    self._read_request(txn, key, frozen),
                 )
                 break
             except RpcTimeoutError:
@@ -323,24 +336,7 @@ class MVCCNode(BaseProtocolNode):
                     raise
                 target = self.directory.site(key)
                 frozen = False
-        if reply.max_vc is not None:
-            txn.vc.merge_seq(reply.max_vc)  # Alg. 2 line 9
-        first_contact = txn.note_read_site(target)  # Alg. 2 line 8
-        if txn.is_read_only:
-            txn.read_keys.add(key)  # Alg. 2 lines 10-12, for Remove
-            self.metrics.on_ro_read(
-                gap=reply.latest_vid - reply.vid,
-                first_contact=first_contact,
-            )
-        txn.read_cache[key] = reply.value
-        txn.read_versions[key] = reply.vid
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "read", txn=txn.txn_id, key=key, vid=reply.vid,
-                latest=reply.latest_vid, site=target,
-            )
-        self._record_read(txn, key, reply.vid, reply.latest_vid)
-        return reply.value
+        return self._observe(txn, key, target, reply)
 
     def read_many(self, txn: Transaction, keys):
         """Parallel multi-get for *read-only* transactions.
@@ -373,13 +369,7 @@ class MVCCNode(BaseProtocolNode):
                     self.node.rpc.call(
                         self.directory.site(key),
                         MessageType.READ_REQUEST,
-                        ReadRequestBody(
-                            txn_id=txn.txn_id,
-                            is_read_only=True,
-                            key=key,
-                            vc=txn.vc.to_tuple(),
-                            has_read=txn.has_read_tuple(),
-                        ),
+                        self._read_request(txn, key),
                     ),
                     name=f"read-many-{txn.txn_id}",
                 )
@@ -392,20 +382,10 @@ class MVCCNode(BaseProtocolNode):
         for key, event in zip(keys, pending):
             if event is None:
                 values[key] = txn.read_cache.get(key, txn.writeset.get(key))
-                continue
-            reply: ReadReturnBody = next(replies_iter)
-            target = self.directory.site(key)
-            if reply.max_vc is not None:
-                txn.vc.merge_seq(reply.max_vc)
-            first_contact = txn.note_read_site(target)
-            txn.read_keys.add(key)
-            self.metrics.on_ro_read(
-                gap=reply.latest_vid - reply.vid, first_contact=first_contact
-            )
-            txn.read_cache[key] = reply.value
-            txn.read_versions[key] = reply.vid
-            self._record_read(txn, key, reply.vid, reply.latest_vid)
-            values[key] = reply.value
+            else:
+                values[key] = self._observe(
+                    txn, key, self.directory.site(key), next(replies_iter)
+                )
         return values
 
     def commit(self, txn: Transaction):
@@ -414,6 +394,13 @@ class MVCCNode(BaseProtocolNode):
         Per Alg. 4 line 2 the branch tests the *writeset*: a declared-
         update transaction that ended up writing nothing commits like a
         read-only one (no 2PC, no sequence number).
+
+        The ``while`` loop is not in the paper: a round that straddled a
+        change of ownership (a handoff answered "moved", a failover left
+        a participant silent) is aborted at every participant --
+        round-tagged, so the abort cannot cancel a successor round's
+        prepare -- regrouped against the flipped directory and prepared
+        again: reconfiguration costs a round trip, never an abort.
         """
         if txn.is_read_only or not txn.writeset:
             self._commit_read_only(txn)
@@ -425,17 +412,38 @@ class MVCCNode(BaseProtocolNode):
 
         yield from self.cpu.consume(self.costs.commit_base)
 
-        max_rounds = max(1, self.shared.config.membership.max_attempts)
         round_no = 0
+
+        def prepare_body(writes):
+            return PrepareBody(
+                txn.txn_id,
+                self.node_id,
+                writes,
+                txn.vc.to_tuple(),
+                read_vids={
+                    key: txn.read_versions[key]
+                    for key in writes
+                    if key in txn.read_versions
+                },
+                round=round_no,
+            )
+
+        def abort_round():
+            abort = DecideBody(
+                txn_id=txn.txn_id,
+                outcome=False,
+                origin=self.node_id,
+                seq_no=None,
+                commit_vc=None,
+                round=round_no,
+            )
+            for site in sorted(by_site):
+                self.node.send(site, MessageType.DECIDE, abort)
+
         while True:
             by_site = self._group_writes_by_site(txn)
 
-            healing = self.healing
-            if (
-                healing.armed
-                and healing.config.fail_fast_commits
-                and len(by_site) > (self.node_id in by_site)
-            ):
+            if self.healing.armed and len(by_site) > (self.node_id in by_site):
                 # Fail fast instead of burning the prepare timeout ladder on
                 # a participant the detector already classified dead.  The
                 # commit would have aborted anyway (RPC_TIMEOUT) -- this only
@@ -443,56 +451,21 @@ class MVCCNode(BaseProtocolNode):
                 # could have succeeded against a genuinely live peer, because
                 # DEAD requires hard evidence (consecutive timeouts or deep
                 # accrual silence) and any arrival clears it.
-                detector = healing.detector
+                detector = self.healing.detector
                 dead = [
                     site
                     for site in by_site
                     if site != self.node_id and detector.is_dead(site)
                 ]
                 if dead:
-                    rep = self.replication
-                    if (
-                        rep is not None
-                        and rep.cluster_rep.failover_armed()
-                        and round_no + 1 < max_rounds
+                    if round_no + 1 < MAX_ATTEMPTS and (
+                        yield from self._failed_over(txn, dead, round_no + 1)
                     ):
-                        # Failover armed: instead of aborting against the
-                        # dead participant, park until its shards are
-                        # promoted away, then re-prepare against the new
-                        # owners -- a failover costs a retry, not an abort.
-                        flipped = yield from rep.cluster_rep.wait_for_failover(
-                            dead
-                        )
-                        if flipped:
-                            round_no += 1
-                            if self.tracer._enabled:
-                                self.tracer.emit(
-                                    self.node_id, "failover_retry",
-                                    txn=txn.txn_id, round=round_no,
-                                    peers=tuple(dead),
-                                )
-                            continue
-                    txn.mark_aborted(self.sim.now)
-                    self.metrics.on_abort(txn, AbortReason.PEER_DEAD)
-                    self.tracer.emit(
-                        self.node_id, "abort", txn=txn.txn_id,
-                        reason=AbortReason.PEER_DEAD, peers=tuple(dead),
+                        round_no += 1
+                        continue
+                    return self._aborted(
+                        txn, AbortReason.PEER_DEAD, peers=tuple(dead)
                     )
-                    return False
-
-            def prepare_body(writes):
-                return PrepareBody(
-                    txn.txn_id,
-                    self.node_id,
-                    writes,
-                    txn.vc.to_tuple(),
-                    read_vids={
-                        key: txn.read_versions[key]
-                        for key in writes
-                        if key in txn.read_versions
-                    },
-                    round=round_no,
-                )
 
             timed_out = False
             if set(by_site) == {self.node_id}:
@@ -518,75 +491,38 @@ class MVCCNode(BaseProtocolNode):
                 results = yield AllOf(self.sim, settles)
                 votes = [vote for ok, vote in results if ok]
                 timed_out = len(votes) < len(results)
-                rep = self.replication
                 if (
                     timed_out
-                    and rep is not None
-                    and rep.cluster_rep.failover_armed()
-                    and round_no + 1 < max_rounds
+                    and round_no + 1 < MAX_ATTEMPTS
+                    and self.replication is not None
+                    and self.replication.cluster_rep.failover_armed()
                 ):
-                    # Some participant stopped answering mid-round.  Abort
-                    # this round everywhere (round-tagged, so it cannot
-                    # cancel a successor round's prepare), wait for the
-                    # silent sites' shards to fail over, and re-prepare
-                    # against the promoted owners.
+                    # Some participant stopped answering mid-round: wait
+                    # for the silent sites' shards to fail over.
+                    abort_round()
                     missing = [
                         site
                         for (ok, _vote), site in zip(results, sites)
                         if not ok
                     ]
-                    abort = DecideBody(
-                        txn_id=txn.txn_id,
-                        outcome=False,
-                        origin=self.node_id,
-                        seq_no=None,
-                        commit_vc=None,
-                        round=round_no,
-                    )
-                    for site in sorted(by_site):
-                        self.node.send(site, MessageType.DECIDE, abort)
-                    flipped = yield from rep.cluster_rep.wait_for_failover(
-                        missing
-                    )
-                    if flipped:
+                    if (yield from self._failed_over(txn, missing, round_no + 1)):
                         round_no += 1
-                        if self.tracer._enabled:
-                            self.tracer.emit(
-                                self.node_id, "failover_retry",
-                                txn=txn.txn_id, round=round_no,
-                                peers=tuple(missing),
-                            )
                         continue
 
             for vote in votes:
                 txn.collected_set |= vote.collected  # Alg. 4 line 19
 
-            moved = not timed_out and any(
-                not vote.ok and vote.reason == "moved" for vote in votes
-            )
             if (
-                moved
-                and round_no + 1 < max_rounds
+                not timed_out
+                and round_no + 1 < MAX_ATTEMPTS
+                and any(not vote.ok for vote in votes)
                 and all(vote.ok or vote.reason == "moved" for vote in votes)
             ):
-                # The prepare straddled a membership handoff: some keys'
-                # ownership moved while the round was in flight.  Abort
-                # this round at every participant (round-tagged, so it
-                # cannot cancel the successor round), regroup the writes
-                # against the flipped directory, and re-prepare.  By the
-                # time a "moved" vote arrives the shared directory has
-                # already flipped -- the fence only lifts after the flip --
-                # so the regroup sees the new placement immediately.
-                abort = DecideBody(
-                    txn_id=txn.txn_id,
-                    outcome=False,
-                    origin=self.node_id,
-                    seq_no=None,
-                    commit_vc=None,
-                    round=round_no,
-                )
-                for site in sorted(by_site):
-                    self.node.send(site, MessageType.DECIDE, abort)
+                # The prepare straddled a handoff.  By the time a "moved"
+                # vote arrives the shared directory has already flipped
+                # -- the fence only lifts after the flip -- so the regroup
+                # sees the new placement immediately.
+                abort_round()
                 round_no += 1
                 if self.tracer._enabled:
                     self.tracer.emit(
@@ -643,13 +579,7 @@ class MVCCNode(BaseProtocolNode):
                         # recovered coordinator -- and every in-doubt
                         # participant querying it -- presumes abort.  The
                         # unacknowledged commit simply vanishes.
-                        txn.mark_aborted(self.sim.now)
-                        self.metrics.on_abort(txn, AbortReason.NODE_CRASHED)
-                        self.tracer.emit(
-                            self.node_id, "abort", txn=txn.txn_id,
-                            reason=AbortReason.NODE_CRASHED,
-                        )
-                        return False
+                        return self._aborted(txn, AbortReason.NODE_CRASHED)
             if self.replication is not None:
                 # Stream the decision record to every backup before any
                 # Decide (or the client acknowledgement) leaves the node;
@@ -671,76 +601,80 @@ class MVCCNode(BaseProtocolNode):
                 self.tracer.emit(
                     self.node_id, "commit", txn=txn.txn_id, seq=txn.seq_no
                 )
-        else:
-            # Presumed abort: the Decide(outcome=False) sent above is
-            # best-effort -- a participant that never hears it releases
-            # its prepared locks when its lease expires.
-            txn.mark_aborted(self.sim.now)
-            if timed_out:
-                reason = AbortReason.RPC_TIMEOUT
-            else:
-                reasons = [vote.reason for vote in votes if not vote.ok]
-                reason = reasons[0] if reasons else AbortReason.VOTE_NO
-            self.metrics.on_abort(txn, reason)
+            return True
+        # Presumed abort: the abort Decide sent above is
+        # best-effort -- a participant that never hears it releases its
+        # prepared locks when its lease expires.
+        if timed_out:
+            return self._aborted(txn, AbortReason.RPC_TIMEOUT)
+        reasons = [vote.reason for vote in votes if not vote.ok]
+        return self._aborted(txn, reasons[0] if reasons else AbortReason.VOTE_NO)
+
+    def _aborted(self, txn: Transaction, reason: str, **details) -> bool:
+        """Record an attempt's abort; returns ``False`` for ``commit``."""
+        txn.mark_aborted(self.sim.now)
+        self.metrics.on_abort(txn, reason)
+        self.tracer.emit(
+            self.node_id, "abort", txn=txn.txn_id, reason=reason, **details
+        )
+        return False
+
+    def _failed_over(self, txn: Transaction, sites: List[int], next_round: int):
+        """Generator: park until ``sites``' shards are promoted away.
+
+        True when the flip happened in time (never, unless failover is
+        armed) -- the caller re-prepares against the new owners, so a
+        failover costs a retry, not an abort.
+        """
+        rep = self.replication
+        if rep is None:
+            return False
+        flipped = yield from rep.cluster_rep.wait_for_failover(sites)
+        if flipped and self.tracer._enabled:
             self.tracer.emit(
-                self.node_id, "abort", txn=txn.txn_id, reason=reason
+                self.node_id, "failover_retry", txn=txn.txn_id,
+                round=next_round, peers=tuple(sites),
             )
-        return outcome
+        return flipped
 
     def _send_propagate(self, participant_sites: Set[int], seq_no: int) -> None:
-        """Alg. 4 line 27 fan-out, optionally coalesced per destination.
+        """Alg. 4 line 27 fan-out, adaptively coalesced per destination.
 
-        With ``batching.propagate_window == 0`` (default) every uninvolved
-        site gets its own Propagate immediately -- the paper's behaviour,
-        message for message.  With a positive window, this origin buffers
-        the window's sequence numbers per destination and flushes them as
-        one Propagate carrying ``seq_nos``; commits within a window reach
-        uninvolved nodes at most one window late, which only delays
-        snapshot freshness (PSI allows arbitrarily stale reads), never
-        correctness.  Buffering is per destination because each commit has
-        its own participant set.
+        By default every uninvolved site gets its own Propagate
+        immediately -- the paper's behaviour, message for message.  With
+        ``batching.adaptive`` a destination under sustained backlog gets
+        the window's sequence numbers as one Propagate carrying
+        ``seq_nos``; commits within a window reach uninvolved nodes at
+        most one window late, which only delays snapshot freshness (PSI
+        allows arbitrarily stale reads), never correctness.  Buffering is
+        per destination because each commit has its own participant set.
         """
-        batching = self.shared.config.batching
-        adaptive = batching.adaptive
-        window = batching.propagate_window
         node_id = self.node_id
         # Fan out over the live view (ring + joining members), not the
         # static seed: a joining node needs the clock-only stream from
         # the moment it enters the view, and a removed one must stop
         # receiving traffic.  At epoch zero this is exactly ``node_ids``.
         targets = self.membership.view.fanout_ids
-        if not adaptive and window <= 0:
+        if not self.shared.config.batching.adaptive:
             propagate = PropagateBody(node_id, seq_no)
             for site in targets:
                 if site not in participant_sites and site != node_id:
                     self.node.send(site, MessageType.PROPAGATE, propagate)
             return
+        # A destination whose window has decayed to zero is served
+        # immediately -- no buffer, no timer event, so an idle adaptive
+        # cluster pays only two dict operations over the non-batched
+        # path.  The probe watches arrival gaps: once ``_PRESSURE_OPEN``
+        # consecutive Propagates to the same destination land within
+        # ``ADAPTIVE_STEP`` of each other, commits are outpacing delivery
+        # and a window of one step opens.  From then on sends buffer and
+        # the flush-time AIMD rule takes over: observed batches grow the
+        # window additively, lone flushes decay it back toward zero (and
+        # immediate sends).
         buffer = self._propagate_buffer
-        if not adaptive:
-            for site in targets:
-                if site not in participant_sites and site != node_id:
-                    pending = buffer.get(site)
-                    if pending is None:
-                        # First commit of this destination's window opens it.
-                        buffer[site] = [seq_no]
-                        self.sim.call_later(window, self._flush_propagate, site)
-                    else:
-                        pending.append(seq_no)
-            return
-        # Adaptive mode.  A destination whose window has decayed to zero is
-        # served immediately -- no buffer, no timer event, so an idle
-        # adaptive cluster pays only two dict operations over the
-        # non-batched path.  The probe watches arrival gaps: once
-        # ``_PRESSURE_OPEN`` consecutive Propagates to the same destination
-        # land within ``adaptive_step`` of each other, commits are
-        # outpacing delivery and a window of one step opens.  From then on
-        # sends buffer and the flush-time AIMD rule takes over: observed
-        # batches grow the window additively, lone flushes decay it back
-        # toward zero (and immediate sends).
         windows = self._adaptive_windows
         pressure = self._adaptive_pressure
         now = self.sim.now
-        hot_gap = batching.adaptive_step
         propagate = None
         for site in targets:
             if site not in participant_sites and site != node_id:
@@ -750,10 +684,10 @@ class MVCCNode(BaseProtocolNode):
                         propagate = PropagateBody(node_id, seq_no)
                     self.node.send(site, MessageType.PROPAGATE, propagate)
                     last, hot = pressure.get(site, (-1.0, 0))
-                    if 0.0 <= now - last <= hot_gap:
+                    if 0.0 <= now - last <= ADAPTIVE_STEP:
                         hot += 1
                         if hot >= _PRESSURE_OPEN:
-                            windows[site] = hot_gap
+                            windows[site] = ADAPTIVE_STEP
                             hot = 0
                     else:
                         hot = 0
@@ -775,25 +709,21 @@ class MVCCNode(BaseProtocolNode):
                 MessageType.PROPAGATE,
                 PropagateBody(self.node_id, seq_nos[-1], tuple(seq_nos)),
             )
-            batching = self.shared.config.batching
-            if batching.adaptive:
-                # AIMD on observed queue depth: depth beyond the target
-                # band means commits far outpace the window (additive
-                # growth, capped), a lone sequence number means idle
-                # (multiplicative decay toward zero = immediate sends
-                # again), and depths inside the band hold the window --
-                # the equilibrium is a window a few inter-arrivals wide,
-                # which coalesces messages without stalling the in-order
-                # Decide apply path behind a ``max_window`` of traffic.
-                windows = self._adaptive_windows
-                current = windows.get(site, 0.0)
-                if len(seq_nos) > _TARGET_DEPTH:
-                    windows[site] = min(
-                        current + batching.adaptive_step, batching.max_window
-                    )
-                elif len(seq_nos) == 1 and current > 0.0:
-                    decayed = current * batching.adaptive_decay
-                    windows[site] = 0.0 if decayed < 1e-9 else decayed
+            # AIMD on observed queue depth: depth beyond the target band
+            # means commits far outpace the window (additive growth,
+            # capped), a lone sequence number means idle (multiplicative
+            # decay toward zero = immediate sends again), and depths
+            # inside the band hold the window -- the equilibrium is a
+            # window a few inter-arrivals wide, which coalesces messages
+            # without stalling the in-order Decide apply path behind a
+            # ``MAX_WINDOW`` of traffic.
+            windows = self._adaptive_windows
+            current = windows.get(site, 0.0)
+            if len(seq_nos) > _TARGET_DEPTH:
+                windows[site] = min(current + ADAPTIVE_STEP, MAX_WINDOW)
+            elif len(seq_nos) == 1 and current > 0.0:
+                decayed = current * ADAPTIVE_DECAY
+                windows[site] = 0.0 if decayed < 1e-9 else decayed
 
     def _group_writes_by_site(
         self, txn: Transaction
@@ -853,6 +783,10 @@ class MVCCNode(BaseProtocolNode):
     ) -> None:
         """Alg. 3 line 8 (FW-KV read-only only)."""
 
+    def _on_volatile_wiped(self) -> None:
+        """A durable crash wiped this node: clear subclass volatile state
+        (FW-KV's pending Removes)."""
+
     # ------------------------------------------------------------------
     # Message handlers
     # ------------------------------------------------------------------
@@ -860,10 +794,8 @@ class MVCCNode(BaseProtocolNode):
         """Alg. 3: version selection at the storage node."""
         request: ReadRequestBody = self.node.rpc.body_of(envelope)
 
-        if self._recovering:
-            yield from wait_until(
-                self._recovered_cv, lambda: not self._recovering
-            )
+        if self.fence.node_wide:
+            yield from self.fence.wait()
 
         if request.frozen and self.replication is not None:
             # Read-forwarding: a frozen read routed to this node as a
@@ -907,19 +839,12 @@ class MVCCNode(BaseProtocolNode):
                 # re-widening them to zero would park this wait forever.
                 site_vc.widen(need)
         site_entries = site_vc.entries
-
-        def behind_snapshot() -> bool:
-            for origin, target in enumerate(txn_vc):
-                if target <= 0 or origin in membership.dropped:
-                    continue
-                if origin >= len(site_entries) or site_entries[origin] < target:
-                    return True
-            return False
-
-        if behind_snapshot():
+        dropped = membership.dropped
+        if not covers(site_entries, txn_vc, dropped):
             stall_started = self.sim.now
             yield from wait_until(
-                self.site_vc_changed, lambda: not behind_snapshot()
+                self.site_vc_changed,
+                lambda: covers(site_entries, txn_vc, dropped),
             )
             self.metrics.on_read_stall(self.sim.now - stall_started)
             self.tracer.emit(
@@ -982,10 +907,9 @@ class MVCCNode(BaseProtocolNode):
         re-acquiring (and then leaking) the same owner's locks, and a
         duplicate racing the original through its lock wait votes no.
         """
-        if self._recovering:
-            yield from wait_until(
-                self._recovered_cv, lambda: not self._recovering
-            )
+        fence = self.fence
+        if fence.node_wide:
+            yield from fence.wait()
         existing = self._prepared.get(request.txn_id)
         if existing is not None:
             if existing.round == request.round:
@@ -1006,18 +930,14 @@ class MVCCNode(BaseProtocolNode):
         locks = self.locks
         try:
             keys = list(request.writes)
-            membership = self.membership
-            if membership.view.epoch > 0 or membership.moving_all or membership.moving:
-                # Elastic membership: a key mid-handoff parks the prepare
-                # until the fence lifts (view commit), then the ownership
-                # re-check below answers "moved" if the directory flipped
-                # -- the coordinator regroups and retries, so the handoff
-                # costs a round trip, never an abort.
-                if membership.is_fenced(keys):
-                    yield from wait_until(
-                        membership.changed,
-                        lambda: not membership.is_fenced(keys),
-                    )
+            if self.membership.view.epoch > 0 or fence.every_key or fence.keys:
+                # A key mid-handoff parks the prepare until the fence
+                # lifts, then the ownership re-check below answers
+                # "moved" if the directory flipped -- the coordinator
+                # regroups and retries, so the handoff costs a round
+                # trip, never an abort.
+                if fence.blocks(keys):
+                    yield from fence.wait(keys)
                 if any(
                     self.directory.site(key) != self.node_id for key in keys
                 ):
@@ -1045,20 +965,16 @@ class MVCCNode(BaseProtocolNode):
                 return VoteBody(False, reason=AbortReason.VALIDATION)
 
             collected = yield from self._collect_antideps(keys)
-            if self.locks is not locks:
-                # The node crashed durably while this prepare was in
-                # flight: its locks and validation belong to the wiped
-                # incarnation.  Unwind on the old table and vote no --
-                # the coordinator (whose RPC may still be live now that
-                # the node is back up) simply aborts.
-                locks.release_write_all(keys, owner=request.txn_id)
-                return VoteBody(False, reason=AbortReason.VOTE_NO)
             vote = VoteBody(True, collected)
-            entry = _PreparedTxn(
+            entry = PreparedTxn(
                 request.writes, keys, vote, request.coordinator,
                 round=request.round,
             )
-            if self.wal is not None:
+            # A durable crash across any yield above or below replaces
+            # ``self.locks``: the locks and validation then belong to the
+            # wiped incarnation.
+            alive = self.locks is locks
+            if alive and self.wal is not None:
                 # Log-before-vote: once the yes-vote can reach the
                 # coordinator, a recovered replica must re-stage these
                 # writes (they may be committed without its knowledge).
@@ -1082,29 +998,22 @@ class MVCCNode(BaseProtocolNode):
                     # decision record's sync (higher LSN, prefix-durable)
                     # covers this one before any external effect.
                     durable = yield from self.flusher.ensure_durable(lsn)
-                    if not durable or self.locks is not locks:
-                        # Crashed before the group hit disk: the vote and
-                        # the staged writes die together -- unwind on the
-                        # old table and vote no (presumed abort).
-                        locks.release_write_all(keys, owner=request.txn_id)
-                        return VoteBody(False, reason=AbortReason.VOTE_NO)
-            if self.replication is not None:
+                    alive = durable and self.locks is locks
+            if alive and self.replication is not None:
                 # Stream the staged writes to the written shards' backups
                 # before the yes-vote can escape (sync mode waits for the
                 # acks, bounded): a backup promoted after our crash can
                 # then resolve this prepare through the coordinator.
                 yield from self.replication.replicate_prepare(request)
-                if self.locks is not locks:
-                    # Durable crash during the replication wait: unwind on
-                    # the old table and vote no (presumed abort).
-                    locks.release_write_all(keys, owner=request.txn_id)
-                    return VoteBody(False, reason=AbortReason.VOTE_NO)
-            self._prepared[request.txn_id] = entry
-            lease = self.shared.config.prepared_lease
-            if lease is not None:
-                self.sim.call_later(
-                    lease, self._expire_prepared, request.txn_id, entry
-                )
+                alive = self.locks is locks
+            if not alive:
+                # The vote and the staged writes die with the crash:
+                # unwind on the old table and vote no -- the coordinator
+                # (whose RPC may still be live now that the node is back
+                # up) simply aborts.
+                locks.release_write_all(keys, owner=request.txn_id)
+                return VoteBody(False, reason=AbortReason.VOTE_NO)
+            self._stage(request.txn_id, entry)
             if self._shard_map is not None:
                 for key in keys:
                     self.metrics.on_shard_access(
@@ -1118,7 +1027,14 @@ class MVCCNode(BaseProtocolNode):
         finally:
             self._preparing.discard(request.txn_id)
 
-    def _expire_prepared(self, txn_id: int, entry: _PreparedTxn) -> None:
+    def _stage(self, txn_id: int, entry: PreparedTxn) -> None:
+        """Enter a yes-vote into the prepared table and arm its lease."""
+        self._prepared[txn_id] = entry
+        lease = self.shared.config.prepared_lease
+        if lease is not None:
+            self.sim.call_later(lease, self._expire_prepared, txn_id, entry)
+
+    def _expire_prepared(self, txn_id: int, entry: PreparedTxn) -> None:
         """Prepared-lock lease fired: presume abort, or ask the coordinator.
 
         Fires ``prepared_lease`` after the yes-vote.  If the Decide arrived
@@ -1126,25 +1042,29 @@ class MVCCNode(BaseProtocolNode):
         no-op.  Otherwise the historical behaviour -- and the default --
         presumes the coordinator dead and aborts unilaterally, which is
         *wrong* when the coordinator committed and only the Decide was
-        lost: this site drops a committed transaction's writes (the
-        ROADMAP termination-protocol gap).  With
+        lost: this site drops a committed transaction's writes.  With
         ``durability.termination_query`` on, the participant instead asks
-        the coordinator for the recorded outcome and applies it.
+        the coordinator for the recorded outcome and applies it
+        (:meth:`repro.core.repair.InDoubtResolver.terminate`).
         """
         if self._prepared.get(txn_id) is not entry:
             return
         durability = self.shared.config.durability
         if durability.termination_query and entry.coordinator != self.node_id:
             self.sim.spawn(
-                self._terminate_in_doubt(txn_id, entry),
+                self.in_doubt.terminate(txn_id, entry),
                 name=f"n{self.node_id}:terminate-{txn_id}",
             )
             return
+        self._presume_abort(txn_id, entry)
+
+    def _presume_abort(self, txn_id: int, entry: PreparedTxn) -> None:
+        """Nobody said how ``txn_id`` ended: release its locks anyway."""
         self._abort_prepared(txn_id, entry)
         self.metrics.on_lease_expired()
         self.tracer.emit(self.node_id, "lease_expire", txn=txn_id)
 
-    def _abort_prepared(self, txn_id: int, entry: _PreparedTxn) -> None:
+    def _abort_prepared(self, txn_id: int, entry: PreparedTxn) -> None:
         """Resolve a prepared transaction as aborted and free its locks."""
         del self._prepared[txn_id]
         if self.wal is not None:
@@ -1152,56 +1072,6 @@ class MVCCNode(BaseProtocolNode):
         if self.replication is not None:
             self.replication.note_abort(txn_id, entry.writes, entry.round)
         self.locks.release_write_all(entry.locked_keys, owner=txn_id)
-
-    def _terminate_in_doubt(self, txn_id: int, entry: _PreparedTxn):
-        """Ask the coordinator how an in-doubt prepare actually ended.
-
-        The coordinator logs commit decisions *before* sending any Decide,
-        so its answer is definitive: committed (apply exactly as the lost
-        Decide would have) or not-on-record (abort is safe).  Queries are
-        retried up to ``termination_max_attempts`` rounds -- the RPC layer
-        retries within each round -- and only when the coordinator stays
-        unreachable past the whole budget does the participant fall back
-        to the old presumed abort rather than hold the locks forever.
-        """
-        durability = self.shared.config.durability
-        round_wait = self.shared.config.prepared_lease or 1e-3
-        for attempt in range(durability.termination_max_attempts):
-            if self._prepared.get(txn_id) is not entry:
-                return  # the real Decide (or recovery) won the race
-            ok, reply = yield from self.node.rpc.call_settled(
-                entry.coordinator,
-                MessageType.TXN_STATUS,
-                TxnStatusRequestBody(txn_id),
-            )
-            if self._prepared.get(txn_id) is not entry:
-                return
-            if ok:
-                self.metrics.on_indoubt_resolved(reply.committed)
-                self.tracer.emit(
-                    self.node_id, "indoubt", txn=txn_id,
-                    committed=reply.committed, attempts=attempt + 1,
-                )
-                if reply.committed:
-                    yield from self._apply_committed_decide(
-                        DecideBody(
-                            txn_id=txn_id,
-                            outcome=True,
-                            origin=reply.origin,
-                            seq_no=reply.seq_no,
-                            commit_vc=reply.commit_vc,
-                            collected=reply.collected,
-                        )
-                    )
-                else:
-                    self._abort_prepared(txn_id, entry)
-                return
-            yield self.sim.timeout(round_wait)
-        if self._prepared.get(txn_id) is not entry:
-            return
-        self._abort_prepared(txn_id, entry)
-        self.metrics.on_lease_expired()
-        self.tracer.emit(self.node_id, "lease_expire", txn=txn_id)
 
     def _validate(self, request: PrepareBody) -> bool:
         """First-committer-wins validation of the written keys.
@@ -1247,16 +1117,7 @@ class MVCCNode(BaseProtocolNode):
             # Round-gated: a moved-retry's abort for round N must not
             # cancel the successor round's prepared entry.
             if prepared is not None and prepared.round == body.round:
-                del self._prepared[body.txn_id]
-                if self.wal is not None:
-                    self.wal.append(AbortRecord(body.txn_id))
-                if self.replication is not None:
-                    self.replication.note_abort(
-                        body.txn_id, prepared.writes, prepared.round
-                    )
-                self.locks.release_write_all(
-                    prepared.locked_keys, owner=body.txn_id
-                )
+                self._abort_prepared(body.txn_id, prepared)
             return
         yield from self._apply_committed_decide(body)
 
@@ -1319,10 +1180,6 @@ class MVCCNode(BaseProtocolNode):
                         self.costs.install_key * len(writes)
                     )
                 if self._incarnation != incarnation:
-                    if prepared is not None:
-                        locks.release_write_all(
-                            prepared.locked_keys, owner=body.txn_id
-                        )
                     return
                 commit_vc = VectorClock(body.commit_vc)
                 installed: List[Version] = []
@@ -1340,10 +1197,6 @@ class MVCCNode(BaseProtocolNode):
                     self._maybe_collect_garbage(key)
                 yield from self._on_versions_installed(installed, body.collected)
                 if self._incarnation != incarnation:
-                    if prepared is not None:
-                        locks.release_write_all(
-                            prepared.locked_keys, owner=body.txn_id
-                        )
                     return
                 if self.wal is not None:
                     # Logged atomically with the clock advance (no yields
@@ -1372,9 +1225,10 @@ class MVCCNode(BaseProtocolNode):
                         self.node_id, "decide", txn=body.txn_id,
                         origin=body.origin, seq=body.seq_no,
                     )
+        finally:
+            # On every way out, on the table the locks were taken on.
             if prepared is not None:
                 locks.release_write_all(prepared.locked_keys, owner=body.txn_id)
-        finally:
             if marking and self._applying.get(body.txn_id) == incarnation:
                 del self._applying[body.txn_id]
 
@@ -1417,16 +1271,7 @@ class MVCCNode(BaseProtocolNode):
             if current >= seq_no:
                 continue
             if current == seq_no - 1:
-                if self.wal is not None:
-                    self.wal.append(PropagateRecord(origin, seq_no))
-                site_vc[origin] = seq_no
-                self.site_vc_changed.notify_all()
-                if self.replication is not None:
-                    self.replication.note_frontier()
-                if self.tracer._enabled:
-                    self.tracer.emit(
-                        self.node_id, "propagate", origin=origin, seq=seq_no
-                    )
+                self._advance_clock(origin, seq_no)
             else:
                 self.sim.spawn(
                     self._apply_propagate(origin, seq_nos[index:]),
@@ -1448,664 +1293,25 @@ class MVCCNode(BaseProtocolNode):
             if origin >= len(self.site_vc):
                 return  # the origin retired and its entry was truncated
             if self.site_vc[origin] < seq_no:
-                if self.wal is not None:
-                    self.wal.append(PropagateRecord(origin, seq_no))
-                self.site_vc[origin] = seq_no
-                self.site_vc_changed.notify_all()
-                if self.replication is not None:
-                    self.replication.note_frontier()
-                self.tracer.emit(
-                    self.node_id, "propagate", origin=origin, seq=seq_no
-                )
+                self._advance_clock(origin, seq_no)
 
-    # ------------------------------------------------------------------
-    # Recovery RPCs
-    # ------------------------------------------------------------------
-    def on_txn_status(self, envelope: Envelope) -> None:
-        """Answer an in-doubt termination query from our decision log.
+    def _advance_clock(self, origin: int, seq_no: int) -> None:
+        """Alg. 6 line 3: ``siteVC[origin] = seq_no``, its predecessor + 1.
 
-        No commit decision on record means no Decide was ever sent (the
-        decision is logged first), so ``committed=False`` is definitive --
-        the presumed-abort rule, now actually safe to act on.
+        The one clock-only tick.  Every advance that installs no data
+        goes through here -- a Propagate, a catch-up over lost ones, a
+        verified checkpoint's clock -- so each is logged, wakes the
+        in-order waiters, and reaches the backups' replicated frontier
+        the same way.  (The tick that *does* install data is Alg. 5 line
+        21 in ``_apply_committed_decide``, logged with its versions.)
         """
-        request: TxnStatusRequestBody = self.node.rpc.body_of(envelope)
-        decision = self._decisions.get(request.txn_id)
-        if decision is not None:
-            reply = TxnStatusReplyBody(
-                txn_id=request.txn_id,
-                committed=True,
-                origin=decision.origin,
-                seq_no=decision.seq_no,
-                commit_vc=decision.commit_vc,
-                collected=decision.collected,
-            )
-        else:
-            reply = TxnStatusReplyBody(
-                txn_id=request.txn_id, committed=False, origin=self.node_id
-            )
-        self.node.rpc.reply(envelope, reply)
-
-    def on_sync(self, envelope: Envelope) -> None:
-        """Report this node's applied commit frontier (anti-entropy).
-
-        Gossip digests additionally carry the requester's own ``siteVC``;
-        its entry for *our* origin is durable-frontier evidence the
-        checkpoint manager uses to decide WAL truncation.
-        """
-        request: SyncRequestBody = self.node.rpc.body_of(envelope)
-        if request.site_vc is not None and self.node_id < len(request.site_vc):
-            self.healing.note_peer_frontier(
-                request.requester, request.site_vc[self.node_id]
-            )
-        self.node.rpc.reply(envelope, SyncReplyBody(self.site_vc.to_tuple()))
-
-    def on_heartbeat(self, envelope: Envelope) -> None:
-        """A peer's liveness beacon (the arrival itself fed the detector
-        via ``Node.arrival_hook``); harvest its frontier evidence."""
-        body: HeartbeatBody = envelope.payload
-        self.healing.on_heartbeat(envelope.src, body.site_vc)
-
-    def checkpoint_now(self):
-        """Snapshot durable state into the WAL (see CheckpointManager)."""
-        return self.healing.checkpoints.checkpoint_now()
-
-    # ------------------------------------------------------------------
-    # Snapshot install (receiver side of checkpoint transfer)
-    # ------------------------------------------------------------------
-    def on_snapshot_offer(self, envelope: Envelope) -> None:
-        """Admit or reject a peer's checkpoint transfer (see daemon).
-
-        Acceptance raises the read/prepare fence (``_recovering``) for
-        the duration of the transfer: requests served against the store
-        mid-replacement could observe a fractured snapshot.  Decide and
-        Propagate handlers stay live -- concurrent commits are exactly
-        what the install-time dominance re-check guards against.
-        """
-        offer: SnapshotOfferBody = self.node.rpc.body_of(envelope)
-        self.node.rpc.reply(envelope, self._admit_snapshot(offer))
-
-    def _admit_snapshot(self, offer: SnapshotOfferBody) -> SnapshotAckBody:
-        def reject(reason: str) -> SnapshotAckBody:
-            return SnapshotAckBody(
-                offer.snapshot_id, accepted=False, reason=reason
-            )
-
-        if offer.shard:
-            # Shard handoff (membership): the chains are authoritative for
-            # keys this node is *about to own* -- no staleness gate (our
-            # clock says nothing about them) and no read/prepare fence
-            # (our own keys stay fully servable during the transfer).
-            if self._snapshot_pending is not None:
-                return reject("busy")
-            if self._recovering:
-                return reject("recovering")
-        else:
-            if (
-                not self.shared.config.healing.snapshot.enabled
-                or self.wal is None
-            ):
-                return reject("disabled")
-            if self._snapshot_pending is not None:
-                return reject("busy")
-            if self._recovering:
-                return reject("recovering")
-            site_vc = self.site_vc
-            mine = site_vc.entries
-            shared_width = min(len(mine), len(offer.site_vc))
-            own_sender_entry = (
-                mine[offer.sender] if offer.sender < len(mine) else 0
-            )
-            if (
-                any(
-                    mine[origin] > offer.site_vc[origin]
-                    for origin in range(shared_width)
-                )
-                or any(entry > 0 for entry in mine[shared_width:])
-                or offer.site_vc[offer.sender] <= own_sender_entry
-            ):
-                # Installing must never regress an origin (an origin the
-                # offer lacks counts as zero), and an offer that does not
-                # even advance the sender's own frontier fixes nothing --
-                # wait for a fresher checkpoint.
-                return reject("stale")
-        pending: Dict[str, object] = {
-            "sender": offer.sender,
-            "snapshot_id": offer.snapshot_id,
-            "site_vc": offer.site_vc,
-            "curr_seq_no": offer.curr_seq_no,
-            "fingerprint": offer.fingerprint,
-            "total": offer.total_chunks,
-            "next_index": 0,
-            "chains": [],
-            "incarnation": self._incarnation,
-            "activity": 0,
-            "shard": offer.shard,
-        }
-        self._snapshot_pending = pending
-        if not offer.shard:
-            self._recovering = True
-        # Watchdog: a sender that dies mid-transfer must not leave the
-        # fence up forever.  Re-armed while chunks keep arriving.
-        timeout = self.node.rpc.config.request_timeout
-        if timeout is None:
-            timeout = self.shared.config.healing.digest_timeout
-        deadline = 4 * timeout
-        pending["deadline"] = deadline
-        self.sim.call_later(deadline, self._watch_snapshot, pending, 0)
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "snapshot_accept", sender=offer.sender,
-                snapshot_id=offer.snapshot_id, chunks=offer.total_chunks,
-            )
-        return SnapshotAckBody(offer.snapshot_id, accepted=True)
-
-    def _watch_snapshot(self, pending: Dict[str, object], activity: int) -> None:
-        """Abandon a stalled inbound transfer so the fence comes down."""
-        if self._snapshot_pending is not pending:
-            return
-        if pending["activity"] != activity:
-            self.sim.call_later(
-                pending["deadline"],
-                self._watch_snapshot,
-                pending,
-                pending["activity"],
-            )
-            return
-        self._abandon_snapshot("timeout")
-
-    def _abandon_snapshot(self, reason: str) -> None:
-        """Drop the pending transfer and lower the fence it raised.
-
-        The fence is only lowered when no durable crash retook it in the
-        meantime (``_recovering`` then belongs to recovery, which wiped
-        the pending transfer anyway).
-        """
-        pending = self._snapshot_pending
-        if pending is None:
-            return
-        self._snapshot_pending = None
-        if self._incarnation == pending["incarnation"] and not pending.get("shard"):
-            self._recovering = False
-            self._recovered_cv.notify_all()
-        self.metrics.on_snapshot_abandoned()
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "snapshot_abandon",
-                sender=pending["sender"],
-                snapshot_id=pending["snapshot_id"], reason=reason,
-            )
-
-    def on_snapshot_chunk(self, envelope: Envelope):
-        """Collect one chunk; the final chunk triggers the install."""
-        chunk: SnapshotChunkBody = self.node.rpc.body_of(envelope)
-        pending = self._snapshot_pending
-        if (
-            pending is None
-            or pending["snapshot_id"] != chunk.snapshot_id
-            or pending["sender"] != envelope.src
-            or pending["next_index"] != chunk.index
-        ):
-            # Out-of-order, duplicated, or stale chunk: refuse; the
-            # sender abandons and simply re-offers next gossip round.
-            self.node.rpc.reply(
-                envelope,
-                SnapshotAckBody(
-                    chunk.snapshot_id, accepted=False, reason="unexpected"
-                ),
-            )
-            return
-        pending["activity"] += 1
-        pending["chains"].extend(chunk.chains)
-        pending["next_index"] += 1
-        if chunk.index + 1 < pending["total"]:
-            self.node.rpc.reply(
-                envelope, SnapshotAckBody(chunk.snapshot_id, accepted=True)
-            )
-            return
-        installed = yield from self._install_snapshot(pending)
-        self.node.rpc.reply(
-            envelope,
-            SnapshotAckBody(
-                chunk.snapshot_id,
-                accepted=installed,
-                installed=installed,
-                reason=None if installed else "stale",
-            ),
-        )
-        if installed:
-            # One-way confirmation: even if the chunk reply above is
-            # lost, the sender still learns this node now holds its
-            # origin through the checkpoint (truncation evidence).
-            self.node.send(
-                envelope.src,
-                MessageType.SNAPSHOT_ACK,
-                SnapshotAckBody(
-                    chunk.snapshot_id,
-                    accepted=True,
-                    installed=True,
-                    site_vc=self.site_vc.to_tuple(),
-                ),
-            )
-
-    def _install_snapshot(self, pending: Dict[str, object]):
-        """Verify and adopt a fully received checkpoint snapshot.
-
-        Generator subroutine returning True on success.  The adoption
-        itself is synchronous (no yields between the final check and the
-        post-install checkpoint), so no message delivery can observe the
-        store mid-replacement.
-        """
-        incarnation = pending["incarnation"]
-        # Drain in-flight Decide appliers: a transaction between its
-        # version install and its ApplyRecord lives in neither the
-        # incoming snapshot nor our log -- replacing the store under it
-        # would lose the commit.  New reads/prepares are fenced; Decides
-        # that arrive during the drain finish before the loop exits.
-        while self._applying:
-            yield self.sim.timeout(1e-6)
-            if (
-                self._incarnation != incarnation
-                or self._snapshot_pending is not pending
-            ):
-                return False
-        if (
-            self._incarnation != incarnation
-            or self._snapshot_pending is not pending
-        ):
-            return False
-        site_vc = pending["site_vc"]
-        shard = bool(pending.get("shard"))
-        if not shard:
-            mine = self.site_vc.entries
-            shared_width = min(len(mine), len(site_vc))
-            if any(
-                mine[origin] > site_vc[origin]
-                for origin in range(shared_width)
-            ) or any(entry > 0 for entry in mine[shared_width:]):
-                # A concurrent Decide advanced us past the checkpoint while
-                # the chunks streamed; installing now would regress.  The
-                # suffix we are missing still arrives via the normal push.
-                self._abandon_snapshot("stale")
-                return False
-        record = CheckpointRecord(
-            site_vc=tuple(site_vc),
-            # The sender's counter participates in the fingerprint; it
-            # is verified, never adopted (see below).
-            curr_seq_no=pending["curr_seq_no"],
-            chains=tuple(pending["chains"]),
-            in_doubt=(),
-            decisions=(),
-            fingerprint=pending["fingerprint"],
-        )
-        try:
-            store = restore_store(record)
-        except CheckpointMismatchError:
-            self._abandon_snapshot("fingerprint")
-            return False
-        adopted = 0
-        if shard:
-            # Shard handoff: every carried chain is a key whose ownership
-            # is moving *to* this node -- adopt all of them verbatim (a
-            # stale leftover chain from an earlier epoch is overwritten by
-            # the authoritative copy).  The clock and coordinator counter
-            # are untouched: commit propagation from the chains' origins
-            # reaches this node through the normal fan-out, and advancing
-            # the clock here could skip a locally prepared transaction's
-            # install.
-            for key in store.keys():
-                self.store._chains[key] = store.chain(key)
-                adopted += 1
-            self._snapshot_pending = None
-        else:
-            # Adopt only the chains this node is the preferred site for.
-            # Under the preferred-site placement the sender's store holds
-            # the *sender's* keys, so for a healed straggler this set is
-            # usually empty and the verified clock jump below is the whole
-            # repair; a replacement node rebuilding from nothing adopts its
-            # share of the data here.  Foreign chains must not be kept --
-            # this node would start answering reads for keys it does not
-            # own the moment the directory routed one here.
-            for key in store.keys():
-                if self.directory.site(key) == self.node_id:
-                    self.store._chains[key] = store.chain(key)
-                    adopted += 1
-            vc = self.site_vc
-            if len(site_vc) > len(vc.entries):
-                vc.widen(len(site_vc))
-            for origin in range(len(site_vc)):
-                if site_vc[origin] > vc[origin]:
-                    vc[origin] = site_vc[origin]
-            self.site_vc_changed.notify_all()
-            # Never adopt the sender's coordinator counter: our own assigned
-            # sequence numbers are bounded by our clock entry, which the
-            # dominance check just proved the checkpoint covers.
-            self.curr_seq_no = max(self.curr_seq_no, vc[self.node_id])
-            self._snapshot_pending = None
-            self._recovering = False
-            self._recovered_cv.notify_all()
-        # Durability: our WAL's surviving prefix replays to the *old*
-        # state, so immediately checkpoint the adopted state -- replay
-        # resets at the newest checkpoint, making the install durable.
         if self.wal is not None:
-            self.healing.checkpoints.checkpoint_now()
-        self.snapshot_installs += 1
-        self.metrics.on_snapshot_install(len(record.chains))
+            self.wal.append(PropagateRecord(origin, seq_no))
+        self.site_vc[origin] = seq_no
+        self.site_vc_changed.notify_all()
+        if self.replication is not None:
+            self.replication.note_frontier()
         if self.tracer._enabled:
             self.tracer.emit(
-                self.node_id, "snapshot_install",
-                sender=pending["sender"],
-                snapshot_id=pending["snapshot_id"],
-                chains=len(record.chains),
-                adopted=adopted,
-                shard=shard,
-                frontier=site_vc[pending["sender"]],
-            )
-        return True
-
-    def on_snapshot_ack(self, envelope: Envelope) -> None:
-        """One-way install confirmation: frontier evidence for healing."""
-        self.healing.on_snapshot_ack(envelope.src, envelope.payload)
-
-    # ------------------------------------------------------------------
-    # Durable crash & recovery
-    # ------------------------------------------------------------------
-    def crash_durably(self) -> None:
-        """Mark the durable-crash instant.
-
-        The network-level crash model leaves in-flight handler generators
-        running (their outputs are dropped); freezing the WAL here keeps
-        any of that zombie compute from becoming durable.  The volatile
-        wipe itself happens at restart, inside :meth:`begin_recovery`.
-        """
-        if self.wal is None:
-            raise RuntimeError(
-                "durable crash requires durability.wal_enabled"
-            )
-        self.wal.freeze()
-        if self.flusher is not None:
-            # Abort any in-flight sync (its group never lands) and wake
-            # ensure_durable waiters so their commit paths observe the
-            # frozen log and report failure.
-            self.flusher.on_crash()
-        self._recovering = True
-
-    def begin_recovery(self):
-        """Wipe volatile state and spawn the recovery process (at restart).
-
-        The wipe is synchronous -- from the first post-restart instant the
-        node presents empty-until-recovered state, and the read/prepare
-        fence (``_recovering``) parks incoming requests until the rebuild
-        finishes.  Returns the recovery :class:`~repro.sim.Process`.
-        """
-        if self.wal is None:
-            raise RuntimeError("recovery requires durability.wal_enabled")
-        self._recovering = True
-        records = self.wal.records()
-        self.wal.unfreeze()
-        if self.flusher is not None:
-            self.flusher.on_recovery()
-        result = replay(
-            records, max(self.shared.num_nodes, self.node_id + 1)
-        )
-        self._wipe_volatile()
-        self._install_replayed(result)
-        # Restore membership knowledge logged before the crash; epochs
-        # committed during the outage arrive via gossip's view piggyback.
-        self.membership.restore(result.view, result.pending_view)
-        return self.sim.spawn(
-            self._recover(result), name=f"n{self.node_id}:recover"
-        )
-
-    def _wipe_volatile(self) -> None:
-        """Durable-state loss: everything but the WAL is gone.
-
-        ``site_vc`` is zeroed *in place* (never replaced): read handlers
-        blocked across the crash hold references to its entries list, and
-        a replacement object would let them satisfy their snapshot waits
-        against a stale clock.
-        """
-        self._incarnation += 1
-        self.store = MultiVersionStore()
-        self.locks = LockTable(self.sim)
-        self._prepared = {}
-        self._preparing = set()
-        self._propagate_buffer = {}
-        self._adaptive_windows = {}
-        self._adaptive_pressure = {}
-        self._decisions = {}
-        self._decisions_by_seq = {}
-        self._applying = {}
-        self._snapshot_pending = None
-        site_vc = self.site_vc
-        for origin in range(len(site_vc.entries)):
-            site_vc[origin] = 0
-        self.curr_seq_no = 0
-        self._on_volatile_wiped()
-
-    def _on_volatile_wiped(self) -> None:
-        """Protocol hook: clear subclass volatile state (FW-KV Removes)."""
-
-    def _install_replayed(self, result: ReplayResult) -> None:
-        """Adopt the WAL-rebuilt store, clock, decisions and in-doubt set."""
-        self.store = result.store
-        site_vc = self.site_vc
-        replayed = result.site_vc
-        if len(replayed) > len(site_vc.entries):
-            site_vc.widen(len(replayed))
-        for origin in range(len(site_vc.entries)):
-            site_vc[origin] = replayed[origin] if origin < len(replayed) else 0
-        # Never hand out a sequence number at or below one that escaped:
-        # every escaped seq has a DecisionRecord (logged before fan-out).
-        self.curr_seq_no = max(result.curr_seq_no, site_vc[self.node_id])
-        if self._track_decisions:
-            for txn_id, decision in result.decisions.items():
-                body = DecideBody(
-                    txn_id=txn_id,
-                    outcome=True,
-                    origin=self.node_id,
-                    seq_no=decision.seq_no,
-                    commit_vc=decision.commit_vc,
-                )
-                self._decisions[txn_id] = body
-                self._decisions_by_seq[decision.seq_no] = body
-        for txn_id, record in sorted(result.in_doubt.items()):
-            writes = dict(record.writes)
-            entry = _PreparedTxn(
-                writes, list(writes), VoteBody(True), record.coordinator
-            )
-            # Re-stage on the fresh lock table so whichever path resolves
-            # this entry (recovery's own termination, a late Decide, or a
-            # lease) releases locks it actually holds.  The table is
-            # brand-new, so the acquires are uncontended and synchronous.
-            for key in entry.locked_keys:
-                granted = self.locks.lock_for(key).acquire_write(txn_id)
-                assert granted.triggered, "fresh lock table cannot block"
-            self._prepared[txn_id] = entry
-        if self.replication is not None:
-            self.replication.on_recovered(result.replication)
-
-    def _recover(self, result: ReplayResult):
-        """Rebuild from the WAL: terminate in-doubt prepares, catch up.
-
-        Runs with the ``_recovering`` fence up.  Steps:
-
-        1. Resolve every in-doubt prepare via the coordinator's decision
-           log (our own log, when this node coordinated).  Committed ones
-           are applied through :meth:`_apply_committed_decide` -- their
-           sequence numbers are *reserved* so step 3 leaves the clock
-           advance to the applier.
-        2. Anti-entropy SYNC: ask every peer for its ``siteVC``; the
-           element-wise max is the catch-up target.  Runs after step 1's
-           queries so a coordinator that just answered is included.
-        3. Per-origin catch-up to the target: sequence numbers whose
-           Propagate was lost while we were down carry no data for us
-           (anything with data had us as a 2PC participant, hence is in
-           the WAL), so the clock advance is safe.  Our *own* origin is
-           additionally caught up to ``curr_seq_no``: every assigned
-           sequence number has a durable decision record, but a commit
-           whose loopback Decide died with the crash never advanced our
-           own clock entry.
-        4. Re-announce our own origin to peers the SYNC replies showed
-           behind on it: a commit decided just before the crash may have
-           lost its entire Decide/Propagate fan-out, and nobody but this
-           node can ever tell uninvolved peers that sequence number
-           exists -- without this their in-order apply wedges behind the
-           gap forever.  The re-announcement is a full Decide rebuilt
-           from the WAL's decision records, never a clock-only
-           Propagate: a participant that still holds the prepared writes
-           must install them, and a bare clock advance past the sequence
-           number would make its apply path skip the install.
-        """
-        durability = self.shared.config.durability
-        incarnation = self._incarnation
-        waiters = []
-        reserved: Dict[int, Set[int]] = {}
-        for txn_id, record in sorted(result.in_doubt.items()):
-            if self._incarnation != incarnation:
-                return  # crashed again mid-recovery; a newer recovery owns it
-            entry = self._prepared.get(txn_id)
-            if entry is None:
-                continue
-            if record.coordinator == self.node_id:
-                decision = self._decisions.get(txn_id)
-                committed = decision is not None
-                body = decision
-            else:
-                committed = False
-                body = None
-                round_wait = self.shared.config.prepared_lease or 1e-3
-                for _attempt in range(durability.termination_max_attempts):
-                    ok, reply = yield from self.node.rpc.call_settled(
-                        record.coordinator,
-                        MessageType.TXN_STATUS,
-                        TxnStatusRequestBody(txn_id),
-                    )
-                    if ok:
-                        committed = reply.committed
-                        if committed:
-                            body = DecideBody(
-                                txn_id=txn_id,
-                                outcome=True,
-                                origin=reply.origin,
-                                seq_no=reply.seq_no,
-                                commit_vc=reply.commit_vc,
-                                collected=reply.collected,
-                            )
-                        break
-                    yield self.sim.timeout(round_wait)
-            if self._prepared.get(txn_id) is not entry:
-                continue  # resolved concurrently (e.g. a late Decide)
-            self.metrics.on_indoubt_resolved(committed)
-            self.tracer.emit(
-                self.node_id, "indoubt", txn=txn_id, committed=committed,
-                during_recovery=True,
-            )
-            if committed:
-                reserved.setdefault(body.origin, set()).add(body.seq_no)
-                waiters.append(
-                    self.sim.spawn(
-                        self._apply_committed_decide(body),
-                        name=f"n{self.node_id}:recover-apply-{txn_id}",
-                    )
-                )
-            else:
-                self._abort_prepared(txn_id, entry)
-
-        # Anti-entropy: learn the commit frontier we slept through.  The
-        # SYNC fan-out is the healing layer's digest machinery -- recovery
-        # is one invocation of the same code the background gossip runs.
-        targets, peer_frontiers = yield from self.healing.collect_frontiers()
-        if self._incarnation != incarnation:
-            return
-        if self.curr_seq_no > targets[self.node_id]:
-            targets[self.node_id] = self.curr_seq_no
-        if len(targets) > len(self.site_vc.entries):
-            # A peer's reply was wider than our clock (origins joined
-            # while we were down); widen before the per-origin catch-up.
-            self.site_vc.widen(len(targets))
-        for origin, target in enumerate(targets):
-            if target > self.site_vc[origin]:
-                waiters.append(
-                    self.sim.spawn(
-                        self._catch_up_origin(
-                            origin, target, reserved.get(origin, frozenset())
-                        ),
-                        name=f"n{self.node_id}:catchup-{origin}",
-                    )
-                )
-        if waiters:
-            yield AllOf(self.sim, waiters)
-        if self._incarnation != incarnation:
-            return
-
-        # Step 4: re-announce our own origin.  Duplicates are harmless
-        # (the apply path skips sequence numbers at or below the clock),
-        # and peers cannot have advanced past us on our own origin while
-        # the recovering fence blocked new commits here.
-        own_frontier = self.site_vc[self.node_id]
-        by_seq = {
-            decision.seq_no: (txn_id, decision.commit_vc)
-            for txn_id, decision in result.decisions.items()
-        }
-        for peer, frontier in sorted(peer_frontiers.items()):
-            for seq_no in range(frontier + 1, own_frontier + 1):
-                if seq_no not in by_seq:
-                    continue
-                txn_id, commit_vc = by_seq[seq_no]
-                self.node.send(
-                    peer,
-                    MessageType.DECIDE,
-                    DecideBody(
-                        txn_id=txn_id,
-                        outcome=True,
-                        origin=self.node_id,
-                        seq_no=seq_no,
-                        commit_vc=commit_vc,
-                    ),
-                )
-
-        self.recoveries += 1
-        self.metrics.on_recovery(
-            replayed=result.replayed, in_doubt=len(result.in_doubt)
-        )
-        self._recovering = False
-        self._recovered_cv.notify_all()
-        self.tracer.emit(
-            self.node_id, "recover", replayed=result.replayed,
-            in_doubt=len(result.in_doubt),
-        )
-
-    def _catch_up_origin(self, origin: int, target: int, reserved):
-        """Advance ``siteVC[origin]`` to ``target`` (lost Propagates).
-
-        Sequence numbers in ``reserved`` belong to recovery's in-doubt
-        commit appliers; this process waits for the applier to make that
-        transition instead of stealing it (the applier must install the
-        writes under the same clock tick).  Regular Propagate handlers
-        may race us harmlessly -- both sides re-check the clock before
-        each advance.
-        """
-        site_vc = self.site_vc
-        incarnation = self._incarnation
-        advanced = 0
-        while site_vc[origin] < target:
-            seq_no = site_vc[origin] + 1
-            if seq_no in reserved:
-                yield from wait_until(
-                    self.site_vc_changed,
-                    lambda bound=seq_no: site_vc[origin] >= bound,
-                )
-                if self._incarnation != incarnation:
-                    return
-                continue
-            if self.wal is not None:
-                self.wal.append(PropagateRecord(origin, seq_no))
-            site_vc[origin] = seq_no
-            advanced += 1
-            self.site_vc_changed.notify_all()
-        if advanced:
-            self.metrics.on_catchup(advanced)
-            self.tracer.emit(
-                self.node_id, "catchup", origin=origin, advanced=advanced,
-                target=target,
+                self.node_id, "propagate", origin=origin, seq=seq_no
             )

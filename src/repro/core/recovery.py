@@ -1,0 +1,222 @@
+"""Durable crash and WAL recovery of one MVCC protocol node.
+
+The paper's protocol does not model crashes.  A durable crash freezes
+the WAL and raises the node-wide fence; the restart wipes all volatile
+state, replays the log and, fence still up, runs the repair toolkit
+(:mod:`repro.core.repair`): settle the in-doubt prepares, catch the
+clock up, re-announce this origin's decisions to whoever lacks them.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Set
+
+from repro.core.repair import (
+    TERMINATION_ATTEMPTS,
+    catch_up,
+    decision_table,
+    reannounce,
+)
+from repro.core.transaction import PreparedTxn
+from repro.core.wire import VoteBody
+from repro.sim import AllOf
+from repro.storage.wal import ReplayResult, replay
+
+
+class NodeRecovery:
+    """The crash/restart life cycle of one node (``node.recovery``)."""
+
+    def __init__(self, node) -> None:
+        self.node = node
+        #: Completed recoveries at this node (asserted on by tests).
+        self.recoveries = 0
+
+    def crash_durably(self) -> None:
+        """Mark the durable-crash instant.
+
+        The network-level crash model leaves in-flight handler generators
+        running (their outputs are dropped); freezing the WAL here keeps
+        any of that zombie compute from becoming durable.  The volatile
+        wipe itself happens at restart, inside :meth:`begin_recovery`.
+        """
+        node = self.node
+        if node.wal is None:
+            raise RuntimeError(
+                "durable crash requires durability.wal_enabled"
+            )
+        node.wal.freeze()
+        # Abort any in-flight sync (its group never lands) and wake
+        # ensure_durable waiters so their commit paths observe the
+        # frozen log and report failure.
+        node.flusher.on_crash()
+        node.fence.raise_node()
+
+    def begin_recovery(self):
+        """Wipe volatile state and spawn the recovery process (at restart).
+
+        The wipe is synchronous -- from the first post-restart instant the
+        node presents empty-until-recovered state, and the node-wide
+        fence parks incoming requests until the rebuild finishes.
+        Returns the recovery :class:`~repro.sim.Process`.
+        """
+        node = self.node
+        if node.wal is None:
+            raise RuntimeError("recovery requires durability.wal_enabled")
+        node.fence.raise_node()
+        records = node.wal.records()
+        node.wal.unfreeze()
+        node.flusher.on_recovery()
+        result = replay(
+            records, max(node.shared.num_nodes, node.node_id + 1)
+        )
+        self._wipe_volatile()
+        self._install_replayed(result)
+        # Restore membership knowledge logged before the crash; epochs
+        # committed during the outage arrive via gossip's view piggyback.
+        node.membership.restore(result.view, result.pending_view)
+        return node.sim.spawn(
+            self._recover(result), name=f"n{node.node_id}:recover"
+        )
+
+    def _wipe_volatile(self) -> None:
+        """Durable-state loss: everything but the WAL is gone.
+
+        ``site_vc`` is zeroed *in place* (never replaced): read handlers
+        blocked across the crash hold references to its entries list, and
+        a replacement object would let them satisfy their snapshot waits
+        against a stale clock.
+        """
+        node = self.node
+        node._incarnation += 1
+        node._reset_volatile()
+        node.healing.transfer.inbound = None
+        site_vc = node.site_vc
+        for origin in range(len(site_vc.entries)):
+            site_vc[origin] = 0
+        node._on_volatile_wiped()
+
+    def _install_replayed(self, result: ReplayResult) -> None:
+        """Adopt the WAL-rebuilt store, clock, decisions and in-doubt set."""
+        node = self.node
+        node.store = result.store
+        site_vc = node.site_vc
+        replayed = result.site_vc
+        if len(replayed) > len(site_vc.entries):
+            site_vc.widen(len(replayed))
+        for origin in range(len(site_vc.entries)):
+            site_vc[origin] = replayed[origin] if origin < len(replayed) else 0
+        # Never hand out a sequence number at or below one that escaped:
+        # every escaped seq has a DecisionRecord (logged before fan-out).
+        node.curr_seq_no = max(result.curr_seq_no, site_vc[node.node_id])
+        if node._track_decisions:
+            by_seq = decision_table(node.node_id, result.decisions.values())
+            node._decisions_by_seq = by_seq
+            node._decisions = {body.txn_id: body for body in by_seq.values()}
+        for txn_id, record in sorted(result.in_doubt.items()):
+            # Re-stage on the fresh lock table so whichever path resolves
+            # this entry (recovery's own termination, a late Decide, or a
+            # lease) releases locks it actually holds.  The table is
+            # brand-new, so the acquires are uncontended and synchronous.
+            writes = dict(record.writes)
+            for key in writes:
+                granted = node.locks.lock_for(key).acquire_write(txn_id)
+                assert granted.triggered, "fresh lock table cannot block"
+            node._prepared[txn_id] = PreparedTxn(
+                writes, writes, VoteBody(True), record.coordinator
+            )
+        if node.replication is not None:
+            node.replication.on_recovered(result.replication)
+
+    def _recover(self, result: ReplayResult):
+        """Rebuild from the WAL: terminate in-doubt prepares, catch up.
+
+        Runs with the node-wide fence up.  Steps:
+
+        1. Settle every in-doubt prepare via the coordinator's decision
+           log (our own log, when this node coordinated); a coordinator
+           that stays unreachable is presumed to have aborted.  Committed
+           ones are applied through ``_apply_committed_decide`` -- their
+           sequence numbers are *reserved* so step 3 leaves the clock
+           advance to the applier.
+        2. Anti-entropy SYNC: ask every peer for its ``siteVC``; the
+           element-wise max is the catch-up target.  Runs after step 1's
+           queries so a coordinator that just answered is included.
+        3. Per-origin catch-up to the target (:func:`catch_up`).  Our
+           *own* origin is additionally caught up to ``curr_seq_no``:
+           every assigned sequence number has a durable decision record,
+           but a commit whose loopback Decide died with the crash never
+           advanced our own clock entry.
+        4. Re-announce our own origin to peers the SYNC replies showed
+           behind on it: a commit decided just before the crash may have
+           lost its entire Decide/Propagate fan-out, and nobody but this
+           node can ever tell uninvolved peers that sequence number
+           exists -- without this their in-order apply wedges behind the
+           gap forever.  Peers cannot have advanced past us on our own
+           origin while the fence blocked new commits here.
+        """
+        node = self.node
+        incarnation = node._incarnation
+        waiters = []
+        reserved: Dict[int, Set[int]] = {}
+        for txn_id in sorted(result.in_doubt):
+            if node._incarnation != incarnation:
+                return  # crashed again mid-recovery; a newer recovery owns it
+            entry = node._prepared.get(txn_id)
+            if entry is None:
+                continue
+            decide = yield from node.in_doubt.settle(
+                txn_id, entry, attempts=TERMINATION_ATTEMPTS,
+                presume_abort=True, via="recovery",
+            )
+            if decide:
+                reserved.setdefault(decide.origin, set()).add(decide.seq_no)
+                waiters.append(
+                    node.sim.spawn(
+                        node._apply_committed_decide(decide),
+                        name=f"n{node.node_id}:recover-apply-{txn_id}",
+                    )
+                )
+
+        # Anti-entropy: learn the commit frontier we slept through.  The
+        # SYNC fan-out is the healing layer's digest machinery -- recovery
+        # is one invocation of the same code the background gossip runs.
+        targets, peer_frontiers = yield from node.healing.collect_frontiers()
+        if node._incarnation != incarnation:
+            return
+        if node.curr_seq_no > targets[node.node_id]:
+            targets[node.node_id] = node.curr_seq_no
+        if len(targets) > len(node.site_vc.entries):
+            # A peer's reply was wider than our clock (origins joined
+            # while we were down); widen before the per-origin catch-up.
+            node.site_vc.widen(len(targets))
+        for origin, target in enumerate(targets):
+            if target > node.site_vc[origin]:
+                waiters.append(
+                    node.sim.spawn(
+                        catch_up(
+                            node, origin, target,
+                            reserved.get(origin, frozenset()),
+                        ),
+                        name=f"n{node.node_id}:catchup-{origin}",
+                    )
+                )
+        if waiters:
+            yield AllOf(node.sim, waiters)
+        if node._incarnation != incarnation:
+            return
+
+        reannounce(
+            node,
+            node._decisions_by_seq,
+            dict(sorted(peer_frontiers.items())),
+            node.site_vc[node.node_id],
+        )
+        self.recoveries += 1
+        node.metrics.on_recovery(
+            replayed=result.replayed, in_doubt=len(result.in_doubt)
+        )
+        node.fence.lower_node()
+        node.tracer.emit(
+            node.node_id, "recover", replayed=result.replayed,
+            in_doubt=len(result.in_doubt),
+        )

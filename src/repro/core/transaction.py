@@ -140,3 +140,30 @@ class Transaction:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ro" if self.is_read_only else "up"
         return f"<Txn {self.txn_id} {kind}@{self.node_id} {self.status.value}>"
+
+
+class PreparedTxn:
+    """Participant-side state between a yes-vote and the Decide message."""
+
+    __slots__ = ("writes", "locked_keys", "vote", "coordinator", "round")
+
+    def __init__(
+        self,
+        writes: Dict[Hashable, object],
+        locked_keys,
+        vote,
+        coordinator: int,
+        round: int = 0,
+    ) -> None:
+        self.writes = writes
+        #: Empty for an entry transplanted by a failover promotion: the
+        #: dead primary's locks died with it.
+        self.locked_keys = list(locked_keys)
+        #: The vote returned for this prepare, replayed verbatim if a
+        #: retried/duplicated Prepare arrives again (idempotency).
+        self.vote = vote
+        #: Who to ask when the in-doubt window must be terminated.
+        self.coordinator = coordinator
+        #: Prepare round (moved-retry); a newer round supersedes this
+        #: entry, and an abort Decide only cancels a matching round.
+        self.round = round

@@ -297,3 +297,18 @@ class _ImmutableVectorClock(VectorClock):
 
 
 _ZERO_CACHE: Dict[int, VectorClock] = {}
+
+
+def covers(entries: Sequence[int], snapshot: Sequence[int], dropped=()) -> bool:
+    """Does a clock with ``entries`` dominate ``snapshot``?
+
+    An origin ``entries`` lacks counts as zero, and ``dropped`` origins
+    -- retired, their final frontier proven applied before their entry
+    was truncated -- are vacuously covered.
+    """
+    for origin, target in enumerate(snapshot):
+        if target <= 0 or origin in dropped:
+            continue
+        if origin >= len(entries) or entries[origin] < target:
+            return False
+    return True

@@ -16,7 +16,6 @@ from repro.faults.schedules import (
     partition_cycle,
     random_schedule,
     shard_migration_schedule,
-    staggered_crashes,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "durable_crash_cycle",
     "failover_schedule",
     "partition_cycle",
-    "staggered_crashes",
     "random_schedule",
     "shard_migration_schedule",
     "ordered",

@@ -182,7 +182,7 @@ class Nemesis:
     # ------------------------------------------------------------------
     def _crash_durable(self, node_id: int) -> None:
         self.network.crash(node_id)
-        self.cluster.nodes[node_id].crash_durably()
+        self.cluster.nodes[node_id].recovery.crash_durably()
         if node_id not in self._durable_down:
             if self.network.drop_log is None:
                 self.network.drop_log = self._drop_log
@@ -231,7 +231,7 @@ class Nemesis:
         self._account_window(window)
         if not self._durable_down and self.network.drop_log is self._drop_log:
             self.network.drop_log = None
-        window.recovery = self.cluster.nodes[node_id].begin_recovery()
+        window.recovery = self.cluster.nodes[node_id].recovery.begin_recovery()
 
     def _account_window(self, window: DownWindow) -> None:
         """Summarise what the fault destroyed while ``window`` was open."""

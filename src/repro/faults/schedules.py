@@ -187,37 +187,6 @@ def view_change_partition_schedule(
     return ordered(events)
 
 
-def reconfiguration_chaos_schedule(
-    subject: int,
-    coordinator: int,
-    peers: Sequence[int],
-    at: float,
-    window: float,
-    *,
-    durable: bool = False,
-) -> List[FaultEvent]:
-    """Chaos overlay for one online reconfiguration of ``subject``.
-
-    Two overlapping faults inside the reconfiguration window: the
-    ``subject`` (joiner or decommission victim) is partitioned from its
-    ``peers`` for the first half, and the ``coordinator`` (the member
-    expected to drive the view change, or a transaction coordinator
-    racing the drain) crash-cycles across the middle half.  The view
-    protocol must route proposals around the crashed coordinator and
-    converge once the partition heals; drivers that cannot finish must
-    abandon or revert cleanly.  ``durable`` selects a durable crash
-    (state wiped, WAL replayed) over a volatile one.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    events = view_change_partition_schedule(
-        subject, peers, at, window / 2
-    )
-    cycle = durable_crash_cycle if durable else crash_cycle
-    events += cycle(coordinator, at + window / 4, window / 2)
-    return ordered(events)
-
-
 def shard_migration_schedule(
     donor: int,
     recipient: int,
@@ -308,25 +277,6 @@ def backup_lag_schedule(
     if primary == backup:
         raise ValueError("primary and backup must differ")
     return partition_cycle(primary, backup, at, duration)
-
-
-def staggered_crashes(
-    node_ids: Sequence[int],
-    start: float,
-    down_for: float,
-    gap: float,
-) -> List[FaultEvent]:
-    """One crash/restart cycle per node, ``gap`` apart, never overlapping.
-
-    ``gap`` must exceed ``down_for`` so at most one node is down at a time
-    (a minority-failure schedule).
-    """
-    if gap <= down_for:
-        raise ValueError("gap must exceed down_for (one node down at a time)")
-    events: List[FaultEvent] = []
-    for index, node in enumerate(node_ids):
-        events += crash_cycle(node, start + index * gap, down_for)
-    return ordered(events)
 
 
 def random_schedule(

@@ -69,9 +69,6 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def maybe_checkpoint(self) -> bool:
         """Take a checkpoint if enough records accumulated; True if taken."""
-        owner = self.owner
-        if owner.wal is None or owner.wal.frozen or owner._recovering:
-            return False
         if self._logical_length() - self._last_logical < self.config.min_records:
             return False
         return self.checkpoint_now() is not None
@@ -88,7 +85,7 @@ class CheckpointManager:
         attempt succeeds.
         """
         owner = self.owner
-        if owner.wal is None or owner.wal.frozen or owner._recovering:
+        if owner.wal is None or owner.wal.frozen or owner.fence.node_wide:
             return None
         if owner._applying:
             return None
@@ -100,9 +97,9 @@ class CheckpointManager:
             DecisionRecord(txn_id, decision.seq_no, decision.commit_vc)
             for txn_id, decision in sorted(owner._decisions.items())
         ]
-        membership = getattr(owner, "membership", None)
+        membership = owner.membership
         view = None
-        if membership is not None and membership.view.epoch > 0:
+        if membership.view.epoch > 0:
             # Stamp the committed view so replay-from-checkpoint restores
             # membership even after the ViewChangeRecords are truncated.
             # Epoch-0 (static) runs keep the historical record layout.

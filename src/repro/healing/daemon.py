@@ -14,11 +14,11 @@ nothing and change nothing:
   RPC, push the full Decides of our own origin the peer is missing, and
   pull the clock advances we are missing -- after resolving any in-doubt
   prepares a lagging origin coordinated, so a committed transaction's
-  buffered writes are installed rather than skipped.  This is the same
-  machinery crash recovery invokes (its SYNC fan-out is
-  :meth:`NodeHealing.collect_frontiers`), which is what lets a node that
-  slept through a partition converge again *without* a restart and
-  without foreground traffic;
+  buffered writes are installed rather than skipped.  Every step is the
+  repair toolkit crash recovery also runs (:mod:`repro.core.repair`; the
+  SYNC fan-out is :meth:`NodeHealing.collect_frontiers`), which is what
+  lets a node that slept through a partition converge again *without* a
+  restart and without foreground traffic;
 * the **checkpoint loop** snapshots the node's durable state into the
   WAL and truncates the log below the newest checkpoint once the
   per-peer frontier evidence (harvested from heartbeats and digests)
@@ -35,18 +35,19 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.config import RpcConfig
-from repro.core.wire import (
-    DecideBody,
-    HeartbeatBody,
-    SnapshotChunkBody,
-    SnapshotOfferBody,
-    SyncRequestBody,
-    TxnStatusRequestBody,
-)
+from repro.core.repair import catch_up, reannounce
+from repro.core.vector_clock import VectorClock
+from repro.core.wire import HeartbeatBody, SyncReplyBody, SyncRequestBody
+from repro.healing.checkpoint import CheckpointManager
 from repro.healing.detector import FailureDetector
-from repro.net.message import MessageType
-from repro.sim import AllOf
+from repro.healing.transfer import ChainTransfer
+from repro.net.message import Envelope, MessageType
+from repro.sim import AllOf, PeriodicLoop
 from repro.sim.rng import make_rng
+
+#: Seeded jitter fraction added to each heartbeat and gossip period
+#: (desyncs the per-node loops, like production gossip implementations).
+_PERIOD_JITTER = 0.1
 
 
 class NodeHealing:
@@ -68,18 +69,14 @@ class NodeHealing:
         #: there (from heartbeats and gossip digests); the evidence WAL
         #: truncation and decision-log pruning wait on.
         self.peer_frontiers: Dict[int, int] = {}
+        #: The periodic loops running since the last :meth:`start`.
+        self._loops: List[PeriodicLoop] = []
         #: Completed anti-entropy rounds at this node (test probe).
         self.rounds = 0
         #: Snapshots shipped to truncation-gapped peers (test probe).
         self.snapshots_shipped = 0
-        #: Per-node transfer id counter (deterministic, never reused).
-        self._snapshot_ids = 0
+        #: Set by :meth:`stop`: a gossip round in flight winds down too.
         self._stopped = False
-        self._started = False
-        #: Bumped by every :meth:`start`; loops capture the generation at
-        #: spawn and exit when it moves on, so a stop/start cycle can
-        #: never leave two copies of the same loop running.
-        self._generation = 0
 
         config = self.config
         self.detector: Optional[FailureDetector] = None
@@ -116,11 +113,9 @@ class NodeHealing:
         else:
             self._rpc_config = None
 
-        # Imported here to keep repro.healing free of an import cycle
-        # through repro.storage at module load order.
-        from repro.healing.checkpoint import CheckpointManager
-
         self.checkpoints = CheckpointManager(owner, self)
+        #: Chain shipping (checkpoint repair and shard handoff), both ends.
+        self.transfer = ChainTransfer(owner, self)
 
     # ------------------------------------------------------------------
     # Peers
@@ -133,8 +128,8 @@ class NodeHealing:
         seed peer list; once views change it tracks the committed view's
         fan-out set (active, draining and joining members) minus self.
         """
-        membership = getattr(self.owner, "membership", None)
-        if membership is None or membership.view.epoch == 0:
+        membership = self.owner.membership
+        if membership.view.epoch == 0:
             return self._static_peers
         return [
             peer for peer in membership.view.fanout_ids
@@ -145,44 +140,32 @@ class NodeHealing:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn whichever periodic loops the configuration arms.
-
-        Idempotent: a second start while running is a no-op, and a
-        stop/start cycle bumps the generation so a stale loop that has
-        not yet noticed the stop exits at its next wake-up instead of
-        running alongside its replacement.
-        """
-        if self._started:
+        """Start whichever periodic loops the configuration arms
+        (idempotent, restartable: see :class:`~repro.sim.PeriodicLoop`)."""
+        if self._loops:
             return
-        self._started = True
         self._stopped = False
-        self._generation += 1
-        generation = self._generation
+
+        def arm(interval, body, name, pace=None):
+            loop = PeriodicLoop(
+                self.sim, interval, body, f"n{self.node_id}:{name}", pace
+            )
+            loop.start()
+            self._loops.append(loop)
+
         config = self.config
-        name = f"n{self.node_id}"
-        if config.heartbeat_interval is not None and self.peers:
-            self.sim.spawn(
-                self._heartbeat_loop(generation), name=f"{name}:heartbeat"
-            )
-        if config.anti_entropy_interval is not None and self.peers:
-            self.sim.spawn(
-                self._gossip_loop(generation), name=f"{name}:gossip"
-            )
-        if config.checkpoint.interval is not None and self.owner.wal is not None:
-            self.sim.spawn(
-                self._checkpoint_loop(generation), name=f"{name}:checkpoint"
-            )
+        if self.peers:
+            arm(config.heartbeat_interval, self._beat, "heartbeat", self._period)
+            arm(config.anti_entropy_interval, self._gossip, "gossip", self._period)
+        if self.owner.wal is not None:
+            arm(config.checkpoint.interval, self._checkpoint, "checkpoint")
 
     def stop(self) -> None:
-        """Wind down the periodic loops (each exits at its next wake-up).
-
-        Idempotent: stopping an already-stopped daemon changes nothing.
-        """
+        """Wind down the periodic loops (each exits at its next wake-up)."""
         self._stopped = True
-        self._started = False
-
-    def _stale(self, generation: int) -> bool:
-        return self._stopped or generation != self._generation
+        for loop in self._loops:
+            loop.stop()
+        self._loops = []
 
     def _own_entry(self, vc) -> int:
         """This node's entry of a peer-reported clock, zero when absent.
@@ -200,64 +183,58 @@ class NodeHealing:
         if frontier > self.peer_frontiers.get(peer, -1):
             self.peer_frontiers[peer] = frontier
 
-    def on_heartbeat(self, src: int, site_vc) -> None:
-        """A peer's beacon arrived (liveness went through arrival_hook)."""
-        self.note_peer_frontier(src, self._own_entry(site_vc))
+    def on_heartbeat(self, envelope: Envelope) -> None:
+        """A peer's liveness beacon (the arrival itself fed the detector
+        via ``Node.arrival_hook``); harvest its frontier evidence."""
+        body: HeartbeatBody = envelope.payload
+        self.note_peer_frontier(envelope.src, self._own_entry(body.site_vc))
+
+    def on_sync(self, envelope: Envelope) -> None:
+        """Report this node's applied commit frontier (anti-entropy).
+
+        Gossip digests additionally carry the requester's own ``siteVC``;
+        its entry for *our* origin is durable-frontier evidence the
+        checkpoint manager uses to decide WAL truncation.
+        """
+        owner = self.owner
+        request: SyncRequestBody = owner.node.rpc.body_of(envelope)
+        if request.site_vc is not None and self.node_id < len(request.site_vc):
+            self.note_peer_frontier(
+                request.requester, request.site_vc[self.node_id]
+            )
+        owner.node.rpc.reply(
+            envelope, SyncReplyBody(owner.site_vc.to_tuple())
+        )
 
     # ------------------------------------------------------------------
     # Heartbeats
     # ------------------------------------------------------------------
-    def _heartbeat_loop(self, generation: int):
-        config = self.config
-        interval = config.heartbeat_interval
+    def _period(self, interval: float) -> float:
+        return interval + self._rng.uniform(0.0, _PERIOD_JITTER * interval)
+
+    def _beat(self) -> None:
         owner = self.owner
+        if owner.fence.node_wide:
+            return
         network = owner.node.network
-        while not self._stale(generation):
-            delay = interval
-            if config.heartbeat_jitter > 0:
-                delay += self._rng.uniform(
-                    0.0, config.heartbeat_jitter * interval
-                )
-            yield self.sim.timeout(delay)
-            if self._stale(generation):
-                return
-            if owner._recovering:
+        now = self.sim.now
+        body = HeartbeatBody(owner.site_vc.to_tuple())
+        for peer in self.peers:
+            if network.last_send_horizon(self.node_id, peer) >= now:
+                # A message to this peer is already in flight; it
+                # carries the same liveness signal for free.
+                self.metrics.on_heartbeat(sent=False)
                 continue
-            now = self.sim.now
-            body = HeartbeatBody(owner.site_vc.to_tuple())
-            for peer in self.peers:
-                if (
-                    config.heartbeat_suppression
-                    and network.last_send_horizon(self.node_id, peer) >= now
-                ):
-                    # A message to this peer is already in flight; it
-                    # carries the same liveness signal for free.
-                    self.metrics.on_heartbeat(sent=False)
-                    continue
-                owner.node.send(peer, MessageType.HEARTBEAT, body)
-                self.metrics.on_heartbeat(sent=True)
+            owner.node.send(peer, MessageType.HEARTBEAT, body)
+            self.metrics.on_heartbeat(sent=True)
 
     # ------------------------------------------------------------------
     # Anti-entropy gossip
     # ------------------------------------------------------------------
-    def _gossip_loop(self, generation: int):
-        config = self.config
-        interval = config.anti_entropy_interval
-        owner = self.owner
-        while not self._stale(generation):
-            delay = interval
-            if config.heartbeat_jitter > 0:
-                delay += self._rng.uniform(
-                    0.0, config.heartbeat_jitter * interval
-                )
-            yield self.sim.timeout(delay)
-            if self._stale(generation):
-                return
-            if owner._recovering:
-                continue
-            if not self.peers:
-                continue
-            yield from self.gossip_round(self.pick_gossip_peer())
+    def _gossip(self):
+        if self.owner.fence.node_wide or not self.peers:
+            return None
+        return self.gossip_round(self.pick_gossip_peer())
 
     def pick_gossip_peer(self) -> int:
         """Choose the next gossip partner (seeded, deterministic).
@@ -304,18 +281,21 @@ class NodeHealing:
         """
         owner = self.owner
         incarnation = owner._incarnation
+
+        def superseded() -> bool:
+            return (
+                self._stopped
+                or owner.fence.node_wide
+                or owner._incarnation != incarnation
+            )
+
         ok, reply = yield from owner.node.rpc.call_settled(
             peer,
             MessageType.SYNC,
             SyncRequestBody(self.node_id, owner.site_vc.to_tuple()),
             config=self._rpc_config,
         )
-        if (
-            not ok
-            or self._stopped
-            or owner._recovering
-            or owner._incarnation != incarnation
-        ):
+        if not ok or superseded():
             return
         peer_vc = reply.site_vc
         if owner.membership.view.epoch > 0:
@@ -325,86 +305,59 @@ class NodeHealing:
             owner.membership.send_commit_to(peer)
         self.note_peer_frontier(peer, self._own_entry(peer_vc))
         if self._snapshot_gap(self._own_entry(peer_vc)):
-            installed = yield from self.ship_snapshot(peer, incarnation)
-            if (
-                self._stopped
-                or owner._recovering
-                or owner._incarnation != incarnation
-            ):
+            # Record-by-record repair cannot reach this peer: ship the
+            # newest checkpoint.  On success its frontier of our origin
+            # provably equals the checkpoint clock's own entry, recorded
+            # as truncation evidence at once; stream and pull against the
+            # checkpoint clock so this same round tops it up with the
+            # post-checkpoint suffix.
+            record = self.checkpoints.latest_checkpoint()
+            installed = yield from self.transfer.ship(peer, record, incarnation)
+            if superseded():
                 return
             if installed:
-                # The peer now sits at the checkpoint clock; stream and
-                # pull against that frontier so this same round tops it
-                # up with the post-checkpoint suffix.
-                record = self.checkpoints.latest_checkpoint()
-                width = max(len(peer_vc), len(record.site_vc))
-                peer_vc = tuple(
-                    max(
-                        peer_vc[i] if i < len(peer_vc) else 0,
-                        record.site_vc[i] if i < len(record.site_vc) else 0,
-                    )
-                    for i in range(width)
-                )
-        streamed = self._stream_own_origin(peer, self._own_entry(peer_vc))
-        yield from self._pull(peer_vc, incarnation)
+                self.note_peer_frontier(peer, record.site_vc[self.node_id])
+                self.snapshots_shipped += 1
+                self.metrics.on_snapshot_shipped()
+                merged = VectorClock(peer_vc)
+                merged.merge_seq(record.site_vc)
+                peer_vc = merged.to_tuple()
+        # Push: the full Decides of our origin the peer has not applied,
+        # bounded per round; the next round resumes from its new digest.
+        streamed = reannounce(
+            owner,
+            owner._decisions_by_seq,
+            {peer: self._own_entry(peer_vc)},
+            owner.site_vc[self.node_id],
+            limit=self.config.max_stream_per_round,
+        )
+        if streamed and self.tracer._enabled:
+            self.tracer.emit(
+                self.node_id, "stream", peer=peer, first=streamed[0],
+                last=streamed[-1], count=len(streamed),
+            )
+        yield from self.pull(peer_vc, superseded)
         self.rounds += 1
-        self.metrics.on_anti_entropy_round(streamed)
+        self.metrics.on_anti_entropy_round(len(streamed))
         if self.tracer._enabled:
             self.tracer.emit(
-                self.node_id, "anti_entropy", peer=peer, streamed=streamed
+                self.node_id, "anti_entropy", peer=peer,
+                streamed=len(streamed),
             )
         self.checkpoints.maybe_truncate()
 
-    def _stream_own_origin(self, peer: int, frontier: int) -> int:
-        """Send ``peer`` the full Decides of our origin it has not applied.
-
-        Always safe: re-announcing our own commits duplicates at worst
-        (the apply path skips sequence numbers at or below the peer's
-        clock), and a *full* Decide -- never a clock-only Propagate -- is
-        required because the peer may still hold the prepared writes and
-        must install them under the clock tick.  Bounded per round by
-        ``max_stream_per_round``; the next round resumes from the peer's
-        advanced digest.
-        """
-        owner = self.owner
-        own_frontier = owner.site_vc[self.node_id]
-        if frontier >= own_frontier:
-            return 0
-        by_seq = owner._decisions_by_seq
-        limit = self.config.max_stream_per_round
-        streamed = 0
-        first = last = None
-        for seq_no in range(frontier + 1, own_frontier + 1):
-            if streamed >= limit:
-                break
-            decision = by_seq.get(seq_no)
-            if decision is None:
-                continue
-            owner.node.send(peer, MessageType.DECIDE, decision)
-            streamed += 1
-            if first is None:
-                first = seq_no
-            last = seq_no
-        if streamed:
-            if self.tracer._enabled:
-                self.tracer.emit(
-                    self.node_id, "stream", peer=peer,
-                    first=first, last=last, count=streamed,
-                )
-        return streamed
-
-    def _pull(self, peer_vc, incarnation: int):
+    def pull(self, peer_vc, superseded=lambda: False):
         """Advance our clock toward a peer's digest, without losing writes.
 
         A lagging origin may have committed a transaction we hold
         *prepared*: advancing ``siteVC`` past its sequence number with
         the writes still buffered would silently drop them.  So in-doubt
-        prepares coordinated by a lagging origin are resolved first via
-        TxnStatus (exactly recovery's step 1); committed ones are applied
-        through the normal Decide path with their sequence numbers
-        reserved, and only then does the clock-only catch-up run.  An
-        origin whose coordinator cannot be reached is skipped this round
-        rather than advanced past unresolved state.
+        prepares coordinated by a lagging origin are settled first
+        (exactly recovery's step 1); committed ones are applied through
+        the normal Decide path with their sequence numbers reserved, and
+        only then does the clock-only catch-up run.  An origin whose
+        coordinator cannot be reached is skipped this round rather than
+        advanced past unresolved state.
         """
         owner = self.owner
         site_vc = owner.site_vc
@@ -428,55 +381,28 @@ class NodeHealing:
             coordinator = entry.coordinator
             if coordinator not in lagging or coordinator in unresolved:
                 continue
-            ok, reply = yield from owner.node.rpc.call_settled(
-                coordinator,
-                MessageType.TXN_STATUS,
-                TxnStatusRequestBody(txn_id),
-                config=self._rpc_config,
+            decide = yield from owner.in_doubt.settle(
+                txn_id, entry, rpc_config=self._rpc_config,
+                via="anti_entropy",
             )
-            if (
-                self._stopped
-                or owner._recovering
-                or owner._incarnation != incarnation
-            ):
+            if superseded():
                 return
-            if not ok:
+            if decide is None:
                 unresolved.add(coordinator)
-                continue
-            if owner._prepared.get(txn_id) is not entry:
-                continue  # a racing Decide resolved it meanwhile
-            self.metrics.on_indoubt_resolved(reply.committed)
-            if self.tracer._enabled:
-                self.tracer.emit(
-                    self.node_id, "indoubt", txn=txn_id,
-                    committed=reply.committed, via="anti_entropy",
-                )
-            if reply.committed:
-                reserved.setdefault(reply.origin, set()).add(reply.seq_no)
+            elif decide:
+                reserved.setdefault(decide.origin, set()).add(decide.seq_no)
                 self.sim.spawn(
-                    owner._apply_committed_decide(
-                        DecideBody(
-                            txn_id=txn_id,
-                            outcome=True,
-                            origin=reply.origin,
-                            seq_no=reply.seq_no,
-                            commit_vc=reply.commit_vc,
-                            collected=reply.collected,
-                        )
-                    ),
+                    owner._apply_committed_decide(decide),
                     name=f"n{self.node_id}:gossip-apply-{txn_id}",
                 )
-            else:
-                owner._abort_prepared(txn_id, entry)
         for origin in sorted(lagging):
             if origin in unresolved:
                 continue
-            target = lagging[origin]
-            if target > site_vc[origin]:
-                yield from owner._catch_up_origin(
-                    origin, target, reserved.get(origin, frozenset())
-                )
-            if self._stopped or owner._incarnation != incarnation:
+            yield from catch_up(
+                owner, origin, lagging[origin],
+                reserved.get(origin, frozenset()),
+            )
+            if superseded():
                 return
 
     # ------------------------------------------------------------------
@@ -486,11 +412,12 @@ class NodeHealing:
         """Is ``frontier`` beyond record-by-record repair from here?
 
         True when decision-log pruning has dropped own-origin sequence
-        numbers the peer still needs: ``_stream_own_origin`` silently
-        skips missing entries, so a peer at or below ``pruned_floor``
-        can never converge through the normal push -- only a checkpoint
-        snapshot covers the gap.  ``offer_threshold`` widens the trigger
-        so operators can prefer bulk transfer even for shallow gaps.
+        numbers the peer still needs: :func:`~repro.core.repair.reannounce`
+        silently skips missing entries, so a peer at or below
+        ``pruned_floor`` can never converge through the normal push --
+        only a checkpoint transfer covers the gap.  ``offer_threshold``
+        widens the trigger so operators can prefer bulk transfer even for
+        shallow gaps.
         """
         cfg = self.config.snapshot
         if not cfg.enabled or self.owner.wal is None:
@@ -499,183 +426,6 @@ class NodeHealing:
         if floor <= 0 or frontier + cfg.offer_threshold >= floor:
             return False
         return self.checkpoints.latest_checkpoint() is not None
-
-    def ship_snapshot(self, peer: int, incarnation: int):
-        """Stream our newest checkpoint to ``peer`` in bounded chunks.
-
-        Generator subroutine returning True iff the receiver verified
-        the fingerprint and installed.  The offer RPC carries the
-        checkpoint's clock and fingerprint so the receiver can reject
-        before bulk data moves (it must: installing never regresses an
-        origin).  Chunks go in index order; any rejection or lost reply
-        abandons the transfer -- the next gossip round that still sees a
-        gap simply re-offers.  On success the receiver's frontier of our
-        origin provably equals the checkpoint clock's own entry, which
-        this side records as truncation evidence immediately.
-        """
-        owner = self.owner
-        record = self.checkpoints.latest_checkpoint()
-        cfg = self.config.snapshot
-        chunk_size = max(1, cfg.chunk_records)
-        chains = record.chains
-        total = max(1, (len(chains) + chunk_size - 1) // chunk_size)
-        self._snapshot_ids += 1
-        snapshot_id = self._snapshot_ids
-        offer = SnapshotOfferBody(
-            sender=self.node_id,
-            site_vc=record.site_vc,
-            curr_seq_no=record.curr_seq_no,
-            fingerprint=record.fingerprint,
-            total_chunks=total,
-            snapshot_id=snapshot_id,
-        )
-        self.metrics.on_snapshot_offer()
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "snapshot_offer", peer=peer,
-                snapshot_id=snapshot_id, chunks=total,
-                frontier=record.site_vc[self.node_id],
-            )
-        ok, reply = yield from owner.node.rpc.call_settled(
-            peer, MessageType.SNAPSHOT_OFFER, offer, config=self._rpc_config
-        )
-        if (
-            self._stopped
-            or owner._recovering
-            or owner._incarnation != incarnation
-        ):
-            return False
-        if not ok or not reply.accepted:
-            self.metrics.on_snapshot_rejected()
-            return False
-        installed = False
-        for index in range(total):
-            chunk = SnapshotChunkBody(
-                snapshot_id=snapshot_id,
-                index=index,
-                total=total,
-                chains=chains[index * chunk_size:(index + 1) * chunk_size],
-            )
-            ok, reply = yield from owner.node.rpc.call_settled(
-                peer,
-                MessageType.SNAPSHOT_CHUNK,
-                chunk,
-                config=self._rpc_config,
-            )
-            if (
-                self._stopped
-                or owner._recovering
-                or owner._incarnation != incarnation
-            ):
-                return False
-            if not ok or not reply.accepted:
-                self.metrics.on_snapshot_rejected()
-                return False
-            self.metrics.on_snapshot_chunk(len(chunk.chains))
-            installed = reply.installed
-        if not installed:
-            return False
-        self.note_peer_frontier(peer, record.site_vc[self.node_id])
-        self.snapshots_shipped += 1
-        self.metrics.on_snapshot_shipped()
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "snapshot_shipped", peer=peer,
-                snapshot_id=snapshot_id,
-                frontier=record.site_vc[self.node_id],
-            )
-        return True
-
-    def ship_shard(self, peer: int, keys, incarnation: int):
-        """Stream the chains of ``keys`` to their new owner verbatim.
-
-        Generator subroutine for membership handoff (join bootstrap and
-        decommission drain); returns True iff the receiver verified the
-        fingerprint and installed.  The reconfiguration driver has
-        already fenced the keys and drained their write locks, so the
-        chains are stable for the duration of the transfer.  The offer
-        is flagged ``shard=True``: the receiver adopts the chains
-        without touching its clock or regressing anything, so no
-        staleness gate applies.  Any rejection or lost reply simply
-        returns False -- the driver retries or abandons the view change.
-        """
-        from repro.storage.store import MultiVersionStore
-        from repro.storage.wal import build_checkpoint
-
-        owner = self.owner
-        shard_store = MultiVersionStore()
-        for key in sorted(keys, key=repr):
-            if key in owner.store:
-                shard_store._chains[key] = owner.store.chain(key)
-        record = build_checkpoint(
-            shard_store, owner.site_vc, owner.curr_seq_no
-        )
-        cfg = self.config.snapshot
-        chunk_size = max(1, cfg.chunk_records)
-        chains = record.chains
-        total = max(1, (len(chains) + chunk_size - 1) // chunk_size)
-        self._snapshot_ids += 1
-        snapshot_id = self._snapshot_ids
-        offer = SnapshotOfferBody(
-            sender=self.node_id,
-            site_vc=record.site_vc,
-            curr_seq_no=record.curr_seq_no,
-            fingerprint=record.fingerprint,
-            total_chunks=total,
-            snapshot_id=snapshot_id,
-            shard=True,
-        )
-        self.metrics.on_snapshot_offer()
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "shard_offer", peer=peer,
-                snapshot_id=snapshot_id, keys=len(chains), chunks=total,
-            )
-        ok, reply = yield from owner.node.rpc.call_settled(
-            peer, MessageType.SNAPSHOT_OFFER, offer, config=self._rpc_config
-        )
-        if owner._incarnation != incarnation:
-            return False
-        if not ok or not reply.accepted:
-            self.metrics.on_snapshot_rejected()
-            return False
-        installed = False
-        for index in range(total):
-            chunk = SnapshotChunkBody(
-                snapshot_id=snapshot_id,
-                index=index,
-                total=total,
-                chains=chains[index * chunk_size:(index + 1) * chunk_size],
-            )
-            ok, reply = yield from owner.node.rpc.call_settled(
-                peer,
-                MessageType.SNAPSHOT_CHUNK,
-                chunk,
-                config=self._rpc_config,
-            )
-            if owner._incarnation != incarnation:
-                return False
-            if not ok or not reply.accepted:
-                self.metrics.on_snapshot_rejected()
-                return False
-            self.metrics.on_snapshot_chunk(len(chunk.chains))
-            installed = reply.installed
-        if installed and self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "shard_shipped", peer=peer,
-                snapshot_id=snapshot_id, keys=len(chains),
-            )
-        return bool(installed)
-
-    def on_snapshot_ack(self, src: int, body) -> None:
-        """One-way install confirmation: harvest as frontier evidence.
-
-        Redundant with the final chunk's RPC reply when that reply
-        arrives, but this path survives a lost reply -- the sender still
-        learns the receiver holds its origin through the checkpoint.
-        """
-        if body.site_vc is not None:
-            self.note_peer_frontier(src, self._own_entry(body.site_vc))
 
     # ------------------------------------------------------------------
     # Recovery's shared SYNC fan-out
@@ -699,34 +449,22 @@ class NodeHealing:
             for peer in peers
         ]
         replies = yield AllOf(self.sim, settles)
-        targets = [0] * max(
-            owner.shared.num_nodes, len(owner.site_vc.entries)
+        targets = VectorClock.zeros(
+            max(owner.shared.num_nodes, len(owner.site_vc.entries))
         )
         peer_frontiers: Dict[int, int] = {}
         for peer, (ok, reply) in zip(peers, replies):
-            if not ok:
-                continue
-            own = self._own_entry(reply.site_vc)
-            peer_frontiers[peer] = own
-            self.note_peer_frontier(peer, own)
-            for origin, frontier in enumerate(reply.site_vc):
-                if origin >= len(targets):
-                    targets.extend([0] * (origin + 1 - len(targets)))
-                if frontier > targets[origin]:
-                    targets[origin] = frontier
+            if ok:
+                own = self._own_entry(reply.site_vc)
+                peer_frontiers[peer] = own
+                self.note_peer_frontier(peer, own)
+                targets.merge_seq(reply.site_vc)
         return targets, peer_frontiers
 
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
-    def _checkpoint_loop(self, generation: int):
-        interval = self.config.checkpoint.interval
-        owner = self.owner
-        while not self._stale(generation):
-            yield self.sim.timeout(interval)
-            if self._stale(generation):
-                return
-            if owner._recovering:
-                continue
+    def _checkpoint(self) -> None:
+        if not self.owner.fence.node_wide:
             self.checkpoints.maybe_checkpoint()
             self.checkpoints.maybe_truncate()

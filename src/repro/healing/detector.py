@@ -15,7 +15,7 @@ time and therefore fully deterministic:
   configured the detector tracks each peer's mean inter-arrival time
   (EWMA) and scores the silence since the last arrival in units of that
   mean: ``phi = (now - last_arrival) / mean_interval``.  ``phi``
-  crossing ``phi_suspect`` / ``phi_dead`` raises the classification,
+  crossing ``_PHI_SUSPECT`` / ``_PHI_DEAD`` raises the classification,
   which -- unlike a fixed timeout -- adapts to however slow the peer
   has actually been, so a consistently slow-but-alive peer is not
   falsely declared dead.
@@ -44,6 +44,11 @@ _RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2}
 
 #: EWMA weight of the newest inter-arrival sample.
 _EWMA_ALPHA = 0.2
+
+#: Accrual thresholds, in units of the observed mean inter-arrival time
+#: (used only when heartbeats are active).
+_PHI_SUSPECT = 3.0
+_PHI_DEAD = 8.0
 
 
 class FailureDetector:
@@ -181,9 +186,9 @@ class FailureDetector:
             verdict = SUSPECT
         if self._accrual and _RANK[verdict] < _RANK[DEAD]:
             phi = self.phi(peer)
-            if phi >= config.phi_dead:
+            if phi >= _PHI_DEAD:
                 verdict = DEAD
-            elif phi >= config.phi_suspect and verdict == ALIVE:
+            elif phi >= _PHI_SUSPECT and verdict == ALIVE:
                 verdict = SUSPECT
         if verdict != self._state[peer]:
             self._transition(peer, verdict)

@@ -19,7 +19,7 @@ class AbortReason:
     RPC_TIMEOUT = "rpc_timeout"
     #: The failure detector classified a participant dead and the
     #: coordinator failed the commit fast instead of paying the timeout
-    #: ladder (``HealingConfig.fail_fast_commits``).
+    #: ladder.
     PEER_DEAD = "peer_dead"
     #: The node crashed durably while the transaction was waiting for its
     #: Decision record's group-commit sync: the record was dropped with

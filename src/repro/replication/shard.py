@@ -47,8 +47,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
+from repro.cluster.handoff import fenced_handoff
 from repro.config import ReplicationConfig
-from repro.core.vector_clock import VectorClock
+from repro.core.repair import decision_table, reannounce
+from repro.core.transaction import PreparedTxn
+from repro.core.vector_clock import VectorClock, covers
 from repro.core.walter.visibility import select_walter_version
 from repro.core.wire import (
     DecideBody,
@@ -57,10 +60,10 @@ from repro.core.wire import (
     ReplicateAckBody,
     ReplicateBody,
     ReplicationEntry,
-    TxnStatusRequestBody,
+    VoteBody,
 )
 from repro.net.message import MessageType
-from repro.sim import Event
+from repro.sim import Event, PeriodicLoop
 from repro.storage.wal import ReplicationRecord
 
 
@@ -69,27 +72,28 @@ def backups_for_shard(
     shard: int,
     factor: int,
     down: Optional[Set[int]] = None,
+    keep: Sequence[int] = (),
 ) -> Tuple[int, ...]:
     """The deterministic backup set for one shard.
 
-    Candidates are the member ids minus the shard's owner and any
-    ``down`` sites, in sorted order rotated by the shard index -- so
-    backup load spreads evenly across the cluster and the placement is
-    a pure function of the directory (any node, or a test, can
-    recompute it without coordination).  Returns at most
-    ``factor - 1`` backups; a cluster smaller than the replication
-    factor simply gets every other live member.
+    ``keep`` (a failover's live surviving backups) comes first; the rest
+    are the member ids minus the shard's owner and any ``down`` sites, in
+    sorted order rotated by the shard index -- so backup load spreads
+    evenly across the cluster and the placement is a pure function of
+    the directory (any node, or a test, can recompute it without
+    coordination).  Returns at most ``factor - 1`` backups; a cluster
+    smaller than the replication factor simply gets every other live
+    member.
     """
     owner = shard_map.owner_of(shard)
     excluded = down if down is not None else ()
     candidates = sorted(
-        n for n in shard_map.node_ids if n != owner and n not in excluded
+        n for n in shard_map.node_ids
+        if n != owner and n not in excluded and n not in keep
     )
-    if not candidates:
-        return ()
-    rotation = shard % len(candidates)
+    rotation = shard % len(candidates) if candidates else 0
     rotated = candidates[rotation:] + candidates[:rotation]
-    return tuple(rotated[: max(0, factor - 1)])
+    return tuple((list(keep) + rotated)[: max(0, factor - 1)])
 
 
 class _AckLatch(Event):
@@ -454,21 +458,19 @@ class NodeReplication:
             collected=body.collected,
             frontier=frontier,
         )
-        if not self.config.read_from_backups:
-            return
-        touched = {stream.backup for stream, _seq in targets}
-        for backup in self._all_backups():
-            if backup not in touched:
-                self._enqueue(backup, "frontier", frontier=frontier)
+        if self.config.read_from_backups:
+            self.note_frontier({stream.backup for stream, _seq in targets})
 
-    def note_frontier(self) -> None:
-        """Stream a clock-only freshness update (coalesced per stream);
+    def note_frontier(self, covered=frozenset()) -> None:
+        """Stream a clock-only freshness update (coalesced per stream) to
+        every backup not ``covered`` by a record that already carries it;
         frozen backup reads are the frontier's only reader."""
         if not self.config.read_from_backups:
             return
         frontier = self.owner.site_vc.to_tuple()
         for backup in self._all_backups():
-            self._enqueue(backup, "frontier", frontier=frontier)
+            if backup not in covered:
+                self._enqueue(backup, "frontier", frontier=frontier)
 
     # ------------------------------------------------------------------
     # Backup side: the REPLICATE handler
@@ -560,19 +562,6 @@ class NodeReplication:
     # ------------------------------------------------------------------
     # Read-forwarding (backup side of a frozen read)
     # ------------------------------------------------------------------
-    def _frontier_dominates(
-        self, frontier: Optional[Sequence[int]], vc: Sequence[int]
-    ) -> bool:
-        if frontier is None:
-            return False
-        dropped = self.owner.membership.dropped
-        for origin, target in enumerate(vc):
-            if target <= 0 or origin in dropped:
-                continue
-            if origin >= len(frontier) or frontier[origin] < target:
-                return False
-        return True
-
     def serve_or_forward(self, envelope, request: ReadRequestBody):
         """Serve a frozen read locally, or forward it to the primary.
 
@@ -601,7 +590,8 @@ class NodeReplication:
         if (
             state is not None
             and not state.closed
-            and self._frontier_dominates(state.frontier, request.vc)
+            and state.frontier is not None
+            and covers(state.frontier, request.vc, owner.membership.dropped)
             and key in store
         ):
             chain = store.chain(key)
@@ -842,12 +832,11 @@ class ClusterReplication:
 class FailoverDriver:
     """Detector-driven promotion of backups over dead shard owners.
 
-    Runs as a cluster-level background loop (the Rebalancer's
-    generation-token lifecycle) when ``failover_timeout`` is set.  Each
-    scan asks the *live* nodes' armed accrual detectors for a majority
-    verdict on every shard owner -- a node partitioned away sees
-    everyone dead, but cannot out-vote the connected majority, so a
-    pairwise partition never triggers a spurious failover.  A dead
+    Runs as a cluster-level background loop when ``failover_timeout`` is
+    set.  Each scan asks the *live* nodes' armed accrual detectors for
+    a majority verdict on every shard owner -- a node partitioned away
+    sees everyone dead, but cannot out-vote the connected majority, so
+    a pairwise partition never triggers a spurious failover.  A dead
     owner's shards are promoted to the freshest live backup of each
     (highest applied stream sequence, ties to the lowest id), and the
     scan also repairs broken streams by re-bootstrapping restarted
@@ -861,30 +850,17 @@ class FailoverDriver:
         self.config = rep.config
         self.metrics = rep.metrics
         self.tracer = rep.tracer
-        self._started = False
-        self._generation = 0
+        timeout = self.config.failover_timeout
+        self._loop = PeriodicLoop(
+            self.sim, None if timeout is None else timeout / 2, self._scan,
+            "failover-driver",
+        )
 
-    # ------------------------------------------------------------------
-    # Lifecycle (generation-token idempotent start/stop)
-    # ------------------------------------------------------------------
     def start(self) -> None:
-        if self.config.failover_timeout is None or self._started:
-            return
-        self._started = True
-        self._generation += 1
-        self.sim.spawn(self._loop(self._generation), name="failover-driver")
+        self._loop.start()
 
     def stop(self) -> None:
-        self._started = False
-        self._generation += 1
-
-    def _loop(self, generation: int):
-        interval = self.config.failover_timeout / 2
-        while self._generation == generation:
-            yield self.sim.timeout(interval)
-            if self._generation != generation:
-                return
-            yield from self._scan()
+        self._loop.stop()
 
     # ------------------------------------------------------------------
     # Scan
@@ -906,8 +882,8 @@ class FailoverDriver:
             node_id = node.node_id
             if node_id == target or not self._live(node_id):
                 continue
-            healing = getattr(node, "healing", None)
-            if healing is None or not healing.armed:
+            healing = node.healing
+            if not healing.armed:
                 continue
             voters += 1
             if healing.detector.is_dead(target):
@@ -938,9 +914,7 @@ class FailoverDriver:
         first = dead not in rep.down
         rep.down.add(dead)
         rep.version += 1
-        dead_rep = getattr(nodes[dead], "replication", None)
-        if dead_rep is not None:
-            dead_rep.retire()
+        nodes[dead].replication.retire()
         if first and self.tracer._enabled:
             self.tracer.emit(dead, "failover_start", shards=len(rep.shard_map.shards_of(dead)))
         shards = rep.shard_map.shards_of(dead)
@@ -969,9 +943,8 @@ class FailoverDriver:
             # The deposed site owns nothing anymore: refuse any
             # straggling stream traffic from it, everywhere.
             for node in nodes:
-                node_rep = getattr(node, "replication", None)
-                if node_rep is not None and node.node_id != dead:
-                    node_rep.close_backup_state(dead)
+                if node.node_id != dead:
+                    node.replication.close_backup_state(dead)
             self.metrics.on_failover_completed(promoted)
             if self.tracer._enabled:
                 self.tracer.emit(
@@ -983,9 +956,9 @@ class FailoverDriver:
     def _promote(self, dead: int, successor: int, shards: List[int]):
         """Promote ``successor`` to own ``shards`` of the dead primary.
 
-        Behind the membership fence: (1) resolve every staged prepare
-        through the replicated decision log, a TXN_STATUS query to its
-        live coordinator, or -- when the coordinator is unreachable --
+        Behind the key fence: (1) resolve every staged prepare through
+        the replicated decision log, a TXN_STATUS query to its live
+        coordinator, or -- when the coordinator is unreachable --
         a transplant into the prepared table so the re-announced Decide
         or the termination protocol finishes the job; (2) re-announce
         the dead coordinator's decisions (a contiguous seq prefix, in
@@ -1022,7 +995,7 @@ class FailoverDriver:
                 if shard_of(key) in shard_set
             )
         keys = sorted(keys, key=repr)
-        successor_node.membership.fence(keys)
+        successor_node.fence.raise_keys(keys)
         flipped = False
         installed = 0
         try:
@@ -1036,9 +1009,7 @@ class FailoverDriver:
                 resolved = None
                 decision = state.decisions.get(entry.txn_id)
                 if decision is not None:
-                    resolved = (
-                        decision.origin, decision.seq_no, decision.commit_vc,
-                    )
+                    resolved = decision
                 elif entry.coordinator == dead:
                     # The dead primary coordinated it and logged no
                     # decision on this stream: by decision-before-
@@ -1046,23 +1017,14 @@ class FailoverDriver:
                     # abort is exact, not a guess.
                     resolved = False
                 elif self._live(entry.coordinator):
-                    ok, reply = yield from successor_node.node.rpc.call_settled(
-                        entry.coordinator,
-                        MessageType.TXN_STATUS,
-                        TxnStatusRequestBody(entry.txn_id),
+                    resolved = yield from successor_node.in_doubt.outcome(
+                        entry.txn_id, entry.coordinator
                     )
                     if (
                         successor_node._incarnation != incarnation
                         or not self._live(successor)
                     ):
                         return False
-                    if ok:
-                        if reply.committed:
-                            resolved = (
-                                reply.origin, reply.seq_no, reply.commit_vc,
-                            )
-                        else:
-                            resolved = False
                 if resolved is False:
                     continue
                 if resolved is None:
@@ -1072,38 +1034,35 @@ class FailoverDriver:
                     # Decide, or the termination query, resolves them.
                     self._transplant_staged(successor_node, entry, writes)
                     continue
-                origin, seq_no, commit_vc = resolved
-                vc = VectorClock(commit_vc)
+                vc = VectorClock(resolved.commit_vc)
                 for key, value in writes:
                     if not self._has_version(
-                        successor_node, key, origin, seq_no
+                        successor_node, key, resolved.origin, resolved.seq_no
                     ):
                         successor_node.store.install(
                             key,
                             value,
                             vc.copy(),
-                            origin=origin,
-                            seq=seq_no,
+                            origin=resolved.origin,
+                            seq=resolved.seq_no,
                             writer_txn=entry.txn_id,
                             installed_at=self.sim.now,
                         )
                         installed += 1
-            peers = [
-                node.node_id for node in cluster.nodes
-                if self._live(node.node_id)
-            ]
-            for entry in decisions:
-                body = DecideBody(
-                    txn_id=entry.txn_id,
-                    outcome=True,
-                    origin=dead,
-                    seq_no=entry.seq_no,
-                    commit_vc=entry.commit_vc,
-                    collected=entry.collected,
-                    round=entry.round,
+            # Nobody knows how far each peer got on the dead origin, so
+            # every live peer hears the whole decision prefix, in commit
+            # order for the in-order apply rule.
+            if decisions:
+                below = decisions[0].seq_no - 1
+                reannounce(
+                    successor_node,
+                    decision_table(dead, decisions),
+                    {
+                        node.node_id: below for node in cluster.nodes
+                        if self._live(node.node_id)
+                    },
+                    decisions[-1].seq_no,
                 )
-                for peer in peers:
-                    successor_node.node.send(peer, MessageType.DECIDE, body)
             if state is not None:
                 state.staged.clear()
             # Cutover: flip each shard's owner entry under the fence.
@@ -1111,7 +1070,7 @@ class FailoverDriver:
                 shard_map.assign(shard, successor)
             flipped = True
         finally:
-            successor_node.membership.unfence(keys)
+            successor_node.fence.lower_keys(keys)
         if not flipped:
             return False
         if self.tracer._enabled:
@@ -1124,24 +1083,16 @@ class FailoverDriver:
         # survivors, top up deterministically) and re-bootstrap each
         # from the new primary -- a verbatim re-ship also restarts the
         # record streams from a clean, provably consistent point.
-        wanted = self.config.replication_factor - 1
+        down = {n for n in shard_map.node_ids if not self._live(n)}
         for shard in shards:
             survivors = [
                 b for b in rep.placement.get(shard, ())
                 if b != successor and self._live(b)
             ]
-            if len(survivors) < wanted:
-                pool = [
-                    n for n in sorted(shard_map.node_ids)
-                    if self._live(n) and n != successor and n not in survivors
-                ]
-                rotation = shard % len(pool) if pool else 0
-                pool = pool[rotation:] + pool[:rotation]
-                for candidate in pool:
-                    if len(survivors) >= wanted:
-                        break
-                    survivors.append(candidate)
-            rep.placement[shard] = tuple(survivors)
+            rep.placement[shard] = backups_for_shard(
+                shard_map, shard, self.config.replication_factor, down,
+                keep=survivors,
+            )
         rep.version += 1
         backups = sorted(
             {b for shard in shards for b in rep.placement[shard]}
@@ -1164,24 +1115,16 @@ class FailoverDriver:
 
     def _transplant_staged(self, node, entry, writes) -> None:
         """Park unresolved staged writes in the node's prepared table."""
-        from repro.core.mvcc_node import _PreparedTxn
-        from repro.core.wire import VoteBody
-
         if entry.txn_id in node._prepared:
             return
-        transplanted = _PreparedTxn(
+        transplanted = PreparedTxn(
             dict(writes),
             [],  # no locks: the dead primary's locks died with it
             VoteBody(True),
             entry.coordinator,
             round=entry.round,
         )
-        node._prepared[entry.txn_id] = transplanted
-        lease = node.shared.config.prepared_lease
-        if lease is not None:
-            node.sim.call_later(
-                lease, node._expire_prepared, entry.txn_id, transplanted
-            )
+        node._stage(entry.txn_id, transplanted)
 
     # ------------------------------------------------------------------
     # Backup repair / bootstrap
@@ -1195,12 +1138,8 @@ class FailoverDriver:
         """
         rep = self.rep
         for node in self.cluster.nodes:
-            node_rep = getattr(node, "replication", None)
-            if (
-                node_rep is None
-                or node_rep._retired
-                or not self._live(node.node_id)
-            ):
+            node_rep = node.replication
+            if node_rep._retired or not self._live(node.node_id):
                 continue
             for backup, stream in list(node_rep.streams.items()):
                 if not stream.closed or not self._live(backup):
@@ -1219,20 +1158,17 @@ class FailoverDriver:
     ):
         """Verbatim-ship ``shards`` to a backup and restart its stream.
 
-        The Rebalancer's fence/drain/ship discipline without the
-        ownership flip: chains are stable for the transfer, and the
-        frontier snapshot is taken before the unfence, so every backed
-        version at or below it is provably in the shipped chains.
+        A fenced handoff without the ownership flip: chains are stable
+        for the transfer, and the stream restarts -- with its frontier
+        snapshot -- before the unfence, so every backed version at or
+        below that frontier is provably in the shipped chains.
         """
-        rep = self.rep
         cluster = self.cluster
         if not self._live(primary_id) or not self._live(backup_id):
             return False
         primary = cluster.nodes[primary_id]
-        backup = cluster.nodes[backup_id]
-        shard_map = rep.shard_map
+        shard_map = self.rep.shard_map
         shard_set = set(shards)
-        incarnation = primary._incarnation
         keys = sorted(
             (
                 key for key in primary.store.keys()
@@ -1240,33 +1176,22 @@ class FailoverDriver:
             ),
             key=repr,
         )
-        primary.membership.fence(keys)
-        shipped = False
-        frontier: Optional[Tuple[int, ...]] = None
-        try:
-            drained = yield from cluster._drain_write_locks(primary, keys)
-            if (
-                drained
-                and primary._incarnation == incarnation
-                and self._live(backup_id)
-            ):
-                if keys:
-                    shipped = yield from primary.healing.ship_shard(
-                        backup_id, keys, incarnation
-                    )
-                else:
-                    shipped = True
-                frontier = primary.site_vc.to_tuple()
-        finally:
-            primary.membership.unfence(keys)
-        if not shipped or primary._incarnation != incarnation:
-            return False
-        primary.replication.reset_stream(backup_id)
-        backup.replication.adopt_stream(
-            primary_id,
-            applied=primary.replication.streams[backup_id].acked,
-            frontier=frontier,
+
+        def restart_stream():
+            if not self._live(backup_id):
+                return False
+            primary.replication.reset_stream(backup_id)
+            cluster.nodes[backup_id].replication.adopt_stream(
+                primary_id,
+                applied=primary.replication.streams[backup_id].acked,
+                frontier=primary.site_vc.to_tuple(),
+            )
+
+        shipped = yield from fenced_handoff(
+            primary, {backup_id: keys}, act=restart_stream
         )
+        if not shipped:
+            return False
         self.metrics.on_backup_bootstrapped()
         if self.tracer._enabled:
             self.tracer.emit(

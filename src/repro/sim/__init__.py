@@ -17,7 +17,7 @@ The design is intentionally close to a small subset of SimPy:
 """
 
 from repro.sim.events import AllOf, AnyOf, Event, EventState, Timeout
-from repro.sim.process import Process
+from repro.sim.process import PeriodicLoop, Process
 from repro.sim.simulator import Simulator, Timer
 from repro.sim.condition import ConditionVariable, wait_until
 from repro.sim.locks import Mutex, RWLock
@@ -33,6 +33,7 @@ __all__ = [
     "Event",
     "EventState",
     "Mutex",
+    "PeriodicLoop",
     "Process",
     "RWLock",
     "Simulator",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.sim.events import Event, EventState
 
@@ -92,3 +92,48 @@ class Process(Event):
             # Nobody was joining this process when it crashed; surface the
             # failure through the simulator instead of dropping it silently.
             self.sim.report_crash(self, exc)
+
+
+class PeriodicLoop:
+    """A background loop that can be stopped and started again.
+
+    Every ``interval`` virtual seconds (stretched by ``pace(interval)``
+    when given; ``None`` never runs) it calls ``body()``, driving the
+    result as a subroutine when that is a generator.  Idempotent: a
+    second start while running is a no-op, and every start bumps a
+    generation the running process checks at each wake-up, so a
+    stop/start cycle can never leave two copies of the loop running.
+    """
+
+    def __init__(
+        self, sim: "Simulator", interval: Optional[float],
+        body: Callable[[], Any], name: str,
+        pace: Optional[Callable[[float], float]] = None,
+    ) -> None:
+        self.sim = sim
+        self.interval = interval
+        self.body = body
+        self.name = name
+        self.pace = pace
+        self.running = False
+        self._generation = 0
+
+    def start(self) -> None:
+        if self.interval is not None and not self.running:
+            self.running = True
+            self._generation += 1
+            self.sim.spawn(self._run(self._generation), name=self.name)
+
+    def stop(self) -> None:
+        self.running = False
+        self._generation += 1
+
+    def _run(self, generation: int):
+        interval, pace = self.interval, self.pace
+        while self._generation == generation:
+            yield self.sim.timeout(pace(interval) if pace else interval)
+            if self._generation != generation:
+                return
+            step = self.body()
+            if step is not None:
+                yield from step

@@ -27,13 +27,23 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.cluster.directory import ConsistentHashDirectory, Directory, ShardMap
-from repro.cluster.membership import ACTIVE, DRAINING, JOINING, MembershipView
+from repro.cluster.handoff import fenced_handoff
+from repro.cluster.membership import (
+    ACK_TIMEOUT,
+    ACTIVE,
+    DRAINING,
+    HANDOFF_TIMEOUT,
+    JOINING,
+    MAX_ATTEMPTS,
+    MembershipView,
+)
 from repro.cluster.node import Node
 from repro.cluster.rebalancer import Rebalancer
 from repro.config import ClusterConfig
 from repro.core.fwkv import FWKVNode
 from repro.core.interfaces import BaseProtocolNode, SharedState
 from repro.core.mvcc_node import MVCCNode
+from repro.core.repair import catch_up
 from repro.core.twopc import TwoPCNode
 from repro.core.walter import WalterNode
 from repro.metrics.history import History, OpRecord
@@ -212,23 +222,18 @@ class Cluster:
     # Data loading
     # ------------------------------------------------------------------
     def load(self, key: Hashable, value: object) -> None:
-        """Install initial data at the key's preferred site.
-
-        With replication enabled the baseline version is mirrored to the
-        key's backups as well -- every replica's chain starts identical,
-        so stream installs keep vids aligned forever after.
-        """
-        self.nodes[self.directory.site(key)].load(key, value)
-        if self.replication is not None:
-            for backup in self.replication.backups_for_key(key):
-                self.nodes[backup].load(key, value)
+        """Install initial data at the key's preferred site."""
+        self.load_many(((key, value),))
 
     def load_many(self, items: Iterable[Tuple[Hashable, object]]) -> int:
         """Install many (key, value) pairs; returns the count loaded.
 
         Items are bucketed by preferred site and handed to each node's
         bulk loader, so a large keyspace pays one placement lookup per key
-        and nothing else per item at the Python-call level.
+        and nothing else per item at the Python-call level.  With
+        replication enabled the baseline is mirrored to each key's backups
+        -- every replica's chain starts identical, so stream installs keep
+        vids aligned forever after.
         """
         site = self.directory.site
         buckets: Dict[int, list] = {}
@@ -244,8 +249,7 @@ class Cluster:
             nodes[owner].load_many(bucket) for owner, bucket in buckets.items()
         )
         if self.replication is not None:
-            # Mirror the baseline to every backup (identical chains from
-            # vid 0 on); the returned count stays the primary-copy count.
+            # The returned count stays the primary-copy count.
             backups_for_key = self.replication.backups_for_key
             mirror: Dict[int, list] = {}
             for bucket in buckets.values():
@@ -409,10 +413,9 @@ class Cluster:
         committed view (returning None when the change is moot).  Each
         attempt re-reads the current view and re-picks a live proposer,
         so a proposer that crashes mid-round is simply routed around.
-        Returns the acked view, or None after ``max_attempts``.
+        Returns the acked view, or None after ``MAX_ATTEMPTS`` rounds.
         """
-        cfg = self.config.membership
-        for _attempt in range(max(1, cfg.max_attempts)):
+        for _attempt in range(MAX_ATTEMPTS):
             current = self._current_view()
             target = derive(current)
             if target is None:
@@ -421,7 +424,7 @@ class Cluster:
             if proposer is None:
                 return None
             proposer.membership.propose(target)
-            yield self.sim.timeout(cfg.ack_timeout)
+            yield self.sim.timeout(ACK_TIMEOUT)
             required = {
                 member for member in target.fanout_ids
                 if member < len(self.nodes)
@@ -431,34 +434,14 @@ class Cluster:
                 return target
         return None
 
-    def _commit_view(self, view: MembershipView, exclude=()) -> bool:
+    def _commit_view(self, view: MembershipView, exclude=()) -> None:
         """Fan out a commit through a live proposer (one-way, idempotent)."""
         proposer = self._live_proposer(view, exclude=exclude)
-        if proposer is None:
-            return False
-        proposer.membership.commit(view)
-        return True
-
-    def _drain_write_locks(self, node, keys):
-        """Wait until no listed key's write lock is held at ``node``.
-
-        Prepares already holding locks finish through their Decide;
-        fenced prepares park *before* locking, so the wait terminates.
-        Returns False if the handoff deadline passes first.
-        """
-        cfg = self.config.membership
-        deadline = self.sim.now + cfg.handoff_timeout
-        locks = node.locks
-        while any(locks.write_held(key) for key in keys):
-            if self.sim.now >= deadline:
-                return False
-            yield self.sim.timeout(cfg.ack_timeout)
-        return True
+        if proposer is not None:
+            proposer.membership.commit(view)
 
     # -- join ----------------------------------------------------------
     def _join_driver(self, joiner_id: int):
-        cfg = self.config.membership
-        tick = cfg.ack_timeout
         joiner = self.nodes[joiner_id]
 
         def derive_joining(current: MembershipView):
@@ -471,16 +454,9 @@ class Cluster:
             self._removed.add(joiner_id)
             return False
         self._commit_view(acked, exclude=(joiner_id,))
-        # The joiner is in the fan-out: wait for it to apply the view.
-        deadline = self.sim.now + cfg.handoff_timeout
-        while joiner.membership.view.epoch < acked.epoch:
-            if self.network.is_crashed(joiner_id) or self.sim.now >= deadline:
-                yield from self._abandon_join(joiner_id)
-                return False
-            yield self.sim.timeout(tick)
-        joiner.healing.start()
         # Bootstrap and handoff run in a subprocess so a joiner crash
         # cannot strand the driver on an RPC that will never settle.
+        deadline = self.sim.now + HANDOFF_TIMEOUT
         worker = self.sim.spawn(
             self._join_work(joiner_id, acked), name=f"join-work:n{joiner_id}"
         )
@@ -488,7 +464,7 @@ class Cluster:
             if self.network.is_crashed(joiner_id) or self.sim.now >= deadline:
                 yield from self._abandon_join(joiner_id)
                 return False
-            yield self.sim.timeout(tick)
+            yield self.sim.timeout(ACK_TIMEOUT)
         if worker.value is not True:
             yield from self._abandon_join(joiner_id)
             return False
@@ -518,16 +494,16 @@ class Cluster:
         """Bootstrap a JOINING member: clock catch-up, then shard handoff."""
         joiner = self.nodes[joiner_id]
         incarnation = joiner._incarnation
+        # The joiner is in the fan-out: wait for it to apply the view.
+        while joiner.membership.view.epoch < view.epoch:
+            if joiner_id in self._removed:
+                return False  # the driver abandoned this join meanwhile
+            yield self.sim.timeout(ACK_TIMEOUT)
+        joiner.healing.start()
         # Clock-only bootstrap: adopt every origin's committed frontier
         # (the joiner owns no keys yet, so frontiers are all it needs).
         targets, _ = yield from joiner.healing.collect_frontiers()
-        for origin, target in enumerate(targets):
-            if origin == joiner_id or target <= 0:
-                continue
-            if origin >= len(joiner.site_vc.entries):
-                joiner.site_vc.widen(origin + 1)
-            if target > joiner.site_vc[origin]:
-                yield from joiner._catch_up_origin(origin, target, frozenset())
+        yield from joiner.healing.pull(targets)
         # Symmetric catch-up for a *re*-join: peers whose clocks shrank
         # past this origin's retirement must re-learn its final frontier
         # (the data behind it was shipped out at decommission and kept),
@@ -540,17 +516,15 @@ class Cluster:
                 peer = self.nodes[member]
                 if joiner_id >= len(peer.site_vc.entries):
                     peer.site_vc.widen(joiner_id + 1)
-                if peer.site_vc[joiner_id] < own:
-                    yield from peer._catch_up_origin(
-                        joiner_id, own, frozenset()
-                    )
+                yield from catch_up(peer, joiner_id, own)
         joiner.metrics.on_join_bootstrapped()
         if self.tracer._enabled:
             self.tracer.emit(
                 joiner_id, "join_bootstrap", clock=joiner.site_vc.to_tuple()
             )
-        # Shard handoff: fence, drain, and ship every key the widened
-        # ring moves from an old owner to the joiner.
+        # Shard handoff: every key the widened ring moves from an old
+        # owner to the joiner.  Each donor's fence stays up until the
+        # ACTIVE view commit -- the flip below waits for all of them.
         ring = list(view.ring_ids)
         new_dir = self.directory.with_nodes(sorted(set(ring) | {joiner_id}))
         for owner_id in ring:
@@ -564,14 +538,10 @@ class Cluster:
             )
             if not moved:
                 continue
-            owner.membership.fence(moved)
-            drained = yield from self._drain_write_locks(owner, moved)
-            if not drained:
-                return False
-            installed = yield from owner.healing.ship_shard(
-                joiner_id, moved, owner._incarnation
+            shipped = yield from fenced_handoff(
+                owner, {joiner_id: moved}, hold=True
             )
-            if not installed or joiner._incarnation != incarnation:
+            if not shipped or joiner._incarnation != incarnation:
                 return False
         if joiner_id in self._removed:
             return False  # the driver abandoned this join meanwhile
@@ -585,28 +555,31 @@ class Cluster:
         self._removed.add(joiner_id)
         self.nodes[joiner_id].healing.stop()
 
-        def derive(current: MembershipView):
-            if current.state_of(joiner_id) is None:
-                return None
-            return current.without_member(joiner_id, final_seq=None)
+        yield from self._commit_removal(joiner_id, final_seq=None)
+        if self.tracer._enabled:
+            self.tracer.emit(joiner_id, "join_abandoned")
 
-        acked = yield from self._drive_view(derive, exclude=(joiner_id,))
+    def _commit_removal(self, member_id: int, final_seq: Optional[int]):
+        """Drive and commit the view that drops ``member_id``."""
+
+        def derive(current: MembershipView):
+            if current.state_of(member_id) is None:
+                return None
+            return current.without_member(member_id, final_seq=final_seq)
+
+        acked = yield from self._drive_view(derive, exclude=(member_id,))
         if acked is None:
             # Force the removal through anyway: commit is one-way and
             # idempotent, and a member that cannot shrink simply stays
             # wide (always sound).
             current = self._current_view()
-            if current.state_of(joiner_id) is not None:
-                acked = current.without_member(joiner_id, final_seq=None)
+            if current.state_of(member_id) is not None:
+                acked = current.without_member(member_id, final_seq=final_seq)
         if acked is not None:
-            self._commit_view(acked, exclude=(joiner_id,))
-        if self.tracer._enabled:
-            self.tracer.emit(joiner_id, "join_abandoned")
+            self._commit_view(acked, exclude=(member_id,))
 
     # -- leave ---------------------------------------------------------
     def _leave_driver(self, victim_id: int):
-        cfg = self.config.membership
-        tick = cfg.ack_timeout
         victim = self.nodes[victim_id]
 
         def derive_draining(current: MembershipView):
@@ -620,39 +593,32 @@ class Cluster:
         if acked is None:
             return False
         self._commit_view(acked)
-        deadline = self.sim.now + cfg.handoff_timeout
+        deadline = self.sim.now + HANDOFF_TIMEOUT
         while victim.membership.view.epoch < acked.epoch:
             if self.sim.now >= deadline:
                 yield from self._revert_drain(victim_id)
                 return False
-            yield self.sim.timeout(tick)
-        # Drain: in-flight prepares on the victim's keys settle through
-        # their Decides; new ones park on the drain fence.  Reads keep
+            yield self.sim.timeout(ACK_TIMEOUT)
+        # Drain and hand every shard to the shrunken ring's new owners:
+        # in-flight prepares on the victim's keys settle through their
+        # Decides, new ones park on the drain fence (up since the
+        # DRAINING commit, held until the removal below).  Reads keep
         # being served here throughout.
-        keys = sorted(victim.store.keys(), key=repr)
-        drained = yield from self._drain_write_locks(victim, keys)
-        if not drained:
-            yield from self._revert_drain(victim_id)
-            return False
-        # Shard handoff to the shrunken ring's new owners.
         ring = [m for m in acked.ring_ids if m != victim_id]
         new_dir = self.directory.with_nodes(ring)
         by_owner: Dict[int, list] = {}
         for key in sorted(victim.store.keys(), key=repr):
             by_owner.setdefault(new_dir.site(key), []).append(key)
-        for new_owner in sorted(by_owner):
-            installed = yield from victim.healing.ship_shard(
-                new_owner, by_owner[new_owner], victim._incarnation
-            )
-            if not installed:
-                yield from self._revert_drain(victim_id)
-                return False
+        shipped = yield from fenced_handoff(victim, by_owner, hold=True)
+        if not shipped:
+            yield from self._revert_drain(victim_id)
+            return False
         final_seq = victim.curr_seq_no
         # Dominance wait: every live survivor should hold the victim's
         # full commit frontier before the removal view, so the retired
         # entry is immediately shrinkable.  On timeout we proceed --
         # the retired entry pins the clock width, which is always sound.
-        deadline = self.sim.now + cfg.handoff_timeout
+        deadline = self.sim.now + HANDOFF_TIMEOUT
         while self.sim.now < deadline:
             survivors = [
                 self.nodes[m] for m in ring if not self.network.is_crashed(m)
@@ -663,7 +629,7 @@ class Cluster:
                 for s in survivors
             ):
                 break
-            yield self.sim.timeout(tick)
+            yield self.sim.timeout(ACK_TIMEOUT)
         # Atomic ownership flip, then the removal view.  The commit
         # lifts the survivors' fences; the victim is no longer in the
         # fan-out, so the driver lifts its fences by hand -- parked
@@ -671,39 +637,26 @@ class Cluster:
         # "moved", sending their coordinators to the new owners.
         self.directory.remove_node(victim_id)
 
-        def derive_removed(current: MembershipView):
-            if current.state_of(victim_id) is None:
-                return None
-            return current.without_member(victim_id, final_seq=final_seq)
-
-        acked2 = yield from self._drive_view(derive_removed, exclude=(victim_id,))
-        if acked2 is None:
-            current = self._current_view()
-            if current.state_of(victim_id) is not None:
-                acked2 = current.without_member(victim_id, final_seq=final_seq)
-        if acked2 is not None:
-            self._commit_view(acked2, exclude=(victim_id,))
-        victim.membership.lift_fences()
+        yield from self._commit_removal(victim_id, final_seq)
+        victim.fence.lower_every_key()
         victim.healing.stop()
         self._removed.add(victim_id)
         self.metrics.on_drain_completed()
         if self.tracer._enabled:
             self.tracer.emit(victim_id, "drain_complete", final_seq=final_seq)
-        # Optional clock shrink once the retired entry tops the clock:
+        # Shrink clocks back down once the retired entry tops the clock:
         # members ack only when their own shrink is provably safe.
-        if cfg.shrink_clocks:
+        def derive_shrink(current: MembershipView):
+            if victim_id not in current.retired:
+                return None
+            shrunk = current.without_retired(victim_id)
+            if shrunk.clock_width >= current.clock_width:
+                return None
+            return shrunk
 
-            def derive_shrink(current: MembershipView):
-                if victim_id not in current.retired:
-                    return None
-                shrunk = current.without_retired(victim_id)
-                if shrunk.clock_width >= current.clock_width:
-                    return None
-                return shrunk
-
-            acked3 = yield from self._drive_view(derive_shrink, exclude=(victim_id,))
-            if acked3 is not None:
-                self._commit_view(acked3, exclude=(victim_id,))
+        acked3 = yield from self._drive_view(derive_shrink, exclude=(victim_id,))
+        if acked3 is not None:
+            self._commit_view(acked3, exclude=(victim_id,))
         return True
 
     def _revert_drain(self, victim_id: int):

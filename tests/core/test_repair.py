@@ -1,0 +1,249 @@
+"""The repair toolkit's primitives, one suite each (``repro.core.repair``).
+
+Their callers -- lease expiry, recovery, gossip, promotion -- are covered
+end to end by the chaos, recovery, healing and replication suites; these
+cases pin what each primitive promises on its own.
+"""
+
+import pytest
+
+from repro import (
+    Cluster,
+    ClusterConfig,
+    DurabilityConfig,
+    HealingConfig,
+    NetworkConfig,
+    RpcConfig,
+)
+from repro.cluster import ExplicitDirectory
+from repro.core.repair import TERMINATION_ATTEMPTS, reannounce
+from repro.core.wire import DecideBody, PrepareBody
+from repro.net.message import MessageType
+
+TXN = 77
+#: Pause between query rounds when no prepared lease is configured.
+ROUND_WAIT = 1e-3
+
+
+def build(num_nodes=2, placement=None, rpc=None):
+    config = ClusterConfig(
+        num_nodes=num_nodes,
+        seed=5,
+        durability=DurabilityConfig(termination_query=True),
+        # No detector: every query round spends its whole RPC ladder.
+        healing=HealingConfig(detector_enabled=False),
+        network=NetworkConfig(
+            jitter=0.0,
+            rpc=rpc or RpcConfig(request_timeout=1e-3, max_attempts=2),
+        ),
+    )
+    placement = placement or {"x": 1}
+    cluster = Cluster("fwkv", config, directory=ExplicitDirectory(placement))
+    for key in placement:
+        cluster.load(key, 0)
+    return cluster
+
+
+# ----------------------------------------------------------------------
+# Fence
+# ----------------------------------------------------------------------
+def test_key_fence_parks_prepares_only_and_node_fence_parks_both():
+    cluster = build(rpc=RpcConfig())  # reliable channels: no read retries
+    node = cluster.node(1)
+    served = []
+
+    def reader(tag):
+        txn = cluster.node(0).begin(is_read_only=True)
+        yield from cluster.node(0).read(txn, "x")
+        served.append((tag, cluster.sim.now))
+
+    def preparer():
+        vote = yield from node._handle_prepare(
+            PrepareBody(TXN, 0, {"x": 1}, tuple(node.site_vc))
+        )
+        served.append(("prepare", cluster.sim.now, vote.ok))
+
+    node.fence.raise_keys(["x"])
+    cluster.spawn(reader("key-fenced read"))
+    cluster.spawn(preparer())
+    cluster.run(until=1e-3)
+    assert [entry[0] for entry in served] == ["key-fenced read"]
+    node.fence.lower_keys(["x"])
+    cluster.run(until=2e-3)
+    assert served[-1][0] == "prepare" and served[-1][2]
+    node._abort_prepared(TXN, node._prepared[TXN])  # frees x's write lock
+
+    node.fence.raise_node()
+    cluster.spawn(reader("node-fenced read"))
+    cluster.run(until=3e-3)
+    assert len(served) == 2, "a node-wide fence serves no read"
+    node.fence.lower_node()
+    cluster.run(until=4e-3)
+    assert served[-1][0] == "node-fenced read" and served[-1][1] >= 3e-3
+
+
+# ----------------------------------------------------------------------
+# In-doubt resolver
+# ----------------------------------------------------------------------
+def prepared_entry(cluster):
+    """A yes-vote at node 1 for a transaction node 0 coordinates (no
+    lease is armed: only the test drives the resolver)."""
+    node = cluster.node(1)
+    vote = cluster.run_process(
+        node._handle_prepare(PrepareBody(TXN, 0, {"x": 9}, tuple(node.site_vc)))
+    )
+    assert vote.ok and node.locks.write_held("x")
+    return node, node._prepared[TXN]
+
+
+def record_commit(cluster, seq_no=1):
+    """Put TXN's commit on node 0's decision log, as ``commit()`` does."""
+    coordinator = cluster.node(0)
+    coordinator.curr_seq_no = seq_no
+    decide = DecideBody(TXN, True, 0, seq_no, (seq_no, 0))
+    coordinator._decisions[TXN] = decide
+    return decide
+
+
+def test_committed_reply_applies_through_the_decide_path():
+    cluster = build()
+    node, entry = prepared_entry(cluster)
+    record_commit(cluster)
+    applied = []
+    original = node._apply_committed_decide
+    node._apply_committed_decide = lambda body: (
+        applied.append(body) or original(body)
+    )
+    cluster.run_process(node.in_doubt.terminate(TXN, entry))
+    assert [(b.txn_id, b.origin, b.seq_no) for b in applied] == [(TXN, 0, 1)]
+    latest = node.store.chain("x").latest
+    assert (latest.value, latest.origin, latest.seq) == (9, 0, 1)
+    assert node.site_vc[0] == 1
+    assert TXN not in node._prepared and not node.locks.any_locked()
+    assert cluster.metrics.indoubt_committed == 1
+    assert cluster.metrics.lease_expirations == 0
+
+
+def test_not_on_record_aborts_and_releases_the_locks():
+    cluster = build()
+    node, entry = prepared_entry(cluster)
+    cluster.run_process(node.in_doubt.terminate(TXN, entry))
+    assert node.store.chain("x").latest.value == 0
+    assert TXN not in node._prepared and not node.locks.any_locked()
+    assert cluster.metrics.indoubt_aborted == 1
+    assert cluster.metrics.lease_expirations == 0
+
+
+def test_unreachable_coordinator_exhausts_the_budget_then_presumes_abort():
+    cluster = build()
+    node, entry = prepared_entry(cluster)
+    record_commit(cluster)
+    cluster.network.crash(0)
+    started = cluster.sim.now
+    sent_before = cluster.network.stats.messages_by_type[MessageType.TXN_STATUS]
+    cluster.run_process(node.in_doubt.terminate(TXN, entry))
+    queries = (
+        cluster.network.stats.messages_by_type[MessageType.TXN_STATUS]
+        - sent_before
+    )
+    rpc = cluster.config.network.rpc
+    assert queries == TERMINATION_ATTEMPTS * rpc.max_attempts
+    # Every round pays its RPC ladder and then the between-rounds pause.
+    assert cluster.sim.now - started >= TERMINATION_ATTEMPTS * (
+        rpc.max_attempts * rpc.request_timeout + ROUND_WAIT
+    )
+    assert TXN not in node._prepared and not node.locks.any_locked()
+    assert node.store.chain("x").latest.value == 0
+    assert cluster.metrics.lease_expirations == 1
+    assert cluster.metrics.indoubt_committed == 0
+    assert cluster.metrics.indoubt_aborted == 0
+
+
+def test_a_racing_real_decide_wins():
+    cluster = build()
+    node, entry = prepared_entry(cluster)
+    decide = record_commit(cluster)
+    cluster.network.crash(0)  # the query cannot be answered...
+    process = cluster.spawn(node.in_doubt.terminate(TXN, entry))
+    # ...but the Decide itself was already on the wire.
+    cluster.sim.call_later(
+        5e-4, lambda: cluster.spawn(node._apply_committed_decide(decide))
+    )
+    cluster.run()
+    assert process.triggered
+    assert node.store.chain("x").latest.value == 9 and node.site_vc[0] == 1
+    assert not node.locks.any_locked()
+    # The resolver noticed before its next round: no verdict of its own.
+    assert cluster.metrics.indoubt_committed == 0
+    assert cluster.metrics.indoubt_aborted == 0
+    assert cluster.metrics.lease_expirations == 0
+    sent = cluster.network.stats.messages_by_type[MessageType.TXN_STATUS]
+    assert sent == cluster.config.network.rpc.max_attempts
+
+
+# ----------------------------------------------------------------------
+# Re-announcer
+# ----------------------------------------------------------------------
+def lagging_peer_cluster(commits=5):
+    """Node 0 commits ``commits`` local transactions while node 2 hears
+    none of the Propagates; node 1 hears them all."""
+    cluster = build(num_nodes=3, placement={"a": 0})
+    cluster.network.partition(0, 2)
+    for value in range(commits):
+        assert cluster.run_txn(lambda txn, v=value: txn.write("a", v + 1))
+    cluster.network.heal_all()
+    cluster.run()
+    assert [clock[0] for clock in cluster.site_clocks()] == [commits, commits, 0]
+    return cluster
+
+
+def decides_sent(cluster):
+    return cluster.network.stats.messages_by_type[MessageType.DECIDE]
+
+
+def test_reannounce_closes_a_peers_gap_and_duplicates_are_noops():
+    cluster = lagging_peer_cluster()
+    origin = cluster.node(0)
+    before = decides_sent(cluster)
+    chain_before = [v.vid for v in cluster.node(0).store.chain("a")]
+    announced = reannounce(
+        origin, origin._decisions_by_seq, {1: 0, 2: 0}, origin.site_vc[0]
+    )
+    cluster.run()
+    assert announced == [1, 2, 3, 4, 5]
+    assert decides_sent(cluster) - before == 10
+    # Node 2 caught up; node 1 had applied all five already.
+    assert [clock[0] for clock in cluster.site_clocks()] == [5, 5, 5]
+    assert [v.vid for v in cluster.node(0).store.chain("a")] == chain_before
+    assert not cluster.any_locks_held()
+
+
+def test_reannounce_respects_each_peers_frontier():
+    cluster = lagging_peer_cluster()
+    origin = cluster.node(0)
+    before = decides_sent(cluster)
+    reannounce(origin, origin._decisions_by_seq, {1: 5, 2: 3}, 5)
+    assert decides_sent(cluster) - before == 2  # 4 and 5, to node 2 only
+
+
+def test_reannounce_skips_pruned_sequence_numbers():
+    cluster = lagging_peer_cluster()
+    origin = cluster.node(0)
+    del origin._decisions_by_seq[2]
+    announced = reannounce(origin, origin._decisions_by_seq, {2: 0}, 5)
+    cluster.run()
+    assert announced == [1, 3, 4, 5]
+    # In-order apply: the peer stops at the hole only a checkpoint fills.
+    assert cluster.node(2).site_vc[0] == 1
+
+
+@pytest.mark.parametrize("limit, expected", [(2, [1, 2]), (None, [1, 2, 3, 4, 5])])
+def test_reannounce_honours_its_per_call_limit(limit, expected):
+    cluster = lagging_peer_cluster()
+    origin = cluster.node(0)
+    announced = reannounce(
+        origin, origin._decisions_by_seq, {2: 0}, 5, limit=limit
+    )
+    cluster.run()
+    assert announced == expected
+    assert cluster.node(2).site_vc[0] == len(expected)

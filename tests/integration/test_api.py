@@ -114,16 +114,12 @@ def test_cli_config_includes_the_transport_block(capsys):
 def test_group_commit_and_adaptive_batching_fields_default_off():
     # The perf knobs added with group commit / adaptive batching must stay
     # inert by default: fsync cost zero (unbuffered WAL, historical
-    # behaviour) and fixed-window batching.
+    # behaviour) and one Propagate per commit per uninvolved node.
     durability = DurabilityConfig()
     assert durability.fsync_latency == 0.0
     assert durability.group_commit_window == 0.0
     assert durability.group_commit_max_records > 0
-    batching = BatchingConfig()
-    assert batching.adaptive is False
-    assert batching.max_window > 0
-    assert batching.adaptive_step > 0
-    assert 0 < batching.adaptive_decay < 1
+    assert BatchingConfig().adaptive is False
     round_tripped = DurabilityConfig.from_dict(
         {"fsync_latency": 1e-4, "group_commit_window": 2e-4}
     )
@@ -272,15 +268,7 @@ cluster_configs = st.builds(
     seed=st.integers(0, 2**32 - 1),
     gc_enabled=st.booleans(),
     prepared_lease=optional(positive_floats),
-    batching=st.builds(
-        BatchingConfig,
-        propagate_window=small_floats,
-        remove_flush_interval=optional(positive_floats),
-        adaptive=st.booleans(),
-        max_window=small_floats,
-        adaptive_step=small_floats,
-        adaptive_decay=small_floats,
-    ),
+    batching=st.builds(BatchingConfig, adaptive=st.booleans()),
     durability=st.builds(
         DurabilityConfig,
         wal_enabled=st.booleans(),

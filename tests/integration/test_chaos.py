@@ -350,7 +350,7 @@ def test_chaos_durable_crash_no_lost_commits(protocol):
     assert nemesis.restart_count == 1
     window = nemesis.down_windows[0]
     assert window.closed and window.node == 1
-    assert cluster.nodes[1].recoveries == 1
+    assert cluster.nodes[1].recovery.recoveries == 1
     assert cluster.metrics.recoveries == 1
     assert committed
     assert_no_lost_commits(cluster, committed)

@@ -5,8 +5,7 @@ PR's new perf knobs:
 
 * Disabled-by-default equivalence.  ``group_commit_window`` /
   ``group_commit_max_records`` are inert while ``fsync_latency == 0``
-  (the WAL is unbuffered, every append instantly durable), and the
-  adaptive AIMD parameters are inert while ``adaptive`` is off -- a run
+  (the WAL is unbuffered, every append instantly durable) -- a run
   with those knobs set must be *bit-identical* to the seed defaults:
   same commit log, same per-node siteVC history at every quiescence
   point, same WAL contents.
@@ -102,20 +101,6 @@ def test_group_commit_knobs_inert_without_fsync_latency(protocol):
     assert knobs_set[2] == baseline[2], "WAL lengths diverged"
 
 
-@pytest.mark.parametrize("protocol", ("fwkv", "walter"))
-def test_adaptive_parameters_inert_while_adaptive_off(protocol):
-    baseline = _run_sequential(protocol)
-    knobs_set = _run_sequential(
-        protocol,
-        batching=BatchingConfig(
-            adaptive=False, max_window=5e-3, adaptive_step=1e-3,
-            adaptive_decay=0.9,
-        ),
-    )
-    assert knobs_set[0] == baseline[0], "commit logs diverged"
-    assert knobs_set[1] == baseline[1], "siteVC histories diverged"
-
-
 def _chaos(cluster, *, clients=2, txns=40):
     seed = cluster.config.seed
 
@@ -197,10 +182,7 @@ def test_durable_naive_chaos_stays_consistent(protocol):
 def test_adaptive_batching_chaos_stays_consistent(protocol):
     cluster = _make_cluster(
         protocol,
-        batching=BatchingConfig(
-            adaptive=True, max_window=1e-3, adaptive_step=50e-6,
-            adaptive_decay=0.5,
-        ),
+        batching=BatchingConfig(adaptive=True),
     )
     _chaos(cluster)
     _assert_consistent(cluster)
@@ -227,22 +209,15 @@ def test_adaptive_with_durable_group_commit_combined():
 # The AIMD controller itself, exercised deterministically on one node.
 # ----------------------------------------------------------------------
 
-def _adaptive_node(step=50e-6, max_window=1e-3, decay=0.5):
-    cluster = _make_cluster(
-        "walter",
-        batching=BatchingConfig(
-            adaptive=True, adaptive_step=step, max_window=max_window,
-            adaptive_decay=decay,
-        ),
-    )
+def _adaptive_node():
+    cluster = _make_cluster("walter", batching=BatchingConfig(adaptive=True))
     return cluster, cluster.node(0)
 
 
 def test_adaptive_pressure_probe_opens_closed_window():
-    from repro.core.mvcc_node import _PRESSURE_OPEN
+    from repro.core.mvcc_node import _PRESSURE_OPEN, ADAPTIVE_STEP as step
 
     cluster, node = _adaptive_node()
-    step = cluster.config.batching.adaptive_step
     # A closed window serves sends immediately; back-to-back sends at the
     # same instant are maximally hot (gap zero), so after the cold first
     # send plus _PRESSURE_OPEN hot ones the window opens at one step.
@@ -259,33 +234,33 @@ def test_adaptive_pressure_probe_opens_closed_window():
 
 
 def test_adaptive_window_grows_only_past_target_depth():
-    from repro.core.mvcc_node import _TARGET_DEPTH
+    from repro.core.mvcc_node import (
+        _TARGET_DEPTH, ADAPTIVE_DECAY, ADAPTIVE_STEP as step, MAX_WINDOW,
+    )
 
     cluster, node = _adaptive_node()
-    batching = cluster.config.batching
-    step = batching.adaptive_step
     site = (node.node_id + 1) % NODES
 
-    # Depth inside the band: window holds (no ratchet toward max_window).
+    # Depth inside the band: window holds (no ratchet toward MAX_WINDOW).
     node._adaptive_windows[site] = step
     node._propagate_buffer[site] = list(range(_TARGET_DEPTH))
     node._flush_propagate(site)
     assert node._adaptive_windows[site] == step
 
-    # Depth beyond the band: additive growth, capped at max_window.
+    # Depth beyond the band: additive growth, capped at MAX_WINDOW.
     node._propagate_buffer[site] = list(range(_TARGET_DEPTH + 1))
     node._flush_propagate(site)
     assert node._adaptive_windows[site] == 2 * step
-    node._adaptive_windows[site] = batching.max_window
+    node._adaptive_windows[site] = MAX_WINDOW
     node._propagate_buffer[site] = list(range(_TARGET_DEPTH + 1))
     node._flush_propagate(site)
-    assert node._adaptive_windows[site] == batching.max_window
+    assert node._adaptive_windows[site] == MAX_WINDOW
 
     # Singleton flush: multiplicative decay, snapping to zero (closed).
     node._adaptive_windows[site] = step
     node._propagate_buffer[site] = [1]
     node._flush_propagate(site)
-    assert node._adaptive_windows[site] == step * batching.adaptive_decay
+    assert node._adaptive_windows[site] == step * ADAPTIVE_DECAY
     node._adaptive_windows[site] = 1e-10
     node._propagate_buffer[site] = [2]
     node._flush_propagate(site)

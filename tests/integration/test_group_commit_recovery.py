@@ -149,7 +149,7 @@ def test_crash_between_buffer_and_flush_loses_exact_suffix(protocol):
     # record was pending, so the crash genuinely lost something.
     assert snapshot["expected_loss"] >= 1
     assert victim.wal.lost_on_crash == snapshot["expected_loss"]
-    assert victim.recoveries == 1
+    assert victim.recovery.recoveries == 1
     assert cluster.metrics.recoveries == 1
 
     # Replay restarted from the surviving prefix: the records the crash

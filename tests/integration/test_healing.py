@@ -245,7 +245,7 @@ def test_partitioned_node_heals_without_restart(seed):
 
     cluster, nemesis = healed["cluster"], healed["nemesis"]
     victim = cluster.nodes[VICTIM]
-    assert victim.recoveries == 0  # healed, never restarted
+    assert victim.recovery.recoveries == 0  # healed, never restarted
     metrics = cluster.metrics
     assert metrics.anti_entropy_rounds > 0
     # The gap closed through the healing machinery: streamed Decides
@@ -425,7 +425,7 @@ def run_checkpoint_scenario(seed, *, checkpointed):
 
     record = None
     if checkpointed:
-        record = victim.checkpoint_now()
+        record = victim.healing.checkpoints.checkpoint_now()
         assert record is not None
         assert cluster.metrics.checkpoints_taken == 1
         full_log = victim.wal.records()  # prefix + checkpoint
@@ -472,7 +472,7 @@ def run_checkpoint_scenario(seed, *, checkpointed):
     surviving = len(victim.wal)
     window = restart(cluster, nemesis, VICTIM)
     cluster.run()
-    assert window.closed and victim.recoveries == 1
+    assert window.closed and victim.recovery.recoveries == 1
 
     return {
         "cluster": cluster,
@@ -606,7 +606,7 @@ def run_snapshot_scenario(seed, *, partition):
     # their evidence refreshes in-round, the victim sits beyond the
     # retention bound, so the WAL truncates and the decision log prunes
     # -- the victim is now below the floor, unreachable by the push.
-    record = sender.checkpoint_now()
+    record = sender.healing.checkpoints.checkpoint_now()
     assert record is not None
     for peer in (1, 3):
         cluster.run_process(sender.healing.gossip_round(peer))
@@ -642,7 +642,7 @@ def run_snapshot_scenario(seed, *, partition):
         "clocks": cluster.site_clocks(),
         "floor": floor,
         "shipped": sender.healing.snapshots_shipped,
-        "installs": victim.snapshot_installs,
+        "installs": victim.healing.transfer.installs,
         "checkpoint": record,
     }
 

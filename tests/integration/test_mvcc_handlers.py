@@ -236,7 +236,7 @@ def test_stale_prepare_on_a_fenced_then_moved_key_still_answers_moved():
     costs the coordinator a regroup round, never a spurious abort."""
     cluster = make_cluster("fwkv", 2, {"x": 1}, initial={"x": 0})
     node, request = _stale_prepare(cluster)
-    node.membership.fence(["x"])
+    node.fence.raise_keys(["x"])
     result = {}
 
     def prepare():
@@ -246,7 +246,7 @@ def test_stale_prepare_on_a_fenced_then_moved_key_still_answers_moved():
     def handoff():
         yield cluster.sim.timeout(1e-3)
         cluster.directory._placement["x"] = 0
-        node.membership.unfence(["x"])
+        node.fence.lower_keys(["x"])
 
     started = cluster.sim.now
     cluster.spawn(prepare())

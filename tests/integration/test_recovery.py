@@ -259,7 +259,7 @@ def test_crash_between_decide_and_propagate(protocol, seed):
     assert crashed.fingerprint == control.fingerprint
 
     victim = crashed.cluster.nodes[VICTIM]
-    assert victim.recoveries == 1
+    assert victim.recovery.recoveries == 1
     assert crashed.cluster.metrics.recoveries == 1
     assert crashed.nemesis.restart_count == 1
 
@@ -304,7 +304,7 @@ def test_crash_mid_prepare_aborts_and_recovers(protocol):
     cluster.run()
 
     victim = cluster.nodes[VICTIM]
-    assert victim.recoveries == 1
+    assert victim.recovery.recoveries == 1
     assert cluster.metrics.indoubt_recovered >= 1
     assert cluster.metrics.indoubt_aborted >= 1
     # The aborted transaction's writes exist nowhere.
@@ -348,7 +348,7 @@ def test_crash_mid_propagate_apply(protocol):
     cluster.run()
 
     victim = cluster.nodes[VICTIM]
-    assert victim.recoveries == 1
+    assert victim.recovery.recoveries == 1
     assert sum(len(v) for v in window.lost_propagates.values()) == 5
     assert cluster.metrics.catchup_advances == 5
     clocks = cluster.site_clocks()
@@ -387,7 +387,7 @@ def test_crash_with_inflight_decide_recovers_commit(protocol):
     window = restart(cluster, nemesis, VICTIM)
     cluster.run()
 
-    assert victim.recoveries == 1
+    assert victim.recovery.recoveries == 1
     assert cluster.metrics.indoubt_committed >= 1
     # The committed write reappeared, with its origin stamp intact.
     recovered = [
@@ -432,4 +432,4 @@ def test_down_window_accounting_is_exact():
     assert dict(window.lost_propagates) == {0: sorted(expected)}
     assert nemesis.restart_count == 1
     assert nemesis.down_windows == [window]
-    assert cluster.nodes[VICTIM].recoveries == 1
+    assert cluster.nodes[VICTIM].recovery.recoveries == 1

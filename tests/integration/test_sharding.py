@@ -256,7 +256,7 @@ def run_migration_chaos(seed, *, fault):
         )
         assert shard_map.epoch == 0
         assert cluster.metrics.shard_migrations_failed == 1
-        assert not cluster.node(donor).membership.moving, (
+        assert not cluster.node(donor).fence.keys, (
             "a failed migration must unfence"
         )
     else:

@@ -20,6 +20,7 @@ from repro import (
     RpcConfig,
     ShardingConfig,
 )
+from repro.core.repair import catch_up
 from repro.core.wire import DecideBody, ReplicateAckBody
 from repro.faults import Nemesis
 from repro.faults.schedules import CRASH_DURABLE, RESTART, FaultEvent
@@ -163,6 +164,37 @@ def test_backup_reads_keep_the_coalesced_frontier_feed():
     assert max(peak.values()) == 1
     assert set(frontier_only) == {1}
     assert cluster.metrics.replication_sync_degraded == 0
+
+
+@pytest.mark.parametrize("backup_reads", [True, False])
+def test_clock_catch_up_feeds_the_replicated_frontier(backup_reads):
+    """A catch-up (recovery, gossip pull, join bootstrap) advances the
+    clock through the same tick a Propagate does, so with
+    ``read_from_backups`` the backups' frontier follows it (a stale one
+    forwards frozen reads that could be served), and with it off still
+    no clock-only record exists."""
+    cluster = build(read_from_backups=backup_reads)
+    kinds = Counter()
+
+    def tap(envelope):
+        if envelope.msg_type == REPLICATE:
+            kinds.update(e.kind for e in envelope.payload.body.entries)
+        return 0.0
+
+    cluster.network.delay_policy = tap
+    primary = cluster.node(0)
+    cluster.run_process(catch_up(primary, 1, 3))
+    cluster.run()
+    assert primary.site_vc[1] == 3
+    backups = primary.replication._all_backups()
+    assert backups
+    if backup_reads:
+        assert kinds["frontier"] >= 1
+        for backup in backups:
+            state = cluster.node(backup).replication.backup_state[0]
+            assert state.frontier[1] == 3
+    else:
+        assert not kinds
 
 
 # ----------------------------------------------------------------------
