@@ -111,9 +111,9 @@ def run_scenario(seed, num_nodes, periods, partition):
     result = fingerprint(cluster.nodes[VICTIM])
     metrics = cluster.metrics
     summary = {
-        "anti_entropy_rounds": metrics.anti_entropy_rounds,
-        "records_streamed": metrics.records_streamed,
-        "catchup_advances": metrics.catchup_advances,
+        "anti_entropy_rounds": metrics.counters["anti_entropy_rounds"],
+        "records_streamed": metrics.counters["records_streamed"],
+        "catchup_advances": metrics.counters["catchup_advances"],
         "heal_reports": len(nemesis.heal_reports),
     }
     cluster.stop_healing()

@@ -25,6 +25,11 @@ from repro.cluster.directory import ShardMap
 from repro.cluster.handoff import fenced_handoff
 from repro.sim import PeriodicLoop
 
+#: Multiplicative decay applied to the per-shard counters after each
+#: rebalance round that moved something, so the signal tracks current
+#: load, not history.
+LOAD_DECAY = 0.5
+
 
 def plan_moves(
     loads: Mapping[int, int],
@@ -36,11 +41,12 @@ def plan_moves(
 ) -> List[Tuple[int, int]]:
     """Greedy shard moves flattening per-node load: ``[(shard, dest)]``.
 
-    While some node's tracked load exceeds ``threshold`` times the mean,
-    move its hottest shard to the least-loaded node -- but only when the
-    move strictly lowers the pair's maximum, so the plan can never
-    oscillate.  Ties break toward lower node/shard ids, keeping the plan
-    a pure deterministic function of its inputs.
+    While some node's tracked load exceeds ``threshold`` times the mean
+    (hysteresis against thrashing), move its hottest shard to the
+    least-loaded node -- but only when the move strictly lowers the
+    pair's maximum, so the plan can never oscillate.  Ties break toward
+    lower node/shard ids, keeping the plan a pure deterministic function
+    of its inputs.  The live rebalancer runs with the defaults.
     """
     if max_moves <= 0 or not node_ids:
         return []
@@ -132,7 +138,7 @@ class Rebalancer:
         if cluster.network.is_crashed(donor_id) or cluster.network.is_crashed(
             dest
         ):
-            self.metrics.on_shard_migration_failed()
+            self.metrics.count("shard_migrations_failed")
             return False
         donor = cluster.nodes[donor_id]
         keys = sorted(
@@ -154,14 +160,15 @@ class Rebalancer:
         flipped = yield from fenced_handoff(donor, {dest: keys}, act=flip)
         if flipped:
             self.migrations.append((shard, donor_id, dest))
-            self.metrics.on_shard_migrated(len(keys))
+            self.metrics.count("shard_migrations")
+            self.metrics.count("shard_migration_keys", len(keys))
             if tracer._enabled:
                 tracer.emit(
                     donor_id, "shard_migrated", shard=shard, dest=dest,
                     keys=len(keys), epoch=shard_map.epoch,
                 )
         else:
-            self.metrics.on_shard_migration_failed()
+            self.metrics.count("shard_migrations_failed")
             if tracer._enabled:
                 tracer.emit(
                     donor_id, "shard_migrate_failed", shard=shard, dest=dest,
@@ -175,7 +182,7 @@ class Rebalancer:
         """Plan from the metrics counters and run the moves; returns the
         number of migrations that flipped."""
         cfg = self.config
-        self.metrics.on_rebalance_round()
+        self.metrics.count("rebalance_rounds")
         loads = self.metrics.shard_loads
         if sum(loads.values()) < cfg.min_samples:
             return 0
@@ -185,20 +192,14 @@ class Rebalancer:
             for n in shard_map.node_ids
             if not self.cluster.network.is_crashed(n)
         ]
-        moves = plan_moves(
-            dict(loads),
-            shard_map.owners(),
-            live,
-            threshold=cfg.imbalance_threshold,
-            max_moves=cfg.max_moves_per_round,
-        )
+        moves = plan_moves(dict(loads), shard_map.owners(), live)
         done = 0
         for shard, dest in moves:
             flipped = yield from self._migrate(shard, dest)
             if flipped:
                 done += 1
-        if moves and cfg.load_decay < 1.0:
-            self.metrics.decay_shard_loads(cfg.load_decay)
+        if moves:
+            self.metrics.decay_shard_loads(LOAD_DECAY)
         return done
 
     # ------------------------------------------------------------------

@@ -81,13 +81,19 @@ class RpcConfig(ConfigSerde):
     #: Total attempts (first try plus retries) before the caller gives up
     #: with :class:`~repro.net.rpc.RpcTimeoutError`.
     max_attempts: int = 3
-    #: Backoff before retry ``n`` is ``backoff_base * backoff_factor**(n-1)``
-    #: capped at ``backoff_cap``, plus up to ``backoff_jitter`` of itself
-    #: drawn from the endpoint's seeded RNG (deterministic per seed).
+    #: Backoff before retry ``n`` is ``backoff_base * 2**(n-1)`` capped
+    #: at ``backoff_cap`` (:meth:`backoff`), plus up to ``backoff_jitter``
+    #: of itself drawn from the endpoint's seeded RNG (deterministic per
+    #: seed).
     backoff_base: float = 100e-6
-    backoff_factor: float = 2.0
     backoff_cap: float = 2e-3
     backoff_jitter: float = 0.5
+
+    def backoff(self, retries: int) -> float:
+        """The un-jittered pause after ``retries`` earlier retries: the
+        binary-exponential ladder the RPC endpoint and the socket
+        transport's redial loop both climb."""
+        return min(self.backoff_base * 2.0**retries, self.backoff_cap)
 
 
 @dataclass
@@ -135,7 +141,9 @@ class TransportConfig(ConfigSerde):
     real asyncio TCP sockets with the canonical byte serde on every
     message: virtual time is mapped onto the wall clock, latency comes
     from the real network stack, and runs are no longer deterministic.
-    Every knob except ``kind`` concerns only the socket backend.
+    Every knob except ``kind`` concerns only the socket backend, whose
+    dial and pump timings are constants beside the code that reads them
+    (``repro.net.socket_transport``).
     """
 
     #: ``"sim"`` or ``"socket"``.
@@ -150,27 +158,6 @@ class TransportConfig(ConfigSerde):
     #: protocol timer (lock timeouts, leases) to give real-network
     #: latency more headroom per virtual second.
     time_scale: float = 1.0
-    #: Wall-second deadline for one TCP connect attempt.
-    connect_timeout: float = 5.0
-    #: Connect attempts per link before queued frames are dropped
-    #: (counted as ``unreachable`` in ``NetworkStats.drops_by_reason``).
-    max_connect_attempts: int = 8
-    #: Reconnect backoff reuses the :class:`RpcConfig` ladder
-    #: (``backoff_base``/``factor``/``cap``/``jitter``) scaled by this
-    #: factor -- the simulator's microsecond-scale defaults would
-    #: busy-spin a real TCP reconnect loop.
-    reconnect_backoff_scale: float = 500.0
-    #: Wall seconds the socket pump tolerates with *nothing* happening
-    #: (no events executed, no frames arriving) while waiting on a
-    #: ``stop`` process before declaring the run stalled.
-    idle_timeout: float = 10.0
-    #: Wall seconds of inbound silence after the local schedule drains
-    #: that an unbounded pump treats as cluster quiescence.
-    drain_grace: float = 0.05
-    #: Waits shorter than this (wall seconds) spin through the pump loop
-    #: instead of sleeping; microsecond-scale virtual timers would
-    #: otherwise pay an OS-wakeup per event.
-    spin_threshold: float = 500e-6
 
     def __post_init__(self) -> None:
         if self.kind not in ("sim", "socket"):
@@ -179,10 +166,6 @@ class TransportConfig(ConfigSerde):
             raise ValueError("time_scale must be positive")
         if not 0 <= self.base_port <= 65535:
             raise ValueError("base_port must be a valid TCP port (or 0)")
-        if self.max_connect_attempts < 1:
-            raise ValueError("max_connect_attempts must be >= 1")
-        if self.connect_timeout <= 0:
-            raise ValueError("connect_timeout must be positive")
 
 
 @dataclass
@@ -206,7 +189,7 @@ class BatchingConfig(ConfigSerde):
     #: A closed (zero) window sends immediately and reopens only under
     #: sustained back-to-back sends to that destination.  Windows are
     #: capped, bounding snapshot staleness; the controller's constants
-    #: live beside it in ``repro.core.mvcc_node``.
+    #: live beside it in ``repro.core.batching``.
     adaptive: bool = False
 
 
@@ -232,10 +215,6 @@ class CheckpointConfig(ConfigSerde):
     #: accumulated since the previous one (avoids checkpoint spam on idle
     #: nodes).
     min_records: int = 32
-    #: Truncate records below the newest stable checkpoint.  Requires the
-    #: per-peer frontier tracking fed by anti-entropy digests and
-    #: heartbeats; with no frontier evidence the log is never truncated.
-    truncate: bool = True
     #: Bounded retention: a peer whose own-origin frontier evidence lags
     #: this node's frontier by more than ``max_peer_lag`` (or has never
     #: been heard from at all) is *stranded* -- excluded from the
@@ -275,13 +254,6 @@ class SnapshotTransferConfig(ConfigSerde):
     #: Store chains per ``SNAPSHOT_CHUNK`` message (flow control: the
     #: snapshot is streamed, never shipped as one unbounded payload).
     chunk_records: int = 64
-    #: Extra own-origin lag (beyond simply sitting below the truncation
-    #: floor) required before a snapshot is offered.  ``0`` (default)
-    #: offers as soon as record-by-record repair is impossible; raising
-    #: it delays the offer, e.g. to let a flapping peer answer digests
-    #: first.  A peer below the floor cannot converge without either a
-    #: snapshot or a restart, so nonzero values only postpone repair.
-    offer_threshold: int = 0
     #: Gossip peer-selection bias toward the most-lagging peer: each
     #: peer's selection weight is ``1 + lag_bias * lag`` where ``lag``
     #: is its own-origin digest gap.  ``0.0`` (default) keeps the
@@ -337,9 +309,6 @@ class HealingConfig(ConfigSerde):
     #: ``rpc.request_timeout`` is ``None`` (the loop must never hang on a
     #: dead peer); ignored when a global timeout is configured.
     digest_timeout: float = 2e-3
-    #: Upper bound on full Decides streamed to one peer per gossip round
-    #: (flow control; the next round continues where this one stopped).
-    max_stream_per_round: int = 64
     #: WAL checkpoint/truncation policy.
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     #: Checkpoint snapshot shipping for peers below the truncation floor,
@@ -374,34 +343,17 @@ class ShardingConfig(ConfigSerde):
     #: rebalancer moves load at shard granularity, so more shards means
     #: finer-grained (but chattier) rebalancing.
     num_shards: int = 64
-    #: Count per-shard read/prepare accesses in ``MetricsRecorder``
-    #: (the rebalancer's load signal).  One dict increment per request.
-    track_load: bool = True
     #: Period of the background rebalance loop (virtual seconds).
     #: ``None`` (default) never starts the loop; migrations then only
     #: happen when driven explicitly (``Rebalancer.migrate_shard``).
     rebalance_interval: Optional[float] = None
-    #: A node triggers a move only when its tracked load exceeds this
-    #: multiple of the mean -- hysteresis against thrashing.
-    imbalance_threshold: float = 1.25
     #: Minimum total tracked accesses before the planner trusts the
     #: load signal at all.
     min_samples: int = 64
-    #: Shard moves attempted per rebalance round.
-    max_moves_per_round: int = 1
-    #: Multiplicative decay applied to the per-shard counters after each
-    #: rebalance round, so the signal tracks current load, not history.
-    load_decay: float = 0.5
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if self.imbalance_threshold < 1.0:
-            raise ValueError("imbalance_threshold must be >= 1.0")
-        if self.max_moves_per_round <= 0:
-            raise ValueError("max_moves_per_round must be positive")
-        if not 0.0 <= self.load_decay <= 1.0:
-            raise ValueError("load_decay must be in [0, 1]")
 
 
 @dataclass
@@ -442,10 +394,6 @@ class ReplicationConfig(ConfigSerde):
     #: acknowledgment before degrading to async for that record (the
     #: record stays queued and retransmits; only the *wait* is skipped).
     sync_timeout: float = 2e-3
-    #: Stream records per REPLICATE message (flow control).
-    batch_records: int = 16
-    #: Pump back-off after an unacknowledged REPLICATE batch.
-    retry_interval: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
@@ -454,10 +402,6 @@ class ReplicationConfig(ConfigSerde):
             raise ValueError("mode must be 'sync' or 'async'")
         if self.sync_timeout <= 0:
             raise ValueError("sync_timeout must be positive")
-        if self.batch_records <= 0:
-            raise ValueError("batch_records must be positive")
-        if self.retry_interval <= 0:
-            raise ValueError("retry_interval must be positive")
         if self.failover_timeout is not None and self.failover_timeout <= 0:
             raise ValueError("failover_timeout must be positive or None")
 

@@ -9,14 +9,9 @@ from repro.core.fwkv.visibility import (
     select_read_only_version,
     select_update_version,
 )
+from repro.core.batching import adapt_window
 from repro.core.interfaces import SharedState
-from repro.core.mvcc_node import (
-    ADAPTIVE_DECAY,
-    ADAPTIVE_STEP,
-    MAX_WINDOW,
-    MVCCNode,
-    _TARGET_DEPTH,
-)
+from repro.core.mvcc_node import MVCCNode
 from repro.core.transaction import Transaction
 from repro.core.wire import ReadRequestBody, RemoveBody
 from repro.net.message import Envelope, MessageType
@@ -55,8 +50,8 @@ class FWKVNode(MVCCNode):
         # Outgoing Remove batching: destination -> pending identifiers.
         self._pending_removes: dict = {}
         self._remove_flush_scheduled = False
-        # Adaptive mode: per-destination Remove windows (AIMD, same rule
-        # as the Propagate windows in MVCCNode._flush_propagate).
+        # Adaptive mode: per-destination Remove windows (AIMD, the rule
+        # the Propagate windows follow: ``batching.adapt_window``).
         self._remove_windows: dict = {}
 
     def _on_volatile_wiped(self) -> None:
@@ -213,13 +208,9 @@ class FWKVNode(MVCCNode):
         if not ids:
             return
         self.node.send(site, MessageType.REMOVE, RemoveBody(tuple(ids)))
-        windows = self._remove_windows
-        current = windows.get(site, REMOVE_FLUSH_INTERVAL)
-        if len(ids) > _TARGET_DEPTH:
-            windows[site] = min(current + ADAPTIVE_STEP, MAX_WINDOW)
-        elif len(ids) == 1 and current > 0.0:
-            decayed = current * ADAPTIVE_DECAY
-            windows[site] = 0.0 if decayed < 1e-9 else decayed
+        adapt_window(
+            self._remove_windows, site, len(ids), REMOVE_FLUSH_INTERVAL
+        )
 
     # ------------------------------------------------------------------
     # FW-KV-only handler

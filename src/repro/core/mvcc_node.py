@@ -23,6 +23,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 from repro.cluster.directory import ShardMap
 from repro.cluster.membership import MAX_ATTEMPTS, NodeMembership
 from repro.cluster.node import Node
+from repro.core.batching import ADAPTIVE_STEP, PRESSURE_OPEN, adapt_window
 from repro.core.interfaces import BaseProtocolNode, SharedState
 from repro.core.recovery import NodeRecovery
 from repro.core.repair import Fence, InDoubtResolver
@@ -54,30 +55,6 @@ from repro.storage.wal import (
     PropagateRecord,
     WriteAheadLog,
 )
-
-#: Adaptive batching: additive window growth per backlogged flush, and
-#: the arrival gap under which back-to-back sends count as "hot".
-ADAPTIVE_STEP = 50e-6
-
-#: Adaptive batching: hard cap on any window (virtual seconds), bounding
-#: snapshot staleness.
-MAX_WINDOW = 1e-3
-
-#: Adaptive batching: multiplicative window decay per single-item flush.
-ADAPTIVE_DECAY = 0.5
-
-#: Adaptive batching: consecutive same-destination sends spaced within
-#: ``ADAPTIVE_STEP`` of each other before a closed (zero) window opens.
-#: Three back-to-back hot arrivals distinguish sustained backlog from a
-#: lone coincidence without delaying the first commits of a burst.
-_PRESSURE_OPEN = 3
-
-#: Adaptive batching: flush depth above which a window grows.  Growth
-#: only past this band (with decay at depth one and a hold in between)
-#: makes the controller converge on windows a few inter-arrivals wide
-#: instead of ratcheting to ``MAX_WINDOW`` -- any positive window batches
-#: *something* under load, so a bare ``depth > 1`` rule always grows.
-_TARGET_DEPTH = 4
 
 
 class MVCCNode(BaseProtocolNode):
@@ -172,13 +149,11 @@ class MVCCNode(BaseProtocolNode):
         node.on(MessageType.SNAPSHOT_CHUNK, transfer.on_chunk)
         node.on(MessageType.SNAPSHOT_ACK, transfer.on_ack)
         #: Per-shard load tracking, armed only when the shared directory
-        #: is a :class:`ShardMap` with tracking on; the static-directory
-        #: hot path pays a single ``is None`` test per request.
-        sharding = shared.config.sharding
+        #: is a :class:`ShardMap`; the static-directory hot path pays a
+        #: single ``is None`` test per request.
         self._shard_map: Optional[ShardMap] = (
             self.directory
-            if sharding.enabled
-            and sharding.track_load
+            if shared.config.sharding.enabled
             and isinstance(self.directory, ShardMap)
             else None
         )
@@ -564,7 +539,10 @@ class MVCCNode(BaseProtocolNode):
                 self._decisions_by_seq[txn.seq_no] = decide
             if self.wal is not None:
                 lsn = self.wal.append(
-                    DecisionRecord(txn.txn_id, txn.seq_no, decide.commit_vc)
+                    DecisionRecord(
+                        txn.txn_id, txn.seq_no, decide.commit_vc,
+                        decide.collected,
+                    )
                 )
                 if self.flusher.active:
                     # Group commit: the acknowledgement (and every Decide)
@@ -664,7 +642,7 @@ class MVCCNode(BaseProtocolNode):
         # A destination whose window has decayed to zero is served
         # immediately -- no buffer, no timer event, so an idle adaptive
         # cluster pays only two dict operations over the non-batched
-        # path.  The probe watches arrival gaps: once ``_PRESSURE_OPEN``
+        # path.  The probe watches arrival gaps: once ``PRESSURE_OPEN``
         # consecutive Propagates to the same destination land within
         # ``ADAPTIVE_STEP`` of each other, commits are outpacing delivery
         # and a window of one step opens.  From then on sends buffer and
@@ -686,7 +664,7 @@ class MVCCNode(BaseProtocolNode):
                     last, hot = pressure.get(site, (-1.0, 0))
                     if 0.0 <= now - last <= ADAPTIVE_STEP:
                         hot += 1
-                        if hot >= _PRESSURE_OPEN:
+                        if hot >= PRESSURE_OPEN:
                             windows[site] = ADAPTIVE_STEP
                             hot = 0
                     else:
@@ -709,21 +687,7 @@ class MVCCNode(BaseProtocolNode):
                 MessageType.PROPAGATE,
                 PropagateBody(self.node_id, seq_nos[-1], tuple(seq_nos)),
             )
-            # AIMD on observed queue depth: depth beyond the target band
-            # means commits far outpace the window (additive growth,
-            # capped), a lone sequence number means idle (multiplicative
-            # decay toward zero = immediate sends again), and depths
-            # inside the band hold the window -- the equilibrium is a
-            # window a few inter-arrivals wide, which coalesces messages
-            # without stalling the in-order Decide apply path behind a
-            # ``MAX_WINDOW`` of traffic.
-            windows = self._adaptive_windows
-            current = windows.get(site, 0.0)
-            if len(seq_nos) > _TARGET_DEPTH:
-                windows[site] = min(current + ADAPTIVE_STEP, MAX_WINDOW)
-            elif len(seq_nos) == 1 and current > 0.0:
-                decayed = current * ADAPTIVE_DECAY
-                windows[site] = 0.0 if decayed < 1e-9 else decayed
+            adapt_window(self._adaptive_windows, site, len(seq_nos), 0.0)
 
     def _group_writes_by_site(
         self, txn: Transaction
@@ -824,7 +788,7 @@ class MVCCNode(BaseProtocolNode):
         if len(txn_vc) != len(site_vc.entries):
             # Reconfiguration in flight: the requester began its snapshot
             # under a different clock width than ours.
-            self.metrics.on_stale_width()
+            self.metrics.count("stale_width_messages")
             need = 0
             for origin in range(len(site_vc.entries), len(txn_vc)):
                 if txn_vc[origin] > 0 and origin not in membership.dropped:
@@ -1061,7 +1025,7 @@ class MVCCNode(BaseProtocolNode):
     def _presume_abort(self, txn_id: int, entry: PreparedTxn) -> None:
         """Nobody said how ``txn_id`` ended: release its locks anyway."""
         self._abort_prepared(txn_id, entry)
-        self.metrics.on_lease_expired()
+        self.metrics.count("lease_expirations")
         self.tracer.emit(self.node_id, "lease_expire", txn=txn_id)
 
     def _abort_prepared(self, txn_id: int, entry: PreparedTxn) -> None:
@@ -1243,7 +1207,7 @@ class MVCCNode(BaseProtocolNode):
                 config.gc_keep_versions, config.gc_min_age, self.sim.now
             )
             if dropped:
-                self.metrics.on_versions_reclaimed(dropped)
+                self.metrics.count("versions_reclaimed", dropped)
 
     def on_propagate(self, envelope: Envelope) -> None:
         """Alg. 6 lines 1-4: ordered snapshot advance at uninvolved nodes.

@@ -190,7 +190,9 @@ class InDoubtResolver:
                 return None
             outcome = False
         committed = outcome is not False
-        node.metrics.on_indoubt_resolved(committed)
+        node.metrics.count(
+            "indoubt_committed" if committed else "indoubt_aborted"
+        )
         if node.tracer._enabled:
             node.tracer.emit(
                 node.node_id, "indoubt", txn=txn_id, committed=committed,
@@ -220,16 +222,15 @@ class InDoubtResolver:
 
 def _decide(origin: int, record) -> DecideBody:
     """The Decide a commit's participants were (or should have been)
-    sent, rebuilt from what was logged of it: a WAL ``DecisionRecord``
-    (which carries no ``collected`` set), a replicated ``decision``
-    stream entry, or a TXN_STATUS reply."""
+    sent, rebuilt from what was logged of it: a WAL ``DecisionRecord``,
+    a replicated ``decision`` stream entry, or a TXN_STATUS reply."""
     return DecideBody(
         txn_id=record.txn_id,
         outcome=True,
         origin=origin,
         seq_no=record.seq_no,
         commit_vc=record.commit_vc,
-        collected=getattr(record, "collected", frozenset()),
+        collected=record.collected,
     )
 
 
@@ -301,7 +302,7 @@ def catch_up(node, origin: int, target: int, reserved=frozenset()):
         node._advance_clock(origin, seq_no)
         advanced += 1
     if advanced:
-        node.metrics.on_catchup(advanced)
+        node.metrics.count("catchup_advances", advanced)
         node.tracer.emit(
             node.node_id, "catchup", origin=origin, advanced=advanced,
             target=target,

@@ -204,7 +204,7 @@ class Nemesis:
         windows' drop accounting).
         """
         self._failover_base.setdefault(
-            node_id, self.cluster.metrics.failovers_completed
+            node_id, self.cluster.metrics.counters["failovers_completed"]
         )
 
     def _restart(self, node_id: int) -> None:
@@ -212,7 +212,7 @@ class Nemesis:
         self.restart_count += 1
         base = self._failover_base.pop(node_id, None)
         promotions = (
-            self.cluster.metrics.failovers_completed - base
+            self.cluster.metrics.counters["failovers_completed"] - base
             if base is not None
             else 0
         )

@@ -94,7 +94,10 @@ class CheckpointManager:
             for txn_id, entry in sorted(owner._prepared.items())
         ]
         decisions = [
-            DecisionRecord(txn_id, decision.seq_no, decision.commit_vc)
+            DecisionRecord(
+                txn_id, decision.seq_no, decision.commit_vc,
+                decision.collected,
+            )
             for txn_id, decision in sorted(owner._decisions.items())
         ]
         membership = owner.membership
@@ -118,7 +121,7 @@ class CheckpointManager:
         self._stable_required = owner.site_vc[owner.node_id]
         self._latest = record
         self.taken += 1
-        owner.metrics.on_checkpoint()
+        owner.metrics.count("checkpoints_taken")
         if owner.tracer._enabled:
             owner.tracer.emit(
                 owner.node_id, "checkpoint",
@@ -196,8 +199,7 @@ class CheckpointManager:
         """
         owner = self.owner
         if (
-            not self.config.truncate
-            or owner.wal is None
+            owner.wal is None
             or owner.wal.frozen
             or self._stable_required is None
         ):
@@ -209,7 +211,7 @@ class CheckpointManager:
         self._stable_required = None
         self._prune_decisions(floor)
         if dropped:
-            owner.metrics.on_truncate(dropped)
+            owner.metrics.count("wal_records_truncated", dropped)
             if owner.tracer._enabled:
                 owner.tracer.emit(
                     owner.node_id, "truncate", dropped=dropped, floor=floor

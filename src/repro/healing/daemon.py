@@ -49,6 +49,10 @@ from repro.sim.rng import make_rng
 #: (desyncs the per-node loops, like production gossip implementations).
 _PERIOD_JITTER = 0.1
 
+#: Upper bound on full Decides streamed to one peer per gossip round
+#: (flow control; the next round continues where this one stopped).
+MAX_STREAM_PER_ROUND = 64
+
 
 class NodeHealing:
     """The self-healing layer of one MVCC protocol node."""
@@ -223,10 +227,10 @@ class NodeHealing:
             if network.last_send_horizon(self.node_id, peer) >= now:
                 # A message to this peer is already in flight; it
                 # carries the same liveness signal for free.
-                self.metrics.on_heartbeat(sent=False)
+                self.metrics.count("heartbeats_suppressed")
                 continue
             owner.node.send(peer, MessageType.HEARTBEAT, body)
-            self.metrics.on_heartbeat(sent=True)
+            self.metrics.count("heartbeats_sent")
 
     # ------------------------------------------------------------------
     # Anti-entropy gossip
@@ -318,7 +322,7 @@ class NodeHealing:
             if installed:
                 self.note_peer_frontier(peer, record.site_vc[self.node_id])
                 self.snapshots_shipped += 1
-                self.metrics.on_snapshot_shipped()
+                self.metrics.count("snapshots_shipped")
                 merged = VectorClock(peer_vc)
                 merged.merge_seq(record.site_vc)
                 peer_vc = merged.to_tuple()
@@ -329,7 +333,7 @@ class NodeHealing:
             owner._decisions_by_seq,
             {peer: self._own_entry(peer_vc)},
             owner.site_vc[self.node_id],
-            limit=self.config.max_stream_per_round,
+            limit=MAX_STREAM_PER_ROUND,
         )
         if streamed and self.tracer._enabled:
             self.tracer.emit(
@@ -338,7 +342,8 @@ class NodeHealing:
             )
         yield from self.pull(peer_vc, superseded)
         self.rounds += 1
-        self.metrics.on_anti_entropy_round(len(streamed))
+        self.metrics.count("anti_entropy_rounds")
+        self.metrics.count("records_streamed", len(streamed))
         if self.tracer._enabled:
             self.tracer.emit(
                 self.node_id, "anti_entropy", peer=peer,
@@ -415,15 +420,12 @@ class NodeHealing:
         numbers the peer still needs: :func:`~repro.core.repair.reannounce`
         silently skips missing entries, so a peer at or below
         ``pruned_floor`` can never converge through the normal push --
-        only a checkpoint transfer covers the gap.  ``offer_threshold``
-        widens the trigger so operators can prefer bulk transfer even for
-        shallow gaps.
+        only a checkpoint transfer covers the gap.
         """
-        cfg = self.config.snapshot
-        if not cfg.enabled or self.owner.wal is None:
+        if not self.config.snapshot.enabled or self.owner.wal is None:
             return False
         floor = self.checkpoints.pruned_floor
-        if floor <= 0 or frontier + cfg.offer_threshold >= floor:
+        if floor <= 0 or frontier >= floor:
             return False
         return self.checkpoints.latest_checkpoint() is not None
 

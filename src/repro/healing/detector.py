@@ -198,7 +198,9 @@ class FailureDetector:
         self._state[peer] = verdict
         raised = _RANK[verdict] > _RANK[previous]
         if self.metrics is not None:
-            self.metrics.on_suspicion(raised)
+            self.metrics.count(
+                "suspicions_raised" if raised else "suspicions_cleared"
+            )
         if self.tracer is not None and self.tracer._enabled:
             self.tracer.emit(
                 self.node_id,

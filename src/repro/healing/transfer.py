@@ -112,7 +112,7 @@ class ChainTransfer:
         self._ids += 1
         snapshot_id = self._ids
         kind = "shard" if shard else "snapshot"
-        self.metrics.on_snapshot_offer()
+        self.metrics.count("snapshot_offers")
         if self.tracer._enabled:
             self.tracer.emit(
                 self.node_id, f"{kind}_offer", peer=peer,
@@ -145,10 +145,11 @@ class ChainTransfer:
             if owner._incarnation != incarnation or owner.fence.node_wide:
                 return False
             if not ok or not reply.accepted:
-                self.metrics.on_snapshot_rejected()
+                self.metrics.count("snapshot_rejected")
                 return False
             if msg_type == MessageType.SNAPSHOT_CHUNK:
-                self.metrics.on_snapshot_chunk(len(body.chains))
+                self.metrics.count("snapshot_chunks")
+                self.metrics.count("snapshot_chains", len(body.chains))
         if not reply.installed:
             return False
         if self.tracer._enabled:
@@ -264,7 +265,7 @@ class ChainTransfer:
         owner = self.owner
         if not inbound.offer.shard and owner._incarnation == inbound.incarnation:
             owner.fence.lower_node()
-        self.metrics.on_snapshot_abandoned()
+        self.metrics.count("snapshot_abandoned")
         if self.tracer._enabled:
             self.tracer.emit(
                 self.node_id, "snapshot_abandon",
@@ -406,7 +407,7 @@ class ChainTransfer:
         if owner.wal is not None:
             self.healing.checkpoints.checkpoint_now()
         self.installs += 1
-        self.metrics.on_snapshot_install(len(record.chains))
+        self.metrics.count("snapshot_installs")
         if self.tracer._enabled:
             self.tracer.emit(
                 self.node_id, "snapshot_install",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class AbortReason:
@@ -115,6 +115,98 @@ class ReservoirSample:
         }
 
 
+#: Every run-wide counter, declared once: name -> meaning, in
+#: ``summary()`` order.  To add one, add a line here and call
+#: ``metrics.count("name")`` where the event happens.
+COUNTERS: Dict[str, str] = {
+    "versions_reclaimed": "old versions reclaimed by the MVCC collector",
+    # Presumed abort.
+    "aborted_timeout": "coordinator-side aborts from exhausted RPC retries",
+    "lease_expirations": (
+        "participant-side prepared-lock leases that expired because the "
+        "coordinator went silent past the configured lease"
+    ),
+    # Durable-crash recovery.
+    "recoveries": "completed node rebuilds from the WAL",
+    "wal_records_replayed": "WAL records replayed, over every recovery",
+    "indoubt_recovered": "in-doubt prepares restored, over every recovery",
+    "indoubt_committed": (
+        "in-doubt terminations (lease- or recovery-driven) that committed"
+    ),
+    "indoubt_aborted": "in-doubt terminations that aborted",
+    "catchup_advances": (
+        "siteVC slots advanced by anti-entropy catch-up (lost Propagates)"
+    ),
+    # Self-healing.
+    "heartbeats_sent": "active liveness beacons sent",
+    "heartbeats_suppressed": (
+        "beacons skipped because foreground traffic to the peer already "
+        "proved the sender alive"
+    ),
+    "suspicions_raised": "failure-detector transitions alive -> suspect/dead",
+    "suspicions_cleared": "suspicions cleared by an arrival from the peer",
+    "anti_entropy_rounds": "completed background digest exchanges",
+    "records_streamed": (
+        "full Decide records streamed to lagging peers by anti-entropy"
+    ),
+    "checkpoints_taken": "WAL checkpoint snapshots appended",
+    "wal_records_truncated": "WAL records truncated below a stable checkpoint",
+    "wal_syncs": "completed WAL syncs",
+    "wal_records_synced": (
+        "records those syncs made durable (group commit: records synced per "
+        "sync is the achieved batch size; 1.0 means per-record durability)"
+    ),
+    # Checkpoint snapshot transfer.
+    "snapshot_offers": "checkpoint offers made by this node as sender",
+    "snapshot_rejected": (
+        "offers or chunks refused, or transfers that died mid-flight "
+        "(reply lost)"
+    ),
+    "snapshot_chunks": "snapshot chunks accepted by a receiver",
+    "snapshot_chains": "store chains those chunks carried",
+    "snapshots_shipped": "verified installs confirmed to the sender",
+    "snapshot_installs": "peer checkpoints verified and adopted (receiver)",
+    "snapshot_abandoned": (
+        "inbound transfers dropped by the receiver's watchdog (stalled, "
+        "stale, or corrupt)"
+    ),
+    # Elastic membership.
+    "views_committed": "membership view epochs committed cluster-wide",
+    "joins_bootstrapped": (
+        "joiners that verified and installed their bootstrap snapshot"
+    ),
+    "drains_completed": "decommissions whose drain handed every owned key off",
+    "stale_width_messages": (
+        "messages whose carried clock width predates the receiver's view "
+        "(zero-default algebra absorbed them; counted for observability)"
+    ),
+    # Keyspace sharding.
+    "shard_migrations": "live shard migrations that flipped ownership",
+    "shard_migration_keys": "store chains moved by completed migrations",
+    "shard_migrations_failed": (
+        "migrations aborted before the flip (crash, partition, drain)"
+    ),
+    "rebalance_rounds": "rebalancer planner rounds attempted",
+    # Per-shard primary-backup replication.
+    "replication_records_streamed": "stream records acknowledged by backups",
+    "replication_lag_max": (
+        "worst observed stream lag (records streamed but unacknowledged); "
+        "a maximum, kept by its one writer instead of count()"
+    ),
+    "replication_sync_degraded": (
+        "sync-mode waits that hit ``sync_timeout`` and proceeded async"
+    ),
+    "backup_reads_served": (
+        "frozen reads a backup answered from its replicated state"
+    ),
+    "backup_reads_forwarded": (
+        "frozen reads a backup forwarded to the current primary"
+    ),
+    "failovers_completed": "shards promoted by completed failovers",
+    "backup_bootstraps": "backup (re-)bootstraps a primary shipped",
+}
+
+
 class MetricsRecorder:
     """Counters and samplers shared by every node and client in a cluster.
 
@@ -162,97 +254,13 @@ class MetricsRecorder:
         self.read_stalls = 0
         self.read_stall_time = RunningStat()
 
-        #: Old versions reclaimed by the MVCC garbage collector.
-        self.versions_reclaimed = 0
-
-        #: Presumed-abort accounting (not window-gated: a wedged lock or a
-        #: leaked prepared transaction matters whenever it happens).
-        #: Coordinator-side aborts caused by exhausted RPC retries.
-        self.aborted_timeout = 0
-        #: Participant-side prepared-lock leases that expired because the
-        #: coordinator went silent past the configured lease.
-        self.lease_expirations = 0
-
-        #: Durable-crash recovery accounting (run-wide, never window-gated).
-        #: Completed node recoveries and total WAL records replayed.
-        self.recoveries = 0
-        self.wal_records_replayed = 0
-        #: In-doubt prepares restored across all recoveries.
-        self.indoubt_recovered = 0
-        #: In-doubt terminations (lease- or recovery-driven) by outcome.
-        self.indoubt_committed = 0
-        self.indoubt_aborted = 0
-        #: siteVC slots advanced by anti-entropy catch-up (lost Propagates).
-        self.catchup_advances = 0
-
-        #: Self-healing accounting (run-wide, never window-gated).
-        #: Active liveness beacons sent / skipped because foreground
-        #: traffic to the peer already proved the sender alive.
-        self.heartbeats_sent = 0
-        self.heartbeats_suppressed = 0
-        #: Failure-detector transitions: alive -> suspect/dead raises a
-        #: suspicion; any arrival from a suspected peer clears it.
-        self.suspicions_raised = 0
-        self.suspicions_cleared = 0
-        #: Completed background anti-entropy digest exchanges.
-        self.anti_entropy_rounds = 0
-        #: Full Decide records streamed to lagging peers by anti-entropy.
-        self.records_streamed = 0
-        #: WAL checkpoints taken and records truncated below them.
-        self.checkpoints_taken = 0
-        self.wal_records_truncated = 0
-        #: Completed WAL syncs and the records each batch made durable
-        #: (group commit: records_synced / syncs is the achieved batch
-        #: size; 1.0 means per-record durability).
-        self.wal_syncs = 0
-        self.wal_records_synced = 0
-        #: Checkpoint snapshot transfer (healing): offers made by this
-        #: node as sender, offers/chunks refused or transfers that died
-        #: mid-flight, chunks and store chains actually moved, completed
-        #: installs on each side, and receiver-side watchdog abandons.
-        self.snapshot_offers = 0
-        self.snapshot_rejected = 0
-        self.snapshot_chunks = 0
-        self.snapshot_chains = 0
-        self.snapshots_shipped = 0
-        self.snapshot_installs = 0
-        self.snapshot_abandoned = 0
-
-        #: Elastic membership (run-wide, never window-gated): committed
-        #: view epochs applied at this cluster's coordinator, joiners that
-        #: finished their bootstrap snapshot, decommissions whose drain
-        #: handed every owned key off, and messages whose carried clock
-        #: width predates the receiver's view (zero-default algebra
-        #: absorbed them; counted for observability).
-        self.views_committed = 0
-        self.joins_bootstrapped = 0
-        self.drains_completed = 0
-        self.stale_width_messages = 0
-
-        #: Keyspace sharding (run-wide, never window-gated): per-shard
-        #: access counts (the rebalancer's load signal; reads and
-        #: prepared writes both count one access per key), completed and
-        #: failed live shard migrations, store chains moved by completed
-        #: migrations, and planner rounds attempted.
+        #: Run-wide counters, one slot per :data:`COUNTERS` entry.  Never
+        #: window-gated: a wedged lock, a leaked prepared transaction or
+        #: GC occupancy matters whenever it happens.
+        self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
+        #: Per-shard access counts (the rebalancer's load signal; reads
+        #: and prepared writes both count one access per key).
         self.shard_loads: Counter = Counter()
-        self.shard_migrations = 0
-        self.shard_migration_keys = 0
-        self.shard_migrations_failed = 0
-        self.rebalance_rounds = 0
-
-        #: Per-shard primary-backup replication (run-wide): stream
-        #: records acknowledged by backups, the worst observed stream
-        #: lag (records streamed but unacknowledged), sync waits that
-        #: degraded to async at ``sync_timeout``, frozen reads served by
-        #: backups vs forwarded to the primary, shards promoted by
-        #: completed failovers, and backup (re-)bootstraps shipped.
-        self.replication_records_streamed = 0
-        self.replication_lag_max = 0
-        self.replication_sync_degraded = 0
-        self.backup_reads_served = 0
-        self.backup_reads_forwarded = 0
-        self.failovers_completed = 0
-        self.backup_bootstraps = 0
 
     # ------------------------------------------------------------------
     # Window control
@@ -294,7 +302,7 @@ class MetricsRecorder:
     def on_abort(self, txn, reason: str) -> None:
         """Record one aborted commit attempt with its reason."""
         if reason == AbortReason.RPC_TIMEOUT:
-            self.aborted_timeout += 1
+            self.count("aborted_timeout")
         if not self.in_window():
             return
         self.aborts += 1
@@ -349,150 +357,16 @@ class MetricsRecorder:
             self.read_stalls += 1
             self.read_stall_time.add(duration)
 
-    def on_versions_reclaimed(self, count: int) -> None:
-        # GC accounting is not window-gated: occupancy matters run-wide.
-        self.versions_reclaimed += count
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the run-wide counter ``name`` (never window-gated).
 
-    def on_lease_expired(self) -> None:
-        """A participant's prepared-lock lease fired (presumed abort)."""
-        self.lease_expirations += 1
-
-    def on_indoubt_resolved(self, committed: bool) -> None:
-        """An in-doubt prepare was terminated via a coordinator query."""
-        if committed:
-            self.indoubt_committed += 1
-        else:
-            self.indoubt_aborted += 1
-
-    def on_recovery(self, replayed: int, in_doubt: int) -> None:
-        """One node finished rebuilding from its WAL."""
-        self.recoveries += 1
-        self.wal_records_replayed += replayed
-        self.indoubt_recovered += in_doubt
-
-    def on_catchup(self, advanced: int) -> None:
-        """Anti-entropy advanced a recovering node's clock past lost
-        Propagates."""
-        self.catchup_advances += advanced
-
-    def on_heartbeat(self, sent: bool) -> None:
-        """One heartbeat tick: sent, or suppressed by recent traffic."""
-        if sent:
-            self.heartbeats_sent += 1
-        else:
-            self.heartbeats_suppressed += 1
-
-    def on_suspicion(self, raised: bool) -> None:
-        """A failure-detector state transition (raised or cleared)."""
-        if raised:
-            self.suspicions_raised += 1
-        else:
-            self.suspicions_cleared += 1
-
-    def on_anti_entropy_round(self, streamed: int) -> None:
-        """One completed gossip exchange that streamed ``streamed``
-        Decide records to the lagging side."""
-        self.anti_entropy_rounds += 1
-        self.records_streamed += streamed
-
-    def on_checkpoint(self) -> None:
-        """One WAL checkpoint snapshot was appended."""
-        self.checkpoints_taken += 1
-
-    def on_truncate(self, dropped: int) -> None:
-        """WAL records below a stable checkpoint were truncated."""
-        self.wal_records_truncated += dropped
-
-    def on_wal_sync(self, records: int) -> None:
-        """One WAL sync completed, making ``records`` records durable."""
-        self.wal_syncs += 1
-        self.wal_records_synced += records
-
-    def on_snapshot_offer(self) -> None:
-        """This node offered its checkpoint to a truncation-gapped peer."""
-        self.snapshot_offers += 1
-
-    def on_snapshot_rejected(self) -> None:
-        """An offer or chunk was refused (or its reply lost) mid-transfer."""
-        self.snapshot_rejected += 1
-
-    def on_snapshot_chunk(self, chains: int) -> None:
-        """One accepted chunk carried ``chains`` store chains."""
-        self.snapshot_chunks += 1
-        self.snapshot_chains += chains
-
-    def on_snapshot_shipped(self) -> None:
-        """The receiver confirmed a verified install (sender side)."""
-        self.snapshots_shipped += 1
-
-    def on_snapshot_install(self, chains: int) -> None:
-        """This node verified and adopted a peer's checkpoint."""
-        self.snapshot_installs += 1
-
-    def on_snapshot_abandoned(self) -> None:
-        """An inbound transfer was dropped (stalled, stale, or corrupt)."""
-        self.snapshot_abandoned += 1
-
-    def on_view_committed(self) -> None:
-        """A membership view change committed cluster-wide."""
-        self.views_committed += 1
-
-    def on_join_bootstrapped(self) -> None:
-        """A joiner verified and installed its bootstrap snapshot."""
-        self.joins_bootstrapped += 1
-
-    def on_drain_completed(self) -> None:
-        """A decommissioning node finished handing off its owned keys."""
-        self.drains_completed += 1
-
-    def on_stale_width(self) -> None:
-        """A message carried a clock narrower than the receiver's view."""
-        self.stale_width_messages += 1
+        An undeclared name is a ``KeyError``, not a silently new counter.
+        """
+        self.counters[name] += n
 
     def on_shard_access(self, shard: int, count: int = 1) -> None:
         """One read or prepared write landed on ``shard``."""
         self.shard_loads[shard] += count
-
-    def on_shard_migrated(self, keys: int) -> None:
-        """A live shard migration flipped ownership (``keys`` chains moved)."""
-        self.shard_migrations += 1
-        self.shard_migration_keys += keys
-
-    def on_shard_migration_failed(self) -> None:
-        """A migration aborted before the flip (crash, partition, drain)."""
-        self.shard_migrations_failed += 1
-
-    def on_rebalance_round(self) -> None:
-        self.rebalance_rounds += 1
-
-    def on_replication_records(self, count: int) -> None:
-        """A backup acknowledged ``count`` stream records."""
-        self.replication_records_streamed += count
-
-    def on_replication_lag(self, lag: int) -> None:
-        """Track the worst unacknowledged stream suffix seen."""
-        if lag > self.replication_lag_max:
-            self.replication_lag_max = lag
-
-    def on_replication_sync_degraded(self) -> None:
-        """A sync-mode wait hit ``sync_timeout`` and proceeded async."""
-        self.replication_sync_degraded += 1
-
-    def on_backup_read_served(self) -> None:
-        """A backup answered a frozen read from its replicated state."""
-        self.backup_reads_served += 1
-
-    def on_backup_read_forwarded(self) -> None:
-        """A backup forwarded a frozen read to the current primary."""
-        self.backup_reads_forwarded += 1
-
-    def on_failover_completed(self, shards: int) -> None:
-        """A failover promoted backups over ``shards`` shards."""
-        self.failovers_completed += shards
-
-    def on_backup_bootstrapped(self) -> None:
-        """A primary (re-)shipped its chains to one backup."""
-        self.backup_bootstraps += 1
 
     def decay_shard_loads(self, factor: float) -> None:
         """Age the load signal so it tracks current traffic, not history."""
@@ -534,45 +408,5 @@ class MetricsRecorder:
             "first_contact_fresh": self.first_contact_fresh,
             "read_stalls": self.read_stalls,
             "read_stall_time": self.read_stall_time.as_dict(),
-            "versions_reclaimed": self.versions_reclaimed,
-            "aborted_timeout": self.aborted_timeout,
-            "lease_expirations": self.lease_expirations,
-            "recoveries": self.recoveries,
-            "wal_records_replayed": self.wal_records_replayed,
-            "indoubt_recovered": self.indoubt_recovered,
-            "indoubt_committed": self.indoubt_committed,
-            "indoubt_aborted": self.indoubt_aborted,
-            "catchup_advances": self.catchup_advances,
-            "heartbeats_sent": self.heartbeats_sent,
-            "heartbeats_suppressed": self.heartbeats_suppressed,
-            "suspicions_raised": self.suspicions_raised,
-            "suspicions_cleared": self.suspicions_cleared,
-            "anti_entropy_rounds": self.anti_entropy_rounds,
-            "records_streamed": self.records_streamed,
-            "checkpoints_taken": self.checkpoints_taken,
-            "wal_records_truncated": self.wal_records_truncated,
-            "wal_syncs": self.wal_syncs,
-            "wal_records_synced": self.wal_records_synced,
-            "snapshot_offers": self.snapshot_offers,
-            "snapshot_rejected": self.snapshot_rejected,
-            "snapshot_chunks": self.snapshot_chunks,
-            "snapshot_chains": self.snapshot_chains,
-            "snapshots_shipped": self.snapshots_shipped,
-            "snapshot_installs": self.snapshot_installs,
-            "snapshot_abandoned": self.snapshot_abandoned,
-            "views_committed": self.views_committed,
-            "joins_bootstrapped": self.joins_bootstrapped,
-            "drains_completed": self.drains_completed,
-            "stale_width_messages": self.stale_width_messages,
-            "shard_migrations": self.shard_migrations,
-            "shard_migration_keys": self.shard_migration_keys,
-            "shard_migrations_failed": self.shard_migrations_failed,
-            "rebalance_rounds": self.rebalance_rounds,
-            "replication_records_streamed": self.replication_records_streamed,
-            "replication_lag_max": self.replication_lag_max,
-            "replication_sync_degraded": self.replication_sync_degraded,
-            "backup_reads_served": self.backup_reads_served,
-            "backup_reads_forwarded": self.backup_reads_forwarded,
-            "failovers_completed": self.failovers_completed,
-            "backup_bootstraps": self.backup_bootstraps,
+            **self.counters,
         }

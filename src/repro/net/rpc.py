@@ -221,10 +221,7 @@ class RpcEndpoint(Endpoint):
             if attempt >= max_attempts:
                 raise RpcTimeoutError(dst, msg_type, attempt)
             self.network.stats.rpc_retries += 1
-            delay = min(
-                cfg.backoff_base * cfg.backoff_factor ** (attempt - 1),
-                cfg.backoff_cap,
-            )
+            delay = cfg.backoff(attempt - 1)
             if cfg.backoff_jitter > 0:
                 delay += self._rng.uniform(0.0, cfg.backoff_jitter * delay)
             yield self.sim.timeout(delay)

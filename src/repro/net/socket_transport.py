@@ -27,7 +27,7 @@ transport's own listener), or a single node when
 
 Connections are lazy, per-destination, and self-healing: the first
 frame to a peer dials it with the :class:`~repro.config.RpcConfig`
-backoff ladder scaled by ``TransportConfig.reconnect_backoff_scale``
+backoff ladder scaled by ``RECONNECT_BACKOFF_SCALE``
 (virtual-scale ladders are microseconds; real dials want milliseconds),
 a broken connection redials and resends the frame that failed (frames
 are queued per destination, so FIFO per (src, dst) pair survives
@@ -70,6 +70,27 @@ HELLO = b"FWKV" + bytes([WIRE_VERSION])
 #: Drop reason for frames whose peer stayed unreachable past the
 #: connect-attempt budget.
 DROP_UNREACHABLE = "unreachable"
+
+#: Wall-second deadline for one TCP connect attempt.
+CONNECT_TIMEOUT = 5.0
+#: Connect attempts per link before queued frames are dropped (counted
+#: as ``unreachable`` in ``NetworkStats.drops_by_reason``).
+MAX_CONNECT_ATTEMPTS = 8
+#: Reconnect backoff reuses the :class:`RpcConfig` ladder scaled by this
+#: factor -- the simulator's microsecond-scale defaults would busy-spin
+#: a real TCP reconnect loop.
+RECONNECT_BACKOFF_SCALE = 500.0
+#: Wall seconds the socket pump tolerates with *nothing* happening (no
+#: events executed, no frames arriving) while waiting on a ``stop``
+#: process before declaring the run stalled.
+IDLE_TIMEOUT = 10.0
+#: Wall seconds of inbound silence after the local schedule drains that
+#: an unbounded pump treats as cluster quiescence.
+DRAIN_GRACE = 0.05
+#: Waits shorter than this (wall seconds) spin through the pump loop
+#: instead of sleeping; microsecond-scale virtual timers would otherwise
+#: pay an OS-wakeup per event.
+SPIN_THRESHOLD = 500e-6
 
 _LEN = struct.Struct(">I")
 
@@ -146,7 +167,7 @@ class SocketTransport(Transport):
                 self._handle_conn, host=self.options.host, port=bind_port
             ),
             self._loop,
-        ).result(self.options.connect_timeout)
+        ).result(CONNECT_TIMEOUT)
         sock = self._server.sockets[0]
         #: ``(host, port)`` this transport accepts frames on.
         self.listen_address: Tuple[str, int] = sock.getsockname()[:2]
@@ -238,25 +259,21 @@ class SocketTransport(Transport):
 
     async def _connect(self, dst: int) -> Optional[asyncio.StreamWriter]:
         """Dial ``dst`` with the scaled backoff ladder; None on give-up."""
-        opts = self.options
         rpc = self.config.rpc
         host, port = self._peers[dst]
-        for attempt in range(opts.max_connect_attempts):
+        for attempt in range(MAX_CONNECT_ATTEMPTS):
             try:
                 _reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(host, port),
-                    timeout=opts.connect_timeout,
+                    timeout=CONNECT_TIMEOUT,
                 )
                 writer.write(HELLO)
                 await writer.drain()
                 return writer
             except (OSError, asyncio.TimeoutError):
-                if attempt + 1 >= opts.max_connect_attempts:
+                if attempt + 1 >= MAX_CONNECT_ATTEMPTS:
                     return None
-                delay = min(
-                    rpc.backoff_base * rpc.backoff_factor**attempt,
-                    rpc.backoff_cap,
-                ) * opts.reconnect_backoff_scale
+                delay = rpc.backoff(attempt) * RECONNECT_BACKOFF_SCALE
                 if rpc.backoff_jitter > 0:
                     delay += self._rng.uniform(0.0, rpc.backoff_jitter * delay)
                 await asyncio.sleep(delay)
@@ -349,15 +366,14 @@ class SocketTransport(Transport):
         ``time_scale``); ``stop`` is an event whose trigger ends the
         pump.  With neither, the pump runs local work to exhaustion and
         returns once the schedule and inbox stay empty for
-        ``drain_grace`` wall seconds -- callers that wait on remote
+        ``DRAIN_GRACE`` wall seconds -- callers that wait on remote
         replies must pass ``stop`` (the reply leaves no local footprint
         to wait on).  A ``stop``-mode pump that sees no activity for
-        ``idle_timeout`` wall seconds raises: on a real network that is
+        ``IDLE_TIMEOUT`` wall seconds raises: on a real network that is
         a hung peer, not quiescence.
         """
         sim = self.sim
-        opts = self.options
-        scale = opts.time_scale
+        scale = self.options.time_scale
         monotonic = time.monotonic
         start_wall = monotonic() - sim.now / scale
         last_activity = monotonic()
@@ -386,23 +402,23 @@ class SocketTransport(Transport):
                 # Quiesce probe: schedule and inbox empty, wait out the
                 # grace window for stragglers already on the wire.
                 if next_t is None and not self._inbox:
-                    if now_wall - last_activity >= opts.drain_grace:
+                    if now_wall - last_activity >= DRAIN_GRACE:
                         return sim.now
-                    self._wakeup.wait(opts.drain_grace)
+                    self._wakeup.wait(DRAIN_GRACE)
                 continue
-            if stop is not None and now_wall - last_activity > opts.idle_timeout:
+            if stop is not None and now_wall - last_activity > IDLE_TIMEOUT:
                 raise RuntimeError(
                     f"socket pump stalled: no activity for "
-                    f"{opts.idle_timeout}s while waiting on {stop!r}"
+                    f"{IDLE_TIMEOUT}s while waiting on {stop!r}"
                 )
             if next_t is not None:
                 wall_deadline = start_wall + next_t / scale
             elif until is not None:
                 wall_deadline = start_wall + until / scale
             else:
-                wall_deadline = now_wall + opts.drain_grace
+                wall_deadline = now_wall + DRAIN_GRACE
             timeout = wall_deadline - now_wall
-            if timeout > opts.spin_threshold:
+            if timeout > SPIN_THRESHOLD:
                 # Cap the sleep so stop/idle bookkeeping stays responsive.
                 self._wakeup.wait(min(timeout, 0.05))
             # else: spin -- the deadline is closer than a wakeup latency.

@@ -63,8 +63,15 @@ from repro.core.wire import (
     VoteBody,
 )
 from repro.net.message import MessageType
+from repro.replication.backup import BackupState
 from repro.sim import Event, PeriodicLoop
 from repro.storage.wal import ReplicationRecord
+
+#: Stream records per REPLICATE message (flow control).
+BATCH_RECORDS = 16
+#: Reply deadline of one REPLICATE batch, and the pump's further pause
+#: before it retransmits an unacknowledged one.
+RETRY_INTERVAL = 1e-3
 
 
 def backups_for_shard(
@@ -147,36 +154,6 @@ class ReplicationStream:
         #: ``(seq, latch)`` per sync wait parked on this stream, in
         #: sequence order; the ack path counts the latches down.
         self.waiters: List[Tuple[int, _AckLatch]] = []
-
-
-class BackupState:
-    """Backup-side state of one primary's stream at this node."""
-
-    __slots__ = (
-        "applied", "frontier", "staged", "decisions", "buffer", "closed",
-    )
-
-    def __init__(
-        self,
-        applied: int = 0,
-        frontier: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        #: Cumulative applied high-water mark (the ack we return).
-        self.applied = applied
-        #: The primary's ``siteVC`` as of the newest applied apply/
-        #: frontier record -- the freshness bound for frozen reads.
-        self.frontier = frontier
-        #: txn_id -> prepare entry for staged, undecided participants.
-        self.staged: Dict[int, ReplicationEntry] = {}
-        #: txn_id -> decision entry (commits the primary coordinated).
-        self.decisions: Dict[int, ReplicationEntry] = {}
-        #: Out-of-order arrivals waiting for their predecessors.
-        self.buffer: Dict[int, ReplicationEntry] = {}
-        #: Closed after the primary was failed over: any straggling
-        #: retransmission from a deposed (restarted) primary is refused
-        #: with ``applied = -1`` instead of double-installing versions
-        #: the promotion already resolved.
-        self.closed = False
 
 
 class NodeReplication:
@@ -281,14 +258,14 @@ class NodeReplication:
     def _send_batch(self, stream: ReplicationStream) -> None:
         """Put the outbox head on the wire: one batch in flight per stream.
 
-        Its reply sends the next one; the ``retry_interval`` deadline
+        Its reply sends the next one; the ``RETRY_INTERVAL`` deadline
         means a crashed backup can never hang the stream.
         """
         if self.cluster_rep.is_excluded(stream.backup):
             # Crashed or failed over: the driver re-bootstraps it later.
             self._close_stream(stream)
             return
-        batch = tuple(stream.outbox[: self.config.batch_records])
+        batch = tuple(stream.outbox[:BATCH_RECORDS])
         hi = batch[-1].seq
         if hi > stream.inflight_hi:
             stream.inflight_hi = hi
@@ -296,7 +273,7 @@ class NodeReplication:
             stream.backup,
             MessageType.REPLICATE,
             ReplicateBody(self.node_id, batch),
-            deadline=self.config.retry_interval,
+            deadline=RETRY_INTERVAL,
         )
         stream.inflight.add_callback(partial(self._on_batch_reply, stream))
 
@@ -319,8 +296,12 @@ class NodeReplication:
                 waiters = stream.waiters
                 while waiters and waiters[0][0] <= applied:
                     waiters.pop(0)[1].count_down()
-                self.metrics.on_replication_records(applied - acked)
-                self.metrics.on_replication_lag(stream.next_seq - 1 - applied)
+                metrics = self.metrics
+                metrics.count("replication_records_streamed", applied - acked)
+                # The one counter that is a maximum, not a sum.
+                lag = stream.next_seq - 1 - applied
+                if lag > metrics.counters["replication_lag_max"]:
+                    metrics.counters["replication_lag_max"] = lag
                 if stream.outbox:
                     self._send_batch(stream)
                 else:
@@ -329,7 +310,7 @@ class NodeReplication:
         # Timed out (the endpoint struck the failure detector), or no
         # progress: retransmit after a pacing interval.
         self.sim.call_later(
-            self.config.retry_interval, self._retransmit, stream, reply
+            RETRY_INTERVAL, self._retransmit, stream, reply
         )
 
     def _retransmit(self, stream: ReplicationStream, failed: Event) -> None:
@@ -379,7 +360,7 @@ class NodeReplication:
             if (seq, latch) in stream.waiters:
                 stream.waiters.remove((seq, latch))
                 late.append(stream.backup)
-        self.metrics.on_replication_sync_degraded()
+        self.metrics.count("replication_sync_degraded")
         if self.tracer._enabled:
             self.tracer.emit(
                 self.node_id, "replication_degraded", backups=tuple(late)
@@ -496,68 +477,13 @@ class NodeReplication:
             if entry.seq <= state.applied:
                 continue
             state.buffer[entry.seq] = entry
+        store, wal, now = self.owner.store, self.owner.wal, self.sim.now
         while state.applied + 1 in state.buffer:
             entry = state.buffer.pop(state.applied + 1)
-            self._apply_stream_entry(body.primary, state, entry)
-            state.applied += 1
+            state.apply(entry, store, now)
+            if wal is not None:
+                wal.append(ReplicationRecord(body.primary, entry))
         rpc.reply(envelope, ReplicateAckBody(state.applied))
-
-    def _apply_stream_entry(
-        self, primary: int, state: BackupState, entry: ReplicationEntry
-    ) -> None:
-        kind = entry.kind
-        if kind == "prepare":
-            state.staged[entry.txn_id] = entry
-        elif kind == "abort":
-            staged = state.staged.get(entry.txn_id)
-            if staged is not None and staged.round == entry.round:
-                del state.staged[entry.txn_id]
-        elif kind == "decision":
-            state.decisions[entry.txn_id] = entry
-        elif kind == "apply":
-            state.staged.pop(entry.txn_id, None)
-            store = self.owner.store
-            now = self.sim.now
-            for key, value in entry.writes:
-                # Verbatim install, in stream order: per-key conflicts
-                # were lock-serialized at the primary, so the backup's
-                # chains -- including their vids -- replay the
-                # primary's exactly.  The backup's own clock is never
-                # touched; it advances through the normal Propagate/
-                # Decide traffic like any other node.  One clock per
-                # key, as at the primary: the store aliases the clock
-                # it is handed (``Version.vc``).
-                store.install(
-                    key,
-                    value,
-                    VectorClock(entry.commit_vc),
-                    origin=entry.origin,
-                    seq=entry.seq_no,
-                    writer_txn=entry.txn_id,
-                    installed_at=now,
-                )
-            if entry.frontier is not None:
-                state.frontier = entry.frontier
-        elif kind == "frontier":
-            state.frontier = entry.frontier
-        wal = self.owner.wal
-        if wal is not None:
-            wal.append(
-                ReplicationRecord(
-                    primary=primary,
-                    seq=entry.seq,
-                    kind=entry.kind,
-                    txn_id=entry.txn_id,
-                    coordinator=entry.coordinator,
-                    origin=entry.origin,
-                    seq_no=entry.seq_no,
-                    commit_vc=entry.commit_vc,
-                    writes=tuple(entry.writes),
-                    collected=entry.collected,
-                    frontier=entry.frontier,
-                    round=entry.round,
-                )
-            )
 
     # ------------------------------------------------------------------
     # Read-forwarding (backup side of a frozen read)
@@ -609,7 +535,7 @@ class NodeReplication:
                     * (latest_vid - version.vid + 1)
                 )
                 yield from owner.cpu.consume(cost)
-                self.metrics.on_backup_read_served()
+                self.metrics.count("backup_reads_served")
                 if self.tracer._enabled:
                     self.tracer.emit(
                         self.node_id, "backup_read", txn=request.txn_id,
@@ -637,10 +563,10 @@ class NodeReplication:
                 target, MessageType.READ_REQUEST, body
             )
             if ok:
-                self.metrics.on_backup_read_forwarded()
+                self.metrics.count("backup_reads_forwarded")
                 owner.node.rpc.reply(envelope, reply)
                 return True
-            yield self.sim.timeout(self.config.retry_interval)
+            yield self.sim.timeout(RETRY_INTERVAL)
         # Give up silently: the requester's own RPC timeout re-routes
         # the read (possibly to the promoted primary) -- replying a
         # stale value here would be the one unsound option.
@@ -694,25 +620,17 @@ class NodeReplication:
             applied=applied, frontier=frontier
         )
 
-    def on_recovered(self, replayed: Dict[int, dict]) -> None:
+    def on_recovered(self, replayed: Dict[int, BackupState]) -> None:
         """Durable-crash restart: the volatile stream state died.
 
         Primary-side outboxes are gone, so every stream closes -- the
         failover driver re-bootstraps live backups with a verbatim
-        re-ship.  Backup-side state is re-adopted from the WAL replay
-        (the rebuilt store already holds the replayed installs).
+        re-ship.  Backup-side state is adopted as the WAL replay rebuilt
+        it (the rebuilt store already holds the replayed installs).
         """
         for stream in self.streams.values():
             self._close_stream(stream)
-        self.backup_state.clear()
-        for primary, snapshot in replayed.items():
-            state = BackupState(
-                applied=snapshot.get("applied", 0),
-                frontier=snapshot.get("frontier"),
-            )
-            state.staged = dict(snapshot.get("staged", {}))
-            state.decisions = dict(snapshot.get("decisions", {}))
-            self.backup_state[primary] = state
+        self.backup_state = replayed
 
 
 class ClusterReplication:
@@ -945,7 +863,7 @@ class FailoverDriver:
             for node in nodes:
                 if node.node_id != dead:
                     node.replication.close_backup_state(dead)
-            self.metrics.on_failover_completed(promoted)
+            self.metrics.count("failovers_completed", promoted)
             if self.tracer._enabled:
                 self.tracer.emit(
                     dead, "failover_complete", shards=promoted,
@@ -1192,7 +1110,7 @@ class FailoverDriver:
         )
         if not shipped:
             return False
-        self.metrics.on_backup_bootstrapped()
+        self.metrics.count("backup_bootstraps")
         if self.tracer._enabled:
             self.tracer.emit(
                 primary_id, "backup_bootstrap", backup=backup_id,

@@ -183,7 +183,8 @@ class WalFlusher:
                     return  # crash mid-sync: nothing in this group landed
                 newly = wal.mark_durable(cover)
                 if self.metrics is not None:
-                    self.metrics.on_wal_sync(newly)
+                    self.metrics.count("wal_syncs")
+                    self.metrics.count("wal_records_synced", newly)
                 self.durable_cv.notify_all()
         finally:
             if epoch == self._epoch:

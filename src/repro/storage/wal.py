@@ -46,12 +46,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple,
+)
 
 from repro.core.vector_clock import VectorClock
+from repro.core.wire import ReplicationEntry
 from repro.storage.chain import VersionChain
 from repro.storage.store import MultiVersionStore
 from repro.storage.version import Version
+
+if TYPE_CHECKING:
+    from repro.replication.backup import BackupState
 
 
 @dataclass(frozen=True)
@@ -77,12 +83,16 @@ class DecisionRecord:
     Logged before any Decide message leaves the node, so a recovered
     coordinator can answer in-doubt termination queries definitively:
     a transaction with no decision record never sent a Decide and is
-    safely presumed aborted.
+    safely presumed aborted.  ``collected`` is the anti-dependency set
+    the Decide carried (Alg. 5 lines 18-20), so a re-announced Decide
+    excludes the same read-only transactions the lost one would have;
+    it defaults to empty so logs written without it still replay.
     """
 
     txn_id: int
     seq_no: int
     commit_vc: Tuple[int, ...]
+    collected: FrozenSet[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -119,22 +129,12 @@ class ReplicationRecord:
     the verbatim backup chains (``kind="apply"`` installs) and the
     per-primary stream state -- applied high-water mark, replicated
     frontier, staged prepares, and the primary's decision log -- that a
-    post-restart promotion would need.  The field vocabulary mirrors
-    :class:`repro.core.wire.ReplicationEntry`.
+    post-restart promotion would need.  ``entry`` is the record as
+    applied (entries are never mutated once on the wire).
     """
 
     primary: int
-    seq: int
-    kind: str
-    txn_id: Optional[int] = None
-    coordinator: Optional[int] = None
-    origin: Optional[int] = None
-    seq_no: Optional[int] = None
-    commit_vc: Optional[Tuple[int, ...]] = None
-    writes: Tuple = ()
-    collected: FrozenSet[int] = frozenset()
-    frontier: Optional[Tuple[int, ...]] = None
-    round: int = 0
+    entry: ReplicationEntry
 
 
 @dataclass(frozen=True)
@@ -509,11 +509,9 @@ class ReplayResult:
     #: A view acked but not yet committed at the crash (epoch past the
     #: committed one); recovery re-installs it as the in-progress view.
     pending_view: Optional[Tuple] = None
-    #: primary id -> backup-side stream state rebuilt from the node's
-    #: ReplicationRecords: ``{"applied", "frontier", "staged",
-    #: "decisions"}`` (staged/decisions map txn_id -> the record, which
-    #: is attribute-compatible with ``ReplicationEntry``).
-    replication: Dict[int, Dict] = field(default_factory=dict)
+    #: primary id -> the backup-side stream state rebuilt from the
+    #: node's ReplicationRecords.
+    replication: Dict[int, "BackupState"] = field(default_factory=dict)
 
 
 def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
@@ -529,6 +527,10 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     the end in sequence order, jumping the clock, rather than silently
     dropped.
     """
+    # Imported here, not at module level: ``repro.replication`` imports
+    # this module on its way in.
+    from repro.replication.backup import BackupState
+
     store = MultiVersionStore()
     site_vc = VectorClock.zeros(num_nodes)
     in_doubt: Dict[int, PrepareRecord] = {}
@@ -538,7 +540,7 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     checkpoints = 0
     view: Optional[Tuple] = None
     pending_view: Optional[Tuple] = None
-    replication: Dict[int, Dict] = {}
+    replication: Dict[int, BackupState] = {}
     # origin -> {seq_no: record} waiting for its per-origin predecessor.
     pending: Dict[int, Dict[int, WalRecord]] = {}
 
@@ -629,44 +631,15 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
             elif view is None or record.epoch > view[0]:
                 pending_view = triple
         elif isinstance(record, ReplicationRecord):
-            # Backup-side stream state.  Apply installs go straight into
-            # the store (never through ``admit``): a backup's verbatim
-            # installs do not advance its own clock, exactly as live.
+            # Backup-side stream state, through the live handler's own
+            # interpreter.  Apply installs go straight into the store
+            # (never through ``admit``): a backup's verbatim installs do
+            # not advance its own clock, exactly as live.
             state = replication.get(record.primary)
             if state is None:
-                state = {
-                    "applied": 0,
-                    "frontier": None,
-                    "staged": {},
-                    "decisions": {},
-                }
-                replication[record.primary] = state
-            if record.seq <= state["applied"]:
-                continue  # duplicated prefix
-            state["applied"] = record.seq
-            if record.kind == "prepare":
-                state["staged"][record.txn_id] = record
-            elif record.kind == "abort":
-                staged = state["staged"].get(record.txn_id)
-                if staged is not None and staged.round == record.round:
-                    del state["staged"][record.txn_id]
-            elif record.kind == "decision":
-                state["decisions"][record.txn_id] = record
-            elif record.kind == "apply":
-                state["staged"].pop(record.txn_id, None)
-                commit_vc = VectorClock(record.commit_vc)
-                for key, value in record.writes:
-                    store.install(
-                        key,
-                        value,
-                        commit_vc.copy(),
-                        origin=record.origin,
-                        seq=record.seq_no,
-                        writer_txn=record.txn_id,
-                    )
-                state["frontier"] = record.frontier
-            elif record.kind == "frontier":
-                state["frontier"] = record.frontier
+                state = replication[record.primary] = BackupState()
+            if record.entry.seq > state.applied:  # else a duplicated prefix
+                state.apply(record.entry, store)
         else:
             raise TypeError(f"unknown WAL record {record!r}")
 

@@ -517,7 +517,7 @@ class Cluster:
                 if joiner_id >= len(peer.site_vc.entries):
                     peer.site_vc.widen(joiner_id + 1)
                 yield from catch_up(peer, joiner_id, own)
-        joiner.metrics.on_join_bootstrapped()
+        joiner.metrics.count("joins_bootstrapped")
         if self.tracer._enabled:
             self.tracer.emit(
                 joiner_id, "join_bootstrap", clock=joiner.site_vc.to_tuple()
@@ -641,7 +641,7 @@ class Cluster:
         victim.fence.lower_every_key()
         victim.healing.stop()
         self._removed.add(victim_id)
-        self.metrics.on_drain_completed()
+        self.metrics.count("drains_completed")
         if self.tracer._enabled:
             self.tracer.emit(victim_id, "drain_complete", final_seq=final_seq)
         # Shrink clocks back down once the retired entry tops the clock:

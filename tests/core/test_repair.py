@@ -120,8 +120,8 @@ def test_committed_reply_applies_through_the_decide_path():
     assert (latest.value, latest.origin, latest.seq) == (9, 0, 1)
     assert node.site_vc[0] == 1
     assert TXN not in node._prepared and not node.locks.any_locked()
-    assert cluster.metrics.indoubt_committed == 1
-    assert cluster.metrics.lease_expirations == 0
+    assert cluster.metrics.counters["indoubt_committed"] == 1
+    assert cluster.metrics.counters["lease_expirations"] == 0
 
 
 def test_not_on_record_aborts_and_releases_the_locks():
@@ -130,8 +130,8 @@ def test_not_on_record_aborts_and_releases_the_locks():
     cluster.run_process(node.in_doubt.terminate(TXN, entry))
     assert node.store.chain("x").latest.value == 0
     assert TXN not in node._prepared and not node.locks.any_locked()
-    assert cluster.metrics.indoubt_aborted == 1
-    assert cluster.metrics.lease_expirations == 0
+    assert cluster.metrics.counters["indoubt_aborted"] == 1
+    assert cluster.metrics.counters["lease_expirations"] == 0
 
 
 def test_unreachable_coordinator_exhausts_the_budget_then_presumes_abort():
@@ -154,9 +154,9 @@ def test_unreachable_coordinator_exhausts_the_budget_then_presumes_abort():
     )
     assert TXN not in node._prepared and not node.locks.any_locked()
     assert node.store.chain("x").latest.value == 0
-    assert cluster.metrics.lease_expirations == 1
-    assert cluster.metrics.indoubt_committed == 0
-    assert cluster.metrics.indoubt_aborted == 0
+    assert cluster.metrics.counters["lease_expirations"] == 1
+    assert cluster.metrics.counters["indoubt_committed"] == 0
+    assert cluster.metrics.counters["indoubt_aborted"] == 0
 
 
 def test_a_racing_real_decide_wins():
@@ -174,9 +174,9 @@ def test_a_racing_real_decide_wins():
     assert node.store.chain("x").latest.value == 9 and node.site_vc[0] == 1
     assert not node.locks.any_locked()
     # The resolver noticed before its next round: no verdict of its own.
-    assert cluster.metrics.indoubt_committed == 0
-    assert cluster.metrics.indoubt_aborted == 0
-    assert cluster.metrics.lease_expirations == 0
+    assert cluster.metrics.counters["indoubt_committed"] == 0
+    assert cluster.metrics.counters["indoubt_aborted"] == 0
+    assert cluster.metrics.counters["lease_expirations"] == 0
     sent = cluster.network.stats.messages_by_type[MessageType.TXN_STATUS]
     assert sent == cluster.config.network.rpc.max_attempts
 

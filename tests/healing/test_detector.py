@@ -10,23 +10,12 @@ import pytest
 
 from repro.config import HealingConfig
 from repro.healing import ALIVE, DEAD, SUSPECT, FailureDetector
+from repro.metrics.stats import MetricsRecorder
 
 
 class FakeClock:
     def __init__(self, now=0.0):
         self.now = now
-
-
-class SpyMetrics:
-    def __init__(self):
-        self.raised = 0
-        self.cleared = 0
-
-    def on_suspicion(self, raised):
-        if raised:
-            self.raised += 1
-        else:
-            self.cleared += 1
 
 
 N = 4
@@ -59,7 +48,7 @@ def test_strike_thresholds():
 
 
 def test_arrival_clears_strikes_and_suspicion():
-    metrics = SpyMetrics()
+    metrics = MetricsRecorder(sim=None)  # count() never reads the clock
     detector = build(metrics=metrics)
     for _ in range(5):
         detector.on_rpc_timeout(PEER)
@@ -70,8 +59,8 @@ def test_arrival_clears_strikes_and_suspicion():
     detector.on_rpc_timeout(PEER)
     assert detector.state(PEER) == ALIVE
     # Strikes climbed ALIVE -> SUSPECT -> DEAD, then one clear.
-    assert metrics.raised == 2
-    assert metrics.cleared == 1
+    assert metrics.counters["suspicions_raised"] == 2
+    assert metrics.counters["suspicions_cleared"] == 1
 
 
 def test_strikes_are_per_peer():

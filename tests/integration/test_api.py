@@ -161,12 +161,11 @@ def test_sharding_defaults_off_and_overlays():
     assert sharding.enabled is False
     assert sharding.rebalance_interval is None
     assert sharding.num_shards > 0
-    assert sharding.imbalance_threshold >= 1.0
     cfg = ClusterConfig.from_dict(
         {"num_nodes": 3, "sharding": {"enabled": True, "num_shards": 32}}
     )
     assert cfg.sharding.enabled and cfg.sharding.num_shards == 32
-    assert cfg.sharding.track_load is True  # defaults kept for the rest
+    assert cfg.sharding.min_samples == 64  # defaults kept for the rest
 
 
 # ----------------------------------------------------------------------
@@ -203,14 +202,12 @@ checkpoint_configs = st.builds(
     CheckpointConfig,
     interval=optional(positive_floats),
     min_records=st.integers(1, 64),
-    truncate=st.booleans(),
     max_peer_lag=optional(st.integers(0, 16)),
 )
 snapshot_configs = st.builds(
     SnapshotTransferConfig,
     enabled=st.booleans(),
     chunk_records=st.integers(1, 128),
-    offer_threshold=st.integers(0, 4),
     lag_bias=small_floats,
 )
 replication_configs = st.builds(
@@ -221,21 +218,13 @@ replication_configs = st.builds(
     read_from_backups=st.booleans(),
     failover_timeout=optional(positive_floats),
     sync_timeout=positive_floats,
-    batch_records=st.integers(1, 64),
-    retry_interval=positive_floats,
 )
 sharding_configs = st.builds(
     ShardingConfig,
     enabled=st.booleans(),
     num_shards=st.integers(1, 256),
-    track_load=st.booleans(),
     rebalance_interval=optional(positive_floats),
-    imbalance_threshold=st.floats(
-        min_value=1.0, max_value=4.0, allow_nan=False
-    ),
     min_samples=st.integers(1, 256),
-    max_moves_per_round=st.integers(1, 8),
-    load_decay=small_floats,
 )
 transport_configs = st.builds(
     TransportConfig,
@@ -243,21 +232,12 @@ transport_configs = st.builds(
     host=st.sampled_from(["127.0.0.1", "localhost"]),
     base_port=st.integers(0, 65535),
     time_scale=st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
-    connect_timeout=positive_floats,
-    max_connect_attempts=st.integers(1, 16),
-    reconnect_backoff_scale=st.floats(
-        min_value=1.0, max_value=1000.0, allow_nan=False
-    ),
-    idle_timeout=positive_floats,
-    drain_grace=positive_floats,
-    spin_threshold=small_floats,
 )
 healing_configs = st.builds(
     HealingConfig,
     detector_enabled=st.booleans(),
     heartbeat_interval=optional(positive_floats),
     anti_entropy_interval=optional(positive_floats),
-    max_stream_per_round=st.integers(1, 128),
     checkpoint=checkpoint_configs,
     snapshot=snapshot_configs,
 )

@@ -180,7 +180,7 @@ def test_crash_produces_timeout_aborts():
     stats = cluster.network.stats
     assert stats.drops_by_reason["crash"] > 0
     assert stats.rpc_timeouts > 0
-    assert cluster.metrics.aborted_timeout > 0
+    assert cluster.metrics.counters["aborted_timeout"] > 0
 
 
 @pytest.mark.chaos
@@ -298,7 +298,7 @@ def test_presumed_abort_drops_committed_write_without_termination():
     coordinator_key, participant_key = keys
     assert committed_at(cluster, coordinator_key, txn.txn_id)
     assert not committed_at(cluster, participant_key, txn.txn_id)
-    assert cluster.metrics.lease_expirations == 1
+    assert cluster.metrics.counters["lease_expirations"] == 1
     assert not cluster.any_locks_held()
 
 
@@ -309,8 +309,8 @@ def test_termination_query_preserves_committed_write():
     cluster, txn, keys = run_indoubt_decide_loss(termination=True)
     for key in keys:
         assert committed_at(cluster, key, txn.txn_id)
-    assert cluster.metrics.indoubt_committed == 1
-    assert cluster.metrics.lease_expirations == 0
+    assert cluster.metrics.counters["indoubt_committed"] == 1
+    assert cluster.metrics.counters["lease_expirations"] == 0
     assert not cluster.any_locks_held()
     for protocol_node in cluster.nodes:
         assert protocol_node.node.rpc.pending_count == 0
@@ -351,7 +351,7 @@ def test_chaos_durable_crash_no_lost_commits(protocol):
     window = nemesis.down_windows[0]
     assert window.closed and window.node == 1
     assert cluster.nodes[1].recovery.recoveries == 1
-    assert cluster.metrics.recoveries == 1
+    assert cluster.metrics.counters["recoveries"] == 1
     assert committed
     assert_no_lost_commits(cluster, committed)
     clocks = cluster.site_clocks()

@@ -157,8 +157,8 @@ def test_durable_group_commit_chaos_stays_consistent(protocol):
     _chaos(cluster)
     _assert_consistent(cluster)
     # The sync schedule actually batched: fewer syncs than records.
-    assert cluster.metrics.wal_syncs > 0
-    assert cluster.metrics.wal_records_synced > cluster.metrics.wal_syncs
+    counters = cluster.metrics.counters
+    assert counters["wal_records_synced"] > counters["wal_syncs"] > 0
     # Quiescence drained every buffer: nothing volatile is left behind.
     for node in cluster.nodes:
         assert node.wal.durable_lsn == node.wal.tail_lsn
@@ -173,7 +173,8 @@ def test_durable_naive_chaos_stays_consistent(protocol):
     _chaos(cluster, txns=20)
     _assert_consistent(cluster, min_commits=120)
     # Per-record mode: every sync covers exactly one record.
-    assert cluster.metrics.wal_syncs == cluster.metrics.wal_records_synced > 0
+    counters = cluster.metrics.counters
+    assert counters["wal_syncs"] == counters["wal_records_synced"] > 0
     for node in cluster.nodes:
         assert node.wal.durable_lsn == node.wal.tail_lsn
 
@@ -202,7 +203,8 @@ def test_adaptive_with_durable_group_commit_combined():
     )
     _chaos(cluster)
     _assert_consistent(cluster)
-    assert cluster.metrics.wal_records_synced > cluster.metrics.wal_syncs > 0
+    counters = cluster.metrics.counters
+    assert counters["wal_records_synced"] > counters["wal_syncs"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -215,16 +217,16 @@ def _adaptive_node():
 
 
 def test_adaptive_pressure_probe_opens_closed_window():
-    from repro.core.mvcc_node import _PRESSURE_OPEN, ADAPTIVE_STEP as step
+    from repro.core.batching import PRESSURE_OPEN, ADAPTIVE_STEP as step
 
     cluster, node = _adaptive_node()
     # A closed window serves sends immediately; back-to-back sends at the
     # same instant are maximally hot (gap zero), so after the cold first
-    # send plus _PRESSURE_OPEN hot ones the window opens at one step.
-    for seq_no in range(_PRESSURE_OPEN + 1):
+    # send plus PRESSURE_OPEN hot ones the window opens at one step.
+    for seq_no in range(PRESSURE_OPEN + 1):
         node._send_propagate(set(), seq_no)
         opened = dict(node._adaptive_windows)
-        if seq_no < _PRESSURE_OPEN:
+        if seq_no < PRESSURE_OPEN:
             assert not opened, f"window opened early after send {seq_no}"
     destinations = {i for i in range(NODES) if i != node.node_id}
     assert opened == {site: step for site in destinations}
@@ -234,8 +236,8 @@ def test_adaptive_pressure_probe_opens_closed_window():
 
 
 def test_adaptive_window_grows_only_past_target_depth():
-    from repro.core.mvcc_node import (
-        _TARGET_DEPTH, ADAPTIVE_DECAY, ADAPTIVE_STEP as step, MAX_WINDOW,
+    from repro.core.batching import (
+        TARGET_DEPTH, ADAPTIVE_DECAY, ADAPTIVE_STEP as step, MAX_WINDOW,
     )
 
     cluster, node = _adaptive_node()
@@ -243,16 +245,16 @@ def test_adaptive_window_grows_only_past_target_depth():
 
     # Depth inside the band: window holds (no ratchet toward MAX_WINDOW).
     node._adaptive_windows[site] = step
-    node._propagate_buffer[site] = list(range(_TARGET_DEPTH))
+    node._propagate_buffer[site] = list(range(TARGET_DEPTH))
     node._flush_propagate(site)
     assert node._adaptive_windows[site] == step
 
     # Depth beyond the band: additive growth, capped at MAX_WINDOW.
-    node._propagate_buffer[site] = list(range(_TARGET_DEPTH + 1))
+    node._propagate_buffer[site] = list(range(TARGET_DEPTH + 1))
     node._flush_propagate(site)
     assert node._adaptive_windows[site] == 2 * step
     node._adaptive_windows[site] = MAX_WINDOW
-    node._propagate_buffer[site] = list(range(_TARGET_DEPTH + 1))
+    node._propagate_buffer[site] = list(range(TARGET_DEPTH + 1))
     node._flush_propagate(site)
     assert node._adaptive_windows[site] == MAX_WINDOW
 

@@ -150,7 +150,7 @@ def test_crash_between_buffer_and_flush_loses_exact_suffix(protocol):
     assert snapshot["expected_loss"] >= 1
     assert victim.wal.lost_on_crash == snapshot["expected_loss"]
     assert victim.recovery.recoveries == 1
-    assert cluster.metrics.recoveries == 1
+    assert cluster.metrics.counters["recoveries"] == 1
 
     # Replay restarted from the surviving prefix: the records the crash
     # kept were re-read, none re-lost, and the flusher re-armed (the log

@@ -247,10 +247,14 @@ def test_partitioned_node_heals_without_restart(seed):
     victim = cluster.nodes[VICTIM]
     assert victim.recovery.recoveries == 0  # healed, never restarted
     metrics = cluster.metrics
-    assert metrics.anti_entropy_rounds > 0
+    assert metrics.counters["anti_entropy_rounds"] > 0
     # The gap closed through the healing machinery: streamed Decides
     # (peer pushes) and/or digest-driven clock catch-up (victim pulls).
-    assert metrics.records_streamed + metrics.catchup_advances >= healed["lag"]
+    counters = metrics.counters
+    assert (
+        counters["records_streamed"] + counters["catchup_advances"]
+        >= healed["lag"]
+    )
 
     # Satellite: the nemesis accounted every healed link -- one report
     # per direction, exact window duration, and the cut provably
@@ -279,9 +283,9 @@ def test_isolation_scenario_is_deterministic():
         return (
             result["fingerprint"],
             result["clocks"],
-            metrics.anti_entropy_rounds,
-            metrics.records_streamed,
-            metrics.catchup_advances,
+            metrics.counters["anti_entropy_rounds"],
+            metrics.counters["records_streamed"],
+            metrics.counters["catchup_advances"],
             result["nemesis"].heal_reports,
         )
 
@@ -301,7 +305,7 @@ def test_false_suspicion_readmits_peer_without_losing_writes():
 
     # Warm-up: heartbeats establish each peer's inter-arrival mean.
     cluster.run(until=cluster.sim.now + 10 * 2e-4)
-    assert cluster.metrics.heartbeats_sent > 0
+    assert cluster.metrics.counters["heartbeats_sent"] > 0
     assert detector.state(VICTIM) == ALIVE
 
     # Cut only the 0 <-> victim link: to node 0 the victim goes silent,
@@ -311,7 +315,7 @@ def test_false_suspicion_readmits_peer_without_losing_writes():
     nemesis.apply(FaultEvent(cluster.sim.now, PARTITION, VICTIM, 0))
     cluster.run(until=cluster.sim.now + 3e-3)  # ~15 silent intervals
     assert detector.state(VICTIM) == DEAD
-    assert cluster.metrics.suspicions_raised >= 1
+    assert cluster.metrics.counters["suspicions_raised"] >= 1
 
     # While node 0 holds its wrong verdict, a commit through node 1
     # lands writes at the suspected-but-alive victim.
@@ -324,7 +328,7 @@ def test_false_suspicion_readmits_peer_without_losing_writes():
     nemesis.apply(FaultEvent(cluster.sim.now, HEAL, VICTIM, 0))
     cluster.run(until=cluster.sim.now + 5 * 2e-4)
     assert detector.state(VICTIM) == ALIVE
-    assert cluster.metrics.suspicions_cleared >= 1
+    assert cluster.metrics.counters["suspicions_cleared"] >= 1
 
     # The re-admitted peer is fully usable from node 0 again, and the
     # write committed during the suspicion window was never lost.
@@ -427,7 +431,7 @@ def run_checkpoint_scenario(seed, *, checkpointed):
     if checkpointed:
         record = victim.healing.checkpoints.checkpoint_now()
         assert record is not None
-        assert cluster.metrics.checkpoints_taken == 1
+        assert cluster.metrics.counters["checkpoints_taken"] == 1
         full_log = victim.wal.records()  # prefix + checkpoint
 
         # Harvest frontier evidence with one explicit gossip round per
@@ -439,7 +443,7 @@ def run_checkpoint_scenario(seed, *, checkpointed):
         dropped = record.records_below
         assert dropped > 0
         assert victim.wal.truncated == dropped
-        assert cluster.metrics.wal_records_truncated == dropped
+        assert cluster.metrics.counters["wal_records_truncated"] == dropped
         # Same evidence, precise GC: every decision at or below the
         # stable floor left the in-memory log too.
         floor = victim.site_vc[VICTIM]
@@ -477,7 +481,7 @@ def run_checkpoint_scenario(seed, *, checkpointed):
     return {
         "cluster": cluster,
         "fingerprint": node_fingerprint(victim),
-        "replayed": cluster.metrics.wal_records_replayed,
+        "replayed": cluster.metrics.counters["wal_records_replayed"],
         "surviving": surviving,
         "truncated": victim.wal.truncated,
         "checkpoint": record,
@@ -502,8 +506,8 @@ def test_checkpointed_recovery_matches_full_history(seed):
     assert ckpt["replayed"] + ckpt["truncated"] == full["replayed"] + 1
 
     # Catch-up repaired exactly the three Propagates each run lost.
-    assert ckpt["cluster"].metrics.catchup_advances == 3
-    assert full["cluster"].metrics.catchup_advances == 3
+    assert ckpt["cluster"].metrics.counters["catchup_advances"] == 3
+    assert full["cluster"].metrics.counters["catchup_advances"] == 3
     clocks = ckpt["cluster"].site_clocks()
     assert all(clock == clocks[0] for clock in clocks)
 
@@ -528,15 +532,15 @@ def test_automatic_checkpoint_loop_respects_min_records():
     drive(cluster, plan)
     # Several checkpoint periods with gossip feeding frontier evidence.
     cluster.run(until=cluster.sim.now + 6e-3)
-    assert cluster.metrics.checkpoints_taken >= 1
+    assert cluster.metrics.counters["checkpoints_taken"] >= 1
     assert victim.healing.checkpoints.taken >= 1
-    assert cluster.metrics.wal_records_truncated > 0
+    assert cluster.metrics.counters["wal_records_truncated"] > 0
 
     # An idle stretch takes no further checkpoints: fewer than
     # min_records new WAL records accumulated.
-    taken = cluster.metrics.checkpoints_taken
+    taken = cluster.metrics.counters["checkpoints_taken"]
     cluster.run(until=cluster.sim.now + 6e-3)
-    assert cluster.metrics.checkpoints_taken == taken
+    assert cluster.metrics.counters["checkpoints_taken"] == taken
 
     # A recovered-from-checkpoint node still matches the live cluster.
     cluster.stop_healing()
@@ -683,11 +687,11 @@ def test_snapshot_transfer_repairs_truncation_gap(seed):
 
     record = repaired["checkpoint"]
     metrics = cluster.metrics
-    assert metrics.snapshot_offers == 1
-    assert metrics.snapshot_rejected == 0
-    assert metrics.snapshot_abandoned == 0
-    assert metrics.snapshot_chains == len(record.chains)
-    assert metrics.snapshot_chunks == (len(record.chains) + 1) // 2
+    assert metrics.counters["snapshot_offers"] == 1
+    assert metrics.counters["snapshot_rejected"] == 0
+    assert metrics.counters["snapshot_abandoned"] == 0
+    assert metrics.counters["snapshot_chains"] == len(record.chains)
+    assert metrics.counters["snapshot_chunks"] == (len(record.chains) + 1) // 2
     assert not cluster.any_locks_held()
 
 
@@ -704,16 +708,16 @@ def test_healing_stop_start_cycles_do_not_stack_loops():
     cluster, _ = build(seed, healing)
     window = 40 * 2e-4
     cluster.run(until=cluster.sim.now + window)
-    baseline = cluster.metrics.heartbeats_sent
+    baseline = cluster.metrics.counters["heartbeats_sent"]
     assert baseline > 0
 
     for _ in range(3):
         cluster.stop_healing()
         cluster.start_healing()
     cluster.start_healing()  # a duplicate start must not stack either
-    before = cluster.metrics.heartbeats_sent
+    before = cluster.metrics.counters["heartbeats_sent"]
     cluster.run(until=cluster.sim.now + window)
-    delta = cluster.metrics.heartbeats_sent - before
+    delta = cluster.metrics.counters["heartbeats_sent"] - before
     # A single stacked loop would push the rate toward 2x the baseline.
     assert delta <= baseline * 1.5, "lifecycle churn duplicated a loop"
     assert delta >= baseline * 0.5, "the loops stopped running entirely"
@@ -734,9 +738,9 @@ def test_snapshot_scenario_is_deterministic():
             result["fingerprint"],
             result["clocks"],
             result["floor"],
-            metrics.snapshot_chunks,
-            metrics.snapshot_chains,
-            metrics.records_streamed,
+            metrics.counters["snapshot_chunks"],
+            metrics.counters["snapshot_chains"],
+            metrics.counters["records_streamed"],
         )
 
     assert probe() == probe()

@@ -260,7 +260,7 @@ def test_crash_between_decide_and_propagate(protocol, seed):
 
     victim = crashed.cluster.nodes[VICTIM]
     assert victim.recovery.recoveries == 1
-    assert crashed.cluster.metrics.recoveries == 1
+    assert crashed.cluster.metrics.counters["recoveries"] == 1
     assert crashed.nemesis.restart_count == 1
 
     # The down-window accounting names exactly the Propagates destroyed,
@@ -269,7 +269,7 @@ def test_crash_between_decide_and_propagate(protocol, seed):
     assert window.closed
     assert dict(window.lost_propagates) == crashed.expected_lost
     total_lost = sum(len(v) for v in crashed.expected_lost.values())
-    assert crashed.cluster.metrics.catchup_advances == total_lost
+    assert crashed.cluster.metrics.counters["catchup_advances"] == total_lost
     assert set(window.drops_by_reason) == {"crash"}
 
     # 200+ transactions later, the merged history is still PSI and no
@@ -305,8 +305,8 @@ def test_crash_mid_prepare_aborts_and_recovers(protocol):
 
     victim = cluster.nodes[VICTIM]
     assert victim.recovery.recoveries == 1
-    assert cluster.metrics.indoubt_recovered >= 1
-    assert cluster.metrics.indoubt_aborted >= 1
+    assert cluster.metrics.counters["indoubt_recovered"] >= 1
+    assert cluster.metrics.counters["indoubt_aborted"] >= 1
     # The aborted transaction's writes exist nowhere.
     for node in cluster.nodes:
         for key in keys:
@@ -350,7 +350,7 @@ def test_crash_mid_propagate_apply(protocol):
     victim = cluster.nodes[VICTIM]
     assert victim.recovery.recoveries == 1
     assert sum(len(v) for v in window.lost_propagates.values()) == 5
-    assert cluster.metrics.catchup_advances == 5
+    assert cluster.metrics.counters["catchup_advances"] == 5
     clocks = cluster.site_clocks()
     assert all(clock == clocks[0] for clock in clocks)
     assert_psi(cluster)
@@ -388,7 +388,7 @@ def test_crash_with_inflight_decide_recovers_commit(protocol):
     cluster.run()
 
     assert victim.recovery.recoveries == 1
-    assert cluster.metrics.indoubt_committed >= 1
+    assert cluster.metrics.counters["indoubt_committed"] >= 1
     # The committed write reappeared, with its origin stamp intact.
     recovered = [
         v for v in victim.store.chain(victim_key)
@@ -401,6 +401,51 @@ def test_crash_with_inflight_decide_recovers_commit(protocol):
     clocks = cluster.site_clocks()
     assert all(clock == clocks[0] for clock in clocks)
     assert_psi(cluster)
+
+
+def test_reannounced_decide_keeps_the_collected_antidependencies():
+    """Alg. 5 lines 18-20 across a coordinator's durable crash: the
+    Decide it re-announces from its logged decision must exclude the
+    same read-only transactions the lost Decide would have.  (The
+    DecisionRecord used to drop the collected set, so the participant
+    installed the commit's version with an empty access set.)"""
+    cluster, nemesis = build("fwkv", SEEDS[0])
+    coordinator, participant = 0, 1
+    key = keys_by_site(cluster)[participant][0]
+    holder = cluster.nodes[participant]
+
+    # An open read-only transaction registers on the version the update
+    # is about to overwrite; the participant's vote collects its id.
+    reader_node = cluster.node(3)
+    reader = reader_node.begin(is_read_only=True)
+    cluster.run_process(reader_node.read(reader, key))
+    assert reader.txn_id in holder.store.chain(key).latest.access_set
+
+    # Crash the coordinator at its "commit" emit: the decision is logged
+    # and the participant's Decide is on the wire, where the crash
+    # destroys it.  Restart well inside the participant's 5 ms lease.
+    point = crash_at(cluster, nemesis, coordinator, "commit", node=coordinator)
+    node = cluster.node(coordinator)
+    txn = node.begin(is_read_only=False)
+
+    def update():
+        value = yield from node.read(txn, key)
+        node.write(txn, key, value + 1)
+        return (yield from node.commit(txn))
+
+    acked = cluster.spawn(update(), name="update")
+    cluster.run(until=cluster.sim.now + 500e-6)
+    assert point.fired and acked.value is True
+    assert reader.txn_id in txn.collected_set
+    assert holder.store.chain(key).latest.writer_txn != txn.txn_id
+
+    restart(cluster, nemesis, coordinator)
+    cluster.run()
+
+    installed = holder.store.chain(key).latest
+    assert installed.writer_txn == txn.txn_id
+    assert reader.txn_id in installed.access_set
+    assert not cluster.any_locks_held()
 
 
 def test_down_window_accounting_is_exact():

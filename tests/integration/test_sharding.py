@@ -58,7 +58,10 @@ SEEDS = tuple(
 pytestmark = pytest.mark.sharding
 
 
-def build(seed, *, rpc=None, record_history=False, chunk_records=None):
+def build(
+    seed, *, rpc=None, record_history=False, chunk_records=None,
+    rebalance_interval=None,
+):
     """A 3-node FW-KV cluster on a 12-shard ShardMap directory."""
     config = ClusterConfig(
         num_nodes=NUM_NODES,
@@ -66,7 +69,10 @@ def build(seed, *, rpc=None, record_history=False, chunk_records=None):
         prepared_lease=5e-3,
         gc_enabled=False,
         durability=DurabilityConfig(wal_enabled=False),
-        sharding=ShardingConfig(enabled=True, num_shards=NUM_SHARDS),
+        sharding=ShardingConfig(
+            enabled=True, num_shards=NUM_SHARDS,
+            rebalance_interval=rebalance_interval,
+        ),
         network=NetworkConfig(jitter=5e-6, rpc=rpc or RpcConfig()),
     )
     if chunk_records is not None:
@@ -170,7 +176,7 @@ def run_live_migration(seed, *, migrate):
         assert moved.value is True
         assert cluster.directory.owner_of(shard) == dest
         assert cluster.directory.epoch == 1
-        assert cluster.metrics.shard_migrations == 1
+        assert cluster.metrics.counters["shard_migrations"] == 1
 
     history = cluster.finalized_history()
     assert check_no_read_skew(history).ok
@@ -255,7 +261,7 @@ def run_migration_chaos(seed, *, fault):
             "a failed migration must not flip ownership"
         )
         assert shard_map.epoch == 0
-        assert cluster.metrics.shard_migrations_failed == 1
+        assert cluster.metrics.counters["shard_migrations_failed"] == 1
         assert not cluster.node(donor).fence.keys, (
             "a failed migration must unfence"
         )
@@ -269,7 +275,7 @@ def run_migration_chaos(seed, *, fault):
     drive(cluster, rmw_plan(rng, range(NUM_NODES), 8))
     cluster.run()
     assert cluster.metrics.aborts == 0
-    assert cluster.metrics.shard_migrations == 1
+    assert cluster.metrics.counters["shard_migrations"] == 1
     return {
         "fingerprints": [node_fingerprint(n) for n in cluster.nodes],
         "clocks": {n.site_vc.to_tuple() for n in cluster.nodes},
@@ -365,12 +371,14 @@ def test_rebalancer_beats_static_ring_under_zipf_skew(seed):
     )
 
 
-def test_rebalance_once_moves_hot_shard_under_live_skew():
+@pytest.mark.parametrize("background", [False, True])
+def test_rebalance_once_moves_hot_shard_under_live_skew(background):
     """The live metrics-driven path: skewed traffic populates the
-    per-shard counters, and one ``rebalance_once`` pass migrates load
-    off the hottest node."""
+    per-shard counters, and one ``rebalance_once`` pass -- driven
+    explicitly, or by the ``rebalance_interval`` background loop --
+    migrates load off the hottest node."""
     seed = SEEDS[0]
-    cluster, _ = build(seed)
+    cluster, _ = build(seed, rebalance_interval=1e-3 if background else None)
     shard_map = cluster.directory
     cluster.config.sharding.min_samples = 16
     # Pin all the traffic on two loaded shards of one node, so the hot
@@ -392,16 +400,23 @@ def test_rebalance_once_moves_hot_shard_under_live_skew():
     drive(cluster, plan)
     assert sum(cluster.metrics.shard_loads.values()) >= 16
 
-    done = None
+    if background:
+        # The constructor started the loop: it planned alongside the
+        # traffic, once per period.
+        cluster.stop_healing()
+        cluster.run()
+        assert cluster.metrics.counters["rebalance_rounds"] > 1
+    else:
+        done = None
 
-    def driver():
-        nonlocal done
-        done = yield from cluster.rebalancer.rebalance_once()
+        def driver():
+            nonlocal done
+            done = yield from cluster.rebalancer.rebalance_once()
 
-    cluster.spawn(driver(), name="rebalance")
-    cluster.run()
-    assert done == 1
-    assert cluster.metrics.shard_migrations == 1
+        cluster.spawn(driver(), name="rebalance")
+        cluster.run()
+        assert done == 1
+    assert cluster.metrics.counters["shard_migrations"] == 1
     shard, src, dst = cluster.rebalancer.migrations[0]
     assert src == hot_owner, "the hottest node must shed the shard"
     assert shard_map.owner_of(shard) == dst

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.transaction import Transaction
 from repro.metrics import MetricsRecorder, RunningStat
+from repro.metrics.stats import COUNTERS
 from repro.sim import Simulator
 
 
@@ -88,11 +89,23 @@ def test_window_excludes_events_outside():
     metrics.on_ro_read(gap=1, first_contact=True)
     metrics.on_antidep_collected(5)
     metrics.on_read_stall(0.1)
+    metrics.on_vas_inspected(2)
+    metrics.on_rollback(make_txn())
     assert metrics.commits == 0
     assert metrics.aborts == 0
     assert metrics.ro_reads == 0
     assert metrics.antidep_collected.count == 0
     assert metrics.read_stalls == 0
+    assert metrics.vas_inspected.count == 0
+    assert metrics.rollbacks == 0
+    # The run-wide registry is never window-gated -- neither directly
+    # nor through ``on_abort``'s timeout accounting.
+    metrics.count("lease_expirations")
+    metrics.count("versions_reclaimed", 7)
+    metrics.on_abort(make_txn(), "rpc_timeout")
+    assert metrics.counters["lease_expirations"] == 1
+    assert metrics.summary()["versions_reclaimed"] == 7
+    assert metrics.counters["aborted_timeout"] == 1 and metrics.aborts == 0
 
     sim.call_at(1.5, lambda: metrics.on_commit(make_txn(), 0.1, 1))
     sim.run()
@@ -124,16 +137,47 @@ def test_freshness_accounting():
     assert metrics.ro_read_gap.mean == pytest.approx(1.0)
 
 
-def test_summary_contains_all_sections():
-    sim = Simulator()
-    metrics = MetricsRecorder(sim)
-    summary = metrics.summary()
-    for key in (
-        "commits", "aborts", "abort_rate", "throughput", "latency",
-        "antidep_collected", "vas_inspected", "ro_read_gap",
-        "stale_read_fraction", "read_stalls", "read_stall_time",
-    ):
-        assert key in summary, key
+#: ``summary()``'s keys as of PR 14, in order: reports, the ledger and
+#: ``scripts/`` read them by name, so the registry must not rename,
+#: drop or reorder one.
+SUMMARY_KEYS = (
+    "commits", "aborts", "rollbacks", "abort_rate", "throughput",
+    "aborts_by_reason", "abort_hot_keys", "attempts_per_commit",
+    "commits_by_profile", "latency", "ro_latency", "update_latency",
+    "ro_latency_percentiles", "update_latency_percentiles",
+    "antidep_collected", "vas_inspected", "ro_read_gap",
+    "stale_read_fraction", "first_contact_reads", "first_contact_fresh",
+    "read_stalls", "read_stall_time", "versions_reclaimed",
+    "aborted_timeout", "lease_expirations", "recoveries",
+    "wal_records_replayed", "indoubt_recovered", "indoubt_committed",
+    "indoubt_aborted", "catchup_advances", "heartbeats_sent",
+    "heartbeats_suppressed", "suspicions_raised", "suspicions_cleared",
+    "anti_entropy_rounds", "records_streamed", "checkpoints_taken",
+    "wal_records_truncated", "wal_syncs", "wal_records_synced",
+    "snapshot_offers", "snapshot_rejected", "snapshot_chunks",
+    "snapshot_chains", "snapshots_shipped", "snapshot_installs",
+    "snapshot_abandoned", "views_committed", "joins_bootstrapped",
+    "drains_completed", "stale_width_messages", "shard_migrations",
+    "shard_migration_keys", "shard_migrations_failed", "rebalance_rounds",
+    "replication_records_streamed", "replication_lag_max",
+    "replication_sync_degraded", "backup_reads_served",
+    "backup_reads_forwarded", "failovers_completed", "backup_bootstraps",
+)
+
+
+def test_summary_keys_are_frozen():
+    summary = MetricsRecorder(Simulator()).summary()
+    assert len(SUMMARY_KEYS) == 63
+    assert tuple(summary) == SUMMARY_KEYS
+    assert tuple(COUNTERS) == SUMMARY_KEYS[22:]
+    assert all(summary[name] == 0 for name in COUNTERS)
+
+
+def test_count_of_an_undeclared_counter_raises():
+    metrics = MetricsRecorder(Simulator())
+    with pytest.raises(KeyError):
+        metrics.count("lease_expiration")  # typo: not a new counter
+    assert set(metrics.counters) == set(COUNTERS)
 
 
 def test_zero_rates_without_samples():

@@ -169,8 +169,8 @@ def test_commit_replicates_to_all_backups():
         assert len(reference) == 2  # loaded baseline + one commit
         for backup_id in cluster.replication.backups_for_key(key):
             assert chain_tuples(cluster.node(backup_id), key) == reference
-    assert cluster.metrics.replication_records_streamed > 0
-    assert cluster.metrics.replication_sync_degraded == 0
+    assert cluster.metrics.counters["replication_records_streamed"] > 0
+    assert cluster.metrics.counters["replication_sync_degraded"] == 0
 
 
 def test_stream_applies_in_submission_order():
@@ -201,7 +201,7 @@ def test_failover_preserves_committed_writes():
 
     cluster.network.crash(victim)
     cluster.run(until=cluster.sim.now + 0.1)
-    assert cluster.metrics.failovers_completed >= len(owned)
+    assert cluster.metrics.counters["failovers_completed"] >= len(owned)
     assert not cluster.directory.shards_of(victim)
 
     reads = run_plan(
@@ -238,7 +238,7 @@ def test_replication_factor_one_runs_standalone():
     copy of every shard commits without any stream traffic."""
     cluster = build(factor=1)
     bump_all(cluster)
-    assert cluster.metrics.replication_records_streamed == 0
+    assert cluster.metrics.counters["replication_records_streamed"] == 0
     assert cluster.replication.placement == {
         shard: () for shard in range(NUM_SHARDS)
     }
@@ -257,10 +257,10 @@ def test_backup_serves_read_only_snapshots():
     )
     assert all(ok and values == [1] for ok, values in reads)
     metrics = cluster.metrics
-    assert metrics.backup_reads_served > 0
+    assert metrics.counters["backup_reads_served"] > 0
     # Served + forwarded both keep the PSI answer identical; non-RO
     # traffic never routes to backups at all.
-    assert metrics.backup_reads_forwarded >= 0
+    assert metrics.counters["backup_reads_forwarded"] >= 0
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.faults import Nemesis
 from repro.faults.schedules import CRASH_DURABLE, RESTART, FaultEvent
 from repro.healing.detector import ALIVE
 from repro.net.message import MessageType
-from repro.replication.shard import _AckLatch
+from repro.replication.shard import RETRY_INTERVAL, _AckLatch
 
 NUM_KEYS = 12
 REPLICATE = MessageType.REPLICATE
@@ -150,20 +150,20 @@ def test_no_clock_only_records_without_backup_reads():
     assert kinds["prepare"] and kinds["decision"] and kinds["apply"]
     assert replicate_count(cluster) <= 6 * updates
     assert max(peak.values()) == 1
-    assert cluster.metrics.replication_sync_degraded == 0
+    assert cluster.metrics.counters["replication_sync_degraded"] == 0
     assert cluster.network.stats.rpc_timeouts == 0
 
 
 def test_backup_reads_keep_the_coalesced_frontier_feed():
     cluster = build(read_from_backups=True)
     _, kinds, peak, frontier_only = run_mixed_traffic(cluster)
-    assert cluster.metrics.backup_reads_served > 0
+    assert cluster.metrics.counters["backup_reads_served"] > 0
     assert kinds["frontier"] > 0
     # One batch in flight per stream, and whatever frontier updates pile
     # up behind it coalesce into the single trailing record.
     assert max(peak.values()) == 1
     assert set(frontier_only) == {1}
-    assert cluster.metrics.replication_sync_degraded == 0
+    assert cluster.metrics.counters["replication_sync_degraded"] == 0
 
 
 @pytest.mark.parametrize("backup_reads", [True, False])
@@ -236,7 +236,7 @@ def test_sync_wait_over_several_streams_wakes_once():
         stream.acked == 1 and not stream.waiters
         for stream in rep.streams.values()
     )
-    assert cluster.metrics.replication_sync_degraded == 0
+    assert cluster.metrics.counters["replication_sync_degraded"] == 0
     assert not live_timers(cluster, _AckLatch.expire)
 
 
@@ -249,7 +249,7 @@ def test_sync_timeout_degrades_once_and_names_the_pending_backups():
     sync_timeout = cluster.config.replication.sync_timeout
     assert report["wakeups"] == 1
     assert report["done_at"] == pytest.approx(sync_timeout)
-    assert cluster.metrics.replication_sync_degraded == 1
+    assert cluster.metrics.counters["replication_sync_degraded"] == 1
     (record,) = cluster.tracer.of_kind("replication_degraded")
     assert record.node == 0 and record.details["backups"] == (2,)
     # The record stays queued for retransmission; only the wait is gone.
@@ -274,7 +274,7 @@ def test_closing_stream_releases_the_waiter_before_the_timeout(release):
     assert report["wakeups"] == 1
     assert report["done_at"] < 3e-3
     assert cluster.node(0).replication.streams[2].closed
-    assert cluster.metrics.replication_sync_degraded == 0
+    assert cluster.metrics.counters["replication_sync_degraded"] == 0
     assert not live_timers(cluster, _AckLatch.expire)
 
 
@@ -295,7 +295,7 @@ def test_acked_waits_leave_no_timer_behind():
     assert cluster.sim.now < 1.0
     assert not live_timers(cluster, _AckLatch.expire)
     assert cluster.sim.pending_count < 256
-    assert cluster.metrics.replication_sync_degraded == 0
+    assert cluster.metrics.counters["replication_sync_degraded"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_lost_ack_retransmits_the_unacked_suffix_and_backup_dedups():
     stream_apply(cluster, 0, key, 2)  # rides the retransmission
     assert replicate_count(cluster) == 1
     cluster.network.heal_all()
-    retry = cluster.config.replication.retry_interval
+    retry = RETRY_INTERVAL
     cluster.run(until=2 * retry + 5e-4)
     assert cluster.network.stats.rpc_timeouts == 1
     assert replicate_count(cluster) == 2  # [1, 2] in one batch
@@ -357,7 +357,7 @@ def test_timed_out_batch_strikes_the_detector_under_a_global_timeout():
     assert cluster.node(0).node.rpc.detector is detector
     cut(cluster, 0, backup)
     stream_apply(cluster, 0, key, 1)
-    retry = cluster.config.replication.retry_interval
+    retry = RETRY_INTERVAL
     # Deadline (a strike) + pause per attempt; two strikes make a suspect.
     cluster.run(until=4 * retry + 5e-4)
     assert cluster.network.stats.rpc_timeouts == 2

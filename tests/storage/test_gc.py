@@ -76,7 +76,7 @@ def test_gc_bounds_chain_length_under_churn():
     chain = cluster.node(1).store.chain("hot")
     assert chain.latest.value == 149
     assert len(chain) <= 8, f"chain should stay bounded, got {len(chain)}"
-    assert cluster.metrics.versions_reclaimed > 100
+    assert cluster.metrics.counters["versions_reclaimed"] > 100
 
 
 def test_gc_disabled_keeps_everything():
@@ -90,7 +90,7 @@ def test_gc_disabled_keeps_everything():
     cluster.spawn(churn(60))
     cluster.run()
     assert len(cluster.node(1).store.chain("hot")) == 61
-    assert cluster.metrics.versions_reclaimed == 0
+    assert cluster.metrics.counters["versions_reclaimed"] == 0
 
 
 def test_gc_preserves_correctness_under_concurrent_readers():
@@ -122,5 +122,5 @@ def test_gc_preserves_correctness_under_concurrent_readers():
     cluster.spawn(churn(120))
     cluster.spawn(reader())
     cluster.run()
-    assert cluster.metrics.versions_reclaimed > 0
+    assert cluster.metrics.counters["versions_reclaimed"] > 0
     assert check_no_read_skew(cluster.finalized_history()).ok
