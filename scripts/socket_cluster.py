@@ -67,6 +67,9 @@ def main(argv=None) -> int:
         print(json.dumps({"ok": False, "error": str(exc)}))
         return 1
     summary["ok"] = True
+    summary["counters"] = {
+        name: value for name, value in summary["counters"].items() if value
+    }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

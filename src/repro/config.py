@@ -435,18 +435,23 @@ class DurabilityConfig(ConfigSerde):
     #: default, and the historical behaviour) makes every append durable
     #: the instant it is written -- durability is free.  ``> 0`` switches
     #: the WAL into buffered mode: appends land in a volatile buffer and
-    #: become durable only when a sync covering them completes, commit
+    #: become durable only when a sync covering them completes (one
+    #: sync at a time, each covering the whole tail at its start), commit
     #: acknowledgements wait for the group holding their Decision record,
     #: and a crash loses the unsynced suffix (exactly the unacked tail).
     fsync_latency: float = 0.0
-    #: Group-commit window (virtual seconds).  With ``fsync_latency > 0``
-    #: and a zero window every record pays its own serialized sync
-    #: (per-record durability).  A positive window batches all records
-    #: buffered within it into one sync -- the classic group commit.
+    #: Inert.  The WAL's group commit is disk-paced (a sync starts when
+    #: the disk is free; see ``repro.storage.group_commit``), so nothing
+    #: reads this former timer delay.  It is still accepted because the
+    #: frozen ``benchmarks/ledger/registry.py`` passes it; delete it once
+    #: that argument is dropped (ROADMAP, ledger v2 item (e)).
     group_commit_window: float = 0.0
-    #: Early-flush threshold: a group's sync starts as soon as this many
-    #: records are buffered, even before the window elapses.
-    group_commit_max_records: int = 64
+
+    def __post_init__(self) -> None:
+        if self.fsync_latency < 0:
+            raise ValueError("fsync_latency must be non-negative")
+        if self.group_commit_window < 0:
+            raise ValueError("group_commit_window must be non-negative")
 
 
 @dataclass

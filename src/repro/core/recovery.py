@@ -65,7 +65,6 @@ class NodeRecovery:
         node.fence.raise_node()
         records = node.wal.records()
         node.wal.unfreeze()
-        node.flusher.on_recovery()
         result = replay(
             records, max(node.shared.num_nodes, node.node_id + 1)
         )

@@ -154,7 +154,12 @@ COUNTERS: Dict[str, str] = {
     "wal_syncs": "completed WAL syncs",
     "wal_records_synced": (
         "records those syncs made durable (group commit: records synced per "
-        "sync is the achieved batch size; 1.0 means per-record durability)"
+        "sync is the achieved batch size)"
+    ),
+    "wal_waits": "ensure_durable calls that blocked on a covering sync",
+    "wal_wait_time": (
+        "virtual seconds those calls spent blocked (divided by wal_waits: "
+        "the mean wait per forced write)"
     ),
     # Checkpoint snapshot transfer.
     "snapshot_offers": "checkpoint offers made by this node as sender",

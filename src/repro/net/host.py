@@ -24,7 +24,8 @@ Phase protocol (JSON lines; child stdout is reserved for it):
    drain grace (so peers' in-flight transactions finish against it).
 3. child -> ``{"event": "done", ...counters}``
 4. parent -> ``{"cmd": "report"}``; child -> one report line carrying
-   its committed-transaction records and version catalog.
+   its committed-transaction records, version catalog and the counters
+   of its ``MetricsRecorder`` (the parent sums them).
 5. parent -> ``{"cmd": "exit"}``; child closes its transport and exits.
 
 Cross-process invariants that make the merge sound:
@@ -152,6 +153,7 @@ class NodeHost:
         while sim.now < stop_time:
             read_only = rng.random() < 0.5
             pair = rng.sample(keys, 2)
+            started = sim.now
             txn = node.begin(is_read_only=read_only)
             try:
                 if read_only:
@@ -166,6 +168,7 @@ class NodeHost:
                 ok = False
             if ok:
                 self.committed += 1
+                self.shared.metrics.on_commit(txn, sim.now - started, 1)
             else:
                 self.aborted += 1
 
@@ -221,6 +224,10 @@ class NodeHost:
             "aborted": self.aborted,
             "records": records,
             "catalog": catalog,
+            "counters": {
+                "commits": self.shared.metrics.commits,
+                **self.shared.metrics.counters,
+            },
             "stats": {
                 "messages_sent": self.transport.stats.messages_sent,
                 "messages_dropped": self.transport.stats.messages_dropped,
@@ -449,6 +456,13 @@ def launch_cluster(
         "loaded": sum(d["loaded"] for d in done),
         "history_records": len(history),
         "messages_sent": sum(r["stats"]["messages_sent"] for r in reports),
+        # Every child's recorder, summed (the one maximum stays one).
+        "counters": {
+            name: (max if name.endswith("_max") else sum)(
+                r["counters"][name] for r in reports
+            )
+            for name in reports[0]["counters"]
+        },
         "exit_codes": exit_codes,
         "checks": "skipped",
     }

@@ -19,8 +19,8 @@ from repro.storage.wal import store_fingerprint
 class TracePoint:
     """A one-shot action fired at the n-th matching trace emit.
 
-    Matching is by trace ``kind`` plus optional emitting ``node`` and
-    ``txn`` detail.  The tracer only notifies listeners for *enabled*
+    Matching is by trace ``kind`` plus optional emitting ``node``,
+    ``txn`` detail and ``when(record)`` predicate.  The tracer only notifies listeners for *enabled*
     kinds (hot protocol paths skip disabled emits entirely), so the
     hooked kind is enabled here on the caller's behalf.
     """
@@ -34,6 +34,7 @@ class TracePoint:
         node: Optional[int] = None,
         txn: Optional[int] = None,
         count: int = 1,
+        when: Optional[Callable] = None,
     ) -> None:
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -42,6 +43,7 @@ class TracePoint:
         self.action = action
         self.node = node
         self.txn = txn
+        self.when = when
         self.remaining = count
         self.fired_at: Optional[float] = None
         self.record = None
@@ -58,6 +60,8 @@ class TracePoint:
         if self.node is not None and record.node != self.node:
             return
         if self.txn is not None and record.details.get("txn") != self.txn:
+            return
+        if self.when is not None and not self.when(record):
             return
         self.remaining -= 1
         if self.remaining:

@@ -118,13 +118,20 @@ def test_group_commit_and_adaptive_batching_fields_default_off():
     durability = DurabilityConfig()
     assert durability.fsync_latency == 0.0
     assert durability.group_commit_window == 0.0
-    assert durability.group_commit_max_records > 0
     assert BatchingConfig().adaptive is False
     round_tripped = DurabilityConfig.from_dict(
         {"fsync_latency": 1e-4, "group_commit_window": 2e-4}
     )
     assert round_tripped.fsync_latency == 1e-4
     assert round_tripped.group_commit_window == 2e-4
+    # The deleted early-flush knob is an unknown key now, and the two
+    # surviving fields are validated.
+    with pytest.raises(ValueError):
+        DurabilityConfig.from_dict({"group_commit_max_records": 8})
+    with pytest.raises(ValueError):
+        DurabilityConfig(fsync_latency=-1e-6)
+    with pytest.raises(ValueError):
+        DurabilityConfig(group_commit_window=-1e-6)
 
 
 def test_replication_defaults_off_and_overlays():
@@ -255,7 +262,6 @@ cluster_configs = st.builds(
         termination_query=st.booleans(),
         fsync_latency=small_floats,
         group_commit_window=small_floats,
-        group_commit_max_records=st.integers(1, 256),
     ),
     healing=healing_configs,
     sharding=sharding_configs,

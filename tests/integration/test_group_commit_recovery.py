@@ -23,6 +23,7 @@ from repro.faults import CRASH_DURABLE, FaultEvent, Nemesis
 from repro.metrics import check_no_read_skew, check_site_order
 from repro.net.rpc import RpcTimeoutError
 from repro.sim.rng import make_rng
+from repro.storage.wal import ApplyRecord, DecisionRecord, PropagateRecord
 
 from tests.harness.recovery_tools import (
     TracePoint,
@@ -37,7 +38,7 @@ VICTIM = 2
 pytestmark = pytest.mark.recovery
 
 
-def build(protocol, seed, *, group_commit_window):
+def build(protocol, seed):
     config = ClusterConfig(
         num_nodes=NUM_NODES,
         seed=seed,
@@ -49,8 +50,6 @@ def build(protocol, seed, *, group_commit_window):
             wal_enabled=True,
             termination_query=True,
             fsync_latency=50e-6,
-            group_commit_window=group_commit_window,
-            group_commit_max_records=32,
         ),
         network=NetworkConfig(
             jitter=5e-6,
@@ -95,32 +94,42 @@ def client(cluster, node_id, client_id, committed, *, txns=30):
         yield cluster.sim.timeout(rng.uniform(0, 100e-6))
 
 
-def run_crash_scenario(protocol, *, group_commit_window, sync_count, seed=47):
-    """Crash the victim at its ``sync_count``-th wal_sync start, restart
-    it mid-run, and drive the workload to completion.
+def sync_group(wal, record):
+    """The records a starting sync (its ``wal_sync`` trace) covers."""
+    pending = record.details["pending"]
+    start = record.details["cover"] - pending - wal.truncated
+    return wal.records()[start:start + pending]
+
+
+def run_crash_scenario(protocol, *, sync_count, when=None, seed=47):
+    """Crash the victim at the start of its ``sync_count``-th wal_sync
+    (of those satisfying ``when(group)``), restart it mid-run, and drive
+    the workload to completion.
 
     Returns ``(cluster, committed, loss_snapshot)`` where the snapshot
     captures the victim's exact volatile suffix at the crash instant.
     """
-    cluster, nemesis = build(
-        protocol, seed, group_commit_window=group_commit_window
-    )
+    cluster, nemesis = build(protocol, seed)
     victim = cluster.nodes[VICTIM]
     snapshot = {}
 
-    def crash_action(_record):
+    def crash_action(record):
         # Captured before the fault applies: the volatile suffix the
         # freeze is about to drop.
         snapshot["expected_loss"] = victim.wal.tail_lsn - victim.wal.durable_lsn
         snapshot["durable_lsn"] = victim.wal.durable_lsn
+        snapshot["group"] = sync_group(victim.wal, record)
         nemesis.apply(FaultEvent(cluster.sim.now, CRASH_DURABLE, VICTIM))
 
     point = TracePoint(
-        cluster, "wal_sync", crash_action, node=VICTIM, count=sync_count
+        cluster, "wal_sync", crash_action, node=VICTIM, count=sync_count,
+        when=when and (lambda record: when(sync_group(victim.wal, record))),
     )
 
     def restarter():
         while not point.fired:
+            if cluster.sim.now > 1.0:
+                return  # workload long over; the assert below reports it
             yield cluster.sim.timeout(500e-6)
         yield cluster.sim.timeout(2e-3)
         restart(cluster, nemesis, VICTIM)
@@ -138,9 +147,7 @@ def run_crash_scenario(protocol, *, group_commit_window, sync_count, seed=47):
 
 @pytest.mark.parametrize("protocol", ("fwkv", "walter"))
 def test_crash_between_buffer_and_flush_loses_exact_suffix(protocol):
-    cluster, committed, snapshot = run_crash_scenario(
-        protocol, group_commit_window=200e-6, sync_count=25
-    )
+    cluster, committed, snapshot = run_crash_scenario(protocol, sync_count=25)
     victim = cluster.nodes[VICTIM]
 
     # The freeze dropped exactly the records past durable_lsn -- no
@@ -172,16 +179,31 @@ def test_crash_between_buffer_and_flush_loses_exact_suffix(protocol):
     assert all(clock == clocks[0] for clock in clocks)
 
 
-def test_crash_under_per_record_durability_loses_exact_suffix():
-    # window == 0: the naive one-record-per-sync regime must satisfy the
-    # same contract (the suffix past durable_lsn is exactly what dies).
+def _mixes_forced_and_lazy(group):
+    kinds = {type(record) for record in group}
+    return DecisionRecord in kinds and bool(
+        kinds & {ApplyRecord, PropagateRecord}
+    )
+
+
+def test_crash_at_a_sync_mixing_a_forced_decision_with_lazy_records():
+    # A second crash point: the group on its way to disk holds a Decision
+    # record its coordinator is blocked on *and* Apply/Propagate records
+    # nobody waits for.  All of it dies; the decision was never
+    # acknowledged, so its loss is presumed abort, not a lost commit.
     cluster, committed, snapshot = run_crash_scenario(
-        "fwkv", group_commit_window=0.0, sync_count=40
+        "fwkv", sync_count=2, when=_mixes_forced_and_lazy
     )
     victim = cluster.nodes[VICTIM]
-    assert snapshot["expected_loss"] >= 1
+    assert _mixes_forced_and_lazy(snapshot["group"])
+    assert snapshot["expected_loss"] >= len(snapshot["group"]) >= 2
     assert victim.wal.lost_on_crash == snapshot["expected_loss"]
     assert victim.wal.durable_lsn == victim.wal.tail_lsn
+    lost_decisions = {
+        record.txn_id for record in snapshot["group"]
+        if isinstance(record, DecisionRecord)
+    }
+    assert lost_decisions and not lost_decisions & set(committed)
     assert_no_lost_commits(cluster, committed)
     clocks = cluster.site_clocks()
     assert all(clock == clocks[0] for clock in clocks)

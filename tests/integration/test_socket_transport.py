@@ -144,6 +144,8 @@ def test_multiprocess_cluster_commits_and_passes_oracles():
     assert summary["committed"] > 0
     assert summary["exit_codes"] == [0, 0, 0]
     assert summary["history_records"] > 0
+    # The children's recorders reach the parent, summed.
+    assert summary["counters"]["commits"] == summary["committed"]
 
 
 def test_multiprocess_cluster_requires_socket_transport():
