@@ -367,7 +367,7 @@ class ReplicationConfig(ConfigSerde):
     deterministically placed backups; ``sync`` mode defers prepare
     votes and commit acknowledgements to backup acknowledgment, and a
     ``failover_timeout`` arms the cluster-level
-    :class:`repro.replication.shard.FailoverDriver` that promotes the
+    :class:`repro.replication.failover.FailoverDriver` that promotes the
     freshest backup of a dead primary behind the shard fence machinery.
     """
 

@@ -242,7 +242,7 @@ def failover_schedule(
     The canonical replication scenario (docs/replication.md): a
     network-level crash of a shard primary leaves its replication
     streams silent, the accrual detectors at a majority of live peers
-    classify it dead, and the :class:`~repro.replication.shard.
+    classify it dead, and the :class:`~repro.replication.failover.
     FailoverDriver` promotes the freshest backup of every shard it
     owned.  With ``down_for`` the node restarts that much later -- a
     deposed primary rejoins retired, its shards stay with their

@@ -24,12 +24,8 @@ Scope notes, mirroring the paper's:
   no acknowledged commit lost and its keys readable throughout.
 """
 
-from repro.replication.shard import (
-    ClusterReplication,
-    FailoverDriver,
-    NodeReplication,
-    backups_for_shard,
-)
+from repro.replication.failover import FailoverDriver, backups_for_shard
+from repro.replication.shard import ClusterReplication, NodeReplication
 
 __all__ = [
     "ClusterReplication",

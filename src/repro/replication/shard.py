@@ -27,10 +27,10 @@ record (both bounded by ``sync_timeout``; on expiry the commit
 over redundancy, counted in ``replication_sync_degraded``).  ``async``
 mode never waits and only tracks the per-backup replicated frontier.
 
-Failover is driven by :class:`FailoverDriver`: when a majority of live
-armed failure detectors classify a shard owner dead, the freshest
-backup (highest applied stream sequence) is promoted behind the
-membership fence -- staged prepares resolve through the decision log
+Failover is driven by :class:`~repro.replication.failover.
+FailoverDriver`: when a majority of live armed failure detectors
+classify a shard owner dead, the freshest backup (highest applied
+stream sequence) is promoted behind the membership fence -- staged prepares resolve through the decision log
 (or a TXN_STATUS query), the dead coordinator's decisions are
 re-announced, the shard-map entries flip, and the surviving backups are
 re-bootstrapped.  Racing prepares park on the fence and re-prepare
@@ -45,13 +45,10 @@ forwarded to the primary (soundness argument: ``docs/replication.md``).
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.cluster.handoff import fenced_handoff
 from repro.config import ReplicationConfig
-from repro.core.repair import decision_table, reannounce
-from repro.core.transaction import PreparedTxn
-from repro.core.vector_clock import VectorClock, covers
+from repro.core.vector_clock import covers
 from repro.core.walter.visibility import select_walter_version
 from repro.core.wire import (
     DecideBody,
@@ -60,11 +57,11 @@ from repro.core.wire import (
     ReplicateAckBody,
     ReplicateBody,
     ReplicationEntry,
-    VoteBody,
 )
 from repro.net.message import MessageType
 from repro.replication.backup import BackupState
-from repro.sim import Event, PeriodicLoop
+from repro.replication.failover import FailoverDriver, backups_for_shard
+from repro.sim import Event
 from repro.storage.wal import ReplicationRecord
 
 #: Stream records per REPLICATE message (flow control).
@@ -72,35 +69,6 @@ BATCH_RECORDS = 16
 #: Reply deadline of one REPLICATE batch, and the pump's further pause
 #: before it retransmits an unacknowledged one.
 RETRY_INTERVAL = 1e-3
-
-
-def backups_for_shard(
-    shard_map,
-    shard: int,
-    factor: int,
-    down: Optional[Set[int]] = None,
-    keep: Sequence[int] = (),
-) -> Tuple[int, ...]:
-    """The deterministic backup set for one shard.
-
-    ``keep`` (a failover's live surviving backups) comes first; the rest
-    are the member ids minus the shard's owner and any ``down`` sites, in
-    sorted order rotated by the shard index -- so backup load spreads
-    evenly across the cluster and the placement is a pure function of
-    the directory (any node, or a test, can recompute it without
-    coordination).  Returns at most ``factor - 1`` backups; a cluster
-    smaller than the replication factor simply gets every other live
-    member.
-    """
-    owner = shard_map.owner_of(shard)
-    excluded = down if down is not None else ()
-    candidates = sorted(
-        n for n in shard_map.node_ids
-        if n != owner and n not in excluded and n not in keep
-    )
-    rotation = shard % len(candidates) if candidates else 0
-    rotated = candidates[rotation:] + candidates[:rotation]
-    return tuple((list(keep) + rotated)[: max(0, factor - 1)])
 
 
 class _AckLatch(Event):
@@ -745,375 +713,3 @@ class ClusterReplication:
 
     def stop(self) -> None:
         self.driver.stop()
-
-
-class FailoverDriver:
-    """Detector-driven promotion of backups over dead shard owners.
-
-    Runs as a cluster-level background loop when ``failover_timeout`` is
-    set.  Each scan asks the *live* nodes' armed accrual detectors for
-    a majority verdict on every shard owner -- a node partitioned away
-    sees everyone dead, but cannot out-vote the connected majority, so
-    a pairwise partition never triggers a spurious failover.  A dead
-    owner's shards are promoted to the freshest live backup of each
-    (highest applied stream sequence, ties to the lowest id), and the
-    scan also repairs broken streams by re-bootstrapping restarted
-    backups from their primaries.
-    """
-
-    def __init__(self, rep: ClusterReplication) -> None:
-        self.rep = rep
-        self.cluster = rep.cluster
-        self.sim = rep.sim
-        self.config = rep.config
-        self.metrics = rep.metrics
-        self.tracer = rep.tracer
-        timeout = self.config.failover_timeout
-        self._loop = PeriodicLoop(
-            self.sim, None if timeout is None else timeout / 2, self._scan,
-            "failover-driver",
-        )
-
-    def start(self) -> None:
-        self._loop.start()
-
-    def stop(self) -> None:
-        self._loop.stop()
-
-    # ------------------------------------------------------------------
-    # Scan
-    # ------------------------------------------------------------------
-    def _live(self, node_id: int) -> bool:
-        return not self.rep.is_excluded(node_id)
-
-    def _majority_dead(self, target: int) -> bool:
-        """Do a majority of live armed detectors classify ``target`` dead?
-
-        Crashed voters are excluded (their silent detectors would see
-        everyone dead); so are deposed and removed sites.  With no
-        armed detectors anywhere the answer is always False -- failover
-        requires the healing layer's detector to be configured.
-        """
-        votes = 0
-        voters = 0
-        for node in self.cluster.nodes:
-            node_id = node.node_id
-            if node_id == target or not self._live(node_id):
-                continue
-            healing = node.healing
-            if not healing.armed:
-                continue
-            voters += 1
-            if healing.detector.is_dead(target):
-                votes += 1
-        return voters > 0 and votes * 2 > voters
-
-    def _scan(self):
-        rep = self.rep
-        for primary in list(rep.shard_map.node_ids):
-            if primary in self.cluster._removed:
-                continue
-            if not rep.shard_map.shards_of(primary):
-                continue
-            # A site already deposed but still owning shards is a
-            # partially-failed promotion (its successor crashed
-            # mid-promotion): retry until every shard flips.
-            if primary in rep.down or self._majority_dead(primary):
-                yield from self.fail_over(primary)
-        yield from self._repair_backups()
-
-    # ------------------------------------------------------------------
-    # Failover
-    # ------------------------------------------------------------------
-    def fail_over(self, dead: int):
-        """Depose ``dead`` and promote the freshest backup per shard."""
-        rep = self.rep
-        nodes = self.cluster.nodes
-        first = dead not in rep.down
-        rep.down.add(dead)
-        rep.version += 1
-        nodes[dead].replication.retire()
-        if first and self.tracer._enabled:
-            self.tracer.emit(dead, "failover_start", shards=len(rep.shard_map.shards_of(dead)))
-        shards = rep.shard_map.shards_of(dead)
-        by_successor: Dict[int, List[int]] = {}
-        orphaned: List[int] = []
-        for shard in shards:
-            live_backups = [
-                b for b in rep.placement.get(shard, ()) if self._live(b)
-            ]
-            if not live_backups:
-                orphaned.append(shard)
-                continue
-            successor = max(
-                live_backups,
-                key=lambda b: (nodes[b].replication.applied_from(dead), -b),
-            )
-            by_successor.setdefault(successor, []).append(shard)
-        promoted = 0
-        for successor in sorted(by_successor):
-            done = yield from self._promote(
-                dead, successor, by_successor[successor]
-            )
-            if done:
-                promoted += len(by_successor[successor])
-        if promoted and not rep.shard_map.shards_of(dead):
-            # The deposed site owns nothing anymore: refuse any
-            # straggling stream traffic from it, everywhere.
-            for node in nodes:
-                if node.node_id != dead:
-                    node.replication.close_backup_state(dead)
-            self.metrics.count("failovers_completed", promoted)
-            if self.tracer._enabled:
-                self.tracer.emit(
-                    dead, "failover_complete", shards=promoted,
-                )
-        if orphaned and self.tracer._enabled:
-            self.tracer.emit(dead, "failover_orphaned", shards=tuple(orphaned))
-
-    def _promote(self, dead: int, successor: int, shards: List[int]):
-        """Promote ``successor`` to own ``shards`` of the dead primary.
-
-        Behind the key fence: (1) resolve every staged prepare through
-        the replicated decision log, a TXN_STATUS query to its live
-        coordinator, or -- when the coordinator is unreachable --
-        a transplant into the prepared table so the re-announced Decide
-        or the termination protocol finishes the job; (2) re-announce
-        the dead coordinator's decisions (a contiguous seq prefix, in
-        order) to every live peer, unwedging participants that would
-        otherwise presume abort and advancing ``siteVC[dead]``
-        everywhere; (3) flip the shard-map entries.  Afterwards the
-        shard's backup set is recomputed and re-bootstrapped from the
-        new primary.
-        """
-        rep = self.rep
-        cluster = self.cluster
-        shard_map = rep.shard_map
-        successor_node = cluster.nodes[successor]
-        incarnation = successor_node._incarnation
-        shard_set = set(shards)
-        shard_of = shard_map.shard_of
-        state = successor_node.replication.backup_state.get(dead)
-        staged: List = []
-        decisions: List = []
-        if state is not None and not state.closed:
-            # Stream order for staged installs: per-key conflicts were
-            # lock-serialized at the dead primary, so prepare-stream
-            # order is install order.  Decisions re-announce in commit
-            # (seq_no) order for the in-order apply rule.
-            staged = sorted(state.staged.values(), key=lambda e: e.seq)
-            decisions = sorted(state.decisions.values(), key=lambda e: e.seq_no)
-        keys = {
-            key for key in successor_node.store.keys()
-            if shard_of(key) in shard_set
-        }
-        for entry in staged:
-            keys.update(
-                key for key, _value in entry.writes
-                if shard_of(key) in shard_set
-            )
-        keys = sorted(keys, key=repr)
-        successor_node.fence.raise_keys(keys)
-        flipped = False
-        installed = 0
-        try:
-            for entry in staged:
-                writes = tuple(
-                    (key, value) for key, value in entry.writes
-                    if shard_of(key) in shard_set
-                )
-                if not writes:
-                    continue
-                resolved = None
-                decision = state.decisions.get(entry.txn_id)
-                if decision is not None:
-                    resolved = decision
-                elif entry.coordinator == dead:
-                    # The dead primary coordinated it and logged no
-                    # decision on this stream: by decision-before-
-                    # Decide, no participant installed it.  Presumed
-                    # abort is exact, not a guess.
-                    resolved = False
-                elif self._live(entry.coordinator):
-                    resolved = yield from successor_node.in_doubt.outcome(
-                        entry.txn_id, entry.coordinator
-                    )
-                    if (
-                        successor_node._incarnation != incarnation
-                        or not self._live(successor)
-                    ):
-                        return False
-                if resolved is False:
-                    continue
-                if resolved is None:
-                    # Coordinator unreachable (it may be mid-failover
-                    # itself): park the writes in the prepared table --
-                    # no locks held -- so its successor's re-announced
-                    # Decide, or the termination query, resolves them.
-                    self._transplant_staged(successor_node, entry, writes)
-                    continue
-                vc = VectorClock(resolved.commit_vc)
-                for key, value in writes:
-                    if not self._has_version(
-                        successor_node, key, resolved.origin, resolved.seq_no
-                    ):
-                        successor_node.store.install(
-                            key,
-                            value,
-                            vc.copy(),
-                            origin=resolved.origin,
-                            seq=resolved.seq_no,
-                            writer_txn=entry.txn_id,
-                            installed_at=self.sim.now,
-                        )
-                        installed += 1
-            # Nobody knows how far each peer got on the dead origin, so
-            # every live peer hears the whole decision prefix, in commit
-            # order for the in-order apply rule.
-            if decisions:
-                below = decisions[0].seq_no - 1
-                reannounce(
-                    successor_node,
-                    decision_table(dead, decisions),
-                    {
-                        node.node_id: below for node in cluster.nodes
-                        if self._live(node.node_id)
-                    },
-                    decisions[-1].seq_no,
-                )
-            if state is not None:
-                state.staged.clear()
-            # Cutover: flip each shard's owner entry under the fence.
-            for shard in shards:
-                shard_map.assign(shard, successor)
-            flipped = True
-        finally:
-            successor_node.fence.lower_keys(keys)
-        if not flipped:
-            return False
-        if self.tracer._enabled:
-            self.tracer.emit(
-                successor, "failover_promoted", dead=dead,
-                shards=tuple(shards), staged_installed=installed,
-                decisions=len(decisions),
-            )
-        # Recompute the flipped shards' backup sets (keep live
-        # survivors, top up deterministically) and re-bootstrap each
-        # from the new primary -- a verbatim re-ship also restarts the
-        # record streams from a clean, provably consistent point.
-        down = {n for n in shard_map.node_ids if not self._live(n)}
-        for shard in shards:
-            survivors = [
-                b for b in rep.placement.get(shard, ())
-                if b != successor and self._live(b)
-            ]
-            rep.placement[shard] = backups_for_shard(
-                shard_map, shard, self.config.replication_factor, down,
-                keep=survivors,
-            )
-        rep.version += 1
-        backups = sorted(
-            {b for shard in shards for b in rep.placement[shard]}
-        )
-        for backup in backups:
-            backed = [s for s in shards if backup in rep.placement[s]]
-            yield from self._bootstrap_backup(successor, backup, backed)
-        return True
-
-    @staticmethod
-    def _has_version(node, key: Hashable, origin: int, seq_no: int) -> bool:
-        if key not in node.store:
-            return False
-        for version in node.store.chain(key).newest_first():
-            if version.origin == origin and version.seq == seq_no:
-                return True
-            if version.origin == origin and version.seq < seq_no:
-                break
-        return False
-
-    def _transplant_staged(self, node, entry, writes) -> None:
-        """Park unresolved staged writes in the node's prepared table."""
-        if entry.txn_id in node._prepared:
-            return
-        transplanted = PreparedTxn(
-            dict(writes),
-            [],  # no locks: the dead primary's locks died with it
-            VoteBody(True),
-            entry.coordinator,
-            round=entry.round,
-        )
-        node._stage(entry.txn_id, transplanted)
-
-    # ------------------------------------------------------------------
-    # Backup repair / bootstrap
-    # ------------------------------------------------------------------
-    def _repair_backups(self):
-        """Re-bootstrap live backups whose streams closed.
-
-        A stream closes when its backup crashed or restarted with lost
-        stream state; once both ends are live again, a verbatim re-ship
-        from the primary resumes replication from a consistent point.
-        """
-        rep = self.rep
-        for node in self.cluster.nodes:
-            node_rep = node.replication
-            if node_rep._retired or not self._live(node.node_id):
-                continue
-            for backup, stream in list(node_rep.streams.items()):
-                if not stream.closed or not self._live(backup):
-                    continue
-                shards = [
-                    shard
-                    for shard in rep.shard_map.shards_of(node.node_id)
-                    if backup in rep.placement.get(shard, ())
-                ]
-                if not shards:
-                    continue
-                yield from self._bootstrap_backup(node.node_id, backup, shards)
-
-    def _bootstrap_backup(
-        self, primary_id: int, backup_id: int, shards: List[int]
-    ):
-        """Verbatim-ship ``shards`` to a backup and restart its stream.
-
-        A fenced handoff without the ownership flip: chains are stable
-        for the transfer, and the stream restarts -- with its frontier
-        snapshot -- before the unfence, so every backed version at or
-        below that frontier is provably in the shipped chains.
-        """
-        cluster = self.cluster
-        if not self._live(primary_id) or not self._live(backup_id):
-            return False
-        primary = cluster.nodes[primary_id]
-        shard_map = self.rep.shard_map
-        shard_set = set(shards)
-        keys = sorted(
-            (
-                key for key in primary.store.keys()
-                if shard_map.shard_of(key) in shard_set
-            ),
-            key=repr,
-        )
-
-        def restart_stream():
-            if not self._live(backup_id):
-                return False
-            primary.replication.reset_stream(backup_id)
-            cluster.nodes[backup_id].replication.adopt_stream(
-                primary_id,
-                applied=primary.replication.streams[backup_id].acked,
-                frontier=primary.site_vc.to_tuple(),
-            )
-
-        shipped = yield from fenced_handoff(
-            primary, {backup_id: keys}, act=restart_stream
-        )
-        if not shipped:
-            return False
-        self.metrics.count("backup_bootstraps")
-        if self.tracer._enabled:
-            self.tracer.emit(
-                primary_id, "backup_bootstrap", backup=backup_id,
-                shards=tuple(shards), keys=len(keys),
-            )
-        return True
