@@ -363,9 +363,11 @@ class ReplicationConfig(ConfigSerde):
     Off by default: a cluster without ``enabled`` has exactly one copy
     of every shard and pays nothing for this subsystem.  Enabled (which
     requires ``ShardingConfig.enabled``), every shard's owner streams
-    its prepare/decision/apply records to ``replication_factor - 1``
-    deterministically placed backups; ``sync`` mode defers prepare
-    votes and commit acknowledgements to backup acknowledgment, and a
+    its prepare/apply records to ``replication_factor - 1``
+    deterministically placed backups, and each commit decision it makes
+    as coordinator to as many *decision homes* (plus the backups of the
+    own shards that commit wrote); ``sync`` mode defers prepare votes
+    and commit acknowledgements to backup acknowledgment, and a
     ``failover_timeout`` arms the cluster-level
     :class:`repro.replication.failover.FailoverDriver` that promotes the
     freshest backup of a dead primary behind the shard fence machinery.

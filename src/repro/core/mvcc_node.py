@@ -559,14 +559,14 @@ class MVCCNode(BaseProtocolNode):
                         # unacknowledged commit simply vanishes.
                         return self._aborted(txn, AbortReason.NODE_CRASHED)
             if self.replication is not None:
-                # Stream the decision record to every backup before any
-                # Decide (or the client acknowledgement) leaves the node;
-                # sync mode waits for the acks, bounded by sync_timeout.
-                # Mirrors the WAL's decision-before-Decide rule: a backup
-                # promoted after our crash re-announces exactly the
-                # decisions whose Decides might have been lost.
+                # Stream the decision record (to our decision homes and the
+                # backups of the own shards written) before any Decide or
+                # the client acknowledgement leaves the node; sync mode
+                # waits for the acks, bounded by sync_timeout.  As with the
+                # WAL: promotion re-announces what a lost Decide carried.
                 yield from self.replication.replicate_decision(
-                    txn.txn_id, txn.seq_no, decide.commit_vc, decide.collected
+                    txn.txn_id, txn.seq_no, decide.commit_vc, decide.collected,
+                    by_site.get(self.node_id, ()),
                 )
         for site in sorted(participant_sites | {self.node_id} if outcome else participant_sites):
             self.node.send(site, MessageType.DECIDE, decide)

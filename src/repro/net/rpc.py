@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.config import RpcConfig
 from repro.net.message import Envelope, MessageType
 from repro.net.transport import Endpoint, Transport
-from repro.sim import Event, Simulator
+from repro.sim import Event, Simulator, Timer
 from repro.sim.rng import make_rng
 
 
@@ -113,6 +113,9 @@ class RpcEndpoint(Endpoint):
         self.config = config if config is not None else network.config.rpc
         self._next_request_id = 0
         self._pending: Dict[int, Event] = {}
+        #: request id -> timer of a pending ``request(deadline=)``; the
+        #: reply, if it comes first, cancels it in :meth:`handle_reply`.
+        self._deadlines: Dict[int, Timer] = {}
         # Retry backoff jitter; derived per node so endpoints stay
         # independent of each other and of the network's own streams.
         self._rng = make_rng(network.seed, "rpc", node_id)
@@ -137,23 +140,23 @@ class RpcEndpoint(Endpoint):
         seconds) bounds the wait: the pending slot is retired, an attached
         failure detector is struck as for any timed-out attempt, and the
         event *fails* with :class:`RpcTimeoutError`, so a reply arriving
-        later is dropped as stale.  Socket-backend callers should always
-        pass one -- a real peer can be gone without any simulator crash
-        bookkeeping to tell the caller so.
+        later is dropped as stale; a reply arriving first cancels the
+        deadline in place, costing no scheduler event.  Socket-backend
+        callers should always pass one -- a real peer can be gone without
+        any simulator crash bookkeeping to tell the caller so.
         """
         request_id, event = self._send_request(dst, msg_type, body)
         if deadline is not None:
-            timer = self.sim.call_later(
+            self._deadlines[request_id] = self.sim.call_later(
                 deadline, self._expire_request, request_id, dst, msg_type
             )
-            event.add_callback(lambda _event: timer.cancel())
         return event
 
     def _expire_request(self, request_id: int, dst: int, msg_type: str) -> None:
-        """Deadline hit: retire the slot and fail the waiting event."""
-        event = self._pending.pop(request_id, None)
-        if event is None:
-            return  # the reply won; its callback cancels this timer
+        """Deadline hit: retire the slot and fail the waiting event (an
+        answered request never gets here: its reply cancelled the timer)."""
+        del self._deadlines[request_id]
+        event = self._pending.pop(request_id)
         self.network.stats.rpc_timeouts += 1
         if self.detector is not None:
             self.detector.on_rpc_timeout(dst)
@@ -285,6 +288,10 @@ class RpcEndpoint(Endpoint):
         if event is None:
             self.network.stats.stale_replies += 1
             return
+        if self._deadlines:
+            timer = self._deadlines.pop(reply.request_id, None)
+            if timer is not None:
+                timer.cancel()
         event.succeed(reply.body)
 
     @staticmethod
@@ -296,3 +303,8 @@ class RpcEndpoint(Endpoint):
     def pending_count(self) -> int:
         """Requests awaiting replies (leak probe for tests)."""
         return len(self._pending)
+
+    @property
+    def deadline_count(self) -> int:
+        """Armed request deadlines (leak probe for tests)."""
+        return len(self._deadlines)

@@ -1,14 +1,9 @@
-"""Detector-driven failover for the replication substrate.
-
-:class:`FailoverDriver` is the cluster-level loop behind
-``ReplicationConfig.failover_timeout``: majority attestation of a dead
+"""Detector-driven failover for the replication substrate
+(``docs/replication.md``, "Failover"): majority attestation of a dead
 shard owner, promotion of the freshest backup per shard behind the key
-fence, and re-bootstrap of backups whose streams closed
-(``docs/replication.md``, "Failover").  :func:`backups_for_shard`, the
-deterministic placement rule, lives here because both the driver and
-:class:`~repro.replication.shard.ClusterReplication` (which seeds the
-placement table and constructs the driver) need it, and this module
-imports nothing from ``repro.replication.shard``.
+fence, re-bootstrap of backups whose streams closed.  Imports nothing
+from ``repro.replication.shard``, which imports this module; the
+placement rule both need, :func:`backups_for_shard`, lives here.
 """
 
 from __future__ import annotations
@@ -155,10 +150,20 @@ class FailoverDriver:
                 key=lambda b: (nodes[b].replication.applied_from(dead), -b),
             )
             by_successor.setdefault(successor, []).append(shard)
+        # What ``dead`` decided, merged once from wherever it kept it:
+        # its decision homes, past and present, and own-shard backups.
+        decisions: Dict[int, object] = {}
+        for node in nodes:
+            if self._live(node.node_id):
+                state = node.replication.backup_state.get(dead)
+                if state is not None and not state.closed:
+                    decisions.update(state.decisions)
         promoted = 0
         for successor in sorted(by_successor):
+            # The first successor promoted re-announces for all of them.
             done = yield from self._promote(
-                dead, successor, by_successor[successor]
+                dead, successor, by_successor[successor], decisions,
+                announce=not promoted,
             )
             if done:
                 promoted += len(by_successor[successor])
@@ -176,20 +181,24 @@ class FailoverDriver:
         if orphaned and self.tracer._enabled:
             self.tracer.emit(dead, "failover_orphaned", shards=tuple(orphaned))
 
-    def _promote(self, dead: int, successor: int, shards: List[int]):
+    def _promote(
+        self, dead: int, successor: int, shards: List[int],
+        decisions: Dict[int, object], announce: bool,
+    ):
         """Promote ``successor`` to own ``shards`` of the dead primary.
 
         Behind the key fence: (1) resolve every staged prepare through
-        the replicated decision log, a TXN_STATUS query to its live
-        coordinator, or -- when the coordinator is unreachable --
-        a transplant into the prepared table so the re-announced Decide
-        or the termination protocol finishes the job; (2) re-announce
-        the dead coordinator's decisions (a contiguous seq prefix, in
-        order) to every live peer, unwedging participants that would
-        otherwise presume abort and advancing ``siteVC[dead]``
-        everywhere; (3) flip the shard-map entries.  Afterwards the
-        shard's backup set is recomputed and re-bootstrapped from the
-        new primary.
+        ``decisions`` (the dead primary's replicated decision log,
+        ``txn_id -> entry``, merged from every live node), a TXN_STATUS
+        query to its live coordinator, or -- when the coordinator is
+        unreachable -- a transplant into the prepared table so the
+        re-announced Decide or the termination protocol finishes the
+        job; (2) if told to ``announce`` (one successor per failover
+        is), re-announce those decisions in commit order to every live
+        peer, unwedging participants that would otherwise presume abort
+        and advancing ``siteVC[dead]`` everywhere; (3) flip the
+        shard-map entries.  Afterwards the shard's backup set is
+        recomputed and re-bootstrapped from the new primary.
         """
         rep = self.rep
         cluster = self.cluster
@@ -200,14 +209,11 @@ class FailoverDriver:
         shard_of = shard_map.shard_of
         state = successor_node.replication.backup_state.get(dead)
         staged: List = []
-        decisions: List = []
         if state is not None and not state.closed:
             # Stream order for staged installs: per-key conflicts were
             # lock-serialized at the dead primary, so prepare-stream
-            # order is install order.  Decisions re-announce in commit
-            # (seq_no) order for the in-order apply rule.
+            # order is install order.
             staged = sorted(state.staged.values(), key=lambda e: e.seq)
-            decisions = sorted(state.decisions.values(), key=lambda e: e.seq_no)
         keys = {
             key for key in successor_node.store.keys()
             if shard_of(key) in shard_set
@@ -229,17 +235,15 @@ class FailoverDriver:
                 )
                 if not writes:
                     continue
-                resolved = None
-                decision = state.decisions.get(entry.txn_id)
-                if decision is not None:
-                    resolved = decision
-                elif entry.coordinator == dead:
-                    # The dead primary coordinated it and logged no
-                    # decision on this stream: by decision-before-
-                    # Decide, no participant installed it.  Presumed
+                resolved = decisions.get(entry.txn_id)
+                if resolved is None and entry.coordinator == dead:
+                    # The dead primary coordinated it and no live node
+                    # holds its decision -- not even this stream, which
+                    # carries it behind the prepare.  A Decide waits for
+                    # all its decision's targets, so none left: presumed
                     # abort is exact, not a guess.
                     resolved = False
-                elif self._live(entry.coordinator):
+                elif resolved is None and self._live(entry.coordinator):
                     resolved = yield from successor_node.in_doubt.outcome(
                         entry.txn_id, entry.coordinator
                     )
@@ -273,18 +277,19 @@ class FailoverDriver:
                         )
                         installed += 1
             # Nobody knows how far each peer got on the dead origin, so
-            # every live peer hears the whole decision prefix, in commit
-            # order for the in-order apply rule.
-            if decisions:
-                below = decisions[0].seq_no - 1
+            # every live peer hears every merged decision, once, in
+            # commit order for the in-order apply rule.
+            if announce and decisions:
+                table = decision_table(dead, decisions.values())
+                below = min(table) - 1
                 reannounce(
                     successor_node,
-                    decision_table(dead, decisions),
+                    table,
                     {
                         node.node_id: below for node in cluster.nodes
                         if self._live(node.node_id)
                     },
-                    decisions[-1].seq_no,
+                    max(table),
                 )
             if state is not None:
                 state.staged.clear()
@@ -300,7 +305,7 @@ class FailoverDriver:
             self.tracer.emit(
                 successor, "failover_promoted", dead=dead,
                 shards=tuple(shards), staged_installed=installed,
-                decisions=len(decisions),
+                decisions=len(decisions) if announce else 0,
             )
         # Recompute the flipped shards' backup sets (keep live
         # survivors, top up deterministically) and re-bootstrap each

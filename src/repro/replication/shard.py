@@ -11,30 +11,30 @@ them over per-(primary, backup) FIFO streams (``docs/replication.md``).
 The stream carries five record kinds (:class:`~repro.core.wire.
 ReplicationEntry`): ``prepare`` stages an in-flight 2PC participant's
 writes, ``abort`` drops a staged entry, ``decision`` records a commit
-this primary coordinated, ``apply`` installs a commit's versions
-verbatim, and ``frontier`` is a clock-only freshness update (coalesced
-in the outbox; enqueued only under ``read_from_backups``, whose frozen
-reads are its one consumer).  Acknowledgements are cumulative -- the
-backup applies strictly in sequence order and replies with its applied
-high-water mark -- so an unacknowledged suffix simply retransmits after
-a partition or a lost reply, and duplicates are dropped by sequence.
+this primary coordinated -- on its *decision homes* and the backups of
+the own shards written, not on every stream
+(:meth:`NodeReplication._decision_targets`) -- ``apply`` installs a
+commit's versions verbatim, and ``frontier`` is a clock-only freshness
+update (coalesced in the outbox; enqueued only under
+``read_from_backups``, whose frozen reads are its one consumer).
+Acknowledgements are cumulative -- the backup applies strictly in
+sequence order and replies with its applied high-water mark -- so an
+unacknowledged suffix simply retransmits after a partition or a lost
+reply, and duplicates are dropped by sequence.
 
 In ``sync`` mode the primary defers its externally visible effects on
 the stream acks: a participant's yes-vote waits for the ``prepare``
-record, the coordinator's commit acknowledgement for the ``decision``
-record (both bounded by ``sync_timeout``; on expiry the commit
-*degrades* to asynchronous replication and proceeds -- availability
-over redundancy, counted in ``replication_sync_degraded``).  ``async``
-mode never waits and only tracks the per-backup replicated frontier.
+record, the coordinator's commit acknowledgement and every Decide for
+the ``decision`` record on all of its targets (both bounded by
+``sync_timeout``; on expiry the commit *degrades* to asynchronous
+replication and proceeds -- availability over redundancy, counted in
+``replication_sync_degraded``).  ``async`` mode never waits and only
+tracks the per-backup replicated frontier.
 
-Failover is driven by :class:`~repro.replication.failover.
-FailoverDriver`: when a majority of live armed failure detectors
-classify a shard owner dead, the freshest backup (highest applied
-stream sequence) is promoted behind the membership fence -- staged prepares resolve through the decision log
-(or a TXN_STATUS query), the dead coordinator's decisions are
-re-announced, the shard-map entries flip, and the surviving backups are
-re-bootstrapped.  Racing prepares park on the fence and re-prepare
-against the new owner, so a failover costs round trips, never aborts.
+Failover (:mod:`repro.replication.failover`) promotes the freshest
+backup of each shard of a dead owner; staged prepares resolve against
+the dead coordinator's decisions merged from every live node, which one
+successor re-announces once.
 
 Read-forwarding (``read_from_backups``) lets backups serve *frozen*
 read-only requests Walter-style, but only when the backup's replicated
@@ -158,18 +158,37 @@ class NodeReplication:
     # Placement
     # ------------------------------------------------------------------
     def _all_backups(self) -> Tuple[int, ...]:
-        """Every backup of every shard this node currently owns."""
+        """Every live backup of every shard this node currently owns, in
+        the order met walking its shards upwards: a pure function of
+        ``(placement, shards_of(node), down)``."""
         rep = self.cluster_rep
         key = (rep.shard_map.epoch, rep.version)
         if self._backup_cache_key != key:
-            backups: Set[int] = set()
-            for shard in rep.shard_map.shards_of(self.node_id):
-                backups.update(rep.placement.get(shard, ()))
-            backups.discard(self.node_id)
-            backups.difference_update(rep.down)
-            self._backup_cache = tuple(sorted(backups))
+            self._backup_cache = tuple(dict.fromkeys(
+                backup
+                for shard in rep.shard_map.shards_of(self.node_id)
+                for backup in rep.placement.get(shard, ())
+                if backup != self.node_id and backup not in rep.down
+            ))
             self._backup_cache_key = key
         return self._backup_cache
+
+    def _decision_targets(self, writes=()) -> Tuple[int, ...]:
+        """Where a commit coordinated here logs its ``decision``: this
+        node's *decision homes* -- the first ``replication_factor - 1``
+        of :meth:`_all_backups`, so the backups of its lowest-numbered
+        shard, a later shard's where those are down -- plus the backups
+        of each own shard among ``writes``.  Those streams staged the
+        self-coordinated ``prepare``; holding the ``decision`` behind it
+        is what keeps a promotion's presumed abort exact."""
+        live = self._all_backups()
+        homes = live[: self.config.replication_factor - 1]
+        if not writes:
+            return homes
+        targets = set(homes)
+        for key in writes:
+            targets.update(self.cluster_rep.backups_for_key(key))
+        return tuple(backup for backup in live if backup in targets)
 
     # ------------------------------------------------------------------
     # Primary side: enqueue + pump
@@ -365,15 +384,19 @@ class NodeReplication:
             round=round_no,
         )
 
-    def replicate_decision(self, txn_id: int, seq_no: int, commit_vc, collected):
+    def replicate_decision(
+        self, txn_id: int, seq_no: int, commit_vc, collected, writes=()
+    ):
         """Stream a coordinator's commit decision; sync-gate the ack.
 
-        Decision records go to *every* stream this node keeps (not just
-        the written keys' backups): the promotion protocol re-announces
-        them, so each backup must hold the contiguous decision prefix.
+        The record goes to :meth:`_decision_targets` (``writes``: the
+        commit's keys at this site), not to every stream: promotion
+        merges a dead origin's decisions from every live node, so no
+        one backup needs the prefix.  The acknowledgement and every
+        Decide wait for all of the targets.
         """
         targets: List[Tuple[ReplicationStream, int]] = []
-        for backup in self._all_backups():
+        for backup in self._decision_targets(writes):
             seq = self._enqueue(
                 backup,
                 "decision",
@@ -583,10 +606,14 @@ class NodeReplication:
     def adopt_stream(
         self, primary: int, applied: int, frontier: Optional[Tuple[int, ...]]
     ) -> None:
-        """Install fresh backup-side state after a verbatim bootstrap."""
-        self.backup_state[primary] = BackupState(
-            applied=applied, frontier=frontier
-        )
+        """Install fresh backup-side state after a verbatim bootstrap.
+        Decisions already held carry over: a re-bootstrapped decision
+        home still answers for them when ``primary`` fails over."""
+        state = BackupState(applied=applied, frontier=frontier)
+        old = self.backup_state.get(primary)
+        if old is not None:
+            state.decisions = old.decisions
+        self.backup_state[primary] = state
 
     def on_recovered(self, replayed: Dict[int, BackupState]) -> None:
         """Durable-crash restart: the volatile stream state died.

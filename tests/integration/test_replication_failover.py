@@ -19,7 +19,14 @@ pair under the PSI checkers:
   writable and readable throughout;
 * read-forwarding stays freshness-safe across a failover: backup-served
   reads keep flowing while the dead owner's shards promote, with every
-  PSI checker green.
+  PSI checker green;
+* a *coordinator* crashed between its decision record's acknowledgement
+  and the delivery of any Decide (the stream contract S1-S3 of DESIGN.md
+  5.10): the decision sits on ``rf - 1`` decision homes plus the backups
+  of the own shards written, promotion merges it from whichever live
+  nodes hold it and re-announces it once -- remote-only writeset, own
+  shard backed by a non-home, the home re-bootstrapped or replaced
+  between two commits, and rf=3 losing the coordinator with one home.
 
 Fingerprints compare the *authoritative* state -- every key's chain at
 its current directory owner -- because failover intentionally moves
@@ -34,6 +41,7 @@ a matrix without editing the file.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -55,6 +63,7 @@ from repro.faults.schedules import (
     ordered,
 )
 from repro.metrics import check_no_read_skew, find_long_forks
+from repro.net.message import MessageType
 from repro.sim.rng import make_rng
 
 from tests.harness.recovery_tools import TracePoint
@@ -531,4 +540,197 @@ def run_forwarded_reads(seed, *, crash):
 def test_forwarded_reads_survive_failover(seed):
     faulty = run_forwarded_reads(seed, crash=True)
     control = run_forwarded_reads(seed, crash=False)
+    assert faulty == control
+
+
+# ----------------------------------------------------------------------
+# Coordinator crashed after its decision's ack, before any Decide lands
+# ----------------------------------------------------------------------
+#: On five nodes at rf=2: owns shards 3 and 8, backed by nodes 4 (its
+#: decision home) and 0 -- and node 0, which holds none of its remote-only
+#: decisions, is the successor that promotes first and re-announces.
+COORDINATOR = 3
+
+
+def keys_at(cluster, node_id):
+    return [k for k in all_keys() if cluster.directory.site(k) == node_id]
+
+
+def watch_decides(cluster, nemesis, victims):
+    """Tap every Decide of ``COORDINATOR``'s commits at send time.
+
+    Once armed (``report["armed"] = True``), the first commit Decide the
+    coordinator hands to the network crashes ``victims`` on the spot --
+    its decision record is acknowledged, no Decide is ever delivered --
+    and records who held what at that instant.  Decides of its commits
+    sent by anyone else are a failover's re-announcement; the tap counts
+    them per ``(seq_no, peer)``.
+    """
+    report = {"armed": False, "reannounced": Counter()}
+
+    def held(table, txn_id):
+        return [
+            node.node_id for node in cluster.nodes
+            if node.node_id not in victims
+            and COORDINATOR in node.replication.backup_state
+            and txn_id in getattr(
+                node.replication.backup_state[COORDINATOR], table
+            )
+        ]
+
+    def tap(envelope):
+        body = envelope.payload
+        if (
+            envelope.msg_type != MessageType.DECIDE
+            or body.origin != COORDINATOR
+            or not body.outcome
+        ):
+            return 0.0
+        if envelope.src != COORDINATOR:
+            report["reannounced"][(body.seq_no, envelope.dst)] += 1
+        elif report["armed"]:
+            report["armed"] = False
+            report["seq_no"] = body.seq_no
+            report["decided_at"] = held("decisions", body.txn_id)
+            report["staged_at"] = held("staged", body.txn_id)
+            for victim in victims:
+                nemesis.apply(FaultEvent(cluster.sim.now, CRASH, victim))
+        return 0.0
+
+    cluster.network.delay_policy = tap
+    return report
+
+
+def run_coordinator_crash(
+    seed, *, crash, factor=2, own_shard=False, home_change=None,
+    with_home=False,
+):
+    """``COORDINATOR`` commits and dies before any Decide is delivered.
+
+    ``own_shard`` adds to the remote write an own key whose shard is
+    backed by a node that is *not* a decision home.  ``home_change``
+    disturbs the first home between the warm-up commits and the fatal
+    one: ``"crash_cycle"`` flaps it across a re-bootstrap of its stream,
+    ``"fail_over"`` kills it for good so the home moves (rf=3: at rf=2
+    the home is the lowest shard's only backup, and losing it and then
+    the owner loses the shard).  ``with_home`` takes the first home down
+    together with the coordinator.  The control run (``crash=False``)
+    takes the same plan with no fault.
+    """
+    cluster, nemesis = build(seed, num_nodes=5, factor=factor)
+    rep = cluster.node(COORDINATOR).replication
+    homes = rep._decision_targets()
+    first_home = homes[0]
+    assert len(homes) == factor - 1 < len(rep._all_backups())
+    victims = {COORDINATOR, first_home} if with_home else {COORDINATOR}
+    # Never crashed, so they coordinate the traffic around the faults.
+    survivors = [
+        n for n in range(5) if n != COORDINATOR and n not in homes
+    ][:2]
+    # The fatal commit's keys: two remote participants that outlive it,
+    # or one and an own key whose shard a non-home backs.
+    own_keys = keys_at(cluster, COORDINATOR)
+    fatal = [
+        keys_at(cluster, n)[0] for n in range(5)
+        if n not in victims and n != first_home and keys_at(cluster, n)
+    ][:2]
+    if own_shard:
+        fatal[0], backup = next(
+            (k, b) for k in own_keys
+            for b in cluster.replication.backups_for_key(k) if b not in homes
+        )
+    report = watch_decides(cluster, nemesis, victims)
+    rng = make_rng(seed, "replication-coordinator-crash")
+    committed = {}
+
+    # Warm-up: the coordinator decides a few commits the ordinary way.
+    drive(cluster, rmw_plan(rng, [COORDINATOR] + survivors, 6), committed)
+
+    if home_change is not None:
+        if crash and home_change == "crash_cycle":
+            nemesis.start(crash_cycle(first_home, cluster.sim.now, 2e-3))
+        elif crash:
+            nemesis.apply(FaultEvent(cluster.sim.now, CRASH, first_home))
+        # Writes to the coordinator's keys the home backs: its stream
+        # meets the dead home and closes, for repair to re-bootstrap.
+        backed = [
+            k for k in own_keys
+            if first_home in cluster.replication.backups_for_key(k)
+        ]
+        plan = [(survivors[i % 2], [backed[i % len(backed)]]) for i in range(4)]
+        drive(cluster, plan, committed, budget=0.1)
+        settle(cluster, 50e-3)
+        if crash and home_change == "crash_cycle":
+            assert cluster.metrics.counters["backup_bootstraps"] >= 1
+            assert rep._decision_targets() == homes
+        elif crash:
+            assert not cluster.directory.shards_of(first_home)
+            assert first_home not in rep._decision_targets()
+            assert len(rep._decision_targets()) == factor - 1
+        homes = rep._decision_targets()
+
+    expected = set(homes) - victims
+    if own_shard:
+        expected.add(backup)
+    report["armed"] = crash
+    drive(cluster, [(COORDINATOR, fatal)], committed)  # acknowledged
+    settle(cluster, 50e-3)
+    drive(cluster, rmw_plan(rng, survivors, 6), committed, budget=0.2)
+    settle(cluster)
+
+    metrics = cluster.metrics
+    if crash:
+        seq_no = report["seq_no"]
+        for victim in victims:
+            assert not cluster.directory.shards_of(victim)
+        # S2/S3: acknowledged means decided on every target, and the
+        # targets are the homes plus the written own shard's backups --
+        # S1: the stream that staged the prepare holds the decision.
+        assert set(report["decided_at"]) == expected
+        assert report["staged_at"] == ([backup] if own_shard else [])
+        # One failover, one announcement: every live peer hears every
+        # merged decision exactly once, the fatal one included.
+        live = {
+            n.node_id for n in cluster.nodes
+            if not cluster.replication.is_excluded(n.node_id)
+        }
+        reannounced = report["reannounced"]
+        assert set(reannounced.values()) == {1}, reannounced
+        assert {peer for _seq, peer in reannounced} == live
+        # ... and a live home -- re-bootstrapped, or one of two that
+        # outlived the other -- answers for the whole prefix.
+        seqs = {seq for seq, _peer in reannounced}
+        assert seqs == set(range(1, seq_no + 1))
+        for node in cluster.nodes:
+            if node.node_id in live:
+                assert node.site_vc[COORDINATOR] == seq_no
+    assert metrics.aborts == 0, dict(metrics.aborts_by_reason)
+    assert_no_lost_commits(cluster, committed)
+    dead = victims | ({first_home} if home_change == "fail_over" else set())
+    assert_backups_verbatim(cluster, skip=dead if crash else ())
+    return authoritative_fingerprint(cluster)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {},  # (a) remote-only writeset
+        {"own_shard": True},  # (b) own shard backed by a non-home
+        {"home_change": "crash_cycle"},  # (c) home re-bootstrapped ...
+        {"home_change": "fail_over", "factor": 3},  # ... or replaced
+        {"with_home": True, "factor": 3},  # (d) one of two homes dies too
+    ],
+    ids=[
+        "remote_only", "own_shard", "home_crash_cycled", "home_replaced_rf3",
+        "home_dies_too_rf3",
+    ],
+)
+def test_coordinator_crash_before_any_decide_loses_nothing(seed, scenario):
+    """The decision is on its homes, not on every stream -- and that is
+    enough: zero acknowledged commits lost, participants install,
+    uninvolved peers advance ``siteVC[dead]``, nothing presumed aborted
+    that any live node holds decided, each Decide re-announced once."""
+    faulty = run_coordinator_crash(seed, crash=True, **scenario)
+    control = run_coordinator_crash(seed, crash=False, **scenario)
     assert faulty == control

@@ -291,12 +291,15 @@ def test_request_deadline_fails_event_and_retires_slot():
     assert exc.msg_type == "Void"
     assert finished == pytest.approx(1e-3)
     assert client.rpc.pending_count == 0
+    assert client.rpc.deadline_count == 0
     assert client.rpc.network.stats.rpc_timeouts == 1
     assert strikes == [1]  # a timed-out attempt is detector evidence
 
 
 def test_late_reply_after_request_deadline_is_stale():
     sim, client, server = build_pair()
+    strikes = []
+    client.rpc.detector = SimpleNamespace(on_rpc_timeout=strikes.append)
 
     def handle(envelope):
         yield sim.timeout(5e-3)
@@ -313,25 +316,30 @@ def test_late_reply_after_request_deadline_is_stale():
 
     assert sim.run_process(proc()) == "timed-out"
     sim.run()
+    # The deadline won: it struck the detector and retired the slot, so
+    # the reply that follows finds nothing to resolve or to cancel.
+    assert strikes == [1]
     assert client.rpc.network.stats.stale_replies == 1
     assert client.rpc.pending_count == 0
+    assert client.rpc.deadline_count == 0
 
 
 def test_reply_within_deadline_cancels_the_timer():
     sim, client, server = build_pair()
-
-    def handle(envelope):
-        server.rpc.reply(envelope, "pong")
-
-    server.on("Ping", handle)
-
-    def proc():
-        reply = yield client.rpc.request(1, "Ping", None, deadline=1.0)
-        return reply
-
-    assert sim.run_process(proc()) == "pong"
+    server.on("Ping", lambda envelope: server.rpc.reply(envelope, "pong"))
+    seen = []
+    event = client.rpc.request(1, "Ping", None, deadline=1.0)
+    event.add_callback(seen.append)
+    assert client.rpc.deadline_count == 1
+    sim.run()
+    # Request delivery, reply delivery, the caller's one callback: the
+    # cancellation rides the reply's dispatch, not an event of its own.
+    assert sim.executed_count == 3
+    assert seen == [event] and event.value == "pong"
     # The deadline timer must not linger: quiescence is reached at the
-    # reply, not a virtual second later.
+    # reply, not a virtual second later, with nothing left armed.
     assert sim.now < 1.0
+    assert sim.pending_count == 0
     assert client.rpc.network.stats.rpc_timeouts == 0
     assert client.rpc.pending_count == 0
+    assert client.rpc.deadline_count == 0

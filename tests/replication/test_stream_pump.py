@@ -10,6 +10,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Cluster,
@@ -92,7 +94,12 @@ def live_timers(cluster, fn):
 # ----------------------------------------------------------------------
 def run_mixed_traffic(cluster, count=60):
     """Serialized 2-key transactions, every third read-only; returns the
-    update-commit count and a tap's view of the REPLICATE traffic."""
+    update-commit count and a tap's view of the REPLICATE traffic.
+    ``kinds`` also carries two sums over the update commits, taken at
+    each coordinator: ``"decision budget"`` (``rf - 1`` homes plus the
+    ``rf - 1`` backups of each own shard written) and ``"every stream"``
+    (``len(_all_backups())``, what a decision cost before it was
+    scoped)."""
     kinds = Counter()
     in_flight = Counter()
     peak = Counter()
@@ -131,6 +138,14 @@ def run_mixed_traffic(cluster, count=60):
                 for key, value in zip(chosen, values):
                     node.write(txn, key, value + 1)
                 updates[0] += 1
+                directory = cluster.directory
+                own_shards = {
+                    directory.shard_of(key) for key in chosen
+                    if directory.site(key) == node.node_id
+                }
+                copies = cluster.config.replication.replication_factor - 1
+                kinds["decision budget"] += copies * (1 + len(own_shards))
+                kinds["every stream"] += len(node.replication._all_backups())
             assert (yield from node.commit(txn))
             yield cluster.sim.timeout(2e-4)
 
@@ -142,8 +157,8 @@ def test_no_clock_only_records_without_backup_reads():
     """``BackupState.frontier`` has no reader with ``read_from_backups``
     off, so no frontier record is enqueued, and a 2-key update commit
     costs at most 6 REPLICATE messages on 3 nodes: prepare and apply to
-    the <= 2 written shards' backups, decision to the coordinator's 2
-    streams."""
+    the <= 2 written shards' backups, decision to the coordinator's home
+    and the backups of the own shards it wrote (<= 2 streams here)."""
     cluster = build(read_from_backups=False)
     updates, kinds, peak, _ = run_mixed_traffic(cluster)
     assert kinds["frontier"] == 0
@@ -152,6 +167,77 @@ def test_no_clock_only_records_without_backup_reads():
     assert max(peak.values()) == 1
     assert cluster.metrics.counters["replication_sync_degraded"] == 0
     assert cluster.network.stats.rpc_timeouts == 0
+
+
+@pytest.mark.parametrize("factor", [2, 3])
+def test_decision_records_go_to_homes_and_written_own_shards(factor):
+    """On five nodes a coordinator keeps 2-4 streams; its ``decision``
+    record goes to ``rf - 1`` of them plus the backups of the own shards
+    the commit wrote, not to all."""
+    cluster = build(num_nodes=5, factor=factor)
+    updates, kinds, _, _ = run_mixed_traffic(cluster)
+    assert updates * (factor - 1) <= kinds["decision"]
+    assert kinds["decision"] <= kinds["decision budget"] < kinds["every stream"]
+    assert cluster.metrics.counters["replication_sync_degraded"] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_nodes=st.integers(3, 8),
+    num_shards=st.integers(4, 64),
+    factor=st.integers(2, 3),
+    data=st.data(),
+)
+def test_decision_targets_are_homes_plus_written_own_shards(
+    num_nodes, num_shards, factor, data
+):
+    """The placement rule against a model written out longhand: the
+    targets are the first ``rf - 1`` live backups met walking the
+    coordinator's shards in order, plus every backup that staged the
+    commit's self-coordinated ``prepare`` -- a function of ``(placement,
+    shards_of(node), down, written keys)`` and of nothing else."""
+    cluster = Cluster("fwkv", ClusterConfig(
+        num_nodes=num_nodes,
+        sharding=ShardingConfig(enabled=True, num_shards=num_shards),
+        replication=ReplicationConfig(enabled=True, replication_factor=factor),
+    ))
+    coordinator = data.draw(st.integers(0, num_nodes - 1), label="coordinator")
+    others = [n for n in range(num_nodes) if n != coordinator]
+    down = data.draw(
+        st.sets(st.sampled_from(others), max_size=num_nodes - 2), label="down"
+    )
+    picked = data.draw(st.sets(st.integers(0, 255), max_size=6), label="keys")
+    rep = cluster.replication
+    rep.down.update(down)
+    rep.version += 1
+    directory = cluster.directory
+    node_rep = cluster.node(coordinator).replication
+    writes = {
+        f"k{i}": i for i in sorted(picked)
+        if directory.site(f"k{i}") == coordinator
+    }
+
+    live = []
+    for shard in directory.shards_of(coordinator):
+        for backup in rep.placement[shard]:
+            if backup not in down and backup not in live:
+                live.append(backup)
+    homes = set(live[: factor - 1])
+    staged_on = {
+        stream.backup for stream, _seq in node_rep._enqueue_by_key(
+            writes, "prepare", txn_id=1, coordinator=coordinator, round=0
+        )
+    }
+    every = set(node_rep._all_backups())
+    targets = node_rep._decision_targets(writes)
+
+    assert every == set(live)
+    assert len(homes) == min(factor - 1, len(every))
+    assert set(node_rep._decision_targets()) == homes
+    assert set(targets) == homes | staged_on <= every
+    assert len(set(targets)) == len(targets)
+    rep.version += 1  # drop the cache: same inputs, same answer
+    assert node_rep._decision_targets(writes) == targets
 
 
 def test_backup_reads_keep_the_coalesced_frontier_feed():

@@ -17,7 +17,7 @@ SRC = Path(repro.config.__file__).parent
 LONGEST_FILE = 1281
 #: ``replication/shard.py`` (stream pump, ``NodeReplication``,
 #: ``ClusterReplication``) once ``FailoverDriver`` left for ``failover.py``.
-SHARD_FILE = 715
+SHARD_FILE = 742
 #: Fields over all config dataclasses in ``repro.config``.
 CONFIG_FIELDS = 81
 #: Config fields nothing reads.  ``group_commit_window`` stays accepted
