@@ -34,7 +34,7 @@ class Directory(ABC):
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support membership changes; "
-            "use ConsistentHashDirectory for elastic clusters"
+            "use ConsistentHashDirectory or ShardMap for elastic clusters"
         )
 
 

@@ -9,14 +9,14 @@ reconfiguration drivers:
 ``VIEW_PROPOSE``
     The view coordinator sends the complete proposed view (never a
     delta) to every member of the *new* view.  A member accepts iff the
-    proposal's epoch is newer than its committed epoch -- and, for a
-    clock-shrinking view, iff the shrink is locally safe -- then logs
-    the pending view to its WAL and answers with a ``VIEW_ACK``.
+    proposal's epoch is newer than its committed epoch and answers with
+    a ``VIEW_ACK``; an ack promises nothing and is not logged (the
+    drivers re-derive the target from the committed view every round).
 
 ``VIEW_COMMIT``
     Once every live member acked, the coordinator fans out the commit
-    (one-way, idempotent).  Applying a commit widens or shrinks the
-    node's ``siteVC`` to the view's clock width, lifts any key-scoped
+    (one-way, idempotent).  Applying a commit widens the node's
+    ``siteVC`` to the view's clock width, lifts any key-scoped
     fences, resets the failure detector's memory of removed peers, and
     logs a committed :class:`~repro.storage.wal.ViewChangeRecord` so
     crash recovery restores the view.  Stale or duplicate commits are
@@ -30,10 +30,9 @@ Member lifecycle::
 A ``JOINING`` member receives commit propagation (it is in the fan-out
 set) but owns no keys yet; a ``DRAINING`` member still owns and serves
 its keys while its shards stream out.  A removed member disappears from
-the view; its ``retired`` entry pins the clock width until every
-survivor's ``siteVC`` dominates its final frontier, after which a
-follow-up view drops the entry and every node shrinks its clock in
-place (see ``docs/membership.md``).
+the view; its ``retired`` entry records its final frontier and pins the
+clock width, which is ``1 + max(member and retired ids)`` and never
+decreases (see ``docs/membership.md``).
 """
 
 from __future__ import annotations
@@ -112,11 +111,8 @@ class MembershipView:
     # ------------------------------------------------------------------
     @property
     def clock_width(self) -> int:
-        """Vector-clock width this view requires.
-
-        Retired sites hold the width until their final frontier is
-        dominated everywhere and a follow-up view drops the entry.
-        """
+        """Vector-clock width this view requires; retired sites keep
+        their entry (a node's clock only ever widens)."""
         ids = set(self.members) | set(self.retired)
         return (max(ids) + 1) if ids else 0
 
@@ -151,8 +147,7 @@ class MembershipView:
         """Drop ``node_id``; record its final frontier when given.
 
         ``final_seq=None`` is the abandoned-join form: the site never
-        committed anything, so no retired entry is needed and the clock
-        width may shrink immediately.
+        committed anything, so no retired entry is needed.
         """
         members = dict(self.members)
         members.pop(node_id, None)
@@ -160,11 +155,6 @@ class MembershipView:
         if final_seq is not None:
             retired[node_id] = final_seq
         return MembershipView(self.epoch + 1, members, retired)
-
-    def without_retired(self, node_id: int) -> "MembershipView":
-        retired = dict(self.retired)
-        retired.pop(node_id, None)
-        return MembershipView(self.epoch + 1, self.members, retired)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         states = ",".join(f"{m}:{s[0]}" for m, s in sorted(self.members.items()))
@@ -175,9 +165,9 @@ class NodeMembership:
     """One node's membership state machine.
 
     Owns the node-local side of the view-change protocol (propose/ack/
-    commit handlers) and the committed and pending views.  Handoffs park
-    prepares on the node's one :class:`~repro.core.repair.Fence`; a view
-    commit raises its drain level or lifts its key-scoped level.
+    commit handlers) and the committed view.  Handoffs park prepares on
+    the node's one :class:`~repro.core.repair.Fence`; a view commit
+    raises its drain level or lifts its key-scoped level.
     """
 
     def __init__(self, owner) -> None:
@@ -185,24 +175,14 @@ class NodeMembership:
         self.sim = owner.sim
         self.node_id = owner.node_id
         self.view = MembershipView.initial(owner.shared.config.node_ids)
-        #: A proposed-but-uncommitted view this node acked (WAL-logged so
-        #: recovery resumes the change instead of forgetting it).
-        self.pending: Optional[MembershipView] = None
         #: Proposer-side ack collection: epoch -> member ids that acked ok.
         self.acks: Dict[int, Set[int]] = {}
-        #: Origins whose clock entry this node truncated at a shrink
-        #: commit.  A straggling Propagate/Decide from one of them must
-        #: be dropped (its full frontier was provably applied before the
-        #: shrink), never re-widen the clock; a rejoin of the same id
-        #: clears the entry.
-        self.dropped: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Protocol: proposer side
     # ------------------------------------------------------------------
     def propose(self, view: MembershipView) -> None:
-        """Accept ``view`` locally and fan the proposal out (one-way)."""
-        self._accept(view)
+        """Ack ``view`` locally and fan the proposal out (one-way)."""
         self.acks.setdefault(view.epoch, set()).add(self.node_id)
         body = ViewProposeBody(*view.to_triple(), proposer=self.node_id)
         for member in view.fanout_ids:
@@ -236,21 +216,10 @@ class NodeMembership:
     # ------------------------------------------------------------------
     def on_view_propose(self, envelope) -> None:
         body = envelope.payload
-        view = MembershipView.from_wire(body.epoch, body.members, body.retired)
-        # Reject a shrinking proposal we cannot honor yet.  The commit
-        # path skips an unsafe shrink anyway (staying wide is always
-        # sound), but rejecting at ack time lets the coordinator retry
-        # later instead of committing a view some members cannot fully
-        # apply.
-        ok = body.epoch > self.view.epoch and self._shrink_safe(
-            view.clock_width, view
-        )
-        if ok:
-            self._accept(view)
         ack = ViewAckBody(
             epoch=body.epoch,
             member=self.node_id,
-            ok=ok,
+            ok=body.epoch > self.view.epoch,
             current_epoch=self.view.epoch,
         )
         self.owner.node.send(body.proposer, MessageType.VIEW_ACK, ack)
@@ -268,41 +237,20 @@ class NodeMembership:
     # ------------------------------------------------------------------
     # State transitions
     # ------------------------------------------------------------------
-    def _accept(self, view: MembershipView) -> None:
-        """Record ``view`` as pending and log it (crash-safe ack)."""
-        self.pending = view
-        self._log(view, committed=False)
-
-    def _log(self, view: MembershipView, committed: bool) -> None:
-        wal = self.owner.wal
-        if wal is not None:
-            wal.append(
-                ViewChangeRecord(*view.to_triple(), committed=committed)
-            )
-
     def apply_commit(self, view: MembershipView) -> bool:
         """Apply a committed view; stale/duplicate epochs are no-ops."""
         if view.epoch <= self.view.epoch:
             return False
         owner = self.owner
-        width = view.clock_width
-        clock = owner.site_vc
-        if width > len(clock):
-            clock.widen(width)
-        elif width < len(clock) and self._shrink_safe(width, view):
-            self.dropped.update(range(width, len(clock)))
-            clock.shrink(width)
-        self.dropped.difference_update(view.members)
-        # Snapshot-completeness waits parked on a retired origin's entry
-        # re-evaluate against the new width and ``dropped`` set.
-        owner.site_vc_changed.notify_all()
+        owner.site_vc.widen(view.clock_width)
         previous = self.view
         self.view = view
-        if self.pending is not None and self.pending.epoch <= view.epoch:
-            self.pending = None
         for epoch in [e for e in self.acks if e <= view.epoch]:
             del self.acks[epoch]
-        self._log(view, committed=True)
+        if owner.wal is not None:
+            owner.wal.append(
+                ViewChangeRecord(*view.to_triple(), committed=True)
+            )
         # Entering DRAINING raises the drain fence on every local key;
         # any other transition for this node lifts handoff fences (the
         # directory flipped before the commit was fanned out).  Parked
@@ -329,38 +277,12 @@ class NodeMembership:
         return True
 
     # ------------------------------------------------------------------
-    # Clock-shrink safety
-    # ------------------------------------------------------------------
-    def _shrink_safe(self, width: int, new_view: MembershipView) -> bool:
-        """May this node truncate its clock to ``width`` entries?
-
-        Every dropped trailing position must be a retired site whose
-        final frontier this node has applied (nothing above the frontier
-        can ever arrive), or a site that never committed anything (the
-        abandoned-join case: its entry is still zero).
-        """
-        clock = self.owner.site_vc
-        old = self.view
-        for site in range(width, len(clock)):
-            final = old.retired.get(site)
-            if final is None:
-                final = new_view.retired.get(site)
-            if final is None:
-                if clock[site] != 0:
-                    return False
-            elif clock[site] < final:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
     def restore(
-        self,
-        view_triple: Optional[Tuple[int, Tuple, Tuple]],
-        pending_triple: Optional[Tuple[int, Tuple, Tuple]],
+        self, view_triple: Optional[Tuple[int, Tuple, Tuple]]
     ) -> None:
-        """Reinstall replayed view state after a crash (no re-logging).
+        """Reinstall the replayed view after a crash (no re-logging).
 
         The shared directory is live cluster state -- the survivors kept
         mutating it while this node was down -- so recovery only restores
@@ -371,10 +293,4 @@ class NodeMembership:
             view = MembershipView.from_wire(*view_triple)
             if view.epoch > self.view.epoch:
                 self.view = view
-                width = view.clock_width
-                if width > len(self.owner.site_vc):
-                    self.owner.site_vc.widen(width)
-        if pending_triple is not None:
-            pending = MembershipView.from_wire(*pending_triple)
-            if pending.epoch > self.view.epoch:
-                self.pending = pending
+                self.owner.site_vc.widen(view.clock_width)

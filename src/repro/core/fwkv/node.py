@@ -73,15 +73,11 @@ class FWKVNode(MVCCNode):
 
     def _select_version(self, request: ReadRequestBody) -> Tuple[Version, int]:
         chain = self.store.chain(request.key)
-        dropped = self.membership.dropped
         if request.is_read_only:
             return select_read_only_version(
-                chain, request.vc, request.has_read, request.txn_id,
-                dropped=dropped,
+                chain, request.vc, request.has_read, request.txn_id
             )
-        return select_update_version(
-            chain, request.vc, request.has_read, dropped=dropped
-        )
+        return select_update_version(chain, request.vc, request.has_read)
 
     def _register_visible_read(
         self, request: ReadRequestBody, version: Version

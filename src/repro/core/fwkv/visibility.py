@@ -6,13 +6,10 @@ testable against the paper's worked examples (Figures 2 and 3).
 
 from __future__ import annotations
 
-from typing import AbstractSet, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.storage.chain import VersionChain
 from repro.storage.version import Version
-
-#: Shared empty default: no membership change has retired any origin.
-_NO_DROPPED: AbstractSet[int] = frozenset()
 
 
 def _entry(entries: Sequence[int], site: int) -> int:
@@ -26,8 +23,6 @@ def visible_under(
     version: Version,
     txn_vc: Sequence[int],
     has_read: Sequence[bool],
-    *,
-    dropped: AbstractSet[int] = _NO_DROPPED,
 ) -> bool:
     """Alg. 3 lines 4/13: the visibility test shared by both paths.
 
@@ -35,20 +30,12 @@ def visible_under(
     clock at any *already-read* site; sites the transaction has not read
     from yet place no constraint (that is what lets a first contact observe
     the latest data there).
-
-    Sites in ``dropped`` -- origins retired by a committed shrink view --
-    place no constraint either: the shrink gate proved every member's
-    clock dominates the retired origin's final frontier, so any entry a
-    version carries for it is already applied under every live snapshot.
-    (Merging an old wide version clock can resurrect a zero for such a
-    site in ``txn_vc``; without the mask that stale zero would hide the
-    chain head.)
     """
     vc = version.vc.entries
     return all(
         _entry(vc, site) <= _entry(txn_vc, site)
         for site in range(len(has_read))
-        if has_read[site] and site not in dropped
+        if has_read[site]
     )
 
 
@@ -56,8 +43,6 @@ def update_excluded(
     version: Version,
     txn_vc: Sequence[int],
     has_read: Sequence[bool],
-    *,
-    dropped: AbstractSet[int] = _NO_DROPPED,
 ) -> bool:
     """Alg. 3 line 14: the conservative exclusion rule for update reads.
 
@@ -84,20 +69,14 @@ def update_excluded(
     equal_at_read_sites = all(
         _entry(vc, site) == _entry(txn_vc, site)
         for site in range(len(has_read))
-        if has_read[site] and site not in dropped
+        if has_read[site]
     )
     if not equal_at_read_sites:
         return False
-    # A retired (dropped) origin's entry can never signal a concurrent
-    # conflicting commit: no transaction will ever commit at it again,
-    # and whatever it did commit is fully applied everywhere (shrink
-    # gate).  Treating it as "newer at an unread site" would permanently
-    # exclude the chain head once an old wide version clock resurrects a
-    # zero for that site in ``txn_vc``.
     return any(
         _entry(vc, site) > _entry(txn_vc, site)
         for site in range(len(has_read))
-        if not has_read[site] and site not in dropped
+        if not has_read[site]
     )
 
 
@@ -106,8 +85,6 @@ def select_read_only_version(
     txn_vc: Sequence[int],
     has_read: Sequence[bool],
     txn_id: int,
-    *,
-    dropped: AbstractSet[int] = _NO_DROPPED,
 ) -> Tuple[Version, int]:
     """Alg. 3 lines 2-10: freshest visible version not anti-depended upon.
 
@@ -117,29 +94,18 @@ def select_read_only_version(
     The loop fuses :func:`visible_under` inline (no per-version function
     call, early exit on the first violated site); the property suite
     asserts it selects exactly what the reference predicates admit.
-    Two specializations keep the per-version scan lean: a transaction
-    that has read nowhere skips the clock loop entirely (no active site
-    can constrain it), and the no-retired-origins common case drops the
-    ``enumerate``/``dropped`` bookkeeping from the inner loop.
+    A transaction that has read nowhere skips the clock loop entirely
+    (no active site can constrain it).
     """
     inspected = 0
     any_read = True in has_read
-    no_dropped = not dropped
     for version in chain.newest_first():
         if any_read:
             visible = True
-            if no_dropped:
-                for a, t, active in zip(version.vc.entries, txn_vc, has_read):
-                    if active and a > t:
-                        visible = False
-                        break
-            else:
-                for site, (a, t, active) in enumerate(
-                    zip(version.vc.entries, txn_vc, has_read)
-                ):
-                    if active and a > t and site not in dropped:
-                        visible = False
-                        break
+            for a, t, active in zip(version.vc.entries, txn_vc, has_read):
+                if active and a > t:
+                    visible = False
+                    break
             if not visible:
                 continue
         access = version.access_set
@@ -161,8 +127,6 @@ def select_update_version(
     chain: VersionChain,
     txn_vc: Sequence[int],
     has_read: Sequence[bool],
-    *,
-    dropped: AbstractSet[int] = _NO_DROPPED,
 ) -> Tuple[Version, int]:
     """Alg. 3 lines 11-18: freshest visible, conservatively-safe version.
 
@@ -170,56 +134,29 @@ def select_update_version(
     :func:`update_excluded`); the property suite asserts equivalence with
     the reference predicates.
     """
-    any_read = True in has_read
-    if not any_read:
+    if True not in has_read:
         # First read: no active site constrains visibility and the
         # exclusion rule does not apply yet, so the chain head wins.
         for version in chain.newest_first():
             return version, 0
-    elif not dropped:
-        # No retired origins: same fused pass without the enumerate /
-        # membership-mask bookkeeping.
-        for version in chain.newest_first():
-            visible = True
-            equal_at_read = True
-            newer_at_unread = False
-            for a, t, active in zip(version.vc.entries, txn_vc, has_read):
-                if active:
-                    if a > t:
-                        visible = False
-                        break
-                    if a != t:
-                        equal_at_read = False
-                elif a > t:
-                    newer_at_unread = True
-            if not visible:
-                continue
-            if equal_at_read and newer_at_unread:
-                continue
-            return version, 0
-    else:
-        for version in chain.newest_first():
-            visible = True
-            equal_at_read = True
-            newer_at_unread = False
-            for site, (a, t, active) in enumerate(
-                zip(version.vc.entries, txn_vc, has_read)
-            ):
-                if site in dropped:
-                    continue  # a retired origin places no constraint
-                if active:
-                    if a > t:
-                        visible = False
-                        break
-                    if a != t:
-                        equal_at_read = False
-                elif a > t:
-                    newer_at_unread = True
-            if not visible:
-                continue
-            if equal_at_read and newer_at_unread:
-                continue
-            return version, 0
+    for version in chain.newest_first():
+        visible = True
+        equal_at_read = True
+        newer_at_unread = False
+        for a, t, active in zip(version.vc.entries, txn_vc, has_read):
+            if active:
+                if a > t:
+                    visible = False
+                    break
+                if a != t:
+                    equal_at_read = False
+            elif a > t:
+                newer_at_unread = True
+        if not visible:
+            continue
+        if equal_at_read and newer_at_unread:
+            continue
+        return version, 0
     raise RuntimeError(
         f"no visible version of {chain.key!r} for an update read; "
         "the initial version should always be visible"

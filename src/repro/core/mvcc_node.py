@@ -129,7 +129,7 @@ class MVCCNode(BaseProtocolNode):
         node.on(MessageType.TXN_STATUS, self.in_doubt.on_txn_status)
         #: Durable crash and WAL recovery.
         self.recovery = NodeRecovery(self)
-        #: Elastic membership: committed/pending views and the
+        #: Elastic membership: the committed view and the
         #: view-change protocol handlers.  Constructed before the healing
         #: layer so the gossip loops can derive their peer set from the
         #: live view.
@@ -783,32 +783,19 @@ class MVCCNode(BaseProtocolNode):
         # request's snapshot.  Without injected congestion the wait is
         # almost always vacuous.
         txn_vc = request.vc
-        site_vc = self.site_vc
-        membership = self.membership
-        if len(txn_vc) != len(site_vc.entries):
+        site_entries = self.site_vc.entries
+        if len(txn_vc) != len(site_entries):
             # Reconfiguration in flight: the requester began its snapshot
-            # under a different clock width than ours.
+            # under a different clock width than ours.  A missing entry
+            # counts as zero, so the wait below covers an origin we have
+            # not widened for yet (the view commit or its first Decide
+            # widens the live entry list in place).
             self.metrics.count("stale_width_messages")
-            need = 0
-            for origin in range(len(site_vc.entries), len(txn_vc)):
-                if txn_vc[origin] > 0 and origin not in membership.dropped:
-                    need = origin + 1
-            if need:
-                # The snapshot saw an origin we have no entry for yet;
-                # widen so the completeness wait below covers it (widen
-                # extends the live entry list in place).  Entries for
-                # retired, *dropped* origins stay truncated: the shrink
-                # gate proved their full final frontier is applied here,
-                # so any snapshot dependency on them is vacuously met --
-                # re-widening them to zero would park this wait forever.
-                site_vc.widen(need)
-        site_entries = site_vc.entries
-        dropped = membership.dropped
-        if not covers(site_entries, txn_vc, dropped):
+        if not covers(site_entries, txn_vc):
             stall_started = self.sim.now
             yield from wait_until(
                 self.site_vc_changed,
-                lambda: covers(site_entries, txn_vc, dropped),
+                lambda: covers(site_entries, txn_vc),
             )
             self.metrics.on_read_stall(self.sim.now - stall_started)
             self.tracer.emit(
@@ -1052,7 +1039,6 @@ class MVCCNode(BaseProtocolNode):
         soak test).  Blind writes keep the paper's clock rule.
         """
         txn_vc = request.vc
-        dropped = self.membership.dropped
         for key in request.writes:
             if key not in self.store:
                 continue  # fresh insert: nothing to have been overwritten
@@ -1061,11 +1047,6 @@ class MVCCNode(BaseProtocolNode):
             if read_vid is not None:
                 if last.vid != read_vid:
                     return False
-            elif last.origin in dropped:
-                # The key's last write came from a retired origin whose
-                # dropped clock entry the shrink gate proved fully
-                # applied everywhere; every current snapshot covers it.
-                continue
             elif last.origin >= len(txn_vc) or last.seq > txn_vc[last.origin]:
                 # A missing entry counts as zero (elastic membership: the
                 # transaction began before the version's origin joined),
@@ -1096,8 +1077,6 @@ class MVCCNode(BaseProtocolNode):
         """
         assert body.seq_no is not None and body.commit_vc is not None
         if body.origin >= len(self.site_vc):
-            if body.origin in self.membership.dropped:
-                return  # straggler from a retired origin, fully applied
             # A commit from a freshly joined origin can outrun the view
             # commit that widens the clock; widening here is equivalent
             # (new entries start at zero either way).
@@ -1109,20 +1088,8 @@ class MVCCNode(BaseProtocolNode):
         # pin the locks forever.
         yield from wait_until(
             self.site_vc_changed,
-            lambda: body.origin >= len(self.site_vc)
-            or self.site_vc[body.origin] >= body.seq_no - 1,
+            lambda: self.site_vc[body.origin] >= body.seq_no - 1,
         )
-        if body.origin >= len(self.site_vc):
-            # The origin retired and its clock entry was dropped while
-            # this applier waited; the shrink gate proved everything at
-            # or below its final frontier -- including this commit --
-            # was already applied here.  Just release any leftover entry.
-            stale = self._prepared.pop(body.txn_id, None)
-            if stale is not None:
-                self.locks.release_write_all(
-                    stale.locked_keys, owner=body.txn_id
-                )
-            return
         prepared = self._prepared.pop(body.txn_id, None)
         # The entry popped (and the locks it holds) belong to the current
         # incarnation; if a durable crash wipes the node across one of the
@@ -1227,8 +1194,6 @@ class MVCCNode(BaseProtocolNode):
         seq_nos = body.seq_nos if body.seq_nos is not None else (body.seq_no,)
         site_vc = self.site_vc
         if origin >= len(site_vc):
-            if origin in self.membership.dropped:
-                return  # straggler from a retired origin, fully applied
             site_vc.widen(origin + 1)
         for index, seq_no in enumerate(seq_nos):
             current = site_vc[origin]
@@ -1249,13 +1214,10 @@ class MVCCNode(BaseProtocolNode):
         for seq_no in seq_nos:
             yield from wait_until(
                 self.site_vc_changed,
-                lambda bound=seq_no - 1: origin >= len(self.site_vc)
-                or self.site_vc[origin] >= bound,
+                lambda bound=seq_no - 1: self.site_vc[origin] >= bound,
             )
             if self._incarnation != incarnation:
                 return  # a durable crash wiped the clock this was advancing
-            if origin >= len(self.site_vc):
-                return  # the origin retired and its entry was truncated
             if self.site_vc[origin] < seq_no:
                 self._advance_clock(origin, seq_no)
 

@@ -72,7 +72,7 @@ class NodeRecovery:
         self._install_replayed(result)
         # Restore membership knowledge logged before the crash; epochs
         # committed during the outage arrive via gossip's view piggyback.
-        node.membership.restore(result.view, result.pending_view)
+        node.membership.restore(result.view)
         return node.sim.spawn(
             self._recover(result), name=f"n{node.node_id}:recover"
         )

@@ -17,10 +17,9 @@ class VectorClock:
     All algebra therefore treats a missing entry as zero -- merging a wider
     clock widens this one in place, and comparisons score absent positions
     as 0 on either side -- so old-width clocks in messages still being
-    delivered remain valid forever.  Shrinking (decommission) is the
-    membership layer's job: it truncates only trailing retired sites and
-    only once their final frontier is dominated everywhere, which keeps the
-    zero-default rule sound (see ``docs/membership.md``).
+    delivered remain valid forever.  A clock only ever widens: a
+    decommissioned site keeps its entry (see ``docs/membership.md``), so
+    an entry, once present, changes only by moving up.
 
     Clock algebra runs on every message a node serves, so the methods below
     are written for the CPython fast path: plain index loops with early
@@ -228,31 +227,6 @@ class VectorClock:
             mine.extend([0] * (size - len(mine)))
             self._tuple = None
 
-    def shrink(self, size: int) -> None:
-        """Truncate to the first ``size`` entries in place.
-
-        The in-place form exists because a node's ``siteVC`` identity must
-        never change -- blocked handlers hold references to it -- so the
-        membership layer shrinks the live clock rather than swapping it.
-        Soundness preconditions match :meth:`shrunk`.
-        """
-        mine = self._entries
-        if size < len(mine):
-            del mine[size:]
-            self._tuple = None
-
-    def shrunk(self, size: int) -> "VectorClock":
-        """A copy truncated to the first ``size`` entries.
-
-        Only sound once every dropped trailing site is retired and its
-        final frontier is dominated everywhere; the membership layer
-        enforces that before shrinking (see ``docs/membership.md``).
-        """
-        vc = VectorClock.__new__(VectorClock)
-        vc._entries = self._entries[:size]
-        vc._tuple = None
-        return vc
-
     def to_tuple(self) -> Tuple[int, ...]:
         cached = self._tuple
         if cached is None:
@@ -289,26 +263,16 @@ class _ImmutableVectorClock(VectorClock):
             "copy() for a private instance"
         )
 
-    def shrink(self, size: int) -> None:
-        raise TypeError(
-            "interned zero clock is immutable; use VectorClock.zeros() or "
-            "copy() for a private instance"
-        )
-
 
 _ZERO_CACHE: Dict[int, VectorClock] = {}
 
 
-def covers(entries: Sequence[int], snapshot: Sequence[int], dropped=()) -> bool:
+def covers(entries: Sequence[int], snapshot: Sequence[int]) -> bool:
     """Does a clock with ``entries`` dominate ``snapshot``?
 
-    An origin ``entries`` lacks counts as zero, and ``dropped`` origins
-    -- retired, their final frontier proven applied before their entry
-    was truncated -- are vacuously covered.
+    An origin ``entries`` lacks counts as zero.
     """
     for origin, target in enumerate(snapshot):
-        if target <= 0 or origin in dropped:
-            continue
-        if origin >= len(entries) or entries[origin] < target:
+        if target > 0 and (origin >= len(entries) or entries[origin] < target):
             return False
     return True

@@ -33,9 +33,7 @@ class WalterNode(MVCCNode):
 
     def _select_version(self, request: ReadRequestBody) -> Tuple[Version, int]:
         return select_walter_version(
-            self.store.chain(request.key),
-            request.vc,
-            self.membership.dropped,
+            self.store.chain(request.key), request.vc
         )
 
     def _freshness_bound(

@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-from typing import AbstractSet, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.storage.chain import VersionChain
 from repro.storage.version import Version
 
-_NO_DROPPED: AbstractSet[int] = frozenset()
-
 
 def select_walter_version(
-    chain: VersionChain,
-    txn_vc: Sequence[int],
-    dropped: AbstractSet[int] = _NO_DROPPED,
+    chain: VersionChain, txn_vc: Sequence[int]
 ) -> Tuple[Version, int]:
     """The freshest version within the begin-time snapshot.
 
@@ -21,16 +17,11 @@ def select_walter_version(
     visible to a transaction whose start vector is ``txn_vc`` iff
     ``txn_vc[origin] >= seqno``.  The snapshot never advances during the
     transaction, so reads "can return arbitrarily old values" when the
-    asynchronous propagation lags (paper Sections 1 and 3.1).
-
-    ``dropped`` holds retired origins whose clock entry a membership
-    shrink truncated; the shrink gate proved their full final frontier
-    is applied at every member, so their versions are always visible
-    (a start vector minted after the shrink has no entry to compare).
+    asynchronous propagation lags (paper Sections 1 and 3.1).  A start
+    vector with no entry for the origin (minted before it joined) has
+    seen none of its commits.
     """
     for version in chain.newest_first():
-        if version.origin in dropped:
-            return version, 0
         if version.origin < len(txn_vc) and version.seq <= txn_vc[version.origin]:
             return version, 0
     raise RuntimeError(

@@ -326,8 +326,8 @@ class ViewProposeBody:
     epoch: int
     #: (node_id, state) pairs -- the full proposed membership view.
     members: Tuple[Tuple[int, str], ...]
-    #: (site, final_seq) pairs for decommissioned sites: the frontier the
-    #: clock-shrink rule waits on (see docs/membership.md).
+    #: (site, final_seq) pairs for decommissioned sites: each one's final
+    #: commit frontier; the entry pins the clock width (docs/membership.md).
     retired: Tuple[Tuple[int, int], ...]
     proposer: int
 

@@ -371,10 +371,6 @@ class NodeHealing:
             if origin == self.node_id or target <= 0:
                 continue
             if origin >= len(site_vc.entries):
-                if origin in owner.membership.dropped:
-                    # A retired origin we already truncated; the peer's
-                    # wider digest is stale, not news.
-                    continue
                 site_vc.widen(origin + 1)
             if target > site_vc[origin]:
                 lagging[origin] = target

@@ -508,14 +508,12 @@ class NodeReplication:
             state is not None
             and not state.closed
             and state.frontier is not None
-            and covers(state.frontier, request.vc, owner.membership.dropped)
+            and covers(state.frontier, request.vc)
             and key in store
         ):
             chain = store.chain(key)
             try:
-                version, _ = select_walter_version(
-                    chain, request.vc, owner.membership.dropped
-                )
+                version, _ = select_walter_version(chain, request.vc)
             except RuntimeError:
                 version = None
             if version is not None:

@@ -139,19 +139,18 @@ class ReplicationRecord:
 
 @dataclass(frozen=True)
 class ViewChangeRecord:
-    """A membership view this node acked (pending) or committed.
+    """A membership view this node committed.
 
-    Logged on the ack (``committed=False``, the in-progress view) and
-    again on the commit (``committed=True``), so replay restores both the
-    committed membership and any view change that was mid-flight at the
-    crash -- the failure detector and the view coordinator then resume
-    the change instead of treating the half-joined peer as a dead member.
+    Logged on the commit so replay restores the committed membership.
+    ``committed=False`` marks an acked-but-uncommitted view; nothing
+    writes one any more (the view drivers re-derive an unfinished change
+    from the committed view) and replay ignores those in old logs.
     """
 
     epoch: int
     #: (node_id, state) pairs -- the full view, not a delta.
     members: Tuple[Tuple[int, str], ...]
-    #: (site, final_seq) pairs for decommissioned sites (clock shrink).
+    #: (site, final_seq) pairs for decommissioned sites.
     retired: Tuple[Tuple[int, int], ...]
     committed: bool
 
@@ -506,9 +505,6 @@ class ReplayResult:
     #: Newest *committed* membership view on record, as an
     #: ``(epoch, members, retired)`` triple (None = static membership).
     view: Optional[Tuple] = None
-    #: A view acked but not yet committed at the crash (epoch past the
-    #: committed one); recovery re-installs it as the in-progress view.
-    pending_view: Optional[Tuple] = None
     #: primary id -> the backup-side stream state rebuilt from the
     #: node's ReplicationRecords.
     replication: Dict[int, "BackupState"] = field(default_factory=dict)
@@ -539,7 +535,6 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     replayed = 0
     checkpoints = 0
     view: Optional[Tuple] = None
-    pending_view: Optional[Tuple] = None
     replication: Dict[int, BackupState] = {}
     # origin -> {seq_no: record} waiting for its per-origin predecessor.
     pending: Dict[int, Dict[int, WalRecord]] = {}
@@ -618,18 +613,10 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
                 curr_seq_no = record.curr_seq_no
             if record.view is not None:
                 view = record.view
-                if pending_view is not None and pending_view[0] <= view[0]:
-                    pending_view = None
             pending.clear()
         elif isinstance(record, ViewChangeRecord):
-            triple = (record.epoch, record.members, record.retired)
-            if record.committed:
-                if view is None or record.epoch > view[0]:
-                    view = triple
-                if pending_view is not None and pending_view[0] <= record.epoch:
-                    pending_view = None
-            elif view is None or record.epoch > view[0]:
-                pending_view = triple
+            if record.committed and (view is None or record.epoch > view[0]):
+                view = (record.epoch, record.members, record.retired)
         elif isinstance(record, ReplicationRecord):
             # Backup-side stream state, through the live handler's own
             # interpreter.  Apply installs go straight into the store
@@ -670,7 +657,6 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
         replayed=replayed,
         checkpoints=checkpoints,
         view=view,
-        pending_view=pending_view,
         replication=replication,
     )
 

@@ -43,7 +43,6 @@ from repro.config import ClusterConfig
 from repro.core.fwkv import FWKVNode
 from repro.core.interfaces import BaseProtocolNode, SharedState
 from repro.core.mvcc_node import MVCCNode
-from repro.core.repair import catch_up
 from repro.core.twopc import TwoPCNode
 from repro.core.walter import WalterNode
 from repro.metrics.history import History, OpRecord
@@ -319,7 +318,7 @@ class Cluster:
         if not hasattr(self.directory, "add_node"):
             raise ValueError(
                 "elastic membership requires a directory with incremental "
-                "add_node/remove_node (ConsistentHashDirectory)"
+                "add_node/remove_node (ConsistentHashDirectory or ShardMap)"
             )
         if node_id is None:
             node_id = len(self.nodes)
@@ -348,9 +347,8 @@ class Cluster:
         The driver commits a ``DRAINING`` view (new prepares on the
         victim's keys park on the drain fence), waits for in-flight
         write locks to drain, streams every shard to its new owner,
-        waits for the survivors to dominate the victim's final commit
-        frontier, flips the shared directory, and commits the removal
-        view carrying the victim's retired frontier.  The victim's keys
+        flips the shared directory, and commits the removal view
+        carrying the victim's retired frontier.  The victim's keys
         stay readable at the victim until the flip and at their new
         owners after it.  The process's value is True iff the
         decommission completed (on failure the member reverts to
@@ -504,19 +502,6 @@ class Cluster:
         # (the joiner owns no keys yet, so frontiers are all it needs).
         targets, _ = yield from joiner.healing.collect_frontiers()
         yield from joiner.healing.pull(targets)
-        # Symmetric catch-up for a *re*-join: peers whose clocks shrank
-        # past this origin's retirement must re-learn its final frontier
-        # (the data behind it was shipped out at decommission and kept),
-        # or they would wait forever below the rejoiner's next commit.
-        own = joiner.curr_seq_no
-        if own > 0:
-            for member in view.fanout_ids:
-                if member == joiner_id or self.network.is_crashed(member):
-                    continue
-                peer = self.nodes[member]
-                if joiner_id >= len(peer.site_vc.entries):
-                    peer.site_vc.widen(joiner_id + 1)
-                yield from catch_up(peer, joiner_id, own)
         joiner.metrics.count("joins_bootstrapped")
         if self.tracer._enabled:
             self.tracer.emit(
@@ -570,8 +555,7 @@ class Cluster:
         acked = yield from self._drive_view(derive, exclude=(member_id,))
         if acked is None:
             # Force the removal through anyway: commit is one-way and
-            # idempotent, and a member that cannot shrink simply stays
-            # wide (always sound).
+            # idempotent.
             current = self._current_view()
             if current.state_of(member_id) is not None:
                 acked = current.without_member(member_id, final_seq=final_seq)
@@ -599,7 +583,7 @@ class Cluster:
                 yield from self._revert_drain(victim_id)
                 return False
             yield self.sim.timeout(ACK_TIMEOUT)
-        # Drain and hand every shard to the shrunken ring's new owners:
+        # Drain and hand every shard to the smaller ring's new owners:
         # in-flight prepares on the victim's keys settle through their
         # Decides, new ones park on the drain fence (up since the
         # DRAINING commit, held until the removal below).  Reads keep
@@ -614,22 +598,6 @@ class Cluster:
             yield from self._revert_drain(victim_id)
             return False
         final_seq = victim.curr_seq_no
-        # Dominance wait: every live survivor should hold the victim's
-        # full commit frontier before the removal view, so the retired
-        # entry is immediately shrinkable.  On timeout we proceed --
-        # the retired entry pins the clock width, which is always sound.
-        deadline = self.sim.now + HANDOFF_TIMEOUT
-        while self.sim.now < deadline:
-            survivors = [
-                self.nodes[m] for m in ring if not self.network.is_crashed(m)
-            ]
-            if all(
-                victim_id < len(s.site_vc.entries)
-                and s.site_vc[victim_id] >= final_seq
-                for s in survivors
-            ):
-                break
-            yield self.sim.timeout(ACK_TIMEOUT)
         # Atomic ownership flip, then the removal view.  The commit
         # lifts the survivors' fences; the victim is no longer in the
         # fan-out, so the driver lifts its fences by hand -- parked
@@ -644,19 +612,6 @@ class Cluster:
         self.metrics.count("drains_completed")
         if self.tracer._enabled:
             self.tracer.emit(victim_id, "drain_complete", final_seq=final_seq)
-        # Shrink clocks back down once the retired entry tops the clock:
-        # members ack only when their own shrink is provably safe.
-        def derive_shrink(current: MembershipView):
-            if victim_id not in current.retired:
-                return None
-            shrunk = current.without_retired(victim_id)
-            if shrunk.clock_width >= current.clock_width:
-                return None
-            return shrunk
-
-        acked3 = yield from self._drive_view(derive_shrink, exclude=(victim_id,))
-        if acked3 is not None:
-            self._commit_view(acked3, exclude=(victim_id,))
         return True
 
     def _revert_drain(self, victim_id: int):

@@ -132,36 +132,3 @@ def test_update_selection_raises_without_visible_version():
     with pytest.raises(RuntimeError):
         select_update_version(chain, [0, 0], [False, True])
 
-
-# ----------------------------------------------------------------------
-# Elastic membership: retired (dropped) origins place no constraint
-# ----------------------------------------------------------------------
-def test_dropped_origin_never_excludes_for_update_reads():
-    """Regression: after a shrink view retires origin 2, merging an old
-    wide version clock can resurrect ``T.VC[2] == 0`` while the chain
-    head still carries the retired origin's final entry.  The exclusion
-    rule must not read that entry as a concurrent commit -- the shrink
-    gate proved it is applied under every live snapshot."""
-    chain = VersionChain("k")
-    version(chain, "k0", [0, 0, 0])
-    head = version(chain, "k1", [4, 4, 4], origin=2, seq=4)
-    txn_vc = [4, 4, 0]  # zero resurrected by a merge with an old clock
-    has_read = [False, True, False]
-    assert update_excluded(head, txn_vc, has_read)  # unmasked: excluded
-    assert not update_excluded(head, txn_vc, has_read, dropped={2})
-    chosen, _ = select_update_version(chain, txn_vc, has_read, dropped={2})
-    assert chosen is head
-
-
-def test_dropped_origin_never_hides_versions_from_read_only_reads():
-    chain = VersionChain("k")
-    version(chain, "k0", [0, 0, 0])
-    head = version(chain, "k1", [4, 4, 4], origin=2, seq=4)
-    txn_vc = [4, 4, 0]
-    has_read = [True, True, True]  # an old wide flag list
-    assert not visible_under(head, txn_vc, has_read)
-    assert visible_under(head, txn_vc, has_read, dropped={2})
-    chosen, _ = select_read_only_version(
-        chain, txn_vc, has_read, txn_id=9, dropped={2}
-    )
-    assert chosen is head

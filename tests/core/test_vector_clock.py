@@ -91,18 +91,16 @@ def test_mixed_widths_use_zero_defaults():
     assert not VectorClock([1, 1]).leq(VectorClock([1]))
 
 
-def test_widen_and_shrink_in_place():
+def test_widen_in_place():
     vc = VectorClock([3, 1])
     entries = vc.entries
     vc.widen(4)
     assert vc.to_tuple() == (3, 1, 0, 0)
-    vc.shrink(2)
-    assert vc.to_tuple() == (3, 1)
     # Identity is preserved: handlers holding the entries list see the
-    # same object through widen/shrink cycles.
+    # same object grow.
     assert vc.entries is entries
-    vc.shrink(3)  # shrinking to a wider size is a no-op
-    assert vc.to_tuple() == (3, 1)
+    vc.widen(2)  # widening to a narrower size is a no-op
+    assert vc.to_tuple() == (3, 1, 0, 0)
 
 
 def test_equality_and_hash():

@@ -40,7 +40,11 @@ from repro.faults.schedules import (
     crash_cycle,
     view_change_partition_schedule,
 )
-from repro.metrics import check_no_read_skew, find_long_forks
+from repro.metrics import (
+    check_no_read_skew,
+    check_site_order,
+    find_long_forks,
+)
 from repro.sim.rng import make_rng
 
 from tests.harness.recovery_tools import node_fingerprint
@@ -62,8 +66,11 @@ SEEDS = tuple(
 pytestmark = pytest.mark.membership
 
 
-def build(seed, *, healing=None, rpc=None, record_history=False):
-    """A 3-node FW-KV cluster on the default consistent-hash ring.
+def build(
+    seed, *, healing=None, rpc=None, record_history=False,
+    num_nodes=NUM_NODES,
+):
+    """A (by default 3-node) FW-KV cluster on the consistent-hash ring.
 
     Elastic membership requires the incremental ``add_node`` /
     ``remove_node`` directory, so unlike the healing suite this one
@@ -73,7 +80,7 @@ def build(seed, *, healing=None, rpc=None, record_history=False):
     if healing is not None:
         kwargs["healing"] = healing
     config = ClusterConfig(
-        num_nodes=NUM_NODES,
+        num_nodes=num_nodes,
         seed=seed,
         prepared_lease=5e-3,
         gc_enabled=False,
@@ -256,6 +263,97 @@ def test_fault_free_decommission_keys_stay_readable(seed):
     for key in victim_keys:
         assert key in cluster.node(cluster.directory.site(key)).store.keys()
     assert cluster.metrics.counters["drains_completed"] == 1
+
+
+# ----------------------------------------------------------------------
+# Churn at the top of the clock: retire the highest id, join a fresh one
+# past it, rejoin the retired id -- clocks only widen
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", SEEDS)
+def test_top_id_leave_fresh_join_rejoin_under_live_traffic(seed):
+    """The retired top id keeps its clock entry through the whole churn.
+
+    Node 3 -- the highest id, the one whose entry a width rule could
+    ever cut -- commits, leaves, is overtaken by a fresh id 4 and
+    rejoins, all under read-modify-write and read-only traffic.  Its
+    entry stays at its final frontier while it is away (versions it
+    wrote stay comparable under every snapshot) and moves on from there
+    once it is back; nothing aborts and every snapshot stays PSI-clean.
+    """
+    top, fresh = 3, 4
+    cluster, _ = build(seed, num_nodes=top + 1, record_history=True)
+    rng = make_rng(seed, "membership-churn")
+    plan = rmw_plan(rng, [top, 0, top, 1, top, 2], 12)
+    drive(cluster, plan)
+    frontier = cluster.node(top).curr_seq_no
+    assert frontier > 0, "the top id must have coordinated commits"
+
+    snapshots, steps, marks = [], [], []
+
+    def churn():
+        for step in (
+            lambda: cluster.remove_node(top),
+            lambda: cluster.add_node(),
+            lambda: cluster.add_node(top),
+        ):
+            steps.append((yield step()))
+            marks.append((len(outcomes), len(snapshots)))
+            # Away or back, the retired origin's entry is never cut.
+            assert cluster.node(0).site_vc[top] == frontier
+
+    churning = cluster.spawn(churn(), name="churn")
+
+    def live_plan():
+        # Survivors only: a draining member must not mint new commits.
+        while not churning.triggered:
+            plan.extend(rmw_plan(rng, [0, 1, 2], 1))
+            yield plan[-1]
+
+    _, outcomes = spawn_plan(cluster, live_plan(), settle=4e-4)
+
+    def reader():
+        reads = make_rng(seed, "membership-churn-reads")
+        while not churning.triggered:
+            node = cluster.node(reads.randrange(3))
+            txn = node.begin(is_read_only=True)
+            for key in reads.sample(all_keys(), 3):
+                yield from node.read(txn, key)
+            snapshots.append((yield from node.commit(txn)))
+            yield cluster.sim.timeout(3e-4)
+
+    cluster.spawn(reader(), name="churn-reader")
+    cluster.run()
+    assert steps == [True, True, True]
+    # Both kinds of traffic landed inside every one of the three steps.
+    for (w0, r0), (w1, r1) in zip([(0, 0)] + marks, marks):
+        assert w1 > w0 and r1 > r0
+    assert all(outcomes) and all(snapshots)
+
+    after = rmw_plan(rng, [top, fresh], 8)
+    drive(cluster, after)
+    plan += after
+    assert cluster.metrics.aborts == 0, "fault-free churn must not abort"
+
+    expected = Counter(k for _, keys in plan for k in keys)
+    seen = {}
+
+    def read_all(txn):
+        for key in all_keys():
+            seen[key] = yield from txn.read(key)
+
+    assert cluster.run_txn(read_all, node=fresh, read_only=True).committed
+    assert seen == {k: expected[k] for k in all_keys()}
+
+    history = cluster.finalized_history()
+    assert check_no_read_skew(history).ok
+    assert check_site_order(history, cluster.version_catalog()).ok
+    assert find_long_forks(history) == []
+
+    clocks = {n.site_vc.to_tuple() for n in cluster.nodes}
+    assert len(clocks) == 1
+    (clock,) = clocks
+    assert len(clock) == fresh + 1
+    assert clock[top] == frontier + sum(1 for c, _ in after if c == top)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ contracts over them:
   (dict entries and set elements are sorted by encoded bytes).
 
 Plus targeted coverage for the formats the protocols lean on hardest
-(dynamic-width vector clocks, dropped-origin frozensets), the framing
+(dynamic-width vector clocks, anti-dependency frozensets), the framing
 layer under arbitrary chunking, and the failure modes (unknown tags,
 truncation, version mismatch, unregistered payload types).
 """
@@ -163,7 +163,7 @@ def test_registry_codes_are_stable_and_dense_enough():
 
 
 # ----------------------------------------------------------------------
-# Vector clocks: dynamic width and dropped-origin sets
+# Vector clocks: dynamic width; frozensets (``DecideBody.collected``)
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(
