@@ -26,7 +26,7 @@ from repro.cluster.node import Node
 from repro.core.batching import ADAPTIVE_STEP, PRESSURE_OPEN, adapt_window
 from repro.core.interfaces import BaseProtocolNode, SharedState
 from repro.core.recovery import NodeRecovery
-from repro.core.repair import Fence, InDoubtResolver
+from repro.core.repair import Fence, InDoubtResolver, Round
 from repro.core.transaction import PreparedTxn, Transaction
 from repro.core.vector_clock import VectorClock, covers
 from repro.core.wire import (
@@ -49,7 +49,6 @@ from repro.storage.group_commit import WalFlusher
 from repro.storage.wal import (
     AbortRecord,
     ApplyRecord,
-    DecisionRecord,
     LoadRecord,
     PrepareRecord,
     PropagateRecord,
@@ -194,10 +193,11 @@ class MVCCNode(BaseProtocolNode):
         #: Anti-entropy streaming needs decisions addressable by their
         #: sequence number, so the index rides along with the table.
         self._decisions_by_seq: Dict[int, DecideBody] = {}
-        #: Decide appliers between popping their prepared entry and
-        #: logging the ApplyRecord (WAL runs only).  While non-empty the
-        #: live store may hold versions the log does not yet explain, so
-        #: the checkpoint manager refuses to snapshot.
+        #: Decide appliers between popping their prepared entry and the
+        #: clock tick (with its ApplyRecord).  While non-empty the live
+        #: store may hold versions the log does not yet explain, so the
+        #: checkpoint manager refuses to snapshot; a duplicate Decide
+        #: finding its transaction here leaves the tick to that applier.
         self._applying: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -372,10 +372,11 @@ class MVCCNode(BaseProtocolNode):
 
         The ``while`` loop is not in the paper: a round that straddled a
         change of ownership (a handoff answered "moved", a failover left
-        a participant silent) is aborted at every participant --
-        round-tagged, so the abort cannot cancel a successor round's
-        prepare -- regrouped against the flipped directory and prepared
-        again: reconfiguration costs a round trip, never an abort.
+        a participant silent) or that a status query doomed (it was told
+        "not committed" while the votes were still coming in) is aborted
+        at every participant -- round-tagged, so the abort cannot cancel
+        a successor round's prepare -- regrouped against the directory
+        and prepared again: it costs a round trip, never an abort.
         """
         if txn.is_read_only or not txn.writeset:
             self._commit_read_only(txn)
@@ -417,6 +418,7 @@ class MVCCNode(BaseProtocolNode):
 
         while True:
             by_site = self._group_writes_by_site(txn)
+            rnd = self.in_doubt.rounds[txn.txn_id] = Round(by_site)
 
             if self.healing.armed and len(by_site) > (self.node_id in by_site):
                 # Fail fast instead of burning the prepare timeout ladder on
@@ -490,13 +492,13 @@ class MVCCNode(BaseProtocolNode):
             if (
                 not timed_out
                 and round_no + 1 < MAX_ATTEMPTS
-                and any(not vote.ok for vote in votes)
+                and (rnd.doomed or any(not vote.ok for vote in votes))
                 and all(vote.ok or vote.reason == "moved" for vote in votes)
             ):
-                # The prepare straddled a handoff.  By the time a "moved"
-                # vote arrives the shared directory has already flipped
-                # -- the fence only lifts after the flip -- so the regroup
-                # sees the new placement immediately.
+                # The prepare straddled a handoff, or the round was doomed.
+                # By the time a "moved" vote arrives the shared directory
+                # has already flipped -- the fence only lifts after the
+                # flip -- so the regroup sees the new placement at once.
                 abort_round()
                 round_no += 1
                 if self.tracer._enabled:
@@ -507,7 +509,10 @@ class MVCCNode(BaseProtocolNode):
                 continue
             break
 
-        outcome = not timed_out and all(vote.ok for vote in votes)
+        # No yield from here to the decision's append: ``doomed`` is final.
+        outcome = (
+            not timed_out and not rnd.doomed and all(vote.ok for vote in votes)
+        )
 
         if outcome:
             # Alg. 4 lines 22-25: assign the sequence number and finalize
@@ -538,18 +543,12 @@ class MVCCNode(BaseProtocolNode):
                 self._decisions[txn.txn_id] = decide
                 self._decisions_by_seq[txn.seq_no] = decide
             if self.wal is not None:
-                lsn = self.wal.append(
-                    DecisionRecord(
-                        txn.txn_id, txn.seq_no, decide.commit_vc,
-                        decide.collected,
-                    )
-                )
+                # The one force of a commit (C1).  The record carries every
+                # participant's staged writes -- none of them waited for
+                # its own PrepareRecord -- and the acknowledgement, every
+                # Decide and every status answer wait for its sync.
+                lsn = self.in_doubt.log_decision(rnd, decide, by_site)
                 if self.flusher.active:
-                    # Group commit: the acknowledgement (and every Decide)
-                    # waits for the sync covering the decision record.  A
-                    # covered decision also covers this node's own
-                    # PrepareRecord for the fast-path local commit (lower
-                    # LSN; syncs are prefix-durable).
                     durable = yield from self.flusher.ensure_durable(lsn)
                     if not durable:
                         # Crashed between buffer and flush: the decision
@@ -570,6 +569,7 @@ class MVCCNode(BaseProtocolNode):
                 )
         for site in sorted(participant_sites | {self.node_id} if outcome else participant_sites):
             self.node.send(site, MessageType.DECIDE, decide)
+        self.in_doubt.rounds.pop(txn.txn_id, None)
         if outcome:
             # Alg. 4 line 27: asynchronous propagation to everyone else.
             self._send_propagate(participant_sites, txn.seq_no)
@@ -580,9 +580,8 @@ class MVCCNode(BaseProtocolNode):
                     self.node_id, "commit", txn=txn.txn_id, seq=txn.seq_no
                 )
             return True
-        # Presumed abort: the abort Decide sent above is
-        # best-effort -- a participant that never hears it releases its
-        # prepared locks when its lease expires.
+        # Presumed abort: the abort Decide sent above is best-effort -- a
+        # participant that never hears it asks when its lease expires.
         if timed_out:
             return self._aborted(txn, AbortReason.RPC_TIMEOUT)
         reasons = [vote.reason for vote in votes if not vote.ok]
@@ -590,6 +589,7 @@ class MVCCNode(BaseProtocolNode):
 
     def _aborted(self, txn: Transaction, reason: str, **details) -> bool:
         """Record an attempt's abort; returns ``False`` for ``commit``."""
+        self.in_doubt.rounds.pop(txn.txn_id, None)
         txn.mark_aborted(self.sim.now)
         self.metrics.on_abort(txn, reason)
         self.tracer.emit(
@@ -926,30 +926,16 @@ class MVCCNode(BaseProtocolNode):
             # wiped incarnation.
             alive = self.locks is locks
             if alive and self.wal is not None:
-                # Log-before-vote: once the yes-vote can reach the
-                # coordinator, a recovered replica must re-stage these
-                # writes (they may be committed without its knowledge).
-                lsn = self.wal.append(
+                # Logged before the vote, never waited on (C1): if a crash
+                # takes the record, recovery re-stages these writes from
+                # the coordinator's decision record, which carries them.
+                entry.lsn = self.wal.append(
                     PrepareRecord(
                         request.txn_id,
                         request.coordinator,
                         tuple(request.writes.items()),
                     )
                 )
-                if (
-                    self.flusher.active
-                    and request.coordinator != self.node_id
-                ):
-                    # Group commit: the yes-vote must not leave the node
-                    # before its PrepareRecord is on disk -- a committed
-                    # transaction's re-announced Decide carries no writes,
-                    # so a participant that lost the prepare could never
-                    # re-stage them.  Self-coordinated prepares skip the
-                    # wait: their vote never leaves the node, and the
-                    # decision record's sync (higher LSN, prefix-durable)
-                    # covers this one before any external effect.
-                    durable = yield from self.flusher.ensure_durable(lsn)
-                    alive = durable and self.locks is locks
             if alive and self.replication is not None:
                 # Stream the staged writes to the written shards' backups
                 # before the yes-vote can escape (sync mode waits for the
@@ -988,20 +974,17 @@ class MVCCNode(BaseProtocolNode):
     def _expire_prepared(self, txn_id: int, entry: PreparedTxn) -> None:
         """Prepared-lock lease fired: presume abort, or ask the coordinator.
 
-        Fires ``prepared_lease`` after the yes-vote.  If the Decide arrived
-        in time the entry was already popped (or replaced) and this is a
-        no-op.  Otherwise the historical behaviour -- and the default --
-        presumes the coordinator dead and aborts unilaterally, which is
-        *wrong* when the coordinator committed and only the Decide was
-        lost: this site drops a committed transaction's writes.  With
-        ``durability.termination_query`` on, the participant instead asks
-        the coordinator for the recorded outcome and applies it
-        (:meth:`repro.core.repair.InDoubtResolver.terminate`).
+        Fires ``prepared_lease`` after the yes-vote; a no-op if the Decide
+        came in time (the entry was popped, or replaced).  The default
+        presumes the coordinator dead and aborts unilaterally -- *wrong*
+        when it committed, or still may: this site then drops a committed
+        transaction's writes.  With ``durability.termination_query`` the
+        participant asks the coordinator (itself included) and applies
+        the exact answer (``InDoubtResolver.terminate``).
         """
         if self._prepared.get(txn_id) is not entry:
             return
-        durability = self.shared.config.durability
-        if durability.termination_query and entry.coordinator != self.node_id:
+        if self.shared.config.durability.termination_query:
             self.sim.spawn(
                 self.in_doubt.terminate(txn_id, entry),
                 name=f"n{self.node_id}:terminate-{txn_id}",
@@ -1064,6 +1047,10 @@ class MVCCNode(BaseProtocolNode):
             if prepared is not None and prepared.round == body.round:
                 self._abort_prepared(body.txn_id, prepared)
             return
+        if self.fence.node_wide and body.txn_id not in self._prepared:
+            # Recovery may be about to re-stage this commit's lost prepare
+            # (C3); a clock-only tick now would drop its writes.
+            yield from self.fence.wait()
         yield from self._apply_committed_decide(body)
 
     def _apply_committed_decide(self, body: DecideBody):
@@ -1091,6 +1078,10 @@ class MVCCNode(BaseProtocolNode):
             lambda: self.site_vc[body.origin] >= body.seq_no - 1,
         )
         prepared = self._prepared.pop(body.txn_id, None)
+        if prepared is None and body.txn_id in self._applying:
+            # A duplicate Decide: the applier that popped the entry is
+            # installing its writes; a tick from here would outrun them.
+            return
         # The entry popped (and the locks it holds) belong to the current
         # incarnation; if a durable crash wipes the node across one of the
         # yields below, this process must stop mutating the rebuilt state
@@ -1100,9 +1091,7 @@ class MVCCNode(BaseProtocolNode):
         # From here to the ApplyRecord the transaction is in neither the
         # prepared table nor (yet) the log while its versions may already
         # sit in the live store; checkpoints must not observe the window.
-        marking = self.wal is not None
-        if marking:
-            self._applying[body.txn_id] = incarnation
+        self._applying[body.txn_id] = incarnation
         try:
             if self.site_vc[body.origin] < body.seq_no:
                 writes = prepared.writes if prepared is not None else {}
@@ -1157,10 +1146,19 @@ class MVCCNode(BaseProtocolNode):
                         origin=body.origin, seq=body.seq_no,
                     )
         finally:
-            # On every way out, on the table the locks were taken on.
-            if prepared is not None:
+            # On every way out, on the table the locks were taken on -- but
+            # (C4) not before the vote's own PrepareRecord is durable: what
+            # a crash loses must still have held its locks at the crash.
+            if prepared is not None and prepared.lsn:
+                self.flusher.after_durable(
+                    prepared.lsn,
+                    lambda _durable: locks.release_write_all(
+                        prepared.locked_keys, owner=body.txn_id
+                    ),
+                )
+            elif prepared is not None:
                 locks.release_write_all(prepared.locked_keys, owner=body.txn_id)
-            if marking and self._applying.get(body.txn_id) == incarnation:
+            if self._applying.get(body.txn_id) == incarnation:
                 del self._applying[body.txn_id]
 
     def _maybe_collect_garbage(self, key: Hashable) -> None:

@@ -3,24 +3,21 @@
 The paper's protocol does not model crashes.  A durable crash freezes
 the WAL and raises the node-wide fence; the restart wipes all volatile
 state, replays the log and, fence still up, runs the repair toolkit
-(:mod:`repro.core.repair`): settle the in-doubt prepares, catch the
-clock up, re-announce this origin's decisions to whoever lacks them.
+(:mod:`repro.core.repair`): ask every peer once for its clock and for
+what it committed here, settle the in-doubt prepares and re-stage the
+lost ones from the answers, catch the clock up, re-announce this
+origin's decisions to whoever lacks them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.core.repair import (
-    TERMINATION_ATTEMPTS,
-    catch_up,
-    decision_table,
-    reannounce,
-)
+from repro.core.repair import _decide, catch_up, decision_table, reannounce
 from repro.core.transaction import PreparedTxn
 from repro.core.wire import VoteBody
 from repro.sim import AllOf
-from repro.storage.wal import ReplayResult, replay
+from repro.storage.wal import PrepareRecord, ReplayResult, replay
 
 
 class NodeRecovery:
@@ -28,8 +25,10 @@ class NodeRecovery:
 
     def __init__(self, node) -> None:
         self.node = node
-        #: Completed recoveries at this node (asserted on by tests).
+        #: Completed recoveries at this node (asserted on by tests), and
+        #: the prepares they re-staged.
         self.recoveries = 0
+        self.restaged = 0
 
     def crash_durably(self) -> None:
         """Mark the durable-crash instant.
@@ -88,6 +87,9 @@ class NodeRecovery:
         node = self.node
         node._incarnation += 1
         node._reset_volatile()
+        for rnd in node.in_doubt.rounds.values():
+            rnd.doomed = True  # no round of the lost incarnation may decide
+        node.in_doubt.rounds, node.in_doubt.records = {}, {}
         node.healing.transfer.inbound = None
         site_vc = node.site_vc
         for origin in range(len(site_vc.entries)):
@@ -111,6 +113,7 @@ class NodeRecovery:
             by_seq = decision_table(node.node_id, result.decisions.values())
             node._decisions_by_seq = by_seq
             node._decisions = {body.txn_id: body for body in by_seq.values()}
+            node.in_doubt.records = dict(result.decisions)
         for txn_id, record in sorted(result.in_doubt.items()):
             # Re-stage on the fresh lock table so whichever path resolves
             # this entry (recovery's own termination, a late Decide, or a
@@ -129,65 +132,69 @@ class NodeRecovery:
     def _recover(self, result: ReplayResult):
         """Rebuild from the WAL: terminate in-doubt prepares, catch up.
 
-        Runs with the node-wide fence up.  Steps:
+        Runs with the node-wide fence up (DESIGN.md 5.5 has the why):
 
-        1. Settle every in-doubt prepare via the coordinator's decision
-           log (our own log, when this node coordinated); a coordinator
-           that stays unreachable is presumed to have aborted.  Committed
-           ones are applied through ``_apply_committed_decide`` -- their
-           sequence numbers are *reserved* so step 3 leaves the clock
-           advance to the applier.
-        2. Anti-entropy SYNC: ask every peer for its ``siteVC``; the
-           element-wise max is the catch-up target.  Runs after step 1's
-           queries so a coordinator that just answered is included.
-        3. Per-origin catch-up to the target (:func:`catch_up`).  Our
-           *own* origin is additionally caught up to ``curr_seq_no``:
-           every assigned sequence number has a durable decision record,
-           but a commit whose loopback Decide died with the crash never
-           advanced our own clock entry.
-        4. Re-announce our own origin to peers the SYNC replies showed
+        1. One SYNC to every peer, carrying our replayed frontier of *its*
+           origin; it answers with its ``siteVC`` and every commit it
+           decided above that frontier that wrote here, with our writes.
+           Listed means committed, unlisted by a coordinator that
+           answered means aborted -- both exact; one unreachable for the
+           whole budget is presumed to have aborted.
+        2. Settle the in-doubt prepares the WAL kept by that rule (by our
+           own decision log where this node coordinated) and re-stage the
+           listed commits whose ``PrepareRecord`` the crash took.  What
+           committed goes through ``_apply_committed_decide``, sequence
+           number *reserved* so step 3 leaves the tick to the applier.
+        3. Per-origin :func:`catch_up` to the element-wise max of the
+           replies -- our *own* origin to ``curr_seq_no``: a commit whose
+           loopback Decide died with the crash has a durable decision
+           record but never advanced our own clock entry.
+        4. Re-announce our own origin to the peers the replies showed
            behind on it: a commit decided just before the crash may have
-           lost its entire Decide/Propagate fan-out, and nobody but this
-           node can ever tell uninvolved peers that sequence number
-           exists -- without this their in-order apply wedges behind the
-           gap forever.  Peers cannot have advanced past us on our own
-           origin while the fence blocked new commits here.
+           lost its whole fan-out, and nobody else can close that gap in
+           their in-order apply.
         """
         node = self.node
         incarnation = node._incarnation
-        waiters = []
-        reserved: Dict[int, Set[int]] = {}
-        for txn_id in sorted(result.in_doubt):
-            if node._incarnation != incarnation:
-                return  # crashed again mid-recovery; a newer recovery owns it
-            entry = node._prepared.get(txn_id)
-            if entry is None:
-                continue
-            decide = yield from node.in_doubt.settle(
-                txn_id, entry, attempts=TERMINATION_ATTEMPTS,
-                presume_abort=True, via="recovery",
-            )
-            if decide:
-                reserved.setdefault(decide.origin, set()).add(decide.seq_no)
-                waiters.append(
-                    node.sim.spawn(
-                        node._apply_committed_decide(decide),
-                        name=f"n{node.node_id}:recover-apply-{txn_id}",
-                    )
-                )
-
-        # Anti-entropy: learn the commit frontier we slept through.  The
-        # SYNC fan-out is the healing layer's digest machinery -- recovery
-        # is one invocation of the same code the background gossip runs.
-        targets, peer_frontiers = yield from node.healing.collect_frontiers()
+        targets, peer_frontiers, listed = (
+            yield from node.healing.collect_frontiers(restage=True)
+        )
         if node._incarnation != incarnation:
-            return
+            return  # crashed again mid-recovery; a newer recovery owns it
         if node.curr_seq_no > targets[node.node_id]:
             targets[node.node_id] = node.curr_seq_no
         if len(targets) > len(node.site_vc.entries):
             # A peer's reply was wider than our clock (origins joined
             # while we were down); widen before the per-origin catch-up.
             node.site_vc.widen(len(targets))
+
+        waiters = []
+        reserved: Dict[int, Set[int]] = {}
+
+        def apply(decide, applier):
+            reserved.setdefault(decide.origin, set()).add(decide.seq_no)
+            waiters.append(
+                node.sim.spawn(
+                    applier, name=f"n{node.node_id}:recover-{decide.txn_id}"
+                )
+            )
+
+        for txn_id in sorted(result.in_doubt):
+            entry = node._prepared.get(txn_id)
+            if entry is None:
+                continue  # a Decide that raced the fan-out resolved it
+            if entry.coordinator == node.node_id:
+                decide = node._decisions.get(txn_id, False)
+            else:
+                status = listed.pop(txn_id, None)
+                decide = status is not None and _decide(status.origin, status)
+            if node.in_doubt.resolve(txn_id, entry, decide, "recovery"):
+                apply(decide, node._apply_committed_decide(decide))
+        restaged_before = self.restaged
+        for _txn_id, status in sorted(listed.items()):
+            if status.seq_no > node.site_vc[status.origin]:
+                apply(status, self._restage(status))
+
         for origin, target in enumerate(targets):
             if target > node.site_vc[origin]:
                 waiters.append(
@@ -217,5 +224,35 @@ class NodeRecovery:
         node.fence.lower_node()
         node.tracer.emit(
             node.node_id, "recover", replayed=result.replayed,
-            in_doubt=len(result.in_doubt),
+            in_doubt=len(result.in_doubt), restaged=self.restaged - restaged_before,
         )
+
+    def _restage(self, status):
+        """Re-create a prepare the crash took (``status``: its coordinator's
+        answer, with our writes), then apply its commit.
+
+        The locks come through the waiting path: an in-doubt entry the WAL
+        kept may hold a key, and by C4 it committed first -- the lock table
+        replays first-committer-wins order (lost prepares are pairwise
+        key-disjoint).  The ``PrepareRecord`` is logged again: to a second
+        crash this is an ordinary in-doubt entry.
+        """
+        node = self.node
+        locks = node.locks
+        writes = dict(status.writes)
+        yield from locks.acquire_write_all(writes, status.txn_id, None)
+        if locks is not node.locks:
+            return
+        if node.site_vc[status.origin] >= status.seq_no:
+            # The apply we queued behind was this commit's own: a Decide
+            # raced the fan-out while its entry was still in the WAL's.
+            locks.release_write_all(writes, owner=status.txn_id)
+            return
+        entry = PreparedTxn(writes, writes, VoteBody(True), status.origin)
+        entry.lsn = node.wal.append(
+            PrepareRecord(status.txn_id, status.origin, status.writes)
+        )
+        node._prepared[status.txn_id] = entry
+        self.restaged += 1
+        node.metrics.count("prepares_restaged")
+        yield from node._apply_committed_decide(_decide(status.origin, status))

@@ -18,15 +18,17 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.core.wire import (
     DecideBody,
+    SyncReplyBody,
     TxnStatusReplyBody,
     TxnStatusRequestBody,
 )
 from repro.net.message import Envelope, MessageType
 from repro.sim import ConditionVariable, wait_until
+from repro.storage.wal import DecisionRecord
 
-#: Rounds of TXN_STATUS a lease expiry or a recovery spends on an
-#: unreachable coordinator before it falls back to presumed abort (the
-#: RPC layer retries within each round).
+#: Rounds of TXN_STATUS a lease expiry, or of re-stage SYNC a recovery,
+#: spends on an unreachable coordinator before it falls back to presumed
+#: abort (the RPC layer retries within each round).
 TERMINATION_ATTEMPTS = 5
 
 
@@ -95,39 +97,118 @@ class Fence:
             self.changed.notify_all()
 
 
+class Round:
+    """One commit round in flight at its coordinator: collecting votes
+    (``lsn == 0``) or forcing the decision it appended at ``lsn``.  A
+    query answered "not committed" while the votes were still coming in
+    sets ``doomed``: ``commit()`` then may not decide this round."""
+
+    __slots__ = ("sites", "doomed", "lsn")
+
+    def __init__(self, sites) -> None:
+        self.sites = sites  # the participants (``in`` is all it answers)
+        self.doomed = False
+        self.lsn = 0
+
+
 class InDoubtResolver:
     """Both ends of the in-doubt termination protocol at one node."""
 
     def __init__(self, node) -> None:
         self.node = node
+        #: Coordinator side: txn_id -> the commit round in flight here,
+        #: entered and removed by ``commit()``; lost with a wipe.
+        self.rounds: Dict[int, Round] = {}
+        #: txn_id -> the WAL record behind ``node._decisions`` (WAL runs
+        #: only): where a re-stage answer and a checkpoint find the
+        #: participants' writes.
+        self.records: Dict[int, DecisionRecord] = {}
 
     # ------------------------------------------------------------------
     # Coordinator side
     # ------------------------------------------------------------------
+    def log_decision(self, rnd: Round, decide: DecideBody, by_site) -> int:
+        """Append a commit's ``DecisionRecord``, the participants' staged
+        writes with it; its round now forces.  Returns the LSN to force."""
+        record = self.records[decide.txn_id] = DecisionRecord(
+            decide.txn_id, decide.seq_no, decide.commit_vc, decide.collected,
+            tuple(
+                (site, key, value)
+                for site, writes in by_site.items()
+                for key, value in writes.items()
+            ),
+        )
+        rnd.lsn = self.node.wal.append(record)
+        return rnd.lsn
+
+    def _exactly(self, rounds: Iterable[Round], answer) -> None:
+        """Call ``answer()`` once its "not committed" cannot turn false.
+
+        C2 (DESIGN.md 5.10): a round still collecting votes is doomed --
+        ``commit()`` aborts and re-prepares it -- and a decision being
+        forced is waited out (prefix durability: the highest LSN covers
+        the rest).  A crash in that wait answers nothing; the asker
+        retries against the recovered log.
+        """
+        lsn = 0
+        for rnd in rounds:
+            if rnd.lsn:
+                lsn = max(lsn, rnd.lsn)
+            else:
+                rnd.doomed = True
+        if lsn:
+            self.node.flusher.after_durable(
+                lsn, lambda durable: durable and answer()
+            )
+        else:
+            answer()
+
     def on_txn_status(self, envelope: Envelope) -> None:
         """Answer a termination query from our decision log.
 
-        No commit decision on record means no Decide was ever sent (the
-        decision is logged first), so ``committed=False`` is definitive
-        -- the presumed-abort rule, safe to act on.
+        No commit decision on record means no Decide was sent and, once
+        :meth:`_exactly` has run, that none will be: ``committed=False``
+        is definitive -- the presumed-abort rule, safe to act on.
         """
         node = self.node
-        request: TxnStatusRequestBody = node.node.rpc.body_of(envelope)
-        decision = node._decisions.get(request.txn_id)
-        if decision is not None:
-            reply = TxnStatusReplyBody(
-                txn_id=request.txn_id,
-                committed=True,
-                origin=decision.origin,
-                seq_no=decision.seq_no,
-                commit_vc=decision.commit_vc,
-                collected=decision.collected,
+        txn_id = node.node.rpc.body_of(envelope).txn_id
+
+        def answer():
+            decision = node._decisions.get(txn_id)
+            node.node.rpc.reply(
+                envelope,
+                TxnStatusReplyBody(txn_id, False, node.node_id)
+                if decision is None else _status(decision.origin, decision),
             )
-        else:
-            reply = TxnStatusReplyBody(
-                txn_id=request.txn_id, committed=False, origin=node.node_id
+
+        rnd = self.rounds.get(txn_id)
+        self._exactly(() if rnd is None else (rnd,), answer)
+
+    def on_restage(self, envelope: Envelope, request) -> None:
+        """Answer a recovering peer's SYNC (C3): our clock, and every
+        commit we decided above its frontier of our origin that wrote
+        there, with its share of the writes -- exact, so unlisted means
+        aborted.  Read from the decision table: our own fence may be up."""
+        node = self.node
+        peer = request.requester
+
+        def answer():
+            listed = tuple(
+                _status(node.node_id, record, writes)
+                for record in self.records.values()
+                if record.seq_no > request.restage_above
+                and (writes := tuple(
+                    (key, value) for site, key, value in record.writes
+                    if site == peer
+                ))
             )
-        node.node.rpc.reply(envelope, reply)
+            node.node.rpc.reply(
+                envelope, SyncReplyBody(node.site_vc.to_tuple(), listed)
+            )
+
+        self._exactly(
+            [rnd for rnd in self.rounds.values() if peer in rnd.sites], answer
+        )
 
     # ------------------------------------------------------------------
     # Participant side
@@ -147,6 +228,9 @@ class InDoubtResolver:
         """
         node = self.node
         if coordinator == node.node_id:
+            rnd = self.rounds.get(txn_id)
+            if rnd is not None and not rnd.lsn:
+                rnd.doomed = True  # C2 binds an answer to ourselves too
             return node._decisions.get(txn_id, False)
         round_wait = node.shared.config.prepared_lease or 1e-3
         for _attempt in range(attempts):
@@ -166,7 +250,7 @@ class InDoubtResolver:
 
     def settle(
         self, txn_id: int, entry, *, attempts: int = 1, rpc_config=None,
-        presume_abort: bool = False, via: str,
+        via: str,
     ):
         """Generator: resolve one prepared entry through its coordinator.
 
@@ -176,19 +260,21 @@ class InDoubtResolver:
         entry is resolved without a commit -- aborted here and its locks
         released, or a racing Decide or a wipe got there first; ``None``
         while the coordinator is unreachable and the entry still
-        prepared, which ``presume_abort`` (recovery, behind its fence)
-        treats as not-on-record.
+        prepared.
         """
-        node = self.node
         outcome = yield from self.outcome(
             txn_id, entry.coordinator, attempts, rpc_config, entry
         )
-        if node._prepared.get(txn_id) is not entry:
+        if self.node._prepared.get(txn_id) is not entry:
             return False
         if outcome is None:
-            if not presume_abort:
-                return None
-            outcome = False
+            return None
+        return self.resolve(txn_id, entry, outcome, via)
+
+    def resolve(self, txn_id: int, entry, outcome, via: str):
+        """Record how a prepared entry ended (a Decide, or ``False``: then
+        it is unstaged here).  Returns ``outcome``."""
+        node = self.node
         committed = outcome is not False
         node.metrics.count(
             "indoubt_committed" if committed else "indoubt_aborted"
@@ -205,10 +291,9 @@ class InDoubtResolver:
     def terminate(self, txn_id: int, entry):
         """Prepared-lease expiry under ``termination_query``: ask first.
 
-        The coordinator logs commit decisions *before* sending any
-        Decide, so its answer is definitive.  Only when it stays
-        unreachable past the whole budget does the participant fall back
-        to presumed abort rather than hold the locks forever.
+        The coordinator's answer is definitive either way (C2).  Only when
+        it stays unreachable past the whole budget does the participant
+        fall back to presumed abort rather than hold the locks forever.
         """
         node = self.node
         decide = yield from self.settle(
@@ -218,6 +303,14 @@ class InDoubtResolver:
             yield from node._apply_committed_decide(decide)
         elif decide is None:
             node._presume_abort(txn_id, entry)
+
+
+def _status(origin: int, record, writes=()) -> TxnStatusReplyBody:
+    """A recorded commit as a status answer (``writes``: re-stage only)."""
+    return TxnStatusReplyBody(
+        record.txn_id, True, origin, record.seq_no, record.commit_vc,
+        record.collected, writes,
+    )
 
 
 def _decide(origin: int, record) -> DecideBody:

@@ -145,7 +145,7 @@ class Transaction:
 class PreparedTxn:
     """Participant-side state between a yes-vote and the Decide message."""
 
-    __slots__ = ("writes", "locked_keys", "vote", "coordinator", "round")
+    __slots__ = ("writes", "locked_keys", "vote", "coordinator", "round", "lsn")
 
     def __init__(
         self,
@@ -167,3 +167,6 @@ class PreparedTxn:
         #: Prepare round (moved-retry); a newer round supersedes this
         #: entry, and an abort Decide only cancels a matching round.
         self.round = round
+        #: LSN of this vote's ``PrepareRecord`` (0: no WAL, or replayed
+        #: from it): the locks outlive its sync (DESIGN.md 5.10, C4).
+        self.lsn = 0

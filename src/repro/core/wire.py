@@ -132,8 +132,9 @@ class TxnStatusRequestBody:
     """In-doubt termination query: participant -> coordinator.
 
     Sent when a prepared-lock lease expires with the termination
-    protocol enabled, and during crash recovery for every in-doubt
-    prepare restored from the WAL.
+    protocol enabled, and by anti-entropy before it advances a clock
+    past a prepare it holds.  (Crash recovery asks once per peer
+    instead: :class:`SyncRequestBody` with ``restage_above``.)
     """
 
     txn_id: int
@@ -143,11 +144,12 @@ class TxnStatusRequestBody:
 class TxnStatusReplyBody:
     """Coordinator's definitive answer to a status query.
 
-    ``committed=False`` covers both a logged abort decision and a
-    transaction the coordinator has never decided: decisions are logged
-    (durably, when the WAL is on) *before* any Decide leaves the
-    coordinator, so "no commit decision on record" proves no participant
-    can have installed the transaction -- presumed abort is safe.
+    ``committed=False`` is exact because the coordinator makes it true
+    before answering (DESIGN.md 5.10, C2): it dooms a round still
+    collecting votes and waits out a decision being forced, so "no
+    commit decision on record" means no Decide was sent *and none will
+    be*.  ``writes`` is filled only inside a re-stage reply
+    (:class:`SyncReplyBody`): the asking node's share of the commit.
     """
 
     txn_id: int
@@ -156,6 +158,7 @@ class TxnStatusReplyBody:
     seq_no: Optional[int] = None
     commit_vc: Optional[Tuple[int, ...]] = None
     collected: FrozenSet[int] = frozenset()
+    writes: Tuple[Tuple[Hashable, object], ...] = ()
 
 
 @dataclass(slots=True)
@@ -166,12 +169,14 @@ class SyncRequestBody:
     ``site_vc`` (gossip only) is the requester's own applied frontier; the
     handler records ``site_vc[handler]`` as the requester's durable
     knowledge of the handler's origin, the evidence WAL truncation waits
-    on.  Recovery-time requests omit it -- a half-rebuilt clock is not
-    evidence of anything.
+    on.  A recovering node omits it -- a half-rebuilt clock is evidence
+    of nothing -- and sends ``restage_above`` instead, its replayed
+    frontier of the *handler's* origin: what did you commit here since?
     """
 
     requester: int
     site_vc: Optional[Tuple[int, ...]] = None
+    restage_above: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -179,12 +184,15 @@ class SyncReplyBody:
     """A peer's current ``siteVC``: the per-origin commit frontier it has
     applied.  The recovering node advances toward the element-wise max
     over all replies -- every sequence number at or below a peer's entry
-    either had the recoverer as a 2PC participant (restored from its own
-    WAL and terminated explicitly) or carried no data for it (clock-only
-    Propagate), so the advance is always safe.
+    either had the recoverer as a 2PC participant (then its coordinator
+    lists it in ``decisions``, or it aborted) or carried no data for it
+    (clock-only Propagate), so the advance is always safe.  ``decisions``
+    answers ``restage_above``: the handler's durable commits above that
+    frontier that wrote at the requester, each with the requester's writes.
     """
 
     site_vc: Tuple[int, ...]
+    decisions: Tuple[TxnStatusReplyBody, ...] = ()
 
 
 @dataclass(slots=True)

@@ -28,7 +28,6 @@ from typing import Optional
 
 from repro.storage.wal import (
     CheckpointRecord,
-    DecisionRecord,
     PrepareRecord,
     build_checkpoint,
 )
@@ -93,13 +92,7 @@ class CheckpointManager:
             PrepareRecord(txn_id, entry.coordinator, tuple(entry.writes.items()))
             for txn_id, entry in sorted(owner._prepared.items())
         ]
-        decisions = [
-            DecisionRecord(
-                txn_id, decision.seq_no, decision.commit_vc,
-                decision.collected,
-            )
-            for txn_id, decision in sorted(owner._decisions.items())
-        ]
+        decisions = owner.in_doubt.records.values()
         membership = owner.membership
         view = None
         if membership.view.epoch > 0:
@@ -232,3 +225,4 @@ class CheckpointManager:
         for txn_id in stale:
             decision = decisions.pop(txn_id)
             by_seq.pop(decision.seq_no, None)
+            self.owner.in_doubt.records.pop(txn_id, None)

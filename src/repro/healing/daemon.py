@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.config import RpcConfig
-from repro.core.repair import catch_up, reannounce
+from repro.core.repair import TERMINATION_ATTEMPTS, catch_up, reannounce
 from repro.core.vector_clock import VectorClock
 from repro.core.wire import HeartbeatBody, SyncReplyBody, SyncRequestBody
 from repro.healing.checkpoint import CheckpointManager
@@ -206,6 +206,10 @@ class NodeHealing:
             self.note_peer_frontier(
                 request.requester, request.site_vc[self.node_id]
             )
+        if request.restage_above is not None:
+            # A recovering peer: it also wants what we committed there.
+            owner.in_doubt.on_restage(envelope, request)
+            return
         owner.node.rpc.reply(
             envelope, SyncReplyBody(owner.site_vc.to_tuple())
         )
@@ -428,36 +432,58 @@ class NodeHealing:
     # ------------------------------------------------------------------
     # Recovery's shared SYNC fan-out
     # ------------------------------------------------------------------
-    def collect_frontiers(self):
+    def collect_frontiers(self, restage: bool = False):
         """Digest every peer at once: recovery's anti-entropy step.
 
-        Generator subroutine returning ``(targets, peer_frontiers)`` --
-        the element-wise max clock over all replies and each reachable
-        peer's applied frontier of *our* origin.  The request omits our
-        own ``siteVC`` on purpose: a half-rebuilt clock is not frontier
-        evidence.  Uses the endpoint's normal RPC policy (recovery keeps
-        its historical retry semantics).
+        Generator subroutine returning ``(targets, peer_frontiers,
+        listed)``: the element-wise max clock over all replies, each
+        reachable peer's applied frontier of *our* origin and, with
+        ``restage`` (crash recovery), ``txn_id -> status`` of what the
+        peers committed here (``InDoubtResolver.on_restage``).  The
+        request omits our own ``siteVC``: a half-rebuilt clock is not
+        frontier evidence.  Normal RPC policy; a re-stage round is
+        repeated for silent peers, paced like a lease expiry's status
+        query, ``TERMINATION_ATTEMPTS`` times at most.
         """
         owner = self.owner
-        peers = self.peers
-        settles = [
-            owner.node.rpc.spawn_call(
-                peer, MessageType.SYNC, SyncRequestBody(self.node_id)
-            )
-            for peer in peers
-        ]
-        replies = yield AllOf(self.sim, settles)
-        targets = VectorClock.zeros(
-            max(owner.shared.num_nodes, len(owner.site_vc.entries))
-        )
+        entries = owner.site_vc.entries
+        targets = VectorClock.zeros(max(owner.shared.num_nodes, len(entries)))
         peer_frontiers: Dict[int, int] = {}
-        for peer, (ok, reply) in zip(peers, replies):
-            if ok:
-                own = self._own_entry(reply.site_vc)
-                peer_frontiers[peer] = own
-                self.note_peer_frontier(peer, own)
-                targets.merge_seq(reply.site_vc)
-        return targets, peer_frontiers
+        listed: Dict[int, object] = {}
+        for attempt in range(TERMINATION_ATTEMPTS if restage else 1):
+            peers = [peer for peer in self.peers if peer not in peer_frontiers]
+            if attempt:
+                if not peers:
+                    break
+                yield self.sim.timeout(
+                    owner.shared.config.prepared_lease or 1e-3
+                )
+            above = {
+                peer: entries[peer] if peer < len(entries) else 0
+                for peer in (peers if restage else ())
+            }
+            settles = [
+                owner.node.rpc.spawn_call(
+                    peer,
+                    MessageType.SYNC,
+                    SyncRequestBody(self.node_id, restage_above=above.get(peer)),
+                )
+                for peer in peers
+            ]
+            replies = yield AllOf(self.sim, settles)
+            for peer, (ok, reply) in zip(peers, replies):
+                if ok:
+                    own = self._own_entry(reply.site_vc)
+                    peer_frontiers[peer] = own
+                    self.note_peer_frontier(peer, own)
+                    targets.merge_seq(reply.site_vc)
+                    for status in reply.decisions:
+                        # Durable there, so everything up to it is decided:
+                        # a catch-up target even before the peer's own
+                        # clock (its loopback Decide) has got that far.
+                        listed[status.txn_id] = status
+                        targets[peer] = max(targets[peer], status.seq_no)
+        return targets, peer_frontiers, listed
 
     # ------------------------------------------------------------------
     # Checkpoints

@@ -134,6 +134,10 @@ COUNTERS: Dict[str, str] = {
         "in-doubt terminations (lease- or recovery-driven) that committed"
     ),
     "indoubt_aborted": "in-doubt terminations that aborted",
+    "prepares_restaged": (
+        "prepares a crash took, re-created at recovery from their "
+        "coordinators' decision records"
+    ),
     "catchup_advances": (
         "siteVC slots advanced by anti-entropy catch-up (lost Propagates)"
     ),

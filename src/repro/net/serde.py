@@ -46,8 +46,10 @@ from repro.core import wire
 from repro.net.message import Envelope
 from repro.net.rpc import _Reply, _Request
 
-#: Bumped on any incompatible change to the value format or registry.
-WIRE_VERSION = 1
+#: Bumped on any incompatible change to the value format or registry
+#: (2: ``SyncRequestBody``, ``SyncReplyBody`` and ``TxnStatusReplyBody``
+#: gained their re-stage fields).
+WIRE_VERSION = 2
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).

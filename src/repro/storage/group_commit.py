@@ -11,8 +11,8 @@ Records appended during its ``fsync_latency`` form the next group, whose
 sync starts the instant this one ends.  Batching comes from the disk
 being busy, never from a timer: on an idle disk a forced record is
 durable after exactly one ``fsync_latency``, under load after at most
-two (the in-flight sync plus its own).  Commit acknowledgements and
-prepare votes wait for the sync covering their record
+two (the in-flight sync plus its own).  A commit's acknowledgement
+waits for the sync covering its decision record
 (:meth:`WalFlusher.ensure_durable`), so a crash between buffer and
 flush loses only unacknowledged work.
 
@@ -79,15 +79,30 @@ class WalFlusher:
             return True
         if wal.frozen:
             return False
-        event = Event(self.sim, name="wal-durable")
-        heapq.heappush(self._waiters, (lsn, self._tickets, event))
-        self._tickets += 1
         since = self.sim.now
-        durable = yield event
+        durable = yield self._covering_sync(lsn)
         if self.metrics is not None:
             self.metrics.count("wal_waits")
             self.metrics.count("wal_wait_time", self.sim.now - since)
         return durable
+
+    def after_durable(self, lsn: int, callback) -> None:
+        """Call ``callback(durable)`` once ``lsn`` is durable -- now, if
+        it is -- or lost to a crash.  Nobody blocks: not a forced wait."""
+        wal = self.wal
+        if not self.active or wal.durable_lsn >= lsn or wal.frozen:
+            callback(wal.durable_lsn >= lsn)
+        else:
+            self._covering_sync(lsn).add_callback(
+                lambda event: callback(event.value)
+            )
+
+    def _covering_sync(self, lsn: int) -> Event:
+        """The event the sync covering ``lsn`` (or a crash) will trigger."""
+        event = Event(self.sim, name="wal-durable")
+        heapq.heappush(self._waiters, (lsn, self._tickets, event))
+        self._tickets += 1
+        return event
 
     # ------------------------------------------------------------------
     # Crash hook

@@ -13,10 +13,13 @@ Record vocabulary (one dataclass per protocol step, see DESIGN.md 5.5):
 ===================  ===================================================
 ``LoadRecord``       initial data load (the seed "checkpoint")
 ``PrepareRecord``    participant voted yes; writes are locked and staged
-``DecisionRecord``   coordinator decided *commit* and assigned ``seq_no``
-                     (logged before the Decide fan-out -- the classic
-                     presumed-abort rule: no decision record, no Decide
-                     ever sent, so recovery may safely abort)
+                     (appended before the vote, never waited on: a crash
+                     may lose it, and the decision below re-creates it)
+``DecisionRecord``   coordinator decided *commit* and assigned ``seq_no``;
+                     carries every participant's staged writes.  Forced
+                     before the Decide fan-out -- the one force of a
+                     commit: no durable decision record, no Decide ever
+                     sent, so recovery may safely abort
 ``ApplyRecord``      a Decide installed versions and advanced ``siteVC``
 ``PropagateRecord``  a Propagate advanced ``siteVC`` (clock-only)
 ``AbortRecord``      a prepared transaction was resolved aborted
@@ -60,14 +63,14 @@ if TYPE_CHECKING:
     from repro.replication.backup import BackupState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadRecord:
     """Initial (pre-run) data load at this node."""
 
     items: Tuple[Tuple[Hashable, object], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrepareRecord:
     """This node voted yes on a Prepare: writes staged, locks held."""
 
@@ -76,26 +79,31 @@ class PrepareRecord:
     writes: Tuple[Tuple[Hashable, object], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionRecord:
     """This node, as coordinator, decided *commit* for ``txn_id``.
 
-    Logged before any Decide message leaves the node, so a recovered
+    Durable before any Decide message leaves the node, so a recovered
     coordinator can answer in-doubt termination queries definitively:
     a transaction with no decision record never sent a Decide and is
     safely presumed aborted.  ``collected`` is the anti-dependency set
     the Decide carried (Alg. 5 lines 18-20), so a re-announced Decide
-    excludes the same read-only transactions the lost one would have;
-    it defaults to empty so logs written without it still replay.
+    excludes the same read-only transactions the lost one would have.
+    ``writes`` is the round's writeset, each write tagged with its
+    participant site, ``((site, key, value), ...)``: a participant votes
+    without waiting for its own ``PrepareRecord``, so this record alone
+    must be able to re-stage what a crash took from it (DESIGN.md 5.10,
+    C1/C3).  Both default to empty so logs written without them replay.
     """
 
     txn_id: int
     seq_no: int
     commit_vc: Tuple[int, ...]
     collected: FrozenSet[int] = frozenset()
+    writes: Tuple[Tuple[int, Hashable, object], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplyRecord:
     """A commit's versions installed here; ``siteVC[origin] = seq_no``."""
 
@@ -106,7 +114,7 @@ class ApplyRecord:
     writes: Tuple[Tuple[Hashable, object], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropagateRecord:
     """A Propagate advanced ``siteVC[origin]`` to ``seq_no`` (no data)."""
 
@@ -114,14 +122,14 @@ class PropagateRecord:
     seq_no: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbortRecord:
     """A prepared transaction was resolved aborted and unstaged."""
 
     txn_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicationRecord:
     """One replication stream record this node applied as a backup.
 
@@ -137,7 +145,7 @@ class ReplicationRecord:
     entry: ReplicationEntry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewChangeRecord:
     """A membership view this node committed.
 
@@ -160,7 +168,7 @@ class ViewChangeRecord:
 SnapshotVersion = Tuple[object, Tuple[int, ...], int, int, Optional[int], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckpointRecord:
     """A fingerprinted snapshot of the node's entire durable state.
 

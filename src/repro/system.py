@@ -500,7 +500,7 @@ class Cluster:
         joiner.healing.start()
         # Clock-only bootstrap: adopt every origin's committed frontier
         # (the joiner owns no keys yet, so frontiers are all it needs).
-        targets, _ = yield from joiner.healing.collect_frontiers()
+        targets, _, _ = yield from joiner.healing.collect_frontiers()
         yield from joiner.healing.pull(targets)
         joiner.metrics.count("joins_bootstrapped")
         if self.tracer._enabled:

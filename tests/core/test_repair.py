@@ -247,3 +247,196 @@ def test_reannounce_honours_its_per_call_limit(limit, expected):
     cluster.run()
     assert announced == expected
     assert cluster.node(2).site_vc[0] == len(expected)
+
+
+# ----------------------------------------------------------------------
+# C2: a coordinator says "not committed" only after making it true
+# ----------------------------------------------------------------------
+def slow_vote_cluster(protocol, sites, **durability):
+    """T's two keys live at ``sites``; the 200 us lease is far shorter
+    than the 600 us the second site's vote will take."""
+    config = ClusterConfig(
+        num_nodes=3,
+        seed=5,
+        prepared_lease=200e-6,
+        durability=DurabilityConfig(termination_query=True, **durability),
+        network=NetworkConfig(jitter=0.0),
+    )
+    placement = {"a": sites[0], "b": sites[1]}
+    cluster = Cluster(protocol, config, directory=ExplicitDirectory(placement))
+    for key in placement:
+        cluster.load(key, 0)
+    return cluster
+
+
+@pytest.mark.parametrize("sites", [(1, 2), (0, 2)], ids=["remote", "own"])
+@pytest.mark.parametrize("protocol", ("fwkv", "walter"))
+def test_a_status_query_dooms_the_round_it_finds_collecting_votes(
+    protocol, sites
+):
+    """The first site votes yes, its lease expires and it asks while the
+    coordinator still waits for the second vote.  "No decision on record"
+    used to be the answer, the asker unstaged, the round then committed:
+    half of an acknowledged commit was gone.  Now the answer dooms the
+    round and the coordinator prepares again."""
+    cluster = slow_vote_cluster(protocol, sites)
+    node, slow = cluster.node(0), cluster.nodes[sites[1]]
+    outcome = {}
+
+    def transaction():
+        txn = outcome["txn"] = node.begin(is_read_only=False)
+        a = yield from node.read(txn, "a")
+        b = yield from node.read(txn, "b")
+        # Somebody else takes b's write lock now, for 600 us.
+        granted = yield slow.locks.lock_for("b").acquire_write("blocker")
+        assert granted
+        cluster.sim.call_later(600e-6, slow.locks.release, "b", "blocker")
+        node.write(txn, "a", a + 1)
+        node.write(txn, "b", b + 1)
+        outcome["ok"] = yield from node.commit(txn)
+
+    cluster.spawn(transaction())
+    cluster.run()
+    txn_id = outcome["txn"].txn_id
+    installed = [
+        any(v.writer_txn == txn_id for v in cluster.nodes[site].store.chain(key))
+        for site, key in zip(sites, "ab")
+    ]
+    assert installed == [outcome["ok"], outcome["ok"]]
+    assert outcome["ok"], "MAX_ATTEMPTS leaves room for the second round"
+    # The lease did fire and was answered "not committed" -- exactly.
+    assert cluster.metrics.counters["indoubt_aborted"] == 1
+    assert cluster.metrics.counters["lease_expirations"] == 0
+    assert not cluster.any_locks_held()
+    assert not any(n._prepared or n.in_doubt.rounds for n in cluster.nodes)
+    clocks = cluster.site_clocks()
+    assert clocks[0][0] == 1 and all(clock == clocks[0] for clock in clocks)
+
+
+def test_a_status_query_inside_the_force_window_waits_for_the_force():
+    """The decision is appended, its sync on the disk, when the query
+    arrives; then the coordinator dies and the record with it.  The
+    table entry is set ahead of the force, and answering from it told a
+    participant to apply a commit the recovered coordinator has no
+    record of."""
+    from repro.faults import CRASH_DURABLE, FaultEvent, Nemesis
+    from repro.storage.wal import DecisionRecord
+    from tests.harness.recovery_tools import TracePoint, restart
+
+    config = ClusterConfig(
+        num_nodes=2,
+        seed=5,
+        durability=DurabilityConfig(
+            wal_enabled=True, termination_query=True, fsync_latency=100e-6
+        ),
+        network=NetworkConfig(
+            jitter=0.0, rpc=RpcConfig(request_timeout=1e-3, max_attempts=2)
+        ),
+    )
+    cluster = Cluster("fwkv", config, directory=ExplicitDirectory({"x": 1}))
+    cluster.load("x", 0)
+    nemesis = Nemesis(cluster)
+    coordinator, participant = cluster.node(0), cluster.node(1)
+    outcome = {}
+
+    def transaction():
+        txn = outcome["txn"] = coordinator.begin(is_read_only=False)
+        value = yield from coordinator.read(txn, "x")
+        coordinator.write(txn, "x", value + 1)
+        outcome["ok"] = yield from coordinator.commit(txn)
+
+    def forcing_the_decision(record):
+        return isinstance(coordinator.wal.records()[-1], DecisionRecord)
+
+    def ask_then_crash(_record):
+        txn_id = outcome["txn"].txn_id
+        cluster.spawn(
+            participant.in_doubt.terminate(txn_id, participant._prepared[txn_id])
+        )
+        # The query lands 20 us into the 100 us force; the crash at 60.
+        cluster.sim.call_later(
+            60e-6, nemesis.apply, FaultEvent(0.0, CRASH_DURABLE, 0)
+        )
+        cluster.sim.call_later(1.5e-3, restart, cluster, nemesis, 0)
+
+    point = TracePoint(
+        cluster, "wal_sync", ask_then_crash, node=0, when=forcing_the_decision
+    )
+    cluster.spawn(transaction())
+    cluster.run()
+    assert point.fired and coordinator.recovery.recoveries == 1
+    txn_id = outcome["txn"].txn_id
+    assert outcome["ok"] is False
+    assert txn_id not in coordinator._decisions
+    assert participant.store.chain("x").latest.value == 0
+    assert cluster.metrics.counters["indoubt_committed"] == 0
+    assert cluster.metrics.counters["indoubt_aborted"] == 1
+    assert not participant._prepared and not cluster.any_locks_held()
+    assert cluster.site_clocks() == [(0, 0), (0, 0)]
+
+
+def test_restage_answer_lists_what_was_committed_at_the_asker():
+    """C3, coordinator side: decisions of our origin above the asker's
+    frontier that wrote there, each with the asker's writes only; a
+    round in flight that names the asker is doomed."""
+    from repro.core.repair import Round
+    from repro.core.wire import SyncRequestBody
+
+    config = ClusterConfig(
+        num_nodes=3,
+        seed=5,
+        durability=DurabilityConfig(wal_enabled=True, fsync_latency=50e-6),
+        network=NetworkConfig(jitter=0.0),
+    )
+    placement = {"p": 1, "q": 1, "r": 2}
+    cluster = Cluster("fwkv", config, directory=ExplicitDirectory(placement))
+    for key in placement:
+        cluster.load(key, 0)
+    for writes in ({"p": 1}, {"r": 1}, {"q": 2, "r": 2}, {"p": 3}):
+        assert cluster.run_txn(
+            lambda txn, w=writes: [txn.write(k, v) for k, v in w.items()]
+        ).committed
+    origin = cluster.node(0)
+    naming = origin.in_doubt.rounds[901] = Round({1: {}, 2: {}})
+    elsewhere = origin.in_doubt.rounds[902] = Round({2: {}})
+
+    def ask(above):
+        return cluster.run_process(
+            cluster.node(1).node.rpc.call(
+                0, MessageType.SYNC, SyncRequestBody(1, restage_above=above)
+            )
+        )
+
+    reply = ask(1)
+    assert reply.site_vc == origin.site_vc.to_tuple() == (4, 0, 0)
+    assert sorted((d.seq_no, d.writes) for d in reply.decisions) == [
+        (3, (("q", 2),)), (4, (("p", 3),)),
+    ]
+    assert all(d.committed and d.origin == 0 for d in reply.decisions)
+    assert naming.doomed and not elsewhere.doomed
+    assert sorted(d.seq_no for d in ask(0).decisions) == [1, 3, 4]
+    assert ask(4).decisions == ()
+
+
+def test_a_duplicate_decide_leaves_the_tick_to_the_applier_with_the_writes():
+    """Two appliers of one Decide: the one that found no prepared entry
+    used to tick the clock (and log an empty ApplyRecord) while the other
+    was still charging its install -- a reader waiting on that tick saw
+    the old version, and replay lost the write."""
+    cluster = build(rpc=RpcConfig())
+    node, _entry = prepared_entry(cluster)
+    decide = record_commit(cluster)
+    seen = []
+
+    def reader():
+        while node.site_vc[0] < 1:
+            yield cluster.sim.timeout(1e-6)
+        seen.append(node.store.chain("x").latest.value)
+
+    cluster.spawn(reader())
+    cluster.spawn(node._apply_committed_decide(decide))
+    cluster.spawn(node._apply_committed_decide(decide))
+    cluster.run()
+    assert seen == [9]
+    assert node.site_vc[0] == 1 and not node.locks.any_locked()
+    assert not node._applying

@@ -13,8 +13,8 @@ PR's new perf knobs:
   which transactions win races (commit acks now wait on batched syncs;
   windows stretch and shrink) but must preserve PSI-checker cleanliness
   on a concurrent chaos workload and still quiesce fully converged.
-* The price of durability is bounded: two forced writes, each at most
-  the in-flight sync plus its own.
+* The price of durability is bounded: one forced write, at most the
+  in-flight sync plus its own.
 """
 
 import pytest
@@ -164,12 +164,14 @@ def test_durable_group_commit_chaos_stays_consistent(protocol, fsync_latency):
         assert node.wal.durable_lsn == node.wal.tail_lsn
 
 
-def test_durable_update_latency_stays_within_two_forced_writes():
+def test_durable_update_latency_stays_within_one_forced_write():
     """The ledger's ``ycsb_durable`` shape, scaled down, against the same
-    seed volatile.  Presumed abort forces two writes in series (prepare,
-    decision) and each waits at most two syncs, so durability may cost
-    the median update at most ``4 x fsync_latency``; a scheduler that
-    holds groups open on a timer (PRs 7-15: +508 us here) does not fit.
+    seed volatile.  Presumed abort forces one write, the coordinator's
+    decision (DESIGN.md 5.10, C1: a participant votes without waiting for
+    its prepare's sync), and a force waits at most two syncs, so
+    durability may cost the median update at most ``2 x fsync_latency``.
+    Two forces in series (PRs 16-18: +3 here) do not fit, nor does a
+    scheduler that holds groups open on a timer (PRs 7-15: +5).
     """
     fsync_latency = 100e-6
 
@@ -189,19 +191,23 @@ def test_durable_update_latency_stays_within_two_forced_writes():
                 batching=BatchingConfig(adaptive=True),
             ),
             RunConfig(duration=0.008, warmup=0.002),
-        ).metrics
+        )
 
-    volatile = run(DurabilityConfig())
-    durable = run(
+    volatile = run(DurabilityConfig()).metrics
+    result = run(
         DurabilityConfig(wal_enabled=True, fsync_latency=fsync_latency)
     )
-    assert volatile["commits"] > 1000 and durable["commits"] > 500
+    durable = result.metrics
+    assert volatile["commits"] > 1000 and durable["commits"] > 700
     assert (
         durable["update_latency_percentiles"]["p50"]
-        <= volatile["update_latency_percentiles"]["p50"] + 4 * fsync_latency
+        <= volatile["update_latency_percentiles"]["p50"] + 2 * fsync_latency
     )
     assert durable["wal_records_synced"] / durable["wal_syncs"] > 1
-    # The counters say where the wait went: under two syncs per force.
+    # The counters say where the wait went: one force per update commit
+    # (both count from time zero; a sequence number is an update commit).
+    updates = sum(node.curr_seq_no for node in result.cluster.nodes)
+    assert 0.95 * updates <= durable["wal_waits"] <= 1.05 * updates
     mean_wait = durable["wal_wait_time"] / durable["wal_waits"]
     assert fsync_latency <= mean_wait <= 2 * fsync_latency
 

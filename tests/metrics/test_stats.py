@@ -150,7 +150,8 @@ SUMMARY_KEYS = (
     "read_stalls", "read_stall_time", "versions_reclaimed",
     "aborted_timeout", "lease_expirations", "recoveries",
     "wal_records_replayed", "indoubt_recovered", "indoubt_committed",
-    "indoubt_aborted", "catchup_advances", "heartbeats_sent",
+    "indoubt_aborted", "prepares_restaged", "catchup_advances",
+    "heartbeats_sent",
     "heartbeats_suppressed", "suspicions_raised", "suspicions_cleared",
     "anti_entropy_rounds", "records_streamed", "checkpoints_taken",
     "wal_records_truncated", "wal_syncs", "wal_records_synced",
@@ -167,7 +168,7 @@ SUMMARY_KEYS = (
 
 def test_summary_keys_are_frozen():
     summary = MetricsRecorder(Simulator()).summary()
-    assert len(SUMMARY_KEYS) == 65
+    assert len(SUMMARY_KEYS) == 66
     assert tuple(summary) == SUMMARY_KEYS
     assert tuple(COUNTERS) == SUMMARY_KEYS[22:]
     assert all(summary[name] == 0 for name in COUNTERS)

@@ -198,6 +198,29 @@ def test_dropped_origin_sets_round_trip_canonically(collected):
     assert encode_value(shuffled) == encoded
 
 
+# ----------------------------------------------------------------------
+# Re-stage SYNC: the one exchange that nests a wire message in another
+# ----------------------------------------------------------------------
+def test_restage_sync_round_trips_with_its_listed_decisions():
+    request = wire.SyncRequestBody(requester=2, restage_above=17)
+    assert decode_value(encode_value(request)) == request
+    # A gossip or join digest leaves the field out, as before.
+    assert wire.SyncRequestBody(2, (1, 2, 3)).restage_above is None
+    listed = wire.TxnStatusReplyBody(
+        txn_id=9, committed=True, origin=0, seq_no=18, commit_vc=(18, 4, 0),
+        collected=frozenset({5, 6}), writes=(("k13", 2), (("t", 7), None)),
+    )
+    reply = wire.SyncReplyBody(site_vc=(18, 4, 0), decisions=(listed,))
+    decoded = decode_value(encode_value(reply))
+    assert decoded == reply
+    assert type(decoded.decisions[0]) is wire.TxnStatusReplyBody
+    assert decoded.decisions[0].writes == listed.writes
+    assert encode_value(decoded) == encode_value(reply)
+    # A plain digest reply and a plain status answer carry empty fields.
+    assert wire.SyncReplyBody((1, 0)).decisions == ()
+    assert wire.TxnStatusReplyBody(9, False, 0).writes == ()
+
+
 def test_dict_encoding_is_insertion_order_independent():
     forward = wire.PrepareBody(
         txn_id=1, coordinator=0, writes={"a": 1, "b": 2}, vc=(0,),

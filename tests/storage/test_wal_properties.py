@@ -137,3 +137,52 @@ def test_curr_seq_no_is_max_decision(seqs):
     ]
     result = replay(records, N)
     assert result.curr_seq_no == (max(seqs) if seqs else 0)
+
+
+@st.composite
+def decision_records(draw):
+    """A coordinator's decisions, each carrying its participants' writes
+    as ``(site, key, value)`` (empty: a log written before the field)."""
+    records = []
+    for seq in range(1, draw(st.integers(min_value=0, max_value=6)) + 1):
+        writes = tuple(
+            (draw(st.integers(min_value=0, max_value=N - 1)), key, seq)
+            for key in draw(st.lists(st.sampled_from(KEYS), unique=True, max_size=3))
+        )
+        vc = (seq, 0, 0, 0)
+        records.append(
+            DecisionRecord(700 + seq, seq, vc, frozenset(), writes)
+            if writes else DecisionRecord(700 + seq, seq, vc)
+        )
+    return records
+
+
+@given(clock_records(), decision_records(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_decisions_with_writes_replay_idempotently_and_across_gaps(
+    clocks, decisions, rnd
+):
+    """The writes a decision carries are inert at replay: they install
+    nothing and move no clock (only recovery's re-stage reads them), so
+    duplicating and permuting a log that holds them rebuilds the same
+    state -- and the same decision table, writes included."""
+    base = replay([LOAD] + clocks + decisions, N)
+    assert base.decisions == {record.txn_id: record for record in decisions}
+    assert store_fingerprint(base.store) == store_fingerprint(
+        replay([LOAD] + clocks, N).store
+    )
+    mixed = clocks + decisions
+    rnd.shuffle(mixed)
+    again = replay([LOAD] + mixed + rnd.sample(mixed, len(mixed) // 2), N)
+    assert again.decisions == base.decisions
+    assert again.curr_seq_no == base.curr_seq_no == len(decisions)
+    assert again.site_vc.to_tuple() == base.site_vc.to_tuple()
+    assert version_set_fingerprint(again.store) == (
+        version_set_fingerprint(base.store)
+    )
+
+
+def test_a_decision_logged_without_writes_replays_with_none():
+    old = DecisionRecord(501, 1, (1, 0, 0, 0), frozenset({7}))
+    assert old.writes == ()
+    assert replay([LOAD, old], N).decisions == {501: old}
