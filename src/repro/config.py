@@ -243,14 +243,11 @@ class SnapshotTransferConfig(ConfigSerde):
     fence, verifies the fingerprint, and the ordinary Decide push tops
     up the suffix.  See docs/self_healing.md.
 
-    Enabled by default: a transfer can only trigger after a truncation
-    has actually created an unrepairable gap, so runs that never
-    truncate (including every tier-1 configuration) are bit-identical
-    with the feature on or off.
+    Not a switch: a transfer can only trigger after a truncation has
+    actually created an unrepairable gap, so runs that never truncate
+    pay nothing for it.
     """
 
-    #: Master switch for offering snapshots to truncation-gapped peers.
-    enabled: bool = True
     #: Store chains per ``SNAPSHOT_CHUNK`` message (flow control: the
     #: snapshot is streamed, never shipped as one unbounded payload).
     chunk_records: int = 64
@@ -410,12 +407,12 @@ class ReplicationConfig(ConfigSerde):
 
 @dataclass
 class DurabilityConfig(ConfigSerde):
-    """Write-ahead logging and in-doubt termination (see DESIGN.md 5.5).
+    """Write-ahead logging (see DESIGN.md 5.5).
 
-    The defaults keep everything off: nodes stay volatile (a durable
-    crash would lose them entirely) and prepared-lock leases presume
-    abort exactly as before, reproducing the pre-recovery behaviour
-    bit for bit.
+    The defaults keep it off: nodes stay volatile (a durable crash would
+    lose them entirely).  In-doubt termination is not a knob here: a
+    prepared-lock lease (``ClusterConfig.prepared_lease``) that expires
+    always asks the coordinator before it presumes anything.
     """
 
     #: Per-node write-ahead log.  Every prepare vote, commit decision,
@@ -424,15 +421,6 @@ class DurabilityConfig(ConfigSerde):
     #: ``crash_durable``) can wipe the node's store, ``siteVC``, and
     #: prepared table and rebuild them by replay at restart.
     wal_enabled: bool = False
-    #: In-doubt termination protocol: a participant whose prepared-lock
-    #: lease expires *queries the coordinator* for the transaction's
-    #: outcome instead of presuming abort.  Closes the window where an
-    #: expired lease drops a committed transaction's writes at one site
-    #: (regression test: ``tests/integration/test_chaos.py::
-    #: test_indoubt_*``).  The query is retried against an unreachable
-    #: coordinator ``repro.core.repair.TERMINATION_ATTEMPTS`` times
-    #: before falling back to presumed abort.
-    termination_query: bool = False
     #: Virtual seconds one durable sync ("fsync") costs.  ``0.0`` (the
     #: default, and the historical behaviour) makes every append durable
     #: the instant it is written -- durability is free.  ``> 0`` switches
@@ -536,20 +524,22 @@ class ClusterConfig(ConfigSerde):
     gc_keep_versions: int = 16
     gc_trigger_length: int = 32
     gc_min_age: float = 0.05
-    #: Presumed-abort lease on prepared write locks.  A participant that
+    #: Lease on prepared write locks.  A participant that
     #: voted yes normally holds its locks until the coordinator's Decide
     #: arrives; if the coordinator crashes first, those locks would be held
     #: forever.  With a lease, a participant that hears nothing for this
-    #: long unilaterally aborts the prepared transaction and releases its
-    #: locks.  Must comfortably exceed the worst-case prepare-to-decide
-    #: latency (RPC round trips plus retry backoff) so a live coordinator
-    #: never races its own participants.  ``None`` (default) disables the
-    #: lease, reproducing the paper's reliable-channel assumption.
+    #: long asks the coordinator how the transaction ended and applies
+    #: the answer; only a coordinator that stays unreachable for
+    #: ``repro.core.repair.TERMINATION_ATTEMPTS`` bounded rounds is
+    #: presumed to have aborted and the locks released.  Should exceed
+    #: the usual prepare-to-decide latency so a live coordinator is not
+    #: asked needlessly (the 2PC baseline's lease aborts unilaterally).
+    #: ``None`` (default) disables the lease: the paper's reliable channels.
     prepared_lease: Optional[float] = None
     #: Background-traffic batching; defaults preserve one-message-per-event.
     batching: BatchingConfig = field(default_factory=BatchingConfig)
-    #: Write-ahead logging, durable crash recovery, and in-doubt
-    #: termination; defaults keep all of it off (volatile nodes).
+    #: Write-ahead logging and durable crash recovery; off by default
+    #: (volatile nodes).
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     #: Self-healing layer (failure detector, anti-entropy, checkpoints).
     #: The detector defaults on but is inert without timeout/heartbeat

@@ -95,16 +95,6 @@ class MVCCNode(BaseProtocolNode):
             if self.wal is not None
             else None
         )
-        #: Whether the decision log is maintained: only when some
-        #: feature reads it.
-        self._track_decisions = (
-            durability.wal_enabled
-            or durability.termination_query
-            or shared.config.healing.anti_entropy_interval is not None
-            # Replication re-announces a dead coordinator's decisions and
-            # answers the promoted node's TXN_STATUS queries from here.
-            or shared.config.replication.enabled
-        )
         #: What parks reads and prepares while the state under them is
         #: repaired: node-wide from a durable crash until recovery (or a
         #: checkpoint install) completes, key-scoped during a handoff.
@@ -123,7 +113,7 @@ class MVCCNode(BaseProtocolNode):
         # The machinery around the protocol, composed: each component
         # owns its handlers; DESIGN.md "Layer contracts" states what it
         # may assume about this node and what it must leave true.
-        #: In-doubt termination, both the asking and the answering side.
+        #: In-doubt termination, both ends, and the coordinator's decision log.
         self.in_doubt = InDoubtResolver(self)
         node.on(MessageType.TXN_STATUS, self.in_doubt.on_txn_status)
         #: Durable crash and WAL recovery.
@@ -186,13 +176,6 @@ class MVCCNode(BaseProtocolNode):
         #: once enough back-to-back sends arrive within ``ADAPTIVE_STEP``
         #: of each other (see ``_send_propagate``).
         self._adaptive_pressure: Dict[int, Tuple[float, int]] = {}
-        #: Coordinator-side commit outcomes, kept so TxnStatus queries can
-        #: be answered definitively (absent entry = aborted or never
-        #: decided, which presumed abort treats identically).
-        self._decisions: Dict[int, DecideBody] = {}
-        #: Anti-entropy streaming needs decisions addressable by their
-        #: sequence number, so the index rides along with the table.
-        self._decisions_by_seq: Dict[int, DecideBody] = {}
         #: Decide appliers between popping their prepared entry and the
         #: clock tick (with its ApplyRecord).  While non-empty the live
         #: store may hold versions the log does not yet explain, so the
@@ -539,24 +522,20 @@ class MVCCNode(BaseProtocolNode):
             # durably, when the WAL is on -- before any Decide leaves the
             # node, so an in-doubt participant asking after our crash and
             # recovery gets the same answer its lost Decide carried.
-            if self._track_decisions:
-                self._decisions[txn.txn_id] = decide
-                self._decisions_by_seq[txn.seq_no] = decide
-            if self.wal is not None:
+            rnd.lsn = self.in_doubt.log.record(decide, by_site)
+            if rnd.lsn and self.flusher.active:
                 # The one force of a commit (C1).  The record carries every
                 # participant's staged writes -- none of them waited for
                 # its own PrepareRecord -- and the acknowledgement, every
                 # Decide and every status answer wait for its sync.
-                lsn = self.in_doubt.log_decision(rnd, decide, by_site)
-                if self.flusher.active:
-                    durable = yield from self.flusher.ensure_durable(lsn)
-                    if not durable:
-                        # Crashed between buffer and flush: the decision
-                        # never hit disk and no Decide was sent, so the
-                        # recovered coordinator -- and every in-doubt
-                        # participant querying it -- presumes abort.  The
-                        # unacknowledged commit simply vanishes.
-                        return self._aborted(txn, AbortReason.NODE_CRASHED)
+                durable = yield from self.flusher.ensure_durable(rnd.lsn)
+                if not durable:
+                    # Crashed between buffer and flush: the decision
+                    # never hit disk and no Decide was sent, so the
+                    # recovered coordinator -- and every in-doubt
+                    # participant querying it -- presumes abort.  The
+                    # unacknowledged commit simply vanishes.
+                    return self._aborted(txn, AbortReason.NODE_CRASHED)
             if self.replication is not None:
                 # Stream the decision record (to our decision homes and the
                 # backups of the own shards written) before any Decide or
@@ -972,31 +951,20 @@ class MVCCNode(BaseProtocolNode):
             self.sim.call_later(lease, self._expire_prepared, txn_id, entry)
 
     def _expire_prepared(self, txn_id: int, entry: PreparedTxn) -> None:
-        """Prepared-lock lease fired: presume abort, or ask the coordinator.
+        """Prepared-lock lease fired: ask the coordinator how it ended.
 
         Fires ``prepared_lease`` after the yes-vote; a no-op if the Decide
-        came in time (the entry was popped, or replaced).  The default
-        presumes the coordinator dead and aborts unilaterally -- *wrong*
-        when it committed, or still may: this site then drops a committed
-        transaction's writes.  With ``durability.termination_query`` the
-        participant asks the coordinator (itself included) and applies
-        the exact answer (``InDoubtResolver.terminate``).
+        came in time (the entry was popped, or replaced).  Silence is not
+        an abort -- the coordinator may have committed, or still may -- so
+        the participant asks it (itself included) and applies the exact
+        answer; only a coordinator unreachable for the whole bounded
+        budget is presumed to have aborted (``InDoubtResolver.terminate``).
         """
-        if self._prepared.get(txn_id) is not entry:
-            return
-        if self.shared.config.durability.termination_query:
+        if self._prepared.get(txn_id) is entry:
             self.sim.spawn(
                 self.in_doubt.terminate(txn_id, entry),
                 name=f"n{self.node_id}:terminate-{txn_id}",
             )
-            return
-        self._presume_abort(txn_id, entry)
-
-    def _presume_abort(self, txn_id: int, entry: PreparedTxn) -> None:
-        """Nobody said how ``txn_id`` ended: release its locks anyway."""
-        self._abort_prepared(txn_id, entry)
-        self.metrics.count("lease_expirations")
-        self.tracer.emit(self.node_id, "lease_expire", txn=txn_id)
 
     def _abort_prepared(self, txn_id: int, entry: PreparedTxn) -> None:
         """Resolve a prepared transaction as aborted and free its locks."""

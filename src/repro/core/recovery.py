@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.core.repair import _decide, catch_up, decision_table, reannounce
+from repro.core.repair import _decide, catch_up, reannounce
 from repro.core.transaction import PreparedTxn
 from repro.core.wire import VoteBody
 from repro.sim import AllOf
@@ -89,7 +89,7 @@ class NodeRecovery:
         node._reset_volatile()
         for rnd in node.in_doubt.rounds.values():
             rnd.doomed = True  # no round of the lost incarnation may decide
-        node.in_doubt.rounds, node.in_doubt.records = {}, {}
+        node.in_doubt.rounds = {}
         node.healing.transfer.inbound = None
         site_vc = node.site_vc
         for origin in range(len(site_vc.entries)):
@@ -109,11 +109,7 @@ class NodeRecovery:
         # Never hand out a sequence number at or below one that escaped:
         # every escaped seq has a DecisionRecord (logged before fan-out).
         node.curr_seq_no = max(result.curr_seq_no, site_vc[node.node_id])
-        if node._track_decisions:
-            by_seq = decision_table(node.node_id, result.decisions.values())
-            node._decisions_by_seq = by_seq
-            node._decisions = {body.txn_id: body for body in by_seq.values()}
-            node.in_doubt.records = dict(result.decisions)
+        node.in_doubt.log.restore(result.decisions)
         for txn_id, record in sorted(result.in_doubt.items()):
             # Re-stage on the fresh lock table so whichever path resolves
             # this entry (recovery's own termination, a late Decide, or a
@@ -184,7 +180,7 @@ class NodeRecovery:
             if entry is None:
                 continue  # a Decide that raced the fan-out resolved it
             if entry.coordinator == node.node_id:
-                decide = node._decisions.get(txn_id, False)
+                decide = node.in_doubt.log.decide(txn_id)
             else:
                 status = listed.pop(txn_id, None)
                 decide = status is not None and _decide(status.origin, status)
@@ -213,7 +209,8 @@ class NodeRecovery:
 
         reannounce(
             node,
-            node._decisions_by_seq,
+            node.node_id,
+            node.in_doubt.log.by_seq,
             dict(sorted(peer_frontiers.items())),
             node.site_vc[node.node_id],
         )

@@ -3,7 +3,8 @@
 The paper's six algorithms assume reliable channels and immortal nodes.
 What discharges those assumptions reduces to a few mechanisms, each
 written once here and composed by its callers: the :class:`Fence`
-requests park behind, the :class:`InDoubtResolver` that settles a
+requests park behind, the :class:`DecisionLog` of what this node
+committed as coordinator, the :class:`InDoubtResolver` that settles a
 yes-vote whose Decide never came, :func:`reannounce` (an origin's
 decisions above a peer's frontier, as full Decides) and :func:`catch_up`
 (a run of clock-only ticks).  Chain shipping is
@@ -111,36 +112,84 @@ class Round:
         self.lsn = 0
 
 
+class DecisionLog:
+    """What this node committed as coordinator: the one store.
+
+    One :class:`~repro.storage.wal.DecisionRecord` per commit, indexed by
+    transaction (status queries, recovery) and by sequence number
+    (:func:`reannounce`); on WAL runs the record is the one appended,
+    the participants' staged writes with it.  No entry means no Decide
+    was sent: aborted, never decided, or pruned below the floor every
+    peer has applied (``CheckpointManager.maybe_truncate``).
+    """
+
+    __slots__ = ("node", "enabled", "by_txn", "by_seq")
+
+    def __init__(self, node) -> None:
+        config = node.shared.config
+        self.node = node
+        #: Can anyone ever ask how a commit ended?  Recovery and restage
+        #: (WAL), promotion (replication), the gossip push, an expiring
+        #: prepared lease.  If not, :meth:`record` retains nothing.
+        self.enabled = (
+            config.durability.wal_enabled
+            or config.replication.enabled
+            or config.healing.anti_entropy_interval is not None
+            or config.prepared_lease is not None
+        )
+        self.by_txn: Dict[int, DecisionRecord] = {}
+        self.by_seq: Dict[int, DecisionRecord] = {}
+
+    def record(self, decide: DecideBody, by_site) -> int:
+        """``commit()`` decided to commit: put it on record before any
+        Decide leaves the node.  On WAL runs the record is appended and
+        the LSN its round now forces is returned (else 0)."""
+        if not self.enabled:
+            return 0
+        wal = self.node.wal
+        record = DecisionRecord(
+            decide.txn_id, decide.seq_no, decide.commit_vc, decide.collected,
+            () if wal is None else tuple(
+                (site, key, value)
+                for site, writes in by_site.items()
+                for key, value in writes.items()
+            ),
+        )
+        self.by_txn[record.txn_id] = self.by_seq[record.seq_no] = record
+        return 0 if wal is None else wal.append(record)
+
+    def decide(self, txn_id: int):
+        """The Decide ``txn_id``'s participants were sent, or ``False``."""
+        record = self.by_txn.get(txn_id)
+        return record is not None and _decide(self.node.node_id, record)
+
+    def restore(self, by_txn: Mapping[int, DecisionRecord]) -> None:
+        """Adopt the decisions a WAL replay rebuilt (all else is lost)."""
+        self.by_txn = dict(by_txn)
+        self.by_seq = {record.seq_no: record for record in by_txn.values()}
+
+    def prune(self, floor: int) -> None:
+        """Forget commits every peer has applied (``seq_no <= floor``)."""
+        for seq_no in [seq_no for seq_no in self.by_seq if seq_no <= floor]:
+            del self.by_txn[self.by_seq.pop(seq_no).txn_id]
+
+
 class InDoubtResolver:
-    """Both ends of the in-doubt termination protocol at one node."""
+    """Both ends of the in-doubt termination protocol at one node: the
+    coordinator's in-flight :class:`Round` table and :class:`DecisionLog`
+    answer, a participant whose Decide never came asks."""
 
     def __init__(self, node) -> None:
         self.node = node
         #: Coordinator side: txn_id -> the commit round in flight here,
         #: entered and removed by ``commit()``; lost with a wipe.
         self.rounds: Dict[int, Round] = {}
-        #: txn_id -> the WAL record behind ``node._decisions`` (WAL runs
-        #: only): where a re-stage answer and a checkpoint find the
-        #: participants' writes.
-        self.records: Dict[int, DecisionRecord] = {}
+        #: Coordinator side: how every round that committed ended.
+        self.log = DecisionLog(node)
 
     # ------------------------------------------------------------------
     # Coordinator side
     # ------------------------------------------------------------------
-    def log_decision(self, rnd: Round, decide: DecideBody, by_site) -> int:
-        """Append a commit's ``DecisionRecord``, the participants' staged
-        writes with it; its round now forces.  Returns the LSN to force."""
-        record = self.records[decide.txn_id] = DecisionRecord(
-            decide.txn_id, decide.seq_no, decide.commit_vc, decide.collected,
-            tuple(
-                (site, key, value)
-                for site, writes in by_site.items()
-                for key, value in writes.items()
-            ),
-        )
-        rnd.lsn = self.node.wal.append(record)
-        return rnd.lsn
-
     def _exactly(self, rounds: Iterable[Round], answer) -> None:
         """Call ``answer()`` once its "not committed" cannot turn false.
 
@@ -174,11 +223,11 @@ class InDoubtResolver:
         txn_id = node.node.rpc.body_of(envelope).txn_id
 
         def answer():
-            decision = node._decisions.get(txn_id)
+            record = self.log.by_txn.get(txn_id)
             node.node.rpc.reply(
                 envelope,
                 TxnStatusReplyBody(txn_id, False, node.node_id)
-                if decision is None else _status(decision.origin, decision),
+                if record is None else _status(node.node_id, record),
             )
 
         rnd = self.rounds.get(txn_id)
@@ -188,14 +237,14 @@ class InDoubtResolver:
         """Answer a recovering peer's SYNC (C3): our clock, and every
         commit we decided above its frontier of our origin that wrote
         there, with its share of the writes -- exact, so unlisted means
-        aborted.  Read from the decision table: our own fence may be up."""
+        aborted.  Read from the decision log: our own fence may be up."""
         node = self.node
         peer = request.requester
 
         def answer():
             listed = tuple(
                 _status(node.node_id, record, writes)
-                for record in self.records.values()
+                for record in self.log.by_txn.values()
                 if record.seq_no > request.restage_above
                 and (writes := tuple(
                     (key, value) for site, key, value in record.writes
@@ -214,8 +263,7 @@ class InDoubtResolver:
     # Participant side
     # ------------------------------------------------------------------
     def outcome(
-        self, txn_id: int, coordinator: int, attempts: int = 1,
-        rpc_config=None, entry=None,
+        self, txn_id: int, coordinator: int, attempts: int = 1, entry=None,
     ):
         """Generator: how ``coordinator`` recorded ``txn_id``.
 
@@ -224,14 +272,17 @@ class InDoubtResolver:
         the coordinator stayed unreachable for ``attempts`` rounds, or
         ``entry`` left the prepared table meanwhile (a racing Decide
         won).  A multi-round query paces its rounds by the prepared
-        lease; a single-shot caller keeps its own cadence.
+        lease; a single-shot caller keeps its own cadence.  Every round
+        is bounded like a gossip digest (``NodeHealing._rpc_config``):
+        the paper-model ``request_timeout=None`` cannot hang an asker on
+        a dead coordinator.
         """
         node = self.node
         if coordinator == node.node_id:
             rnd = self.rounds.get(txn_id)
             if rnd is not None and not rnd.lsn:
                 rnd.doomed = True  # C2 binds an answer to ourselves too
-            return node._decisions.get(txn_id, False)
+            return self.log.decide(txn_id)
         round_wait = node.shared.config.prepared_lease or 1e-3
         for _attempt in range(attempts):
             if entry is not None and node._prepared.get(txn_id) is not entry:
@@ -240,7 +291,7 @@ class InDoubtResolver:
                 coordinator,
                 MessageType.TXN_STATUS,
                 TxnStatusRequestBody(txn_id),
-                config=rpc_config,
+                config=node.healing._rpc_config,
             )
             if ok:
                 return reply.committed and _decide(reply.origin, reply)
@@ -248,10 +299,7 @@ class InDoubtResolver:
                 yield node.sim.timeout(round_wait)
         return None
 
-    def settle(
-        self, txn_id: int, entry, *, attempts: int = 1, rpc_config=None,
-        via: str,
-    ):
+    def settle(self, txn_id: int, entry, *, attempts: int = 1, via: str):
         """Generator: resolve one prepared entry through its coordinator.
 
         Returns the committed Decide for the caller to apply through
@@ -263,7 +311,7 @@ class InDoubtResolver:
         prepared.
         """
         outcome = yield from self.outcome(
-            txn_id, entry.coordinator, attempts, rpc_config, entry
+            txn_id, entry.coordinator, attempts, entry
         )
         if self.node._prepared.get(txn_id) is not entry:
             return False
@@ -289,11 +337,13 @@ class InDoubtResolver:
         return outcome
 
     def terminate(self, txn_id: int, entry):
-        """Prepared-lease expiry under ``termination_query``: ask first.
+        """The one lease rule: a prepared lease that expires asks first.
 
         The coordinator's answer is definitive either way (C2).  Only when
         it stays unreachable past the whole budget does the participant
-        fall back to presumed abort rather than hold the locks forever.
+        fall back to presumed abort rather than hold the locks forever --
+        which can still drop a commit whose coordinator is merely cut off
+        for longer than that.
         """
         node = self.node
         decide = yield from self.settle(
@@ -302,7 +352,9 @@ class InDoubtResolver:
         if decide:
             yield from node._apply_committed_decide(decide)
         elif decide is None:
-            node._presume_abort(txn_id, entry)
+            node._abort_prepared(txn_id, entry)
+            node.metrics.count("lease_expirations")
+            node.tracer.emit(node.node_id, "lease_expire", txn=txn_id)
 
 
 def _status(origin: int, record, writes=()) -> TxnStatusReplyBody:
@@ -315,8 +367,8 @@ def _status(origin: int, record, writes=()) -> TxnStatusReplyBody:
 
 def _decide(origin: int, record) -> DecideBody:
     """The Decide a commit's participants were (or should have been)
-    sent, rebuilt from what was logged of it: a WAL ``DecisionRecord``,
-    a replicated ``decision`` stream entry, or a TXN_STATUS reply."""
+    sent, built from what was logged of it: a ``DecisionRecord``, a
+    replicated ``decision`` stream entry, or a TXN_STATUS reply."""
     return DecideBody(
         txn_id=record.txn_id,
         outcome=True,
@@ -327,24 +379,20 @@ def _decide(origin: int, record) -> DecideBody:
     )
 
 
-def decision_table(origin: int, records: Iterable) -> Dict[int, DecideBody]:
-    """``seq_no -> Decide`` of an origin's logged decisions: the table
-    :func:`reannounce` reads and TXN_STATUS answers come from."""
-    return {record.seq_no: _decide(origin, record) for record in records}
-
-
 def reannounce(
-    node, decisions: Mapping[int, DecideBody], frontiers: Mapping[int, int],
-    upto: int, limit: Optional[int] = None,
+    node, origin: int, by_seq: Mapping[int, object],
+    frontiers: Mapping[int, int], upto: int, limit: Optional[int] = None,
 ) -> List[int]:
-    """Send each peer the Decides of one origin above its frontier.
+    """Send each peer the Decides of ``origin`` above its frontier.
 
     ``frontiers`` maps peer -> newest sequence number of the origin it is
-    known to have applied; ``decisions`` is the origin's ``seq_no ->
-    Decide`` table, ``upto`` its own frontier.  Always a *full* Decide,
-    never a clock-only Propagate: a peer still holding the prepared
-    writes must install them under the clock tick.  Always safe: the
-    apply path skips sequence numbers at or below the receiver's clock.
+    known to have applied; ``by_seq`` is what was logged of the origin's
+    commits (``DecisionLog.by_seq``, or a dead origin's replicated
+    ``decision`` entries), each Decide built from it as it is sent;
+    ``upto`` is the origin's frontier.  Always a *full* Decide, never a
+    clock-only Propagate: a peer still holding the prepared writes must
+    install them under the clock tick.  Always safe: the apply path
+    skips sequence numbers at or below the receiver's clock.
     Pruned sequence numbers are skipped (a peer below the pruned floor
     needs a checkpoint transfer); ``limit`` bounds how many are
     announced per call.  Returns those announced.
@@ -356,9 +404,10 @@ def reannounce(
     for seq_no in range(min(frontiers.values()) + 1, upto + 1):
         if limit is not None and len(announced) >= limit:
             break
-        decision = decisions.get(seq_no)
-        if decision is None:
+        record = by_seq.get(seq_no)
+        if record is None:
             continue
+        decision = _decide(origin, record)
         for peer, frontier in frontiers.items():
             if frontier < seq_no:
                 send(peer, MessageType.DECIDE, decision)

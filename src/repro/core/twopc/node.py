@@ -223,7 +223,8 @@ class TwoPCNode(BaseProtocolNode):
         return vote
 
     def _expire_prepared(self, txn_id: int, entry: _PreparedTxn) -> None:
-        """Presumed abort after coordinator silence (see MVCCNode)."""
+        """Presumed abort after coordinator silence (unilateral, unlike
+        ``MVCCNode``'s lease, which asks first)."""
         if self._prepared.get(txn_id) is not entry:
             return
         del self._prepared[txn_id]

@@ -92,7 +92,6 @@ class CheckpointManager:
             PrepareRecord(txn_id, entry.coordinator, tuple(entry.writes.items()))
             for txn_id, entry in sorted(owner._prepared.items())
         ]
-        decisions = owner.in_doubt.records.values()
         membership = owner.membership
         view = None
         if membership.view.epoch > 0:
@@ -105,7 +104,7 @@ class CheckpointManager:
             owner.site_vc,
             owner.curr_seq_no,
             in_doubt=in_doubt,
-            decisions=decisions,
+            decisions=owner.in_doubt.log.by_txn.values(),
             records_below=len(owner.wal),
             view=view,
         )
@@ -202,7 +201,9 @@ class CheckpointManager:
             return 0
         dropped = owner.wal.truncate_to_checkpoint()
         self._stable_required = None
-        self._prune_decisions(floor)
+        if floor > self.pruned_floor:
+            self.pruned_floor = floor
+        owner.in_doubt.log.prune(floor)
         if dropped:
             owner.metrics.count("wal_records_truncated", dropped)
             if owner.tracer._enabled:
@@ -210,19 +211,3 @@ class CheckpointManager:
                     owner.node_id, "truncate", dropped=dropped, floor=floor
                 )
         return dropped
-
-    def _prune_decisions(self, floor: int) -> None:
-        """Drop decision-log entries at or below the stable floor."""
-        if floor > self.pruned_floor:
-            self.pruned_floor = floor
-        decisions = self.owner._decisions
-        by_seq = self.owner._decisions_by_seq
-        stale = [
-            txn_id
-            for txn_id, decision in decisions.items()
-            if decision.seq_no is not None and decision.seq_no <= floor
-        ]
-        for txn_id in stale:
-            decision = decisions.pop(txn_id)
-            by_seq.pop(decision.seq_no, None)
-            self.owner.in_doubt.records.pop(txn_id, None)

@@ -106,10 +106,12 @@ class NodeHealing:
                 owner.node.arrival_hook = self.detector.on_arrival
                 self.armed = True
 
-        # Gossip RPCs must never hang a round on a dead peer: under the
-        # paper's reliable-channel default (no global timeout) they get a
-        # private single-attempt deadline; with a global timeout they use
-        # the endpoint's own (detector-capped) policy.
+        # Repair RPCs -- gossip digests, snapshot offers, every in-doubt
+        # status query, an expiring lease's included -- must never hang
+        # on a dead peer: under the paper's reliable-channel default (no
+        # global timeout) they get a private single-attempt deadline;
+        # with a global timeout they use the endpoint's own
+        # (detector-capped) policy.
         if owner.node.rpc.config.request_timeout is None:
             self._rpc_config: Optional[RpcConfig] = RpcConfig(
                 request_timeout=config.digest_timeout, max_attempts=1
@@ -334,7 +336,8 @@ class NodeHealing:
         # bounded per round; the next round resumes from its new digest.
         streamed = reannounce(
             owner,
-            owner._decisions_by_seq,
+            self.node_id,
+            owner.in_doubt.log.by_seq,
             {peer: self._own_entry(peer_vc)},
             owner.site_vc[self.node_id],
             limit=MAX_STREAM_PER_ROUND,
@@ -387,8 +390,7 @@ class NodeHealing:
             if coordinator not in lagging or coordinator in unresolved:
                 continue
             decide = yield from owner.in_doubt.settle(
-                txn_id, entry, rpc_config=self._rpc_config,
-                via="anti_entropy",
+                txn_id, entry, via="anti_entropy"
             )
             if superseded():
                 return
@@ -422,8 +424,6 @@ class NodeHealing:
         ``pruned_floor`` can never converge through the normal push --
         only a checkpoint transfer covers the gap.
         """
-        if not self.config.snapshot.enabled or self.owner.wal is None:
-            return False
         floor = self.checkpoints.pruned_floor
         if floor <= 0 or frontier >= floor:
             return False

@@ -197,7 +197,7 @@ class ChainTransfer:
 
     def _refusal(self, offer: SnapshotOfferBody) -> Optional[str]:
         owner = self.owner
-        if not offer.shard and (not self.config.enabled or owner.wal is None):
+        if not offer.shard and owner.wal is None:
             return "disabled"
         if self.inbound is not None:
             return "busy"

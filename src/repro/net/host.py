@@ -5,8 +5,9 @@ Two halves:
 * :class:`NodeHost` (run via ``python -m repro.net.host``) builds the
   stack for **one** node -- simulator, :class:`SocketTransport` hosting
   just that node id, directory, history, protocol node -- loads the
-  keys the directory places on it, drives a seeded closed-loop client
-  workload, and reports its history slice back as JSON.
+  keys the directory places on it, drives the harness's own closed-loop
+  clients (:func:`repro.harness.runner.client_loop` over the seeded
+  :func:`host_workload`), and reports its history slice back as JSON.
 * :func:`launch_cluster` (the parent; ``scripts/socket_cluster.py`` is
   its CLI) spawns one child per node, coordinates the phases below over
   the children's stdin/stdout, merges the reported histories and
@@ -49,25 +50,47 @@ import queue
 import subprocess
 import sys
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.cluster.directory import ConsistentHashDirectory
+from repro.cluster.node import Node
 from repro.config import ClusterConfig
+from repro.core.interfaces import SharedState
+from repro.harness.runner import DEFAULT_RETRY_BACKOFF, client_loop
 from repro.metrics.history import History, OpRecord, TxnRecord
 from repro.metrics.psi_checker import (
     VersionCatalog,
     check_no_read_skew,
     check_site_order,
 )
+from repro.metrics.stats import MetricsRecorder
+from repro.net.socket_transport import SocketTransport
+from repro.sim import Simulator
+from repro.system import PROTOCOLS, resolve_write_vids, version_catalog_of
+from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 #: Wall-clock ceiling for each phase handshake (spawn, report, exit).
 PHASE_TIMEOUT = 60.0
+
+
+def host_workload(num_keys: int) -> YCSBWorkload:
+    """What every child's clients run: half read-only pairs, half
+    read-modify-writes of a pair, uniform over ``num_keys`` keys."""
+    return YCSBWorkload(
+        YCSBConfig(num_keys=num_keys, read_only_fraction=0.5, keys_per_txn=2)
+    )
 
 
 # ----------------------------------------------------------------------
 # Child: one node per process
 # ----------------------------------------------------------------------
 class NodeHost:
-    """One node's full stack inside its own process."""
+    """One node's full stack inside its own process.
+
+    To :func:`~repro.harness.runner.client_loop` it stands in for the
+    cluster: ``sim``, ``config``, ``metrics`` and ``node(node_id)`` are
+    all that loop reads of one.
+    """
 
     def __init__(
         self,
@@ -78,18 +101,9 @@ class NodeHost:
         duration: float,
         grace: float,
     ) -> None:
-        # Imports local to the child path: the parent half of this module
-        # must stay importable without pulling the whole protocol stack.
-        from repro.cluster.directory import ConsistentHashDirectory
-        from repro.cluster.node import Node
-        from repro.metrics.stats import MetricsRecorder
-        from repro.net.socket_transport import SocketTransport
-        from repro.sim import Simulator
-
-        self.protocol = protocol
         self.config = config
         self.node_id = node_id
-        self.num_keys = num_keys
+        self.workload = host_workload(num_keys)
         self.duration = duration
         self.grace = grace
         self.sim = Simulator()
@@ -109,74 +123,42 @@ class NodeHost:
         )
         self.directory = ConsistentHashDirectory(list(config.node_ids))
         self.history = History()
-        from repro.core.interfaces import SharedState
-        from repro.system import PROTOCOLS
+        self.metrics = MetricsRecorder(self.sim)
+        self._node = PROTOCOLS[protocol](
+            Node(self.sim, node_id, self.transport),
+            SharedState(
+                sim=self.sim,
+                config=config,
+                directory=self.directory,
+                metrics=self.metrics,
+                history=self.history,
+                # Disjoint residue classes: cluster-unique ids, no
+                # coordination.
+                _txn_ids=itertools.count(node_id + 1, config.num_nodes),
+            ),
+        )
 
-        self.shared = SharedState(
-            sim=self.sim,
-            config=config,
-            directory=self.directory,
-            metrics=MetricsRecorder(self.sim),
-            history=self.history,
-            # Disjoint residue classes: cluster-unique ids, no coordination.
-            _txn_ids=itertools.count(node_id + 1, config.num_nodes),
-        )
-        self.node = PROTOCOLS[protocol](
-            Node(self.sim, node_id, self.transport), self.shared
-        )
-        self.committed = 0
-        self.aborted = 0
+    def node(self, _node_id: int):
+        """The one protocol node this process hosts."""
+        return self._node
 
     # -- workload ------------------------------------------------------
-    @staticmethod
-    def keys_for(num_keys: int) -> List[str]:
-        return [f"k{i}" for i in range(num_keys)]
-
     def load_owned(self) -> int:
-        """Install the baseline for every key this node owns."""
-        owned = [
-            (key, 0)
-            for key in self.keys_for(self.num_keys)
+        """Install the workload's baseline for every key this node owns."""
+        return self._node.load_many(
+            (key, value)
+            for key, value in self.workload.load_items()
             if self.directory.site(key) == self.node_id
-        ]
-        return self.node.load_many(owned)
-
-    def _client(self, client_id: int, stop_time: float):
-        """Closed-loop client: half read-only pairs, half increments."""
-        from repro.net.rpc import RpcTimeoutError
-        from repro.sim.rng import make_rng
-
-        rng = make_rng(self.config.seed, "client", self.node_id, client_id)
-        keys = self.keys_for(self.num_keys)
-        node = self.node
-        sim = self.sim
-        while sim.now < stop_time:
-            read_only = rng.random() < 0.5
-            pair = rng.sample(keys, 2)
-            started = sim.now
-            txn = node.begin(is_read_only=read_only)
-            try:
-                if read_only:
-                    yield from node.read(txn, pair[0])
-                    yield from node.read(txn, pair[1])
-                else:
-                    value = yield from node.read(txn, pair[0])
-                    node.write(txn, pair[0], (value or 0) + 1)
-                ok = yield from node.commit(txn)
-            except RpcTimeoutError:
-                node.abort(txn)
-                ok = False
-            if ok:
-                self.committed += 1
-                self.shared.metrics.on_commit(txn, sim.now - started, 1)
-            else:
-                self.aborted += 1
+        )
 
     def run_workload(self) -> None:
         stop_time = self.sim.now + self.duration
         for client_id in range(self.config.clients_per_node):
             self.sim.spawn(
-                self._client(client_id, stop_time),
+                client_loop(
+                    self, self.node_id, client_id, self.workload, stop_time,
+                    DEFAULT_RETRY_BACKOFF, None,
+                ),
                 name=f"client-{self.node_id}-{client_id}",
             )
         # The grace keeps this node answering peers' in-flight
@@ -185,21 +167,11 @@ class NodeHost:
 
     # -- reporting -----------------------------------------------------
     def report(self) -> dict:
-        from repro.core.mvcc_node import MVCCNode
-        from repro.core.twopc import TwoPCNode
-
-        catalog = []
-        node = self.node
-        if isinstance(node, MVCCNode):
-            for key in node.store.keys():
-                for version in node.store.chain(key):
-                    catalog.append(
-                        [key, version.vid, version.origin, version.seq,
-                         version.writer_txn]
-                    )
-        elif isinstance(node, TwoPCNode):
-            for (key, vid), entry in node.catalog.items():
-                catalog.append([key, vid, entry[0], entry[1], entry[2]])
+        metrics = self.metrics
+        catalog = [
+            [key, vid, *entry]
+            for (key, vid), entry in version_catalog_of([self._node]).items()
+        ]
         records = [
             {
                 "txn_id": r.txn_id,
@@ -220,14 +192,11 @@ class NodeHost:
         return {
             "event": "report",
             "node": self.node_id,
-            "committed": self.committed,
-            "aborted": self.aborted,
+            "committed": metrics.commits,
+            "aborted": metrics.aborts,
             "records": records,
             "catalog": catalog,
-            "counters": {
-                "commits": self.shared.metrics.commits,
-                **self.shared.metrics.counters,
-            },
+            "counters": {"commits": metrics.commits, **metrics.counters},
             "stats": {
                 "messages_sent": self.transport.stats.messages_sent,
                 "messages_dropped": self.transport.stats.messages_dropped,
@@ -280,7 +249,8 @@ def _child_main(argv: Optional[List[str]] = None) -> int:
         loaded = host.load_owned()
         host.run_workload()
         emit({"event": "done", "node": args.node, "loaded": loaded,
-              "committed": host.committed, "aborted": host.aborted})
+              "committed": host.metrics.commits,
+              "aborted": host.metrics.aborts})
         expect("report")
         emit(host.report())
         expect("exit")
@@ -325,13 +295,8 @@ class _Child:
 
 
 def _merge_reports(reports: List[dict]) -> Tuple[History, VersionCatalog]:
-    """Union the children's histories and catalogs; resolve write vids.
-
-    Mirrors :meth:`repro.system.Cluster.finalized_history`: coordinators
-    never learn the vids their writes received at remote nodes, so
-    update-transaction writes are reconstructed from the merged
-    catalog's ``writer_txn`` stamps.
-    """
+    """Union the children's histories and catalogs, then resolve write
+    vids against the merged catalog exactly as a :class:`Cluster` does."""
     history = History()
     catalog: VersionCatalog = {}
     for report in reports:
@@ -356,36 +321,20 @@ def _merge_reports(reports: List[dict]) -> Tuple[History, VersionCatalog]:
                     profile=raw["profile"],
                 )
             )
-    writes_by_txn: Dict[int, list] = {}
-    for (key, vid), (_origin, _seq, writer) in catalog.items():
-        if writer is not None:
-            writes_by_txn.setdefault(writer, []).append((key, vid))
-    for record in history:
-        if record.is_read_only or record.writes():
-            continue
-        for key, vid in sorted(writes_by_txn.get(record.txn_id, []), key=repr):
-            record.ops.append(OpRecord("w", key, vid))
-    return history, catalog
+    return resolve_write_vids(history, catalog), catalog
 
 
-def launch_cluster(
-    protocol: str = "fwkv",
-    config: Optional[ClusterConfig] = None,
+def run_cluster(
+    protocol: str,
+    config: ClusterConfig,
     *,
     num_keys: int = 64,
     duration: float = 1.0,
     grace: float = 0.5,
-    check: bool = True,
-) -> dict:
-    """Run a multi-process socket cluster end to end; returns a summary.
-
-    Spawns ``config.num_nodes`` node-host processes, runs the seeded
-    workload over real TCP, merges the reports, and (with ``check``)
-    asserts the PSI oracles over the union.  Raises if any child fails
-    or, when checking, if an oracle finds a violation.
-    """
-    if config is None:
-        config = ClusterConfig(num_nodes=3)
+) -> Tuple[dict, History, VersionCatalog]:
+    """Spawn ``config.num_nodes`` node-host processes, run the seeded
+    workload over real TCP and merge the reports: ``(summary, history,
+    catalog)``, unchecked.  Raises if any child fails."""
     if config.transport.kind != "socket":
         raise ValueError(
             'launch_cluster requires TransportConfig(kind="socket")'
@@ -445,14 +394,14 @@ def launch_cluster(
             if child.proc.poll() is None:
                 child.proc.kill()
 
+    if any(exit_codes):
+        raise RuntimeError(f"node host(s) failed: exit codes {exit_codes}")
     history, catalog = _merge_reports(reports)
-    committed = sum(r["committed"] for r in reports)
-    aborted = sum(r["aborted"] for r in reports)
     summary = {
         "protocol": protocol,
         "num_nodes": config.num_nodes,
-        "committed": committed,
-        "aborted": aborted,
+        "committed": sum(r["committed"] for r in reports),
+        "aborted": sum(r["aborted"] for r in reports),
         "loaded": sum(d["loaded"] for d in done),
         "history_records": len(history),
         "messages_sent": sum(r["stats"]["messages_sent"] for r in reports),
@@ -466,14 +415,35 @@ def launch_cluster(
         "exit_codes": exit_codes,
         "checks": "skipped",
     }
-    if any(exit_codes):
-        raise RuntimeError(f"node host(s) failed: exit codes {exit_codes}")
-    if check:
-        check_no_read_skew(history)
-        check_site_order(history, catalog)
-        if committed <= 0:
-            raise RuntimeError("socket cluster committed no transactions")
-        summary["checks"] = "green"
+    return summary, history, catalog
+
+
+def launch_cluster(
+    protocol: str = "fwkv",
+    config: Optional[ClusterConfig] = None,
+    *,
+    num_keys: int = 64,
+    duration: float = 1.0,
+    grace: float = 0.5,
+) -> dict:
+    """Run a multi-process socket cluster end to end; returns a summary.
+
+    :func:`run_cluster`, then the PSI oracles over the merged history.
+    Raises if any child fails, an oracle finds a violation or nothing
+    committed.
+    """
+    summary, history, catalog = run_cluster(
+        protocol, config or ClusterConfig(num_nodes=3),
+        num_keys=num_keys, duration=duration, grace=grace,
+    )
+    for result in (
+        check_no_read_skew(history), check_site_order(history, catalog)
+    ):
+        if not result.ok:
+            raise RuntimeError(f"PSI oracle violated: {result.violations[:3]}")
+    if summary["committed"] <= 0:
+        raise RuntimeError("socket cluster committed no transactions")
+    summary["checks"] = "green"
     return summary
 
 

@@ -1,16 +1,19 @@
 """Request/reply matching on top of the simulated network.
 
-The endpoint offers two calling conventions:
+One primitive, one ladder over it:
 
 * :meth:`RpcEndpoint.request` returns a bare event that resolves with the
-  reply body -- the original reliable-channel primitive.  If the peer
-  crashes the event never resolves.
-* :meth:`RpcEndpoint.call` is a generator subroutine (``yield from``) that
-  layers per-attempt timeouts, seeded exponential backoff with jitter, and
-  capped retries on top, raising :class:`RpcTimeoutError` once attempts are
-  exhausted.  With the default :class:`~repro.config.RpcConfig`
-  (``request_timeout=None``) it degenerates to a single reliable request,
-  so protocols pay nothing until faults are configured.
+  reply body -- the original reliable-channel primitive: if the peer
+  crashes the event never resolves, unless a ``deadline`` is given, which
+  fails it with :class:`RpcTimeoutError`.  That deadline is the only way
+  an attempt times out.
+* :meth:`RpcEndpoint.call` is a generator subroutine (``yield from``):
+  ``request(deadline=request_timeout)`` in a loop, with seeded exponential
+  backoff with jitter between attempts and capped retries, raising
+  :class:`RpcTimeoutError` once attempts are exhausted.  With the default
+  :class:`~repro.config.RpcConfig` (``request_timeout=None``) it is a
+  single reliable request, so protocols pay nothing until faults are
+  configured.
 
 Late or duplicate replies -- a reply racing a timeout-triggered retry, or
 a duplicated ``RpcReply`` envelope -- are dropped and counted in
@@ -20,11 +23,11 @@ a duplicated ``RpcReply`` envelope -- are dropped and counted in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.config import RpcConfig
 from repro.net.message import Envelope, MessageType
-from repro.net.transport import Endpoint, Transport
+from repro.net.transport import Transport
 from repro.sim import Event, Simulator, Timer
 from repro.sim.rng import make_rng
 
@@ -59,34 +62,7 @@ class _Reply:
     body: Any
 
 
-class _Race(Event):
-    """Two-way ``AnyOf`` specialised for the reply-vs-deadline race.
-
-    Same trigger semantics and callback ordering as ``AnyOf`` over two
-    events, but one bound-method callback replaces the per-child closure
-    allocations -- this sits on the path of every remote read and 2PC
-    round at benchmark scale.
-    """
-
-    __slots__ = ("_first",)
-
-    def __init__(self, sim: Simulator, first: Event, second: Event) -> None:
-        super().__init__(sim, name="race")
-        self._first = first
-        first.add_callback(self._on_child)
-        second.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if child.ok:
-            self.succeed((0 if child is self._first else 1, child._value))
-        else:
-            assert child.exception is not None
-            self.fail(child.exception)
-
-
-class RpcEndpoint(Endpoint):
+class RpcEndpoint:
     """Per-node request/reply plumbing.
 
     A coordinator calls :meth:`request` and yields the returned event; the
@@ -98,6 +74,13 @@ class RpcEndpoint(Endpoint):
     surface (``send``, ``config.rpc``, ``seed``, ``stats``), so one
     implementation serves both the simulated and the socket fabric;
     :meth:`repro.net.transport.Transport.endpoint` is the factory.
+
+    The contract protocol code relies on is four methods.  :meth:`request`
+    and :meth:`call` ask (the latter is the former under a deadline, in a
+    retry loop); :meth:`reply` answers a previously delivered request
+    envelope.  :meth:`handle_reply` is the node's dispatch hook for reply
+    envelopes: :class:`~repro.cluster.node.Node` registers it for
+    ``RpcReply`` like any other handler.
     """
 
     def __init__(
@@ -145,26 +128,6 @@ class RpcEndpoint(Endpoint):
         callers should always pass one -- a real peer can be gone without
         any simulator crash bookkeeping to tell the caller so.
         """
-        request_id, event = self._send_request(dst, msg_type, body)
-        if deadline is not None:
-            self._deadlines[request_id] = self.sim.call_later(
-                deadline, self._expire_request, request_id, dst, msg_type
-            )
-        return event
-
-    def _expire_request(self, request_id: int, dst: int, msg_type: str) -> None:
-        """Deadline hit: retire the slot and fail the waiting event (an
-        answered request never gets here: its reply cancelled the timer)."""
-        del self._deadlines[request_id]
-        event = self._pending.pop(request_id)
-        self.network.stats.rpc_timeouts += 1
-        if self.detector is not None:
-            self.detector.on_rpc_timeout(dst)
-        event.fail(RpcTimeoutError(dst, msg_type, 1))
-
-    def _send_request(
-        self, dst: int, msg_type: str, body: Any
-    ) -> Tuple[int, Event]:
         request_id = self._next_request_id
         self._next_request_id += 1
         # The static type label is enough for debugging; formatting a
@@ -174,7 +137,22 @@ class RpcEndpoint(Endpoint):
         self.network.send(
             self.node_id, dst, msg_type, _Request(request_id, msg_type, body)
         )
-        return request_id, event
+        if deadline is not None:
+            self._deadlines[request_id] = self.sim.call_later(
+                deadline, self._expire_request, request_id, dst, msg_type
+            )
+        return event
+
+    def _expire_request(self, request_id: int, dst: int, msg_type: str) -> None:
+        """Deadline hit -- every way an attempt times out ends here: retire
+        the slot, count it, strike the detector, fail the waiting event (an
+        answered request never gets here: its reply cancelled the timer)."""
+        del self._deadlines[request_id]
+        event = self._pending.pop(request_id)
+        self.network.stats.rpc_timeouts += 1
+        if self.detector is not None:
+            self.detector.on_rpc_timeout(dst)
+        event.fail(RpcTimeoutError(dst, msg_type, 1))
 
     def call(
         self,
@@ -185,12 +163,12 @@ class RpcEndpoint(Endpoint):
     ):
         """Generator subroutine: request with timeout, backoff, and retries.
 
-        Use as ``reply = yield from endpoint.call(dst, t, body)``.  Raises
-        :class:`RpcTimeoutError` once ``max_attempts`` attempts have each
-        waited ``request_timeout`` without a reply.  A timed-out attempt's
-        pending slot is retired immediately, so its reply -- should it
-        still arrive -- is dropped as stale instead of resolving a request
-        the caller already gave up on.
+        Use as ``reply = yield from endpoint.call(dst, t, body)``.  Each
+        attempt is ``request(deadline=request_timeout)``; raises
+        :class:`RpcTimeoutError` once ``max_attempts`` of them have timed
+        out.  A timed-out attempt's pending slot is retired at its
+        deadline, so its reply -- should it still arrive -- is dropped as
+        stale instead of resolving a request the caller already gave up on.
         """
         cfg = config if config is not None else self.config
         if cfg.request_timeout is None:
@@ -208,21 +186,14 @@ class RpcEndpoint(Endpoint):
         attempt = 0
         while True:
             attempt += 1
-            request_id, event = self._send_request(dst, msg_type, body)
-            deadline = self.sim.timeout(cfg.request_timeout)
-            index, value = yield _Race(self.sim, event, deadline)
-            if index == 0:
-                # Reply won the race: cancel the deadline so it does not
-                # linger in the scheduler until its far-future due time.
-                deadline.cancel()
-                return value
-            # Timed out: retire the slot so a late reply counts as stale.
-            self._pending.pop(request_id, None)
-            self.network.stats.rpc_timeouts += 1
-            if detector is not None:
-                detector.on_rpc_timeout(dst)
-            if attempt >= max_attempts:
-                raise RpcTimeoutError(dst, msg_type, attempt)
+            try:
+                reply = yield self.request(
+                    dst, msg_type, body, cfg.request_timeout
+                )
+                return reply
+            except RpcTimeoutError:
+                if attempt >= max_attempts:
+                    raise RpcTimeoutError(dst, msg_type, attempt) from None
             self.network.stats.rpc_retries += 1
             delay = cfg.backoff(attempt - 1)
             if cfg.backoff_jitter > 0:

@@ -1,19 +1,16 @@
 """The transport seam: one abstract fabric, two backends.
 
-Every protocol node talks to the cluster through two interfaces:
-
-* :class:`Transport` -- the message fabric itself: node registration,
-  one-way sends, per-run statistics, and the *pump* that advances the
-  cluster's virtual clock.  The deterministic simulator backend
-  (:class:`repro.net.network.Network`) and the real asyncio TCP backend
-  (:class:`repro.net.socket_transport.SocketTransport`) both implement
-  it, so ``Cluster``/``MVCCNode`` code never branches on which one it is
-  running over.
-* :class:`Endpoint` -- request/reply matching on top of a transport:
-  bare requests, deadline-bounded requests, and the retrying ``call``
-  ladder.  :class:`repro.net.rpc.RpcEndpoint` is the one implementation;
-  it works unchanged over either transport because it only consumes the
-  :class:`Transport` surface.
+Every protocol node talks to the cluster through :class:`Transport` --
+the message fabric itself: node registration, one-way sends, per-run
+statistics, and the *pump* that advances the cluster's virtual clock.
+The deterministic simulator backend (:class:`repro.net.network.Network`)
+and the real asyncio TCP backend
+(:class:`repro.net.socket_transport.SocketTransport`) both implement it,
+so ``Cluster``/``MVCCNode`` code never branches on which one it is
+running over.  Request/reply matching on top of it is
+:class:`repro.net.rpc.RpcEndpoint`, built by :meth:`Transport.endpoint`;
+it works unchanged over either backend because it only consumes the
+:class:`Transport` surface.
 
 The seam is chosen at construction (:func:`build_transport`, driven by
 :class:`repro.config.TransportConfig`); everything after construction is
@@ -31,14 +28,14 @@ freely on any backend while nemesis schedules stay sim-only.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Optional
+from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
 from repro.net.message import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import ClusterConfig, NetworkConfig, RpcConfig
     from repro.net.network import NetworkStats
-    from repro.sim import Event, Simulator
+    from repro.sim import Simulator
 
 DeliverFn = Callable[[Envelope], None]
 
@@ -79,7 +76,8 @@ class Transport(ABC):
         """Send one message; returns the (possibly dropped) envelope."""
 
     def endpoint(self, node_id: int, config: "Optional[RpcConfig]" = None):
-        """Build the request/reply :class:`Endpoint` for a local node."""
+        """Build the request/reply endpoint for a local node: the one
+        :class:`~repro.net.rpc.RpcEndpoint`, whatever the backend."""
         from repro.net.rpc import RpcEndpoint
 
         return RpcEndpoint(self.sim, self, node_id, config)
@@ -147,47 +145,6 @@ class Transport(ABC):
         (``0.0`` if the pair never communicated); heartbeat suppression
         reads it as liveness evidence."""
         return 0.0
-
-
-class Endpoint(ABC):
-    """Request/reply matching for one node over a :class:`Transport`.
-
-    The contract protocol code relies on:
-
-    * :meth:`request` sends and returns an event resolving with the reply
-      body; with ``deadline`` set the event instead *fails* with
-      :class:`~repro.net.rpc.RpcTimeoutError` after ``deadline`` virtual
-      seconds without a reply (the slot is retired, so a late reply is
-      dropped as stale).  Without a deadline the event may never resolve
-      if the peer is gone -- the paper's reliable-channel primitive.
-    * :meth:`call` is a generator subroutine layering per-attempt
-      timeouts, seeded backoff, and capped retries on top.
-    * :meth:`reply` answers a previously delivered request envelope;
-      :meth:`handle_reply` is the node's dispatch hook for reply
-      envelopes.
-    """
-
-    @abstractmethod
-    def request(
-        self,
-        dst: int,
-        msg_type: str,
-        body: Any,
-        deadline: Optional[float] = None,
-    ) -> "Event":
-        """Send a request; the returned event delivers the reply body."""
-
-    @abstractmethod
-    def call(self, dst: int, msg_type: str, body: Any, config=None):
-        """Generator subroutine: request with timeout/backoff/retries."""
-
-    @abstractmethod
-    def reply(self, request_envelope: Envelope, body: Any) -> None:
-        """Answer a request previously delivered to this node."""
-
-    @abstractmethod
-    def handle_reply(self, envelope: Envelope) -> None:
-        """Dispatch a reply envelope to its waiting event."""
 
 
 def build_transport(sim: "Simulator", config: "ClusterConfig") -> Transport:

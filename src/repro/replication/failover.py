@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.handoff import fenced_handoff
-from repro.core.repair import decision_table, reannounce
+from repro.core.repair import reannounce
 from repro.core.transaction import PreparedTxn
 from repro.core.vector_clock import VectorClock
 from repro.core.wire import VoteBody
@@ -280,16 +280,17 @@ class FailoverDriver:
             # every live peer hears every merged decision, once, in
             # commit order for the in-order apply rule.
             if announce and decisions:
-                table = decision_table(dead, decisions.values())
-                below = min(table) - 1
+                by_seq = {entry.seq_no: entry for entry in decisions.values()}
+                below = min(by_seq) - 1
                 reannounce(
                     successor_node,
-                    table,
+                    dead,
+                    by_seq,
                     {
                         node.node_id: below for node in cluster.nodes
                         if self._live(node.node_id)
                     },
-                    max(table),
+                    max(by_seq),
                 )
             if state is not None:
                 state.staged.clear()

@@ -16,7 +16,7 @@ The design is intentionally close to a small subset of SimPy:
   FIFO-fair simulated locks with acquisition timeouts.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, EventState, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, EventState
 from repro.sim.process import PeriodicLoop, Process
 from repro.sim.simulator import Simulator, Timer
 from repro.sim.condition import ConditionVariable, wait_until
@@ -37,7 +37,6 @@ __all__ = [
     "Process",
     "RWLock",
     "Simulator",
-    "Timeout",
     "TraceRecord",
     "Tracer",
     "Timer",

@@ -131,23 +131,6 @@ class Event:
         return f"<{label} {self._state.value} at t={self.sim.now:.6f}>"
 
 
-class Timeout(Event):
-    """An event scheduled to succeed after a delay (``Simulator.timeout``).
-
-    Carries its scheduling :class:`~repro.sim.simulator.Timer` so a caller
-    whose race the timeout *lost* can :meth:`cancel` it instead of leaving
-    a doomed-to-fire entry in the scheduler (RPC deadlines outnumber actual
-    timeouts by orders of magnitude).
-    """
-
-    __slots__ = ("timer",)
-
-    def cancel(self) -> None:
-        """Cancel the pending timer; a no-op once the event triggered."""
-        if self._state is EventState.PENDING:
-            self.timer.cancel()
-
-
 class AllOf(Event):
     """Event that succeeds once every child event has succeeded.
 

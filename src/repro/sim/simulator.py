@@ -6,7 +6,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.sim.process import Process, ProcessGenerator
 
 
@@ -139,26 +139,20 @@ class Simulator:
         """Create a fresh pending event bound to this simulator."""
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that succeeds with ``value`` after ``delay``.
-
-        The returned :class:`Timeout` exposes ``cancel()`` for callers that
-        stop caring before it fires (e.g. an RPC whose reply won the race).
-        """
-        ev = Timeout(self, name="timeout")
-        ev.timer = self.call_later(delay, ev.succeed, value)
-        return ev
-
-    def sleep(self, delay: float, value: Any = None) -> Event:
-        """A non-cancellable :meth:`timeout`: same scheduling order, but no
-        :class:`Timer` handle is allocated.  For pure pauses (CPU charges,
-        client think time) that nobody ever cancels.
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        """An event that succeeds with ``value`` after ``delay``: a pure
+        pause (CPU charges, think time, retry backoff).  Nobody cancels
+        one, so no :class:`Timer` handle is allocated; a deadline that may
+        lose its race is a :meth:`call_later` timer, cancelled in place.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        ev = Event(self, name="sleep")
+        ev = Event(self, name="timeout")
         self._post_at(self.now + delay, ev.succeed, value)
         return ev
+
+    #: The same pause under its older name.
+    sleep = timeout
 
     def spawn(self, gen: ProcessGenerator, name: Optional[str] = None) -> Process:
         """Start a new process driving ``gen``; returns the joinable process."""

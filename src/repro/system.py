@@ -59,6 +59,44 @@ PROTOCOLS = {
 }
 
 
+def version_catalog_of(nodes: Iterable[BaseProtocolNode]) -> VersionCatalog:
+    """(key, vid) -> (origin, seq, writer txn) over ``nodes``' stores: a
+    whole :class:`Cluster`'s, or the one node a socket host process runs."""
+    catalog: VersionCatalog = {}
+    for node in nodes:
+        if isinstance(node, MVCCNode):
+            for key in node.store.keys():
+                for version in node.store.chain(key):
+                    catalog[(key, version.vid)] = (
+                        version.origin,
+                        version.seq,
+                        version.writer_txn,
+                    )
+        elif isinstance(node, TwoPCNode):
+            catalog.update(node.catalog)
+    return catalog
+
+
+def resolve_write_vids(history: History, catalog: VersionCatalog) -> History:
+    """Fill in ``history``'s write operations from ``catalog``, in place.
+
+    Coordinators never learn the vids their writes received at remote
+    nodes, so update-transaction write operations are reconstructed
+    here from each version's ``writer_txn`` stamp.  2PC records write
+    vids inline at commit and needs no resolution.
+    """
+    writes_by_txn: Dict[int, list] = {}
+    for (key, vid), (_origin, _seq, writer) in catalog.items():
+        if writer is not None:
+            writes_by_txn.setdefault(writer, []).append((key, vid))
+    for record in history:
+        if record.is_read_only or record.writes():
+            continue
+        for key, vid in sorted(writes_by_txn.get(record.txn_id, []), key=repr):
+            record.ops.append(OpRecord("w", key, vid))
+    return history
+
+
 class TxnResult:
     """Outcome of one :meth:`Cluster.run_txn` invocation.
 
@@ -735,40 +773,14 @@ class Cluster:
     # ------------------------------------------------------------------
     def version_catalog(self) -> VersionCatalog:
         """(key, vid) -> (origin, seq, writer txn) across all nodes."""
-        catalog: VersionCatalog = {}
-        for node in self.nodes:
-            if isinstance(node, MVCCNode):
-                for key in node.store.keys():
-                    for version in node.store.chain(key):
-                        catalog[(key, version.vid)] = (
-                            version.origin,
-                            version.seq,
-                            version.writer_txn,
-                        )
-            elif isinstance(node, TwoPCNode):
-                catalog.update(node.catalog)
-        return catalog
+        return version_catalog_of(self.nodes)
 
     def finalized_history(self) -> History:
-        """The recorded history with write vids resolved from the catalog.
-
-        Coordinators never learn the vids their writes received at remote
-        nodes, so update-transaction write operations are reconstructed
-        here from each version's ``writer_txn`` stamp.  2PC records write
-        vids inline at commit and needs no resolution.
-        """
+        """The recorded history with write vids resolved from the catalog
+        (:func:`resolve_write_vids`)."""
         if self.history is None:
             raise RuntimeError("history recording was not enabled")
-        writes_by_txn: Dict[int, list] = {}
-        for (key, vid), (_origin, _seq, writer) in self.version_catalog().items():
-            if writer is not None:
-                writes_by_txn.setdefault(writer, []).append((key, vid))
-        for record in self.history:
-            if record.is_read_only or record.writes():
-                continue
-            for key, vid in sorted(writes_by_txn.get(record.txn_id, []), key=repr):
-                record.ops.append(OpRecord("w", key, vid))
-        return self.history
+        return resolve_write_vids(self.history, self.version_catalog())
 
     # ------------------------------------------------------------------
     # Invariant probes (tests)

@@ -16,8 +16,9 @@ from repro import (
     RpcConfig,
 )
 from repro.cluster import ExplicitDirectory
-from repro.core.repair import TERMINATION_ATTEMPTS, reannounce
-from repro.core.wire import DecideBody, PrepareBody
+from repro.core.repair import TERMINATION_ATTEMPTS, Round, reannounce
+from repro.storage.wal import DecisionRecord
+from repro.core.wire import PrepareBody
 from repro.net.message import MessageType
 
 TXN = 77
@@ -25,11 +26,11 @@ TXN = 77
 ROUND_WAIT = 1e-3
 
 
-def build(num_nodes=2, placement=None, rpc=None):
+def build(num_nodes=2, placement=None, rpc=None, lease=None):
     config = ClusterConfig(
         num_nodes=num_nodes,
         seed=5,
-        durability=DurabilityConfig(termination_query=True),
+        prepared_lease=lease,
         # No detector: every query round spends its whole RPC ladder.
         healing=HealingConfig(detector_enabled=False),
         network=NetworkConfig(
@@ -97,12 +98,12 @@ def prepared_entry(cluster):
 
 
 def record_commit(cluster, seq_no=1):
-    """Put TXN's commit on node 0's decision log, as ``commit()`` does."""
+    """Put TXN's commit on node 0's decision log; returns its Decide."""
     coordinator = cluster.node(0)
     coordinator.curr_seq_no = seq_no
-    decide = DecideBody(TXN, True, 0, seq_no, (seq_no, 0))
-    coordinator._decisions[TXN] = decide
-    return decide
+    log = coordinator.in_doubt.log
+    log.restore({TXN: DecisionRecord(TXN, seq_no, (seq_no, 0))})
+    return log.decide(TXN)
 
 
 def test_committed_reply_applies_through_the_decide_path():
@@ -181,13 +182,43 @@ def test_a_racing_real_decide_wins():
     assert sent == cluster.config.network.rpc.max_attempts
 
 
+def test_a_lease_never_hangs_on_a_dead_coordinator_without_rpc_timeouts():
+    """The paper-model ``request_timeout=None``: a bare status query to a
+    coordinator that is gone for good would never return, and the lease
+    that asked would hold its locks forever.  Every round is bounded like
+    a gossip digest instead, so the budget runs out and the fallback
+    frees the key."""
+    lease = 1e-3
+    cluster = build(rpc=RpcConfig(), lease=lease)
+    node = cluster.node(1)
+    cluster.spawn(
+        node._handle_prepare(PrepareBody(TXN, 0, {"x": 9}, tuple(node.site_vc)))
+    )
+    cluster.run(until=lease / 2)
+    assert TXN in node._prepared and node.locks.write_held("x")
+    cluster.network.crash(0)  # for good
+    round_cost = cluster.config.healing.digest_timeout + lease
+    cluster.run(until=lease + TERMINATION_ATTEMPTS * round_cost + lease)
+    assert TXN not in node._prepared and not node.locks.any_locked()
+    assert node.store.chain("x").latest.value == 0
+    assert cluster.metrics.counters["lease_expirations"] == 1
+    assert cluster.metrics.counters["indoubt_aborted"] == 0
+    # One single-attempt query per round, each retired at its deadline.
+    stats = cluster.network.stats
+    assert stats.messages_by_type[MessageType.TXN_STATUS] == TERMINATION_ATTEMPTS
+    assert stats.rpc_timeouts == TERMINATION_ATTEMPTS and stats.rpc_retries == 0
+    assert node.node.rpc.pending_count == 0
+    assert node.node.rpc.deadline_count == 0
+
+
 # ----------------------------------------------------------------------
 # Re-announcer
 # ----------------------------------------------------------------------
 def lagging_peer_cluster(commits=5):
     """Node 0 commits ``commits`` local transactions while node 2 hears
-    none of the Propagates; node 1 hears them all."""
-    cluster = build(num_nodes=3, placement={"a": 0})
+    none of the Propagates; node 1 hears them all.  The lease is what
+    makes node 0 keep its decisions: somebody may ask."""
+    cluster = build(num_nodes=3, placement={"a": 0}, lease=5e-3)
     cluster.network.partition(0, 2)
     for value in range(commits):
         assert cluster.run_txn(lambda txn, v=value: txn.write("a", v + 1))
@@ -207,7 +238,7 @@ def test_reannounce_closes_a_peers_gap_and_duplicates_are_noops():
     before = decides_sent(cluster)
     chain_before = [v.vid for v in cluster.node(0).store.chain("a")]
     announced = reannounce(
-        origin, origin._decisions_by_seq, {1: 0, 2: 0}, origin.site_vc[0]
+        origin, 0, origin.in_doubt.log.by_seq, {1: 0, 2: 0}, origin.site_vc[0]
     )
     cluster.run()
     assert announced == [1, 2, 3, 4, 5]
@@ -222,15 +253,15 @@ def test_reannounce_respects_each_peers_frontier():
     cluster = lagging_peer_cluster()
     origin = cluster.node(0)
     before = decides_sent(cluster)
-    reannounce(origin, origin._decisions_by_seq, {1: 5, 2: 3}, 5)
+    reannounce(origin, 0, origin.in_doubt.log.by_seq, {1: 5, 2: 3}, 5)
     assert decides_sent(cluster) - before == 2  # 4 and 5, to node 2 only
 
 
 def test_reannounce_skips_pruned_sequence_numbers():
     cluster = lagging_peer_cluster()
     origin = cluster.node(0)
-    del origin._decisions_by_seq[2]
-    announced = reannounce(origin, origin._decisions_by_seq, {2: 0}, 5)
+    del origin.in_doubt.log.by_seq[2]
+    announced = reannounce(origin, 0, origin.in_doubt.log.by_seq, {2: 0}, 5)
     cluster.run()
     assert announced == [1, 3, 4, 5]
     # In-order apply: the peer stops at the hole only a checkpoint fills.
@@ -242,7 +273,7 @@ def test_reannounce_honours_its_per_call_limit(limit, expected):
     cluster = lagging_peer_cluster()
     origin = cluster.node(0)
     announced = reannounce(
-        origin, origin._decisions_by_seq, {2: 0}, 5, limit=limit
+        origin, 0, origin.in_doubt.log.by_seq, {2: 0}, 5, limit=limit
     )
     cluster.run()
     assert announced == expected
@@ -259,7 +290,7 @@ def slow_vote_cluster(protocol, sites, **durability):
         num_nodes=3,
         seed=5,
         prepared_lease=200e-6,
-        durability=DurabilityConfig(termination_query=True, **durability),
+        durability=DurabilityConfig(**durability),
         network=NetworkConfig(jitter=0.0),
     )
     placement = {"a": sites[0], "b": sites[1]}
@@ -320,14 +351,13 @@ def test_a_status_query_inside_the_force_window_waits_for_the_force():
     participant to apply a commit the recovered coordinator has no
     record of."""
     from repro.faults import CRASH_DURABLE, FaultEvent, Nemesis
-    from repro.storage.wal import DecisionRecord
     from tests.harness.recovery_tools import TracePoint, restart
 
     config = ClusterConfig(
         num_nodes=2,
         seed=5,
         durability=DurabilityConfig(
-            wal_enabled=True, termination_query=True, fsync_latency=100e-6
+            wal_enabled=True, fsync_latency=100e-6
         ),
         network=NetworkConfig(
             jitter=0.0, rpc=RpcConfig(request_timeout=1e-3, max_attempts=2)
@@ -367,7 +397,7 @@ def test_a_status_query_inside_the_force_window_waits_for_the_force():
     assert point.fired and coordinator.recovery.recoveries == 1
     txn_id = outcome["txn"].txn_id
     assert outcome["ok"] is False
-    assert txn_id not in coordinator._decisions
+    assert txn_id not in coordinator.in_doubt.log.by_txn
     assert participant.store.chain("x").latest.value == 0
     assert cluster.metrics.counters["indoubt_committed"] == 0
     assert cluster.metrics.counters["indoubt_aborted"] == 1
@@ -379,7 +409,6 @@ def test_restage_answer_lists_what_was_committed_at_the_asker():
     """C3, coordinator side: decisions of our origin above the asker's
     frontier that wrote there, each with the asker's writes only; a
     round in flight that names the asker is doomed."""
-    from repro.core.repair import Round
     from repro.core.wire import SyncRequestBody
 
     config = ClusterConfig(

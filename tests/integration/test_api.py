@@ -77,12 +77,15 @@ def test_facade_types_are_exported():
 
 
 def test_transport_seam_is_part_of_the_public_surface():
-    # The transport redesign's contract: the abstract seam types are
-    # importable from repro.net, and the selecting config from repro.
-    from repro.net import Endpoint, Network, RpcEndpoint, Transport
+    # The transport redesign's contract: the abstract seam type and the
+    # one endpoint over it are importable from repro.net, and the
+    # selecting config from repro.
+    import repro.net
+    from repro.net import Network, RpcEndpoint, Transport
 
     assert issubclass(Network, Transport)
-    assert issubclass(RpcEndpoint, Endpoint)
+    assert "RpcEndpoint" in repro.net.__all__ and callable(RpcEndpoint.call)
+    assert not hasattr(repro.net, "Endpoint")  # was an ABC with one subclass
     assert repro.TransportConfig is TransportConfig
     assert "TransportConfig" in repro.__all__
     assert TransportConfig in public_config_classes().values()
@@ -213,7 +216,6 @@ checkpoint_configs = st.builds(
 )
 snapshot_configs = st.builds(
     SnapshotTransferConfig,
-    enabled=st.booleans(),
     chunk_records=st.integers(1, 128),
     lag_bias=small_floats,
 )
@@ -259,7 +261,6 @@ cluster_configs = st.builds(
     durability=st.builds(
         DurabilityConfig,
         wal_enabled=st.booleans(),
-        termination_query=st.booleans(),
         fsync_latency=small_floats,
         group_commit_window=small_floats,
     ),
@@ -298,6 +299,13 @@ def test_every_config_class_round_trips_at_defaults():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown keys"):
         ClusterConfig.from_dict({"num_nodes": 3, "num_shards": 7})
+    # Deleted knobs are unknown keys, not silently accepted ones.
+    for overlay in (
+        {"durability": {"termination_query": True}},
+        {"healing": {"snapshot": {"enabled": True}}},
+    ):
+        with pytest.raises(ValueError, match="unknown keys"):
+            ClusterConfig.from_dict(overlay)
 
 
 def test_from_dict_accepts_partial_overlay():

@@ -232,9 +232,9 @@ def test_chaos_runs_are_deterministic(protocol):
 
 
 # ----------------------------------------------------------------------
-# In-doubt termination: the presumed-abort window, demonstrated and closed
+# In-doubt termination: a lost Decide does not lose the write
 # ----------------------------------------------------------------------
-def run_indoubt_decide_loss(termination):
+def run_indoubt_decide_loss(durability=None):
     """Commit a cross-site transaction whose Decide is destroyed.
 
     A directed partition (coordinator -> participant) is installed at the
@@ -244,11 +244,7 @@ def run_indoubt_decide_loss(termination):
     so the coordinator is alive and reachable when the participant must
     decide what to do with its in-doubt prepare.
     """
-    cluster = build(
-        "fwkv",
-        seed=35,
-        durability=DurabilityConfig(termination_query=termination),
-    )
+    cluster = build("fwkv", seed=35, durability=durability)
     nemesis = Nemesis(cluster)
     sites = {}
     for i in range(NUM_KEYS):
@@ -289,24 +285,7 @@ def committed_at(cluster, key, txn_id):
     return any(v.writer_txn == txn_id for v in node.store.chain(key))
 
 
-@pytest.mark.chaos
-def test_presumed_abort_drops_committed_write_without_termination():
-    """The historical bug, pinned down: with the default unilateral
-    lease expiry, a committed transaction's writes vanish at the
-    participant that never heard the Decide."""
-    cluster, txn, keys = run_indoubt_decide_loss(termination=False)
-    coordinator_key, participant_key = keys
-    assert committed_at(cluster, coordinator_key, txn.txn_id)
-    assert not committed_at(cluster, participant_key, txn.txn_id)
-    assert cluster.metrics.counters["lease_expirations"] == 1
-    assert not cluster.any_locks_held()
-
-
-@pytest.mark.chaos
-def test_termination_query_preserves_committed_write():
-    """With ``durability.termination_query`` the participant asks the
-    coordinator instead of presuming abort, and installs the writes."""
-    cluster, txn, keys = run_indoubt_decide_loss(termination=True)
+def assert_decide_loss_lost_nothing(cluster, txn, keys):
     for key in keys:
         assert committed_at(cluster, key, txn.txn_id)
     assert cluster.metrics.counters["indoubt_committed"] == 1
@@ -314,6 +293,28 @@ def test_termination_query_preserves_committed_write():
     assert not cluster.any_locks_held()
     for protocol_node in cluster.nodes:
         assert protocol_node.node.rpc.pending_count == 0
+        assert protocol_node.node.rpc.deadline_count == 0
+
+
+@pytest.mark.chaos
+def test_lease_expiry_asks_by_default_and_preserves_committed_write():
+    """A lease and every other default: the participant whose Decide was
+    lost asks the coordinator instead of presuming abort, and installs
+    the write.  (Presume-first used to be the default, and dropped it.)"""
+    cluster, txn, keys = run_indoubt_decide_loss()
+    assert cluster.config.durability == DurabilityConfig()
+    assert_decide_loss_lost_nothing(cluster, txn, keys)
+
+
+@pytest.mark.chaos
+def test_termination_query_preserves_committed_write():
+    """The same answer from a logged decision: with the WAL on, what the
+    coordinator's decision log holds is the record it forced."""
+    cluster, txn, keys = run_indoubt_decide_loss(
+        DurabilityConfig(wal_enabled=True)
+    )
+    assert cluster.nodes[0].in_doubt.log.by_txn[txn.txn_id].writes
+    assert_decide_loss_lost_nothing(cluster, txn, keys)
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +330,7 @@ def test_chaos_durable_crash_no_lost_commits(protocol):
     cluster = build(
         protocol,
         seed=36,
-        durability=DurabilityConfig(wal_enabled=True, termination_query=True),
+        durability=DurabilityConfig(wal_enabled=True),
         gc_enabled=False,  # assert_no_lost_commits scans full chains
     )
     nemesis = Nemesis(cluster)

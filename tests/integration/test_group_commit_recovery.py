@@ -48,7 +48,6 @@ def build(protocol, seed):
         gc_enabled=False,
         durability=DurabilityConfig(
             wal_enabled=True,
-            termination_query=True,
             fsync_latency=50e-6,
         ),
         network=NetworkConfig(

@@ -83,9 +83,7 @@ def build(seed, healing, *, wal=False, record_history=False):
         seed=seed,
         prepared_lease=5e-3,
         gc_enabled=False,
-        durability=DurabilityConfig(
-            wal_enabled=wal, termination_query=wal
-        ),
+        durability=DurabilityConfig(wal_enabled=wal),
         network=NetworkConfig(
             jitter=5e-6,
             rpc=RpcConfig(request_timeout=1.5e-3, max_attempts=3),
@@ -447,9 +445,9 @@ def run_checkpoint_scenario(seed, *, checkpointed):
         # Same evidence, precise GC: every decision at or below the
         # stable floor left the in-memory log too.
         floor = victim.site_vc[VICTIM]
-        assert all(
-            d.seq_no > floor for d in victim._decisions.values()
-        )
+        log = victim.in_doubt.log
+        assert all(seq_no > floor for seq_no in log.by_seq)
+        assert {r.seq_no for r in log.by_txn.values()} == set(log.by_seq)
 
         # The equivalence the whole scheme rests on, checked on the live
         # logs: truncated replay == full-history replay, suffix-only cost.

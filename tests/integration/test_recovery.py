@@ -63,7 +63,7 @@ PROTOCOLS = ("fwkv", "walter")
 pytestmark = pytest.mark.recovery
 
 
-def build(protocol, seed, *, termination=True):
+def build(protocol, seed):
     config = ClusterConfig(
         num_nodes=NUM_NODES,
         seed=seed,
@@ -71,9 +71,7 @@ def build(protocol, seed, *, termination=True):
         # Every version must survive the run so assert_no_lost_commits
         # can find each acknowledged write by its writer-txn stamp.
         gc_enabled=False,
-        durability=DurabilityConfig(
-            wal_enabled=True, termination_query=termination
-        ),
+        durability=DurabilityConfig(wal_enabled=True),
         network=NetworkConfig(
             jitter=5e-6,
             rpc=RpcConfig(request_timeout=1.5e-3, max_attempts=3),

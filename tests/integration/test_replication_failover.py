@@ -115,7 +115,7 @@ def build(
             read_from_backups=read_from_backups,
             failover_timeout=failover,
         ),
-        durability=DurabilityConfig(wal_enabled=False, termination_query=True),
+        durability=DurabilityConfig(wal_enabled=False),
         # Anti-entropy repairs the Propagate gap a restarted node slept
         # through (replication streams carry a primary's *writes*, not
         # the cluster-wide clock advances its reads must wait on).

@@ -77,9 +77,7 @@ class Run:
             prepared_lease=5e-3,
             # assert_no_lost_commits finds writes by their writer stamp.
             gc_enabled=False,
-            durability=DurabilityConfig(
-                wal_enabled=True, termination_query=True, fsync_latency=FSYNC
-            ),
+            durability=DurabilityConfig(wal_enabled=True, fsync_latency=FSYNC),
             network=NetworkConfig(
                 jitter=5e-6,
                 rpc=RpcConfig(request_timeout=1.5e-3, max_attempts=3),

@@ -23,9 +23,10 @@ from pathlib import Path
 import pytest
 
 from repro import Cluster, ClusterConfig, TransportConfig
+from repro.config import RunConfig
 from repro.harness.runner import run_experiment
 from repro.metrics.psi_checker import check_no_read_skew, check_site_order
-from repro.net.host import launch_cluster
+from repro.net.host import host_workload, launch_cluster, run_cluster
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 pytestmark = pytest.mark.socket
@@ -40,6 +41,20 @@ def socket_config(**overrides) -> ClusterConfig:
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
+
+
+def audit(history, catalog):
+    """The oracles every history of this suite must pass, wherever it
+    ran; returns the (read-only, update) record counts."""
+    skew = check_no_read_skew(history)
+    assert skew.ok, skew.violations[:3]
+    order = check_site_order(history, catalog)
+    assert order.ok, order.violations[:3]
+    updates = history.committed_updates()
+    # Write vids were resolved from the catalog (a commit whose Decide
+    # was still in flight when the run was cut has none yet).
+    assert sum(1 for record in updates if record.writes()) > len(updates) / 2
+    return len(history.committed_read_only()), len(updates)
 
 
 # ----------------------------------------------------------------------
@@ -72,8 +87,6 @@ def test_transfer_txn_commits_over_real_tcp():
 
 
 def test_seeded_workload_over_sockets_passes_psi_oracles():
-    from repro.config import RunConfig
-
     result = run_experiment(
         "fwkv",
         YCSBWorkload(YCSBConfig(num_keys=48)),
@@ -84,10 +97,7 @@ def test_seeded_workload_over_sockets_passes_psi_oracles():
     cluster = result.cluster
     try:
         assert result.metrics["commits"] > 0
-        history = cluster.finalized_history()
-        catalog = cluster.version_catalog()
-        check_no_read_skew(history)
-        check_site_order(history, catalog)
+        audit(cluster.finalized_history(), cluster.version_catalog())
     finally:
         cluster.close()
 
@@ -146,6 +156,36 @@ def test_multiprocess_cluster_commits_and_passes_oracles():
     assert summary["history_records"] > 0
     # The children's recorders reach the parent, summed.
     assert summary["counters"]["commits"] == summary["committed"]
+
+
+def test_sim_and_socket_histories_of_one_workload_pass_the_same_oracles():
+    """One workload, one seed, two fabrics: the sim never runs the codec,
+    the socket hosts always do, and the same client loop drives both."""
+    num_keys, seed = 48, 17
+    sim_run = run_experiment(
+        "fwkv",
+        host_workload(num_keys),
+        ClusterConfig(num_nodes=3, seed=seed, clients_per_node=2),
+        RunConfig(duration=0.03, warmup=0.0),
+        record_history=True,
+    )
+    sim_cluster = sim_run.cluster
+    sim_counts = audit(
+        sim_cluster.finalized_history(), sim_cluster.version_catalog()
+    )
+    summary, history, catalog = run_cluster(
+        "fwkv", socket_config(seed=seed), num_keys=num_keys,
+        duration=0.4, grace=0.3,
+    )
+    socket_counts = audit(history, catalog)
+    assert summary["exit_codes"] == [0, 0, 0]
+    assert sum(socket_counts) == summary["committed"] == len(history)
+    # Same programs from the same client streams: both profiles ran on
+    # both fabrics, over the same keys.
+    assert min(sim_counts) > 0 and min(socket_counts) > 0
+    keys = {key for key, _value in host_workload(num_keys).load_items()}
+    for recorded in (sim_cluster.history, history):
+        assert {op.key for r in recorded for op in r.ops} <= keys
 
 
 def test_multiprocess_cluster_requires_socket_transport():

@@ -257,6 +257,46 @@ def test_retry_backoff_is_seed_deterministic():
     assert other[0] != first[0]
 
 
+def test_call_that_succeeds_on_a_retry_leaves_nothing_armed():
+    sim, client, server = build_pair(rpc=RETRY_CONFIG)
+    flaky_server(server, fail_first=1)
+
+    def proc():
+        reply = yield from client.rpc.call(1, "Ping", "hello")
+        return reply
+
+    assert sim.run_process(proc()) == "pong"
+    stats = client.rpc.network.stats
+    assert (stats.rpc_timeouts, stats.rpc_retries) == (1, 1)
+    # The first attempt's deadline fired and deleted itself, the second
+    # was cancelled by its reply: no slot, no timer, no scheduler entry.
+    assert client.rpc.pending_count == 0
+    assert client.rpc.deadline_count == 0
+    assert sim.pending_count == 0
+    assert sim.now < 2 * RETRY_CONFIG.request_timeout
+
+
+def test_call_answered_within_its_timeout_costs_no_deadline_event():
+    sim, client, server = build_pair(rpc=RETRY_CONFIG)
+    flaky_server(server, fail_first=0)
+
+    def proc():
+        reply = yield from client.rpc.call(1, "Ping", "hello")
+        return reply
+
+    assert sim.run_process(proc()) == "pong"
+    # Process start, request delivery, reply delivery, the caller's
+    # resume, run_process's join callback.  ``call`` is ``request(
+    # deadline=)`` in a loop: no ``Timeout`` event object and no hop
+    # between the reply and the resume (with one it was 6).
+    assert sim.executed_count == 5
+    # Quiescence is reached at the reply, not at the deadline.
+    assert sim.now < RETRY_CONFIG.request_timeout
+    assert sim.pending_count == 0
+    assert client.rpc.deadline_count == 0
+    assert client.rpc.network.stats.rpc_timeouts == 0
+
+
 # ----------------------------------------------------------------------
 # Hard deadlines on bare requests (request(deadline=...))
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The transport seam: contract tests for Transport/Endpoint backends.
+"""The transport seam: contract tests for Transport backends.
 
 The seam's promise is that everything above construction is
 backend-agnostic: the simulated :class:`Network` and the socket backend
@@ -11,7 +11,6 @@ import pytest
 
 from repro.config import ClusterConfig, NetworkConfig, TransportConfig
 from repro.net import (
-    Endpoint,
     Network,
     RpcEndpoint,
     Transport,
@@ -50,9 +49,10 @@ def test_network_is_a_transport_and_rpc_is_an_endpoint():
     net = Network(sim)
     assert isinstance(net, Transport)
     assert Network.kind == "sim"
-    endpoint = net.endpoint(0)
-    assert isinstance(endpoint, RpcEndpoint)
-    assert isinstance(endpoint, Endpoint)
+    # One endpoint class over every backend: the four-method contract
+    # (request / call / reply / handle_reply) is RpcEndpoint's own.
+    assert isinstance(net.endpoint(0), RpcEndpoint)
+    assert isinstance(MinimalTransport(sim).endpoint(0), RpcEndpoint)
 
 
 def test_endpoint_factory_matches_direct_construction():

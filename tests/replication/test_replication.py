@@ -62,7 +62,7 @@ def build(
             read_from_backups=read_from_backups,
             failover_timeout=failover,
         ),
-        durability=DurabilityConfig(wal_enabled=False, termination_query=True),
+        durability=DurabilityConfig(wal_enabled=False),
         healing=HealingConfig(
             heartbeat_interval=1e-3 if failover is not None else None
         ),

@@ -1,4 +1,4 @@
-"""Structural ratchets: the shape PRs 14-19 left must not erode quietly.
+"""Structural ratchets: the shape PRs 14-20 left must not erode quietly.
 
 Each bound is the value measured after those PRs; lower them when a
 later change shrinks the thing, never raise them to make room.
@@ -9,6 +9,7 @@ import dataclasses
 from pathlib import Path
 
 import repro.config
+import repro.net.rpc
 from repro.core.vector_clock import VectorClock
 from repro.metrics.stats import COUNTERS, MetricsRecorder
 
@@ -17,15 +18,16 @@ SRC = Path(repro.config.__file__).parent
 #: Lines over every ``*.py`` under ``src/repro``.  Raised once, by PR 19
 #: (17000 -> 17188): a protocol step bought, not a copy -- the one-force
 #: commit path's exact status answers and recovery's re-stage round
-#: (ROADMAP, "Finish the cliffs", has the breakdown).
-TOTAL_SRC_LINES = 17188
+#: (ROADMAP, "Finish the cliffs", has the breakdown); PR 20 took most of
+#: it back (one decision log, one lease rule, one RPC deadline).
+TOTAL_SRC_LINES = 17059
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``).
-LONGEST_FILE = 1241
+LONGEST_FILE = 1209
 #: ``replication/shard.py`` (stream pump, ``NodeReplication``,
 #: ``ClusterReplication``) once ``FailoverDriver`` left for ``failover.py``.
 SHARD_FILE = 740
 #: Fields over all config dataclasses in ``repro.config``.
-CONFIG_FIELDS = 81
+CONFIG_FIELDS = 79
 #: Config fields nothing reads.  ``group_commit_window`` stays accepted
 #: only because the frozen ``benchmarks/ledger/registry.py`` passes it.
 UNREAD_CONFIG_FIELDS = {"group_commit_window"}
@@ -85,6 +87,70 @@ def test_a_yes_vote_waits_for_no_sync():
         if isinstance(node, ast.Attribute) and node.attr == "ensure_durable"
     }
     assert forces == {"commit"}, forces
+
+
+def _dict_valued(node: ast.expr, annotation=None) -> bool:
+    """A dict display, comprehension or ``dict(...)`` call, or anything
+    annotated ``Dict[...]``."""
+    if annotation is not None and "Dict" in ast.unparse(annotation):
+        return True
+    return isinstance(node, (ast.Dict, ast.DictComp)) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "dict"
+    )
+
+
+def test_what_a_coordinator_committed_is_stored_once():
+    """One decision log, one lease rule, one RPC deadline: the copies
+    PR 20 deleted do not come back under another name."""
+    tables = []
+    for package in ("core", "healing"):
+        for path in (SRC / package).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            inside_log = {
+                id(node)
+                for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "DecisionLog"
+                for node in ast.walk(cls)
+            }
+            for node in ast.walk(tree):
+                if id(node) in inside_log:
+                    continue
+                if isinstance(node, ast.Assign):
+                    targets, annotation = node.targets, None
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets, annotation = [node.target], node.annotation
+                else:
+                    continue
+                for target in targets:
+                    name = getattr(target, "attr", getattr(target, "id", ""))
+                    if ("decisions" in name or name == "records") and (
+                        _dict_valued(node.value, annotation)
+                    ):
+                        tables.append(
+                            f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                        )
+    assert not tables, tables
+
+    mvcc = ast.parse((SRC / "core" / "mvcc_node.py").read_text())
+    node_attrs = {
+        node.attr
+        for node in ast.walk(mvcc)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+    assert not {
+        attr for attr in node_attrs
+        if attr.startswith("_decisions") or attr == "_track_decisions"
+    }
+    assert not hasattr(repro.net.rpc, "_Race")
+    assert "termination_query" not in {
+        field.name
+        for cls in _config_classes()
+        for field in dataclasses.fields(cls)
+    }
 
 
 def test_config_surface_does_not_grow():
