@@ -24,6 +24,15 @@ further apart than that bound allows, and not every run of the change
 beat every run of the parent (section 6, step 5); ``ok`` otherwise.
 Exit code 1 when a metric regressed, or any run reported ``correct:
 false`` or a failed operation; else 0.
+
+``--expect-identical`` is the proof that nothing virtual moved, for a
+change that keeps behaviour and lowers ``events`` (which ``compare.py
+--expect-identical`` includes): every metric whose *parent* runs all
+read the same value -- deterministic by observation: the seven virtual
+metrics of a sim workload -- must read exactly that value in every
+*change* run, or the metric and both values are listed and the exit
+code is 1.  Wall metrics, which differ between parent runs, are left to
+the verdicts above.
 """
 
 from __future__ import annotations
@@ -87,6 +96,23 @@ def summarise(metric: dict, parent: List[float], change: List[float]) -> dict:
     }
 
 
+def deterministic(row: dict) -> bool:
+    """Every parent run of the metric read exactly the same value."""
+    return len(set(row["parent_runs"])) == 1
+
+
+def not_identical(rows: List[dict]) -> List[str]:
+    """``--expect-identical``: one line per :func:`deterministic` metric
+    that reads anything else in some run of the change."""
+    return [
+        f"{row['name']}: parent {row['parent_runs'][0]!r} every run, "
+        f"change {sorted(set(row['change_runs']))!r}"
+        for row in rows
+        if deterministic(row)
+        and set(row["change_runs"]) != set(row["parent_runs"])
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir", type=Path)
@@ -95,6 +121,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, help="write the JSON report here")
+    parser.add_argument(
+        "--expect-identical", action="store_true",
+        help="fail unless every metric the parent repeats exactly reads "
+             "that same value in every run of the change",
+    )
     options = parser.parse_args(argv)
 
     manifest = json.loads((options.change_dir / "BENCHMARK.json").read_text())
@@ -146,16 +177,27 @@ def main(argv=None) -> int:
             f"apart {'yes' if row['medians_apart'] else 'no'}  {row['verdict']}"
         )
     print(f"  failed operations: {failed}  runs not correct: {incorrect}")
+    moved: List[str] = []
+    if options.expect_identical:
+        moved = not_identical(rows)
+        print(
+            f"  expect-identical: {sum(map(deterministic, rows))} "
+            f"deterministic metric(s), {len(moved)} moved"
+            + "".join(f"\n    {line}" for line in moved)
+        )
     if options.pairs < 10:
         print("  fewer than ten pairs: no gain may be claimed from this run")
     if options.out is not None:
         options.out.write_text(json.dumps({
             "workload": options.workload, "seed": options.seed,
             "pairs": options.pairs, "metrics": rows,
-            "failed": failed, "incorrect": incorrect,
+            "failed": failed, "incorrect": incorrect, "not_identical": moved,
         }, indent=1) + "\n")
     regressed = any(row["verdict"] == "regressed" for row in rows)
-    return int(regressed or any(failed.values()) or any(incorrect.values()))
+    return int(
+        regressed or bool(moved)
+        or any(failed.values()) or any(incorrect.values())
+    )
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from typing import Callable, Dict, Optional
 
 from repro.net.message import Envelope, MessageType
 from repro.net.transport import Transport
-from repro.sim import Simulator
+from repro.sim import Process, Simulator
 
 Handler = Callable[[Envelope], object]
 
@@ -63,7 +63,9 @@ class Node:
             )
         handler, spawn, name = entry
         if spawn:
-            self.sim.spawn(handler(envelope), name=name)
+            # Last act of the delivery entry: the handler's first step
+            # runs in place when nothing else is due at this instant.
+            Process(self.sim, handler(envelope), name, tail=True)
         else:
             handler(envelope)
 

@@ -18,7 +18,11 @@ time and therefore fully deterministic:
   crossing ``_PHI_SUSPECT`` / ``_PHI_DEAD`` raises the classification,
   which -- unlike a fixed timeout -- adapts to however slow the peer
   has actually been, so a consistently slow-but-alive peer is not
-  falsely declared dead.
+  falsely declared dead.  The mean is floored at ``heartbeat_interval``:
+  every arrival feeds it, so a foreground burst (a coordinator's
+  fan-out, microseconds apart) would otherwise collapse it and score
+  the ordinary sub-heartbeat pause that follows as death -- one beacon
+  per interval is all a live peer owes.
 
 Consumers:
 
@@ -142,7 +146,7 @@ class FailureDetector:
         mean = self._mean_interval[peer]
         if last is None or mean is None or mean <= 0.0:
             return 0.0
-        return (self.sim.now - last) / mean
+        return (self.sim.now - last) / max(mean, self.config.heartbeat_interval or 0.0)
 
     def state(self, peer: int) -> str:
         """The peer's current classification (re-scored on read).

@@ -13,6 +13,7 @@ from repro.sim import Simulator
 from repro.sim.rng import make_rng
 
 DeliverFn = Callable[[Envelope], None]
+_BACKGROUND = MessageType.BACKGROUND
 
 #: Drop-reason labels used in :attr:`NetworkStats.drops_by_reason`.
 DROP_CRASH = "crash"
@@ -92,7 +93,9 @@ class Network(Transport):
         self.config = config or NetworkConfig()
         self.seed = seed
         self.stats = NetworkStats()
-        self._rng = make_rng(seed, "network")
+        #: Jitter is ``jitter * random()``: bit-equal to ``uniform(0.0,
+        #: jitter)`` (``0.0 + (jitter - 0.0) * random()``), one call less.
+        self._random = make_rng(seed, "network").random
         # Loss/duplication draws come from their own stream so enabling
         # them never perturbs the latency jitter of surviving messages.
         self._fault_rng = make_rng(seed, "network", "faults")
@@ -132,8 +135,9 @@ class Network(Transport):
         sim = self.sim
         now = sim.now
         stats = self.stats
-        envelope = Envelope(msg_type, src, dst, payload, now, 0.0, self._next_msg_id)
-        self._next_msg_id += 1
+        msg_id = self._next_msg_id
+        self._next_msg_id = msg_id + 1
+        envelope = Envelope(msg_type, src, dst, payload, now, 0.0, msg_id)
         stats.messages_sent += 1
         stats.messages_by_type[msg_type] += 1
 
@@ -141,34 +145,28 @@ class Network(Transport):
             self._drop(DROP_UNKNOWN_DST, envelope)
             return envelope
         cfg = self.config
-        if (
-            src != dst
-            and cfg.loss_rate > 0
-            and self._fault_rng.random() < cfg.loss_rate
-        ):
-            self._drop(DROP_LOSS, envelope)
-            return envelope
-
-        # Latency computation inlined from _latency: send() runs once per
-        # message and the extra call shows up at benchmark scale.
         if src == dst:
             delay = cfg.self_latency
         else:
+            if cfg.loss_rate > 0 and self._fault_rng.random() < cfg.loss_rate:
+                self._drop(DROP_LOSS, envelope)
+                return envelope
             delay = cfg.base_latency
-            if cfg.jitter > 0:
-                delay += self._rng.uniform(0.0, cfg.jitter)
+            jitter = cfg.jitter
+            if jitter > 0:
+                delay += jitter * self._random()
         delays = cfg.message_delays
         if delays:
             delay += delays.get(msg_type, 0.0)
         if self.delay_policy is not None:
             delay += self.delay_policy(envelope)
-        channel = "bg" if msg_type in MessageType.BACKGROUND else "fg"
-        key = (src, dst, channel)
+        key = (src, dst, "bg" if msg_type in _BACKGROUND else "fg")
         deliver_at = now + delay
-        horizon = self._fifo_horizon[key]
+        horizons = self._fifo_horizon
+        horizon = horizons[key]
         if horizon > deliver_at:
             deliver_at = horizon
-        self._fifo_horizon[key] = deliver_at
+        horizons[key] = deliver_at
         envelope.deliver_time = deliver_at
 
         # Deliveries are never cancelled; the no-handle form skips a Timer
@@ -182,25 +180,10 @@ class Network(Transport):
             # The copy trails the original by a fresh latency-scale offset;
             # duplicates may reorder (they skip the FIFO horizon), which is
             # exactly the adversity handlers must tolerate.
-            offset = self._fault_rng.uniform(0.0, self.config.base_latency)
-            self.stats.messages_duplicated += 1
-            self.sim.call_at(deliver_at + offset, self._deliver, envelope)
+            offset = self._fault_rng.uniform(0.0, cfg.base_latency)
+            stats.messages_duplicated += 1
+            sim.call_at(deliver_at + offset, self._deliver, envelope)
         return envelope
-
-    def _latency(self, envelope: Envelope) -> float:
-        cfg = self.config
-        if envelope.src == envelope.dst:
-            base = cfg.self_latency
-        else:
-            base = cfg.base_latency
-            if cfg.jitter > 0:
-                base += self._rng.uniform(0.0, cfg.jitter)
-        delays = cfg.message_delays
-        if delays:
-            base += delays.get(envelope.msg_type, 0.0)
-        if self.delay_policy is not None:
-            base += self.delay_policy(envelope)
-        return base
 
     def _deliver(self, envelope: Envelope) -> None:
         # _faulty is False in healthy runs, collapsing delivery to one

@@ -128,20 +128,25 @@ class RpcEndpoint:
         callers should always pass one -- a real peer can be gone without
         any simulator crash bookkeeping to tell the caller so.
         """
-        request_id = self._next_request_id
-        self._next_request_id += 1
         # The static type label is enough for debugging; formatting a
         # per-request name would be the costliest part of sending.
-        event = self.sim.event(name=msg_type)
-        self._pending[request_id] = event
-        self.network.send(
-            self.node_id, dst, msg_type, _Request(request_id, msg_type, body)
-        )
+        event = Event(self.sim, msg_type)
+        request_id = self._send_request(event, dst, msg_type, body)
         if deadline is not None:
             self._deadlines[request_id] = self.sim.call_later(
                 deadline, self._expire_request, request_id, dst, msg_type
             )
         return event
+
+    def _send_request(self, event: Event, dst: int, msg_type: str, body: Any) -> int:
+        """Register ``event`` for the reply and put the request on the wire."""
+        request_id = self._next_request_id
+        self._next_request_id += 1
+        self._pending[request_id] = event
+        self.network.send(
+            self.node_id, dst, msg_type, _Request(request_id, msg_type, body)
+        )
+        return request_id
 
     def _expire_request(self, request_id: int, dst: int, msg_type: str) -> None:
         """Deadline hit -- every way an attempt times out ends here: retire
@@ -226,11 +231,25 @@ class RpcEndpoint:
         body: Any,
         config: Optional[RpcConfig] = None,
     ):
-        """Spawn :meth:`call_settled` as a process (itself a yieldable event)."""
-        return self.sim.spawn(
-            self.call_settled(dst, msg_type, body, config),
-            name=msg_type,
-        )
+        """:meth:`call_settled` as a yieldable event, for ``AllOf`` fan-out:
+        a spawned process walking the retry ladder -- or, on a reliable
+        channel (``request_timeout=None``), where a request settles exactly
+        once and nothing needs driving, a plain event the reply resolves
+        to ``(True, body)``.  Its send is *posted*, not performed here: it
+        keeps the queue position the process start had, and so the order
+        of network-jitter draws within the timestamp.
+        """
+        cfg = config if config is not None else self.config
+        if cfg.request_timeout is not None:
+            return self.sim.spawn(
+                self.call_settled(dst, msg_type, body, config),
+                name=msg_type,
+            )
+        settled = Event(self.sim, msg_type)
+        reply = Event(self.sim, msg_type)
+        reply.add_callback(lambda event: settled.succeed((True, event.value)))
+        self.sim._post_soon(self._send_request, reply, dst, msg_type, body)
+        return settled
 
     def reply(self, request_envelope: Envelope, body: Any) -> None:
         """Answer a request previously delivered to this node."""
@@ -263,7 +282,7 @@ class RpcEndpoint:
             timer = self._deadlines.pop(reply.request_id, None)
             if timer is not None:
                 timer.cancel()
-        event.succeed(reply.body)
+        event.succeed_tail(reply.body)
 
     @staticmethod
     def body_of(envelope: Envelope) -> Any:

@@ -30,7 +30,8 @@ class Event:
     :meth:`fail` (delivering an exception).  Callbacks registered with
     :meth:`add_callback` run *through the simulator queue* at the current
     virtual time, which keeps wake-up ordering deterministic and avoids
-    unbounded recursion through chains of dependent events.
+    unbounded recursion through chains of dependent events
+    (:meth:`succeed_tail` may skip the hop, never change the order).
     """
 
     __slots__ = ("sim", "name", "_state", "_value", "_exc", "_callbacks")
@@ -100,13 +101,25 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._state = _FAILED
         self._exc = exc
-        self._dispatch()
-        return self
-
-    def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, None
         for callback in callbacks or ():
             self.sim._post_soon(callback, self)
+        return self
+
+    def succeed_tail(self, value: Any = None) -> None:
+        """:meth:`succeed` for a caller in tail position (timer expiry, reply
+        delivery -- the *last* act of its scheduler entry): the lone waiter
+        goes through ``Simulator._wake`` and so resumes inside this entry
+        when nothing else is due.  Mid-body callers use :meth:`succeed`:
+        woken in place there, the waiter would see their state half-mutated.
+        """
+        callbacks = self._callbacks
+        if callbacks is None or len(callbacks) != 1:
+            self.succeed(value)  # no waiter, or several: succeed's order
+        else:
+            self._callbacks = None
+            self.succeed(value)
+            self.sim._wake(callbacks[0], self)
 
     # ------------------------------------------------------------------
     # Waiting

@@ -63,7 +63,10 @@ class RWLock:
 
     @property
     def write_held(self) -> bool:
-        return any(mode == _WRITE for mode, _ in self._holders.values())
+        # A writer holds alone, so the first holder's mode answers it.
+        for mode, _count in self._holders.values():
+            return mode == _WRITE
+        return False
 
     def held_by(self, owner: Owner) -> Optional[str]:
         """Mode held by ``owner`` (``"r"``/``"w"``) or ``None``."""
@@ -84,7 +87,7 @@ class RWLock:
         return self._acquire(owner, _WRITE, timeout)
 
     def _acquire(self, owner: Owner, kind: str, timeout: Optional[float]) -> Event:
-        event = Event(self.sim, name="lock-w" if kind is _WRITE else "lock-r")
+        event = Event(self.sim, "lock-w" if kind is _WRITE else "lock-r")
         entry = self._holders.get(owner)
         if entry is not None:
             if entry[0] != kind:
@@ -93,14 +96,20 @@ class RWLock:
                     f"requested mode {kind!r}; upgrades are not supported"
                 )
             entry[1] += 1
-            event.succeed(True)
+        elif not self._queue and not (
+            self._holders if kind is _WRITE else self.write_held
+        ):
+            # Uncontended: what _drain would decide for a lone request at
+            # the head of an empty queue, without queueing it first.
+            self._holders[owner] = [kind, 1]
+        else:
+            request = _Request(owner, kind, event)
+            self._queue.append(request)
+            self._drain()
+            if not event.triggered and timeout is not None:
+                request.timer = self.sim.call_later(timeout, self._expire, request)
             return event
-
-        request = _Request(owner, kind, event)
-        self._queue.append(request)
-        self._drain()
-        if not event.triggered and timeout is not None:
-            request.timer = self.sim.call_later(timeout, self._expire, request)
+        event.succeed(True)
         return event
 
     def _expire(self, request: _Request) -> None:

@@ -37,6 +37,7 @@ class Process(Event):
         sim: "Simulator",
         gen: ProcessGenerator,
         name: Optional[str] = None,
+        tail: bool = False,
     ) -> None:
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         if not hasattr(gen, "send"):
@@ -45,7 +46,9 @@ class Process(Event):
                 "did you call a plain function instead of a generator function?"
             )
         self._gen = gen
-        sim._post_soon(self._step, None)
+        # ``tail``: the spawner does nothing more in its scheduler entry
+        # (message delivery), so the first step may run inside it.
+        (sim._wake if tail else sim._post_soon)(self._step, None)
 
     def _step(self, triggered: Optional[Event]) -> None:
         """Advance the generator by one yield."""

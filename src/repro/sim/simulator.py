@@ -132,6 +132,21 @@ class Simulator:
             )
         self._sequence += 1
 
+    def _wake(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Resume a waiter as the *last* act of the running scheduler entry.
+
+        ``fn(arg)`` would be the next entry popped exactly when the ready
+        queue is empty and no heap entry is due at ``now``: then it runs
+        in place, saving the hop; otherwise it queues behind what is due.
+        Either way callbacks run in ``_post_soon``'s order, so no seeded
+        run can tell the difference (DESIGN.md, "Ordering contract").
+        """
+        heap = self._heap
+        if self._ready or (heap and heap[0][0] <= self.now):
+            self._post_soon(fn, arg)
+        else:
+            fn(arg)
+
     # ------------------------------------------------------------------
     # Waitables
     # ------------------------------------------------------------------
@@ -147,8 +162,8 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        ev = Event(self, name="timeout")
-        self._post_at(self.now + delay, ev.succeed, value)
+        ev = Event(self, "timeout")
+        self._post_at(self.now + delay, ev.succeed_tail, value)
         return ev
 
     #: The same pause under its older name.
@@ -161,112 +176,54 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next scheduled callback; False when nothing is pending.
-
-        The next callback is whichever of the ready-queue head and the live
-        heap top has the smaller ``(time, sequence)`` key -- the same total
-        order as a single heap, so seeded runs are bit-identical.
-        """
-        heap = self._heap
-        ready = self._ready
-        pop = heapq.heappop
-        while True:
-            # Drop cancelled entries at the heap top so the comparison
-            # below sees a live candidate.
-            while heap and heap[0][2]._cancelled:
-                pop(heap)
-                if self._cancelled_count:
-                    self._cancelled_count -= 1
-            if ready:
-                if heap:
-                    head = heap[0]
-                    first = ready[0]
-                    if head[0] < first[0] or (
-                        head[0] == first[0] and head[1] < first[1]
-                    ):
-                        entry = pop(heap)
-                    else:
-                        entry = ready.popleft()
-                else:
-                    entry = ready.popleft()
-            elif heap:
-                entry = pop(heap)
-            else:
-                return False
-            when, _seq, timer, fn, args = entry
-            if timer._cancelled:
-                continue
-            assert when >= self.now, "time went backwards"
-            self.now = when
-            self.executed_count += 1
-            fn(*args)
-            return True
-
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the heap drains or the clock passes ``until``.
+        """Run until the schedule drains or the clock passes ``until``.
 
         Returns the final virtual time.  Raises :class:`SimulationCrash` if
         any process died unhandled during the run.
 
-        The bounded form inlines peek-and-step into one loop: each pending
-        entry's key is examined once, not once to peek and again to pop,
-        and the millions of per-event method calls of the two-call version
-        disappear from the profile.
+        The next callback is whichever of the ready-queue head and the live
+        heap top has the smaller ``(time, sequence)`` key -- one heap's
+        total order.  An unbounded run is the same loop, bound at infinity.
         """
-        if until is None:
-            while self.step():
-                if self._crashes:
-                    self._check_crashes()
-        else:
-            ready = self._ready
-            pop = heapq.heappop
-            popleft = ready.popleft
-            crashes = self._crashes
-            executed = 0
-            try:
-                while True:
-                    # _note_cancel may have rebuilt the heap during a
-                    # callback, so re-read the attribute each iteration.
-                    heap = self._heap
-                    while heap and heap[0][2]._cancelled:
-                        pop(heap)
-                        if self._cancelled_count:
-                            self._cancelled_count -= 1
-                    while ready and ready[0][2]._cancelled:
-                        popleft()
-                    if ready:
-                        first = ready[0]
-                        if heap:
-                            head = heap[0]
-                            if head[0] < first[0] or (
-                                head[0] == first[0] and head[1] < first[1]
-                            ):
-                                if head[0] > until:
-                                    break
-                                entry = pop(heap)
-                            else:
-                                if first[0] > until:
-                                    break
-                                entry = popleft()
-                        else:
-                            if first[0] > until:
-                                break
-                            entry = popleft()
-                    elif heap:
-                        if heap[0][0] > until:
-                            break
-                        entry = pop(heap)
-                    else:
+        bound = float("inf") if until is None else until
+        ready = self._ready
+        pop = heapq.heappop
+        popleft = ready.popleft
+        crashes = self._crashes
+        executed = 0
+        try:
+            while True:
+                # _note_cancel may have rebuilt the heap during a
+                # callback, so re-read the attribute each iteration.
+                heap = self._heap
+                while heap and heap[0][2]._cancelled:
+                    pop(heap)
+                    if self._cancelled_count:
+                        self._cancelled_count -= 1
+                while ready and ready[0][2]._cancelled:
+                    popleft()
+                # Keys are unique ``(time, sequence)`` prefixes, so tuple
+                # order never reaches the timer or the callback.
+                if ready and (not heap or ready[0] < heap[0]):
+                    if ready[0][0] > bound:
                         break
-                    when, _seq, _timer, fn, args = entry
-                    self.now = when
-                    executed += 1
-                    fn(*args)
-                    if crashes:
-                        self._check_crashes()
-            finally:
-                self.executed_count += executed
+                    entry = popleft()
+                elif heap:
+                    if heap[0][0] > bound:
+                        break
+                    entry = pop(heap)
+                else:
+                    break
+                when, _seq, _timer, fn, args = entry
+                self.now = when
+                executed += 1
+                fn(*args)
+                if crashes:
+                    self._check_crashes()
+        finally:
+            self.executed_count += executed
+        if until is not None:
             self.now = max(self.now, until)
         self._check_crashes()
         return self.now
@@ -294,11 +251,7 @@ class Simulator:
             heapq.heappop(heap)
             if self._cancelled_count:
                 self._cancelled_count -= 1
-        if ready:
-            if heap and heap[0][0] < ready[0][0]:
-                return heap[0][0]
-            return ready[0][0]
-        return heap[0][0] if heap else None
+        return min((q[0][0] for q in (ready, heap) if q), default=None)
 
     def _note_cancel(self) -> None:
         """Timer-cancellation hook: lazily compact the heap.

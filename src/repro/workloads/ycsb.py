@@ -27,6 +27,7 @@ READ_ONLY_PROFILE = "ycsb-ro"
 UPDATE_PROFILE = "ycsb-up"
 
 _VALUE_ALPHABET = string.ascii_letters + string.digits
+_VALUE_BITS = len(_VALUE_ALPHABET).bit_length()
 
 
 @dataclass
@@ -78,9 +79,19 @@ class YCSBWorkload(Workload):
         return f"u{index}"
 
     def _random_value(self, rng: random.Random) -> str:
-        return "".join(
-            rng.choice(_VALUE_ALPHABET) for _ in range(self.config.value_size)
-        )
+        # ``rng.choice(_VALUE_ALPHABET)`` per character, draw for draw
+        # (CPython's ``_randbelow``: ``getrandbits(k)``, redrawn while out
+        # of range), minus two Python calls each; tests/workloads pins it.
+        alphabet, bits = _VALUE_ALPHABET, _VALUE_BITS
+        size = len(alphabet)
+        getrandbits = rng.getrandbits
+        chars = []
+        for _ in range(self.config.value_size):
+            index = getrandbits(bits)
+            while index >= size:
+                index = getrandbits(bits)
+            chars.append(alphabet[index])
+        return "".join(chars)
 
     def load_items(self) -> Iterable[Tuple[str, str]]:
         pad = ("x" * self.config.value_size)

@@ -67,3 +67,26 @@ def test_no_regression_rule_uses_the_metrics_bound(ledger_pairs):
     assert not row["medians_apart"] and row["verdict"] == "ok"
     row = ledger_pairs.summarise(HIGHER, bimodal, [101] * 9 + [99])
     assert row["verdict"] == "unresolved"
+
+
+def test_expect_identical_checks_only_what_the_parent_repeats_exactly(
+    ledger_pairs,
+):
+    import math
+
+    virtual = [232.12455412773784] * 10
+    tie = ledger_pairs.summarise(LOWER, virtual, list(virtual))
+    assert ledger_pairs.not_identical([tie]) == []
+    # One ulp in one run of the change is a moved metric, named with
+    # both values.
+    ulp = list(virtual)
+    ulp[3] = math.nextafter(virtual[3], math.inf)
+    moved = ledger_pairs.not_identical(
+        [ledger_pairs.summarise(LOWER, virtual, ulp)]
+    )
+    assert len(moved) == 1 and moved[0].startswith("update_latency_p50_us")
+    assert repr(virtual[0]) in moved[0] and repr(ulp[3]) in moved[0]
+    # A wall metric differs between parent runs already: not this
+    # flag's business, however far the change moved it.
+    noisy = ledger_pairs.summarise(HIGHER, PARENT, [p + 250 for p in PARENT])
+    assert ledger_pairs.not_identical([noisy, tie]) == []

@@ -139,6 +139,28 @@ def test_slow_but_alive_peer_adapts():
     assert detector.state(PEER) == ALIVE
 
 
+def test_foreground_burst_does_not_turn_a_short_pause_into_death():
+    """Every arrival feeds the mean, so a fan-out burst drags it far
+    below the heartbeat interval; silence is still scored against the
+    one beacon per interval a live peer owes.  (The red cell
+    ``test_double_failure_keeps_keys_alive[19]``: a 0.4 ms pause after
+    a commit's burst read as phi >= 8 at the lone surviving voter,
+    which deposed a live node.)"""
+    clock = FakeClock()
+    detector = build(clock, heartbeat_interval=1e-3)
+    for tick in range(5):  # beacons: mean interval 1 ms
+        clock.now = tick * 1e-3
+        detector.on_arrival(PEER)
+    for burst in range(1, 40):  # a burst, 5 us apart: mean ~ 5 us
+        clock.now = 4e-3 + burst * 5e-6
+        detector.on_arrival(PEER)
+    clock.now += 0.4e-3  # 80 burst intervals, 0.4 heartbeat intervals
+    assert detector.phi(PEER) == pytest.approx(0.4)
+    assert detector.state(PEER) == ALIVE
+    clock.now += 8e-3  # eight missed beacons are still death
+    assert detector.state(PEER) == DEAD
+
+
 # ----------------------------------------------------------------------
 # Consumers: the RPC retry-budget cap
 # ----------------------------------------------------------------------

@@ -200,6 +200,57 @@ def test_call_settled_returns_flag_instead_of_raising():
     assert sim.run_process(proc()) == (False, None)
 
 
+def test_spawn_call_on_a_reliable_channel_is_an_event_not_a_process():
+    """``request_timeout=None``: the request settles exactly once, so
+    ``spawn_call`` drives no generator -- the reply resolves a plain
+    event to ``(True, body)``.  The send is posted, keeping the queue
+    position the process start had."""
+    from repro.sim import AllOf, Process
+
+    sim, client, server = build_pair()
+    server.on(
+        "Echo",
+        lambda envelope: server.rpc.reply(envelope, server.rpc.body_of(envelope)),
+    )
+    settled = client.rpc.spawn_call(1, "Echo", "a")
+    assert not isinstance(settled, Process)
+    # Nothing is on the wire until the posted send runs.
+    assert client.rpc.network.stats.messages_sent == 0
+    assert client.rpc.pending_count == 0
+
+    def proc():
+        results = yield AllOf(
+            sim, [settled, client.rpc.spawn_call(1, "Echo", "b")]
+        )
+        return results
+
+    assert sim.run_process(proc()) == [(True, "a"), (True, "b")]
+    assert client.rpc.pending_count == 0
+    assert client.rpc.deadline_count == 0
+    assert sim.pending_count == 0
+
+
+def test_spawn_call_under_a_timeout_still_walks_the_retry_ladder():
+    from repro.sim import Process
+
+    sim, client, server = build_pair(rpc=RETRY_CONFIG)
+    calls = flaky_server(server, fail_first=1)
+    settled = client.rpc.spawn_call(1, "Ping", "hello")
+    assert isinstance(settled, Process)
+    sim.run()
+    assert settled.value == (True, "pong")
+    assert len(calls) == 2
+    stats = client.rpc.network.stats
+    assert (stats.rpc_timeouts, stats.rpc_retries) == (1, 1)
+    # A per-call config overrides the endpoint's reliable default too.
+    sim, client, server = build_pair()
+    flaky_server(server, fail_first=10)
+    settled = client.rpc.spawn_call(1, "Ping", "hello", RETRY_CONFIG)
+    sim.run()
+    assert settled.value == (False, None)
+    assert client.rpc.pending_count == client.rpc.deadline_count == 0
+
+
 def test_late_reply_after_timeout_is_dropped_as_stale():
     sim, client, server = build_pair(rpc=RETRY_CONFIG)
 
@@ -285,11 +336,13 @@ def test_call_answered_within_its_timeout_costs_no_deadline_event():
         return reply
 
     assert sim.run_process(proc()) == "pong"
-    # Process start, request delivery, reply delivery, the caller's
-    # resume, run_process's join callback.  ``call`` is ``request(
-    # deadline=)`` in a loop: no ``Timeout`` event object and no hop
-    # between the reply and the resume (with one it was 6).
-    assert sim.executed_count == 5
+    # Process start, request delivery, reply delivery, run_process's
+    # join callback.  ``call`` is ``request(deadline=)`` in a loop: no
+    # ``Timeout`` event object and no hop between the reply and the
+    # resume (with one it was 6).  PR 21 took the caller's resume (5 ->
+    # 4): the reply delivery is the last thing its scheduler entry does
+    # and nothing else is due, so the caller runs inside it.
+    assert sim.executed_count == 4
     # Quiescence is reached at the reply, not at the deadline.
     assert sim.now < RETRY_CONFIG.request_timeout
     assert sim.pending_count == 0
@@ -372,9 +425,11 @@ def test_reply_within_deadline_cancels_the_timer():
     event.add_callback(seen.append)
     assert client.rpc.deadline_count == 1
     sim.run()
-    # Request delivery, reply delivery, the caller's one callback: the
-    # cancellation rides the reply's dispatch, not an event of its own.
-    assert sim.executed_count == 3
+    # Request delivery, reply delivery: the cancellation rides the
+    # reply's dispatch, not an event of its own, and (PR 21, 3 -> 2) so
+    # does the caller's one callback -- nothing else is due at that
+    # instant, so it is woken in place instead of being queued.
+    assert sim.executed_count == 2
     assert seen == [event] and event.value == "pong"
     # The deadline timer must not linger: quiescence is reached at the
     # reply, not a virtual second later, with nothing left armed.

@@ -224,3 +224,72 @@ def test_rwlock_queue_length_reporting():
     sim.run()
     assert lock.queue_length == 0
     assert not lock.is_locked
+
+
+# ----------------------------------------------------------------------
+# The uncontended fast path (PR 21)
+# ----------------------------------------------------------------------
+def test_uncontended_acquire_never_touches_the_wait_queue(monkeypatch):
+    """An acquire that meets an empty queue and a compatible mode is
+    granted at once -- what ``_drain`` would decide for it -- without a
+    ``_Request`` or a queue round trip."""
+    import repro.sim.locks as locks
+
+    made = []
+    real = locks._Request
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(locks, "_Request", counting)
+    sim = Simulator()
+    lock = RWLock(sim)
+    for owner in ("r1", "r2"):
+        event = lock.acquire_read(owner)
+        assert event.triggered and event.value is True
+        assert lock.queue_length == 0
+    assert not lock.write_held
+    lock.release("r1")
+    assert lock.release("r2") is True  # idle: a table may reclaim it
+    event = lock.acquire_write("w1", timeout=1.0)
+    assert event.triggered and event.value is True
+    assert lock.write_held and lock.queue_length == 0
+    assert made == []
+    assert sim.pending_count == 0  # no timeout was armed either
+    # Contended: the request object and the queue are still the path.
+    blocked = lock.acquire_read("r3")
+    assert not blocked.triggered and lock.queue_length == 1
+    assert len(made) == 1
+
+
+def test_reader_behind_a_queued_writer_still_waits_for_it():
+    """FIFO fairness is untouched by the fast path: the mode is
+    compatible with the holders, but the queue is not empty."""
+    sim = Simulator()
+    lock = RWLock(sim)
+    order = []
+
+    def reader(name, hold):
+        yield lock.acquire_read(name)
+        order.append((name, sim.now))
+        yield sim.timeout(hold)
+        lock.release(name)
+
+    def writer():
+        yield sim.timeout(1.0)
+        yield lock.acquire_write("w")
+        order.append(("w", sim.now))
+        yield sim.timeout(1.0)
+        lock.release("w")
+
+    def late_reader():
+        yield sim.timeout(2.0)
+        assert lock.held_by("r1") == "r" and lock.queue_length == 1
+        yield from reader("r2", 0.0)
+
+    sim.spawn(reader("r1", 5.0))
+    sim.spawn(writer())
+    sim.spawn(late_reader())
+    sim.run()
+    assert order == [("r1", 0.0), ("w", 5.0), ("r2", 6.0)]

@@ -104,3 +104,22 @@ def test_config_validation():
         YCSBConfig(num_keys=10, keys_per_txn=0)
     with pytest.raises(ValueError):
         YCSBConfig(num_keys=10, distribution="normal")
+
+
+def test_random_value_draws_exactly_what_rng_choice_draws():
+    """``_random_value`` spells out CPython's ``choice`` (``_randbelow``:
+    ``getrandbits(6)``, redrawn while >= 62) to save two Python calls per
+    character.  This pins it to ``rng.choice`` draw for draw on the
+    running interpreter; if it ever fails, go back to ``rng.choice`` --
+    never change the stream, every key and retry pause rides on it."""
+    from repro.workloads.ycsb import _VALUE_ALPHABET
+
+    workload = make()
+    size = workload.config.value_size
+    fast, reference = random.Random(2021), random.Random(2021)
+    for _ in range(10_000):
+        expected = "".join(
+            reference.choice(_VALUE_ALPHABET) for _ in range(size)
+        )
+        assert workload._random_value(fast) == expected
+    assert fast.getstate() == reference.getstate()
