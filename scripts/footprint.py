@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""What a loaded key costs, by allocation site.
+
+    python3 scripts/footprint.py ycsb_uniform [--seed 7] [--top 10]
+
+Builds one ledger workload the way the benchmark does
+(``benchmarks/ledger/measure.timed_build``), under ``tracemalloc``, and
+prints where the memory held after set-up was allocated: bytes and
+objects per *held key* (a key is held once per node storing it, so twice
+under rf=2), one row per ``file:line``.  Blocks of 64 KiB and more are
+hash tables and bucket lists, not per-key objects, and are summed in
+their own column.  The ``storage/`` total is the per-key cost of the
+storage layer's own objects (versions, chains and whatever hangs off
+them) -- the number ``docs/performance.md`` "What a key costs" tracks.
+
+Then it drives one repeat (``measure.drive``: the workload's warmup +
+duration) and prints what the run phase added, largest sites first.
+Tracing slows the run several-fold; nothing here is a timing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import platform
+import sys
+import tracemalloc
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "ledger")]
+
+from measure import drive, sub_seed, timed_build  # noqa: E402
+from registry import DEFAULT_SEED, WORKLOADS_BY_NAME  # noqa: E402
+
+#: Blocks this large are tables that grow with the keyspace, not objects.
+TABLE_BYTES = 64 * 1024
+#: The row of a site that held nothing.
+NOTHING = (0, 0, 0)
+
+
+#: Stripped from traced file names, so sites read ``src/repro/...``.
+PREFIX = f"{ROOT}/"
+
+
+def held_by_site() -> dict:
+    """``site -> [object bytes, objects, table bytes]`` of live blocks."""
+    gc.collect()
+    sites: dict = {}
+    for trace in tracemalloc.take_snapshot().traces:
+        frame = trace.traceback[0]
+        site = f"{frame.filename.removeprefix(PREFIX)}:{frame.lineno}"
+        row = sites.setdefault(site, [0, 0, 0])
+        if trace.size >= TABLE_BYTES:
+            row[2] += trace.size
+        else:
+            row[0] += trace.size
+            row[1] += 1
+    return sites
+
+
+def size(row) -> int:
+    """Bytes a site holds, objects and tables together."""
+    return row[0] + row[2]
+
+
+def print_rows(sites: dict, per: int, top: int) -> None:
+    print(f"  {'B/key':>9} {'objects/key':>12} {'tables B/key':>13}  site")
+    ranked = sorted(sites.items(), key=lambda item: -size(item[1]))
+    for site, (objects, count, tables) in ranked[:top]:
+        print(f"  {objects / per:9.1f} {count / per:12.3f} {tables / per:13.1f}  {site}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", choices=sorted(WORKLOADS_BY_NAME))
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--top", type=int, default=10)
+    args = parser.parse_args()
+    spec = WORKLOADS_BY_NAME[args.workload]
+
+    tracemalloc.start(1)
+    cluster, workload, _setup_s, _raw_s = timed_build(spec, sub_seed(args.seed, 0))
+    try:
+        held = sum(len(node.store) for node in cluster.nodes)
+        loaded = held_by_site()
+        total = sum(map(size, loaded.values()))
+        print(f"[{spec.name}] seed={args.seed} protocol={spec.protocol} "
+              f"keys={spec.ycsb.num_keys} held={held} "
+              f"python={platform.python_version()}")
+        print(f"after set-up: {total / 2**20:.1f} MB traced, "
+              f"{total / held:.0f} B per held key")
+        print_rows(loaded, held, args.top)
+        storage = [row for site, row in loaded.items() if "/storage/" in site]
+        print(f"  storage/ objects: {sum(r[0] for r in storage) / held:.1f} B "
+              f"and {sum(r[1] for r in storage) / held:.2f} objects per held key")
+
+        drive(cluster, workload, spec.warmup, spec.duration)
+        after = held_by_site()
+        grown = Counter({
+            site: size(row) - size(loaded.get(site, NOTHING))
+            for site, row in after.items()
+        })
+        print(f"run phase ({spec.warmup + spec.duration:g} virtual s): "
+              f"{sum(grown.values()) / 2**20:+.1f} MB")
+        for site, added in grown.most_common(args.top):
+            blocks = after[site][1] - loaded.get(site, NOTHING)[1]
+            print(f"  {added / 2**20:+8.2f} MB {blocks:+9d} objects  {site}")
+    finally:
+        cluster.close()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -121,7 +121,7 @@ class FWKVNode(MVCCNode):
             return frozenset()
         for key in writes:
             if key in self.store:
-                collected |= self.store.chain(key).latest.access_set
+                collected.update(self.store.chain(key).latest.vas or ())
         if collected:
             yield from self.cpu.consume(self.costs.vas_item * len(collected))
         return frozenset(collected)

@@ -108,14 +108,15 @@ def select_read_only_version(
                     break
             if not visible:
                 continue
-        access = version.access_set
-        if access:
-            inspected += 1
-            if txn_id in access:
-                # Alg. 3 lines 5-6: an anti-dependency (direct or
-                # transitive) with this version's writer already exists;
-                # keep looking at older versions.
-                continue
+        access = version.vas
+        if not access:
+            return version, inspected
+        inspected += 1
+        if txn_id in access:
+            # Alg. 3 lines 5-6: an anti-dependency (direct or
+            # transitive) with this version's writer already exists;
+            # keep looking at older versions.
+            continue
         return version, inspected + len(access)
     raise RuntimeError(
         f"no visible version of {chain.key!r} for read-only txn {txn_id}; "

@@ -2,33 +2,36 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, List, Optional
+from typing import Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.vector_clock import VectorClock
 from repro.storage.version import Version
+
+#: One version inside a chain snapshot:
+#: ``(value, vc_tuple, origin, seq, writer_txn, installed_at)``.
+SnapshotVersion = Tuple[object, Tuple[int, ...], int, int, Optional[int], float]
 
 
 class VersionChain:
     """All committed versions of one key, ordered by ascending ``vid``.
 
-    Because vids are assigned densely (``latest.vid + 1``) and garbage
-    collection only drops a contiguous prefix, a vid maps to the list
-    offset ``vid - _base_vid``; ``by_vid`` is O(1) regardless of chain
-    length.  ``latest`` is a cached pointer updated on install/GC so the
-    visibility fast path (the newest version is visible to most readers)
-    costs one attribute read.
+    A chain holding one version -- every loaded key until its first
+    overwrite, and again once GC has dropped its history -- is just
+    ``_latest``; the list appears at the second install.  Because vids
+    are assigned densely (``latest.vid + 1``) and garbage collection only
+    drops a contiguous prefix, a vid maps to the list offset
+    ``vid - _history[0].vid``; ``by_vid`` is O(1) regardless of chain
+    length.
     """
 
-    __slots__ = ("key", "_versions", "_base_vid", "_latest")
+    __slots__ = ("key", "_latest", "_history")
 
-    def __init__(self, key: Hashable) -> None:
+    def __init__(self, key: Hashable, latest: Optional[Version] = None) -> None:
         self.key = key
-        self._versions: List[Version] = []
-        #: vid of ``_versions[0]``; advanced by GC as old versions drop.
-        self._base_vid = 0
-        #: Cached newest version (None until the first install); hot paths
-        #: read this directly, skipping the raising property.
-        self._latest: Optional[Version] = None
+        #: Newest version (None until the first install).
+        self._latest = latest
+        #: Every version, oldest first, once there are two; else None.
+        self._history: Optional[List[Version]] = None
 
     def install(
         self,
@@ -40,12 +43,16 @@ class VersionChain:
         installed_at: float = 0.0,
     ) -> Version:
         """Append a new latest version and return it."""
-        versions = self._versions
-        vid = self._base_vid + len(versions)
+        latest = self._latest
         version = Version(
-            self.key, value, vc, vid, origin, seq, writer_txn, installed_at
+            self.key, value, vc, 0 if latest is None else latest.vid + 1,
+            origin, seq, writer_txn, installed_at,
         )
-        versions.append(version)
+        history = self._history
+        if history is not None:
+            history.append(version)
+        elif latest is not None:
+            self._history = [latest, version]
         self._latest = version
         return version
 
@@ -57,14 +64,17 @@ class VersionChain:
         return version
 
     def __len__(self) -> int:
-        return len(self._versions)
+        return len(self._history or self.newest_first())
 
     def __iter__(self) -> Iterator[Version]:
-        return iter(self._versions)
+        return iter(self._history or self.newest_first())
 
     def newest_first(self):
         """Iterate versions from freshest to oldest (selection order)."""
-        return reversed(self._versions)
+        history = self._history
+        if history is not None:
+            return reversed(history)
+        return () if self._latest is None else (self._latest,)
 
     def by_vid(self, vid: int) -> Version:
         """Fetch a specific version by identifier, in O(1).
@@ -72,24 +82,14 @@ class VersionChain:
         Raises :class:`LookupError` both for vids never issued and for
         vids already reclaimed by garbage collection.
         """
-        index = vid - self._base_vid
-        if index < 0 or index >= len(self._versions):
-            raise LookupError(f"key {self.key!r} has no version #{vid}")
-        return self._versions[index]
-
-    def truncate_older_than(self, keep_last: int) -> int:
-        """Garbage-collect all but the newest ``keep_last`` versions.
-
-        Returns the number of versions dropped.  Not used by the protocol
-        logic itself; exposed for long-running deployments and tests.
-        """
-        if keep_last < 1:
-            raise ValueError("must keep at least the latest version")
-        drop = max(0, len(self._versions) - keep_last)
-        if drop:
-            self._versions = self._versions[drop:]
-            self._base_vid += drop
-        return drop
+        history = self._history
+        if history is not None:
+            index = vid - history[0].vid
+            if 0 <= index < len(history):
+                return history[index]
+        elif self._latest is not None and self._latest.vid == vid:
+            return self._latest
+        raise LookupError(f"key {self.key!r} has no version #{vid}")
 
     def collect_garbage(self, keep_last: int, min_age: float, now: float) -> int:
         """Drop reclaimable old versions from the cold end of the chain.
@@ -104,14 +104,42 @@ class VersionChain:
         """
         if keep_last < 1:
             raise ValueError("must keep at least the latest version")
+        history = self._history
+        if history is None:
+            return 0
         horizon = now - min_age
         reclaimable = 0
-        limit = len(self._versions) - keep_last
-        for version in self._versions[:max(limit, 0)]:
-            if version.installed_at > horizon or version.access_set:
+        for version in history[:max(len(history) - keep_last, 0)]:
+            if version.installed_at > horizon or version.vas:
                 break
             reclaimable += 1
         if reclaimable:
-            self._versions = self._versions[reclaimable:]
-            self._base_vid += reclaimable
+            kept = history[reclaimable:]
+            self._history = kept if len(kept) > 1 else None
         return reclaimable
+
+    def snapshot(self) -> Tuple[int, Tuple[SnapshotVersion, ...]]:
+        """``(base_vid, versions)``: the chain's exact layout -- the vid
+        of its oldest retained version, then every version's payload."""
+        held = tuple(self)
+        return (held[0].vid if held else 0), tuple(
+            (v.value, v.vc.to_tuple(), v.origin, v.seq, v.writer_txn,
+             v.installed_at)
+            for v in held
+        )
+
+    @classmethod
+    def restore(
+        cls, key: Hashable, base_vid: int, versions: Iterable[SnapshotVersion]
+    ) -> "VersionChain":
+        """Rebuild the chain a :meth:`snapshot` captured (``install``
+        always starts at vid 0; this resumes the dense sequence)."""
+        history = [
+            Version(key, value, VectorClock(vc), vid, origin, seq, writer, at)
+            for vid, (value, vc, origin, seq, writer, at)
+            in enumerate(versions, base_vid)
+        ]
+        chain = cls(key, history[-1] if history else None)
+        if len(history) > 1:
+            chain._history = history
+        return chain

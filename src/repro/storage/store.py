@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
+from typing import Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.vector_clock import VectorClock
 from repro.storage.chain import VersionChain
@@ -27,14 +27,15 @@ class MultiVersionStore:
     transaction has finished and will never read again, its identifier is
     tombstoned: later insertions are ignored.  Tombstones expire after
     ``tombstone_ttl`` of virtual time (far beyond any propagation delay),
-    keeping memory bounded.
+    keeping memory bounded; the expiry queue holds one entry per distinct
+    ``now`` -- per ``Remove`` message -- carrying that batch's ids.
     """
 
     def __init__(self, tombstone_ttl: float = 0.1) -> None:
         self._chains: Dict[Hashable, VersionChain] = {}
         self._vas_index: Dict[int, Set[Version]] = {}
         self._tombstones: Set[int] = set()
-        self._tombstone_queue: Deque[Tuple[float, int]] = deque()
+        self._tombstone_queue: Deque[Tuple[float, List[int]]] = deque()
         self.tombstone_ttl = tombstone_ttl
 
     # ------------------------------------------------------------------
@@ -51,23 +52,15 @@ class MultiVersionStore:
     def create_many(self, items: Iterable[Tuple[Hashable, object]], vc: VectorClock) -> int:
         """Bulk :meth:`create` for the initial data load.
 
-        Inlines the per-key chain setup (vid 0, origin/seq 0) so loading a
-        large keyspace doesn't pay three Python calls per key.
+        Builds each one-version chain directly (vid 0, origin/seq 0) so
+        loading a large keyspace pays two constructors per key, no more.
         """
         chains = self._chains
-        new_chain = VersionChain.__new__
-        chain_cls = VersionChain
         count = 0
         for key, value in items:
             if key in chains:
                 raise KeyError(f"key {key!r} already exists")
-            version = Version(key, value, vc, 0, 0, 0)
-            chain = new_chain(chain_cls)
-            chain.key = key
-            chain._versions = [version]
-            chain._base_vid = 0
-            chain._latest = version
-            chains[key] = chain
+            chains[key] = VersionChain(key, Version(key, value, vc, 0, 0, 0))
             count += 1
         return count
 
@@ -110,7 +103,11 @@ class MultiVersionStore:
         """Record that read-only transaction ``txn_id`` read ``version``."""
         if txn_id in self._tombstones:
             return
-        version.access_set.add(txn_id)
+        vas = version.vas
+        if vas is None:
+            version.vas = {txn_id}
+        else:
+            vas.add(txn_id)
         self._vas_index.setdefault(txn_id, set()).add(version)
 
     def vas_extend(self, version: Version, txn_ids: Iterable[int]) -> None:
@@ -124,23 +121,25 @@ class MultiVersionStore:
         Returns the number of entries erased.  The identifier is
         tombstoned against late re-insertion by in-flight commits.
         """
+        queue = self._tombstone_queue
         if txn_id not in self._tombstones:
             self._tombstones.add(txn_id)
-            self._tombstone_queue.append((now, txn_id))
-        self._prune_tombstones(now)
+            if queue and queue[-1][0] == now:
+                queue[-1][1].append(txn_id)
+            else:
+                queue.append((now, [txn_id]))
+        horizon = now - self.tombstone_ttl
+        while queue and queue[0][0] <= horizon:
+            self._tombstones.difference_update(queue.popleft()[1])
         versions = self._vas_index.pop(txn_id, None)
         if not versions:
             return 0
         for version in versions:
-            version.access_set.discard(txn_id)
+            vas = version.vas
+            vas.discard(txn_id)
+            if not vas:
+                version.vas = None
         return len(versions)
-
-    def _prune_tombstones(self, now: float) -> None:
-        horizon = now - self.tombstone_ttl
-        queue = self._tombstone_queue
-        while queue and queue[0][0] <= horizon:
-            _when, txn_id = queue.popleft()
-            self._tombstones.discard(txn_id)
 
     def vas_total_entries(self) -> int:
         """Total VAS entries on this node (metrics/invariant checks)."""

@@ -18,9 +18,12 @@ class Version:
     * ``origin``/``seq`` -- the creating coordinator's site and its scalar
       sequence number there (Walter's ``<site, seqno>`` timestamp; also the
       entry ``vc[origin]``);
-    * ``access_set`` -- the FW-KV version-access-set (VAS): identifiers of
+    * ``vas`` -- the FW-KV version-access-set (VAS): identifiers of
       read-only transactions with a (possibly transitive) anti-dependency
-      on this version.  Walter leaves it empty.
+      on this version.  It exists only while a reader is in it: ``None``
+      from birth to the first ``vas_add`` and again after the ``Remove``
+      that empties it, so a never-read version (all of Walter's) owns no
+      set.  ``src/`` tests the slot; ``access_set`` is the public view.
     """
 
     __slots__ = (
@@ -30,7 +33,7 @@ class Version:
         "vid",
         "origin",
         "seq",
-        "access_set",
+        "vas",
         "writer_txn",
         "installed_at",
     )
@@ -52,15 +55,24 @@ class Version:
         self.vid = vid
         self.origin = origin
         self.seq = seq
-        self.access_set: Set[int] = set()
+        self.vas: Optional[Set[int]] = None
         #: Transaction that installed this version (None for loaded data);
         #: consumed by the history checker's version catalog.
         self.writer_txn = writer_txn
         #: Virtual time of installation; consumed by the age-based GC.
         self.installed_at = installed_at
 
+    @property
+    def access_set(self) -> Set[int]:
+        """The VAS as a mutable set, allocated on first touch (an empty
+        set reads the same as ``None`` everywhere)."""
+        vas = self.vas
+        if vas is None:
+            vas = self.vas = set()
+        return vas
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Version {self.key!r}#{self.vid} origin={self.origin} "
-            f"seq={self.seq} vc={self.vc!r} vas={sorted(self.access_set)}>"
+            f"seq={self.seq} vc={self.vc!r} vas={sorted(self.vas or ())}>"
         )

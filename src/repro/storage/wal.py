@@ -55,9 +55,8 @@ from typing import (
 
 from repro.core.vector_clock import VectorClock
 from repro.core.wire import ReplicationEntry
-from repro.storage.chain import VersionChain
+from repro.storage.chain import SnapshotVersion, VersionChain
 from repro.storage.store import MultiVersionStore
-from repro.storage.version import Version
 
 if TYPE_CHECKING:
     from repro.replication.backup import BackupState
@@ -161,11 +160,6 @@ class ViewChangeRecord:
     #: (site, final_seq) pairs for decommissioned sites.
     retired: Tuple[Tuple[int, int], ...]
     committed: bool
-
-
-#: One version inside a checkpointed chain:
-#: ``(value, vc_tuple, origin, seq, writer_txn, installed_at)``.
-SnapshotVersion = Tuple[object, Tuple[int, ...], int, int, Optional[int], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -405,22 +399,7 @@ def build_checkpoint(
 ) -> CheckpointRecord:
     """Capture a node's durable state as a :class:`CheckpointRecord`."""
     chains = tuple(
-        (
-            key,
-            store.chain(key)._base_vid,
-            tuple(
-                (
-                    version.value,
-                    version.vc.to_tuple(),
-                    version.origin,
-                    version.seq,
-                    version.writer_txn,
-                    version.installed_at,
-                )
-                for version in store.chain(key)
-            ),
-        )
-        for key in store.keys()
+        (key, *store.chain(key).snapshot()) for key in store.keys()
     )
     site_vc_tuple = site_vc.to_tuple()
     return CheckpointRecord(
@@ -451,38 +430,9 @@ def restore_store(record: CheckpointRecord) -> MultiVersionStore:
     store = MultiVersionStore()
     chains = store._chains
     for key, base_vid, versions in record.chains:
-        chain = VersionChain(key)
-        chain._base_vid = base_vid
-        vid = base_vid
-        for value, vc, origin, seq, writer_txn, installed_at in versions:
-            chain._versions.append(
-                Version(
-                    key, value, VectorClock(vc), vid, origin, seq,
-                    writer_txn, installed_at,
-                )
-            )
-            vid += 1
-        chain._latest = chain._versions[-1] if chain._versions else None
-        chains[key] = chain
+        chains[key] = VersionChain.restore(key, base_vid, versions)
     rebuilt = checkpoint_fingerprint(
-        (
-            (
-                key,
-                chain._base_vid,
-                tuple(
-                    (
-                        version.value,
-                        version.vc.to_tuple(),
-                        version.origin,
-                        version.seq,
-                        version.writer_txn,
-                        version.installed_at,
-                    )
-                    for version in chain
-                ),
-            )
-            for key, chain in chains.items()
-        ),
+        ((key, *chain.snapshot()) for key, chain in chains.items()),
         record.site_vc,
         record.curr_seq_no,
     )

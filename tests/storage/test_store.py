@@ -36,18 +36,6 @@ def test_by_vid_lookup():
         chain.by_vid(5)
 
 
-def test_truncate_keeps_newest():
-    chain = VersionChain("x")
-    for i in range(5):
-        chain.install(i, vc(i), 0, i)
-    dropped = chain.truncate_older_than(keep_last=2)
-    assert dropped == 3
-    assert [v.value for v in chain] == [3, 4]
-    assert chain.latest.vid == 4
-    with pytest.raises(ValueError):
-        chain.truncate_older_than(0)
-
-
 def test_store_create_and_duplicate_rejected():
     store = MultiVersionStore()
     store.create("x", "init", vc(0, 0))
