@@ -15,6 +15,11 @@ them) -- the number ``docs/performance.md`` "What a key costs" tracks.
 
 Then it drives one repeat (``measure.drive``: the workload's warmup +
 duration) and prints what the run phase added, largest sites first.
+Where commits are kept on record (``ycsb_replicated``, ``ycsb_durable``)
+a last ``decision_log`` row says what one update commit leaves behind in
+``DecisionLog.by_txn`` / ``by_seq`` at its coordinator and in
+``BackupState.decisions`` at its decision homes -- nothing prunes either
+on a WAL-less run (ROADMAP "Bounded memory", finding (b)).
 Tracing slows the run several-fold; nothing here is a timing.
 """
 
@@ -58,6 +63,48 @@ def held_by_site() -> dict:
             row[0] += trace.size
             row[1] += 1
     return sites
+
+
+def held_bytes(root) -> int:
+    """``sys.getsizeof`` over everything reachable from ``root``, each
+    object once.  Strings are left out: keys and values are the store's."""
+    seen, total, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if obj is None or isinstance(obj, str) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(
+                getattr(obj, slot, None)
+                for slot in getattr(type(obj), "__slots__", ())
+            )
+    return total
+
+
+def print_decision_log(cluster) -> None:
+    """What the commits on record cost, per update commit."""
+    logs = [node.in_doubt.log for node in cluster.nodes]
+    commits = sum(len(log.by_txn) for log in logs)
+    if not commits:
+        return
+    logged = held_bytes([(log.by_txn, log.by_seq) for log in logs])
+    homes = [
+        state.decisions for node in cluster.nodes
+        if node.replication is not None
+        for state in node.replication.backup_state.values()
+    ]
+    copies = sum(map(len, homes))
+    print(f"  decision_log: {commits} update commits on record, "
+          f"{logged / commits:.0f} B each in DecisionLog.by_txn/by_seq; "
+          f"{copies / commits:.2f} copies each in BackupState.decisions, "
+          f"{held_bytes(homes) / commits:.0f} B per commit")
 
 
 def size(row) -> int:
@@ -107,6 +154,7 @@ def main() -> int:
         for site, added in grown.most_common(args.top):
             blocks = after[site][1] - loaded.get(site, NOTHING)[1]
             print(f"  {added / 2**20:+8.2f} MB {blocks:+9d} objects  {site}")
+        print_decision_log(cluster)
     finally:
         cluster.close()
     return 0

@@ -363,8 +363,8 @@ class ReplicationConfig(ConfigSerde):
     its prepare/apply records to ``replication_factor - 1``
     deterministically placed backups, and each commit decision it makes
     as coordinator to as many *decision homes* (plus the backups of the
-    own shards that commit wrote); ``sync`` mode defers prepare votes
-    and commit acknowledgements to backup acknowledgment, and a
+    own shards that commit wrote); ``sync`` mode defers a commit's
+    acknowledgement and Decides to its decision's acknowledgment, and a
     ``failover_timeout`` arms the cluster-level
     :class:`repro.replication.failover.FailoverDriver` that promotes the
     freshest backup of a dead primary behind the shard fence machinery.
@@ -375,10 +375,10 @@ class ReplicationConfig(ConfigSerde):
     #: Total copies of each shard including the primary (>= 1); each
     #: shard gets ``replication_factor - 1`` backups.
     replication_factor: int = 2
-    #: ``"sync"`` gates prepare votes and commit acks on backup
-    #: acknowledgment of the covering stream record (zero acked commits
-    #: lost across a primary crash); ``"async"`` streams in the
-    #: background and only tracks the per-backup replicated frontier.
+    #: ``"sync"`` gates a commit's acknowledgement and Decides on backup
+    #: acknowledgment of its ``decision`` record, which carries the
+    #: writes (zero acked commits lost across a primary crash);
+    #: ``"async"`` streams in the background and never waits.
     mode: str = "sync"
     #: Route read-only reads through the shard's replica set; a backup
     #: serves only snapshots its replicated frontier dominates and
@@ -389,9 +389,11 @@ class ReplicationConfig(ConfigSerde):
     #: promoted to their freshest backups.  ``None`` (default) never
     #: promotes -- streams still replicate, but ownership is static.
     failover_timeout: Optional[float] = None
-    #: How long a sync-mode prepare/commit waits for backup
-    #: acknowledgment before degrading to async for that record (the
-    #: record stays queued and retransmits; only the *wait* is skipped).
+    #: How long a sync-mode commit waits for its ``decision`` record's
+    #: acknowledgment before degrading to async for that record (counted;
+    #: the record stays queued and retransmits, only the *wait* is
+    #: skipped) -- and how long a silent backup can hold a committed
+    #: prepare's write locks past its apply (uncounted).
     sync_timeout: float = 2e-3
 
     def __post_init__(self) -> None:

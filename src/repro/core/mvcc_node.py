@@ -18,6 +18,7 @@ DESIGN.md "Layer contracts" writes down.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.directory import ShardMap
@@ -537,14 +538,14 @@ class MVCCNode(BaseProtocolNode):
                     # unacknowledged commit simply vanishes.
                     return self._aborted(txn, AbortReason.NODE_CRASHED)
             if self.replication is not None:
-                # Stream the decision record (to our decision homes and the
-                # backups of the own shards written) before any Decide or
-                # the client acknowledgement leaves the node; sync mode
-                # waits for the acks, bounded by sync_timeout.  As with the
-                # WAL: promotion re-announces what a lost Decide carried.
+                # Stream the decision record, writes and all (to our decision
+                # homes and the backups of the own shards written), before
+                # any Decide or the client acknowledgement leaves the node:
+                # the one replication wait of a commit (S3/S4), bounded by
+                # sync_timeout.  Promotion re-creates what a crash took.
                 yield from self.replication.replicate_decision(
                     txn.txn_id, txn.seq_no, decide.commit_vc, decide.collected,
-                    by_site.get(self.node_id, ()),
+                    self.in_doubt.log.by_txn[txn.txn_id].writes,
                 )
         for site in sorted(participant_sites | {self.node_id} if outcome else participant_sites):
             self.node.send(site, MessageType.DECIDE, decide)
@@ -900,14 +901,18 @@ class MVCCNode(BaseProtocolNode):
                 request.writes, keys, vote, request.coordinator,
                 round=request.round,
             )
-            # A durable crash across any yield above or below replaces
-            # ``self.locks``: the locks and validation then belong to the
-            # wiped incarnation.
-            alive = self.locks is locks
-            if alive and self.wal is not None:
-                # Logged before the vote, never waited on (C1): if a crash
-                # takes the record, recovery re-stages these writes from
-                # the coordinator's decision record, which carries them.
+            if self.locks is not locks:
+                # A durable crash across a yield above replaced the table:
+                # the locks and validation belong to the wiped incarnation,
+                # the vote and the staged writes die with it.  Unwind on the
+                # old table and vote no -- the coordinator (whose RPC may
+                # still be live now that the node is back up) aborts.
+                locks.release_write_all(keys, owner=request.txn_id)
+                return VoteBody(False, reason=AbortReason.VOTE_NO)
+            # Logged and streamed before the vote, never waited on (C1, S4):
+            # what a crash takes of either, recovery or promotion re-stages
+            # from the coordinator's decision record, which carries them.
+            if self.wal is not None:
                 entry.lsn = self.wal.append(
                     PrepareRecord(
                         request.txn_id,
@@ -915,20 +920,8 @@ class MVCCNode(BaseProtocolNode):
                         tuple(request.writes.items()),
                     )
                 )
-            if alive and self.replication is not None:
-                # Stream the staged writes to the written shards' backups
-                # before the yes-vote can escape (sync mode waits for the
-                # acks, bounded): a backup promoted after our crash can
-                # then resolve this prepare through the coordinator.
-                yield from self.replication.replicate_prepare(request)
-                alive = self.locks is locks
-            if not alive:
-                # The vote and the staged writes die with the crash:
-                # unwind on the old table and vote no -- the coordinator
-                # (whose RPC may still be live now that the node is back
-                # up) simply aborts.
-                locks.release_write_all(keys, owner=request.txn_id)
-                return VoteBody(False, reason=AbortReason.VOTE_NO)
+            if self.replication is not None:
+                entry.acks = self.replication.replicate_prepare(request)
             self._stage(request.txn_id, entry)
             if self._shard_map is not None:
                 for key in keys:
@@ -1115,17 +1108,23 @@ class MVCCNode(BaseProtocolNode):
                     )
         finally:
             # On every way out, on the table the locks were taken on -- but
-            # (C4) not before the vote's own PrepareRecord is durable: what
-            # a crash loses must still have held its locks at the crash.
-            if prepared is not None and prepared.lsn:
-                self.flusher.after_durable(
-                    prepared.lsn,
-                    lambda _durable: locks.release_write_all(
-                        prepared.locked_keys, owner=body.txn_id
-                    ),
+            # not before the vote's own PrepareRecord is durable (C4) and
+            # its ``prepare`` stream record acknowledged (S5): what a crash
+            # loses must still have held its locks at the crash.
+            if prepared is not None:
+                release = partial(
+                    locks.release_write_all, prepared.locked_keys, body.txn_id
                 )
-            elif prepared is not None:
-                locks.release_write_all(prepared.locked_keys, owner=body.txn_id)
+                if prepared.acks:
+                    release = partial(
+                        self.replication.after_acked, prepared.acks, release
+                    )
+                if prepared.lsn:
+                    self.flusher.after_durable(
+                        prepared.lsn, lambda _durable: release()
+                    )
+                else:
+                    release()
             if self._applying.get(body.txn_id) == incarnation:
                 del self._applying[body.txn_id]
 

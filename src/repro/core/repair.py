@@ -117,13 +117,14 @@ class DecisionLog:
 
     One :class:`~repro.storage.wal.DecisionRecord` per commit, indexed by
     transaction (status queries, recovery) and by sequence number
-    (:func:`reannounce`); on WAL runs the record is the one appended,
-    the participants' staged writes with it.  No entry means no Decide
+    (:func:`reannounce`); on WAL runs the record is the one appended.
+    Where a participant can lose a staged prepare (WAL, replication) the
+    record carries the round's writes (C1, S4).  No entry means no Decide
     was sent: aborted, never decided, or pruned below the floor every
     peer has applied (``CheckpointManager.maybe_truncate``).
     """
 
-    __slots__ = ("node", "enabled", "by_txn", "by_seq")
+    __slots__ = ("node", "enabled", "keeps_writes", "by_txn", "by_seq")
 
     def __init__(self, node) -> None:
         config = node.shared.config
@@ -137,6 +138,9 @@ class DecisionLog:
             or config.healing.anti_entropy_interval is not None
             or config.prepared_lease is not None
         )
+        self.keeps_writes = (
+            config.durability.wal_enabled or config.replication.enabled
+        )
         self.by_txn: Dict[int, DecisionRecord] = {}
         self.by_seq: Dict[int, DecisionRecord] = {}
 
@@ -149,7 +153,7 @@ class DecisionLog:
         wal = self.node.wal
         record = DecisionRecord(
             decide.txn_id, decide.seq_no, decide.commit_vc, decide.collected,
-            () if wal is None else tuple(
+            () if not self.keeps_writes else tuple(
                 (site, key, value)
                 for site, writes in by_site.items()
                 for key, value in writes.items()
@@ -234,12 +238,13 @@ class InDoubtResolver:
         self._exactly(() if rnd is None else (rnd,), answer)
 
     def on_restage(self, envelope: Envelope, request) -> None:
-        """Answer a recovering peer's SYNC (C3): our clock, and every
+        """Answer a recovering peer's SYNC (C3), or a promoted backup's
+        for the dead primary ``request.site`` (S6): our clock, and every
         commit we decided above its frontier of our origin that wrote
         there, with its share of the writes -- exact, so unlisted means
         aborted.  Read from the decision log: our own fence may be up."""
         node = self.node
-        peer = request.requester
+        peer = request.requester if request.site is None else request.site
 
         def answer():
             listed = tuple(

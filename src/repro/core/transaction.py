@@ -145,7 +145,9 @@ class Transaction:
 class PreparedTxn:
     """Participant-side state between a yes-vote and the Decide message."""
 
-    __slots__ = ("writes", "locked_keys", "vote", "coordinator", "round", "lsn")
+    __slots__ = (
+        "writes", "locked_keys", "vote", "coordinator", "round", "lsn", "acks",
+    )
 
     def __init__(
         self,
@@ -170,3 +172,6 @@ class PreparedTxn:
         #: LSN of this vote's ``PrepareRecord`` (0: no WAL, or replayed
         #: from it): the locks outlive its sync (DESIGN.md 5.10, C4).
         self.lsn = 0
+        #: ``(stream, seq)`` of this vote's ``prepare`` stream records:
+        #: the locks outlive their acks too (S5).
+        self.acks = ()

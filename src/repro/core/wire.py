@@ -172,11 +172,14 @@ class SyncRequestBody:
     on.  A recovering node omits it -- a half-rebuilt clock is evidence
     of nothing -- and sends ``restage_above`` instead, its replayed
     frontier of the *handler's* origin: what did you commit here since?
+    A promoted backup asks the same *for* the dead primary (``site``),
+    above its replicated frontier of the handler's origin.
     """
 
     requester: int
     site_vc: Optional[Tuple[int, ...]] = None
     restage_above: Optional[int] = None
+    site: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -276,11 +279,13 @@ class ReplicationEntry:
 
     * ``"prepare"`` -- stage ``writes`` of an in-flight 2PC participant
       (``txn_id``, ``coordinator``, ``round``); promotion resolves
-      staged entries through the coordinator's decision log.
+      staged entries through one re-stage round of the coordinators.
     * ``"abort"`` -- drop the staged entry for ``txn_id``.
     * ``"decision"`` -- the primary, as coordinator, committed
-      ``txn_id`` at (``origin``, ``seq_no``) with ``commit_vc``; backs
-      the promoted node's TXN_STATUS answers and decision re-announce.
+      ``txn_id`` at (``origin``, ``seq_no``) with ``commit_vc``;
+      ``writes`` is the whole round's, as ``(site, key, value)``, so it
+      alone re-creates every participant's staged writes.  Backs a
+      promotion's re-stage and decision re-announce.
     * ``"apply"`` -- the primary installed ``writes`` at (``origin``,
       ``seq_no``); the backup installs them verbatim, in stream order,
       never touching its own clock.

@@ -432,7 +432,9 @@ class NodeHealing:
     # ------------------------------------------------------------------
     # Recovery's shared SYNC fan-out
     # ------------------------------------------------------------------
-    def collect_frontiers(self, restage: bool = False):
+    def collect_frontiers(
+        self, restage: bool = False, *, site=None, floor=None, peers=None
+    ):
         """Digest every peer at once: recovery's anti-entropy step.
 
         Generator subroutine returning ``(targets, peer_frontiers,
@@ -443,35 +445,45 @@ class NodeHealing:
         request omits our own ``siteVC``: a half-rebuilt clock is not
         frontier evidence.  Normal RPC policy; a re-stage round is
         repeated for silent peers, paced like a lease expiry's status
-        query, ``TERMINATION_ATTEMPTS`` times at most.
+        query, ``TERMINATION_ATTEMPTS`` times at most.  A promotion
+        (S6) asks ``peers()`` -- the live nodes as of each round, itself
+        included -- what they committed at the dead primary ``site``
+        above ``floor``, its replicated frontier there; bounded like a
+        digest.
         """
         owner = self.owner
         entries = owner.site_vc.entries
         targets = VectorClock.zeros(max(owner.shared.num_nodes, len(entries)))
+        floor = entries if floor is None else floor
         peer_frontiers: Dict[int, int] = {}
         listed: Dict[int, object] = {}
         for attempt in range(TERMINATION_ATTEMPTS if restage else 1):
-            peers = [peer for peer in self.peers if peer not in peer_frontiers]
+            asked = [
+                peer for peer in (self.peers if peers is None else peers())
+                if peer not in peer_frontiers
+            ]
             if attempt:
-                if not peers:
+                if not asked:
                     break
                 yield self.sim.timeout(
                     owner.shared.config.prepared_lease or 1e-3
                 )
-            above = {
-                peer: entries[peer] if peer < len(entries) else 0
-                for peer in (peers if restage else ())
-            }
             settles = [
                 owner.node.rpc.spawn_call(
                     peer,
                     MessageType.SYNC,
-                    SyncRequestBody(self.node_id, restage_above=above.get(peer)),
+                    SyncRequestBody(
+                        self.node_id,
+                        restage_above=(floor[peer] if peer < len(floor) else 0)
+                        if restage else None,
+                        site=site,
+                    ),
+                    config=None if site is None else self._rpc_config,
                 )
-                for peer in peers
+                for peer in asked
             ]
             replies = yield AllOf(self.sim, settles)
-            for peer, (ok, reply) in zip(peers, replies):
+            for peer, (ok, reply) in zip(asked, replies):
                 if ok:
                     own = self._own_entry(reply.site_vc)
                     peer_frontiers[peer] = own

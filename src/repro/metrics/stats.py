@@ -203,7 +203,7 @@ COUNTERS: Dict[str, str] = {
         "a maximum, kept by its one writer instead of count()"
     ),
     "replication_sync_degraded": (
-        "sync-mode waits that hit ``sync_timeout`` and proceeded async"
+        "sync-mode decision waits that hit ``sync_timeout`` and went async"
     ),
     "backup_reads_served": (
         "frozen reads a backup answered from its replicated state"

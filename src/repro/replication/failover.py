@@ -1,7 +1,9 @@
 """Detector-driven failover for the replication substrate
 (``docs/replication.md``, "Failover"): majority attestation of a dead
 shard owner, promotion of the freshest backup per shard behind the key
-fence, re-bootstrap of backups whose streams closed.  Imports nothing
+fence -- a recovery of the dead primary's shards at the successor, from
+one re-stage round of the coordinators -- and re-bootstrap of backups
+whose streams closed.  Imports nothing
 from ``repro.replication.shard``, which imports this module; the
 placement rule both need, :func:`backups_for_shard`, lives here.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.handoff import fenced_handoff
-from repro.core.repair import reannounce
+from repro.core.repair import _status, reannounce
 from repro.core.transaction import PreparedTxn
 from repro.core.vector_clock import VectorClock
 from repro.core.wire import VoteBody
@@ -73,6 +75,8 @@ class FailoverDriver:
             self.sim, None if timeout is None else timeout / 2, self._scan,
             "failover-driver",
         )
+        #: dead site -> its shards last reported as having no live backup.
+        self._orphaned: Dict[int, Tuple[int, ...]] = {}
 
     def start(self) -> None:
         self._loop.start()
@@ -150,26 +154,27 @@ class FailoverDriver:
                 key=lambda b: (nodes[b].replication.applied_from(dead), -b),
             )
             by_successor.setdefault(successor, []).append(shard)
-        # What ``dead`` decided, merged once from wherever it kept it:
-        # its decision homes, past and present, and own-shard backups.
-        decisions: Dict[int, object] = {}
-        for node in nodes:
+        # What every site that cannot be asked decided, writes and all,
+        # merged once from wherever it kept it: its decision homes, past
+        # and present, and own-shard backups.
+        decided: Dict[int, Dict[int, object]] = {}
+        for node in nodes if by_successor else ():
             if self._live(node.node_id):
-                state = node.replication.backup_state.get(dead)
-                if state is not None and not state.closed:
-                    decisions.update(state.decisions)
+                for origin, state in node.replication.backup_state.items():
+                    if not self._live(origin):
+                        decided.setdefault(origin, {}).update(state.decisions)
         promoted = 0
         for successor in sorted(by_successor):
             # The first successor promoted re-announces for all of them.
             done = yield from self._promote(
-                dead, successor, by_successor[successor], decisions,
+                dead, successor, by_successor[successor], decided,
                 announce=not promoted,
             )
             if done:
                 promoted += len(by_successor[successor])
-        if promoted and not rep.shard_map.shards_of(dead):
-            # The deposed site owns nothing anymore: refuse any
-            # straggling stream traffic from it, everywhere.
+        if promoted and rep.shard_map.shards_of(dead) == tuple(orphaned):
+            # The deposed site owns nothing a backup could take: refuse
+            # any straggling stream traffic from it, everywhere.
             for node in nodes:
                 if node.node_id != dead:
                     node.replication.close_backup_state(dead)
@@ -177,27 +182,35 @@ class FailoverDriver:
             if self.tracer._enabled:
                 self.tracer.emit(
                     dead, "failover_complete", shards=promoted,
+                    orphaned=len(orphaned),
                 )
-        if orphaned and self.tracer._enabled:
+        if self._orphaned.get(dead, ()) != tuple(orphaned):
+            self._orphaned[dead] = tuple(orphaned)
             self.tracer.emit(dead, "failover_orphaned", shards=tuple(orphaned))
 
     def _promote(
         self, dead: int, successor: int, shards: List[int],
-        decisions: Dict[int, object], announce: bool,
+        decided: Dict[int, Dict[int, object]], announce: bool,
     ):
-        """Promote ``successor`` to own ``shards`` of the dead primary.
+        """Promote ``successor`` to own ``shards`` of the dead primary: a
+        recovery of those shards at the successor (S6, DESIGN.md 5.10).
 
-        Behind the key fence: (1) resolve every staged prepare through
-        ``decisions`` (the dead primary's replicated decision log,
-        ``txn_id -> entry``, merged from every live node), a TXN_STATUS
-        query to its live coordinator, or -- when the coordinator is
-        unreachable -- a transplant into the prepared table so the
-        re-announced Decide or the termination protocol finishes the
-        job; (2) if told to ``announce`` (one successor per failover
-        is), re-announce those decisions in commit order to every live
-        peer, unwedging participants that would otherwise presume abort
-        and advancing ``siteVC[dead]`` everywhere; (3) flip the
-        shard-map entries.  Afterwards the shard's backup set is
+        Behind the key fence: (1) one re-stage round -- every live node is
+        asked what it committed at ``dead`` above the successor's
+        replicated frontier of its origin, and answers exactly (a round
+        still collecting votes there is doomed and re-prepares at the
+        new owner); ``decided`` (``origin -> txn_id -> decision entry``,
+        merged from every live node) answers for the sites that cannot;
+        (2) what was listed installs with dedup, staged prepares in
+        stream order and then the ones the stream lost; a staged prepare
+        nobody listed was aborted if its coordinator answered (or was
+        ``dead``: its decision would sit behind it on this stream, S1),
+        and otherwise transplants into the prepared table under the
+        lease; (3) if told to ``announce`` (one successor per failover
+        is), re-announce the dead primary's decisions in commit order to
+        every live peer, unwedging participants that would otherwise
+        presume abort and advancing ``siteVC[dead]`` everywhere; (4) flip
+        the shard-map entries.  Afterwards the shard's backup set is
         recomputed and re-bootstrapped from the new primary.
         """
         rep = self.rep
@@ -209,11 +222,13 @@ class FailoverDriver:
         shard_of = shard_map.shard_of
         state = successor_node.replication.backup_state.get(dead)
         staged: List = []
+        floor: Tuple[int, ...] = ()
         if state is not None and not state.closed:
             # Stream order for staged installs: per-key conflicts were
             # lock-serialized at the dead primary, so prepare-stream
             # order is install order.
             staged = sorted(state.staged.values(), key=lambda e: e.seq)
+            floor = state.frontier or ()
         keys = {
             key for key in successor_node.store.keys()
             if shard_of(key) in shard_set
@@ -228,54 +243,68 @@ class FailoverDriver:
         flipped = False
         installed = 0
         try:
-            for entry in staged:
-                writes = tuple(
-                    (key, value) for key, value in entry.writes
-                    if shard_of(key) in shard_set
+            _clock, answered, listed = (
+                yield from successor_node.healing.collect_frontiers(
+                    restage=True, site=dead, floor=floor,
+                    peers=lambda: [
+                        n.node_id for n in cluster.nodes if self._live(n.node_id)
+                    ],
                 )
-                if not writes:
-                    continue
-                resolved = decisions.get(entry.txn_id)
-                if resolved is None and entry.coordinator == dead:
-                    # The dead primary coordinated it and no live node
-                    # holds its decision -- not even this stream, which
-                    # carries it behind the prepare.  A Decide waits for
-                    # all its decision's targets, so none left: presumed
-                    # abort is exact, not a guess.
-                    resolved = False
-                elif resolved is None and self._live(entry.coordinator):
-                    resolved = yield from successor_node.in_doubt.outcome(
-                        entry.txn_id, entry.coordinator
+            )
+            if (
+                successor_node._incarnation != incarnation
+                or not self._live(successor)
+            ):
+                return False
+            for origin, table in decided.items():
+                above = floor[origin] if origin < len(floor) else 0
+                for entry in table.values():
+                    writes = tuple(
+                        (key, value) for site, key, value in entry.writes
+                        if site == dead
                     )
-                    if (
-                        successor_node._incarnation != incarnation
-                        or not self._live(successor)
-                    ):
-                        return False
-                if resolved is False:
-                    continue
-                if resolved is None:
-                    # Coordinator unreachable (it may be mid-failover
-                    # itself): park the writes in the prepared table --
-                    # no locks held -- so its successor's re-announced
-                    # Decide, or the termination query, resolves them.
-                    self._transplant_staged(successor_node, entry, writes)
-                    continue
-                vc = VectorClock(resolved.commit_vc)
-                for key, value in writes:
-                    if not self._has_version(
-                        successor_node, key, resolved.origin, resolved.seq_no
+                    if writes and entry.seq_no > above:
+                        listed.setdefault(
+                            entry.txn_id, _status(origin, entry, writes)
+                        )
+            # S5: a lost prepare held its locks at the crash, so those are
+            # pairwise key-disjoint and follow whatever the stream staged.
+            commits = [listed.pop(e.txn_id) for e in staged if e.txn_id in listed]
+            commits += sorted(listed.values(), key=lambda c: (c.origin, c.seq_no))
+            for commit in commits:
+                vc = VectorClock(commit.commit_vc)
+                for key, value in commit.writes:
+                    if shard_of(key) in shard_set and not self._has_version(
+                        successor_node, key, commit.origin, commit.seq_no
                     ):
                         successor_node.store.install(
                             key,
                             value,
                             vc.copy(),
-                            origin=resolved.origin,
-                            seq=resolved.seq_no,
-                            writer_txn=entry.txn_id,
+                            origin=commit.origin,
+                            seq=commit.seq_no,
+                            writer_txn=commit.txn_id,
                             installed_at=self.sim.now,
                         )
                         installed += 1
+            committed = {commit.txn_id for commit in commits}
+            for entry in staged:
+                writes = tuple(
+                    (key, value) for key, value in entry.writes
+                    if shard_of(key) in shard_set
+                )
+                if (
+                    writes
+                    and entry.txn_id not in committed
+                    and entry.coordinator != dead
+                    and entry.coordinator not in answered
+                ):
+                    # Coordinator unreachable (it may be mid-failover
+                    # itself): park the writes in the prepared table --
+                    # no locks held -- so its successor's re-announced
+                    # Decide, or the termination query, resolves them.
+                    self._transplant_staged(successor_node, entry, writes)
+            decisions = decided.get(dead, {})
             # Nobody knows how far each peer got on the dead origin, so
             # every live peer hears every merged decision, once, in
             # commit order for the in-order apply rule.

@@ -22,19 +22,18 @@ sequence order and replies with its applied high-water mark -- so an
 unacknowledged suffix simply retransmits after a partition or a lost
 reply, and duplicates are dropped by sequence.
 
-In ``sync`` mode the primary defers its externally visible effects on
-the stream acks: a participant's yes-vote waits for the ``prepare``
-record, the coordinator's commit acknowledgement and every Decide for
-the ``decision`` record on all of its targets (both bounded by
-``sync_timeout``; on expiry the commit *degrades* to asynchronous
-replication and proceeds -- availability over redundancy, counted in
-``replication_sync_degraded``).  ``async`` mode never waits and only
-tracks the per-backup replicated frontier.
+In ``sync`` mode a commit waits on the stream acks once: its
+acknowledgement and every Decide wait for the ``decision`` record on all
+of its targets (bounded by ``sync_timeout``; on expiry the commit
+*degrades* to asynchronous replication and proceeds -- availability over
+redundancy, counted in ``replication_sync_degraded``).  That record
+carries the round's writes, so a yes-vote waits for nothing; its
+``prepare`` record only holds the entry's write locks until acknowledged
+(:meth:`NodeReplication.after_acked`).  ``async`` mode never waits.
 
 Failover (:mod:`repro.replication.failover`) promotes the freshest
-backup of each shard of a dead owner; staged prepares resolve against
-the dead coordinator's decisions merged from every live node, which one
-successor re-announces once.
+backup of each shard of a dead owner and re-stages what its stream lost
+from the coordinators' decisions (the live asked, the dead ones' merged).
 
 Read-forwarding (``read_from_backups``) lets backups serve *frozen*
 read-only requests Walter-style, but only when the backup's replicated
@@ -44,6 +43,7 @@ forwarded to the primary (soundness argument: ``docs/replication.md``).
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import partial
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
@@ -72,19 +72,21 @@ RETRY_INTERVAL = 1e-3
 
 
 class _AckLatch(Event):
-    """One sync wait over several streams: True once every stream it is
-    registered on acknowledged (or closed), False if ``sync_timeout``
-    expires first -- either way its waiter wakes exactly once."""
+    """One wait over several streams: True once every stream it is on
+    acknowledged (or closed), False if ``timeout`` expires first -- it
+    triggers exactly once either way, and an acked one leaves no timer."""
 
-    __slots__ = ("remaining",)
+    __slots__ = ("remaining", "timer")
 
-    def __init__(self, sim, count: int) -> None:
+    def __init__(self, sim, count: int, timeout: float) -> None:
         super().__init__(sim, name="ack-latch")
         self.remaining = count
+        self.timer = sim.call_later(timeout, self.expire)
 
     def count_down(self) -> None:
         self.remaining -= 1
         if self.remaining == 0 and not self.triggered:
+            self.timer.cancel()
             self.succeed(True)
 
     def expire(self) -> None:
@@ -317,33 +319,42 @@ class NodeReplication:
             latch.count_down()
         stream.waiters.clear()
 
-    def _await_acks(self, targets: List[Tuple[ReplicationStream, int]]):
-        """Sync mode: wait (bounded) for the listed records' acks.
-
-        True when every target stream acknowledged, False when
-        ``sync_timeout`` expired first -- the caller proceeds anyway
-        (the records stay queued and retransmit), so a partitioned
-        backup costs latency and redundancy, never availability.
-        Closed streams count as satisfied: their backup is gone.
-        """
-        if self.config.mode != "sync":
-            return True
-        pending = [
+    def _latch(self, targets) -> Optional[_AckLatch]:
+        """Sync mode: one latch, bounded by ``sync_timeout``, over the
+        listed ``(stream, seq)`` records still unacknowledged on an open
+        stream (a closed one's backup is gone); ``None`` if there are none."""
+        pending = self.config.mode == "sync" and [
             (stream, seq) for stream, seq in targets
             if not stream.closed and stream.acked < seq
         ]
         if not pending:
-            return True
-        latch = _AckLatch(self.sim, len(pending))
+            return None
+        latch = _AckLatch(self.sim, len(pending), self.config.sync_timeout)
         for stream, seq in pending:
-            stream.waiters.append((seq, latch))
-        timer = self.sim.call_later(self.config.sync_timeout, latch.expire)
-        acked = yield latch
-        if acked:
-            timer.cancel()
+            insort(stream.waiters, (seq, latch), key=lambda waiter: waiter[0])
+        return latch
+
+    def after_acked(self, targets, callback) -> None:
+        """Run ``callback()`` once every listed record is acknowledged or
+        its stream closed -- now, if all are; never on enqueue.  Nobody
+        blocks, nothing is counted (S5: a prepare's write locks)."""
+        latch = self._latch(targets)
+        if latch is None:
+            callback()
+        else:
+            latch.add_callback(lambda _latch: callback())
+
+    def _await_acks(self, targets: List[Tuple[ReplicationStream, int]]):
+        """The one replication wait of a commit, its decision's (S3): True
+        when every target acknowledged, False when ``sync_timeout`` expired
+        first -- the caller proceeds anyway (the records stay queued and
+        retransmit), so a partitioned backup costs latency and redundancy,
+        never availability."""
+        latch = self._latch(targets)
+        if latch is None or (yield latch):
             return True
         late = []
-        for stream, seq in pending:
+        for stream, seq in targets:
             if (seq, latch) in stream.waiters:
                 stream.waiters.remove((seq, latch))
                 late.append(stream.backup)
@@ -358,22 +369,13 @@ class NodeReplication:
     # Hooks called by the protocol node
     # ------------------------------------------------------------------
     def replicate_prepare(self, request):
-        """Stream a participant's staged writes; sync-gate the yes-vote.
-
-        Self-coordinated prepares skip the wait: their vote never
-        leaves the node, and the later ``decision`` record on the same
-        FIFO streams (higher seq, cumulative ack) covers this one
-        before the commit acknowledgement escapes.
-        """
-        targets = self._enqueue_by_key(
-            request.writes,
-            "prepare",
-            txn_id=request.txn_id,
-            coordinator=request.coordinator,
-            round=request.round,
+        """Stream a participant's staged writes.  The vote waits for no ack
+        (S4); returned are the ``(stream, seq)`` records the entry's write
+        locks outlive (S5, :meth:`after_acked`)."""
+        return self._enqueue_by_key(
+            request.writes, "prepare", txn_id=request.txn_id,
+            coordinator=request.coordinator, round=request.round,
         )
-        if request.coordinator != self.node_id:
-            yield from self._await_acks(targets)
 
     def note_abort(self, txn_id: int, writes, round_no: int = 0) -> None:
         """Stream the unstaging of an aborted prepare (asynchronous)."""
@@ -389,22 +391,20 @@ class NodeReplication:
     ):
         """Stream a coordinator's commit decision; sync-gate the ack.
 
-        The record goes to :meth:`_decision_targets` (``writes``: the
-        commit's keys at this site), not to every stream: promotion
-        merges a dead origin's decisions from every live node, so no
-        one backup needs the prefix.  The acknowledgement and every
-        Decide wait for all of the targets.
+        ``writes`` is the round's, ``(site, key, value)``: the record alone
+        re-creates every participant's staged writes (S4).  It goes to
+        :meth:`_decision_targets` of this site's share, not to every
+        stream -- promotion merges a dead origin's decisions from every
+        live node -- and the acknowledgement and every Decide wait for all
+        of them.
         """
         targets: List[Tuple[ReplicationStream, int]] = []
-        for backup in self._decision_targets(writes):
+        own = [key for site, key, _value in writes if site == self.node_id]
+        for backup in self._decision_targets(own):
             seq = self._enqueue(
-                backup,
-                "decision",
-                txn_id=txn_id,
-                origin=self.node_id,
-                seq_no=seq_no,
-                commit_vc=commit_vc,
-                collected=collected,
+                backup, "decision", txn_id=txn_id, origin=self.node_id,
+                seq_no=seq_no, commit_vc=commit_vc, collected=collected,
+                writes=writes,
             )
             if seq is not None:
                 targets.append((self.streams[backup], seq))

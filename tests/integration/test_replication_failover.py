@@ -315,9 +315,12 @@ def run_backup_partition(seed, *, partition):
 
     The partitioned pair can each still reach the third node, so neither
     loses a majority attestation and ownership must not move.  During
-    the window only the unaffected node coordinates (both runs), keeping
-    the pair's version stamps comparable while the degraded prepares
-    exercise the sync-timeout path.
+    the window the primary commits to its own keys the cut backup backs
+    (both runs, so the pair's version stamps stay comparable; the local
+    fast path, so no 2PC message crosses the cut link): the backup staged
+    each self-coordinated prepare, which makes it a target of the
+    decision -- the one replication wait of a commit, and the one that
+    must degrade.
     """
     rpc = RpcConfig(request_timeout=4e-3, max_attempts=3)
     cluster, nemesis = build(seed, rpc=rpc)
@@ -326,9 +329,6 @@ def run_backup_partition(seed, *, partition):
         k for k in all_keys() if cluster.directory.site(k) == primary
     ]
     backup = cluster.replication.backups_for_key(primary_keys[0])[0]
-    outsider = next(
-        n for n in range(NUM_NODES) if n not in (primary, backup)
-    )
     rng = make_rng(seed, "replication-lag")
     committed = {}
 
@@ -339,12 +339,24 @@ def run_backup_partition(seed, *, partition):
         nemesis.start(
             backup_lag_schedule(primary, backup, cluster.sim.now, window)
         )
-    # Writes to the primary's keys force its (cut) stream to carry the
-    # sync wait; the outsider coordinates so 2PC itself never crosses
-    # the partitioned link.
-    lag_plan = [
-        (outsider, [primary_keys[i % len(primary_keys)]]) for i in range(6)
+    # What was in its decision wait at the primary each time a sync wait
+    # degraded: a round that is on record as committed, Decides unsent.
+    degraded = []
+    in_doubt = cluster.node(primary).in_doubt
+    TracePoint(
+        cluster, "replication_degraded",
+        lambda record: degraded.append(
+            (record.node, record.details["backups"],
+             sorted(set(in_doubt.rounds) & set(in_doubt.log.by_txn)))
+        ),
+        count=1,
+    )
+    cut_keys = [
+        k for k in primary_keys
+        if backup in cluster.replication.backups_for_key(k)
     ]
+    assert len(cut_keys) > 1  # a key's locks outlive its prepare's ack (S5)
+    lag_plan = [(primary, [cut_keys[i % len(cut_keys)]]) for i in range(6)]
     drive(cluster, lag_plan, committed, budget=0.1)
     settle(cluster, window)  # fully healed before the next phase
 
@@ -356,6 +368,9 @@ def run_backup_partition(seed, *, partition):
         assert metrics.counters["replication_sync_degraded"] > 0, (
             "the cut stream must degrade at least one sync wait"
         )
+        # ... and what degrades is a decision wait, never a vote.
+        assert degraded and degraded[0][:2] == (primary, (backup,))
+        assert len(degraded[0][2]) == 1
         assert nemesis.heal_reports, "the window must have healed"
     assert metrics.counters["failovers_completed"] == 0, (
         "a one-link partition must never trick a majority into failover"
@@ -492,6 +507,32 @@ def test_double_failure_keeps_keys_alive(seed):
     faulty, second = run_double_failure(seed, crash=True)
     control, _ = run_double_failure(seed, crash=False, second=second)
     assert faulty == control
+
+
+def test_orphaned_shards_are_reported_when_the_set_changes_not_every_scan():
+    """A deposed site whose shard lost every backup keeps owning it, and
+    every scan retries: the trace says so once, and the failover of the
+    shards that *could* move completes, orphan count attached."""
+    cluster, nemesis = build(SEEDS[0])
+    for kind in ("failover_orphaned", "failover_complete"):
+        cluster.tracer.enable(kind)
+    drive(cluster, rmw_plan(make_rng(SEEDS[0], "replication-orphan"), [0], 4))
+    for victim in (1, 2):
+        nemesis.apply(FaultEvent(cluster.sim.now, CRASH, victim))
+    settle(cluster, 60e-3)  # ~30 scans at failover_timeout / 2
+    orphaned = {
+        record.node: record.details["shards"]
+        for record in cluster.tracer.of_kind("failover_orphaned")
+    }
+    assert len(cluster.tracer.of_kind("failover_orphaned")) == len(orphaned) == 2
+    complete = cluster.tracer.of_kind("failover_complete")
+    assert sorted(record.node for record in complete) == [1, 2]
+    for record in complete:
+        assert record.details["orphaned"] == len(orphaned[record.node]) > 0
+        assert cluster.directory.shards_of(record.node) == orphaned[record.node]
+    assert cluster.metrics.counters["failovers_completed"] == sum(
+        record.details["shards"] for record in complete
+    )
 
 
 # ----------------------------------------------------------------------

@@ -384,6 +384,40 @@ def test_acked_waits_leave_no_timer_behind():
     assert cluster.metrics.counters["replication_sync_degraded"] == 0
 
 
+@pytest.mark.parametrize("release", ["ack", "close"])
+def test_after_acked_fires_once_on_the_last_ack_or_a_close_never_on_enqueue(
+    release,
+):
+    """S5's primitive: the callback waits for every listed record -- the
+    slower stream's included -- or for that stream to close; with nothing
+    pending it runs at once; no waiter or timer outlives it."""
+    cluster = build(num_nodes=4, factor=3, sync_timeout=50e-3)
+    rep = cluster.node(0).replication
+    fired = []
+    cut(cluster, 0, 2)
+    targets = [
+        (rep._stream(backup), rep._enqueue(backup, "frontier", frontier=(0,)))
+        for backup in rep._all_backups()
+    ]
+    assert len(targets) == 3
+    rep.after_acked(targets, lambda: fired.append(cluster.sim.now))
+    assert not fired  # enqueued and sent, not acknowledged
+    cluster.run(until=5e-4)
+    assert not fired and rep.streams[1].acked == rep.streams[3].acked == 1
+    if release == "ack":
+        cluster.network.heal_all()
+    else:
+        cluster.network.crash(2)
+    cluster.run(until=10e-3)
+    assert len(fired) == 1 and fired[0] < 5e-3
+    assert rep.streams[2].closed == (release == "close")
+    assert not any(stream.waiters for stream in rep.streams.values())
+    assert not live_timers(cluster, _AckLatch.expire)
+    rep.after_acked(targets, lambda: fired.append("at once"))
+    assert fired[1:] == ["at once"]
+    assert cluster.metrics.counters["replication_sync_degraded"] == 0
+
+
 # ----------------------------------------------------------------------
 # Pump
 # ----------------------------------------------------------------------
