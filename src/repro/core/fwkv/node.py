@@ -43,6 +43,9 @@ class FWKVNode(MVCCNode):
     """
 
     protocol_name = "fwkv"
+    # Alg. 3 lines 3/12: both transaction classes lock the key; the
+    # table's shared mode lets read handlers overlap each other.
+    reads_lock = True
 
     def __init__(self, node: Node, shared: SharedState) -> None:
         super().__init__(node, shared)
@@ -53,6 +56,8 @@ class FWKVNode(MVCCNode):
         # Adaptive mode: per-destination Remove windows (AIMD, the rule
         # the Propagate windows follow: ``batching.adapt_window``).
         self._remove_windows: dict = {}
+        # A queued read must be the retry's *first*, which is fresh only here.
+        self.retries_in_line = shared.config.fwkv_fresh_update_reads
 
     def _on_volatile_wiped(self) -> None:
         # Pending Remove identifiers were never sent; they name VAS
@@ -66,10 +71,24 @@ class FWKVNode(MVCCNode):
     # ------------------------------------------------------------------
     # Read-side hooks
     # ------------------------------------------------------------------
-    def _read_needs_lock(self, request: ReadRequestBody) -> bool:
-        # Alg. 3 lines 3/12: both transaction classes lock the key; the
-        # table's shared mode lets read handlers overlap each other.
-        return True
+    def _stand_in_line(self, line, request: ReadRequestBody):
+        """Wait for the key's place in ``line`` (DESIGN.md 4) and hold it
+        until our own prepare has locked or voted no (``_handle_prepare``),
+        at most ``lock_timeout``: a head that never prepares costs its
+        successors that much, once.  A waiter waits without bound -- or,
+        under an RPC deadline, half-way to it (the reply must still be in
+        time), and is then served as an ordinary read."""
+        deadline = self.node.rpc.config.request_timeout
+        key, owner = request.key, request.txn_id
+        place = line.take_place(key, owner, deadline and deadline / 2)
+        if place is not None and (yield place):
+            self.sim.call_later(
+                self.shared.config.lock_timeout, self._place_expired, line, key, owner
+            )
+
+    def _place_expired(self, line, key: Hashable, owner: int) -> None:
+        if line.leave((key,), owner):
+            self.metrics.count("places_expired")
 
     def _select_version(self, request: ReadRequestBody) -> Tuple[Version, int]:
         chain = self.store.chain(request.key)

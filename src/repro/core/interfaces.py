@@ -126,18 +126,25 @@ class BaseProtocolNode(ABC):
     def commit(self, txn: Transaction):
         """Generator subroutine returning True (committed) or False."""
 
-    def abort(self, txn: Transaction) -> None:
-        """Client-initiated rollback (e.g. TPC-C's 1% invalid NewOrders).
+    def abort(self, txn: Transaction, reason: Optional[str] = None) -> None:
+        """Client-initiated rollback (e.g. TPC-C's 1% invalid NewOrders) --
+        or, with an :class:`AbortReason`, an attempt the client gives up
+        on (an RPC exhausted its retries), booked as the abort it is.
 
         Nothing is held at this point -- writes are buffered and locks are
         only taken during commit -- so rollback is local: discard the
         buffers and let the protocol clean up any read registrations.
         """
+        if reason is None:
+            self.metrics.on_rollback(txn)
+        else:
+            self.metrics.on_abort(txn, reason)
         txn.writeset.clear()
         self._on_client_abort(txn)
         txn.mark_aborted(self.sim.now)
-        self.metrics.on_rollback(txn)
-        self.tracer.emit(self.node_id, "abort", txn=txn.txn_id, reason="rollback")
+        self.tracer.emit(
+            self.node_id, "abort", txn=txn.txn_id, reason=reason or "rollback"
+        )
 
     def _on_client_abort(self, txn: Transaction) -> None:
         """Protocol hook for rollback cleanup."""

@@ -60,6 +60,10 @@ from repro.storage.wal import (
 class MVCCNode(BaseProtocolNode):
     """Common node logic for the two PSI protocols."""
 
+    #: Whether the read handler takes the shared per-key lock, and whether
+    #: a validation loss sends the retry to stand in line (FW-KV: both).
+    reads_lock = retries_in_line = False
+
     def __init__(self, node: Node, shared: SharedState) -> None:
         super().__init__(node, shared)
         # A node joining an established cluster has an id past the static
@@ -160,22 +164,20 @@ class MVCCNode(BaseProtocolNode):
         self.curr_seq_no = 0
         self.store = MultiVersionStore()
         self.locks = LockTable(self.sim)
+        #: Per contended key, whose turn it is to read it and commit
+        #: (DESIGN.md 4; FW-KV).  A place is advice: ``_validate`` decides.
+        self.line = LockTable(self.sim)
         self._prepared: Dict[int, PreparedTxn] = {}
         #: Transactions whose prepare handler is currently between lock
         #: acquisition and voting; duplicates racing that window vote no
         #: instead of double-acquiring the same owner's locks.
         self._preparing: Set[int] = set()
-        #: destination -> commit sequence numbers awaiting a coalesced
-        #: Propagate (adaptive batching only, while a window is open).
+        #: Adaptive batching, per destination (``_send_propagate``): commit
+        #: sequence numbers awaiting a coalesced Propagate, the AIMD window,
+        #: and the probe that opens a closed one, ``(last_send_time,
+        #: consecutive_hot_sends)``.
         self._propagate_buffer: Dict[int, List[int]] = {}
-        #: Adaptive batching: per-destination Propagate windows (AIMD,
-        #: driven by observed flush batch size; see ``_flush_propagate``).
         self._adaptive_windows: Dict[int, float] = {}
-        #: Adaptive batching pressure probe: destination ->
-        #: ``(last_send_time, consecutive_hot_sends)``.  While a window is
-        #: closed (zero) sends go out immediately; the probe opens a window
-        #: once enough back-to-back sends arrive within ``ADAPTIVE_STEP``
-        #: of each other (see ``_send_propagate``).
         self._adaptive_pressure: Dict[int, Tuple[float, int]] = {}
         #: Decide appliers between popping their prepared entry and the
         #: clock tick (with its ApplyRecord).  While non-empty the live
@@ -210,15 +212,12 @@ class MVCCNode(BaseProtocolNode):
         txn.vc = self.site_vc.copy()
 
     def _read_request(
-        self, txn: Transaction, key: Hashable, frozen: bool = False
+        self, txn: Transaction, key: Hashable, frozen: bool = False,
+        queue: bool = False,
     ) -> ReadRequestBody:
         return ReadRequestBody(
-            txn_id=txn.txn_id,
-            is_read_only=txn.is_read_only,
-            key=key,
-            vc=txn.vc.to_tuple(),
-            has_read=txn.has_read_tuple(),
-            frozen=frozen,
+            txn.txn_id, txn.is_read_only, key, txn.vc.to_tuple(),
+            txn.has_read_tuple(), frozen, queue,
         )
 
     def _observe(
@@ -235,6 +234,8 @@ class MVCCNode(BaseProtocolNode):
                 gap=reply.latest_vid - reply.vid,
                 first_contact=first_contact,
             )
+        elif reply.spoken_for and not txn.in_line:
+            txn.lost_key = key  # commit() yields it if we write it
         txn.read_cache[key] = reply.value
         txn.read_versions[key] = reply.vid
         if self.tracer._enabled:
@@ -245,8 +246,9 @@ class MVCCNode(BaseProtocolNode):
         self._record_read(txn, key, reply.vid, reply.latest_vid)
         return reply.value
 
-    def read(self, txn: Transaction, key: Hashable):
-        """Alg. 2: serve from the writeset, else ask the preferred site."""
+    def read(self, txn: Transaction, key: Hashable, queue: bool = False):
+        """Alg. 2: serve from the writeset, else ask the preferred site --
+        with ``queue`` (a retry's first read of the key it lost), in line."""
         found, value = txn.buffered_write(key)
         if found:
             return value
@@ -276,7 +278,7 @@ class MVCCNode(BaseProtocolNode):
                 reply: ReadReturnBody = yield from self.node.rpc.call(
                     target,
                     MessageType.READ_REQUEST,
-                    self._read_request(txn, key, frozen),
+                    self._read_request(txn, key, frozen, queue),
                 )
                 break
             except RpcTimeoutError:
@@ -295,6 +297,8 @@ class MVCCNode(BaseProtocolNode):
                     raise
                 target = self.directory.site(key)
                 frozen = False
+        if queue:
+            txn.in_line = not reply.spoken_for  # else served unplaced, at the cap
         return self._observe(txn, key, target, reply)
 
     def read_many(self, txn: Transaction, keys):
@@ -364,11 +368,10 @@ class MVCCNode(BaseProtocolNode):
         """
         if txn.is_read_only or not txn.writeset:
             self._commit_read_only(txn)
-            txn.mark_committed(self.sim.now)
-            self._record_commit(txn)
-            if self.tracer._enabled:
-                self.tracer.emit(self.node_id, "commit", txn=txn.txn_id, ro=True)
-            return True
+            return self._committed(txn, ro=True)
+        if txn.lost_key is not None and txn.lost_key in txn.writeset:
+            # Its place's holder commits first: no prepare, retry in line.
+            return self._aborted(txn, AbortReason.SPOKEN_FOR, key=txn.lost_key)
 
         yield from self.cpu.consume(self.costs.commit_base)
 
@@ -390,12 +393,7 @@ class MVCCNode(BaseProtocolNode):
 
         def abort_round():
             abort = DecideBody(
-                txn_id=txn.txn_id,
-                outcome=False,
-                origin=self.node_id,
-                seq_no=None,
-                commit_vc=None,
-                round=round_no,
+                txn.txn_id, False, self.node_id, None, None, round=round_no
             )
             for site in sorted(by_site):
                 self.node.send(site, MessageType.DECIDE, abort)
@@ -553,19 +551,23 @@ class MVCCNode(BaseProtocolNode):
         if outcome:
             # Alg. 4 line 27: asynchronous propagation to everyone else.
             self._send_propagate(participant_sites, txn.seq_no)
-            txn.mark_committed(self.sim.now)
-            self._record_commit(txn)
-            if self.tracer._enabled:
-                self.tracer.emit(
-                    self.node_id, "commit", txn=txn.txn_id, seq=txn.seq_no
-                )
-            return True
+            return self._committed(txn, seq=txn.seq_no)
         # Presumed abort: the abort Decide sent above is best-effort -- a
         # participant that never hears it asks when its lease expires.
         if timed_out:
             return self._aborted(txn, AbortReason.RPC_TIMEOUT)
-        reasons = [vote.reason for vote in votes if not vote.ok]
-        return self._aborted(txn, reasons[0] if reasons else AbortReason.VOTE_NO)
+        noes = [vote for vote in votes if not vote.ok]
+        if noes and self.retries_in_line:
+            txn.lost_key = noes[0].lost
+        return self._aborted(txn, noes[0].reason if noes else AbortReason.VOTE_NO)
+
+    def _committed(self, txn: Transaction, **details) -> bool:
+        """Record an attempt's commit; returns ``True`` for ``commit``."""
+        txn.mark_committed(self.sim.now)
+        self._record_commit(txn)
+        if self.tracer._enabled:
+            self.tracer.emit(self.node_id, "commit", txn=txn.txn_id, **details)
+        return True
 
     def _aborted(self, txn: Transaction, reason: str, **details) -> bool:
         """Record an attempt's abort; returns ``False`` for ``commit``."""
@@ -584,10 +586,9 @@ class MVCCNode(BaseProtocolNode):
         armed) -- the caller re-prepares against the new owners, so a
         failover costs a retry, not an abort.
         """
-        rep = self.replication
-        if rep is None:
-            return False
-        flipped = yield from rep.cluster_rep.wait_for_failover(sites)
+        flipped = self.replication is not None and (
+            yield from self.replication.cluster_rep.wait_for_failover(sites)
+        )
         if flipped and self.tracer._enabled:
             self.tracer.emit(
                 self.node_id, "failover_retry", txn=txn.txn_id,
@@ -712,10 +713,6 @@ class MVCCNode(BaseProtocolNode):
         """
         raise NotImplementedError
 
-    def _read_needs_lock(self, request: ReadRequestBody) -> bool:
-        """Whether the read handler must take the shared per-key lock."""
-        raise NotImplementedError
-
     def _freshness_bound(
         self, request: ReadRequestBody, version: Version
     ) -> Optional[Tuple[int, ...]]:
@@ -783,20 +780,20 @@ class MVCCNode(BaseProtocolNode):
                 waited=self.sim.now - stall_started,
             )
 
-        lock_key = request.key
-        needs_lock = self._read_needs_lock(request)
+        # Bound locally: a durable crash replaces both tables mid-run, and
+        # a handler that acquired on the old one must release there.
+        locks, line = self.locks, self.line
+        if request.queue and self.retries_in_line:
+            yield from self._stand_in_line(line, request)
+
+        needs_lock = self.reads_lock
         cost = self.costs.read_handler
-        # Bound locally: a durable crash replaces ``self.locks`` mid-run,
-        # and a handler that acquired on the old table must release there.
-        locks = self.locks
         if needs_lock:
             # Shared mode: concurrent read handlers proceed together, but
             # conflicting update commits (write lockers) are excluded.
             self._read_token += 1
             lock_owner = ("read", request.txn_id, self._read_token)
-            granted = yield locks.acquire_read(
-                lock_key, owner=lock_owner, timeout=None
-            )
+            granted = yield locks.acquire_read(request.key, lock_owner, None)
             assert granted, "untimed lock acquisition cannot fail"
             cost += self.costs.lock_op
 
@@ -814,14 +811,17 @@ class MVCCNode(BaseProtocolNode):
         latest_vid = chain.latest.vid
 
         if needs_lock:
-            locks.release(lock_key, owner=lock_owner)
+            locks.release(request.key, owner=lock_owner)
 
         if self._shard_map is not None:
             self.metrics.on_shard_access(self._shard_map.shard_of(request.key))
 
         self.node.rpc.reply(
             envelope,
-            ReadReturnBody(version.value, max_vc, version.vid, latest_vid),
+            ReadReturnBody(
+                version.value, max_vc, version.vid, latest_vid,
+                bool(line._locks) and line.spoken_for(request.key, request.txn_id),
+            ),
         )
 
     def on_prepare(self, envelope: Envelope):
@@ -858,7 +858,7 @@ class MVCCNode(BaseProtocolNode):
         self._preparing.add(request.txn_id)
         # Bound locally: a durable crash replaces ``self.locks`` mid-run,
         # and locks acquired on the old table must be released there.
-        locks = self.locks
+        locks, line = self.locks, self.line
         try:
             keys = list(request.writes)
             if self.membership.view.epoch > 0 or fence.every_key or fence.keys:
@@ -873,16 +873,15 @@ class MVCCNode(BaseProtocolNode):
                     self.directory.site(key) != self.node_id for key in keys
                 ):
                     return VoteBody(False, reason="moved")
-            if not self._validate(request):
+            if (lost := self._validate(request)) is not None:
                 # A chain's latest version only advances, so a "no" taken
                 # without the locks is final: refuse before queueing, or
                 # every doomed prepare holds a hot key's write lock for
                 # ``lock_op + prepare_key`` ahead of the one that can win.
                 yield from self.cpu.consume(self.costs.prepare_key * len(keys))
-                return VoteBody(False, reason=AbortReason.VALIDATION)
-            timeout = self.shared.config.lock_timeout
+                return VoteBody(False, reason=AbortReason.VALIDATION, lost=lost)
             granted = yield from locks.acquire_write_all(
-                keys, owner=request.txn_id, timeout=timeout
+                keys, request.txn_id, self.shared.config.lock_timeout
             )
             if not granted:
                 yield from self.cpu.consume(self.costs.lock_op * len(keys))
@@ -891,9 +890,9 @@ class MVCCNode(BaseProtocolNode):
             yield from self.cpu.consume(
                 (self.costs.lock_op + self.costs.prepare_key) * len(keys)
             )
-            if not self._validate(request):
+            if (lost := self._validate(request)) is not None:
                 locks.release_write_all(keys, owner=request.txn_id)
-                return VoteBody(False, reason=AbortReason.VALIDATION)
+                return VoteBody(False, reason=AbortReason.VALIDATION, lost=lost)
 
             collected = yield from self._collect_antideps(keys)
             vote = VoteBody(True, collected)
@@ -935,6 +934,8 @@ class MVCCNode(BaseProtocolNode):
             return vote
         finally:
             self._preparing.discard(request.txn_id)
+            if line._locks:  # locked, or voted no: the next in line reads
+                line.leave(request.writes, request.txn_id)
 
     def _stage(self, txn_id: int, entry: PreparedTxn) -> None:
         """Enter a yes-vote into the prepared table and arm its lease."""
@@ -968,8 +969,8 @@ class MVCCNode(BaseProtocolNode):
             self.replication.note_abort(txn_id, entry.writes, entry.round)
         self.locks.release_write_all(entry.locked_keys, owner=txn_id)
 
-    def _validate(self, request: PrepareBody) -> bool:
-        """First-committer-wins validation of the written keys.
+    def _validate(self, request: PrepareBody) -> Optional[Hashable]:
+        """First-committer-wins validation: the written key that fails it.
 
         For a key the transaction also *read*, the latest version must be
         exactly the version it observed (``read_vids``).  For Walter this
@@ -990,13 +991,13 @@ class MVCCNode(BaseProtocolNode):
             read_vid = request.read_vids.get(key)
             if read_vid is not None:
                 if last.vid != read_vid:
-                    return False
+                    return key
             elif last.origin >= len(txn_vc) or last.seq > txn_vc[last.origin]:
                 # A missing entry counts as zero (elastic membership: the
                 # transaction began before the version's origin joined),
                 # so any committed sequence number is past its snapshot.
-                return False
-        return True
+                return key
+        return None
 
     def on_decide(self, envelope: Envelope):
         """Alg. 5 lines 14-26: ordered application of a decided commit."""

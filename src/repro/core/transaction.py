@@ -46,6 +46,8 @@ class Transaction:
         "read_cache",
         "read_versions",
         "_has_read_tuple",
+        "lost_key",
+        "in_line",
     )
 
     def __init__(
@@ -87,6 +89,11 @@ class Transaction:
         #: protocols.  Commit validation compares it against the current
         #: latest (first-committer-wins).
         self.read_versions: Dict[Hashable, int] = {}
+        #: FW-KV's line (DESIGN.md 4): the key this attempt lost or will
+        #: lose (a validation no-vote named it, or it was spoken for when
+        #: read), which the retry reads first and in line at its home ...
+        self.lost_key: Optional[Hashable] = None
+        self.in_line = False  # ... and whether this attempt is such a retry
 
     @property
     def is_update(self) -> bool:

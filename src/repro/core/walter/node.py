@@ -28,9 +28,6 @@ class WalterNode(MVCCNode):
 
     protocol_name = "walter"
 
-    def _read_needs_lock(self, request: ReadRequestBody) -> bool:
-        return False
-
     def _select_version(self, request: ReadRequestBody) -> Tuple[Version, int]:
         return select_walter_version(
             self.store.chain(request.key), request.vc

@@ -26,6 +26,8 @@ class ReadRequestBody:
     #: only when the backup's replicated frontier dominates ``vc``;
     #: otherwise the backup forwards it to the primary.
     frozen: bool = False
+    #: FW-KV retry: read the key in line at its home (DESIGN.md 4).
+    queue: bool = False
 
 
 @dataclass(slots=True)
@@ -40,6 +42,8 @@ class ReadReturnBody:
     #: Newest vid at the serving node when the read executed; powers the
     #: freshness metric and the history checker.
     latest_vid: int
+    #: The key's place in line was someone else's, who commits first.
+    spoken_for: bool = False
 
 
 @dataclass(slots=True)
@@ -74,6 +78,9 @@ class VoteBody:
     #: versions about to be overwritten (Alg. 5 lines 8-10).
     collected: FrozenSet[int] = frozenset()
     reason: Optional[str] = None
+    #: The key a ``validation`` no-vote failed on: what the retry reads
+    #: first, and in line.
+    lost: Optional[Hashable] = None
 
 
 @dataclass(slots=True)

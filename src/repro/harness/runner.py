@@ -16,6 +16,7 @@ from typing import Dict, Optional
 
 from repro.cluster.directory import Directory
 from repro.config import ClusterConfig, RunConfig
+from repro.metrics.stats import AbortReason
 from repro.net.rpc import RpcTimeoutError
 from repro.sim.rng import make_rng
 from repro.system import Cluster
@@ -32,8 +33,8 @@ RETRY_BACKOFF_CAP = 64
 
 def retry_delay(backoff: float, attempts: int, rng) -> float:
     """Pause before retry number ``attempts`` (one seeded draw)."""
-    scale = min(2 ** (attempts - 1), RETRY_BACKOFF_CAP)
-    return backoff * scale * (1.0 + rng.random())
+    exponent = min(attempts - 1, RETRY_BACKOFF_CAP.bit_length() - 1)
+    return backoff * 2**exponent * (1.0 + rng.random())
 
 
 @dataclass
@@ -82,6 +83,7 @@ def client_loop(
         program = workload.generate(rng, node_id)
         first_attempt_started = sim.now
         attempts = 0
+        lost = None
         while True:
             attempts += 1
             txn = node.begin(program.is_read_only, program.profile)
@@ -89,6 +91,10 @@ def client_loop(
             if costs.client_overhead:
                 yield sim.sleep(costs.client_overhead)
             try:
+                if lost is not None:
+                    # FW-KV (DESIGN.md 4): first, and in line at its home;
+                    # the program's own read of it hits the read cache.
+                    yield from node.read(txn, lost, queue=True)
                 yield from program.run(ctx)
                 ok = yield from node.commit(txn)
             except Rollback:
@@ -96,10 +102,11 @@ def client_loop(
                 break  # intended outcome; no retry
             except RpcTimeoutError:
                 # A read (or commit-path) RPC exhausted its retries --
-                # the peer is crashed or partitioned.  Roll back and retry
-                # the whole transaction like any other aborted attempt.
-                node.abort(txn)
+                # the peer is crashed or partitioned.  An abort like any
+                # other: counted as one, and the transaction is retried.
+                node.abort(txn, AbortReason.RPC_TIMEOUT)
                 ok = False
+            lost = txn.lost_key
             if ok:
                 cluster.metrics.on_commit(
                     txn, sim.now - first_attempt_started, attempts

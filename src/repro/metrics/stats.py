@@ -21,6 +21,9 @@ class AbortReason:
     #: coordinator failed the commit fast instead of paying the timeout
     #: ladder.
     PEER_DEAD = "peer_dead"
+    #: FW-KV: a written key's place in line was someone else's when this
+    #: attempt read it; it sent no prepare and retries in line itself.
+    SPOKEN_FOR = "spoken_for"
     #: The node crashed durably while the transaction was waiting for its
     #: Decision record's group-commit sync: the record was dropped with
     #: the unsynced WAL suffix, so the commit is never acknowledged.
@@ -125,6 +128,9 @@ COUNTERS: Dict[str, str] = {
     "lease_expirations": (
         "participant-side prepared-lock leases that expired because the "
         "coordinator went silent past the configured lease"
+    ),
+    "places_expired": (
+        "places in a key's line whose holder did not prepare in ``lock_timeout``"
     ),
     # Durable-crash recovery.
     "recoveries": "completed node rebuilds from the WAL",

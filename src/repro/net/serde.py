@@ -49,8 +49,9 @@ from repro.net.rpc import _Reply, _Request
 #: Bumped on any incompatible change to the value format or registry
 #: (2: ``SyncRequestBody``, ``SyncReplyBody`` and ``TxnStatusReplyBody``
 #: gained their re-stage fields; 3: ``SyncRequestBody.site``, and a
-#: ``decision`` stream entry's ``writes`` are ``(site, key, value)``).
-WIRE_VERSION = 3
+#: ``decision`` stream entry's ``writes`` are ``(site, key, value)``; 4:
+#: ``ReadRequestBody.queue``, ``ReadReturnBody.spoken_for``, ``VoteBody.lost``).
+WIRE_VERSION = 4
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).

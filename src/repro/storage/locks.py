@@ -116,6 +116,29 @@ class LockTable:
         """Event for a shared acquisition on one key."""
         return self.lock_for(key).acquire_read(owner, timeout)
 
+    # A table used as a line: one exclusive place per key, granted FIFO.
+    def take_place(self, key: Hashable, owner, timeout: Optional[float]):
+        """Event for ``owner``'s place on ``key`` (``False`` after
+        ``timeout``) -- or ``None`` while it holds or awaits one there: a
+        duplicated request takes no second place."""
+        lock = self.lock_for(key)
+        if lock.held_by(owner) or any(r.owner == owner for r in lock._queue):
+            return None
+        return lock.acquire_write(owner, timeout)
+
+    def leave(self, keys: Iterable[Hashable], owner) -> bool:
+        """Give up ``owner``'s place among ``keys``; whether it held one."""
+        for key in keys:
+            if key in self._locks and self._locks[key].held_by(owner):
+                self.release(key, owner)
+                return True
+        return False
+
+    def spoken_for(self, key: Hashable, owner) -> bool:
+        """Whether ``key``'s place is held, and by someone else."""
+        lock = self._locks.get(key)
+        return lock is not None and lock.is_locked and not lock.held_by(owner)
+
     # ------------------------------------------------------------------
     # Introspection (tests / invariants)
     # ------------------------------------------------------------------

@@ -794,8 +794,12 @@ class Cluster:
         return total
 
     def any_locks_held(self) -> bool:
-        """True if any per-key lock is held anywhere (invariant probe)."""
-        return any(node.locks.any_locked() for node in self.nodes)
+        """True if any per-key lock or place in line is held (invariant probe)."""
+        return any(
+            node.locks.any_locked()
+            or (isinstance(node, MVCCNode) and node.line.any_locked())
+            for node in self.nodes
+        )
 
     def cpu_utilization(self, elapsed: Optional[float] = None):
         """Per-node mean CPU utilisation over ``elapsed`` virtual seconds

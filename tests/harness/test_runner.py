@@ -51,8 +51,10 @@ def test_retry_delay_is_truncated_binary_exponential():
     rng = make_rng(3, "retry-policy")
     cap_attempt = RETRY_BACKOFF_CAP.bit_length()  # 2**(n-1) == CAP
     assert 2 ** (cap_attempt - 1) == RETRY_BACKOFF_CAP
-    for attempts in list(range(1, cap_attempt + 4)) + [50, 1000]:
-        scale = min(2 ** (attempts - 1), RETRY_BACKOFF_CAP)
+    # The exponent is capped, not the power: attempt 10**12 costs what
+    # attempt 8 does (``2 ** (10**12 - 1)`` would not fit in memory).
+    for attempts in list(range(1, cap_attempt + 4)) + [50, 1000, 10**12]:
+        scale = 2 ** min(attempts - 1, cap_attempt - 1)
         for _ in range(50):
             delay = retry_delay(b, attempts, rng)
             assert b * scale <= delay < 2 * b * scale, attempts

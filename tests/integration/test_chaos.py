@@ -26,9 +26,11 @@ from repro import (
 from repro.cluster import ModuloDirectory
 from repro.faults import Nemesis, crash_cycle, durable_crash_cycle, partition_cycle
 from repro.faults.schedules import HEAL, PARTITION, FaultEvent
+from repro.harness.runner import DEFAULT_RETRY_BACKOFF, client_loop
 from repro.metrics import check_no_read_skew, check_site_order
 from repro.net.rpc import RpcTimeoutError
 from repro.sim.rng import make_rng
+from repro.workloads import YCSBConfig, YCSBWorkload
 
 from tests.harness.recovery_tools import TracePoint, assert_no_lost_commits
 
@@ -192,6 +194,37 @@ def test_partition_drops_then_heals():
     for a in range(NUM_NODES):
         for b in range(NUM_NODES):
             assert not cluster.network.is_partitioned(a, b)
+
+
+@pytest.mark.chaos
+def test_an_attempt_killed_by_a_partition_is_an_abort_not_a_rollback():
+    """``client_loop`` under partition-then-heal: a read whose retries are
+    exhausted is booked as an ``rpc_timeout`` abort -- it counts in the
+    abort rate and in attempts per commit -- never as a business rollback,
+    and the transaction is retried until it commits."""
+    cluster = build("fwkv", seed=34)
+    workload = YCSBWorkload(YCSBConfig(num_keys=NUM_KEYS))
+    cluster.load_many(workload.load_items())
+    attempts = []
+    on_commit = cluster.metrics.on_commit
+    cluster.metrics.on_commit = lambda txn, latency, n: (
+        attempts.append(n), on_commit(txn, latency, n)
+    )
+    Nemesis(cluster).start(SCHEDULES["partition_heal"])
+    for node_id in range(NUM_NODES):
+        cluster.spawn(client_loop(
+            cluster, node_id, 0, workload, 12e-3, DEFAULT_RETRY_BACKOFF, None,
+        ))
+    cluster.run()
+    summary = cluster.metrics.summary()
+    assert cluster.network.stats.drops_by_reason["partition"] > 0
+    assert summary["rollbacks"] == 0
+    timed_out = summary["aborts_by_reason"]["rpc_timeout"]
+    assert timed_out > 0 and summary["aborted_timeout"] == timed_out
+    # Every attempt is on the books: commits plus aborts.
+    assert sum(attempts) == summary["commits"] + summary["aborts"]
+    assert summary["abort_rate"] > 0
+    assert_safe_and_quiescent(cluster)
 
 
 def history_fingerprint(cluster):

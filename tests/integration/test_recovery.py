@@ -36,7 +36,9 @@ from repro import (
 )
 from repro.cluster import ModuloDirectory
 from repro.faults import Nemesis
+from repro.faults.schedules import CRASH_DURABLE, FaultEvent
 from repro.metrics import check_no_read_skew, check_site_order
+from repro.metrics.stats import AbortReason
 from repro.net.rpc import RpcTimeoutError
 from repro.sim.rng import make_rng
 
@@ -476,3 +478,71 @@ def test_down_window_accounting_is_exact():
     assert nemesis.restart_count == 1
     assert nemesis.down_windows == [window]
     assert cluster.nodes[VICTIM].recovery.recoveries == 1
+
+
+# ----------------------------------------------------------------------
+# Composition: the hot key's home crashes with transactions in line
+# ----------------------------------------------------------------------
+def test_durable_crash_of_a_home_with_five_transactions_in_line():
+    """FW-KV's line (DESIGN.md 4) is volatile advice: a durable crash of
+    the home takes it, the waiters complete or time out cleanly, the
+    rebuilt node starts with an empty line and nothing is left held."""
+    cluster, nemesis = build("fwkv", seed=SEEDS[0])
+    hot = keys_by_site(cluster)[VICTIM][0]
+    home = cluster.node(VICTIM)
+    outcomes = []
+
+    def contender(node_id, delay):
+        """A retry as ``client_loop`` runs it: ``hot`` first, in line."""
+        node = cluster.node(node_id)
+        yield cluster.sim.timeout(delay)
+        for attempt in range(1, 9):
+            txn = node.begin(is_read_only=False)
+            try:
+                value = yield from node.read(txn, hot, queue=True)
+                node.write(txn, hot, value + 1)
+                ok = yield from node.commit(txn)
+            except RpcTimeoutError:
+                node.abort(txn, AbortReason.RPC_TIMEOUT)
+                ok = False
+            if ok:
+                outcomes.append((node_id, attempt))
+                return
+            yield cluster.sim.timeout(100e-6 * attempt)
+        outcomes.append((node_id, None))
+
+    seen = {}
+
+    def nemesis_script():
+        # 60 us in: the head has read and its prepare is on the wire, the
+        # other four stand in line behind it.
+        yield cluster.sim.timeout(60e-6)
+        line = home.line
+        seen["in_line"] = (
+            line.lock_for(hot).is_locked, line.lock_for(hot).queue_length
+        )
+        nemesis.apply(FaultEvent(cluster.sim.now, CRASH_DURABLE, VICTIM))
+        yield cluster.sim.timeout(3e-3)
+        restart(cluster, nemesis, VICTIM)
+        seen["rebuilt"] = home.line is not line and not home.line._locks
+
+    contenders = [(0, 0.0), (1, 2e-6), (3, 4e-6), (0, 6e-6), (1, 8e-6)]
+    for node_id, delay in contenders:
+        cluster.spawn(contender(node_id, delay))
+    cluster.spawn(nemesis_script())
+    cluster.run()
+
+    assert seen == {"in_line": (True, 4), "rebuilt": True}
+    # Everyone finished, and an acknowledged increment is an installed one.
+    assert len(outcomes) == len(contenders)
+    committed = sum(1 for _node, attempt in outcomes if attempt is not None)
+    assert committed >= 1
+    assert home.store.chain(hot).latest.value == committed
+    # The requests the crash swallowed timed out attempt by attempt and
+    # were re-sent: the rebuilt node lined the survivors up afresh.
+    assert cluster.network.stats.rpc_timeouts >= len(contenders)
+    assert not cluster.any_locks_held()
+    for protocol_node in cluster.nodes:
+        assert protocol_node.node.rpc.pending_count == 0
+        assert protocol_node.node.rpc.deadline_count == 0
+    assert_psi(cluster)

@@ -489,3 +489,65 @@ def test_sharding_counters_and_traces_surface():
     assert cluster.tracer.of_kind("shard_migrate_start")
     assert cluster.tracer.of_kind("shard_migrated")
     assert cluster.tracer.of_kind("shard_migrate_failed") == []
+
+
+# ----------------------------------------------------------------------
+# Composition: the hot key is handed off with transactions in line
+# ----------------------------------------------------------------------
+def test_a_hot_key_handed_off_mid_queue_drains_its_old_line_by_lease():
+    """FW-KV's line (DESIGN.md 4) stays behind when its key moves: the
+    head's prepare parks on the fence, answers "moved" and re-prepares at
+    the new owner; each waiter is then served the donor's stale copy,
+    prepares elsewhere and never comes back, so its place is taken back by
+    lease; its retry stands in line at the new owner.  No update is lost."""
+    cluster, _ = build(SEEDS[0], record_history=True)
+    cluster.tracer.enable()
+    shard, donor, dest = migration_target(cluster)
+    hot = next(k for k in all_keys() if cluster.directory.shard_of(k) == shard)
+    attempts = []
+
+    def contender(node_id, delay):
+        """``client_loop``'s retry rule: the lost key first, in line."""
+        node = cluster.node(node_id)
+        yield cluster.sim.timeout(delay)
+        queue = True
+        for attempt in range(1, 9):
+            txn = node.begin(is_read_only=False)
+            value = yield from node.read(txn, hot, queue=queue)
+            node.write(txn, hot, value + 1)
+            if (yield from node.commit(txn)):
+                attempts.append(attempt)
+                return
+            queue = txn.lost_key is not None
+            yield cluster.sim.timeout(100e-6)
+
+    # The head's prepare (~70 us in) finds the fence up (40 us - ~130 us).
+    # All five coordinate from the third node: a waiter co-located with
+    # the new owner would prepare inline, ahead of the head's second round.
+    other = next(n for n in range(NUM_NODES) if n not in (donor, dest))
+    for index in range(5):
+        cluster.spawn(contender(other, index * 2e-6))
+    cluster.run(until=40e-6)
+    assert cluster.node(donor).line.lock_for(hot).queue_length == 4
+    moved = cluster.rebalancer.migrate_shard(shard, dest)
+    cluster.run()
+
+    assert moved.value is True and cluster.directory.site(hot) == dest
+    # The head read at the donor and, told "moved", prepared at the new
+    # owner within the same attempt.
+    head = cluster.tracer.of_kind("read")[0]
+    assert head.details["site"] == donor
+    assert [
+        record.node for record in cluster.tracer.of_kind("prepare")
+        if record.details["txn"] == head.details["txn"]
+    ] == [dest]
+    # The head committed through its moved-retry; the four behind it each
+    # lost once to the donor's stale copy, then queued at the new owner.
+    assert sorted(attempts) == [1, 2, 2, 2, 2]
+    assert cluster.metrics.aborts_by_reason == {"validation": 4}
+    assert cluster.metrics.counters["places_expired"] == 4
+    assert cluster.node(dest).store.chain(hot).latest.value == 5
+    assert cluster.node(donor).store.chain(hot).latest.value == 0
+    assert not cluster.any_locks_held()
+    assert all(not node.line._locks for node in cluster.nodes)
+    assert check_no_read_skew(cluster.finalized_history()).ok

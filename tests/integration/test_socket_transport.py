@@ -130,6 +130,29 @@ def test_unknown_destination_drops_instead_of_crashing():
         assert cluster.network.stats.drops_by_reason["unknown_dst"] == 1
 
 
+def test_contended_keys_are_handed_over_in_line_over_real_tcp():
+    """Four keys, six clients: every lost validation names its key
+    (``VoteBody.lost``), its retry reads it in line
+    (``ReadRequestBody.queue``) and first attempts yield to it
+    (``ReadReturnBody.spoken_for``) -- a ``spoken_for`` abort is all three
+    fields across the codec, none decoded to its default."""
+    result = run_experiment(
+        "fwkv",
+        YCSBWorkload(YCSBConfig(num_keys=4, read_only_fraction=0.2)),
+        # The audit resolves every write through the version catalog.
+        socket_config(gc_enabled=False),
+        RunConfig(duration=0.4, warmup=0.0),
+        record_history=True,
+    )
+    cluster = result.cluster
+    try:
+        assert result.metrics["aborts_by_reason"].get("spoken_for", 0) > 0
+        assert result.metrics["commits"] > 0
+        audit(cluster.finalized_history(), cluster.version_catalog())
+    finally:
+        cluster.close()
+
+
 def test_fault_injection_refuses_on_socket_backend():
     from repro.net import TransportError
 
@@ -160,12 +183,16 @@ def test_multiprocess_cluster_commits_and_passes_oracles():
 
 def test_sim_and_socket_histories_of_one_workload_pass_the_same_oracles():
     """One workload, one seed, two fabrics: the sim never runs the codec,
-    the socket hosts always do, and the same client loop drives both."""
-    num_keys, seed = 48, 17
+    the socket hosts always do, and the same client loop drives both --
+    over six keys, so every child's retries stand in line (DESIGN.md 4)
+    and the line's three wire fields cross real connections."""
+    num_keys, seed = 6, 17
     sim_run = run_experiment(
         "fwkv",
         host_workload(num_keys),
-        ClusterConfig(num_nodes=3, seed=seed, clients_per_node=2),
+        ClusterConfig(
+            num_nodes=3, seed=seed, clients_per_node=2, gc_enabled=False
+        ),
         RunConfig(duration=0.03, warmup=0.0),
         record_history=True,
     )
@@ -174,12 +201,13 @@ def test_sim_and_socket_histories_of_one_workload_pass_the_same_oracles():
         sim_cluster.finalized_history(), sim_cluster.version_catalog()
     )
     summary, history, catalog = run_cluster(
-        "fwkv", socket_config(seed=seed), num_keys=num_keys,
-        duration=0.4, grace=0.3,
+        "fwkv", socket_config(seed=seed, gc_enabled=False),
+        num_keys=num_keys, duration=0.4, grace=0.3,
     )
     socket_counts = audit(history, catalog)
     assert summary["exit_codes"] == [0, 0, 0]
     assert sum(socket_counts) == summary["committed"] == len(history)
+    assert sim_run.metrics["aborts"] > 0 and summary["aborted"] > 0
     # Same programs from the same client streams: both profiles ran on
     # both fabrics, over the same keys.
     assert min(sim_counts) > 0 and min(socket_counts) > 0

@@ -137,7 +137,8 @@ def test_freshness_accounting():
     assert metrics.ro_read_gap.mean == pytest.approx(1.0)
 
 
-#: ``summary()``'s keys as of PR 14, in order: reports, the ledger and
+#: ``summary()``'s keys as of PR 14 (plus ``prepares_restaged``, PR 19,
+#: and ``places_expired``, PR 24), in order: reports, the ledger and
 #: ``scripts/`` read them by name, so the registry must not rename,
 #: drop or reorder one.
 SUMMARY_KEYS = (
@@ -148,7 +149,7 @@ SUMMARY_KEYS = (
     "antidep_collected", "vas_inspected", "ro_read_gap",
     "stale_read_fraction", "first_contact_reads", "first_contact_fresh",
     "read_stalls", "read_stall_time", "versions_reclaimed",
-    "aborted_timeout", "lease_expirations", "recoveries",
+    "aborted_timeout", "lease_expirations", "places_expired", "recoveries",
     "wal_records_replayed", "indoubt_recovered", "indoubt_committed",
     "indoubt_aborted", "prepares_restaged", "catchup_advances",
     "heartbeats_sent",
@@ -168,7 +169,7 @@ SUMMARY_KEYS = (
 
 def test_summary_keys_are_frozen():
     summary = MetricsRecorder(Simulator()).summary()
-    assert len(SUMMARY_KEYS) == 66
+    assert len(SUMMARY_KEYS) == 67
     assert tuple(summary) == SUMMARY_KEYS
     assert tuple(COUNTERS) == SUMMARY_KEYS[22:]
     assert all(summary[name] == 0 for name in COUNTERS)

@@ -221,6 +221,33 @@ def test_restage_sync_round_trips_with_its_listed_decisions():
     assert wire.TxnStatusReplyBody(9, False, 0).writes == ()
 
 
+# ----------------------------------------------------------------------
+# The line's three fields (wire version 4) survive at their non-defaults
+# ----------------------------------------------------------------------
+def test_queue_spoken_for_and_lost_round_trip():
+    request = wire.ReadRequestBody(7, False, "u0", (3, 1), (False, False), queue=True)
+    reply = wire.ReadReturnBody("v", (3, 2), 5, 6, spoken_for=True)
+    votes = [
+        wire.VoteBody(False, reason="validation", lost=key)
+        for key in ("u0", 17, ("t", 4))
+    ]
+    for message in [request, reply, *votes]:
+        decoded = decode_value(encode_value(message))
+        assert decoded == message
+        assert encode_value(decoded) == encode_value(message)
+    assert decode_value(encode_value(request)).queue is True
+    assert decode_value(encode_value(reply)).spoken_for is True
+    assert [decode_value(encode_value(v)).lost for v in votes] == [
+        "u0", 17, ("t", 4),
+    ]
+    # Left out, they read as before: an ordinary read, an ordinary vote.
+    plain = wire.ReadRequestBody(7, False, "u0", (3, 1), (False, False))
+    assert (plain.frozen, plain.queue) == (False, False)
+    assert wire.ReadReturnBody("v", None, 5, 6).spoken_for is False
+    assert wire.VoteBody(True).lost is None
+    assert WIRE_VERSION == 4
+
+
 def test_dict_encoding_is_insertion_order_independent():
     forward = wire.PrepareBody(
         txn_id=1, coordinator=0, writes={"a": 1, "b": 2}, vc=(0,),

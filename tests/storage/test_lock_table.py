@@ -275,3 +275,73 @@ def test_ten_thousand_cycles_over_distinct_keys_leave_the_table_empty():
     sim.run_process(proc())
     assert peak["size"] == 3
     assert len(table._locks) == 0
+
+
+# ----------------------------------------------------------------------
+# A table used as a line (FW-KV's hand-over of a contended key)
+# ----------------------------------------------------------------------
+def test_places_are_granted_in_arrival_order_one_at_a_time():
+    sim = Simulator()
+    line = LockTable(sim)
+    served = []
+
+    def stand(owner, hold):
+        granted = yield line.take_place("k", owner, None)
+        assert granted
+        # At most one holder, and the key is spoken for to everyone else.
+        assert line.lock_for("k").held_by(owner) == "w"
+        assert not line.spoken_for("k", owner)
+        assert line.spoken_for("k", "someone-else")
+        served.append((owner, sim.now))
+        yield sim.timeout(hold)
+        assert line.leave(["j", "k"], owner)
+
+    for owner in ("first", "second", "third"):
+        sim.spawn(stand(owner, 1e-3))
+    sim.run()
+    assert [owner for owner, _at in served] == ["first", "second", "third"]
+    assert [at for _owner, at in served] == pytest.approx([0.0, 1e-3, 2e-3])
+    # Reclaimed when idle, like any other lock of the table.
+    assert line._locks == {}
+    assert not line.spoken_for("k", "anyone")
+
+
+def test_a_transaction_holding_or_awaiting_a_place_takes_no_second_one():
+    sim = Simulator()
+    line = LockTable(sim)
+    assert line.take_place("k", "head", None).value is True
+    assert line.take_place("k", "head", None) is None  # holding
+    waiting = line.take_place("k", "next", None)
+    assert not waiting.triggered
+    assert line.take_place("k", "next", None) is None  # still waiting
+    assert line.lock_for("k").queue_length == 1
+    # One leave hands over: the holder's count never went past one.
+    assert line.leave(["k"], "head")
+    sim.run()
+    assert waiting.value is True
+    assert not line.leave(["k"], "head")  # nothing left to give up
+    assert line.leave(["k"], "next")
+    assert not line.any_locked() and line._locks == {}
+
+
+def test_a_waiter_that_gives_up_leaves_no_ghost_in_the_queue():
+    sim = Simulator()
+    line = LockTable(sim)
+    assert line.take_place("k", "head", None).value is True
+    outcome = []
+
+    def waiter():
+        outcome.append((yield line.take_place("k", "late", 1e-3)))
+        outcome.append(sim.now)
+
+    sim.spawn(waiter())
+    sim.run()
+    assert outcome == [False, 1e-3]
+    assert line.lock_for("k").queue_length == 0
+    assert not line.leave(["k"], "late")
+    # It may ask again, and is then next.
+    again = line.take_place("k", "late", None)
+    assert again is not None and not again.triggered
+    assert line.leave(["k"], "head")
+    sim.run()
+    assert again.value is True
