@@ -82,12 +82,11 @@ def main() -> None:
             print(f"  {reader} sees:")
             for feed, value in sorted(seen.items()):
                 print(f"    {feed}: {value}")
-        observable = [f for f in forks if f.observable]
-        if observable:
+        if forks:  # find_long_forks reports observable forks only
             print(
                 f"  !! long fork: the two readers observed the two posts in\n"
                 f"     opposite orders, after both were fully published "
-                f"({len(observable)} witness(es))"
+                f"({len(forks)} witness(es))"
             )
         else:
             print("  no observable long fork: both readers agree")

@@ -4,8 +4,8 @@
 Spawns one node-host process per node (``python -m repro.net.host``),
 runs a seeded closed-loop PSI workload over real TCP connections
 between them, merges every process's history and version catalog, and
-runs the PSI checkers over the union.  Exit code 0 iff every child
-exited cleanly, transactions committed, and the checkers found nothing.
+runs the oracle over the union.  Exit code 0 iff every child
+exited cleanly, transactions committed, and the oracle found nothing.
 
 Usage::
 

@@ -222,9 +222,10 @@ class MVCCNode(BaseProtocolNode):
 
     def _observe(
         self, txn: Transaction, key: Hashable, target: int,
-        reply: ReadReturnBody,
+        reply: ReadReturnBody, frozen: bool = False,
     ):
-        """Alg. 2 lines 8-12: fold one ReadReturn into the transaction."""
+        """Alg. 2 lines 8-12: fold one ReadReturn into the transaction; a
+        ``frozen`` one (a backup's answer) leaves no freshness witness."""
         if reply.max_vc is not None:
             txn.vc.merge_seq(reply.max_vc)  # Alg. 2 line 9
         first_contact = txn.note_read_site(target)  # Alg. 2 line 8
@@ -243,7 +244,7 @@ class MVCCNode(BaseProtocolNode):
                 self.node_id, "read", txn=txn.txn_id, key=key, vid=reply.vid,
                 latest=reply.latest_vid, site=target,
             )
-        self._record_read(txn, key, reply.vid, reply.latest_vid)
+        txn.ops.append(("r", key, reply.vid, None if frozen else reply.latest_vid))
         return reply.value
 
     def read(self, txn: Transaction, key: Hashable, queue: bool = False):
@@ -299,7 +300,7 @@ class MVCCNode(BaseProtocolNode):
                 frozen = False
         if queue:
             txn.in_line = not reply.spoken_for  # else served unplaced, at the cap
-        return self._observe(txn, key, target, reply)
+        return self._observe(txn, key, target, reply, frozen)
 
     def read_many(self, txn: Transaction, keys):
         """Parallel multi-get for *read-only* transactions.
@@ -797,18 +798,17 @@ class MVCCNode(BaseProtocolNode):
             assert granted, "untimed lock acquisition cannot fail"
             cost += self.costs.lock_op
 
-        chain = self.store.chain(request.key)
         version, inspected = self._select_version(request)
+        latest_vid = self.store.chain(request.key).latest.vid  # as chosen
         self._register_visible_read(request, version)
         cost += (
-            self.costs.version_scan_item * (chain.latest.vid - version.vid + 1)
+            self.costs.version_scan_item * (latest_vid - version.vid + 1)
             + self.costs.vas_item * inspected
         )
         yield from self.cpu.consume(cost)
         if inspected:
             self.metrics.on_vas_inspected(inspected)
         max_vc = self._freshness_bound(request, version)
-        latest_vid = chain.latest.vid
 
         if needs_lock:
             locks.release(request.key, owner=lock_owner)

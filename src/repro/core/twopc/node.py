@@ -90,7 +90,7 @@ class TwoPCNode(BaseProtocolNode):
         # A single-version read is the current committed state by
         # construction; gap is 0 (validation will abort the transaction if
         # the version changes before commit).
-        self._record_read(txn, key, reply.version, reply.version)
+        txn.ops.append(("r", key, reply.version, reply.version))
         if txn.is_read_only:
             self.metrics.on_ro_read(gap=0, first_contact=True)
         return reply.value

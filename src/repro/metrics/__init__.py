@@ -9,7 +9,9 @@ from repro.metrics.stats import (
 from repro.metrics.history import History, OpRecord, TxnRecord
 from repro.metrics.psi_checker import (
     CheckResult,
+    check_fresh,
     check_no_read_skew,
+    check_psi,
     check_site_order,
     find_long_forks,
 )
@@ -23,7 +25,9 @@ __all__ = [
     "ReservoirSample",
     "RunningStat",
     "TxnRecord",
+    "check_fresh",
     "check_no_read_skew",
+    "check_psi",
     "check_site_order",
     "find_long_forks",
 ]

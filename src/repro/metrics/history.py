@@ -2,14 +2,14 @@
 
 When history recording is enabled, every committed transaction leaves a
 :class:`TxnRecord` with the versions it read and wrote and the real-time
-interval it spanned.  The PSI checker consumes these records to hunt for
-read skew, per-site order violations, and long forks.
+interval it spanned.  The oracle (:mod:`repro.metrics.psi_checker`) builds
+its dependency graph from these records and the version catalog.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -19,8 +19,8 @@ class OpRecord:
     kind: str  # "r" or "w"
     key: Hashable
     vid: int  # version identifier read or installed
-    #: vid of the newest version at the serving node when a read was
-    #: handled; lets the checker and freshness metric reconstruct the gap.
+    #: vid of the newest version where a read chose its version: the
+    #: freshness witness.  None on writes and on a backup's (frozen) read.
     latest_vid_at_read: Optional[int] = None
 
 
@@ -37,54 +37,25 @@ class TxnRecord:
     seq_no: Optional[int] = None
     commit_vc: Optional[Tuple[int, ...]] = None
     profile: Optional[str] = None
-
-    def reads(self) -> List[OpRecord]:
-        """The read operations of this transaction."""
-        return [op for op in self.ops if op.kind == "r"]
+    #: Keys written, recorded at commit (vids: ``resolve_write_vids``).
+    write_keys: Tuple[Hashable, ...] = ()
 
     def writes(self) -> List[OpRecord]:
         """The write operations of this transaction."""
         return [op for op in self.ops if op.kind == "w"]
 
-    def read_of(self, key: Hashable) -> Optional[OpRecord]:
-        """The read of ``key``, or None if this transaction never read it."""
-        for op in self.ops:
-            if op.kind == "r" and op.key == key:
-                return op
-        return None
 
-    def wrote(self, key: Hashable) -> bool:
-        """Whether this transaction wrote ``key``."""
-        return any(op.kind == "w" and op.key == key for op in self.ops)
+class History(list):
+    """Append-only log of committed transactions: a list of records."""
 
-
-class History:
-    """Append-only log of committed transactions."""
-
-    def __init__(self) -> None:
-        self.records: List[TxnRecord] = []
-
-    def append(self, record: TxnRecord) -> None:
-        """Record a committed transaction."""
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+    #: ``(txn_id, key)`` of committed writes found in no store at the last
+    #: resolution -- lost, on a run driven to quiescence.
+    lost_writes: Sequence[Tuple[int, Hashable]] = ()
 
     def committed_updates(self) -> List[TxnRecord]:
         """All committed update transactions."""
-        return [r for r in self.records if not r.is_read_only]
+        return [r for r in self if not r.is_read_only]
 
     def committed_read_only(self) -> List[TxnRecord]:
         """All committed read-only transactions."""
-        return [r for r in self.records if r.is_read_only]
-
-    def by_id(self, txn_id: int) -> TxnRecord:
-        """The committed transaction with the given id (KeyError if absent)."""
-        for record in self.records:
-            if record.txn_id == txn_id:
-                return record
-        raise KeyError(f"no committed transaction {txn_id}")
+        return [r for r in self if r.is_read_only]

@@ -129,27 +129,3 @@ def node_fingerprint(protocol_node):
         protocol_node.curr_seq_no,
     )
 
-
-def assert_no_lost_commits(cluster, committed_writes) -> None:
-    """Every acknowledged write is installed at its key's preferred site.
-
-    ``committed_writes`` maps txn_id -> keys whose commit the *client*
-    observed; clients must record this themselves because the finalized
-    history reconstructs write vids *from* the surviving stores -- a
-    write a site silently dropped would simply be absent there, which is
-    exactly the presumed-abort bug this assertion exists to catch.
-
-    Requires ``gc_enabled=False``: the scan matches versions by their
-    ``writer_txn`` stamp, so every version must survive the run.
-    """
-    missing = []
-    for txn_id, keys in sorted(committed_writes.items()):
-        for key in keys:
-            node = cluster.nodes[cluster.directory.site(key)]
-            chain = node.store.chain(key) if key in node.store else ()
-            if not any(v.writer_txn == txn_id for v in chain):
-                missing.append((txn_id, key))
-    assert not missing, (
-        f"{len(missing)} committed write(s) absent from their preferred "
-        f"site: {missing[:5]}"
-    )

@@ -10,9 +10,10 @@ from repro.harness.runner import (
     RETRY_BACKOFF_CAP,
     retry_delay,
 )
-from repro.metrics import check_no_read_skew, check_site_order
 from repro.sim.rng import make_rng
 from repro.workloads import YCSBConfig, YCSBWorkload
+
+from tests.harness.oracle import assert_psi
 
 
 def small_run(protocol="fwkv", seed=1, **cluster_kwargs):
@@ -124,9 +125,7 @@ def test_hot_key_contention_stays_out_of_the_retry_storm():
     # The run's own output names the key the aborts are made of.
     hottest, aborted = metrics["abort_hot_keys"][0]
     assert hottest == "u0" and aborted > metrics["aborts"] / 2
-    history = result.cluster.finalized_history()
-    assert check_no_read_skew(history).ok
-    assert check_site_order(history, result.cluster.version_catalog()).ok
+    assert_psi(result.cluster)
 
 
 def test_different_seeds_differ():

@@ -10,7 +10,7 @@ new ``y1`` is within T1's vector-clock bound.  After T1 commits, Remove
 messages erase its VAS entries everywhere.
 """
 
-from repro.metrics import check_no_read_skew, check_site_order
+from tests.harness.oracle import assert_psi
 from tests.integration.scenario_tools import make_cluster, update_txn
 
 PLACEMENT = {"x": 1, "y": 1}
@@ -75,6 +75,4 @@ def test_remove_cleans_all_vas_entries():
 
 def test_history_is_psi_consistent():
     cluster, _result = run_scenario()
-    history = cluster.finalized_history()
-    assert check_no_read_skew(history)
-    assert check_site_order(history, cluster.version_catalog())
+    assert_psi(cluster, quiescent=True)

@@ -10,7 +10,7 @@ skipped -- T1 reads ``y0``.  T1 then writes ``z`` (no conflict) and
 commits.
 """
 
-from repro.metrics import check_no_read_skew
+from tests.harness.oracle import assert_psi
 from tests.integration.scenario_tools import make_cluster, update_txn
 
 PLACEMENT = {"x": 1, "y": 1, "z": 0}
@@ -66,9 +66,9 @@ def test_first_read_advances_snapshot_to_node_clock():
     assert len(result["t1_vc_after_x"]) == 3
 
 
-def test_history_has_no_read_skew():
+def test_history_passes_the_oracle():
     cluster, _result = run_scenario()
-    assert check_no_read_skew(cluster.finalized_history())
+    assert_psi(cluster, quiescent=True)
 
 
 def test_update_transactions_do_not_register_in_vas():

@@ -40,13 +40,9 @@ from repro.faults.schedules import (
     crash_cycle,
     view_change_partition_schedule,
 )
-from repro.metrics import (
-    check_no_read_skew,
-    check_site_order,
-    find_long_forks,
-)
 from repro.sim.rng import make_rng
 
+from tests.harness.oracle import assert_psi
 from tests.harness.recovery_tools import node_fingerprint
 
 NUM_NODES = 3
@@ -179,9 +175,7 @@ def test_fault_free_join_under_live_traffic(seed):
     assert result.committed
     assert seen == {k: expected[k] for k in moved}
 
-    history = cluster.finalized_history()
-    assert check_no_read_skew(history).ok
-    assert find_long_forks(history) == []
+    assert_psi(cluster, quiescent=True)
 
     # Propagation fan-out through the committed view converges every
     # member -- the joiner included -- on the same frontier.
@@ -344,10 +338,7 @@ def test_top_id_leave_fresh_join_rejoin_under_live_traffic(seed):
     assert cluster.run_txn(read_all, node=fresh, read_only=True).committed
     assert seen == {k: expected[k] for k in all_keys()}
 
-    history = cluster.finalized_history()
-    assert check_no_read_skew(history).ok
-    assert check_site_order(history, cluster.version_catalog()).ok
-    assert find_long_forks(history) == []
+    assert_psi(cluster, quiescent=True)
 
     clocks = {n.site_vc.to_tuple() for n in cluster.nodes}
     assert len(clocks) == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import check_no_read_skew
+from tests.harness.oracle import assert_psi
 from tests.integration.scenario_tools import make_cluster, update_txn
 
 PLACEMENT = {"a": 0, "b": 1, "c": 2}
@@ -110,4 +110,4 @@ def test_read_many_consistency_under_concurrent_update():
         assert values["x"] == values["y"], (
             f"fractured multi-get snapshot: {values}"
         )
-    assert check_no_read_skew(cluster.finalized_history()).ok
+    assert_psi(cluster, quiescent=True)

@@ -32,15 +32,14 @@ import pytest
 from repro import RpcConfig
 from repro.core.wire import VoteBody
 from repro.faults import CRASH, FaultEvent
-from repro.metrics import check_no_read_skew, find_long_forks
 from repro.net.message import MessageType
 from repro.sim.rng import make_rng
 
+from tests.harness.oracle import assert_psi
 from tests.integration.test_replication_failover import (
     SEEDS,
     SETTLE,
     assert_backups_verbatim,
-    assert_no_lost_commits,
     authoritative_fingerprint,
     build,
     drive,
@@ -147,7 +146,7 @@ class Tap:
         return 0.0
 
 
-def finish(cluster, tap, committed, *, crash, dead):
+def finish(cluster, tap, *, crash, dead):
     """The assertions every case shares; returns the fingerprint."""
     metrics = cluster.metrics
     if crash:
@@ -168,11 +167,8 @@ def finish(cluster, tap, committed, *, crash, dead):
         assert len(tap.restage_syncs) == live * len(promotions)
     assert tap.status_queries == 0
     assert metrics.aborts == 0, dict(metrics.aborts_by_reason)
-    assert_no_lost_commits(cluster, committed)
+    assert_psi(cluster, quiescent=True)
     assert_backups_verbatim(cluster, skip=dead if crash else ())
-    history = cluster.finalized_history()
-    assert check_no_read_skew(history).ok
-    assert find_long_forks(history) == []
     return authoritative_fingerprint(cluster)
 
 
@@ -199,16 +195,13 @@ def run_lost_prepare(seed, *, crash, crash_on, lose=True):
     # (c) keeps a vote outstanding past failure detection: no RPC or lock
     # deadline may fire meanwhile, heartbeats alone attest the death.
     rpc = RpcConfig(request_timeout=60e-3, max_attempts=3)
-    cluster, nemesis = build(
-        seed, rpc=rpc if crash_on == "vote" else None, record_history=True
-    )
+    cluster, nemesis = build(seed, rpc=rpc if crash_on == "vote" else None)
     cluster.tracer.enable("failover_promoted")
     coordinator, other = COORDINATORS
     tap = Tap(cluster, nemesis, [VICTIM], crash_on, lose=lose)
     rng = make_rng(seed, "replication-restage")
-    committed = {}
 
-    drive(cluster, rmw_plan(rng, COORDINATORS, 8), committed)
+    drive(cluster, rmw_plan(rng, COORDINATORS, 8))
     fatal = [keys_at(cluster, VICTIM)[0], keys_at(cluster, other)[0]]
     tap.armed = crash
     if crash and crash_on == "vote":
@@ -216,9 +209,9 @@ def run_lost_prepare(seed, *, crash, crash_on, lose=True):
         # until the promotion's re-stage round has reached the coordinator.
         cluster.config.lock_timeout = 60e-3
         tap.park_on = (cluster.node(other).locks, fatal[1])
-    drive(cluster, [(coordinator, fatal)], committed, budget=0.3)
+    drive(cluster, [(coordinator, fatal)], budget=0.3)
     settle(cluster, 50e-3)
-    drive(cluster, rmw_plan(rng, COORDINATORS, 8), committed, budget=0.2)
+    drive(cluster, rmw_plan(rng, COORDINATORS, 8), budget=0.2)
     settle(cluster)
 
     if crash:
@@ -234,7 +227,7 @@ def run_lost_prepare(seed, *, crash, crash_on, lose=True):
         # from both (and (c)'s doomed round installs nothing here at all).
         assert installed_by_promotion(cluster) == (crash_on != "vote")
         assert tap.prepare_rounds == ({0, 1} if crash_on == "vote" else {0})
-    return finish(cluster, tap, committed, crash=crash, dead={VICTIM})
+    return finish(cluster, tap, crash=crash, dead={VICTIM})
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -262,14 +255,13 @@ def run_joint_crash(seed, *, crash, participant, coordinator):
     """Both crash as the coordinator hands out its first Decide: the
     decision is acknowledged by its homes, the participant's ``prepare``
     record is not.  The lower id is promoted first (scan order)."""
-    cluster, nemesis = build(seed, num_nodes=5, factor=3, record_history=True)
+    cluster, nemesis = build(seed, num_nodes=5, factor=3)
     cluster.tracer.enable("failover_promoted")
     tap = Tap(cluster, nemesis, [participant, coordinator], "decide")
     survivors = [n for n in range(5) if n not in (participant, coordinator)]
     rng = make_rng(seed, "replication-restage-joint")
-    committed = {}
 
-    drive(cluster, rmw_plan(rng, [coordinator] + survivors[:2], 6), committed)
+    drive(cluster, rmw_plan(rng, [coordinator] + survivors[:2], 6))
     # A key the coordinator does not back: the held REPLICATE must not sit
     # in front of the vote on the participant -> coordinator link.
     fatal = [
@@ -280,9 +272,9 @@ def run_joint_crash(seed, *, crash, participant, coordinator):
         keys_at(cluster, survivors[0])[0],
     ]
     tap.armed = crash
-    drive(cluster, [(coordinator, fatal)], committed)  # acknowledged
+    drive(cluster, [(coordinator, fatal)])  # acknowledged
     settle(cluster, 60e-3)
-    drive(cluster, rmw_plan(rng, survivors[:2], 6), committed, budget=0.2)
+    drive(cluster, rmw_plan(rng, survivors[:2], 6), budget=0.2)
     settle(cluster)
 
     if crash:
@@ -292,7 +284,7 @@ def run_joint_crash(seed, *, crash, participant, coordinator):
         ), (tap.at_crash, tap.prepare_seq)
         assert installed_by_promotion(cluster) == 1
     return finish(
-        cluster, tap, committed, crash=crash, dead={participant, coordinator}
+        cluster, tap, crash=crash, dead={participant, coordinator}
     )
 
 
@@ -317,23 +309,23 @@ def run_lost_apply_then_lost_prepare(seed, *, crash):
     ``T1`` rewrites the key and loses even its ``prepare``.  ``T1``'s
     coordinator has the lower id, so listing order alone would install
     it first: stream-then-listed is what replays commit order."""
-    cluster, nemesis = build(seed, record_history=True)
+    cluster, nemesis = build(seed)
     cluster.tracer.enable("failover_promoted")
     tap = Tap(cluster, nemesis, [VICTIM], "decide")
     rng = make_rng(seed, "replication-restage-order")
-    committed = {}
 
-    drive(cluster, rmw_plan(rng, COORDINATORS, 8), committed)
+    drive(cluster, rmw_plan(rng, COORDINATORS, 8))
     key = keys_at(cluster, VICTIM)[0]
     tap.arm_on_apply = crash
-    drive(cluster, [(2, [key])], committed)
-    (t0,) = [txn for txn, keys in committed.items() if keys == (key,)]
-    drive(cluster, [(0, [key])], committed, budget=0.3)
+    drive(cluster, [(2, [key])])
+    (t0,) = [r.txn_id for r in cluster.history if r.write_keys == (key,)]
+    drive(cluster, [(0, [key])], budget=0.3)
     (t1,) = [
-        txn for txn, keys in committed.items() if keys == (key,) and txn != t0
+        r.txn_id for r in cluster.history
+        if r.write_keys == (key,) and r.txn_id != t0
     ]
     settle(cluster, 50e-3)
-    drive(cluster, rmw_plan(rng, COORDINATORS, 8), committed, budget=0.2)
+    drive(cluster, rmw_plan(rng, COORDINATORS, 8), budget=0.2)
     settle(cluster)
 
     if crash:
@@ -341,7 +333,7 @@ def run_lost_apply_then_lost_prepare(seed, *, crash):
         backup, apply_seq = tap.held_apply
         assert tap.at_crash[backup] < apply_seq
         assert installed_by_promotion(cluster) == 2
-    fingerprint = finish(cluster, tap, committed, crash=crash, dead={VICTIM})
+    fingerprint = finish(cluster, tap, crash=crash, dead={VICTIM})
     writers = [stamp[5] for stamp in fingerprint[key]]
     assert writers.index(t1) == writers.index(t0) + 1
     return fingerprint
@@ -368,10 +360,9 @@ def test_a_committed_prepare_keeps_its_write_locks_until_its_record_is_acked(
     key = keys_at(cluster, VICTIM)[0]
     victim = cluster.node(VICTIM)
     tap.armed = True
-    committed = {}
     start = cluster.sim.now
-    drive(cluster, [(0, [key])], committed, budget=400e-6)
-    ((txn_id, _keys),) = committed.items()
+    drive(cluster, [(0, [key])], budget=400e-6)
+    (txn_id,) = [record.txn_id for record in cluster.history]
     assert victim.store.chain(key).latest.writer_txn == txn_id
     assert victim.locks.lock_for(key).held_by(txn_id) == "w"
     sync_timeout = cluster.config.replication.sync_timeout

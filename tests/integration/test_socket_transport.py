@@ -5,8 +5,8 @@ Three layers of proof that the protocols survive a real wire:
 * in-process loopback clusters -- every node on one simulator, but all
   inter-node traffic crossing actual TCP connections through the
   transport's listener, driven by the wall-clock pump;
-* a seeded PSI workload over sockets with the same read-skew /
-  site-order oracles the simulated suites use;
+* a seeded PSI workload over sockets under the same oracle the
+  simulated suites use;
 * a genuinely multi-process cluster (one OS process per node via
   ``repro.net.host``) whose merged history must also pass the oracles.
 
@@ -25,9 +25,10 @@ import pytest
 from repro import Cluster, ClusterConfig, TransportConfig
 from repro.config import RunConfig
 from repro.harness.runner import run_experiment
-from repro.metrics.psi_checker import check_no_read_skew, check_site_order
 from repro.net.host import host_workload, launch_cluster, run_cluster
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
+
+from tests.harness.oracle import assert_verdict
 
 pytestmark = pytest.mark.socket
 
@@ -44,12 +45,9 @@ def socket_config(**overrides) -> ClusterConfig:
 
 
 def audit(history, catalog):
-    """The oracles every history of this suite must pass, wherever it
-    ran; returns the (read-only, update) record counts."""
-    skew = check_no_read_skew(history)
-    assert skew.ok, skew.violations[:3]
-    order = check_site_order(history, catalog)
-    assert order.ok, order.violations[:3]
+    """The verdicts every (FW-KV) history of this suite must pass,
+    wherever it ran; returns the (read-only, update) record counts."""
+    assert_verdict(history, catalog, fresh=True)
     updates = history.committed_updates()
     # Write vids were resolved from the catalog (a commit whose Decide
     # was still in flight when the run was cut has none yet).

@@ -38,7 +38,7 @@ def test_finalized_history_resolves_write_vids():
     written = {op.key: op.vid for op in updates[0].writes()}
     assert written == {"x": 1, "y": 1}
     reader = history.committed_read_only()[0]
-    assert {op.key for op in reader.reads()} == {"x", "y"}
+    assert {op.key for op in reader.ops if op.kind == "r"} == {"x", "y"}
 
 
 def test_finalized_history_idempotent():

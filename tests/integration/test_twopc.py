@@ -1,8 +1,6 @@
 """Dedicated tests for the serializable 2PC-baseline."""
 
-import pytest
-
-from repro.metrics import check_no_read_skew
+from tests.harness.oracle import assert_psi
 from tests.integration.scenario_tools import (
     make_cluster,
     retry_update,
@@ -178,4 +176,4 @@ def test_read_only_snapshots_are_serializable():
     cluster.spawn(churn())
     cluster.spawn(reader())
     cluster.run()
-    assert check_no_read_skew(cluster.finalized_history()).ok
+    assert_psi(cluster, quiescent=True)

@@ -1,11 +1,10 @@
 """Unit and integration tests for version-chain garbage collection."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import VectorClock
 from repro.storage import VersionChain
+from tests.harness.oracle import assert_psi
 from tests.integration.scenario_tools import make_cluster, retry_update
 
 
@@ -94,9 +93,8 @@ def test_gc_disabled_keeps_everything():
 
 
 def test_gc_preserves_correctness_under_concurrent_readers():
-    """Readers interleaved with churn still observe consistent snapshots."""
-    from repro.metrics import check_no_read_skew
-
+    """Readers interleaved with churn still observe consistent snapshots,
+    and no acknowledged write is reported lost on a trimmed chain."""
     cluster = make_cluster(
         "fwkv", 2, {"a": 1, "b": 1}, initial={"a": 0, "b": 0},
         record_history=True,
@@ -123,4 +121,4 @@ def test_gc_preserves_correctness_under_concurrent_readers():
     cluster.spawn(reader())
     cluster.run()
     assert cluster.metrics.counters["versions_reclaimed"] > 0
-    assert check_no_read_skew(cluster.finalized_history()).ok
+    assert_psi(cluster, quiescent=True)
