@@ -155,16 +155,25 @@ class VectorClock:
         result.merge(other)
         return result
 
-    def merged_tuple(self, other: "VectorClock") -> Tuple[int, ...]:
+    def merged_tuple(
+        self, other: "VectorClock", keep: Sequence[bool] = ()
+    ) -> Tuple[int, ...]:
         """``self.merged(other).to_tuple()`` without the throwaway clock.
 
         The FW-KV fresh-contact freshness bound materializes exactly this
         -- a merged snapshot that goes straight onto the wire -- so fusing
         the merge and the tuple() skips one list copy and one
-        :class:`VectorClock` allocation per fresh read.
+        :class:`VectorClock` allocation per fresh read.  Positions flagged
+        in ``keep`` take ``self``'s entry alone.
         """
         mine = self._entries
         theirs = other._entries
+        if True in keep:
+            result = list(mine) + [0] * (len(theirs) - len(mine))
+            for index, value in enumerate(theirs):
+                if value > result[index] and not (index < len(keep) and keep[index]):
+                    result[index] = value
+            return tuple(result)
         if theirs is mine:
             return self.to_tuple()
         if len(mine) < len(theirs):
