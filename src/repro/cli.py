@@ -1,60 +1,27 @@
-"""Command-line entry point: regenerate any paper figure from the shell.
+"""Command-line entry point: regenerate the paper's evaluation from the shell.
 
 Examples::
 
-    python -m repro figure5 --nodes 4 8 --keys 10000 --duration 0.01
-    python -m repro figure7 --nodes 8
-    python -m repro figure9b --warehouses 2 4 8
+    python -m repro list
+    python -m repro figures fig7 fig9b --scale quick --chart
+    python -m repro figures --out benchmarks/results
     python -m repro config --nodes 8 > cluster.json
     python -m repro config --load cluster.json
-    python -m repro list
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import os
 import sys
+import traceback
 from typing import List, Optional
 
-from repro.config import ClusterConfig, RunConfig
-from repro.harness import ascii_chart, experiments, format_table, group_series
-
-FIGURES = {
-    "figure5": (
-        experiments.figure5_ycsb_throughput,
-        ["figure", "ro", "keys", "nodes", "protocol", "throughput_ktps", "abort_rate"],
-        "YCSB throughput vs number of nodes",
-    ),
-    "figure6": (
-        experiments.figure6_antidep,
-        ["figure", "keys", "ro", "mean_antidep", "max_antidep", "samples"],
-        "anti-dependencies collected by FW-KV update transactions",
-    ),
-    "figure7": (
-        experiments.figure7_ycsb_abort_delay,
-        ["figure", "keys", "ro", "delayed", "protocol", "abort_rate",
-         "throughput_ktps"],
-        "YCSB abort rate with delayed Propagate messages",
-    ),
-    "figure8": (
-        experiments.figure8_tpcc_throughput,
-        ["figure", "ro", "w_per_node", "nodes", "protocol", "throughput_ktps",
-         "abort_rate"],
-        "TPC-C throughput vs number of nodes",
-    ),
-    "figure9a": (
-        experiments.figure9a_tpcc_abort_delay,
-        ["figure", "w_per_node", "protocol", "abort_rate", "throughput_ktps"],
-        "TPC-C abort rate with delayed Propagate messages",
-    ),
-    "figure9b": (
-        experiments.figure9b_slowdown,
-        ["figure", "ro", "w_per_node", "walter_ktps", "fwkv_ktps",
-         "slowdown_pct"],
-        "FW-KV slowdown vs Walter on TPC-C",
-    ),
-}
+from repro.config import ClusterConfig
+from repro.harness import ascii_chart, format_table
+from repro.harness.figures import FIGURES, SCALES, run_figure
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate figures from the FW-KV paper (simulated).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available figures")
+    sub.add_parser("list", help="list the figures, ablations and extensions")
 
     config = sub.add_parser(
         "config",
@@ -77,59 +44,67 @@ def build_parser() -> argparse.ArgumentParser:
                              "validate via from_dict and echo back "
                              "normalised; unknown keys fail loudly")
 
-    for name, (_fn, _cols, help_text) in FIGURES.items():
-        figure = sub.add_parser(name, help=help_text)
-        figure.add_argument("--nodes", type=int, nargs="+", default=None,
-                            help="node counts (figure5/8) or single count")
-        figure.add_argument("--keys", type=int, nargs="+", default=None,
-                            help="YCSB key counts")
-        figure.add_argument("--ro", type=float, nargs="+", default=None,
-                            help="read-only fractions")
-        figure.add_argument("--warehouses", type=int, nargs="+", default=None,
-                            help="warehouses per node (TPC-C figures)")
-        figure.add_argument("--duration", type=float, default=None,
-                            help="measured virtual seconds per run")
-        figure.add_argument("--warmup", type=float, default=None,
-                            help="warmup virtual seconds per run")
-        figure.add_argument("--seed", type=int, default=1)
-        figure.add_argument("--trials", type=int, default=1,
-                            help="runs to average (the paper uses 5)")
-        figure.add_argument("--chart", action="store_true",
-                            help="also print an ASCII chart of the series")
+    figures = sub.add_parser(
+        "figures", help="run figures through the oracle, check their shapes")
+    figures.add_argument("names", nargs="*", metavar="NAME",
+                         help="entries to run (default: all; see list)")
+    figures.add_argument("--scale", choices=SCALES, default="default")
+    figures.add_argument("--seed", type=int, default=1)
+    figures.add_argument("--trials", type=int, default=1,
+                         help="runs averaged per point (the paper uses 5)")
+    figures.add_argument("--out", help="directory for <name>.<scale>.txt and .csv")
+    figures.add_argument("--chart", action="store_true", help="also print ASCII charts")
     return parser
 
 
-def _figure_kwargs(name: str, args: argparse.Namespace) -> dict:
-    kwargs: dict = {"seed": args.seed}
-    if args.duration is not None or args.warmup is not None:
-        defaults = RunConfig(duration=0.04, warmup=0.012)
-        kwargs["run"] = RunConfig(
-            duration=args.duration if args.duration is not None else defaults.duration,
-            warmup=args.warmup if args.warmup is not None else defaults.warmup,
-        )
-    if args.ro is not None:
-        if name in ("figure9a",):
-            kwargs["ro_frac"] = args.ro[0]
-        else:
-            kwargs["ro_fracs"] = tuple(args.ro)
-    if args.keys is not None and name in ("figure5", "figure6", "figure7"):
-        kwargs["key_counts"] = tuple(args.keys)
-    if args.nodes is not None:
-        if name in ("figure5", "figure8"):
-            kwargs["nodes"] = tuple(args.nodes)
-        else:
-            kwargs["num_nodes"] = args.nodes[0]
-    if args.warehouses is not None and name in ("figure8", "figure9a", "figure9b"):
-        kwargs["warehouses_per_node"] = tuple(args.warehouses)
-    return kwargs
+def _chart(rows, columns) -> Optional[str]:
+    y = next((c for c in ("throughput_ktps", "abort_rate", "mean_antidep",
+                          "slowdown_pct") if c in columns), None)
+    x = next((c for c in ("nodes", "keys", "w_per_node", "delay_us", "ro", "variant",
+                          "distribution", "protocol") if c in columns), None)
+    if not (x and y):
+        return None
+    return ascii_chart(rows, x, y, lambda r: str(r.get("protocol", r.get("figure", ""))),
+                       title=f"{y} by {x}")
+
+
+def run_figures(args: argparse.Namespace) -> int:
+    """Run, print and optionally persist each figure; 1 if a shape failed."""
+    failed = 0
+    for name in args.names or FIGURES:
+        figure = FIGURES[name]
+        rows = run_figure(name, args.scale, args.seed, args.trials)
+        columns = list(figure.columns) + ["oracle"] + ["trials"] * (args.trials > 1)
+        try:
+            figure.shape(rows)
+            verdict = "shape: held"
+        except AssertionError as error:  # the failed assert's line says what
+            claim = traceback.extract_tb(error.__traceback__)[-1].line
+            verdict, failed = f"shape: FAILED -- {claim} {error}".rstrip(), failed + 1
+        text = f"{format_table(rows, columns, title=figure.title)}\n{verdict}"
+        print(text, end="\n\n")
+        chart = _chart(rows, columns) if args.chart else None
+        if chart:
+            print(chart, end="\n\n")
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            stem = os.path.join(args.out, f"{name}.{args.scale}")
+            with open(f"{stem}.txt", "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            with open(f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+                writer.writeheader()
+                writer.writerows(rows)
+    return 1 if failed else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
-        for name, (_fn, _cols, help_text) in FIGURES.items():
-            print(f"{name:10s} {help_text}")
+        for name, figure in FIGURES.items():
+            print(f"{name:28s} {figure.title}")
         return 0
     if args.command == "config":
         if args.load is not None:
@@ -139,33 +114,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             config = ClusterConfig(num_nodes=args.nodes)
         print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
         return 0
-
-    fn, columns, help_text = FIGURES[args.command]
-    kwargs = _figure_kwargs(args.command, args)
-    if args.trials > 1:
-        rows = experiments.run_trials(fn, trials=args.trials, **kwargs)
-        columns = list(columns) + ["trials"]
-    else:
-        rows = fn(**kwargs)
-    print(format_table(rows, columns, title=f"{args.command}: {help_text}"))
-    if args.chart:
-        y_field = next(
-            (c for c in ("throughput_ktps", "abort_rate", "mean_antidep",
-                         "slowdown_pct") if c in columns),
-            None,
-        )
-        x_field = next(
-            (c for c in ("nodes", "keys", "w_per_node", "ro") if c in columns),
-            None,
-        )
-        if y_field and x_field:
-            series = group_series(
-                rows, x_field, y_field,
-                group=lambda r: str(r.get("protocol", r.get("figure", ""))),
-            )
-            print()
-            print(ascii_chart(series, title=f"{y_field} by {x_field}"))
-    return 0
+    unknown = [name for name in args.names if name not in FIGURES]
+    if unknown or args.trials < 1:
+        parser.error(f"unknown figures {unknown}" if unknown else "--trials must be >= 1")
+    return run_figures(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -503,7 +503,7 @@ class ClusterConfig(ConfigSerde):
     #: default) broadcasts Remove to every node, keeping VAS memory
     #: bounded; False reproduces the paper's literal behaviour.
     remove_broadcast: bool = True
-    #: FW-KV ablations (see benchmarks/test_ablation.py).  Disabling
+    #: FW-KV ablations (``ablation_*`` in harness/figures.py).  Disabling
     #: visible reads removes the VAS machinery entirely -- reads stay
     #: fresh on first contact but the PSI consistency guard is gone, so
     #: this mode is for cost measurement only.

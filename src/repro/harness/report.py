@@ -1,4 +1,4 @@
-"""Plain-text reporting of experiment rows (the benches print these)."""
+"""Plain-text reporting of experiment rows (``python -m repro figures``)."""
 
 from __future__ import annotations
 
@@ -34,58 +34,37 @@ def format_table(
     return "\n".join(parts)
 
 
-def group_series(
+def ascii_chart(
     rows: Iterable[Dict[str, object]],
     x: str,
     y: str,
     group: Callable[[Dict[str, object]], str],
-) -> Dict[str, List[Tuple[object, object]]]:
-    """Turn rows into plot-like ``{series label: [(x, y), ...]}`` data."""
-    series: Dict[str, List[Tuple[object, object]]] = {}
-    for row in rows:
-        series.setdefault(group(row), []).append((row[x], row[y]))
-    for points in series.values():
-        points.sort(key=lambda pair: pair[0])
-    return series
-
-
-def ascii_chart(
-    series: Dict[str, List[Tuple[object, float]]],
     width: int = 40,
     title: str = "",
     value_format: str = "{:.1f}",
 ) -> str:
-    """Horizontal bar chart of grouped series (terminal-friendly).
+    """Horizontal bar chart of ``rows``' ``y`` by ``x`` (terminal-friendly).
 
-    ``series`` is the output of :func:`group_series`: one labelled list of
-    ``(x, y)`` points per competitor.  Bars are scaled to the global
-    maximum so relative magnitudes -- who wins, by what factor -- are
-    visible at a glance.
+    One series per ``group(row)`` label, ``x`` ascending.  Bars are scaled
+    to the global maximum so relative magnitudes -- who wins, by what
+    factor -- are visible at a glance.
     """
-    points = [
-        (label, x, float(y))
-        for label, pairs in series.items()
-        for x, y in pairs
-    ]
-    if not points:
+    series: Dict[str, List[Tuple[object, float]]] = {}
+    for row in rows:
+        series.setdefault(group(row), []).append((row[x], float(row[y])))
+    if not series:
         return f"{title}\n(no data)" if title else "(no data)"
-    peak = max(y for _label, _x, y in points) or 1.0
+    points = [point for pairs in series.values() for point in pairs]
+    peak = max(value for _at, value in points) or 1.0
     label_width = max(len(str(label)) for label in series)
-    x_width = max(len(str(x)) for _label, x, _y in points)
+    x_width = max(len(str(at)) for at, _value in points)
 
     lines = [title] if title else []
-    for label in series:
-        for x, y in series[label]:
-            bar = "#" * max(1, round(width * float(y) / peak)) if y > 0 else ""
+    for label, pairs in series.items():
+        for at, value in sorted(pairs, key=lambda pair: pair[0]):
+            bar = "#" * max(1, round(width * value / peak)) if value > 0 else ""
             lines.append(
-                f"{str(label):<{label_width}}  {str(x):>{x_width}}  "
-                f"|{bar:<{width}}| {value_format.format(float(y))}"
+                f"{str(label):<{label_width}}  {str(at):>{x_width}}  "
+                f"|{bar:<{width}}| {value_format.format(value)}"
             )
     return "\n".join(lines)
-
-
-def relative_gap(baseline: float, other: float) -> float:
-    """Fractional shortfall of ``other`` below ``baseline`` (0 if faster)."""
-    if baseline <= 0:
-        return 0.0
-    return max(0.0, (baseline - other) / baseline)

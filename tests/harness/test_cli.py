@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import main
+from repro.config import RunConfig
+from repro.harness.figures import FIGURES
 
 
 def test_list_command(capsys):
@@ -12,9 +14,31 @@ def test_list_command(capsys):
         assert name in out
 
 
-def test_parser_rejects_unknown_figure():
+@pytest.mark.parametrize("argv", [["figure5"], ["figures", "fig99"],
+                                  ["figures", "fig5", "--trials", "0"]])
+def test_parser_rejects(argv):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["figure99"])
+        main(argv)
+
+
+def test_figures_command_prints_checks_and_persists(capsys, monkeypatch, tmp_path):
+    """Two trials per point, a failing shape, the chart and the files."""
+    entry = FIGURES["ext_80ro"]
+    tiny = {**entry.sweeps["quick"], "keys": 400, "nodes": 2,
+            "run": RunConfig(duration=0.003, warmup=0.001)}
+
+    def shape(rows):
+        assert rows[0]["throughput_ktps"] < 0, "planted"
+
+    monkeypatch.setitem(FIGURES, "ext_80ro", entry._replace(sweeps={"quick": tiny}, shape=shape))
+    argv = ["figures", "ext_80ro", "--scale", "quick", "--trials", "2", "--chart",
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "shape: FAILED -- assert rows[0]" in out and "planted" in out and "|#" in out
+    header = (tmp_path / "ext_80ro.quick.csv").read_text().splitlines()[0]
+    assert header.endswith("vas_inspected_mean,oracle,trials")
+    assert "clean" in (tmp_path / "ext_80ro.quick.txt").read_text()
 
 
 def test_config_command_round_trips_through_json(capsys, tmp_path):
@@ -74,85 +98,3 @@ def test_config_command_covers_replication(capsys, tmp_path):
     bad.write_text('{"num_nodes": 3, "replication": {"mode": "quorum"}}')
     with pytest.raises(ValueError, match="sync"):
         main(["config", "--load", str(bad)])
-
-
-def test_figure5_tiny_run(capsys):
-    code = main(
-        [
-            "figure5",
-            "--nodes", "2",
-            "--keys", "500",
-            "--ro", "0.5",
-            "--duration", "0.004",
-            "--warmup", "0.001",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "figure5" in out
-    assert "fwkv" in out and "walter" in out and "2pc" in out
-
-
-def test_figure6_tiny_run(capsys):
-    code = main(
-        [
-            "figure6",
-            "--nodes", "2",
-            "--keys", "500",
-            "--ro", "0.5",
-            "--duration", "0.004",
-            "--warmup", "0.001",
-        ]
-    )
-    assert code == 0
-    assert "mean_antidep" in capsys.readouterr().out
-
-
-def test_figure8_tiny_run_routes_warehouses(capsys):
-    code = main(
-        [
-            "figure8",
-            "--nodes", "2",
-            "--warehouses", "1",
-            "--ro", "0.5",
-            "--duration", "0.006",
-            "--warmup", "0.001",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "w_per_node" in out
-    assert "fwkv" in out and "walter" in out
-
-
-def test_chart_flag_prints_bars(capsys):
-    code = main(
-        [
-            "figure5",
-            "--nodes", "2",
-            "--keys", "400",
-            "--ro", "0.5",
-            "--duration", "0.003",
-            "--warmup", "0.001",
-            "--chart",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "|#" in out, "chart bars expected"
-
-
-def test_figure9a_tiny_run(capsys):
-    code = main(
-        [
-            "figure9a",
-            "--nodes", "2",
-            "--warehouses", "1",
-            "--ro", "0.3",
-            "--duration", "0.01",
-            "--warmup", "0.002",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "abort_rate" in out

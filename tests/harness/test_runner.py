@@ -4,7 +4,7 @@ import pytest
 
 from repro import ClusterConfig, RunConfig
 from repro.harness import run_experiment
-from repro.harness.report import format_table, group_series, relative_gap
+from repro.harness.report import ascii_chart, format_table
 from repro.harness.runner import (
     DEFAULT_RETRY_BACKOFF,
     RETRY_BACKOFF_CAP,
@@ -190,39 +190,19 @@ def test_format_table_alignment():
     assert format_table([], ["a"]) == "(no rows)"
 
 
-def test_group_series_sorts_by_x():
+def test_ascii_chart_scales_bars_to_peak_and_sorts_by_x():
     rows = [
-        {"x": 2, "y": 20, "p": "w"},
-        {"x": 1, "y": 10, "p": "w"},
-        {"x": 1, "y": 5, "p": "f"},
+        {"x": 10, "y": 200.0, "p": "walter"},
+        {"x": 5, "y": 100.0, "p": "walter"},
+        {"x": 5, "y": 50.0, "p": "2pc"},
     ]
-    series = group_series(rows, "x", "y", group=lambda r: r["p"])
-    assert series == {"w": [(1, 10), (2, 20)], "f": [(1, 5)]}
-
-
-def test_ascii_chart_scales_bars_to_peak():
-    from repro.harness import ascii_chart
-
-    series = {
-        "walter": [(5, 100.0), (10, 200.0)],
-        "2pc": [(5, 50.0)],
-    }
-    chart = ascii_chart(series, width=10, title="T")
+    chart = ascii_chart(rows, "x", "y", group=lambda r: r["p"], width=10, title="T")
     lines = chart.splitlines()
     assert lines[0] == "T"
-    bars = {line.split()[0] + line.split()[1]: line.count("#") for line in lines[1:]}
-    assert bars["walter10"] == 10  # peak fills the width
-    assert bars["walter5"] == 5
-    assert bars["2pc5"] == 2  # round(50/200 * 10), banker's rounding
+    bars = [(line.split()[0] + line.split()[1], line.count("#")) for line in lines[1:]]
+    # the peak fills the width; round(50/200 * 10) is banker's rounding
+    assert bars == [("walter5", 5), ("walter10", 10), ("2pc5", 2)]
 
 
 def test_ascii_chart_empty():
-    from repro.harness import ascii_chart
-
-    assert "(no data)" in ascii_chart({})
-
-
-def test_relative_gap():
-    assert relative_gap(100, 80) == pytest.approx(0.2)
-    assert relative_gap(100, 120) == 0.0
-    assert relative_gap(0, 10) == 0.0
+    assert "(no data)" in ascii_chart([], "x", "y", group=str)

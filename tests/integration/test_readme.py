@@ -23,7 +23,7 @@ def test_readme_mentions_all_deliverables():
         "DESIGN.md",
         "EXPERIMENTS.md",
         "pytest tests/",
-        "pytest benchmarks/ --benchmark-only",
+        "python -m repro figures",
         "examples/",
     ):
         assert needle in text, f"README must mention {needle}"

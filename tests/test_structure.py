@@ -16,12 +16,12 @@ from repro.metrics.stats import COUNTERS, MetricsRecorder
 SRC = Path(repro.config.__file__).parent
 TESTS = Path(__file__).parent
 
-#: Lines over every ``*.py`` under ``src/repro``.  Raised four times: thrice
-#: for a protocol step bought rather than a copy, once (+74) for the one
-#: oracle (ROADMAP has the per-file breakdowns).
-TOTAL_SRC_LINES = 17257
+#: Lines over every ``*.py`` under ``src/repro``.  Raised four times (thrice
+#: for a protocol step bought, once +74 for the one oracle; ROADMAP has the
+#: per-file breakdowns), then lowered by the figure registry.
+TOTAL_SRC_LINES = 17253
 #: Lines over every ``*.py`` under ``tests/``.
-TOTAL_TEST_LINES = 17790
+TOTAL_TEST_LINES = 17632
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``).
 LONGEST_FILE = 1209
 #: ``replication/shard.py`` (stream pump, ``NodeReplication``,
