@@ -11,10 +11,13 @@ under rf=2), one row per ``file:line``.  Blocks of 64 KiB and more are
 hash tables and bucket lists, not per-key objects, and are summed in
 their own column.  The ``storage/`` total is the per-key cost of the
 storage layer's own objects (versions, chains and whatever hangs off
-them) -- the number ``docs/performance.md`` "What a key costs" tracks.
+them) -- the number ``docs/performance.md`` "What a key costs" tracks;
+a loaded key is held as its value until first touched, so it reads ~0.
 
 Then it drives one repeat (``measure.drive``: the workload's warmup +
-duration) and prints what the run phase added, largest sites first.
+duration) and prints what the run phase added, largest sites first, and
+the run's touched share: version chains built (keys read or written at
+least once) over held keys.
 Where commits are kept on record (``ycsb_replicated``, ``ycsb_durable``)
 a last ``decision_log`` row says what one update commit leaves behind in
 ``DecisionLog.by_txn`` / ``by_seq`` at its coordinator and in
@@ -38,6 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "ledger")]
 
 from measure import drive, sub_seed, timed_build  # noqa: E402
 from registry import DEFAULT_SEED, WORKLOADS_BY_NAME  # noqa: E402
+from repro.storage import VersionChain  # noqa: E402
 
 #: Blocks this large are tables that grow with the keyspace, not objects.
 TABLE_BYTES = 64 * 1024
@@ -154,6 +158,9 @@ def main() -> int:
         for site, added in grown.most_common(args.top):
             blocks = after[site][1] - loaded.get(site, NOTHING)[1]
             print(f"  {added / 2**20:+8.2f} MB {blocks:+9d} objects  {site}")
+        chains = sum(type(obj) is VersionChain for obj in gc.get_objects())
+        print(f"  touched share: {chains} materialized chains / {held} held keys "
+              f"= {chains / held:.1%}")
         print_decision_log(cluster)
     finally:
         cluster.close()

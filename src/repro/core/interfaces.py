@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional, Tuple
 
 from repro.cluster.directory import Directory
 from repro.cluster.node import Node
@@ -74,16 +74,8 @@ class BaseProtocolNode(ABC):
     # Data loading (outside transactions, before a run)
     # ------------------------------------------------------------------
     @abstractmethod
-    def load(self, key: Hashable, value: object) -> None:
-        """Install initial data for a key whose preferred site is here."""
-
-    def load_many(self, items) -> int:
-        """Bulk :meth:`load`; protocols may override with a faster path."""
-        count = 0
-        for key, value in items:
-            self.load(key, value)
-            count += 1
-        return count
+    def load_many(self, items: Iterable[Tuple[Hashable, object]]) -> int:
+        """Install initial data for keys stored here; returns the count."""
 
     # ------------------------------------------------------------------
     # Coordinator API

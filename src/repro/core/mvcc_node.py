@@ -189,9 +189,6 @@ class MVCCNode(BaseProtocolNode):
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def load(self, key: Hashable, value: object) -> None:
-        self.load_many(((key, value),))
-
     def load_many(self, items: Iterable[Tuple[Hashable, object]]) -> int:
         """Bulk-install initial versions (all share the interned zero VC)."""
         if self.wal is not None:

@@ -11,7 +11,7 @@ read versions are unchanged, and apply writes at decide.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.cluster.node import Node
 from repro.core.interfaces import BaseProtocolNode, SharedState
@@ -65,9 +65,13 @@ class TwoPCNode(BaseProtocolNode):
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def load(self, key: Hashable, value: object) -> None:
-        self.store.create(key, value)
-        self.catalog[(key, 0)] = (0, 0, None)
+    def load_many(self, items: Iterable[Tuple[Hashable, object]]) -> int:
+        count = 0
+        for key, value in items:
+            self.store.create(key, value)
+            self.catalog[(key, 0)] = (0, 0, None)
+            count += 1
+        return count
 
     # ------------------------------------------------------------------
     # Coordinator API

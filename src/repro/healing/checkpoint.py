@@ -100,7 +100,7 @@ class CheckpointManager:
             # Epoch-0 (static) runs keep the historical record layout.
             view = membership.view.to_triple()
         record = build_checkpoint(
-            owner.store,
+            owner.store.snapshots(),
             owner.site_vc,
             owner.curr_seq_no,
             in_doubt=in_doubt,

@@ -27,12 +27,11 @@ from repro.core.wire import (
     SnapshotOfferBody,
 )
 from repro.net.message import Envelope, MessageType
-from repro.storage.store import MultiVersionStore
 from repro.storage.wal import (
     CheckpointMismatchError,
     CheckpointRecord,
     build_checkpoint,
-    restore_store,
+    verify_checkpoint,
 )
 
 
@@ -81,12 +80,12 @@ class ChainTransfer:
         stable for the duration of the transfer.
         """
         owner = self.owner
-        shard_store = MultiVersionStore()
-        for key in sorted(keys, key=repr):
-            if key in owner.store:
-                shard_store._chains[key] = owner.store.chain(key)
+        store = owner.store
         record = build_checkpoint(
-            shard_store, owner.site_vc, owner.curr_seq_no
+            ((key, *store.snapshot(key)) for key in sorted(keys, key=repr)
+             if key in store),
+            owner.site_vc,
+            owner.curr_seq_no,
         )
         return (yield from self.ship(peer, record, incarnation, shard=True))
 
@@ -370,7 +369,7 @@ class ChainTransfer:
             fingerprint=offer.fingerprint,
         )
         try:
-            store = restore_store(record)
+            verify_checkpoint(record)
         except CheckpointMismatchError:
             self._abandon("fingerprint")
             return False
@@ -384,9 +383,9 @@ class ChainTransfer:
         # answer reads for keys it does not own the moment the directory
         # routed one here.
         adopted = 0
-        for key in store.keys():
+        for key, base_vid, versions in record.chains:
             if offer.shard or owner.directory.site(key) == self.node_id:
-                owner.store._chains[key] = store.chain(key)
+                owner.store.adopt(key, base_vid, versions)
                 adopted += 1
         self.inbound = None
         if not offer.shard:

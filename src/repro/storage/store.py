@@ -6,8 +6,11 @@ from collections import deque
 from typing import Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.vector_clock import VectorClock
-from repro.storage.chain import VersionChain
+from repro.storage.chain import SnapshotVersion, VersionChain
 from repro.storage.version import Version
+
+#: A loaded version's snapshot row after its value and clock.
+_LOADED = (0, 0, None, 0.0)
 
 
 class MultiVersionStore:
@@ -29,10 +32,18 @@ class MultiVersionStore:
     ``tombstone_ttl`` of virtual time (far beyond any propagation delay),
     keeping memory bounded; the expiry queue holds one entry per distinct
     ``now`` -- per ``Remove`` message -- carrying that batch's ids.
+
+    **Loaded keys.**  A key :meth:`create_many` loaded and nothing has
+    touched since is held as its value alone; its one version (vid 0,
+    origin/seq 0, the load clock ``_load_vc``) is implied.  Its first
+    :meth:`chain` or :meth:`install` builds exactly that version and its
+    chain in place; :meth:`snapshot` reads it without building it.
     """
 
     def __init__(self, tombstone_ttl: float = 0.1) -> None:
-        self._chains: Dict[Hashable, VersionChain] = {}
+        #: key -> its chain, or the value of a loaded, untouched key.
+        self._chains: Dict[Hashable, object] = {}
+        self._load_vc: Optional[VectorClock] = None
         self._vas_index: Dict[int, Set[Version]] = {}
         self._tombstones: Set[int] = set()
         self._tombstone_queue: Deque[Tuple[float, List[int]]] = deque()
@@ -45,30 +56,60 @@ class MultiVersionStore:
         """Load an initial version (vid 0, origin/seq 0) for a fresh key."""
         if key in self._chains:
             raise KeyError(f"key {key!r} already exists")
-        chain = VersionChain(key)
-        self._chains[key] = chain
-        return chain.install(value, vc, origin=0, seq=0)
+        return self.install(key, value, vc, origin=0, seq=0)
 
     def create_many(self, items: Iterable[Tuple[Hashable, object]], vc: VectorClock) -> int:
-        """Bulk :meth:`create` for the initial data load.
-
-        Builds each one-version chain directly (vid 0, origin/seq 0) so
-        loading a large keyspace pays two constructors per key, no more.
-        """
+        """Bulk :meth:`create` for the initial data load: each key is held
+        as its value, and ``vc`` once, as the store's one load clock."""
+        if self._load_vc is None:
+            self._load_vc = vc
+        elif vc != self._load_vc:
+            raise ValueError(f"load clock {vc!r} differs from {self._load_vc!r}")
         chains = self._chains
         count = 0
         for key, value in items:
             if key in chains:
                 raise KeyError(f"key {key!r} already exists")
-            chains[key] = VersionChain(key, Version(key, value, vc, 0, 0, 0))
+            chains[key] = value
             count += 1
         return count
 
     def chain(self, key: Hashable) -> VersionChain:
+        """``key``'s chain -- built here on a loaded key's first touch."""
         try:
-            return self._chains[key]
+            entry = self._chains[key]
         except KeyError:
             raise KeyError(f"key {key!r} is not stored on this node") from None
+        if entry.__class__ is not VersionChain:
+            version = Version(key, entry, self._load_vc, 0, 0, 0)
+            entry = self._chains[key] = VersionChain(key, version)
+        return entry
+
+    def snapshot(self, key: Hashable) -> Tuple[int, Tuple[SnapshotVersion, ...]]:
+        """``key``'s :meth:`VersionChain.snapshot`, building nothing."""
+        entry = self._chains[key]
+        if entry.__class__ is VersionChain:
+            return entry.snapshot()
+        return 0, ((entry, self._load_vc.to_tuple()) + _LOADED,)
+
+    def snapshots(self) -> Iterator[Tuple[Hashable, int, Tuple[SnapshotVersion, ...]]]:
+        """``(key, base_vid, versions)`` for every key, building nothing."""
+        return ((key, *self.snapshot(key)) for key in self._chains)
+
+    def adopt(
+        self, key: Hashable, base_vid: int, versions: Tuple[SnapshotVersion, ...]
+    ) -> None:
+        """Hold the chain a :meth:`snapshot` captured as ``key``'s whole
+        history, replacing any entry; an untouched key's goes back to
+        its value."""
+        if base_vid == 0 and len(versions) == 1 and versions[0][2:] == _LOADED:
+            value, vc = versions[0][:2]
+            if self._load_vc is None and vc and not any(vc):
+                self._load_vc = VectorClock.zero(len(vc))
+            if self._load_vc is not None and vc == self._load_vc.to_tuple():
+                self._chains[key] = value
+                return
+        self._chains[key] = VersionChain.restore(key, base_vid, versions)
 
     def install(
         self,
@@ -82,9 +123,11 @@ class MultiVersionStore:
     ) -> Version:
         """Install a new committed version as the latest for ``key``."""
         chain = self._chains.get(key)
-        if chain is None:
-            chain = VersionChain(key)
-            self._chains[key] = chain
+        if chain.__class__ is not VersionChain:
+            if key in self._chains:
+                chain = self.chain(key)
+            else:
+                chain = self._chains[key] = VersionChain(key)
         return chain.install(value, vc, origin, seq, writer_txn, installed_at)
 
     def __contains__(self, key: Hashable) -> bool:

@@ -55,7 +55,7 @@ from typing import (
 
 from repro.core.vector_clock import VectorClock
 from repro.core.wire import ReplicationEntry
-from repro.storage.chain import SnapshotVersion, VersionChain
+from repro.storage.chain import SnapshotVersion
 from repro.storage.store import MultiVersionStore
 
 if TYPE_CHECKING:
@@ -389,7 +389,7 @@ def checkpoint_fingerprint(
 
 
 def build_checkpoint(
-    store: MultiVersionStore,
+    chains: Iterable[Tuple[Hashable, int, Tuple[SnapshotVersion, ...]]],
     site_vc: VectorClock,
     curr_seq_no: int,
     in_doubt: Iterable[PrepareRecord] = (),
@@ -397,10 +397,9 @@ def build_checkpoint(
     records_below: int = 0,
     view: Optional[Tuple] = None,
 ) -> CheckpointRecord:
-    """Capture a node's durable state as a :class:`CheckpointRecord`."""
-    chains = tuple(
-        (key, *store.chain(key).snapshot()) for key in store.keys()
-    )
+    """Capture a node's durable state as a :class:`CheckpointRecord`;
+    ``chains`` are :meth:`MultiVersionStore.snapshots` rows."""
+    chains = tuple(chains)
     site_vc_tuple = site_vc.to_tuple()
     return CheckpointRecord(
         site_vc=site_vc_tuple,
@@ -420,26 +419,29 @@ def build_checkpoint(
     )
 
 
+def verify_checkpoint(record: CheckpointRecord) -> None:
+    """Raise :class:`CheckpointMismatchError` unless the record's chains,
+    clock and counter hash to its fingerprint."""
+    digest = checkpoint_fingerprint(
+        record.chains, record.site_vc, record.curr_seq_no
+    )
+    if digest != record.fingerprint:
+        raise CheckpointMismatchError(
+            f"checkpoint fingerprint {record.fingerprint} hashes as {digest}"
+        )
+
+
 def restore_store(record: CheckpointRecord) -> MultiVersionStore:
-    """Rebuild the exact chain layout a checkpoint captured.
+    """Rebuild the exact chain layout a verified checkpoint captured.
 
     Reconstructs each chain's GC-advanced ``base_vid`` and dense vid
-    sequence directly (the ``install`` API always starts at vid 0), then
-    verifies the record's fingerprint against the rebuilt state.
+    sequence directly (the ``install`` API always starts at vid 0).  A
+    key loaded and never touched comes back as its value.
     """
+    verify_checkpoint(record)
     store = MultiVersionStore()
-    chains = store._chains
-    for key, base_vid, versions in record.chains:
-        chains[key] = VersionChain.restore(key, base_vid, versions)
-    rebuilt = checkpoint_fingerprint(
-        ((key, *chain.snapshot()) for key, chain in chains.items()),
-        record.site_vc,
-        record.curr_seq_no,
-    )
-    if rebuilt != record.fingerprint:
-        raise CheckpointMismatchError(
-            f"checkpoint fingerprint {record.fingerprint} restored as {rebuilt}"
-        )
+    for entry in record.chains:
+        store.adopt(*entry)
     return store
 
 
@@ -628,20 +630,14 @@ def store_fingerprint(store: MultiVersionStore) -> Dict[Hashable, Tuple]:
     recovery tests to compare a recovered node against a never-crashed
     control run.
     """
-    snapshot: Dict[Hashable, Tuple] = {}
-    for key in store.keys():
-        snapshot[key] = tuple(
-            (
-                version.vid,
-                version.origin,
-                version.seq,
-                version.value,
-                version.vc.to_tuple(),
-                version.writer_txn,
-            )
-            for version in store.chain(key)
+    return {
+        key: tuple(
+            (vid, origin, seq, value, vc, writer)
+            for vid, (value, vc, origin, seq, writer, _at)
+            in enumerate(versions, base_vid)
         )
-    return snapshot
+        for key, base_vid, versions in store.snapshots()
+    }
 
 
 def version_set_fingerprint(store: MultiVersionStore) -> Dict[Hashable, Tuple]:
@@ -652,12 +648,9 @@ def version_set_fingerprint(store: MultiVersionStore) -> Dict[Hashable, Tuple]:
     fingerprint compares the *set* of installed versions (sorted by
     origin stamp) plus values, which is invariant under such reorderings.
     """
-    snapshot: Dict[Hashable, Tuple] = {}
-    for key in store.keys():
-        snapshot[key] = tuple(
-            sorted(
-                (version.origin, version.seq, version.value, version.vc.to_tuple())
-                for version in store.chain(key)
-            )
-        )
-    return snapshot
+    return {
+        key: tuple(sorted(
+            (origin, seq, value, vc) for value, vc, origin, seq, _w, _at in versions
+        ))
+        for key, _base_vid, versions in store.snapshots()
+    }

@@ -65,13 +65,11 @@ def version_catalog_of(nodes: Iterable[BaseProtocolNode]) -> VersionCatalog:
     catalog: VersionCatalog = {}
     for node in nodes:
         if isinstance(node, MVCCNode):
-            for key in node.store.keys():
-                for version in node.store.chain(key):
-                    catalog[(key, version.vid)] = (
-                        version.origin,
-                        version.seq,
-                        version.writer_txn,
-                    )
+            for key, base_vid, versions in node.store.snapshots():
+                for vid, (_v, _vc, origin, seq, writer, _at) in enumerate(
+                    versions, base_vid
+                ):
+                    catalog[(key, vid)] = (origin, seq, writer)
         elif isinstance(node, TwoPCNode):
             catalog.update(node.catalog)
     return catalog

@@ -21,7 +21,6 @@ from repro import (
 )
 from repro.cluster import ModuloDirectory
 from repro.net.message import MessageType
-from repro.storage.store import MultiVersionStore
 from repro.storage.wal import build_checkpoint
 
 pytestmark = pytest.mark.healing
@@ -62,10 +61,8 @@ def record_for(cluster, mode):
     sender = cluster.node(SENDER)
     if mode == "checkpoint":
         return sender.healing.checkpoints.checkpoint_now()
-    shard_store = MultiVersionStore()
-    for key in sender_keys(cluster):
-        shard_store._chains[key] = sender.store.chain(key)
-    return build_checkpoint(shard_store, sender.site_vc, sender.curr_seq_no)
+    chains = [(key, *sender.store.snapshot(key)) for key in sender_keys(cluster)]
+    return build_checkpoint(chains, sender.site_vc, sender.curr_seq_no)
 
 
 def ship(cluster, record, mode):

@@ -44,14 +44,24 @@ collections = st.tuples(
 )
 
 
-@given(st.lists(st.one_of(installs, collections), max_size=30))
+@given(st.booleans(), st.lists(st.one_of(installs, collections), max_size=30))
 @settings(max_examples=300)
-def test_chain_matches_the_list_backed_reference(steps):
-    chain, model = VersionChain("k"), ListChain()
+def test_chain_matches_the_list_backed_reference(loaded, steps):
+    """From an empty chain, or from a loaded key held as its value
+    (``None``: ``install`` must not read it as absent) until first touched."""
+    store, model = MultiVersionStore(), ListChain()
+    if loaded:
+        store.create_many([("k", None)], VectorClock.zero(1))
+        model.install(None, 0.0, False)
+    else:
+        store.adopt("k", 0, ())
+    assert store.snapshot("k")[1] == (
+        ((None, (0,), 0, 0, None, 0.0),) if loaded else ()
+    )
     for now, step in enumerate(steps):
         if step[0] == "install":
-            version = chain.install(
-                now, VectorClock([now]), origin=0, seq=now, installed_at=float(now)
+            version = store.install(
+                "k", now, VectorClock([now]), origin=0, seq=now, installed_at=float(now)
             )
             if step[1]:
                 version.access_set.add(7)  # a reader pins it against GC
@@ -59,9 +69,10 @@ def test_chain_matches_the_list_backed_reference(steps):
             assert version.vid == model.versions[-1][0]
         else:
             _op, keep_last, min_age = step
-            assert chain.collect_garbage(keep_last, min_age, float(now)) == (
+            assert store.chain("k").collect_garbage(keep_last, min_age, float(now)) == (
                 model.collect_garbage(keep_last, min_age, float(now))
             )
+        chain = store.chain("k")
         expected = [(vid, value) for vid, value, _at, _pin in model.versions]
         assert len(chain) == len(expected)
         assert [(v.vid, v.value) for v in chain] == expected
@@ -80,9 +91,11 @@ def test_chain_matches_the_list_backed_reference(steps):
 
 
 def gc_advanced_store():
-    """Chains of length 1, 2 and 3, one more GC'd down to a single
-    version at vid 3 and one to two versions from vid 2."""
+    """A loaded key never touched, chains of length 1, 2 and 3, one more
+    GC'd down to a single version at vid 3 and one to two versions from
+    vid 2."""
     store = MultiVersionStore()
+    store.create_many([("loaded", 0)], VectorClock.zero(2))
     zero = VectorClock.zeros(2)
     for key, extra in (("one", 0), ("two", 1), ("three", 2), ("cut", 3), ("tail", 3)):
         store.create(key, 0, zero)
@@ -98,18 +111,18 @@ def gc_advanced_store():
 
 def test_checkpoint_round_trip_over_every_chain_shape():
     store = gc_advanced_store()
-    record = build_checkpoint(store, VectorClock((0, 3)), 0)
+    record = build_checkpoint(store.snapshots(), VectorClock((0, 3)), 0)
     assert {key: base for key, base, _versions in record.chains} == {
-        "one": 0, "two": 0, "three": 0, "cut": 3, "tail": 2,
+        "loaded": 0, "one": 0, "two": 0, "three": 0, "cut": 3, "tail": 2,
     }
     restored = restore_store(record)
     assert store_fingerprint(restored) == store_fingerprint(store)
-    again = build_checkpoint(restored, VectorClock((0, 3)), 0)
+    again = build_checkpoint(restored.snapshots(), VectorClock((0, 3)), 0)
     assert again.fingerprint == record.fingerprint
     assert [v.vid for v in restored.chain("cut")] == [3]
     assert [v.vid for v in restored.chain("tail")] == [2, 3]
-    # A restored chain resumes the dense vid sequence in either shape.
-    for key in ("one", "cut", "tail"):
+    # A restored chain resumes the dense vid sequence in every shape.
+    for key in ("loaded", "one", "cut", "tail"):
         chain = restored.chain(key)
         before = chain.latest.vid
         assert chain.install(1, VectorClock((1, 0)), 0, 1).vid == before + 1

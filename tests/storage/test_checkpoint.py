@@ -58,7 +58,7 @@ def history():
 def checkpoint_of(result, records_below):
     """Snapshot a replay result the way CheckpointManager does."""
     return build_checkpoint(
-        result.store,
+        result.store.snapshots(),
         result.site_vc,
         result.curr_seq_no,
         in_doubt=result.in_doubt.values(),
@@ -91,7 +91,7 @@ def test_round_trip_preserves_gc_advanced_base_vid():
         tick[1] = seq
         store.install("x", seq * 10, tick, origin=1, seq=seq, writer_txn=seq)
     assert store.chain("x").collect_garbage(2, min_age=0.0, now=1.0) == 2
-    record = build_checkpoint(store, VectorClock((0, 3, 0, 0)), 0)
+    record = build_checkpoint(store.snapshots(), VectorClock((0, 3, 0, 0)), 0)
     restored = restore_store(record)
     assert store_fingerprint(restored) == store_fingerprint(store)
     assert [v.vid for v in restored.chain("x")] == [2, 3]

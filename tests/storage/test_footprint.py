@@ -1,9 +1,10 @@
-"""What a key costs, by object count (PR 22).
+"""What a key costs, by object count (DESIGN.md 3.2).
 
 Counts, not bytes: object sizes differ between the 3.10 and 3.12 CI
-cells, the number of objects a key owns does not.  A loaded, never-read
-key owns one ``Version`` and one ``VersionChain`` -- no VAS set, no
-history list -- and a visible read's metadata lives only until its
+cells, the number of objects a key owns does not.  A loaded key nobody
+has touched owns no object at all -- the store holds its value -- and
+its first touch builds one ``Version`` and one ``VersionChain``, no VAS
+set, no history list.  A visible read's metadata lives only until its
 ``Remove``.
 """
 
@@ -15,6 +16,10 @@ import pytest
 from repro import Cluster, ClusterConfig
 from repro.core import VectorClock
 from repro.storage import MultiVersionStore, Version, VersionChain
+from repro.storage.wal import (
+    build_checkpoint, restore_store, store_fingerprint, version_set_fingerprint,
+)
+from repro.system import version_catalog_of
 from tests.integration.scenario_tools import read_only_txn, retry_update
 
 KEYS = 10_000
@@ -40,6 +45,10 @@ def growth(store):
     return {name: count - empty[name] for name, count in census(store).items()}
 
 
+def owns(versions=0, chains=0, sets=0, lists=0):
+    return {"Version": versions, "VersionChain": chains, "set": sets, "list": lists}
+
+
 #: Shared by every version, as the cluster's initial load shares one.
 ZERO = VectorClock.zeros(3)
 
@@ -50,12 +59,28 @@ def loaded_store():
     return store
 
 
-def test_loaded_never_read_key_owns_one_version_and_one_chain():
+def test_loaded_never_touched_key_owns_nothing():
     store = loaded_store()
-    assert growth(store) == {
-        "Version": KEYS, "VersionChain": KEYS, "set": 0, "list": 0,
-    }
-    assert len(store) == KEYS
+    assert growth(store) == owns()
+    assert len(store) == KEYS and 7 in store
+    assert store.snapshot(7) == (0, ((7, (0, 0, 0), 0, 0, None, 0.0),))
+    assert growth(store) == owns(), "a snapshot builds nothing"
+    with pytest.raises(ValueError):
+        store.create_many([(-1, 0)], VectorClock.zeros(4))  # one load clock
+
+
+def test_first_touch_builds_one_version_and_one_chain():
+    store = loaded_store()
+    chain = store.chain(7)
+    assert growth(store) == owns(versions=1, chains=1)
+    assert store.chain(7) is chain and len(chain) == 1
+    version = chain.latest
+    assert version.vc is ZERO, "the one load clock"
+    assert (version.key, version.value, version.vid, version.origin, version.seq,
+            version.writer_txn, version.installed_at, version.vas) == (
+        7, 7, 0, 0, 0, None, 0.0, None)
+    assert store.install(8, "b", ZERO, origin=1, seq=1).vid == 1
+    assert growth(store) == owns(versions=3, chains=2, lists=1)
 
 
 def test_visible_reads_cost_nothing_after_their_remove():
@@ -67,10 +92,8 @@ def test_visible_reads_cost_nothing_after_their_remove():
     assert growth(store)["set"] == 3
     assert store.vas_remove_txn(77, now=1.0) == 2
     assert first.vas is None and second.vas is None
-    # Back to the loaded count; the one list is the tombstone batch.
-    assert growth(store) == {
-        "Version": KEYS, "VersionChain": KEYS, "set": 0, "list": 1,
-    }
+    # Back to what the first touch built; the one list is the tombstone batch.
+    assert growth(store) == owns(versions=2, chains=2, lists=1)
     assert len(store._tombstone_queue) == 1
 
 
@@ -91,24 +114,51 @@ def test_removes_at_one_instant_share_one_queue_entry():
 def test_overwritten_key_owns_its_history_and_gc_gives_it_back():
     store = loaded_store()
     store.install(3, "b", ZERO, origin=0, seq=1, installed_at=1.0)
-    assert growth(store) == {
-        "Version": KEYS + 1, "VersionChain": KEYS, "set": 0, "list": 1,
-    }
+    assert growth(store) == owns(versions=2, chains=1, lists=1)
     assert store.chain(3).collect_garbage(1, min_age=0.0, now=2.0) == 1
-    assert growth(store) == {
-        "Version": KEYS, "VersionChain": KEYS, "set": 0, "list": 0,
-    }
+    assert growth(store) == owns(versions=1, chains=1)
     assert store.chain(3).latest.value == "b"
+
+
+def test_adopting_a_loaded_snapshot_holds_its_value():
+    """Even where the sender built it and the receiver loaded nothing."""
+    source = loaded_store()
+    source.chain(7)
+    target = MultiVersionStore()
+    target.adopt(7, *source.snapshot(7))
+    assert growth(target) == owns() and target.snapshot(7) == source.snapshot(7)
+    assert target.chain(7).latest.vc == ZERO
+
+
+def test_adopting_anything_but_a_load_builds_it_as_captured():
+    """History, a GC'd base, a writer, a foreign clock; re-adopt replaces."""
+    source = loaded_store()
+    source.install(1, "b", ZERO, origin=0, seq=1)
+    source.install(2, "b", ZERO, origin=0, seq=1, installed_at=1.0)
+    source.chain(2).collect_garbage(1, min_age=0.0, now=2.0)
+    shipped = [(key, *source.snapshot(key)) for key in (1, 2)] + [
+        (3, 0, ((3, (0, 0, 0), 0, 0, 42, 0.0),)),
+        (4, 0, ((4, (0, 0, 0, 0), 0, 0, None, 0.0),))]
+    target = loaded_store()
+    for entry in shipped:
+        target.adopt(*entry)
+    assert growth(target) == owns(versions=5, chains=4, lists=1)
+    assert [(key, *target.snapshot(key)) for key in (1, 2, 3, 4)] == shipped
+    target.adopt(1, *source.snapshot(9))
+    assert growth(target) == owns(versions=3, chains=3)
 
 
 @pytest.mark.parametrize("protocol", ["fwkv", "walter"])
 def test_per_key_count_holds_after_a_protocol_run(protocol):
-    """Read everything, overwrite a few keys, drain the Removes: every
-    key nobody overwrote is back to one chain pointing at one version."""
+    """Read a third of the keys, overwrite a few, drain the Removes:
+    every key read and not overwritten is back to one chain pointing at
+    one version, and every key nobody touched still owns nothing."""
     cluster = Cluster(protocol, ClusterConfig(num_nodes=3, seed=1))
     keys = [f"k{i}" for i in range(300)]
     cluster.load_many((key, 0) for key in keys)
     written = keys[:5]
+    touched = {key for node_id in range(3) for key in keys[node_id::7]}
+    touched |= set(keys[::11]) | set(written)
 
     def scenario():
         for node_id in range(3):
@@ -120,16 +170,42 @@ def test_per_key_count_holds_after_a_protocol_run(protocol):
     cluster.run()
     if protocol == "fwkv":
         assert any(node.store._tombstones for node in cluster.nodes)
-    overwritten = 0
+    overwritten = untouched = 0
     for node in cluster.nodes:
         store = node.store
-        chains = [store.chain(key) for key in store.keys()]
-        with_history = sum(len(chain) > 1 for chain in chains)
-        assert growth(store) == {
-            "Version": sum(map(len, chains)),
-            "VersionChain": len(chains),
-            "set": 0,
-            "list": with_history + len(store._tombstone_queue),
-        }
+        lengths = [len(store.snapshot(key)[1]) for key in store.keys() if key in touched]
+        with_history = sum(length > 1 for length in lengths)
+        assert growth(store) == owns(
+            versions=sum(lengths),
+            chains=len(lengths),
+            lists=with_history + len(store._tombstone_queue),
+        )
         overwritten += with_history
+        untouched += len(store) - len(lengths)
     assert overwritten == len(written)
+    assert untouched == len(keys) - len(touched) > 0
+
+
+def test_read_only_walks_build_nothing_and_restore_keeps_values():
+    """Checkpoint, both fingerprints and the version catalog read an
+    untouched key's implied version; a restore holds it as a value."""
+    cluster = Cluster("fwkv", ClusterConfig(num_nodes=3, seed=1))
+    cluster.load_many((f"k{i}", i) for i in range(300))
+    assert cluster.run_txn(lambda txn: txn.write("k0", -1)).committed
+    before = [growth(node.store) for node in cluster.nodes]
+    assert sum(counts["Version"] for counts in before) == 2
+    catalog = version_catalog_of(cluster.nodes)
+    assert len(catalog) == 301 and catalog[("k7", 0)] == (0, 0, None)
+    for node in cluster.nodes:
+        store = node.store
+        record = build_checkpoint(store.snapshots(), node.site_vc, node.curr_seq_no)
+        fingerprints = store_fingerprint(store), version_set_fingerprint(store)
+        restored = restore_store(record)
+        assert growth(restored) == growth(store)
+        assert (store_fingerprint(restored), version_set_fingerprint(restored)) == (
+            fingerprints
+        )
+        assert build_checkpoint(
+            restored.snapshots(), node.site_vc, node.curr_seq_no
+        ).fingerprint == record.fingerprint
+    assert [growth(node.store) for node in cluster.nodes] == before
