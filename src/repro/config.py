@@ -380,10 +380,6 @@ class ReplicationConfig(ConfigSerde):
     #: writes (zero acked commits lost across a primary crash);
     #: ``"async"`` streams in the background and never waits.
     mode: str = "sync"
-    #: Route read-only reads through the shard's replica set; a backup
-    #: serves only snapshots its replicated frontier dominates and
-    #: forwards everything else to the primary (freshness-safe).
-    read_from_backups: bool = False
     #: Arm automatic failover: when the accrual failure detector at a
     #: majority of live peers classifies a node dead, its shards are
     #: promoted to their freshest backups.  ``None`` (default) never

@@ -209,20 +209,18 @@ class MVCCNode(BaseProtocolNode):
         txn.vc = self.site_vc.copy()
 
     def _read_request(
-        self, txn: Transaction, key: Hashable, frozen: bool = False,
-        queue: bool = False,
+        self, txn: Transaction, key: Hashable, queue: bool = False
     ) -> ReadRequestBody:
         return ReadRequestBody(
             txn.txn_id, txn.is_read_only, key, txn.vc.to_tuple(),
-            txn.has_read_tuple(), frozen, queue,
+            txn.has_read_tuple(), queue,
         )
 
     def _observe(
         self, txn: Transaction, key: Hashable, target: int,
-        reply: ReadReturnBody, frozen: bool = False,
+        reply: ReadReturnBody,
     ):
-        """Alg. 2 lines 8-12: fold one ReadReturn into the transaction; a
-        ``frozen`` one (a backup's answer) leaves no freshness witness."""
+        """Alg. 2 lines 8-12: fold one ReadReturn into the transaction."""
         if reply.max_vc is not None:
             txn.vc.merge_seq(reply.max_vc)  # Alg. 2 line 9
         first_contact = txn.note_read_site(target)  # Alg. 2 line 8
@@ -241,7 +239,7 @@ class MVCCNode(BaseProtocolNode):
                 self.node_id, "read", txn=txn.txn_id, key=key, vid=reply.vid,
                 latest=reply.latest_vid, site=target,
             )
-        txn.ops.append(("r", key, reply.vid, None if frozen else reply.latest_vid))
+        txn.ops.append(("r", key, reply.vid, reply.latest_vid))
         return reply.value
 
     def read(self, txn: Transaction, key: Hashable, queue: bool = False):
@@ -256,27 +254,13 @@ class MVCCNode(BaseProtocolNode):
             return txn.read_cache[key]
 
         target = self.directory.site(key)
-        frozen = False
-        rep = self.replication
-        if (
-            rep is not None
-            and txn.is_read_only
-            and rep.cluster_rep.config.read_from_backups
-        ):
-            # Spread read-only traffic over the key's replica set.  A
-            # backup-served read is *frozen*: answered against the carried
-            # snapshot with no clock merge, so it can never observe state
-            # the backup's replicated frontier does not cover.
-            candidates = rep.cluster_rep.read_targets(key)
-            target = candidates[txn.txn_id % len(candidates)]
-            frozen = target != candidates[0]
         attempts = 0
         while True:
             try:
                 reply: ReadReturnBody = yield from self.node.rpc.call(
                     target,
                     MessageType.READ_REQUEST,
-                    self._read_request(txn, key, frozen, queue),
+                    self._read_request(txn, key, queue),
                 )
                 break
             except RpcTimeoutError:
@@ -294,60 +278,33 @@ class MVCCNode(BaseProtocolNode):
                 if not flipped and self.directory.site(key) == target:
                     raise
                 target = self.directory.site(key)
-                frozen = False
         if queue:
             txn.in_line = not reply.spoken_for  # else served unplaced, at the cap
-        return self._observe(txn, key, target, reply, frozen)
+        return self._observe(txn, key, target, reply)
 
     def read_many(self, txn: Transaction, keys):
         """Parallel multi-get for *read-only* transactions.
 
-        Issues all read requests concurrently and returns ``{key: value}``.
-        Safe for read-only transactions because consistency is enforced by
-        the version-access-set, not by request ordering: if an update
-        overwrites one of the versions read here before another request is
-        served, the propagated VAS entry excludes the conflicting version
-        exactly as in the sequential case.  Update transactions must read
-        sequentially (their safe snapshot hinges on the *first* read), so
-        they are rejected.
+        Runs one :meth:`read` per key concurrently and returns ``{key:
+        value}``; a read that exhausts its retries fails the whole call
+        with its ``RpcTimeoutError``.  Safe for read-only transactions
+        because consistency is enforced by the version-access-set, not by
+        request ordering: if an update overwrites one of the versions read
+        here before another request is served, the propagated VAS entry
+        excludes the conflicting version exactly as in the sequential
+        case.  Update transactions must read sequentially (their safe
+        snapshot hinges on the *first* read), so they are rejected.
         """
         if not txn.is_read_only:
             raise ValueError(
                 "read_many is only available to read-only transactions"
             )
         keys = list(keys)
-        pending = []
-        for key in keys:
-            found, value = txn.buffered_write(key)
-            if found or key in txn.read_cache:
-                pending.append(None)
-                continue
-            # Spawned (not bare-event) so per-request timeouts and retries
-            # apply; a call that exhausts retries fails the AllOf below
-            # with RpcTimeoutError, which propagates to the client.
-            pending.append(
-                self.sim.spawn(
-                    self.node.rpc.call(
-                        self.directory.site(key),
-                        MessageType.READ_REQUEST,
-                        self._read_request(txn, key),
-                    ),
-                    name=f"read-many-{txn.txn_id}",
-                )
-            )
-        replies = yield AllOf(
-            self.sim, [event for event in pending if event is not None]
-        )
-        replies_iter = iter(replies)
-        values = {}
-        for key, event in zip(keys, pending):
-            if event is None:
-                values[key] = txn.read_cache.get(key, txn.writeset.get(key))
-            else:
-                values[key] = self._observe(
-                    txn, key, self.directory.site(key), next(replies_iter)
-                )
-        return values
+        values = yield AllOf(self.sim, [
+            self.sim.spawn(self.read(txn, key), name=f"read-many-{txn.txn_id}")
+            for key in keys
+        ])
+        return dict(zip(keys, values))
 
     def commit(self, txn: Transaction):
         """Alg. 4: read-only cleanup, or 2PC across written keys' sites.
@@ -735,17 +692,6 @@ class MVCCNode(BaseProtocolNode):
 
         if self.fence.node_wide:
             yield from self.fence.wait()
-
-        if request.frozen and self.replication is not None:
-            # Read-forwarding: a frozen read routed to this node as a
-            # backup is served against the replicated frontier (or
-            # forwarded to the primary); a False return means a failover
-            # made us the owner meanwhile -- serve it normally below.
-            handled = yield from self.replication.serve_or_forward(
-                envelope, request
-            )
-            if handled:
-                return
 
         # Snapshot-completeness wait.  The requester's T.VC may run ahead
         # of this node (it can learn a commit through its own Decide
@@ -1189,17 +1135,15 @@ class MVCCNode(BaseProtocolNode):
 
         The one clock-only tick.  Every advance that installs no data
         goes through here -- a Propagate, a catch-up over lost ones, a
-        verified checkpoint's clock -- so each is logged, wakes the
-        in-order waiters, and reaches the backups' replicated frontier
-        the same way.  (The tick that *does* install data is Alg. 5 line
-        21 in ``_apply_committed_decide``, logged with its versions.)
+        verified checkpoint's clock -- so each is logged and wakes the
+        in-order waiters the same way.  (The tick that *does* install
+        data is Alg. 5 line 21 in ``_apply_committed_decide``, logged
+        with its versions.)
         """
         if self.wal is not None:
             self.wal.append(PropagateRecord(origin, seq_no))
         self.site_vc[origin] = seq_no
         self.site_vc_changed.notify_all()
-        if self.replication is not None:
-            self.replication.note_frontier()
         if self.tracer._enabled:
             self.tracer.emit(
                 self.node_id, "propagate", origin=origin, seq=seq_no

@@ -20,12 +20,6 @@ class ReadRequestBody:
     key: Hashable
     vc: Tuple[int, ...]
     has_read: Tuple[bool, ...]
-    #: Read-forwarding (docs/replication.md): a read routed to a backup
-    #: is *frozen* -- served Walter-style against the carried snapshot
-    #: (``max_vc=None``, so the requester's clock never advances) and
-    #: only when the backup's replicated frontier dominates ``vc``;
-    #: otherwise the backup forwards it to the primary.
-    frozen: bool = False
     #: FW-KV retry: read the key in line at its home (DESIGN.md 4).
     queue: bool = False
 
@@ -296,11 +290,9 @@ class ReplicationEntry:
     * ``"apply"`` -- the primary installed ``writes`` at (``origin``,
       ``seq_no``); the backup installs them verbatim, in stream order,
       never touching its own clock.
-    * ``"frontier"`` -- clock-only freshness update (coalesced).
 
-    ``frontier`` (apply/frontier records) is the primary's ``siteVC``
-    snapshot after the install; a backup may serve a frozen read only
-    for snapshots its newest frontier dominates.
+    ``frontier`` (apply records) is the primary's ``siteVC`` snapshot
+    after the install; a promotion re-stages what lies above it.
     """
 
     seq: int

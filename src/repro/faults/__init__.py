@@ -8,7 +8,6 @@ from repro.faults.schedules import (
     PARTITION,
     RESTART,
     FaultEvent,
-    backup_lag_schedule,
     crash_cycle,
     durable_crash_cycle,
     failover_schedule,
@@ -27,7 +26,6 @@ __all__ = [
     "RESTART",
     "PARTITION",
     "HEAL",
-    "backup_lag_schedule",
     "crash_cycle",
     "durable_crash_cycle",
     "failover_schedule",

@@ -257,28 +257,6 @@ def failover_schedule(
     return ordered(events)
 
 
-def backup_lag_schedule(
-    primary: int,
-    backup: int,
-    at: float,
-    duration: float,
-) -> List[FaultEvent]:
-    """Cut the ``primary``/``backup`` link so the backup falls behind.
-
-    While the link is down the primary's replication pump retries into
-    the void: sync-mode commits degrade to async after ``sync_timeout``
-    (counted in ``replication_sync_degraded``), the backup's replicated
-    frontier stalls, and read-forwarding must route reads it can no
-    longer prove fresh back to the primary.  After the heal the stream
-    retransmits from the last acknowledged record and the backup
-    converges without a bootstrap.  Identical event shape to
-    :func:`partition_cycle`; the distinct builder names the intent.
-    """
-    if primary == backup:
-        raise ValueError("primary and backup must differ")
-    return partition_cycle(primary, backup, at, duration)
-
-
 def random_schedule(
     seed: int,
     node_ids: Sequence[int],

@@ -20,7 +20,7 @@ class OpRecord:
     key: Hashable
     vid: int  # version identifier read or installed
     #: vid of the newest version where a read chose its version: the
-    #: freshness witness.  None on writes and on a backup's (frozen) read.
+    #: freshness witness.  None on writes.
     latest_vid_at_read: Optional[int] = None
 
 

@@ -221,8 +221,7 @@ class LongFork(NamedTuple):
 def check_fresh(history: History) -> CheckResult:
     """FW-KV's claim over PSI (paper Sections 3.3, 4): every read-only
     transaction's first read returned the latest version at its site, and
-    no long fork is observable.  Reads with no freshness witness (a
-    backup's) are skipped; later first contacts are ``hasRead``'s."""
+    no long fork is observable.  Later first contacts are ``hasRead``'s."""
     found = [
         Violation((STALE_FIRST_READ,), (r.txn_id,), f"{r.txn_id} first read "
                   f"{op.key!r}@{op.vid}, latest at its site @{op.latest_vid_at_read}")

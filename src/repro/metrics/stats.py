@@ -211,12 +211,6 @@ COUNTERS: Dict[str, str] = {
     "replication_sync_degraded": (
         "sync-mode decision waits that hit ``sync_timeout`` and went async"
     ),
-    "backup_reads_served": (
-        "frozen reads a backup answered from its replicated state"
-    ),
-    "backup_reads_forwarded": (
-        "frozen reads a backup forwarded to the current primary"
-    ),
     "failovers_completed": "shards promoted by completed failovers",
     "backup_bootstraps": "backup (re-)bootstraps a primary shipped",
 }

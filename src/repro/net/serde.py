@@ -50,8 +50,9 @@ from repro.net.rpc import _Reply, _Request
 #: (2: ``SyncRequestBody``, ``SyncReplyBody`` and ``TxnStatusReplyBody``
 #: gained their re-stage fields; 3: ``SyncRequestBody.site``, and a
 #: ``decision`` stream entry's ``writes`` are ``(site, key, value)``; 4:
-#: ``ReadRequestBody.queue``, ``ReadReturnBody.spoken_for``, ``VoteBody.lost``).
-WIRE_VERSION = 4
+#: ``ReadRequestBody.queue``, ``ReadReturnBody.spoken_for``, ``VoteBody.lost``;
+#: 5: ``ReadRequestBody.frozen`` deleted).
+WIRE_VERSION = 5
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).

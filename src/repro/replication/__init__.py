@@ -8,11 +8,9 @@ under the transactional core: with
 :class:`repro.config.ReplicationConfig` enabled on a sharded cluster,
 every shard's owner streams its prepare/decision/apply records to
 deterministically placed backups (``repro.replication.shard``), sync mode
-gates commit acknowledgment on backup acknowledgment, the accrual
-failure detector drives live failover behind the shard fence machinery,
-and read-only FW-KV reads can be served straight from backups when the
-replicated frontier dominates the requested snapshot (see
-``docs/replication.md``).
+gates commit acknowledgment on backup acknowledgment, and the accrual
+failure detector drives live failover behind the shard fence machinery
+(see ``docs/replication.md``).
 
 Scope notes, mirroring the paper's:
 

@@ -31,8 +31,8 @@ class BackupState:
     ) -> None:
         #: Cumulative applied high-water mark (the ack we return).
         self.applied = applied
-        #: The primary's ``siteVC`` as of the newest applied apply/
-        #: frontier record -- the freshness bound for frozen reads.
+        #: The primary's ``siteVC`` as of the newest applied ``apply``
+        #: record -- a promotion's re-stage floor.
         self.frontier = frontier
         #: txn_id -> prepare entry for staged, undecided participants.
         self.staged: Dict[int, ReplicationEntry] = {}
@@ -83,6 +83,4 @@ class BackupState:
                 )
             if entry.frontier is not None:
                 self.frontier = entry.frontier
-        elif kind == "frontier":
-            self.frontier = entry.frontier
         self.applied = entry.seq

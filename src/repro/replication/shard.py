@@ -8,19 +8,16 @@ keeps its primary -- the site the directory already names -- plus
 directory, and the primary streams its transactional state changes to
 them over per-(primary, backup) FIFO streams (``docs/replication.md``).
 
-The stream carries five record kinds (:class:`~repro.core.wire.
+The stream carries four record kinds (:class:`~repro.core.wire.
 ReplicationEntry`): ``prepare`` stages an in-flight 2PC participant's
 writes, ``abort`` drops a staged entry, ``decision`` records a commit
 this primary coordinated -- on its *decision homes* and the backups of
 the own shards written, not on every stream
-(:meth:`NodeReplication._decision_targets`) -- ``apply`` installs a
-commit's versions verbatim, and ``frontier`` is a clock-only freshness
-update (coalesced in the outbox; enqueued only under
-``read_from_backups``, whose frozen reads are its one consumer).
-Acknowledgements are cumulative -- the backup applies strictly in
-sequence order and replies with its applied high-water mark -- so an
-unacknowledged suffix simply retransmits after a partition or a lost
-reply, and duplicates are dropped by sequence.
+(:meth:`NodeReplication._decision_targets`) -- and ``apply`` installs a
+commit's versions verbatim.  Acknowledgements are cumulative -- the
+backup applies strictly in sequence order and replies with its applied
+high-water mark -- so an unacknowledged suffix simply retransmits after
+a partition or a lost reply, and duplicates are dropped by sequence.
 
 In ``sync`` mode a commit waits on the stream acks once: its
 acknowledgement and every Decide wait for the ``decision`` record on all
@@ -34,11 +31,7 @@ carries the round's writes, so a yes-vote waits for nothing; its
 Failover (:mod:`repro.replication.failover`) promotes the freshest
 backup of each shard of a dead owner and re-stages what its stream lost
 from the coordinators' decisions (the live asked, the dead ones' merged).
-
-Read-forwarding (``read_from_backups``) lets backups serve *frozen*
-read-only requests Walter-style, but only when the backup's replicated
-frontier dominates the request's snapshot; otherwise the request is
-forwarded to the primary (soundness argument: ``docs/replication.md``).
+Backups serve no reads: every read goes to the key's owner.
 """
 
 from __future__ import annotations
@@ -48,12 +41,8 @@ from functools import partial
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.config import ReplicationConfig
-from repro.core.vector_clock import covers
-from repro.core.walter.visibility import select_walter_version
 from repro.core.wire import (
     DecideBody,
-    ReadRequestBody,
-    ReadReturnBody,
     ReplicateAckBody,
     ReplicateBody,
     ReplicationEntry,
@@ -98,8 +87,8 @@ class ReplicationStream:
     """Primary-side state of one primary -> backup FIFO stream."""
 
     __slots__ = (
-        "backup", "next_seq", "acked", "inflight_hi", "outbox", "closed",
-        "inflight", "waiters",
+        "backup", "next_seq", "acked", "outbox", "closed", "inflight",
+        "waiters",
     )
 
     def __init__(self, backup: int) -> None:
@@ -108,9 +97,6 @@ class ReplicationStream:
         self.next_seq = 1
         #: Cumulative ack: every record at or below this was applied.
         self.acked = 0
-        #: Highest sequence number ever handed to the wire; frontier
-        #: coalescing may only mutate entries above it.
-        self.inflight_hi = 0
         #: Unacknowledged suffix, dense: the head is ``acked + 1``.
         self.outbox: List[ReplicationEntry] = []
         #: Closed streams accept no records: the sender was deposed by a
@@ -132,10 +118,9 @@ class NodeReplication:
     Lives on every MVCC protocol node of a replication-enabled cluster
     (``node.replication``); owns the primary-side streams to this
     node's backups and the backup-side state for every primary this
-    node backs.  The protocol node calls in at four points: prepare
-    (stage), commit decision (log), decide-apply (install + frontier),
-    and propagate (frontier); the REPLICATE message handler is the
-    backup side.
+    node backs.  The protocol node calls in at three points: prepare
+    (stage), commit decision (log) and decide-apply (install); the
+    REPLICATE message handler is the backup side.
     """
 
     def __init__(self, owner, cluster_rep: "ClusterReplication") -> None:
@@ -208,13 +193,6 @@ class NodeReplication:
         stream = self._stream(backup)
         if stream.closed:
             return None
-        if kind == "frontier" and stream.outbox:
-            last = stream.outbox[-1]
-            if last.kind == "frontier" and last.seq > stream.inflight_hi:
-                # Coalesce: the trailing un-sent frontier record absorbs
-                # the newer snapshot instead of growing the outbox.
-                last.frontier = fields["frontier"]
-                return last.seq
         entry = ReplicationEntry(seq=stream.next_seq, kind=kind, **fields)
         stream.next_seq += 1
         stream.outbox.append(entry)
@@ -254,14 +232,10 @@ class NodeReplication:
             # Crashed or failed over: the driver re-bootstraps it later.
             self._close_stream(stream)
             return
-        batch = tuple(stream.outbox[:BATCH_RECORDS])
-        hi = batch[-1].seq
-        if hi > stream.inflight_hi:
-            stream.inflight_hi = hi
         stream.inflight = self.owner.node.rpc.request(
             stream.backup,
             MessageType.REPLICATE,
-            ReplicateBody(self.node_id, batch),
+            ReplicateBody(self.node_id, tuple(stream.outbox[:BATCH_RECORDS])),
             deadline=RETRY_INTERVAL,
         )
         stream.inflight.add_callback(partial(self._on_batch_reply, stream))
@@ -414,13 +388,10 @@ class NodeReplication:
         """Stream an installed commit's versions, plus the new frontier.
 
         Called right after the install and clock advance, so the
-        carried frontier provably covers every version a backed key
-        holds below it (the read-forwarding soundness invariant).
-        With ``read_from_backups`` on, backups not touched by these
-        writes get a coalesced clock-only frontier record instead.
+        carried frontier covers every version a backed key holds below
+        it: a promotion re-stages from above it (``failover._promote``).
         """
-        frontier = self.owner.site_vc.to_tuple()
-        targets = self._enqueue_by_key(
+        self._enqueue_by_key(
             writes,
             "apply",
             txn_id=body.txn_id,
@@ -428,21 +399,8 @@ class NodeReplication:
             seq_no=body.seq_no,
             commit_vc=body.commit_vc,
             collected=body.collected,
-            frontier=frontier,
+            frontier=self.owner.site_vc.to_tuple(),
         )
-        if self.config.read_from_backups:
-            self.note_frontier({stream.backup for stream, _seq in targets})
-
-    def note_frontier(self, covered=frozenset()) -> None:
-        """Stream a clock-only freshness update (coalesced per stream) to
-        every backup not ``covered`` by a record that already carries it;
-        frozen backup reads are the frontier's only reader."""
-        if not self.config.read_from_backups:
-            return
-        frontier = self.owner.site_vc.to_tuple()
-        for backup in self._all_backups():
-            if backup not in covered:
-                self._enqueue(backup, "frontier", frontier=frontier)
 
     # ------------------------------------------------------------------
     # Backup side: the REPLICATE handler
@@ -475,91 +433,6 @@ class NodeReplication:
             if wal is not None:
                 wal.append(ReplicationRecord(body.primary, entry))
         rpc.reply(envelope, ReplicateAckBody(state.applied))
-
-    # ------------------------------------------------------------------
-    # Read-forwarding (backup side of a frozen read)
-    # ------------------------------------------------------------------
-    def serve_or_forward(self, envelope, request: ReadRequestBody):
-        """Serve a frozen read locally, or forward it to the primary.
-
-        Generator subroutine called from ``on_read_request``.  Returns
-        True when the request was fully handled (replied, or
-        deliberately dropped so the requester's own retry re-routes it)
-        and False when this node turns out to *own* the key -- a
-        failover promoted it mid-flight -- in which case the caller
-        falls through to the normal read path.
-
-        The local serve is Walter's rule against the carried snapshot
-        (``max_vc=None``: the requester's clock never advances), gated
-        on the replicated frontier dominating the snapshot: every
-        version of a backed key at or below the frontier is provably in
-        the local chains, so "freshest visible" here equals "freshest
-        visible at the primary" for this snapshot.
-        """
-        owner = self.owner
-        key = request.key
-        shard_map = self.cluster_rep.shard_map
-        primary = shard_map.site(key)
-        if primary == self.node_id:
-            return False
-        state = self.backup_state.get(primary)
-        store = owner.store
-        if (
-            state is not None
-            and not state.closed
-            and state.frontier is not None
-            and covers(state.frontier, request.vc)
-            and key in store
-        ):
-            chain = store.chain(key)
-            try:
-                version, _ = select_walter_version(chain, request.vc)
-            except RuntimeError:
-                version = None
-            if version is not None:
-                latest_vid = chain.latest.vid
-                cost = (
-                    owner.costs.read_handler
-                    + owner.costs.version_scan_item
-                    * (latest_vid - version.vid + 1)
-                )
-                yield from owner.cpu.consume(cost)
-                self.metrics.count("backup_reads_served")
-                if self.tracer._enabled:
-                    self.tracer.emit(
-                        self.node_id, "backup_read", txn=request.txn_id,
-                        key=key, vid=version.vid, primary=primary,
-                    )
-                owner.node.rpc.reply(
-                    envelope,
-                    ReadReturnBody(version.value, None, version.vid, latest_vid),
-                )
-                return True
-        # Forward: re-read the directory each attempt so a concurrent
-        # failover re-routes the read to the promoted primary.
-        body = ReadRequestBody(
-            txn_id=request.txn_id,
-            is_read_only=request.is_read_only,
-            key=key,
-            vc=request.vc,
-            has_read=request.has_read,
-        )
-        for _attempt in range(8):
-            target = shard_map.site(key)
-            if target == self.node_id:
-                return False  # promoted meanwhile: serve it ourselves
-            ok, reply = yield from owner.node.rpc.call_settled(
-                target, MessageType.READ_REQUEST, body
-            )
-            if ok:
-                self.metrics.count("backup_reads_forwarded")
-                owner.node.rpc.reply(envelope, reply)
-                return True
-            yield self.sim.timeout(RETRY_INTERVAL)
-        # Give up silently: the requester's own RPC timeout re-routes
-        # the read (possibly to the promoted primary) -- replying a
-        # stale value here would be the one unsound option.
-        return True
 
     # ------------------------------------------------------------------
     # Failover support
@@ -598,7 +471,6 @@ class NodeReplication:
         stream.outbox.clear()
         stream.closed = False
         stream.acked = stream.next_seq - 1
-        stream.inflight_hi = stream.acked
         self._release(stream)
 
     def adopt_stream(
@@ -647,7 +519,7 @@ class ClusterReplication:
         self.tracer = cluster.tracer
         self.shard_map = cluster.directory
         #: Sites deposed by a failover (or crashed beyond repair); they
-        #: receive no stream traffic and serve no backup reads.
+        #: receive no stream traffic.
         self.down: Set[int] = set()
         #: Bumped on every placement mutation (cache invalidation).
         self.version = 0
@@ -679,17 +551,6 @@ class ClusterReplication:
             or node_id in self.cluster._removed
             or self.cluster.network.is_crashed(node_id)
         )
-
-    def read_targets(self, key: Hashable) -> List[int]:
-        """Candidate servers for a read-only read of ``key``: the owner
-        first, then every live backup (``read_from_backups`` only)."""
-        owner = self.shard_map.site(key)
-        targets = [owner]
-        if self.config.read_from_backups:
-            for backup in self.backups_for_key(key):
-                if backup != owner and not self.is_excluded(backup):
-                    targets.append(backup)
-        return targets
 
     # ------------------------------------------------------------------
     # Foreground failover waits

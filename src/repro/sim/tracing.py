@@ -80,7 +80,6 @@ class Tracer:
             "shard_migrated",
             "shard_migrate_failed",
             "replication_degraded",
-            "backup_read",
             "backup_bootstrap",
             "failover_start",
             "failover_promoted",

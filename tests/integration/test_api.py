@@ -142,7 +142,6 @@ def test_replication_defaults_off_and_overlays():
     # no streams, no failover driver.
     replication = ReplicationConfig()
     assert replication.enabled is False
-    assert replication.read_from_backups is False
     assert replication.failover_timeout is None
     assert replication.replication_factor >= 2
     assert replication.mode == "sync"
@@ -224,7 +223,6 @@ replication_configs = st.builds(
     enabled=st.booleans(),
     replication_factor=st.integers(1, 5),
     mode=st.sampled_from(["sync", "async"]),
-    read_from_backups=st.booleans(),
     failover_timeout=optional(positive_floats),
     sync_timeout=positive_floats,
 )

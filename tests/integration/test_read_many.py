@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro import Cluster, ClusterConfig, NetworkConfig, RpcConfig
+from repro.cluster import ExplicitDirectory
+from repro.net.rpc import RpcTimeoutError
+
 from tests.harness.oracle import assert_psi
 from tests.integration.scenario_tools import make_cluster, update_txn
 
@@ -54,6 +58,32 @@ def test_read_many_rejects_update_transactions():
         # Generators raise on first advance.
         gen = node.read_many(txn, ["a"])
         next(gen)
+
+
+def test_read_many_fails_with_a_read_that_exhausts_its_retries():
+    """Without failover, a key whose owner is down fails the whole
+    multi-get with that read's timeout, once its attempts run out."""
+    rpc = RpcConfig(request_timeout=200e-6, max_attempts=2)
+    config = ClusterConfig(
+        num_nodes=3, network=NetworkConfig(jitter=0.0, rpc=rpc)
+    )
+    cluster = Cluster("fwkv", config, directory=ExplicitDirectory(PLACEMENT))
+    for key, value in INITIAL.items():
+        cluster.load(key, value)
+    cluster.network.crash(2)
+
+    def proc():
+        node = cluster.node(0)
+        txn = node.begin(is_read_only=True)
+        try:
+            yield from node.read_many(txn, ["a", "b", "c"])
+        except RpcTimeoutError as exc:
+            return exc, cluster.sim.now
+
+    exc, elapsed = cluster.run_process(proc())
+    assert isinstance(exc, RpcTimeoutError)
+    assert "to node 2" in str(exc)
+    assert elapsed >= rpc.max_attempts * rpc.request_timeout
 
 
 def test_read_many_uses_cache_and_mixes_with_read():

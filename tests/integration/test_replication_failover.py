@@ -17,9 +17,9 @@ oracle (no acknowledged write lost included):
 * a double failure (a primary, then the freshest backup that had just
   been promoted in its place) with replication_factor=3 keeps every key
   writable and readable throughout;
-* read-forwarding stays freshness-safe across a failover: backup-served
-  reads keep flowing while the dead owner's shards promote, with the
-  oracle green;
+* read-only multi-gets keep flowing while a dead owner's shards promote:
+  every per-key read that timed out retries at the promoted owner, with
+  the oracle green;
 * a *coordinator* crashed between its decision record's acknowledgement
   and the delivery of any Decide (the stream contract S1-S3 of DESIGN.md
   5.10): the decision sits on ``rf - 1`` decision homes plus the backups
@@ -57,10 +57,10 @@ from repro import (
 from repro.config import HealingConfig
 from repro.faults import CRASH, FaultEvent, Nemesis
 from repro.faults.schedules import (
-    backup_lag_schedule,
     crash_cycle,
     failover_schedule,
     ordered,
+    partition_cycle,
 )
 from repro.net.message import MessageType
 from repro.sim.rng import make_rng
@@ -93,7 +93,6 @@ def build(
     num_nodes=NUM_NODES,
     factor=2,
     failover=4e-3,
-    read_from_backups=False,
     rpc=None,
 ):
     """A sharded, replicated FW-KV cluster with failover armed."""
@@ -111,7 +110,6 @@ def build(
             enabled=True,
             replication_factor=factor,
             mode="sync",
-            read_from_backups=read_from_backups,
             failover_timeout=failover,
         ),
         durability=DurabilityConfig(wal_enabled=False),
@@ -331,7 +329,7 @@ def run_backup_partition(seed, *, partition):
     window = 12e-3
     if partition:
         nemesis.start(
-            backup_lag_schedule(primary, backup, cluster.sim.now, window)
+            partition_cycle(primary, backup, cluster.sim.now, window)
         )
     # What was in its decision wait at the primary each time a sync wait
     # degraded: a round that is on record as committed, Decides unsent.
@@ -528,46 +526,62 @@ def test_orphaned_shards_are_reported_when_the_set_changes_not_every_scan():
 
 
 # ----------------------------------------------------------------------
-# Read-forwarding stays freshness-safe across a failover
+# Read-only multi-gets re-route across a failover
 # ----------------------------------------------------------------------
-def run_forwarded_reads(seed, *, crash):
-    """RO traffic spread over backups while a primary dies mid-stream."""
-    cluster, nemesis = build(seed, read_from_backups=True)
+def run_multi_get_reads(seed, *, crash):
+    """``read_many`` traffic while a primary dies mid-stream: each of its
+    per-key reads that times out at the dead owner parks until the
+    directory names the promoted one, then retries there."""
+    cluster, nemesis = build(seed)
     victim = 1
     coordinators = [0, 2]
-    rng = make_rng(seed, "replication-ro")
+    rng = make_rng(seed, "replication-multi-get")
 
     drive(cluster, rmw_plan(rng, coordinators, 10))
 
     if crash:
         nemesis.start(failover_schedule(victim, cluster.sim.now + 5e-3))
-    ro_plan = [
-        (coordinators[i % 2], [all_keys()[(5 * i) % NUM_KEYS]])
-        for i in range(24)
-    ]
-    reads = drive(cluster, ro_plan, read_only=True, budget=0.3)
-    for ok, keys, values in reads:
-        owner = cluster.node(cluster.directory.site(keys[0]))
-        expected = [owner.store.chain(keys[0]).latest.value]
-        assert ok and values == expected, (keys, values, expected)
+    keys = all_keys()
+    reads = []
+
+    def reader():
+        for i in range(24):
+            node = cluster.node(coordinators[i % 2])
+            txn = node.begin(is_read_only=True)
+            wanted = [keys[(5 * i + j) % NUM_KEYS] for j in range(3)]
+            values = yield from node.read_many(txn, wanted)
+            ok = yield from node.commit(txn)
+            reads.append((ok, values))
+            yield cluster.sim.timeout(SETTLE)
+
+    cluster.spawn(reader(), name="multi-get")
+    cluster.run(until=cluster.sim.now + 0.3)
+    assert len(reads) == 24, "multi-get driver did not finish in time"
+    for ok, values in reads:
+        expected = {
+            key: cluster.node(cluster.directory.site(key))
+            .store.chain(key).latest.value
+            for key in values
+        }
+        assert ok and values == expected, (values, expected)
 
     drive(cluster, rmw_plan(rng, coordinators, 6), budget=0.2)
     settle(cluster)
 
     metrics = cluster.metrics
-    assert metrics.counters["backup_reads_served"] > 0
     assert metrics.aborts == 0, dict(metrics.aborts_by_reason)
     if crash:
         assert metrics.counters["failovers_completed"] > 0
         assert not cluster.directory.shards_of(victim)
+        assert cluster.network.stats.rpc_timeouts > 0
     assert_no_lost_commits(cluster)
     return authoritative_fingerprint(cluster)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_forwarded_reads_survive_failover(seed):
-    faulty = run_forwarded_reads(seed, crash=True)
-    control = run_forwarded_reads(seed, crash=False)
+def test_multi_get_reads_survive_failover(seed):
+    faulty = run_multi_get_reads(seed, crash=True)
+    control = run_multi_get_reads(seed, crash=False)
     assert faulty == control
 
 

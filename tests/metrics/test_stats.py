@@ -137,10 +137,10 @@ def test_freshness_accounting():
     assert metrics.ro_read_gap.mean == pytest.approx(1.0)
 
 
-#: ``summary()``'s keys as of PR 14 (plus ``prepares_restaged``, PR 19,
-#: and ``places_expired``, PR 24), in order: reports, the ledger and
-#: ``scripts/`` read them by name, so the registry must not rename,
-#: drop or reorder one.
+#: ``summary()``'s keys, in order: reports, the ledger and ``scripts/``
+#: read them by name, so the registry must not rename or reorder one,
+#: and drops one only with the code that counted it (the two backup-read
+#: counters went with the backup-read path).
 SUMMARY_KEYS = (
     "commits", "aborts", "rollbacks", "abort_rate", "throughput",
     "aborts_by_reason", "abort_hot_keys", "attempts_per_commit",
@@ -162,14 +162,13 @@ SUMMARY_KEYS = (
     "drains_completed", "stale_width_messages", "shard_migrations",
     "shard_migration_keys", "shard_migrations_failed", "rebalance_rounds",
     "replication_records_streamed", "replication_lag_max",
-    "replication_sync_degraded", "backup_reads_served",
-    "backup_reads_forwarded", "failovers_completed", "backup_bootstraps",
+    "replication_sync_degraded", "failovers_completed", "backup_bootstraps",
 )
 
 
 def test_summary_keys_are_frozen():
     summary = MetricsRecorder(Simulator()).summary()
-    assert len(SUMMARY_KEYS) == 67
+    assert len(SUMMARY_KEYS) == 65
     assert tuple(summary) == SUMMARY_KEYS
     assert tuple(COUNTERS) == SUMMARY_KEYS[22:]
     assert all(summary[name] == 0 for name in COUNTERS)

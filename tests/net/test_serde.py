@@ -222,10 +222,14 @@ def test_restage_sync_round_trips_with_its_listed_decisions():
 
 
 # ----------------------------------------------------------------------
-# The line's three fields (wire version 4) survive at their non-defaults
+# The line's three fields survive at their non-defaults; a read request
+# (wire version 5) carries no ``frozen`` flag, its ``queue`` sixth
 # ----------------------------------------------------------------------
 def test_queue_spoken_for_and_lost_round_trip():
-    request = wire.ReadRequestBody(7, False, "u0", (3, 1), (False, False), queue=True)
+    assert [f.name for f in dataclasses.fields(wire.ReadRequestBody)] == [
+        "txn_id", "is_read_only", "key", "vc", "has_read", "queue",
+    ]
+    request = wire.ReadRequestBody(7, False, "u0", (3, 1), (False, False), True)
     reply = wire.ReadReturnBody("v", (3, 2), 5, 6, spoken_for=True)
     votes = [
         wire.VoteBody(False, reason="validation", lost=key)
@@ -242,10 +246,10 @@ def test_queue_spoken_for_and_lost_round_trip():
     ]
     # Left out, they read as before: an ordinary read, an ordinary vote.
     plain = wire.ReadRequestBody(7, False, "u0", (3, 1), (False, False))
-    assert (plain.frozen, plain.queue) == (False, False)
+    assert plain.queue is False
     assert wire.ReadReturnBody("v", None, 5, 6).spoken_for is False
     assert wire.VoteBody(True).lost is None
-    assert WIRE_VERSION == 4
+    assert WIRE_VERSION == 5
 
 
 def test_dict_encoding_is_insertion_order_independent():

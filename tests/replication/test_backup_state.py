@@ -49,7 +49,6 @@ payloads = st.one_of(
     entry("apply", txn_id=txn_ids, origin=st.integers(0, 1),
           seq_no=st.integers(1, 9), commit_vc=clocks, writes=writes,
           frontier=clocks),
-    entry("frontier", frontier=clocks),
 )
 
 

@@ -103,17 +103,13 @@ def run_mixed_traffic(cluster, count=60):
     kinds = Counter()
     in_flight = Counter()
     peak = Counter()
-    frontier_only = []
 
     def tap(envelope):
         link = (envelope.src, envelope.dst)
         if envelope.msg_type == REPLICATE:
-            entries = envelope.payload.body.entries
-            kinds.update(entry.kind for entry in entries)
+            kinds.update(entry.kind for entry in envelope.payload.body.entries)
             in_flight[link] += 1
             peak[link] = max(peak[link], in_flight[link])
-            if all(entry.kind == "frontier" for entry in entries):
-                frontier_only.append(len(entries))
         elif envelope.msg_type == MessageType.RPC_REPLY and isinstance(
             envelope.payload.body, ReplicateAckBody
         ):
@@ -150,23 +146,57 @@ def run_mixed_traffic(cluster, count=60):
             yield cluster.sim.timeout(2e-4)
 
     cluster.run_process(driver())
-    return updates[0], kinds, peak, frontier_only
+    return updates[0], kinds, peak
 
 
-def test_no_clock_only_records_without_backup_reads():
-    """``BackupState.frontier`` has no reader with ``read_from_backups``
-    off, so no frontier record is enqueued, and a 2-key update commit
-    costs at most 6 REPLICATE messages on 3 nodes: prepare and apply to
-    the <= 2 written shards' backups, decision to the coordinator's home
-    and the backups of the own shards it wrote (<= 2 streams here)."""
-    cluster = build(read_from_backups=False)
-    updates, kinds, peak, _ = run_mixed_traffic(cluster)
-    assert kinds["frontier"] == 0
-    assert kinds["prepare"] and kinds["decision"] and kinds["apply"]
-    assert replicate_count(cluster) <= 6 * updates
+def test_streams_carry_only_a_commits_own_records():
+    """A stream carries ``prepare`` / ``abort`` / ``decision`` / ``apply``
+    records and nothing else: a clock-only advance -- a Propagate, or a
+    catch-up (recovery, gossip pull, join bootstrap) -- streams nothing.
+    A 2-key update commit costs at most 6 REPLICATE messages on 3 nodes:
+    prepare and apply to the <= 2 written shards' backups, decision to the
+    coordinator's home and the backups of the own shards it wrote (<= 2
+    streams here)."""
+    cluster = build()
+    updates, kinds, peak = run_mixed_traffic(cluster)
+    cluster.run()
+    sent = replicate_count(cluster)
+    assert sent <= 6 * updates
+    primary = cluster.node(0)
+    cluster.run_process(catch_up(primary, 1, primary.site_vc[1] + 3))
+    cluster.run()
+    assert replicate_count(cluster) == sent
+    records = {kind for kind in kinds if " " not in kind}  # not the sums
+    assert {"prepare", "decision", "apply"} <= records
+    assert records <= {"prepare", "abort", "decision", "apply"}
     assert max(peak.values()) == 1
     assert cluster.metrics.counters["replication_sync_degraded"] == 0
     assert cluster.network.stats.rpc_timeouts == 0
+
+
+def test_backup_frontier_moves_only_with_apply_records():
+    """``BackupState.frontier`` -- a promotion's re-stage floor -- is the
+    primary's clock as the newest ``apply`` record carried it: a catch-up
+    in between moves it at no backup, and the next ``apply`` carries it."""
+    cluster = build()
+    primary = cluster.node(0)
+    key = owned_key(cluster, 0)
+    (backup,) = cluster.replication.backups_for_key(key)
+    stream_apply(cluster, 0, key, 1)
+    cluster.run()
+    state = cluster.node(backup).replication.backup_state[0]
+    applied = primary.site_vc.to_tuple()
+    assert state.frontier == applied and state.applied == 1
+
+    cluster.run_process(catch_up(primary, 1, applied[1] + 3))
+    cluster.run()
+    assert primary.site_vc[1] == applied[1] + 3
+    assert state.frontier == applied and state.applied == 1
+
+    stream_apply(cluster, 0, key, 2)
+    cluster.run()
+    assert state.frontier == primary.site_vc.to_tuple() != applied
+    assert state.applied == 2
 
 
 @pytest.mark.parametrize("factor", [2, 3])
@@ -175,7 +205,7 @@ def test_decision_records_go_to_homes_and_written_own_shards(factor):
     record goes to ``rf - 1`` of them plus the backups of the own shards
     the commit wrote, not to all."""
     cluster = build(num_nodes=5, factor=factor)
-    updates, kinds, _, _ = run_mixed_traffic(cluster)
+    updates, kinds, _ = run_mixed_traffic(cluster)
     assert updates * (factor - 1) <= kinds["decision"]
     assert kinds["decision"] <= kinds["decision budget"] < kinds["every stream"]
     assert cluster.metrics.counters["replication_sync_degraded"] == 0
@@ -238,49 +268,6 @@ def test_decision_targets_are_homes_plus_written_own_shards(
     assert len(set(targets)) == len(targets)
     rep.version += 1  # drop the cache: same inputs, same answer
     assert node_rep._decision_targets(writes) == targets
-
-
-def test_backup_reads_keep_the_coalesced_frontier_feed():
-    cluster = build(read_from_backups=True)
-    _, kinds, peak, frontier_only = run_mixed_traffic(cluster)
-    assert cluster.metrics.counters["backup_reads_served"] > 0
-    assert kinds["frontier"] > 0
-    # One batch in flight per stream, and whatever frontier updates pile
-    # up behind it coalesce into the single trailing record.
-    assert max(peak.values()) == 1
-    assert set(frontier_only) == {1}
-    assert cluster.metrics.counters["replication_sync_degraded"] == 0
-
-
-@pytest.mark.parametrize("backup_reads", [True, False])
-def test_clock_catch_up_feeds_the_replicated_frontier(backup_reads):
-    """A catch-up (recovery, gossip pull, join bootstrap) advances the
-    clock through the same tick a Propagate does, so with
-    ``read_from_backups`` the backups' frontier follows it (a stale one
-    forwards frozen reads that could be served), and with it off still
-    no clock-only record exists."""
-    cluster = build(read_from_backups=backup_reads)
-    kinds = Counter()
-
-    def tap(envelope):
-        if envelope.msg_type == REPLICATE:
-            kinds.update(e.kind for e in envelope.payload.body.entries)
-        return 0.0
-
-    cluster.network.delay_policy = tap
-    primary = cluster.node(0)
-    cluster.run_process(catch_up(primary, 1, 3))
-    cluster.run()
-    assert primary.site_vc[1] == 3
-    backups = primary.replication._all_backups()
-    assert backups
-    if backup_reads:
-        assert kinds["frontier"] >= 1
-        for backup in backups:
-            state = cluster.node(backup).replication.backup_state[0]
-            assert state.frontier[1] == 3
-    else:
-        assert not kinds
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +383,7 @@ def test_after_acked_fires_once_on_the_last_ack_or_a_close_never_on_enqueue(
     fired = []
     cut(cluster, 0, 2)
     targets = [
-        (rep._stream(backup), rep._enqueue(backup, "frontier", frontier=(0,)))
+        (rep._stream(backup), rep._enqueue(backup, "apply", txn_id=backup))
         for backup in rep._all_backups()
     ]
     assert len(targets) == 3

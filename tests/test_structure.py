@@ -19,18 +19,21 @@ TESTS = Path(__file__).parent
 #: Lines over every ``*.py`` under ``src/repro``.  Raised five times (thrice
 #: for a protocol step bought, +74 for the one oracle, +26 for loaded keys
 #: held as their values net of one loader per protocol; ROADMAP has the
-#: per-file breakdowns), lowered once by the figure registry.
-TOTAL_SRC_LINES = 17279
+#: per-file breakdowns), lowered by the figure registry and by deleting
+#: the backup-read path (-242).
+TOTAL_SRC_LINES = 17037
 #: Lines over every ``*.py`` under ``tests/``.  Raised +102 for the
-#: loaded-key footprint pins, census and chain shape.
-TOTAL_TEST_LINES = 17734
+#: loaded-key footprint pins, census and chain shape; lowered -17 by the
+#: one read path (the backup-read tests out, owner-read tests in).
+TOTAL_TEST_LINES = 17717
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``).
-LONGEST_FILE = 1209
+LONGEST_FILE = 1150
 #: ``replication/shard.py`` (stream pump, ``NodeReplication``,
-#: ``ClusterReplication``) once ``FailoverDriver`` left for ``failover.py``.
-SHARD_FILE = 740
+#: ``ClusterReplication``) once ``FailoverDriver`` left for ``failover.py``
+#: and backups stopped serving reads.
+SHARD_FILE = 601
 #: Fields over all config dataclasses in ``repro.config``.
-CONFIG_FIELDS = 79
+CONFIG_FIELDS = 78
 #: Config fields nothing reads.  ``group_commit_window`` stays accepted
 #: only because the frozen ``benchmarks/ledger/registry.py`` passes it.
 UNREAD_CONFIG_FIELDS = {"group_commit_window"}
@@ -133,6 +136,27 @@ def test_a_yes_vote_waits_for_no_replication_ack():
         if isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value is not None
     ]
     assert yielded and not [y for y in yielded if "replication" in y], yielded
+
+
+def test_reads_are_sent_from_read_only():
+    """One read path: a read request leaves a coordinator's ``read`` and
+    nothing else -- no multi-get RPC loop, no backup forwarding it."""
+    senders = {
+        f"{cls.name}.{method.name}"
+        for path in SRC.rglob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        for call in ast.walk(method)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", None) != "on"  # handler registration
+        and any(
+            isinstance(arg, ast.Attribute) and arg.attr == "READ_REQUEST"
+            for arg in call.args
+        )
+    }
+    assert senders == {"MVCCNode.read", "TwoPCNode.read"}, senders
 
 
 def _dict_valued(node: ast.expr, annotation=None) -> bool:
