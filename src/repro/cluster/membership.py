@@ -268,12 +268,10 @@ class NodeMembership:
             for peer in previous.members:
                 if peer != self.node_id and view.state_of(peer) is None:
                     detector.forget(peer)
-        owner.metrics.count("views_committed")
-        if owner.tracer._enabled:
-            owner.tracer.emit(
-                self.node_id, "view_commit", epoch=view.epoch,
-                members=view.members_wire(), retired=view.retired_wire(),
-            )
+        owner.tracer.emit(
+            self.node_id, "view_commit", epoch=view.epoch,
+            members=view.members_wire(), retired=view.retired_wire(),
+        )
         return True
 
     # ------------------------------------------------------------------

@@ -138,7 +138,7 @@ class Rebalancer:
         if cluster.network.is_crashed(donor_id) or cluster.network.is_crashed(
             dest
         ):
-            self.metrics.count("shard_migrations_failed")
+            tracer.emit(donor_id, "shard_migrate_failed", shard=shard, dest=dest)
             return False
         donor = cluster.nodes[donor_id]
         keys = sorted(
@@ -160,19 +160,12 @@ class Rebalancer:
         flipped = yield from fenced_handoff(donor, {dest: keys}, act=flip)
         if flipped:
             self.migrations.append((shard, donor_id, dest))
-            self.metrics.count("shard_migrations")
-            self.metrics.count("shard_migration_keys", len(keys))
-            if tracer._enabled:
-                tracer.emit(
-                    donor_id, "shard_migrated", shard=shard, dest=dest,
-                    keys=len(keys), epoch=shard_map.epoch,
-                )
+            tracer.emit(
+                donor_id, "shard_migrated", shard=shard, dest=dest,
+                keys=len(keys), epoch=shard_map.epoch,
+            )
         else:
-            self.metrics.count("shard_migrations_failed")
-            if tracer._enabled:
-                tracer.emit(
-                    donor_id, "shard_migrate_failed", shard=shard, dest=dest,
-                )
+            tracer.emit(donor_id, "shard_migrate_failed", shard=shard, dest=dest)
         return flipped
 
     # ------------------------------------------------------------------

@@ -479,8 +479,6 @@ class CostModel(ConfigSerde):
     #: Client-side cost around every transaction attempt (request assembly,
     #: marshalling, dispatch, response handling).
     client_overhead: float = 50e-6
-    #: Closed-loop think time between transactions.
-    client_think: float = 0.0
 
 
 @dataclass

@@ -64,7 +64,7 @@ class BaseProtocolNode(ABC):
         self.metrics = shared.metrics
         #: This node's handler-execution capacity.
         self.cpu = CpuResource(self.sim, self.costs.cpu_cores)
-        self.tracer = shared.tracer if shared.tracer is not None else Tracer(self.sim)
+        self.tracer = shared.tracer or Tracer(self.sim, self.metrics)
 
     @property
     def node_id(self) -> int:

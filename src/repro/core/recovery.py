@@ -215,9 +215,6 @@ class NodeRecovery:
             node.site_vc[node.node_id],
         )
         self.recoveries += 1
-        node.metrics.count("recoveries")
-        node.metrics.count("wal_records_replayed", result.replayed)
-        node.metrics.count("indoubt_recovered", len(result.in_doubt))
         node.fence.lower_node()
         node.tracer.emit(
             node.node_id, "recover", replayed=result.replayed,

@@ -358,7 +358,6 @@ class InDoubtResolver:
             yield from node._apply_committed_decide(decide)
         elif decide is None:
             node._abort_prepared(txn_id, entry)
-            node.metrics.count("lease_expirations")
             node.tracer.emit(node.node_id, "lease_expire", txn=txn_id)
 
 
@@ -449,7 +448,6 @@ def catch_up(node, origin: int, target: int, reserved=frozenset()):
         node._advance_clock(origin, seq_no)
         advanced += 1
     if advanced:
-        node.metrics.count("catchup_advances", advanced)
         node.tracer.emit(
             node.node_id, "catchup", origin=origin, advanced=advanced,
             target=target,

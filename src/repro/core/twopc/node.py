@@ -234,7 +234,6 @@ class TwoPCNode(BaseProtocolNode):
         del self._prepared[txn_id]
         self.locks.release_keys(entry.read_held, txn_id)
         self.locks.release_keys(entry.write_held, txn_id)
-        self.metrics.count("lease_expirations")
         self.tracer.emit(self.node_id, "lease_expire", txn=txn_id)
 
     def on_decide(self, envelope: Envelope):

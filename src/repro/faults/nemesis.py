@@ -117,24 +117,26 @@ class Nemesis:
 
     def apply(self, event: FaultEvent) -> None:
         """Apply one fault transition immediately (also usable directly)."""
+        self.applied.append(event)
+        a, b = event.a, event.b
         if event.kind == CRASH:
-            self._note_crash(event.a)
-            self.network.crash(event.a)
+            self._note_crash(a)
+            self.network.crash(a)
+            self.tracer.emit(a, "nemesis_crash", peer=b)
         elif event.kind == CRASH_DURABLE:
-            self._note_crash(event.a)
-            self._crash_durable(event.a)
+            self._note_crash(a)
+            self._crash_durable(a)
+            self.tracer.emit(a, "nemesis_crash_durable", peer=b)
         elif event.kind == RESTART:
-            self._restart(event.a)
+            self._restart(a)
+            self.tracer.emit(a, "nemesis_restart", peer=b)
         elif event.kind == PARTITION:
-            self._partition(event.a, event.b)
+            self._partition(a, b)
+            self.tracer.emit(a, "nemesis_partition", peer=b)
         elif event.kind == HEAL:
-            self.applied.append(event)
-            self._heal(event.a, event.b)
-            return  # _heal emits the enriched nemesis_heal trace event
+            self._heal(a, b)  # emits the enriched nemesis_heal event
         else:  # pragma: no cover - FaultEvent validates kinds
             raise ValueError(f"unknown fault kind {event.kind!r}")
-        self.applied.append(event)
-        self.tracer.emit(event.a, f"nemesis_{event.kind}", peer=event.b)
 
     # ------------------------------------------------------------------
     # Partition-window accounting

@@ -115,8 +115,6 @@ def client_loop(
             if max_retries is not None and attempts > max_retries:
                 break
             yield sim.sleep(retry_delay(backoff, attempts, rng))
-        if costs.client_think:
-            yield sim.sleep(costs.client_think)
 
 
 def run_experiment(

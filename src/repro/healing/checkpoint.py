@@ -113,14 +113,12 @@ class CheckpointManager:
         self._stable_required = owner.site_vc[owner.node_id]
         self._latest = record
         self.taken += 1
-        owner.metrics.count("checkpoints_taken")
-        if owner.tracer._enabled:
-            owner.tracer.emit(
-                owner.node_id, "checkpoint",
-                records_below=record.records_below,
-                in_doubt=len(in_doubt),
-                own_frontier=self._stable_required,
-            )
+        owner.tracer.emit(
+            owner.node_id, "checkpoint",
+            records_below=record.records_below,
+            in_doubt=len(in_doubt),
+            own_frontier=self._stable_required,
+        )
         return record
 
     def latest_checkpoint(self) -> Optional[CheckpointRecord]:
@@ -205,9 +203,7 @@ class CheckpointManager:
             self.pruned_floor = floor
         owner.in_doubt.log.prune(floor)
         if dropped:
-            owner.metrics.count("wal_records_truncated", dropped)
-            if owner.tracer._enabled:
-                owner.tracer.emit(
-                    owner.node_id, "truncate", dropped=dropped, floor=floor
-                )
+            owner.tracer.emit(
+                owner.node_id, "truncate", dropped=dropped, floor=floor
+            )
         return dropped

@@ -95,7 +95,6 @@ class NodeHealing:
                 self.node_id,
                 shared.num_nodes,
                 config,
-                metrics=self.metrics,
                 tracer=self.tracer,
             )
             if (
@@ -349,13 +348,9 @@ class NodeHealing:
             )
         yield from self.pull(peer_vc, superseded)
         self.rounds += 1
-        self.metrics.count("anti_entropy_rounds")
-        self.metrics.count("records_streamed", len(streamed))
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "anti_entropy", peer=peer,
-                streamed=len(streamed),
-            )
+        self.tracer.emit(
+            self.node_id, "anti_entropy", peer=peer, streamed=len(streamed)
+        )
         self.checkpoints.maybe_truncate()
 
     def pull(self, peer_vc, superseded=lambda: False):

@@ -29,8 +29,8 @@ Consumers:
 * :meth:`attempts_budget` caps the RPC retry ladder (1 attempt for a
   DEAD peer, ``suspect_max_attempts`` for a SUSPECT one);
 * :meth:`is_dead` feeds the coordinator's commit fail-fast;
-* suspicion transitions are counted in the metrics recorder and emitted
-  as ``suspect`` / ``trust`` trace events.
+* suspicion transitions are emitted as ``suspect`` / ``trust`` events,
+  which count them.
 """
 
 from __future__ import annotations
@@ -64,14 +64,12 @@ class FailureDetector:
         node_id: int,
         num_nodes: int,
         config: HealingConfig,
-        metrics=None,
         tracer=None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
         self.num_nodes = num_nodes
         self.config = config
-        self.metrics = metrics
         self.tracer = tracer
         self._state: List[str] = [ALIVE] * num_nodes
         self._strikes: List[int] = [0] * num_nodes
@@ -200,15 +198,10 @@ class FailureDetector:
     def _transition(self, peer: int, verdict: str) -> None:
         previous = self._state[peer]
         self._state[peer] = verdict
-        raised = _RANK[verdict] > _RANK[previous]
-        if self.metrics is not None:
-            self.metrics.count(
-                "suspicions_raised" if raised else "suspicions_cleared"
-            )
-        if self.tracer is not None and self.tracer._enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 self.node_id,
-                "suspect" if raised else "trust",
+                "suspect" if _RANK[verdict] > _RANK[previous] else "trust",
                 peer=peer,
                 state=verdict,
                 was=previous,

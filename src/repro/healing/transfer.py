@@ -110,14 +110,11 @@ class ChainTransfer:
         total = max(1, (len(chains) + chunk_size - 1) // chunk_size)
         self._ids += 1
         snapshot_id = self._ids
-        kind = "shard" if shard else "snapshot"
-        self.metrics.count("snapshot_offers")
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, f"{kind}_offer", peer=peer,
-                snapshot_id=snapshot_id, chunks=total, keys=len(chains),
-                frontier=record.site_vc[self.node_id],
-            )
+        self.tracer.emit(
+            self.node_id, "shard_offer" if shard else "snapshot_offer",
+            peer=peer, snapshot_id=snapshot_id, chunks=total,
+            keys=len(chains), frontier=record.site_vc[self.node_id],
+        )
         def messages():
             yield MessageType.SNAPSHOT_OFFER, SnapshotOfferBody(
                 sender=self.node_id,
@@ -153,8 +150,8 @@ class ChainTransfer:
             return False
         if self.tracer._enabled:
             self.tracer.emit(
-                self.node_id, f"{kind}_shipped", peer=peer,
-                snapshot_id=snapshot_id, keys=len(chains),
+                self.node_id, "shard_shipped" if shard else "snapshot_shipped",
+                peer=peer, snapshot_id=snapshot_id, keys=len(chains),
                 frontier=record.site_vc[self.node_id],
             )
         return True
@@ -264,13 +261,10 @@ class ChainTransfer:
         owner = self.owner
         if not inbound.offer.shard and owner._incarnation == inbound.incarnation:
             owner.fence.lower_node()
-        self.metrics.count("snapshot_abandoned")
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "snapshot_abandon",
-                sender=inbound.offer.sender,
-                snapshot_id=inbound.offer.snapshot_id, reason=reason,
-            )
+        self.tracer.emit(
+            self.node_id, "snapshot_abandon", sender=inbound.offer.sender,
+            snapshot_id=inbound.offer.snapshot_id, reason=reason,
+        )
 
     def on_chunk(self, envelope: Envelope):
         """Collect one chunk; the final chunk triggers the install."""
@@ -406,15 +400,10 @@ class ChainTransfer:
         if owner.wal is not None:
             self.healing.checkpoints.checkpoint_now()
         self.installs += 1
-        self.metrics.count("snapshot_installs")
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "snapshot_install",
-                sender=offer.sender,
-                snapshot_id=offer.snapshot_id,
-                chains=len(record.chains),
-                adopted=adopted,
-                shard=offer.shard,
-                frontier=offer.site_vc[offer.sender],
-            )
+        self.tracer.emit(
+            self.node_id, "snapshot_install", sender=offer.sender,
+            snapshot_id=offer.snapshot_id, chains=len(record.chains),
+            adopted=adopted, shard=offer.shard,
+            frontier=offer.site_vc[offer.sender],
+        )
         return True

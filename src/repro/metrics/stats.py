@@ -7,6 +7,8 @@ import random
 from collections import Counter
 from typing import Dict, List
 
+from repro.metrics.events import COUNTERS
+
 
 class AbortReason:
     """Why an update transaction's commit attempt failed."""
@@ -118,104 +120,6 @@ class ReservoirSample:
         }
 
 
-#: Every run-wide counter, declared once: name -> meaning, in
-#: ``summary()`` order.  To add one, add a line here and call
-#: ``metrics.count("name")`` where the event happens.
-COUNTERS: Dict[str, str] = {
-    "versions_reclaimed": "old versions reclaimed by the MVCC collector",
-    # Presumed abort.
-    "aborted_timeout": "coordinator-side aborts from exhausted RPC retries",
-    "lease_expirations": (
-        "participant-side prepared-lock leases that expired because the "
-        "coordinator went silent past the configured lease"
-    ),
-    "places_expired": (
-        "places in a key's line whose holder did not prepare in ``lock_timeout``"
-    ),
-    # Durable-crash recovery.
-    "recoveries": "completed node rebuilds from the WAL",
-    "wal_records_replayed": "WAL records replayed, over every recovery",
-    "indoubt_recovered": "in-doubt prepares restored, over every recovery",
-    "indoubt_committed": (
-        "in-doubt terminations (lease- or recovery-driven) that committed"
-    ),
-    "indoubt_aborted": "in-doubt terminations that aborted",
-    "prepares_restaged": (
-        "prepares a crash took, re-created at recovery from their "
-        "coordinators' decision records"
-    ),
-    "catchup_advances": (
-        "siteVC slots advanced by anti-entropy catch-up (lost Propagates)"
-    ),
-    # Self-healing.
-    "heartbeats_sent": "active liveness beacons sent",
-    "heartbeats_suppressed": (
-        "beacons skipped because foreground traffic to the peer already "
-        "proved the sender alive"
-    ),
-    "suspicions_raised": "failure-detector transitions alive -> suspect/dead",
-    "suspicions_cleared": "suspicions cleared by an arrival from the peer",
-    "anti_entropy_rounds": "completed background digest exchanges",
-    "records_streamed": (
-        "full Decide records streamed to lagging peers by anti-entropy"
-    ),
-    "checkpoints_taken": "WAL checkpoint snapshots appended",
-    "wal_records_truncated": "WAL records truncated below a stable checkpoint",
-    "wal_syncs": "completed WAL syncs",
-    "wal_records_synced": (
-        "records those syncs made durable (group commit: records synced per "
-        "sync is the achieved batch size)"
-    ),
-    "wal_waits": "ensure_durable calls that blocked on a covering sync",
-    "wal_wait_time": (
-        "virtual seconds those calls spent blocked (divided by wal_waits: "
-        "the mean wait per forced write)"
-    ),
-    # Checkpoint snapshot transfer.
-    "snapshot_offers": "checkpoint offers made by this node as sender",
-    "snapshot_rejected": (
-        "offers or chunks refused, or transfers that died mid-flight "
-        "(reply lost)"
-    ),
-    "snapshot_chunks": "snapshot chunks accepted by a receiver",
-    "snapshot_chains": "store chains those chunks carried",
-    "snapshots_shipped": "verified installs confirmed to the sender",
-    "snapshot_installs": "peer checkpoints verified and adopted (receiver)",
-    "snapshot_abandoned": (
-        "inbound transfers dropped by the receiver's watchdog (stalled, "
-        "stale, or corrupt)"
-    ),
-    # Elastic membership.
-    "views_committed": "membership view epochs committed cluster-wide",
-    "joins_bootstrapped": (
-        "joiners that verified and installed their bootstrap snapshot"
-    ),
-    "drains_completed": "decommissions whose drain handed every owned key off",
-    "stale_width_messages": (
-        "messages whose carried clock width predates the receiver's view "
-        "(zero-default algebra absorbed them; counted for observability)"
-    ),
-    # Keyspace sharding.
-    "shard_migrations": "live shard migrations that flipped ownership",
-    "shard_migration_keys": "store chains moved by completed migrations",
-    "shard_migrations_failed": (
-        "migrations aborted before the flip (crash, partition, drain)"
-    ),
-    "rebalance_rounds": "rebalancer planner rounds attempted",
-    # Per-shard primary-backup replication.
-    "replication_records_streamed": "stream records acknowledged by backups",
-    "replication_lag_max": (
-        "worst observed stream lag (records streamed but unacknowledged); "
-        "a maximum, kept by its one writer instead of count()"
-    ),
-    "replication_sync_degraded": (
-        "sync-mode decision waits that hit ``sync_timeout`` and went async"
-    ),
-    "failovers_completed": "shards promoted by completed failovers",
-    "backup_bootstraps": "backup (re-)bootstraps a primary shipped",
-}
-
-
 class MetricsRecorder:
     """Counters and samplers shared by every node and client in a cluster.
 
@@ -263,9 +167,10 @@ class MetricsRecorder:
         self.read_stalls = 0
         self.read_stall_time = RunningStat()
 
-        #: Run-wide counters, one slot per :data:`COUNTERS` entry.  Never
-        #: window-gated: a wedged lock, a leaked prepared transaction or
-        #: GC occupancy matters whenever it happens.
+        #: Run-wide counters, one slot per counter the event table
+        #: (:mod:`repro.metrics.events`) declares.  Never window-gated: a
+        #: wedged lock, a leaked prepared transaction or GC occupancy
+        #: matters whenever it happens.
         self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
         #: Per-shard access counts (the rebalancer's load signal; reads
         #: and prepared writes both count one access per key).
@@ -367,9 +272,9 @@ class MetricsRecorder:
             self.read_stall_time.add(duration)
 
     def count(self, name: str, n: int = 1) -> None:
-        """Add ``n`` to the run-wide counter ``name`` (never window-gated).
-
-        An undeclared name is a ``KeyError``, not a silently new counter.
+        """Add ``n`` to the run-wide counter ``name`` (never window-gated),
+        a counted row of the event table; ``Tracer.emit`` adds a traced
+        row's.  An undeclared name is a ``KeyError``, not a new counter.
         """
         self.counters[name] += n
 

@@ -68,7 +68,6 @@ class FailoverDriver:
         self.cluster = rep.cluster
         self.sim = rep.sim
         self.config = rep.config
-        self.metrics = rep.metrics
         self.tracer = rep.tracer
         timeout = self.config.failover_timeout
         self._loop = PeriodicLoop(
@@ -178,12 +177,10 @@ class FailoverDriver:
             for node in nodes:
                 if node.node_id != dead:
                     node.replication.close_backup_state(dead)
-            self.metrics.count("failovers_completed", promoted)
-            if self.tracer._enabled:
-                self.tracer.emit(
-                    dead, "failover_complete", shards=promoted,
-                    orphaned=len(orphaned),
-                )
+            self.tracer.emit(
+                dead, "failover_complete", shards=promoted,
+                orphaned=len(orphaned),
+            )
         if self._orphaned.get(dead, ()) != tuple(orphaned):
             self._orphaned[dead] = tuple(orphaned)
             self.tracer.emit(dead, "failover_orphaned", shards=tuple(orphaned))
@@ -450,10 +447,8 @@ class FailoverDriver:
         )
         if not shipped:
             return False
-        self.metrics.count("backup_bootstraps")
-        if self.tracer._enabled:
-            self.tracer.emit(
-                primary_id, "backup_bootstrap", backup=backup_id,
-                shards=tuple(shards), keys=len(keys),
-            )
+        self.tracer.emit(
+            primary_id, "backup_bootstrap", backup=backup_id,
+            shards=tuple(shards), keys=len(keys),
+        )
         return True

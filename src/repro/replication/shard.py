@@ -332,11 +332,9 @@ class NodeReplication:
             if (seq, latch) in stream.waiters:
                 stream.waiters.remove((seq, latch))
                 late.append(stream.backup)
-        self.metrics.count("replication_sync_degraded")
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "replication_degraded", backups=tuple(late)
-            )
+        self.tracer.emit(
+            self.node_id, "replication_degraded", backups=tuple(late)
+        )
         return False
 
     # ------------------------------------------------------------------
@@ -515,7 +513,6 @@ class ClusterReplication:
         self.cluster = cluster
         self.config: ReplicationConfig = cluster.config.replication
         self.sim = cluster.sim
-        self.metrics = cluster.metrics
         self.tracer = cluster.tracer
         self.shard_map = cluster.directory
         #: Sites deposed by a failover (or crashed beyond repair); they

@@ -1,10 +1,13 @@
 """Optional structured tracing of protocol events.
 
 A :class:`Tracer` records `(time, node, event, details)` tuples; protocol
-code emits through :meth:`Tracer.emit`, which is a no-op unless tracing
-is enabled and the event kind is selected.  Intended for debugging
-protocol runs and for tests that assert on event sequences -- benchmark
-runs leave tracing off and pay only a falsy check per event.
+code emits through :meth:`Tracer.emit`.  The kinds, their detail fields
+and the counters each adds to are declared once, in
+:data:`repro.metrics.events.EVENTS`: an emit adds to its kind's
+counters always and records the event only when its kind is enabled.
+Intended for debugging protocol runs and for tests that assert on event
+sequences -- benchmark runs leave tracing off, and the once-per-operation
+sites skip ``emit`` behind a falsy check.
 
 Usage::
 
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 from typing import Callable, List, NamedTuple, Optional, Set
 
+from repro.metrics.events import COUNTS, TRACED
+
 
 class TraceRecord(NamedTuple):
     """One recorded protocol event."""
@@ -32,65 +37,10 @@ class TraceRecord(NamedTuple):
 class Tracer:
     """Selective event recorder shared by all nodes of a cluster."""
 
-    #: Event kinds protocol code emits.
-    KINDS = frozenset(
-        {
-            "begin",
-            "read",
-            "write",
-            "commit",
-            "abort",
-            "prepare",
-            "vote",
-            "decide",
-            "propagate",
-            "remove",
-            "stall",
-            "lease_expire",
-            "indoubt",
-            "recover",
-            "catchup",
-            "suspect",
-            "trust",
-            "anti_entropy",
-            "stream",
-            "checkpoint",
-            "truncate",
-            "wal_sync",
-            "snapshot_offer",
-            "snapshot_accept",
-            "snapshot_shipped",
-            "snapshot_install",
-            "snapshot_abandon",
-            "nemesis_crash",
-            "nemesis_crash_durable",
-            "nemesis_restart",
-            "nemesis_partition",
-            "nemesis_heal",
-            "view_propose",
-            "view_ack",
-            "view_commit",
-            "join_bootstrap",
-            "join_complete",
-            "join_abandoned",
-            "drain_complete",
-            "shard_offer",
-            "shard_shipped",
-            "shard_migrate_start",
-            "shard_migrated",
-            "shard_migrate_failed",
-            "replication_degraded",
-            "backup_bootstrap",
-            "failover_start",
-            "failover_promoted",
-            "failover_complete",
-            "failover_orphaned",
-            "nemesis_promotions",
-        }
-    )
-
-    def __init__(self, sim, max_records: int = 100_000) -> None:
+    def __init__(self, sim, metrics=None, max_records: int = 100_000) -> None:
         self.sim = sim
+        #: The recorder whose counters traced events add to.
+        self.metrics = metrics
         self.max_records = max_records
         self.records: List[TraceRecord] = []
         self._enabled: Set[str] = set()
@@ -102,21 +52,11 @@ class Tracer:
     # ------------------------------------------------------------------
     def enable(self, *kinds: str) -> None:
         """Start recording the given kinds (no arguments = everything)."""
-        chosen = set(kinds) if kinds else set(self.KINDS)
-        unknown = chosen - self.KINDS
+        chosen = set(kinds) if kinds else set(TRACED)
+        unknown = chosen - TRACED
         if unknown:
             raise ValueError(f"unknown trace kinds: {sorted(unknown)}")
         self._enabled |= chosen
-
-    def disable(self, *kinds: str) -> None:
-        self._enabled -= set(kinds) if kinds else set(self.KINDS)
-
-    @property
-    def active(self) -> bool:
-        return bool(self._enabled)
-
-    def wants(self, kind: str) -> bool:
-        return kind in self._enabled
 
     def add_listener(self, listener: Callable[[TraceRecord], None]) -> None:
         """Call ``listener(record)`` synchronously on every recorded emit.
@@ -137,6 +77,12 @@ class Tracer:
     # Emission & inspection
     # ------------------------------------------------------------------
     def emit(self, node: int, kind: str, **details) -> None:
+        """Add to ``kind``'s counters; record it if ``kind`` is enabled."""
+        counts = COUNTS.get(kind)
+        if counts is not None and self.metrics is not None:
+            counters = self.metrics.counters
+            for counter, field in counts:
+                counters[counter] += 1 if field is None else details[field]
         if kind not in self._enabled:
             return
         record = TraceRecord(self.sim.now, node, kind, details)

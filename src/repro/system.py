@@ -209,7 +209,7 @@ class Cluster:
         #: the only place the backend choice is made (docs/networking.md).
         self.network: Transport = build_transport(self.sim, config)
         self.metrics = MetricsRecorder(self.sim)
-        self.tracer = Tracer(self.sim)
+        self.tracer = Tracer(self.sim, self.metrics)
         if directory is None:
             # Sharded clusters place keys through an explicit owner table
             # (shard granularity, epoch-versioned flips); everything else
@@ -554,11 +554,9 @@ class Cluster:
         # (the joiner owns no keys yet, so frontiers are all it needs).
         targets, _, _ = yield from joiner.healing.collect_frontiers()
         yield from joiner.healing.pull(targets)
-        joiner.metrics.count("joins_bootstrapped")
-        if self.tracer._enabled:
-            self.tracer.emit(
-                joiner_id, "join_bootstrap", clock=joiner.site_vc.to_tuple()
-            )
+        self.tracer.emit(
+            joiner_id, "join_bootstrap", clock=joiner.site_vc.to_tuple()
+        )
         # Shard handoff: every key the widened ring moves from an old
         # owner to the joiner.  Each donor's fence stays up until the
         # ACTIVE view commit -- the flip below waits for all of them.
@@ -661,9 +659,7 @@ class Cluster:
         victim.fence.lower_every_key()
         victim.healing.stop()
         self._removed.add(victim_id)
-        self.metrics.count("drains_completed")
-        if self.tracer._enabled:
-            self.tracer.emit(victim_id, "drain_complete", final_seq=final_seq)
+        self.tracer.emit(victim_id, "drain_complete", final_seq=final_seq)
         return True
 
     def _revert_drain(self, victim_id: int):

@@ -1,7 +1,5 @@
 """Unit tests for the transaction descriptor."""
 
-import pytest
-
 from repro.core import Transaction, TransactionStatus
 
 

@@ -39,6 +39,7 @@ from repro.faults import (
     FaultEvent,
     Nemesis,
 )
+from repro.metrics.events import COUNTS
 from repro.net.rpc import RpcTimeoutError
 from repro.storage.wal import store_fingerprint
 
@@ -332,6 +333,16 @@ def assert_one_clock(cluster, nodes=None):
         if nodes is None or node.node_id in nodes
     }
     assert len(clocks) == 1, clocks
+
+
+def assert_counters_add_up(cluster):
+    """Traced in full from the start: each event-fed counter is its records' sum."""
+    added = dict.fromkeys((c for counts in COUNTS.values() for c, _ in counts), 0)
+    for record in cluster.tracer.records:
+        for counter, field in COUNTS.get(record.event, ()):
+            added[counter] += 1 if field is None else record.details[field]
+    assert not cluster.tracer.dropped
+    assert added == {counter: cluster.metrics.counters[counter] for counter in added}
 
 
 def chain_tuples(node, key):

@@ -11,6 +11,7 @@ import pytest
 from repro.config import HealingConfig
 from repro.healing import ALIVE, DEAD, SUSPECT, FailureDetector
 from repro.metrics.stats import MetricsRecorder
+from repro.sim import Tracer
 
 
 class FakeClock:
@@ -23,11 +24,9 @@ ME = 0
 PEER = 2
 
 
-def build(clock=None, metrics=None, **overrides):
+def build(clock=None, tracer=None, **overrides):
     config = HealingConfig(**overrides)
-    return FailureDetector(
-        clock or FakeClock(), ME, N, config, metrics=metrics
-    )
+    return FailureDetector(clock or FakeClock(), ME, N, config, tracer=tracer)
 
 
 # ----------------------------------------------------------------------
@@ -48,8 +47,8 @@ def test_strike_thresholds():
 
 
 def test_arrival_clears_strikes_and_suspicion():
-    metrics = MetricsRecorder(sim=None)  # count() never reads the clock
-    detector = build(metrics=metrics)
+    metrics = MetricsRecorder(sim=None)  # counted with no trace kind enabled
+    detector = build(tracer=Tracer(None, metrics))
     for _ in range(5):
         detector.on_rpc_timeout(PEER)
     assert detector.state(PEER) == DEAD

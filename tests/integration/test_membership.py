@@ -421,13 +421,10 @@ def test_reconfiguration_is_deterministic():
 # Observability: counters and trace kinds
 # ----------------------------------------------------------------------
 def test_membership_counters_and_traces_surface():
-    """The membership counters exist under stable summary() names and
-    the reconfiguration trace kinds are emitted."""
+    """The membership counters count, add up from the trace, and the
+    reconfiguration trace kinds are emitted."""
     cluster, _ = build(SEEDS[0])
-    cluster.tracer.enable(
-        "join_bootstrap", "join_complete", "join_abandoned",
-        "drain_complete", "shard_offer", "shard_shipped",
-    )
+    cluster.tracer.enable()
     drive(cluster, [(0, ["k0", "k1"]), (1, ["k2", "k3"])])
     joined = cluster.add_node()
     cluster.run()
@@ -436,19 +433,11 @@ def test_membership_counters_and_traces_surface():
     assert joined.value is True and left.value is True
 
     summary = cluster.metrics.summary()
-    for name in (
-        "views_committed",
-        "joins_bootstrapped",
-        "drains_completed",
-        "stale_width_messages",
-    ):
-        assert name in summary, f"{name} missing from metrics summary"
+    battery.assert_counters_add_up(cluster)
     assert summary["views_committed"] >= 4  # JOINING/ACTIVE + DRAINING/removal
     assert summary["joins_bootstrapped"] == 1
     assert summary["drains_completed"] == 1
 
-    assert cluster.tracer.of_kind("join_bootstrap")
     assert cluster.tracer.of_kind("join_complete")
-    assert cluster.tracer.of_kind("drain_complete")
     assert cluster.tracer.of_kind("shard_shipped")
     assert cluster.tracer.of_kind("join_abandoned") == []

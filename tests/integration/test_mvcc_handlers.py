@@ -5,7 +5,6 @@ import pytest
 from repro.net.message import MessageType
 from tests.integration.scenario_tools import (
     make_cluster,
-    read_only_txn,
     retry_update,
     update_txn,
 )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Cluster, ClusterConfig
-from repro.cluster import ExplicitDirectory
 from tests.integration.scenario_tools import (
     make_cluster,
     read_only_txn,

@@ -1,7 +1,5 @@
 """Unit tests for the metrics recorder."""
 
-import math
-
 import pytest
 
 from repro.core.transaction import Transaction

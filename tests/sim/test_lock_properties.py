@@ -4,7 +4,6 @@ from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 from hypothesis import strategies as st

@@ -6,12 +6,6 @@ from repro.sim import Mutex, RWLock, Simulator
 from repro.sim.locks import LockError
 
 
-def acquire_now(lock_method, owner, timeout=None):
-    """Helper: acquire and assert the grant resolved within the run."""
-    event = lock_method(owner, timeout)
-    return event
-
-
 def test_mutex_grants_free_lock_immediately():
     sim = Simulator()
     mutex = Mutex(sim)

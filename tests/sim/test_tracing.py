@@ -15,7 +15,6 @@ def test_disabled_tracer_records_nothing():
     tracer = Tracer(sim)
     tracer.emit(0, "commit", txn=1)
     assert tracer.records == []
-    assert not tracer.active
 
 
 def test_enable_selects_kinds():
@@ -26,18 +25,6 @@ def test_enable_selects_kinds():
     tracer.emit(0, "read", txn=1, key="x")
     assert len(tracer.records) == 1
     assert tracer.records[0].event == "commit"
-    assert tracer.wants("abort") and not tracer.wants("read")
-
-
-def test_enable_everything_and_disable():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.enable()
-    assert tracer.wants("propagate")
-    tracer.disable("propagate")
-    assert not tracer.wants("propagate")
-    tracer.disable()
-    assert not tracer.active
 
 
 def test_unknown_kind_rejected():

@@ -12,7 +12,8 @@ import repro.config
 import repro.faults.schedules
 import repro.net.rpc
 from repro.core.vector_clock import VectorClock
-from repro.metrics.stats import COUNTERS, MetricsRecorder
+from repro.metrics.events import COUNTERS, COUNTS, EVENTS, TRACED
+from repro.metrics.stats import MetricsRecorder
 
 SRC = Path(repro.config.__file__).parent
 TESTS = Path(__file__).parent
@@ -21,9 +22,9 @@ TESTS = Path(__file__).parent
 #: for a protocol step bought, +74 for the one oracle, +26 for loaded keys
 #: held as their values net of one loader per protocol; ROADMAP has the
 #: per-file breakdowns), lowered by the figure registry, by deleting
-#: the backup-read path (-242) and by the fault schedules keeping only
-#: their primitives (-121).
-TOTAL_SRC_LINES = 16916
+#: the backup-read path (-242), by the fault schedules keeping only
+#: their primitives (-121) and by the one event table (-32).
+TOTAL_SRC_LINES = 16884
 #: Lines over every ``*.py`` under ``tests/``.  Raised +102 for the
 #: loaded-key footprint pins, census and chain shape; lowered -17 by the
 #: one read path (the backup-read tests out, owner-read tests in) and
@@ -36,7 +37,7 @@ LONGEST_FILE = 1150
 #: and backups stopped serving reads.
 SHARD_FILE = 601
 #: Fields over all config dataclasses in ``repro.config``.
-CONFIG_FIELDS = 78
+CONFIG_FIELDS = 77
 #: Config fields nothing reads.  ``group_commit_window`` stays accepted
 #: only because the frozen ``benchmarks/ledger/registry.py`` passes it.
 UNREAD_CONFIG_FIELDS = {"group_commit_window"}
@@ -337,11 +338,48 @@ def _literals(node: ast.expr) -> list:
     return [None]
 
 
+def _emits():
+    """``(where, kinds, fields)`` of every ``.emit`` under ``src/repro``; a
+    ``**`` pass-through of a ``**`` parameter is what the callers pass."""
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for function in defs:
+            for call in ast.walk(function):
+                if getattr(getattr(call, "func", None), "attr", "") != "emit":
+                    continue
+                where = f"{path.relative_to(SRC)}:{call.lineno}"
+                fields = {kw.arg for kw in call.keywords}
+                if None in fields:
+                    assert function.args.kwarg, where
+                    fields |= {
+                        kw.arg for caller in calls for kw in caller.keywords
+                        if getattr(caller.func, "attr", "") == function.name
+                    } - {arg.arg for arg in function.args.args}
+                yield where, _literals(call.args[1]), fields - {None}
+
+
+def test_every_emit_names_a_declared_kind_with_its_fields():
+    """One event table: an emit names a declared kind as a literal and
+    passes only its fields, a counted one always; every kind is emitted."""
+    emitted = set()
+    for where, kinds, fields in _emits():
+        assert None not in kinds and set(kinds) <= TRACED, f"{where}: {kinds}"
+        for kind in kinds:
+            counted = {field for _, field in COUNTS.get(kind, ()) if field}
+            assert counted <= fields <= EVENTS[kind].fields, f"{where}: {kind}"
+        emitted.update(kinds)
+    assert emitted == TRACED, TRACED - emitted
+
+
 def test_every_counted_name_is_declared_and_every_counter_is_counted():
     """Checks the cold counters (28 of 41 run on no benchmark path)
     without executing them: a mistyped name or a counter nothing bumps
-    fails here, not in a run somebody has to think of making."""
-    written = set()
+    fails here, not in a run somebody has to think of making -- nor a
+    ``count()`` of a counter a trace kind adds to."""
+    plain = {name for name, event in EVENTS.items() if event.fields is None}
+    written = {counter for counts in COUNTS.values() for counter, _ in counts}
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if (
@@ -363,6 +401,6 @@ def test_every_counted_name_is_declared_and_every_counter_is_counted():
                 continue
             where = f"{path.relative_to(SRC)}:{node.lineno}"
             assert None not in names, f"{where}: counter name not a literal"
-            assert set(names) <= set(COUNTERS), f"{where}: {names}"
+            assert set(names) <= plain, f"{where}: {names}"
             written.update(names)
     assert written == set(COUNTERS), set(COUNTERS) - written
