@@ -39,7 +39,6 @@ from repro.config import (
     BatchingConfig,
     CheckpointConfig,
     ClusterConfig,
-    CostModel,
     DurabilityConfig,
     HealingConfig,
     NetworkConfig,
@@ -59,7 +58,6 @@ __all__ = [
     "CheckpointConfig",
     "Cluster",
     "ClusterConfig",
-    "CostModel",
     "DurabilityConfig",
     "HealingConfig",
     "MembershipView",

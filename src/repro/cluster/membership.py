@@ -263,11 +263,9 @@ class NodeMembership:
         # Forget removed peers: the failure detector must not carry a
         # dead site's suspicion (or a rejoining site's stale history)
         # into the new view.
-        detector = owner.healing.detector
-        if detector is not None:
-            for peer in previous.members:
-                if peer != self.node_id and view.state_of(peer) is None:
-                    detector.forget(peer)
+        for peer in previous.members:
+            if peer != self.node_id and view.state_of(peer) is None:
+                owner.healing.detector.forget(peer)
         owner.tracer.emit(
             self.node_id, "view_commit", epoch=view.epoch,
             members=view.members_wire(), retired=view.retired_wire(),

@@ -29,6 +29,9 @@ from repro.sim import PeriodicLoop
 #: rebalance round that moved something, so the signal tracks current
 #: load, not history.
 LOAD_DECAY = 0.5
+#: Minimum total tracked accesses before the planner trusts the load
+#: signal at all.
+MIN_SAMPLES = 64
 
 
 def plan_moves(
@@ -174,10 +177,9 @@ class Rebalancer:
     def rebalance_once(self):
         """Plan from the metrics counters and run the moves; returns the
         number of migrations that flipped."""
-        cfg = self.config
         self.metrics.count("rebalance_rounds")
         loads = self.metrics.shard_loads
-        if sum(loads.values()) < cfg.min_samples:
+        if sum(loads.values()) < MIN_SAMPLES:
             return 0
         shard_map = self.shard_map
         live = [

@@ -1,10 +1,11 @@
 """Configuration objects shared across the FW-KV reproduction.
 
-Three layers of configuration mirror the paper's testbed description
-(Section 5): the network (CloudLab's 10 Gb/s fabric, ~20 microseconds per
-message), per-operation CPU costs (our substitution for real protocol code
-executing on 28-core c6320 machines), and the cluster/run shape (nodes,
-closed-loop clients, lock timeout, seed).
+The configuration mirrors the paper's testbed description (Section 5):
+the network (CloudLab's 10 Gb/s fabric, ~20 microseconds per message)
+and the cluster/run shape (nodes, closed-loop clients, lock timeout,
+seed).  The per-operation CPU costs that stand in for real protocol code
+on 28-core c6320 machines are constants, not configuration
+(``repro.core.cost_model``).
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class RpcConfig(ConfigSerde):
     model of reliable asynchronous channels: a request waits forever for
     its reply.  Setting a timeout departs from that model -- see DESIGN.md
     "Failure model & recovery" -- and arms the full retry machinery:
-    seeded-deterministic exponential backoff with jitter, capped attempts,
-    and stale-reply dropping at the endpoint.
+    seeded-deterministic exponential backoff with jitter (the ladder is
+    ``repro.net.rpc.backoff``), capped attempts, and stale-reply dropping
+    at the endpoint.
     """
 
     #: Per-attempt reply deadline; ``None`` waits forever (paper model).
@@ -81,19 +83,6 @@ class RpcConfig(ConfigSerde):
     #: Total attempts (first try plus retries) before the caller gives up
     #: with :class:`~repro.net.rpc.RpcTimeoutError`.
     max_attempts: int = 3
-    #: Backoff before retry ``n`` is ``backoff_base * 2**(n-1)`` capped
-    #: at ``backoff_cap`` (:meth:`backoff`), plus up to ``backoff_jitter``
-    #: of itself drawn from the endpoint's seeded RNG (deterministic per
-    #: seed).
-    backoff_base: float = 100e-6
-    backoff_cap: float = 2e-3
-    backoff_jitter: float = 0.5
-
-    def backoff(self, retries: int) -> float:
-        """The un-jittered pause after ``retries`` earlier retries: the
-        binary-exponential ladder the RPC endpoint and the socket
-        transport's redial loop both climb."""
-        return min(self.backoff_base * 2.0**retries, self.backoff_cap)
 
 
 @dataclass
@@ -113,7 +102,6 @@ class NetworkConfig(ConfigSerde):
 
     base_latency: float = 20e-6
     jitter: float = 2e-6
-    self_latency: float = 1e-6
     message_delays: Dict[str, float] = field(default_factory=dict)
     #: Probability a non-loopback message is silently dropped in flight.
     loss_rate: float = 0.0
@@ -123,6 +111,15 @@ class NetworkConfig(ConfigSerde):
     rpc: RpcConfig = field(default_factory=RpcConfig)
 
     _nested = {"rpc": RpcConfig}
+
+    def __post_init__(self) -> None:
+        # A negative delay schedules into the past; a rate above 1 drops
+        # every message and hangs the run.
+        delays = (self.base_latency, self.jitter, *self.message_delays.values())
+        if min(delays) < 0:
+            raise ValueError("latency, jitter and message delays must be >= 0")
+        if not (0 <= self.loss_rate <= 1 and 0 <= self.duplicate_rate <= 1):
+            raise ValueError("loss_rate and duplicate_rate must be in [0, 1]")
 
     def with_propagate_delay(self, delay: float) -> "NetworkConfig":
         """A copy of this config with ``delay`` added to Propagate messages."""
@@ -211,10 +208,6 @@ class CheckpointConfig(ConfigSerde):
     #: daemon; ``None`` (default) disables automatic checkpointing
     #: (tests may still call ``CheckpointManager.checkpoint_now``).
     interval: Optional[float] = None
-    #: Skip an automatic checkpoint unless at least this many WAL records
-    #: accumulated since the previous one (avoids checkpoint spam on idle
-    #: nodes).
-    min_records: int = 32
     #: Bounded retention: a peer whose own-origin frontier evidence lags
     #: this node's frontier by more than ``max_peer_lag`` (or has never
     #: been heard from at all) is *stranded* -- excluded from the
@@ -251,22 +244,15 @@ class SnapshotTransferConfig(ConfigSerde):
     #: Store chains per ``SNAPSHOT_CHUNK`` message (flow control: the
     #: snapshot is streamed, never shipped as one unbounded payload).
     chunk_records: int = 64
-    #: Gossip peer-selection bias toward the most-lagging peer: each
-    #: peer's selection weight is ``1 + lag_bias * lag`` where ``lag``
-    #: is its own-origin digest gap.  ``0.0`` (default) keeps the
-    #: historical seeded-uniform choice bit for bit; when every known
-    #: frontier is equal the choice also falls back to uniform, drawing
-    #: from the same RNG stream in the same way.
-    lag_bias: float = 0.0
 
 
 @dataclass
 class HealingConfig(ConfigSerde):
     """Self-healing layer: failure detection, anti-entropy, checkpoints.
 
-    Three independently toggleable pieces (see docs/self_healing.md):
+    Three pieces (see docs/self_healing.md):
 
-    * the **failure detector** (default on) classifies peers
+    * the **failure detector** (always present) classifies peers
       alive/suspect/dead from message arrivals and RPC timeouts, caps the
       retry budget of calls to suspect/dead peers, and lets coordinators
       fail commits fast (``AbortReason.PEER_DEAD``) instead of burning
@@ -284,22 +270,12 @@ class HealingConfig(ConfigSerde):
       WAL replay cost.
     """
 
-    #: Master switch for the accrual failure detector.
-    detector_enabled: bool = True
     #: Active heartbeat period; ``None`` (default) relies purely on
     #: passive evidence (foreground arrivals and RPC timeouts).  Periods
     #: are jittered per node, and a heartbeat to a peer with a message
     #: already in flight is skipped -- foreground traffic is itself
     #: liveness evidence.
     heartbeat_interval: Optional[float] = None
-    #: Passive thresholds: consecutive RPC timeouts against a peer before
-    #: it is classified suspect / dead.
-    suspect_after_timeouts: int = 2
-    dead_after_timeouts: int = 5
-    #: Retry-budget caps fed into :meth:`repro.net.rpc.RpcEndpoint.call`:
-    #: calls to a DEAD peer get one attempt, calls to a SUSPECT peer at
-    #: most ``suspect_max_attempts``.
-    suspect_max_attempts: int = 2
     #: Anti-entropy gossip period; ``None`` (default) disables the loop.
     anti_entropy_interval: Optional[float] = None
     #: Per-attempt reply deadline for gossip digest RPCs when the global
@@ -308,8 +284,7 @@ class HealingConfig(ConfigSerde):
     digest_timeout: float = 2e-3
     #: WAL checkpoint/truncation policy.
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
-    #: Checkpoint snapshot shipping for peers below the truncation floor,
-    #: plus the digest-driven lag bias for gossip peer selection.
+    #: Checkpoint snapshot shipping for peers below the truncation floor.
     snapshot: SnapshotTransferConfig = field(
         default_factory=SnapshotTransferConfig
     )
@@ -344,9 +319,6 @@ class ShardingConfig(ConfigSerde):
     #: ``None`` (default) never starts the loop; migrations then only
     #: happen when driven explicitly (``Rebalancer.migrate_shard``).
     rebalance_interval: Optional[float] = None
-    #: Minimum total tracked accesses before the planner trusts the
-    #: load signal at all.
-    min_samples: int = 64
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
@@ -443,45 +415,6 @@ class DurabilityConfig(ConfigSerde):
 
 
 @dataclass
-class CostModel(ConfigSerde):
-    """Virtual CPU seconds charged by protocol handlers.
-
-    The paper's FW-KV-vs-Walter gap is driven by read-side synchronisation
-    and version-access-set (VAS) bookkeeping; these constants make that work
-    visible to the virtual clock.  Values are calibrated so a 2-key YCSB
-    transaction takes a few hundred microseconds end to end, putting
-    cluster throughput in the hundreds of KTxs/s -- the same order as the
-    paper's Figure 5.
-    """
-
-    #: Fixed cost of serving any read request at the storage node.
-    read_handler: float = 12e-6
-    #: Per-version cost of scanning a version chain during selection.
-    version_scan_item: float = 2e-7
-    #: Per-identifier cost of scanning/merging a version-access-set.
-    vas_item: float = 5e-7
-    #: Cost of one lock-table acquire or release.
-    lock_op: float = 2e-6
-    #: Per-key cost of 2PC prepare (lock bookkeeping plus validation,
-    #: which re-reads each key's latest state).
-    prepare_key: float = 15e-6
-    #: Per-key cost of installing a new version at decide time.
-    install_key: float = 10e-6
-    #: Fixed cost of the coordinator-side commit logic.
-    commit_base: float = 10e-6
-    #: Fixed cost of beginning a transaction (snapshot acquisition).
-    begin: float = 1e-6
-    #: Server cores per node executing protocol handlers; None = infinite.
-    #: Finite cores make saturated nodes queue work, so protocols that do
-    #: more server-side work per transaction (the 2PC baseline's read-only
-    #: commits) lose throughput, as on the paper's testbed.
-    cpu_cores: "int | None" = 4
-    #: Client-side cost around every transaction attempt (request assembly,
-    #: marshalling, dispatch, response handling).
-    client_overhead: float = 50e-6
-
-
-@dataclass
 class ClusterConfig(ConfigSerde):
     """Shape of one simulated deployment."""
 
@@ -538,8 +471,8 @@ class ClusterConfig(ConfigSerde):
     #: (volatile nodes).
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     #: Self-healing layer (failure detector, anti-entropy, checkpoints).
-    #: The detector defaults on but is inert without timeout/heartbeat
-    #: evidence; the periodic loops default off.
+    #: The detector is inert without timeout/heartbeat evidence; the
+    #: periodic loops default off.
     healing: HealingConfig = field(default_factory=HealingConfig)
     #: Keyspace sharding + rebalancing; disabled by default, leaving the
     #: consistent-hash ring (and its exact placement) untouched.
@@ -553,7 +486,6 @@ class ClusterConfig(ConfigSerde):
     #: construction (``repro.net.transport.build_transport``); nothing
     #: downstream branches on it.
     transport: TransportConfig = field(default_factory=TransportConfig)
-    costs: CostModel = field(default_factory=CostModel)
 
     _nested = {
         "batching": BatchingConfig,
@@ -563,7 +495,6 @@ class ClusterConfig(ConfigSerde):
         "replication": ReplicationConfig,
         "network": NetworkConfig,
         "transport": TransportConfig,
-        "costs": CostModel,
     }
 
     def __post_init__(self) -> None:
@@ -589,7 +520,6 @@ class RunConfig(ConfigSerde):
 
     duration: float = 1.0
     warmup: float = 0.1
-    max_retries: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.duration <= 0:

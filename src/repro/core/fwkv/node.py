@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Optional, Tuple
 
 from repro.cluster.node import Node
+from repro.core.cost_model import VAS_ITEM
 from repro.core.fwkv.visibility import (
     select_read_only_version,
     select_update_version,
@@ -144,7 +145,7 @@ class FWKVNode(MVCCNode):
             if key in self.store:
                 collected.update(self.store.chain(key).latest.vas or ())
         if collected:
-            yield from self.cpu.consume(self.costs.vas_item * len(collected))
+            yield from self.cpu.consume(VAS_ITEM * len(collected))
         return frozenset(collected)
 
     def _on_versions_installed(
@@ -153,7 +154,7 @@ class FWKVNode(MVCCNode):
         """Alg. 5 lines 18-20: propagate anti-dependencies transitively."""
         if collected:
             yield from self.cpu.consume(
-                self.costs.vas_item * len(collected) * len(versions)
+                VAS_ITEM * len(collected) * len(versions)
             )
             for version in versions:
                 self.store.vas_extend(version, collected)

@@ -10,6 +10,7 @@ from typing import Hashable, Iterable, Iterator, Optional, Tuple
 from repro.cluster.directory import Directory
 from repro.cluster.node import Node
 from repro.config import ClusterConfig
+from repro.core.cost_model import CPU_CORES
 from repro.core.transaction import Transaction
 from repro.metrics.history import History, OpRecord, TxnRecord
 from repro.metrics.stats import MetricsRecorder
@@ -59,11 +60,10 @@ class BaseProtocolNode(ABC):
         self.node = node
         self.shared = shared
         self.sim = shared.sim
-        self.costs = shared.config.costs
         self.directory = shared.directory
         self.metrics = shared.metrics
         #: This node's handler-execution capacity.
-        self.cpu = CpuResource(self.sim, self.costs.cpu_cores)
+        self.cpu = CpuResource(self.sim, CPU_CORES)
         self.tracer = shared.tracer or Tracer(self.sim, self.metrics)
 
     @property

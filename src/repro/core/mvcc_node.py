@@ -25,6 +25,10 @@ from repro.cluster.directory import ShardMap
 from repro.cluster.membership import MAX_ATTEMPTS, NodeMembership
 from repro.cluster.node import Node
 from repro.core.batching import ADAPTIVE_STEP, PRESSURE_OPEN, adapt_window
+from repro.core.cost_model import (
+    COMMIT_BASE, INSTALL_KEY, LOCK_OP, PREPARE_KEY, READ_HANDLER, VAS_ITEM,
+    VERSION_SCAN_ITEM,
+)
 from repro.core.interfaces import BaseProtocolNode, SharedState
 from repro.core.recovery import NodeRecovery
 from repro.core.repair import Fence, InDoubtResolver, Round
@@ -328,7 +332,7 @@ class MVCCNode(BaseProtocolNode):
             # Its place's holder commits first: no prepare, retry in line.
             return self._aborted(txn, AbortReason.SPOKEN_FOR, key=txn.lost_key)
 
-        yield from self.cpu.consume(self.costs.commit_base)
+        yield from self.cpu.consume(COMMIT_BASE)
 
         round_no = 0
 
@@ -731,7 +735,7 @@ class MVCCNode(BaseProtocolNode):
             yield from self._stand_in_line(line, request)
 
         needs_lock = self.reads_lock
-        cost = self.costs.read_handler
+        cost = READ_HANDLER
         if needs_lock:
             # Shared mode: concurrent read handlers proceed together, but
             # conflicting update commits (write lockers) are excluded.
@@ -739,14 +743,14 @@ class MVCCNode(BaseProtocolNode):
             lock_owner = ("read", request.txn_id, self._read_token)
             granted = yield locks.acquire_read(request.key, lock_owner, None)
             assert granted, "untimed lock acquisition cannot fail"
-            cost += self.costs.lock_op
+            cost += LOCK_OP
 
         version, inspected = self._select_version(request)
         latest_vid = self.store.chain(request.key).latest.vid  # as chosen
         self._register_visible_read(request, version)
         cost += (
-            self.costs.version_scan_item * (latest_vid - version.vid + 1)
-            + self.costs.vas_item * inspected
+            VERSION_SCAN_ITEM * (latest_vid - version.vid + 1)
+            + VAS_ITEM * inspected
         )
         yield from self.cpu.consume(cost)
         if inspected:
@@ -820,19 +824,17 @@ class MVCCNode(BaseProtocolNode):
                 # A chain's latest version only advances, so a "no" taken
                 # without the locks is final: refuse before queueing, or
                 # every doomed prepare holds a hot key's write lock for
-                # ``lock_op + prepare_key`` ahead of the one that can win.
-                yield from self.cpu.consume(self.costs.prepare_key * len(keys))
+                # ``LOCK_OP + PREPARE_KEY`` ahead of the one that can win.
+                yield from self.cpu.consume(PREPARE_KEY * len(keys))
                 return VoteBody(False, reason=AbortReason.VALIDATION, lost=lost)
             granted = yield from locks.acquire_write_all(
                 keys, request.txn_id, self.shared.config.lock_timeout
             )
             if not granted:
-                yield from self.cpu.consume(self.costs.lock_op * len(keys))
+                yield from self.cpu.consume(LOCK_OP * len(keys))
                 return VoteBody(False, reason=AbortReason.LOCK_TIMEOUT)
 
-            yield from self.cpu.consume(
-                (self.costs.lock_op + self.costs.prepare_key) * len(keys)
-            )
+            yield from self.cpu.consume((LOCK_OP + PREPARE_KEY) * len(keys))
             if (lost := self._validate(request)) is not None:
                 locks.release_write_all(keys, owner=request.txn_id)
                 return VoteBody(False, reason=AbortReason.VALIDATION, lost=lost)
@@ -1001,9 +1003,7 @@ class MVCCNode(BaseProtocolNode):
             if self.site_vc[body.origin] < body.seq_no:
                 writes = prepared.writes if prepared is not None else {}
                 if writes:
-                    yield from self.cpu.consume(
-                        self.costs.install_key * len(writes)
-                    )
+                    yield from self.cpu.consume(INSTALL_KEY * len(writes))
                 if self._incarnation != incarnation:
                     return
                 commit_vc = VectorClock(body.commit_vc)

@@ -14,6 +14,9 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.cluster.node import Node
+from repro.core.cost_model import (
+    COMMIT_BASE, INSTALL_KEY, LOCK_OP, PREPARE_KEY, READ_HANDLER,
+)
 from repro.core.interfaces import BaseProtocolNode, SharedState
 from repro.core.transaction import Transaction
 from repro.core.wire import (
@@ -100,7 +103,7 @@ class TwoPCNode(BaseProtocolNode):
         return reply.value
 
     def commit(self, txn: Transaction):
-        yield from self.cpu.consume(self.costs.commit_base)
+        yield from self.cpu.consume(COMMIT_BASE)
 
         by_site: Dict[int, SimplePrepareBody] = {}
         for key, version in txn.read_versions.items():
@@ -162,7 +165,7 @@ class TwoPCNode(BaseProtocolNode):
     # ------------------------------------------------------------------
     def on_read_request(self, envelope: Envelope):
         request: SimpleReadRequestBody = self.node.rpc.body_of(envelope)
-        yield from self.cpu.consume(self.costs.read_handler)
+        yield from self.cpu.consume(READ_HANDLER)
         record = self.store.read(request.key)
         self.node.rpc.reply(
             envelope, SimpleReadReturnBody(record.value, record.version)
@@ -196,15 +199,15 @@ class TwoPCNode(BaseProtocolNode):
         )
         total_keys = len(set(request.reads) | set(request.writes))
         if not ok:
-            yield from self.cpu.consume(self.costs.lock_op * total_keys)
+            yield from self.cpu.consume(LOCK_OP * total_keys)
             return SimpleVoteBody(False, reason=AbortReason.LOCK_TIMEOUT)
 
         # Validation re-reads every read key's current state, so the
         # baseline pays read-handler work per validated key on top of the
         # lock/bookkeeping cost.
         yield from self.cpu.consume(
-            (self.costs.lock_op + self.costs.prepare_key) * total_keys
-            + self.costs.read_handler * len(request.reads)
+            (LOCK_OP + PREPARE_KEY) * total_keys
+            + READ_HANDLER * len(request.reads)
         )
         for key, version in request.reads.items():
             if self.store.read(key).version != version:
@@ -241,9 +244,7 @@ class TwoPCNode(BaseProtocolNode):
         prepared = self._prepared.pop(body.txn_id, None)
         if prepared is not None:
             if body.outcome and prepared.writes:
-                yield from self.cpu.consume(
-                    self.costs.install_key * len(prepared.writes)
-                )
+                yield from self.cpu.consume(INSTALL_KEY * len(prepared.writes))
                 for key, value in prepared.writes.items():
                     record = self.store.write(key, value)
                     self.catalog[(key, record.version)] = (0, 0, body.txn_id)

@@ -32,6 +32,11 @@ from repro.storage.wal import (
     build_checkpoint,
 )
 
+#: Skip an automatic checkpoint unless at least this many WAL records
+#: accumulated since the previous one (avoids checkpoint spam on idle
+#: nodes).
+MIN_RECORDS = 32
+
 
 class CheckpointManager:
     """Checkpoint/truncation policy for one node's WAL."""
@@ -68,7 +73,7 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def maybe_checkpoint(self) -> bool:
         """Take a checkpoint if enough records accumulated; True if taken."""
-        if self._logical_length() - self._last_logical < self.config.min_records:
+        if self._logical_length() - self._last_logical < MIN_RECORDS:
             return False
         return self.checkpoint_now() is not None
 

@@ -83,27 +83,20 @@ class NodeHealing:
         self._stopped = False
 
         config = self.config
-        self.detector: Optional[FailureDetector] = None
+        self.detector = FailureDetector(
+            self.sim, self.node_id, shared.num_nodes, config, tracer=self.tracer
+        )
         #: Whether the detector actually receives evidence.  Without a
         #: heartbeat period or an RPC timeout there is none, and leaving
         #: the hooks uninstalled keeps delivery and the RPC retry ladder
         #: on their original fast paths -- tier-1 runs are bit-identical.
-        self.armed = False
-        if config.detector_enabled:
-            self.detector = FailureDetector(
-                self.sim,
-                self.node_id,
-                shared.num_nodes,
-                config,
-                tracer=self.tracer,
-            )
-            if (
-                config.heartbeat_interval is not None
-                or owner.node.rpc.config.request_timeout is not None
-            ):
-                owner.node.rpc.detector = self.detector
-                owner.node.arrival_hook = self.detector.on_arrival
-                self.armed = True
+        self.armed = (
+            config.heartbeat_interval is not None
+            or owner.node.rpc.config.request_timeout is not None
+        )
+        if self.armed:
+            owner.node.rpc.detector = self.detector
+            owner.node.arrival_hook = self.detector.on_arrival
 
         # Repair RPCs -- gossip digests, snapshot offers, every in-doubt
         # status query, an expiring lease's included -- must never hang
@@ -246,37 +239,8 @@ class NodeHealing:
         return self.gossip_round(self.pick_gossip_peer())
 
     def pick_gossip_peer(self) -> int:
-        """Choose the next gossip partner (seeded, deterministic).
-
-        With ``snapshot.lag_bias == 0`` (default) this is the historical
-        uniform draw, bit for bit.  With a positive bias each peer's
-        selection weight is ``1 + lag_bias * lag``, where ``lag`` is how
-        far the peer's digest-reported frontier of *our* origin trails
-        our own -- wide partitions heal in fewer rounds because rounds
-        concentrate on the peer that is actually behind.  A peer never
-        heard from counts as maximally lagging (frontier 0).  When every
-        lag is equal (including the all-converged steady state) the
-        draw falls back to the same uniform ``randrange`` call, so a
-        converged biased run consumes its RNG stream exactly like an
-        unbiased one.
-        """
+        """Choose the next gossip partner: a seeded uniform draw."""
         peers = self.peers
-        bias = self.config.snapshot.lag_bias
-        if bias > 0 and len(peers) > 1:
-            own = self.owner.site_vc[self.node_id]
-            frontiers = self.peer_frontiers
-            lags = [
-                max(0, own - frontiers.get(peer, 0)) for peer in peers
-            ]
-            if max(lags) != min(lags):
-                weights = [1.0 + bias * lag for lag in lags]
-                draw = self._rng.random() * sum(weights)
-                acc = 0.0
-                for peer, weight in zip(peers, weights):
-                    acc += weight
-                    if draw < acc:
-                        return peer
-                return peers[-1]
         return peers[self._rng.randrange(len(peers))]
 
     def gossip_round(self, peer: int):

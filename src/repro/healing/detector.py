@@ -6,7 +6,7 @@ time and therefore fully deterministic:
 
 * **passive** -- every delivered message from a peer is an arrival;
   every timed-out RPC attempt against it is a strike.  Consecutive
-  strikes past ``suspect_after_timeouts`` / ``dead_after_timeouts``
+  strikes past ``SUSPECT_AFTER_TIMEOUTS`` / ``DEAD_AFTER_TIMEOUTS``
   raise the classification; any arrival clears it.  This stream costs
   nothing until ``RpcConfig.request_timeout`` is configured, so the
   paper's reliable-channel model never accrues evidence and the
@@ -27,7 +27,7 @@ time and therefore fully deterministic:
 Consumers:
 
 * :meth:`attempts_budget` caps the RPC retry ladder (1 attempt for a
-  DEAD peer, ``suspect_max_attempts`` for a SUSPECT one);
+  DEAD peer, ``SUSPECT_MAX_ATTEMPTS`` for a SUSPECT one);
 * :meth:`is_dead` feeds the coordinator's commit fail-fast;
 * suspicion transitions are emitted as ``suspect`` / ``trust`` events,
   which count them.
@@ -53,6 +53,15 @@ _EWMA_ALPHA = 0.2
 #: (used only when heartbeats are active).
 _PHI_SUSPECT = 3.0
 _PHI_DEAD = 8.0
+
+#: Passive thresholds: consecutive RPC timeouts against a peer before
+#: it is classified suspect / dead.
+SUSPECT_AFTER_TIMEOUTS = 2
+DEAD_AFTER_TIMEOUTS = 5
+#: Retry-budget cap fed into :meth:`repro.net.rpc.RpcEndpoint.call`:
+#: calls to a DEAD peer get one attempt, calls to a SUSPECT peer at
+#: most this many.
+SUSPECT_MAX_ATTEMPTS = 2
 
 
 class FailureDetector:
@@ -174,17 +183,16 @@ class FailureDetector:
         if state == DEAD:
             return 1
         if state == SUSPECT:
-            return max(1, min(configured, self.config.suspect_max_attempts))
+            return max(1, min(configured, SUSPECT_MAX_ATTEMPTS))
         return configured
 
     def _reclassify(self, peer: int) -> None:
         self._ensure(peer)
-        config = self.config
         verdict = ALIVE
         strikes = self._strikes[peer]
-        if strikes >= config.dead_after_timeouts:
+        if strikes >= DEAD_AFTER_TIMEOUTS:
             verdict = DEAD
-        elif strikes >= config.suspect_after_timeouts:
+        elif strikes >= SUSPECT_AFTER_TIMEOUTS:
             verdict = SUSPECT
         if self._accrual and _RANK[verdict] < _RANK[DEAD]:
             phi = self.phi(peer)

@@ -56,7 +56,7 @@ from repro.cluster.directory import ConsistentHashDirectory
 from repro.cluster.node import Node
 from repro.config import ClusterConfig
 from repro.core.interfaces import SharedState
-from repro.harness.runner import DEFAULT_RETRY_BACKOFF, client_loop
+from repro.harness.runner import client_loop
 from repro.metrics.history import History, OpRecord, TxnRecord
 from repro.metrics.psi_checker import VersionCatalog, check_fresh, check_psi
 from repro.metrics.stats import MetricsRecorder
@@ -152,8 +152,7 @@ class NodeHost:
         for client_id in range(self.config.clients_per_node):
             self.sim.spawn(
                 client_loop(
-                    self, self.node_id, client_id, self.workload, stop_time,
-                    DEFAULT_RETRY_BACKOFF, None,
+                    self, self.node_id, client_id, self.workload, stop_time
                 ),
                 name=f"client-{self.node_id}-{client_id}",
             )

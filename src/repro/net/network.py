@@ -15,6 +15,10 @@ from repro.sim.rng import make_rng
 DeliverFn = Callable[[Envelope], None]
 _BACKGROUND = MessageType.BACKGROUND
 
+#: Delivery delay of a message a node sends to itself (loopback
+#: dispatch, not the network fabric).
+SELF_LATENCY = 1e-6
+
 #: Drop-reason labels used in :attr:`NetworkStats.drops_by_reason`.
 DROP_CRASH = "crash"
 DROP_PARTITION = "partition"
@@ -63,7 +67,7 @@ class Network(Transport):
       *channel*; foreground protocol traffic and background asynchronous
       traffic (Propagate/Remove) use separate channels so an injected
       propagation delay does not stall the commit critical path;
-    * messages a node sends to itself are delivered after ``self_latency``
+    * messages a node sends to itself are delivered after ``SELF_LATENCY``
       (loopback dispatch, not the network fabric).
 
     On top of that baseline, the fault-injection surface deliberately
@@ -146,7 +150,7 @@ class Network(Transport):
             return envelope
         cfg = self.config
         if src == dst:
-            delay = cfg.self_latency
+            delay = SELF_LATENCY
         else:
             if cfg.loss_rate > 0 and self._fault_rng.random() < cfg.loss_rate:
                 self._drop(DROP_LOSS, envelope)

@@ -8,8 +8,8 @@ One primitive, one ladder over it:
   fails it with :class:`RpcTimeoutError`.  That deadline is the only way
   an attempt times out.
 * :meth:`RpcEndpoint.call` is a generator subroutine (``yield from``):
-  ``request(deadline=request_timeout)`` in a loop, with seeded exponential
-  backoff with jitter between attempts and capped retries, raising
+  ``request(deadline=request_timeout)`` in a loop, with :func:`backoff`
+  between attempts and capped retries, raising
   :class:`RpcTimeoutError` once attempts are exhausted.  With the default
   :class:`~repro.config.RpcConfig` (``request_timeout=None``) it is a
   single reliable request, so protocols pay nothing until faults are
@@ -30,6 +30,21 @@ from repro.net.message import Envelope, MessageType
 from repro.net.transport import Transport
 from repro.sim import Event, Simulator, Timer
 from repro.sim.rng import make_rng
+
+#: Backoff before retry ``n`` is ``BACKOFF_BASE * 2**(n-1)`` capped at
+#: ``BACKOFF_CAP``, plus up to ``BACKOFF_JITTER`` of itself drawn from
+#: the caller's seeded RNG (deterministic per seed).
+BACKOFF_BASE = 100e-6
+BACKOFF_CAP = 2e-3
+BACKOFF_JITTER = 0.5
+
+
+def backoff(retries: int, rng) -> float:
+    """The pause after ``retries`` earlier retries: the binary-exponential
+    ladder the RPC endpoint and the socket transport's redial loop both
+    climb, jittered by one draw from ``rng``."""
+    delay = min(BACKOFF_BASE * 2.0**retries, BACKOFF_CAP)
+    return delay + rng.uniform(0.0, BACKOFF_JITTER * delay)
 
 
 class RpcTimeoutError(Exception):
@@ -200,10 +215,7 @@ class RpcEndpoint:
                 if attempt >= max_attempts:
                     raise RpcTimeoutError(dst, msg_type, attempt) from None
             self.network.stats.rpc_retries += 1
-            delay = cfg.backoff(attempt - 1)
-            if cfg.backoff_jitter > 0:
-                delay += self._rng.uniform(0.0, cfg.backoff_jitter * delay)
-            yield self.sim.timeout(delay)
+            yield self.sim.timeout(backoff(attempt - 1, self._rng))
 
     def call_settled(
         self,

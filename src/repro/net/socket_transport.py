@@ -26,8 +26,8 @@ transport's own listener), or a single node when
 :mod:`repro.net.host` runs one process per node.
 
 Connections are lazy, per-destination, and self-healing: the first
-frame to a peer dials it with the :class:`~repro.config.RpcConfig`
-backoff ladder scaled by ``RECONNECT_BACKOFF_SCALE``
+frame to a peer dials it with the RPC backoff ladder
+(:func:`repro.net.rpc.backoff`) scaled by ``RECONNECT_BACKOFF_SCALE``
 (virtual-scale ladders are microseconds; real dials want milliseconds),
 a broken connection redials and resends the frame that failed (frames
 are queued per destination, so FIFO per (src, dst) pair survives
@@ -51,6 +51,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from repro.config import NetworkConfig, TransportConfig
 from repro.net.message import Envelope
 from repro.net.network import DROP_UNKNOWN_DST, NetworkStats
+from repro.net.rpc import backoff
 from repro.net.serde import (
     WIRE_VERSION,
     FrameDecoder,
@@ -76,7 +77,7 @@ CONNECT_TIMEOUT = 5.0
 #: Connect attempts per link before queued frames are dropped (counted
 #: as ``unreachable`` in ``NetworkStats.drops_by_reason``).
 MAX_CONNECT_ATTEMPTS = 8
-#: Reconnect backoff reuses the :class:`RpcConfig` ladder scaled by this
+#: Reconnect backoff reuses the RPC ladder scaled by this
 #: factor -- the simulator's microsecond-scale defaults would busy-spin
 #: a real TCP reconnect loop.
 RECONNECT_BACKOFF_SCALE = 500.0
@@ -259,7 +260,6 @@ class SocketTransport(Transport):
 
     async def _connect(self, dst: int) -> Optional[asyncio.StreamWriter]:
         """Dial ``dst`` with the scaled backoff ladder; None on give-up."""
-        rpc = self.config.rpc
         host, port = self._peers[dst]
         for attempt in range(MAX_CONNECT_ATTEMPTS):
             try:
@@ -273,10 +273,9 @@ class SocketTransport(Transport):
             except (OSError, asyncio.TimeoutError):
                 if attempt + 1 >= MAX_CONNECT_ATTEMPTS:
                     return None
-                delay = rpc.backoff(attempt) * RECONNECT_BACKOFF_SCALE
-                if rpc.backoff_jitter > 0:
-                    delay += self._rng.uniform(0.0, rpc.backoff_jitter * delay)
-                await asyncio.sleep(delay)
+                await asyncio.sleep(
+                    backoff(attempt, self._rng) * RECONNECT_BACKOFF_SCALE
+                )
         return None
 
     async def _run_link(self, dst: int, queue: "asyncio.Queue") -> None:

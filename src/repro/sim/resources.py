@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Deque
 
 from repro.sim.events import Event
 
@@ -15,11 +15,10 @@ class CpuResource:
     """A pool of identical servers with a FIFO run queue.
 
     Protocol handlers charge their processing cost through
-    ``yield from cpu.consume(cost)``.  With ``cores=None`` the resource is
-    infinite (a plain virtual-time delay); with a finite core count,
-    saturated nodes build queues and per-operation latency grows with
-    load -- the effect that turns per-transaction work differences into
-    throughput differences under closed-loop clients.
+    ``yield from cpu.consume(cost)``.  Saturated nodes build queues and
+    per-operation latency grows with load -- the effect that turns
+    per-transaction work differences into throughput differences under
+    closed-loop clients.
 
     Handlers must not hold a core across blocking waits: acquire-compute-
     release is a single ``consume`` call, and lock or condition waits
@@ -28,9 +27,9 @@ class CpuResource:
 
     __slots__ = ("sim", "cores", "_busy", "_queue", "busy_time")
 
-    def __init__(self, sim: "Simulator", cores: Optional[int]) -> None:
-        if cores is not None and cores <= 0:
-            raise ValueError("cores must be positive or None (infinite)")
+    def __init__(self, sim: "Simulator", cores: int) -> None:
+        if cores <= 0:
+            raise ValueError("cores must be positive")
         self.sim = sim
         self.cores = cores
         self._busy = 0
@@ -43,9 +42,6 @@ class CpuResource:
         if cost <= 0:
             return
         self.busy_time += cost
-        if self.cores is None:
-            yield self.sim.sleep(cost)
-            return
         if self._busy < self.cores:
             self._busy += 1
         else:
@@ -66,6 +62,6 @@ class CpuResource:
 
     def utilization(self, elapsed: float) -> float:
         """Mean core utilisation over ``elapsed`` virtual seconds."""
-        if elapsed <= 0 or self.cores is None:
+        if elapsed <= 0:
             return 0.0
         return self.busy_time / (elapsed * self.cores)

@@ -11,12 +11,12 @@ from repro import (
     Cluster,
     ClusterConfig,
     DurabilityConfig,
-    HealingConfig,
     NetworkConfig,
     RpcConfig,
 )
 from repro.cluster import ExplicitDirectory
 from repro.core.repair import TERMINATION_ATTEMPTS, Round, reannounce
+from repro.healing.detector import DEAD_AFTER_TIMEOUTS, SUSPECT_MAX_ATTEMPTS
 from repro.storage.wal import DecisionRecord
 from repro.core.wire import PrepareBody
 from repro.net.message import MessageType
@@ -31,8 +31,6 @@ def build(num_nodes=2, placement=None, rpc=None, lease=None):
         num_nodes=num_nodes,
         seed=5,
         prepared_lease=lease,
-        # No detector: every query round spends its whole RPC ladder.
-        healing=HealingConfig(detector_enabled=False),
         network=NetworkConfig(
             jitter=0.0,
             rpc=rpc or RpcConfig(request_timeout=1e-3, max_attempts=2),
@@ -148,10 +146,18 @@ def test_unreachable_coordinator_exhausts_the_budget_then_presumes_abort():
         - sent_before
     )
     rpc = cluster.config.network.rpc
-    assert queries == TERMINATION_ATTEMPTS * rpc.max_attempts
-    # Every round pays its RPC ladder and then the between-rounds pause.
-    assert cluster.sim.now - started >= TERMINATION_ATTEMPTS * (
-        rpc.max_attempts * rpc.request_timeout + ROUND_WAIT
+    # Every round pays the RPC ladder the failure detector leaves it --
+    # one probe once the coordinator is classified dead -- and then the
+    # between-rounds pause.
+    assert SUSPECT_MAX_ATTEMPTS >= rpc.max_attempts  # suspicion cuts nothing
+    ladders, strikes = [], 0
+    for _ in range(TERMINATION_ATTEMPTS):
+        dead = strikes >= DEAD_AFTER_TIMEOUTS
+        ladders.append(1 if dead else rpc.max_attempts)
+        strikes += ladders[-1]
+    assert queries == sum(ladders) < TERMINATION_ATTEMPTS * rpc.max_attempts
+    assert cluster.sim.now - started >= (
+        sum(ladders) * rpc.request_timeout + TERMINATION_ATTEMPTS * ROUND_WAIT
     )
     assert TXN not in node._prepared and not node.locks.any_locked()
     assert node.store.chain("x").latest.value == 0

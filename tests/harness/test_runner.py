@@ -156,21 +156,6 @@ def test_all_protocols_run_under_harness():
         assert result.metrics["commits"] > 0, protocol
 
 
-def test_max_retries_caps_attempts():
-    """With max_retries=0 a client gives up after the first abort."""
-    workload = YCSBWorkload(YCSBConfig(num_keys=4, read_only_fraction=0.0))
-    result = run_experiment(
-        "fwkv",
-        workload,
-        ClusterConfig(num_nodes=2, clients_per_node=3, seed=5),
-        RunConfig(duration=0.01, warmup=0.0, max_retries=0),
-    )
-    # Tiny key space forces conflicts; attempts per commit stay at 1.
-    assert result.metrics["aborts"] > 0
-    assert result.metrics["commits"] > 0
-    assert result.metrics["latency"]["count"] == result.metrics["commits"]
-
-
 def test_cpu_utilization_reported():
     result = small_run()
     util = result.metrics["mean_cpu_utilization"]

@@ -10,6 +10,11 @@ import pytest
 
 from repro.config import HealingConfig
 from repro.healing import ALIVE, DEAD, SUSPECT, FailureDetector
+from repro.healing.detector import (
+    DEAD_AFTER_TIMEOUTS,
+    SUSPECT_AFTER_TIMEOUTS,
+    SUSPECT_MAX_ATTEMPTS,
+)
 from repro.metrics.stats import MetricsRecorder
 from repro.sim import Tracer
 
@@ -33,15 +38,18 @@ def build(clock=None, tracer=None, **overrides):
 # Passive evidence: consecutive RPC-timeout strikes
 # ----------------------------------------------------------------------
 def test_strike_thresholds():
-    detector = build()  # suspect_after_timeouts=2, dead_after_timeouts=5
+    detector = build()
+    assert (SUSPECT_AFTER_TIMEOUTS, DEAD_AFTER_TIMEOUTS) == (2, 5)
     assert detector.state(PEER) == ALIVE
     detector.on_rpc_timeout(PEER)
     assert detector.state(PEER) == ALIVE
     detector.on_rpc_timeout(PEER)
     assert detector.state(PEER) == SUSPECT
     assert detector.is_suspect(PEER) and not detector.is_dead(PEER)
-    for _ in range(3):
+    for _ in range(2):
         detector.on_rpc_timeout(PEER)
+    assert detector.state(PEER) == SUSPECT
+    detector.on_rpc_timeout(PEER)
     assert detector.state(PEER) == DEAD
     assert detector.is_dead(PEER) and detector.is_suspect(PEER)
 
@@ -164,7 +172,8 @@ def test_foreground_burst_does_not_turn_a_short_pause_into_death():
 # Consumers: the RPC retry-budget cap
 # ----------------------------------------------------------------------
 def test_attempts_budget_by_state():
-    detector = build(suspect_max_attempts=2)
+    detector = build()
+    assert SUSPECT_MAX_ATTEMPTS == 2
     assert detector.attempts_budget(PEER, 5) == 5
     detector.on_rpc_timeout(PEER)
     detector.on_rpc_timeout(PEER)  # SUSPECT

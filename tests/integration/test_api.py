@@ -23,7 +23,6 @@ from repro import (
     CheckpointConfig,
     Cluster,
     ClusterConfig,
-    CostModel,
     DurabilityConfig,
     HealingConfig,
     NetworkConfig,
@@ -174,7 +173,7 @@ def test_sharding_defaults_off_and_overlays():
         {"num_nodes": 3, "sharding": {"enabled": True, "num_shards": 32}}
     )
     assert cfg.sharding.enabled and cfg.sharding.num_shards == 32
-    assert cfg.sharding.min_samples == 64  # defaults kept for the rest
+    assert cfg.sharding.rebalance_interval is None  # defaults kept
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +191,6 @@ rpc_configs = st.builds(
     RpcConfig,
     request_timeout=optional(positive_floats),
     max_attempts=st.integers(1, 6),
-    backoff_base=positive_floats,
-    backoff_jitter=small_floats,
 )
 network_configs = st.builds(
     NetworkConfig,
@@ -205,18 +202,17 @@ network_configs = st.builds(
         max_size=2,
     ),
     loss_rate=small_floats,
+    duplicate_rate=small_floats,
     rpc=rpc_configs,
 )
 checkpoint_configs = st.builds(
     CheckpointConfig,
     interval=optional(positive_floats),
-    min_records=st.integers(1, 64),
     max_peer_lag=optional(st.integers(0, 16)),
 )
 snapshot_configs = st.builds(
     SnapshotTransferConfig,
     chunk_records=st.integers(1, 128),
-    lag_bias=small_floats,
 )
 replication_configs = st.builds(
     ReplicationConfig,
@@ -231,7 +227,6 @@ sharding_configs = st.builds(
     enabled=st.booleans(),
     num_shards=st.integers(1, 256),
     rebalance_interval=optional(positive_floats),
-    min_samples=st.integers(1, 256),
 )
 transport_configs = st.builds(
     TransportConfig,
@@ -242,7 +237,6 @@ transport_configs = st.builds(
 )
 healing_configs = st.builds(
     HealingConfig,
-    detector_enabled=st.booleans(),
     heartbeat_interval=optional(positive_floats),
     anti_entropy_interval=optional(positive_floats),
     checkpoint=checkpoint_configs,
@@ -267,11 +261,6 @@ cluster_configs = st.builds(
     replication=replication_configs,
     network=network_configs,
     transport=transport_configs,
-    costs=st.builds(
-        CostModel,
-        read_handler=small_floats,
-        cpu_cores=optional(st.integers(1, 32)),
-    ),
 )
 
 
@@ -301,9 +290,25 @@ def test_from_dict_rejects_unknown_keys():
     for overlay in (
         {"durability": {"termination_query": True}},
         {"healing": {"snapshot": {"enabled": True}}},
+        {"costs": {"cpu_cores": 8}},
+        {"healing": {"detector_enabled": False}},
     ):
         with pytest.raises(ValueError, match="unknown keys"):
             ClusterConfig.from_dict(overlay)
+
+
+@pytest.mark.parametrize("overlay", [
+    {"base_latency": -1e-6},
+    {"jitter": -1e-6},
+    {"message_delays": {"Propagate": -1e-3}},
+    {"loss_rate": 2.0},
+    {"duplicate_rate": -0.1},
+])
+def test_network_config_rejects_what_would_crash_or_hang_a_run(overlay):
+    # A negative delay schedules into the past; loss_rate=2.0 drops every
+    # message and leaves run_txn waiting forever.
+    with pytest.raises(ValueError):
+        ClusterConfig.from_dict({"num_nodes": 2, "network": overlay})
 
 
 def test_from_dict_accepts_partial_overlay():

@@ -28,7 +28,7 @@ from repro.faults import (
     durable_crash_cycle,
     partition_cycle,
 )
-from repro.harness.runner import DEFAULT_RETRY_BACKOFF, client_loop
+from repro.harness.runner import client_loop
 from repro.metrics import check_psi
 from repro.sim.rng import make_rng
 from repro.workloads import YCSBConfig, YCSBWorkload
@@ -198,9 +198,7 @@ def test_an_attempt_killed_by_a_partition_is_an_abort_not_a_rollback():
     )
     nemesis.start(SCHEDULES["partition_heal"])
     for node_id in range(NUM_NODES):
-        cluster.spawn(client_loop(
-            cluster, node_id, 0, workload, 12e-3, DEFAULT_RETRY_BACKOFF, None,
-        ))
+        cluster.spawn(client_loop(cluster, node_id, 0, workload, 12e-3))
     cluster.run()
     summary = cluster.metrics.summary()
     assert cluster.network.stats.drops_by_reason["partition"] > 0

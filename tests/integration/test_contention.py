@@ -12,7 +12,7 @@ import pytest
 from repro import Cluster, ClusterConfig, NetworkConfig, RpcConfig, RunConfig
 from repro.cluster import ExplicitDirectory
 from repro.harness import run_experiment
-from repro.harness.runner import DEFAULT_RETRY_BACKOFF, client_loop
+from repro.harness.runner import client_loop
 from repro.net.message import MessageType
 from repro.storage import LockTable
 from repro.workloads import YCSBConfig, YCSBWorkload
@@ -207,8 +207,7 @@ def contended_run(seed=3, duration=8e-3):
     for node_id in cluster.config.node_ids:
         for client_id in range(cluster.config.clients_per_node):
             cluster.spawn(client_loop(
-                cluster, node_id, client_id, workload, duration,
-                DEFAULT_RETRY_BACKOFF, None,
+                cluster, node_id, client_id, workload, duration
             ))
     cluster.run()
     return cluster, commits

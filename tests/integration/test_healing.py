@@ -398,20 +398,20 @@ def test_checkpointed_recovery_matches_full_history(seed):
     assert all(clock == clocks[0] for clock in clocks)
 
 
-def test_automatic_checkpoint_loop_respects_min_records():
-    """The checkpoint loop takes snapshots only after min_records new
+def test_automatic_checkpoint_loop_waits_for_enough_records():
+    """The checkpoint loop takes snapshots only after ``MIN_RECORDS`` new
     WAL appends, and truncates once gossip evidence stabilises them."""
     seed = SEEDS[0]
     healing = HealingConfig(
         anti_entropy_interval=AE_INTERVAL,
         digest_timeout=5e-4,
-        checkpoint=CheckpointConfig(interval=2e-3, min_records=8),
+        checkpoint=CheckpointConfig(interval=2e-3),
     )
     cluster, _nemesis = build(seed, healing, wal=True)
     rng = make_rng(seed, "healing-auto-ckpt")
     victim = cluster.nodes[VICTIM]
 
-    drive(cluster, rmw_plan(rng, range(NUM_NODES), 10, KEYS))
+    drive(cluster, rmw_plan(rng, range(NUM_NODES), 30, KEYS))
     # Several checkpoint periods with gossip feeding frontier evidence.
     cluster.run(until=cluster.sim.now + 6e-3)
     assert cluster.metrics.counters["checkpoints_taken"] >= 1
@@ -419,7 +419,7 @@ def test_automatic_checkpoint_loop_respects_min_records():
     assert cluster.metrics.counters["wal_records_truncated"] > 0
 
     # An idle stretch takes no further checkpoints: fewer than
-    # min_records new WAL records accumulated.
+    # MIN_RECORDS new WAL records accumulated.
     taken = cluster.metrics.counters["checkpoints_taken"]
     cluster.run(until=cluster.sim.now + 6e-3)
     assert cluster.metrics.counters["checkpoints_taken"] == taken

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cost_model import PREPARE_KEY
 from repro.net.message import MessageType
 from tests.integration.scenario_tools import (
     make_cluster,
@@ -224,7 +225,7 @@ def test_stale_prepare_votes_no_without_queueing_on_the_write_lock(protocol):
     assert (seen["vote"].ok, seen["vote"].reason) == (False, "validation")
     assert seen["holder_still_in"], "the vote must not wait for the holder"
     # Only the per-key validation CPU was spent: no lock wait.
-    assert seen["took"] == pytest.approx(cluster.config.costs.prepare_key)
+    assert seen["took"] == pytest.approx(PREPARE_KEY)
     assert seen["max_queue"] == 0
     assert request.txn_id not in node._prepared
     assert "x" not in node.locks._locks, "idle lock reclaimed after release"

@@ -5,6 +5,7 @@ import pytest
 from repro.config import NetworkConfig
 from repro.net import Network
 from repro.net.message import MessageType
+from repro.net.network import SELF_LATENCY
 from repro.sim import Simulator
 
 
@@ -27,12 +28,12 @@ def test_delivery_after_base_latency():
 
 def test_self_messages_use_loopback_latency():
     sim = Simulator()
-    net = make_network(sim, base_latency=20e-6, self_latency=1e-6)
+    net = make_network(sim, base_latency=20e-6)
     received = []
     net.register(0, lambda env: received.append(sim.now))
     net.send(0, 0, "Ping", None)
     sim.run()
-    assert received == [pytest.approx(1e-6)]
+    assert received == [pytest.approx(SELF_LATENCY)] and SELF_LATENCY < 20e-6
 
 
 def test_unknown_destination_degrades_to_drop():

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import Node
 from repro.config import NetworkConfig, RpcConfig
 from repro.net import Network, RpcTimeoutError
+from repro.net.rpc import BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER
 from repro.sim import Simulator
 
 
@@ -113,12 +114,7 @@ def test_reply_requires_rpc_envelope():
 # ----------------------------------------------------------------------
 # Timeouts, retries, and backoff (RpcEndpoint.call)
 # ----------------------------------------------------------------------
-RETRY_CONFIG = RpcConfig(
-    request_timeout=1e-3,
-    max_attempts=3,
-    backoff_base=100e-6,
-    backoff_cap=400e-6,
-)
+RETRY_CONFIG = RpcConfig(request_timeout=1e-3, max_attempts=3)
 
 
 def flaky_server(server, fail_first):
@@ -295,6 +291,24 @@ def retry_trace(seed):
 
     result = sim.run_process(proc())
     return times, result, sim.now
+
+
+def test_retry_pauses_double_up_to_the_cap_plus_jitter():
+    config = RpcConfig(request_timeout=1e-3, max_attempts=8)
+    sim, client, server = build_pair(rpc=config)
+    times = []
+    server.on("Ping", lambda envelope: times.append(sim.now))
+
+    def proc():
+        with pytest.raises(RpcTimeoutError):
+            yield from client.rpc.call(1, "Ping", "hello")
+
+    sim.run_process(proc())
+    pauses = [b - a - config.request_timeout for a, b in zip(times, times[1:])]
+    steps = [min(BACKOFF_BASE * 2**n, BACKOFF_CAP) for n in range(7)]
+    assert len(pauses) == 7 and steps[-2:] == [BACKOFF_CAP] * 2
+    for pause, step in zip(pauses, steps):
+        assert step - 1e-12 <= pause <= step * (1 + BACKOFF_JITTER) + 1e-12
 
 
 def test_retry_backoff_is_seed_deterministic():

@@ -5,18 +5,6 @@ import pytest
 from repro.sim import CpuResource, Simulator
 
 
-def test_infinite_cores_is_plain_delay():
-    sim = Simulator()
-    cpu = CpuResource(sim, cores=None)
-
-    def job():
-        yield from cpu.consume(5.0)
-        return sim.now
-
-    assert sim.run_process(job()) == 5.0
-    assert cpu.busy_time == 5.0
-
-
 def test_zero_cost_consumes_nothing():
     sim = Simulator()
     cpu = CpuResource(sim, cores=1)
