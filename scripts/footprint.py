@@ -22,7 +22,10 @@ Where commits are kept on record (``ycsb_replicated``, ``ycsb_durable``)
 a last ``decision_log`` row says what one update commit leaves behind in
 ``DecisionLog.by_txn`` / ``by_seq`` at its coordinator and in
 ``BackupState.decisions`` at its decision homes -- nothing prunes either
-on a WAL-less run (ROADMAP "Bounded memory", finding (b)).
+on a WAL-less run (ROADMAP "Bounded memory", finding (b)).  On WAL
+workloads (``ycsb_durable``) a ``wal`` row says what the log holds, by
+record kind and per update commit, and on FW-KV a ``tombstones`` row
+sizes the stores' tombstone windows (``MultiVersionStore``).
 Tracing slows the run several-fold; nothing here is a timing.
 """
 
@@ -69,10 +72,12 @@ def held_by_site() -> dict:
     return sites
 
 
-def held_bytes(root) -> int:
+def held_bytes(root, seen=None) -> int:
     """``sys.getsizeof`` over everything reachable from ``root``, each
-    object once.  Strings are left out: keys and values are the store's."""
-    seen, total, stack = set(), 0, [root]
+    object once (once across calls sharing ``seen``).  Strings are left
+    out: keys and values are the store's."""
+    seen = set() if seen is None else seen
+    total, stack = 0, [root]
     while stack:
         obj = stack.pop()
         if obj is None or isinstance(obj, str) or id(obj) in seen:
@@ -109,6 +114,38 @@ def print_decision_log(cluster) -> None:
           f"{logged / commits:.0f} B each in DecisionLog.by_txn/by_seq; "
           f"{copies / commits:.2f} copies each in BackupState.decisions, "
           f"{held_bytes(homes) / commits:.0f} B per commit")
+
+
+def print_wal(cluster) -> None:
+    """What the write-ahead logs hold, by record kind, largest first; an
+    object two kinds share counts for the kind first met in the log."""
+    by_kind: dict = {}
+    for node in cluster.nodes:
+        for record in node.wal.records() if node.wal is not None else ():
+            by_kind.setdefault(type(record).__name__, []).append(record)
+    if not by_kind:
+        return
+    commits = len(by_kind.get("DecisionRecord", ()))
+    seen: set = set()
+    held = {kind: held_bytes(records, seen) for kind, records in by_kind.items()}
+    kinds = ", ".join(
+        f"{kind} {len(by_kind[kind])} / {held[kind] / 2**20:.2f} MB"
+        for kind in sorted(held, key=held.get, reverse=True)
+    )
+    print(f"  wal: {sum(held.values()) / 2**20:.2f} MB in {kinds}; "
+          f"{sum(held.values()) / max(commits, 1):.0f} B per update commit")
+
+
+def print_tombstones(cluster) -> None:
+    """Ids the stores hold tombstoned, and the windows holding them."""
+    stores = [node.store for node in cluster.nodes]
+    windows = [store._tombstones for store in stores]
+    if not any(windows):
+        return
+    print(f"  tombstones: {sum(window.count(1) for window in windows)} ids "
+          f"in {len(windows)} windows of {sum(map(len, windows))} B "
+          f"(largest {max(map(len, windows))} B), "
+          f"{sum(len(store._tombstone_queue) for store in stores)} expiry batches")
 
 
 def size(row) -> int:
@@ -162,6 +199,8 @@ def main() -> int:
         print(f"  touched share: {chains} materialized chains / {held} held keys "
               f"= {chains / held:.1%}")
         print_decision_log(cluster)
+        print_wal(cluster)
+        print_tombstones(cluster)
     finally:
         cluster.close()
     return 0

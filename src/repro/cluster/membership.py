@@ -248,9 +248,7 @@ class NodeMembership:
         for epoch in [e for e in self.acks if e <= view.epoch]:
             del self.acks[epoch]
         if owner.wal is not None:
-            owner.wal.append(
-                ViewChangeRecord(*view.to_triple(), committed=True)
-            )
+            owner.wal.append(ViewChangeRecord(*view.to_triple()))
         # Entering DRAINING raises the drain fence on every local key;
         # any other transition for this node lifts handoff fences (the
         # directory flipped before the commit was fanned out).  Parked

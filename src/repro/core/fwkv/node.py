@@ -14,7 +14,7 @@ from repro.core.batching import adapt_window
 from repro.core.interfaces import SharedState
 from repro.core.mvcc_node import MVCCNode
 from repro.core.transaction import Transaction
-from repro.core.wire import ReadRequestBody, RemoveBody
+from repro.core.wire import NOTHING_COLLECTED, ReadRequestBody, RemoveBody
 from repro.net.message import Envelope, MessageType
 from repro.storage.version import Version
 
@@ -140,13 +140,13 @@ class FWKVNode(MVCCNode):
         """Alg. 5 lines 8-10: harvest the VAS of versions being overwritten."""
         collected = set()
         if not self.shared.config.fwkv_visible_reads:
-            return frozenset()
+            return NOTHING_COLLECTED
         for key in writes:
             if key in self.store:
                 collected.update(self.store.chain(key).latest.vas or ())
         if collected:
             yield from self.cpu.consume(VAS_ITEM * len(collected))
-        return frozenset(collected)
+        return frozenset(collected) or NOTHING_COLLECTED
 
     def _on_versions_installed(
         self, versions: List[Version], collected: frozenset

@@ -35,12 +35,8 @@ from repro.core.repair import Fence, InDoubtResolver, Round
 from repro.core.transaction import PreparedTxn, Transaction
 from repro.core.vector_clock import VectorClock, covers
 from repro.core.wire import (
-    DecideBody,
-    PrepareBody,
-    PropagateBody,
-    ReadRequestBody,
-    ReadReturnBody,
-    VoteBody,
+    NOTHING_COLLECTED, DecideBody, PrepareBody, PropagateBody, ReadRequestBody,
+    ReadReturnBody, VoteBody,
 )
 from repro.healing import NodeHealing
 from repro.metrics.stats import AbortReason
@@ -199,7 +195,7 @@ class MVCCNode(BaseProtocolNode):
             # Setup-time write: durable immediately, never part of a
             # crash's lost suffix (see WriteAheadLog.append_durable).
             items = tuple(items)
-            self.wal.append_durable(LoadRecord(items))
+            self.wal.append_durable(LoadRecord.of(items))
         return self.store.create_many(
             items, VectorClock.zero(self.shared.num_nodes)
         )
@@ -472,7 +468,7 @@ class MVCCNode(BaseProtocolNode):
             origin=self.node_id,
             seq_no=txn.seq_no,
             commit_vc=txn.commit_vc.to_tuple() if txn.commit_vc else None,
-            collected=frozenset(txn.collected_set),
+            collected=frozenset(txn.collected_set) or NOTHING_COLLECTED,
             round=round_no,
         )
         if outcome:
@@ -651,7 +647,7 @@ class MVCCNode(BaseProtocolNode):
 
         Generator subroutine: may charge CPU time.  Returns a frozenset.
         """
-        return frozenset()
+        return NOTHING_COLLECTED
         yield  # pragma: no cover - makes this a generator subroutine
 
     def _on_versions_installed(

@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
+#: The one empty collected set: a Decide, vote or record that collected
+#: no read-only id holds this, not an empty set of its own.
+NOTHING_COLLECTED: FrozenSet[int] = frozenset()
+
 
 @dataclass(slots=True)
 class ReadRequestBody:
@@ -70,7 +74,7 @@ class VoteBody:
     ok: bool
     #: FW-KV only: read-only transaction ids harvested from the VAS of the
     #: versions about to be overwritten (Alg. 5 lines 8-10).
-    collected: FrozenSet[int] = frozenset()
+    collected: FrozenSet[int] = NOTHING_COLLECTED
     reason: Optional[str] = None
     #: The key a ``validation`` no-vote failed on: what the retry reads
     #: first, and in line.
@@ -88,7 +92,7 @@ class DecideBody:
     commit_vc: Optional[Tuple[int, ...]]
     #: FW-KV only: merged anti-dependency set to propagate into the new
     #: versions (Alg. 5 line 19).
-    collected: FrozenSet[int] = frozenset()
+    collected: FrozenSet[int] = NOTHING_COLLECTED
     #: Matches :attr:`PrepareBody.round`; an abort decide only cancels the
     #: prepared entry of the *same* round (a moved-retry's abort must not
     #: cancel the successor round's prepare).
@@ -158,7 +162,7 @@ class TxnStatusReplyBody:
     origin: int
     seq_no: Optional[int] = None
     commit_vc: Optional[Tuple[int, ...]] = None
-    collected: FrozenSet[int] = frozenset()
+    collected: FrozenSet[int] = NOTHING_COLLECTED
     writes: Tuple[Tuple[Hashable, object], ...] = ()
 
 
@@ -303,7 +307,7 @@ class ReplicationEntry:
     seq_no: Optional[int] = None
     commit_vc: Optional[Tuple[int, ...]] = None
     writes: Tuple = ()
-    collected: FrozenSet[int] = frozenset()
+    collected: FrozenSet[int] = NOTHING_COLLECTED
     frontier: Optional[Tuple[int, ...]] = None
     round: int = 0
 

@@ -11,6 +11,9 @@ from repro.storage.version import Version
 
 #: A loaded version's snapshot row after its value and clock.
 _LOADED = (0, 0, None, 0.0)
+#: Virtual seconds a removed read-only id stays tombstoned: far beyond
+#: any propagation delay, so no in-flight Decide can still carry it.
+TOMBSTONE_TTL = 0.1
 
 
 class MultiVersionStore:
@@ -28,10 +31,12 @@ class MultiVersionStore:
     Decide still carries the removed identifier in its collected set; a
     late install would resurrect the entry forever.  Since a removed
     transaction has finished and will never read again, its identifier is
-    tombstoned: later insertions are ignored.  Tombstones expire after
-    ``tombstone_ttl`` of virtual time (far beyond any propagation delay),
-    keeping memory bounded; the expiry queue holds one entry per distinct
-    ``now`` -- per ``Remove`` message -- carrying that batch's ids.
+    tombstoned: later insertions are ignored.  Ids are dense (one counter
+    per cluster, or one stride per socket host), so the tombstones are a
+    byte window over ids, spanning exactly the oldest to the newest: byte
+    ``id - base`` is 1 while ``id`` is tombstoned.  They expire after
+    :data:`TOMBSTONE_TTL` of virtual time; the expiry queue holds one
+    entry per distinct ``now`` -- per ``Remove`` message -- of ids.
 
     **Loaded keys.**  A key :meth:`create_many` loaded and nothing has
     touched since is held as its value alone; its one version (vid 0,
@@ -40,14 +45,14 @@ class MultiVersionStore:
     chain in place; :meth:`snapshot` reads it without building it.
     """
 
-    def __init__(self, tombstone_ttl: float = 0.1) -> None:
+    def __init__(self) -> None:
         #: key -> its chain, or the value of a loaded, untouched key.
         self._chains: Dict[Hashable, object] = {}
         self._load_vc: Optional[VectorClock] = None
         self._vas_index: Dict[int, Set[Version]] = {}
-        self._tombstones: Set[int] = set()
+        self._tombstones = bytearray()
+        self._tombstone_base = 0
         self._tombstone_queue: Deque[Tuple[float, List[int]]] = deque()
-        self.tombstone_ttl = tombstone_ttl
 
     # ------------------------------------------------------------------
     # Chains
@@ -144,7 +149,8 @@ class MultiVersionStore:
     # ------------------------------------------------------------------
     def vas_add(self, version: Version, txn_id: int) -> None:
         """Record that read-only transaction ``txn_id`` read ``version``."""
-        if txn_id in self._tombstones:
+        offset = txn_id - self._tombstone_base
+        if 0 <= offset < len(self._tombstones) and self._tombstones[offset]:
             return
         vas = version.vas
         if vas is None:
@@ -164,16 +170,30 @@ class MultiVersionStore:
         Returns the number of entries erased.  The identifier is
         tombstoned against late re-insertion by in-flight commits.
         """
-        queue = self._tombstone_queue
-        if txn_id not in self._tombstones:
-            self._tombstones.add(txn_id)
+        queue, window = self._tombstone_queue, self._tombstones
+        if not window or txn_id < self._tombstone_base:
+            window[:0] = bytes(self._tombstone_base - txn_id if window else 0)
+            self._tombstone_base = txn_id
+        offset = txn_id - self._tombstone_base
+        if offset >= len(window):
+            window.extend(bytes(offset + 1 - len(window)))
+        if not window[offset]:
+            window[offset] = 1
             if queue and queue[-1][0] == now:
                 queue[-1][1].append(txn_id)
             else:
                 queue.append((now, [txn_id]))
-        horizon = now - self.tombstone_ttl
-        while queue and queue[0][0] <= horizon:
-            self._tombstones.difference_update(queue.popleft()[1])
+        horizon = now - TOMBSTONE_TTL
+        if queue[0][0] <= horizon:
+            base = self._tombstone_base
+            while queue and queue[0][0] <= horizon:
+                for expired in queue.popleft()[1]:
+                    window[expired - base] = 0
+            # Cut the window back to the oldest and newest id still held.
+            del window[window.rfind(1) + 1:]
+            start = max(window.find(1), 0)
+            del window[:start]
+            self._tombstone_base = base + start
         versions = self._vas_index.pop(txn_id, None)
         if not versions:
             return 0

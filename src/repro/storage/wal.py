@@ -54,7 +54,7 @@ from typing import (
 )
 
 from repro.core.vector_clock import VectorClock
-from repro.core.wire import ReplicationEntry
+from repro.core.wire import NOTHING_COLLECTED, ReplicationEntry
 from repro.storage.chain import SnapshotVersion
 from repro.storage.store import MultiVersionStore
 
@@ -64,9 +64,15 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, slots=True)
 class LoadRecord:
-    """Initial (pre-run) data load at this node."""
+    """Initial (pre-run) data load at this node, held as two columns so
+    no ``(key, value)`` pair outlives the load."""
 
-    items: Tuple[Tuple[Hashable, object], ...]
+    keys: Tuple[Hashable, ...]
+    values: Tuple[object, ...]
+
+    @classmethod
+    def of(cls, items: Iterable[Tuple[Hashable, object]]) -> "LoadRecord":
+        return cls(*(tuple(zip(*items)) or ((), ())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +104,7 @@ class DecisionRecord:
     txn_id: int
     seq_no: int
     commit_vc: Tuple[int, ...]
-    collected: FrozenSet[int] = frozenset()
+    collected: FrozenSet[int] = NOTHING_COLLECTED
     writes: Tuple[Tuple[int, Hashable, object], ...] = ()
 
 
@@ -146,20 +152,15 @@ class ReplicationRecord:
 
 @dataclass(frozen=True, slots=True)
 class ViewChangeRecord:
-    """A membership view this node committed.
-
-    Logged on the commit so replay restores the committed membership.
-    ``committed=False`` marks an acked-but-uncommitted view; nothing
-    writes one any more (the view drivers re-derive an unfinished change
-    from the committed view) and replay ignores those in old logs.
-    """
+    """A membership view this node committed, logged on the commit so
+    replay restores the committed membership (an acked, uncommitted view
+    is not logged: the view drivers re-derive an unfinished change)."""
 
     epoch: int
     #: (node_id, state) pairs -- the full view, not a delta.
     members: Tuple[Tuple[int, str], ...]
     #: (site, final_seq) pairs for decommissioned sites.
     retired: Tuple[Tuple[int, int], ...]
-    committed: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,12 +298,8 @@ class WriteAheadLog:
         """
         if not self.buffered:
             return 0
-        lsn = min(lsn, self.tail_lsn)
-        newly = lsn - self._durable
-        if newly <= 0:
-            newly = 0
-        else:
-            self._durable = lsn
+        newly = max(min(lsn, self.tail_lsn) - self._durable, 0)
+        self._durable += newly
         self.syncs += 1
         self.records_synced += newly
         return newly
@@ -349,11 +346,9 @@ class WriteAheadLog:
         """
         if self._frozen:
             return 0
-        index = None
-        for position in range(len(self._records) - 1, -1, -1):
-            if isinstance(self._records[position], CheckpointRecord):
-                index = position
-                break
+        records = self._records
+        index = next((position for position in range(len(records) - 1, 0, -1)
+                      if isinstance(records[position], CheckpointRecord)), 0)
         if not index:  # no checkpoint, or already the first record
             return 0
         if self.buffered and self._durable < self.truncated + index + 1:
@@ -405,12 +400,8 @@ def build_checkpoint(
         site_vc=site_vc_tuple,
         curr_seq_no=curr_seq_no,
         chains=chains,
-        in_doubt=tuple(
-            sorted(in_doubt, key=lambda record: record.txn_id)
-        ),
-        decisions=tuple(
-            sorted(decisions, key=lambda record: record.txn_id)
-        ),
+        in_doubt=tuple(sorted(in_doubt, key=lambda record: record.txn_id)),
+        decisions=tuple(sorted(decisions, key=lambda record: record.txn_id)),
         fingerprint=checkpoint_fingerprint(
             chains, site_vc_tuple, curr_seq_no
         ),
@@ -500,25 +491,16 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     pending: Dict[int, Dict[int, WalRecord]] = {}
 
     def apply_clock_record(record: WalRecord) -> None:
-        # A record from a post-join origin may outrun the static width
-        # the replay started from; widen on demand (new sites at zero).
-        if record.origin >= len(site_vc):
-            site_vc.widen(record.origin + 1)
+        """Apply an admitted clock record (``admit`` widened the clock)."""
         if isinstance(record, ApplyRecord):
             commit_vc = VectorClock(record.commit_vc)
             for key, value in record.writes:
                 store.install(
-                    key,
-                    value,
-                    commit_vc.copy(),
-                    origin=record.origin,
-                    seq=record.seq_no,
-                    writer_txn=record.txn_id,
+                    key, value, commit_vc.copy(), origin=record.origin,
+                    seq=record.seq_no, writer_txn=record.txn_id,
                 )
             in_doubt.pop(record.txn_id, None)
-            site_vc[record.origin] = record.seq_no
-        else:
-            site_vc[record.origin] = record.seq_no
+        site_vc[record.origin] = record.seq_no
 
     def admit(record: WalRecord) -> None:
         """Apply a clock record in order, buffering across gaps."""
@@ -541,7 +523,9 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     for record in records:
         replayed += 1
         if isinstance(record, LoadRecord):
-            store.create_many(record.items, VectorClock.zero(num_nodes))
+            store.create_many(
+                zip(record.keys, record.values), VectorClock.zero(num_nodes)
+            )
         elif isinstance(record, PrepareRecord):
             in_doubt[record.txn_id] = record
         elif isinstance(record, DecisionRecord):
@@ -575,7 +559,7 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
                 view = record.view
             pending.clear()
         elif isinstance(record, ViewChangeRecord):
-            if record.committed and (view is None or record.epoch > view[0]):
+            if view is None or record.epoch > view[0]:
                 view = (record.epoch, record.members, record.retired)
         elif isinstance(record, ReplicationRecord):
             # Backup-side stream state, through the live handler's own
@@ -606,8 +590,6 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
         if width > len(site_vc):
             site_vc.widen(width)
 
-    # A coordinator's own applies also witness sequence numbers it
-    # assigned; never hand out a seq at or below the clock's own entry.
     return ReplayResult(
         store=store,
         site_vc=site_vc,

@@ -1,7 +1,10 @@
 """Helpers for scripted protocol scenarios (the paper's Figures 1-4)."""
 
 from repro import Cluster, ClusterConfig, NetworkConfig
-from repro.cluster import ExplicitDirectory
+from repro.cluster import ExplicitDirectory, ModuloDirectory
+from repro.sim.rng import make_rng
+
+from tests.harness.oracle import increment_client
 
 
 def make_cluster(
@@ -92,3 +95,61 @@ def retry_update(cluster, node_id, writes, reads=(), delay=0.0, backoff=100e-6):
         if ok:
             return attempts, observed
         yield cluster.sim.timeout(backoff * (0.5 + rng.random()))
+
+
+def commit_log(cluster):
+    """The commit log as comparable tuples (ids, placement, ops, clocks)."""
+    return [
+        (r.txn_id, r.node_id, r.is_read_only, r.seq_no, r.commit_vc,
+         tuple((op.kind, op.key, op.vid) for op in r.ops))
+        for r in cluster.finalized_history()
+    ]
+
+
+def run_sequential(cluster, keys, rng, each_round=lambda: None):
+    """Thirty seeded transactions, each run to quiescence before the next.
+
+    Returns ``(commit_log, site_vc_history)``: the history holds every
+    node's siteVC tuple at each quiescence point.
+    """
+    site_vc_history = []
+    for round_no in range(30):
+        each_round()
+        node_id = rng.randrange(len(cluster.nodes))
+        chosen = rng.sample(keys, 2)
+        if rng.random() < 0.4:
+            cluster.spawn(read_only_txn(cluster, node_id, chosen))
+        else:
+            writes = {key: round_no for key in chosen}
+            cluster.spawn(update_txn(cluster, node_id, writes, reads=chosen))
+        cluster.run()
+        site_vc_history.append(tuple(cluster.site_clocks()))
+    return commit_log(cluster), site_vc_history
+
+
+def modulo_cluster(protocol, keys, network=None, num_nodes=3, **config):
+    """Keys placed by ``ModuloDirectory``, every one of ``keys`` loaded at
+    0, history on; ``config`` is the rest of ``ClusterConfig``."""
+    network = network or NetworkConfig(jitter=0.0)
+    config = ClusterConfig(num_nodes=num_nodes, network=network, **config)
+    cluster = Cluster(
+        protocol, config, directory=ModuloDirectory(num_nodes),
+        record_history=True,
+    )
+    for key in keys:
+        cluster.load(key, 0)
+    return cluster
+
+
+def spawn_increment_clients(
+    cluster, keys, label, clients=2, txns=40, read_only=0.4,
+    backoff=(50e-6, 150e-6), pause=100e-6,
+):
+    """``clients`` seeded increment clients per node."""
+    for node_id in range(len(cluster.nodes)):
+        for client_id in range(clients):
+            rng = make_rng(cluster.config.seed, label, node_id, client_id)
+            cluster.spawn(increment_client(
+                cluster, node_id, rng, keys, txns, read_only=read_only,
+                backoff=backoff, pause=pause,
+            ))

@@ -21,32 +21,23 @@ Remove really rides a batch.
 
 import pytest
 
-from repro import Cluster, ClusterConfig, NetworkConfig
-from repro.cluster import ModuloDirectory
+from repro import NetworkConfig
 from repro.config import BatchingConfig
 from repro.net.message import MessageType
 from repro.sim.rng import make_rng
 
-from tests.harness.oracle import assert_psi, increment_client
-from tests.integration.scenario_tools import read_only_txn, update_txn
+from tests.harness.oracle import assert_psi
+from tests.integration.scenario_tools import (
+    modulo_cluster, run_sequential, spawn_increment_clients,
+)
 
 NODES = 3
 KEYS = [f"k{i}" for i in range(9)]
 
 
 def _make_cluster(batching, protocol):
-    config = ClusterConfig(
-        num_nodes=NODES,
-        seed=21,
-        batching=batching,
-        network=NetworkConfig(jitter=0.0).with_propagate_delay(200e-6),
-    )
-    cluster = Cluster(
-        protocol, config, directory=ModuloDirectory(NODES), record_history=True
-    )
-    for key in KEYS:
-        cluster.load(key, 0)
-    return cluster
+    network = NetworkConfig(jitter=0.0).with_propagate_delay(200e-6)
+    return modulo_cluster(protocol, KEYS, network, seed=21, batching=batching)
 
 
 def _open_windows(cluster, propagate, remove=None):
@@ -58,50 +49,16 @@ def _open_windows(cluster, propagate, remove=None):
                 node._remove_windows[site] = remove
 
 
-def _commit_log(cluster):
-    """The commit log as comparable tuples (ids, placement, ops, clocks)."""
-    return [
-        (
-            r.txn_id,
-            r.node_id,
-            r.is_read_only,
-            r.seq_no,
-            r.commit_vc,
-            tuple((op.kind, op.key, op.vid) for op in r.ops),
-        )
-        for r in cluster.finalized_history()
-    ]
-
-
 def _run_sequential(batching, protocol):
-    """Seeded transaction sequence, each run to quiescence before the next.
-
-    Returns ``(commit_log, site_vc_history)`` where the history holds every
-    node's siteVC tuple at each quiescence point.
-    """
+    """``run_sequential``; with batching on, every window is re-pinned
+    open each round (a lone-commit flush decays a window)."""
     cluster = _make_cluster(batching, protocol)
-    rng = make_rng(21, "batch-equiv")
-    site_vc_history = []
-    for round_no in range(30):
+
+    def pin():
         if batching.adaptive:
-            # Re-pinned each round: a lone-commit flush decays a window.
             _open_windows(cluster, 300e-6, 1e-3)
-        node_id = rng.randrange(NODES)
-        chosen = rng.sample(KEYS, 2)
-        if rng.random() < 0.4:
-            cluster.spawn(read_only_txn(cluster, node_id, chosen))
-        else:
-            cluster.spawn(
-                update_txn(
-                    cluster,
-                    node_id,
-                    {key: round_no for key in chosen},
-                    reads=chosen,
-                )
-            )
-        cluster.run()
-        site_vc_history.append(tuple(cluster.site_clocks()))
-    return _commit_log(cluster), site_vc_history
+
+    return run_sequential(cluster, KEYS, make_rng(21, "batch-equiv"), pin)
 
 
 @pytest.mark.parametrize("protocol", ("fwkv", "walter"))
@@ -147,13 +104,7 @@ def test_batched_propagate_coalesces_a_commit_window():
 def test_concurrent_batched_run_stays_consistent(protocol):
     cluster = _make_cluster(BatchingConfig(adaptive=True), protocol)
     _open_windows(cluster, 400e-6, 2e-3)
-    for node_id in range(NODES):
-        for client_id in range(2):
-            rng = make_rng(cluster.config.seed, "batch-conc", node_id, client_id)
-            cluster.spawn(increment_client(
-                cluster, node_id, rng, KEYS, 40, read_only=0.4,
-                backoff=(50e-6, 150e-6), pause=100e-6,
-            ))
+    spawn_increment_clients(cluster, KEYS, "batch-conc")
     cluster.run()
 
     assert len(assert_psi(cluster, quiescent=True)) >= 240

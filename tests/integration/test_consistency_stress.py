@@ -10,15 +10,10 @@ scenario covers the observable case).
 
 import pytest
 
-from repro import Cluster, ClusterConfig, NetworkConfig
-from repro.cluster import ModuloDirectory
-from repro.sim.rng import make_rng
+from repro import NetworkConfig
 
-from tests.harness.oracle import (
-    assert_increments_add_up,
-    assert_psi,
-    increment_client,
-)
+from tests.harness.oracle import assert_increments_add_up, assert_psi
+from tests.integration.scenario_tools import modulo_cluster, spawn_increment_clients
 
 NUM_NODES = 4
 NUM_KEYS = 24
@@ -30,28 +25,17 @@ def build_cluster(protocol, seed, propagate_delay=0.0):
     network = NetworkConfig(jitter=2e-6)
     if propagate_delay:
         network = network.with_propagate_delay(propagate_delay)
-    config = ClusterConfig(num_nodes=NUM_NODES, seed=seed, network=network)
-    cluster = Cluster(
-        protocol,
-        config,
-        directory=ModuloDirectory(NUM_NODES),
-        record_history=True,
-    )
-    for i in range(NUM_KEYS):
-        cluster.load(f"k{i}", 0)
-    return cluster
+    keys = [f"k{i}" for i in range(NUM_KEYS)]
+    return modulo_cluster(protocol, keys, network, NUM_NODES, seed=seed)
 
 
 def run_stress(protocol, seed, propagate_delay=0.0):
     cluster = build_cluster(protocol, seed, propagate_delay)
-    keys = [f"k{i}" for i in range(NUM_KEYS)]
-    for node_id in range(NUM_NODES):
-        for client_id in range(CLIENTS_PER_NODE):
-            rng = make_rng(seed, "client", node_id, client_id)
-            cluster.spawn(increment_client(
-                cluster, node_id, rng, keys, TXNS_PER_CLIENT, read_only=0.5,
-                backoff=(50e-6, 200e-6), pause=50e-6,
-            ))
+    spawn_increment_clients(
+        cluster, [f"k{i}" for i in range(NUM_KEYS)], "client",
+        CLIENTS_PER_NODE, TXNS_PER_CLIENT, read_only=0.5,
+        backoff=(50e-6, 200e-6), pause=50e-6,
+    )
     cluster.run()
     return cluster
 

@@ -19,72 +19,33 @@ PR's new perf knobs:
 
 import pytest
 
-from repro import Cluster, ClusterConfig, NetworkConfig
-from repro.cluster import ModuloDirectory
+from repro import ClusterConfig
 from repro.config import BatchingConfig, DurabilityConfig, RunConfig
 from repro.harness.runner import run_experiment
 from repro.sim.rng import make_rng
 from repro.workloads import YCSBConfig, YCSBWorkload
 
-from tests.harness.oracle import assert_psi, increment_client
-from tests.integration.scenario_tools import read_only_txn, update_txn
+from tests.harness.oracle import assert_psi
+from tests.integration.scenario_tools import (
+    modulo_cluster, run_sequential, spawn_increment_clients,
+)
 
 NODES = 3
 KEYS = [f"k{i}" for i in range(9)]
 
 
 def _make_cluster(protocol, *, batching=None, durability=None):
-    config = ClusterConfig(
-        num_nodes=NODES,
-        seed=23,
-        batching=batching or BatchingConfig(),
+    return modulo_cluster(
+        protocol, KEYS, seed=23, batching=batching or BatchingConfig(),
         durability=durability or DurabilityConfig(),
-        network=NetworkConfig(jitter=0.0),
     )
-    cluster = Cluster(
-        protocol, config, directory=ModuloDirectory(NODES), record_history=True
-    )
-    for key in KEYS:
-        cluster.load(key, 0)
-    return cluster
-
-
-def _commit_log(cluster):
-    return [
-        (
-            r.txn_id,
-            r.node_id,
-            r.is_read_only,
-            r.seq_no,
-            r.commit_vc,
-            tuple((op.kind, op.key, op.vid) for op in r.ops),
-        )
-        for r in cluster.finalized_history()
-    ]
 
 
 def _run_sequential(protocol, *, batching=None, durability=None):
     cluster = _make_cluster(protocol, batching=batching, durability=durability)
-    rng = make_rng(23, "gc-equiv")
-    site_vc_history = []
-    for round_no in range(30):
-        node_id = rng.randrange(NODES)
-        chosen = rng.sample(KEYS, 2)
-        if rng.random() < 0.4:
-            cluster.spawn(read_only_txn(cluster, node_id, chosen))
-        else:
-            cluster.spawn(
-                update_txn(
-                    cluster,
-                    node_id,
-                    {key: round_no for key in chosen},
-                    reads=chosen,
-                )
-            )
-        cluster.run()
-        site_vc_history.append(tuple(cluster.site_clocks()))
+    log, site_vc_history = run_sequential(cluster, KEYS, make_rng(23, "gc-equiv"))
     wal_lengths = tuple(len(node.wal) if node.wal else 0 for node in cluster.nodes)
-    return _commit_log(cluster), site_vc_history, wal_lengths
+    return log, site_vc_history, wal_lengths
 
 
 @pytest.mark.parametrize("protocol", ("fwkv", "walter"))
@@ -103,14 +64,8 @@ def test_group_commit_window_inert_without_fsync_latency(protocol):
     assert knobs_set[2] == baseline[2], "WAL lengths diverged"
 
 
-def _chaos(cluster, *, clients=2, txns=40):
-    for node_id in range(NODES):
-        for client_id in range(clients):
-            rng = make_rng(cluster.config.seed, "gc-chaos", node_id, client_id)
-            cluster.spawn(increment_client(
-                cluster, node_id, rng, KEYS, txns, read_only=0.4,
-                backoff=(50e-6, 150e-6), pause=100e-6,
-            ))
+def _chaos(cluster):
+    spawn_increment_clients(cluster, KEYS, "gc-chaos")
     cluster.run()
 
 

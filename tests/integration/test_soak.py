@@ -7,40 +7,19 @@ and the one oracle over the recorded history.
 
 import pytest
 
-from repro import Cluster, ClusterConfig, NetworkConfig
-from repro.cluster import ModuloDirectory
-from repro.sim.rng import make_rng
+from repro import NetworkConfig
 
-from tests.harness.oracle import (
-    assert_increments_add_up,
-    assert_psi,
-    increment_client,
-)
+from tests.harness.oracle import assert_increments_add_up, assert_psi
+from tests.integration.scenario_tools import modulo_cluster, spawn_increment_clients
 
 
 def run_soak(protocol, seed=11):
-    config = ClusterConfig(
-        num_nodes=3,
-        seed=seed,
-        network=NetworkConfig().with_propagate_delay(300e-6),
-        gc_trigger_length=10,
-        gc_keep_versions=5,
-        gc_min_age=3e-3,
-    )
-    cluster = Cluster(
-        protocol, config, directory=ModuloDirectory(3), record_history=True
-    )
     keys = [f"k{i}" for i in range(12)]
-    for key in keys:
-        cluster.load(key, 0)
-
-    for node_id in range(3):
-        for client_id in range(2):
-            rng = make_rng(seed, "soak", node_id, client_id)
-            cluster.spawn(increment_client(
-                cluster, node_id, rng, keys, 60, read_only=0.4,
-                backoff=(50e-6, 150e-6), pause=100e-6,
-            ))
+    cluster = modulo_cluster(
+        protocol, keys, NetworkConfig().with_propagate_delay(300e-6), seed=seed,
+        gc_trigger_length=10, gc_keep_versions=5, gc_min_age=3e-3,
+    )
+    spawn_increment_clients(cluster, keys, "soak", txns=60)
     cluster.run()
     return cluster
 

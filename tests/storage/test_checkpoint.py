@@ -14,19 +14,9 @@ import pytest
 from repro.core.vector_clock import VectorClock
 from repro.storage.store import MultiVersionStore
 from repro.storage.wal import (
-    AbortRecord,
-    ApplyRecord,
-    CheckpointMismatchError,
-    CheckpointRecord,
-    DecisionRecord,
-    LoadRecord,
-    PrepareRecord,
-    PropagateRecord,
-    WriteAheadLog,
-    build_checkpoint,
-    replay,
-    restore_store,
-    store_fingerprint,
+    AbortRecord, ApplyRecord, CheckpointMismatchError, CheckpointRecord,
+    DecisionRecord, LoadRecord, PrepareRecord, PropagateRecord, WriteAheadLog,
+    build_checkpoint, replay, restore_store, store_fingerprint,
 )
 
 N = 4
@@ -42,7 +32,7 @@ def history():
     clock-only propagates, a coordinator decision, and an in-doubt
     prepare that stays open."""
     return [
-        LoadRecord((("x", 0), ("y", 0), ("z", 0))),
+        LoadRecord.of((("x", 0), ("y", 0), ("z", 0))),
         apply_rec(100, 1, 1, [("x", 10)]),
         PropagateRecord(2, 1),
         apply_rec(101, 1, 2, [("x", 11), ("y", 12)]),

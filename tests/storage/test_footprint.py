@@ -5,7 +5,7 @@ cells, the number of objects a key owns does not.  A loaded key nobody
 has touched owns no object at all -- the store holds its value -- and
 its first touch builds one ``Version`` and one ``VersionChain``, no VAS
 set, no history list.  A visible read's metadata lives only until its
-``Remove``.
+``Remove``; the tombstones it leaves are one byte window per store.
 """
 
 import gc
@@ -13,9 +13,12 @@ from collections import Counter
 
 import pytest
 
-from repro import Cluster, ClusterConfig
+from repro import Cluster, ClusterConfig, DurabilityConfig
 from repro.core import VectorClock
+from repro.core.wire import NOTHING_COLLECTED
+from repro.net.message import MessageType
 from repro.storage import MultiVersionStore, Version, VersionChain
+from repro.storage.store import TOMBSTONE_TTL
 from repro.storage.wal import (
     build_checkpoint, restore_store, store_fingerprint, version_set_fingerprint,
 )
@@ -23,7 +26,7 @@ from repro.system import version_catalog_of
 from tests.integration.scenario_tools import read_only_txn, retry_update
 
 KEYS = 10_000
-COUNTED = (Version, VersionChain, set, list)
+COUNTED = (Version, VersionChain, set, list, bytearray)
 
 
 def census(store):
@@ -46,7 +49,10 @@ def growth(store):
 
 
 def owns(versions=0, chains=0, sets=0, lists=0):
-    return {"Version": versions, "VersionChain": chains, "set": sets, "list": lists}
+    """Growth by type; the tombstone window is one object however many
+    ids it holds, so a store never grows a ``bytearray``."""
+    return {"Version": versions, "VersionChain": chains, "set": sets,
+            "list": lists, "bytearray": 0}
 
 
 #: Shared by every version, as the cluster's initial load shares one.
@@ -103,12 +109,14 @@ def test_removes_at_one_instant_share_one_queue_entry():
         store.vas_remove_txn(txn_id, now=2.0)
     assert len(store._tombstone_queue) == 1
     assert growth(store)["list"] == 1
-    store.vas_add(store.chain(0).latest, 5)
-    assert store.chain(0).latest.vas is None, "tombstoned"
+    version = store.chain(0).latest
+    store.vas_add(version, 5)
+    assert version.vas is None, "tombstoned"
     # One later Remove expires the whole batch with it.
-    store.vas_remove_txn(5000, now=2.0 + store.tombstone_ttl)
-    assert store._tombstones == {5000}
+    store.vas_remove_txn(5000, now=2.0 + TOMBSTONE_TTL)
     assert len(store._tombstone_queue) == 1
+    store.vas_extend(version, (5, 5000))
+    assert version.vas == {5}, "5 is re-inserted after the TTL, 5000 is not"
 
 
 def test_overwritten_key_owns_its_history_and_gc_gives_it_back():
@@ -168,8 +176,6 @@ def test_per_key_count_holds_after_a_protocol_run(protocol):
 
     cluster.spawn(scenario())
     cluster.run()
-    if protocol == "fwkv":
-        assert any(node.store._tombstones for node in cluster.nodes)
     overwritten = untouched = 0
     for node in cluster.nodes:
         store = node.store
@@ -184,6 +190,24 @@ def test_per_key_count_holds_after_a_protocol_run(protocol):
         untouched += len(store) - len(lengths)
     assert overwritten == len(written)
     assert untouched == len(keys) - len(touched) > 0
+    if protocol == "fwkv":  # a late Decide re-inserts no tombstoned reader (ids 1-3)
+        version = cluster.nodes[0].store.chain(keys[0]).latest
+        cluster.nodes[0].store.vas_extend(version, (1, 2, 3))
+        assert version.vas is None
+
+
+def test_update_commit_collecting_nothing_shares_the_empty_set():
+    """The Decide sent and the decision logged both hold the one constant."""
+    cluster = Cluster("fwkv", ClusterConfig(
+        num_nodes=3, seed=1, durability=DurabilityConfig(wal_enabled=True)))
+    cluster.load_many((f"k{i}", i) for i in range(30))
+    sent = []
+    cluster.network.delay_policy = lambda envelope: sent.append(envelope) or 0.0
+    assert cluster.run_txn(lambda txn: [txn.write(f"k{i}", -1) for i in range(3)]).committed
+    decides = [env.payload for env in sent if env.msg_type == MessageType.DECIDE]
+    assert decides and all(body.collected is NOTHING_COLLECTED for body in decides)
+    (record,) = [r for node in cluster.nodes for r in node.in_doubt.log.by_txn.values()]
+    assert record.collected is NOTHING_COLLECTED
 
 
 def test_read_only_walks_build_nothing_and_restore_keeps_values():

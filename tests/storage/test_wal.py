@@ -1,19 +1,15 @@
 """Unit tests for the write-ahead log and durable-state replay."""
 
+import gc
+
 import pytest
 
+from repro import Cluster, ClusterConfig, DurabilityConfig
 from repro.core.vector_clock import VectorClock
+from repro.storage import MultiVersionStore
 from repro.storage.wal import (
-    AbortRecord,
-    ApplyRecord,
-    CheckpointRecord,
-    DecisionRecord,
-    LoadRecord,
-    PrepareRecord,
-    PropagateRecord,
-    WriteAheadLog,
-    replay,
-    store_fingerprint,
+    AbortRecord, ApplyRecord, CheckpointRecord, DecisionRecord, LoadRecord,
+    PrepareRecord, PropagateRecord, WriteAheadLog, replay, store_fingerprint,
     version_set_fingerprint,
 )
 
@@ -32,7 +28,7 @@ def apply_rec(txn_id, origin, seq, writes, vc=None):
 # ----------------------------------------------------------------------
 def test_append_and_snapshot():
     wal = WriteAheadLog()
-    records = [LoadRecord((("x", 0),)), PropagateRecord(1, 1)]
+    records = [LoadRecord.of((("x", 0),)), PropagateRecord(1, 1)]
     for record in records:
         wal.append(record)
     assert len(wal) == 2
@@ -63,7 +59,7 @@ def test_freeze_discards_and_counts():
 # ----------------------------------------------------------------------
 def test_replay_rebuilds_store_and_clock():
     records = [
-        LoadRecord((("x", 0), ("y", 0))),
+        LoadRecord.of((("x", 0), ("y", 0))),
         apply_rec(100, 1, 1, [("x", 10)]),
         PropagateRecord(2, 1),
         apply_rec(101, 1, 2, [("x", 11), ("y", 12)]),
@@ -84,7 +80,7 @@ def test_replay_in_doubt_extraction():
     # A prepare with no matching apply/abort is in doubt; one resolved
     # either way is not.
     records = [
-        LoadRecord((("x", 0),)),
+        LoadRecord.of((("x", 0),)),
         prepare,
         PrepareRecord(201, 3, (("x", 6),)),
         AbortRecord(201),
@@ -109,7 +105,7 @@ def test_replay_decisions_and_curr_seq_no():
 def test_replay_gap_buffering():
     """A record above the next expected seq waits for its predecessor."""
     records = [
-        LoadRecord((("x", 0),)),
+        LoadRecord.of((("x", 0),)),
         apply_rec(100, 1, 2, [("x", 2)]),  # arrives before seq 1
         apply_rec(101, 1, 1, [("x", 1)]),  # closes the gap; both apply
     ]
@@ -121,7 +117,7 @@ def test_replay_gap_buffering():
 
 def test_replay_skips_duplicates():
     records = [
-        LoadRecord((("x", 0),)),
+        LoadRecord.of((("x", 0),)),
         apply_rec(100, 1, 1, [("x", 1)]),
         apply_rec(100, 1, 1, [("x", 1)]),  # duplicated suffix
         PropagateRecord(1, 1),  # stale clock-only duplicate
@@ -134,7 +130,7 @@ def test_replay_skips_duplicates():
 def test_replay_drains_never_contiguous_leftovers():
     """A truncated log's orphaned records still apply, in seq order."""
     records = [
-        LoadRecord((("x", 0),)),
+        LoadRecord.of((("x", 0),)),
         apply_rec(100, 1, 3, [("x", 3)]),  # seq 1-2 lost with the tail
         PropagateRecord(1, 5),
     ]
@@ -148,11 +144,43 @@ def test_replay_rejects_unknown_record():
         replay([object()], N)
 
 
+PAIRS = tuple((f"k{i}", i) for i in range(6))
+WAL_ON = ClusterConfig(num_nodes=3, durability=DurabilityConfig(wal_enabled=True))
+
+
+def test_columnar_load_record_replays_to_the_store_its_pairs_build():
+    record = LoadRecord.of(PAIRS)
+    assert (record.keys, record.values) == tuple(zip(*PAIRS))
+    built = MultiVersionStore()
+    built.create_many(PAIRS, VectorClock.zero(N))
+    assert list(replay([record], N).store.snapshots()) == list(built.snapshots())
+
+
+def test_wal_node_load_records_hold_no_per_item_tuple():
+    cluster = Cluster("fwkv", WAL_ON)
+    cluster.load_many(PAIRS)
+    records = [record for node in cluster.nodes for record in node.wal.records()]
+    assert sorted(key for record in records for key in record.keys) == [
+        key for key, _ in PAIRS]
+    for record in records:
+        columns = [ref for ref in gc.get_referents(record) if isinstance(ref, tuple)]
+        assert columns == [record.keys, record.values]
+        assert not any(isinstance(item, tuple)
+                       for column in columns for item in gc.get_referents(column))
+
+
+def test_wal_node_loads_nothing_without_crashing():
+    node = Cluster("fwkv", WAL_ON).nodes[0]
+    assert node.load_many([]) == 0
+    assert node.wal.records() == (LoadRecord((), ()),)
+    assert len(replay(node.wal.records(), 3).store) == 0
+
+
 # ----------------------------------------------------------------------
 # Fingerprints
 # ----------------------------------------------------------------------
 def test_store_fingerprint_detects_divergence():
-    base = [LoadRecord((("x", 0),)), apply_rec(100, 1, 1, [("x", 1)])]
+    base = [LoadRecord.of((("x", 0),)), apply_rec(100, 1, 1, [("x", 1)])]
     a = replay(base, N).store
     b = replay(base, N).store
     assert store_fingerprint(a) == store_fingerprint(b)
@@ -163,7 +191,7 @@ def test_store_fingerprint_detects_divergence():
 def test_version_set_fingerprint_is_vid_agnostic():
     # Two independent origins writing different keys may interleave
     # differently across replays; the version-set digest is invariant.
-    load = LoadRecord((("x", 0), ("y", 0)))
+    load = LoadRecord.of((("x", 0), ("y", 0)))
     ab = [load, apply_rec(1, 1, 1, [("x", 1)]), apply_rec(2, 2, 1, [("y", 2)])]
     ba = [load, apply_rec(2, 2, 1, [("y", 2)]), apply_rec(1, 1, 1, [("x", 1)])]
     assert version_set_fingerprint(replay(ab, N).store) == (
@@ -174,7 +202,7 @@ def test_version_set_fingerprint_is_vid_agnostic():
 def test_replay_commit_vc_preserved():
     vc = (3, 1, 0, 2)
     result = replay(
-        [LoadRecord((("x", 0),)), apply_rec(100, 0, 3, [("x", 9)], vc=vc)], N
+        [LoadRecord.of((("x", 0),)), apply_rec(100, 0, 3, [("x", 9)], vc=vc)], N
     )
     latest = result.store.chain("x").latest
     assert latest.vc.to_tuple() == vc
@@ -229,7 +257,7 @@ def test_append_durable_skips_the_sync_queue():
     wal = WriteAheadLog(buffered=True)
     requested = []
     wal.on_append = requested.append
-    lsn = wal.append_durable(LoadRecord((("x", 0),)))
+    lsn = wal.append_durable(LoadRecord.of((("x", 0),)))
     assert wal.is_durable(lsn)
     assert requested == []  # setup loads never ask for a sync
 

@@ -14,20 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.wal import (
-    AbortRecord,
-    ApplyRecord,
-    DecisionRecord,
-    LoadRecord,
-    PrepareRecord,
-    PropagateRecord,
-    replay,
-    store_fingerprint,
-    version_set_fingerprint,
+    AbortRecord, ApplyRecord, DecisionRecord, LoadRecord, PrepareRecord,
+    PropagateRecord, replay, store_fingerprint, version_set_fingerprint,
 )
 
 N = 4
 KEYS = tuple(f"k{i}" for i in range(4))
-LOAD = LoadRecord(tuple((key, 0) for key in KEYS))
+LOAD = LoadRecord.of(tuple((key, 0) for key in KEYS))
 
 
 @st.composite
