@@ -20,7 +20,7 @@ import json
 import sys
 
 from repro import Cluster, ClusterConfig, HealingConfig, NetworkConfig, RpcConfig
-from repro.cluster import ModuloDirectory
+from repro.cluster import ShardMap
 from repro.faults import Nemesis
 from repro.faults.schedules import isolate_cycle
 from repro.sim.rng import make_rng
@@ -46,7 +46,8 @@ def build(seed, num_nodes):
             anti_entropy_interval=AE_INTERVAL, digest_timeout=5e-4
         ),
     )
-    cluster = Cluster("fwkv", config, directory=ModuloDirectory(num_nodes))
+    directory = ShardMap(range(num_nodes), num_nodes)
+    cluster = Cluster("fwkv", config, directory=directory)
     for i in range(NUM_KEYS):
         cluster.load(f"k{i}", 0)
     return cluster, Nemesis(cluster)

@@ -18,7 +18,8 @@ The scenarios cover the cold paths the benchmark never reaches:
 * ``durable_crash`` -- a crash that wipes volatile state, WAL replay;
 * ``replication_failover`` -- a replicated shard's primary crashes and
   its backup is promoted;
-* ``membership`` -- a node joins, another leaves, under traffic;
+* ``membership`` -- a node joins, another leaves, under traffic (on
+  the sharded directory, the one membership re-places keys through);
 * ``shard_migration`` -- a shard moves between owners under traffic,
   beside the load-driven rebalance loop.
 
@@ -170,7 +171,9 @@ def replication_failover():
 
 
 def membership():
-    cluster = build()
+    from repro import ShardingConfig
+
+    cluster = build(sharding=ShardingConfig(enabled=True, num_shards=12))
     traffic(cluster, (0, 1, 2), 20e-3)
     cluster.run(until=3e-3)
     cluster.add_node()

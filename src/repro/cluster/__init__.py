@@ -5,7 +5,6 @@ from repro.cluster.directory import (
     ConsistentHashDirectory,
     Directory,
     ExplicitDirectory,
-    ModuloDirectory,
     ShardMap,
 )
 from repro.cluster.membership import (
@@ -27,7 +26,6 @@ __all__ = [
     "ExplicitDirectory",
     "JOINING",
     "MembershipView",
-    "ModuloDirectory",
     "NodeMembership",
     "Node",
     "Rebalancer",

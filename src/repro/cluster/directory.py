@@ -4,7 +4,8 @@ The paper (Section 2.2): "every shared key can be stored in an arbitrary
 preferred site. For object reachability, FW-KV implements a local look-up
 function using consistent hashing."  All directory variants below are pure
 local functions of the key, exactly as in the paper -- no directory service
-is contacted at runtime.
+is contacted at runtime.  Only :class:`ShardMap` ever changes: it is the one
+directory the membership drivers and the rebalancer flip.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import bisect
 import zlib
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Hashable, Optional, Sequence
+from typing import Callable, Dict, Hashable, Sequence
 
 
 class Directory(ABC):
@@ -21,21 +22,6 @@ class Directory(ABC):
     @abstractmethod
     def site(self, key: Hashable) -> int:
         """The preferred node for ``key``."""
-
-    def is_local(self, key: Hashable, node_id: int) -> bool:
-        return self.site(key) == node_id
-
-    def with_nodes(self, node_ids: Sequence[int]) -> "Directory":
-        """A directory over a different node set (membership changes).
-
-        Reconfigurable directories override this; the default refuses so
-        elastic membership fails loudly on placement schemes that cannot
-        express a changed site set.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support membership changes; "
-            "use ConsistentHashDirectory or ShardMap for elastic clusters"
-        )
 
 
 def _stable_hash(value: str) -> int:
@@ -53,7 +39,8 @@ class ConsistentHashDirectory(Directory):
 
     With the default 64 virtual nodes per physical node, key ownership is
     close to uniform, matching the paper's "keys are evenly distributed
-    across nodes".
+    across nodes".  The ring is static, the paper's local look-up
+    function; elastic clusters re-place keys through :class:`ShardMap`.
     """
 
     def __init__(self, node_ids: Sequence[int], virtual_nodes: int = 64) -> None:
@@ -61,81 +48,19 @@ class ConsistentHashDirectory(Directory):
             raise ValueError("at least one node required")
         if virtual_nodes <= 0:
             raise ValueError("virtual_nodes must be positive")
-        self.virtual_nodes = virtual_nodes
-        self.node_ids: list = []
-        # Each node's virtual points are a pure function of its id, so
-        # they are hashed once and kept across remove/re-add cycles (and
-        # shared with every with_nodes() clone).
-        self._points_by_node: Dict[int, list] = {}
-        self._ring: list = []
-        self._ring_positions: list = []
-        self._ring_owners: list = []
+        if len(set(node_ids)) != len(node_ids):
+            raise ValueError("duplicate node ids")
+        ring = sorted(
+            (_stable_hash(f"node:{node_id}:{replica}"), node_id)
+            for node_id in node_ids
+            for replica in range(virtual_nodes)
+        )
+        self._ring_positions = [position for position, _ in ring]
+        self._ring_owners = [owner for _, owner in ring]
         # Placement is a pure function of the key, so lookups are memoised;
         # the cache is bounded by the workload's keyspace and turns two
         # CRC32 passes plus a bisect into one dict hit on the hot path.
         self._cache: Dict[Hashable, int] = {}
-        for node_id in node_ids:
-            self.add_node(node_id)
-
-    def _node_points(self, node_id: int) -> list:
-        points = self._points_by_node.get(node_id)
-        if points is None:
-            points = [
-                _stable_hash(f"node:{node_id}:{replica}")
-                for replica in range(self.virtual_nodes)
-            ]
-            self._points_by_node[node_id] = points
-        return points
-
-    def add_node(self, node_id: int) -> None:
-        """Splice one node's virtual points into the ring.
-
-        Incremental: only the joining node's points are hashed (memoised
-        across re-adds); existing points keep their positions, so only the
-        keyspace arcs in front of the new points change owner.
-        """
-        if node_id in self.node_ids:
-            raise ValueError(f"node {node_id} is already in the ring")
-        self.node_ids.append(node_id)
-        ring = self._ring
-        for position in self._node_points(node_id):
-            bisect.insort(ring, (position, node_id))
-        self._reindex()
-
-    def remove_node(self, node_id: int) -> None:
-        """Drop one node's virtual points from the ring (no re-hashing)."""
-        if node_id not in self.node_ids:
-            raise ValueError(f"node {node_id} is not in the ring")
-        if len(self.node_ids) == 1:
-            raise ValueError("cannot remove the last node from the ring")
-        self.node_ids.remove(node_id)
-        self._ring = [entry for entry in self._ring if entry[1] != node_id]
-        self._reindex()
-
-    def _reindex(self) -> None:
-        self._ring_positions = [position for position, _ in self._ring]
-        self._ring_owners = [owner for _, owner in self._ring]
-        self._cache.clear()
-
-    def with_nodes(self, node_ids: Sequence[int]) -> "ConsistentHashDirectory":
-        """A ring over ``node_ids``, sharing this ring's hashed points.
-
-        The drain path uses this to compute post-reconfiguration ownership
-        (which keys move, and to whom) without touching the live ring.
-        """
-        clone = ConsistentHashDirectory.__new__(ConsistentHashDirectory)
-        clone.virtual_nodes = self.virtual_nodes
-        clone._points_by_node = self._points_by_node
-        clone.node_ids = []
-        clone._ring = []
-        clone._ring_positions = []
-        clone._ring_owners = []
-        clone._cache = {}
-        if not node_ids:
-            raise ValueError("at least one node required")
-        for node_id in node_ids:
-            clone.add_node(node_id)
-        return clone
 
     def site(self, key: Hashable) -> int:
         owner = self._cache.get(key)
@@ -155,12 +80,13 @@ class ShardMap(Directory):
     Where :class:`ConsistentHashDirectory` derives ownership from ring
     geometry, a shard map makes it explicit state: the keyspace is
     partitioned into ``num_shards`` fixed shards by stable hash, and an
-    owner table maps each shard to one node.  Ownership then moves at
-    shard granularity -- a rebalancer streams one shard's chains to a new
-    owner and flips a single table entry -- instead of whatever arcs a
-    ring splice happens to cut.  Every flip bumps ``epoch``, mirroring
-    membership views, so tests and traces can name the placement version
-    a lookup was served under.
+    owner table maps each shard to one node.  Ownership moves at shard
+    granularity -- a rebalancer or a join/leave driver streams shards'
+    chains to a new owner and flips table entries.  Every flip bumps
+    ``epoch``, mirroring membership views, so tests and traces can name
+    the placement version a lookup was served under.
+    ``ShardMap(range(n), n)`` is one shard per node: key ``k`` sits at
+    ``_stable_hash(f"key:{k!r}") % n``.
 
     All mutations keep two invariants the property suite pins down:
     ownership is total and unique (every shard has exactly one owner,
@@ -326,19 +252,12 @@ class ShardMap(Directory):
 class ExplicitDirectory(Directory):
     """Fixed key placement, for scenario tests that script exact layouts."""
 
-    def __init__(
-        self,
-        placement: Dict[Hashable, int],
-        fallback: Optional[Directory] = None,
-    ) -> None:
+    def __init__(self, placement: Dict[Hashable, int]) -> None:
         self._placement = dict(placement)
-        self._fallback = fallback
 
     def site(self, key: Hashable) -> int:
         if key in self._placement:
             return self._placement[key]
-        if self._fallback is not None:
-            return self._fallback.site(key)
         raise KeyError(f"no placement for key {key!r}")
 
 
@@ -354,20 +273,3 @@ class CallableDirectory(Directory):
 
     def site(self, key: Hashable) -> int:
         return self._fn(key)
-
-
-class ModuloDirectory(Directory):
-    """Round-robin placement of integer-indexed keys; simple and exact."""
-
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
-        self.num_nodes = num_nodes
-        self._cache: Dict[Hashable, int] = {}
-
-    def site(self, key: Hashable) -> int:
-        owner = self._cache.get(key)
-        if owner is None:
-            owner = _stable_hash(f"key:{key!r}") % self.num_nodes
-            self._cache[key] = owner
-        return owner

@@ -60,7 +60,7 @@ JOINING = "joining"
 ACTIVE = "active"
 DRAINING = "draining"
 
-#: States that own key ranges (consistent-hash ring membership).
+#: States that own key ranges (the ShardMap's placement domain).
 _RING_STATES = frozenset({ACTIVE, DRAINING})
 #: States included in commit propagation / gossip fan-out.
 _FANOUT_STATES = frozenset({ACTIVE, DRAINING, JOINING})

@@ -309,7 +309,7 @@ class ShardingConfig(ConfigSerde):
     """
 
     #: Use a ShardMap directory (and construct a rebalancer) instead of
-    #: the consistent-hash ring.
+    #: the static consistent-hash ring; elastic membership needs it.
     enabled: bool = False
     #: Fixed shard count.  Many small shards per node is the point: the
     #: rebalancer moves load at shard granularity, so more shards means

@@ -353,25 +353,17 @@ class Cluster:
         The driver commits a ``JOINING`` view (the newcomer enters the
         propagation fan-out but owns nothing), bootstraps the joiner's
         vector clock from the peers' frontiers, streams it the shards
-        the widened consistent-hash ring assigns it, flips the shared
-        directory, and commits the ``ACTIVE`` view.  The process's value
-        is True iff the join completed; a joiner that crashes mid-way is
-        abandoned with a member-removal view and can be re-added later
-        under the same id.
+        the :class:`ShardMap` steals for it, flips the map, and commits
+        the ``ACTIVE`` view; membership needs ``sharding.enabled``.  The
+        process's value is True iff the join completed; a joiner that
+        crashes mid-way is abandoned with a member-removal view and can
+        be re-added later under the same id.
 
         ``node_id`` defaults to the next dense id (a brand-new site is
         built and wired to the network); passing the id of a previously
         removed site re-joins it.
         """
-        if not self.nodes or not isinstance(self.nodes[0], MVCCNode):
-            raise ValueError(
-                f"protocol {self.protocol!r} does not support elastic membership"
-            )
-        if not hasattr(self.directory, "add_node"):
-            raise ValueError(
-                "elastic membership requires a directory with incremental "
-                "add_node/remove_node (ConsistentHashDirectory or ShardMap)"
-            )
+        self._check_elastic()
         if node_id is None:
             node_id = len(self.nodes)
         if node_id < len(self.nodes):
@@ -399,7 +391,7 @@ class Cluster:
         The driver commits a ``DRAINING`` view (new prepares on the
         victim's keys park on the drain fence), waits for in-flight
         write locks to drain, streams every shard to its new owner,
-        flips the shared directory, and commits the removal view
+        flips the :class:`ShardMap`, and commits the removal view
         carrying the victim's retired frontier.  The victim's keys
         stay readable at the victim until the flip and at their new
         owners after it.  The process's value is True iff the
@@ -408,13 +400,23 @@ class Cluster:
         """
         if node_id in self._removed or node_id >= len(self.nodes):
             raise ValueError(f"node {node_id} is not a member")
-        if not isinstance(self.nodes[node_id], MVCCNode):
-            raise ValueError(
-                f"protocol {self.protocol!r} does not support elastic membership"
-            )
+        self._check_elastic()
         return self.sim.spawn(
             self._leave_driver(node_id), name=f"leave:n{node_id}"
         )
+
+    def _check_elastic(self) -> None:
+        """Refuse a join or leave before any view is proposed."""
+        if not self.nodes or not isinstance(self.nodes[0], MVCCNode):
+            raise ValueError(
+                f"protocol {self.protocol!r} does not support elastic membership"
+            )
+        if not isinstance(self.directory, ShardMap):
+            raise ValueError(
+                "elastic membership re-places keys through the ShardMap; "
+                "set sharding.enabled (the ring and scripted directories "
+                "are static)"
+            )
 
     # -- view-change plumbing ------------------------------------------
     def _current_view(self) -> MembershipView:
@@ -557,7 +559,7 @@ class Cluster:
         self.tracer.emit(
             joiner_id, "join_bootstrap", clock=joiner.site_vc.to_tuple()
         )
-        # Shard handoff: every key the widened ring moves from an old
+        # Shard handoff: every key the widened map moves from an old
         # owner to the joiner.  Each donor's fence stays up until the
         # ACTIVE view commit -- the flip below waits for all of them.
         ring = list(view.ring_ids)
@@ -633,7 +635,7 @@ class Cluster:
                 yield from self._revert_drain(victim_id)
                 return False
             yield self.sim.timeout(ACK_TIMEOUT)
-        # Drain and hand every shard to the smaller ring's new owners:
+        # Drain and hand every shard to the smaller map's new owners:
         # in-flight prepares on the victim's keys settle through their
         # Decides, new ones park on the drain fence (up since the
         # DRAINING commit, held until the removal below).  Reads keep

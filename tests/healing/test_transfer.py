@@ -19,7 +19,7 @@ from repro import (
     NetworkConfig,
     SnapshotTransferConfig,
 )
-from repro.cluster import ModuloDirectory
+from repro.cluster import ShardMap
 from repro.net.message import MessageType
 from repro.storage.wal import build_checkpoint
 
@@ -42,7 +42,7 @@ def build():
         network=NetworkConfig(jitter=0.0),
         healing=HealingConfig(snapshot=SnapshotTransferConfig(chunk_records=1)),
     )
-    cluster = Cluster("fwkv", config, directory=ModuloDirectory(3))
+    cluster = Cluster("fwkv", config, directory=ShardMap(range(3), 3))
     for key in KEYS:
         cluster.load(key, 0)
     # The sender commits on its own keys while the receiver hears nothing,

@@ -1,7 +1,7 @@
 """Helpers for scripted protocol scenarios (the paper's Figures 1-4)."""
 
 from repro import Cluster, ClusterConfig, NetworkConfig
-from repro.cluster import ExplicitDirectory, ModuloDirectory
+from repro.cluster import ExplicitDirectory, ShardMap
 from repro.sim.rng import make_rng
 
 from tests.harness.oracle import increment_client
@@ -128,12 +128,13 @@ def run_sequential(cluster, keys, rng, each_round=lambda: None):
 
 
 def modulo_cluster(protocol, keys, network=None, num_nodes=3, **config):
-    """Keys placed by ``ModuloDirectory``, every one of ``keys`` loaded at
-    0, history on; ``config`` is the rest of ``ClusterConfig``."""
+    """Keys placed one shard per node (``ShardMap(range(n), n)``), every
+    one of ``keys`` loaded at 0, history on; ``config`` is the rest of
+    ``ClusterConfig``."""
     network = network or NetworkConfig(jitter=0.0)
     config = ClusterConfig(num_nodes=num_nodes, network=network, **config)
     cluster = Cluster(
-        protocol, config, directory=ModuloDirectory(num_nodes),
+        protocol, config, directory=ShardMap(range(num_nodes), num_nodes),
         record_history=True,
     )
     for key in keys:

@@ -20,7 +20,7 @@ loss and duplication enabled.
 import pytest
 
 from repro import DurabilityConfig, NetworkConfig, RpcConfig
-from repro.cluster import ModuloDirectory
+from repro.cluster import ShardMap
 from repro.faults import (
     HEAL,
     PARTITION,
@@ -71,7 +71,7 @@ def build(protocol, seed, loss_rate=0.0, duplicate_rate=0.0, **config):
     config.setdefault("gc_enabled", True)
     return battery.build(
         seed, protocol,
-        directory=ModuloDirectory(NUM_NODES),
+        directory=ShardMap(range(NUM_NODES), NUM_NODES),
         network=NetworkConfig(
             jitter=5e-6,
             loss_rate=loss_rate,

@@ -12,7 +12,7 @@ had already waited for its Decision record's covering sync.
 import pytest
 
 from repro import DurabilityConfig
-from repro.cluster import ModuloDirectory
+from repro.cluster import ShardMap
 from repro.faults import CRASH_DURABLE
 from repro.sim.rng import make_rng
 from repro.storage.wal import ApplyRecord, DecisionRecord, PropagateRecord
@@ -30,7 +30,7 @@ pytestmark = pytest.mark.recovery
 def build(protocol, seed):
     return battery.build(
         seed, protocol,
-        directory=ModuloDirectory(NUM_NODES),
+        directory=ShardMap(range(NUM_NODES), NUM_NODES),
         durability=DurabilityConfig(wal_enabled=True, fsync_latency=50e-6),
     )
 

@@ -32,7 +32,7 @@ from repro import (
     HealingConfig,
     SnapshotTransferConfig,
 )
-from repro.cluster import ModuloDirectory
+from repro.cluster import ShardMap
 from repro.faults import CRASH_DURABLE, isolate_cycle
 from repro.healing import ALIVE, DEAD
 from repro.metrics.stats import AbortReason
@@ -71,7 +71,7 @@ pytestmark = pytest.mark.healing
 def build(seed, healing, *, wal=False):
     return battery.build(
         seed,
-        directory=ModuloDirectory(NUM_NODES),
+        directory=ShardMap(range(NUM_NODES), NUM_NODES),
         healing=healing,
         durability=DurabilityConfig(wal_enabled=wal),
     )

@@ -25,7 +25,18 @@ from collections import Counter
 
 import pytest
 
-from repro import HealingConfig, RpcConfig
+from repro import (
+    Cluster,
+    ClusterConfig,
+    HealingConfig,
+    RpcConfig,
+    ShardingConfig,
+)
+from repro.cluster import (
+    CallableDirectory,
+    ConsistentHashDirectory,
+    ExplicitDirectory,
+)
 from repro.faults import crash_cycle, isolate_cycle
 from repro.sim.rng import make_rng
 
@@ -55,14 +66,13 @@ pytestmark = pytest.mark.membership
 
 
 def build(seed, *, gossip=False, rpc=None, num_nodes=NUM_NODES):
-    """A (by default 3-node) FW-KV cluster on the consistent-hash ring.
+    """A (by default 3-node) FW-KV cluster on the sharded directory.
 
-    Elastic membership requires the incremental ``add_node`` /
-    ``remove_node`` directory, so unlike the healing suite this one
-    keeps the :class:`ConsistentHashDirectory` default.  RPCs wait forever
-    unless ``rpc`` arms them; ``gossip`` arms anti-entropy.
+    Elastic membership re-places keys through the :class:`ShardMap`,
+    so this suite sets ``sharding.enabled``.  RPCs wait forever unless
+    ``rpc`` arms them; ``gossip`` arms anti-entropy.
     """
-    config = {}
+    config = {"sharding": ShardingConfig(enabled=True)}
     if gossip:
         config["healing"] = HealingConfig(
             anti_entropy_interval=AE_INTERVAL, digest_timeout=5e-4
@@ -71,6 +81,26 @@ def build(seed, *, gossip=False, rpc=None, num_nodes=NUM_NODES):
         seed, num_nodes=num_nodes, num_keys=len(KEYS),
         rpc=rpc or RpcConfig(), **config,
     )
+
+
+# ----------------------------------------------------------------------
+# A static directory refuses a join or leave before proposing a view
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("change", ["add_node", "remove_node"])
+@pytest.mark.parametrize("directory", [
+    ConsistentHashDirectory(range(NUM_NODES)),
+    ExplicitDirectory({key: 0 for key in KEYS}),
+    CallableDirectory(lambda key: 0),
+], ids=["ring", "explicit", "callable"])
+def test_static_directory_refuses_membership_changes(directory, change):
+    config = ClusterConfig(num_nodes=NUM_NODES)
+    cluster = Cluster("fwkv", config, directory=directory)
+    args = () if change == "add_node" else (1,)
+    with pytest.raises(ValueError, match="sharding.enabled"):
+        getattr(cluster, change)(*args)
+    cluster.run()
+    assert len(cluster.nodes) == NUM_NODES
+    assert all(node.membership.view.epoch == 0 for node in cluster.nodes)
 
 
 # ----------------------------------------------------------------------

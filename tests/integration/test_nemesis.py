@@ -9,7 +9,7 @@ scope for maximum adversity.  Histories must still pass the one oracle.
 import pytest
 
 from repro import Cluster, ClusterConfig, NetworkConfig
-from repro.cluster import ModuloDirectory
+from repro.cluster import ShardMap
 from repro.net.message import MessageType
 from repro.sim.rng import make_rng
 
@@ -34,7 +34,7 @@ def build(protocol, seed):
         gc_min_age=4e-3,
     )
     cluster = Cluster(
-        protocol, config, directory=ModuloDirectory(NUM_NODES),
+        protocol, config, directory=ShardMap(range(NUM_NODES), NUM_NODES),
         record_history=True,
     )
     rng = make_rng(seed, "nemesis-links")

@@ -28,7 +28,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import DurabilityConfig
-from repro.cluster import ModuloDirectory
+from repro.cluster import ShardMap
 from repro.faults import CRASH_DURABLE
 from repro.metrics.stats import AbortReason
 from repro.net.rpc import RpcTimeoutError
@@ -65,7 +65,7 @@ pytestmark = pytest.mark.recovery
 def build(protocol, seed):
     return battery.build(
         seed, protocol,
-        directory=ModuloDirectory(NUM_NODES),
+        directory=ShardMap(range(NUM_NODES), NUM_NODES),
         durability=DurabilityConfig(wal_enabled=True),
     )
 

@@ -26,7 +26,7 @@ The scaffold is ``tests.harness.battery``; seeds come from
 import pytest
 
 from repro import DurabilityConfig
-from repro.cluster import ModuloDirectory
+from repro.cluster import ShardMap
 from repro.faults import CRASH_DURABLE
 from repro.net.message import MessageType
 from repro.sim.rng import make_rng
@@ -68,7 +68,7 @@ class Run:
     def __init__(self, protocol, seed):
         self.cluster, self.nemesis = battery.build(
             seed, protocol,
-            directory=ModuloDirectory(NUM_NODES),
+            directory=ShardMap(range(NUM_NODES), NUM_NODES),
             durability=DurabilityConfig(wal_enabled=True, fsync_latency=FSYNC),
         )
         self.victim = self.cluster.nodes[VICTIM]

@@ -23,16 +23,18 @@ TESTS = Path(__file__).parent
 #: held as their values net of one loader per protocol; ROADMAP has the
 #: per-file breakdowns), lowered by the figure registry, by deleting
 #: the backup-read path (-242), by the fault schedules keeping only
-#: their primitives (-121), by the one event table (-32) and by the cost
-#: model and tuning values becoming constants (-54).
-TOTAL_SRC_LINES = 16830
+#: their primitives (-121), by the one event table (-32), by the cost
+#: model and tuning values becoming constants (-54) and by one elastic
+#: directory (-98).
+TOTAL_SRC_LINES = 16732
 #: Lines over every ``*.py`` under ``tests/``.  Raised +102 for the
 #: loaded-key footprint pins, census and chain shape; lowered -17 by the
 #: one read path (the backup-read tests out, owner-read tests in), -343
 #: by the one battery scaffold, -39 by deleting test-only switches and -4
 #: by shared scenario helpers, net of the tombstone-window, columnar-load
-#: and shared-empty-set cases.
-TOTAL_TEST_LINES = 17331
+#: and shared-empty-set cases, and -2 by one elastic directory (the ring
+#: mutation tests out, the pinned ring and static-refusal cases in).
+TOTAL_TEST_LINES = 17329
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``).
 LONGEST_FILE = 1146
 #: ``replication/shard.py`` (stream pump, ``NodeReplication``,
@@ -164,6 +166,24 @@ def test_reads_are_sent_from_read_only():
         )
     }
     assert senders == {"MVCCNode.read", "TwoPCNode.read"}, senders
+
+
+def test_only_the_shard_map_re_places_keys():
+    """One elastic directory: the ring and the scripted directories are
+    static look-ups, and joins, leaves and migrations flip a ShardMap."""
+    tree = ast.parse((SRC / "cluster" / "directory.py").read_text())
+    methods = {
+        cls.name: {
+            method.name for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+        }
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+    }
+    assert methods.pop("Directory") == {"site"}
+    mutators = {"add_node", "remove_node", "with_nodes", "assign"}
+    elastic = {name for name, defined in methods.items() if defined & mutators}
+    assert elastic == {"ShardMap"}, elastic
 
 
 def test_fault_schedules_keep_only_their_primitives():
