@@ -18,14 +18,17 @@ Then it drives one repeat (``measure.drive``: the workload's warmup +
 duration) and prints what the run phase added, largest sites first, and
 the run's touched share: version chains built (keys read or written at
 least once) over held keys.
+A ``placement`` row sizes the directory's memo (the keys the run
+routed; the load fills none) and a ``clocks`` row counts the distinct
+clock objects behind the installed versions (one per commit per site).
 Where commits are kept on record (``ycsb_replicated``, ``ycsb_durable``)
-a last ``decision_log`` row says what one update commit leaves behind in
+a ``decision_log`` row says what one update commit leaves behind in
 ``DecisionLog.by_txn`` / ``by_seq`` at its coordinator and in
 ``BackupState.decisions`` at its decision homes -- nothing prunes either
-on a WAL-less run (ROADMAP "Bounded memory", finding (b)).  On WAL
-workloads (``ycsb_durable``) a ``wal`` row says what the log holds, by
-record kind and per update commit, and on FW-KV a ``tombstones`` row
-sizes the stores' tombstone windows (``MultiVersionStore``).
+on a WAL-less run (ROADMAP item 9).  On WAL workloads (``ycsb_durable``)
+a ``wal`` row says what the log holds, by record kind and per update
+commit, and on FW-KV a ``tombstones`` row sizes the stores' tombstone
+windows and expiry columns (``MultiVersionStore``).
 Tracing slows the run several-fold; nothing here is a timing.
 """
 
@@ -44,7 +47,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "ledger")]
 
 from measure import drive, sub_seed, timed_build  # noqa: E402
 from registry import DEFAULT_SEED, WORKLOADS_BY_NAME  # noqa: E402
-from repro.storage import VersionChain  # noqa: E402
+from repro.cluster.directory import ShardMap  # noqa: E402
+from repro.storage import Version, VersionChain  # noqa: E402
 
 #: Blocks this large are tables that grow with the keyspace, not objects.
 TABLE_BYTES = 64 * 1024
@@ -136,16 +140,40 @@ def print_wal(cluster) -> None:
           f"{sum(held.values()) / max(commits, 1):.0f} B per update commit")
 
 
+def print_placement(cluster, held: int) -> None:
+    """What the directory's memo holds: one entry per key routed."""
+    directory = cluster.directory
+    memo = directory._shard_cache if isinstance(directory, ShardMap) else directory._cache
+    print(f"  placement: {len(memo)} memo entries, {len(memo) / held:.3f} per "
+          f"held key, {sys.getsizeof(memo) / 2**20:.2f} MB of table")
+
+
+def print_clocks() -> None:
+    """Distinct clock objects behind the versions commits installed."""
+    clocks = [
+        id(obj.vc) for obj in gc.get_objects()
+        if type(obj) is Version and obj.writer_txn is not None
+    ]
+    if clocks:
+        print(f"  clocks: {len(set(clocks))} distinct clocks for {len(clocks)} "
+              f"installed versions, {len(set(clocks)) / len(clocks):.2f} per version")
+
+
 def print_tombstones(cluster) -> None:
-    """Ids the stores hold tombstoned, and the windows holding them."""
+    """Ids the stores hold tombstoned, the windows and expiry columns."""
     stores = [node.store for node in cluster.nodes]
     windows = [store._tombstones for store in stores]
     if not any(windows):
         return
-    print(f"  tombstones: {sum(window.count(1) for window in windows)} ids "
-          f"in {len(windows)} windows of {sum(map(len, windows))} B "
-          f"(largest {max(map(len, windows))} B), "
-          f"{sum(len(store._tombstone_queue) for store in stores)} expiry batches")
+    ids = sum(window.count(1) for window in windows)
+    columns = sum(
+        sys.getsizeof(column) for store in stores for column in (
+            store._expiring_ids, store._expiry_times, store._expiry_ends))
+    batches = sum(len(store._expiry_times) - store._expiry_head for store in stores)
+    print(f"  tombstones: {ids} ids in {len(windows)} windows of "
+          f"{sum(map(len, windows))} B (largest {max(map(len, windows))} B), "
+          f"{batches} expiry batches in columns of {columns} B "
+          f"({columns / ids:.1f} B per id)")
 
 
 def size(row) -> int:
@@ -198,6 +226,8 @@ def main() -> int:
         chains = sum(type(obj) is VersionChain for obj in gc.get_objects())
         print(f"  touched share: {chains} materialized chains / {held} held keys "
               f"= {chains / held:.1%}")
+        print_placement(cluster, held)
+        print_clocks()
         print_decision_log(cluster)
         print_wal(cluster)
         print_tombstones(cluster)

@@ -5,7 +5,8 @@ preferred site. For object reachability, FW-KV implements a local look-up
 function using consistent hashing."  All directory variants below are pure
 local functions of the key, exactly as in the paper -- no directory service
 is contacted at runtime.  Only :class:`ShardMap` ever changes: it is the one
-directory the membership drivers and the rebalancer flip.
+directory the membership drivers and the rebalancer flip.  ``site`` memoises
+the uncached ``place`` from a key's first look-up; bulk scans use ``place``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ class Directory(ABC):
     """Maps every key to its preferred site (node id)."""
 
     @abstractmethod
+    def place(self, key: Hashable) -> int:
+        """The preferred node for ``key``, computed afresh."""
+
     def site(self, key: Hashable) -> int:
-        """The preferred node for ``key``."""
+        """The preferred node for ``key`` (memoised where it pays)."""
+        return self.place(key)
 
 
 def _stable_hash(value: str) -> int:
@@ -58,19 +63,18 @@ class ConsistentHashDirectory(Directory):
         self._ring_positions = [position for position, _ in ring]
         self._ring_owners = [owner for _, owner in ring]
         # Placement is a pure function of the key, so lookups are memoised;
-        # the cache is bounded by the workload's keyspace and turns two
+        # the cache is bounded by the keys the run routes and turns two
         # CRC32 passes plus a bisect into one dict hit on the hot path.
         self._cache: Dict[Hashable, int] = {}
+
+    def place(self, key: Hashable) -> int:
+        index = bisect.bisect_right(self._ring_positions, _stable_hash(f"key:{key!r}"))
+        return self._ring_owners[index % len(self._ring_owners)]
 
     def site(self, key: Hashable) -> int:
         owner = self._cache.get(key)
         if owner is None:
-            position = _stable_hash(f"key:{key!r}")
-            index = bisect.bisect_right(self._ring_positions, position)
-            if index == len(self._ring_positions):
-                index = 0
-            owner = self._ring_owners[index]
-            self._cache[key] = owner
+            owner = self._cache[key] = self.place(key)
         return owner
 
 
@@ -112,18 +116,24 @@ class ShardMap(Directory):
             node_ids[shard % len(node_ids)] for shard in range(num_shards)
         ]
         # key -> shard is a pure function of the key (ownership flips
-        # never invalidate it), so it is memoised unconditionally.
+        # never invalidate it), so it is memoised on a key's first lookup.
         self._shard_cache: Dict[Hashable, int] = {}
+
+    def hash_shard(self, key: Hashable) -> int:
+        """``shard_of`` computed afresh, leaving the memo alone."""
+        return _stable_hash(f"key:{key!r}") % self.num_shards
 
     def shard_of(self, key: Hashable) -> int:
         shard = self._shard_cache.get(key)
         if shard is None:
-            shard = _stable_hash(f"key:{key!r}") % self.num_shards
-            self._shard_cache[key] = shard
+            shard = self._shard_cache[key] = self.hash_shard(key)
         return shard
 
     def owner_of(self, shard: int) -> int:
         return self._owners[shard]
+
+    def place(self, key: Hashable) -> int:
+        return self._owners[self.hash_shard(key)]
 
     def site(self, key: Hashable) -> int:
         return self._owners[self.shard_of(key)]
@@ -255,7 +265,7 @@ class ExplicitDirectory(Directory):
     def __init__(self, placement: Dict[Hashable, int]) -> None:
         self._placement = dict(placement)
 
-    def site(self, key: Hashable) -> int:
+    def place(self, key: Hashable) -> int:
         if key in self._placement:
             return self._placement[key]
         raise KeyError(f"no placement for key {key!r}")
@@ -271,5 +281,5 @@ class CallableDirectory(Directory):
     def __init__(self, fn: Callable[[Hashable], int]) -> None:
         self._fn = fn
 
-    def site(self, key: Hashable) -> int:
+    def place(self, key: Hashable) -> int:
         return self._fn(key)

@@ -145,7 +145,7 @@ class Rebalancer:
             return False
         donor = cluster.nodes[donor_id]
         keys = sorted(
-            (k for k in donor.store.keys() if shard_map.shard_of(k) == shard),
+            (k for k in donor.store.keys() if shard_map.hash_shard(k) == shard),
             key=repr,
         )
         if tracer._enabled:

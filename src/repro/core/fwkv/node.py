@@ -95,9 +95,9 @@ class FWKVNode(MVCCNode):
         chain = self.store.chain(request.key)
         if request.is_read_only:
             return select_read_only_version(
-                chain, request.vc, request.has_read, request.txn_id
+                chain, request.vc, request.has_read, request.txn_id, request.key
             )
-        return select_update_version(chain, request.vc, request.has_read)
+        return select_update_version(chain, request.vc, request.has_read, request.key)
 
     def _register_visible_read(
         self, request: ReadRequestBody, version: Version

@@ -6,7 +6,7 @@ testable against the paper's worked examples (Figures 2 and 3).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Hashable, Sequence, Tuple
 
 from repro.storage.chain import VersionChain
 from repro.storage.version import Version
@@ -85,6 +85,7 @@ def select_read_only_version(
     txn_vc: Sequence[int],
     has_read: Sequence[bool],
     txn_id: int,
+    key: Hashable = None,
 ) -> Tuple[Version, int]:
     """Alg. 3 lines 2-10: freshest visible version not anti-depended upon.
 
@@ -119,7 +120,7 @@ def select_read_only_version(
             continue
         return version, inspected + len(access)
     raise RuntimeError(
-        f"no visible version of {chain.key!r} for read-only txn {txn_id}; "
+        f"no visible version of {key!r} for read-only txn {txn_id}; "
         "the initial version should always be visible"
     )
 
@@ -128,6 +129,7 @@ def select_update_version(
     chain: VersionChain,
     txn_vc: Sequence[int],
     has_read: Sequence[bool],
+    key: Hashable = None,
 ) -> Tuple[Version, int]:
     """Alg. 3 lines 11-18: freshest visible, conservatively-safe version.
 
@@ -159,6 +161,6 @@ def select_update_version(
             continue
         return version, 0
     raise RuntimeError(
-        f"no visible version of {chain.key!r} for an update read; "
+        f"no visible version of {key!r} for an update read; "
         "the initial version should always be visible"
     )

@@ -853,12 +853,9 @@ class MVCCNode(BaseProtocolNode):
             # what a crash takes of either, recovery or promotion re-stages
             # from the coordinator's decision record, which carries them.
             if self.wal is not None:
+                entry.logged = tuple(request.writes.items())
                 entry.lsn = self.wal.append(
-                    PrepareRecord(
-                        request.txn_id,
-                        request.coordinator,
-                        tuple(request.writes.items()),
-                    )
+                    PrepareRecord(request.txn_id, request.coordinator, entry.logged)
                 )
             if self.replication is not None:
                 entry.acks = self.replication.replicate_prepare(request)
@@ -1002,17 +999,12 @@ class MVCCNode(BaseProtocolNode):
                     yield from self.cpu.consume(INSTALL_KEY * len(writes))
                 if self._incarnation != incarnation:
                     return
-                commit_vc = VectorClock(body.commit_vc)
+                commit_vc = VectorClock.frozen(body.commit_vc)
                 installed: List[Version] = []
                 for key, value in writes.items():
                     version = self.store.install(
-                        key,
-                        value,
-                        commit_vc.copy(),
-                        origin=body.origin,
-                        seq=body.seq_no,
-                        writer_txn=body.txn_id,
-                        installed_at=self.sim.now,
+                        key, value, commit_vc, origin=body.origin, seq=body.seq_no,
+                        writer_txn=body.txn_id, installed_at=self.sim.now,
                     )
                     installed.append(version)
                     self._maybe_collect_garbage(key)
@@ -1024,15 +1016,10 @@ class MVCCNode(BaseProtocolNode):
                     # between): a crash before this point leaves the prepare
                     # in doubt and recovery re-applies it; a crash after has
                     # the full install on record.
-                    self.wal.append(
-                        ApplyRecord(
-                            body.txn_id,
-                            body.origin,
-                            body.seq_no,
-                            body.commit_vc,
-                            tuple(writes.items()),
-                        )
-                    )
+                    self.wal.append(ApplyRecord(
+                        body.txn_id, body.origin, body.seq_no, body.commit_vc,
+                        (prepared.logged if prepared else ()) or tuple(writes.items()),
+                    ))
                 self.site_vc[body.origin] = body.seq_no  # Alg. 5 line 21
                 self.site_vc_changed.notify_all()
                 if self.replication is not None:

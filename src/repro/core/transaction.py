@@ -154,6 +154,7 @@ class PreparedTxn:
 
     __slots__ = (
         "writes", "locked_keys", "vote", "coordinator", "round", "lsn", "acks",
+        "logged",
     )
 
     def __init__(
@@ -182,3 +183,5 @@ class PreparedTxn:
         #: ``(stream, seq)`` of this vote's ``prepare`` stream records:
         #: the locks outlive their acks too (S5).
         self.acks = ()
+        #: ``writes`` as its ``PrepareRecord`` logged them, for the ``ApplyRecord``.
+        self.logged = ()

@@ -54,19 +54,23 @@ class VectorClock:
         """The interned all-zero clock of ``size`` entries.
 
         Initial-data loads stamp every seeded version with the zero clock;
-        interning one immutable instance per size turns millions of list
-        allocations into dictionary hits.  The returned clock rejects
-        mutation -- callers that need a private zero clock must use
-        :meth:`zeros` (or :meth:`copy` the interned one).
+        interning one :meth:`frozen` instance per size turns millions of
+        list allocations into dictionary hits.
         """
         clock = _ZERO_CACHE.get(size)
         if clock is None:
             if size <= 0:
                 raise ValueError("vector clock size must be positive")
-            clock = _ImmutableVectorClock.__new__(_ImmutableVectorClock)
-            clock._entries = [0] * size
-            clock._tuple = None
-            _ZERO_CACHE[size] = clock
+            clock = _ZERO_CACHE[size] = cls.frozen((0,) * size)
+        return clock
+
+    @staticmethod
+    def frozen(entries: Sequence[int]) -> "VectorClock":
+        """An immutable clock over ``tuple(entries)`` (a tuple is not
+        copied): the one clock every version a commit installs at a site
+        shares.  :meth:`copy` it for a mutable clock."""
+        clock = _ImmutableVectorClock.__new__(_ImmutableVectorClock)
+        clock._entries = clock._tuple = tuple(entries)
         return clock
 
     # ------------------------------------------------------------------
@@ -87,7 +91,7 @@ class VectorClock:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, VectorClock):
-            return self._entries == other._entries
+            return tuple(self._entries) == tuple(other._entries)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -98,7 +102,8 @@ class VectorClock:
 
     @property
     def entries(self) -> Sequence[int]:
-        """The underlying entry list, for read-only hot-path iteration."""
+        """The underlying entries (a list, or a frozen clock's tuple), for
+        read-only hot-path iteration."""
         return self._entries
 
     # ------------------------------------------------------------------
@@ -106,7 +111,7 @@ class VectorClock:
     # ------------------------------------------------------------------
     def copy(self) -> "VectorClock":
         vc = VectorClock.__new__(VectorClock)
-        vc._entries = self._entries.copy()
+        vc._entries = list(self._entries)
         vc._tuple = self._tuple
         return vc
 
@@ -244,33 +249,18 @@ class VectorClock:
 
 
 class _ImmutableVectorClock(VectorClock):
-    """An interned clock that refuses in-place mutation (see ``zero``)."""
+    """A clock over a tuple that refuses in-place mutation (see
+    :meth:`VectorClock.frozen`)."""
 
     __slots__ = ()
 
-    def __setitem__(self, index: int, value: int) -> None:
+    def _refuse(self, *_args) -> None:
         raise TypeError(
-            "interned zero clock is immutable; use VectorClock.zeros() or "
-            "copy() for a private instance"
+            "a frozen vector clock is immutable; copy() it for a private "
+            "instance"
         )
 
-    def merge(self, other: "VectorClock") -> None:
-        raise TypeError(
-            "interned zero clock is immutable; use VectorClock.zeros() or "
-            "copy() for a private instance"
-        )
-
-    def merge_seq(self, values: Sequence[int]) -> None:
-        raise TypeError(
-            "interned zero clock is immutable; use VectorClock.zeros() or "
-            "copy() for a private instance"
-        )
-
-    def widen(self, size: int) -> None:
-        raise TypeError(
-            "interned zero clock is immutable; use VectorClock.zeros() or "
-            "copy() for a private instance"
-        )
+    __setitem__ = merge = merge_seq = widen = _refuse
 
 
 _ZERO_CACHE: Dict[int, VectorClock] = {}

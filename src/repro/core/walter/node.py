@@ -30,7 +30,7 @@ class WalterNode(MVCCNode):
 
     def _select_version(self, request: ReadRequestBody) -> Tuple[Version, int]:
         return select_walter_version(
-            self.store.chain(request.key), request.vc
+            self.store.chain(request.key), request.vc, request.key
         )
 
     def _freshness_bound(

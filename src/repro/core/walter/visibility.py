@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Hashable, Sequence, Tuple
 
 from repro.storage.chain import VersionChain
 from repro.storage.version import Version
 
 
 def select_walter_version(
-    chain: VersionChain, txn_vc: Sequence[int]
+    chain: VersionChain, txn_vc: Sequence[int], key: Hashable = None
 ) -> Tuple[Version, int]:
     """The freshest version within the begin-time snapshot.
 
@@ -25,6 +25,6 @@ def select_walter_version(
         if version.origin < len(txn_vc) and version.seq <= txn_vc[version.origin]:
             return version, 0
     raise RuntimeError(
-        f"no visible version of {chain.key!r}; the initial version "
+        f"no visible version of {key!r}; the initial version "
         "(seq 0) should always be visible"
     )

@@ -378,7 +378,7 @@ class ChainTransfer:
         # routed one here.
         adopted = 0
         for key, base_vid, versions in record.chains:
-            if offer.shard or owner.directory.site(key) == self.node_id:
+            if offer.shard or owner.directory.place(key) == self.node_id:
                 owner.store.adopt(key, base_vid, versions)
                 adopted += 1
         self.inbound = None

@@ -144,7 +144,7 @@ class NodeHost:
         return self._node.load_many(
             (key, value)
             for key, value in self.workload.load_items()
-            if self.directory.site(key) == self.node_id
+            if self.directory.place(key) == self.node_id
         )
 
     def run_workload(self) -> None:

@@ -63,23 +63,18 @@ class BackupState:
             self.decisions[entry.txn_id] = entry
         elif kind == "apply":
             self.staged.pop(entry.txn_id, None)
+            # One frozen clock per commit, as at the primary (``Version.vc``).
+            commit_vc = entry.writes and VectorClock.frozen(entry.commit_vc)
             for key, value in entry.writes:
                 # Verbatim install, in stream order: per-key conflicts
                 # were lock-serialized at the primary, so the backup's
                 # chains -- including their vids -- replay the
                 # primary's exactly.  The backup's own clock is never
                 # touched; it advances through the normal Propagate/
-                # Decide traffic like any other node.  One clock per
-                # key, as at the primary: the store aliases the clock
-                # it is handed (``Version.vc``).
+                # Decide traffic like any other node.
                 store.install(
-                    key,
-                    value,
-                    VectorClock(entry.commit_vc),
-                    origin=entry.origin,
-                    seq=entry.seq_no,
-                    writer_txn=entry.txn_id,
-                    installed_at=installed_at,
+                    key, value, commit_vc, origin=entry.origin, seq=entry.seq_no,
+                    writer_txn=entry.txn_id, installed_at=installed_at,
                 )
             if entry.frontier is not None:
                 self.frontier = entry.frontier

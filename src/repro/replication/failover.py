@@ -216,7 +216,7 @@ class FailoverDriver:
         successor_node = cluster.nodes[successor]
         incarnation = successor_node._incarnation
         shard_set = set(shards)
-        shard_of = shard_map.shard_of
+        shard_of = shard_map.hash_shard  # a bulk scan: leave the memo alone
         state = successor_node.replication.backup_state.get(dead)
         staged: List = []
         floor: Tuple[int, ...] = ()
@@ -269,19 +269,14 @@ class FailoverDriver:
             commits = [listed.pop(e.txn_id) for e in staged if e.txn_id in listed]
             commits += sorted(listed.values(), key=lambda c: (c.origin, c.seq_no))
             for commit in commits:
-                vc = VectorClock(commit.commit_vc)
+                vc = VectorClock.frozen(commit.commit_vc)
                 for key, value in commit.writes:
                     if shard_of(key) in shard_set and not self._has_version(
                         successor_node, key, commit.origin, commit.seq_no
                     ):
                         successor_node.store.install(
-                            key,
-                            value,
-                            vc.copy(),
-                            origin=commit.origin,
-                            seq=commit.seq_no,
-                            writer_txn=commit.txn_id,
-                            installed_at=self.sim.now,
+                            key, value, vc, origin=commit.origin, seq=commit.seq_no,
+                            writer_txn=commit.txn_id, installed_at=self.sim.now,
                         )
                         installed += 1
             committed = {commit.txn_id for commit in commits}
@@ -427,7 +422,7 @@ class FailoverDriver:
         keys = sorted(
             (
                 key for key in primary.store.keys()
-                if shard_map.shard_of(key) in shard_set
+                if shard_map.hash_shard(key) in shard_set
             ),
             key=repr,
         )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.vector_clock import VectorClock
 from repro.storage.version import Version
@@ -21,13 +21,14 @@ class VersionChain:
     are assigned densely (``latest.vid + 1``) and garbage collection only
     drops a contiguous prefix, a vid maps to the list offset
     ``vid - _history[0].vid``; ``by_vid`` is O(1) regardless of chain
-    length.
+    length.  Neither the chain nor its versions name their key: the
+    store's entry for the key does.  A leading positional argument is
+    ignored (``benchmarks/ledger/micro.py`` still passes a key).
     """
 
-    __slots__ = ("key", "_latest", "_history")
+    __slots__ = ("_latest", "_history")
 
-    def __init__(self, key: Hashable, latest: Optional[Version] = None) -> None:
-        self.key = key
+    def __init__(self, _key: object = None, latest: Optional[Version] = None) -> None:
         #: Newest version (None until the first install).
         self._latest = latest
         #: Every version, oldest first, once there are two; else None.
@@ -45,8 +46,8 @@ class VersionChain:
         """Append a new latest version and return it."""
         latest = self._latest
         version = Version(
-            self.key, value, vc, 0 if latest is None else latest.vid + 1,
-            origin, seq, writer_txn, installed_at,
+            value, vc, 0 if latest is None else latest.vid + 1, origin, seq,
+            writer_txn, installed_at,
         )
         history = self._history
         if history is not None:
@@ -60,7 +61,7 @@ class VersionChain:
     def latest(self) -> Version:
         version = self._latest
         if version is None:
-            raise LookupError(f"key {self.key!r} has no versions")
+            raise LookupError("the chain has no versions")
         return version
 
     def __len__(self) -> int:
@@ -89,7 +90,7 @@ class VersionChain:
                 return history[index]
         elif self._latest is not None and self._latest.vid == vid:
             return self._latest
-        raise LookupError(f"key {self.key!r} has no version #{vid}")
+        raise LookupError(f"the chain has no version #{vid}")
 
     def collect_garbage(self, keep_last: int, min_age: float, now: float) -> int:
         """Drop reclaimable old versions from the cold end of the chain.
@@ -130,16 +131,17 @@ class VersionChain:
 
     @classmethod
     def restore(
-        cls, key: Hashable, base_vid: int, versions: Iterable[SnapshotVersion]
+        cls, base_vid: int, versions: Iterable[SnapshotVersion]
     ) -> "VersionChain":
         """Rebuild the chain a :meth:`snapshot` captured (``install``
-        always starts at vid 0; this resumes the dense sequence)."""
+        always starts at vid 0; this resumes the dense sequence).  Each
+        clock is frozen over the captured tuple, not copied."""
         history = [
-            Version(key, value, VectorClock(vc), vid, origin, seq, writer, at)
+            Version(value, VectorClock.frozen(vc), vid, origin, seq, writer, at)
             for vid, (value, vc, origin, seq, writer, at)
             in enumerate(versions, base_vid)
         ]
-        chain = cls(key, history[-1] if history else None)
+        chain = cls(latest=history[-1] if history else None)
         if len(history) > 1:
             chain._history = history
         return chain

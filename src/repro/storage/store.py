@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from array import array
+from bisect import bisect_right
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.core.vector_clock import VectorClock
 from repro.storage.chain import SnapshotVersion, VersionChain
@@ -35,8 +36,10 @@ class MultiVersionStore:
     per cluster, or one stride per socket host), so the tombstones are a
     byte window over ids, spanning exactly the oldest to the newest: byte
     ``id - base`` is 1 while ``id`` is tombstoned.  They expire after
-    :data:`TOMBSTONE_TTL` of virtual time; the expiry queue holds one
-    entry per distinct ``now`` -- per ``Remove`` message -- of ids.
+    :data:`TOMBSTONE_TTL` of virtual time, in one batch per distinct
+    ``now`` (per ``Remove`` message), queued in columns: the ids, and per
+    batch its time and the end of its ids.  A head index passes expired
+    batches; they are cut once they hold over half the ids.
 
     **Loaded keys.**  A key :meth:`create_many` loaded and nothing has
     touched since is held as its value alone; its one version (vid 0,
@@ -52,7 +55,8 @@ class MultiVersionStore:
         self._vas_index: Dict[int, Set[Version]] = {}
         self._tombstones = bytearray()
         self._tombstone_base = 0
-        self._tombstone_queue: Deque[Tuple[float, List[int]]] = deque()
+        self._expiring_ids, self._expiry_ends = array("q"), array("q")
+        self._expiry_times, self._expiry_head = array("d"), 0
 
     # ------------------------------------------------------------------
     # Chains
@@ -86,8 +90,8 @@ class MultiVersionStore:
         except KeyError:
             raise KeyError(f"key {key!r} is not stored on this node") from None
         if entry.__class__ is not VersionChain:
-            version = Version(key, entry, self._load_vc, 0, 0, 0)
-            entry = self._chains[key] = VersionChain(key, version)
+            version = Version(entry, self._load_vc, 0, 0, 0)
+            entry = self._chains[key] = VersionChain(latest=version)
         return entry
 
     def snapshot(self, key: Hashable) -> Tuple[int, Tuple[SnapshotVersion, ...]]:
@@ -114,7 +118,7 @@ class MultiVersionStore:
             if self._load_vc is not None and vc == self._load_vc.to_tuple():
                 self._chains[key] = value
                 return
-        self._chains[key] = VersionChain.restore(key, base_vid, versions)
+        self._chains[key] = VersionChain.restore(base_vid, versions)
 
     def install(
         self,
@@ -132,7 +136,7 @@ class MultiVersionStore:
             if key in self._chains:
                 chain = self.chain(key)
             else:
-                chain = self._chains[key] = VersionChain(key)
+                chain = self._chains[key] = VersionChain()
         return chain.install(value, vc, origin, seq, writer_txn, installed_at)
 
     def __contains__(self, key: Hashable) -> bool:
@@ -170,7 +174,8 @@ class MultiVersionStore:
         Returns the number of entries erased.  The identifier is
         tombstoned against late re-insertion by in-flight commits.
         """
-        queue, window = self._tombstone_queue, self._tombstones
+        window, ids = self._tombstones, self._expiring_ids
+        times, ends = self._expiry_times, self._expiry_ends
         if not window or txn_id < self._tombstone_base:
             window[:0] = bytes(self._tombstone_base - txn_id if window else 0)
             self._tombstone_base = txn_id
@@ -179,21 +184,28 @@ class MultiVersionStore:
             window.extend(bytes(offset + 1 - len(window)))
         if not window[offset]:
             window[offset] = 1
-            if queue and queue[-1][0] == now:
-                queue[-1][1].append(txn_id)
-            else:
-                queue.append((now, [txn_id]))
-        horizon = now - TOMBSTONE_TTL
-        if queue[0][0] <= horizon:
-            base = self._tombstone_base
-            while queue and queue[0][0] <= horizon:
-                for expired in queue.popleft()[1]:
-                    window[expired - base] = 0
+            ids.append(txn_id)
+            if not times or times[-1] != now:
+                times.append(now)
+                ends.append(0)
+            ends[-1] = len(ids)
+        head, horizon = self._expiry_head, now - TOMBSTONE_TTL
+        if times[head] <= horizon:
+            base, start = self._tombstone_base, ends[head - 1] if head else 0
+            head = bisect_right(times, horizon, head)
+            for expired in ids[start:ends[head - 1]]:
+                window[expired - base] = 0
             # Cut the window back to the oldest and newest id still held.
             del window[window.rfind(1) + 1:]
             start = max(window.find(1), 0)
             del window[:start]
             self._tombstone_base = base + start
+            cut = ends[head - 1]
+            if 2 * cut > len(ids):
+                del ids[:cut], times[:head], ends[:head]
+                self._expiry_ends = array("q", [end - cut for end in ends])
+                head = 0
+            self._expiry_head = head
         versions = self._vas_index.pop(txn_id, None)
         if not versions:
             return 0

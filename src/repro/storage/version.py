@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Set
+from typing import Optional, Set
 
 from repro.core.vector_clock import VectorClock
 
 
 class Version:
-    """One committed version of a key.
+    """One committed version of a key (which it does not name; see
+    ``VersionChain``).  Carries everything both protocols need (paper Section 4.1):
 
-    Carries everything both protocols need (paper Section 4.1):
-
-    * ``vc`` -- the commit vector clock of the creating transaction;
+    * ``vc`` -- the creating commit's frozen clock, one per site it hit;
     * ``vid`` -- the monotonically increasing per-key scalar identifier
       ("the freshest among them is selected");
     * ``origin``/``seq`` -- the creating coordinator's site and its scalar
@@ -27,7 +26,6 @@ class Version:
     """
 
     __slots__ = (
-        "key",
         "value",
         "vc",
         "vid",
@@ -40,7 +38,6 @@ class Version:
 
     def __init__(
         self,
-        key: Hashable,
         value: object,
         vc: VectorClock,
         vid: int,
@@ -49,7 +46,6 @@ class Version:
         writer_txn: Optional[int] = None,
         installed_at: float = 0.0,
     ) -> None:
-        self.key = key
         self.value = value
         self.vc = vc
         self.vid = vid
@@ -73,6 +69,6 @@ class Version:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Version {self.key!r}#{self.vid} origin={self.origin} "
+            f"<Version #{self.vid} origin={self.origin} "
             f"seq={self.seq} vc={self.vc!r} vas={sorted(self.vas or ())}>"
         )

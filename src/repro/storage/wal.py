@@ -493,10 +493,10 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     def apply_clock_record(record: WalRecord) -> None:
         """Apply an admitted clock record (``admit`` widened the clock)."""
         if isinstance(record, ApplyRecord):
-            commit_vc = VectorClock(record.commit_vc)
+            commit_vc = VectorClock.frozen(record.commit_vc)
             for key, value in record.writes:
                 store.install(
-                    key, value, commit_vc.copy(), origin=record.origin,
+                    key, value, commit_vc, origin=record.origin,
                     seq=record.seq_no, writer_txn=record.txn_id,
                 )
             in_doubt.pop(record.txn_id, None)

@@ -281,15 +281,23 @@ class Cluster:
 
         Items are bucketed by preferred site and handed to each node's
         bulk loader, so a large keyspace pays one placement lookup per key
-        and nothing else per item at the Python-call level.  With
-        replication enabled the baseline is mirrored to each key's backups
-        -- every replica's chain starts identical, so stream installs keep
-        vids aligned forever after.
+        and nothing else per item at the Python-call level.  The lookups
+        are uncached (``place``, ``hash_shard``): the directory's memo
+        holds only the keys the run routes.  With replication enabled the
+        baseline is mirrored to each key's backups -- every replica's chain
+        starts identical, so stream installs keep vids aligned forever after.
         """
-        site = self.directory.site
+        directory, rep = self.directory, self.replication
+        place = directory.place
         buckets: Dict[int, list] = {}
+        shards: Dict[int, list] = {}  # owner -> its items' shards, if replicated
         for item in items:
-            owner = site(item[0])
+            if rep is None:
+                owner = place(item[0])
+            else:  # one hash names the owner and the backups
+                shard = directory.hash_shard(item[0])
+                owner = directory.owner_of(shard)
+                shards.setdefault(owner, []).append(shard)
             bucket = buckets.get(owner)
             if bucket is None:
                 buckets[owner] = [item]
@@ -299,13 +307,12 @@ class Cluster:
         loaded = sum(
             nodes[owner].load_many(bucket) for owner, bucket in buckets.items()
         )
-        if self.replication is not None:
+        if rep is not None:
             # The returned count stays the primary-copy count.
-            backups_for_key = self.replication.backups_for_key
             mirror: Dict[int, list] = {}
-            for bucket in buckets.values():
-                for item in bucket:
-                    for backup in backups_for_key(item[0]):
+            for owner, bucket in buckets.items():
+                for item, shard in zip(bucket, shards[owner]):
+                    for backup in rep.placement.get(shard, ()):
                         mirror.setdefault(backup, []).append(item)
             for backup, bucket in mirror.items():
                 nodes[backup].load_many(bucket)
@@ -569,7 +576,7 @@ class Cluster:
             moved = sorted(
                 (
                     key for key in owner.store.keys()
-                    if new_dir.site(key) == joiner_id
+                    if new_dir.place(key) == joiner_id
                 ),
                 key=repr,
             )
@@ -644,7 +651,7 @@ class Cluster:
         new_dir = self.directory.with_nodes(ring)
         by_owner: Dict[int, list] = {}
         for key in sorted(victim.store.keys(), key=repr):
-            by_owner.setdefault(new_dir.site(key), []).append(key)
+            by_owner.setdefault(new_dir.place(key), []).append(key)
         shipped = yield from fenced_handoff(victim, by_owner, hold=True)
         if not shipped:
             yield from self._revert_drain(victim_id)

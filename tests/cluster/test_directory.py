@@ -5,11 +5,13 @@ from collections import Counter
 
 import pytest
 
+from repro import Cluster, ClusterConfig, ReplicationConfig, ShardingConfig
 from repro.cluster import (
     CallableDirectory,
     ConsistentHashDirectory,
     ExplicitDirectory,
 )
+from tests.integration.scenario_tools import read_only_txn
 
 
 def test_consistent_hash_is_stable():
@@ -64,6 +66,24 @@ def test_ring_placement_is_pinned(nodes, virtual_nodes):
     owners = bytes(directory.site(f"u{i}") for i in range(20000))
     digest = hashlib.sha256(owners).hexdigest()
     assert digest == RING_DIGESTS[nodes, virtual_nodes]
+    assert owners == bytes(directory.place(f"u{i}") for i in range(20000))
+
+
+@pytest.mark.parametrize("layout", ["ring", "shards", "replicated"])
+def test_the_run_fills_the_placement_memo_not_the_load(layout):
+    """Loading 10k keys (and mirroring them to backups) places them
+    uncached; after a run the memo holds exactly the keys routed."""
+    sharded = layout != "ring"
+    cluster = Cluster("fwkv", ClusterConfig(
+        num_nodes=3, seed=1, sharding=ShardingConfig(enabled=sharded, num_shards=16),
+        replication=ReplicationConfig(enabled=layout == "replicated")))
+    cluster.load_many((f"k{i}", i) for i in range(10_000))
+    memo = cluster.directory._shard_cache if sharded else cluster.directory._cache
+    assert not memo
+    written, read = [f"k{i}" for i in range(0, 90, 9)], [f"k{i}" for i in range(5, 60, 11)]
+    assert cluster.run_txn(lambda txn: [txn.write(key, -1) for key in written]).committed
+    cluster.run_process(read_only_txn(cluster, 1, read))
+    assert set(memo) == set(written) | set(read)
 
 
 def test_explicit_directory_places_listed_keys_only():

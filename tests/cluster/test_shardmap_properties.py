@@ -6,16 +6,23 @@ migration moves exactly one shard (and bumps the epoch by exactly one),
 and lookups never return a retired owner no matter how membership and
 migrations interleave.  ``with_nodes`` -- the membership drivers'
 precomputation -- must agree exactly with the incremental ops it
-summarises.  One shard per node is plain modulo placement.
+summarises.  One shard per node is plain modulo placement, and every
+directory's memoised ``site`` answers as its uncached ``place``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.directory import ShardMap, _stable_hash
+from repro.cluster.directory import (
+    CallableDirectory, ConsistentHashDirectory, ExplicitDirectory, ShardMap,
+    _stable_hash,
+)
 
 KEYS = [f"k{i}" for i in range(64)]
+any_key = st.one_of(
+    st.text(max_size=8), st.integers(), st.tuples(st.text(max_size=4), st.integers())
+)
 
 
 def assert_ownership_total_and_unique(shard_map):
@@ -160,14 +167,7 @@ def test_with_nodes_agrees_with_incremental_ops(initial, target, num_shards):
 @settings(max_examples=60, deadline=None)
 @given(
     nodes=st.integers(1, 12),
-    keys=st.lists(
-        st.one_of(
-            st.text(max_size=8),
-            st.integers(),
-            st.tuples(st.text(max_size=4), st.integers()),
-        ),
-        max_size=16,
-    ),
+    keys=st.lists(any_key, max_size=16),
 )
 def test_one_shard_per_node_places_by_modulo(nodes, keys):
     """``ShardMap(range(n), n)`` strides shard ``s`` to node ``s``, so a
@@ -175,6 +175,27 @@ def test_one_shard_per_node_places_by_modulo(nodes, keys):
     shard_map = ShardMap(range(nodes), nodes)
     for key in keys:
         assert shard_map.site(key) == _stable_hash(f"key:{key!r}") % nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(any_key, max_size=16),
+    flips=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 3)), max_size=6),
+)
+def test_site_is_place_on_every_directory(keys, flips):
+    """The memo ``site`` fills changes no answer: on the ring, on a shard
+    map before and after its owners flip, and on the scripted
+    directories, whose ``site`` is ``place``."""
+    shard_map = ShardMap(range(4), 16)
+    for directory in (
+        ConsistentHashDirectory(range(4)), shard_map,
+        ExplicitDirectory({key: _stable_hash(repr(key)) % 4 for key in keys}),
+        CallableDirectory(lambda key: len(repr(key)) % 3),
+    ):
+        assert [directory.site(k) for k in keys] == [directory.place(k) for k in keys]
+    for shard, owner in flips:
+        shard_map.assign(shard, owner)
+        assert [shard_map.site(k) for k in keys] == [shard_map.place(k) for k in keys]
 
 
 def test_shardmap_validates_arguments():

@@ -18,7 +18,7 @@ def version(chain, value, vc_entries, origin=0, seq=0):
 
 
 def test_visible_under_only_constrains_read_sites():
-    chain = VersionChain("x")
+    chain = VersionChain()
     v = version(chain, "a", [9, 2, 9])
     assert visible_under(v, [0, 5, 0], [False, True, False])
     assert not visible_under(v, [0, 1, 0], [False, True, False])
@@ -27,7 +27,7 @@ def test_visible_under_only_constrains_read_sites():
 
 
 def test_read_only_selection_prefers_freshest_visible():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v0", [0, 0, 0])
     version(chain, "v1", [0, 3, 0], origin=1, seq=3)
     version(chain, "v2", [0, 7, 0], origin=1, seq=7)
@@ -39,7 +39,7 @@ def test_read_only_selection_prefers_freshest_visible():
 
 
 def test_read_only_first_contact_sees_latest():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v0", [0, 0, 0])
     version(chain, "v1", [0, 9, 9], origin=1, seq=9)
     # hasRead all false: no visibility constraint, freshest wins.
@@ -52,7 +52,7 @@ def test_read_only_first_contact_sees_latest():
 def test_read_only_skips_versions_with_own_id_in_vas():
     """Figure 2: y1 carries T1's id (propagated by T3's commit), so T1's
     read of y must fall back to y0 despite y1 being VC-visible."""
-    chain = VersionChain("y")
+    chain = VersionChain()
     y0 = version(chain, "y0", [2, 5, 6])
     y1 = version(chain, "y1", [2, 7, 7], origin=2, seq=7)
     y1.access_set.add(1)  # T1's identifier, installed by T3's commit
@@ -70,14 +70,14 @@ def test_read_only_skips_versions_with_own_id_in_vas():
 
 
 def test_read_only_selection_never_fails_on_initial_version():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v0", [0, 0])
     chosen, _ = select_read_only_version(chain, [0, 0], [True, True], txn_id=5)
     assert chosen.value == "v0"
 
 
 def test_read_only_raises_when_no_version_visible():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v1", [0, 9], origin=1, seq=9)  # no initial version
     with pytest.raises(RuntimeError):
         select_read_only_version(chain, [0, 0], [False, True], txn_id=5)
@@ -86,7 +86,7 @@ def test_read_only_raises_when_no_version_visible():
 def test_update_first_read_never_excluded():
     """Figure 4: T1's first read returns x1 even though x1's clock exceeds
     the begin snapshot at an unread position."""
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "x0", [2, 4], origin=1, seq=4)
     x1 = version(chain, "x1", [2, 7], origin=1, seq=7)
     # T1 began at node 0 with VC <2,5>; hasRead all false (first read).
@@ -98,7 +98,7 @@ def test_update_first_read_never_excluded():
 def test_update_exclusion_rule_figure3():
     """Figure 3: y1 with VC <2,7,7> is excluded for T1 with VC <2,7,6> and
     hasRead true only at site 1; y0 is returned instead."""
-    chain = VersionChain("y")
+    chain = VersionChain()
     y0 = version(chain, "y0", [2, 5, 6])
     y1 = version(chain, "y1", [2, 7, 7], origin=2, seq=7)
     txn_vc = [2, 7, 6]
@@ -110,7 +110,7 @@ def test_update_exclusion_rule_figure3():
 
 
 def test_update_exclusion_requires_equality_at_read_sites():
-    chain = VersionChain("y")
+    chain = VersionChain()
     version(chain, "y0", [2, 5, 6])
     y1 = version(chain, "y1", [2, 6, 7], origin=2, seq=7)
     # T.VC[1]=7 != y1.VC[1]=6 at the read site: not excluded (and visible).
@@ -120,14 +120,14 @@ def test_update_exclusion_requires_equality_at_read_sites():
 
 
 def test_update_exclusion_requires_newer_unread_entry():
-    chain = VersionChain("y")
+    chain = VersionChain()
     y1 = version(chain, "y1", [2, 7, 6], origin=1, seq=7)
     # Equal at read site but nowhere newer: not excluded.
     assert not update_excluded(y1, [2, 7, 6], [False, True, False])
 
 
 def test_update_selection_raises_without_visible_version():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "x1", [0, 9], origin=1, seq=9)
     with pytest.raises(RuntimeError):
         select_update_version(chain, [0, 0], [False, True])

@@ -104,6 +104,19 @@ def test_copy_is_independent(a):
     assert list(vc) == a
 
 
+@given(entry_lists)
+@settings(max_examples=100)
+def test_frozen_clock_is_the_same_value_as_a_list_clock(a):
+    frozen, listed = VectorClock.frozen(a), VectorClock(a)
+    assert frozen == listed and listed == frozen and len({frozen, listed}) == 1
+    assert hash(frozen) == hash(listed) and frozen.to_tuple() == tuple(a)
+    for mutable in (frozen.copy(), listed.copy()):
+        mutable[0] += 1
+        mutable.merge(frozen)
+        assert type(mutable) is VectorClock and mutable != frozen
+    assert list(frozen) == list(listed) == a
+
+
 def test_zero_is_interned_and_immutable():
     zero = VectorClock.zero(SIZE)
     assert zero is VectorClock.zero(SIZE)
@@ -114,6 +127,8 @@ def test_zero_is_interned_and_immutable():
         zero.merge(VectorClock.zeros(SIZE))
     with pytest.raises(TypeError):
         zero.merge_seq((1,) * SIZE)
+    with pytest.raises(TypeError):
+        zero.widen(SIZE + 1)
     # A copy of the interned zero is a private, mutable clock.
     dup = zero.copy()
     dup[0] = 7

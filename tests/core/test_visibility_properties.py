@@ -19,7 +19,7 @@ SITES = 3
 @st.composite
 def chains(draw):
     """A version chain with an always-visible initial version."""
-    chain = VersionChain("k")
+    chain = VersionChain()
     chain.install("v0", VectorClock.zeros(SITES), origin=0, seq=0)
     count = draw(st.integers(min_value=0, max_value=6))
     for i in range(count):

@@ -14,7 +14,7 @@ def version(chain, value, origin, seq):
 
 
 def test_selects_freshest_within_snapshot():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v0", 0, 0)
     version(chain, "v1", 1, 3)
     version(chain, "v2", 1, 7)
@@ -23,7 +23,7 @@ def test_selects_freshest_within_snapshot():
 
 
 def test_snapshot_includes_exact_boundary():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v0", 0, 0)
     version(chain, "v1", 1, 5)
     chosen, _ = select_walter_version(chain, [0, 5, 0])
@@ -33,7 +33,7 @@ def test_snapshot_includes_exact_boundary():
 def test_returns_arbitrarily_old_when_clock_lags():
     """The paper's motivating flaw: an outdated node clock hides every
     newer version, no matter how stale the result."""
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v0", 0, 0)
     for seq in range(1, 6):
         version(chain, f"v{seq}", 1, seq)
@@ -42,21 +42,21 @@ def test_returns_arbitrarily_old_when_clock_lags():
 
 
 def test_initial_version_always_visible():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v0", 0, 0)
     chosen, _ = select_walter_version(chain, [0, 0, 0])
     assert chosen.value == "v0"
 
 
 def test_raises_without_any_visible_version():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v9", 1, 9)
     with pytest.raises(RuntimeError):
         select_walter_version(chain, [0, 0, 0])
 
 
 def test_versions_from_different_origins_filtered_independently():
-    chain = VersionChain("x")
+    chain = VersionChain()
     version(chain, "v0", 0, 0)
     version(chain, "a", 1, 1)
     version(chain, "b", 2, 1)

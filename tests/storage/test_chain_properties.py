@@ -133,7 +133,7 @@ def test_checkpoint_round_trip_over_every_chain_shape():
 # The public VAS view (the frozen micro-benches mutate it in place)
 # ----------------------------------------------------------------------
 def test_access_set_is_the_versions_own_vas():
-    chain = VersionChain("k")
+    chain = VersionChain()
     old = chain.install("old", VectorClock([0]), origin=0, seq=0)
     fresh = chain.install("new", VectorClock([1]), origin=0, seq=1)
     assert fresh.vas is None, "no set before the first reader"
@@ -148,7 +148,7 @@ def test_access_set_is_the_versions_own_vas():
 
 def test_gc_treats_an_untouched_vas_as_an_empty_set():
     def chain_of_three():
-        chain = VersionChain("k")
+        chain = VersionChain()
         for seq in range(3):
             chain.install(seq, VectorClock([seq]), 0, seq, installed_at=float(seq))
         return chain

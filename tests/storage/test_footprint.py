@@ -5,28 +5,36 @@ cells, the number of objects a key owns does not.  A loaded key nobody
 has touched owns no object at all -- the store holds its value -- and
 its first touch builds one ``Version`` and one ``VersionChain``, no VAS
 set, no history list.  A visible read's metadata lives only until its
-``Remove``; the tombstones it leaves are one byte window per store.
+``Remove``; the tombstones it leaves are one byte window per store and
+entries in its expiry columns.  The versions one commit installs at a
+site share one frozen clock, on every path that installs.
 """
 
 import gc
+import sys
+from array import array
 from collections import Counter
 
 import pytest
 
-from repro import Cluster, ClusterConfig, DurabilityConfig
+from repro import (
+    Cluster, ClusterConfig, DurabilityConfig, ReplicationConfig, ShardingConfig,
+)
 from repro.core import VectorClock
 from repro.core.wire import NOTHING_COLLECTED
 from repro.net.message import MessageType
 from repro.storage import MultiVersionStore, Version, VersionChain
 from repro.storage.store import TOMBSTONE_TTL
 from repro.storage.wal import (
-    build_checkpoint, restore_store, store_fingerprint, version_set_fingerprint,
+    build_checkpoint, replay, restore_store, store_fingerprint,
+    version_set_fingerprint,
 )
 from repro.system import version_catalog_of
 from tests.integration.scenario_tools import read_only_txn, retry_update
+from tests.integration.test_replication_failover import run_coordinator_crash
 
 KEYS = 10_000
-COUNTED = (Version, VersionChain, set, list, bytearray)
+COUNTED = (Version, VersionChain, set, list, bytearray, array)
 
 
 def census(store):
@@ -49,10 +57,11 @@ def growth(store):
 
 
 def owns(versions=0, chains=0, sets=0, lists=0):
-    """Growth by type; the tombstone window is one object however many
-    ids it holds, so a store never grows a ``bytearray``."""
+    """Growth by type; the tombstone window and the expiry columns are
+    one object each however many ids they hold, so a store never grows a
+    ``bytearray`` or an ``array``."""
     return {"Version": versions, "VersionChain": chains, "set": sets,
-            "list": lists, "bytearray": 0}
+            "list": lists, "bytearray": 0, "array": 0}
 
 
 #: Shared by every version, as the cluster's initial load shares one.
@@ -82,9 +91,10 @@ def test_first_touch_builds_one_version_and_one_chain():
     assert store.chain(7) is chain and len(chain) == 1
     version = chain.latest
     assert version.vc is ZERO, "the one load clock"
-    assert (version.key, version.value, version.vid, version.origin, version.seq,
+    assert (version.value, version.vid, version.origin, version.seq,
             version.writer_txn, version.installed_at, version.vas) == (
-        7, 7, 0, 0, 0, None, 0.0, None)
+        7, 0, 0, 0, None, 0.0, None)
+    assert not hasattr(version, "key") and not hasattr(chain, "key")
     assert store.install(8, "b", ZERO, origin=1, seq=1).vid == 1
     assert growth(store) == owns(versions=3, chains=2, lists=1)
 
@@ -98,23 +108,22 @@ def test_visible_reads_cost_nothing_after_their_remove():
     assert growth(store)["set"] == 3
     assert store.vas_remove_txn(77, now=1.0) == 2
     assert first.vas is None and second.vas is None
-    # Back to what the first touch built; the one list is the tombstone batch.
-    assert growth(store) == owns(versions=2, chains=2, lists=1)
-    assert len(store._tombstone_queue) == 1
+    # Back to what the first touch built: the tombstone is column entries.
+    assert growth(store) == owns(versions=2, chains=2)
+    assert list(store._expiring_ids) == [77] and len(store._expiry_times) == 1
 
 
-def test_removes_at_one_instant_share_one_queue_entry():
+def test_removes_at_one_instant_share_one_batch():
     store = loaded_store()
     for txn_id in range(1000):
         store.vas_remove_txn(txn_id, now=2.0)
-    assert len(store._tombstone_queue) == 1
-    assert growth(store)["list"] == 1
+    assert list(store._expiry_ends) == [1000] and growth(store) == owns()
     version = store.chain(0).latest
     store.vas_add(version, 5)
     assert version.vas is None, "tombstoned"
-    # One later Remove expires the whole batch with it.
+    # One later Remove expires the whole batch with it (and cuts it).
     store.vas_remove_txn(5000, now=2.0 + TOMBSTONE_TTL)
-    assert len(store._tombstone_queue) == 1
+    assert list(store._expiring_ids) == [5000] and store._expiry_head == 0
     store.vas_extend(version, (5, 5000))
     assert version.vas == {5}, "5 is re-inserted after the TTL, 5000 is not"
 
@@ -184,7 +193,7 @@ def test_per_key_count_holds_after_a_protocol_run(protocol):
         assert growth(store) == owns(
             versions=sum(lengths),
             chains=len(lengths),
-            lists=with_history + len(store._tombstone_queue),
+            lists=with_history,
         )
         overwritten += with_history
         untouched += len(store) - len(lengths)
@@ -233,3 +242,55 @@ def test_read_only_walks_build_nothing_and_restore_keeps_values():
             restored.snapshots(), node.site_vc, node.curr_seq_no
         ).fingerprint == record.fingerprint
     assert [growth(node.store) for node in cluster.nodes] == before
+
+
+def multi_key_commits(protocol, **config):
+    """Three update commits of eight keys each over three sites."""
+    cluster = Cluster(protocol, ClusterConfig(num_nodes=3, seed=1, **config))
+    cluster.load_many((f"k{i}", i) for i in range(40))
+    for start in range(3):
+        assert cluster.run_txn(lambda txn, start=start: [
+            txn.write(f"k{i}", -i) for i in range(start, 40, 5)]).committed
+    return cluster
+
+
+def wal_replay():
+    cluster = multi_key_commits("fwkv", durability=DurabilityConfig(wal_enabled=True))
+    for node in cluster.nodes:
+        replay(node.wal.records(), len(cluster.nodes))
+
+
+INSTALLS = {  # installer -> a run that installs through it
+    "_apply_committed_decide": lambda: [
+        multi_key_commits(protocol) for protocol in ("fwkv", "walter")],
+    "apply_clock_record": wal_replay,
+    "apply": lambda: multi_key_commits("fwkv", sharding=ShardingConfig(
+        enabled=True, num_shards=8), replication=ReplicationConfig(enabled=True)),
+    "_promote": lambda: run_coordinator_crash(7, faulty=True, own_shard=True),
+}
+
+
+@pytest.mark.parametrize("installer", sorted(INSTALLS))
+def test_one_commit_holds_one_frozen_clock_per_site(installer, monkeypatch):
+    """Live Decides (FW-KV and Walter), WAL replay, a backup's stream
+    apply and a failover's re-install: every version one commit installs
+    in one store -- at a backup, from one primary's stream -- shares one
+    clock, and it refuses mutation."""
+    clocks, install = {}, MultiVersionStore.install
+
+    def spy(store, key, value, vc, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == installer:
+            by = (store, kwargs["writer_txn"], caller.f_locals.get("self"))
+            clocks.setdefault(by, []).append(vc)
+        return install(store, key, value, vc, *args, **kwargs)
+
+    monkeypatch.setattr(MultiVersionStore, "install", spy)
+    INSTALLS[installer]()
+    assert clocks and all(len(set(map(id, vcs))) == 1 for vcs in clocks.values())
+    assert installer == "_promote" or max(map(len, clocks.values())) > 1
+    for clock, *_ in clocks.values():
+        for mutate in (lambda: clock.__setitem__(0, 9), lambda: clock.merge(clock),
+                       lambda: clock.merge_seq((9,)), lambda: clock.widen(99)):
+            with pytest.raises(TypeError, match="frozen vector clock"):
+                mutate()

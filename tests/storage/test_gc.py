@@ -9,7 +9,7 @@ from tests.integration.scenario_tools import make_cluster, retry_update
 
 
 def build_chain(count, now_step=1.0):
-    chain = VersionChain("x")
+    chain = VersionChain()
     for i in range(count):
         chain.install(
             f"v{i}", VectorClock([i]), origin=0, seq=i, installed_at=i * now_step

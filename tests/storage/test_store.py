@@ -11,7 +11,7 @@ def vc(*entries):
 
 
 def test_install_assigns_dense_vids():
-    chain = VersionChain("x")
+    chain = VersionChain()
     v0 = chain.install("a", vc(0, 0), origin=0, seq=0)
     v1 = chain.install("b", vc(1, 0), origin=0, seq=1)
     v2 = chain.install("c", vc(1, 1), origin=1, seq=1)
@@ -21,13 +21,13 @@ def test_install_assigns_dense_vids():
 
 
 def test_empty_chain_has_no_latest():
-    chain = VersionChain("x")
+    chain = VersionChain()
     with pytest.raises(LookupError):
         _ = chain.latest
 
 
 def test_by_vid_lookup():
-    chain = VersionChain("x")
+    chain = VersionChain()
     chain.install("a", vc(0), 0, 0)
     chain.install("b", vc(1), 0, 1)
     assert chain.by_vid(0).value == "a"
