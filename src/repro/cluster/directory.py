@@ -20,6 +20,9 @@ from typing import Callable, Dict, Hashable, Sequence
 class Directory(ABC):
     """Maps every key to its preferred site (node id)."""
 
+    #: Owner flips so far; only a :class:`ShardMap` ever flips one.
+    epoch = 0
+
     @abstractmethod
     def place(self, key: Hashable) -> int:
         """The preferred node for ``key``, computed afresh."""
@@ -85,18 +88,21 @@ class ShardMap(Directory):
     geometry, a shard map makes it explicit state: the keyspace is
     partitioned into ``num_shards`` fixed shards by stable hash, and an
     owner table maps each shard to one node.  Ownership moves at shard
-    granularity -- a rebalancer or a join/leave driver streams shards'
-    chains to a new owner and flips table entries.  Every flip bumps
-    ``epoch``, mirroring membership views, so tests and traces can name
-    the placement version a lookup was served under.
+    granularity, through one path: a fenced handoff
+    (:mod:`repro.cluster.handoff`) streams shards' chains to their new
+    owners and flips the table entries with :meth:`assign`, the only
+    writer of an entry -- joins and leaves included, whose moves the
+    planners in :mod:`repro.cluster.rebalancer` choose.  Every flip bumps
+    ``epoch``, so a participant knows a key may have moved since it was
+    routed, and traces can name the placement a lookup was served under.
     ``ShardMap(range(n), n)`` is one shard per node: key ``k`` sits at
     ``_stable_hash(f"key:{k!r}") % n``.
 
     All mutations keep two invariants the property suite pins down:
     ownership is total and unique (every shard has exactly one owner,
     always drawn from ``node_ids``), and no lookup ever returns a
-    retired node -- ``remove_node`` reassigns every shard before the
-    node leaves the table.
+    retired node -- ``remove_node`` refuses a node that still owns a
+    shard.
     """
 
     def __init__(self, node_ids: Sequence[int], num_shards: int = 64) -> None:
@@ -152,9 +158,9 @@ class ShardMap(Directory):
     def assign(self, shard: int, owner: int) -> bool:
         """Atomically flip one shard's owner; bump the epoch.
 
-        This is the cutover instant of a live migration: the caller has
-        already streamed the shard's chains to ``owner`` and holds the
-        fence, so the flip is a single table write.  Assigning a shard
+        This is the cutover instant of a handoff: the caller has already
+        streamed the shard's chains to ``owner`` and holds the fence, so
+        the flip is a single table write.  Assigning a shard
         to its current owner is a no-op (no epoch bump) so retried
         cutovers stay idempotent.
         """
@@ -169,94 +175,21 @@ class ShardMap(Directory):
         return True
 
     def add_node(self, node_id: int) -> None:
-        """Admit a node and steal it a fair share of shards.
-
-        Deterministic greedy: while the newcomer holds fewer than
-        ``num_shards // n`` shards, take the highest-numbered shard from
-        the currently most-loaded owner (ties broken toward the lowest
-        node id).  One epoch bump covers the whole membership change,
-        like a view commit.
-        """
+        """Admit a member that owns nothing yet: a join's cutover admits
+        the joiner, then flips it its shards with :meth:`assign`."""
         if node_id in self.node_ids:
             raise ValueError(f"node {node_id} is already a member")
         self.node_ids.append(node_id)
         self.retired.discard(node_id)
-        counts = {n: 0 for n in self.node_ids}
-        for owner in self._owners:
-            counts[owner] += 1
-        target = self.num_shards // len(self.node_ids)
-        while counts[node_id] < target:
-            donor = max(
-                (n for n in self.node_ids if n != node_id),
-                key=lambda n: (counts[n], -n),
-            )
-            if counts[donor] <= counts[node_id] + 1:
-                break  # already balanced to within one shard
-            shard = max(
-                s for s, owner in enumerate(self._owners) if owner == donor
-            )
-            self._owners[shard] = node_id
-            counts[donor] -= 1
-            counts[node_id] += 1
-        self.epoch += 1
 
     def remove_node(self, node_id: int) -> None:
-        """Retire a node, handing each of its shards to the least-loaded
-        survivor (ties toward the lowest id) in ascending shard order."""
+        """Retire a member whose shards were all handed off first."""
         if node_id not in self.node_ids:
             raise ValueError(f"node {node_id} is not a member")
-        if len(self.node_ids) == 1:
-            raise ValueError("cannot remove the last node")
+        if node_id in self._owners:
+            raise ValueError(f"node {node_id} still owns shards")
         self.node_ids.remove(node_id)
         self.retired.add(node_id)
-        counts = {n: 0 for n in self.node_ids}
-        for owner in self._owners:
-            if owner != node_id:
-                counts[owner] += 1
-        for shard, owner in enumerate(self._owners):
-            if owner != node_id:
-                continue
-            heir = min(self.node_ids, key=lambda n: (counts[n], n))
-            self._owners[shard] = heir
-            counts[heir] += 1
-        self.epoch += 1
-
-    def with_nodes(self, node_ids: Sequence[int]) -> "ShardMap":
-        """A shard map over a different node set, derived from this one.
-
-        Applies removals then additions in sorted order via the same
-        incremental ops the live map uses, so the membership drivers'
-        precomputed ownership (``with_nodes`` before the handoff) agrees
-        exactly with the later in-place ``add_node``/``remove_node``
-        flip.  When the target set is disjoint from the current one,
-        additions run first so the map is never empty mid-derivation.
-        """
-        target = list(node_ids)
-        if not target:
-            raise ValueError("at least one node required")
-        if len(set(target)) != len(target):
-            raise ValueError("duplicate node ids")
-        clone = ShardMap.__new__(ShardMap)
-        clone.num_shards = self.num_shards
-        clone.epoch = self.epoch
-        clone.node_ids = list(self.node_ids)
-        clone.retired = set(self.retired)
-        clone._owners = list(self._owners)
-        clone._shard_cache = self._shard_cache  # pure function of the key
-        wanted = set(target)
-        to_remove = sorted(set(clone.node_ids) - wanted)
-        to_add = sorted(wanted - set(clone.node_ids))
-        if len(to_remove) == len(clone.node_ids):
-            for node_id in to_add:
-                clone.add_node(node_id)
-            for node_id in to_remove:
-                clone.remove_node(node_id)
-        else:
-            for node_id in to_remove:
-                clone.remove_node(node_id)
-            for node_id in to_add:
-                clone.add_node(node_id)
-        return clone
 
 
 class ExplicitDirectory(Directory):

@@ -3,8 +3,8 @@
 The cluster's membership is an explicitly versioned *view*: the set of
 member sites, each in one lifecycle state, plus the final commit
 frontiers of decommissioned sites.  Views change through a two-phase,
-epoch-gated protocol driven by the :class:`~repro.system.Cluster`
-reconfiguration drivers:
+epoch-gated protocol driven by the reconfiguration drivers
+(:mod:`repro.cluster.reconfig`):
 
 ``VIEW_PROPOSE``
     The view coordinator sends the complete proposed view (never a
@@ -16,23 +16,23 @@ reconfiguration drivers:
 ``VIEW_COMMIT``
     Once every live member acked, the coordinator fans out the commit
     (one-way, idempotent).  Applying a commit widens the node's
-    ``siteVC`` to the view's clock width, lifts any key-scoped
-    fences, resets the failure detector's memory of removed peers, and
-    logs a committed :class:`~repro.storage.wal.ViewChangeRecord` so
-    crash recovery restores the view.  Stale or duplicate commits are
-    ignored, which lets the anti-entropy layer re-send the current view
-    every gossip round for free.
+    ``siteVC`` to the view's clock width, resets the failure detector's
+    memory of removed peers, and logs a committed
+    :class:`~repro.storage.wal.ViewChangeRecord` so crash recovery
+    restores the view; it never touches a fence.  Stale or duplicate
+    commits are ignored, which lets the anti-entropy layer re-send the
+    current view every gossip round for free.
 
 Member lifecycle::
 
     JOINING ---> ACTIVE ---> DRAINING ---> (removed: absent + retired)
 
 A ``JOINING`` member receives commit propagation (it is in the fan-out
-set) but owns no keys yet; a ``DRAINING`` member still owns and serves
-its keys while its shards stream out.  A removed member disappears from
-the view; its ``retired`` entry records its final frontier and pins the
-clock width, which is ``1 + max(member and retired ids)`` and never
-decreases (see ``docs/membership.md``).
+set) but owns no keys until its join's cutover; a ``DRAINING`` member
+still owns and serves its keys while its shards stream out.  A removed
+member disappears from the view; its ``retired`` entry records its
+final frontier and pins the clock width, which is ``1 + max(member and
+retired ids)`` and never decreases (see ``docs/membership.md``).
 """
 
 from __future__ import annotations
@@ -165,9 +165,9 @@ class NodeMembership:
     """One node's membership state machine.
 
     Owns the node-local side of the view-change protocol (propose/ack/
-    commit handlers) and the committed view.  Handoffs park prepares on
-    the node's one :class:`~repro.core.repair.Fence`; a view commit
-    raises its drain level or lifts its key-scoped level.
+    commit handlers) and the committed view.  A view commit never touches
+    the node's :class:`~repro.core.repair.Fence`: every ownership change
+    raises and lowers its own shard fences (:mod:`repro.cluster.handoff`).
     """
 
     def __init__(self, owner) -> None:
@@ -249,15 +249,6 @@ class NodeMembership:
             del self.acks[epoch]
         if owner.wal is not None:
             owner.wal.append(ViewChangeRecord(*view.to_triple()))
-        # Entering DRAINING raises the drain fence on every local key;
-        # any other transition for this node lifts handoff fences (the
-        # directory flipped before the commit was fanned out).  Parked
-        # prepares wake, re-check ownership against the directory, and
-        # either proceed locally or vote "moved".
-        if view.state_of(self.node_id) == DRAINING:
-            owner.fence.raise_every_key()
-        else:
-            owner.fence.lower_every_key()
         # Forget removed peers: the failure detector must not carry a
         # dead site's suspicion (or a rejoining site's stale history)
         # into the new view.

@@ -14,7 +14,9 @@ Which shard to move comes from :func:`plan_moves`, a pure greedy
 planner over the per-shard access counters in
 :class:`~repro.metrics.stats.MetricsRecorder` -- shared by the live
 ``rebalance_once`` path and the skew regression tests so the tests gate
-the planner the cluster actually runs.
+the planner the cluster actually runs.  Its two siblings plan a join's
+and a leave's moves (:func:`plan_join`, :func:`plan_leave`), which the
+membership drivers run through the same handoff.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.cluster.directory import ShardMap
-from repro.cluster.handoff import fenced_handoff
+from repro.cluster.handoff import Move, fenced_handoff, shard_keys
 from repro.sim import PeriodicLoop
 
 #: Multiplicative decay applied to the per-shard counters after each
@@ -92,16 +94,61 @@ def plan_moves(
     return moves
 
 
+def plan_join(
+    owners: Sequence[int], node_ids: Sequence[int], joiner: int
+) -> List[Move]:
+    """The moves that admit ``joiner``: ``[(shard, donor, joiner)]``.
+
+    Deterministic greedy: while the joiner holds fewer than
+    ``num_shards // n`` shards, take the highest-numbered shard of the
+    most-loaded owner (ties toward the lowest id), stopping once every
+    owner is within one shard of the joiner.
+    """
+    owners = list(owners)
+    counts = dict.fromkeys([*node_ids, joiner], 0)
+    for owner in owners:
+        counts[owner] += 1
+    moves: List[Move] = []
+    while counts[joiner] < len(owners) // len(counts):
+        donor = max(
+            (n for n in counts if n != joiner), key=lambda n: (counts[n], -n)
+        )
+        if counts[donor] <= counts[joiner] + 1:
+            break  # already balanced to within one shard
+        shard = max(s for s, owner in enumerate(owners) if owner == donor)
+        owners[shard] = joiner
+        counts[donor] -= 1
+        counts[joiner] += 1
+        moves.append((shard, donor, joiner))
+    return moves
+
+
+def plan_leave(
+    owners: Sequence[int], node_ids: Sequence[int], victim: int
+) -> List[Move]:
+    """The moves that retire ``victim``: ``[(shard, victim, heir)]``, each
+    of its shards in ascending order to the least-loaded survivor (ties
+    toward the lowest id)."""
+    counts = {n: 0 for n in node_ids if n != victim}
+    for owner in owners:
+        if owner != victim:
+            counts[owner] += 1
+    moves: List[Move] = []
+    for shard, owner in enumerate(owners):
+        if owner == victim:
+            heir = min(counts, key=lambda n: (counts[n], n))
+            counts[heir] += 1
+            moves.append((shard, victim, heir))
+    return moves
+
+
 class Rebalancer:
     """Drives live shard migrations for a :class:`ShardMap` cluster.
 
     Constructed by :class:`repro.system.Cluster` whenever the directory
     is a ShardMap.  Migrations run as simulator processes; the optional
     background loop (``ShardingConfig.rebalance_interval``) periodically
-    plans from the metrics counters and migrates.  The loop should be
-    stopped across membership changes: the
-    join/leave drivers precompute ownership with ``with_nodes`` and a
-    concurrent flip would skew that precomputation.
+    plans from the metrics counters and migrates.
     """
 
     def __init__(self, cluster) -> None:
@@ -143,33 +190,22 @@ class Rebalancer:
         ):
             tracer.emit(donor_id, "shard_migrate_failed", shard=shard, dest=dest)
             return False
-        donor = cluster.nodes[donor_id]
-        keys = sorted(
-            (k for k in donor.store.keys() if shard_map.hash_shard(k) == shard),
-            key=repr,
-        )
         if tracer._enabled:
             tracer.emit(
                 donor_id, "shard_migrate_start", shard=shard, dest=dest,
-                keys=len(keys), epoch=shard_map.epoch,
+                keys=len(shard_keys(cluster.nodes[donor_id], {shard})),
+                epoch=shard_map.epoch,
             )
-
-        def flip():
-            # Cutover: single table write, one epoch bump.
-            if shard_map.owner_of(shard) != donor_id:
-                return False
-            shard_map.assign(shard, dest)
-
-        flipped = yield from fenced_handoff(donor, {dest: keys}, act=flip)
-        if flipped:
-            self.migrations.append((shard, donor_id, dest))
-            tracer.emit(
-                donor_id, "shard_migrated", shard=shard, dest=dest,
-                keys=len(keys), epoch=shard_map.epoch,
-            )
-        else:
+        shipped = yield from fenced_handoff(cluster, [(shard, donor_id, dest)])
+        if shipped is None:
             tracer.emit(donor_id, "shard_migrate_failed", shard=shard, dest=dest)
-        return flipped
+            return False
+        self.migrations.append((shard, donor_id, dest))
+        tracer.emit(
+            donor_id, "shard_migrated", shard=shard, dest=dest,
+            keys=shipped, epoch=shard_map.epoch,
+        )
+        return True
 
     # ------------------------------------------------------------------
     # Planning from the live load signal

@@ -102,8 +102,8 @@ class MVCCNode(BaseProtocolNode):
         )
         #: What parks reads and prepares while the state under them is
         #: repaired: node-wide from a durable crash until recovery (or a
-        #: checkpoint install) completes, key-scoped during a handoff.
-        self.fence = Fence(self.sim)
+        #: checkpoint install) completes, shard-scoped during a handoff.
+        self.fence = Fence(self.sim, self.directory)
         #: Bumped by every volatile wipe.  In-flight processes that carry
         #: state across yields (decide appliers, propagate appliers,
         #: recovery itself) re-check it before mutating the store or the
@@ -804,12 +804,12 @@ class MVCCNode(BaseProtocolNode):
         locks, line = self.locks, self.line
         try:
             keys = list(request.writes)
-            if self.membership.view.epoch > 0 or fence.every_key or fence.keys:
+            if self.directory.epoch > 0 or fence.shards:
                 # A key mid-handoff parks the prepare until the fence
-                # lifts, then the ownership re-check below answers
-                # "moved" if the directory flipped -- the coordinator
-                # regroups and retries, so the handoff costs a round
-                # trip, never an abort.
+                # lifts; once any owner has ever flipped, the ownership
+                # re-check below answers "moved" if the key is no longer
+                # ours -- the coordinator regroups and retries, so the
+                # handoff costs a round trip, never an abort.
                 if fence.blocks(keys):
                     yield from fence.wait(keys)
                 if any(

@@ -39,31 +39,30 @@ class Fence:
     Two levels, one condition variable, one wait routine.  ``node_wide``
     up (durable crash, recovery, checkpoint install): no read is served
     and no prepare admitted -- the store is being rebuilt or replaced.
-    A key fenced, individually or through ``every_key`` (handoff, drain,
-    promotion): no prepare touching it is admitted while reads of it
-    continue -- its chains are stable, only their owner is changing.
-    Decide and Propagate handlers never wait here.
+    A shard fenced (a handoff: migration, join, drain, promotion, backup
+    bootstrap): no prepare touching a key of it is admitted -- a key
+    first written mid-handoff included -- while reads continue; its
+    chains are stable, only their owner is changing.  Each handoff lowers
+    only what it raised, so a shard two handoffs fence stays fenced until
+    both are done.  Decide and Propagate handlers never wait here.
     """
 
-    __slots__ = ("node_wide", "keys", "every_key", "changed")
+    __slots__ = ("node_wide", "shards", "changed", "_directory")
 
-    def __init__(self, sim) -> None:
+    def __init__(self, sim, directory) -> None:
         self.node_wide = False
-        #: Keys mid-handoff (migration, join, promotion, re-bootstrap).
-        self.keys: set = set()
-        #: Drain: every local key is moving (decommission).
-        self.every_key = False
+        #: Fenced shard id -> the handoffs holding it.
+        self.shards: Dict[int, int] = {}
         self.changed = ConditionVariable(sim)
+        self._directory = directory
 
     def blocks(self, keys: Optional[Iterable] = None) -> bool:
-        """Is the node-wide level up (``keys=None``), or any of ``keys``
-        fenced at the key-scoped level?"""
+        """Is the node-wide level up (``keys=None``), or the shard of any
+        of ``keys`` fenced?"""
         if keys is None:
             return self.node_wide
-        if self.every_key:
-            return True
-        fenced = self.keys
-        return bool(fenced) and any(key in fenced for key in keys)
+        shards, directory = self.shards, self._directory
+        return bool(shards) and any(directory.shard_of(k) in shards for k in keys)
 
     def wait(self, keys: Optional[Iterable] = None):
         """Generator subroutine: park until :meth:`blocks` turns false."""
@@ -76,26 +75,17 @@ class Fence:
         self.node_wide = False
         self.changed.notify_all()
 
-    def raise_keys(self, keys: Iterable) -> None:
-        self.keys.update(keys)
+    def raise_shards(self, shards: Iterable[int]) -> None:
+        for shard in shards:
+            self.shards[shard] = self.shards.get(shard, 0) + 1
 
-    def lower_keys(self, keys: Iterable) -> None:
-        """Scoped: a migration releases only its own keys, leaving a
-        concurrent drain or migration fence intact."""
-        before = len(self.keys)
-        self.keys.difference_update(keys)
-        if len(self.keys) != before:
-            self.changed.notify_all()
-
-    def raise_every_key(self) -> None:
-        self.every_key = True
-
-    def lower_every_key(self) -> None:
-        """View commit: lift the drain fence and every keyed one."""
-        if self.keys or self.every_key:
-            self.keys.clear()
-            self.every_key = False
-            self.changed.notify_all()
+    def lower_shards(self, shards: Iterable[int]) -> None:
+        for shard in shards:
+            if self.shards[shard] == 1:
+                del self.shards[shard]
+            else:
+                self.shards[shard] -= 1
+        self.changed.notify_all()
 
 
 class Round:

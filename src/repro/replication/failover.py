@@ -1,6 +1,6 @@
 """Detector-driven failover for the replication substrate
 (``docs/replication.md``, "Failover"): majority attestation of a dead
-shard owner, promotion of the freshest backup per shard behind the key
+shard owner, promotion of the freshest backup per shard behind the shard
 fence -- a recovery of the dead primary's shards at the successor, from
 one re-stage round of the coordinators -- and re-bootstrap of backups
 whose streams closed.  Imports nothing
@@ -165,7 +165,7 @@ class FailoverDriver:
         promoted = 0
         for successor in sorted(by_successor):
             # The first successor promoted re-announces for all of them.
-            done = yield from self._promote(
+            done = yield from self._take_over(
                 dead, successor, by_successor[successor], decided,
                 announce=not promoted,
             )
@@ -185,150 +185,24 @@ class FailoverDriver:
             self._orphaned[dead] = tuple(orphaned)
             self.tracer.emit(dead, "failover_orphaned", shards=tuple(orphaned))
 
-    def _promote(
+    def _take_over(
         self, dead: int, successor: int, shards: List[int],
         decided: Dict[int, Dict[int, object]], announce: bool,
     ):
-        """Promote ``successor`` to own ``shards`` of the dead primary: a
-        recovery of those shards at the successor (S6, DESIGN.md 5.10).
-
-        Behind the key fence: (1) one re-stage round -- every live node is
-        asked what it committed at ``dead`` above the successor's
-        replicated frontier of its origin, and answers exactly (a round
-        still collecting votes there is doomed and re-prepares at the
-        new owner); ``decided`` (``origin -> txn_id -> decision entry``,
-        merged from every live node) answers for the sites that cannot;
-        (2) what was listed installs with dedup, staged prepares in
-        stream order and then the ones the stream lost; a staged prepare
-        nobody listed was aborted if its coordinator answered (or was
-        ``dead``: its decision would sit behind it on this stream, S1),
-        and otherwise transplants into the prepared table under the
-        lease; (3) if told to ``announce`` (one successor per failover
-        is), re-announce the dead primary's decisions in commit order to
-        every live peer, unwedging participants that would otherwise
-        presume abort and advancing ``siteVC[dead]`` everywhere; (4) flip
-        the shard-map entries.  Afterwards the shard's backup set is
-        recomputed and re-bootstrapped from the new primary.
-        """
+        """Hand ``shards`` of the dead primary to ``successor`` through one
+        fenced handoff whose act is :meth:`_promote`; afterwards each
+        shard's backup set is recomputed and re-bootstrapped from the new
+        primary.  The successor is its own donor: the replicated chains
+        are already there."""
         rep = self.rep
-        cluster = self.cluster
         shard_map = rep.shard_map
-        successor_node = cluster.nodes[successor]
-        incarnation = successor_node._incarnation
-        shard_set = set(shards)
-        shard_of = shard_map.hash_shard  # a bulk scan: leave the memo alone
-        state = successor_node.replication.backup_state.get(dead)
-        staged: List = []
-        floor: Tuple[int, ...] = ()
-        if state is not None and not state.closed:
-            # Stream order for staged installs: per-key conflicts were
-            # lock-serialized at the dead primary, so prepare-stream
-            # order is install order.
-            staged = sorted(state.staged.values(), key=lambda e: e.seq)
-            floor = state.frontier or ()
-        keys = {
-            key for key in successor_node.store.keys()
-            if shard_of(key) in shard_set
-        }
-        for entry in staged:
-            keys.update(
-                key for key, _value in entry.writes
-                if shard_of(key) in shard_set
-            )
-        keys = sorted(keys, key=repr)
-        successor_node.fence.raise_keys(keys)
-        flipped = False
-        installed = 0
-        try:
-            _clock, answered, listed = (
-                yield from successor_node.healing.collect_frontiers(
-                    restage=True, site=dead, floor=floor,
-                    peers=lambda: [
-                        n.node_id for n in cluster.nodes if self._live(n.node_id)
-                    ],
-                )
-            )
-            if (
-                successor_node._incarnation != incarnation
-                or not self._live(successor)
-            ):
-                return False
-            for origin, table in decided.items():
-                above = floor[origin] if origin < len(floor) else 0
-                for entry in table.values():
-                    writes = tuple(
-                        (key, value) for site, key, value in entry.writes
-                        if site == dead
-                    )
-                    if writes and entry.seq_no > above:
-                        listed.setdefault(
-                            entry.txn_id, _status(origin, entry, writes)
-                        )
-            # S5: a lost prepare held its locks at the crash, so those are
-            # pairwise key-disjoint and follow whatever the stream staged.
-            commits = [listed.pop(e.txn_id) for e in staged if e.txn_id in listed]
-            commits += sorted(listed.values(), key=lambda c: (c.origin, c.seq_no))
-            for commit in commits:
-                vc = VectorClock.frozen(commit.commit_vc)
-                for key, value in commit.writes:
-                    if shard_of(key) in shard_set and not self._has_version(
-                        successor_node, key, commit.origin, commit.seq_no
-                    ):
-                        successor_node.store.install(
-                            key, value, vc, origin=commit.origin, seq=commit.seq_no,
-                            writer_txn=commit.txn_id, installed_at=self.sim.now,
-                        )
-                        installed += 1
-            committed = {commit.txn_id for commit in commits}
-            for entry in staged:
-                writes = tuple(
-                    (key, value) for key, value in entry.writes
-                    if shard_of(key) in shard_set
-                )
-                if (
-                    writes
-                    and entry.txn_id not in committed
-                    and entry.coordinator != dead
-                    and entry.coordinator not in answered
-                ):
-                    # Coordinator unreachable (it may be mid-failover
-                    # itself): park the writes in the prepared table --
-                    # no locks held -- so its successor's re-announced
-                    # Decide, or the termination query, resolves them.
-                    self._transplant_staged(successor_node, entry, writes)
-            decisions = decided.get(dead, {})
-            # Nobody knows how far each peer got on the dead origin, so
-            # every live peer hears every merged decision, once, in
-            # commit order for the in-order apply rule.
-            if announce and decisions:
-                by_seq = {entry.seq_no: entry for entry in decisions.values()}
-                below = min(by_seq) - 1
-                reannounce(
-                    successor_node,
-                    dead,
-                    by_seq,
-                    {
-                        node.node_id: below for node in cluster.nodes
-                        if self._live(node.node_id)
-                    },
-                    max(by_seq),
-                )
-            if state is not None:
-                state.staged.clear()
-            # Cutover: flip each shard's owner entry under the fence.
-            for shard in shards:
-                shard_map.assign(shard, successor)
-            flipped = True
-        finally:
-            successor_node.fence.lower_keys(keys)
-        if not flipped:
+        moves = [(shard, successor, successor) for shard in shards]
+        taken = yield from fenced_handoff(
+            self.cluster, moves,
+            lambda: self._promote(dead, successor, shards, decided, announce),
+        )
+        if taken is None:
             return False
-        if self.tracer._enabled:
-            self.tracer.emit(
-                successor, "failover_promoted", dead=dead,
-                shards=tuple(shards), staged_installed=installed,
-                decisions=len(decisions) if announce else 0,
-            )
         # Recompute the flipped shards' backup sets (keep live
         # survivors, top up deterministically) and re-bootstrap each
         # from the new primary -- a verbatim re-ship also restarts the
@@ -351,6 +225,132 @@ class FailoverDriver:
             backed = [s for s in shards if backup in rep.placement[s]]
             yield from self._bootstrap_backup(successor, backup, backed)
         return True
+
+    def _promote(
+        self, dead: int, successor: int, shards: List[int],
+        decided: Dict[int, Dict[int, object]], announce: bool,
+    ):
+        """Promote ``successor`` to own ``shards`` of the dead primary: a
+        recovery of those shards at the successor (S6, DESIGN.md 5.10).
+
+        Behind the shard fence: (1) one re-stage round -- every live node is
+        asked what it committed at ``dead`` above the successor's
+        replicated frontier of its origin, and answers exactly (a round
+        still collecting votes there is doomed and re-prepares at the
+        new owner); ``decided`` (``origin -> txn_id -> decision entry``,
+        merged from every live node) answers for the sites that cannot;
+        (2) what was listed installs with dedup, staged prepares in
+        stream order and then the ones the stream lost; a staged prepare
+        nobody listed was aborted if its coordinator answered (or was
+        ``dead``: its decision would sit behind it on this stream, S1),
+        and otherwise transplants into the prepared table under the
+        lease; (3) if told to ``announce`` (one successor per failover
+        is), re-announce the dead primary's decisions in commit order to
+        every live peer, unwedging participants that would otherwise
+        presume abort and advancing ``siteVC[dead]`` everywhere; (4) flip
+        the shard-map entries.
+        """
+        rep = self.rep
+        cluster = self.cluster
+        shard_map = rep.shard_map
+        successor_node = cluster.nodes[successor]
+        incarnation = successor_node._incarnation
+        shard_set = set(shards)
+        shard_of = shard_map.hash_shard  # a bulk scan: leave the memo alone
+        state = successor_node.replication.backup_state.get(dead)
+        staged: List = []
+        floor: Tuple[int, ...] = ()
+        if state is not None and not state.closed:
+            # Stream order for staged installs: per-key conflicts were
+            # lock-serialized at the dead primary, so prepare-stream
+            # order is install order.
+            staged = sorted(state.staged.values(), key=lambda e: e.seq)
+            floor = state.frontier or ()
+        _clock, answered, listed = (
+            yield from successor_node.healing.collect_frontiers(
+                restage=True, site=dead, floor=floor,
+                peers=lambda: [
+                    n.node_id for n in cluster.nodes if self._live(n.node_id)
+                ],
+            )
+        )
+        if (
+            successor_node._incarnation != incarnation
+            or not self._live(successor)
+        ):
+            return False
+        for origin, table in decided.items():
+            above = floor[origin] if origin < len(floor) else 0
+            for entry in table.values():
+                writes = tuple(
+                    (key, value) for site, key, value in entry.writes
+                    if site == dead
+                )
+                if writes and entry.seq_no > above:
+                    listed.setdefault(
+                        entry.txn_id, _status(origin, entry, writes)
+                    )
+        # S5: a lost prepare held its locks at the crash, so those are
+        # pairwise key-disjoint and follow whatever the stream staged.
+        commits = [listed.pop(e.txn_id) for e in staged if e.txn_id in listed]
+        commits += sorted(listed.values(), key=lambda c: (c.origin, c.seq_no))
+        installed = 0
+        for commit in commits:
+            vc = VectorClock.frozen(commit.commit_vc)
+            for key, value in commit.writes:
+                if shard_of(key) in shard_set and not self._has_version(
+                    successor_node, key, commit.origin, commit.seq_no
+                ):
+                    successor_node.store.install(
+                        key, value, vc, origin=commit.origin, seq=commit.seq_no,
+                        writer_txn=commit.txn_id, installed_at=self.sim.now,
+                    )
+                    installed += 1
+        committed = {commit.txn_id for commit in commits}
+        for entry in staged:
+            writes = tuple(
+                (key, value) for key, value in entry.writes
+                if shard_of(key) in shard_set
+            )
+            if (
+                writes
+                and entry.txn_id not in committed
+                and entry.coordinator != dead
+                and entry.coordinator not in answered
+            ):
+                # Coordinator unreachable (it may be mid-failover
+                # itself): park the writes in the prepared table --
+                # no locks held -- so its successor's re-announced
+                # Decide, or the termination query, resolves them.
+                self._transplant_staged(successor_node, entry, writes)
+        decisions = decided.get(dead, {})
+        # Nobody knows how far each peer got on the dead origin, so
+        # every live peer hears every merged decision, once, in
+        # commit order for the in-order apply rule.
+        if announce and decisions:
+            by_seq = {entry.seq_no: entry for entry in decisions.values()}
+            below = min(by_seq) - 1
+            reannounce(
+                successor_node,
+                dead,
+                by_seq,
+                {
+                    node.node_id: below for node in cluster.nodes
+                    if self._live(node.node_id)
+                },
+                max(by_seq),
+            )
+        if state is not None:
+            state.staged.clear()
+        # Cutover: flip each shard's owner entry under the fence.
+        for shard in shards:
+            shard_map.assign(shard, successor)
+        if self.tracer._enabled:
+            self.tracer.emit(
+                successor, "failover_promoted", dead=dead,
+                shards=tuple(shards), staged_installed=installed,
+                decisions=len(decisions) if announce else 0,
+            )
 
     @staticmethod
     def _has_version(node, key: Hashable, origin: int, seq_no: int) -> bool:
@@ -417,15 +417,6 @@ class FailoverDriver:
         if not self._live(primary_id) or not self._live(backup_id):
             return False
         primary = cluster.nodes[primary_id]
-        shard_map = self.rep.shard_map
-        shard_set = set(shards)
-        keys = sorted(
-            (
-                key for key in primary.store.keys()
-                if shard_map.hash_shard(key) in shard_set
-            ),
-            key=repr,
-        )
 
         def restart_stream():
             if not self._live(backup_id):
@@ -437,13 +428,12 @@ class FailoverDriver:
                 frontier=primary.site_vc.to_tuple(),
             )
 
-        shipped = yield from fenced_handoff(
-            primary, {backup_id: keys}, act=restart_stream
-        )
-        if not shipped:
+        moves = [(shard, primary_id, backup_id) for shard in shards]
+        shipped = yield from fenced_handoff(cluster, moves, restart_stream)
+        if shipped is None:
             return False
         self.tracer.emit(
             primary_id, "backup_bootstrap", backup=backup_id,
-            shards=tuple(shards), keys=len(keys),
+            shards=tuple(shards), keys=shipped,
         )
         return True

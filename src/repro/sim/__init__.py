@@ -12,15 +12,15 @@ The design is intentionally close to a small subset of SimPy:
 * :class:`~repro.sim.process.Process` drives a generator that ``yield``\\ s
   events (or other processes) to wait on them.
 * :class:`~repro.sim.condition.ConditionVariable` supports predicate waits.
-* :class:`~repro.sim.locks.Mutex` and :class:`~repro.sim.locks.RWLock` are
-  FIFO-fair simulated locks with acquisition timeouts.
+* :class:`~repro.sim.locks.RWLock` is a FIFO-fair simulated lock with
+  acquisition timeouts.
 """
 
 from repro.sim.events import AllOf, AnyOf, Event, EventState
 from repro.sim.process import PeriodicLoop, Process
 from repro.sim.simulator import Simulator, Timer
 from repro.sim.condition import ConditionVariable, wait_until
-from repro.sim.locks import Mutex, RWLock
+from repro.sim.locks import RWLock
 from repro.sim.resources import CpuResource
 from repro.sim.rng import derive_seed, make_rng
 from repro.sim.tracing import TraceRecord, Tracer
@@ -32,7 +32,6 @@ __all__ = [
     "CpuResource",
     "Event",
     "EventState",
-    "Mutex",
     "PeriodicLoop",
     "Process",
     "RWLock",

@@ -1,10 +1,10 @@
-"""FIFO-fair simulated locks with acquisition timeouts.
+"""A FIFO-fair simulated readers/writer lock with acquisition timeouts.
 
 The FW-KV and Walter protocols both lock keys during two-phase commit and
 (in FW-KV) during read handling.  The paper resolves lock conflicts with a
 timeout (1 ms on the authors' testbed): a prepare that cannot lock in time
-votes *no* and the transaction aborts.  These lock classes implement that
-behaviour: :meth:`acquire` returns an event delivering ``True`` when the
+votes *no* and the transaction aborts.  :class:`RWLock` implements that
+behaviour: each acquire returns an event delivering ``True`` when the
 lock was granted or ``False`` when the timeout fired first.
 """
 
@@ -155,24 +155,3 @@ class RWLock:
             self._drain()
         return not self._holders and not self._queue
 
-
-class Mutex:
-    """An exclusive lock: an :class:`RWLock` restricted to write mode."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, sim: "Simulator") -> None:
-        self._lock = RWLock(sim)
-
-    @property
-    def is_locked(self) -> bool:
-        return self._lock.is_locked
-
-    def held_by(self, owner: Owner) -> bool:
-        return self._lock.held_by(owner) == _WRITE
-
-    def acquire(self, owner: Owner, timeout: Optional[float] = None) -> Event:
-        return self._lock.acquire_write(owner, timeout)
-
-    def release(self, owner: Owner) -> None:
-        self._lock.release(owner)

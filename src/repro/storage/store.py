@@ -168,6 +168,20 @@ class MultiVersionStore:
         for txn_id in txn_ids:
             self.vas_add(version, txn_id)
 
+    def adopt_read_sets(self, key: Hashable, source: "MultiVersionStore") -> None:
+        """Add ``source``'s VAS of ``key``'s versions to the copy held here
+        (a handoff's cutover: shipped chains carry versions only)."""
+        entry = source._chains.get(key)
+        if entry.__class__ is not VersionChain or key not in self._chains:
+            return
+        for version in entry:
+            if version.vas:
+                try:
+                    mine = self.chain(key).by_vid(version.vid)
+                except LookupError:
+                    continue  # reclaimed here since the shipment
+                self.vas_extend(mine, version.vas)
+
     def vas_remove_txn(self, txn_id: int, now: float = 0.0) -> int:
         """Erase ``txn_id`` from every VAS on this node (Remove handler).
 

@@ -27,18 +27,9 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.cluster.directory import ConsistentHashDirectory, Directory, ShardMap
-from repro.cluster.handoff import fenced_handoff
-from repro.cluster.membership import (
-    ACK_TIMEOUT,
-    ACTIVE,
-    DRAINING,
-    HANDOFF_TIMEOUT,
-    JOINING,
-    MAX_ATTEMPTS,
-    MembershipView,
-)
 from repro.cluster.node import Node
 from repro.cluster.rebalancer import Rebalancer
+from repro.cluster.reconfig import ReconfigDriver
 from repro.config import ClusterConfig
 from repro.core.fwkv import FWKVNode
 from repro.core.interfaces import BaseProtocolNode, SharedState
@@ -355,20 +346,12 @@ class Cluster:
     # Elastic membership (online reconfiguration)
     # ------------------------------------------------------------------
     def add_node(self, node_id: Optional[int] = None):
-        """Join a new site online; returns the joinable driver process.
-
-        The driver commits a ``JOINING`` view (the newcomer enters the
-        propagation fan-out but owns nothing), bootstraps the joiner's
-        vector clock from the peers' frontiers, streams it the shards
-        the :class:`ShardMap` steals for it, flips the map, and commits
-        the ``ACTIVE`` view; membership needs ``sharding.enabled``.  The
-        process's value is True iff the join completed; a joiner that
-        crashes mid-way is abandoned with a member-removal view and can
-        be re-added later under the same id.
+        """Join a site online; returns the driver process, whose value is
+        True iff the join completed (:mod:`repro.cluster.reconfig`).
 
         ``node_id`` defaults to the next dense id (a brand-new site is
         built and wired to the network); passing the id of a previously
-        removed site re-joins it.
+        removed or abandoned site re-joins it.
         """
         self._check_elastic()
         if node_id is None:
@@ -388,29 +371,16 @@ class Cluster:
                 f"node ids must stay dense: the next id is {len(self.nodes)}"
             )
         self._removed.discard(node_id)
-        return self.sim.spawn(
-            self._join_driver(node_id), name=f"join:n{node_id}"
-        )
+        return self.spawn(ReconfigDriver(self).join(node_id), f"join:n{node_id}")
 
     def remove_node(self, node_id: int):
-        """Decommission a member gracefully; returns the driver process.
-
-        The driver commits a ``DRAINING`` view (new prepares on the
-        victim's keys park on the drain fence), waits for in-flight
-        write locks to drain, streams every shard to its new owner,
-        flips the :class:`ShardMap`, and commits the removal view
-        carrying the victim's retired frontier.  The victim's keys
-        stay readable at the victim until the flip and at their new
-        owners after it.  The process's value is True iff the
-        decommission completed (on failure the member reverts to
-        ``ACTIVE``).
-        """
+        """Decommission a member gracefully; returns the driver process,
+        whose value is True iff it completed (on failure the member
+        reverts to ``ACTIVE``).  Its keys stay readable throughout."""
         if node_id in self._removed or node_id >= len(self.nodes):
             raise ValueError(f"node {node_id} is not a member")
         self._check_elastic()
-        return self.sim.spawn(
-            self._leave_driver(node_id), name=f"leave:n{node_id}"
-        )
+        return self.spawn(ReconfigDriver(self).leave(node_id), f"leave:n{node_id}")
 
     def _check_elastic(self) -> None:
         """Refuse a join or leave before any view is proposed."""
@@ -424,264 +394,6 @@ class Cluster:
                 "set sharding.enabled (the ring and scripted directories "
                 "are static)"
             )
-
-    # -- view-change plumbing ------------------------------------------
-    def _current_view(self) -> MembershipView:
-        """The newest committed view across live, non-removed members."""
-        best = None
-        for node in self.nodes:
-            if not isinstance(node, MVCCNode):
-                continue
-            if node.node_id in self._removed:
-                continue
-            if self.network.is_crashed(node.node_id):
-                continue
-            view = node.membership.view
-            if best is None or view.epoch > best.epoch:
-                best = view
-        if best is None:
-            raise RuntimeError("no live member to read the current view from")
-        return best
-
-    def _live_proposer(self, view: MembershipView, exclude=()):
-        """The lowest live ACTIVE member -- the view-change coordinator.
-
-        Falls back to any live member so a cluster mid-transition (all
-        survivors DRAINING/JOINING) can still finish its view change.
-        """
-        def usable(member: int) -> bool:
-            return (
-                member not in exclude
-                and member not in self._removed
-                and member < len(self.nodes)
-                and not self.network.is_crashed(member)
-            )
-
-        for member, state in sorted(view.members.items()):
-            if state == ACTIVE and usable(member):
-                return self.nodes[member]
-        for member in sorted(view.members):
-            if usable(member):
-                return self.nodes[member]
-        return None
-
-    def _drive_view(self, derive, exclude=()):
-        """Propose-and-collect-acks, retrying across proposer crashes.
-
-        ``derive(current)`` builds the target view from the newest
-        committed view (returning None when the change is moot).  Each
-        attempt re-reads the current view and re-picks a live proposer,
-        so a proposer that crashes mid-round is simply routed around.
-        Returns the acked view, or None after ``MAX_ATTEMPTS`` rounds.
-        """
-        for _attempt in range(MAX_ATTEMPTS):
-            current = self._current_view()
-            target = derive(current)
-            if target is None:
-                return None
-            proposer = self._live_proposer(current, exclude=exclude)
-            if proposer is None:
-                return None
-            proposer.membership.propose(target)
-            yield self.sim.timeout(ACK_TIMEOUT)
-            required = {
-                member for member in target.fanout_ids
-                if member < len(self.nodes)
-                and not self.network.is_crashed(member)
-            }
-            if required <= proposer.membership.acks.get(target.epoch, set()):
-                return target
-        return None
-
-    def _commit_view(self, view: MembershipView, exclude=()) -> None:
-        """Fan out a commit through a live proposer (one-way, idempotent)."""
-        proposer = self._live_proposer(view, exclude=exclude)
-        if proposer is not None:
-            proposer.membership.commit(view)
-
-    # -- join ----------------------------------------------------------
-    def _join_driver(self, joiner_id: int):
-        joiner = self.nodes[joiner_id]
-
-        def derive_joining(current: MembershipView):
-            if current.state_of(joiner_id) is not None:
-                return None  # already a member: duplicate add
-            return current.with_member(joiner_id, JOINING)
-
-        acked = yield from self._drive_view(derive_joining)
-        if acked is None:
-            self._removed.add(joiner_id)
-            return False
-        self._commit_view(acked, exclude=(joiner_id,))
-        # Bootstrap and handoff run in a subprocess so a joiner crash
-        # cannot strand the driver on an RPC that will never settle.
-        deadline = self.sim.now + HANDOFF_TIMEOUT
-        worker = self.sim.spawn(
-            self._join_work(joiner_id, acked), name=f"join-work:n{joiner_id}"
-        )
-        while not worker.triggered:
-            if self.network.is_crashed(joiner_id) or self.sim.now >= deadline:
-                yield from self._abandon_join(joiner_id)
-                return False
-            yield self.sim.timeout(ACK_TIMEOUT)
-        if worker.value is not True:
-            yield from self._abandon_join(joiner_id)
-            return False
-
-        def derive_active(current: MembershipView):
-            if current.state_of(joiner_id) != JOINING:
-                return None
-            members = dict(current.members)
-            members[joiner_id] = ACTIVE
-            retired = dict(current.retired)
-            retired.pop(joiner_id, None)
-            return MembershipView(current.epoch + 1, members, retired)
-
-        acked = yield from self._drive_view(derive_active)
-        if acked is None:
-            # Undo the ownership flip before abandoning: the joiner must
-            # not keep key ranges outside the committed membership.
-            self.directory.remove_node(joiner_id)
-            yield from self._abandon_join(joiner_id)
-            return False
-        self._commit_view(acked)
-        if self.tracer._enabled:
-            self.tracer.emit(joiner_id, "join_complete", epoch=acked.epoch)
-        return True
-
-    def _join_work(self, joiner_id: int, view: MembershipView):
-        """Bootstrap a JOINING member: clock catch-up, then shard handoff."""
-        joiner = self.nodes[joiner_id]
-        incarnation = joiner._incarnation
-        # The joiner is in the fan-out: wait for it to apply the view.
-        while joiner.membership.view.epoch < view.epoch:
-            if joiner_id in self._removed:
-                return False  # the driver abandoned this join meanwhile
-            yield self.sim.timeout(ACK_TIMEOUT)
-        joiner.healing.start()
-        # Clock-only bootstrap: adopt every origin's committed frontier
-        # (the joiner owns no keys yet, so frontiers are all it needs).
-        targets, _, _ = yield from joiner.healing.collect_frontiers()
-        yield from joiner.healing.pull(targets)
-        self.tracer.emit(
-            joiner_id, "join_bootstrap", clock=joiner.site_vc.to_tuple()
-        )
-        # Shard handoff: every key the widened map moves from an old
-        # owner to the joiner.  Each donor's fence stays up until the
-        # ACTIVE view commit -- the flip below waits for all of them.
-        ring = list(view.ring_ids)
-        new_dir = self.directory.with_nodes(sorted(set(ring) | {joiner_id}))
-        for owner_id in ring:
-            owner = self.nodes[owner_id]
-            moved = sorted(
-                (
-                    key for key in owner.store.keys()
-                    if new_dir.place(key) == joiner_id
-                ),
-                key=repr,
-            )
-            if not moved:
-                continue
-            shipped = yield from fenced_handoff(
-                owner, {joiner_id: moved}, hold=True
-            )
-            if not shipped or joiner._incarnation != incarnation:
-                return False
-        if joiner_id in self._removed:
-            return False  # the driver abandoned this join meanwhile
-        # Atomic ownership flip: every node routes through this shared
-        # directory, so the in-place widen is the cut-over point.
-        self.directory.add_node(joiner_id)
-        return True
-
-    def _abandon_join(self, joiner_id: int):
-        """Remove a part-way joiner (abandoned join: no retired entry)."""
-        self._removed.add(joiner_id)
-        self.nodes[joiner_id].healing.stop()
-
-        yield from self._commit_removal(joiner_id, final_seq=None)
-        if self.tracer._enabled:
-            self.tracer.emit(joiner_id, "join_abandoned")
-
-    def _commit_removal(self, member_id: int, final_seq: Optional[int]):
-        """Drive and commit the view that drops ``member_id``."""
-
-        def derive(current: MembershipView):
-            if current.state_of(member_id) is None:
-                return None
-            return current.without_member(member_id, final_seq=final_seq)
-
-        acked = yield from self._drive_view(derive, exclude=(member_id,))
-        if acked is None:
-            # Force the removal through anyway: commit is one-way and
-            # idempotent.
-            current = self._current_view()
-            if current.state_of(member_id) is not None:
-                acked = current.without_member(member_id, final_seq=final_seq)
-        if acked is not None:
-            self._commit_view(acked, exclude=(member_id,))
-
-    # -- leave ---------------------------------------------------------
-    def _leave_driver(self, victim_id: int):
-        victim = self.nodes[victim_id]
-
-        def derive_draining(current: MembershipView):
-            if current.state_of(victim_id) != ACTIVE:
-                return None
-            if len(current.ring_ids) <= 1:
-                return None  # refuse to drain the last key owner
-            return current.with_member(victim_id, DRAINING)
-
-        acked = yield from self._drive_view(derive_draining, exclude=(victim_id,))
-        if acked is None:
-            return False
-        self._commit_view(acked)
-        deadline = self.sim.now + HANDOFF_TIMEOUT
-        while victim.membership.view.epoch < acked.epoch:
-            if self.sim.now >= deadline:
-                yield from self._revert_drain(victim_id)
-                return False
-            yield self.sim.timeout(ACK_TIMEOUT)
-        # Drain and hand every shard to the smaller map's new owners:
-        # in-flight prepares on the victim's keys settle through their
-        # Decides, new ones park on the drain fence (up since the
-        # DRAINING commit, held until the removal below).  Reads keep
-        # being served here throughout.
-        ring = [m for m in acked.ring_ids if m != victim_id]
-        new_dir = self.directory.with_nodes(ring)
-        by_owner: Dict[int, list] = {}
-        for key in sorted(victim.store.keys(), key=repr):
-            by_owner.setdefault(new_dir.place(key), []).append(key)
-        shipped = yield from fenced_handoff(victim, by_owner, hold=True)
-        if not shipped:
-            yield from self._revert_drain(victim_id)
-            return False
-        final_seq = victim.curr_seq_no
-        # Atomic ownership flip, then the removal view.  The commit
-        # lifts the survivors' fences; the victim is no longer in the
-        # fan-out, so the driver lifts its fences by hand -- parked
-        # prepares wake, re-check the flipped directory, and vote
-        # "moved", sending their coordinators to the new owners.
-        self.directory.remove_node(victim_id)
-
-        yield from self._commit_removal(victim_id, final_seq)
-        victim.fence.lower_every_key()
-        victim.healing.stop()
-        self._removed.add(victim_id)
-        self.tracer.emit(victim_id, "drain_complete", final_seq=final_seq)
-        return True
-
-    def _revert_drain(self, victim_id: int):
-        """Put a draining member back to ACTIVE (decommission failed)."""
-
-        def derive(current: MembershipView):
-            if current.state_of(victim_id) != DRAINING:
-                return None
-            return current.with_member(victim_id, ACTIVE)
-
-        acked = yield from self._drive_view(derive)
-        if acked is not None:
-            self._commit_view(acked)
 
     # ------------------------------------------------------------------
     # Access

@@ -1,9 +1,11 @@
 """The fenced handoff (``repro.cluster.handoff``): failure leaves no trace.
 
-Migrations, joins, drains and backup bootstraps all run this one
-primitive (their suites cover the success paths end to end).  Whatever
-step fails, the fence must come down and ownership must be unchanged, so
-foreground traffic proceeds at the donor as if nothing had been tried.
+Migrations, joins, drains, promotions and backup bootstraps all run this
+one primitive (their suites cover the success paths end to end).
+Whatever step fails, the fence must come down and ownership must be
+unchanged, so foreground traffic proceeds at the donor as if nothing had
+been tried; and concurrent handoffs of one shard never lower each
+other's fence.
 """
 
 import pytest
@@ -60,11 +62,6 @@ def test_failed_handoff_ends_with_fence_down_and_ownership_unchanged(failure):
     donor = cluster.node(DONOR)
     key = donor_key(cluster)
     shard = cluster.directory.shard_of(key)
-    flips = []
-
-    def flip():
-        flips.append(cluster.sim.now)
-        cluster.directory.assign(shard, DEST)
 
     if failure == "drain":
         hold_write_lock(cluster, key, 2 * HANDOFF_TIMEOUT)
@@ -80,30 +77,40 @@ def test_failed_handoff_ends_with_fence_down_and_ownership_unchanged(failure):
             3e-3, nemesis.apply, FaultEvent(3e-3, RESTART, DONOR)
         )
 
-    process = cluster.spawn(fenced_handoff(donor, {DEST: [key]}, act=flip))
+    process = cluster.spawn(fenced_handoff(cluster, [(shard, DONOR, DEST)]))
     cluster.run(until=1e-4)
     assert donor.fence.blocks([key]), "the fence goes up first"
     cluster.run()
-    assert process.value is False and not flips
-    assert not donor.fence.keys and not donor.fence.blocks([key])
+    assert process.value is None
+    assert not donor.fence.shards and not donor.fence.blocks([key])
     assert cluster.directory.owner_of(shard) == DONOR
+    assert cluster.directory.epoch == 0
     assert cluster.node(DEST).healing.transfer.installs == 0
     # Foreground traffic proceeds at the donor as if nothing was tried.
     assert cluster.run_txn(lambda txn: txn.write(key, "after"), node=2)
     assert donor.store.chain(key).latest.value == "after"
 
 
-def test_held_fence_stays_up_only_on_success():
+def test_a_shard_two_handoffs_fence_stays_fenced_until_both_are_done():
+    """Each handoff lowers only what it raised: a migration that flips
+    first leaves the shard fenced for a slower handoff of it (a
+    generator act), then the stale plan's cutover refuses to flip."""
     cluster = build()
     donor = cluster.node(DONOR)
     key = donor_key(cluster)
-    assert cluster.run_process(
-        fenced_handoff(donor, {DEST: [key]}, hold=True)
-    )
-    assert donor.fence.blocks([key]), "held for the caller's view commit"
-    donor.fence.lower_every_key()
-    cluster.network.crash(DEST)
-    assert not cluster.run_process(
-        fenced_handoff(donor, {DEST: [key]}, hold=True)
-    )
-    assert not donor.fence.blocks([key])
+    shard = cluster.directory.shard_of(key)
+    held = sum(cluster.directory.shard_of(f"k{i}") == shard for i in range(NUM_KEYS))
+
+    def slow_act():
+        yield cluster.sim.timeout(1e-3)
+
+    slow = cluster.spawn(fenced_handoff(cluster, [(shard, DONOR, 2)], act=slow_act))
+    migration = cluster.spawn(fenced_handoff(cluster, [(shard, DONOR, DEST)]))
+    cluster.run(until=5e-4)
+    assert migration.value == held and cluster.directory.owner_of(shard) == DEST
+    assert not slow.triggered and donor.fence.shards == {shard: 1}
+    cluster.run()
+    assert slow.value == held and not donor.fence.shards
+    stale = cluster.spawn(fenced_handoff(cluster, [(shard, DONOR, 2)]))
+    cluster.run()
+    assert stale.value is None and cluster.directory.owner_of(shard) == DEST

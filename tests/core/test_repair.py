@@ -14,7 +14,7 @@ from repro import (
     NetworkConfig,
     RpcConfig,
 )
-from repro.cluster import ExplicitDirectory
+from repro.cluster import ExplicitDirectory, ShardMap
 from repro.core.repair import TERMINATION_ATTEMPTS, Round, reannounce
 from repro.healing.detector import DEAD_AFTER_TIMEOUTS, SUSPECT_MAX_ATTEMPTS
 from repro.storage.wal import DecisionRecord
@@ -26,7 +26,7 @@ TXN = 77
 ROUND_WAIT = 1e-3
 
 
-def build(num_nodes=2, placement=None, rpc=None, lease=None):
+def build(num_nodes=2, placement=None, rpc=None, lease=None, directory=None):
     config = ClusterConfig(
         num_nodes=num_nodes,
         seed=5,
@@ -37,7 +37,8 @@ def build(num_nodes=2, placement=None, rpc=None, lease=None):
         ),
     )
     placement = placement or {"x": 1}
-    cluster = Cluster("fwkv", config, directory=ExplicitDirectory(placement))
+    directory = directory or ExplicitDirectory(placement)
+    cluster = Cluster("fwkv", config, directory=directory)
     for key in placement:
         cluster.load(key, 0)
     return cluster
@@ -46,8 +47,9 @@ def build(num_nodes=2, placement=None, rpc=None, lease=None):
 # ----------------------------------------------------------------------
 # Fence
 # ----------------------------------------------------------------------
-def test_key_fence_parks_prepares_only_and_node_fence_parks_both():
-    cluster = build(rpc=RpcConfig())  # reliable channels: no read retries
+def test_shard_fence_parks_prepares_only_and_node_fence_parks_both():
+    # Reliable channels (no read retries); node 1 owns the one shard.
+    cluster = build(rpc=RpcConfig(), directory=ShardMap([1, 0], num_shards=1))
     node = cluster.node(1)
     served = []
 
@@ -62,12 +64,12 @@ def test_key_fence_parks_prepares_only_and_node_fence_parks_both():
         )
         served.append(("prepare", cluster.sim.now, vote.ok))
 
-    node.fence.raise_keys(["x"])
-    cluster.spawn(reader("key-fenced read"))
+    node.fence.raise_shards([0])
+    cluster.spawn(reader("shard-fenced read"))
     cluster.spawn(preparer())
     cluster.run(until=1e-3)
-    assert [entry[0] for entry in served] == ["key-fenced read"]
-    node.fence.lower_keys(["x"])
+    assert [entry[0] for entry in served] == ["shard-fenced read"]
+    node.fence.lower_shards([0])
     cluster.run(until=2e-3)
     assert served[-1][0] == "prepare" and served[-1][2]
     node._abort_prepared(TXN, node._prepared[TXN])  # frees x's write lock

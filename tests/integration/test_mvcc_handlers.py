@@ -234,9 +234,14 @@ def test_stale_prepare_votes_no_without_queueing_on_the_write_lock(protocol):
 def test_stale_prepare_on_a_fenced_then_moved_key_still_answers_moved():
     """The fence / ownership checks run before validation, so a handoff
     costs the coordinator a regroup round, never a spurious abort."""
-    cluster = make_cluster("fwkv", 2, {"x": 1}, initial={"x": 0})
+    from repro import Cluster, ClusterConfig
+    from repro.cluster import ShardMap
+
+    # Node 1 owns the one shard until the handoff flips it to node 0.
+    cluster = Cluster("fwkv", ClusterConfig(num_nodes=2), ShardMap([1, 0], 1), True)
+    cluster.load("x", 0)
     node, request = _stale_prepare(cluster)
-    node.fence.raise_keys(["x"])
+    node.fence.raise_shards([0])
     result = {}
 
     def prepare():
@@ -245,8 +250,8 @@ def test_stale_prepare_on_a_fenced_then_moved_key_still_answers_moved():
 
     def handoff():
         yield cluster.sim.timeout(1e-3)
-        cluster.directory._placement["x"] = 0
-        node.fence.lower_keys(["x"])
+        cluster.directory.assign(0, 0)
+        node.fence.lower_shards([0])
 
     started = cluster.sim.now
     cluster.spawn(prepare())

@@ -26,6 +26,7 @@ from repro import HealingConfig, RpcConfig, ShardingConfig, SnapshotTransferConf
 from repro.cluster.directory import ConsistentHashDirectory, ShardMap
 from repro.cluster.rebalancer import MIN_SAMPLES, plan_moves
 from repro.faults import crash_cycle, partition_cycle
+from repro.healing.transfer import ChainTransfer
 from repro.sim.rng import make_rng
 from repro.workloads import ZipfKeyGenerator
 
@@ -181,7 +182,7 @@ def run_migration_chaos(seed, *, faulty, fault):
         )
         assert shard_map.epoch == 0
         assert cluster.metrics.counters["shard_migrations_failed"] == 1
-        assert not cluster.node(donor).fence.keys, (
+        assert not cluster.node(donor).fence.shards, (
             "a failed migration must unfence"
         )
     else:
@@ -362,6 +363,37 @@ def test_join_and_decommission_on_sharded_cluster():
     assert cluster.metrics.aborts == 0
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_join_then_leave_beside_the_rebalance_loop(seed):
+    """The rebalance loop keeps moving load off a hot node while a node
+    joins and the hot node leaves: every cutover checks at flip time
+    that its donors still own their shards, so both changes complete
+    and the run is PSI-clean at quiescence."""
+    cluster, _ = build(seed, rebalance_interval=1e-3)
+    shard_map = cluster.directory
+    hot = [k for k in KEYS if shard_map.site(k) == 0]
+    rng = make_rng(seed, "sharding-composition")
+    plan = rmw_plan(rng, range(NUM_NODES), 60, hot[:4] + KEYS[:4])
+    _, outcomes = spawn_plan(cluster, plan, settle=2e-4)
+    steps = []
+
+    def churn():
+        yield cluster.sim.timeout(3e-3)
+        steps.append((yield cluster.add_node()))
+        steps.append((yield cluster.remove_node(0)))
+
+    churning = cluster.spawn(churn(), name="churn")
+    while not churning.triggered or len(outcomes) < len(plan):
+        cluster.run(until=cluster.sim.now + 5e-3)
+    cluster.stop_healing()
+    cluster.run()
+    assert steps == [True, True]
+    assert all(ok for ok, *_ in outcomes)
+    assert cluster.metrics.counters["shard_migrations"] >= 1
+    assert not shard_map.shards_of(0) and 0 in shard_map.retired
+    assert_psi(cluster, quiescent=True)
+
+
 # ----------------------------------------------------------------------
 # Observability: counters and trace kinds
 # ----------------------------------------------------------------------
@@ -446,4 +478,115 @@ def test_a_hot_key_handed_off_mid_queue_drains_its_old_line_by_lease():
     assert cluster.node(dest).store.chain(hot).latest.value == 5
     assert cluster.node(donor).store.chain(hot).latest.value == 0
     assert all(not node.line._locks for node in cluster.nodes)
+    assert_psi(cluster, quiescent=True)
+
+
+# ----------------------------------------------------------------------
+# Acknowledged writes across a cutover: the write lands where the key
+# ends up, whatever reaches the donor while its shard moves
+# ----------------------------------------------------------------------
+#: Shard 0 holds ``k1`` and ``k10`` at node 0; each case moves it to 1.
+CUTOVER_SEED, SHARD, DONOR, DEST = 7, 0, 0, 1
+
+
+def hook_shipment(monkeypatch, *, start=None, done=None, hold=0.0):
+    """Call ``start()`` as the donor starts shipping the shard, or
+    ``done()`` once it shipped -- then hold the cutover ``hold`` s."""
+    ship = ChainTransfer.ship_shard
+
+    def hooked(transfer, peer, keys, incarnation):
+        ours = (transfer.node_id, peer) == (DONOR, DEST)
+        if ours and start:
+            start()
+        shipped = yield from ship(transfer, peer, keys, incarnation)
+        if ours and shipped and done:
+            done()
+            yield transfer.owner.sim.timeout(hold)
+        return shipped
+
+    monkeypatch.setattr(ChainTransfer, "ship_shard", hooked)
+
+
+def migrate_with(monkeypatch, write_key, when, hold=0.0):
+    """The cluster at ``CUTOVER_SEED``, with a write of ``write_key`` --
+    coordinated by the third node -- hooked to the shipment's ``when``
+    ("start" or "done")."""
+    cluster, _ = build(CUTOVER_SEED)
+    shard_map = cluster.directory
+    assert {k for k in KEYS if shard_map.shard_of(k) == SHARD} == {"k1", "k10"}
+    assert shard_map.owner_of(SHARD) == DONOR
+    acked = []
+
+    def write():
+        node = cluster.node(2)
+        txn = node.begin(is_read_only=False)
+        node.write(txn, write_key, 999)
+        acked.append((yield from node.commit(txn)))
+
+    hook_shipment(monkeypatch, **{when: lambda: cluster.spawn(write())}, hold=hold)
+    return cluster, acked
+
+
+def assert_kept_at_final_owner(cluster, key, acked, moved):
+    cluster.run()
+    assert moved.value is True and acked == [True]
+    seen = {}
+
+    def read(txn):
+        seen[key] = yield from txn.read(key)
+
+    assert cluster.run_txn(read, read_only=True) and seen == {key: 999}
+    assert_psi(cluster, quiescent=True)
+
+
+def test_a_view_commit_mid_migration_keeps_the_migrations_fence(monkeypatch):
+    """A join's JOINING view commits while the migration's drain waits on
+    ``k1``'s lock: the fence stays up, so a write of ``k10`` started as
+    shipping begins parks, hears "moved" and commits at the new owner."""
+    cluster, acked = migrate_with(monkeypatch, "k10", "start")
+    lock = cluster.node(DONOR).locks.lock_for("k1")
+    assert lock.acquire_write("in-flight").triggered
+    cluster.sim.call_later(3e-3, lock.release, "in-flight")
+    moved = cluster.rebalancer.migrate_shard(SHARD, DEST)
+    joined = cluster.add_node()
+    assert_kept_at_final_owner(cluster, "k10", acked, moved)
+    assert joined.value is True
+
+
+def test_a_key_first_written_mid_migration_is_fenced_with_its_shard(monkeypatch):
+    fresh = next(
+        f"new{i}" for i in range(100)
+        if ShardMap(range(NUM_NODES), NUM_SHARDS).shard_of(f"new{i}") == SHARD
+    )
+    cluster, acked = migrate_with(monkeypatch, fresh, "start")
+    moved = cluster.rebalancer.migrate_shard(SHARD, DEST)
+    assert_kept_at_final_owner(cluster, fresh, acked, moved)
+
+
+def test_a_prepare_landing_after_the_unfence_rechecks_ownership(monkeypatch):
+    """The write routes to the donor just before the flip and its Prepare
+    arrives after the unfence: the flipped directory (epoch 1) makes the
+    donor re-check ownership and answer "moved"."""
+    cluster, acked = migrate_with(monkeypatch, "k10", "done", hold=15e-6)
+    moved = cluster.rebalancer.migrate_shard(SHARD, DEST)
+    assert_kept_at_final_owner(cluster, "k10", acked, moved)
+
+
+def test_a_reader_at_the_donor_is_known_to_the_new_owners_writer():
+    """A read-only transaction reads ``k10`` at the donor, the shard
+    moves, and a writer of ``k10`` and ``k2`` commits at the new owners:
+    the donor's visible reads went with the cutover, so the writer
+    collects the reader, and the reader's later ``k2`` read skips it."""
+    cluster, _ = build(CUTOVER_SEED)
+    reader = cluster.node(2)
+    txn = reader.begin(is_read_only=True)
+    assert cluster.run_process(reader.read(txn, "k10")) == 0
+    moved = cluster.rebalancer.migrate_shard(SHARD, DEST)
+    cluster.run()
+    assert moved.value is True
+    assert cluster.run_txn(
+        lambda w: [w.write("k10", 999), w.write("k2", 999)], node=DEST
+    )
+    assert cluster.run_process(reader.read(txn, "k2")) == 0
+    cluster.run_process(reader.commit(txn))
     assert_psi(cluster, quiescent=True)

@@ -2,38 +2,26 @@
 
 import pytest
 
-from repro.sim import Mutex, RWLock, Simulator
+from repro.sim import RWLock, Simulator
 from repro.sim.locks import LockError
 
 
-def test_mutex_grants_free_lock_immediately():
+def test_rwlock_writer_blocks_a_second_writer_until_release():
     sim = Simulator()
-    mutex = Mutex(sim)
-
-    def proc():
-        granted = yield mutex.acquire("t1")
-        return granted
-
-    assert sim.run_process(proc()) is True
-    assert mutex.held_by("t1")
-
-
-def test_mutex_blocks_second_owner_until_release():
-    sim = Simulator()
-    mutex = Mutex(sim)
+    lock = RWLock(sim)
     order = []
 
     def first():
-        yield mutex.acquire("t1")
+        yield lock.acquire_write("t1")
         order.append(("t1-acquired", sim.now))
         yield sim.timeout(5.0)
-        mutex.release("t1")
+        lock.release("t1")
 
     def second():
         yield sim.timeout(1.0)
-        granted = yield mutex.acquire("t2")
+        granted = yield lock.acquire_write("t2")
         order.append(("t2-acquired", sim.now, granted))
-        mutex.release("t2")
+        lock.release("t2")
 
     sim.spawn(first())
     sim.spawn(second())
@@ -41,49 +29,25 @@ def test_mutex_blocks_second_owner_until_release():
     assert order == [("t1-acquired", 0.0), ("t2-acquired", 5.0, True)]
 
 
-def test_mutex_timeout_returns_false():
+def test_rwlock_write_is_reentrant_for_its_owner():
     sim = Simulator()
-    mutex = Mutex(sim)
-    results = {}
-
-    def holder():
-        yield mutex.acquire("t1")
-        yield sim.timeout(10.0)
-        mutex.release("t1")
-
-    def contender():
-        granted = yield mutex.acquire("t2", timeout=2.0)
-        results["granted"] = granted
-        results["when"] = sim.now
-
-    sim.spawn(holder())
-    sim.spawn(contender())
-    sim.run()
-    assert results == {"granted": False, "when": 2.0}
-    assert not mutex.held_by("t2")
-
-
-def test_mutex_reentrant_same_owner():
-    sim = Simulator()
-    mutex = Mutex(sim)
+    lock = RWLock(sim)
 
     def proc():
-        yield mutex.acquire("t1")
-        granted = yield mutex.acquire("t1")
-        mutex.release("t1")
-        assert mutex.held_by("t1")
-        mutex.release("t1")
+        yield lock.acquire_write("t1")
+        granted = yield lock.acquire_write("t1")
+        assert lock.release("t1") is False  # one hold left
+        assert lock.held_by("t1") == "w"
+        lock.release("t1")
         return granted
 
     assert sim.run_process(proc()) is True
-    assert not mutex.is_locked
+    assert not lock.is_locked
 
 
-def test_release_without_hold_is_an_error():
-    sim = Simulator()
-    mutex = Mutex(sim)
+def test_rwlock_release_without_hold_is_an_error():
     with pytest.raises(LockError):
-        mutex.release("ghost")
+        RWLock(Simulator()).release("ghost")
 
 
 def test_rwlock_readers_share():
