@@ -229,7 +229,7 @@ class ReconfigDriver:
         # Clock-only bootstrap: adopt every origin's committed frontier
         # (the joiner owns no keys yet, so frontiers are all it needs).
         targets, _, _ = yield from joiner.healing.collect_frontiers()
-        yield from joiner.healing.pull(targets)
+        yield from joiner.applier.pull(targets)
         cluster.tracer.emit(
             joiner_id, "join_bootstrap", clock=joiner.site_vc.to_tuple()
         )

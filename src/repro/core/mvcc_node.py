@@ -8,9 +8,10 @@ They differ in how reads select versions and in the version-access-set
 subclasses via the hook methods marked below.
 
 This module is the paper's Algorithms 1-6 and nothing else: begin, read
-and commit at the coordinator, and the read / prepare / decide /
-propagate handlers with their validation and version GC.  What the paper
-leaves out -- crashes, lost messages, moving keys -- is composed in
+and commit at the coordinator, and the read / prepare / decide handlers
+with their validation and version GC (the in-order gate and Propagate:
+:mod:`repro.core.apply`).  What the paper leaves out -- crashes, lost
+messages, moving keys -- is composed in
 (:mod:`repro.core.repair`, :mod:`repro.core.recovery`,
 :mod:`repro.healing`, :mod:`repro.cluster.membership`) across the seam
 DESIGN.md "Layer contracts" writes down.
@@ -24,6 +25,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 from repro.cluster.directory import ShardMap
 from repro.cluster.membership import MAX_ATTEMPTS, NodeMembership
 from repro.cluster.node import Node
+from repro.core.apply import Applier
 from repro.core.batching import ADAPTIVE_STEP, PRESSURE_OPEN, adapt_window
 from repro.core.cost_model import (
     COMMIT_BASE, INSTALL_KEY, LOCK_OP, PREPARE_KEY, READ_HANDLER, VAS_ITEM,
@@ -42,7 +44,7 @@ from repro.healing import NodeHealing
 from repro.metrics.stats import AbortReason
 from repro.net.message import Envelope, MessageType
 from repro.net.rpc import RpcTimeoutError
-from repro.sim import AllOf, ConditionVariable, wait_until
+from repro.sim import AllOf, wait_until
 from repro.storage.locks import LockTable
 from repro.storage.store import MultiVersionStore
 from repro.storage.version import Version
@@ -52,7 +54,6 @@ from repro.storage.wal import (
     ApplyRecord,
     LoadRecord,
     PrepareRecord,
-    PropagateRecord,
     WriteAheadLog,
 )
 
@@ -72,7 +73,8 @@ class MVCCNode(BaseProtocolNode):
         #: ``siteVC``: entry j is the newest sequence number from origin j
         #: applied at this node (paper Section 4.1).
         self.site_vc = VectorClock.zeros(size)
-        self.site_vc_changed = ConditionVariable(self.sim)
+        #: The one gate every advance of ``site_vc`` goes through.
+        self.applier = Applier(self)
         #: Retried/duplicated read requests spawn concurrent handlers for
         #: the same transaction; a per-invocation token keeps their shared
         #: lock acquisitions independent of each other.
@@ -105,7 +107,7 @@ class MVCCNode(BaseProtocolNode):
         #: checkpoint install) completes, shard-scoped during a handoff.
         self.fence = Fence(self.sim, self.directory)
         #: Bumped by every volatile wipe.  In-flight processes that carry
-        #: state across yields (decide appliers, propagate appliers,
+        #: state across yields (decide appliers, ``Applier.advance`` runs,
         #: recovery itself) re-check it before mutating the store or the
         #: clock: a process from a wiped incarnation must not leak its
         #: effects into the rebuilt one.
@@ -114,7 +116,7 @@ class MVCCNode(BaseProtocolNode):
         node.on(MessageType.READ_REQUEST, self.on_read_request)
         node.on(MessageType.PREPARE, self.on_prepare)
         node.on(MessageType.DECIDE, self.on_decide)
-        node.on(MessageType.PROPAGATE, self.on_propagate)
+        node.on(MessageType.PROPAGATE, self.applier.on_propagate)
         # The machinery around the protocol, composed: each component
         # owns its handlers; DESIGN.md "Layer contracts" states what it
         # may assume about this node and what it must leave true.
@@ -180,11 +182,11 @@ class MVCCNode(BaseProtocolNode):
         self._adaptive_windows: Dict[int, float] = {}
         self._adaptive_pressure: Dict[int, Tuple[float, int]] = {}
         #: Decide appliers between popping their prepared entry and the
-        #: clock tick (with its ApplyRecord).  While non-empty the live
-        #: store may hold versions the log does not yet explain, so the
-        #: checkpoint manager refuses to snapshot; a duplicate Decide
-        #: finding its transaction here leaves the tick to that applier.
-        self._applying: Dict[int, int] = {}
+        #: clock tick (with its ApplyRecord): txn -> ``(origin, seq)``.
+        #: While non-empty the live store may hold versions the log does
+        #: not yet explain, so the checkpoint manager refuses to snapshot;
+        #: a duplicate Decide, or a catch-up, leaves that tick to them.
+        self._applying: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Loading
@@ -715,7 +717,7 @@ class MVCCNode(BaseProtocolNode):
         if not covers(site_entries, txn_vc):
             stall_started = self.sim.now
             yield from wait_until(
-                self.site_vc_changed,
+                self.applier.site_vc_changed,
                 lambda: covers(site_entries, txn_vc),
             )
             self.metrics.on_read_stall(self.sim.now - stall_started)
@@ -963,20 +965,12 @@ class MVCCNode(BaseProtocolNode):
         a Decide that arrived on time.
         """
         assert body.seq_no is not None and body.commit_vc is not None
-        if body.origin >= len(self.site_vc):
-            # A commit from a freshly joined origin can outrun the view
-            # commit that widens the clock; widening here is equivalent
-            # (new entries start at zero either way).
-            self.site_vc.widen(body.origin + 1)
         # Alg. 5 line 16: apply commits from one origin in sequence order.
         # The prepared entry stays in the table across this wait so the
         # lease can still reclaim its locks: if a predecessor Decide was
         # lost to a crash, this wait never completes and would otherwise
         # pin the locks forever.
-        yield from wait_until(
-            self.site_vc_changed,
-            lambda: self.site_vc[body.origin] >= body.seq_no - 1,
-        )
+        yield from self.applier.turn(body.origin, body.seq_no)
         prepared = self._prepared.pop(body.txn_id, None)
         if prepared is None and body.txn_id in self._applying:
             # A duplicate Decide: the applier that popped the entry is
@@ -991,7 +985,8 @@ class MVCCNode(BaseProtocolNode):
         # From here to the ApplyRecord the transaction is in neither the
         # prepared table nor (yet) the log while its versions may already
         # sit in the live store; checkpoints must not observe the window.
-        self._applying[body.txn_id] = incarnation
+        applying = self._applying  # a wipe replaces it: leave the new one be
+        applying[body.txn_id] = (body.origin, body.seq_no)
         try:
             if self.site_vc[body.origin] < body.seq_no:
                 writes = prepared.writes if prepared is not None else {}
@@ -1021,7 +1016,7 @@ class MVCCNode(BaseProtocolNode):
                         (prepared.logged if prepared else ()) or tuple(writes.items()),
                     ))
                 self.site_vc[body.origin] = body.seq_no  # Alg. 5 line 21
-                self.site_vc_changed.notify_all()
+                self.applier.site_vc_changed.notify_all()
                 if self.replication is not None:
                     # Stream the installed versions (and the advanced
                     # frontier) to the written shards' backups; the
@@ -1052,8 +1047,7 @@ class MVCCNode(BaseProtocolNode):
                     )
                 else:
                     release()
-            if self._applying.get(body.txn_id) == incarnation:
-                del self._applying[body.txn_id]
+            del applying[body.txn_id]
 
     def _maybe_collect_garbage(self, key: Hashable) -> None:
         """Reclaim cold versions once a chain outgrows the trigger length."""
@@ -1067,67 +1061,3 @@ class MVCCNode(BaseProtocolNode):
             )
             if dropped:
                 self.metrics.count("versions_reclaimed", dropped)
-
-    def on_propagate(self, envelope: Envelope) -> None:
-        """Alg. 6 lines 1-4: ordered snapshot advance at uninvolved nodes.
-
-        A batched Propagate replays the window's sequence numbers one by
-        one, each with the same in-order wait as a single message, so the
-        per-origin apply order -- and therefore every siteVC transition --
-        is identical to the unbatched schedule.
-
-        Registered as a plain handler: the overwhelmingly common case (the
-        next expected sequence number, or a duplicate) applies inline at
-        delivery time; only an out-of-order arrival -- one that must wait
-        for a predecessor -- pays for a spawned process.
-        """
-        body: PropagateBody = envelope.payload
-        origin = body.origin
-        seq_nos = body.seq_nos if body.seq_nos is not None else (body.seq_no,)
-        site_vc = self.site_vc
-        if origin >= len(site_vc):
-            site_vc.widen(origin + 1)
-        for index, seq_no in enumerate(seq_nos):
-            current = site_vc[origin]
-            if current >= seq_no:
-                continue
-            if current == seq_no - 1:
-                self._advance_clock(origin, seq_no)
-            else:
-                self.sim.spawn(
-                    self._apply_propagate(origin, seq_nos[index:]),
-                    name="Propagate",
-                )
-                return
-
-    def _apply_propagate(self, origin: int, seq_nos: Tuple[int, ...]):
-        """Slow path: wait out the in-order gap, then apply the rest."""
-        incarnation = self._incarnation
-        for seq_no in seq_nos:
-            yield from wait_until(
-                self.site_vc_changed,
-                lambda bound=seq_no - 1: self.site_vc[origin] >= bound,
-            )
-            if self._incarnation != incarnation:
-                return  # a durable crash wiped the clock this was advancing
-            if self.site_vc[origin] < seq_no:
-                self._advance_clock(origin, seq_no)
-
-    def _advance_clock(self, origin: int, seq_no: int) -> None:
-        """Alg. 6 line 3: ``siteVC[origin] = seq_no``, its predecessor + 1.
-
-        The one clock-only tick.  Every advance that installs no data
-        goes through here -- a Propagate, a catch-up over lost ones, a
-        verified checkpoint's clock -- so each is logged and wakes the
-        in-order waiters the same way.  (The tick that *does* install
-        data is Alg. 5 line 21 in ``_apply_committed_decide``, logged
-        with its versions.)
-        """
-        if self.wal is not None:
-            self.wal.append(PropagateRecord(origin, seq_no))
-        self.site_vc[origin] = seq_no
-        self.site_vc_changed.notify_all()
-        if self.tracer._enabled:
-            self.tracer.emit(
-                self.node_id, "propagate", origin=origin, seq=seq_no
-            )

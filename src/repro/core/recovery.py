@@ -11,9 +11,7 @@ origin's decisions to whoever lacks them.
 
 from __future__ import annotations
 
-from typing import Dict, Set
-
-from repro.core.repair import _decide, catch_up, reannounce
+from repro.core.repair import _decide, reannounce
 from repro.core.transaction import PreparedTxn
 from repro.core.wire import VoteBody
 from repro.sim import AllOf
@@ -90,6 +88,7 @@ class NodeRecovery:
         for rnd in node.in_doubt.rounds.values():
             rnd.doomed = True  # no round of the lost incarnation may decide
         node.in_doubt.rounds = {}
+        node.applier.claims.clear()
         node.healing.transfer.inbound = None
         site_vc = node.site_vc
         for origin in range(len(site_vc.entries)):
@@ -140,8 +139,8 @@ class NodeRecovery:
            own decision log where this node coordinated) and re-stage the
            listed commits whose ``PrepareRecord`` the crash took.  What
            committed goes through ``_apply_committed_decide``, sequence
-           number *reserved* so step 3 leaves the tick to the applier.
-        3. Per-origin :func:`catch_up` to the element-wise max of the
+           number *claimed* (``Applier.claim``) so no catch-up ticks it.
+        3. Per-origin ``Applier.advance_to`` the element-wise max of the
            replies -- our *own* origin to ``curr_seq_no``: a commit whose
            loopback Decide died with the crash has a durable decision
            record but never advanced our own clock entry.
@@ -159,21 +158,15 @@ class NodeRecovery:
             return  # crashed again mid-recovery; a newer recovery owns it
         if node.curr_seq_no > targets[node.node_id]:
             targets[node.node_id] = node.curr_seq_no
-        if len(targets) > len(node.site_vc.entries):
-            # A peer's reply was wider than our clock (origins joined
-            # while we were down); widen before the per-origin catch-up.
-            node.site_vc.widen(len(targets))
+        applier = node.applier
+        applier.see(len(targets) - 1)  # origins that joined while we were down
 
         waiters = []
-        reserved: Dict[int, Set[int]] = {}
 
-        def apply(decide, applier):
-            reserved.setdefault(decide.origin, set()).add(decide.seq_no)
-            waiters.append(
-                node.sim.spawn(
-                    applier, name=f"n{node.node_id}:recover-{decide.txn_id}"
-                )
-            )
+        def apply(decide, process=None):
+            waiters.append(applier.claim(
+                decide, process, name=f"n{node.node_id}:recover-{decide.txn_id}"
+            ))
 
         for txn_id in sorted(result.in_doubt):
             entry = node._prepared.get(txn_id)
@@ -185,7 +178,7 @@ class NodeRecovery:
                 status = listed.pop(txn_id, None)
                 decide = status is not None and _decide(status.origin, status)
             if node.in_doubt.resolve(txn_id, entry, decide, "recovery"):
-                apply(decide, node._apply_committed_decide(decide))
+                apply(decide)
         restaged_before = self.restaged
         for _txn_id, status in sorted(listed.items()):
             if status.seq_no > node.site_vc[status.origin]:
@@ -193,15 +186,10 @@ class NodeRecovery:
 
         for origin, target in enumerate(targets):
             if target > node.site_vc[origin]:
-                waiters.append(
-                    node.sim.spawn(
-                        catch_up(
-                            node, origin, target,
-                            reserved.get(origin, frozenset()),
-                        ),
-                        name=f"n{node.node_id}:catchup-{origin}",
-                    )
-                )
+                waiters.append(node.sim.spawn(
+                    applier.advance_to(origin, target),
+                    name=f"n{node.node_id}:catchup-{origin}",
+                ))
         if waiters:
             yield AllOf(node.sim, waiters)
         if node._incarnation != incarnation:

@@ -5,9 +5,9 @@ What discharges those assumptions reduces to a few mechanisms, each
 written once here and composed by its callers: the :class:`Fence`
 requests park behind, the :class:`DecisionLog` of what this node
 committed as coordinator, the :class:`InDoubtResolver` that settles a
-yes-vote whose Decide never came, :func:`reannounce` (an origin's
-decisions above a peer's frontier, as full Decides) and :func:`catch_up`
-(a run of clock-only ticks).  Chain shipping is
+yes-vote whose Decide never came and :func:`reannounce` (an origin's
+decisions above a peer's frontier, as full Decides).  Runs of clock-only
+ticks are :meth:`repro.core.apply.Applier.advance`.  Chain shipping is
 :mod:`repro.healing.transfer`, the fenced handoff
 :mod:`repro.cluster.handoff`; DESIGN.md "Layer contracts" states what
 the protocol node guarantees to and requires from all of them.
@@ -298,8 +298,8 @@ class InDoubtResolver:
         """Generator: resolve one prepared entry through its coordinator.
 
         Returns the committed Decide for the caller to apply through
-        ``_apply_committed_decide`` (inline, or spawned with its sequence
-        number reserved against :func:`catch_up`); ``False`` once the
+        ``_apply_committed_decide`` (inline, or spawned by ``Applier.claim``
+        so no clock-only tick passes it first); ``False`` once the
         entry is resolved without a commit -- aborted here and its locks
         released, or a racing Decide or a wipe got there first; ``None``
         while the coordinator is unreachable and the entry still
@@ -407,38 +407,3 @@ def reannounce(
                 send(peer, MessageType.DECIDE, decision)
         announced.append(seq_no)
     return announced
-
-
-def catch_up(node, origin: int, target: int, reserved=frozenset()):
-    """Generator: advance ``siteVC[origin]`` to ``target``, tick by tick.
-
-    For sequence numbers whose Propagate this node will never see (lost
-    while it was down, partitioned away, or predating its join).  They
-    carry no data for this node -- anything with data had it as a 2PC
-    participant, hence prepared -- except those in ``reserved``, which
-    belong to in-doubt commits being applied: this process waits for the
-    applier to make that transition instead of stealing it (the applier
-    must install the writes under the same tick).  Regular Propagate
-    handlers may race harmlessly; both sides re-check the clock before
-    each advance.
-    """
-    site_vc = node.site_vc
-    incarnation = node._incarnation
-    advanced = 0
-    while site_vc[origin] < target:
-        seq_no = site_vc[origin] + 1
-        if seq_no in reserved:
-            yield from wait_until(
-                node.site_vc_changed,
-                lambda bound=seq_no: site_vc[origin] >= bound,
-            )
-            if node._incarnation != incarnation:
-                return
-            continue
-        node._advance_clock(origin, seq_no)
-        advanced += 1
-    if advanced:
-        node.tracer.emit(
-            node.node_id, "catchup", origin=origin, advanced=advanced,
-            target=target,
-        )

@@ -160,8 +160,11 @@ class CheckpointManager:
         dropped from the floor so truncation is not held hostage by one
         long-partitioned node.  A stranded peer lands below the pruned
         floor and is repaired by snapshot transfer instead of the
-        record-by-record push; its below-floor TxnStatus queries resolve
-        as presumed-abort, which the snapshot install supersedes.  When
+        record-by-record push.  Nothing supersedes the decisions pruned
+        with the rest: the offer carries none, so a commit the peer holds
+        prepared has no decision on record (a lease's query presumes it
+        aborted) and the install ticks the peer's clock past it -- a lost
+        write, pinned in ``tests/integration/test_healing.py``.  When
         *every* peer is stranded the floor is our own frontier.
         """
         peers = self.healing.peers

@@ -32,10 +32,10 @@ pure function of its seed like everything else in the simulator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.config import RpcConfig
-from repro.core.repair import TERMINATION_ATTEMPTS, catch_up, reannounce
+from repro.core.repair import TERMINATION_ATTEMPTS, reannounce
 from repro.core.vector_clock import VectorClock
 from repro.core.wire import HeartbeatBody, SyncReplyBody, SyncRequestBody
 from repro.healing.checkpoint import CheckpointManager
@@ -310,66 +310,12 @@ class NodeHealing:
                 self.node_id, "stream", peer=peer, first=streamed[0],
                 last=streamed[-1], count=len(streamed),
             )
-        yield from self.pull(peer_vc, superseded)
+        yield from owner.applier.pull(peer_vc, superseded)
         self.rounds += 1
         self.tracer.emit(
             self.node_id, "anti_entropy", peer=peer, streamed=len(streamed)
         )
         self.checkpoints.maybe_truncate()
-
-    def pull(self, peer_vc, superseded=lambda: False):
-        """Advance our clock toward a peer's digest, without losing writes.
-
-        A lagging origin may have committed a transaction we hold
-        *prepared*: advancing ``siteVC`` past its sequence number with
-        the writes still buffered would silently drop them.  So in-doubt
-        prepares coordinated by a lagging origin are settled first
-        (exactly recovery's step 1); committed ones are applied through
-        the normal Decide path with their sequence numbers reserved, and
-        only then does the clock-only catch-up run.  An origin whose
-        coordinator cannot be reached is skipped this round rather than
-        advanced past unresolved state.
-        """
-        owner = self.owner
-        site_vc = owner.site_vc
-        lagging: Dict[int, int] = {}
-        for origin, target in enumerate(peer_vc):
-            if origin == self.node_id or target <= 0:
-                continue
-            if origin >= len(site_vc.entries):
-                site_vc.widen(origin + 1)
-            if target > site_vc[origin]:
-                lagging[origin] = target
-        if not lagging:
-            return
-        reserved: Dict[int, Set[int]] = {}
-        unresolved: Set[int] = set()
-        for txn_id, entry in sorted(owner._prepared.items()):
-            coordinator = entry.coordinator
-            if coordinator not in lagging or coordinator in unresolved:
-                continue
-            decide = yield from owner.in_doubt.settle(
-                txn_id, entry, via="anti_entropy"
-            )
-            if superseded():
-                return
-            if decide is None:
-                unresolved.add(coordinator)
-            elif decide:
-                reserved.setdefault(decide.origin, set()).add(decide.seq_no)
-                self.sim.spawn(
-                    owner._apply_committed_decide(decide),
-                    name=f"n{self.node_id}:gossip-apply-{txn_id}",
-                )
-        for origin in sorted(lagging):
-            if origin in unresolved:
-                continue
-            yield from catch_up(
-                owner, origin, lagging[origin],
-                reserved.get(origin, frozenset()),
-            )
-            if superseded():
-                return
 
     # ------------------------------------------------------------------
     # Snapshot transfer

@@ -324,7 +324,8 @@ class ChainTransfer:
         Generator subroutine returning True on success.  The adoption
         itself is synchronous (no yields between the final check and the
         post-install checkpoint), so no message delivery can observe the
-        store mid-replacement.
+        store mid-replacement -- unless the clock run reaches a seq an
+        applier holds (``Applier.advance``), which it waits out.
         """
         owner = self.owner
         offer = inbound.offer
@@ -383,12 +384,12 @@ class ChainTransfer:
                 adopted += 1
         self.inbound = None
         if not offer.shard:
-            vc = owner.site_vc
-            if len(offer.site_vc) > len(vc.entries):
-                vc.widen(len(offer.site_vc))
+            vc, applier = owner.site_vc, owner.applier
+            applier.see(len(offer.site_vc) - 1)
             for origin, target in enumerate(offer.site_vc):
-                for seq_no in range(vc[origin] + 1, target + 1):
-                    owner._advance_clock(origin, seq_no)
+                yield from applier.advance(origin, range(vc[origin] + 1, target + 1))
+            if owner._incarnation != inbound.incarnation:
+                return False  # wiped while waiting out a held seq
             # Never adopt the sender's coordinator counter: our own
             # assigned sequence numbers are bounded by our clock entry,
             # which the dominance check just proved the checkpoint covers.

@@ -36,6 +36,7 @@ from repro.cluster import ShardMap
 from repro.faults import CRASH_DURABLE, isolate_cycle
 from repro.healing import ALIVE, DEAD
 from repro.metrics.stats import AbortReason
+from repro.net.message import MessageType
 from repro.net.rpc import RpcTimeoutError
 from repro.sim.rng import make_rng
 from repro.storage.wal import replay, store_fingerprint
@@ -50,6 +51,7 @@ from tests.harness.battery import (
     keys_off,
     node_fingerprint,
     restart,
+    rmw,
     rmw_plan,
     run_plan,
 )
@@ -68,12 +70,13 @@ SEEDS = battery.seeds("HEALING_SEEDS")
 pytestmark = pytest.mark.healing
 
 
-def build(seed, healing, *, wal=False):
+def build(seed, healing, *, wal=False, **config):
     return battery.build(
         seed,
         directory=ShardMap(range(NUM_NODES), NUM_NODES),
         healing=healing,
         durability=DurabilityConfig(wal_enabled=wal),
+        **config,
     )
 
 
@@ -436,19 +439,24 @@ def test_automatic_checkpoint_loop_waits_for_enough_records():
 # ----------------------------------------------------------------------
 # Snapshot transfer: repairing a peer stranded below the pruned floor
 # ----------------------------------------------------------------------
-def run_snapshot_scenario(seed, *, faulty):
+def run_snapshot_scenario(seed, *, faulty, strand=False):
     """Bounded retention strands a partitioned victim below the sender's
     pruned floor; the next gossip round that sees it must repair it by
     shipping the checkpoint snapshot (the truncated records are gone),
     then top up the post-checkpoint suffix through the ordinary stream.
     The control run executes the identical call sequence with the victim
     reachable, so the repaired victim is comparable bit for bit.
+
+    ``strand`` (no prepared lease) adds one step before the cut: node 0
+    commits over a victim key and a survivor key, its Decide to the
+    victim held 2 ms, the victim cut off 1 ms in -- prepared, in doubt.
     """
     healing = HealingConfig(
         checkpoint=CheckpointConfig(max_peer_lag=2),
         snapshot=SnapshotTransferConfig(chunk_records=2),
     )
-    cluster, nemesis = build(seed, healing, wal=True)
+    lease = {"prepared_lease": None} if strand else {}
+    cluster, nemesis = build(seed, healing, wal=True, **lease)
     cluster.tracer.enable()
     rng = make_rng(seed, "healing-snapshot")
     survivor_keys = keys_off(cluster, VICTIM, KEYS)
@@ -463,6 +471,16 @@ def run_snapshot_scenario(seed, *, faulty):
         for peer in range(NUM_NODES):
             if peer != node.node_id:
                 cluster.run_process(node.healing.gossip_round(peer))
+
+    stranded = None
+    if strand:
+        step = [keys_at(cluster, VICTIM, KEYS)[0], survivor_keys[0]]
+        cluster.network.delay_policy = lambda envelope: 2e-3 if (
+            envelope.msg_type == MessageType.DECIDE and envelope.dst == VICTIM
+        ) else 0.0
+        stranded = cluster.spawn(rmw(cluster, 0, step))
+        cluster.run(until=cluster.sim.now + 1e-3)
+        cluster.network.delay_policy = None
 
     # The victim sleeps through everything after this cut; the control
     # victim stays reachable and follows along via normal Propagates.
@@ -506,6 +524,7 @@ def run_snapshot_scenario(seed, *, faulty):
         "shipped": sender.healing.snapshots_shipped,
         "installs": victim.healing.transfer.installs,
         "checkpoint": record,
+        "stranded": stranded and (*stranded.value, step[0]),
     }
 
 
@@ -550,6 +569,27 @@ def test_snapshot_transfer_repairs_truncation_gap(seed):
     assert metrics.counters["snapshot_chains"] == len(record.chains)
     assert metrics.counters["snapshot_chunks"] == (len(record.chains) + 1) // 2
     assert not cluster.any_locks_held()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bounded_retention_strands_an_in_doubt_write_is_pinned(seed):
+    """Pinned until fixed (ROADMAP items 3 and 9): a commit the victim
+    holds prepared when it is cut off, with no lease to ask about it.
+    The sender's checkpoint still records the decision, but its decision
+    log prunes it with the rest below the floor, so the repair round
+    never re-announces it; the snapshot install ticks the victim's clock
+    past its seq, and the prepared writes and their lock stay forever.
+    A fix needs the offer to carry the decisions (a wire change)."""
+    run = run_snapshot_scenario(seed, faulty=True, strand=True)
+    cluster, (acknowledged, txn, key) = run["cluster"], run["stranded"]
+    sender, victim = cluster.nodes[0], cluster.nodes[VICTIM]
+    (decision,) = [
+        d for d in run["checkpoint"].decisions if d.txn_id == txn.txn_id
+    ]
+    assert acknowledged and txn.txn_id not in sender.in_doubt.log.by_txn
+    assert decision.seq_no < run["floor"] <= victim.site_vc[0]
+    assert txn.txn_id in victim._prepared and cluster.any_locks_held()
+    assert cluster.finalized_history().lost_writes == [(txn.txn_id, key)]
 
 
 # ----------------------------------------------------------------------

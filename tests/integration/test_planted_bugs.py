@@ -6,6 +6,7 @@ import sys
 
 import repro.core.mvcc_node as mvcc_node
 from repro import ClusterConfig, RunConfig
+from repro.core.apply import Applier
 from repro.core.fwkv import FWKVNode
 from repro.faults import HEAL, PARTITION
 from repro.harness import run_experiment
@@ -77,14 +78,14 @@ def test_a_skipped_in_order_apply_loses_the_overtaken_commit(monkeypatch):
     """Without Alg. 5 line 16's wait B installs first and A, "already
     applied", never does: an acknowledged write in no store."""
     assert_psi(overtaken_commit()[0], quiescent=True)
-    real = mvcc_node.wait_until
+    real = Applier.turn
 
-    def wait_until(condition, predicate):
+    def turn(self, origin, seq_no):
         if sys._getframe(1).f_code.co_name == "_apply_committed_decide":
-            return iter(())
-        return real(condition, predicate)
+            return iter(())  # the Decide's turn, always already come
+        return real(self, origin, seq_no)
 
-    monkeypatch.setattr(mvcc_node, "wait_until", wait_until)
+    monkeypatch.setattr(Applier, "turn", turn)
     cluster, key = overtaken_commit()
     (first,) = [record.txn_id for record in cluster.history if record.seq_no == 1]
     assert cluster.finalized_history().lost_writes == [(first, key)]

@@ -22,7 +22,6 @@ from repro import (
     RpcConfig,
     ShardingConfig,
 )
-from repro.core.repair import catch_up
 from repro.core.wire import DecideBody, ReplicateAckBody
 from repro.faults import Nemesis
 from repro.faults.schedules import CRASH_DURABLE, RESTART, FaultEvent
@@ -163,7 +162,7 @@ def test_streams_carry_only_a_commits_own_records():
     sent = replicate_count(cluster)
     assert sent <= 6 * updates
     primary = cluster.node(0)
-    cluster.run_process(catch_up(primary, 1, primary.site_vc[1] + 3))
+    cluster.run_process(primary.applier.advance_to(1, primary.site_vc[1] + 3))
     cluster.run()
     assert replicate_count(cluster) == sent
     records = {kind for kind in kinds if " " not in kind}  # not the sums
@@ -188,7 +187,7 @@ def test_backup_frontier_moves_only_with_apply_records():
     applied = primary.site_vc.to_tuple()
     assert state.frontier == applied and state.applied == 1
 
-    cluster.run_process(catch_up(primary, 1, applied[1] + 3))
+    cluster.run_process(primary.applier.advance_to(1, applied[1] + 3))
     cluster.run()
     assert primary.site_vc[1] == applied[1] + 3
     assert state.frontier == applied and state.applied == 1
