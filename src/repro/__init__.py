@@ -36,7 +36,6 @@ Every ``*Config`` dataclass round-trips through ``to_dict()`` /
 
 from repro.cluster.membership import MembershipView, NodeMembership
 from repro.config import (
-    BatchingConfig,
     CheckpointConfig,
     ClusterConfig,
     DurabilityConfig,
@@ -54,7 +53,6 @@ from repro.system import PROTOCOLS, Cluster, TxnHandle, TxnResult
 __version__ = "1.4.0"
 
 __all__ = [
-    "BatchingConfig",
     "CheckpointConfig",
     "Cluster",
     "ClusterConfig",

@@ -167,26 +167,13 @@ class TransportConfig(ConfigSerde):
 
 @dataclass
 class BatchingConfig(ConfigSerde):
-    """Batching of background protocol traffic (Propagate / Remove fan-out).
+    """Inert: accepted only because the frozen ledger registry passes it."""
 
-    Every committed update transaction fans out one Propagate envelope per
-    uninvolved node (Alg. 4 line 27), and every committed read-only
-    transaction contributes Remove identifiers per destination; at scale
-    these background messages dominate the event count.  The default
-    sends one Propagate per commit per uninvolved node at commit time,
-    the paper's behaviour message for message.
-    """
-
-    #: Adaptive windows: each destination's Propagate (and Remove) window
-    #: is driven by observed queue depth -- a flush that carried more
-    #: than a small target depth grows the window additively (backlog:
-    #: batching pays), a flush that carried one item decays it
-    #: multiplicatively toward zero (idle: send immediately), and depths
-    #: in between hold it, so windows converge a few inter-arrivals wide.
-    #: A closed (zero) window sends immediately and reopens only under
-    #: sustained back-to-back sends to that destination.  Windows are
-    #: capped, bounding snapshot staleness; the controller's constants
-    #: live beside it in ``repro.core.batching``.
+    #: Inert.  Every commit sends one Propagate per uninvolved site at
+    #: commit time (Alg. 4 line 27), so nothing reads this former
+    #: adaptive-window switch; delete it with ``ClusterConfig.batching``
+    #: once ``benchmarks/ledger/registry.py`` drops the argument (ROADMAP,
+    #: ledger v2 item (h)).
     adaptive: bool = False
 
 
@@ -465,7 +452,8 @@ class ClusterConfig(ConfigSerde):
     #: asked needlessly (the 2PC baseline's lease aborts unilaterally).
     #: ``None`` (default) disables the lease: the paper's reliable channels.
     prepared_lease: Optional[float] = None
-    #: Background-traffic batching; defaults preserve one-message-per-event.
+    #: Inert, like ``BatchingConfig.adaptive``: accepted only because the
+    #: frozen ``benchmarks/ledger/registry.py`` passes it.
     batching: BatchingConfig = field(default_factory=BatchingConfig)
     #: Write-ahead logging and durable crash recovery; off by default
     #: (volatile nodes).

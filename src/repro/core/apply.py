@@ -93,24 +93,18 @@ class Applier:
                                   advanced=advanced, target=target)
 
     def on_propagate(self, envelope) -> None:
-        """Alg. 6 lines 1-4, a batched window seq by seq.  The next expected
-        seq, or a duplicate, is handled inline; an out-of-order one spawns
-        an :meth:`advance`.  (A Propagate names no seq this node took part
-        in, so no inline tick can be held.)"""
+        """Alg. 6 lines 1-4.  The next expected seq, or a duplicate, is
+        handled inline; an out-of-order one spawns an :meth:`advance`.
+        (A Propagate names no seq this node took part in, so no inline
+        tick can be held.)"""
         body = envelope.payload
-        origin = body.origin
-        seq_nos = body.seq_nos if body.seq_nos is not None else (body.seq_no,)
-        site_vc = self.site_vc
+        origin, seq_no = body.origin, body.seq_no
         self.see(origin)
-        for index, seq_no in enumerate(seq_nos):
-            current = site_vc[origin]
-            if current >= seq_no:
-                continue
-            if current == seq_no - 1:
-                self.tick(origin, seq_no)
-            else:
-                self.sim.spawn(self.advance(origin, seq_nos[index:]), name="Propagate")
-                return
+        current = self.site_vc[origin]
+        if current == seq_no - 1:
+            self.tick(origin, seq_no)
+        elif current < seq_no:
+            self.sim.spawn(self.advance(origin, (seq_no,)), name="Propagate")
 
     def claim(self, decide, applier=None, *, name: str):
         """Spawn ``applier`` (``_apply_committed_decide(decide)`` unless

@@ -10,7 +10,6 @@ from repro.core.fwkv.visibility import (
     select_read_only_version,
     select_update_version,
 )
-from repro.core.batching import adapt_window
 from repro.core.interfaces import SharedState
 from repro.core.mvcc_node import MVCCNode
 from repro.core.transaction import Transaction
@@ -18,9 +17,9 @@ from repro.core.wire import NOTHING_COLLECTED, ReadRequestBody, RemoveBody
 from repro.net.message import Envelope, MessageType
 from repro.storage.version import Version
 
-#: Remove identifiers are batched per destination and flushed on this
-#: timer, bounding background message rate (adaptive batching seeds each
-#: destination's own window with it).
+#: Remove identifiers are batched per destination and flushed on this one
+#: per-node timer, bounding background message rate: one Remove per
+#: destination per interval, off the commit critical path.
 REMOVE_FLUSH_INTERVAL = 500e-6
 
 
@@ -54,9 +53,6 @@ class FWKVNode(MVCCNode):
         # Outgoing Remove batching: destination -> pending identifiers.
         self._pending_removes: dict = {}
         self._remove_flush_scheduled = False
-        # Adaptive mode: per-destination Remove windows (AIMD, the rule
-        # the Propagate windows follow: ``batching.adapt_window``).
-        self._remove_windows: dict = {}
         # A queued read must be the retry's *first*, which is fresh only here.
         self.retries_in_line = shared.config.fwkv_fresh_update_reads
 
@@ -67,7 +63,6 @@ class FWKVNode(MVCCNode):
         # (bounded growth, never a correctness issue).
         self._pending_removes = {}
         self._remove_flush_scheduled = False
-        self._remove_windows = {}
 
     # ------------------------------------------------------------------
     # Read-side hooks
@@ -182,27 +177,6 @@ class FWKVNode(MVCCNode):
             sites = self.membership.view.fanout_ids
         else:
             sites = {self.directory.site(key) for key in txn.read_keys}
-        if config.batching.adaptive:
-            # Per-destination windows: each site's batch closes on its own
-            # AIMD-tuned timer instead of the single global interval.
-            # Windows are seeded at the global interval (Removes are off
-            # the commit critical path, so batching them is nearly free)
-            # and then adapt per destination: observed batches grow the
-            # window, lone flushes decay it toward immediate sends.
-            buffer = self._pending_removes
-            windows = self._remove_windows
-            for site in sites:
-                pending = buffer.get(site)
-                if pending is None:
-                    buffer[site] = [txn.txn_id]
-                    self.sim.call_later(
-                        windows.get(site, REMOVE_FLUSH_INTERVAL),
-                        self._flush_removes_site,
-                        site,
-                    )
-                else:
-                    pending.append(txn.txn_id)
-            return
         for site in sites:
             self._pending_removes.setdefault(site, []).append(txn.txn_id)
         if not self._remove_flush_scheduled:
@@ -219,16 +193,6 @@ class FWKVNode(MVCCNode):
         pending, self._pending_removes = self._pending_removes, {}
         for site in sorted(pending):
             self.node.send(site, MessageType.REMOVE, RemoveBody(tuple(pending[site])))
-
-    def _flush_removes_site(self, site: int) -> None:
-        """Close one destination's adaptive Remove window and send it."""
-        ids = self._pending_removes.pop(site, None)
-        if not ids:
-            return
-        self.node.send(site, MessageType.REMOVE, RemoveBody(tuple(ids)))
-        adapt_window(
-            self._remove_windows, site, len(ids), REMOVE_FLUSH_INTERVAL
-        )
 
     # ------------------------------------------------------------------
     # FW-KV-only handler

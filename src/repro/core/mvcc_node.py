@@ -26,7 +26,6 @@ from repro.cluster.directory import ShardMap
 from repro.cluster.membership import MAX_ATTEMPTS, NodeMembership
 from repro.cluster.node import Node
 from repro.core.apply import Applier
-from repro.core.batching import ADAPTIVE_STEP, PRESSURE_OPEN, adapt_window
 from repro.core.cost_model import (
     COMMIT_BASE, INSTALL_KEY, LOCK_OP, PREPARE_KEY, READ_HANDLER, VAS_ITEM,
     VERSION_SCAN_ITEM,
@@ -174,13 +173,6 @@ class MVCCNode(BaseProtocolNode):
         #: acquisition and voting; duplicates racing that window vote no
         #: instead of double-acquiring the same owner's locks.
         self._preparing: Set[int] = set()
-        #: Adaptive batching, per destination (``_send_propagate``): commit
-        #: sequence numbers awaiting a coalesced Propagate, the AIMD window,
-        #: and the probe that opens a closed one, ``(last_send_time,
-        #: consecutive_hot_sends)``.
-        self._propagate_buffer: Dict[int, List[int]] = {}
-        self._adaptive_windows: Dict[int, float] = {}
-        self._adaptive_pressure: Dict[int, Tuple[float, int]] = {}
         #: Decide appliers between popping their prepared entry and the
         #: clock tick (with its ApplyRecord): txn -> ``(origin, seq)``.
         #: While non-empty the live store may hold versions the log does
@@ -554,78 +546,16 @@ class MVCCNode(BaseProtocolNode):
         return flipped
 
     def _send_propagate(self, participant_sites: Set[int], seq_no: int) -> None:
-        """Alg. 4 line 27 fan-out, adaptively coalesced per destination.
-
-        By default every uninvolved site gets its own Propagate
-        immediately -- the paper's behaviour, message for message.  With
-        ``batching.adaptive`` a destination under sustained backlog gets
-        the window's sequence numbers as one Propagate carrying
-        ``seq_nos``; commits within a window reach uninvolved nodes at
-        most one window late, which only delays snapshot freshness (PSI
-        allows arbitrarily stale reads), never correctness.  Buffering is
-        per destination because each commit has its own participant set.
-        """
+        """Alg. 4 line 27: one Propagate per uninvolved site, at commit."""
         node_id = self.node_id
+        propagate = PropagateBody(node_id, seq_no)
         # Fan out over the live view (ring + joining members), not the
         # static seed: a joining node needs the clock-only stream from
         # the moment it enters the view, and a removed one must stop
         # receiving traffic.  At epoch zero this is exactly ``node_ids``.
-        targets = self.membership.view.fanout_ids
-        if not self.shared.config.batching.adaptive:
-            propagate = PropagateBody(node_id, seq_no)
-            for site in targets:
-                if site not in participant_sites and site != node_id:
-                    self.node.send(site, MessageType.PROPAGATE, propagate)
-            return
-        # A destination whose window has decayed to zero is served
-        # immediately -- no buffer, no timer event, so an idle adaptive
-        # cluster pays only two dict operations over the non-batched
-        # path.  The probe watches arrival gaps: once ``PRESSURE_OPEN``
-        # consecutive Propagates to the same destination land within
-        # ``ADAPTIVE_STEP`` of each other, commits are outpacing delivery
-        # and a window of one step opens.  From then on sends buffer and
-        # the flush-time AIMD rule takes over: observed batches grow the
-        # window additively, lone flushes decay it back toward zero (and
-        # immediate sends).
-        buffer = self._propagate_buffer
-        windows = self._adaptive_windows
-        pressure = self._adaptive_pressure
-        now = self.sim.now
-        propagate = None
-        for site in targets:
+        for site in self.membership.view.fanout_ids:
             if site not in participant_sites and site != node_id:
-                delay = windows.get(site, 0.0)
-                if delay <= 0.0:
-                    if propagate is None:
-                        propagate = PropagateBody(node_id, seq_no)
-                    self.node.send(site, MessageType.PROPAGATE, propagate)
-                    last, hot = pressure.get(site, (-1.0, 0))
-                    if 0.0 <= now - last <= ADAPTIVE_STEP:
-                        hot += 1
-                        if hot >= PRESSURE_OPEN:
-                            windows[site] = ADAPTIVE_STEP
-                            hot = 0
-                    else:
-                        hot = 0
-                    pressure[site] = (now, hot)
-                    continue
-                pending = buffer.get(site)
-                if pending is None:
-                    buffer[site] = [seq_no]
-                    self.sim.call_later(delay, self._flush_propagate, site)
-                else:
-                    pending.append(seq_no)
-
-    def _flush_propagate(self, site: int) -> None:
-        """Close a destination's Propagate window and send the batch."""
-        seq_nos = self._propagate_buffer.pop(site, None)
-        if seq_nos:
-            self.node.send(
-                site,
-                MessageType.PROPAGATE,
-                PropagateBody(self.node_id, seq_nos[-1], tuple(seq_nos)),
-            )
-            adapt_window(self._adaptive_windows, site, len(seq_nos), 0.0)
+                self.node.send(site, MessageType.PROPAGATE, propagate)
 
     def _group_writes_by_site(
         self, txn: Transaction

@@ -101,21 +101,11 @@ class DecideBody:
 
 @dataclass(slots=True)
 class PropagateBody:
-    """Asynchronous commit propagation to uninvolved nodes (Alg. 6).
-
-    With :class:`~repro.config.BatchingConfig` windows enabled the origin
-    coalesces a commit window into one message per destination:
-    ``seq_nos`` lists every sequence number in the window, in commit
-    order.  The handler applies them one by one with the same in-order
-    wait as the unbatched path -- a plain ``max`` would deadlock the
-    destination on windows with gaps (sequence numbers it participated in
-    via Decide but has not applied yet).  ``seq_nos is None`` is the
-    unbatched wire format carrying the single ``seq_no``.
-    """
+    """Asynchronous commit propagation to uninvolved nodes (Alg. 6): one
+    per uninvolved site per commit (Alg. 4 line 27)."""
 
     origin: int
     seq_no: int
-    seq_nos: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(slots=True)

@@ -247,11 +247,8 @@ class Nemesis:
                 and envelope.msg_type == MessageType.PROPAGATE
             ):
                 body = envelope.payload
-                seq_nos = (
-                    body.seq_nos if body.seq_nos is not None else (body.seq_no,)
-                )
-                window.lost_propagates.setdefault(body.origin, []).extend(
-                    seq_nos
+                window.lost_propagates.setdefault(body.origin, []).append(
+                    body.seq_no
                 )
         for seq_nos in window.lost_propagates.values():
             seq_nos.sort()

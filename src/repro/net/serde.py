@@ -51,8 +51,9 @@ from repro.net.rpc import _Reply, _Request
 #: gained their re-stage fields; 3: ``SyncRequestBody.site``, and a
 #: ``decision`` stream entry's ``writes`` are ``(site, key, value)``; 4:
 #: ``ReadRequestBody.queue``, ``ReadReturnBody.spoken_for``, ``VoteBody.lost``;
-#: 5: ``ReadRequestBody.frozen`` deleted).
-WIRE_VERSION = 5
+#: 5: ``ReadRequestBody.frozen`` deleted; 6: ``PropagateBody.seq_nos``
+#: deleted, one Propagate per commit).
+WIRE_VERSION = 6
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).

@@ -2,7 +2,7 @@
 delivery order, end at one site where in-order delivery ends.
 
 The site takes part in some of the origin's commits (a prepared write,
-then a Decide) and hears of the rest by Propagate, single or batched.  A
+then a Decide) and hears of the rest by Propagate, one per commit.  A
 drawn order mixes duplicates, gaps in virtual time and one gossip-style
 catch-up: it claims every commit still prepared, as ``Applier.pull`` does
 once their coordinator has answered, and advances the clock to the end
@@ -50,9 +50,9 @@ def run(joined, items):
                 envelope = Envelope(MessageType.DECIDE, ORIGIN, SITE, decide(arg))
                 sim.spawn(node.on_decide(envelope))
             else:
-                batch = PropagateBody(ORIGIN, arg[-1], arg if len(arg) > 1 else None)
+                body = PropagateBody(ORIGIN, arg)
                 node.applier.on_propagate(
-                    Envelope(MessageType.PROPAGATE, ORIGIN, SITE, batch)
+                    Envelope(MessageType.PROPAGATE, ORIGIN, SITE, body)
                 )
             yield sim.timeout(gap)
 
@@ -71,12 +71,10 @@ def run(joined, items):
 @st.composite
 def deliveries(draw):
     joined = draw(st.lists(st.booleans(), min_size=1, max_size=MAX_SEQ))
-    messages = [("decide", seq) for seq, took in enumerate(joined, 1) if took]
-    rest = [seq for seq, took in enumerate(joined, 1) if not took]
-    while rest:  # windows of the Propagate stream, in commit order
-        size = draw(st.integers(1, len(rest)))
-        messages.append(("propagate", tuple(rest[:size])))
-        rest = rest[size:]
+    messages = [
+        ("decide" if took else "propagate", seq)
+        for seq, took in enumerate(joined, 1)
+    ]
     messages += draw(st.lists(st.sampled_from(messages), max_size=3))
     if draw(st.booleans()):
         messages.append(("catch-up", None))
@@ -90,7 +88,7 @@ def deliveries(draw):
 def test_any_delivery_order_ends_where_in_order_delivery_does(drawn):
     joined, items = drawn
     in_order = [
-        ("decide", seq, 50e-6) if took else ("propagate", (seq,), 50e-6)
+        ("decide" if took else "propagate", seq, 50e-6)
         for seq, took in enumerate(joined, 1)
     ]
     expected = run(joined, in_order)
@@ -98,3 +96,25 @@ def test_any_delivery_order_ends_where_in_order_delivery_does(drawn):
     assert expected[2] == list(range(1, len(joined) + 1))
     assert expected[3:] == (0, False)
     assert run(joined, items) == expected
+
+
+def test_a_propagate_past_a_gap_waits_for_the_gap_to_fill():
+    """Alg. 6 line 2: a Propagate ahead of the next expected seq leaves
+    siteVC where it is until the gap's own Propagate lands; a duplicate
+    then changes nothing."""
+    cluster = Cluster(
+        "fwkv", ClusterConfig(num_nodes=2, seed=3), directory=ExplicitDirectory(KEYS)
+    )
+    node = cluster.node(SITE)
+
+    def propagate(seq):
+        body = PropagateBody(ORIGIN, seq)
+        node.applier.on_propagate(Envelope(MessageType.PROPAGATE, ORIGIN, SITE, body))
+        cluster.run()
+        return node.site_vc.to_tuple()
+
+    assert propagate(2) == (0, 0)
+    assert node.applier.site_vc_changed.waiter_count == 1
+    assert propagate(1) == (2, 0)
+    assert propagate(1) == (2, 0)
+    assert node.applier.site_vc_changed.waiter_count == 0

@@ -2,8 +2,8 @@
 
 Pins the package's public contract: every public ``*Config`` dataclass
 is importable from ``repro`` (the regression that motivated this suite
-was ``BatchingConfig`` living in ``repro.config`` but missing from the
-package exports), every config round-trips through ``to_dict()`` /
+was a config living in ``repro.config`` but missing from the package
+exports), every config round-trips through ``to_dict()`` /
 ``from_dict()`` -- including through JSON -- and the
 :meth:`~repro.system.Cluster.run_txn` facade behaves exactly as the
 README quickstart promises.
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import repro
 import repro.config
 from repro import (
-    BatchingConfig,
     CheckpointConfig,
     Cluster,
     ClusterConfig,
@@ -34,7 +33,7 @@ from repro import (
     TxnHandle,
     TxnResult,
 )
-from repro.config import ConfigSerde
+from repro.config import BatchingConfig, ConfigSerde
 
 pytestmark = pytest.mark.api
 
@@ -56,17 +55,13 @@ def public_config_classes():
 
 def test_every_public_config_class_is_exported():
     classes = public_config_classes()
+    # Inert, accepted only for the frozen ledger registry: not exported.
+    del classes["BatchingConfig"]
+    assert "BatchingConfig" not in repro.__all__
     assert len(classes) >= 10  # the known surface; growing is fine
     for name, obj in classes.items():
         assert name in repro.__all__, f"{name} missing from repro.__all__"
         assert getattr(repro, name) is obj, f"repro.{name} is a stray alias"
-
-
-def test_batching_config_importable_from_package():
-    # The original export gap, kept as an explicit regression test.
-    from repro import BatchingConfig as imported
-
-    assert imported is repro.config.BatchingConfig
 
 
 def test_facade_types_are_exported():
@@ -114,13 +109,11 @@ def test_cli_config_includes_the_transport_block(capsys):
 
 
 def test_group_commit_and_adaptive_batching_fields_default_off():
-    # The perf knobs added with group commit / adaptive batching must stay
-    # inert by default: fsync cost zero (unbuffered WAL, historical
-    # behaviour) and one Propagate per commit per uninvolved node.
+    # The perf knobs added with group commit must stay inert by default:
+    # fsync cost zero (unbuffered WAL, historical behaviour).
     durability = DurabilityConfig()
     assert durability.fsync_latency == 0.0
     assert durability.group_commit_window == 0.0
-    assert BatchingConfig().adaptive is False
     round_tripped = DurabilityConfig.from_dict(
         {"fsync_latency": 1e-4, "group_commit_window": 2e-4}
     )

@@ -1,34 +1,30 @@
-"""Adaptively batched vs unbatched Propagate/Remove must not change what
-commits.
+"""One Propagate per commit, whatever ``BatchingConfig`` says.
 
-Two levels of assurance:
+The paper sends one Propagate per commit to every uninvolved site (Alg. 4
+line 27); read-only commits' Removes ride one per-node flush timer.
+``BatchingConfig(adaptive=True)`` is still accepted -- the frozen ledger
+registry passes it -- but nothing reads it, so:
 
 * A *sequential* seeded scenario -- every transaction runs to cluster
-  quiescence before the next starts -- must be bit-identical between
-  batching on and off: same commit log, same per-node siteVC history at
-  every quiescence point.  Sequential execution removes legitimate timing
-  divergence (batching delays Propagate delivery, which under concurrency
-  may reorder conflict races), leaving only the semantics of the messages
-  themselves, which coalescing must preserve exactly.
-* A *concurrent* seeded workload whose windows are forced open must
-  still pass the oracle and quiesce cleanly -- batching may shift
-  which transactions win races, never break consistency.
-
-Windows normally open only under sustained back-to-back sends; the
-scenarios here pin them open (``_open_windows``) so every Propagate and
-Remove really rides a batch.
+  quiescence before the next starts -- is bit-identical with the knob set
+  and unset: same commit log, same per-node siteVC history at every
+  quiescence point.
+* A *concurrent* seeded workload with the knob set passes the oracle and
+  quiesces cleanly.
+* A burst of commits reaches an uninvolved site as one Propagate each.
 """
 
 import pytest
 
 from repro import NetworkConfig
 from repro.config import BatchingConfig
+from repro.core.fwkv.node import REMOVE_FLUSH_INTERVAL
 from repro.net.message import MessageType
 from repro.sim.rng import make_rng
 
 from tests.harness.oracle import assert_psi
 from tests.integration.scenario_tools import (
-    modulo_cluster, run_sequential, spawn_increment_clients,
+    modulo_cluster, read_only_txn, run_sequential, spawn_increment_clients,
 )
 
 NODES = 3
@@ -40,25 +36,9 @@ def _make_cluster(batching, protocol):
     return modulo_cluster(protocol, KEYS, network, seed=21, batching=batching)
 
 
-def _open_windows(cluster, propagate, remove=None):
-    """Pin every node's per-destination windows open at the given widths."""
-    for node in cluster.nodes:
-        for site in range(NODES):
-            node._adaptive_windows[site] = propagate
-            if remove is not None and hasattr(node, "_remove_windows"):
-                node._remove_windows[site] = remove
-
-
 def _run_sequential(batching, protocol):
-    """``run_sequential``; with batching on, every window is re-pinned
-    open each round (a lone-commit flush decays a window)."""
     cluster = _make_cluster(batching, protocol)
-
-    def pin():
-        if batching.adaptive:
-            _open_windows(cluster, 300e-6, 1e-3)
-
-    return run_sequential(cluster, KEYS, make_rng(21, "batch-equiv"), pin)
+    return run_sequential(cluster, KEYS, make_rng(21, "batch-equiv"))
 
 
 @pytest.mark.parametrize("protocol", ("fwkv", "walter"))
@@ -69,11 +49,10 @@ def test_sequential_runs_identical_batched_and_unbatched(protocol):
     assert batched[1] == baseline[1], "per-node siteVC histories diverged"
 
 
-def test_batched_propagate_coalesces_a_commit_window():
+def test_one_propagate_per_commit_per_uninvolved_site():
     """Several quick commits at one origin reach an uninvolved node as one
-    Propagate carrying the whole window, and its snapshot still advances."""
+    Propagate each, and its snapshot advances through all of them."""
     cluster = _make_cluster(BatchingConfig(adaptive=True), "fwkv")
-    _open_windows(cluster, 2e-3)
 
     def burst():
         node = cluster.node(0)
@@ -92,18 +71,33 @@ def test_batched_propagate_coalesces_a_commit_window():
 
     cluster.spawn(burst())
     cluster.run()
-    # Node 1 was uninvolved in every commit; the window coalesced all four
-    # sequence numbers yet its snapshot caught up completely.
-    assert cluster.network.stats.messages_by_type[MessageType.PROPAGATE] == 1
+    # Node 1 was uninvolved in every commit: four commits, four Propagates.
+    assert cluster.network.stats.messages_by_type[MessageType.PROPAGATE] == 4
     clocks = cluster.site_clocks()
     assert all(clock == clocks[0] for clock in clocks)
     assert clocks[1][0] == 4
 
 
+def test_removes_of_one_flush_interval_share_one_message_per_site():
+    """Read-only commits that end inside one ``REMOVE_FLUSH_INTERVAL``
+    send one Remove per site between them, and it erases every visible
+    read they registered."""
+    cluster = _make_cluster(BatchingConfig(adaptive=True), "fwkv")
+    readers = 3
+    for _ in range(readers):
+        cluster.spawn(read_only_txn(cluster, 0, ["k0", "k1", "k2"]))
+    cluster.run(until=REMOVE_FLUSH_INTERVAL / 2)
+    assert cluster.total_vas_entries() > 0
+    cluster.run()
+
+    removes = cluster.network.stats.messages_by_type[MessageType.REMOVE]
+    assert 0 < removes <= NODES
+    assert cluster.total_vas_entries() == 0
+
+
 @pytest.mark.parametrize("protocol", ("fwkv", "walter"))
 def test_concurrent_batched_run_stays_consistent(protocol):
     cluster = _make_cluster(BatchingConfig(adaptive=True), protocol)
-    _open_windows(cluster, 400e-6, 2e-3)
     spawn_increment_clients(cluster, KEYS, "batch-conc")
     cluster.run()
 

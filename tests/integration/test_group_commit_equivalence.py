@@ -1,18 +1,16 @@
-"""Group commit and adaptive batching: inert by default, safe when on.
-
-Mirrors ``test_batching_equivalence``'s two levels of assurance for the
-PR's new perf knobs:
+"""Durable group commit: inert by default, safe when on.
 
 * Disabled-by-default equivalence.  While ``fsync_latency == 0`` the
   WAL is unbuffered and every append instantly durable, and the
-  accepted-but-unread ``group_commit_window`` changes nothing -- a run
-  with it set must be *bit-identical* to the seed defaults: same commit
-  log, same per-node siteVC history at every quiescence point, same WAL
-  contents.
-* Enabled, the durable group-commit path and adaptive batching may shift
-  which transactions win races (commit acks now wait on batched syncs;
-  windows stretch and shrink) but must keep the oracle's verdict clean
-  on a concurrent chaos workload and still quiesce fully converged.
+  accepted-but-unread ``group_commit_window`` and ``batching.adaptive``
+  change nothing -- a run with them set must be *bit-identical* to the
+  seed defaults: same commit log, same per-node siteVC history at every
+  quiescence point, same WAL contents.
+* Enabled, the durable group-commit path may shift which transactions
+  win races (commit acks now wait on batched syncs) but must keep the
+  oracle's verdict clean on a concurrent chaos workload and still
+  quiesce fully converged; so must a chaos run with the unread
+  ``batching.adaptive`` set.
 * The price of durability is bounded: one forced write, at most the
   in-flight sync plus its own.
 """
@@ -55,6 +53,7 @@ def test_group_commit_window_inert_without_fsync_latency(protocol):
     )
     knobs_set = _run_sequential(
         protocol,
+        batching=BatchingConfig(adaptive=True),
         durability=DurabilityConfig(
             wal_enabled=True, group_commit_window=300e-6
         ),
@@ -118,7 +117,6 @@ def test_durable_update_latency_stays_within_one_forced_write():
                 clients_per_node=5,
                 seed=29,
                 durability=durability,
-                batching=BatchingConfig(adaptive=True),
             ),
             RunConfig(duration=0.008, warmup=0.002),
         )
@@ -144,6 +142,8 @@ def test_durable_update_latency_stays_within_one_forced_write():
 
 @pytest.mark.parametrize("protocol", ("fwkv", "walter"))
 def test_adaptive_batching_chaos_stays_consistent(protocol):
+    """The frozen ledger still passes ``BatchingConfig(adaptive=True)``;
+    unread, it leaves a chaos run consistent and fully drained."""
     cluster = _make_cluster(
         protocol,
         batching=BatchingConfig(adaptive=True),
@@ -155,74 +155,16 @@ def test_adaptive_batching_chaos_stays_consistent(protocol):
 
 
 def test_adaptive_with_durable_group_commit_combined():
+    """The ledger's durable row shape (FW-KV, 100 us syncs, the unread
+    ``adaptive=True``): Removes on the per-node timer still erase every
+    visible read."""
     cluster = _make_cluster(
         "fwkv",
         batching=BatchingConfig(adaptive=True),
-        durability=DurabilityConfig(wal_enabled=True, fsync_latency=50e-6),
+        durability=DurabilityConfig(wal_enabled=True, fsync_latency=100e-6),
     )
     _chaos(cluster)
     _assert_consistent(cluster)
+    assert cluster.total_vas_entries() == 0
     counters = cluster.metrics.counters
     assert counters["wal_records_synced"] > counters["wal_syncs"] > 0
-
-
-# ----------------------------------------------------------------------
-# The AIMD controller itself, exercised deterministically on one node.
-# ----------------------------------------------------------------------
-
-def _adaptive_node():
-    cluster = _make_cluster("walter", batching=BatchingConfig(adaptive=True))
-    return cluster, cluster.node(0)
-
-
-def test_adaptive_pressure_probe_opens_closed_window():
-    from repro.core.batching import PRESSURE_OPEN, ADAPTIVE_STEP as step
-
-    cluster, node = _adaptive_node()
-    # A closed window serves sends immediately; back-to-back sends at the
-    # same instant are maximally hot (gap zero), so after the cold first
-    # send plus PRESSURE_OPEN hot ones the window opens at one step.
-    for seq_no in range(PRESSURE_OPEN + 1):
-        node._send_propagate(set(), seq_no)
-        opened = dict(node._adaptive_windows)
-        if seq_no < PRESSURE_OPEN:
-            assert not opened, f"window opened early after send {seq_no}"
-    destinations = {i for i in range(NODES) if i != node.node_id}
-    assert opened == {site: step for site in destinations}
-    # Once open, sends buffer instead of going out immediately.
-    node._send_propagate(set(), 99)
-    assert set(node._propagate_buffer) == destinations
-
-
-def test_adaptive_window_grows_only_past_target_depth():
-    from repro.core.batching import (
-        TARGET_DEPTH, ADAPTIVE_DECAY, ADAPTIVE_STEP as step, MAX_WINDOW,
-    )
-
-    cluster, node = _adaptive_node()
-    site = (node.node_id + 1) % NODES
-
-    # Depth inside the band: window holds (no ratchet toward MAX_WINDOW).
-    node._adaptive_windows[site] = step
-    node._propagate_buffer[site] = list(range(TARGET_DEPTH))
-    node._flush_propagate(site)
-    assert node._adaptive_windows[site] == step
-
-    # Depth beyond the band: additive growth, capped at MAX_WINDOW.
-    node._propagate_buffer[site] = list(range(TARGET_DEPTH + 1))
-    node._flush_propagate(site)
-    assert node._adaptive_windows[site] == 2 * step
-    node._adaptive_windows[site] = MAX_WINDOW
-    node._propagate_buffer[site] = list(range(TARGET_DEPTH + 1))
-    node._flush_propagate(site)
-    assert node._adaptive_windows[site] == MAX_WINDOW
-
-    # Singleton flush: multiplicative decay, snapping to zero (closed).
-    node._adaptive_windows[site] = step
-    node._propagate_buffer[site] = [1]
-    node._flush_propagate(site)
-    assert node._adaptive_windows[site] == step * ADAPTIVE_DECAY
-    node._adaptive_windows[site] = 1e-10
-    node._propagate_buffer[site] = [2]
-    node._flush_propagate(site)
-    assert node._adaptive_windows[site] == 0.0
