@@ -13,8 +13,9 @@ The scenarios cover the cold paths the benchmark never reaches:
 * ``healing_partition`` -- a node isolated and healed under RPC
   deadlines, heartbeats and anti-entropy (failure detector, backoff
   jitter, gossip peer draw);
-* ``checkpoint_snapshot`` -- WAL checkpoints with bounded retention, so
-  the healed node is repaired by a checkpoint snapshot transfer;
+* ``checkpoint_truncation`` -- WAL checkpoints under a partition: the
+  isolated node holds every survivor's truncation back until gossip has
+  caught it up, then the logs truncate;
 * ``durable_crash`` -- a crash that wipes volatile state, WAL replay;
 * ``replication_failover`` -- a replicated shard's primary crashes and
   its backup is promoted;
@@ -120,21 +121,15 @@ def healing_partition():
     return finish(cluster, 30e-3)
 
 
-def checkpoint_snapshot():
-    from repro import (
-        CheckpointConfig,
-        DurabilityConfig,
-        HealingConfig,
-        SnapshotTransferConfig,
-    )
+def checkpoint_truncation():
+    from repro import CheckpointConfig, DurabilityConfig, HealingConfig
     from repro.faults import Nemesis, isolate_cycle
 
     cluster = build(
         durability=DurabilityConfig(wal_enabled=True),
         healing=HealingConfig(
             anti_entropy_interval=1e-3, digest_timeout=5e-4,
-            checkpoint=CheckpointConfig(interval=2e-3, max_peer_lag=2),
-            snapshot=SnapshotTransferConfig(chunk_records=2),
+            checkpoint=CheckpointConfig(interval=2e-3),
         ),
     )
     traffic(cluster, (0, 1, 3), 25e-3)
@@ -197,7 +192,7 @@ def shard_migration():
 SCENARIOS = {
     scenario.__name__: scenario
     for scenario in (
-        healing_partition, checkpoint_snapshot, durable_crash,
+        healing_partition, checkpoint_truncation, durable_crash,
         replication_failover, membership, shard_migration,
     )
 }

@@ -45,7 +45,6 @@ from repro.config import (
     RpcConfig,
     RunConfig,
     ShardingConfig,
-    SnapshotTransferConfig,
     TransportConfig,
 )
 from repro.system import PROTOCOLS, Cluster, TxnHandle, TxnResult
@@ -66,7 +65,6 @@ __all__ = [
     "RpcConfig",
     "RunConfig",
     "ShardingConfig",
-    "SnapshotTransferConfig",
     "TransportConfig",
     "TxnHandle",
     "TxnResult",

@@ -188,49 +188,15 @@ class CheckpointConfig(ConfigSerde):
     newest checkpoint are truncated once the anti-entropy digests show the
     node's own commit frontier at checkpoint time applied at *every* peer
     -- the precise-GC condition under which no peer can ever again need a
-    truncated decision or prepare.
+    truncated decision or prepare.  A peer that is partitioned or never
+    heard from holds truncation back until it has caught up; there is no
+    lag bound.
     """
 
     #: Virtual-seconds period between checkpoint attempts by the healing
     #: daemon; ``None`` (default) disables automatic checkpointing
     #: (tests may still call ``CheckpointManager.checkpoint_now``).
     interval: Optional[float] = None
-    #: Bounded retention: a peer whose own-origin frontier evidence lags
-    #: this node's frontier by more than ``max_peer_lag`` (or has never
-    #: been heard from at all) is *stranded* -- excluded from the
-    #: stable-floor evidence, so truncation proceeds without it and the
-    #: peer becomes repairable only by checkpoint snapshot transfer
-    #: (:class:`SnapshotTransferConfig`).  ``None`` (default) keeps the
-    #: strict rule: every peer must prove the checkpoint frontier
-    #: applied before anything is truncated, so no peer is ever left
-    #: beyond record-by-record repair.
-    max_peer_lag: Optional[int] = None
-
-
-@dataclass
-class SnapshotTransferConfig(ConfigSerde):
-    """Checkpoint snapshot shipping for far-behind peers.
-
-    Anti-entropy repairs a lagging peer record by record, streaming the
-    full Decides above the peer's applied frontier.  WAL truncation
-    breaks that for a peer whose gap predates the sender's truncated
-    history: the decisions at or below the truncation floor survive only
-    inside the newest checkpoint.  When a gossip digest reveals such a
-    peer, the sender ships that fingerprinted
-    :class:`~repro.storage.wal.CheckpointRecord` over the wire in
-    bounded chunks (``SNAPSHOT_OFFER`` / ``SNAPSHOT_CHUNK`` /
-    ``SNAPSHOT_ACK``); the receiver installs it behind its read/prepare
-    fence, verifies the fingerprint, and the ordinary Decide push tops
-    up the suffix.  See docs/self_healing.md.
-
-    Not a switch: a transfer can only trigger after a truncation has
-    actually created an unrepairable gap, so runs that never truncate
-    pay nothing for it.
-    """
-
-    #: Store chains per ``SNAPSHOT_CHUNK`` message (flow control: the
-    #: snapshot is streamed, never shipped as one unbounded payload).
-    chunk_records: int = 64
 
 
 @dataclass
@@ -271,15 +237,8 @@ class HealingConfig(ConfigSerde):
     digest_timeout: float = 2e-3
     #: WAL checkpoint/truncation policy.
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
-    #: Checkpoint snapshot shipping for peers below the truncation floor.
-    snapshot: SnapshotTransferConfig = field(
-        default_factory=SnapshotTransferConfig
-    )
 
-    _nested = {
-        "checkpoint": CheckpointConfig,
-        "snapshot": SnapshotTransferConfig,
-    }
+    _nested = {"checkpoint": CheckpointConfig}
 
 
 @dataclass

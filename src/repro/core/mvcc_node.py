@@ -102,8 +102,8 @@ class MVCCNode(BaseProtocolNode):
             else None
         )
         #: What parks reads and prepares while the state under them is
-        #: repaired: node-wide from a durable crash until recovery (or a
-        #: checkpoint install) completes, shard-scoped during a handoff.
+        #: repaired: node-wide from a durable crash until recovery
+        #: completes, shard-scoped during a handoff.
         self.fence = Fence(self.sim, self.directory)
         #: Bumped by every volatile wipe.  In-flight processes that carry
         #: state across yields (decide appliers, ``Applier.advance`` runs,
@@ -142,7 +142,6 @@ class MVCCNode(BaseProtocolNode):
         transfer = self.healing.transfer
         node.on(MessageType.SNAPSHOT_OFFER, transfer.on_offer)
         node.on(MessageType.SNAPSHOT_CHUNK, transfer.on_chunk)
-        node.on(MessageType.SNAPSHOT_ACK, transfer.on_ack)
         #: Per-shard load tracking, armed only when the shared directory
         #: is a :class:`ShardMap`; the static-directory hot path pays a
         #: single ``is None`` test per request.

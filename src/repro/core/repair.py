@@ -37,8 +37,8 @@ class Fence:
     """What parks requests while the state under them is being repaired.
 
     Two levels, one condition variable, one wait routine.  ``node_wide``
-    up (durable crash, recovery, checkpoint install): no read is served
-    and no prepare admitted -- the store is being rebuilt or replaced.
+    up (durable crash until recovery completes): no read is served and
+    no prepare admitted -- the store is being rebuilt.
     A shard fenced (a handoff: migration, join, drain, promotion, backup
     bootstrap): no prepare touching a key of it is admitted -- a key
     first written mid-handoff included -- while reads continue; its
@@ -387,9 +387,9 @@ def reannounce(
     clock-only Propagate: a peer still holding the prepared writes must
     install them under the clock tick.  Always safe: the apply path
     skips sequence numbers at or below the receiver's clock.
-    Pruned sequence numbers are skipped (a peer below the pruned floor
-    needs a checkpoint transfer); ``limit`` bounds how many are
-    announced per call.  Returns those announced.
+    Pruned sequence numbers are skipped (every peer had applied them when
+    they were pruned); ``limit`` bounds how many are announced per call.
+    Returns those announced.
     """
     announced: List[int] = []
     if not frontiers:

@@ -195,43 +195,35 @@ class SyncReplyBody:
 
 @dataclass(slots=True)
 class SnapshotOfferBody:
-    """Snapshot transfer, phase one: sender -> receiver RPC.
+    """Shard handoff chain transfer, phase one: donor -> receiver RPC.
 
-    Announces the sender's newest checkpoint -- its clock, fingerprint,
-    and how many ``SNAPSHOT_CHUNK`` messages will follow -- so the
-    receiver can decide acceptance *before* any bulk data moves.  The
-    receiver accepts only when the checkpoint's ``site_vc`` dominates
-    its own clock (installing must never regress an origin; a peer with
-    local progress the checkpoint has not absorbed rejects and waits
-    for a later, fresher offer) and raises its read/prepare fence for
-    the duration of the transfer.
+    Announces the chain set -- its fingerprint and how many
+    ``SNAPSHOT_CHUNK`` messages will follow -- so the receiver can refuse
+    (busy, recovering) *before* any bulk data moves.
     """
 
     sender: int
-    #: The checkpoint's captured clock; becomes the receiver's clock.
+    #: The donor's clock at build time.  Covered by the fingerprint;
+    #: never adopted (the origins' commits reach the receiver through
+    #: the normal fan-out).
     site_vc: Tuple[int, ...]
-    #: The sender's own coordinator counter at checkpoint time (carried
-    #: for tracing; the receiver never adopts another node's counter).
+    #: The donor's coordinator counter, likewise fingerprinted only.
     curr_seq_no: int
     #: sha256 digest verified by the receiver after reassembly.
     fingerprint: str
     total_chunks: int
     #: Per-sender transfer identifier; chunks must match it.
     snapshot_id: int
-    #: Shard-scoped transfer (membership handoff): the receiver adopts
-    #: every carried chain verbatim and merges -- rather than replaces --
-    #: its clock and store.  Full-checkpoint offers leave this false.
-    shard: bool = False
 
 
 @dataclass(slots=True)
 class SnapshotChunkBody:
-    """One bounded slice of the checkpoint's store chains (RPC).
+    """One bounded slice of the shipped chains (RPC).
 
-    Chunks carry ``chunk_records`` chains each (see
-    :class:`~repro.config.SnapshotTransferConfig`) and must arrive in
-    index order -- the receiver rejects gaps, aborting the transfer, and
-    the sender simply re-offers on its next gossip round.
+    Chunks carry ``CHUNK_RECORDS`` chains each
+    (:mod:`repro.healing.transfer`) and must arrive in index order -- the
+    receiver refuses a gap, the transfer is abandoned and the handoff
+    fails.
     """
 
     snapshot_id: int
@@ -243,22 +235,16 @@ class SnapshotChunkBody:
 
 @dataclass(slots=True)
 class SnapshotAckBody:
-    """Receiver's verdict on an offer or chunk.
+    """Receiver's verdict on an offer or chunk (RPC reply).
 
-    As an RPC reply: ``accepted`` answers the offer/chunk itself and
-    ``installed`` turns true on the final chunk's reply once the
-    fingerprint verified and the snapshot was adopted.  The receiver
-    additionally sends one *one-way* ``SNAPSHOT_ACK`` message after a
-    successful install: the sender's handler harvests it as frontier
-    evidence (the receiver now provably holds the sender's origin up to
-    the checkpoint clock) even if the chunk reply itself is lost.
+    ``accepted`` answers the offer/chunk itself; ``installed`` turns true
+    on the final chunk's reply once the fingerprint verified and the
+    chains were adopted.
     """
 
     snapshot_id: int
     accepted: bool
     installed: bool = False
-    #: Receiver's post-install clock (one-way ack only).
-    site_vc: Optional[Tuple[int, ...]] = None
     reason: Optional[str] = None
 
 

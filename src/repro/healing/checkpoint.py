@@ -44,7 +44,6 @@ class CheckpointManager:
     def __init__(self, owner, healing) -> None:
         self.owner = owner
         self.healing = healing
-        self.config = healing.config.checkpoint
         #: Cumulative WAL append count as of the previous checkpoint
         #: (survives truncation, which only shifts the record list).
         self._last_logical = 0
@@ -53,15 +52,6 @@ class CheckpointManager:
         self._stable_required: Optional[int] = None
         #: Checkpoints taken at this node (test probe).
         self.taken = 0
-        #: Own-origin sequence numbers at or below this were pruned from
-        #: the in-memory decision log (and the WAL below the matching
-        #: checkpoint truncated).  A peer whose frontier sits below it
-        #: can no longer be repaired record by record -- the trigger for
-        #: snapshot transfer (see NodeHealing).
-        self.pruned_floor = 0
-        #: The newest CheckpointRecord this node holds (taken here, or
-        #: recovered from the WAL); the payload a snapshot offer ships.
-        self._latest: Optional[CheckpointRecord] = None
 
     def _logical_length(self) -> int:
         """Records ever appended (list length plus truncated prefix)."""
@@ -116,7 +106,6 @@ class CheckpointManager:
         owner.wal.append(record)
         self._last_logical = self._logical_length()
         self._stable_required = owner.site_vc[owner.node_id]
-        self._latest = record
         self.taken += 1
         owner.tracer.emit(
             owner.node_id, "checkpoint",
@@ -126,65 +115,26 @@ class CheckpointManager:
         )
         return record
 
-    def latest_checkpoint(self) -> Optional[CheckpointRecord]:
-        """The newest checkpoint on record (cached, else a WAL scan).
-
-        The WAL scan covers the node that recovered from a checkpointed
-        log without ever taking a fresh checkpoint itself: the record is
-        still the durable payload a snapshot offer must ship.
-        """
-        if self._latest is not None:
-            return self._latest
-        wal = self.owner.wal
-        if wal is None:
-            return None
-        for record in reversed(wal.records()):
-            if isinstance(record, CheckpointRecord):
-                self._latest = record
-                return record
-        return None
-
     # ------------------------------------------------------------------
     # Truncation
     # ------------------------------------------------------------------
     def stable_floor(self) -> Optional[int]:
-        """The own-origin frontier every *retained* peer has applied.
+        """The own-origin frontier every peer has applied.
 
         ``None`` until evidence from every peer has arrived -- with a
         peer unheard from, nothing is provably stable.  A single-node
-        cluster has no peers and everything is trivially stable.
-
-        With ``max_peer_lag`` set (bounded retention), a peer whose
-        evidence lags our frontier beyond the bound -- or that has never
-        reported while our frontier exceeds the bound -- is stranded:
-        dropped from the floor so truncation is not held hostage by one
-        long-partitioned node.  A stranded peer lands below the pruned
-        floor and is repaired by snapshot transfer instead of the
-        record-by-record push.  Nothing supersedes the decisions pruned
-        with the rest: the offer carries none, so a commit the peer holds
-        prepared has no decision on record (a lease's query presumes it
-        aborted) and the install ticks the peer's clock past it -- a lost
-        write, pinned in ``tests/integration/test_healing.py``.  When
-        *every* peer is stranded the floor is our own frontier.
+        cluster has no peers and everything is trivially stable.  There
+        is no lag bound: a partitioned peer holds the floor where it
+        was cut off, so every decision it may still need stays on record
+        and it catches up through the ordinary push once it is back.
         """
         peers = self.healing.peers
-        own = self.owner.site_vc[self.owner.node_id]
         if not peers:
-            return own
-        max_lag = self.config.max_peer_lag
+            return self.owner.site_vc[self.owner.node_id]
         frontiers = self.healing.peer_frontiers
-        floor = None
-        for peer in peers:
-            frontier = frontiers.get(peer)
-            if frontier is None:
-                if max_lag is not None and own > max_lag:
-                    continue  # stranded: never heard from, bound exceeded
-                return None
-            if max_lag is not None and own - frontier > max_lag:
-                continue  # stranded: beyond bounded retention
-            if floor is None or frontier < floor:
-                floor = frontier
-        return own if floor is None else floor
+        if any(peer not in frontiers for peer in peers):
+            return None
+        return min(frontiers[peer] for peer in peers)
 
     def maybe_truncate(self) -> int:
         """Truncate below the newest checkpoint once it is stable.
@@ -207,8 +157,6 @@ class CheckpointManager:
             return 0
         dropped = owner.wal.truncate_to_checkpoint()
         self._stable_required = None
-        if floor > self.pruned_floor:
-            self.pruned_floor = floor
         owner.in_doubt.log.prune(floor)
         if dropped:
             owner.tracer.emit(

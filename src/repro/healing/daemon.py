@@ -77,8 +77,6 @@ class NodeHealing:
         self._loops: List[PeriodicLoop] = []
         #: Completed anti-entropy rounds at this node (test probe).
         self.rounds = 0
-        #: Snapshots shipped to truncation-gapped peers (test probe).
-        self.snapshots_shipped = 0
         #: Set by :meth:`stop`: a gossip round in flight winds down too.
         self._stopped = False
 
@@ -98,7 +96,7 @@ class NodeHealing:
             owner.node.rpc.detector = self.detector
             owner.node.arrival_hook = self.detector.on_arrival
 
-        # Repair RPCs -- gossip digests, snapshot offers, every in-doubt
+        # Repair RPCs -- gossip digests, chain transfers, every in-doubt
         # status query, an expiring lease's included -- must never hang
         # on a dead peer: under the paper's reliable-channel default (no
         # global timeout) they get a private single-attempt deadline;
@@ -112,7 +110,7 @@ class NodeHealing:
             self._rpc_config = None
 
         self.checkpoints = CheckpointManager(owner, self)
-        #: Chain shipping (checkpoint repair and shard handoff), both ends.
+        #: Chain shipping for shard handoffs, both ends.
         self.transfer = ChainTransfer(owner, self)
 
     # ------------------------------------------------------------------
@@ -277,24 +275,6 @@ class NodeHealing:
             # converges on membership the same way it converges on data.
             owner.membership.send_commit_to(peer)
         self.note_peer_frontier(peer, self._own_entry(peer_vc))
-        if self._snapshot_gap(self._own_entry(peer_vc)):
-            # Record-by-record repair cannot reach this peer: ship the
-            # newest checkpoint.  On success its frontier of our origin
-            # provably equals the checkpoint clock's own entry, recorded
-            # as truncation evidence at once; stream and pull against the
-            # checkpoint clock so this same round tops it up with the
-            # post-checkpoint suffix.
-            record = self.checkpoints.latest_checkpoint()
-            installed = yield from self.transfer.ship(peer, record, incarnation)
-            if superseded():
-                return
-            if installed:
-                self.note_peer_frontier(peer, record.site_vc[self.node_id])
-                self.snapshots_shipped += 1
-                self.metrics.count("snapshots_shipped")
-                merged = VectorClock(peer_vc)
-                merged.merge_seq(record.site_vc)
-                peer_vc = merged.to_tuple()
         # Push: the full Decides of our origin the peer has not applied,
         # bounded per round; the next round resumes from its new digest.
         streamed = reannounce(
@@ -316,23 +296,6 @@ class NodeHealing:
             self.node_id, "anti_entropy", peer=peer, streamed=len(streamed)
         )
         self.checkpoints.maybe_truncate()
-
-    # ------------------------------------------------------------------
-    # Snapshot transfer
-    # ------------------------------------------------------------------
-    def _snapshot_gap(self, frontier: int) -> bool:
-        """Is ``frontier`` beyond record-by-record repair from here?
-
-        True when decision-log pruning has dropped own-origin sequence
-        numbers the peer still needs: :func:`~repro.core.repair.reannounce`
-        silently skips missing entries, so a peer at or below
-        ``pruned_floor`` can never converge through the normal push --
-        only a checkpoint transfer covers the gap.
-        """
-        floor = self.checkpoints.pruned_floor
-        if floor <= 0 or frontier >= floor:
-            return False
-        return self.checkpoints.latest_checkpoint() is not None
 
     # ------------------------------------------------------------------
     # Recovery's shared SYNC fan-out

@@ -1,18 +1,13 @@
-"""Chain shipping: offer -> chunks -> installed, for both of its uses.
+"""Chain shipping for a shard handoff: offer -> chunks -> installed.
 
-One wire protocol (``SNAPSHOT_OFFER`` / ``SNAPSHOT_CHUNK`` /
-``SNAPSHOT_ACK``) moves fingerprinted version chains between nodes in
-bounded chunks, all-or-nothing at the final chunk.  Its two modes differ
-only in what the receiver does with the verified chains.  A
-**checkpoint** (anti-entropy) is the sender's newest WAL checkpoint,
-repairing a peer below its truncation floor: taken only if it regresses
-no origin, installed behind the node-wide fence, the receiver keeps the
-chains it owns and runs its clock up to the checkpoint's.  A **shard**
-(handoff) is the chains of keys whose ownership is moving *to* the
-receiver: authoritative, so no staleness gate; the receiver's own keys
-stay servable (no fence) and its clock is untouched -- the origins'
-commits reach it through the normal fan-out, and advancing the clock
-here could skip a locally prepared transaction's install.
+One wire protocol (``SNAPSHOT_OFFER`` / ``SNAPSHOT_CHUNK``) moves the
+fingerprinted version chains of keys whose ownership is moving *to* the
+receiver, in bounded chunks, all-or-nothing at the final chunk.  The
+chains are authoritative, so there is no staleness gate; the receiver's
+own keys stay servable (no fence) and its clock is untouched -- the
+origins' commits reach it through the normal fan-out, and advancing the
+clock here could skip a locally prepared transaction's install.  The
+caller is :func:`repro.cluster.handoff.fenced_handoff`.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.vector_clock import VectorClock
 from repro.core.wire import (
     SnapshotAckBody,
     SnapshotChunkBody,
@@ -34,13 +28,17 @@ from repro.storage.wal import (
     verify_checkpoint,
 )
 
+#: Store chains per ``SNAPSHOT_CHUNK`` message (flow control: a chain set
+#: is streamed, never shipped as one unbounded payload).
+CHUNK_RECORDS = 64
+
 
 @dataclass(slots=True, eq=False)
 class _Inbound:
     """Receiver-side state of the one transfer in progress."""
 
     offer: SnapshotOfferBody
-    #: The node incarnation the transfer (and its fence) belongs to.
+    #: The node incarnation the transfer belongs to.
     incarnation: int
     #: Watchdog period, re-armed while chunks keep arriving.
     deadline: float
@@ -58,7 +56,6 @@ class ChainTransfer:
         self.healing = healing
         self.sim = owner.sim
         self.node_id = owner.node_id
-        self.config = healing.config.snapshot
         self.metrics = owner.metrics
         self.tracer = owner.tracer
         #: Per-node transfer id counter (deterministic, never reused).
@@ -87,34 +84,32 @@ class ChainTransfer:
             owner.site_vc,
             owner.curr_seq_no,
         )
-        return (yield from self.ship(peer, record, incarnation, shard=True))
+        return (yield from self.ship(peer, record, incarnation))
 
-    def ship(
-        self, peer: int, record: CheckpointRecord, incarnation: int,
-        shard: bool = False,
-    ):
+    def ship(self, peer: int, record: CheckpointRecord, incarnation: int):
         """Generator: offer ``record``'s chains, stream them, await install.
 
         True iff the receiver verified the fingerprint and installed.
-        The offer carries the clock and fingerprint so the receiver can
-        reject before bulk data moves; chunks go in index order.  Any
-        rejection or lost reply -- or this sender being wiped or fenced
-        mid-way -- abandons the transfer: the receiver installed nothing,
-        and the caller re-offers (next gossip round) or fails its handoff.
+        The offer carries the fingerprint so the receiver can refuse
+        before bulk data moves; chunks go in index order.  Any refusal or
+        lost reply -- or this sender being wiped or fenced mid-way --
+        abandons the transfer: the receiver installed nothing, and the
+        caller fails its handoff.
         """
         owner = self.owner
         rpc = owner.node.rpc
         rpc_config = self.healing._rpc_config
-        chunk_size = max(1, self.config.chunk_records)
+        chunk_size = CHUNK_RECORDS
         chains = record.chains
         total = max(1, (len(chains) + chunk_size - 1) // chunk_size)
         self._ids += 1
         snapshot_id = self._ids
         self.tracer.emit(
-            self.node_id, "shard_offer" if shard else "snapshot_offer",
+            self.node_id, "shard_offer",
             peer=peer, snapshot_id=snapshot_id, chunks=total,
             keys=len(chains), frontier=record.site_vc[self.node_id],
         )
+
         def messages():
             yield MessageType.SNAPSHOT_OFFER, SnapshotOfferBody(
                 sender=self.node_id,
@@ -123,7 +118,6 @@ class ChainTransfer:
                 fingerprint=record.fingerprint,
                 total_chunks=total,
                 snapshot_id=snapshot_id,
-                shard=shard,
             )
             for index in range(total):
                 yield MessageType.SNAPSHOT_CHUNK, SnapshotChunkBody(
@@ -150,34 +144,21 @@ class ChainTransfer:
             return False
         if self.tracer._enabled:
             self.tracer.emit(
-                self.node_id, "shard_shipped" if shard else "snapshot_shipped",
+                self.node_id, "shard_shipped",
                 peer=peer, snapshot_id=snapshot_id, keys=len(chains),
                 frontier=record.site_vc[self.node_id],
             )
         return True
 
-    def on_ack(self, envelope: Envelope) -> None:
-        """One-way install confirmation: harvest as frontier evidence.
-
-        Redundant with the final chunk's RPC reply when that reply
-        arrives, but this path survives a lost reply -- the sender still
-        learns the receiver holds its origin through the checkpoint.
-        """
-        body: SnapshotAckBody = envelope.payload
-        if body.site_vc is not None:
-            self.healing.note_peer_frontier(
-                envelope.src, self.healing._own_entry(body.site_vc)
-            )
-
     # ------------------------------------------------------------------
     # Receiver
     # ------------------------------------------------------------------
     def on_offer(self, envelope: Envelope) -> None:
-        """Admit or reject a transfer before any bulk data moves.
+        """Admit or refuse a transfer before any bulk data moves.
 
-        Decide and Propagate handlers stay live throughout -- concurrent
-        commits are exactly what the install-time dominance re-check
-        guards against.
+        Decide and Propagate handlers stay live throughout: the shipped
+        keys are fenced at the donor, and the install drains in-flight
+        Decide appliers first.
         """
         owner = self.owner
         offer: SnapshotOfferBody = owner.node.rpc.body_of(envelope)
@@ -192,43 +173,21 @@ class ChainTransfer:
         )
 
     def _refusal(self, offer: SnapshotOfferBody) -> Optional[str]:
-        owner = self.owner
-        if not offer.shard and owner.wal is None:
-            return "disabled"
         if self.inbound is not None:
             return "busy"
-        if owner.fence.node_wide:
+        if self.owner.fence.node_wide:
             return "recovering"
-        if not offer.shard and (
-            self._regresses(offer.site_vc)
-            or offer.site_vc[offer.sender] <= (
-                owner.site_vc[offer.sender]
-                if offer.sender < len(owner.site_vc) else 0
-            )
-        ):
-            # An offer that does not even advance the sender's own
-            # frontier fixes nothing -- wait for a fresher checkpoint.
-            return "stale"
         return None
-
-    def _regresses(self, site_vc) -> bool:
-        """Would adopting ``site_vc`` move any origin backwards here?
-        (An origin the checkpoint lacks counts as zero.)"""
-        return not self.owner.site_vc.leq(VectorClock(site_vc))
 
     def _admit(self, offer: SnapshotOfferBody) -> None:
         owner = self.owner
-        # Watchdog: a sender that dies mid-transfer must not leave the
-        # fence up forever.  Re-armed while chunks keep arriving.
+        # Watchdog: a sender that dies mid-transfer must not leave this
+        # node busy forever.  Re-armed while chunks keep arriving.
         timeout = owner.node.rpc.config.request_timeout
         if timeout is None:
             timeout = self.healing.config.digest_timeout
         inbound = _Inbound(offer, owner._incarnation, 4 * timeout)
         self.inbound = inbound
-        if not offer.shard:
-            # Requests served against the store mid-replacement could
-            # observe a fractured snapshot.
-            owner.fence.raise_node()
         self.sim.call_later(inbound.deadline, self._watch, inbound, 0)
         if self.tracer._enabled:
             self.tracer.emit(
@@ -237,7 +196,7 @@ class ChainTransfer:
             )
 
     def _watch(self, inbound: _Inbound, activity: int) -> None:
-        """Abandon a stalled inbound transfer so the fence comes down."""
+        """Abandon a stalled inbound transfer so the next offer is taken."""
         if self.inbound is not inbound:
             return
         if inbound.activity != activity:
@@ -248,19 +207,11 @@ class ChainTransfer:
         self._abandon("timeout")
 
     def _abandon(self, reason: str) -> None:
-        """Drop the inbound transfer and lower the fence it raised.
-
-        The fence is only lowered when no durable crash retook it in the
-        meantime (it then belongs to recovery, which wiped the transfer
-        anyway).
-        """
+        """Drop the inbound transfer; its chunks are discarded."""
         inbound = self.inbound
         if inbound is None:
             return
         self.inbound = None
-        owner = self.owner
-        if not inbound.offer.shard and owner._incarnation == inbound.incarnation:
-            owner.fence.lower_node()
         self.tracer.emit(
             self.node_id, "snapshot_abandon", sender=inbound.offer.sender,
             snapshot_id=inbound.offer.snapshot_id, reason=reason,
@@ -278,7 +229,7 @@ class ChainTransfer:
             or inbound.activity != chunk.index
         ):
             # Out-of-order, duplicated, or stale chunk: refuse; the
-            # sender abandons and simply re-offers next gossip round.
+            # sender abandons and its handoff fails.
             rpc.reply(
                 envelope,
                 SnapshotAckBody(
@@ -300,23 +251,9 @@ class ChainTransfer:
                 chunk.snapshot_id,
                 accepted=installed,
                 installed=installed,
-                reason=None if installed else "stale",
+                reason=None if installed else "abandoned",
             ),
         )
-        if installed:
-            # One-way confirmation: even if the chunk reply above is
-            # lost, the sender still learns this node now holds its
-            # origin through the checkpoint (truncation evidence).
-            self.owner.node.send(
-                envelope.src,
-                MessageType.SNAPSHOT_ACK,
-                SnapshotAckBody(
-                    chunk.snapshot_id,
-                    accepted=True,
-                    installed=True,
-                    site_vc=self.owner.site_vc.to_tuple(),
-                ),
-            )
 
     def _install(self, inbound: _Inbound):
         """Verify and adopt a fully received chain set.
@@ -324,8 +261,7 @@ class ChainTransfer:
         Generator subroutine returning True on success.  The adoption
         itself is synchronous (no yields between the final check and the
         post-install checkpoint), so no message delivery can observe the
-        store mid-replacement -- unless the clock run reaches a seq an
-        applier holds (``Applier.advance``), which it waits out.
+        chains half-adopted.
         """
         owner = self.owner
         offer = inbound.offer
@@ -347,16 +283,10 @@ class ChainTransfer:
                 return False
         if superseded():
             return False
-        if not offer.shard and self._regresses(offer.site_vc):
-            # A concurrent Decide advanced us past the checkpoint while
-            # the chunks streamed; installing now would regress.  The
-            # suffix we are missing still arrives via the normal push.
-            self._abandon("stale")
-            return False
         record = CheckpointRecord(
             site_vc=tuple(offer.site_vc),
-            # The sender's counter participates in the fingerprint; it
-            # is verified, never adopted (see below).
+            # The sender's clock and counter participate in the
+            # fingerprint; they are verified, never adopted.
             curr_seq_no=offer.curr_seq_no,
             chains=tuple(inbound.chains),
             in_doubt=(),
@@ -368,33 +298,12 @@ class ChainTransfer:
         except CheckpointMismatchError:
             self._abandon("fingerprint")
             return False
-        # A shard transfer carries only keys moving to this node, so all
-        # are adopted (a stale leftover chain from an earlier epoch is
-        # overwritten by the authoritative copy).  A checkpoint holds the
-        # *sender's* store: keep only the chains this node is the
-        # preferred site for -- usually none for a healed straggler, its
-        # share of the data for a replacement node rebuilding from
-        # nothing.  Foreign chains must not be kept: this node would
-        # answer reads for keys it does not own the moment the directory
-        # routed one here.
-        adopted = 0
+        # The transfer carries only keys moving to this node, so all are
+        # adopted (a stale leftover chain from an earlier epoch is
+        # overwritten by the authoritative copy).
         for key, base_vid, versions in record.chains:
-            if offer.shard or owner.directory.place(key) == self.node_id:
-                owner.store.adopt(key, base_vid, versions)
-                adopted += 1
+            owner.store.adopt(key, base_vid, versions)
         self.inbound = None
-        if not offer.shard:
-            vc, applier = owner.site_vc, owner.applier
-            applier.see(len(offer.site_vc) - 1)
-            for origin, target in enumerate(offer.site_vc):
-                yield from applier.advance(origin, range(vc[origin] + 1, target + 1))
-            if owner._incarnation != inbound.incarnation:
-                return False  # wiped while waiting out a held seq
-            # Never adopt the sender's coordinator counter: our own
-            # assigned sequence numbers are bounded by our clock entry,
-            # which the dominance check just proved the checkpoint covers.
-            owner.curr_seq_no = max(owner.curr_seq_no, vc[self.node_id])
-            owner.fence.lower_node()
         # Durability: our WAL's surviving prefix replays to the *old*
         # state, so immediately checkpoint the adopted state -- replay
         # resets at the newest checkpoint, making the install durable.
@@ -404,7 +313,6 @@ class ChainTransfer:
         self.tracer.emit(
             self.node_id, "snapshot_install", sender=offer.sender,
             snapshot_id=offer.snapshot_id, chains=len(record.chains),
-            adopted=adopted, shard=offer.shard,
             frontier=offer.site_vc[offer.sender],
         )
         return True

@@ -97,10 +97,7 @@ EVENTS: Dict[str, Event] = {
     "wal_wait_time": counted(
         "virtual seconds they blocked (over wal_waits: mean wait per force)"
     ),
-    # Checkpoint snapshot transfer, which also carries a shard handoff.
-    "snapshot_offer": traced(
-        "peer snapshot_id chunks keys frontier", snapshot_offers=1
-    ),
+    # Chain transfer: a shard handoff's chains, donor to new owner.
     "shard_offer": traced(
         "peer snapshot_id chunks keys frontier", snapshot_offers=1
     ),
@@ -108,13 +105,11 @@ EVENTS: Dict[str, Event] = {
     "snapshot_rejected": counted("offers or chunks refused, or replies lost"),
     "snapshot_chunks": counted("snapshot chunks accepted by a receiver"),
     "snapshot_chains": counted("store chains those chunks carried"),
-    "snapshots_shipped": counted("verified installs confirmed to the sender"),
-    "snapshot_shipped": traced("peer snapshot_id keys frontier"),
     "shard_shipped": traced("peer snapshot_id keys frontier"),
     "snapshot_install": traced(
-        "sender snapshot_id chains adopted shard frontier", snapshot_installs=1
+        "sender snapshot_id chains frontier", snapshot_installs=1
     ),
-    # The receiver's watchdog dropped a stalled, stale or corrupt transfer.
+    # The receiver dropped a stalled, superseded or corrupt transfer.
     "snapshot_abandon": traced("sender snapshot_id reason", snapshot_abandoned=1),
     # Elastic membership.
     "view_propose": traced("epoch members"),

@@ -28,15 +28,12 @@ class MessageType:
     SYNC = "Sync"
     #: Failure-detector liveness beacon (one-way, background channel).
     HEARTBEAT = "Heartbeat"
-    #: Checkpoint snapshot transfer (healing): the sender offers its
-    #: newest fingerprinted checkpoint to a peer whose frontier predates
-    #: the sender's truncated WAL history (RPC) ...
+    #: Shard handoff chain transfer: the donor offers the fingerprinted
+    #: chains of the keys moving to the receiver (RPC) ...
     SNAPSHOT_OFFER = "SnapshotOffer"
-    #: ... streams it in bounded chunks of store chains (RPC) ...
+    #: ... and streams them in bounded chunks; the final chunk's reply
+    #: says whether the receiver verified and installed them (RPC).
     SNAPSHOT_CHUNK = "SnapshotChunk"
-    #: ... and the receiver confirms the verified install (one-way),
-    #: which doubles as frontier evidence at the sender.
-    SNAPSHOT_ACK = "SnapshotAck"
     #: Per-shard primary-backup replication stream (RPC): a primary
     #: ships a batch of prepare/decision/apply records to one backup;
     #: the reply carries the backup's cumulative applied sequence.

@@ -52,8 +52,9 @@ from repro.net.rpc import _Reply, _Request
 #: ``decision`` stream entry's ``writes`` are ``(site, key, value)``; 4:
 #: ``ReadRequestBody.queue``, ``ReadReturnBody.spoken_for``, ``VoteBody.lost``;
 #: 5: ``ReadRequestBody.frozen`` deleted; 6: ``PropagateBody.seq_nos``
-#: deleted, one Propagate per commit).
-WIRE_VERSION = 6
+#: deleted, one Propagate per commit; 7: ``SnapshotOfferBody.shard`` and
+#: ``SnapshotAckBody.site_vc`` deleted, chain transfer is shard-only).
+WIRE_VERSION = 7
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).

@@ -28,7 +28,6 @@ from repro import (
     ReplicationConfig,
     RpcConfig,
     ShardingConfig,
-    SnapshotTransferConfig,
     TransportConfig,
     TxnHandle,
     TxnResult,
@@ -201,11 +200,6 @@ network_configs = st.builds(
 checkpoint_configs = st.builds(
     CheckpointConfig,
     interval=optional(positive_floats),
-    max_peer_lag=optional(st.integers(0, 16)),
-)
-snapshot_configs = st.builds(
-    SnapshotTransferConfig,
-    chunk_records=st.integers(1, 128),
 )
 replication_configs = st.builds(
     ReplicationConfig,
@@ -233,7 +227,6 @@ healing_configs = st.builds(
     heartbeat_interval=optional(positive_floats),
     anti_entropy_interval=optional(positive_floats),
     checkpoint=checkpoint_configs,
-    snapshot=snapshot_configs,
 )
 cluster_configs = st.builds(
     ClusterConfig,
@@ -282,7 +275,8 @@ def test_from_dict_rejects_unknown_keys():
     # Deleted knobs are unknown keys, not silently accepted ones.
     for overlay in (
         {"durability": {"termination_query": True}},
-        {"healing": {"snapshot": {"enabled": True}}},
+        {"healing": {"snapshot": {"chunk_records": 64}}},
+        {"healing": {"checkpoint": {"max_peer_lag": 2}}},
         {"costs": {"cpu_cores": 8}},
         {"healing": {"detector_enabled": False}},
     ):

@@ -26,17 +26,11 @@ The scaffold is ``tests.harness.battery``; seeds come from
 
 import pytest
 
-from repro import (
-    CheckpointConfig,
-    DurabilityConfig,
-    HealingConfig,
-    SnapshotTransferConfig,
-)
+from repro import CheckpointConfig, DurabilityConfig, HealingConfig
 from repro.cluster import ShardMap
 from repro.faults import CRASH_DURABLE, isolate_cycle
 from repro.healing import ALIVE, DEAD
 from repro.metrics.stats import AbortReason
-from repro.net.message import MessageType
 from repro.net.rpc import RpcTimeoutError
 from repro.sim.rng import make_rng
 from repro.storage.wal import replay, store_fingerprint
@@ -51,7 +45,6 @@ from tests.harness.battery import (
     keys_off,
     node_fingerprint,
     restart,
-    rmw,
     rmw_plan,
     run_plan,
 )
@@ -437,159 +430,96 @@ def test_automatic_checkpoint_loop_waits_for_enough_records():
 
 
 # ----------------------------------------------------------------------
-# Snapshot transfer: repairing a peer stranded below the pruned floor
+# The strict floor: a lagging peer holds truncation and pruning
 # ----------------------------------------------------------------------
-def run_snapshot_scenario(seed, *, faulty, strand=False):
-    """Bounded retention strands a partitioned victim below the sender's
-    pruned floor; the next gossip round that sees it must repair it by
-    shipping the checkpoint snapshot (the truncated records are gone),
-    then top up the post-checkpoint suffix through the ordinary stream.
-    The control run executes the identical call sequence with the victim
-    reachable, so the repaired victim is comparable bit for bit.
-
-    ``strand`` (no prepared lease) adds one step before the cut: node 0
-    commits over a victim key and a survivor key, its Decide to the
-    victim held 2 ms, the victim cut off 1 ms in -- prepared, in doubt.
+def run_lagging_peer_scenario(seed, *, faulty):
+    """A victim cut off while the survivors commit, checkpoint and gossip;
+    after the heal each survivor's gossip round pushes its own origin's
+    Decides to it.  The control run makes the identical calls with the
+    victim reachable, so the caught-up victim is comparable bit for bit.
     """
-    healing = HealingConfig(
-        checkpoint=CheckpointConfig(max_peer_lag=2),
-        snapshot=SnapshotTransferConfig(chunk_records=2),
-    )
-    lease = {"prepared_lease": None} if strand else {}
-    cluster, nemesis = build(seed, healing, wal=True, **lease)
+    cluster, nemesis = build(seed, HealingConfig(), wal=True)
     cluster.tracer.enable()
-    rng = make_rng(seed, "healing-snapshot")
+    rng = make_rng(seed, "healing-lagging-peer")
     survivor_keys = keys_off(cluster, VICTIM, KEYS)
     sender = cluster.nodes[0]
     victim = cluster.nodes[VICTIM]
 
+    def gossip(node, peers):
+        for peer in peers:
+            cluster.run_process(node.healing.gossip_round(peer))
+
     # Phase A: commits everywhere, then one full gossip mesh so every
-    # node holds frontier evidence for every peer (no loops are
-    # configured -- every round in this scenario is an explicit call).
+    # node holds frontier evidence for every peer (no loops are armed --
+    # every round in this scenario is an explicit call).
     run_plan(cluster, rmw_plan(rng, range(NUM_NODES), 12, KEYS))
     for node in cluster.nodes:
-        for peer in range(NUM_NODES):
-            if peer != node.node_id:
-                cluster.run_process(node.healing.gossip_round(peer))
+        gossip(node, (peer for peer in range(NUM_NODES) if peer != node.node_id))
 
-    stranded = None
-    if strand:
-        step = [keys_at(cluster, VICTIM, KEYS)[0], survivor_keys[0]]
-        cluster.network.delay_policy = lambda envelope: 2e-3 if (
-            envelope.msg_type == MessageType.DECIDE and envelope.dst == VICTIM
-        ) else 0.0
-        stranded = cluster.spawn(rmw(cluster, 0, step))
-        cluster.run(until=cluster.sim.now + 1e-3)
-        cluster.network.delay_policy = None
-
-    # The victim sleeps through everything after this cut; the control
-    # victim stays reachable and follows along via normal Propagates.
     if faulty:
         isolate(nemesis, VICTIM, range(NUM_NODES))
+    frontier = victim.site_vc[0]
 
-    # Phase B: three commits per surviving origin -- deeper than
-    # max_peer_lag, so the victim's stale evidence strands it.
+    # Phase B: three commits per surviving origin, then a checkpoint at
+    # the sender and a gossip round with every peer.
     run_plan(cluster, rmw_plan(rng, (0, 1, 3), 9, survivor_keys))
-
-    # Checkpoint at the sender, then gossip with the surviving peers:
-    # their evidence refreshes in-round, the victim sits beyond the
-    # retention bound, so the WAL truncates and the decision log prunes
-    # -- the victim is now below the floor, unreachable by the push.
     record = sender.healing.checkpoints.checkpoint_now()
-    assert record is not None
-    for peer in (1, 3):
-        cluster.run_process(sender.healing.gossip_round(peer))
-    floor = sender.healing.checkpoints.pruned_floor
-    assert sender.wal.truncated == record.records_below > 0
-    if faulty:
-        assert victim.site_vc[0] < floor, "victim must sit below the floor"
+    assert record is not None and record.records_below > 0
+    gossip(sender, (1, VICTIM, 3))
+    held = {
+        "truncated": sender.wal.truncated,
+        "floor": sender.healing.checkpoints.stable_floor(),
+        "logged": set(sender.in_doubt.log.by_seq),
+        "own": sender.site_vc[0],
+    }
 
-    # Phase C: a post-truncation suffix the snapshot does not cover; the
-    # repair round must stream it normally on top of the install.
+    # Phase C: a post-checkpoint suffix at the sender.
     run_plan(cluster, rmw_plan(rng, (0,), 3, survivor_keys))
-
     if faulty:
         heal(nemesis, VICTIM, range(NUM_NODES))
 
-    # The repair round: the digest reveals the below-floor gap, the
-    # snapshot ships and installs behind the fence, the suffix streams.
-    cluster.run_process(sender.healing.gossip_round(VICTIM))
+    # The repair: each survivor pushes its origin's missing Decides.
+    for node in (0, 1, 3):
+        gossip(cluster.nodes[node], (VICTIM,))
     cluster.run()
-
-    return {
-        "cluster": cluster,
-        "fingerprint": node_fingerprint(victim),
-        "clocks": cluster.site_clocks(),
-        "floor": floor,
-        "shipped": sender.healing.snapshots_shipped,
-        "installs": victim.healing.transfer.installs,
-        "checkpoint": record,
-        "stranded": stranded and (*stranded.value, step[0]),
-    }
+    converged = node_fingerprint(victim)
+    # The next digest carries the caught-up frontier: truncation follows.
+    gossip(sender, (VICTIM,))
+    return cluster, converged, frontier, held, record
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_snapshot_transfer_repairs_truncation_gap(seed):
-    repaired = run_snapshot_scenario(seed, faulty=True)
-    control = run_snapshot_scenario(seed, faulty=False)
-
-    # Bit-identical convergence through the snapshot: store chains (vids
-    # included), siteVC, and the coordinator counter all match the
-    # never-partitioned control's victim.
-    assert repaired["fingerprint"] == control["fingerprint"]
-    assert all(
-        clock == repaired["clocks"][0] for clock in repaired["clocks"]
+def test_a_lagging_peer_holds_truncation_and_pruning(seed):
+    cluster, converged, frontier, held, record = run_lagging_peer_scenario(
+        seed, faulty=True
     )
-    assert repaired["shipped"] == 1 and repaired["installs"] == 1
-    assert control["shipped"] == 0 and control["installs"] == 0
+    sender = cluster.nodes[0]
 
-    cluster = repaired["cluster"]
-    battery.assert_counters_add_up(cluster)  # offers, installs, abandons
-    tracer = cluster.tracer
-    offers = tracer.of_kind("snapshot_offer")
-    assert [(r.node, r.details["peer"]) for r in offers] == [(0, VICTIM)]
-    assert tracer.of_kind("snapshot_abandon") == []
-    installs = tracer.of_kind("snapshot_install")
-    assert [r.node for r in installs] == [VICTIM]
-    floor = repaired["floor"]
-    assert installs[0].details["frontier"] == floor
+    # Cut off, the victim pins the floor at its frontier: the WAL keeps
+    # the checkpoint's prefix and the decision log every seq above it.
+    assert frontier < held["own"]
+    assert held["floor"] == frontier and held["truncated"] == 0
+    assert set(range(frontier + 1, held["own"] + 1)) <= held["logged"]
 
-    # Everything below the pruned floor was covered by the snapshot
-    # alone: every record streamed toward the victim sits strictly
-    # above it, and the suffix did stream (the install is not enough).
-    toward_victim = [
-        r for r in tracer.of_kind("stream") if r.details["peer"] == VICTIM
-    ]
-    assert toward_victim, "the post-checkpoint suffix must still stream"
-    assert all(r.details["first"] > floor for r in toward_victim)
+    # The record push alone converges it bit for bit with the control,
+    # starting right at its frontier -- nothing it needs was pruned.
+    assert converged == run_lagging_peer_scenario(seed, faulty=False)[1]
+    clocks = cluster.site_clocks()
+    assert all(clock == clocks[0] for clock in clocks)
+    pushed = [r.details["first"] for r in cluster.tracer.of_kind("stream")
+              if r.node == 0 and r.details["peer"] == VICTIM]
+    assert pushed == [frontier + 1]
+    kinds = ("shard_offer", "snapshot_accept", "snapshot_install")
+    assert not any(cluster.tracer.of_kind(kind) for kind in kinds)
+    counters = cluster.metrics.counters
+    assert not any(counters[name] for name in counters if name.startswith("snapshot"))
 
-    record = repaired["checkpoint"]
-    metrics = cluster.metrics
-    assert metrics.counters["snapshot_rejected"] == 0
-    assert metrics.counters["snapshot_chains"] == len(record.chains)
-    assert metrics.counters["snapshot_chunks"] == (len(record.chains) + 1) // 2
+    # Then the sender truncates, and prunes below the new floor.
+    assert sender.wal.truncated == record.records_below
+    floor = sender.healing.checkpoints.stable_floor()
+    assert floor >= held["own"]
+    assert all(seq_no > floor for seq_no in sender.in_doubt.log.by_seq)
     assert not cluster.any_locks_held()
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_bounded_retention_strands_an_in_doubt_write_is_pinned(seed):
-    """Pinned until fixed (ROADMAP items 3 and 9): a commit the victim
-    holds prepared when it is cut off, with no lease to ask about it.
-    The sender's checkpoint still records the decision, but its decision
-    log prunes it with the rest below the floor, so the repair round
-    never re-announces it; the snapshot install ticks the victim's clock
-    past its seq, and the prepared writes and their lock stay forever.
-    A fix needs the offer to carry the decisions (a wire change)."""
-    run = run_snapshot_scenario(seed, faulty=True, strand=True)
-    cluster, (acknowledged, txn, key) = run["cluster"], run["stranded"]
-    sender, victim = cluster.nodes[0], cluster.nodes[VICTIM]
-    (decision,) = [
-        d for d in run["checkpoint"].decisions if d.txn_id == txn.txn_id
-    ]
-    assert acknowledged and txn.txn_id not in sender.in_doubt.log.by_txn
-    assert decision.seq_no < run["floor"] <= victim.site_vc[0]
-    assert txn.txn_id in victim._prepared and cluster.any_locks_held()
-    assert cluster.finalized_history().lost_writes == [(txn.txn_id, key)]
 
 
 # ----------------------------------------------------------------------
@@ -621,23 +551,3 @@ def test_healing_stop_start_cycles_do_not_stack_loops():
 
     cluster.stop_healing()
     cluster.run()  # wound-down loops drain; the simulator quiesces
-
-
-def test_snapshot_scenario_is_deterministic():
-    """Same seed, same faults => same snapshot transfer, chunk for
-    chunk, and the same converged victim state."""
-    seed = SEEDS[0]
-
-    def probe():
-        result = run_snapshot_scenario(seed, faulty=True)
-        metrics = result["cluster"].metrics
-        return (
-            result["fingerprint"],
-            result["clocks"],
-            result["floor"],
-            metrics.counters["snapshot_chunks"],
-            metrics.counters["snapshot_chains"],
-            metrics.counters["records_streamed"],
-        )
-
-    assert probe() == probe()

@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from repro import HealingConfig, RpcConfig, ShardingConfig, SnapshotTransferConfig
+from repro import RpcConfig, ShardingConfig
 from repro.cluster.directory import ConsistentHashDirectory, ShardMap
 from repro.cluster.rebalancer import MIN_SAMPLES, plan_moves
 from repro.faults import crash_cycle, partition_cycle
@@ -142,14 +142,19 @@ def test_fault_free_migration_under_live_traffic(seed):
 # ----------------------------------------------------------------------
 # Migration-nemesis pairs: donor crash, recipient crash, partition
 # ----------------------------------------------------------------------
+@pytest.fixture
+def one_chain_per_chunk(monkeypatch):
+    monkeypatch.setattr("repro.healing.transfer.CHUNK_RECORDS", 1)
+
+
 def run_migration_chaos(seed, *, faulty, fault):
     """One faulted migration attempt, then the same clean migration.
 
     ``fault`` is ``"donor"``, ``"recipient"`` or ``"partition"``.  The
     faulty run launches the migration at ``t0`` with the fault landing a
-    quarter into its 0.6 ms stream (``chunk_records=1`` stretches the
-    transfer across several round trips); the stream settles against the
-    dead link, the rebalancer unfences without flipping, and ownership,
+    quarter into its 0.6 ms stream (:func:`one_chain_per_chunk` stretches
+    the transfer across several round trips); the stream settles against
+    the dead link, the rebalancer unfences without flipping, and ownership,
     chains, and foreground traffic are untouched.  Both runs then
     perform the identical clean migration on the same timeline and must
     end bit-identical per node.
@@ -157,7 +162,6 @@ def run_migration_chaos(seed, *, faulty, fault):
     cluster, nemesis = build(
         seed,
         rpc=RpcConfig(request_timeout=1.5e-3, max_attempts=3),
-        healing=HealingConfig(snapshot=SnapshotTransferConfig(chunk_records=1)),
     )
     shard_map = cluster.directory
     rng = make_rng(seed, "sharding-chaos")
@@ -200,21 +204,25 @@ def run_migration_chaos(seed, *, faulty, fault):
     return fingerprints(cluster)
 
 
+@pytest.mark.usefixtures("one_chain_per_chunk")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_donor_crash_mid_stream_converges(seed):
     assert_converges(run_migration_chaos, seed, fault="donor")
 
 
+@pytest.mark.usefixtures("one_chain_per_chunk")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_recipient_crash_before_flip_converges(seed):
     assert_converges(run_migration_chaos, seed, fault="recipient")
 
 
+@pytest.mark.usefixtures("one_chain_per_chunk")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_partition_during_cutover_converges(seed):
     assert_converges(run_migration_chaos, seed, fault="partition")
 
 
+@pytest.mark.usefixtures("one_chain_per_chunk")
 def test_migration_nemesis_is_deterministic():
     """The most eventful scenario replays bit-identically."""
     assert_replays(run_migration_chaos, SEEDS[0], fault="donor")

@@ -249,7 +249,7 @@ def test_queue_spoken_for_and_lost_round_trip():
     assert plain.queue is False
     assert wire.ReadReturnBody("v", None, 5, 6).spoken_for is False
     assert wire.VoteBody(True).lost is None
-    assert WIRE_VERSION == 6
+    assert WIRE_VERSION == 7
 
 
 def test_dict_encoding_is_insertion_order_independent():

@@ -16,7 +16,8 @@ import repro.net.rpc
 from repro.cluster.handoff import fenced_handoff
 from repro.core.repair import Fence
 from repro.core.vector_clock import VectorClock
-from repro.core.wire import PropagateBody
+from repro.core.wire import PropagateBody, SnapshotAckBody, SnapshotOfferBody
+from repro.healing.transfer import ChainTransfer
 from repro.metrics.events import COUNTERS, COUNTS, EVENTS, TRACED
 from repro.metrics.stats import MetricsRecorder
 
@@ -41,7 +42,9 @@ TESTS = Path(__file__).parent
 #: reserved sets and widenings paid for ``core/apply.py``.  Lowered
 #: -191 by one Propagate per commit: the AIMD controller, the adaptive
 #: Propagate and Remove windows and the batched Propagate wire form.
-TOTAL_SRC_LINES = 16525
+#: Lowered -246 by one truncation rule: bounded retention, the checkpoint
+#: transfer that repaired it and its one-way ack and config.
+TOTAL_SRC_LINES = 16279
 #: Lines over every ``*.py`` under ``tests/``.  Raised +102 for the
 #: loaded-key footprint pins, census and chain shape; lowered -17 by the
 #: one read path (the backup-read tests out, owner-read tests in), -343
@@ -62,8 +65,10 @@ TOTAL_SRC_LINES = 16525
 #: Lowered for one Propagate per commit: the AIMD-controller tests, the
 #: window-pinning helpers and the batched-window input of the gate's
 #: property test out; the one-shape check, the one-Propagate-per-commit
-#: and Remove-timer checks and the gate's gap test in.
-TOTAL_TEST_LINES = 17880
+#: and Remove-timer checks and the gate's gap test in.  Lowered for one
+#: truncation rule: the bounded-retention scenario and the checkpoint
+#: transfer cases out; the lagging-peer, floor and shard-transfer cases in.
+TOTAL_TEST_LINES = 17874
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``; 1063 before
 #: its adaptive Propagate windows went).
 LONGEST_FILE = 993
@@ -72,7 +77,7 @@ LONGEST_FILE = 993
 #: and backups stopped serving reads.
 SHARD_FILE = 601
 #: Fields over all config dataclasses in ``repro.config``.
-CONFIG_FIELDS = 54
+CONFIG_FIELDS = 51
 #: Config fields nothing reads.  ``group_commit_window`` and
 #: ``batching`` (``BatchingConfig.adaptive``) stay accepted only because
 #: the frozen ``benchmarks/ledger/registry.py`` passes them.
@@ -314,6 +319,34 @@ def test_background_traffic_has_one_shape():
         ]
     assert not found, found
     assert not reads, reads
+
+
+def test_one_chain_transfer():
+    """One truncation rule and one user of chain shipping: nothing prunes
+    below a lagging peer's frontier, so no checkpoint is shipped to repair
+    one; the fenced shard handoff is the only caller of ``ship_shard``."""
+    names = (
+        "max_peer_lag", "pruned_floor", "latest_checkpoint", "_snapshot_gap",
+        "snapshots_shipped", "_regresses", "SNAPSHOT_ACK", "on_ack",
+        "SnapshotTransferConfig", "chunk_records", "self._latest = record",
+    )
+    found, callers = [], set()
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        found += [f"{path.name}: {name}" for name in names if name in text]
+        callers |= {
+            f"{path.relative_to(SRC)}:{node.func.attr}"
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("ship", "ship_shard")
+        }
+    assert not found, found
+    assert callers == {"cluster/handoff.py:ship_shard", "healing/transfer.py:ship"}
+    assert "shard" not in {f.name for f in dataclasses.fields(SnapshotOfferBody)}
+    assert "site_vc" not in {f.name for f in dataclasses.fields(SnapshotAckBody)}
+    assert "shard" not in inspect.signature(ChainTransfer.ship).parameters
+    assert not {"snapshot_offer", "snapshot_shipped", "snapshots_shipped"} & set(EVENTS)
+    assert "shard" not in EVENTS["snapshot_install"].fields
 
 
 def test_fault_schedules_keep_only_their_primitives():
