@@ -18,9 +18,10 @@ edit, no counter -- the four places a commit can sit between its
 * **decision replication wait**: ``NodeReplication.replicate_decision``
   at the coordinator.
 
-A *wait* is a call that took virtual time; median and mean are over the
-waits.  The participants' prepare waits run in parallel and the
-decision's follows them, so ``replication waits per update commit`` is
+A *wait* is a call that took virtual time; median, mean and p99 are
+over the waits (a queueing wait shows in the p99 first).  The
+participants' prepare waits run in parallel and the decision's follows
+them, so ``replication waits per update commit`` is
 the table behind docs/performance.md "One round trip fewer": 2.70 with
 two waits in series at PR 22, 1.00 with one since (copy this file into
 a ``git clone`` of an older commit to re-make its column: it measures
@@ -107,7 +108,7 @@ def measure(spec, seed: int) -> dict:
 
 def report(samples: dict) -> list:
     """The table's rows: ``(phase, calls, waits, per commit, median us,
-    mean us)``, then the replication waits per update commit."""
+    mean us, p99 us)``, then the replication waits per update commit."""
     commits = len(samples[PHASES[0]]) or 1
     rows = []
     for phase in PHASES:
@@ -116,6 +117,8 @@ def report(samples: dict) -> list:
             phase, len(samples[phase]), len(waits), len(waits) / commits,
             statistics.median(waits) * 1e6 if waits else 0.0,
             statistics.fmean(waits) * 1e6 if waits else 0.0,
+            statistics.quantiles(waits, n=100)[98] * 1e6
+            if len(waits) > 1 else sum(waits) * 1e6,
         ))
     in_replication = sum(row[2] for row in rows if row[0] in REPLICATION)
     return rows + [in_replication / commits]
@@ -132,10 +135,10 @@ def main(argv=None) -> int:
     print(f"[{spec.name}] sub-seed={seed} update commits={rows[0][1]} "
           f"(one repeat, warm-up included)")
     print(f"  {'phase':<28}{'calls':>7}{'waits':>7}{'per commit':>12}"
-          f"{'median us':>11}{'mean us':>9}")
-    for phase, calls, waits, per, median, mean in rows:
+          f"{'median us':>11}{'mean us':>9}{'p99 us':>9}")
+    for phase, calls, waits, per, median, mean, p99 in rows:
         print(f"  {phase:<28}{calls:>7}{waits:>7}{per:>12.2f}"
-              f"{median:>11.1f}{mean:>9.1f}")
+              f"{median:>11.1f}{mean:>9.1f}{p99:>9.1f}")
     print(f"replication waits per update commit: {per_commit:.2f}")
     return 0
 

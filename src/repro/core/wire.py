@@ -290,20 +290,23 @@ class ReplicationEntry:
 
 @dataclass(slots=True)
 class ReplicateBody:
-    """Primary -> backup stream batch (RPC request)."""
+    """Primary -> backup stream batch (one-way); ``acked`` is the
+    primary's cumulative ack as it left (a backup below it lost state)."""
 
     primary: int
+    incarnation: int
+    acked: int
     entries: Tuple[ReplicationEntry, ...]
 
 
 @dataclass(slots=True)
 class ReplicateAckBody:
-    """Backup's cumulative acknowledgment: every stream record at or
-    below ``applied`` has been applied (prefix semantics).  ``-1``
-    refuses the batch outright -- the stream was closed by a failover
-    (the sender was deposed) and the deposed primary must stop pumping.
-    """
+    """Backup -> primary answer to a batch (one-way), echoing its stream
+    ``incarnation``: every record at or below ``applied`` has been
+    applied.  ``-1`` refuses the stream: a failover deposed the sender,
+    or the backup lost state; the primary stops pumping it."""
 
+    incarnation: int
     applied: int
 
 

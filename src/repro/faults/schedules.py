@@ -155,6 +155,8 @@ def random_schedule(
     a random node, or (with probability ``partition_fraction``) a
     partition/heal of a random node pair.  Every fault heals after
     ``down_for``, and the returned schedule always ends fully healed.
+    A draw onto a node still down or a pair still cut is skipped: windows
+    never overlap, so no heal cuts a later window short.
     With ``durable_crashes`` the crashes wipe volatile state and recover
     from the WAL (``durability.wal_enabled`` required).
     """
@@ -163,6 +165,7 @@ def random_schedule(
     rng = make_rng(seed, "nemesis-schedule")
     crash_builder = durable_crash_cycle if durable_crashes else crash_cycle
     events: List[FaultEvent] = []
+    healed_at = {}  # node or frozenset pair -> end of its last window
     at = start
     while True:
         at += rng.expovariate(1.0 / mean_gap)
@@ -170,8 +173,12 @@ def random_schedule(
             break
         if rng.random() < partition_fraction:
             a, b = rng.sample(list(node_ids), 2)
-            events += partition_cycle(a, b, at, down_for)
+            target = frozenset((a, b))
+            window = partition_cycle(a, b, at, down_for)
         else:
-            node = rng.choice(list(node_ids))
-            events += crash_builder(node, at, down_for)
+            target = rng.choice(list(node_ids))
+            window = crash_builder(target, at, down_for)
+        if at > healed_at.get(target, -1.0):
+            healed_at[target] = at + down_for
+            events += window
     return ordered(events)

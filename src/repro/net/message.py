@@ -34,12 +34,13 @@ class MessageType:
     #: ... and streams them in bounded chunks; the final chunk's reply
     #: says whether the receiver verified and installed them (RPC).
     SNAPSHOT_CHUNK = "SnapshotChunk"
-    #: Per-shard primary-backup replication stream (RPC): a primary
-    #: ships a batch of prepare/decision/apply records to one backup;
-    #: the reply carries the backup's cumulative applied sequence.
+    #: Per-shard primary-backup replication stream (one-way): a primary
+    #: ships a batch of prepare/decision/apply records to one backup ...
     #: Foreground, not background: in sync mode commit acknowledgements
     #: wait on these acks.
     REPLICATE = "Replicate"
+    #: ... which answers every batch with its cumulative applied sequence.
+    REPLICATE_ACK = "ReplicateAck"
     #: Membership view change, phase one: the view coordinator proposes
     #: an epoch-numbered membership view to every member (one-way) ...
     VIEW_PROPOSE = "ViewPropose"

@@ -169,10 +169,15 @@ class RpcEndpoint:
         answered request never gets here: its reply cancelled the timer)."""
         del self._deadlines[request_id]
         event = self._pending.pop(request_id)
+        self.strike(dst)
+        event.fail(RpcTimeoutError(dst, msg_type, 1))
+
+    def strike(self, dst: int) -> None:
+        """Count a timed-out attempt at ``dst`` and tell the detector: a
+        request's deadline and a silent replication stream's both do."""
         self.network.stats.rpc_timeouts += 1
         if self.detector is not None:
             self.detector.on_rpc_timeout(dst)
-        event.fail(RpcTimeoutError(dst, msg_type, 1))
 
     def call(
         self,

@@ -53,8 +53,10 @@ from repro.net.rpc import _Reply, _Request
 #: ``ReadRequestBody.queue``, ``ReadReturnBody.spoken_for``, ``VoteBody.lost``;
 #: 5: ``ReadRequestBody.frozen`` deleted; 6: ``PropagateBody.seq_nos``
 #: deleted, one Propagate per commit; 7: ``SnapshotOfferBody.shard`` and
-#: ``SnapshotAckBody.site_vc`` deleted, chain transfer is shard-only).
-WIRE_VERSION = 7
+#: ``SnapshotAckBody.site_vc`` deleted, chain transfer is shard-only; 8:
+#: REPLICATE is one-way, its body and ``ReplicateAckBody`` carry the
+#: stream's incarnation).
+WIRE_VERSION = 8
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).

@@ -1,43 +1,25 @@
 """Per-shard primary-backup replication under the transactional core.
 
-The paper treats each preferred site as one highly-available node; this
-module discharges that assumption under the cluster's one-node-per-site
-abstraction: every :class:`~repro.cluster.directory.ShardMap` shard
-keeps its primary -- the site the directory already names -- plus
-``replication_factor - 1`` backups chosen deterministically from the
-directory, and the primary streams its transactional state changes to
-them over per-(primary, backup) FIFO streams (``docs/replication.md``).
-
-The stream carries four record kinds (:class:`~repro.core.wire.
-ReplicationEntry`): ``prepare`` stages an in-flight 2PC participant's
-writes, ``abort`` drops a staged entry, ``decision`` records a commit
-this primary coordinated -- on its *decision homes* and the backups of
-the own shards written, not on every stream
+Every :class:`~repro.cluster.directory.ShardMap` shard keeps its
+primary plus ``replication_factor - 1`` deterministically placed backups;
+the primary streams its state changes to them over per-(primary, backup)
+FIFO streams (:class:`ReplicationStream`; ``docs/replication.md``):
+``prepare`` stages a participant's writes, ``abort`` drops them,
+``decision`` records a commit this primary coordinated -- on its
+*decision homes* and the backups of the own shards written
 (:meth:`NodeReplication._decision_targets`) -- and ``apply`` installs a
-commit's versions verbatim.  Acknowledgements are cumulative -- the
-backup applies strictly in sequence order and replies with its applied
-high-water mark -- so an unacknowledged suffix simply retransmits after
-a partition or a lost reply, and duplicates are dropped by sequence.
-
-In ``sync`` mode a commit waits on the stream acks once: its
-acknowledgement and every Decide wait for the ``decision`` record on all
-of its targets (bounded by ``sync_timeout``; on expiry the commit
-*degrades* to asynchronous replication and proceeds -- availability over
-redundancy, counted in ``replication_sync_degraded``).  That record
-carries the round's writes, so a yes-vote waits for nothing; its
-``prepare`` record only holds the entry's write locks until acknowledged
-(:meth:`NodeReplication.after_acked`).  ``async`` mode never waits.
-
-Failover (:mod:`repro.replication.failover`) promotes the freshest
-backup of each shard of a dead owner and re-stages what its stream lost
-from the coordinators' decisions (the live asked, the dead ones' merged).
-Backups serve no reads: every read goes to the key's owner.
+commit's versions verbatim.  In ``sync`` mode a commit's acknowledgement
+and every Decide wait once, for its ``decision`` record on all targets
+(bounded by ``sync_timeout``, then *degraded* to asynchronous and
+counted); a ``prepare`` record only holds its entry's write locks until
+acknowledged (:meth:`NodeReplication.after_acked`).  Failover
+(:mod:`repro.replication.failover`) promotes the freshest backup of each
+shard of a dead owner.  Backups serve no reads.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from functools import partial
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.config import ReplicationConfig
@@ -50,13 +32,15 @@ from repro.core.wire import (
 from repro.net.message import MessageType
 from repro.replication.backup import BackupState
 from repro.replication.failover import FailoverDriver, backups_for_shard
-from repro.sim import Event
+from repro.sim import Event, Timer
 from repro.storage.wal import ReplicationRecord
 
 #: Stream records per REPLICATE message (flow control).
 BATCH_RECORDS = 16
-#: Reply deadline of one REPLICATE batch, and the pump's further pause
-#: before it retransmits an unacknowledged one.
+#: Unacknowledged REPLICATE batches one stream keeps on the wire.
+WINDOW = 4
+#: How long a busy stream may hear no progress before it strikes the
+#: failure detector, and its further pause before it resends.
 RETRY_INTERVAL = 1e-3
 
 
@@ -84,11 +68,29 @@ class _AckLatch(Event):
 
 
 class ReplicationStream:
-    """Primary-side state of one primary -> backup FIFO stream."""
+    """Primary-side state of one primary -> backup FIFO stream.
+
+    Contract: the backup applies the stream's records in sequence order,
+    with no gap and no duplicate, and each reaches it at least once across
+    a partition -- unless the stream closes first.
+
+    * *Send.*  An enqueue puts its record on the wire at once while fewer
+      than ``WINDOW`` batches are unacknowledged; later records ride the
+      first batch an ack makes room for (up to ``BATCH_RECORDS``).
+    * *Ack.*  The backup answers every batch, one-way, with its cumulative
+      applied mark; progress advances ``acked``, trims the outbox and
+      counts down the sync latches parked on it.
+    * *Deadline.*  A busy stream that hears no progress for
+      ``RETRY_INTERVAL`` strikes the failure detector once (counted in
+      ``rpc_timeouts``), pauses as long again, then resends from
+      ``acked + 1`` one batch at a time until an ack shows progress.
+    * *Incarnation.*  A close or reset orphans every batch on the wire:
+      their acks carry the old incarnation and are dropped.
+    """
 
     __slots__ = (
-        "backup", "next_seq", "acked", "outbox", "closed", "inflight",
-        "waiters",
+        "backup", "next_seq", "acked", "outbox", "closed", "incarnation",
+        "flights", "window", "timer", "waiters",
     )
 
     def __init__(self, backup: int) -> None:
@@ -99,29 +101,28 @@ class ReplicationStream:
         self.acked = 0
         #: Unacknowledged suffix, dense: the head is ``acked + 1``.
         self.outbox: List[ReplicationEntry] = []
-        #: Closed streams accept no records: the sender was deposed by a
-        #: failover, or the backup lost its stream state and must be
-        #: re-bootstrapped before streaming can resume.
+        #: Closed streams accept no records: the sender was deposed, or
+        #: the backup is gone or lost state and awaits a re-bootstrap.
         self.closed = False
-        #: The one REPLICATE request on the wire or awaiting its
-        #: retransmission; later records ride the next batch.  Cleared
-        #: on close/restart, which makes that request's reply stale.
-        self.inflight: Optional[Event] = None
+        #: Bumped on close/restart; a batch and its ack carry it.
+        self.incarnation = 0
+        #: Last sequence number of each unacknowledged batch, ascending.
+        self.flights: List[int] = []
+        #: 1 from a deadline until an ack shows progress.
+        self.window = WINDOW
+        #: The deadline, then the pause before a resend; ``None`` if idle.
+        self.timer: Optional[Timer] = None
         #: ``(seq, latch)`` per sync wait parked on this stream, in
         #: sequence order; the ack path counts the latches down.
         self.waiters: List[Tuple[int, _AckLatch]] = []
 
 
 class NodeReplication:
-    """The per-node half of the replication substrate.
-
-    Lives on every MVCC protocol node of a replication-enabled cluster
-    (``node.replication``); owns the primary-side streams to this
-    node's backups and the backup-side state for every primary this
-    node backs.  The protocol node calls in at three points: prepare
-    (stage), commit decision (log) and decide-apply (install); the
-    REPLICATE message handler is the backup side.
-    """
+    """The per-node half of the replication substrate (``node.
+    replication``): the primary-side streams to this node's backups and
+    the backup-side state for every primary it backs.  The protocol node
+    calls in at prepare, commit decision and decide-apply; the REPLICATE
+    handler is the backup side."""
 
     def __init__(self, owner, cluster_rep: "ClusterReplication") -> None:
         self.owner = owner
@@ -135,8 +136,7 @@ class NodeReplication:
         self.streams: Dict[int, ReplicationStream] = {}
         #: primary id -> backup-side stream state.
         self.backup_state: Dict[int, BackupState] = {}
-        #: A deposed (failed-over) primary stops pumping forever; its
-        #: retransmissions must not race the promoted successor.
+        #: A deposed primary never pumps again: no race with its successor.
         self._retired = False
         self._backup_cache: Tuple[int, ...] = ()
         self._backup_cache_key: Optional[Tuple[int, int]] = None
@@ -196,8 +196,7 @@ class NodeReplication:
         entry = ReplicationEntry(seq=stream.next_seq, kind=kind, **fields)
         stream.next_seq += 1
         stream.outbox.append(entry)
-        if stream.inflight is None:
-            self._send_batch(stream)
+        self._pump(stream)
         return entry.seq
 
     def _enqueue_by_key(
@@ -214,71 +213,74 @@ class NodeReplication:
                 by_backup.setdefault(backup, []).append((key, value))
         targets: List[Tuple[ReplicationStream, int]] = []
         for backup in sorted(by_backup):
-            entry_writes = tuple(
-                sorted(by_backup[backup], key=lambda kv: repr(kv[0]))
-            )
-            seq = self._enqueue(backup, kind, writes=entry_writes, **fields)
+            mine = tuple(sorted(by_backup[backup], key=lambda kv: repr(kv[0])))
+            seq = self._enqueue(backup, kind, writes=mine, **fields)
             if seq is not None:
                 targets.append((self.streams[backup], seq))
         return targets
 
-    def _send_batch(self, stream: ReplicationStream) -> None:
-        """Put the outbox head on the wire: one batch in flight per stream.
-
-        Its reply sends the next one; the ``RETRY_INTERVAL`` deadline
-        means a crashed backup can never hang the stream.
-        """
-        if self.cluster_rep.is_excluded(stream.backup):
-            # Crashed or failed over: the driver re-bootstraps it later.
-            self._close_stream(stream)
-            return
-        stream.inflight = self.owner.node.rpc.request(
-            stream.backup,
-            MessageType.REPLICATE,
-            ReplicateBody(self.node_id, tuple(stream.outbox[:BATCH_RECORDS])),
-            deadline=RETRY_INTERVAL,
-        )
-        stream.inflight.add_callback(partial(self._on_batch_reply, stream))
-
-    def _on_batch_reply(self, stream: ReplicationStream, reply: Event) -> None:
-        """A batch's cumulative ack arrived, or its deadline expired."""
-        if stream.inflight is not reply:
-            return  # closed, retired, crashed or re-bootstrapped since
-        if reply.ok:
-            applied = reply.value.applied
-            acked = stream.acked
-            if applied < acked:
-                # -1: a failover deposed us.  Otherwise the backup
-                # restarted and lost stream state we no longer hold:
-                # close, and let the driver re-bootstrap.
+    def _pump(self, stream: ReplicationStream) -> None:
+        """Put unsent records on the wire while the window has room, and
+        keep a deadline armed while any batch is unacknowledged."""
+        flights, acked = stream.flights, stream.acked
+        sent = flights[-1] if flights else acked
+        while sent < stream.next_seq - 1 and len(flights) < stream.window:
+            if self.cluster_rep.is_excluded(stream.backup):
+                # Crashed or failed over: the driver re-bootstraps it later.
                 self._close_stream(stream)
                 return
-            if applied > acked:
-                stream.acked = applied
-                del stream.outbox[: applied - acked]
-                waiters = stream.waiters
-                while waiters and waiters[0][0] <= applied:
-                    waiters.pop(0)[1].count_down()
-                metrics = self.metrics
-                metrics.count("replication_records_streamed", applied - acked)
-                # The one counter that is a maximum, not a sum.
-                lag = stream.next_seq - 1 - applied
-                if lag > metrics.counters["replication_lag_max"]:
-                    metrics.counters["replication_lag_max"] = lag
-                if stream.outbox:
-                    self._send_batch(stream)
-                else:
-                    stream.inflight = None
-                return
-        # Timed out (the endpoint struck the failure detector), or no
-        # progress: retransmit after a pacing interval.
-        self.sim.call_later(
-            RETRY_INTERVAL, self._retransmit, stream, reply
-        )
+            start = sent - acked
+            batch = tuple(stream.outbox[start:start + BATCH_RECORDS])
+            body = ReplicateBody(self.node_id, stream.incarnation, acked, batch)
+            self.owner.node.send(stream.backup, MessageType.REPLICATE, body)
+            sent = batch[-1].seq
+            flights.append(sent)
+        if flights and stream.timer is None:
+            stream.timer = self.sim.call_later(RETRY_INTERVAL, self._expire, stream)
 
-    def _retransmit(self, stream: ReplicationStream, failed: Event) -> None:
-        if stream.inflight is failed:
-            self._send_batch(stream)
+    def on_replicate_ack(self, envelope) -> None:
+        """A backup's cumulative ack: progress advances the stream and
+        sends on; a refusal closes it; a stale one -- an orphaned batch's,
+        a duplicate, one past a gap -- is dropped."""
+        body: ReplicateAckBody = envelope.payload
+        stream = self.streams.get(envelope.src)
+        if stream is None or stream.incarnation != body.incarnation:
+            return  # orphaned by a close, a retire or a re-bootstrap
+        applied, acked = body.applied, stream.acked
+        if applied <= acked:  # no progress; -1: we were deposed, or the
+            if applied < 0:  # backup lost state: failover re-bootstraps it
+                self._close_stream(stream)
+            return
+        stream.acked = applied
+        del stream.outbox[: applied - acked]
+        waiters = stream.waiters
+        while waiters and waiters[0][0] <= applied:
+            waiters.pop(0)[1].count_down()
+        metrics = self.metrics
+        metrics.count("replication_records_streamed", applied - acked)
+        # The one counter that is a maximum, not a sum.
+        lag = stream.next_seq - 1 - applied
+        if lag > metrics.counters["replication_lag_max"]:
+            metrics.counters["replication_lag_max"] = lag
+        flights = stream.flights
+        while flights and flights[0] <= applied:
+            del flights[0]
+        stream.window = WINDOW
+        stream.timer.cancel()
+        stream.timer = None
+        self._pump(stream)
+
+    def _expire(self, stream: ReplicationStream) -> None:
+        """No progress for ``RETRY_INTERVAL``: one strike, then a pause."""
+        self.owner.node.rpc.strike(stream.backup)
+        stream.window = 1
+        stream.timer = self.sim.call_later(RETRY_INTERVAL, self._resend, stream)
+
+    def _resend(self, stream: ReplicationStream) -> None:
+        """Treat every batch on the wire as lost: resend from the ack."""
+        stream.timer = None
+        stream.flights.clear()
+        self._pump(stream)
 
     def _close_stream(self, stream: ReplicationStream) -> None:
         stream.closed = True
@@ -287,8 +289,14 @@ class NodeReplication:
 
     @staticmethod
     def _release(stream: ReplicationStream) -> None:
-        """Orphan the in-flight batch and wake every parked waiter."""
-        stream.inflight = None
+        """Orphan the batches on the wire, disarm the timer, wake every
+        parked waiter."""
+        stream.incarnation += 1
+        stream.flights.clear()
+        stream.window = WINDOW
+        if stream.timer is not None:
+            stream.timer.cancel()
+            stream.timer = None
         for _seq, latch in stream.waiters:
             latch.count_down()
         stream.waiters.clear()
@@ -353,9 +361,7 @@ class NodeReplication:
         """Stream the unstaging of an aborted prepare (asynchronous)."""
         self._enqueue_by_key(
             dict(writes) if not isinstance(writes, dict) else writes,
-            "abort",
-            txn_id=txn_id,
-            round=round_no,
+            "abort", txn_id=txn_id, round=round_no,
         )
 
     def replicate_decision(
@@ -390,47 +396,41 @@ class NodeReplication:
         it: a promotion re-stages from above it (``failover._promote``).
         """
         self._enqueue_by_key(
-            writes,
-            "apply",
-            txn_id=body.txn_id,
-            origin=body.origin,
-            seq_no=body.seq_no,
-            commit_vc=body.commit_vc,
-            collected=body.collected,
-            frontier=self.owner.site_vc.to_tuple(),
+            writes, "apply", txn_id=body.txn_id, origin=body.origin,
+            seq_no=body.seq_no, commit_vc=body.commit_vc,
+            collected=body.collected, frontier=self.owner.site_vc.to_tuple(),
         )
 
     # ------------------------------------------------------------------
     # Backup side: the REPLICATE handler
     # ------------------------------------------------------------------
     def on_replicate(self, envelope) -> None:
-        """Apply a stream batch in order; reply the cumulative ack.
+        """Apply a stream batch in order; answer the cumulative ack.
 
-        Plain (non-generator) handler: applies are synchronous verbatim
-        installs, so a whole batch lands atomically at delivery time.
-        Records at or below the applied mark are duplicates from a
-        retransmission and are dropped; out-of-order records (an
-        earlier batch lost) wait in the buffer until the gap closes.
+        Plain handler: a whole batch lands atomically at delivery time.
+        Records at or below the applied mark are duplicates and are
+        dropped; those past a gap (an earlier batch lost) wait in the
+        buffer until it closes.  A closed stream, or one applied below
+        the primary's ack (this backup lost state), is refused: ``-1``.
         """
-        rpc = self.owner.node.rpc
-        body: ReplicateBody = rpc.body_of(envelope)
+        body: ReplicateBody = envelope.payload
         state = self.backup_state.get(body.primary)
         if state is None:
             state = self.backup_state[body.primary] = BackupState()
-        if state.closed:
-            rpc.reply(envelope, ReplicateAckBody(-1))
-            return
-        for entry in body.entries:
-            if entry.seq <= state.applied:
-                continue
-            state.buffer[entry.seq] = entry
-        store, wal, now = self.owner.store, self.owner.wal, self.sim.now
-        while state.applied + 1 in state.buffer:
-            entry = state.buffer.pop(state.applied + 1)
-            state.apply(entry, store, now)
-            if wal is not None:
-                wal.append(ReplicationRecord(body.primary, entry))
-        rpc.reply(envelope, ReplicateAckBody(state.applied))
+        applied = -1
+        if not state.closed and body.acked <= state.applied:
+            for entry in body.entries:
+                if entry.seq > state.applied:
+                    state.buffer[entry.seq] = entry
+            store, wal, now = self.owner.store, self.owner.wal, self.sim.now
+            while state.applied + 1 in state.buffer:
+                entry = state.buffer.pop(state.applied + 1)
+                state.apply(entry, store, now)
+                if wal is not None:
+                    wal.append(ReplicationRecord(body.primary, entry))
+            applied = state.applied
+        ack = ReplicateAckBody(body.incarnation, applied)
+        self.owner.node.send(envelope.src, MessageType.REPLICATE_ACK, ack)
 
     # ------------------------------------------------------------------
     # Failover support
@@ -459,12 +459,9 @@ class NodeReplication:
             state.buffer.clear()
 
     def reset_stream(self, backup: int) -> None:
-        """Reopen a stream after a verbatim re-bootstrap of the backup.
-
-        The shipped chains already reflect everything this primary ever
-        streamed, so the outbox clears and the ack jumps to the stream
-        head -- the next record continues the dense numbering.
-        """
+        """Reopen a stream after a verbatim re-bootstrap of the backup: the
+        shipped chains hold everything it ever streamed, so the outbox
+        clears and the ack jumps to the head; numbering stays dense."""
         stream = self._stream(backup)
         stream.outbox.clear()
         stream.closed = False
@@ -484,13 +481,9 @@ class NodeReplication:
         self.backup_state[primary] = state
 
     def on_recovered(self, replayed: Dict[int, BackupState]) -> None:
-        """Durable-crash restart: the volatile stream state died.
-
-        Primary-side outboxes are gone, so every stream closes -- the
-        failover driver re-bootstraps live backups with a verbatim
-        re-ship.  Backup-side state is adopted as the WAL replay rebuilt
-        it (the rebuilt store already holds the replayed installs).
-        """
+        """Durable-crash restart: the outboxes died, so every stream
+        closes (the failover driver re-bootstraps live backups); backup
+        state is adopted as the WAL replay rebuilt it, with the store."""
         for stream in self.streams.values():
             self._close_stream(stream)
         self.backup_state = replayed
@@ -499,14 +492,10 @@ class NodeReplication:
 class ClusterReplication:
     """Cluster-wide replication state: placement, routing, failover.
 
-    Constructed by :class:`repro.system.Cluster` when
-    ``ReplicationConfig.enabled`` is set (requires a ShardMap
-    directory); attaches a :class:`NodeReplication` to every MVCC node
-    and registers the REPLICATE handlers.  The explicit ``placement``
-    table is seeded deterministically from the directory
-    (:func:`backups_for_shard`) and mutated only by failover --
-    mirroring how the ShardMap itself is deterministic state mutated by
-    migrations.
+    Built by :class:`repro.system.Cluster` when ``ReplicationConfig.
+    enabled`` (on a ShardMap directory); attaches a :class:`NodeReplication`
+    to every MVCC node.  ``placement`` is seeded deterministically from
+    the directory (:func:`backups_for_shard`) and mutated only by failover.
     """
 
     def __init__(self, cluster) -> None:
@@ -521,10 +510,9 @@ class ClusterReplication:
         #: Bumped on every placement mutation (cache invalidation).
         self.version = 0
         #: shard -> backup ids (never contains the shard's owner).
+        factor = self.config.replication_factor
         self.placement: Dict[int, Tuple[int, ...]] = {
-            shard: backups_for_shard(
-                self.shard_map, shard, self.config.replication_factor
-            )
+            shard: backups_for_shard(self.shard_map, shard, factor)
             for shard in range(self.shard_map.num_shards)
         }
         self.driver = FailoverDriver(self)
@@ -533,8 +521,9 @@ class ClusterReplication:
 
     def attach(self, node) -> None:
         """Wire one protocol node into the replication substrate."""
-        node.replication = NodeReplication(node, self)
-        node.node.on(MessageType.REPLICATE, node.replication.on_replicate)
+        rep = node.replication = NodeReplication(node, self)
+        node.node.on(MessageType.REPLICATE, rep.on_replicate)
+        node.node.on(MessageType.REPLICATE_ACK, rep.on_replicate_ack)
 
     # ------------------------------------------------------------------
     # Placement queries
@@ -543,11 +532,9 @@ class ClusterReplication:
         return self.placement.get(self.shard_map.shard_of(key), ())
 
     def is_excluded(self, node_id: int) -> bool:
-        return (
-            node_id in self.down
-            or node_id in self.cluster._removed
-            or self.cluster.network.is_crashed(node_id)
-        )
+        cluster = self.cluster
+        return (node_id in self.down or node_id in cluster._removed
+                or cluster.network.is_crashed(node_id))
 
     # ------------------------------------------------------------------
     # Foreground failover waits
@@ -556,14 +543,9 @@ class ClusterReplication:
         return self.config.failover_timeout is not None
 
     def wait_for_failover(self, sites):
-        """Park until every listed site owns no shards (failed over).
-
-        Generator subroutine used by the commit retry loop: instead of
-        aborting on a dead participant, the coordinator waits for the
-        promotion to flip the dead site's shards, then re-prepares
-        against the new owners.  Returns True when the flip happened in
-        time.
-        """
+        """Park until every listed site owns no shards (failed over):
+        the commit retry loop waits out a dead participant's promotion,
+        then re-prepares at the new owners.  True if it flipped in time."""
         sites = list(sites)
         shards_of = self.shard_map.shards_of
         return (yield from self._park_until(

@@ -116,17 +116,17 @@ class Tap:
                 locks, key = self.park_on
                 locks.lock_for(key).acquire_write("held")
         if kind == MessageType.REPLICATE:
-            kinds = {e.kind for e in envelope.payload.body.entries}
+            kinds = {e.kind for e in envelope.payload.entries}
             if self.arm_on_apply and src == self.victim and "apply" in kinds:
                 self.arm_on_apply, self.armed = False, True
                 self.held_apply = (
-                    envelope.dst, envelope.payload.body.entries[0].seq
+                    envelope.dst, envelope.payload.entries[0].seq
                 )
         if not self.armed:
             return 0.0
         if kind == MessageType.REPLICATE:
             if src == self.victim and self.lose:
-                for entry in envelope.payload.body.entries:
+                for entry in envelope.payload.entries:
                     if entry.kind == "prepare":
                         self.prepare_seq[envelope.dst] = entry.seq
                 return self.hold

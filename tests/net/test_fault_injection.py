@@ -179,3 +179,21 @@ def test_random_schedule_is_seeded_and_ends_healed():
     assert kinds["crash"] == kinds["restart"]
     assert kinds["partition"] == kinds["heal"]
     assert all(2e-3 < event.at < 16e-3 for event in events)
+
+
+def test_random_schedule_windows_never_overlap_per_node_or_pair():
+    """A crash never lands on a node that is already down, nor a cut on a
+    link already cut: each window is restored by its own heal, not cut
+    short by an earlier one's (seed 1 used to crash node 0 twice)."""
+    from repro.faults import random_schedule
+
+    for seed in range(1, 201):
+        down = set()
+        for event in random_schedule(seed, range(4), 2e-3, 14e-3, 3e-3, 2e-3):
+            target = event.a if event.b is None else (event.a, event.b)
+            if event.kind in ("crash", "partition"):
+                assert target not in down, (seed, event)
+                down.add(target)
+            else:
+                down.remove(target)
+        assert not down

@@ -249,7 +249,22 @@ def test_queue_spoken_for_and_lost_round_trip():
     assert plain.queue is False
     assert wire.ReadReturnBody("v", None, 5, 6).spoken_for is False
     assert wire.VoteBody(True).lost is None
-    assert WIRE_VERSION == 7
+    assert WIRE_VERSION == 8
+
+
+def test_the_replication_stream_bodies_carry_its_incarnation():
+    """Wire version 8: REPLICATE is one-way, so its batch and its ack
+    carry the stream incarnation that tells a live ack from an orphan."""
+    entry = wire.ReplicationEntry(seq=3, kind="apply", txn_id=9)
+    for message in (
+        wire.ReplicateBody(primary=1, incarnation=2, acked=2, entries=(entry,)),
+        wire.ReplicateAckBody(incarnation=2, applied=3),
+        wire.ReplicateAckBody(incarnation=0, applied=-1),
+    ):
+        decoded = decode_value(encode_value(message))
+        assert decoded == message
+        assert encode_value(decoded) == encode_value(message)
+    assert WIRE_VERSION == 8
 
 
 def test_dict_encoding_is_insertion_order_independent():

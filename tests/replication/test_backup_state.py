@@ -81,10 +81,10 @@ def test_live_apply_and_wal_replay_rebuild_the_same_backup(stream):
     for key in KEYS:
         cluster.load(key, 0)
     backup = cluster.nodes[BACKUP]
-    rpc = cluster.nodes[PRIMARY].node.rpc
+    primary = cluster.nodes[PRIMARY].node
     for batch in batches:
-        rpc.request(
-            BACKUP, MessageType.REPLICATE, ReplicateBody(PRIMARY, batch)
+        primary.send(
+            BACKUP, MessageType.REPLICATE, ReplicateBody(PRIMARY, 0, 0, batch)
         )
         cluster.run()
 

@@ -22,12 +22,14 @@ from repro import (
     RpcConfig,
     ShardingConfig,
 )
-from repro.core.wire import DecideBody, ReplicateAckBody
+from repro.core.wire import DecideBody
 from repro.faults import Nemesis
 from repro.faults.schedules import CRASH_DURABLE, RESTART, FaultEvent
 from repro.healing.detector import ALIVE
 from repro.net.message import MessageType
-from repro.replication.shard import RETRY_INTERVAL, _AckLatch
+from repro.replication.backup import BackupState
+from repro.replication.shard import RETRY_INTERVAL, WINDOW, _AckLatch
+from repro.storage.wal import ReplicationRecord
 
 NUM_KEYS = 12
 REPLICATE = MessageType.REPLICATE
@@ -35,11 +37,13 @@ REPLICATE = MessageType.REPLICATE
 pytestmark = pytest.mark.replication
 
 
-def build(num_nodes=3, *, factor=2, rpc=None, wal=False, **replication):
+def build(
+    num_nodes=3, *, factor=2, rpc=None, wal=False, network=None, **replication
+):
     config = ClusterConfig(
         num_nodes=num_nodes,
         seed=7,
-        network=NetworkConfig(rpc=rpc or RpcConfig()),
+        network=NetworkConfig(rpc=rpc or RpcConfig(), **(network or {})),
         sharding=ShardingConfig(enabled=True, num_shards=NUM_KEYS),
         replication=ReplicationConfig(
             enabled=True, replication_factor=factor, mode="sync", **replication
@@ -106,12 +110,12 @@ def run_mixed_traffic(cluster, count=60):
     def tap(envelope):
         link = (envelope.src, envelope.dst)
         if envelope.msg_type == REPLICATE:
-            kinds.update(entry.kind for entry in envelope.payload.body.entries)
+            entries = envelope.payload.entries
+            kinds.update(entry.kind for entry in entries)
+            kinds["batch of more than one"] += len(entries) > 1
             in_flight[link] += 1
             peak[link] = max(peak[link], in_flight[link])
-        elif envelope.msg_type == MessageType.RPC_REPLY and isinstance(
-            envelope.payload.body, ReplicateAckBody
-        ):
+        elif envelope.msg_type == MessageType.REPLICATE_ACK:
             in_flight[(envelope.dst, envelope.src)] -= 1
         return 0.0
 
@@ -168,7 +172,10 @@ def test_streams_carry_only_a_commits_own_records():
     records = {kind for kind in kinds if " " not in kind}  # not the sums
     assert {"prepare", "decision", "apply"} <= records
     assert records <= {"prepare", "abort", "decision", "apply"}
-    assert max(peak.values()) == 1
+    # No record waits behind an unacknowledged batch while the window
+    # has room: each leaves alone, at its enqueue, and the window is used.
+    assert kinds["batch of more than one"] == 0
+    assert 1 < max(peak.values()) <= WINDOW
     assert cluster.metrics.counters["replication_sync_degraded"] == 0
     assert cluster.network.stats.rpc_timeouts == 0
 
@@ -410,24 +417,102 @@ def test_after_acked_fires_once_on_the_last_ack_or_a_close_never_on_enqueue(
 def test_lost_ack_retransmits_the_unacked_suffix_and_backup_dedups():
     cluster = build(num_nodes=2)
     key = owned_key(cluster, 0)
+    batches = []
+
+    def tap(envelope):
+        if envelope.msg_type == REPLICATE:
+            batches.append([entry.seq for entry in envelope.payload.entries])
+        return 0.0
+
+    cluster.network.delay_policy = tap
     stream_apply(cluster, 0, key, 1)
     stream = cluster.node(0).replication.streams[1]
-    cluster.network.partition(1, 0)  # the batch arrives, its ack is lost
+    cluster.network.partition(1, 0)  # the batches arrive, their acks are lost
     cluster.run(until=5e-4)
     backup = cluster.node(1).replication.backup_state[0]
     assert backup.applied == 1 and stream.acked == 0
-    stream_apply(cluster, 0, key, 2)  # rides the retransmission
-    assert replicate_count(cluster) == 1
-    cluster.network.heal_all()
+    stream_apply(cluster, 0, key, 2)  # leaves at once: the window has room
+    assert batches == [[1], [2]]
     retry = RETRY_INTERVAL
+    cluster.run(until=retry + 5e-4)  # one deadline, one strike
+    assert cluster.network.stats.rpc_timeouts == 1
+    assert backup.applied == 2 and stream.acked == 0
+    cluster.network.heal_all()
     cluster.run(until=2 * retry + 5e-4)
     assert cluster.network.stats.rpc_timeouts == 1
-    assert replicate_count(cluster) == 2  # [1, 2] in one batch
-    assert stream.acked == 2 and not stream.outbox and stream.inflight is None
-    assert backup.applied == 2
-    # Record 1 arrived twice and was installed once.
+    assert batches == [[1], [2], [1, 2]]  # the resend, from the ack
+    assert stream.acked == 2 and not stream.outbox and not stream.flights
+    assert stream.timer is None and backup.applied == 2
+    # Records 1 and 2 arrived twice each and were installed once.
     values = [version.value for version in cluster.node(1).store.chain(key)]
     assert values == [0, 1, 2]
+
+
+def test_a_cut_link_strikes_once_per_deadline_not_once_per_batch():
+    """Eight records into a cut link fill the window -- four batches on
+    the wire, the rest queued -- and cost what one record does: a strike
+    per deadline, then a resend of one batch from the ack."""
+    cluster = build(num_nodes=2)
+    key = owned_key(cluster, 0)
+    cut(cluster, 0, 1)
+    for seq_no in range(1, 9):
+        stream_apply(cluster, 0, key, seq_no)
+    stream = cluster.node(0).replication.streams[1]
+    assert replicate_count(cluster) == WINDOW and stream.flights == [1, 2, 3, 4]
+    retry = RETRY_INTERVAL
+    cluster.run(until=4 * retry + 5e-4)
+    assert cluster.network.stats.rpc_timeouts == 2
+    assert replicate_count(cluster) == WINDOW + 2
+    assert stream.flights == [8] and stream.window == 1
+    cluster.network.heal_all()
+    cluster.run(until=10e-3)
+    assert stream.acked == 8 and not stream.flights and stream.timer is None
+    assert stream.window == WINDOW
+    assert cluster.node(1).replication.backup_state[0].applied == 8
+
+
+def test_a_refusal_from_before_a_re_bootstrap_is_dropped():
+    """The backup refuses a batch (its stream from us was closed), and
+    the stream is re-bootstrapped while that ``-1`` is on the wire: the
+    refusal carries the old incarnation and must not close the new one."""
+    cluster = build(num_nodes=2)
+    key = owned_key(cluster, 0)
+    rep, backup = cluster.node(0).replication, cluster.node(1).replication
+    stream_apply(cluster, 0, key, 1)
+    cluster.run()
+    backup.close_backup_state(0)
+    stream_apply(cluster, 0, key, 2)
+    stream = rep.streams[1]
+    acks = cluster.network.stats.messages_by_type[MessageType.REPLICATE_ACK]
+    cluster.run(until=cluster.sim.now + 30e-6)  # the -1 is on its way back
+    assert cluster.network.stats.messages_by_type[
+        MessageType.REPLICATE_ACK] == acks + 1
+    rep.reset_stream(1)
+    backup.adopt_stream(0, applied=stream.acked, frontier=None)
+    cluster.run()
+    assert not stream.closed and stream.incarnation == 1
+    stream_apply(cluster, 0, key, 3)
+    cluster.run()
+    assert stream.acked == 3 and backup.backup_state[0].applied == 3
+
+
+def test_a_backup_that_lost_acknowledged_records_refuses_the_stream():
+    """A backup whose WAL replay rebuilt less than it had acknowledged
+    sees a batch carrying the primary's higher ``acked`` and refuses it:
+    the stream closes for a re-bootstrap instead of waiting on a gap no
+    retransmission can fill."""
+    cluster = build(num_nodes=2)
+    key = owned_key(cluster, 0)
+    for seq_no in (1, 2):
+        stream_apply(cluster, 0, key, seq_no)
+    cluster.run()
+    stream = cluster.node(0).replication.streams[1]
+    assert stream.acked == 2
+    cluster.node(1).replication.on_recovered({0: BackupState(applied=1)})
+    stream_apply(cluster, 0, key, 3)
+    cluster.run(until=cluster.sim.now + 10 * RETRY_INTERVAL)
+    assert stream.closed and not stream.outbox and stream.timer is None
+    assert cluster.network.stats.rpc_timeouts == 0
 
 
 def test_durable_primary_crash_orphans_the_inflight_batch():
@@ -438,19 +523,92 @@ def test_durable_primary_crash_orphans_the_inflight_batch():
     stream_apply(cluster, 0, key, 1)
     rep = cluster.node(0).replication
     stream = rep.streams[backup]
-    assert stream.inflight is not None
+    assert stream.flights == [1] and stream.timer is not None
     incarnation = cluster.node(0)._incarnation
     nemesis.apply(FaultEvent(0.0, CRASH_DURABLE, 0))
     cluster.run(until=3e-4)
     nemesis.apply(FaultEvent(cluster.sim.now, RESTART, 0))
     assert cluster.node(0)._incarnation == incarnation + 1
-    assert stream.closed and stream.inflight is None
-    # The old batch's deadline and retry now fire into the new
-    # incarnation: nothing is retransmitted, struck or reopened.
+    assert stream.closed and stream.incarnation == 1
+    assert not stream.flights and stream.timer is None
+    # The stream's deadline went with it: nothing is retransmitted,
+    # struck or reopened.
     cluster.run(until=10e-3)
     assert replicate_count(cluster) == 1
-    assert stream.closed and stream.inflight is None and not stream.outbox
-    assert not live_timers(cluster, type(rep)._retransmit)
+    assert cluster.network.stats.rpc_timeouts == 0
+    assert stream.closed and not stream.flights and not stream.outbox
+    assert not live_timers(cluster, type(rep)._expire)
+    assert not live_timers(cluster, type(rep)._resend)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bursts=st.lists(
+        st.tuples(st.integers(0, 800), st.integers(1, 24)),
+        min_size=1, max_size=6,
+    ),
+    loss=st.sampled_from([0.0, 0.05, 0.3]),
+    duplicate=st.sampled_from([0.0, 0.2]),
+    cut_at=st.integers(0, 3000),
+    cut_for=st.integers(0, 6000),
+)
+def test_the_stream_contract_holds_under_loss_duplication_and_a_partition(
+    bursts, loss, duplicate, cut_at, cut_for
+):
+    """Bursts of records (a pause in us, then a count) into one stream,
+    under per-message loss and duplication and one partition window (us)
+    that heals: the backup applies exactly the enqueued sequence, each
+    record once; every sync latch fires once; strikes come at least a
+    ``RETRY_INTERVAL`` apart; and once the outbox drains nothing is
+    pending, armed or unacknowledged."""
+    cluster = build(
+        num_nodes=2, wal=True,
+        network={"loss_rate": loss, "duplicate_rate": duplicate},
+    )
+    sim = cluster.sim
+    rep = cluster.node(0).replication
+    rpc = cluster.node(0).node.rpc
+    strikes, enqueued, latches, fired = [], [], [], Counter()
+    strike = rpc.strike
+    rpc.strike = lambda dst: (strikes.append(sim.now), strike(dst))
+    if cut_for:
+        sim.call_later(cut_at * 1e-6, cut, cluster, 0, 1)
+        sim.call_later((cut_at + cut_for) * 1e-6, cluster.network.heal_all)
+
+    def producer():
+        for pause, count in bursts:
+            yield sim.timeout(pause * 1e-6)
+            stream = rep._stream(1)
+            targets = []
+            for _ in range(count):
+                seq = rep._enqueue(1, "apply", txn_id=len(enqueued))
+                enqueued.append(stream.outbox[-1])
+                targets.append((stream, seq))
+            latch = rep._latch(targets)
+            if latch is not None:
+                latches.append(latch)
+                latch.add_callback(lambda latch: fired.update([latch]))
+
+    cluster.spawn(producer(), name="producer")
+    cluster.run(until=1.0)
+
+    stream = rep.streams[1]
+    applied = [
+        record.entry for record in cluster.node(1).wal.records()
+        if isinstance(record, ReplicationRecord)
+    ]
+    assert applied == enqueued
+    assert cluster.node(1).replication.backup_state[0].applied == len(enqueued)
+    assert latches and [fired[latch] for latch in latches] == [1] * len(latches)
+    assert all(later - earlier >= RETRY_INTERVAL
+               for earlier, later in zip(strikes, strikes[1:]))
+    assert stream.acked == stream.next_seq - 1 == len(enqueued)
+    assert not stream.outbox and not stream.flights and not stream.waiters
+    assert stream.timer is None and stream.window == WINDOW
+    for node in cluster.nodes:
+        assert node.node.rpc.pending_count == node.node.rpc.deadline_count == 0
+    for fn in (type(rep)._expire, type(rep)._resend, _AckLatch.expire):
+        assert not live_timers(cluster, fn)
 
 
 def test_timed_out_batch_strikes_the_detector_under_a_global_timeout():
