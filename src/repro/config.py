@@ -408,7 +408,7 @@ class ClusterConfig(ConfigSerde):
     #: ``repro.core.repair.TERMINATION_ATTEMPTS`` bounded rounds is
     #: presumed to have aborted and the locks released.  Should exceed
     #: the usual prepare-to-decide latency so a live coordinator is not
-    #: asked needlessly (the 2PC baseline's lease aborts unilaterally).
+    #: asked needlessly (the 2PC baseline's lease follows the same rule).
     #: ``None`` (default) disables the lease: the paper's reliable channels.
     prepared_lease: Optional[float] = None
     #: Inert, like ``BatchingConfig.adaptive``: accepted only because the

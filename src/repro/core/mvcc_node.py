@@ -23,6 +23,7 @@ from functools import partial
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.directory import ShardMap
+from repro.cluster.handoff import Shipments
 from repro.cluster.membership import MAX_ATTEMPTS, NodeMembership
 from repro.cluster.node import Node
 from repro.core.apply import Applier
@@ -133,15 +134,14 @@ class MVCCNode(BaseProtocolNode):
         node.on(MessageType.VIEW_ACK, self.membership.on_view_ack)
         node.on(MessageType.VIEW_COMMIT, self.membership.on_view_commit)
         #: The self-healing layer (failure detector, anti-entropy,
-        #: checkpoints, chain transfer).  Constructed unconditionally --
-        #: with the default configuration it installs no hooks and its
-        #: loops never spawn.
+        #: checkpoints).  Constructed unconditionally -- with the default
+        #: configuration it installs no hooks and its loops never spawn.
         self.healing = NodeHealing(self)
         node.on(MessageType.SYNC, self.healing.on_sync)
         node.on(MessageType.HEARTBEAT, self.healing.on_heartbeat)
-        transfer = self.healing.transfer
-        node.on(MessageType.SNAPSHOT_OFFER, transfer.on_offer)
-        node.on(MessageType.SNAPSHOT_CHUNK, transfer.on_chunk)
+        #: Chain shipping for shard handoffs, both ends.
+        self.shipments = Shipments(self)
+        node.on(MessageType.SHARD_SHIPMENT, self.shipments.on_shipment)
         #: Per-shard load tracking, armed only when the shared directory
         #: is a :class:`ShardMap`; the static-directory hot path pays a
         #: single ``is None`` test per request.

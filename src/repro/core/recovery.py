@@ -89,7 +89,6 @@ class NodeRecovery:
             rnd.doomed = True  # no round of the lost incarnation may decide
         node.in_doubt.rounds = {}
         node.applier.claims.clear()
-        node.healing.transfer.inbound = None
         site_vc = node.site_vc
         for origin in range(len(site_vc.entries)):
             site_vc[origin] = 0

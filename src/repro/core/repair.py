@@ -7,10 +7,10 @@ requests park behind, the :class:`DecisionLog` of what this node
 committed as coordinator, the :class:`InDoubtResolver` that settles a
 yes-vote whose Decide never came and :func:`reannounce` (an origin's
 decisions above a peer's frontier, as full Decides).  Runs of clock-only
-ticks are :meth:`repro.core.apply.Applier.advance`.  Chain shipping is
-:mod:`repro.healing.transfer`, the fenced handoff
-:mod:`repro.cluster.handoff`; DESIGN.md "Layer contracts" states what
-the protocol node guarantees to and requires from all of them.
+ticks are :meth:`repro.core.apply.Applier.advance`.  Chain shipping
+and the fenced handoff are :mod:`repro.cluster.handoff`; DESIGN.md
+"Layer contracts" states what the protocol node guarantees to and
+requires from all of them.
 """
 
 from __future__ import annotations

@@ -194,58 +194,26 @@ class SyncReplyBody:
 
 
 @dataclass(slots=True)
-class SnapshotOfferBody:
-    """Shard handoff chain transfer, phase one: donor -> receiver RPC.
+class ShardShipmentBody:
+    """A shard handoff's chains, donor -> new owner, in one RPC.
 
-    Announces the chain set -- its fingerprint and how many
-    ``SNAPSHOT_CHUNK`` messages will follow -- so the receiver can refuse
-    (busy, recovering) *before* any bulk data moves.
+    The reply is ``None`` once the receiver verified the fingerprint and
+    adopted the chains, else the refusal: ``"recovering"``,
+    ``"abandoned"``, ``"fingerprint"`` or ``"stale"``.
     """
 
     sender: int
-    #: The donor's clock at build time.  Covered by the fingerprint;
-    #: never adopted (the origins' commits reach the receiver through
-    #: the normal fan-out).
+    #: Per-sender shipment id: each is decided once at the receiver.
+    snapshot_id: int
+    #: The donor's clock and coordinator counter at build time: covered
+    #: by the fingerprint, never adopted (the origins' commits reach the
+    #: receiver through the normal fan-out).
     site_vc: Tuple[int, ...]
-    #: The donor's coordinator counter, likewise fingerprinted only.
     curr_seq_no: int
-    #: sha256 digest verified by the receiver after reassembly.
+    #: sha256 digest over the chains, clock and counter.
     fingerprint: str
-    total_chunks: int
-    #: Per-sender transfer identifier; chunks must match it.
-    snapshot_id: int
-
-
-@dataclass(slots=True)
-class SnapshotChunkBody:
-    """One bounded slice of the shipped chains (RPC).
-
-    Chunks carry ``CHUNK_RECORDS`` chains each
-    (:mod:`repro.healing.transfer`) and must arrive in index order -- the
-    receiver refuses a gap, the transfer is abandoned and the handoff
-    fails.
-    """
-
-    snapshot_id: int
-    index: int
-    total: int
-    #: Slice of ``CheckpointRecord.chains``.
+    #: ``(key, base_vid, versions)`` per chain, as ``CheckpointRecord.chains``.
     chains: Tuple[object, ...]
-
-
-@dataclass(slots=True)
-class SnapshotAckBody:
-    """Receiver's verdict on an offer or chunk (RPC reply).
-
-    ``accepted`` answers the offer/chunk itself; ``installed`` turns true
-    on the final chunk's reply once the fingerprint verified and the
-    chains were adopted.
-    """
-
-    snapshot_id: int
-    accepted: bool
-    installed: bool = False
-    reason: Optional[str] = None
 
 
 @dataclass(slots=True)

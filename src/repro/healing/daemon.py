@@ -40,7 +40,6 @@ from repro.core.vector_clock import VectorClock
 from repro.core.wire import HeartbeatBody, SyncReplyBody, SyncRequestBody
 from repro.healing.checkpoint import CheckpointManager
 from repro.healing.detector import FailureDetector
-from repro.healing.transfer import ChainTransfer
 from repro.net.message import Envelope, MessageType
 from repro.sim import AllOf, PeriodicLoop
 from repro.sim.rng import make_rng
@@ -96,7 +95,7 @@ class NodeHealing:
             owner.node.rpc.detector = self.detector
             owner.node.arrival_hook = self.detector.on_arrival
 
-        # Repair RPCs -- gossip digests, chain transfers, every in-doubt
+        # Repair RPCs -- gossip digests, chain shipments, every in-doubt
         # status query, an expiring lease's included -- must never hang
         # on a dead peer: under the paper's reliable-channel default (no
         # global timeout) they get a private single-attempt deadline;
@@ -110,8 +109,6 @@ class NodeHealing:
             self._rpc_config = None
 
         self.checkpoints = CheckpointManager(owner, self)
-        #: Chain shipping for shard handoffs, both ends.
-        self.transfer = ChainTransfer(owner, self)
 
     # ------------------------------------------------------------------
     # Peers

@@ -97,20 +97,13 @@ EVENTS: Dict[str, Event] = {
     "wal_wait_time": counted(
         "virtual seconds they blocked (over wal_waits: mean wait per force)"
     ),
-    # Chain transfer: a shard handoff's chains, donor to new owner.
-    "shard_offer": traced(
-        "peer snapshot_id chunks keys frontier", snapshot_offers=1
-    ),
-    "snapshot_accept": traced("sender snapshot_id chunks"),
-    "snapshot_rejected": counted("offers or chunks refused, or replies lost"),
-    "snapshot_chunks": counted("snapshot chunks accepted by a receiver"),
-    "snapshot_chains": counted("store chains those chunks carried"),
+    # Chain shipping: a shard handoff's chains, donor to new owner.
+    "snapshot_rejected": counted("shipments refused, or their replies lost"),
+    "snapshot_chains": counted("store chains installed shipments carried"),
     "shard_shipped": traced("peer snapshot_id keys frontier"),
     "snapshot_install": traced(
         "sender snapshot_id chains frontier", snapshot_installs=1
     ),
-    # The receiver dropped a stalled, superseded or corrupt transfer.
-    "snapshot_abandon": traced("sender snapshot_id reason", snapshot_abandoned=1),
     # Elastic membership.
     "view_propose": traced("epoch members"),
     "view_commit": traced("epoch members retired", views_committed=1),

@@ -28,12 +28,10 @@ class MessageType:
     SYNC = "Sync"
     #: Failure-detector liveness beacon (one-way, background channel).
     HEARTBEAT = "Heartbeat"
-    #: Shard handoff chain transfer: the donor offers the fingerprinted
-    #: chains of the keys moving to the receiver (RPC) ...
-    SNAPSHOT_OFFER = "SnapshotOffer"
-    #: ... and streams them in bounded chunks; the final chunk's reply
-    #: says whether the receiver verified and installed them (RPC).
-    SNAPSHOT_CHUNK = "SnapshotChunk"
+    #: Shard handoff: the donor ships the fingerprinted chains of the
+    #: keys moving to the receiver; the reply says whether it installed
+    #: them (RPC).
+    SHARD_SHIPMENT = "ShardShipment"
     #: Per-shard primary-backup replication stream (one-way): a primary
     #: ships a batch of prepare/decision/apply records to one backup ...
     #: Foreground, not background: in sync mode commit acknowledgements

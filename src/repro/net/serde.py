@@ -52,11 +52,12 @@ from repro.net.rpc import _Reply, _Request
 #: ``decision`` stream entry's ``writes`` are ``(site, key, value)``; 4:
 #: ``ReadRequestBody.queue``, ``ReadReturnBody.spoken_for``, ``VoteBody.lost``;
 #: 5: ``ReadRequestBody.frozen`` deleted; 6: ``PropagateBody.seq_nos``
-#: deleted, one Propagate per commit; 7: ``SnapshotOfferBody.shard`` and
-#: ``SnapshotAckBody.site_vc`` deleted, chain transfer is shard-only; 8:
+#: deleted, one Propagate per commit; 7: the chain-transfer offer's
+#: ``shard`` and its ack's ``site_vc`` deleted, transfer is shard-only; 8:
 #: REPLICATE is one-way, its body and ``ReplicateAckBody`` carry the
-#: stream's incarnation).
-WIRE_VERSION = 8
+#: stream's incarnation; 9: one ``ShardShipmentBody`` per shipment
+#: replaces the offer, its chunks and their ack).
+WIRE_VERSION = 9
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).
@@ -90,9 +91,6 @@ REGISTRY: Dict[int, type] = {
     11: wire.TxnStatusReplyBody,
     12: wire.SyncRequestBody,
     13: wire.SyncReplyBody,
-    14: wire.SnapshotOfferBody,
-    15: wire.SnapshotChunkBody,
-    16: wire.SnapshotAckBody,
     17: wire.ReplicationEntry,
     18: wire.ReplicateBody,
     19: wire.ReplicateAckBody,
@@ -105,7 +103,9 @@ REGISTRY: Dict[int, type] = {
     26: wire.SimplePrepareBody,
     27: wire.SimpleVoteBody,
     28: wire.SimpleDecideBody,
+    29: wire.ShardShipmentBody,
 }
+#: Retired codes, never to be reused: 14-16 (the chunked chain transfer).
 
 _CODE_OF: Dict[type, int] = {cls: code for code, cls in REGISTRY.items()}
 #: class -> ordered field names, resolved once (dataclasses.fields walks

@@ -80,6 +80,8 @@ class ReplicationStream:
     * *Ack.*  The backup answers every batch, one-way, with its cumulative
       applied mark; progress advances ``acked``, trims the outbox and
       counts down the sync latches parked on it.
+    * *Gap.*  An ack without progress while batches are on the wire (one
+      was lost on a live link) resends from ``acked + 1`` at once.
     * *Deadline.*  A busy stream that hears no progress for
       ``RETRY_INTERVAL`` strikes the failure detector once (counted in
       ``rpc_timeouts``), pauses as long again, then resends from
@@ -90,7 +92,7 @@ class ReplicationStream:
 
     __slots__ = (
         "backup", "next_seq", "acked", "outbox", "closed", "incarnation",
-        "flights", "window", "timer", "waiters",
+        "flights", "window", "timer", "waiters", "gap_resend_at",
     )
 
     def __init__(self, backup: int) -> None:
@@ -115,14 +117,15 @@ class ReplicationStream:
         #: ``(seq, latch)`` per sync wait parked on this stream, in
         #: sequence order; the ack path counts the latches down.
         self.waiters: List[Tuple[int, _AckLatch]] = []
+        #: A gap resends at most once per ``RETRY_INTERVAL``: not before this.
+        self.gap_resend_at = 0.0
 
 
 class NodeReplication:
-    """The per-node half of the replication substrate (``node.
-    replication``): the primary-side streams to this node's backups and
-    the backup-side state for every primary it backs.  The protocol node
-    calls in at prepare, commit decision and decide-apply; the REPLICATE
-    handler is the backup side."""
+    """The per-node half of the replication substrate (``node.replication``):
+    the primary-side streams to this node's backups, called in at prepare,
+    commit decision and decide-apply, and the backup-side state for every
+    primary it backs, which the REPLICATE handler applies."""
 
     def __init__(self, owner, cluster_rep: "ClusterReplication") -> None:
         self.owner = owner
@@ -145,9 +148,8 @@ class NodeReplication:
     # Placement
     # ------------------------------------------------------------------
     def _all_backups(self) -> Tuple[int, ...]:
-        """Every live backup of every shard this node currently owns, in
-        the order met walking its shards upwards: a pure function of
-        ``(placement, shards_of(node), down)``."""
+        """Every live backup of every shard this node owns, in the order met
+        walking its shards upwards: a function of placement, shards, down."""
         rep = self.cluster_rep
         key = (rep.shard_map.epoch, rep.version)
         if self._backup_cache_key != key:
@@ -240,8 +242,8 @@ class NodeReplication:
 
     def on_replicate_ack(self, envelope) -> None:
         """A backup's cumulative ack: progress advances the stream and
-        sends on; a refusal closes it; a stale one -- an orphaned batch's,
-        a duplicate, one past a gap -- is dropped."""
+        sends on; a refusal closes it; one past a gap resends; a stale
+        one -- an orphaned batch's, a reordered duplicate -- is dropped."""
         body: ReplicateAckBody = envelope.payload
         stream = self.streams.get(envelope.src)
         if stream is None or stream.incarnation != body.incarnation:
@@ -250,6 +252,10 @@ class NodeReplication:
         if applied <= acked:  # no progress; -1: we were deposed, or the
             if applied < 0:  # backup lost state: failover re-bootstraps it
                 self._close_stream(stream)
+            elif applied == acked and stream.flights and self.sim.now >= stream.gap_resend_at:
+                stream.gap_resend_at = self.sim.now + RETRY_INTERVAL
+                stream.flights.clear()
+                self._pump(stream)
             return
         stream.acked = applied
         del stream.outbox[: applied - acked]
@@ -405,14 +411,11 @@ class NodeReplication:
     # Backup side: the REPLICATE handler
     # ------------------------------------------------------------------
     def on_replicate(self, envelope) -> None:
-        """Apply a stream batch in order; answer the cumulative ack.
-
-        Plain handler: a whole batch lands atomically at delivery time.
-        Records at or below the applied mark are duplicates and are
-        dropped; those past a gap (an earlier batch lost) wait in the
-        buffer until it closes.  A closed stream, or one applied below
-        the primary's ack (this backup lost state), is refused: ``-1``.
-        """
+        """Apply a stream batch in order, atomically at delivery; answer
+        the cumulative ack.  Duplicates (at or below the applied mark)
+        drop; records past a gap wait in the buffer until it closes.  A
+        closed stream, or one applied below the primary's ack (this
+        backup lost state), is refused: ``-1``."""
         body: ReplicateBody = envelope.payload
         state = self.backup_state.get(body.primary)
         if state is None:
@@ -452,11 +455,10 @@ class NodeReplication:
             self._close_stream(stream)
 
     def close_backup_state(self, primary: int) -> None:
-        """Refuse future stream traffic from a failed-over primary."""
-        state = self.backup_state.get(primary)
-        if state is not None:
-            state.closed = True
-            state.buffer.clear()
+        """Refuse future stream traffic from a failed-over primary, seen or not."""
+        state = self.backup_state.setdefault(primary, BackupState())
+        state.closed = True
+        state.buffer.clear()
 
     def reset_stream(self, backup: int) -> None:
         """Reopen a stream after a verbatim re-bootstrap of the backup: the
@@ -492,11 +494,10 @@ class NodeReplication:
 class ClusterReplication:
     """Cluster-wide replication state: placement, routing, failover.
 
-    Built by :class:`repro.system.Cluster` when ``ReplicationConfig.
-    enabled`` (on a ShardMap directory); attaches a :class:`NodeReplication`
-    to every MVCC node.  ``placement`` is seeded deterministically from
-    the directory (:func:`backups_for_shard`) and mutated only by failover.
-    """
+    Built by :class:`repro.system.Cluster` when ``ReplicationConfig.enabled``
+    (on a ShardMap directory); attaches a :class:`NodeReplication` to every
+    MVCC node.  ``placement`` is seeded from the directory
+    (:func:`backups_for_shard`) and mutated only by failover."""
 
     def __init__(self, cluster) -> None:
         self.cluster = cluster
@@ -563,12 +564,11 @@ class ClusterReplication:
             return False
         timeout = self.config.failover_timeout
         deadline = self.sim.now + timeout * 10
-        while True:
-            if flipped():
-                return True
+        while not flipped():
             if self.sim.now >= deadline:
                 return False
             yield self.sim.timeout(timeout / 2)
+        return True
 
     # ------------------------------------------------------------------
     # Lifecycle

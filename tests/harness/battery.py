@@ -40,6 +40,7 @@ from repro.faults import (
     Nemesis,
 )
 from repro.metrics.events import COUNTS
+from repro.net.message import MessageType
 from repro.net.rpc import RpcTimeoutError
 from repro.storage.wal import store_fingerprint
 
@@ -220,6 +221,14 @@ def isolate(nemesis, node, peers, kind=PARTITION):
 
 def heal(nemesis, node, peers):
     isolate(nemesis, node, peers, HEAL)
+
+
+def slow_shipments(cluster, seconds=0.6e-3):
+    """Every shard shipment spends ``seconds`` on the wire, as a large one
+    would: a fault timed into a handoff lands while its chains travel."""
+    cluster.network.delay_policy = lambda envelope: (
+        seconds if envelope.msg_type == MessageType.SHARD_SHIPMENT else 0.0
+    )
 
 
 class TracePoint:

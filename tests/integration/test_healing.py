@@ -509,7 +509,7 @@ def test_a_lagging_peer_holds_truncation_and_pruning(seed):
     pushed = [r.details["first"] for r in cluster.tracer.of_kind("stream")
               if r.node == 0 and r.details["peer"] == VICTIM]
     assert pushed == [frontier + 1]
-    kinds = ("shard_offer", "snapshot_accept", "snapshot_install")
+    kinds = ("shard_shipped", "snapshot_install")
     assert not any(cluster.tracer.of_kind(kind) for kind in kinds)
     counters = cluster.metrics.counters
     assert not any(counters[name] for name in counters if name.startswith("snapshot"))

@@ -406,6 +406,7 @@ def run_join_crash_rejoin(seed, *, faulty):
     """
     rpc = RpcConfig(request_timeout=1.5e-3, max_attempts=3)
     cluster, nemesis = build(seed, rpc=rpc)
+    battery.slow_shipments(cluster)
     rng = make_rng(seed, "membership-rejoin")
     drive(cluster, rmw_plan(rng, range(NUM_NODES), 12, KEYS))
     t0 = cluster.sim.now
@@ -414,7 +415,7 @@ def run_join_crash_rejoin(seed, *, faulty):
         # joiner's apply on its next 2 ms poll, and runs the bootstrap
         # worker (frontier collection + shard handoff) from ~4.0 ms; the
         # crash lands inside that window, mid-handoff, so the in-flight
-        # shard stream settles against a dead peer and the driver must
+        # shipment settles against a dead peer and the driver must
         # abandon.
         nemesis.start(crash_cycle(JOINER, t0 + 4.15e-3, 15.85e-3))
         first = cluster.add_node()

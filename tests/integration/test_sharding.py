@@ -5,7 +5,7 @@ between live nodes under foreground PSI traffic completes with zero
 aborts, checker-clean reads, and a final *authoritative* fingerprint --
 every key's chain at its current owner -- bit-identical to a run that
 never migrated; three migration-nemesis pairs (donor crashed
-mid-stream, recipient crashed before the flip, donor-recipient
+mid-shipment, recipient crashed before the flip, donor-recipient
 partition across the cutover) each leave ownership and state untouched
 and converge bit-identically to a fault-free control; and under s=1.1
 Zipfian skew the rebalancer's planner brings max/mean per-node load
@@ -26,7 +26,7 @@ from repro import RpcConfig, ShardingConfig
 from repro.cluster.directory import ConsistentHashDirectory, ShardMap
 from repro.cluster.rebalancer import MIN_SAMPLES, plan_moves
 from repro.faults import crash_cycle, partition_cycle
-from repro.healing.transfer import ChainTransfer
+from repro.cluster.handoff import Shipments
 from repro.sim.rng import make_rng
 from repro.workloads import ZipfKeyGenerator
 
@@ -142,18 +142,13 @@ def test_fault_free_migration_under_live_traffic(seed):
 # ----------------------------------------------------------------------
 # Migration-nemesis pairs: donor crash, recipient crash, partition
 # ----------------------------------------------------------------------
-@pytest.fixture
-def one_chain_per_chunk(monkeypatch):
-    monkeypatch.setattr("repro.healing.transfer.CHUNK_RECORDS", 1)
-
-
 def run_migration_chaos(seed, *, faulty, fault):
     """One faulted migration attempt, then the same clean migration.
 
-    ``fault`` is ``"donor"``, ``"recipient"`` or ``"partition"``.  The
-    faulty run launches the migration at ``t0`` with the fault landing a
-    quarter into its 0.6 ms stream (:func:`one_chain_per_chunk` stretches
-    the transfer across several round trips); the stream settles against
+    ``fault`` is ``"donor"``, ``"recipient"`` or ``"partition"``.  Every
+    shipment spends 0.6 ms on the wire (:func:`battery.slow_shipments`),
+    and the faulty run launches the migration at ``t0`` with the fault
+    landing while its shipment is in flight; the shipment settles against
     the dead link, the rebalancer unfences without flipping, and ownership,
     chains, and foreground traffic are untouched.  Both runs then
     perform the identical clean migration on the same timeline and must
@@ -163,13 +158,14 @@ def run_migration_chaos(seed, *, faulty, fault):
         seed,
         rpc=RpcConfig(request_timeout=1.5e-3, max_attempts=3),
     )
+    battery.slow_shipments(cluster)
     shard_map = cluster.directory
     rng = make_rng(seed, "sharding-chaos")
     drive(cluster, rmw_plan(rng, range(NUM_NODES), 12, KEYS))
     shard, donor, dest = migration_target(cluster)
     t0 = cluster.sim.now
     if faulty:
-        # Down longer than the stream's full RPC retry ladder, so the
+        # Down longer than the shipment's full RPC retry ladder, so the
         # transfer cannot sneak through after an early heal.
         at, down_for = t0 + 1.5e-4, 15e-3
         nemesis.start({
@@ -204,25 +200,21 @@ def run_migration_chaos(seed, *, faulty, fault):
     return fingerprints(cluster)
 
 
-@pytest.mark.usefixtures("one_chain_per_chunk")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_donor_crash_mid_stream_converges(seed):
     assert_converges(run_migration_chaos, seed, fault="donor")
 
 
-@pytest.mark.usefixtures("one_chain_per_chunk")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_recipient_crash_before_flip_converges(seed):
     assert_converges(run_migration_chaos, seed, fault="recipient")
 
 
-@pytest.mark.usefixtures("one_chain_per_chunk")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_partition_during_cutover_converges(seed):
     assert_converges(run_migration_chaos, seed, fault="partition")
 
 
-@pytest.mark.usefixtures("one_chain_per_chunk")
 def test_migration_nemesis_is_deterministic():
     """The most eventful scenario replays bit-identically."""
     assert_replays(run_migration_chaos, SEEDS[0], fault="donor")
@@ -500,19 +492,19 @@ CUTOVER_SEED, SHARD, DONOR, DEST = 7, 0, 0, 1
 def hook_shipment(monkeypatch, *, start=None, done=None, hold=0.0):
     """Call ``start()`` as the donor starts shipping the shard, or
     ``done()`` once it shipped -- then hold the cutover ``hold`` s."""
-    ship = ChainTransfer.ship_shard
+    ship = Shipments.ship
 
-    def hooked(transfer, peer, keys, incarnation):
-        ours = (transfer.node_id, peer) == (DONOR, DEST)
+    def hooked(shipments, peer, keys, incarnation):
+        ours = (shipments.node_id, peer) == (DONOR, DEST)
         if ours and start:
             start()
-        shipped = yield from ship(transfer, peer, keys, incarnation)
+        shipped = yield from ship(shipments, peer, keys, incarnation)
         if ours and shipped and done:
             done()
-            yield transfer.owner.sim.timeout(hold)
+            yield shipments.sim.timeout(hold)
         return shipped
 
-    monkeypatch.setattr(ChainTransfer, "ship_shard", hooked)
+    monkeypatch.setattr(Shipments, "ship", hooked)
 
 
 def migrate_with(monkeypatch, write_key, when, hold=0.0):

@@ -1,5 +1,8 @@
 """Dedicated tests for the serializable 2PC-baseline."""
 
+from repro import Cluster, ClusterConfig, NetworkConfig, RpcConfig
+from repro.cluster import ExplicitDirectory
+from repro.net.message import MessageType
 from tests.harness.oracle import assert_psi
 from tests.integration.scenario_tools import (
     make_cluster,
@@ -176,4 +179,56 @@ def test_read_only_snapshots_are_serializable():
     cluster.spawn(churn())
     cluster.spawn(reader())
     cluster.run()
+    assert_psi(cluster, quiescent=True)
+
+
+def leased_cluster(num_nodes, placement):
+    """A 2PC cluster with a 1 ms prepared lease and 5 ms RPC deadlines."""
+    config = ClusterConfig(
+        num_nodes=num_nodes,
+        prepared_lease=1e-3,
+        network=NetworkConfig(jitter=0.0, rpc=RpcConfig(request_timeout=5e-3)),
+    )
+    cluster = Cluster(
+        "2pc", config, directory=ExplicitDirectory(placement), record_history=True
+    )
+    for key in placement:
+        cluster.load(key, 0)
+    return cluster
+
+
+def test_an_expiring_lease_applies_the_coordinators_commit():
+    """The first Decide is lost and the retry comes after the participant's
+    lease: the lease asks the coordinator, hears "committed" and installs
+    the write; the retried Decide -- which applied nothing -- is not
+    acknowledged."""
+    cluster = leased_cluster(2, {"x": 1})
+    network, decides, replies = cluster.network, [], []
+
+    def tap(envelope):
+        if envelope.msg_type == MessageType.DECIDE:
+            decides.append(cluster.sim.now)
+            if len(decides) == 1:
+                network.partition(0, 1)  # drops this Decide for 0.5 ms
+                cluster.sim.call_later(0.5e-3, network.heal_all)
+        elif envelope.msg_type == MessageType.RPC_REPLY and envelope.src == 1:
+            replies.append(envelope.payload.body)
+        return 0.0
+
+    network.delay_policy = tap
+    assert cluster.run_txn(lambda txn: txn.write("x", 7))
+    assert cluster.node(1).store.read("x").value == 7
+    assert len(decides) == 2 and replies[-1] is False
+    assert_psi(cluster, quiescent=True)
+
+
+def test_a_status_query_dooms_a_round_still_collecting_votes():
+    """Node 1's lease asks while node 2's vote is still on its way: the
+    coordinator answers "not committed" and keeps it true by aborting."""
+    cluster = leased_cluster(3, {"x": 1, "y": 2})
+    cluster.network.delay_policy = lambda envelope: (
+        3e-3 if (envelope.msg_type, envelope.dst) == (MessageType.PREPARE, 2) else 0.0
+    )
+    assert not cluster.run_txn(lambda txn: [txn.write("x", 7), txn.write("y", 7)])
+    assert [cluster.node(n).store.read(k).value for n, k in ((1, "x"), (2, "y"))] == [0, 0]
     assert_psi(cluster, quiescent=True)

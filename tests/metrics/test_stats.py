@@ -138,7 +138,9 @@ def test_freshness_accounting():
 #: ``summary()``'s keys, in order: reports, the ledger and ``scripts/``
 #: read them by name, so the registry must not rename or reorder one,
 #: and drops one only with the code that counted it (the two backup-read
-#: counters went with the backup-read path).
+#: counters went with the backup-read path; ``snapshot_offers``,
+#: ``snapshot_chunks`` and ``snapshot_abandoned`` with the chunked
+#: chain transfer).
 SUMMARY_KEYS = (
     "commits", "aborts", "rollbacks", "abort_rate", "throughput",
     "aborts_by_reason", "abort_hot_keys", "attempts_per_commit",
@@ -154,9 +156,8 @@ SUMMARY_KEYS = (
     "heartbeats_suppressed", "suspicions_raised", "suspicions_cleared",
     "anti_entropy_rounds", "records_streamed", "checkpoints_taken",
     "wal_records_truncated", "wal_syncs", "wal_records_synced",
-    "wal_waits", "wal_wait_time", "snapshot_offers", "snapshot_rejected", "snapshot_chunks",
-    "snapshot_chains", "snapshot_installs",
-    "snapshot_abandoned", "views_committed", "joins_bootstrapped",
+    "wal_waits", "wal_wait_time", "snapshot_rejected",
+    "snapshot_chains", "snapshot_installs", "views_committed", "joins_bootstrapped",
     "drains_completed", "stale_width_messages", "shard_migrations",
     "shard_migration_keys", "shard_migrations_failed", "rebalance_rounds",
     "replication_records_streamed", "replication_lag_max",
@@ -166,7 +167,7 @@ SUMMARY_KEYS = (
 
 def test_summary_keys_are_frozen():
     summary = MetricsRecorder(Simulator()).summary()
-    assert len(SUMMARY_KEYS) == 64
+    assert len(SUMMARY_KEYS) == 61
     assert tuple(summary) == SUMMARY_KEYS
     assert tuple(COUNTERS) == SUMMARY_KEYS[22:]
     assert all(summary[name] == 0 for name in COUNTERS)

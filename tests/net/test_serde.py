@@ -249,7 +249,7 @@ def test_queue_spoken_for_and_lost_round_trip():
     assert plain.queue is False
     assert wire.ReadReturnBody("v", None, 5, 6).spoken_for is False
     assert wire.VoteBody(True).lost is None
-    assert WIRE_VERSION == 8
+    assert WIRE_VERSION == 9
 
 
 def test_the_replication_stream_bodies_carry_its_incarnation():
@@ -264,7 +264,24 @@ def test_the_replication_stream_bodies_carry_its_incarnation():
         decoded = decode_value(encode_value(message))
         assert decoded == message
         assert encode_value(decoded) == encode_value(message)
-    assert WIRE_VERSION == 8
+    assert WIRE_VERSION == 9
+
+
+def test_a_shipment_is_one_body():
+    """Wire version 9: a shard handoff's chains travel in one
+    ``ShardShipmentBody``; the codes of the offer, chunk and ack bodies
+    it replaced stay retired."""
+    version = ("v", (1, 0), 3, 1, None, 0.0)
+    message = wire.ShardShipmentBody(
+        sender=1, snapshot_id=4, site_vc=(3, 2), curr_seq_no=3,
+        fingerprint="ab" * 32, chains=(("k1", 0, (version,)),),
+    )
+    decoded = decode_value(encode_value(message))
+    assert decoded == message
+    assert encode_value(decoded) == encode_value(message)
+    assert REGISTRY[29] is wire.ShardShipmentBody
+    assert not {14, 15, 16} & set(REGISTRY)
+    assert WIRE_VERSION == 9
 
 
 def test_dict_encoding_is_insertion_order_independent():

@@ -448,6 +448,45 @@ def test_lost_ack_retransmits_the_unacked_suffix_and_backup_dedups():
     assert values == [0, 1, 2]
 
 
+def test_a_lost_batch_on_a_live_link_is_resent_on_the_next_ack():
+    """The first batch is lost, the second arrives past the gap: its ack
+    shows no progress, so the stream resends from the ack at once -- one
+    round trip, no deadline, no strike against a backup that answers."""
+    cluster = build(num_nodes=2)
+    key = owned_key(cluster, 0)
+    batches = []
+    cluster.network.delay_policy = lambda envelope: (
+        envelope.msg_type == REPLICATE
+        and batches.append([entry.seq for entry in envelope.payload.entries])
+    ) or 0.0
+    cluster.network.partition(0, 1)
+    stream_apply(cluster, 0, key, 1)
+    cluster.run(until=1e-4)  # dropped on arrival
+    cluster.network.heal_all()
+    stream_apply(cluster, 0, key, 2)
+    stream = cluster.node(0).replication.streams[1]
+    rtt = 2 * cluster.config.network.base_latency
+    cluster.run(until=cluster.sim.now + 2 * rtt + 10e-6)
+    assert batches == [[1], [2], [1, 2]]
+    assert stream.acked == 2 and not stream.flights
+    assert cluster.network.stats.rpc_timeouts == 0
+    cluster.run(until=cluster.sim.now + 3 * RETRY_INTERVAL)
+    assert cluster.network.stats.rpc_timeouts == 0 and len(batches) == 3
+
+
+def test_closing_before_the_first_batch_refuses_it():
+    """A node told to refuse a deposed primary before that primary's
+    first batch reached it refuses the batch when it comes: ``-1``."""
+    cluster = build(num_nodes=2)
+    key = owned_key(cluster, 0)
+    cluster.node(1).replication.close_backup_state(0)
+    stream_apply(cluster, 0, key, 1)
+    cluster.run()
+    assert cluster.node(0).replication.streams[1].closed
+    assert cluster.node(1).replication.backup_state[0].applied == 0
+    assert [v.value for v in cluster.node(1).store.chain(key)] == [0]
+
+
 def test_a_cut_link_strikes_once_per_deadline_not_once_per_batch():
     """Eight records into a cut link fill the window -- four batches on
     the wire, the rest queued -- and cost what one record does: a strike

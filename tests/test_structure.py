@@ -13,11 +13,11 @@ from pathlib import Path
 import repro.config
 import repro.faults.schedules
 import repro.net.rpc
-from repro.cluster.handoff import fenced_handoff
+from repro.cluster.handoff import Shipments, fenced_handoff
 from repro.core.repair import Fence
 from repro.core.vector_clock import VectorClock
-from repro.core.wire import PropagateBody, SnapshotAckBody, SnapshotOfferBody
-from repro.healing.transfer import ChainTransfer
+from repro.core.wire import PropagateBody, ShardShipmentBody
+from repro.healing import NodeHealing
 from repro.metrics.events import COUNTERS, COUNTS, EVENTS, TRACED
 from repro.metrics.stats import MetricsRecorder
 
@@ -47,7 +47,10 @@ TESTS = Path(__file__).parent
 #: pipelined replication stream: the window, the one-way ack and the one
 #: deadline per stream are paid for by the per-batch RPC pump they
 #: replace and by ``replication/shard.py`` docstrings moved to the docs.
-TOTAL_SRC_LINES = 16279
+#: Lowered -173 by one message per shard transfer: the offer/chunk
+#: stream, its receiver state machine and watchdog, net of the 2PC lease
+#: that asks its coordinator first and the stream's gap resend.
+TOTAL_SRC_LINES = 16106
 #: Lines over every ``*.py`` under ``tests/``.  Raised +102 for the
 #: loaded-key footprint pins, census and chain shape; lowered -17 by the
 #: one read path (the backup-read tests out, owner-read tests in), -343
@@ -74,8 +77,12 @@ TOTAL_SRC_LINES = 16279
 #: Raised for the pipelined replication stream: the stream-contract
 #: property, the one-strike-per-deadline case, the one-way-stream
 #: structure check, the wire-8 round trip and the no-overlap check of
-#: ``random_schedule``.
-TOTAL_TEST_LINES = 18092
+#: ``random_schedule``.  Raised for one message per shard transfer: the
+#: composed-faults grid and its committed table of failing cells, the
+#: 2PC lease and doomed-round cases, the stream's gap and
+#: closed-before-first-batch cases and the duplicate-shipment case, net
+#: of the chunk fixtures and the busy and mid-chunk cases.
+TOTAL_TEST_LINES = 18370
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``; 1063 before
 #: its adaptive Propagate windows went).
 LONGEST_FILE = 993
@@ -349,13 +356,18 @@ def test_background_traffic_has_one_shape():
 
 
 def test_one_chain_transfer():
-    """One truncation rule and one user of chain shipping: nothing prunes
+    """One truncation rule and one message per shipment: nothing prunes
     below a lagging peer's frontier, so no checkpoint is shipped to repair
-    one; the fenced shard handoff is the only caller of ``ship_shard``."""
+    one; the fenced shard handoff is the only caller of ``ship``, and a
+    shipment is one ``SHARD_SHIPMENT`` RPC -- no chunks, no offer, no
+    receiver-side watchdog and no inbound-transfer state."""
     names = (
         "max_peer_lag", "pruned_floor", "latest_checkpoint", "_snapshot_gap",
         "snapshots_shipped", "_regresses", "SNAPSHOT_ACK", "on_ack",
         "SnapshotTransferConfig", "chunk_records", "self._latest = record",
+        "CHUNK_RECORDS", "SnapshotOfferBody", "SnapshotChunkBody",
+        "SnapshotAckBody", "SNAPSHOT_OFFER", "SNAPSHOT_CHUNK", "_Inbound",
+        "def _watch(", "def _abandon(", ".inbound", "ChainTransfer",
     )
     found, callers = [], set()
     for path in SRC.rglob("*.py"):
@@ -368,11 +380,17 @@ def test_one_chain_transfer():
             and node.func.attr in ("ship", "ship_shard")
         }
     assert not found, found
-    assert callers == {"cluster/handoff.py:ship_shard", "healing/transfer.py:ship"}
-    assert "shard" not in {f.name for f in dataclasses.fields(SnapshotOfferBody)}
-    assert "site_vc" not in {f.name for f in dataclasses.fields(SnapshotAckBody)}
-    assert "shard" not in inspect.signature(ChainTransfer.ship).parameters
-    assert not {"snapshot_offer", "snapshot_shipped", "snapshots_shipped"} & set(EVENTS)
+    assert callers == {"cluster/handoff.py:ship"}
+    assert importlib.util.find_spec("repro.healing.transfer") is None
+    assert "shard" not in {f.name for f in dataclasses.fields(ShardShipmentBody)}
+    assert "chains" in {f.name for f in dataclasses.fields(ShardShipmentBody)}
+    assert "shard" not in inspect.signature(Shipments.ship).parameters
+    assert "transfer" not in inspect.getsource(NodeHealing.__init__)
+    kinds = {"snapshot_offer", "snapshot_shipped", "shard_offer", "snapshot_accept",
+             "snapshot_abandon"}
+    assert not kinds & set(EVENTS)
+    assert not {"snapshots_shipped", "snapshot_offers", "snapshot_chunks",
+                "snapshot_abandoned"} & set(COUNTERS)
     assert "shard" not in EVENTS["snapshot_install"].fields
 
 
