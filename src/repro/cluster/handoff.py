@@ -21,7 +21,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.membership import ACK_TIMEOUT, HANDOFF_TIMEOUT
+from repro.cluster.membership import HANDOFF_TIMEOUT, POLL_TICK
 from repro.core.wire import ShardShipmentBody
 from repro.net.message import Envelope, MessageType
 from repro.sim import Event
@@ -42,9 +42,14 @@ def shard_keys(node, shards) -> list:
 
 def cutover(shard_map, moves: Sequence[Move], admit: Optional[int] = None) -> bool:
     """The default act: flip every move, or none if some donor no longer
-    owns its shard (a concurrent handoff flipped it first).  ``admit``
-    joins the map first -- a joiner owns nothing until its cutover."""
-    if any(shard_map.owner_of(shard) != donor for shard, donor, _ in moves):
+    owns its shard (a concurrent handoff flipped it first) or some dest
+    has left the map (a leave finished first).  ``admit`` joins the map
+    first -- a joiner owns nothing until its cutover."""
+    if any(
+        shard_map.owner_of(shard) != donor
+        or (dest != admit and dest not in shard_map.node_ids)
+        for shard, donor, dest in moves
+    ):
         return False
     if admit is not None:
         shard_map.add_node(admit)
@@ -65,7 +70,7 @@ def _drain_write_locks(node, shards):
     ):
         if sim.now >= deadline:
             return False
-        yield sim.timeout(ACK_TIMEOUT)
+        yield sim.timeout(POLL_TICK)
     return True
 
 

@@ -2,26 +2,18 @@
 
 The cluster's membership is an explicitly versioned *view*: the set of
 member sites, each in one lifecycle state, plus the final commit
-frontiers of decommissioned sites.  Views change through a two-phase,
-epoch-gated protocol driven by the reconfiguration drivers
-(:mod:`repro.cluster.reconfig`):
-
-``VIEW_PROPOSE``
-    The view coordinator sends the complete proposed view (never a
-    delta) to every member of the *new* view.  A member accepts iff the
-    proposal's epoch is newer than its committed epoch and answers with
-    a ``VIEW_ACK``; an ack promises nothing and is not logged (the
-    drivers re-derive the target from the committed view every round).
-
-``VIEW_COMMIT``
-    Once every live member acked, the coordinator fans out the commit
-    (one-way, idempotent).  Applying a commit widens the node's
-    ``siteVC`` to the view's clock width, resets the failure detector's
-    memory of removed peers, and logs a committed
-    :class:`~repro.storage.wal.ViewChangeRecord` so crash recovery
-    restores the view; it never touches a fence.  Stale or duplicate
-    commits are ignored, which lets the anti-entropy layer re-send the
-    current view every gossip round for free.
+frontiers of decommissioned sites.  A view change is one commit, made
+by the reconfiguration drivers (:mod:`repro.cluster.reconfig`): they
+derive the target view from the newest committed one and have a live
+member fan out ``VIEW_COMMIT`` -- the complete view, never a delta
+(one-way, idempotent).  Applying a commit widens the node's ``siteVC``
+to the view's clock width, resets the failure detector's memory of
+removed peers, and logs a committed
+:class:`~repro.storage.wal.ViewChangeRecord` so crash recovery restores
+the view; it never touches a fence.  Stale or duplicate commits are
+ignored, which lets the anti-entropy layer re-send the current view
+every gossip round for free: that is how a member the fan-out missed
+learns it.
 
 Member lifecycle::
 
@@ -37,20 +29,20 @@ retired ids)`` and never decreases (see ``docs/membership.md``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.core.wire import ViewAckBody, ViewCommitBody, ViewProposeBody
+from repro.core.wire import ViewCommitBody
 from repro.net.message import MessageType
 from repro.storage.wal import ViewChangeRecord
 
-#: Propose/ack rounds attempted before a view change is abandoned; also
-#: the prepare rounds a commit spends regrouping across handoffs and
+#: Handoffs a reconfiguration driver tries before it gives up; also the
+#: prepare rounds a commit spends regrouping across handoffs and
 #: failovers before it aborts.
 MAX_ATTEMPTS = 5
-#: The reconfiguration drivers' polling tick: how long a propose round
-#: waits for VIEW_ACKs, and how often a drain or bootstrap wait re-checks
-#: (a driver must never hang on a crashed member).
-ACK_TIMEOUT = 2e-3
+#: The drivers' poll tick: how often a wait on a member's view apply,
+#: a bootstrap or a handoff's drain re-checks (a driver must never hang
+#: on a crashed member).
+POLL_TICK = 2e-3
 #: Deadline for a joiner's bootstrap, a drain, and each wait on a member
 #: to apply a view; exceeded handoffs are abandoned or reverted.
 HANDOFF_TIMEOUT = 200e-3
@@ -164,35 +156,16 @@ class MembershipView:
 class NodeMembership:
     """One node's membership state machine.
 
-    Owns the node-local side of the view-change protocol (propose/ack/
-    commit handlers) and the committed view.  A view commit never touches
-    the node's :class:`~repro.core.repair.Fence`: every ownership change
-    raises and lowers its own shard fences (:mod:`repro.cluster.handoff`).
+    Owns the committed view and the view-commit handler.  A view commit
+    never touches the node's :class:`~repro.core.repair.Fence`: every
+    ownership change raises and lowers its own shard fences
+    (:mod:`repro.cluster.handoff`).
     """
 
     def __init__(self, owner) -> None:
         self.owner = owner
-        self.sim = owner.sim
         self.node_id = owner.node_id
         self.view = MembershipView.initial(owner.shared.config.node_ids)
-        #: Proposer-side ack collection: epoch -> member ids that acked ok.
-        self.acks: Dict[int, Set[int]] = {}
-
-    # ------------------------------------------------------------------
-    # Protocol: proposer side
-    # ------------------------------------------------------------------
-    def propose(self, view: MembershipView) -> None:
-        """Ack ``view`` locally and fan the proposal out (one-way)."""
-        self.acks.setdefault(view.epoch, set()).add(self.node_id)
-        body = ViewProposeBody(*view.to_triple(), proposer=self.node_id)
-        for member in view.fanout_ids:
-            if member != self.node_id:
-                self.owner.node.send(member, MessageType.VIEW_PROPOSE, body)
-        if self.owner.tracer._enabled:
-            self.owner.tracer.emit(
-                self.node_id, "view_propose", epoch=view.epoch,
-                members=view.members_wire(),
-            )
 
     def commit(self, view: MembershipView) -> None:
         """Fan out the commit (one-way, idempotent) and apply it locally."""
@@ -211,24 +184,6 @@ class NodeMembership:
             peer, MessageType.VIEW_COMMIT, ViewCommitBody(*view.to_triple())
         )
 
-    # ------------------------------------------------------------------
-    # Protocol: handlers (registered by the owning protocol node)
-    # ------------------------------------------------------------------
-    def on_view_propose(self, envelope) -> None:
-        body = envelope.payload
-        ack = ViewAckBody(
-            epoch=body.epoch,
-            member=self.node_id,
-            ok=body.epoch > self.view.epoch,
-            current_epoch=self.view.epoch,
-        )
-        self.owner.node.send(body.proposer, MessageType.VIEW_ACK, ack)
-
-    def on_view_ack(self, envelope) -> None:
-        body = envelope.payload
-        if body.ok:
-            self.acks.setdefault(body.epoch, set()).add(body.member)
-
     def on_view_commit(self, envelope) -> None:
         body = envelope.payload
         view = MembershipView.from_wire(body.epoch, body.members, body.retired)
@@ -245,8 +200,6 @@ class NodeMembership:
         owner.site_vc.widen(view.clock_width)
         previous = self.view
         self.view = view
-        for epoch in [e for e in self.acks if e <= view.epoch]:
-            del self.acks[epoch]
         if owner.wal is not None:
             owner.wal.append(ViewChangeRecord(*view.to_triple()))
         # Forget removed peers: the failure detector must not carry a

@@ -1,7 +1,7 @@
 """The join and leave drivers (online reconfiguration).
 
-Each is a membership view change, driven through the two-phase protocol
-of :mod:`repro.cluster.membership`, around one
+Each is a sequence of membership view commits
+(:mod:`repro.cluster.membership`) around one
 :func:`~repro.cluster.handoff.fenced_handoff` over the moves
 :func:`~repro.cluster.rebalancer.plan_join` or ``plan_leave`` choose --
 the cutover a migration runs.  A join commits ``JOINING``, bootstraps
@@ -19,12 +19,12 @@ from typing import Callable, List, Optional
 
 from repro.cluster.handoff import Move, cutover, fenced_handoff
 from repro.cluster.membership import (
-    ACK_TIMEOUT,
     ACTIVE,
     DRAINING,
     HANDOFF_TIMEOUT,
     JOINING,
     MAX_ATTEMPTS,
+    POLL_TICK,
     MembershipView,
 )
 from repro.cluster.rebalancer import plan_join, plan_leave
@@ -55,8 +55,9 @@ class ReconfigDriver:
             raise RuntimeError("no live member to read the current view from")
         return best
 
-    def _live_proposer(self, view: MembershipView, exclude=()):
-        """The lowest live ACTIVE member -- the view-change coordinator.
+    def _live_member(self, view: MembershipView, exclude=()):
+        """The lowest live ACTIVE member of ``view`` -- the one that fans
+        a commit out.
 
         Falls back to any live member so a cluster mid-transition (all
         survivors DRAINING/JOINING) can still finish its view change.
@@ -79,58 +80,30 @@ class ReconfigDriver:
                 return cluster.nodes[member]
         return None
 
-    def _drive_view(self, derive, exclude=()):
-        """Propose-and-collect-acks, retrying across proposer crashes.
+    def _commit(self, derive, exclude=()) -> Optional[MembershipView]:
+        """Commit ``derive(current)``, the target built from the newest
+        committed view, through a live member (one-way, idempotent: a
+        member the fan-out misses learns it from gossip or the next
+        commit).  None when the change is moot or no member is live."""
+        current = self._current_view()
+        target = derive(current)
+        if target is None:
+            return None
+        member = self._live_member(current, exclude=exclude)
+        if member is None:
+            return None
+        member.membership.commit(target)
+        return target
 
-        ``derive(current)`` builds the target view from the newest
-        committed view (returning None when the change is moot).  Each
-        attempt re-reads the current view and re-picks a live proposer,
-        so a proposer that crashes mid-round is simply routed around.
-        Returns the acked view, or None after ``MAX_ATTEMPTS`` rounds.
-        """
-        cluster = self.cluster
-        for _attempt in range(MAX_ATTEMPTS):
-            current = self._current_view()
-            target = derive(current)
-            if target is None:
-                return None
-            proposer = self._live_proposer(current, exclude=exclude)
-            if proposer is None:
-                return None
-            proposer.membership.propose(target)
-            yield self.sim.timeout(ACK_TIMEOUT)
-            required = {
-                member for member in target.fanout_ids
-                if member < len(cluster.nodes)
-                and not cluster.network.is_crashed(member)
-            }
-            if required <= proposer.membership.acks.get(target.epoch, set()):
-                return target
-        return None
-
-    def _commit_view(self, view: MembershipView, exclude=()) -> None:
-        """Fan out a commit through a live proposer (one-way, idempotent)."""
-        proposer = self._live_proposer(view, exclude=exclude)
-        if proposer is not None:
-            proposer.membership.commit(view)
-
-    def _commit_removal(self, member_id: int, final_seq: Optional[int]):
-        """Drive and commit the view that drops ``member_id``."""
+    def _commit_removal(self, member_id: int, final_seq: Optional[int]) -> None:
+        """Commit the view that drops ``member_id``."""
 
         def derive(current: MembershipView):
             if current.state_of(member_id) is None:
                 return None
             return current.without_member(member_id, final_seq=final_seq)
 
-        acked = yield from self._drive_view(derive, exclude=(member_id,))
-        if acked is None:
-            # Force the removal through anyway: commit is one-way and
-            # idempotent.
-            current = self._current_view()
-            if current.state_of(member_id) is not None:
-                acked = current.without_member(member_id, final_seq=final_seq)
-        if acked is not None:
-            self._commit_view(acked, exclude=(member_id,))
+        self._commit(derive, exclude=(member_id,))
 
     # -- ownership -------------------------------------------------------
     def _hand_off(self, plan: Callable[[], List[Move]], act=None):
@@ -174,21 +147,20 @@ class ReconfigDriver:
                 return None  # already a member: duplicate add
             return current.with_member(joiner_id, JOINING)
 
-        acked = yield from self._drive_view(derive_joining)
-        if acked is None:
+        joining = self._commit(derive_joining)
+        if joining is None:
             cluster._removed.add(joiner_id)
             return False
-        self._commit_view(acked, exclude=(joiner_id,))
         # Bootstrap and handoff run in a subprocess so a joiner crash
         # cannot strand the driver on an RPC that will never settle.
         deadline = self.sim.now + HANDOFF_TIMEOUT
         worker = self.sim.spawn(
-            self._join_work(joiner_id, acked), name=f"join-work:n{joiner_id}"
+            self._join_work(joiner_id, joining), name=f"join-work:n{joiner_id}"
         )
         while not worker.triggered:
             if cluster.network.is_crashed(joiner_id) or self.sim.now >= deadline:
                 break
-            yield self.sim.timeout(ACK_TIMEOUT)
+            yield self.sim.timeout(POLL_TICK)
 
         def derive_active(current: MembershipView):
             if current.state_of(joiner_id) != JOINING:
@@ -200,11 +172,10 @@ class ReconfigDriver:
             return MembershipView(current.epoch + 1, members, retired)
 
         if worker.triggered and worker.value is True:
-            acked = yield from self._drive_view(derive_active)
-            if acked is not None:
-                self._commit_view(acked)
+            active = self._commit(derive_active)
+            if active is not None:
                 if cluster.tracer._enabled:
-                    cluster.tracer.emit(joiner_id, "join_complete", epoch=acked.epoch)
+                    cluster.tracer.emit(joiner_id, "join_complete", epoch=active.epoch)
                 return True
         # Abandon.  A joiner must not keep key ranges outside the
         # committed membership: any it was flipped go back first, and if
@@ -213,7 +184,7 @@ class ReconfigDriver:
             yield from self._retire(joiner_id)
         ):
             return False
-        yield from self._abandon_join(joiner_id)
+        self._abandon_join(joiner_id)
         return False
 
     def _join_work(self, joiner_id: int, view: MembershipView):
@@ -224,7 +195,7 @@ class ReconfigDriver:
         while joiner.membership.view.epoch < view.epoch:
             if joiner_id in cluster._removed:
                 return False  # the driver abandoned this join meanwhile
-            yield self.sim.timeout(ACK_TIMEOUT)
+            yield self.sim.timeout(POLL_TICK)
         joiner.healing.start()
         # Clock-only bootstrap: adopt every origin's committed frontier
         # (the joiner owns no keys yet, so frontiers are all it needs).
@@ -243,12 +214,12 @@ class ReconfigDriver:
         )
         return flipped
 
-    def _abandon_join(self, joiner_id: int):
+    def _abandon_join(self, joiner_id: int) -> None:
         """Remove a part-way joiner (abandoned join: no retired entry)."""
         cluster = self.cluster
         cluster._removed.add(joiner_id)
         cluster.nodes[joiner_id].healing.stop()
-        yield from self._commit_removal(joiner_id, final_seq=None)
+        self._commit_removal(joiner_id, final_seq=None)
         if cluster.tracer._enabled:
             cluster.tracer.emit(joiner_id, "join_abandoned")
 
@@ -264,31 +235,30 @@ class ReconfigDriver:
                 return None  # refuse to drain the last key owner
             return current.with_member(victim_id, DRAINING)
 
-        acked = yield from self._drive_view(derive_draining, exclude=(victim_id,))
-        if acked is None:
+        draining = self._commit(derive_draining, exclude=(victim_id,))
+        if draining is None:
             return False
-        self._commit_view(acked)
         deadline = self.sim.now + HANDOFF_TIMEOUT
-        while victim.membership.view.epoch < acked.epoch:
+        while victim.membership.view.epoch < draining.epoch:
             if self.sim.now >= deadline:
-                yield from self._revert_drain(victim_id)
+                self._revert_drain(victim_id)
                 return False
-            yield self.sim.timeout(ACK_TIMEOUT)
+            yield self.sim.timeout(POLL_TICK)
         # One handoff drains every shard to the survivors: in-flight
         # prepares settle through their Decides, new ones park on the
         # shard fences and, once it lifts, vote "moved" and go to the
         # new owners.  Reads keep being served here throughout.
         if not (yield from self._retire(victim_id)):
-            yield from self._revert_drain(victim_id)
+            self._revert_drain(victim_id)
             return False
         final_seq = victim.curr_seq_no
-        yield from self._commit_removal(victim_id, final_seq)
+        self._commit_removal(victim_id, final_seq)
         victim.healing.stop()
         cluster._removed.add(victim_id)
         cluster.tracer.emit(victim_id, "drain_complete", final_seq=final_seq)
         return True
 
-    def _revert_drain(self, victim_id: int):
+    def _revert_drain(self, victim_id: int) -> None:
         """Put a draining member back to ACTIVE (decommission failed)."""
 
         def derive(current: MembershipView):
@@ -296,6 +266,4 @@ class ReconfigDriver:
                 return None
             return current.with_member(victim_id, ACTIVE)
 
-        acked = yield from self._drive_view(derive)
-        if acked is not None:
-            self._commit_view(acked)
+        self._commit(derive)

@@ -125,13 +125,10 @@ class MVCCNode(BaseProtocolNode):
         node.on(MessageType.TXN_STATUS, self.in_doubt.on_txn_status)
         #: Durable crash and WAL recovery.
         self.recovery = NodeRecovery(self)
-        #: Elastic membership: the committed view and the
-        #: view-change protocol handlers.  Constructed before the healing
-        #: layer so the gossip loops can derive their peer set from the
-        #: live view.
+        #: Elastic membership: the committed view and the view-commit
+        #: handler.  Constructed before the healing layer so the gossip
+        #: loops can derive their peer set from the live view.
         self.membership = NodeMembership(self)
-        node.on(MessageType.VIEW_PROPOSE, self.membership.on_view_propose)
-        node.on(MessageType.VIEW_ACK, self.membership.on_view_ack)
         node.on(MessageType.VIEW_COMMIT, self.membership.on_view_commit)
         #: The self-healing layer (failure detector, anti-entropy,
         #: checkpoints).  Constructed unconditionally -- with the default

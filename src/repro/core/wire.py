@@ -279,49 +279,21 @@ class ReplicateAckBody:
 
 
 @dataclass(slots=True)
-class ViewProposeBody:
-    """Membership view change, phase one: coordinator -> every member.
+class ViewCommitBody:
+    """A membership view change: apply the view (one-way fan-out,
+    idempotent).
 
-    Carries the complete proposed view (not a delta) so acceptance is a
-    pure epoch comparison and a re-sent propose is idempotent.
+    Carries the complete view (not a delta).  A member applies the
+    commit iff ``epoch`` is newer than its committed epoch; stale or
+    duplicate commits are ignored, so the committing member and the
+    anti-entropy layer may both (re-)send it freely.
     """
 
     epoch: int
-    #: (node_id, state) pairs -- the full proposed membership view.
+    #: (node_id, state) pairs -- the full membership view.
     members: Tuple[Tuple[int, str], ...]
     #: (site, final_seq) pairs for decommissioned sites: each one's final
     #: commit frontier; the entry pins the clock width (docs/membership.md).
-    retired: Tuple[Tuple[int, int], ...]
-    proposer: int
-
-
-@dataclass(slots=True)
-class ViewAckBody:
-    """A member's epoch-gated verdict on a proposed view.
-
-    ``ok`` is false when the member has already committed an epoch at or
-    past the proposal's -- the proposer must re-read the current view and
-    retry from there.
-    """
-
-    epoch: int
-    member: int
-    ok: bool
-    #: The acker's committed epoch, for proposer diagnostics on reject.
-    current_epoch: int = -1
-
-
-@dataclass(slots=True)
-class ViewCommitBody:
-    """Phase two: apply the view (one-way fan-out, idempotent).
-
-    A member applies the commit iff ``epoch`` is newer than its committed
-    epoch; stale or duplicate commits are ignored, so the coordinator and
-    the anti-entropy layer may both (re-)send it freely.
-    """
-
-    epoch: int
-    members: Tuple[Tuple[int, str], ...]
     retired: Tuple[Tuple[int, int], ...]
 
 

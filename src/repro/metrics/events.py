@@ -105,7 +105,6 @@ EVENTS: Dict[str, Event] = {
         "sender snapshot_id chains frontier", snapshot_installs=1
     ),
     # Elastic membership.
-    "view_propose": traced("epoch members"),
     "view_commit": traced("epoch members retired", views_committed=1),
     "join_bootstrap": traced("clock", joins_bootstrapped=1),
     "join_complete": traced("epoch"),

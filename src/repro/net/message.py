@@ -39,13 +39,9 @@ class MessageType:
     REPLICATE = "Replicate"
     #: ... which answers every batch with its cumulative applied sequence.
     REPLICATE_ACK = "ReplicateAck"
-    #: Membership view change, phase one: the view coordinator proposes
-    #: an epoch-numbered membership view to every member (one-way) ...
-    VIEW_PROPOSE = "ViewPropose"
-    #: ... members answer with an epoch-gated accept/reject (one-way) ...
-    VIEW_ACK = "ViewAck"
-    #: ... and the coordinator fans out the commit that applies the view
-    #: (one-way; idempotent, epoch-gated, re-sent by anti-entropy).
+    #: Membership view change: a live member fans out the commit that
+    #: applies an epoch-numbered view (one-way; idempotent, epoch-gated,
+    #: re-sent by anti-entropy).
     VIEW_COMMIT = "ViewCommit"
 
     #: Message types delivered on the background channel.  Asynchronous

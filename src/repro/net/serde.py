@@ -56,8 +56,9 @@ from repro.net.rpc import _Reply, _Request
 #: ``shard`` and its ack's ``site_vc`` deleted, transfer is shard-only; 8:
 #: REPLICATE is one-way, its body and ``ReplicateAckBody`` carry the
 #: stream's incarnation; 9: one ``ShardShipmentBody`` per shipment
-#: replaces the offer, its chunks and their ack).
-WIRE_VERSION = 9
+#: replaces the offer, its chunks and their ack; 10: a view change is its
+#: ``ViewCommitBody`` alone, the propose and ack bodies retired).
+WIRE_VERSION = 10
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).
@@ -94,8 +95,6 @@ REGISTRY: Dict[int, type] = {
     17: wire.ReplicationEntry,
     18: wire.ReplicateBody,
     19: wire.ReplicateAckBody,
-    20: wire.ViewProposeBody,
-    21: wire.ViewAckBody,
     22: wire.ViewCommitBody,
     23: wire.HeartbeatBody,
     24: wire.SimpleReadRequestBody,
@@ -105,7 +104,8 @@ REGISTRY: Dict[int, type] = {
     28: wire.SimpleDecideBody,
     29: wire.ShardShipmentBody,
 }
-#: Retired codes, never to be reused: 14-16 (the chunked chain transfer).
+#: Retired codes, never to be reused: 14-16 (the chunked chain transfer),
+#: 20-21 (the view propose and ack).
 
 _CODE_OF: Dict[type, int] = {cls: code for code, cls in REGISTRY.items()}
 #: class -> ordered field names, resolved once (dataclasses.fields walks

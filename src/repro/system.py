@@ -383,7 +383,7 @@ class Cluster:
         return self.spawn(ReconfigDriver(self).leave(node_id), f"leave:n{node_id}")
 
     def _check_elastic(self) -> None:
-        """Refuse a join or leave before any view is proposed."""
+        """Refuse a join or leave before any view is committed."""
         if not self.nodes or not isinstance(self.nodes[0], MVCCNode):
             raise ValueError(
                 f"protocol {self.protocol!r} does not support elastic membership"

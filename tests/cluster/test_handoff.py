@@ -114,3 +114,20 @@ def test_a_shard_two_handoffs_fence_stays_fenced_until_both_are_done():
     stale = cluster.spawn(fenced_handoff(cluster, [(shard, DONOR, 2)]))
     cluster.run()
     assert stale.value is None and cluster.directory.owner_of(shard) == DEST
+
+
+def test_a_cutover_onto_a_node_that_left_the_map_flips_nothing():
+    """A move planned onto a member whose leave finishes first is
+    refused at the flip: the handoff fails, ownership stays put and the
+    shard is not placed on a node outside the map."""
+    cluster = build()
+    key = donor_key(cluster)
+    shard = cluster.directory.shard_of(key)
+    hold_write_lock(cluster, key, 10e-3)
+    migration = cluster.spawn(fenced_handoff(cluster, [(shard, DONOR, DEST)]))
+    left = cluster.remove_node(DEST)
+    cluster.run()
+    assert left.value is True and DEST not in cluster.directory.node_ids
+    assert migration.value is None
+    assert cluster.directory.owner_of(shard) == DONOR
+    assert not cluster.node(DONOR).fence.shards

@@ -5,12 +5,12 @@ mid-run under live traffic serves reads that pass the PSI checkers with
 zero foreground aborts; a decommissioned node's keys stay readable
 throughout the drain; and three reconfiguration-chaos pairs -- a join
 that rides out a directed partition between old members, a decommission
-racing the view coordinator's crash, and a joiner killed mid-bootstrap
+racing the committing member's crash, and a joiner killed mid-bootstrap
 that is abandoned and later re-joined under the same id -- each
 converging bit-identically to a fault-free control run.
 
-Everything is deterministic: view-change drivers poll on fixed
-``membership.ack_timeout`` ticks, healing loops draw from per-node
+Everything is deterministic: the reconfiguration drivers poll on fixed
+``membership.POLL_TICK`` ticks, healing loops draw from per-node
 seeded RNG streams, and ``Simulator.run(until=...)`` lands on exact
 deadlines, so a control/faulty pair executes the same transaction plan
 on the same virtual-time skeleton and their per-node fingerprints
@@ -84,7 +84,7 @@ def build(seed, *, gossip=False, rpc=None, num_nodes=NUM_NODES):
 
 
 # ----------------------------------------------------------------------
-# A static directory refuses a join or leave before proposing a view
+# A static directory refuses a join or leave before committing a view
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("change", ["add_node", "remove_node"])
 @pytest.mark.parametrize("directory", [
@@ -316,12 +316,13 @@ def test_top_id_leave_fresh_join_rejoin_under_live_traffic(seed):
 # Chaos pair 1: join rides out a directed partition between old members
 # ----------------------------------------------------------------------
 def run_partitioned_join(seed, *, faulty):
-    """Join while the proposer is cut off from a peer, or the control.
+    """Join while the committing member is cut off from a peer, or the
+    control.
 
-    The partition window (5 ms) is shorter than the view driver's retry
-    budget (``max_attempts * ack_timeout`` = 10 ms), so the JOINING
-    proposal fails its first rounds and succeeds after the heal -- the
-    join completes in both runs and must converge identically.
+    Node 0 commits the JOINING view at once and node 1, isolated from it
+    for 5 ms, misses that commit; it re-learns the view from a peer's
+    gossip piggyback (or from the ACTIVE commit) -- the join completes
+    in both runs and must converge identically.
     """
     cluster, nemesis = build(seed, gossip=True)
     rng = make_rng(seed, "membership-partition")
@@ -349,17 +350,16 @@ def test_join_during_directed_partition_converges(seed):
 
 
 # ----------------------------------------------------------------------
-# Chaos pair 2: decommission racing the view coordinator's crash
+# Chaos pair 2: decommission racing the committing member's crash
 # ----------------------------------------------------------------------
 def run_decommission_coordinator_crash(seed, *, faulty):
-    """Decommission while the would-be view coordinator is down.
+    """Decommission while the would-be committing member is down.
 
-    Node 0 -- the lowest ACTIVE member, hence the default proposer --
-    is crashed when the DRAINING view is first driven, so the driver
-    routes the proposal through node 1; node 0 restarts inside the ack
-    window, joins the retry round, and re-learns the views from the
-    commit fan-out.  The control run executes the same timeline with
-    node 0 up throughout.
+    Node 0 -- the lowest ACTIVE member, hence the default committer --
+    is crashed when the DRAINING view is committed, so the driver
+    commits through node 1; node 0 misses the commit, restarts, and
+    re-learns the views from gossip or the next commit.  The control
+    run executes the same timeline with node 0 up throughout.
     """
     cluster, nemesis = build(seed, gossip=True)
     rng = make_rng(seed, "membership-crash")
@@ -371,7 +371,7 @@ def run_decommission_coordinator_crash(seed, *, faulty):
     t0 = cluster.sim.now
     if faulty:
         nemesis.start(crash_cycle(0, t0, 1.5e-3))
-    cluster.run(until=t0 + 2e-4)  # the crash lands before the proposal
+    cluster.run(until=t0 + 2e-4)  # the crash lands before the commit
     left = cluster.remove_node(victim)
     cluster.run(until=t0 + 40e-3)
     assert left.triggered, "leave driver did not finish in its window"
@@ -411,13 +411,13 @@ def run_join_crash_rejoin(seed, *, faulty):
     drive(cluster, rmw_plan(rng, range(NUM_NODES), 12, KEYS))
     t0 = cluster.sim.now
     if faulty:
-        # The join driver commits the JOINING view at ~2 ms, detects the
-        # joiner's apply on its next 2 ms poll, and runs the bootstrap
-        # worker (frontier collection + shard handoff) from ~4.0 ms; the
+        # The join driver commits the JOINING view at once, detects the
+        # joiner's apply on its first 2 ms poll, and runs the bootstrap
+        # worker (frontier collection + shard handoff) from ~2.0 ms; the
         # crash lands inside that window, mid-handoff, so the in-flight
         # shipment settles against a dead peer and the driver must
-        # abandon.
-        nemesis.start(crash_cycle(JOINER, t0 + 4.15e-3, 15.85e-3))
+        # abandon.  The joiner restarts at 20 ms.
+        nemesis.start(crash_cycle(JOINER, t0 + 2.15e-3, 17.85e-3))
         first = cluster.add_node()
         cluster.run(until=t0 + 22e-3)
         assert first.triggered, "abandonment did not finish in its window"
