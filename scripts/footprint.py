@@ -168,7 +168,7 @@ def print_tombstones(cluster) -> None:
     ids = sum(window.count(1) for window in windows)
     columns = sum(
         sys.getsizeof(column) for store in stores for column in (
-            store._expiring_ids, store._expiry_times, store._expiry_ends))
+            store._expiry_ids, store._expiry_times, store._expiry_ends))
     batches = sum(len(store._expiry_times) - store._expiry_head for store in stores)
     print(f"  tombstones: {ids} ids in {len(windows)} windows of "
           f"{sum(map(len, windows))} B (largest {max(map(len, windows))} B), "

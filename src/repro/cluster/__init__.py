@@ -7,24 +7,15 @@ from repro.cluster.directory import (
     ExplicitDirectory,
     ShardMap,
 )
-from repro.cluster.membership import (
-    ACTIVE,
-    DRAINING,
-    JOINING,
-    MembershipView,
-    NodeMembership,
-)
+from repro.cluster.membership import MembershipView, NodeMembership
 from repro.cluster.node import Node
 from repro.cluster.rebalancer import Rebalancer, plan_moves
 
 __all__ = [
-    "ACTIVE",
     "CallableDirectory",
     "ConsistentHashDirectory",
-    "DRAINING",
     "Directory",
     "ExplicitDirectory",
-    "JOINING",
     "MembershipView",
     "NodeMembership",
     "Node",

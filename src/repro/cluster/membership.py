@@ -1,30 +1,26 @@
 """Elastic membership: epoch-numbered views and per-node view state.
 
-The cluster's membership is an explicitly versioned *view*: the set of
-member sites, each in one lifecycle state, plus the final commit
-frontiers of decommissioned sites.  A view change is one commit, made
-by the reconfiguration drivers (:mod:`repro.cluster.reconfig`): they
-derive the target view from the newest committed one and have a live
-member fan out ``VIEW_COMMIT`` -- the complete view, never a delta
-(one-way, idempotent).  Applying a commit widens the node's ``siteVC``
-to the view's clock width, resets the failure detector's memory of
-removed peers, and logs a committed
+The cluster's membership is an explicitly versioned *view*: the sorted
+member ids plus the final commit frontiers of decommissioned sites.
+Who owns a key is the :class:`~repro.cluster.directory.ShardMap`'s
+business alone; a view says who is in the fan-out.  A view change is
+one commit, made by the reconfiguration drivers
+(:mod:`repro.cluster.reconfig`): they derive the target view from the
+newest committed one and have a live member fan out ``VIEW_COMMIT`` --
+the complete view, never a delta (one-way, idempotent).  Applying a
+commit widens the node's ``siteVC`` to the view's clock width, resets
+the failure detector's memory of removed peers, and logs a committed
 :class:`~repro.storage.wal.ViewChangeRecord` so crash recovery restores
 the view; it never touches a fence.  Stale or duplicate commits are
 ignored, which lets the anti-entropy layer re-send the current view
 every gossip round for free: that is how a member the fan-out missed
 learns it.
 
-Member lifecycle::
-
-    JOINING ---> ACTIVE ---> DRAINING ---> (removed: absent + retired)
-
-A ``JOINING`` member receives commit propagation (it is in the fan-out
-set) but owns no keys until its join's cutover; a ``DRAINING`` member
-still owns and serves its keys while its shards stream out.  A removed
-member disappears from the view; its ``retired`` entry records its
-final frontier and pins the clock width, which is ``1 + max(member and
-retired ids)`` and never decreases (see ``docs/membership.md``).
+A joiner enters the view before its shards reach it, and a leaving
+member leaves it only after its shards went.  A removed member's
+``retired`` entry records its final frontier and pins the clock width,
+which is ``1 + max(member and retired ids)`` and never decreases (see
+``docs/membership.md``).
 """
 
 from __future__ import annotations
@@ -39,68 +35,38 @@ from repro.storage.wal import ViewChangeRecord
 #: prepare rounds a commit spends regrouping across handoffs and
 #: failovers before it aborts.
 MAX_ATTEMPTS = 5
-#: The drivers' poll tick: how often a wait on a member's view apply,
+#: The drivers' poll tick: how often a wait on a joiner's view apply,
 #: a bootstrap or a handoff's drain re-checks (a driver must never hang
 #: on a crashed member).
 POLL_TICK = 2e-3
-#: Deadline for a joiner's bootstrap, a drain, and each wait on a member
-#: to apply a view; exceeded handoffs are abandoned or reverted.
+#: Deadline for a joiner's view apply and bootstrap (the join is
+#: abandoned past it) and for a handoff's drain of write locks.
 HANDOFF_TIMEOUT = 200e-3
-
-#: Member lifecycle states carried in a view.
-JOINING = "joining"
-ACTIVE = "active"
-DRAINING = "draining"
-
-#: States that own key ranges (the ShardMap's placement domain).
-_RING_STATES = frozenset({ACTIVE, DRAINING})
-#: States included in commit propagation / gossip fan-out.
-_FANOUT_STATES = frozenset({ACTIVE, DRAINING, JOINING})
 
 
 class MembershipView:
     """An immutable epoch-numbered membership view."""
 
-    __slots__ = ("epoch", "members", "retired", "ring_ids", "fanout_ids")
+    __slots__ = ("epoch", "members", "retired")
 
     def __init__(
         self,
         epoch: int,
-        members: Dict[int, str],
-        retired: Dict[int, int],
+        members: Iterable[int],
+        retired: Dict[int, int] | Iterable[Tuple[int, int]] = (),
     ) -> None:
         self.epoch = epoch
-        self.members: Dict[int, str] = dict(members)
+        #: Member ids, sorted: the commit, Propagate and gossip fan-out.
+        self.members: Tuple[int, ...] = tuple(sorted(members))
+        #: Decommissioned site -> its final frontier (a rejoined site
+        #: keeps its entry until it leaves again).
         self.retired: Dict[int, int] = dict(retired)
-        #: Sites that own key ranges (directory placement domain).
-        self.ring_ids: Tuple[int, ...] = tuple(
-            sorted(m for m, s in self.members.items() if s in _RING_STATES)
-        )
-        #: Sites included in Propagate/gossip fan-out (ring + joining).
-        self.fanout_ids: Tuple[int, ...] = tuple(
-            sorted(m for m, s in self.members.items() if s in _FANOUT_STATES)
-        )
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def initial(cls, node_ids: Iterable[int]) -> "MembershipView":
-        """Epoch zero: the static seed membership, everyone active."""
-        return cls(0, {node_id: ACTIVE for node_id in node_ids}, {})
+        """Epoch zero: the static seed membership."""
+        return cls(0, node_ids)
 
-    @classmethod
-    def from_wire(
-        cls,
-        epoch: int,
-        members: Tuple[Tuple[int, str], ...],
-        retired: Tuple[Tuple[int, int], ...],
-    ) -> "MembershipView":
-        return cls(epoch, dict(members), dict(retired))
-
-    # ------------------------------------------------------------------
-    # Derived sets
-    # ------------------------------------------------------------------
     @property
     def clock_width(self) -> int:
         """Vector-clock width this view requires; retired sites keep
@@ -108,30 +74,17 @@ class MembershipView:
         ids = set(self.members) | set(self.retired)
         return (max(ids) + 1) if ids else 0
 
-    def state_of(self, node_id: int) -> Optional[str]:
-        return self.members.get(node_id)
-
-    # ------------------------------------------------------------------
-    # Wire / WAL encoding
-    # ------------------------------------------------------------------
-    def members_wire(self) -> Tuple[Tuple[int, str], ...]:
-        return tuple(sorted(self.members.items()))
-
-    def retired_wire(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self.retired.items()))
-
     def to_triple(self) -> Tuple[int, Tuple, Tuple]:
         """``(epoch, members, retired)`` -- the wire, WAL and checkpoint
-        encoding (the leading fields of every view message and record)."""
-        return (self.epoch, self.members_wire(), self.retired_wire())
+        encoding (the leading fields of every view message and record);
+        ``MembershipView(*triple)`` reads it back."""
+        return (self.epoch, self.members, tuple(sorted(self.retired.items())))
 
     # ------------------------------------------------------------------
     # Derivation (drivers build target views from the committed one)
     # ------------------------------------------------------------------
-    def with_member(self, node_id: int, state: str) -> "MembershipView":
-        members = dict(self.members)
-        members[node_id] = state
-        return MembershipView(self.epoch + 1, members, self.retired)
+    def with_member(self, node_id: int) -> "MembershipView":
+        return MembershipView(self.epoch + 1, self.members + (node_id,), self.retired)
 
     def without_member(
         self, node_id: int, final_seq: Optional[int] = None
@@ -141,16 +94,14 @@ class MembershipView:
         ``final_seq=None`` is the abandoned-join form: the site never
         committed anything, so no retired entry is needed.
         """
-        members = dict(self.members)
-        members.pop(node_id, None)
         retired = dict(self.retired)
         if final_seq is not None:
             retired[node_id] = final_seq
+        members = (member for member in self.members if member != node_id)
         return MembershipView(self.epoch + 1, members, retired)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        states = ",".join(f"{m}:{s[0]}" for m, s in sorted(self.members.items()))
-        return f"<View e{self.epoch} [{states}] retired={self.retired}>"
+        return f"<View e{self.epoch} {list(self.members)} retired={self.retired}>"
 
 
 class NodeMembership:
@@ -169,7 +120,7 @@ class NodeMembership:
 
     def commit(self, view: MembershipView) -> None:
         """Fan out the commit (one-way, idempotent) and apply it locally."""
-        for member in view.fanout_ids:
+        for member in view.members:
             if member != self.node_id:
                 self.send_commit_to(member, view)
         self.apply_commit(view)
@@ -186,8 +137,7 @@ class NodeMembership:
 
     def on_view_commit(self, envelope) -> None:
         body = envelope.payload
-        view = MembershipView.from_wire(body.epoch, body.members, body.retired)
-        self.apply_commit(view)
+        self.apply_commit(MembershipView(body.epoch, body.members, body.retired))
 
     # ------------------------------------------------------------------
     # State transitions
@@ -206,11 +156,12 @@ class NodeMembership:
         # dead site's suspicion (or a rejoining site's stale history)
         # into the new view.
         for peer in previous.members:
-            if peer != self.node_id and view.state_of(peer) is None:
+            if peer != self.node_id and peer not in view.members:
                 owner.healing.detector.forget(peer)
+        epoch, members, retired = view.to_triple()
         owner.tracer.emit(
-            self.node_id, "view_commit", epoch=view.epoch,
-            members=view.members_wire(), retired=view.retired_wire(),
+            self.node_id, "view_commit", epoch=epoch, members=members,
+            retired=retired,
         )
         return True
 
@@ -228,7 +179,7 @@ class NodeMembership:
         any epochs committed during the outage.
         """
         if view_triple is not None:
-            view = MembershipView.from_wire(*view_triple)
+            view = MembershipView(*view_triple)
             if view.epoch > self.view.epoch:
                 self.view = view
                 self.owner.site_vc.widen(view.clock_width)

@@ -1,16 +1,15 @@
 """The join and leave drivers (online reconfiguration).
 
-Each is a sequence of membership view commits
-(:mod:`repro.cluster.membership`) around one
-:func:`~repro.cluster.handoff.fenced_handoff` over the moves
+Each is one membership view commit (:mod:`repro.cluster.membership`)
+beside one :func:`~repro.cluster.handoff.fenced_handoff` over the moves
 :func:`~repro.cluster.rebalancer.plan_join` or ``plan_leave`` choose --
-the cutover a migration runs.  A join commits ``JOINING``, bootstraps
-the joiner's clock, hands it its shards from every donor at once (the
-flip is all-or-nothing) and commits ``ACTIVE``; a leave commits
-``DRAINING``, hands the victim's shards to the survivors, retires it
-from the shard map and commits its removal with its final frontier.  A
-plan goes stale only when a concurrent migration flips one of its shards
-first; the cutover then refuses it whole and the driver plans again.
+the cutover a migration runs.  A join commits the joiner into the view,
+bootstraps its clock and hands it its shards from every donor at once
+(the flip is all-or-nothing); a leave hands the victim's shards to the
+survivors, retires it from the shard map and commits its removal with
+its final frontier.  A plan goes stale only when a concurrent migration
+flips one of its shards first; the cutover then refuses it whole and
+the driver plans again.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ from typing import Callable, List, Optional
 
 from repro.cluster.handoff import Move, cutover, fenced_handoff
 from repro.cluster.membership import (
-    ACTIVE,
-    DRAINING,
     HANDOFF_TIMEOUT,
-    JOINING,
     MAX_ATTEMPTS,
     POLL_TICK,
     MembershipView,
@@ -56,27 +52,16 @@ class ReconfigDriver:
         return best
 
     def _live_member(self, view: MembershipView, exclude=()):
-        """The lowest live ACTIVE member of ``view`` -- the one that fans
-        a commit out.
-
-        Falls back to any live member so a cluster mid-transition (all
-        survivors DRAINING/JOINING) can still finish its view change.
-        """
+        """The lowest live member of ``view`` -- the one that fans a
+        commit out."""
         cluster = self.cluster
-
-        def usable(member: int) -> bool:
-            return (
+        for member in view.members:
+            if (
                 member not in exclude
                 and member not in cluster._removed
                 and member < len(cluster.nodes)
                 and not cluster.network.is_crashed(member)
-            )
-
-        for member, state in sorted(view.members.items()):
-            if state == ACTIVE and usable(member):
-                return cluster.nodes[member]
-        for member in sorted(view.members):
-            if usable(member):
+            ):
                 return cluster.nodes[member]
         return None
 
@@ -99,7 +84,7 @@ class ReconfigDriver:
         """Commit the view that drops ``member_id``."""
 
         def derive(current: MembershipView):
-            if current.state_of(member_id) is None:
+            if member_id not in current.members:
                 return None
             return current.without_member(member_id, final_seq=final_seq)
 
@@ -142,44 +127,32 @@ class ReconfigDriver:
     def join(self, joiner_id: int):
         cluster = self.cluster
 
-        def derive_joining(current: MembershipView):
-            if current.state_of(joiner_id) is not None:
+        def derive(current: MembershipView):
+            if joiner_id in current.members:
                 return None  # already a member: duplicate add
-            return current.with_member(joiner_id, JOINING)
+            return current.with_member(joiner_id)
 
-        joining = self._commit(derive_joining)
-        if joining is None:
+        view = self._commit(derive)
+        if view is None:
             cluster._removed.add(joiner_id)
             return False
         # Bootstrap and handoff run in a subprocess so a joiner crash
         # cannot strand the driver on an RPC that will never settle.
         deadline = self.sim.now + HANDOFF_TIMEOUT
         worker = self.sim.spawn(
-            self._join_work(joiner_id, joining), name=f"join-work:n{joiner_id}"
+            self._join_work(joiner_id, view), name=f"join-work:n{joiner_id}"
         )
         while not worker.triggered:
             if cluster.network.is_crashed(joiner_id) or self.sim.now >= deadline:
                 break
             yield self.sim.timeout(POLL_TICK)
-
-        def derive_active(current: MembershipView):
-            if current.state_of(joiner_id) != JOINING:
-                return None
-            members = dict(current.members)
-            members[joiner_id] = ACTIVE
-            retired = dict(current.retired)
-            retired.pop(joiner_id, None)
-            return MembershipView(current.epoch + 1, members, retired)
-
         if worker.triggered and worker.value is True:
-            active = self._commit(derive_active)
-            if active is not None:
-                if cluster.tracer._enabled:
-                    cluster.tracer.emit(joiner_id, "join_complete", epoch=active.epoch)
-                return True
+            if cluster.tracer._enabled:
+                cluster.tracer.emit(joiner_id, "join_complete", epoch=view.epoch)
+            return True
         # Abandon.  A joiner must not keep key ranges outside the
         # committed membership: any it was flipped go back first, and if
-        # that fails too it stays JOINING and keeps them.
+        # that fails too it stays in the view and keeps them.
         if joiner_id in self.shard_map.node_ids and not (
             yield from self._retire(joiner_id)
         ):
@@ -188,7 +161,7 @@ class ReconfigDriver:
         return False
 
     def _join_work(self, joiner_id: int, view: MembershipView):
-        """Bootstrap a JOINING member: clock catch-up, then shard handoff."""
+        """Bootstrap a joiner: clock catch-up, then shard handoff."""
         cluster = self.cluster
         joiner = cluster.nodes[joiner_id]
         # The joiner is in the fan-out: wait for it to apply the view.
@@ -225,31 +198,24 @@ class ReconfigDriver:
 
     # -- leave ---------------------------------------------------------
     def leave(self, victim_id: int):
-        cluster = self.cluster
-        victim = cluster.nodes[victim_id]
-
-        def derive_draining(current: MembershipView):
-            if current.state_of(victim_id) != ACTIVE:
-                return None
-            if len(current.ring_ids) <= 1:
-                return None  # refuse to drain the last key owner
-            return current.with_member(victim_id, DRAINING)
-
-        draining = self._commit(derive_draining, exclude=(victim_id,))
-        if draining is None:
+        cluster, shard_map = self.cluster, self.shard_map
+        if (
+            victim_id not in shard_map.node_ids  # a joiner not yet admitted
+            or len(shard_map.node_ids) <= 1  # the last key owner
+            or victim_id in cluster._leaving
+        ):
             return False
-        deadline = self.sim.now + HANDOFF_TIMEOUT
-        while victim.membership.view.epoch < draining.epoch:
-            if self.sim.now >= deadline:
-                self._revert_drain(victim_id)
-                return False
-            yield self.sim.timeout(POLL_TICK)
+        victim = cluster.nodes[victim_id]
         # One handoff drains every shard to the survivors: in-flight
         # prepares settle through their Decides, new ones park on the
         # shard fences and, once it lifts, vote "moved" and go to the
-        # new owners.  Reads keep being served here throughout.
-        if not (yield from self._retire(victim_id)):
-            self._revert_drain(victim_id)
+        # new owners.  Reads keep being served here throughout.  A
+        # failed leave keeps the victim a member, owning what it still
+        # owns.
+        cluster._leaving.add(victim_id)
+        retired = yield from self._retire(victim_id)
+        cluster._leaving.discard(victim_id)
+        if not retired:
             return False
         final_seq = victim.curr_seq_no
         self._commit_removal(victim_id, final_seq)
@@ -257,13 +223,3 @@ class ReconfigDriver:
         cluster._removed.add(victim_id)
         cluster.tracer.emit(victim_id, "drain_complete", final_seq=final_seq)
         return True
-
-    def _revert_drain(self, victim_id: int) -> None:
-        """Put a draining member back to ACTIVE (decommission failed)."""
-
-        def derive(current: MembershipView):
-            if current.state_of(victim_id) != DRAINING:
-                return None
-            return current.with_member(victim_id, ACTIVE)
-
-        self._commit(derive)

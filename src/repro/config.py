@@ -281,11 +281,11 @@ class ReplicationConfig(ConfigSerde):
     its prepare/apply records to ``replication_factor - 1``
     deterministically placed backups, and each commit decision it makes
     as coordinator to as many *decision homes* (plus the backups of the
-    own shards that commit wrote); ``sync`` mode defers a commit's
-    acknowledgement and Decides to its decision's acknowledgment, and a
-    ``failover_timeout`` arms the cluster-level
-    :class:`repro.replication.failover.FailoverDriver` that promotes the
-    freshest backup of a dead primary behind the shard fence machinery.
+    own shards that commit wrote); a commit's acknowledgement and Decides
+    wait for its decision's acknowledgment, and a ``failover_timeout``
+    arms the cluster-level :class:`repro.replication.failover.FailoverDriver`
+    that promotes the freshest backup of a dead primary behind the shard
+    fence machinery.
     """
 
     #: Master switch; requires a ShardMap directory (sharding enabled).
@@ -293,28 +293,28 @@ class ReplicationConfig(ConfigSerde):
     #: Total copies of each shard including the primary (>= 1); each
     #: shard gets ``replication_factor - 1`` backups.
     replication_factor: int = 2
-    #: ``"sync"`` gates a commit's acknowledgement and Decides on backup
-    #: acknowledgment of its ``decision`` record, which carries the
-    #: writes (zero acked commits lost across a primary crash);
-    #: ``"async"`` streams in the background and never waits.
+    #: Accepted and must be ``"sync"`` (the only mode: a commit's
+    #: acknowledgement and Decides wait for backup acknowledgment of its
+    #: ``decision`` record, which carries the writes); kept only because
+    #: the frozen ledger registry passes it.
     mode: str = "sync"
     #: Arm automatic failover: when the accrual failure detector at a
     #: majority of live peers classifies a node dead, its shards are
     #: promoted to their freshest backups.  ``None`` (default) never
     #: promotes -- streams still replicate, but ownership is static.
     failover_timeout: Optional[float] = None
-    #: How long a sync-mode commit waits for its ``decision`` record's
-    #: acknowledgment before degrading to async for that record (counted;
-    #: the record stays queued and retransmits, only the *wait* is
-    #: skipped) -- and how long a silent backup can hold a committed
-    #: prepare's write locks past its apply (uncounted).
+    #: How long a commit waits for its ``decision`` record's
+    #: acknowledgment before going on without it (counted; the record
+    #: stays queued and retransmits, only the *wait* is skipped) -- and
+    #: how long a silent backup can hold a committed prepare's write
+    #: locks past its apply (uncounted).
     sync_timeout: float = 2e-3
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
-        if self.mode not in ("sync", "async"):
-            raise ValueError("mode must be 'sync' or 'async'")
+        if self.mode != "sync":
+            raise ValueError("mode must be 'sync'")
         if self.sync_timeout <= 0:
             raise ValueError("sync_timeout must be positive")
         if self.failover_timeout is not None and self.failover_timeout <= 0:

@@ -174,7 +174,7 @@ class FWKVNode(MVCCNode):
             # Broadcast over the live view, not the static seed: removed
             # sites must stop receiving traffic and a joiner may already
             # hold propagated identifiers.
-            sites = self.membership.view.fanout_ids
+            sites = self.membership.view.members
         else:
             sites = {self.directory.site(key) for key in txn.read_keys}
         for site in sites:

@@ -545,11 +545,11 @@ class MVCCNode(BaseProtocolNode):
         """Alg. 4 line 27: one Propagate per uninvolved site, at commit."""
         node_id = self.node_id
         propagate = PropagateBody(node_id, seq_no)
-        # Fan out over the live view (ring + joining members), not the
-        # static seed: a joining node needs the clock-only stream from
-        # the moment it enters the view, and a removed one must stop
-        # receiving traffic.  At epoch zero this is exactly ``node_ids``.
-        for site in self.membership.view.fanout_ids:
+        # Fan out over the live view, not the static seed: a joiner
+        # needs the clock-only stream from the moment it enters the
+        # view, and a removed member must stop receiving traffic.  At
+        # epoch zero this is exactly ``node_ids``.
+        for site in self.membership.view.members:
             if site not in participant_sites and site != node_id:
                 self.node.send(site, MessageType.PROPAGATE, propagate)
 

@@ -290,8 +290,8 @@ class ViewCommitBody:
     """
 
     epoch: int
-    #: (node_id, state) pairs -- the full membership view.
-    members: Tuple[Tuple[int, str], ...]
+    #: The member ids, sorted -- the full membership view.
+    members: Tuple[int, ...]
     #: (site, final_seq) pairs for decommissioned sites: each one's final
     #: commit frontier; the entry pins the clock width (docs/membership.md).
     retired: Tuple[Tuple[int, int], ...]

@@ -64,9 +64,6 @@ class NodeHealing:
         self.config = shared.config.healing
         self.metrics = owner.metrics
         self.tracer = owner.tracer
-        self._static_peers = [
-            peer for peer in shared.config.node_ids if peer != self.node_id
-        ]
         self._rng = make_rng(shared.config.seed, "healing", self.node_id)
         #: peer -> newest sequence number of *our* origin known applied
         #: there (from heartbeats and gossip digests); the evidence WAL
@@ -115,17 +112,10 @@ class NodeHealing:
     # ------------------------------------------------------------------
     @property
     def peers(self) -> List[int]:
-        """Current gossip/heartbeat partners, derived from the live view.
-
-        At epoch zero (static membership) this is exactly the historical
-        seed peer list; once views change it tracks the committed view's
-        fan-out set (active, draining and joining members) minus self.
-        """
-        membership = self.owner.membership
-        if membership.view.epoch == 0:
-            return self._static_peers
+        """Current gossip/heartbeat partners: the committed view's
+        members minus self (at epoch zero, the seed ``node_ids``)."""
         return [
-            peer for peer in membership.view.fanout_ids
+            peer for peer in self.owner.membership.view.members
             if peer != self.node_id
         ]
 

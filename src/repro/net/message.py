@@ -34,8 +34,8 @@ class MessageType:
     SHARD_SHIPMENT = "ShardShipment"
     #: Per-shard primary-backup replication stream (one-way): a primary
     #: ships a batch of prepare/decision/apply records to one backup ...
-    #: Foreground, not background: in sync mode commit acknowledgements
-    #: wait on these acks.
+    #: Foreground, not background: commit acknowledgements wait on
+    #: these acks.
     REPLICATE = "Replicate"
     #: ... which answers every batch with its cumulative applied sequence.
     REPLICATE_ACK = "ReplicateAck"

@@ -57,8 +57,9 @@ from repro.net.rpc import _Reply, _Request
 #: REPLICATE is one-way, its body and ``ReplicateAckBody`` carry the
 #: stream's incarnation; 9: one ``ShardShipmentBody`` per shipment
 #: replaces the offer, its chunks and their ack; 10: a view change is its
-#: ``ViewCommitBody`` alone, the propose and ack bodies retired).
-WIRE_VERSION = 10
+#: ``ViewCommitBody`` alone, the propose and ack bodies retired; 11: a
+#: view's ``members`` are its ids, the lifecycle states gone).
+WIRE_VERSION = 11
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).

@@ -308,10 +308,10 @@ class NodeReplication:
         stream.waiters.clear()
 
     def _latch(self, targets) -> Optional[_AckLatch]:
-        """Sync mode: one latch, bounded by ``sync_timeout``, over the
-        listed ``(stream, seq)`` records still unacknowledged on an open
-        stream (a closed one's backup is gone); ``None`` if there are none."""
-        pending = self.config.mode == "sync" and [
+        """One latch, bounded by ``sync_timeout``, over the listed
+        ``(stream, seq)`` records still unacknowledged on an open stream
+        (a closed one's backup is gone); ``None`` if there are none."""
+        pending = [
             (stream, seq) for stream, seq in targets
             if not stream.closed and stream.acked < seq
         ]

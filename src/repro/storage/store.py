@@ -55,7 +55,7 @@ class MultiVersionStore:
         self._vas_index: Dict[int, Set[Version]] = {}
         self._tombstones = bytearray()
         self._tombstone_base = 0
-        self._expiring_ids, self._expiry_ends = array("q"), array("q")
+        self._expiry_ids, self._expiry_ends = array("q"), array("q")
         self._expiry_times, self._expiry_head = array("d"), 0
 
     # ------------------------------------------------------------------
@@ -188,7 +188,7 @@ class MultiVersionStore:
         Returns the number of entries erased.  The identifier is
         tombstoned against late re-insertion by in-flight commits.
         """
-        window, ids = self._tombstones, self._expiring_ids
+        window, ids = self._tombstones, self._expiry_ids
         times, ends = self._expiry_times, self._expiry_ends
         if not window or txn_id < self._tombstone_base:
             window[:0] = bytes(self._tombstone_base - txn_id if window else 0)

@@ -153,12 +153,11 @@ class ReplicationRecord:
 @dataclass(frozen=True, slots=True)
 class ViewChangeRecord:
     """A membership view this node committed, logged on the commit so
-    replay restores the committed membership (an acked, uncommitted view
-    is not logged: the view drivers re-derive an unfinished change)."""
+    replay restores the committed membership."""
 
     epoch: int
-    #: (node_id, state) pairs -- the full view, not a delta.
-    members: Tuple[Tuple[int, str], ...]
+    #: The member ids, sorted -- the full view, not a delta.
+    members: Tuple[int, ...]
     #: (site, final_seq) pairs for decommissioned sites.
     retired: Tuple[Tuple[int, int], ...]
 
@@ -584,7 +583,7 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     # A committed view wider than the static width the replay started
     # from widens the rebuilt clock (new sites at zero).
     if view is not None and view[1]:
-        ids = {member for member, _state in view[1]}
+        ids = set(view[1])
         ids.update(site for site, _final in view[2])
         width = max(ids) + 1
         if width > len(site_vc):

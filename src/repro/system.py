@@ -230,6 +230,8 @@ class Cluster:
         #: membership drivers; they keep their slot in ``nodes`` so ids
         #: stay dense, but no driver or healing pass touches them.
         self._removed: set = set()
+        #: Members whose leave is running: a second leave of one is refused.
+        self._leaving: set = set()
         #: Live shard migration driver; present iff the directory is a
         #: ShardMap (its background loop only spawns when
         #: ``sharding.rebalance_interval`` is set -- see start_healing).
@@ -375,8 +377,9 @@ class Cluster:
 
     def remove_node(self, node_id: int):
         """Decommission a member gracefully; returns the driver process,
-        whose value is True iff it completed (on failure the member
-        reverts to ``ACTIVE``).  Its keys stay readable throughout."""
+        whose value is True iff it completed (on failure the member stays
+        in the view, holding what it still owns).  Its keys stay readable
+        throughout."""
         if node_id in self._removed or node_id >= len(self.nodes):
             raise ValueError(f"node {node_id} is not a member")
         self._check_elastic()

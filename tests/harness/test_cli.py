@@ -85,12 +85,12 @@ def test_config_command_covers_replication(capsys, tmp_path):
     overlay.write_text(
         '{"num_nodes": 3, "sharding": {"enabled": true},'
         ' "replication": {"enabled": true, "replication_factor": 3,'
-        ' "mode": "async", "failover_timeout": 0.004}}'
+        ' "mode": "sync", "failover_timeout": 0.004}}'
     )
     assert main(["config", "--load", str(overlay)]) == 0
     echoed = json.loads(capsys.readouterr().out)
     assert echoed["replication"]["replication_factor"] == 3
-    assert echoed["replication"]["mode"] == "async"
+    assert echoed["replication"]["mode"] == "sync"
     assert ClusterConfig.from_dict(echoed).replication.failover_timeout == 0.004
 
     # Validation still bites through the CLI path.

@@ -143,13 +143,13 @@ def test_replication_defaults_off_and_overlays():
             "replication": {
                 "enabled": True,
                 "replication_factor": 3,
-                "mode": "async",
+                "mode": "sync",
                 "failover_timeout": 4e-3,
             },
         }
     )
     assert cfg.replication.enabled and cfg.replication.replication_factor == 3
-    assert cfg.replication.mode == "async"
+    assert cfg.replication.mode == "sync"
     assert cfg.replication.failover_timeout == 4e-3
     assert cfg.replication.sync_timeout == ReplicationConfig().sync_timeout
 
@@ -205,7 +205,7 @@ replication_configs = st.builds(
     ReplicationConfig,
     enabled=st.booleans(),
     replication_factor=st.integers(1, 5),
-    mode=st.sampled_from(["sync", "async"]),
+    mode=st.just("sync"),
     failover_timeout=optional(positive_floats),
     sync_timeout=positive_floats,
 )

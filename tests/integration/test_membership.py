@@ -37,7 +37,7 @@ from repro.cluster import (
     ConsistentHashDirectory,
     ExplicitDirectory,
 )
-from repro.faults import crash_cycle, isolate_cycle
+from repro.faults import CRASH, RESTART, FaultEvent, crash_cycle, isolate_cycle
 from repro.sim.rng import make_rng
 
 from tests.harness import battery
@@ -146,8 +146,8 @@ def test_fault_free_join_under_live_traffic(seed):
     # member -- the joiner included -- on the same frontier.
     assert_one_clock(cluster)
     assert cluster.metrics.counters["joins_bootstrapped"] == 1
-    # JOINING, then ACTIVE.
-    assert cluster.metrics.counters["views_committed"] >= 2
+    # One view, applied by the three members and the joiner.
+    assert cluster.metrics.counters["views_committed"] == NUM_NODES + 1
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +247,9 @@ def test_top_id_leave_fresh_join_rejoin_under_live_traffic(seed):
     frontier = cluster.node(top).curr_seq_no
     assert frontier > 0, "the top id must have coordinated commits"
 
-    snapshots, steps, marks = [], [], []
+    # Writes and snapshots started; per step, how many of each had
+    # finished when it began and had started when it ended.
+    snapshots, steps, started, spans = [], [], [0, 0], []
 
     def churn():
         for step in (
@@ -255,17 +257,19 @@ def test_top_id_leave_fresh_join_rejoin_under_live_traffic(seed):
             lambda: cluster.add_node(),
             lambda: cluster.add_node(top),
         ):
+            finished = (len(outcomes), len(snapshots))
             steps.append((yield step()))
-            marks.append((len(outcomes), len(snapshots)))
+            spans.append((finished, tuple(started)))
             # Away or back, the retired origin's entry is never cut.
             assert cluster.node(0).site_vc[top] == frontier
 
     churning = cluster.spawn(churn(), name="churn")
 
     def live_plan():
-        # Survivors only: a draining member must not mint new commits.
+        # Survivors only: a leaving member must not mint new commits.
         while not churning.triggered:
             plan.extend(rmw_plan(rng, [0, 1, 2], 1, KEYS))
+            started[0] += 1
             yield plan[-1]
 
     _, outcomes = spawn_plan(cluster, live_plan(), settle=4e-4)
@@ -274,6 +278,7 @@ def test_top_id_leave_fresh_join_rejoin_under_live_traffic(seed):
         reads = make_rng(seed, "membership-churn-reads")
         while not churning.triggered:
             node = cluster.node(reads.randrange(3))
+            started[1] += 1
             txn = node.begin(is_read_only=True)
             for key in reads.sample(KEYS, 3):
                 yield from node.read(txn, key)
@@ -283,9 +288,11 @@ def test_top_id_leave_fresh_join_rejoin_under_live_traffic(seed):
     cluster.spawn(reader(), name="churn-reader")
     cluster.run()
     assert steps == [True, True, True]
-    # Both kinds of traffic landed inside every one of the three steps.
-    for (w0, r0), (w1, r1) in zip([(0, 0)] + marks, marks):
-        assert w1 > w0 and r1 > r0
+    # A write and a snapshot were in flight across each of the three
+    # steps (each kind runs serialized: one started before the step
+    # ended that had not finished when it began).
+    for finished, begun in spans:
+        assert begun[0] > finished[0] and begun[1] > finished[1], spans
     assert all(ok for ok, *_ in outcomes) and all(snapshots)
 
     after = rmw_plan(rng, [top, fresh], 8, KEYS)
@@ -319,10 +326,10 @@ def run_partitioned_join(seed, *, faulty):
     """Join while the committing member is cut off from a peer, or the
     control.
 
-    Node 0 commits the JOINING view at once and node 1, isolated from it
+    Node 0 commits the join's view at once and node 1, isolated from it
     for 5 ms, misses that commit; it re-learns the view from a peer's
-    gossip piggyback (or from the ACTIVE commit) -- the join completes
-    in both runs and must converge identically.
+    gossip piggyback -- the join completes in both runs and must
+    converge identically.
     """
     cluster, nemesis = build(seed, gossip=True)
     rng = make_rng(seed, "membership-partition")
@@ -355,11 +362,12 @@ def test_join_during_directed_partition_converges(seed):
 def run_decommission_coordinator_crash(seed, *, faulty):
     """Decommission while the would-be committing member is down.
 
-    Node 0 -- the lowest ACTIVE member, hence the default committer --
-    is crashed when the DRAINING view is committed, so the driver
-    commits through node 1; node 0 misses the commit, restarts, and
-    re-learns the views from gossip or the next commit.  The control
-    run executes the same timeline with node 0 up throughout.
+    Node 0 -- the lowest member, hence the default committer -- crashes
+    for 1.5 ms the instant the victim leaves the shard map, just before
+    the removal is committed, so the driver commits through node 1;
+    node 0 misses the commit, restarts, and re-learns the view from
+    gossip.  The control run executes the same timeline with node 0 up
+    throughout.
     """
     cluster, nemesis = build(seed, gossip=True)
     rng = make_rng(seed, "membership-crash")
@@ -370,8 +378,14 @@ def run_decommission_coordinator_crash(seed, *, faulty):
     assert victim_keys, "the keyspace must place keys at the victim"
     t0 = cluster.sim.now
     if faulty:
-        nemesis.start(crash_cycle(0, t0, 1.5e-3))
-    cluster.run(until=t0 + 2e-4)  # the crash lands before the commit
+        retire = cluster.directory.remove_node
+
+        def crash_then_retire(node_id):
+            battery.fault(nemesis, CRASH, 0)
+            nemesis.start([FaultEvent(cluster.sim.now + 1.5e-3, RESTART, 0)])
+            retire(node_id)
+
+        cluster.directory.remove_node = crash_then_retire
     left = cluster.remove_node(victim)
     cluster.run(until=t0 + 40e-3)
     assert left.triggered, "leave driver did not finish in its window"
@@ -411,7 +425,7 @@ def run_join_crash_rejoin(seed, *, faulty):
     drive(cluster, rmw_plan(rng, range(NUM_NODES), 12, KEYS))
     t0 = cluster.sim.now
     if faulty:
-        # The join driver commits the JOINING view at once, detects the
+        # The join driver commits the join's view at once, detects the
         # joiner's apply on its first 2 ms poll, and runs the bootstrap
         # worker (frontier collection + shard handoff) from ~2.0 ms; the
         # crash lands inside that window, mid-handoff, so the in-flight
@@ -453,19 +467,30 @@ def test_reconfiguration_is_deterministic():
 # ----------------------------------------------------------------------
 def test_membership_counters_and_traces_surface():
     """The membership counters count, add up from the trace, and the
-    reconfiguration trace kinds are emitted."""
+    reconfiguration trace kinds are emitted.  A join and then a leave
+    each raise every live member's applied views by exactly one, and a
+    leave waits on no view apply: it completes within 1 ms."""
     cluster, _ = build(SEEDS[0])
     cluster.tracer.enable()
     drive(cluster, [(0, ["k0", "k1"]), (1, ["k2", "k3"])])
+
+    def applied():
+        return Counter(r.node for r in cluster.tracer.of_kind("view_commit"))
+
     joined = cluster.add_node()
     cluster.run()
+    assert applied() == Counter(range(NUM_NODES + 1))
+    began = cluster.sim.now
     left = cluster.remove_node(1)
     cluster.run()
     assert joined.value is True and left.value is True
+    assert applied() == Counter(range(NUM_NODES + 1)) + Counter([0, 2, JOINER])
+    (drained,) = cluster.tracer.of_kind("drain_complete")
+    assert drained.time - began < 1e-3
 
     summary = cluster.metrics.summary()
     battery.assert_counters_add_up(cluster)
-    assert summary["views_committed"] >= 4  # JOINING/ACTIVE + DRAINING/removal
+    assert summary["views_committed"] == 7
     assert summary["joins_bootstrapped"] == 1
     assert summary["drains_completed"] == 1
 

@@ -249,7 +249,7 @@ def test_queue_spoken_for_and_lost_round_trip():
     assert plain.queue is False
     assert wire.ReadReturnBody("v", None, 5, 6).spoken_for is False
     assert wire.VoteBody(True).lost is None
-    assert WIRE_VERSION == 10
+    assert WIRE_VERSION == 11
 
 
 def test_the_replication_stream_bodies_carry_its_incarnation():
@@ -264,7 +264,7 @@ def test_the_replication_stream_bodies_carry_its_incarnation():
         decoded = decode_value(encode_value(message))
         assert decoded == message
         assert encode_value(decoded) == encode_value(message)
-    assert WIRE_VERSION == 10
+    assert WIRE_VERSION == 11
 
 
 def test_a_shipment_is_one_body():
@@ -281,15 +281,14 @@ def test_a_shipment_is_one_body():
     assert encode_value(decoded) == encode_value(message)
     assert REGISTRY[29] is wire.ShardShipmentBody
     assert not {14, 15, 16} & set(REGISTRY)
-    assert WIRE_VERSION == 10
+    assert WIRE_VERSION == 11
 
 
 def test_a_view_change_is_one_commit():
     """Wire version 10: a view is installed by its one-way commit alone;
-    the codes of the propose and ack bodies stay retired."""
-    message = wire.ViewCommitBody(
-        epoch=3, members=((0, "active"), (4, "joining")), retired=((2, 17),)
-    )
+    the codes of the propose and ack bodies stay retired.  Wire version
+    11: a view's members are its ids."""
+    message = wire.ViewCommitBody(epoch=3, members=(0, 4), retired=((2, 17),))
     decoded = decode_value(encode_value(message))
     assert decoded == message
     assert encode_value(decoded) == encode_value(message)
@@ -298,7 +297,7 @@ def test_a_view_change_is_one_commit():
     assert [name for name in vars(wire) if name.startswith("View")] == [
         "ViewCommitBody"
     ]
-    assert WIRE_VERSION == 10
+    assert WIRE_VERSION == 11
 
 
 def test_dict_encoding_is_insertion_order_independent():

@@ -197,8 +197,9 @@ def test_read_only_reads_go_to_the_owner():
 def test_replication_config_validates():
     with pytest.raises(ValueError):
         ReplicationConfig(replication_factor=0)
-    with pytest.raises(ValueError):
-        ReplicationConfig(mode="quorum")
+    for mode in ("quorum", "async"):
+        with pytest.raises(ValueError):
+            ReplicationConfig(mode=mode)
     with pytest.raises(ValueError):
         ReplicationConfig(failover_timeout=0.0)
 

@@ -110,7 +110,7 @@ def test_visible_reads_cost_nothing_after_their_remove():
     assert first.vas is None and second.vas is None
     # Back to what the first touch built: the tombstone is column entries.
     assert growth(store) == owns(versions=2, chains=2)
-    assert list(store._expiring_ids) == [77] and len(store._expiry_times) == 1
+    assert list(store._expiry_ids) == [77] and len(store._expiry_times) == 1
 
 
 def test_removes_at_one_instant_share_one_batch():
@@ -123,7 +123,7 @@ def test_removes_at_one_instant_share_one_batch():
     assert version.vas is None, "tombstoned"
     # One later Remove expires the whole batch with it (and cuts it).
     store.vas_remove_txn(5000, now=2.0 + TOMBSTONE_TTL)
-    assert list(store._expiring_ids) == [5000] and store._expiry_head == 0
+    assert list(store._expiry_ids) == [5000] and store._expiry_head == 0
     store.vas_extend(version, (5, 5000))
     assert version.vas == {5}, "5 is re-inserted after the TTL, 5000 is not"
 

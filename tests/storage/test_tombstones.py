@@ -21,12 +21,12 @@ def test_remove_is_idempotent():
     store.vas_add(v0, 7)
     assert store.vas_remove_txn(7, now=0.0) == 1
     assert store.vas_remove_txn(7, now=0.0) == 0
-    assert list(store._expiring_ids) == [7], "no duplicate tombstones"
+    assert list(store._expiry_ids) == [7], "no duplicate tombstones"
 
 
 def queued(store):
     """The store's expiry columns read back as ``[(now, [ids])]``."""
-    head, ends, ids = store._expiry_head, store._expiry_ends, store._expiring_ids
+    head, ends, ids = store._expiry_head, store._expiry_ends, store._expiry_ids
     starts = [ends[head - 1] if head else 0, *ends[head:-1]]
     return [(now, list(ids[start:end])) for now, start, end in zip(
         store._expiry_times[head:], starts, ends[head:])]
@@ -39,8 +39,8 @@ def test_columns_hold_at_most_16_bytes_per_tombstoned_id():
     for txn_id in range(40_000):
         store.vas_remove_txn(txn_id, now=(txn_id // 4) * 1e-6)
     held = sum(map(sys.getsizeof, (
-        store._expiring_ids, store._expiry_times, store._expiry_ends)))
-    assert len(store._expiring_ids) == 40_000 and held <= 16 * 40_000
+        store._expiry_ids, store._expiry_times, store._expiry_ends)))
+    assert len(store._expiry_ids) == 40_000 and held <= 16 * 40_000
 
 
 class SetModel:

@@ -8,13 +8,15 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
+import repro.cluster
 import repro.config
 import repro.faults.schedules
 import repro.net.rpc
 from repro.cluster.handoff import Shipments, fenced_handoff
-from repro.cluster.membership import NodeMembership
+from repro.cluster.membership import MembershipView, NodeMembership
 from repro.cluster.reconfig import ReconfigDriver
 from repro.core.repair import Fence
 from repro.core.vector_clock import VectorClock
@@ -56,7 +58,11 @@ TESTS = Path(__file__).parent
 #: -110 by a view change being one commit: the propose/ack round, its
 #: bodies, message types, handlers and trace kind, and the drivers'
 #: generator round loop, net of the cutover's refusal of a dest that left.
-TOTAL_SRC_LINES = 15996
+#: Lowered -109 by a view being its members: the member lifecycle states,
+#: the sets and lookups derived from them, the join's second commit, the
+#: leave's apply wait and revert, gossip's static peer list and the async
+#: replication mode.
+TOTAL_SRC_LINES = 15887
 #: Lines over every ``*.py`` under ``tests/``.  Raised +102 for the
 #: loaded-key footprint pins, census and chain shape; lowered -17 by the
 #: one read path (the backup-read tests out, owner-read tests in), -343
@@ -90,8 +96,11 @@ TOTAL_SRC_LINES = 15996
 #: of the chunk fixtures and the busy and mid-chunk cases.  Raised for a
 #: view change being one commit: the one-commit structure check, the
 #: wire-10 round trip with codes 20-21 retired, and the cutover onto a
-#: node that left the map.
-TOTAL_TEST_LINES = 18429
+#: node that left the map.  Raised for a view being its members: the
+#: per-member one-commit checks of a join and a leave with the 1 ms
+#: leave bound, the ids-only view check, the churn test's in-flight
+#: bookkeeping and the decommission crash hooked onto the removal commit.
+TOTAL_TEST_LINES = 18478
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``; 1063 before
 #: its adaptive Propagate windows went).
 LONGEST_FILE = 993
@@ -101,10 +110,11 @@ LONGEST_FILE = 993
 SHARD_FILE = 580
 #: Fields over all config dataclasses in ``repro.config``.
 CONFIG_FIELDS = 51
-#: Config fields nothing reads.  ``group_commit_window`` and
-#: ``batching`` (``BatchingConfig.adaptive``) stay accepted only because
-#: the frozen ``benchmarks/ledger/registry.py`` passes them.
-UNREAD_CONFIG_FIELDS = {"group_commit_window", "adaptive", "batching"}
+#: Config fields nothing reads.  ``group_commit_window``, ``batching``
+#: (``BatchingConfig.adaptive``) and ``ReplicationConfig.mode`` (which
+#: must be ``"sync"``) stay accepted only because the frozen
+#: ``benchmarks/ledger/registry.py`` passes them.
+UNREAD_CONFIG_FIELDS = {"group_commit_window", "adaptive", "batching", "mode"}
 
 
 def test_no_source_file_outgrows_the_longest_one():
@@ -406,7 +416,9 @@ def test_one_chain_transfer():
 def test_a_view_change_is_one_commit():
     """A view is installed by its one-way, idempotent commit alone: no
     propose/ack round goes first, a node keeps no ack state, and the
-    drivers' commit helper is a plain call, not a round to wait out."""
+    drivers' commit helper is a plain call, not a round to wait out.
+    A view carries member ids only: no lifecycle state, and nothing
+    derived from one."""
     assert [name for name in vars(MessageType) if name.startswith("VIEW")] == [
         "VIEW_COMMIT"
     ]
@@ -419,6 +431,18 @@ def test_a_view_change_is_one_commit():
     assert [kind for kind in EVENTS if kind.startswith("view")] == ["view_commit"]
     assert not inspect.isgeneratorfunction(ReconfigDriver._commit)
     assert not inspect.isgeneratorfunction(ReconfigDriver._commit_removal)
+    assert MembershipView.__slots__ == ("epoch", "members", "retired")
+    assert MembershipView.initial([2, 0, 1]).members == (0, 1, 2)
+    states = {"ACTIVE", "JOINING", "DRAINING"}
+    assert not states & (set(vars(repro.cluster)) | set(vars(repro.cluster.membership)))
+    lifecycle = re.compile(r"\b(JOINING|DRAINING|state_of|ring_ids|fanout_ids)\b")
+    found = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if lifecycle.search(line)
+    ]
+    assert not found, found
 def test_fault_schedules_keep_only_their_primitives():
     """A scenario composes primitives (the nemesis orders the events); a
     builder that renames one or fixes a composition is not another."""
