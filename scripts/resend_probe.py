@@ -111,7 +111,6 @@ class Probe:
         advance_code = Applier.advance.__code__
 
         def probed_turn(self, origin, seq_no):
-            self.see(origin)
             if self.site_vc[origin] < seq_no - 1:
                 probe.note_gap(self.node, origin, seq_no - 1)
             # ``advance`` waiting out a held seq asks for the turn after
@@ -133,7 +132,6 @@ class Probe:
         def probed_on_propagate(self, envelope):
             body = envelope.payload
             origin, seq_no = body.origin, body.seq_no
-            self.see(origin)
             current = self.site_vc[origin]
             if current < seq_no - 1:
                 probe.note_gap(self.node, origin, seq_no - 1)

@@ -19,10 +19,7 @@ The scenarios cover the cold paths the benchmark never reaches:
 * ``durable_crash`` -- a crash that wipes volatile state, WAL replay;
 * ``replication_failover`` -- a replicated shard's primary crashes and
   its backup is promoted;
-* ``membership`` -- a node joins, another leaves, under traffic (on
-  the sharded directory, the one membership re-places keys through);
-* ``shard_migration`` -- a shard moves between owners under traffic,
-  beside the load-driven rebalance loop.
+* ``shard_migration`` -- a shard moves between owners under traffic.
 
 Each tree runs in its own interpreter and imports only the public
 ``repro`` API, so the script works against any tree that has it.
@@ -33,7 +30,7 @@ Usage::
 
 ``PARENT_SRC`` / ``CHANGE_SRC`` is a checkout's root or its ``src``
 directory.  ``--dump SRC`` prints one tree's records as JSON instead.
-All six scenarios take about a second per tree.
+All five scenarios take about a second per tree.
 """
 
 import argparse
@@ -165,27 +162,18 @@ def replication_failover():
     return finish(cluster, 40e-3)
 
 
-def membership():
-    from repro import ShardingConfig
-
-    cluster = build(sharding=ShardingConfig(enabled=True, num_shards=12))
-    traffic(cluster, (0, 1, 2), 20e-3)
-    cluster.run(until=3e-3)
-    cluster.add_node()
-    cluster.run(until=10e-3)
-    cluster.remove_node(3)
-    return finish(cluster, 20e-3)
-
-
 def shard_migration():
     from repro import ShardingConfig
 
-    cluster = build(sharding=ShardingConfig(
-        enabled=True, num_shards=12, rebalance_interval=4e-3
-    ))
+    cluster = build(sharding=ShardingConfig(enabled=True, num_shards=12))
     traffic(cluster, range(NUM_NODES), 15e-3)
     cluster.run(until=3e-3)
-    cluster.rebalancer.migrate_shard(cluster.directory.shards_of(0)[0], 1)
+    # Trees that still have the load-driven rebalancer run the same one
+    # migration through it.
+    migrate = getattr(cluster, "migrate_shard", None)
+    if migrate is None:
+        migrate = cluster.rebalancer.migrate_shard
+    migrate(cluster.directory.shards_of(0)[0], 1)
     return finish(cluster, 15e-3)
 
 
@@ -193,7 +181,7 @@ SCENARIOS = {
     scenario.__name__: scenario
     for scenario in (
         healing_partition, checkpoint_truncation, durable_crash,
-        replication_failover, membership, shard_migration,
+        replication_failover, shard_migration,
     )
 }
 

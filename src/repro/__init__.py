@@ -34,7 +34,6 @@ Every ``*Config`` dataclass round-trips through ``to_dict()`` /
 ``from_dict()`` for JSON serialization of experiment configs.
 """
 
-from repro.cluster.membership import MembershipView, NodeMembership
 from repro.config import (
     CheckpointConfig,
     ClusterConfig,
@@ -57,9 +56,7 @@ __all__ = [
     "ClusterConfig",
     "DurabilityConfig",
     "HealingConfig",
-    "MembershipView",
     "NetworkConfig",
-    "NodeMembership",
     "PROTOCOLS",
     "ReplicationConfig",
     "RpcConfig",

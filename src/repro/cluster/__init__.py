@@ -7,19 +7,13 @@ from repro.cluster.directory import (
     ExplicitDirectory,
     ShardMap,
 )
-from repro.cluster.membership import MembershipView, NodeMembership
 from repro.cluster.node import Node
-from repro.cluster.rebalancer import Rebalancer, plan_moves
 
 __all__ = [
     "CallableDirectory",
     "ConsistentHashDirectory",
     "Directory",
     "ExplicitDirectory",
-    "MembershipView",
-    "NodeMembership",
     "Node",
-    "Rebalancer",
     "ShardMap",
-    "plan_moves",
 ]

@@ -5,7 +5,7 @@ preferred site. For object reachability, FW-KV implements a local look-up
 function using consistent hashing."  All directory variants below are pure
 local functions of the key, exactly as in the paper -- no directory service
 is contacted at runtime.  Only :class:`ShardMap` ever changes: it is the one
-directory the membership drivers and the rebalancer flip.  ``site`` memoises
+directory a handoff flips.  ``site`` memoises
 the uncached ``place`` from a key's first look-up; bulk scans use ``place``.
 """
 
@@ -48,7 +48,7 @@ class ConsistentHashDirectory(Directory):
     With the default 64 virtual nodes per physical node, key ownership is
     close to uniform, matching the paper's "keys are evenly distributed
     across nodes".  The ring is static, the paper's local look-up
-    function; elastic clusters re-place keys through :class:`ShardMap`.
+    function; sharded clusters move keys through :class:`ShardMap`.
     """
 
     def __init__(self, node_ids: Sequence[int], virtual_nodes: int = 64) -> None:
@@ -89,20 +89,17 @@ class ShardMap(Directory):
     partitioned into ``num_shards`` fixed shards by stable hash, and an
     owner table maps each shard to one node.  Ownership moves at shard
     granularity, through one path: a fenced handoff
-    (:mod:`repro.cluster.handoff`) streams shards' chains to their new
+    (:mod:`repro.cluster.handoff`) ships shards' chains to their new
     owners and flips the table entries with :meth:`assign`, the only
-    writer of an entry -- joins and leaves included, whose moves the
-    planners in :mod:`repro.cluster.rebalancer` choose.  Every flip bumps
-    ``epoch``, so a participant knows a key may have moved since it was
-    routed, and traces can name the placement a lookup was served under.
-    ``ShardMap(range(n), n)`` is one shard per node: key ``k`` sits at
+    writer of an entry.  Every flip bumps ``epoch``, so a participant
+    knows a key may have moved since it was routed, and traces can name
+    the placement a lookup was served under.  ``ShardMap(range(n), n)``
+    is one shard per node: key ``k`` sits at
     ``_stable_hash(f"key:{k!r}") % n``.
 
-    All mutations keep two invariants the property suite pins down:
-    ownership is total and unique (every shard has exactly one owner,
-    always drawn from ``node_ids``), and no lookup ever returns a
-    retired node -- ``remove_node`` refuses a node that still owns a
-    shard.
+    Ownership is total and unique (every shard has exactly one owner,
+    always drawn from the fixed ``node_ids``), which the property suite
+    pins down.
     """
 
     def __init__(self, node_ids: Sequence[int], num_shards: int = 64) -> None:
@@ -115,7 +112,6 @@ class ShardMap(Directory):
         self.num_shards = num_shards
         self.epoch = 0
         self.node_ids: list = list(node_ids)
-        self.retired: set = set()
         # Initial placement strides shards across the given node order --
         # exact balance (counts differ by at most one), no hashing needed.
         self._owners: list = [
@@ -159,9 +155,9 @@ class ShardMap(Directory):
         """Atomically flip one shard's owner; bump the epoch.
 
         This is the cutover instant of a handoff: the caller has already
-        streamed the shard's chains to ``owner`` and holds the fence, so
-        the flip is a single table write.  Assigning a shard
-        to its current owner is a no-op (no epoch bump) so retried
+        shipped the shard's chains to ``owner`` and holds the fence, so
+        the flip is a single table write.  Assigning a shard to its
+        current owner is a no-op (no epoch bump) so retried
         cutovers stay idempotent.
         """
         if not 0 <= shard < self.num_shards:
@@ -173,23 +169,6 @@ class ShardMap(Directory):
         self._owners[shard] = owner
         self.epoch += 1
         return True
-
-    def add_node(self, node_id: int) -> None:
-        """Admit a member that owns nothing yet: a join's cutover admits
-        the joiner, then flips it its shards with :meth:`assign`."""
-        if node_id in self.node_ids:
-            raise ValueError(f"node {node_id} is already a member")
-        self.node_ids.append(node_id)
-        self.retired.discard(node_id)
-
-    def remove_node(self, node_id: int) -> None:
-        """Retire a member whose shards were all handed off first."""
-        if node_id not in self.node_ids:
-            raise ValueError(f"node {node_id} is not a member")
-        if node_id in self._owners:
-            raise ValueError(f"node {node_id} still owns shards")
-        self.node_ids.remove(node_id)
-        self.retired.add(node_id)
 
 
 class ExplicitDirectory(Directory):

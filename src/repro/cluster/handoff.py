@@ -1,8 +1,8 @@
 """The fenced handoff: fence, drain, ship, act under the fence, unfence.
 
-Every change of who holds a set of shards -- a migration, a join, a
-drain, an abandoned join's hand-back, a failover promotion, a backup
-(re)bootstrap -- is this one handoff over ``(shard, donor, dest)`` moves.
+Every change of who holds a set of shards -- a migration, a failover
+promotion, a backup (re)bootstrap -- is this one handoff over
+``(shard, donor, dest)`` moves.
 Each donor **fences** its moving shards (new prepares touching a key of
 them park before taking locks; reads continue) and **drains** their
 write locks; the handoff then **ships** each destination the chains of
@@ -21,7 +21,6 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.membership import HANDOFF_TIMEOUT, POLL_TICK
 from repro.core.wire import ShardShipmentBody
 from repro.net.message import Envelope, MessageType
 from repro.sim import Event
@@ -29,6 +28,10 @@ from repro.storage.wal import checkpoint_fingerprint
 
 #: One shard's change of holder: ``(shard, donor, dest)``.
 Move = Tuple[int, int, int]
+#: How often a handoff's drain re-checks the donor's write locks.
+POLL_TICK = 2e-3
+#: Deadline for a handoff's drain of write locks.
+HANDOFF_TIMEOUT = 200e-3
 
 
 def shard_keys(node, shards) -> list:
@@ -40,19 +43,11 @@ def shard_keys(node, shards) -> list:
     )
 
 
-def cutover(shard_map, moves: Sequence[Move], admit: Optional[int] = None) -> bool:
+def cutover(shard_map, moves: Sequence[Move]) -> bool:
     """The default act: flip every move, or none if some donor no longer
-    owns its shard (a concurrent handoff flipped it first) or some dest
-    has left the map (a leave finished first).  ``admit`` joins the map
-    first -- a joiner owns nothing until its cutover."""
-    if any(
-        shard_map.owner_of(shard) != donor
-        or (dest != admit and dest not in shard_map.node_ids)
-        for shard, donor, dest in moves
-    ):
+    owns its shard (a concurrent handoff flipped it first)."""
+    if any(shard_map.owner_of(shard) != donor for shard, donor, _dest in moves):
         return False
-    if admit is not None:
-        shard_map.add_node(admit)
     for shard, _donor, dest in moves:
         shard_map.assign(shard, dest)
     return True

@@ -243,28 +243,22 @@ class HealingConfig(ConfigSerde):
 
 @dataclass
 class ShardingConfig(ConfigSerde):
-    """Keyspace sharding and online shard rebalancing (docs/sharding.md).
+    """Keyspace sharding and live shard migration (docs/sharding.md).
 
     Off by default: a cluster without ``enabled`` keeps the classic
     consistent-hash ring and pays nothing for this subsystem.  Enabled,
     the cluster's directory becomes a :class:`repro.cluster.directory.
-    ShardMap` (key → shard → owner with epoch-versioned flips) and a
-    :class:`repro.cluster.rebalancer.Rebalancer` can move hot shards
-    between live nodes: fence, drain, stream the shard's chains over the
-    snapshot protocol, flip the owner table entry, unfence.
+    ShardMap` (key → shard → owner with epoch-versioned flips), and
+    ``Cluster.migrate_shard`` moves one shard between live nodes: fence,
+    drain, ship the shard's chains in one ``SHARD_SHIPMENT`` RPC, flip
+    the owner table entry, unfence.
     """
 
-    #: Use a ShardMap directory (and construct a rebalancer) instead of
-    #: the static consistent-hash ring; elastic membership needs it.
+    #: Use a ShardMap directory instead of the static consistent-hash
+    #: ring; replication and shard migration need it.
     enabled: bool = False
-    #: Fixed shard count.  Many small shards per node is the point: the
-    #: rebalancer moves load at shard granularity, so more shards means
-    #: finer-grained (but chattier) rebalancing.
+    #: Fixed shard count: ownership moves at shard granularity.
     num_shards: int = 64
-    #: Period of the background rebalance loop (virtual seconds).
-    #: ``None`` (default) never starts the loop; migrations then only
-    #: happen when driven explicitly (``Rebalancer.migrate_shard``).
-    rebalance_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
@@ -421,7 +415,7 @@ class ClusterConfig(ConfigSerde):
     #: The detector is inert without timeout/heartbeat evidence; the
     #: periodic loops default off.
     healing: HealingConfig = field(default_factory=HealingConfig)
-    #: Keyspace sharding + rebalancing; disabled by default, leaving the
+    #: Keyspace sharding + shard migration; disabled by default, leaving the
     #: consistent-hash ring (and its exact placement) untouched.
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
     #: Per-shard primary-backup replication; disabled by default (one

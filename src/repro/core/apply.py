@@ -3,10 +3,10 @@
 A site applies one origin's commits in sequence order: ``siteVC[o]``
 moves to ``s`` only after ``s - 1`` (Alg. 5 line 16, Alg. 6 lines 1-4).
 That rule is :meth:`Applier.turn`; a Decide (which ticks with its data,
-Alg. 5 line 21), a Propagate and the clock-only catch-ups of recovery,
-gossip, a join bootstrap and a snapshot install all pass it.  A seq an
-applier claimed or is installing is *held*: no clock-only tick passes
-it, or the writes that applier must install under the tick are lost.
+Alg. 5 line 21), a Propagate and the clock-only catch-ups of recovery
+and gossip all pass it.  A seq an applier claimed or is installing is
+*held*: no clock-only tick passes it, or the writes that applier must
+install under the tick are lost.
 """
 
 from __future__ import annotations
@@ -32,18 +32,9 @@ class Applier:
         #: ``siteVC[origin]``, all cleared by a wipe.
         self.claims: Set[Tuple[int, int]] = set()
 
-    def see(self, origin: int) -> None:
-        """Widen ``siteVC`` on first sight of ``origin``: its commits can
-        outrun the view commit that widens the clock (equivalently: new
-        entries start at zero either way)."""
-        site_vc = self.site_vc
-        if origin >= len(site_vc.entries):
-            site_vc.widen(origin + 1)
-
     def turn(self, origin: int, seq_no: int):
         """Alg. 5 line 16: wait until ``seq_no`` is next from ``origin``.
         Returns the ``wait_until`` generator itself, to ``yield from``."""
-        self.see(origin)
         site_vc = self.site_vc
         return wait_until(self.site_vc_changed, lambda: site_vc[origin] >= seq_no - 1)
 
@@ -83,8 +74,8 @@ class Applier:
 
     def advance_to(self, origin: int, target: int):
         """Generator: :meth:`advance` up to ``target`` over Propagates this
-        node will never see (lost while down or cut off, or before its
-        join), traced as one catch-up."""
+        node will never see (lost while down or cut off), traced as one
+        catch-up."""
         advanced = yield from self.advance(
             origin, range(self.site_vc[origin] + 1, target + 1)
         )
@@ -99,7 +90,6 @@ class Applier:
         tick can be held.)"""
         body = envelope.payload
         origin, seq_no = body.origin, body.seq_no
-        self.see(origin)
         current = self.site_vc[origin]
         if current == seq_no - 1:
             self.tick(origin, seq_no)
@@ -117,18 +107,17 @@ class Applier:
             applier = self.node._apply_committed_decide(decide)
         return self.sim.spawn(applier, name=name)
 
-    def pull(self, peer_vc, superseded=lambda: False):
-        """Advance our clock toward a peer's digest (gossip, a join
-        bootstrap) without losing writes: a prepare we hold from a lagging
-        origin may have committed, so those are settled first (recovery's
-        step 1) and the committed applied under a claim.  An origin whose
-        coordinator cannot be reached is skipped this round."""
+    def pull(self, peer_vc, superseded):
+        """Advance our clock toward a peer's gossip digest without losing
+        writes: a prepare we hold from a lagging origin may have committed,
+        so those are settled first (recovery's step 1) and the committed
+        applied under a claim.  An origin whose coordinator cannot be
+        reached is skipped this round."""
         node, site_vc = self.node, self.site_vc
         lagging: Dict[int, int] = {}
         for origin, target in enumerate(peer_vc):
             if origin == node.node_id or target <= 0:
                 continue
-            self.see(origin)
             if target > site_vc[origin]:
                 lagging[origin] = target
         if not lagging:

@@ -114,11 +114,7 @@ class FWKVNode(MVCCNode):
         Otherwise the bound is just the version's commit clock.
         """
         if request.is_read_only:
-            # A flag list narrower than our id means the transaction never
-            # contacted us (it began before this node joined): fresh.
-            fresh = self.node_id >= len(request.has_read) or not (
-                request.has_read[self.node_id]
-            )
+            fresh = not request.has_read[self.node_id]
         else:
             fresh = (
                 self.shared.config.fwkv_fresh_update_reads
@@ -171,10 +167,7 @@ class FWKVNode(MVCCNode):
         if not txn.read_keys or not config.removes_enabled:
             return
         if config.remove_broadcast:
-            # Broadcast over the live view, not the static seed: removed
-            # sites must stop receiving traffic and a joiner may already
-            # hold propagated identifiers.
-            sites = self.membership.view.members
+            sites = config.node_ids
         else:
             sites = {self.directory.site(key) for key in txn.read_keys}
         for site in sites:

@@ -12,13 +12,6 @@ from repro.storage.chain import VersionChain
 from repro.storage.version import Version
 
 
-def _entry(entries: Sequence[int], site: int) -> int:
-    """Zero-default indexing: clocks of different widths coexist while a
-    membership change is in flight, and a missing entry means the clock
-    was minted before that site joined -- exactly zero."""
-    return entries[site] if site < len(entries) else 0
-
-
 def visible_under(
     version: Version,
     txn_vc: Sequence[int],
@@ -31,11 +24,8 @@ def visible_under(
     from yet place no constraint (that is what lets a first contact observe
     the latest data there).
     """
-    vc = version.vc.entries
     return all(
-        _entry(vc, site) <= _entry(txn_vc, site)
-        for site in range(len(has_read))
-        if has_read[site]
+        a <= t for a, t, read in zip(version.vc.entries, txn_vc, has_read) if read
     )
 
 
@@ -65,19 +55,10 @@ def update_excluded(
     """
     if not any(has_read):
         return False
-    vc = version.vc.entries
-    equal_at_read_sites = all(
-        _entry(vc, site) == _entry(txn_vc, site)
-        for site in range(len(has_read))
-        if has_read[site]
-    )
-    if not equal_at_read_sites:
+    sites = list(zip(version.vc.entries, txn_vc, has_read))
+    if not all(a == t for a, t, read in sites if read):
         return False
-    return any(
-        _entry(vc, site) > _entry(txn_vc, site)
-        for site in range(len(has_read))
-        if not has_read[site]
-    )
+    return any(a > t for a, t, read in sites if not read)
 
 
 def select_read_only_version(

@@ -13,7 +13,7 @@ with their validation and version GC (the in-order gate and Propagate:
 :mod:`repro.core.apply`).  What the paper leaves out -- crashes, lost
 messages, moving keys -- is composed in
 (:mod:`repro.core.repair`, :mod:`repro.core.recovery`,
-:mod:`repro.healing`, :mod:`repro.cluster.membership`) across the seam
+:mod:`repro.healing`, :mod:`repro.cluster.handoff`) across the seam
 DESIGN.md "Layer contracts" writes down.
 """
 
@@ -22,9 +22,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.cluster.directory import ShardMap
 from repro.cluster.handoff import Shipments
-from repro.cluster.membership import MAX_ATTEMPTS, NodeMembership
 from repro.cluster.node import Node
 from repro.core.apply import Applier
 from repro.core.cost_model import (
@@ -57,6 +55,10 @@ from repro.storage.wal import (
     WriteAheadLog,
 )
 
+#: Prepare rounds :meth:`MVCCNode.commit` spends regrouping across
+#: handoffs and failovers before it aborts.
+MAX_ATTEMPTS = 5
+
 
 class MVCCNode(BaseProtocolNode):
     """Common node logic for the two PSI protocols."""
@@ -67,12 +69,9 @@ class MVCCNode(BaseProtocolNode):
 
     def __init__(self, node: Node, shared: SharedState) -> None:
         super().__init__(node, shared)
-        # A node joining an established cluster has an id past the static
-        # width; its clock must carry its own origin entry from birth.
-        size = max(shared.num_nodes, node.node_id + 1)
         #: ``siteVC``: entry j is the newest sequence number from origin j
         #: applied at this node (paper Section 4.1).
-        self.site_vc = VectorClock.zeros(size)
+        self.site_vc = VectorClock.zeros(shared.num_nodes)
         #: The one gate every advance of ``site_vc`` goes through.
         self.applier = Applier(self)
         #: Retried/duplicated read requests spawn concurrent handlers for
@@ -125,11 +124,6 @@ class MVCCNode(BaseProtocolNode):
         node.on(MessageType.TXN_STATUS, self.in_doubt.on_txn_status)
         #: Durable crash and WAL recovery.
         self.recovery = NodeRecovery(self)
-        #: Elastic membership: the committed view and the view-commit
-        #: handler.  Constructed before the healing layer so the gossip
-        #: loops can derive their peer set from the live view.
-        self.membership = NodeMembership(self)
-        node.on(MessageType.VIEW_COMMIT, self.membership.on_view_commit)
         #: The self-healing layer (failure detector, anti-entropy,
         #: checkpoints).  Constructed unconditionally -- with the default
         #: configuration it installs no hooks and its loops never spawn.
@@ -139,15 +133,6 @@ class MVCCNode(BaseProtocolNode):
         #: Chain shipping for shard handoffs, both ends.
         self.shipments = Shipments(self)
         node.on(MessageType.SHARD_SHIPMENT, self.shipments.on_shipment)
-        #: Per-shard load tracking, armed only when the shared directory
-        #: is a :class:`ShardMap`; the static-directory hot path pays a
-        #: single ``is None`` test per request.
-        self._shard_map: Optional[ShardMap] = (
-            self.directory
-            if shared.config.sharding.enabled
-            and isinstance(self.directory, ShardMap)
-            else None
-        )
         #: Per-shard primary-backup replication substrate; attached by
         #: :class:`repro.replication.shard.ClusterReplication` when
         #: ``ReplicationConfig.enabled`` is set, ``None`` otherwise.
@@ -545,11 +530,7 @@ class MVCCNode(BaseProtocolNode):
         """Alg. 4 line 27: one Propagate per uninvolved site, at commit."""
         node_id = self.node_id
         propagate = PropagateBody(node_id, seq_no)
-        # Fan out over the live view, not the static seed: a joiner
-        # needs the clock-only stream from the moment it enters the
-        # view, and a removed member must stop receiving traffic.  At
-        # epoch zero this is exactly ``node_ids``.
-        for site in self.membership.view.members:
+        for site in self.shared.config.node_ids:
             if site not in participant_sites and site != node_id:
                 self.node.send(site, MessageType.PROPAGATE, propagate)
 
@@ -633,13 +614,6 @@ class MVCCNode(BaseProtocolNode):
         # almost always vacuous.
         txn_vc = request.vc
         site_entries = self.site_vc.entries
-        if len(txn_vc) != len(site_entries):
-            # Reconfiguration in flight: the requester began its snapshot
-            # under a different clock width than ours.  A missing entry
-            # counts as zero, so the wait below covers an origin we have
-            # not widened for yet (the view commit or its first Decide
-            # widens the live entry list in place).
-            self.metrics.count("stale_width_messages")
         if not covers(site_entries, txn_vc):
             stall_started = self.sim.now
             yield from wait_until(
@@ -683,9 +657,6 @@ class MVCCNode(BaseProtocolNode):
 
         if needs_lock:
             locks.release(request.key, owner=lock_owner)
-
-        if self._shard_map is not None:
-            self.metrics.on_shard_access(self._shard_map.shard_of(request.key))
 
         self.node.rpc.reply(
             envelope,
@@ -788,11 +759,6 @@ class MVCCNode(BaseProtocolNode):
             if self.replication is not None:
                 entry.acks = self.replication.replicate_prepare(request)
             self._stage(request.txn_id, entry)
-            if self._shard_map is not None:
-                for key in keys:
-                    self.metrics.on_shard_access(
-                        self._shard_map.shard_of(key)
-                    )
             self.tracer.emit(
                 self.node_id, "prepare", txn=request.txn_id,
                 keys=len(keys), collected=len(collected),
@@ -858,10 +824,7 @@ class MVCCNode(BaseProtocolNode):
             if read_vid is not None:
                 if last.vid != read_vid:
                     return key
-            elif last.origin >= len(txn_vc) or last.seq > txn_vc[last.origin]:
-                # A missing entry counts as zero (elastic membership: the
-                # transaction began before the version's origin joined),
-                # so any committed sequence number is past its snapshot.
+            elif last.seq > txn_vc[last.origin]:
                 return key
         return None
 

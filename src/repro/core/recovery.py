@@ -62,14 +62,9 @@ class NodeRecovery:
         node.fence.raise_node()
         records = node.wal.records()
         node.wal.unfreeze()
-        result = replay(
-            records, max(node.shared.num_nodes, node.node_id + 1)
-        )
+        result = replay(records, node.shared.num_nodes)
         self._wipe_volatile()
         self._install_replayed(result)
-        # Restore membership knowledge logged before the crash; epochs
-        # committed during the outage arrive via gossip's view piggyback.
-        node.membership.restore(result.view)
         return node.sim.spawn(
             self._recover(result), name=f"n{node.node_id}:recover"
         )
@@ -99,11 +94,8 @@ class NodeRecovery:
         node = self.node
         node.store = result.store
         site_vc = node.site_vc
-        replayed = result.site_vc
-        if len(replayed) > len(site_vc.entries):
-            site_vc.widen(len(replayed))
-        for origin in range(len(site_vc.entries)):
-            site_vc[origin] = replayed[origin] if origin < len(replayed) else 0
+        for origin, seq_no in enumerate(result.site_vc):
+            site_vc[origin] = seq_no
         # Never hand out a sequence number at or below one that escaped:
         # every escaped seq has a DecisionRecord (logged before fan-out).
         node.curr_seq_no = max(result.curr_seq_no, site_vc[node.node_id])
@@ -158,7 +150,6 @@ class NodeRecovery:
         if node.curr_seq_no > targets[node.node_id]:
             targets[node.node_id] = node.curr_seq_no
         applier = node.applier
-        applier.see(len(targets) - 1)  # origins that joined while we were down
 
         waiters = []
 

@@ -1,4 +1,4 @@
-"""The repair toolkit shared by recovery, healing, membership and failover.
+"""The repair toolkit shared by recovery, healing, handoffs and failover.
 
 The paper's six algorithms assume reliable channels and immortal nodes.
 What discharges those assumptions reduces to a few mechanisms, each
@@ -39,10 +39,10 @@ class Fence:
     Two levels, one condition variable, one wait routine.  ``node_wide``
     up (durable crash until recovery completes): no read is served and
     no prepare admitted -- the store is being rebuilt.
-    A shard fenced (a handoff: migration, join, drain, promotion, backup
-    bootstrap): no prepare touching a key of it is admitted -- a key
-    first written mid-handoff included -- while reads continue; its
-    chains are stable, only their owner is changing.  Each handoff lowers
+    A shard fenced (a handoff: migration, promotion, backup bootstrap):
+    no prepare touching a key of it is admitted -- a key first written
+    mid-handoff included -- while reads continue; its chains are stable,
+    only their owner is changing.  Each handoff lowers
     only what it raised, so a shard two handoffs fence stays fenced until
     both are done.  Decide and Propagate handlers never wait here.
     """

@@ -105,15 +105,8 @@ class Transaction:
         return any(self.has_read)
 
     def note_read_site(self, site: int) -> bool:
-        """Set ``has_read[site]``; returns True on the first contact.
-
-        Grows the flag list on demand: a transaction begun before a view
-        change can be routed to a site past the static width it was born
-        with (elastic membership).
-        """
+        """Set ``has_read[site]``; returns True on the first contact."""
         has_read = self.has_read
-        if site >= len(has_read):
-            has_read.extend([False] * (site + 1 - len(has_read)))
         first = not has_read[site]
         if first:
             has_read[site] = True

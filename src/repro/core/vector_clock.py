@@ -6,27 +6,20 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class VectorClock:
-    """A dynamically widenable vector of per-site logical timestamps.
+    """A vector of per-site logical timestamps, one entry per site.
 
     Entry ``j`` of a node's clock is "the last transaction from node ``N_j``
     that was committed at this site" (paper Section 4.1).  Transaction and
     version clocks are snapshots of node clocks, so they share this type.
 
-    Widths may differ while a membership change is in flight: a clock
-    stamped before a join is one entry short of a clock stamped after it.
-    All algebra therefore treats a missing entry as zero -- merging a wider
-    clock widens this one in place, and comparisons score absent positions
-    as 0 on either side -- so old-width clocks in messages still being
-    delivered remain valid forever.  A clock only ever widens: a
-    decommissioned site keeps its entry (see ``docs/membership.md``), so
-    an entry, once present, changes only by moving up.
+    The sites are fixed (paper Section 2.1), so every clock in a cluster
+    is exactly ``num_nodes`` wide from birth and the algebra below pairs
+    entries up with no width checks.
 
     Clock algebra runs on every message a node serves, so the methods below
-    are written for the CPython fast path: plain index loops with early
-    exits, no intermediate list allocations, and direct ``_entries`` access
-    instead of the container protocol.  The equal-width case -- all traffic
-    outside a reconfiguration window -- never pays for the width checks
-    beyond one ``len`` comparison.  Hot callers may read :attr:`entries` to
+    are written for the CPython fast path: plain loops with early exits, no
+    intermediate list allocations, and direct ``_entries`` access instead
+    of the container protocol.  Hot callers may read :attr:`entries` to
     bind the underlying list locally; they must never mutate it.
     """
 
@@ -118,20 +111,16 @@ class VectorClock:
     def merge(self, other: "VectorClock") -> None:
         """Entry-wise maximum, in place (Alg. 2 line 9).
 
-        Allocation-free in the equal-width case: the loop is a fused
-        dominance check -- entries we already dominate are skipped without
-        a write, and merging a clock we fully dominate (the common case
-        once a snapshot has caught up) touches nothing.  A wider ``other``
-        widens this clock first (unknown sites start at zero); a narrower
-        one leaves the extra local entries untouched.
+        Allocation-free: the loop is a fused dominance check -- entries we
+        already dominate are skipped without a write, and merging a clock
+        we fully dominate (the common case once a snapshot has caught up)
+        touches nothing.
         """
         mine = self._entries
         theirs = other._entries
         if theirs is mine:
             return
         self._tuple = None
-        if len(theirs) > len(mine):
-            mine.extend([0] * (len(theirs) - len(mine)))
         index = 0
         for value in theirs:
             if value > mine[index]:
@@ -146,8 +135,6 @@ class VectorClock:
         """
         mine = self._entries
         self._tuple = None
-        if len(values) > len(mine):
-            mine.extend([0] * (len(values) - len(mine)))
         index = 0
         for value in values:
             if value > mine[index]:
@@ -174,15 +161,15 @@ class VectorClock:
         mine = self._entries
         theirs = other._entries
         if True in keep:
-            result = list(mine) + [0] * (len(theirs) - len(mine))
-            for index, value in enumerate(theirs):
-                if value > result[index] and not (index < len(keep) and keep[index]):
+            result = list(mine)
+            index = 0
+            for value, kept in zip(theirs, keep):
+                if value > result[index] and not kept:
                     result[index] = value
+                index += 1
             return tuple(result)
         if theirs is mine:
             return self.to_tuple()
-        if len(mine) < len(theirs):
-            mine, theirs = theirs, mine
         result = list(mine)
         index = 0
         for value in theirs:
@@ -192,20 +179,10 @@ class VectorClock:
         return tuple(result)
 
     def leq(self, other: "VectorClock") -> bool:
-        """True when every entry is <= the corresponding entry of ``other``.
-
-        Positions absent from the shorter clock count as zero, so a clock
-        stamped before a join is <= any clock that has seen the new site.
-        """
-        mine = self._entries
-        theirs = other._entries
-        for a, b in zip(mine, theirs):
+        """True when every entry is <= the corresponding entry of ``other``."""
+        for a, b in zip(self._entries, other._entries):
             if a > b:
                 return False
-        if len(mine) > len(theirs):
-            for a in mine[len(theirs):]:
-                if a > 0:
-                    return False
         return True
 
     def dominates(self, other: "VectorClock") -> bool:
@@ -218,28 +195,12 @@ class VectorClock:
         This is the FW-KV visibility test (Alg. 3 line 4): a version clock
         must not exceed the transaction clock at any *already-read* site.
         No-copy: iterates the raw entries with an early exit on the first
-        violated position.  Positions beyond the shorter clock score its
-        missing entries as zero.
+        violated position.
         """
-        mine = self._entries
-        theirs = other._entries
-        for a, b, active in zip(mine, theirs, positions):
+        for a, b, active in zip(self._entries, other._entries, positions):
             if active and a > b:
                 return False
-        n_theirs = len(theirs)
-        if len(mine) > n_theirs:
-            limit = min(len(mine), len(positions))
-            for index in range(n_theirs, limit):
-                if positions[index] and mine[index] > 0:
-                    return False
         return True
-
-    def widen(self, size: int) -> None:
-        """Grow to at least ``size`` entries in place (new sites at zero)."""
-        mine = self._entries
-        if size > len(mine):
-            mine.extend([0] * (size - len(mine)))
-            self._tuple = None
 
     def to_tuple(self) -> Tuple[int, ...]:
         cached = self._tuple
@@ -260,18 +221,15 @@ class _ImmutableVectorClock(VectorClock):
             "instance"
         )
 
-    __setitem__ = merge = merge_seq = widen = _refuse
+    __setitem__ = merge = merge_seq = _refuse
 
 
 _ZERO_CACHE: Dict[int, VectorClock] = {}
 
 
 def covers(entries: Sequence[int], snapshot: Sequence[int]) -> bool:
-    """Does a clock with ``entries`` dominate ``snapshot``?
-
-    An origin ``entries`` lacks counts as zero.
-    """
-    for origin, target in enumerate(snapshot):
-        if target > 0 and (origin >= len(entries) or entries[origin] < target):
+    """Does a clock with ``entries`` dominate ``snapshot``?"""
+    for have, target in zip(entries, snapshot):
+        if have < target:
             return False
     return True

@@ -17,12 +17,10 @@ def select_walter_version(
     visible to a transaction whose start vector is ``txn_vc`` iff
     ``txn_vc[origin] >= seqno``.  The snapshot never advances during the
     transaction, so reads "can return arbitrarily old values" when the
-    asynchronous propagation lags (paper Sections 1 and 3.1).  A start
-    vector with no entry for the origin (minted before it joined) has
-    seen none of its commits.
+    asynchronous propagation lags (paper Sections 1 and 3.1).
     """
     for version in chain.newest_first():
-        if version.origin < len(txn_vc) and version.seq <= txn_vc[version.origin]:
+        if version.seq <= txn_vc[version.origin]:
             return version, 0
     raise RuntimeError(
         f"no visible version of {key!r}; the initial version "

@@ -60,7 +60,7 @@ class PrepareBody:
     #: MVCCNode._validate.
     read_vids: Dict[Hashable, int] = field(default_factory=dict)
     #: Prepare round within one commit attempt.  A coordinator whose
-    #: prepare straddled a membership handoff ("moved" vote) aborts the
+    #: prepare straddled a shard handoff ("moved" vote) aborts the
     #: round and re-prepares against the refreshed directory under
     #: ``round + 1``; participants use the round to supersede a stale
     #: prepared entry and to ignore a stale round's abort.
@@ -276,25 +276,6 @@ class ReplicateAckBody:
 
     incarnation: int
     applied: int
-
-
-@dataclass(slots=True)
-class ViewCommitBody:
-    """A membership view change: apply the view (one-way fan-out,
-    idempotent).
-
-    Carries the complete view (not a delta).  A member applies the
-    commit iff ``epoch`` is newer than its committed epoch; stale or
-    duplicate commits are ignored, so the committing member and the
-    anti-entropy layer may both (re-)send it freely.
-    """
-
-    epoch: int
-    #: The member ids, sorted -- the full membership view.
-    members: Tuple[int, ...]
-    #: (site, final_seq) pairs for decommissioned sites: each one's final
-    #: commit frontier; the entry pins the clock width (docs/membership.md).
-    retired: Tuple[Tuple[int, int], ...]
 
 
 @dataclass(slots=True)

@@ -87,13 +87,6 @@ class CheckpointManager:
             PrepareRecord(txn_id, entry.coordinator, tuple(entry.writes.items()))
             for txn_id, entry in sorted(owner._prepared.items())
         ]
-        membership = owner.membership
-        view = None
-        if membership.view.epoch > 0:
-            # Stamp the committed view so replay-from-checkpoint restores
-            # membership even after the ViewChangeRecords are truncated.
-            # Epoch-0 (static) runs keep the historical record layout.
-            view = membership.view.to_triple()
         record = build_checkpoint(
             owner.store.snapshots(),
             owner.site_vc,
@@ -101,7 +94,6 @@ class CheckpointManager:
             in_doubt=in_doubt,
             decisions=owner.in_doubt.log.by_txn.values(),
             records_below=len(owner.wal),
-            view=view,
         )
         owner.wal.append(record)
         self._last_logical = self._logical_length()

@@ -65,6 +65,10 @@ class NodeHealing:
         self.metrics = owner.metrics
         self.tracer = owner.tracer
         self._rng = make_rng(shared.config.seed, "healing", self.node_id)
+        #: Gossip/heartbeat partners: every other site.
+        self.peers: List[int] = [
+            peer for peer in shared.config.node_ids if peer != self.node_id
+        ]
         #: peer -> newest sequence number of *our* origin known applied
         #: there (from heartbeats and gossip digests); the evidence WAL
         #: truncation and decision-log pruning wait on.
@@ -108,18 +112,6 @@ class NodeHealing:
         self.checkpoints = CheckpointManager(owner, self)
 
     # ------------------------------------------------------------------
-    # Peers
-    # ------------------------------------------------------------------
-    @property
-    def peers(self) -> List[int]:
-        """Current gossip/heartbeat partners: the committed view's
-        members minus self (at epoch zero, the seed ``node_ids``)."""
-        return [
-            peer for peer in self.owner.membership.view.members
-            if peer != self.node_id
-        ]
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -150,14 +142,6 @@ class NodeHealing:
             loop.stop()
         self._loops = []
 
-    def _own_entry(self, vc) -> int:
-        """This node's entry of a peer-reported clock, zero when absent.
-
-        A digest minted before this node joined is narrower than our id;
-        the peer has applied none of our origin, which is exactly 0.
-        """
-        return vc[self.node_id] if self.node_id < len(vc) else 0
-
     # ------------------------------------------------------------------
     # Frontier evidence
     # ------------------------------------------------------------------
@@ -170,7 +154,7 @@ class NodeHealing:
         """A peer's liveness beacon (the arrival itself fed the detector
         via ``Node.arrival_hook``); harvest its frontier evidence."""
         body: HeartbeatBody = envelope.payload
-        self.note_peer_frontier(envelope.src, self._own_entry(body.site_vc))
+        self.note_peer_frontier(envelope.src, body.site_vc[self.node_id])
 
     def on_sync(self, envelope: Envelope) -> None:
         """Report this node's applied commit frontier (anti-entropy).
@@ -181,7 +165,7 @@ class NodeHealing:
         """
         owner = self.owner
         request: SyncRequestBody = owner.node.rpc.body_of(envelope)
-        if request.site_vc is not None and self.node_id < len(request.site_vc):
+        if request.site_vc is not None:
             self.note_peer_frontier(
                 request.requester, request.site_vc[self.node_id]
             )
@@ -256,19 +240,15 @@ class NodeHealing:
         if not ok or superseded():
             return
         peer_vc = reply.site_vc
-        if owner.membership.view.epoch > 0:
-            # Piggyback the committed view on anti-entropy: a peer that
-            # slept through the VIEW_COMMIT fan-out (partition, crash)
-            # converges on membership the same way it converges on data.
-            owner.membership.send_commit_to(peer)
-        self.note_peer_frontier(peer, self._own_entry(peer_vc))
+        frontier = peer_vc[self.node_id]
+        self.note_peer_frontier(peer, frontier)
         # Push: the full Decides of our origin the peer has not applied,
         # bounded per round; the next round resumes from its new digest.
         streamed = reannounce(
             owner,
             self.node_id,
             owner.in_doubt.log.by_seq,
-            {peer: self._own_entry(peer_vc)},
+            {peer: frontier},
             owner.site_vc[self.node_id],
             limit=MAX_STREAM_PER_ROUND,
         )
@@ -307,9 +287,8 @@ class NodeHealing:
         digest.
         """
         owner = self.owner
-        entries = owner.site_vc.entries
-        targets = VectorClock.zeros(max(owner.shared.num_nodes, len(entries)))
-        floor = entries if floor is None else floor
+        targets = VectorClock.zeros(owner.shared.num_nodes)
+        floor = owner.site_vc.entries if floor is None else floor
         peer_frontiers: Dict[int, int] = {}
         listed: Dict[int, object] = {}
         for attempt in range(TERMINATION_ATTEMPTS if restage else 1):
@@ -340,7 +319,7 @@ class NodeHealing:
             replies = yield AllOf(self.sim, settles)
             for peer, (ok, reply) in zip(asked, replies):
                 if ok:
-                    own = self._own_entry(reply.site_vc)
+                    own = reply.site_vc[self.node_id]
                     peer_frontiers[peer] = own
                     self.note_peer_frontier(peer, own)
                     targets.merge_seq(reply.site_vc)

@@ -77,7 +77,6 @@ class FailureDetector:
     ) -> None:
         self.sim = sim
         self.node_id = node_id
-        self.num_nodes = num_nodes
         self.config = config
         self.tracer = tracer
         self._state: List[str] = [ALIVE] * num_nodes
@@ -87,38 +86,10 @@ class FailureDetector:
         #: Whether phi scoring is armed (heartbeats configured).
         self._accrual = config.heartbeat_interval is not None
 
-    def _ensure(self, peer: int) -> None:
-        """Grow the per-peer slots on first contact with a joined node."""
-        if peer < len(self._state):
-            return
-        grow = peer + 1 - len(self._state)
-        self._state.extend([ALIVE] * grow)
-        self._strikes.extend([0] * grow)
-        self._last_arrival.extend([None] * grow)
-        self._mean_interval.extend([None] * grow)
-
-    def forget(self, peer: int) -> None:
-        """Drop all evidence about ``peer`` (it left the membership).
-
-        Resets to the pristine ALIVE state rather than deleting the
-        slot, so a later rejoin of the same identifier starts fresh and
-        no stale DEAD verdict shortens its RPC ladders.
-        """
-        if peer >= len(self._state):
-            return
-        self._state[peer] = ALIVE
-        self._strikes[peer] = 0
-        self._last_arrival[peer] = None
-        self._mean_interval[peer] = None
-
-    # ------------------------------------------------------------------
-    # Evidence
-    # ------------------------------------------------------------------
     def on_arrival(self, peer: int) -> None:
         """Any message from ``peer`` was delivered here: it is alive."""
         if peer == self.node_id:
             return
-        self._ensure(peer)
         now = self.sim.now
         last = self._last_arrival[peer]
         if last is not None:
@@ -139,7 +110,6 @@ class FailureDetector:
         """One RPC attempt against ``peer`` hit its reply deadline."""
         if peer == self.node_id:
             return
-        self._ensure(peer)
         self._strikes[peer] += 1
         self._reclassify(peer)
 
@@ -148,7 +118,6 @@ class FailureDetector:
     # ------------------------------------------------------------------
     def phi(self, peer: int) -> float:
         """Silence since the peer's last arrival, in mean intervals."""
-        self._ensure(peer)
         last = self._last_arrival[peer]
         mean = self._mean_interval[peer]
         if last is None or mean is None or mean <= 0.0:
@@ -187,7 +156,6 @@ class FailureDetector:
         return configured
 
     def _reclassify(self, peer: int) -> None:
-        self._ensure(peer)
         verdict = ALIVE
         strikes = self._strikes[peer]
         if strikes >= DEAD_AFTER_TIMEOUTS:

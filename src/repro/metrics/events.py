@@ -104,15 +104,6 @@ EVENTS: Dict[str, Event] = {
     "snapshot_install": traced(
         "sender snapshot_id chains frontier", snapshot_installs=1
     ),
-    # Elastic membership.
-    "view_commit": traced("epoch members retired", views_committed=1),
-    "join_bootstrap": traced("clock", joins_bootstrapped=1),
-    "join_complete": traced("epoch"),
-    "join_abandoned": traced(""),
-    "drain_complete": traced("final_seq", drains_completed=1),
-    "stale_width_messages": counted(
-        "messages carrying a clock width older than the receiver's view"
-    ),
     # Keyspace sharding: a migration that flipped ownership, or aborted
     # before the flip (crash, partition, drain).
     "shard_migrate_start": traced("shard dest keys epoch"),
@@ -120,7 +111,6 @@ EVENTS: Dict[str, Event] = {
         "shard dest keys epoch", shard_migrations=1, shard_migration_keys="keys"
     ),
     "shard_migrate_failed": traced("shard dest", shard_migrations_failed=1),
-    "rebalance_rounds": counted("rebalancer planner rounds attempted"),
     # Per-shard primary-backup replication; a degraded sync-mode wait hit
     # ``sync_timeout`` and went async.
     "replication_records_streamed": counted("stream records backups acked"),

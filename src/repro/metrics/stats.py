@@ -172,9 +172,6 @@ class MetricsRecorder:
         #: wedged lock, a leaked prepared transaction or GC occupancy
         #: matters whenever it happens.
         self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
-        #: Per-shard access counts (the rebalancer's load signal; reads
-        #: and prepared writes both count one access per key).
-        self.shard_loads: Counter = Counter()
 
     # ------------------------------------------------------------------
     # Window control
@@ -277,19 +274,6 @@ class MetricsRecorder:
         row's.  An undeclared name is a ``KeyError``, not a new counter.
         """
         self.counters[name] += n
-
-    def on_shard_access(self, shard: int, count: int = 1) -> None:
-        """One read or prepared write landed on ``shard``."""
-        self.shard_loads[shard] += count
-
-    def decay_shard_loads(self, factor: float) -> None:
-        """Age the load signal so it tracks current traffic, not history."""
-        for shard in list(self.shard_loads):
-            aged = int(self.shard_loads[shard] * factor)
-            if aged:
-                self.shard_loads[shard] = aged
-            else:
-                del self.shard_loads[shard]
 
     @property
     def stale_read_fraction(self) -> float:

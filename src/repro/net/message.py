@@ -39,10 +39,6 @@ class MessageType:
     REPLICATE = "Replicate"
     #: ... which answers every batch with its cumulative applied sequence.
     REPLICATE_ACK = "ReplicateAck"
-    #: Membership view change: a live member fans out the commit that
-    #: applies an epoch-numbered view (one-way; idempotent, epoch-gated,
-    #: re-sent by anti-entropy).
-    VIEW_COMMIT = "ViewCommit"
 
     #: Message types delivered on the background channel.  Asynchronous
     #: traffic (commit propagation, VAS garbage collection, liveness

@@ -57,9 +57,10 @@ from repro.net.rpc import _Reply, _Request
 #: REPLICATE is one-way, its body and ``ReplicateAckBody`` carry the
 #: stream's incarnation; 9: one ``ShardShipmentBody`` per shipment
 #: replaces the offer, its chunks and their ack; 10: a view change is its
-#: ``ViewCommitBody`` alone, the propose and ack bodies retired; 11: a
-#: view's ``members`` are its ids, the lifecycle states gone).
-WIRE_VERSION = 11
+#: commit body alone, the propose and ack bodies retired; 11: a view's
+#: ``members`` are its ids, the lifecycle states gone; 12: the sites are
+#: fixed, the view commit body retired).
+WIRE_VERSION = 12
 
 #: Refuse frames larger than this (a corrupt length prefix must not make
 #: the receiver try to buffer gigabytes).
@@ -96,7 +97,6 @@ REGISTRY: Dict[int, type] = {
     17: wire.ReplicationEntry,
     18: wire.ReplicateBody,
     19: wire.ReplicateAckBody,
-    22: wire.ViewCommitBody,
     23: wire.HeartbeatBody,
     24: wire.SimpleReadRequestBody,
     25: wire.SimpleReadReturnBody,
@@ -106,7 +106,7 @@ REGISTRY: Dict[int, type] = {
     29: wire.ShardShipmentBody,
 }
 #: Retired codes, never to be reused: 14-16 (the chunked chain transfer),
-#: 20-21 (the view propose and ack).
+#: 20-21 (the view propose and ack), 22 (the view commit).
 
 _CODE_OF: Dict[type, int] = {cls: code for code, cls in REGISTRY.items()}
 #: class -> ordered field names, resolved once (dataclasses.fields walks

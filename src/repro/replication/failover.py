@@ -93,7 +93,7 @@ class FailoverDriver:
         """Do a majority of live armed detectors classify ``target`` dead?
 
         Crashed voters are excluded (their silent detectors would see
-        everyone dead); so are deposed and removed sites.  With no
+        everyone dead); so are deposed sites.  With no
         armed detectors anywhere the answer is always False -- failover
         requires the healing layer's detector to be configured.
         """
@@ -114,8 +114,6 @@ class FailoverDriver:
     def _scan(self):
         rep = self.rep
         for primary in list(rep.shard_map.node_ids):
-            if primary in self.cluster._removed:
-                continue
             if not rep.shard_map.shards_of(primary):
                 continue
             # A site already deposed but still owning shards is a

@@ -518,13 +518,9 @@ class ClusterReplication:
         }
         self.driver = FailoverDriver(self)
         for node in cluster.nodes:
-            self.attach(node)
-
-    def attach(self, node) -> None:
-        """Wire one protocol node into the replication substrate."""
-        rep = node.replication = NodeReplication(node, self)
-        node.node.on(MessageType.REPLICATE, rep.on_replicate)
-        node.node.on(MessageType.REPLICATE_ACK, rep.on_replicate_ack)
+            rep = node.replication = NodeReplication(node, self)
+            node.node.on(MessageType.REPLICATE, rep.on_replicate)
+            node.node.on(MessageType.REPLICATE_ACK, rep.on_replicate_ack)
 
     # ------------------------------------------------------------------
     # Placement queries
@@ -533,9 +529,7 @@ class ClusterReplication:
         return self.placement.get(self.shard_map.shard_of(key), ())
 
     def is_excluded(self, node_id: int) -> bool:
-        cluster = self.cluster
-        return (node_id in self.down or node_id in cluster._removed
-                or cluster.network.is_crashed(node_id))
+        return node_id in self.down or self.cluster.network.is_crashed(node_id)
 
     # ------------------------------------------------------------------
     # Foreground failover waits

@@ -60,7 +60,7 @@ class WalFlusher:
         self._tickets = 0
         if self.active:
             # Every record must reach disk, waited on or not (lazy
-            # Apply/Propagate records, checkpoints, membership views).
+            # Apply/Propagate records, checkpoints).
             wal.on_append = self._start_sync
 
     @property

@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple,
+    TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Tuple,
 )
 
 from repro.core.vector_clock import VectorClock
@@ -151,18 +151,6 @@ class ReplicationRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class ViewChangeRecord:
-    """A membership view this node committed, logged on the commit so
-    replay restores the committed membership."""
-
-    epoch: int
-    #: The member ids, sorted -- the full view, not a delta.
-    members: Tuple[int, ...]
-    #: (site, final_seq) pairs for decommissioned sites.
-    retired: Tuple[Tuple[int, int], ...]
-
-
-@dataclass(frozen=True, slots=True)
 class CheckpointRecord:
     """A fingerprinted snapshot of the node's entire durable state.
 
@@ -195,11 +183,6 @@ class CheckpointRecord:
     #: WAL records captured below this checkpoint when it was taken
     #: (bookkeeping for truncation-safety assertions in tests).
     records_below: int = 0
-    #: The committed membership view at checkpoint time, as an
-    #: ``(epoch, members, retired)`` triple, or ``None`` for a
-    #: static-membership node.  Carried (not fingerprinted) so WAL
-    #: truncation below the checkpoint cannot lose the view history.
-    view: Optional[Tuple] = None
 
 
 class CheckpointMismatchError(Exception):
@@ -234,8 +217,8 @@ class WriteAheadLog:
         #: records are durable.  Meaningful only in buffered mode.
         self._durable = 0
         #: Hook invoked with the new LSN after every successful append
-        #: (the group-commit flusher registers itself here so membership
-        #: and checkpoint appends are synced without explicit plumbing).
+        #: (the group-commit flusher registers itself here so lazy and
+        #: checkpoint appends are synced without explicit plumbing).
         self.on_append = None
         #: Completed syncs and records they covered (buffered mode).
         self.syncs = 0
@@ -389,7 +372,6 @@ def build_checkpoint(
     in_doubt: Iterable[PrepareRecord] = (),
     decisions: Iterable[DecisionRecord] = (),
     records_below: int = 0,
-    view: Optional[Tuple] = None,
 ) -> CheckpointRecord:
     """Capture a node's durable state as a :class:`CheckpointRecord`;
     ``chains`` are :meth:`MultiVersionStore.snapshots` rows."""
@@ -405,7 +387,6 @@ def build_checkpoint(
             chains, site_vc_tuple, curr_seq_no
         ),
         records_below=records_below,
-        view=view,
     )
 
 
@@ -452,9 +433,6 @@ class ReplayResult:
     replayed: int
     #: Checkpoint records encountered (the last one reset the state).
     checkpoints: int = 0
-    #: Newest *committed* membership view on record, as an
-    #: ``(epoch, members, retired)`` triple (None = static membership).
-    view: Optional[Tuple] = None
     #: primary id -> the backup-side stream state rebuilt from the
     #: node's ReplicationRecords.
     replication: Dict[int, "BackupState"] = field(default_factory=dict)
@@ -484,13 +462,12 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     curr_seq_no = 0
     replayed = 0
     checkpoints = 0
-    view: Optional[Tuple] = None
     replication: Dict[int, BackupState] = {}
     # origin -> {seq_no: record} waiting for its per-origin predecessor.
     pending: Dict[int, Dict[int, WalRecord]] = {}
 
     def apply_clock_record(record: WalRecord) -> None:
-        """Apply an admitted clock record (``admit`` widened the clock)."""
+        """Apply an admitted clock record."""
         if isinstance(record, ApplyRecord):
             commit_vc = VectorClock.frozen(record.commit_vc)
             for key, value in record.writes:
@@ -504,8 +481,6 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     def admit(record: WalRecord) -> None:
         """Apply a clock record in order, buffering across gaps."""
         origin, seq_no = record.origin, record.seq_no
-        if origin >= len(site_vc):
-            site_vc.widen(origin + 1)
         if seq_no <= site_vc[origin]:
             return  # duplicate of an already-applied transition
         if seq_no > site_vc[origin] + 1:
@@ -554,12 +529,7 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
             }
             if record.curr_seq_no > curr_seq_no:
                 curr_seq_no = record.curr_seq_no
-            if record.view is not None:
-                view = record.view
             pending.clear()
-        elif isinstance(record, ViewChangeRecord):
-            if view is None or record.epoch > view[0]:
-                view = (record.epoch, record.members, record.retired)
         elif isinstance(record, ReplicationRecord):
             # Backup-side stream state, through the live handler's own
             # interpreter.  Apply installs go straight into the store
@@ -580,15 +550,6 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
             if seq_no > site_vc[origin]:
                 apply_clock_record(record)
 
-    # A committed view wider than the static width the replay started
-    # from widens the rebuilt clock (new sites at zero).
-    if view is not None and view[1]:
-        ids = set(view[1])
-        ids.update(site for site, _final in view[2])
-        width = max(ids) + 1
-        if width > len(site_vc):
-            site_vc.widen(width)
-
     return ReplayResult(
         store=store,
         site_vc=site_vc,
@@ -597,7 +558,6 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
         curr_seq_no=curr_seq_no,
         replayed=replayed,
         checkpoints=checkpoints,
-        view=view,
         replication=replication,
     )
 

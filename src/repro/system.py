@@ -28,8 +28,7 @@ from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.cluster.directory import ConsistentHashDirectory, Directory, ShardMap
 from repro.cluster.node import Node
-from repro.cluster.rebalancer import Rebalancer
-from repro.cluster.reconfig import ReconfigDriver
+from repro.cluster.handoff import fenced_handoff, shard_keys
 from repro.config import ClusterConfig
 from repro.core.fwkv import FWKVNode
 from repro.core.interfaces import BaseProtocolNode, SharedState
@@ -226,18 +225,6 @@ class Cluster:
             node_cls(Node(self.sim, node_id, self.network), self.shared)
             for node_id in config.node_ids
         ]
-        #: Sites decommissioned (or abandoned mid-join) by the elastic
-        #: membership drivers; they keep their slot in ``nodes`` so ids
-        #: stay dense, but no driver or healing pass touches them.
-        self._removed: set = set()
-        #: Members whose leave is running: a second leave of one is refused.
-        self._leaving: set = set()
-        #: Live shard migration driver; present iff the directory is a
-        #: ShardMap (its background loop only spawns when
-        #: ``sharding.rebalance_interval`` is set -- see start_healing).
-        self.rebalancer: Optional[Rebalancer] = (
-            Rebalancer(self) if isinstance(self.directory, ShardMap) else None
-        )
         #: Per-shard primary-backup replication (docs/replication.md):
         #: deterministic backup placement over the ShardMap, record
         #: streams from every primary, and the failover driver.  ``None``
@@ -315,17 +302,14 @@ class Cluster:
     # Self-healing lifecycle
     # ------------------------------------------------------------------
     def start_healing(self) -> None:
-        """Spawn the configured healing loops on every current member.
+        """Spawn the configured healing loops on every node.
 
         Idempotent: nodes already running their loops are left alone
-        (the per-node daemon guards itself), and decommissioned sites
-        are skipped.
+        (the per-node daemon guards itself).
         """
         for node in self.nodes:
-            if isinstance(node, MVCCNode) and node.node_id not in self._removed:
+            if isinstance(node, MVCCNode):
                 node.healing.start()
-        if self.rebalancer is not None:
-            self.rebalancer.start()
         if self.replication is not None:
             self.replication.start()
 
@@ -333,70 +317,55 @@ class Cluster:
         """Wind the healing loops down so the simulator can quiesce.
 
         Idempotent: stopping twice (or with nothing running) is a no-op.
-        The rebalance loop (when configured) winds down with the healing
-        loops -- both are the cluster's periodic background machinery.
         """
         for node in self.nodes:
             if isinstance(node, MVCCNode):
                 node.healing.stop()
-        if self.rebalancer is not None:
-            self.rebalancer.stop()
         if self.replication is not None:
             self.replication.stop()
 
     # ------------------------------------------------------------------
-    # Elastic membership (online reconfiguration)
+    # Shard migration
     # ------------------------------------------------------------------
-    def add_node(self, node_id: Optional[int] = None):
-        """Join a site online; returns the driver process, whose value is
-        True iff the join completed (:mod:`repro.cluster.reconfig`).
+    def migrate_shard(self, shard: int, dest: int):
+        """Spawn one live migration of ``shard`` to ``dest`` (a sharded
+        cluster); the process's value is True once ownership flipped.
 
-        ``node_id`` defaults to the next dense id (a brand-new site is
-        built and wired to the network); passing the id of a previously
-        removed or abandoned site re-joins it.
+        One :func:`~repro.cluster.handoff.fenced_handoff`: parked
+        prepares wake and vote "moved", and nothing aborts.  A failed
+        migration (crashed donor or dest, partition, drain timeout)
+        leaves ownership as it was and can simply be retried.
         """
-        self._check_elastic()
-        if node_id is None:
-            node_id = len(self.nodes)
-        if node_id < len(self.nodes):
-            if node_id not in self._removed:
-                raise ValueError(f"node {node_id} is already a member")
-        elif node_id == len(self.nodes):
-            node_cls = PROTOCOLS[self.protocol]
-            self.nodes.append(
-                node_cls(Node(self.sim, node_id, self.network), self.shared)
-            )
-            if self.replication is not None:
-                self.replication.attach(self.nodes[node_id])
-        else:
-            raise ValueError(
-                f"node ids must stay dense: the next id is {len(self.nodes)}"
-            )
-        self._removed.discard(node_id)
-        return self.spawn(ReconfigDriver(self).join(node_id), f"join:n{node_id}")
+        return self.spawn(
+            self._migrate(shard, dest), name=f"migrate-s{shard}-to-{dest}"
+        )
 
-    def remove_node(self, node_id: int):
-        """Decommission a member gracefully; returns the driver process,
-        whose value is True iff it completed (on failure the member stays
-        in the view, holding what it still owns).  Its keys stay readable
-        throughout."""
-        if node_id in self._removed or node_id >= len(self.nodes):
-            raise ValueError(f"node {node_id} is not a member")
-        self._check_elastic()
-        return self.spawn(ReconfigDriver(self).leave(node_id), f"leave:n{node_id}")
-
-    def _check_elastic(self) -> None:
-        """Refuse a join or leave before any view is committed."""
-        if not self.nodes or not isinstance(self.nodes[0], MVCCNode):
-            raise ValueError(
-                f"protocol {self.protocol!r} does not support elastic membership"
+    def _migrate(self, shard: int, dest: int):
+        shard_map = self.directory
+        donor_id = shard_map.owner_of(shard)
+        if donor_id == dest:
+            return True  # already there; idempotent
+        if dest not in shard_map.node_ids:
+            raise ValueError(f"node {dest} is not a member")
+        tracer = self.tracer
+        if self.network.is_crashed(donor_id) or self.network.is_crashed(dest):
+            tracer.emit(donor_id, "shard_migrate_failed", shard=shard, dest=dest)
+            return False
+        if tracer._enabled:
+            tracer.emit(
+                donor_id, "shard_migrate_start", shard=shard, dest=dest,
+                keys=len(shard_keys(self.nodes[donor_id], {shard})),
+                epoch=shard_map.epoch,
             )
-        if not isinstance(self.directory, ShardMap):
-            raise ValueError(
-                "elastic membership re-places keys through the ShardMap; "
-                "set sharding.enabled (the ring and scripted directories "
-                "are static)"
-            )
+        shipped = yield from fenced_handoff(self, [(shard, donor_id, dest)])
+        if shipped is None:
+            tracer.emit(donor_id, "shard_migrate_failed", shard=shard, dest=dest)
+            return False
+        tracer.emit(
+            donor_id, "shard_migrated", shard=shard, dest=dest,
+            keys=shipped, epoch=shard_map.epoch,
+        )
+        return True
 
     # ------------------------------------------------------------------
     # Access

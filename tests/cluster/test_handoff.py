@@ -1,7 +1,7 @@
 """The fenced handoff (``repro.cluster.handoff``): failure leaves no trace.
 
-Migrations, joins, drains, promotions and backup bootstraps all run this
-one primitive (their suites cover the success paths end to end).
+Migrations, promotions and backup bootstraps all run this one
+primitive (their suites cover the success paths end to end).
 Whatever step fails, the fence must come down and ownership must be
 unchanged, so foreground traffic proceeds at the donor as if nothing had
 been tried; and concurrent handoffs of one shard never lower each
@@ -17,8 +17,7 @@ from repro import (
     NetworkConfig,
     ShardingConfig,
 )
-from repro.cluster.handoff import fenced_handoff
-from repro.cluster.membership import HANDOFF_TIMEOUT
+from repro.cluster.handoff import HANDOFF_TIMEOUT, fenced_handoff
 from repro.faults import Nemesis
 from repro.faults.schedules import CRASH_DURABLE, RESTART, FaultEvent
 
@@ -114,20 +113,3 @@ def test_a_shard_two_handoffs_fence_stays_fenced_until_both_are_done():
     stale = cluster.spawn(fenced_handoff(cluster, [(shard, DONOR, 2)]))
     cluster.run()
     assert stale.value is None and cluster.directory.owner_of(shard) == DEST
-
-
-def test_a_cutover_onto_a_node_that_left_the_map_flips_nothing():
-    """A move planned onto a member whose leave finishes first is
-    refused at the flip: the handoff fails, ownership stays put and the
-    shard is not placed on a node outside the map."""
-    cluster = build()
-    key = donor_key(cluster)
-    shard = cluster.directory.shard_of(key)
-    hold_write_lock(cluster, key, 10e-3)
-    migration = cluster.spawn(fenced_handoff(cluster, [(shard, DONOR, DEST)]))
-    left = cluster.remove_node(DEST)
-    cluster.run()
-    assert left.value is True and DEST not in cluster.directory.node_ids
-    assert migration.value is None
-    assert cluster.directory.owner_of(shard) == DONOR
-    assert not cluster.node(DONOR).fence.shards

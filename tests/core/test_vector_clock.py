@@ -75,34 +75,6 @@ def test_leq_on_restricts_to_active_positions():
     assert version.leq_on(txn, [False, False, False])
 
 
-def test_mixed_widths_use_zero_defaults():
-    """Clocks of different widths coexist during a membership change:
-    missing trailing entries behave exactly like explicit zeros."""
-    narrow = VectorClock([1])
-    narrow.merge(VectorClock([1, 2]))
-    assert narrow.to_tuple() == (1, 2)  # merging a wider clock widens
-
-    wide = VectorClock([1, 2])
-    wide.merge(VectorClock([3]))
-    assert wide.to_tuple() == (3, 2)  # a narrower one leaves the tail
-
-    assert VectorClock([1]).leq(VectorClock([1, 2]))
-    assert VectorClock([1, 0]).leq(VectorClock([1]))  # zero tail: equal
-    assert not VectorClock([1, 1]).leq(VectorClock([1]))
-
-
-def test_widen_in_place():
-    vc = VectorClock([3, 1])
-    entries = vc.entries
-    vc.widen(4)
-    assert vc.to_tuple() == (3, 1, 0, 0)
-    # Identity is preserved: handlers holding the entries list see the
-    # same object grow.
-    assert vc.entries is entries
-    vc.widen(2)  # widening to a narrower size is a no-op
-    assert vc.to_tuple() == (3, 1, 0, 0)
-
-
 def test_equality_and_hash():
     assert VectorClock([1, 2]) == VectorClock([1, 2])
     assert VectorClock([1, 2]) != VectorClock([2, 1])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.vector_clock import VectorClock
+from repro.core.vector_clock import VectorClock, covers
 
 SIZE = 5
 
@@ -127,9 +127,32 @@ def test_zero_is_interned_and_immutable():
         zero.merge(VectorClock.zeros(SIZE))
     with pytest.raises(TypeError):
         zero.merge_seq((1,) * SIZE)
-    with pytest.raises(TypeError):
-        zero.widen(SIZE + 1)
     # A copy of the interned zero is a private, mutable clock.
     dup = zero.copy()
     dup[0] = 7
     assert zero[0] == 0
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_every_op_matches_the_reference_at_every_width(width, data):
+    """Clocks of one width pair their entries up with no width check:
+    every operation -- ``merged_tuple`` with its kept positions and the
+    module's ``covers`` included -- is the reference at any width a
+    cluster can be built with."""
+    entries = st.lists(st.integers(0, 50), min_size=width, max_size=width)
+    a, b = data.draw(entries), data.draw(entries)
+    keep = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    left, right = VectorClock(a), VectorClock(b)
+    assert left.merged(right).to_tuple() == tuple(ref_merge(a, b))
+    assert left.merged_tuple(right) == tuple(ref_merge(a, b))
+    assert left.merged_tuple(right, keep) == tuple(
+        x if kept else max(x, y) for x, y, kept in zip(a, b, keep)
+    )
+    assert left.leq(right) == ref_leq(a, b) == covers(b, a)
+    assert left.dominates(right) == ref_leq(b, a) == covers(a, b)
+    assert left.leq_on(right, keep) == ref_leq_on(a, b, keep)
+    seq = VectorClock(a)
+    seq.merge_seq(tuple(b))
+    assert list(seq) == ref_merge(a, b) and list(left) == a and list(right) == b

@@ -42,7 +42,7 @@ from repro.faults import (
 from repro.metrics.events import COUNTS
 from repro.net.message import MessageType
 from repro.net.rpc import RpcTimeoutError
-from repro.storage.wal import store_fingerprint
+from repro.storage.wal import CheckpointRecord, store_fingerprint
 
 #: Per-commit settle pause: long enough for a commit's full fan-out --
 #: its replication records included -- to drain.
@@ -342,6 +342,22 @@ def assert_one_clock(cluster, nodes=None):
         if nodes is None or node.node_id in nodes
     }
     assert len(clocks) == 1, clocks
+
+
+def assert_fixed_width(cluster):
+    """Every clock is ``num_nodes`` wide: each node's ``siteVC``, every
+    stored version's clock and its newest checkpoint's ``siteVC``."""
+    width = cluster.config.num_nodes
+    for node in cluster.nodes:
+        assert len(node.site_vc) == width
+        for _key, _base, versions in node.store.snapshots():
+            assert {len(version[1]) for version in versions} == {width}
+        checkpoints = [
+            record for record in (node.wal.records() if node.wal else ())
+            if isinstance(record, CheckpointRecord)
+        ]
+        if checkpoints:
+            assert len(checkpoints[-1].site_vc) == width
 
 
 def assert_counters_add_up(cluster):

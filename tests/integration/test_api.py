@@ -156,16 +156,14 @@ def test_replication_defaults_off_and_overlays():
 
 def test_sharding_defaults_off_and_overlays():
     # Sharding must stay inert by default: clusters keep the consistent
-    # hash ring unless opted in, and the rebalance loop stays dormant.
+    # hash ring unless opted in.
     sharding = ShardingConfig()
     assert sharding.enabled is False
-    assert sharding.rebalance_interval is None
     assert sharding.num_shards > 0
     cfg = ClusterConfig.from_dict(
         {"num_nodes": 3, "sharding": {"enabled": True, "num_shards": 32}}
     )
     assert cfg.sharding.enabled and cfg.sharding.num_shards == 32
-    assert cfg.sharding.rebalance_interval is None  # defaults kept
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +211,6 @@ sharding_configs = st.builds(
     ShardingConfig,
     enabled=st.booleans(),
     num_shards=st.integers(1, 256),
-    rebalance_interval=optional(positive_floats),
 )
 transport_configs = st.builds(
     TransportConfig,

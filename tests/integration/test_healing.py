@@ -392,6 +392,7 @@ def test_checkpointed_recovery_matches_full_history(seed):
     assert full["cluster"].metrics.counters["catchup_advances"] == 3
     clocks = ckpt["cluster"].site_clocks()
     assert all(clock == clocks[0] for clock in clocks)
+    battery.assert_fixed_width(ckpt["cluster"])
 
 
 def test_automatic_checkpoint_loop_waits_for_enough_records():
@@ -527,9 +528,9 @@ def test_a_lagging_peer_holds_truncation_and_pruning(seed):
 # ----------------------------------------------------------------------
 def test_healing_stop_start_cycles_do_not_stack_loops():
     """Each start() bumps the daemon generation and strands the loops of
-    any earlier one, so lifecycle churn -- the elastic-membership drivers
-    call start()/stop() freely around reconfigurations -- cannot stack
-    duplicate heartbeat/gossip loops and double the background rate."""
+    any earlier one, so lifecycle churn -- start()/stop() called freely,
+    as the fault suites do -- cannot stack duplicate heartbeat/gossip
+    loops and double the background rate."""
     seed = SEEDS[0]
     healing = HealingConfig(heartbeat_interval=2e-4)
     cluster, _ = build(seed, healing)

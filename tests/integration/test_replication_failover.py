@@ -34,7 +34,7 @@ ownership; version stamps are coordinator-assigned ``(origin, seq)``
 pairs, so excluding the crash victims from coordinating (in both runs
 of a pair) keeps the surviving chains bit-comparable.  Serialized
 traffic with settle pauses keeps install order identical across paired
-runs, exactly like the sharding and membership suites; the scaffold is
+runs, exactly like the sharding suite; the scaffold is
 ``tests.harness.battery``.  Seeds come from ``REPLICATION_SEEDS``.
 """
 
@@ -174,6 +174,7 @@ def run_primary_crash(seed, *, faulty):
     live = [n for n in cluster.nodes if n.node_id != victim or not faulty]
     assert len({n.site_vc.to_tuple() for n in live}) == 1
     battery.assert_counters_add_up(cluster)
+    battery.assert_fixed_width(cluster)
     return authoritative_fingerprint(cluster, KEYS)
 
 

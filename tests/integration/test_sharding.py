@@ -7,11 +7,9 @@ every key's chain at its current owner -- bit-identical to a run that
 never migrated; three migration-nemesis pairs (donor crashed
 mid-shipment, recipient crashed before the flip, donor-recipient
 partition across the cutover) each leave ownership and state untouched
-and converge bit-identically to a fault-free control; and under s=1.1
-Zipfian skew the rebalancer's planner brings max/mean per-node load
-under a bound the static consistent-hash ring provably exceeds.
+and converge bit-identically to a fault-free control.
 
-Determinism mirrors the membership suite: serialized traffic with
+Determinism: serialized traffic with
 settle pauses keeps per-key install order identical across paired runs,
 so store chains, commit clocks, and sequence numbers are comparable bit
 for bit even though a migration shifts event timings; the scaffold is
@@ -23,12 +21,10 @@ from collections import Counter
 import pytest
 
 from repro import RpcConfig, ShardingConfig
-from repro.cluster.directory import ConsistentHashDirectory, ShardMap
-from repro.cluster.rebalancer import MIN_SAMPLES, plan_moves
+from repro.cluster.directory import ShardMap
 from repro.faults import crash_cycle, partition_cycle
 from repro.cluster.handoff import Shipments
 from repro.sim.rng import make_rng
-from repro.workloads import ZipfKeyGenerator
 
 from tests.harness import battery
 from tests.harness.battery import (
@@ -51,7 +47,7 @@ SEEDS = battery.seeds("SHARDING_SEEDS")
 pytestmark = pytest.mark.sharding
 
 
-def build(seed, *, rpc=None, rebalance_interval=None, **config):
+def build(seed, *, rpc=None, **config):
     """A 3-node FW-KV cluster on a 12-shard ShardMap directory; RPCs wait
     forever unless ``rpc`` arms them."""
     return battery.build(
@@ -60,10 +56,7 @@ def build(seed, *, rpc=None, rebalance_interval=None, **config):
         num_keys=len(KEYS),
         rpc=rpc or RpcConfig(),
         **config,
-        sharding=ShardingConfig(
-            enabled=True, num_shards=NUM_SHARDS,
-            rebalance_interval=rebalance_interval,
-        ),
+        sharding=ShardingConfig(enabled=True, num_shards=NUM_SHARDS),
     )
 
 
@@ -89,7 +82,7 @@ def run_live_migration(seed, *, migrate):
     _, outcomes = spawn_plan(cluster, plan, settle=4e-4)
     cluster.run(until=cluster.sim.now + 2e-3)  # traffic well underway
     if migrate:
-        moved = cluster.rebalancer.migrate_shard(shard, dest)
+        moved = cluster.migrate_shard(shard, dest)
     cluster.run()
 
     assert len(outcomes) == len(plan) and all(ok for ok, *_ in outcomes)
@@ -149,7 +142,7 @@ def run_migration_chaos(seed, *, faulty, fault):
     shipment spends 0.6 ms on the wire (:func:`battery.slow_shipments`),
     and the faulty run launches the migration at ``t0`` with the fault
     landing while its shipment is in flight; the shipment settles against
-    the dead link, the rebalancer unfences without flipping, and ownership,
+    the dead link, the migration unfences without flipping, and ownership,
     chains, and foreground traffic are untouched.  Both runs then
     perform the identical clean migration on the same timeline and must
     end bit-identical per node.
@@ -173,7 +166,7 @@ def run_migration_chaos(seed, *, faulty, fault):
             "recipient": crash_cycle(dest, at, down_for),
             "partition": partition_cycle(donor, dest, at, down_for),
         }[fault])
-        first = cluster.rebalancer.migrate_shard(shard, dest)
+        first = cluster.migrate_shard(shard, dest)
         cluster.run(until=t0 + 20e-3)
         assert first.triggered, "faulted migration did not settle"
         assert first.value is False
@@ -187,7 +180,7 @@ def run_migration_chaos(seed, *, faulty, fault):
         )
     else:
         cluster.run(until=t0 + 20e-3)
-    second = cluster.rebalancer.migrate_shard(shard, dest)
+    second = cluster.migrate_shard(shard, dest)
     cluster.run(until=t0 + 30e-3)
     assert second.triggered and second.value is True
     assert shard_map.owner_of(shard) == dest
@@ -221,180 +214,6 @@ def test_migration_nemesis_is_deterministic():
 
 
 # ----------------------------------------------------------------------
-# Skew: the rebalancer flattens s=1.1 Zipf load the static ring cannot
-# ----------------------------------------------------------------------
-SKEW_BOUND = 1.25
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_rebalancer_beats_static_ring_under_zipf_skew(seed):
-    """Under s=1.1 skew, ``plan_moves`` brings max/mean per-node load
-    under a bound the static consistent-hash ring provably exceeds.
-
-    Same planner the live rebalancer runs, fed by the same kind of
-    per-shard counters -- so this regression gates the production code
-    path, not a test-local reimplementation.  (Empirically the ring
-    lands around 1.7x mean and the plan around 1.02x; 1.25 splits them
-    with wide margins on both sides across the CI seed matrix.)
-    """
-    nodes, num_keys, num_shards, draws = 4, 512, 128, 20_000
-    keys = [f"u{i}" for i in range(num_keys)]
-    generator = ZipfKeyGenerator(num_keys, s=1.1)
-    rng = make_rng(seed, "zipf-skew")
-    counts = Counter(generator.next(rng) for _ in range(draws))
-    mean = draws / nodes
-
-    ring = ConsistentHashDirectory(list(range(nodes)))
-    static_load = Counter()
-    for index, count in counts.items():
-        static_load[ring.site(keys[index])] += count
-    static_ratio = max(static_load.values()) / mean
-
-    shard_map = ShardMap(list(range(nodes)), num_shards)
-    shard_loads = Counter()
-    for index, count in counts.items():
-        shard_loads[shard_map.shard_of(keys[index])] += count
-    moves = plan_moves(
-        dict(shard_loads),
-        shard_map.owners(),
-        shard_map.node_ids,
-        threshold=1.02,
-        max_moves=64,
-    )
-    assert moves, "skewed load must trigger rebalancing moves"
-    for shard, dest in moves:
-        shard_map.assign(shard, dest)
-    rebalanced_load = Counter()
-    for index, count in counts.items():
-        rebalanced_load[shard_map.site(keys[index])] += count
-    rebalanced_ratio = max(rebalanced_load.values()) / mean
-
-    assert static_ratio > SKEW_BOUND, (
-        f"static ring unexpectedly balanced: {static_ratio:.3f}"
-    )
-    assert rebalanced_ratio < SKEW_BOUND, (
-        f"rebalancer left imbalance: {rebalanced_ratio:.3f}"
-    )
-
-
-@pytest.mark.parametrize("background", [False, True])
-def test_rebalance_once_moves_hot_shard_under_live_skew(background):
-    """The live metrics-driven path: skewed traffic populates the
-    per-shard counters, and one ``rebalance_once`` pass -- driven
-    explicitly, or by the ``rebalance_interval`` background loop --
-    migrates load off the hottest node."""
-    seed = SEEDS[0]
-    cluster, _ = build(seed, rebalance_interval=1e-3 if background else None)
-    shard_map = cluster.directory
-    # Pin all the traffic on two loaded shards of one node, so the hot
-    # node's load is divisible and a single shard move must improve it
-    # (two hot shards on different nodes would be irreducible: moving
-    # either only relocates the hotspot, and the planner refuses).
-    hot_owner = 0
-    hot_shards = [
-        s
-        for s in shard_map.shards_of(hot_owner)
-        if any(shard_map.shard_of(k) == s for k in KEYS)
-    ][:2]
-    assert len(hot_shards) == 2
-    hot = [
-        next(k for k in KEYS if shard_map.shard_of(k) == s)
-        for s in hot_shards
-    ]
-    plan = [(n % NUM_NODES, list(hot)) for n in range(20)]
-    drive(cluster, plan)
-
-    if background:
-        # The constructor started the loop: it planned alongside the
-        # traffic, once per period.
-        cluster.stop_healing()
-        cluster.run()
-        assert cluster.metrics.counters["rebalance_rounds"] > 1
-    else:
-        # Below MIN_SAMPLES the planner would not trust the signal.
-        assert sum(cluster.metrics.shard_loads.values()) >= MIN_SAMPLES
-        done = None
-
-        def driver():
-            nonlocal done
-            done = yield from cluster.rebalancer.rebalance_once()
-
-        cluster.spawn(driver(), name="rebalance")
-        cluster.run()
-        assert done == 1
-    assert cluster.metrics.counters["shard_migrations"] == 1
-    shard, src, dst = cluster.rebalancer.migrations[0]
-    assert src == hot_owner, "the hottest node must shed the shard"
-    assert shard_map.owner_of(shard) == dst
-    assert cluster.metrics.aborts == 0
-
-
-# ----------------------------------------------------------------------
-# Elastic membership on a sharded cluster
-# ----------------------------------------------------------------------
-def test_join_and_decommission_on_sharded_cluster():
-    """The membership drivers work through ShardMap's incremental ops:
-    a joiner inherits whole shards, a decommissioned node hands its
-    shards off, and no lookup ever lands on the retired member."""
-    seed = SEEDS[0]
-    cluster, _ = build(seed)
-    shard_map = cluster.directory
-    rng = make_rng(seed, "sharding-membership")
-    drive(cluster, rmw_plan(rng, range(NUM_NODES), 8, KEYS))
-
-    joined = cluster.add_node()
-    cluster.run()
-    assert joined.value is True
-    joiner = NUM_NODES
-    assert shard_map.shards_of(joiner), "the joiner must own shards"
-    assert all(
-        cluster.directory.site(k) in shard_map.node_ids for k in KEYS
-    )
-
-    victim = 0
-    left = cluster.remove_node(victim)
-    cluster.run()
-    assert left.value is True
-    assert victim in shard_map.retired
-    assert not shard_map.shards_of(victim)
-    assert all(cluster.directory.site(k) != victim for k in KEYS)
-    for key in KEYS:
-        assert key in cluster.node(cluster.directory.site(key)).store.keys()
-    assert cluster.metrics.aborts == 0
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_join_then_leave_beside_the_rebalance_loop(seed):
-    """The rebalance loop keeps moving load off a hot node while a node
-    joins and the hot node leaves: every cutover checks at flip time
-    that its donors still own their shards, so both changes complete
-    and the run is PSI-clean at quiescence."""
-    cluster, _ = build(seed, rebalance_interval=1e-3)
-    shard_map = cluster.directory
-    hot = [k for k in KEYS if shard_map.site(k) == 0]
-    rng = make_rng(seed, "sharding-composition")
-    plan = rmw_plan(rng, range(NUM_NODES), 60, hot[:4] + KEYS[:4])
-    _, outcomes = spawn_plan(cluster, plan, settle=2e-4)
-    steps = []
-
-    def churn():
-        yield cluster.sim.timeout(3e-3)
-        steps.append((yield cluster.add_node()))
-        steps.append((yield cluster.remove_node(0)))
-
-    churning = cluster.spawn(churn(), name="churn")
-    while not churning.triggered or len(outcomes) < len(plan):
-        cluster.run(until=cluster.sim.now + 5e-3)
-    cluster.stop_healing()
-    cluster.run()
-    assert steps == [True, True]
-    assert all(ok for ok, *_ in outcomes)
-    assert cluster.metrics.counters["shard_migrations"] >= 1
-    assert not shard_map.shards_of(0) and 0 in shard_map.retired
-    assert_psi(cluster, quiescent=True)
-
-
-# ----------------------------------------------------------------------
 # Observability: counters and trace kinds
 # ----------------------------------------------------------------------
 def test_sharding_counters_and_traces_surface():
@@ -404,7 +223,7 @@ def test_sharding_counters_and_traces_surface():
     cluster.tracer.enable()
     drive(cluster, [(0, ["k0", "k1"]), (1, ["k2", "k3"])])
     shard, donor, dest = migration_target(cluster)
-    moved = cluster.rebalancer.migrate_shard(shard, dest)
+    moved = cluster.migrate_shard(shard, dest)
     cluster.run()
     assert moved.value is True
 
@@ -413,7 +232,6 @@ def test_sharding_counters_and_traces_surface():
     assert summary["shard_migrations"] == 1
     assert summary["shard_migration_keys"] >= 1
     assert summary["shard_migrations_failed"] == 0
-    assert cluster.metrics.shard_loads, "load tracking must be armed"
 
     assert cluster.tracer.of_kind("shard_migrate_start")
 
@@ -456,7 +274,7 @@ def test_a_hot_key_handed_off_mid_queue_drains_its_old_line_by_lease():
         cluster.spawn(contender(other, index * 2e-6))
     cluster.run(until=40e-6)
     assert cluster.node(donor).line.lock_for(hot).queue_length == 4
-    moved = cluster.rebalancer.migrate_shard(shard, dest)
+    moved = cluster.migrate_shard(shard, dest)
     cluster.run()
 
     assert moved.value is True and cluster.directory.site(hot) == dest
@@ -539,27 +357,13 @@ def assert_kept_at_final_owner(cluster, key, acked, moved):
     assert_psi(cluster, quiescent=True)
 
 
-def test_a_view_commit_mid_migration_keeps_the_migrations_fence(monkeypatch):
-    """A join's JOINING view commits while the migration's drain waits on
-    ``k1``'s lock: the fence stays up, so a write of ``k10`` started as
-    shipping begins parks, hears "moved" and commits at the new owner."""
-    cluster, acked = migrate_with(monkeypatch, "k10", "start")
-    lock = cluster.node(DONOR).locks.lock_for("k1")
-    assert lock.acquire_write("in-flight").triggered
-    cluster.sim.call_later(3e-3, lock.release, "in-flight")
-    moved = cluster.rebalancer.migrate_shard(SHARD, DEST)
-    joined = cluster.add_node()
-    assert_kept_at_final_owner(cluster, "k10", acked, moved)
-    assert joined.value is True
-
-
 def test_a_key_first_written_mid_migration_is_fenced_with_its_shard(monkeypatch):
     fresh = next(
         f"new{i}" for i in range(100)
         if ShardMap(range(NUM_NODES), NUM_SHARDS).shard_of(f"new{i}") == SHARD
     )
     cluster, acked = migrate_with(monkeypatch, fresh, "start")
-    moved = cluster.rebalancer.migrate_shard(SHARD, DEST)
+    moved = cluster.migrate_shard(SHARD, DEST)
     assert_kept_at_final_owner(cluster, fresh, acked, moved)
 
 
@@ -568,7 +372,7 @@ def test_a_prepare_landing_after_the_unfence_rechecks_ownership(monkeypatch):
     arrives after the unfence: the flipped directory (epoch 1) makes the
     donor re-check ownership and answer "moved"."""
     cluster, acked = migrate_with(monkeypatch, "k10", "done", hold=15e-6)
-    moved = cluster.rebalancer.migrate_shard(SHARD, DEST)
+    moved = cluster.migrate_shard(SHARD, DEST)
     assert_kept_at_final_owner(cluster, "k10", acked, moved)
 
 
@@ -581,7 +385,7 @@ def test_a_reader_at_the_donor_is_known_to_the_new_owners_writer():
     reader = cluster.node(2)
     txn = reader.begin(is_read_only=True)
     assert cluster.run_process(reader.read(txn, "k10")) == 0
-    moved = cluster.rebalancer.migrate_shard(SHARD, DEST)
+    moved = cluster.migrate_shard(SHARD, DEST)
     cluster.run()
     assert moved.value is True
     assert cluster.run_txn(

@@ -249,7 +249,7 @@ def test_queue_spoken_for_and_lost_round_trip():
     assert plain.queue is False
     assert wire.ReadReturnBody("v", None, 5, 6).spoken_for is False
     assert wire.VoteBody(True).lost is None
-    assert WIRE_VERSION == 11
+    assert WIRE_VERSION == 12
 
 
 def test_the_replication_stream_bodies_carry_its_incarnation():
@@ -264,7 +264,7 @@ def test_the_replication_stream_bodies_carry_its_incarnation():
         decoded = decode_value(encode_value(message))
         assert decoded == message
         assert encode_value(decoded) == encode_value(message)
-    assert WIRE_VERSION == 11
+    assert WIRE_VERSION == 12
 
 
 def test_a_shipment_is_one_body():
@@ -281,23 +281,15 @@ def test_a_shipment_is_one_body():
     assert encode_value(decoded) == encode_value(message)
     assert REGISTRY[29] is wire.ShardShipmentBody
     assert not {14, 15, 16} & set(REGISTRY)
-    assert WIRE_VERSION == 11
+    assert WIRE_VERSION == 12
 
 
-def test_a_view_change_is_one_commit():
-    """Wire version 10: a view is installed by its one-way commit alone;
-    the codes of the propose and ack bodies stay retired.  Wire version
-    11: a view's members are its ids."""
-    message = wire.ViewCommitBody(epoch=3, members=(0, 4), retired=((2, 17),))
-    decoded = decode_value(encode_value(message))
-    assert decoded == message
-    assert encode_value(decoded) == encode_value(message)
-    assert REGISTRY[22] is wire.ViewCommitBody
-    assert not {20, 21} & set(REGISTRY)
-    assert [name for name in vars(wire) if name.startswith("View")] == [
-        "ViewCommitBody"
-    ]
-    assert WIRE_VERSION == 11
+def test_the_view_codes_stay_retired():
+    """Wire version 12: the sites are fixed, so no view message is left;
+    the codes of the view propose, ack and commit bodies stay retired."""
+    assert not {20, 21, 22} & set(REGISTRY)
+    assert not [name for name in vars(wire) if name.startswith("View")]
+    assert WIRE_VERSION == 12
 
 
 def test_dict_encoding_is_insertion_order_independent():

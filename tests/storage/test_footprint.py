@@ -291,6 +291,6 @@ def test_one_commit_holds_one_frozen_clock_per_site(installer, monkeypatch):
     assert installer == "_promote" or max(map(len, clocks.values())) > 1
     for clock, *_ in clocks.values():
         for mutate in (lambda: clock.__setitem__(0, 9), lambda: clock.merge(clock),
-                       lambda: clock.merge_seq((9,)), lambda: clock.widen(99)):
+                       lambda: clock.merge_seq((9,))):
             with pytest.raises(TypeError, match="frozen vector clock"):
                 mutate()

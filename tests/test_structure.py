@@ -11,13 +11,10 @@ import inspect
 import re
 from pathlib import Path
 
-import repro.cluster
 import repro.config
 import repro.faults.schedules
 import repro.net.rpc
 from repro.cluster.handoff import Shipments, fenced_handoff
-from repro.cluster.membership import MembershipView, NodeMembership
-from repro.cluster.reconfig import ReconfigDriver
 from repro.core.repair import Fence
 from repro.core.vector_clock import VectorClock
 from repro.core.wire import PropagateBody, ShardShipmentBody
@@ -25,6 +22,7 @@ from repro.healing import NodeHealing
 from repro.metrics.events import COUNTERS, COUNTS, EVENTS, TRACED
 from repro.metrics.stats import MetricsRecorder
 from repro.net.message import MessageType
+from repro.system import Cluster
 
 SRC = Path(repro.config.__file__).parent
 TESTS = Path(__file__).parent
@@ -61,8 +59,10 @@ TESTS = Path(__file__).parent
 #: Lowered -109 by a view being its members: the member lifecycle states,
 #: the sets and lookups derived from them, the join's second commit, the
 #: leave's apply wait and revert, gossip's static peer list and the async
-#: replication mode.
-TOTAL_SRC_LINES = 15887
+#: replication mode.  Lowered -1017 by fixed sites: elastic join and
+#: leave, their views on the wire and in the WAL, the load-driven
+#: rebalancer and every width branch of the clock algebra.
+TOTAL_SRC_LINES = 14870
 #: Lines over every ``*.py`` under ``tests/``.  Raised +102 for the
 #: loaded-key footprint pins, census and chain shape; lowered -17 by the
 #: one read path (the backup-read tests out, owner-read tests in), -343
@@ -100,16 +100,26 @@ TOTAL_SRC_LINES = 15887
 #: per-member one-commit checks of a join and a leave with the 1 ms
 #: leave bound, the ids-only view check, the churn test's in-flight
 #: bookkeeping and the decommission crash hooked onto the removal commit.
-TOTAL_TEST_LINES = 18478
+#: Lowered for fixed sites: the membership suite, the join/leave and
+#: rebalancer cases of the sharding suite, the planner properties and
+#: pinned owner tables, the mixed-width clock cases and the view wire
+#: case out; the fixed-sites check and the fixed-width asserts in.
+#: Raised for the fixed-width cases: every clock ``num_nodes`` wide after
+#: each scenario that builds, rebuilds or ships clocks, at every cluster
+#: size and under every directory kind; the clock algebra against its
+#: reference at widths 1-8; the shard placement pinned per member set.
+TOTAL_TEST_LINES = 17895
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``; 1063 before
-#: its adaptive Propagate windows went).
-LONGEST_FILE = 993
+#: its adaptive Propagate windows went, 993 before fixed sites).
+LONGEST_FILE = 952
 #: ``replication/shard.py`` (stream pump, ``NodeReplication``,
 #: ``ClusterReplication``) once ``FailoverDriver`` left for ``failover.py``
-#: and backups stopped serving reads; 601 before the pipelined stream.
-SHARD_FILE = 580
-#: Fields over all config dataclasses in ``repro.config``.
-CONFIG_FIELDS = 51
+#: and backups stopped serving reads; 601 before the pipelined stream,
+#: 580 before fixed sites.
+SHARD_FILE = 574
+#: Fields over all config dataclasses in ``repro.config`` (51 before
+#: ``ShardingConfig.rebalance_interval`` went with the rebalancer).
+CONFIG_FIELDS = 50
 #: Config fields nothing reads.  ``group_commit_window``, ``batching``
 #: (``BatchingConfig.adaptive``) and ``ReplicationConfig.mode`` (which
 #: must be ``"sync"``) stay accepted only because the frozen
@@ -132,7 +142,7 @@ def test_no_source_file_outgrows_the_longest_one():
 
 def test_vector_clocks_only_widen():
     """No clock comparison takes a ``dropped``-origin mask, because no
-    clock can lose an entry: the width rule is "stay wide"."""
+    clock can lose an entry: every clock is ``num_nodes`` wide."""
     masked = [
         f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
         for path in SRC.rglob("*.py")
@@ -259,8 +269,8 @@ def test_reads_are_sent_from_read_only():
 
 def test_only_the_shard_map_re_places_keys():
     """One elastic directory: the ring and the scripted directories are
-    static look-ups, and joins, leaves and migrations flip a ShardMap
-    through one cutover."""
+    static look-ups, and migrations, promotions and backup bootstraps
+    flip a ShardMap through one cutover."""
     tree = ast.parse((SRC / "cluster" / "directory.py").read_text())
     methods = {
         cls.name: {
@@ -275,9 +285,8 @@ def test_only_the_shard_map_re_places_keys():
     elastic = {name for name, defined in methods.items() if defined & mutators}
     assert elastic == {"ShardMap"}, elastic
     # One cutover: ``ShardMap.assign`` is the only writer of an owner
-    # entry (joins and leaves are planned moves, not a second placement
-    # algorithm), the fence has no every-key level for a view commit to
-    # lift, and no handoff holds its fence past its own act.
+    # entry, the fence has no every-key level, and no handoff holds its
+    # fence past its own act.
     writers = {
         f"{cls.name}.{function.name}"
         for path in SRC.rglob("*.py")
@@ -311,7 +320,7 @@ def _methods(tree):
 def test_one_in_order_applier_advances_site_vc():
     """Alg. 5 line 16 is written once (``core/apply.py``): ``siteVC`` is
     written by the clock-only tick, the Decide's data tick and the wipe
-    and replay paths; widened on first sight only by ``Applier.see``;
+    and replay paths; never widened (its width is fixed from birth);
     waited on only by the gate (the read handler's snapshot stall aside);
     and no caller hand-builds a set of sequence numbers to leave alone."""
     writers, waiters, wideners, gone = set(), set(), set(), set()
@@ -341,10 +350,7 @@ def test_one_in_order_applier_advances_site_vc():
         "apply.tick", "mvcc_node._apply_committed_decide",
         "recovery._wipe_volatile", "recovery._install_replayed", "wal.replay",
     }, writers
-    assert wideners == {
-        "apply.see", "membership.apply_commit", "membership.restore",
-        "recovery._install_replayed", "wal.replay",
-    }, wideners
+    assert wideners == set(), wideners
     assert waiters == {"apply.turn", "mvcc_node.on_read_request"}, waiters
     assert not gone, gone
 
@@ -413,36 +419,30 @@ def test_one_chain_transfer():
     assert "shard" not in EVENTS["snapshot_install"].fields
 
 
-def test_a_view_change_is_one_commit():
-    """A view is installed by its one-way, idempotent commit alone: no
-    propose/ack round goes first, a node keeps no ack state, and the
-    drivers' commit helper is a plain call, not a round to wait out.
-    A view carries member ids only: no lifecycle state, and nothing
-    derived from one."""
-    assert [name for name in vars(MessageType) if name.startswith("VIEW")] == [
-        "VIEW_COMMIT"
-    ]
-    assert [name for name in vars(NodeMembership) if name.startswith("on_")] == [
-        "on_view_commit"
-    ]
-    assert not {"propose", "acks"} & (
-        set(vars(NodeMembership)) | set(NodeMembership.__init__.__code__.co_names)
+def test_sites_are_fixed():
+    """The paper's fixed set of sites: no membership view, join, leave or
+    load-driven rebalancer, and every clock is ``num_nodes`` wide from
+    birth -- nothing widens one, and no message carries an older width."""
+    for module in ("membership", "reconfig", "rebalancer"):
+        assert importlib.util.find_spec(f"repro.cluster.{module}") is None
+    assert not hasattr(VectorClock, "widen")
+    assert not {"add_node", "remove_node", "rebalancer"} & set(vars(Cluster))
+    assert "rebalance_interval" not in {
+        field.name for field in dataclasses.fields(repro.config.ShardingConfig)
+    }
+    assert not [name for name in vars(MessageType) if name.startswith("VIEW")]
+    elastic = re.compile(
+        r"widen|stale_width|ViewCommit|ViewChange|_removed|shard_loads"
     )
-    assert [kind for kind in EVENTS if kind.startswith("view")] == ["view_commit"]
-    assert not inspect.isgeneratorfunction(ReconfigDriver._commit)
-    assert not inspect.isgeneratorfunction(ReconfigDriver._commit_removal)
-    assert MembershipView.__slots__ == ("epoch", "members", "retired")
-    assert MembershipView.initial([2, 0, 1]).members == (0, 1, 2)
-    states = {"ACTIVE", "JOINING", "DRAINING"}
-    assert not states & (set(vars(repro.cluster)) | set(vars(repro.cluster.membership)))
-    lifecycle = re.compile(r"\b(JOINING|DRAINING|state_of|ring_ids|fanout_ids)\b")
     found = [
         f"{path.relative_to(SRC)}:{number}"
         for path in sorted(SRC.rglob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if lifecycle.search(line)
+        if elastic.search(line)
     ]
     assert not found, found
+
+
 def test_fault_schedules_keep_only_their_primitives():
     """A scenario composes primitives (the nemesis orders the events); a
     builder that renames one or fixes a composition is not another."""
