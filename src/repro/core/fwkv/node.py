@@ -193,6 +193,4 @@ class FWKVNode(MVCCNode):
     def on_remove(self, envelope: Envelope) -> None:
         """Alg. 6 lines 5-10, via the store's reverse index."""
         body: RemoveBody = envelope.payload
-        now = self.sim.now
-        for txn_id in body.txn_ids:
-            self.store.vas_remove_txn(txn_id, now=now)
+        self.store.vas_remove_txns(body.txn_ids, self.sim.now)

@@ -92,7 +92,7 @@ def client_loop(
             attempts += 1
             txn = node.begin(program.is_read_only, program.profile)
             ctx = TxnContext(node, txn)
-            yield sim.sleep(CLIENT_OVERHEAD)
+            yield CLIENT_OVERHEAD
             try:
                 if lost is not None:
                     # FW-KV (DESIGN.md 4): first, and in line at its home;
@@ -115,7 +115,7 @@ def client_loop(
                     txn, sim.now - first_attempt_started, attempts
                 )
                 break
-            yield sim.sleep(retry_delay(backoff, attempts, rng))
+            yield retry_delay(backoff, attempts, rng)
 
 
 def run_experiment(

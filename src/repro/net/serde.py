@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Any, Dict, List, Tuple
 
 from repro.core import wire
 from repro.net.message import Envelope

@@ -10,10 +10,12 @@ Architecture (see docs/networking.md for the full walkthrough):
   frames arriving from TCP connections into the simulator as they
   land.
 * All socket I/O lives on a private asyncio event loop running in a
-  daemon thread.  The simulator thread never blocks on a socket: sends
-  enqueue an already-encoded frame onto the loop via
-  ``call_soon_threadsafe``, and inbound frames are decoded on the I/O
-  thread and handed over through a plain deque + wakeup event.
+  daemon thread (imported by the methods that use it, so a simulated
+  run that imports this module loads no asyncio or ssl).  The
+  simulator thread never blocks on a socket: sends enqueue an
+  already-encoded frame onto the loop via ``call_soon_threadsafe``, and
+  inbound frames are decoded on the I/O thread and handed over through
+  a plain deque + wakeup event.
 * Every envelope -- including a node's messages to itself -- goes
   through the canonical byte serde (:mod:`repro.net.serde`), so a
   payload that cannot survive a real wire fails loudly on any backend
@@ -41,7 +43,6 @@ Fault injection is a simulator feature; the base-class surface answers
 
 from __future__ import annotations
 
-import asyncio
 import struct
 import threading
 import time
@@ -156,6 +157,7 @@ class SocketTransport(Transport):
         #: :meth:`pump` on the simulator thread (deque ops are atomic).
         self._inbox: deque = deque()
         self._wakeup = threading.Event()
+        import asyncio
 
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -253,6 +255,7 @@ class SocketTransport(Transport):
     def _enqueue_frame(self, dst: int, frame: bytes) -> None:
         link = self._links.get(dst)
         if link is None:
+            import asyncio
             queue: asyncio.Queue = asyncio.Queue()
             task = self._loop.create_task(self._run_link(dst, queue))
             link = self._links[dst] = _PeerLink(queue, task)
@@ -260,6 +263,7 @@ class SocketTransport(Transport):
 
     async def _connect(self, dst: int) -> Optional[asyncio.StreamWriter]:
         """Dial ``dst`` with the scaled backoff ladder; None on give-up."""
+        import asyncio
         host, port = self._peers[dst]
         for attempt in range(MAX_CONNECT_ATTEMPTS):
             try:
@@ -328,6 +332,7 @@ class SocketTransport(Transport):
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        import asyncio
         task = asyncio.current_task()
         self._conn_tasks.add(task)
         try:
@@ -442,6 +447,7 @@ class SocketTransport(Transport):
         if self._closed:
             return
         self._closed = True
+        import asyncio
 
         async def _shutdown() -> None:
             for link in self._links.values():

@@ -10,13 +10,13 @@ The design is intentionally close to a small subset of SimPy:
 * :class:`~repro.sim.simulator.Simulator` owns the event heap and clock.
 * :class:`~repro.sim.events.Event` is a one-shot waitable.
 * :class:`~repro.sim.process.Process` drives a generator that ``yield``\\ s
-  events (or other processes) to wait on them.
+  events (or processes) to wait on them, or a ``float`` delay to pause.
 * :class:`~repro.sim.condition.ConditionVariable` supports predicate waits.
 * :class:`~repro.sim.locks.RWLock` is a FIFO-fair simulated lock with
   acquisition timeouts.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, EventState
+from repro.sim.events import AllOf, Event, EventState
 from repro.sim.process import PeriodicLoop, Process
 from repro.sim.simulator import Simulator, Timer
 from repro.sim.condition import ConditionVariable, wait_until
@@ -27,7 +27,6 @@ from repro.sim.tracing import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "ConditionVariable",
     "CpuResource",
     "Event",

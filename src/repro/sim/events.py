@@ -174,33 +174,3 @@ class AllOf(Event):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([c.value for c in self._children])
-
-
-class AnyOf(Event):
-    """Event that succeeds as soon as any child event triggers.
-
-    The delivered value is the ``(index, value)`` pair of the first child
-    to succeed.  A failing first child fails this event.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulator", events: Sequence[Event]) -> None:
-        super().__init__(sim, name="AnyOf")
-        self._children = list(events)
-        if not self._children:
-            raise ValueError("AnyOf requires at least one event")
-        for index, child in enumerate(self._children):
-            child.add_callback(self._make_callback(index))
-
-    def _make_callback(self, index: int) -> Callable[[Event], None]:
-        def on_child(child: Event) -> None:
-            if self.triggered:
-                return
-            if child.ok:
-                self.succeed((index, child.value))
-            else:
-                assert child.exception is not None
-                self.fail(child.exception)
-
-        return on_child

@@ -11,7 +11,7 @@ lock was granted or ``False`` when the timeout fired first.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, Hashable, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Hashable, Optional
 
 from repro.sim.events import Event
 
@@ -87,7 +87,6 @@ class RWLock:
         return self._acquire(owner, _WRITE, timeout)
 
     def _acquire(self, owner: Owner, kind: str, timeout: Optional[float]) -> Event:
-        event = Event(self.sim, "lock-w" if kind is _WRITE else "lock-r")
         entry = self._holders.get(owner)
         if entry is not None:
             if entry[0] != kind:
@@ -103,14 +102,14 @@ class RWLock:
             # the head of an empty queue, without queueing it first.
             self._holders[owner] = [kind, 1]
         else:
+            event = Event(self.sim, "lock-w" if kind is _WRITE else "lock-r")
             request = _Request(owner, kind, event)
             self._queue.append(request)
             self._drain()
             if not event.triggered and timeout is not None:
                 request.timer = self.sim.call_later(timeout, self._expire, request)
             return event
-        event.succeed(True)
-        return event
+        return self.sim.granted
 
     def _expire(self, request: _Request) -> None:
         if request.event.triggered:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Union
 
 from repro.sim.events import Event, EventState
 
@@ -12,7 +12,7 @@ _SUCCEEDED = EventState.SUCCEEDED
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import Simulator
 
-ProcessGenerator = Generator[Event, Any, Any]
+ProcessGenerator = Generator[Union[Event, float], Any, Any]
 
 
 class Process(Event):
@@ -20,11 +20,13 @@ class Process(Event):
 
     A process wraps a generator.  Each value the generator ``yield``\\ s must
     be an :class:`Event` (a :class:`Process` is itself an event, so processes
-    can join each other).  The process resumes with the event's value, or the
-    event's exception is thrown into the generator.  When the generator
-    returns, the process succeeds with the returned value; an uncaught
-    exception fails the process (and propagates to joiners, or crashes the
-    simulation if nobody joined).
+    can join each other), or a ``float`` delay in virtual seconds, which
+    resumes it exactly as ``yield sim.timeout(delay)`` would without the
+    event.  The process resumes with the event's value (``None`` after a
+    delay), or the event's exception is thrown into the generator.  When
+    the generator returns, the process succeeds with the returned value;
+    an uncaught exception fails the process (and propagates to joiners, or
+    crashes the simulation if nobody joined).
 
     Sub-routines compose with ``yield from``: any helper written as a
     generator of events can be inlined into a process without spawning.
@@ -70,10 +72,17 @@ class Process(Event):
                 self._fail_process(exc)
                 return
 
+            if target.__class__ is float:  # a bare delay
+                if target < 0:  # thrown in where ``sim.timeout`` would raise
+                    triggered = Event(self.sim).fail(ValueError(f"negative delay {target}"))
+                    continue
+                # Expiry resumes it as ``Event.succeed_tail`` would a timeout's.
+                self.sim._post_at(self.sim.now + target, self.sim._wake, self._step, None)
+                return
             if not isinstance(target, Event):
                 exc = TypeError(
                     f"process {self.name!r} yielded {target!r}; "
-                    "processes may only yield Event instances"
+                    "processes may only yield Event instances or float delays"
                 )
                 gen.close()
                 self._fail_process(exc)

@@ -49,7 +49,7 @@ class CpuResource:
             self._queue.append(gate)
             yield gate  # a finishing job hands its core over directly
         try:
-            yield self.sim.sleep(cost)
+            yield cost  # a bare delay: nothing else waits on it
         finally:
             if self._queue:
                 self._queue.popleft().succeed(None)

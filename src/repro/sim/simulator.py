@@ -76,6 +76,8 @@ class Simulator:
         self._crashes: List[Tuple[Process, BaseException]] = []
         #: Callbacks executed so far (perf harness: events per wall-second).
         self.executed_count = 0
+        #: The granted event (value ``True``) an uncontended lock acquire returns.
+        self.granted = Event(self, "granted").succeed(True)
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -159,6 +161,7 @@ class Simulator:
         pause (CPU charges, think time, retry backoff).  Nobody cancels
         one, so no :class:`Timer` handle is allocated; a deadline that may
         lose its race is a :meth:`call_later` timer, cancelled in place.
+        A process that only pauses yields the ``float`` delay itself.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")

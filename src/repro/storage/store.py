@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.core.vector_clock import VectorClock
 from repro.storage.chain import SnapshotVersion, VersionChain
@@ -26,7 +26,7 @@ class MultiVersionStore:
     literal scan of all chains would be O(store); we maintain a reverse
     index ``txn_id -> versions`` so removal costs O(entries), with the same
     semantics.  All VAS mutations must therefore go through
-    :meth:`vas_add` / :meth:`vas_extend` / :meth:`vas_remove_txn`.
+    :meth:`vas_add` / :meth:`vas_extend` / :meth:`vas_remove_txns`.
 
     **Tombstones.**  A Remove races with in-flight update commits whose
     Decide still carries the removed identifier in its collected set; a
@@ -183,52 +183,59 @@ class MultiVersionStore:
                 self.vas_extend(mine, version.vas)
 
     def vas_remove_txn(self, txn_id: int, now: float = 0.0) -> int:
-        """Erase ``txn_id`` from every VAS on this node (Remove handler).
+        """:meth:`vas_remove_txns` of one identifier."""
+        return self.vas_remove_txns((txn_id,), now)
 
-        Returns the number of entries erased.  The identifier is
-        tombstoned against late re-insertion by in-flight commits.
-        """
-        window, ids = self._tombstones, self._expiry_ids
-        times, ends = self._expiry_times, self._expiry_ends
-        if not window or txn_id < self._tombstone_base:
-            window[:0] = bytes(self._tombstone_base - txn_id if window else 0)
-            self._tombstone_base = txn_id
-        offset = txn_id - self._tombstone_base
-        if offset >= len(window):
-            window.extend(bytes(offset + 1 - len(window)))
-        if not window[offset]:
-            window[offset] = 1
-            ids.append(txn_id)
-            if not times or times[-1] != now:
-                times.append(now)
-                ends.append(0)
-            ends[-1] = len(ids)
-        head, horizon = self._expiry_head, now - TOMBSTONE_TTL
-        if times[head] <= horizon:
-            base, start = self._tombstone_base, ends[head - 1] if head else 0
-            head = bisect_right(times, horizon, head)
-            for expired in ids[start:ends[head - 1]]:
-                window[expired - base] = 0
-            # Cut the window back to the oldest and newest id still held.
-            del window[window.rfind(1) + 1:]
-            start = max(window.find(1), 0)
-            del window[:start]
-            self._tombstone_base = base + start
-            cut = ends[head - 1]
-            if 2 * cut > len(ids):
-                del ids[:cut], times[:head], ends[:head]
-                self._expiry_ends = array("q", [end - cut for end in ends])
-                head = 0
-            self._expiry_head = head
-        versions = self._vas_index.pop(txn_id, None)
-        if not versions:
-            return 0
-        for version in versions:
-            vas = version.vas
-            vas.discard(txn_id)
-            if not vas:
-                version.vas = None
-        return len(versions)
+    def vas_remove_txns(self, txn_ids: Sequence[int], now: float = 0.0) -> int:
+        """Erase each of one Remove message's ``txn_ids`` from every VAS on
+        this node, tombstoning it against late re-insertion by in-flight
+        commits; returns the entries erased.  Expiry runs once, after the
+        first id: the ids share ``now``, so the rest would expire nothing."""
+        window, ids, times = self._tombstones, self._expiry_ids, self._expiry_times
+        horizon, expire = now - TOMBSTONE_TTL, True
+        for txn_id in txn_ids:
+            if not window or txn_id < self._tombstone_base:
+                window[:0] = bytes(self._tombstone_base - txn_id if window else 0)
+                self._tombstone_base = txn_id
+            offset = txn_id - self._tombstone_base
+            if offset >= len(window):
+                window.extend(bytes(offset + 1 - len(window)))
+            if not window[offset]:
+                window[offset] = 1
+                ids.append(txn_id)
+                if not times or times[-1] != now:
+                    times.append(now)
+                    self._expiry_ends.append(0)
+                self._expiry_ends[-1] = len(ids)
+            if expire and times[self._expiry_head] <= horizon:
+                head, ends = self._expiry_head, self._expiry_ends
+                base, start = self._tombstone_base, ends[head - 1] if head else 0
+                head = bisect_right(times, horizon, head)
+                for expired in ids[start:ends[head - 1]]:
+                    window[expired - base] = 0
+                # Cut the window back to the oldest and newest id still held.
+                del window[window.rfind(1) + 1:]
+                start = max(window.find(1), 0)
+                del window[:start]
+                self._tombstone_base = base + start
+                cut = ends[head - 1]
+                if 2 * cut > len(ids):
+                    del ids[:cut], times[:head], ends[:head]
+                    self._expiry_ends = array("q", [end - cut for end in ends])
+                    head = 0
+                self._expiry_head = head
+            expire = False
+        erased, index = 0, self._vas_index
+        for txn_id in txn_ids:
+            versions = index.pop(txn_id, None)
+            if versions:
+                erased += len(versions)
+                for version in versions:
+                    vas = version.vas
+                    vas.discard(txn_id)
+                    if not vas:
+                        version.vas = None
+        return erased
 
     def vas_total_entries(self) -> int:
         """Total VAS entries on this node (metrics/invariant checks)."""

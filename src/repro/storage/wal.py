@@ -47,7 +47,6 @@ become durable, since none of its messages escape the crashed node.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Tuple,
@@ -356,6 +355,8 @@ def checkpoint_fingerprint(
     compared between capture and restore, both within one process, so
     only self-consistency is required.
     """
+    import hashlib  # here, so a run that never checkpoints loads no OpenSSL
+
     hasher = hashlib.sha256()
     for key, base_vid, versions in sorted(
         chains, key=lambda entry: repr(entry[0])

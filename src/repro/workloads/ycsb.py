@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from repro.workloads.base import TxnContext, TxnProgram, Workload

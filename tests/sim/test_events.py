@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Simulator
+from repro.sim import AllOf, Event, Simulator
 
 
 def test_event_succeed_delivers_value():
@@ -118,17 +118,41 @@ def test_yield_from_subroutine_composes():
     assert sim.now == 3.0
 
 
-def test_yielding_non_event_is_an_error():
+@pytest.mark.parametrize("value", [42, "1.0", None, True])
+def test_yielding_neither_an_event_nor_a_float_is_an_error(value):
     sim = Simulator()
 
     def bad():
-        yield 42
+        yield value
 
     def parent():
         yield sim.spawn(bad())
 
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="Event instances or float delays"):
         sim.run_process(parent())
+
+
+def test_a_float_delay_pauses_and_resumes_with_none():
+    sim = Simulator()
+
+    def proc():
+        got = yield 2.5
+        return got, sim.now
+
+    assert sim.run_process(proc()) == (None, 2.5)
+
+
+def test_a_negative_delay_raises_inside_the_generator():
+    sim = Simulator()
+
+    def proc():
+        try:
+            yield -1.0
+        except ValueError as exc:
+            yield 1.0  # the process carries on after handling it
+            return str(exc), sim.now
+
+    assert sim.run_process(proc()) == ("negative delay -1.0", 1.0)
 
 
 def test_spawn_requires_generator():
@@ -171,23 +195,6 @@ def test_allof_fails_on_child_failure():
             return "failed"
 
     assert sim.run_process(proc()) == "failed"
-
-
-def test_anyof_returns_first_completion():
-    sim = Simulator()
-    events = [sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")]
-
-    def proc():
-        index, value = yield AnyOf(sim, events)
-        return index, value
-
-    assert sim.run_process(proc()) == (1, "fast")
-
-
-def test_anyof_requires_children():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
 
 
 def test_event_repr_mentions_state():

@@ -251,3 +251,26 @@ def test_reader_behind_a_queued_writer_still_waits_for_it():
     sim.spawn(late_reader())
     sim.run()
     assert order == [("r1", 0.0), ("w", 5.0), ("r2", 6.0)]
+
+
+def test_an_uncontended_acquire_returns_the_shared_granted_event():
+    sim = Simulator()
+    lock, other = RWLock(sim), RWLock(sim)
+    granted = lock.acquire_write("t1")
+    assert granted is sim.granted and granted.triggered and granted.value is True
+    assert lock.acquire_write("t1") is granted, "a reentrant hold too"
+    assert other.acquire_read("t2") is granted, "one per simulator"
+    with pytest.raises(RuntimeError):
+        granted.succeed(False)
+    assert granted.value is True
+    woken = []
+    granted.add_callback(woken.append)
+    sim.run()
+    assert woken == [granted]
+    # Contended: a fresh event, queued until the holder lets go.
+    waiting = lock.acquire_write("t3")
+    assert waiting is not granted and not waiting.triggered
+    lock.release("t1")
+    lock.release("t1")
+    assert waiting.triggered and waiting.value is True
+    assert lock.acquire_read("t4", timeout=1.0) is not sim.granted

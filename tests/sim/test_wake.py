@@ -10,6 +10,7 @@ sequence of ``(virtual time, step label)`` and the same order of RNG
 draws.
 """
 
+import functools
 import random
 from collections import Counter
 
@@ -201,8 +202,9 @@ programs = st.lists(
 )
 
 
-def execute(program, sim):
-    """Run ``program`` on ``sim``; the observable trace and counters."""
+def execute(program, sim, pause=Simulator.timeout):
+    """Run ``program`` on ``sim``, every pause a ``yield pause(sim, d)``;
+    the observable trace and counters."""
     draws = random.Random(11)
     trace = []
 
@@ -224,7 +226,7 @@ def execute(program, sim):
     def one_way(node):
         def handler(envelope):
             log(f"n{node.node_id} got {envelope.msg_type}")
-            yield sim.timeout(1e-6)
+            yield pause(sim, 1e-6)
             log(f"n{node.node_id} done {envelope.msg_type}")
 
         return handler
@@ -233,7 +235,7 @@ def execute(program, sim):
         def handler(envelope):
             log(f"n{node.node_id} work")
             granted = yield locks[0].acquire_read(("h", envelope.msg_id), 2e-6)
-            yield sim.timeout(1e-6)
+            yield pause(sim, 1e-6)
             if granted:
                 locks[0].release(("h", envelope.msg_id))
             node.rpc.reply(envelope, node.node_id)
@@ -251,7 +253,7 @@ def execute(program, sim):
             label = f"p{index}.{step} {op[0]}"
             log(label)
             if op[0] == "sleep":
-                yield sim.timeout(op[1])
+                yield pause(sim, op[1])
             elif op[0] == "send":
                 node.send(op[1], op[2], None)
             elif op[0] == "call":
@@ -275,7 +277,7 @@ def execute(program, sim):
                 acquire = lock.acquire_read if op[2] == "r" else lock.acquire_write
                 granted = yield acquire(owner, 2e-6)
                 log(f"{label} granted={granted}")
-                yield sim.timeout(op[3])
+                yield pause(sim, op[3])
                 if granted:
                     lock.release(owner)
             elif op[0] == "cv_wait":
@@ -317,3 +319,54 @@ def test_a_tie_heavy_program_takes_the_queue_and_still_matches():
         program, QueueingSimulator()
     )
     assert taken["queued"] > 0 and taken["inline"] > 0
+
+
+# ----------------------------------------------------------------------
+# Bare delays: ``yield d`` is ``yield sim.timeout(d)`` without the event
+# ----------------------------------------------------------------------
+class CallbackLog(Simulator):
+    """Logs every callback it runs, queued or woken in place, as
+    ``(time, name)``; a timeout's expiry (``Event.succeed_tail``) and a
+    bare delay's (``Simulator._wake``) are both ``"expiry"``."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+        # Each scheduling entry point, with the position of its callback.
+        for name, at in (("call_at", 1), ("call_soon", 0), ("_post_at", 1),
+                         ("_post_soon", 0), ("_wake", 0)):
+            setattr(self, name, self._logging(getattr(self, name), at))
+
+    def _logging(self, schedule, at):
+        @functools.wraps(schedule)
+        def logged_schedule(*args):
+            fn = args[at]
+            if not hasattr(fn, "name"):
+                name = getattr(fn, "__name__", "")
+                name = "expiry" if name in ("succeed_tail", "_wake") else fn.__qualname__
+
+                def fn(*call_args, _fn=fn):
+                    self.calls.append((self.now, fn.name))
+                    _fn(*call_args)
+
+                fn.name = name
+            return schedule(*args[:at], fn, *args[at + 1:])
+
+        return logged_schedule
+
+
+def bare(_sim, delay):
+    return delay
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs)
+def test_a_bare_delay_runs_the_callbacks_a_timeout_runs(program):
+    """Generated programs of pauses, messages, RPCs, locks and waits
+    execute the same ``(time, callback)`` sequence, trace and counters
+    whether every pause is ``yield d`` or ``yield sim.timeout(d)``."""
+    with_timeout, with_delay = CallbackLog(), CallbackLog()
+    assert execute(program, with_delay, bare) == execute(program, with_timeout)
+    assert with_delay.calls == with_timeout.calls
+    assert with_delay.executed_count == with_timeout.executed_count
+    assert with_delay._sequence == with_timeout._sequence

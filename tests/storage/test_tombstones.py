@@ -100,3 +100,39 @@ def test_window_decides_every_add_as_the_set_does(ops):
         held = model.tombstones
         assert len(store._tombstones) <= (max(held) - min(held) + 1 if held else 0)
         assert queued(store) == list(model.queue)
+
+
+def state(store, versions):
+    """Everything a Remove leaves behind: the window, the expiry columns
+    and every version's VAS."""
+    return (bytes(store._tombstones), store._tombstone_base,
+            list(store._expiry_ids), list(store._expiry_times),
+            list(store._expiry_ends), store._expiry_head,
+            {key: version.access_set for key, version in versions.items()})
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(STEPS),
+    st.lists(st.integers(min_value=0, max_value=40).map(lambda k: 500 + k),
+             max_size=6),
+    st.lists(st.tuples(st.sampled_from("xyz"), st.integers(500, 540)), max_size=4),
+), max_size=40))
+@example([(0.0, [42], []), (5.0, [42, 42, 41], [])])  # a repeat whose batch expired
+@example([(0.0, [], [("x", 7)]), (0.0, [7, 3, 9], [("y", 3)]), (0.35, [9, 1], [])])
+@settings(max_examples=300, deadline=None)
+def test_one_pass_per_message_leaves_what_one_call_per_id_leaves(messages):
+    """Removes of one message's ids in one ``vas_remove_txns`` pass, against
+    one ``vas_remove_txn`` call per id, on two stores fed the same adds:
+    the same tombstones, expiry columns and VAS after every message, and
+    the same count of entries erased."""
+    batched, single, now = MultiVersionStore(), MultiVersionStore(), 0.0
+    both = [(store, {key: store.create(key, 0, vc()) for key in "xyz"})
+            for store in (batched, single)]
+    for step, ids, adds in messages:
+        now += step
+        for store, versions in both:
+            for key, txn_id in adds:
+                store.vas_add(versions[key], txn_id)
+        erased = batched.vas_remove_txns(ids, now)
+        assert erased == sum(single.vas_remove_txn(txn_id, now) for txn_id in ids)
+        assert state(*both[0]) == state(*both[1])

@@ -8,7 +8,10 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import repro.config
@@ -108,7 +111,13 @@ TOTAL_SRC_LINES = 14870
 #: each scenario that builds, rebuilds or ships clocks, at every cluster
 #: size and under every directory kind; the clock algebra against its
 #: reference at widths 1-8; the shard placement pinned per member set.
-TOTAL_TEST_LINES = 17895
+#: Raised for a sim process loading only the simulator: the bare-delay
+#: differential over the wake property's programs, the shared granted
+#: event, the one-pass Remove against one call per id, the unused-import
+#: ratchet, the no-asyncio/ssl/OpenSSL run, the SHA-256 equivalence and
+#: the per-entry wall probe's no-timeout run, net of the ``AnyOf`` tests.
+#: None is redundant: each pins a contract no earlier test states.
+TOTAL_TEST_LINES = 18134
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``; 1063 before
 #: its adaptive Propagate windows went, 993 before fixed sites).
 LONGEST_FILE = 952
@@ -156,6 +165,70 @@ def test_vector_clocks_only_widen():
     assert not masked, masked
     assert not hasattr(VectorClock, "shrink")
     assert not hasattr(VectorClock, "shrunk")
+
+
+def unused_imports(path: Path):
+    """Names ``path`` imports (at any depth) and never reads; a name read
+    only in a quoted annotation counts as read."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_source_file_imports_a_name_it_never_uses():
+    """Every import is paid for at every start-up; a package's
+    ``__init__.py`` re-exports, so it is exempt."""
+    unused = {
+        str(path.relative_to(SRC)): names
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+        for names in [unused_imports(path)]
+        if names
+    }
+    assert not unused, unused
+
+
+#: Run in a fresh interpreter: a small simulated run, with every module a
+#: simulated run's entry points import, then the stacks it must not load.
+SIM_RUN = """
+import sys
+import repro.harness.runner, repro.net.host, repro.net.socket_transport
+from repro import ClusterConfig, RunConfig
+from repro.harness import run_experiment
+from repro.workloads import YCSBConfig, YCSBWorkload
+
+result = run_experiment(
+    "fwkv", YCSBWorkload(YCSBConfig(num_keys=200)),
+    ClusterConfig(num_nodes=3, clients_per_node=2), RunConfig(duration=0.005, warmup=0.001),
+)
+assert result.metrics["commits"] > 0, result.metrics
+print(sorted(set(sys.modules) & {"asyncio", "ssl", "_hashlib"}))
+"""
+
+
+def test_a_simulated_run_loads_no_asyncio_ssl_or_openssl():
+    completed = subprocess.run(
+        [sys.executable, "-c", SIM_RUN], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.strip() == "[]", completed.stdout
 
 
 def test_protocol_node_imports_no_recovery_or_transfer_machinery():
