@@ -4,11 +4,11 @@
     PYTHONPATH=src python3 scripts/resend_probe.py [--causal] [--seeds 1-20]
 
 Runs the grid of ``tests/integration/test_composed_faults.py`` (every
-protocol x {healing off, anti-entropy} x seeds) with one mechanism
-patched in from outside -- no ``src/`` edit -- and prints each cell
-whose shape differs from the committed ``KNOWN`` table (``crash`` when
-the run raised, ``hang`` when it was still busy at ``RUN_LIMIT``), then
-a count:
+protocol x {healing off, anti-entropy} x seeds; not its durable mode)
+with one mechanism patched in from outside -- no ``src/`` edit -- and
+prints each cell whose shape differs from the committed ``KNOWN`` table
+(``crash`` when the run raised, ``hang`` when it was still busy at
+``RUN_LIMIT``), then a count:
 
 * **the gap**: ``Applier.turn`` waiting on a seq that is not next, and
   ``Applier.on_propagate``'s early branch (a Propagate past the next
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, default=composed.SEEDS)
     args = parser.parse_args(argv)
     grid = [
-        (mode, protocol, seed) for mode in composed.MODES
+        (mode, protocol, seed) for mode in composed.MODES if mode != "durable"
         for protocol in composed.PROTOCOLS for seed in args.seeds
     ]
     dropped = added = changed = asks = answers = 0

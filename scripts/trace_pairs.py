@@ -18,8 +18,7 @@ The scenarios cover the cold paths the benchmark never reaches:
   caught it up, then the logs truncate;
 * ``durable_crash`` -- a crash that wipes volatile state, WAL replay;
 * ``replication_failover`` -- a replicated shard's primary crashes and
-  its backup is promoted;
-* ``shard_migration`` -- a shard moves between owners under traffic.
+  its backup is promoted.
 
 Each tree runs in its own interpreter and imports only the public
 ``repro`` API, so the script works against any tree that has it.
@@ -30,7 +29,7 @@ Usage::
 
 ``PARENT_SRC`` / ``CHANGE_SRC`` is a checkout's root or its ``src``
 directory.  ``--dump SRC`` prints one tree's records as JSON instead.
-All five scenarios take about a second per tree.
+All four scenarios take about a second per tree.
 """
 
 import argparse
@@ -162,26 +161,11 @@ def replication_failover():
     return finish(cluster, 40e-3)
 
 
-def shard_migration():
-    from repro import ShardingConfig
-
-    cluster = build(sharding=ShardingConfig(enabled=True, num_shards=12))
-    traffic(cluster, range(NUM_NODES), 15e-3)
-    cluster.run(until=3e-3)
-    # Trees that still have the load-driven rebalancer run the same one
-    # migration through it.
-    migrate = getattr(cluster, "migrate_shard", None)
-    if migrate is None:
-        migrate = cluster.rebalancer.migrate_shard
-    migrate(cluster.directory.shards_of(0)[0], 1)
-    return finish(cluster, 15e-3)
-
-
 SCENARIOS = {
     scenario.__name__: scenario
     for scenario in (
         healing_partition, checkpoint_truncation, durable_crash,
-        replication_failover, shard_migration,
+        replication_failover,
     )
 }
 

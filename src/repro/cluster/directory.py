@@ -88,12 +88,12 @@ class ShardMap(Directory):
     geometry, a shard map makes it explicit state: the keyspace is
     partitioned into ``num_shards`` fixed shards by stable hash, and an
     owner table maps each shard to one node.  Ownership moves at shard
-    granularity, through one path: a fenced handoff
-    (:mod:`repro.cluster.handoff`) ships shards' chains to their new
-    owners and flips the table entries with :meth:`assign`, the only
-    writer of an entry.  Every flip bumps ``epoch``, so a participant
-    knows a key may have moved since it was routed, and traces can name
-    the placement a lookup was served under.  ``ShardMap(range(n), n)``
+    granularity, only when a failover promotes a backup over a dead
+    owner: a fenced handoff (:mod:`repro.cluster.handoff`) flips the
+    table entries with :meth:`assign`, the only writer of an entry.
+    Every flip bumps ``epoch``, so a participant knows a key may have
+    moved since it was routed, and traces can name the placement a
+    lookup was served under.  ``ShardMap(range(n), n)``
     is one shard per node: key ``k`` sits at
     ``_stable_hash(f"key:{k!r}") % n``.
 
@@ -154,11 +154,11 @@ class ShardMap(Directory):
     def assign(self, shard: int, owner: int) -> bool:
         """Atomically flip one shard's owner; bump the epoch.
 
-        This is the cutover instant of a handoff: the caller has already
-        shipped the shard's chains to ``owner`` and holds the fence, so
+        This is the flip of a failover promotion: ``owner`` already holds
+        the shard's replicated chains and the caller holds the fence, so
         the flip is a single table write.  Assigning a shard to its
-        current owner is a no-op (no epoch bump) so retried
-        cutovers stay idempotent.
+        current owner is a no-op (no epoch bump) so retried flips stay
+        idempotent.
         """
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"shard {shard} out of range")

@@ -1,56 +1,34 @@
 """The fenced handoff: fence, drain, ship, act under the fence, unfence.
 
-Every change of who holds a set of shards -- a migration, a failover
-promotion, a backup (re)bootstrap -- is this one handoff over
-``(shard, donor, dest)`` moves.
-Each donor **fences** its moving shards (new prepares touching a key of
-them park before taking locks; reads continue) and **drains** their
-write locks; the handoff then **ships** each destination the chains of
-its shards in one message (:class:`Shipments`), **acts** under the
-fence -- by default the :func:`cutover` flips every move -- so no
-prepare slips between shipment and flip, and **unfences** what it
+The sites are fixed and a shard changes owner only when its owner dies,
+so there are two handoffs, each with one donor: a failover promotion
+(the successor is donor and dest: the replicated chains are already
+there; the act flips ownership) and a backup (re)bootstrap (primary to
+backup; the act restarts the stream).
+The donor **fences** the shards (new prepares touching a key of them
+park before taking locks; reads continue) and **drains** their write
+locks; the handoff then **ships** the dest the chains of those shards
+in one message (:class:`Shipments`), **acts** under the fence, so no
+prepare slips between shipment and act, and **unfences** what it
 fenced.  Parked prepares wake and re-check ownership: after a flip they
-vote "moved" and re-prepare at the new owner, after a failure they
-proceed locally.  Nothing aborts, and a failed handoff can simply be
-retried.  A promotion's donor is its successor itself: the replicated
-chains are already there.
+vote "moved" and re-prepare at the new owner, otherwise they proceed
+locally.  Nothing aborts, and a failed handoff can simply be retried.
 """
 
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.core.wire import ShardShipmentBody
 from repro.net.message import Envelope, MessageType
 from repro.sim import Event
 from repro.storage.wal import checkpoint_fingerprint
 
-#: One shard's change of holder: ``(shard, donor, dest)``.
-Move = Tuple[int, int, int]
 #: How often a handoff's drain re-checks the donor's write locks.
 POLL_TICK = 2e-3
 #: Deadline for a handoff's drain of write locks.
 HANDOFF_TIMEOUT = 200e-3
-
-
-def shard_keys(node, shards) -> list:
-    """The keys ``node`` stores in ``shards``, in shipping order (a bulk
-    scan: the placement memo is left alone)."""
-    shard_of = node.directory.hash_shard
-    return sorted(
-        (key for key in node.store.keys() if shard_of(key) in shards), key=repr
-    )
-
-
-def cutover(shard_map, moves: Sequence[Move]) -> bool:
-    """The default act: flip every move, or none if some donor no longer
-    owns its shard (a concurrent handoff flipped it first)."""
-    if any(shard_map.owner_of(shard) != donor for shard, donor, _dest in moves):
-        return False
-    for shard, _donor, dest in moves:
-        shard_map.assign(shard, dest)
-    return True
 
 
 def _drain_write_locks(node, shards):
@@ -70,65 +48,56 @@ def _drain_write_locks(node, shards):
 
 
 def fenced_handoff(
-    cluster, moves: Sequence[Move], act: Optional[Callable[[], object]] = None
+    cluster, donor: int, dest: int, shards: Sequence[int],
+    act: Callable[[], object],
 ):
-    """Generator: carry out ``moves`` under their donors' shard fences.
+    """Generator: hand ``shards`` from ``donor`` to ``dest`` under the
+    donor's shard fence.
 
-    Returns the number of keys shipped, or ``None`` if the handoff
-    failed -- a donor crashed or wiped, a drain timed out, a shipment
-    was refused, or ``act`` returned ``False``.  ``act`` (default:
-    :func:`cutover`) runs once everything shipped, still under the
+    Returns the number of keys shipped (none when ``dest`` is the donor),
+    or ``None`` if the handoff failed -- the donor crashed or wiped, the
+    drain timed out, the shipment was refused, or ``act`` returned
+    ``False``.  ``act`` runs once the chains shipped, still under the
     fence; it may be a generator function.
     """
-    nodes = cluster.nodes
-    by_donor: Dict[int, Dict[int, List[int]]] = {}
-    for shard, donor, dest in moves:
-        by_donor.setdefault(donor, {}).setdefault(dest, []).append(shard)
-    fenced = {
-        donor: [shard for shards in dests.values() for shard in shards]
-        for donor, dests in by_donor.items()
-    }
-    incarnations = {donor: nodes[donor]._incarnation for donor in fenced}
-    for donor, shards in fenced.items():
-        nodes[donor].fence.raise_shards(shards)
+    node = cluster.nodes[donor]
+    incarnation = node._incarnation
+    shard_set = set(shards)
+    node.fence.raise_shards(shards)
     try:
-        for donor in sorted(fenced):
-            drained = yield from _drain_write_locks(nodes[donor], set(fenced[donor]))
-            if not drained or nodes[donor]._incarnation != incarnations[donor]:
+        drained = yield from _drain_write_locks(node, shard_set)
+        if not drained or node._incarnation != incarnation:
+            return None
+        keys = []
+        if dest != donor:
+            # A bulk scan: the placement memo is left alone.
+            shard_of = node.directory.hash_shard
+            keys = sorted(
+                (key for key in node.store.keys() if shard_of(key) in shard_set),
+                key=repr,
+            )
+        if keys:
+            if not (yield from node.shipments.ship(dest, keys, incarnation)):
                 return None
-        shipments = [
-            (nodes[donor], nodes[dest], shard_keys(nodes[donor], set(shards)))
-            for donor in sorted(by_donor)
-            for dest, shards in sorted(by_donor[donor].items())
-            if dest != donor
-        ]
-        for donor, dest, keys in shipments:
-            if keys and not (
-                yield from donor.shipments.ship(
-                    dest.node_id, keys, incarnations[donor.node_id]
-                )
-            ):
-                return None
-        # The chains carry versions only: the donor's visible reads of
-        # them (FW-KV's VAS, up to now) go with the cutover, or a key's
-        # next writer at its new owner could miss a reader (read skew).
-        for donor, dest, keys in shipments:
+            # The chains carry versions only: the donor's visible reads of
+            # them (FW-KV's VAS) go too, so a promoted backup's next writer
+            # sees the readers from before this bootstrap (streams carry none).
+            store = cluster.nodes[dest].store
             for key in keys:
-                dest.store.adopt_read_sets(key, donor.store)
-        done = cutover(cluster.directory, moves) if act is None else act()
+                store.adopt_read_sets(key, node.store)
+        done = act()
         if isinstance(done, GeneratorType):
             done = yield from done
-        return None if done is False else sum(len(keys) for *_, keys in shipments)
+        return None if done is False else len(keys)
     finally:
-        for donor, shards in fenced.items():
-            nodes[donor].fence.lower_shards(shards)
+        node.fence.lower_shards(shards)
 
 
 class Shipments:
     """Both ends of chain shipping at one node (``node.shipments``).
 
-    The donor sends the fingerprinted chains of the keys moving to one
-    destination in one ``SHARD_SHIPMENT`` RPC; the answer is ``None``
+    The donor sends the fingerprinted chains of the keys of the shards
+    the receiver backs in one ``SHARD_SHIPMENT`` RPC; the answer is ``None``
     once they are installed, else why not.  The chains are authoritative:
     the receiver adopts them verbatim and leaves its clock alone -- the
     origins' commits reach it through the normal fan-out, and advancing
@@ -145,13 +114,13 @@ class Shipments:
         #: from it that arrived here.  Each id is decided once: a copy of
         #: it -- duplicated, retried, late -- is answered with the same
         #: verdict, an older id is refused, so no copy can adopt over the
-        #: versions the new owner wrote after its cutover.  Like the id
-        #: counter it outlives a crash.
+        #: versions the receiver took in after it.  Like the id counter it
+        #: outlives a crash.
         self._latest: Dict[int, Tuple[int, Event]] = {}
 
     def ship(self, peer: int, keys: Sequence, incarnation: int):
-        """Generator: ship the chains of ``keys`` to their new owner; True
-        iff it installed them.  The caller has fenced the keys and
+        """Generator: ship the chains of ``keys`` to ``peer``; True iff
+        it installed them.  The caller has fenced the keys and
         drained their write locks, so the chains are stable.  A refusal,
         a lost reply or this node being wiped or fenced meanwhile fails
         the handoff."""
@@ -220,9 +189,9 @@ class Shipments:
         digest = checkpoint_fingerprint(body.chains, tuple(body.site_vc), body.curr_seq_no)
         if digest != body.fingerprint:
             return "fingerprint"
-        # The shipment carries only keys moving to this node, so all are
-        # adopted (a stale leftover chain from an earlier epoch is
-        # overwritten by the authoritative copy).
+        # The shipment carries only keys this node backs, so all are
+        # adopted (a stale chain from an earlier stream is overwritten
+        # by the authoritative copy).
         for key, base_vid, versions in body.chains:
             owner.store.adopt(key, base_vid, versions)
         # Durability: our WAL's surviving prefix replays to the *old*

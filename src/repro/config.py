@@ -243,19 +243,18 @@ class HealingConfig(ConfigSerde):
 
 @dataclass
 class ShardingConfig(ConfigSerde):
-    """Keyspace sharding and live shard migration (docs/sharding.md).
+    """Keyspace sharding (docs/sharding.md).
 
     Off by default: a cluster without ``enabled`` keeps the classic
     consistent-hash ring and pays nothing for this subsystem.  Enabled,
     the cluster's directory becomes a :class:`repro.cluster.directory.
-    ShardMap` (key → shard → owner with epoch-versioned flips), and
-    ``Cluster.migrate_shard`` moves one shard between live nodes: fence,
-    drain, ship the shard's chains in one ``SHARD_SHIPMENT`` RPC, flip
-    the owner table entry, unfence.
+    ShardMap` (key → shard → owner with epoch-versioned flips).  Placement
+    is fixed: a shard changes owner only when replication's failover
+    promotes a backup over its dead owner.
     """
 
     #: Use a ShardMap directory instead of the static consistent-hash
-    #: ring; replication and shard migration need it.
+    #: ring; replication needs it.
     enabled: bool = False
     #: Fixed shard count: ownership moves at shard granularity.
     num_shards: int = 64
@@ -415,8 +414,8 @@ class ClusterConfig(ConfigSerde):
     #: The detector is inert without timeout/heartbeat evidence; the
     #: periodic loops default off.
     healing: HealingConfig = field(default_factory=HealingConfig)
-    #: Keyspace sharding + shard migration; disabled by default, leaving the
-    #: consistent-hash ring (and its exact placement) untouched.
+    #: Keyspace sharding (failover moves a shard); disabled by default,
+    #: leaving the consistent-hash ring (and its exact placement) untouched.
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
     #: Per-shard primary-backup replication; disabled by default (one
     #: copy of every shard, exactly the historical behaviour).

@@ -39,10 +39,10 @@ class Fence:
     Two levels, one condition variable, one wait routine.  ``node_wide``
     up (durable crash until recovery completes): no read is served and
     no prepare admitted -- the store is being rebuilt.
-    A shard fenced (a handoff: migration, promotion, backup bootstrap):
-    no prepare touching a key of it is admitted -- a key first written
-    mid-handoff included -- while reads continue; its chains are stable,
-    only their owner is changing.  Each handoff lowers
+    A shard fenced (a handoff: promotion, backup bootstrap): no prepare
+    touching a key of it is admitted -- a key first written mid-handoff
+    included -- while reads continue; its chains are stable while they
+    are promoted or shipped.  Each handoff lowers
     only what it raised, so a shard two handoffs fence stays fenced until
     both are done.  Decide and Propagate handlers never wait here.
     """

@@ -308,8 +308,7 @@ class NodeHealing:
                     MessageType.SYNC,
                     SyncRequestBody(
                         self.node_id,
-                        restage_above=(floor[peer] if peer < len(floor) else 0)
-                        if restage else None,
+                        restage_above=floor[peer] if restage else None,
                         site=site,
                     ),
                     config=None if site is None else self._rpc_config,

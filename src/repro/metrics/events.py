@@ -104,13 +104,6 @@ EVENTS: Dict[str, Event] = {
     "snapshot_install": traced(
         "sender snapshot_id chains frontier", snapshot_installs=1
     ),
-    # Keyspace sharding: a migration that flipped ownership, or aborted
-    # before the flip (crash, partition, drain).
-    "shard_migrate_start": traced("shard dest keys epoch"),
-    "shard_migrated": traced(
-        "shard dest keys epoch", shard_migrations=1, shard_migration_keys="keys"
-    ),
-    "shard_migrate_failed": traced("shard dest", shard_migrations_failed=1),
     # Per-shard primary-backup replication; a degraded sync-mode wait hit
     # ``sync_timeout`` and went async.
     "replication_records_streamed": counted("stream records backups acked"),

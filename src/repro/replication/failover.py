@@ -194,9 +194,8 @@ class FailoverDriver:
         are already there."""
         rep = self.rep
         shard_map = rep.shard_map
-        moves = [(shard, successor, successor) for shard in shards]
         taken = yield from fenced_handoff(
-            self.cluster, moves,
+            self.cluster, successor, successor, shards,
             lambda: self._promote(dead, successor, shards, decided, announce),
         )
         if taken is None:
@@ -257,13 +256,13 @@ class FailoverDriver:
         shard_of = shard_map.hash_shard  # a bulk scan: leave the memo alone
         state = successor_node.replication.backup_state.get(dead)
         staged: List = []
-        floor: Tuple[int, ...] = ()
+        floor: Tuple[int, ...] = (0,) * successor_node.shared.num_nodes
         if state is not None and not state.closed:
             # Stream order for staged installs: per-key conflicts were
             # lock-serialized at the dead primary, so prepare-stream
             # order is install order.
             staged = sorted(state.staged.values(), key=lambda e: e.seq)
-            floor = state.frontier or ()
+            floor = state.frontier or floor
         _clock, answered, listed = (
             yield from successor_node.healing.collect_frontiers(
                 restage=True, site=dead, floor=floor,
@@ -278,13 +277,12 @@ class FailoverDriver:
         ):
             return False
         for origin, table in decided.items():
-            above = floor[origin] if origin < len(floor) else 0
             for entry in table.values():
                 writes = tuple(
                     (key, value) for site, key, value in entry.writes
                     if site == dead
                 )
-                if writes and entry.seq_no > above:
+                if writes and entry.seq_no > floor[origin]:
                     listed.setdefault(
                         entry.txn_id, _status(origin, entry, writes)
                     )
@@ -426,8 +424,9 @@ class FailoverDriver:
                 frontier=primary.site_vc.to_tuple(),
             )
 
-        moves = [(shard, primary_id, backup_id) for shard in shards]
-        shipped = yield from fenced_handoff(cluster, moves, restart_stream)
+        shipped = yield from fenced_handoff(
+            cluster, primary_id, backup_id, shards, restart_stream
+        )
         if shipped is None:
             return False
         self.tracer.emit(

@@ -170,7 +170,7 @@ class MultiVersionStore:
 
     def adopt_read_sets(self, key: Hashable, source: "MultiVersionStore") -> None:
         """Add ``source``'s VAS of ``key``'s versions to the copy held here
-        (a handoff's cutover: shipped chains carry versions only)."""
+        (a handoff: shipped chains carry versions only)."""
         entry = source._chains.get(key)
         if entry.__class__ is not VersionChain or key not in self._chains:
             return
@@ -189,10 +189,28 @@ class MultiVersionStore:
     def vas_remove_txns(self, txn_ids: Sequence[int], now: float = 0.0) -> int:
         """Erase each of one Remove message's ``txn_ids`` from every VAS on
         this node, tombstoning it against late re-insertion by in-flight
-        commits; returns the entries erased.  Expiry runs once, after the
-        first id: the ids share ``now``, so the rest would expire nothing."""
+        commits; returns the entries erased.  Expiry runs once, before
+        the ids are tombstoned, so an id this Remove repeats is held for
+        a full :data:`TOMBSTONE_TTL` from ``now``."""
         window, ids, times = self._tombstones, self._expiry_ids, self._expiry_times
-        horizon, expire = now - TOMBSTONE_TTL, True
+        horizon = now - TOMBSTONE_TTL
+        if txn_ids and times and times[self._expiry_head] <= horizon:
+            head, ends = self._expiry_head, self._expiry_ends
+            base, start = self._tombstone_base, ends[head - 1] if head else 0
+            head = bisect_right(times, horizon, head)
+            for expired in ids[start:ends[head - 1]]:
+                window[expired - base] = 0
+            # Cut the window back to the oldest and newest id still held.
+            del window[window.rfind(1) + 1:]
+            start = max(window.find(1), 0)
+            del window[:start]
+            self._tombstone_base = base + start
+            cut = ends[head - 1]
+            if 2 * cut > len(ids):
+                del ids[:cut], times[:head], ends[:head]
+                self._expiry_ends = array("q", [end - cut for end in ends])
+                head = 0
+            self._expiry_head = head
         for txn_id in txn_ids:
             if not window or txn_id < self._tombstone_base:
                 window[:0] = bytes(self._tombstone_base - txn_id if window else 0)
@@ -207,24 +225,6 @@ class MultiVersionStore:
                     times.append(now)
                     self._expiry_ends.append(0)
                 self._expiry_ends[-1] = len(ids)
-            if expire and times[self._expiry_head] <= horizon:
-                head, ends = self._expiry_head, self._expiry_ends
-                base, start = self._tombstone_base, ends[head - 1] if head else 0
-                head = bisect_right(times, horizon, head)
-                for expired in ids[start:ends[head - 1]]:
-                    window[expired - base] = 0
-                # Cut the window back to the oldest and newest id still held.
-                del window[window.rfind(1) + 1:]
-                start = max(window.find(1), 0)
-                del window[:start]
-                self._tombstone_base = base + start
-                cut = ends[head - 1]
-                if 2 * cut > len(ids):
-                    del ids[:cut], times[:head], ends[:head]
-                    self._expiry_ends = array("q", [end - cut for end in ends])
-                    head = 0
-                self._expiry_head = head
-            expire = False
         erased, index = 0, self._vas_index
         for txn_id in txn_ids:
             versions = index.pop(txn_id, None)

@@ -28,7 +28,6 @@ from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.cluster.directory import ConsistentHashDirectory, Directory, ShardMap
 from repro.cluster.node import Node
-from repro.cluster.handoff import fenced_handoff, shard_keys
 from repro.config import ClusterConfig
 from repro.core.fwkv import FWKVNode
 from repro.core.interfaces import BaseProtocolNode, SharedState
@@ -323,49 +322,6 @@ class Cluster:
                 node.healing.stop()
         if self.replication is not None:
             self.replication.stop()
-
-    # ------------------------------------------------------------------
-    # Shard migration
-    # ------------------------------------------------------------------
-    def migrate_shard(self, shard: int, dest: int):
-        """Spawn one live migration of ``shard`` to ``dest`` (a sharded
-        cluster); the process's value is True once ownership flipped.
-
-        One :func:`~repro.cluster.handoff.fenced_handoff`: parked
-        prepares wake and vote "moved", and nothing aborts.  A failed
-        migration (crashed donor or dest, partition, drain timeout)
-        leaves ownership as it was and can simply be retried.
-        """
-        return self.spawn(
-            self._migrate(shard, dest), name=f"migrate-s{shard}-to-{dest}"
-        )
-
-    def _migrate(self, shard: int, dest: int):
-        shard_map = self.directory
-        donor_id = shard_map.owner_of(shard)
-        if donor_id == dest:
-            return True  # already there; idempotent
-        if dest not in shard_map.node_ids:
-            raise ValueError(f"node {dest} is not a member")
-        tracer = self.tracer
-        if self.network.is_crashed(donor_id) or self.network.is_crashed(dest):
-            tracer.emit(donor_id, "shard_migrate_failed", shard=shard, dest=dest)
-            return False
-        if tracer._enabled:
-            tracer.emit(
-                donor_id, "shard_migrate_start", shard=shard, dest=dest,
-                keys=len(shard_keys(self.nodes[donor_id], {shard})),
-                epoch=shard_map.epoch,
-            )
-        shipped = yield from fenced_handoff(self, [(shard, donor_id, dest)])
-        if shipped is None:
-            tracer.emit(donor_id, "shard_migrate_failed", shard=shard, dest=dest)
-            return False
-        tracer.emit(
-            donor_id, "shard_migrated", shard=shard, dest=dest,
-            keys=shipped, epoch=shard_map.epoch,
-        )
-        return True
 
     # ------------------------------------------------------------------
     # Access

@@ -1,8 +1,8 @@
 """Hypothesis properties pinning ShardMap placement invariants.
 
 Ownership is total and unique at every epoch (each shard has exactly one
-owner, always one of the fixed members), however migrations interleave,
-and a single migration moves exactly one shard (and bumps the epoch by
+owner, always one of the fixed members), however flips interleave, and
+a single ``assign`` moves exactly one shard (and bumps the epoch by
 exactly one).  One shard per node is plain modulo placement, every
 directory's memoised ``site`` answers as its uncached ``place``, and the
 placement over a grid of fixed member sets is pinned by digest.
@@ -34,7 +34,7 @@ def assert_ownership_total_and_unique(shard_map):
         assert shard_map.site(key) in shard_map.node_ids
 
 
-#: A migration script: each step migrates a shard to a script-chosen
+#: A flip script: each step assigns a shard to a script-chosen
 #: member.
 steps = st.lists(st.integers(0, 9), max_size=24)
 
@@ -92,7 +92,7 @@ def test_single_migration_moves_exactly_one_shard(
 #: sha256 over each fixed member set's owner table (one byte per shard)
 #: and the owners of ``u0`` .. ``u4095`` (one byte each).  The members
 #: never change, so this is the placement every sharded run keeps until
-#: a migration moves a shard.
+#: a failover moves a shard.
 PLACEMENT_DIGESTS = {
     (1, 1): "b587fa297299ce9c602e58292b51379402bf7b1074f6b18679c2fb871c917ca8",
     (1, 7): "c270b1902f5bfcdb74693d21cce084ec44b1e56fd5454984da1b00c03c05b399",

@@ -380,10 +380,9 @@ def chain_tuples(node, key):
 
 
 def authoritative_fingerprint(cluster, pool):
-    """Every key's full chain at its *current* directory owner: a fault
-    that moves ownership (a migration, a failover) leaves stale chains
-    behind by design, and what must match is the state the directory
-    serves."""
+    """Every key's full chain at its *current* directory owner: a
+    failover moves ownership and leaves stale chains behind by design,
+    and what must match is the state the directory serves."""
     return {
         key: chain_tuples(cluster.node(cluster.directory.site(key)), key)
         for key in sorted(pool)

@@ -1,8 +1,8 @@
-"""Chain shipping (``repro.cluster.handoff.Shipments``): a shard
-handoff's chains in one message.
+"""Chain shipping (``repro.cluster.handoff.Shipments``): a backup
+bootstrap's chains in one message.
 
-The donor ships the chains of keys moving to the receiver; the receiver
-adopts them verbatim and leaves its clock alone.  Whatever goes wrong,
+The primary ships the chains of the shards the receiver backs; the
+receiver adopts them verbatim and leaves its clock alone.  Whatever goes wrong,
 the receiver installed nothing and takes the next shipment; each
 shipment installs at most once, whatever copies of it arrive; what it
 installed on a WAL node survives its durable crash.
@@ -19,7 +19,7 @@ from repro.storage.wal import replay, store_fingerprint
 
 from tests.harness.battery import fault, restart
 
-pytestmark = pytest.mark.healing
+pytestmark = pytest.mark.replication
 
 SENDER, RECEIVER = 0, 2
 KEYS = [f"k{i}" for i in range(24)]
@@ -136,9 +136,9 @@ def test_a_shipment_is_refused_while_the_receiver_recovers():
 
 def test_a_sender_wiped_mid_shipment_fails_its_handoff():
     """The sender's incarnation changes while its shipment is on the
-    wire: the handoff fails (no cutover) without counting a refusal.
-    The receiver may hold chains it does not own; the next shipment,
-    under a new id, installs over them."""
+    wire: the handoff fails (no act) without counting a refusal.  The
+    receiver may hold the chains already; the retried bootstrap's
+    shipment, under a new id, installs over them."""
     cluster = build()
     sender = cluster.node(SENDER)
     seen = tap(cluster)
@@ -168,18 +168,26 @@ def test_a_corrupted_shipment_installs_nothing():
 
 
 def test_a_duplicated_or_late_copy_never_re_adopts():
-    """A shipment's copy -- one arriving while the original drains, one
-    after the new owner wrote past the cutover -- is answered with the
-    original's verdict and adopts nothing; an older id is refused."""
+    """A bootstrap shipment's copy -- one arriving while the original
+    drains, one after the stream delivered a newer version -- is
+    answered with the original's verdict and adopts nothing; once a
+    second bootstrap installed newer chains, a late copy of the first
+    is refused as stale."""
     cluster = build()
     receiver = cluster.node(RECEIVER)
     key = sender_keys(cluster)[0]
+    shard = cluster.directory.shard_of(key)
     seen = tap(cluster)
+
+    def bootstrap():
+        return cluster.spawn(
+            fenced_handoff(cluster, SENDER, RECEIVER, [shard], lambda: None)
+        )
+
     # Hold the receiver's drain so a duplicate lands mid-install.
     receiver._applying[-1] = (SENDER, 0)
     cluster.sim.call_later(100e-6, receiver._applying.pop, -1)
-    shard = cluster.directory.shard_of(key)
-    moved = cluster.spawn(fenced_handoff(cluster, [(shard, SENDER, RECEIVER)]))
+    first = bootstrap()
     cluster.run(until=cluster.sim.now + 30e-6)
     (original,) = seen["shipments"]
     resend = cluster.network.send
@@ -187,23 +195,31 @@ def test_a_duplicated_or_late_copy_never_re_adopts():
     cluster.run(until=cluster.sim.now + 40e-6)
     assert installs(cluster) == 0 and not seen["answers"], "both wait"
     cluster.run()
-    assert moved.value and installs(cluster) == 1
+    assert first.value and installs(cluster) == 1
     assert seen["answers"] == [None, None]
 
-    assert cluster.run_txn(lambda txn: txn.write(key, 99), node=1)
-    assert receiver.store.chain(key).latest.value == 99
+    # The restarted stream delivers a newer version of the key; a late
+    # copy of the bootstrap must not roll it back.
+    latest = receiver.store.chain(key).latest
+    vc = latest.vc.copy()
+    vc[SENDER] += 1
+    receiver.store.install(key, 99, vc, SENDER, latest.seq + 1)
     resend(SENDER, RECEIVER, SHIPMENT, original.payload)  # late
     cluster.run()
     assert seen["answers"] == [None, None, None]
     assert installs(cluster) == 1
     assert receiver.store.chain(key).latest.value == 99
 
-    newer = ship(cluster)  # id 2 installs; id 1 is now refused
+    assert cluster.run_txn(lambda txn: txn.write(key, 100), node=SENDER)
+    second = bootstrap()
     cluster.run()
-    assert newer.value is True and installs(cluster) == 2
-    resend(SENDER, RECEIVER, SHIPMENT, original.payload)
+    assert second.value and installs(cluster) == 2
+    assert receiver.store.chain(key).latest.value == 100
+    resend(SENDER, RECEIVER, SHIPMENT, original.payload)  # older id
     cluster.run()
-    assert seen["answers"][-1] == "stale" and installs(cluster) == 2
+    assert seen["answers"] == [None, None, None, None, "stale"]
+    assert installs(cluster) == 2
+    assert receiver.store.chain(key).latest.value == 100
 
 
 def test_installed_chains_survive_the_receivers_durable_crash():

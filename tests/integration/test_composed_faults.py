@@ -1,14 +1,17 @@
 """Composed faults: every protocol under a seeded random crash/partition
-mix, with healing off and with anti-entropy on, reduced to one verdict
-per cell and held to a committed table.
+mix, with healing off and with anti-entropy on, and FW-KV and Walter
+under durable crashes with the WAL on, reduced to one verdict per cell
+and held to a committed table.
 
 A cell is ``(mode, protocol, seed)``: the chaos cluster of
 :mod:`tests.integration.test_chaos` under ``random_schedule(seed, ...)``,
-its clients run to quiescence.  Its verdict is ``clean`` or the
-``+``-joined shapes the run shows, in this order: the ``check_psi``
-violation kinds (sorted), ``fresh`` (a ``check_fresh`` violation, FW-KV
-only), ``lost`` (an acknowledged write found in no store) and ``lock``
-(a lock still held).
+its clients run to quiescence.  The ``durable`` mode runs with healing
+off, the WAL on and ``durable_crashes=True``; the 2PC baseline has no
+WAL recovery, so the mode leaves it out.
+A cell's verdict is ``clean`` or the ``+``-joined shapes the run shows,
+in this order: the ``check_psi`` violation kinds (sorted), ``fresh`` (a
+``check_fresh`` violation, FW-KV only), ``lost`` (an acknowledged write
+found in no store) and ``lock`` (a lock still held).
 
 :data:`KNOWN` is the ratchet: the cells that fail today, with their
 shapes.  A cell outside it that fails, or a listed cell whose shape
@@ -22,7 +25,7 @@ Print the grid with ``PYTHONPATH=src python -m tests.integration.test_composed_f
 
 import pytest
 
-from repro import HealingConfig
+from repro import DurabilityConfig, HealingConfig
 from repro.faults import random_schedule
 from repro.metrics import check_fresh, check_psi
 from repro.system import resolve_write_vids
@@ -35,7 +38,7 @@ from tests.integration.test_chaos import (
     chaos_client,
 )
 
-MODES = ("off", "anti_entropy")
+MODES = ("off", "anti_entropy", "durable")
 SEEDS = range(1, 21)
 #: Virtual time the anti-entropy mode runs its loops before winding them
 #: down and running to quiescence.
@@ -63,25 +66,40 @@ KNOWN = {
     ("anti_entropy", "fwkv", 12): "fresh",
     ("anti_entropy", "fwkv", 16): "fresh",
     ("anti_entropy", "fwkv", 20): "fresh",
+    ("durable", "fwkv", 2): "cycle+fresh",
+    ("durable", "fwkv", 10): "cycle",
+    ("durable", "fwkv", 14): "fresh",
+    ("durable", "fwkv", 17): "site order+fresh",
+    ("durable", "fwkv", 20): "fresh",
+    ("durable", "walter", 7): "lost+lock",
+    ("durable", "walter", 20): "cycle",
 }
 
-#: Clean cells tier-1 runs beside the listed ones, one per protocol --
-#: the 2PC ones are the seed-17 cells that lost an acknowledged write
-#: before a lease asked the coordinator first.
+#: Clean cells tier-1 runs beside the listed ones, one per protocol and
+#: one durable -- the 2PC ones are the seed-17 cells that lost an
+#: acknowledged write before a lease asked the coordinator first.
 CLEAN_SAMPLE = (
     ("off", "2pc", 17),
     ("anti_entropy", "2pc", 17),
     ("anti_entropy", "walter", 1),
+    ("durable", "fwkv", 1),
 )
 
-GRID = [(mode, protocol, seed) for mode in MODES for protocol in PROTOCOLS for seed in SEEDS]
+GRID = [
+    (mode, protocol, seed) for mode in MODES for protocol in PROTOCOLS for seed in SEEDS
+    if (mode, protocol) != ("durable", "2pc")
+]
 
 
 def verdict(mode, protocol, seed):
     """Run one cell to quiescence and name what its history shows."""
+    durable = mode == "durable"
     healing = HealingConfig(anti_entropy_interval=1e-3 if mode == "anti_entropy" else None)
-    cluster, nemesis = build(protocol, seed, healing=healing)
-    nemesis.start(random_schedule(seed, range(NUM_NODES), 2e-3, 14e-3, 3e-3, 2e-3))
+    config = {"durability": DurabilityConfig(wal_enabled=True)} if durable else {}
+    cluster, nemesis = build(protocol, seed, healing=healing, **config)
+    nemesis.start(random_schedule(
+        seed, range(NUM_NODES), 2e-3, 14e-3, 3e-3, 2e-3, durable_crashes=durable
+    ))
     for node_id in range(NUM_NODES):
         for client_id in range(CLIENTS_PER_NODE):
             cluster.spawn(chaos_client(cluster, node_id, client_id, seed))

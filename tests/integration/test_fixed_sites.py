@@ -5,10 +5,10 @@ entries up with ``zip`` and checks no width: a clock one entry short
 would compare silently wrong instead of failing.  Each case runs a
 cluster through one kind of event that builds, rebuilds or ships clocks
 -- serialized commits, a durable crash and its WAL replay, a checkpoint
-under the replayed suffix, anti-entropy closing a partition, a shard
-migration, a primary failover, a seeded mix of durable crashes and
-partitions -- and then holds every node's ``siteVC``, every stored
-version clock and the newest checkpoint's ``siteVC`` to exactly
+under the replayed suffix, anti-entropy closing a partition, a primary
+failover, a restarted backup's re-bootstrap, a seeded mix of durable
+crashes and partitions -- and then holds every node's ``siteVC``, every
+stored version clock and the newest checkpoint's ``siteVC`` to exactly
 ``num_nodes`` entries (:func:`battery.assert_fixed_width`).
 """
 
@@ -124,24 +124,6 @@ def partition_heal(protocol):
     return cluster
 
 
-def migration(protocol):
-    """One shard moves to another owner between two batches of traffic."""
-    cluster, _ = build(
-        protocol,
-        directory=None,
-        sharding=ShardingConfig(enabled=True, num_shards=8),
-    )
-    run_plan(cluster, plan(8))
-    shard_map = cluster.directory
-    shard = shard_map.shard_of(KEYS[0])
-    dest = (shard_map.owner_of(shard) + 1) % NUM_NODES
-    moved = cluster.migrate_shard(shard, dest)
-    cluster.run()
-    assert moved.value is True and shard_map.owner_of(shard) == dest
-    run_plan(cluster, plan(8, label="after"))
-    return cluster
-
-
 def failover(protocol):
     """A primary crashes; its backups are promoted and serve the rest of
     the traffic."""
@@ -160,6 +142,32 @@ def failover(protocol):
     assert cluster.metrics.counters["failovers_completed"] > 0
     assert not cluster.directory.shards_of(VICTIM)
     drive(cluster, plan(6, others(), label="promoted"))
+    cluster.stop_healing()
+    cluster.run()
+    return cluster
+
+
+def bootstrap(protocol):
+    """A backup crashes and restarts before any failover fires; the
+    failover driver re-bootstraps it from each primary it backs, by
+    shipment, with no ownership change."""
+    cluster, nemesis = build(
+        protocol,
+        directory=None,
+        sharding=ShardingConfig(enabled=True, num_shards=8),
+        replication=ReplicationConfig(
+            enabled=True, replication_factor=2, failover_timeout=50e-3
+        ),
+        healing=HealingConfig(heartbeat_interval=1e-3, anti_entropy_interval=2e-3),
+    )
+    drive(cluster, plan(6, others()))
+    fault(nemesis, CRASH, VICTIM)
+    drive(cluster, plan(3, others(), keys_off(cluster, VICTIM, KEYS), "down"))
+    restart(cluster, nemesis, VICTIM)
+    settle(cluster)
+    counters = cluster.metrics.counters
+    assert counters["backup_bootstraps"] > 0 and counters["failovers_completed"] == 0
+    drive(cluster, plan(6, others(), label="rebooted"))
     cluster.stop_healing()
     cluster.run()
     return cluster
@@ -186,8 +194,8 @@ def durable_chaos(protocol):
 SCENARIOS = {
     run.__name__: run
     for run in (
-        commits, durable_crash, checkpoint, partition_heal, migration,
-        failover, durable_chaos,
+        commits, durable_crash, checkpoint, partition_heal, failover,
+        bootstrap, durable_chaos,
     )
 }
 
@@ -199,8 +207,9 @@ def test_every_clock_stays_num_nodes_wide(protocol, scenario):
     assert_fixed_width(cluster)
     if scenario != "durable_chaos":
         # A chaos run may end in the shapes the composed-faults grid
-        # tabulates (Walter's here ends "lost+lock", ROADMAP item 1), so
-        # it is held to the width alone; every other scenario must pass.
+        # tabulates (Walter's here is its ("durable", "walter", 7) row,
+        # "lost+lock"), so it is held to the width alone; every other
+        # scenario must pass.
         assert_psi(cluster, quiescent=True)
 
 

@@ -34,7 +34,7 @@ ownership; version stamps are coordinator-assigned ``(origin, seq)``
 pairs, so excluding the crash victims from coordinating (in both runs
 of a pair) keeps the surviving chains bit-comparable.  Serialized
 traffic with settle pauses keeps install order identical across paired
-runs, exactly like the sharding suite; the scaffold is
+runs; the scaffold is
 ``tests.harness.battery``.  Seeds come from ``REPLICATION_SEEDS``.
 """
 

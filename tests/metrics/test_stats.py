@@ -157,16 +157,15 @@ SUMMARY_KEYS = (
     "anti_entropy_rounds", "records_streamed", "checkpoints_taken",
     "wal_records_truncated", "wal_syncs", "wal_records_synced",
     "wal_waits", "wal_wait_time", "snapshot_rejected",
-    "snapshot_chains", "snapshot_installs", "shard_migrations",
-    "shard_migration_keys", "shard_migrations_failed",
-    "replication_records_streamed", "replication_lag_max",
-    "replication_sync_degraded", "failovers_completed", "backup_bootstraps",
+    "snapshot_chains", "snapshot_installs", "replication_records_streamed",
+    "replication_lag_max", "replication_sync_degraded", "failovers_completed",
+    "backup_bootstraps",
 )
 
 
 def test_summary_keys_are_frozen():
     summary = MetricsRecorder(Simulator()).summary()
-    assert len(SUMMARY_KEYS) == 56
+    assert len(SUMMARY_KEYS) == 53
     assert tuple(summary) == SUMMARY_KEYS
     assert tuple(COUNTERS) == SUMMARY_KEYS[22:]
     assert all(summary[name] == 0 for name in COUNTERS)

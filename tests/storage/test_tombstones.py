@@ -43,6 +43,22 @@ def test_columns_hold_at_most_16_bytes_per_tombstoned_id():
     assert len(store._expiry_ids) == 40_000 and held <= 16 * 40_000
 
 
+def test_a_removed_id_stays_tombstoned_for_the_ttl_after_its_remove():
+    """A Remove that repeats an id whose batch is past the TTL, not yet
+    expired, tombstones it afresh: a late Decide carrying it is ignored
+    for a full TTL after that Remove."""
+    store = MultiVersionStore()
+    v0 = store.create("x", 0, vc())
+    store.vas_remove_txns([42], now=0.0)
+    store.vas_remove_txns([42], now=5.0)
+    store.vas_add(v0, 42)
+    assert v0.access_set == set()
+    store.vas_remove_txns([7], now=5.0 + TOMBSTONE_TTL / 2)
+    store.vas_add(v0, 42)
+    assert v0.access_set == set()
+    assert queued(store) == [(5.0, [42]), (5.0 + TOMBSTONE_TTL / 2, [7])]
+
+
 class SetModel:
     """Tombstones as the plain ``set`` they were, with the ``(now, [ids])``
     expiry queue the columns replaced; ``index`` is the VAS,
@@ -52,14 +68,14 @@ class SetModel:
         self.tombstones, self.queue, self.index = set(), deque(), {}
 
     def remove(self, txn_id, now):
+        while self.queue and self.queue[0][0] <= now - TOMBSTONE_TTL:
+            self.tombstones.difference_update(self.queue.popleft()[1])
         if txn_id not in self.tombstones:
             self.tombstones.add(txn_id)
             if self.queue and self.queue[-1][0] == now:
                 self.queue[-1][1].append(txn_id)
             else:
                 self.queue.append((now, [txn_id]))
-        while self.queue and self.queue[0][0] <= now - TOMBSTONE_TTL:
-            self.tombstones.difference_update(self.queue.popleft()[1])
         return len(self.index.pop(txn_id, ()))
 
 
