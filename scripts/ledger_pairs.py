@@ -22,8 +22,10 @@ by more than that distance (the only rows a gain may be claimed on);
 metric's ``bound``; ``unresolved`` -- either side's quartiles lie
 further apart than that bound allows, and not every run of the change
 beat every run of the parent (section 6, step 5); ``ok`` otherwise.
-Exit code 1 when a metric regressed, or any run reported ``correct:
-false`` or a failed operation; else 0.
+A last row, never gated, reads the raw set-up seconds
+(``setup_raw_s``) of each run's repeat rows (the driver's ``--out``),
+which no machine speed scales.  Exit code 1 when a metric regressed, or
+any run reported ``correct: false`` or a failed operation; else 0.
 
 ``--expect-identical`` is the proof that nothing virtual moved, for a
 change that keeps behaviour and lowers ``events`` (which ``compare.py
@@ -42,20 +44,34 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List
 
 
+#: Raw set-up seconds, the median of a run's repeat rows, unscaled by the
+#: machine speed: a ``setup_s`` gain must show here too, or it came from
+#: the yardstick.  Reported beside the metrics, never gated.
+RAW_SETUP = {"name": "setup_raw_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
 def run_once(checkout: Path, command: List[str], args: List[str]) -> dict:
     """One driver run in ``checkout``; its final stdout line is the
-    ``{"correct", "attempted", "failed", "metrics"}`` JSON."""
-    done = subprocess.run(
-        command + args, cwd=checkout, capture_output=True, text=True,
-    )
-    lines = done.stdout.strip().splitlines()
-    if done.returncode not in (0, 1) or not lines:
-        sys.exit(f"{checkout}: driver exited {done.returncode}\n{done.stderr}")
-    return json.loads(lines[-1])
+    ``{"correct", "attempted", "failed", "metrics"}`` JSON, to which the
+    ``setup_raw_s`` of its ``--out`` repeat rows is added."""
+    with tempfile.TemporaryDirectory() as scratch:
+        detail = Path(scratch) / "run.json"
+        done = subprocess.run(
+            command + args + ["--out", str(detail)], cwd=checkout,
+            capture_output=True, text=True,
+        )
+        lines = done.stdout.strip().splitlines()
+        if done.returncode not in (0, 1) or not lines:
+            sys.exit(f"{checkout}: driver exited {done.returncode}\n{done.stderr}")
+        repeats = json.loads(detail.read_text())["repeats"]
+    result = json.loads(lines[-1])
+    result["setup_raw_s"] = statistics.median(row["setup_raw_s"] for row in repeats)
+    return result
 
 
 def quartiles(values: List[float]):
@@ -165,7 +181,10 @@ def main(argv=None) -> int:
         "median (q1..q3) parent -> change; apart: the medians differ by "
         "more than the parent's q3 - q1"
     )
-    for row in rows:
+    raw = summarise(RAW_SETUP, *(
+        [run["setup_raw_s"] for run in runs[side]] for side in ("parent", "change")
+    ))
+    for row in rows + [raw]:
         p_q1, p_med, p_q3 = row["parent"]
         c_q1, c_med, c_q3 = row["change"]
         change = f"{(c_med - p_med) / p_med:+.1%}" if p_med else "n/a"
@@ -190,7 +209,7 @@ def main(argv=None) -> int:
     if options.out is not None:
         options.out.write_text(json.dumps({
             "workload": options.workload, "seed": options.seed,
-            "pairs": options.pairs, "metrics": rows,
+            "pairs": options.pairs, "metrics": rows, "setup_raw_s": raw,
             "failed": failed, "incorrect": incorrect, "not_identical": moved,
         }, indent=1) + "\n")
     regressed = any(row["verdict"] == "regressed" for row in rows)

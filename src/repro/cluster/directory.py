@@ -5,16 +5,21 @@ preferred site. For object reachability, FW-KV implements a local look-up
 function using consistent hashing."  All directory variants below are pure
 local functions of the key, exactly as in the paper -- no directory service
 is contacted at runtime.  Only :class:`ShardMap` ever changes: it is the one
-directory a handoff flips.  ``site`` memoises
-the uncached ``place`` from a key's first look-up; bulk scans use ``place``.
+directory a handoff flips.  ``site`` memoises the uncached ``place`` from a
+key's first look-up; a bulk load places a chunk of keys with ``place_many``.
 """
 
 from __future__ import annotations
 
-import bisect
-import zlib
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Hashable, Sequence
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence
+from zlib import crc32
+
+#: Items a bulk load pulls per pass: it holds one chunk, never the keyspace.
+LOAD_CHUNK = 4096
+_REVERSED = itemgetter(slice(None, None, -1))
 
 
 class Directory(ABC):
@@ -31,24 +36,33 @@ class Directory(ABC):
         """The preferred node for ``key`` (memoised where it pays)."""
         return self.place(key)
 
+    def place_many(self, keys: Iterable[Hashable]) -> List[int]:
+        """``place`` of every key, in order."""
+        return list(map(self.place, keys))
+
+
+def _mix(forward: int, backward: int) -> int:
+    """A text's hash, stable across processes (unlike ``hash()``), from the
+    CRC32s of its bytes and of them reversed (decorrelating short suffixes)."""
+    return (forward * 0x9E3779B1 + backward) & 0xFFFFFFFF
+
 
 def _stable_hash(value: str) -> int:
-    """A hash stable across processes (unlike ``hash()`` with PYTHONHASHSEED).
+    raw = value.encode()
+    return _mix(crc32(raw), crc32(raw[::-1]))
 
-    CRC32 is fast and deterministic; 32 bits of spread is ample for key
-    placement.  A second pass decorrelates short sequential suffixes.
-    """
-    raw = value.encode("utf-8")
-    return (zlib.crc32(raw) * 0x9E3779B1 + zlib.crc32(raw[::-1])) & 0xFFFFFFFF
+
+def _key_hashes(keys: Iterable[Hashable]) -> Iterator[int]:
+    """``_stable_hash(f"key:{key!r}")`` of every key, the CRC32s in C loops."""
+    raws = [f"key:{key!r}".encode() for key in keys]
+    return map(_mix, map(crc32, raws), map(crc32, map(_REVERSED, raws)))
 
 
 class ConsistentHashDirectory(Directory):
-    """Classic consistent-hash ring with virtual nodes.
-
-    With the default 64 virtual nodes per physical node, key ownership is
-    close to uniform, matching the paper's "keys are evenly distributed
-    across nodes".  The ring is static, the paper's local look-up
-    function; sharded clusters move keys through :class:`ShardMap`.
+    """Classic consistent-hash ring with virtual nodes: with the default 64
+    per node, ownership is close to uniform, matching the paper's "keys are
+    evenly distributed across nodes".  The ring is static, the paper's local
+    look-up function; sharded clusters place keys through :class:`ShardMap`.
     """
 
     def __init__(self, node_ids: Sequence[int], virtual_nodes: int = 64) -> None:
@@ -64,15 +78,18 @@ class ConsistentHashDirectory(Directory):
             for replica in range(virtual_nodes)
         )
         self._ring_positions = [position for position, _ in ring]
-        self._ring_owners = [owner for _, owner in ring]
-        # Placement is a pure function of the key, so lookups are memoised;
-        # the cache is bounded by the keys the run routes and turns two
-        # CRC32 passes plus a bisect into one dict hit on the hot path.
+        # A hash past the last point wraps round to the first point's owner.
+        self._ring_owners = [owner for _, owner in ring] + [ring[0][1]]
+        # Placement is a pure function of the key, so lookups are memoised:
+        # one dict hit for two CRC32 passes and a bisect, per routed key.
         self._cache: Dict[Hashable, int] = {}
 
     def place(self, key: Hashable) -> int:
-        index = bisect.bisect_right(self._ring_positions, _stable_hash(f"key:{key!r}"))
-        return self._ring_owners[index % len(self._ring_owners)]
+        return self._ring_owners[bisect_right(self._ring_positions, _stable_hash(f"key:{key!r}"))]
+
+    def place_many(self, keys: Iterable[Hashable]) -> List[int]:
+        owners, positions = self._ring_owners, self._ring_positions
+        return [owners[bisect_right(positions, digest)] for digest in _key_hashes(keys)]
 
     def site(self, key: Hashable) -> int:
         owner = self._cache.get(key)
@@ -82,24 +99,11 @@ class ConsistentHashDirectory(Directory):
 
 
 class ShardMap(Directory):
-    """Key → shard → owner placement with epoch-versioned atomic flips.
-
-    Where :class:`ConsistentHashDirectory` derives ownership from ring
-    geometry, a shard map makes it explicit state: the keyspace is
-    partitioned into ``num_shards`` fixed shards by stable hash, and an
-    owner table maps each shard to one node.  Ownership moves at shard
-    granularity, only when a failover promotes a backup over a dead
-    owner: a fenced handoff (:mod:`repro.cluster.handoff`) flips the
-    table entries with :meth:`assign`, the only writer of an entry.
-    Every flip bumps ``epoch``, so a participant knows a key may have
-    moved since it was routed, and traces can name the placement a
-    lookup was served under.  ``ShardMap(range(n), n)``
-    is one shard per node: key ``k`` sits at
-    ``_stable_hash(f"key:{k!r}") % n``.
-
-    Ownership is total and unique (every shard has exactly one owner,
-    always drawn from the fixed ``node_ids``), which the property suite
-    pins down.
+    """Key → shard → owner placement with epoch-versioned atomic flips
+    (docs/sharding.md section 1): ``num_shards`` fixed shards by stable
+    hash, and an owner table, total and unique over the fixed ``node_ids``,
+    whose entries only a failover promotion's :meth:`assign` flips, each
+    flip bumping ``epoch`` so a participant knows a key may have moved.
     """
 
     def __init__(self, node_ids: Sequence[int], num_shards: int = 64) -> None:
@@ -112,11 +116,8 @@ class ShardMap(Directory):
         self.num_shards = num_shards
         self.epoch = 0
         self.node_ids: list = list(node_ids)
-        # Initial placement strides shards across the given node order --
-        # exact balance (counts differ by at most one), no hashing needed.
-        self._owners: list = [
-            node_ids[shard % len(node_ids)] for shard in range(num_shards)
-        ]
+        # Shards stride across the given node order: counts differ by <= 1.
+        self._owners: list = [node_ids[shard % len(node_ids)] for shard in range(num_shards)]
         # key -> shard is a pure function of the key (ownership flips
         # never invalidate it), so it is memoised on a key's first lookup.
         self._shard_cache: Dict[Hashable, int] = {}
@@ -124,6 +125,10 @@ class ShardMap(Directory):
     def hash_shard(self, key: Hashable) -> int:
         """``shard_of`` computed afresh, leaving the memo alone."""
         return _stable_hash(f"key:{key!r}") % self.num_shards
+
+    def hash_shards(self, keys: Iterable[Hashable]) -> List[int]:
+        """``hash_shard`` of every key, in order."""
+        return [digest % self.num_shards for digest in _key_hashes(keys)]
 
     def shard_of(self, key: Hashable) -> int:
         shard = self._shard_cache.get(key)
@@ -136,6 +141,9 @@ class ShardMap(Directory):
 
     def place(self, key: Hashable) -> int:
         return self._owners[self.hash_shard(key)]
+
+    def place_many(self, keys: Iterable[Hashable]) -> List[int]:
+        return list(map(self._owners.__getitem__, self.hash_shards(keys)))
 
     def site(self, key: Hashable) -> int:
         return self._owners[self.shard_of(key)]

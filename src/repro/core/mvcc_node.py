@@ -165,15 +165,13 @@ class MVCCNode(BaseProtocolNode):
     # Loading
     # ------------------------------------------------------------------
     def load_many(self, items: Iterable[Tuple[Hashable, object]]) -> int:
-        """Bulk-install initial versions (all share the interned zero VC)."""
-        if self.wal is not None:
-            # Setup-time write: durable immediately, never part of a
-            # crash's lost suffix (see WriteAheadLog.append_durable).
-            items = tuple(items)
+        """Bulk-install initial versions (all share the interned zero VC),
+        all or nothing: checked and installed by the store, then logged."""
+        items = list(items)
+        count = self.store.create_many(items, VectorClock.zero(self.shared.num_nodes))
+        if self.wal is not None:  # durable at once: see ``append_durable``
             self.wal.append_durable(LoadRecord.of(items))
-        return self.store.create_many(
-            items, VectorClock.zero(self.shared.num_nodes)
-        )
+        return count
 
     # ------------------------------------------------------------------
     # Coordinator API

@@ -52,7 +52,7 @@ import sys
 import threading
 from typing import List, Optional, Tuple
 
-from repro.cluster.directory import ConsistentHashDirectory
+from repro.cluster.directory import LOAD_CHUNK, ConsistentHashDirectory
 from repro.cluster.node import Node
 from repro.config import ClusterConfig
 from repro.core.interfaces import SharedState
@@ -141,11 +141,11 @@ class NodeHost:
     # -- workload ------------------------------------------------------
     def load_owned(self) -> int:
         """Install the workload's baseline for every key this node owns."""
-        return self._node.load_many(
-            (key, value)
-            for key, value in self.workload.load_items()
-            if self.directory.place(key) == self.node_id
-        )
+        owned, items = [], iter(self.workload.load_items())
+        while chunk := list(itertools.islice(items, LOAD_CHUNK)):
+            owners = self.directory.place_many([key for key, _value in chunk])
+            owned += itertools.compress(chunk, map(self.node_id.__eq__, owners))
+        return self._node.load_many(owned)
 
     def run_workload(self) -> None:
         stop_time = self.sim.now + self.duration

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.core.vector_clock import VectorClock
@@ -69,19 +70,21 @@ class MultiVersionStore:
 
     def create_many(self, items: Iterable[Tuple[Hashable, object]], vc: VectorClock) -> int:
         """Bulk :meth:`create` for the initial data load: each key is held
-        as its value, and ``vc`` once, as the store's one load clock."""
-        if self._load_vc is None:
-            self._load_vc = vc
-        elif vc != self._load_vc:
+        as its value, and ``vc`` once, as the store's one load clock.
+        All or nothing: a key already held, or repeated in ``items``,
+        raises ``KeyError`` and leaves the store as it was."""
+        if self._load_vc is not None and vc != self._load_vc:
             raise ValueError(f"load clock {vc!r} differs from {self._load_vc!r}")
-        chains = self._chains
-        count = 0
-        for key, value in items:
-            if key in chains:
-                raise KeyError(f"key {key!r} already exists")
-            chains[key] = value
-            count += 1
-        return count
+        items, chains, held = list(items), self._chains, len(self._chains)
+        if chains.keys().isdisjoint(map(itemgetter(0), items)):
+            chains.update(items)
+            if len(chains) - held == len(items):
+                self._load_vc = vc
+                return len(items)
+            for key, _value in items:  # a key repeated in ``items``: undo
+                chains.pop(key, None)
+        clash = [key for key, _value in items if key in chains]
+        raise KeyError(f"key {clash[0]!r} already exists" if clash else "a key repeats")
 
     def chain(self, key: Hashable) -> VersionChain:
         """``key``'s chain -- built here on a loaded key's first touch."""

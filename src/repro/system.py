@@ -24,9 +24,10 @@ scripts that interleave several transactions in one process.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
-from repro.cluster.directory import ConsistentHashDirectory, Directory, ShardMap
+from repro.cluster.directory import LOAD_CHUNK, ConsistentHashDirectory, Directory, ShardMap
 from repro.cluster.node import Node
 from repro.config import ClusterConfig
 from repro.core.fwkv import FWKVNode
@@ -258,43 +259,33 @@ class Cluster:
     def load_many(self, items: Iterable[Tuple[Hashable, object]]) -> int:
         """Install many (key, value) pairs; returns the count loaded.
 
-        Items are bucketed by preferred site and handed to each node's
-        bulk loader, so a large keyspace pays one placement lookup per key
-        and nothing else per item at the Python-call level.  The lookups
-        are uncached (``place``, ``hash_shard``): the directory's memo
-        holds only the keys the run routes.  With replication enabled the
-        baseline is mirrored to each key's backups -- every replica's chain
-        starts identical, so stream installs keep vids aligned forever after.
-        """
-        directory, rep = self.directory, self.replication
-        place = directory.place
-        buckets: Dict[int, list] = {}
-        shards: Dict[int, list] = {}  # owner -> its items' shards, if replicated
-        for item in items:
-            if rep is None:
-                owner = place(item[0])
+        Pulls ``items`` in chunks of :data:`LOAD_CHUNK`, never holding the
+        keyspace; places each chunk in one uncached batch and hands each node
+        its bucket in one bulk load.  A replicated key also goes to its shard's
+        backups, so every replica's chain starts identical.  Every node gets
+        its keys, owned and backed up alike, in item order: what key-by-key
+        :meth:`load` calls install."""
+        nodes, loaded, items = self.nodes, 0, iter(items)
+        while chunk := list(islice(items, LOAD_CHUNK)):
+            buckets = [[] for _ in nodes]
+            keys = [key for key, _value in chunk]
+            if self.replication is None:
+                adds = [bucket.append for bucket in buckets]
+                for item, owner in zip(chunk, self.directory.place_many(keys)):
+                    adds[owner](item)
             else:  # one hash names the owner and the backups
-                shard = directory.hash_shard(item[0])
-                owner = directory.owner_of(shard)
-                shards.setdefault(owner, []).append(shard)
-            bucket = buckets.get(owner)
-            if bucket is None:
-                buckets[owner] = [item]
-            else:
-                bucket.append(item)
-        nodes = self.nodes
-        loaded = sum(
-            nodes[owner].load_many(bucket) for owner, bucket in buckets.items()
-        )
-        if rep is not None:
-            # The returned count stays the primary-copy count.
-            mirror: Dict[int, list] = {}
-            for owner, bucket in buckets.items():
-                for item, shard in zip(bucket, shards[owner]):
-                    for backup in rep.placement.get(shard, ()):
-                        mirror.setdefault(backup, []).append(item)
-            for backup, bucket in mirror.items():
-                nodes[backup].load_many(bucket)
+                placement = self.replication.placement
+                fanout = [
+                    [buckets[site].append for site in (owner, *placement.get(shard, ()))]
+                    for shard, owner in enumerate(self.directory.owners())
+                ]
+                for item, shard in zip(chunk, self.directory.hash_shards(keys)):
+                    for add in fanout[shard]:
+                        add(item)
+            for node, bucket in zip(nodes, buckets):
+                if bucket:
+                    node.load_many(bucket)
+            loaded += len(chunk)
         return loaded
 
     # ------------------------------------------------------------------

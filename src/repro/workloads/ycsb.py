@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, List, Tuple
 
 from repro.workloads.base import TxnContext, TxnProgram, Workload
@@ -26,6 +27,7 @@ from repro.workloads.distributions import (
 READ_ONLY_PROFILE = "ycsb-ro"
 UPDATE_PROFILE = "ycsb-up"
 
+_KEY = "u%d"  # key ``index``'s text: 4-byte-ish, the paper's tiny keys
 _VALUE_ALPHABET = string.ascii_letters + string.digits
 _VALUE_BITS = len(_VALUE_ALPHABET).bit_length()
 
@@ -75,8 +77,7 @@ class YCSBWorkload(Workload):
 
     @staticmethod
     def key(index: int) -> str:
-        # 4-byte-ish compact keys, matching the paper's tiny-key setup.
-        return f"u{index}"
+        return _KEY % index
 
     def _random_value(self, rng: random.Random) -> str:
         # ``rng.choice(_VALUE_ALPHABET)`` per character, draw for draw
@@ -94,9 +95,8 @@ class YCSBWorkload(Workload):
         return "".join(chars)
 
     def load_items(self) -> Iterable[Tuple[str, str]]:
-        pad = ("x" * self.config.value_size)
-        for index in range(self.config.num_keys):
-            yield self.key(index), pad
+        count = self.config.num_keys
+        return zip(map(_KEY.__mod__, range(count)), repeat("x" * self.config.value_size, count))
 
     def generate(self, rng: random.Random, node_id: int) -> TxnProgram:
         keys = [self.key(i) for i in self._chooser.sample(rng, self.config.keys_per_txn)]

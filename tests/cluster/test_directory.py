@@ -4,13 +4,17 @@ import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Cluster, ClusterConfig, ReplicationConfig, ShardingConfig
 from repro.cluster import (
     CallableDirectory,
     ConsistentHashDirectory,
     ExplicitDirectory,
+    ShardMap,
 )
+from repro.workloads.tpcc import schema
 from tests.integration.scenario_tools import read_only_txn
 
 
@@ -84,6 +88,30 @@ def test_the_run_fills_the_placement_memo_not_the_load(layout):
     assert cluster.run_txn(lambda txn: [txn.write(key, -1) for key in written]).committed
     cluster.run_process(read_only_txn(cluster, 1, read))
     assert set(memo) == set(written) | set(read)
+
+
+#: Keys whose ``repr`` escapes quotes, backslashes and non-ASCII, ints,
+#: and the TPC-C port's tuple keys.
+any_key = st.one_of(
+    st.text(st.sampled_from("u0'\"\\\n\xe9\u20ac\U0001f600"), max_size=6), st.text(max_size=6),
+    st.integers(), st.builds(schema.customer_key, *[st.integers(0, 3000)] * 3),
+    st.builds(schema.customer_name_index_key, st.integers(1, 4), st.integers(1, 10), st.text()),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(keys=st.lists(any_key, max_size=40))
+def test_bulk_placement_is_per_key_placement(keys):
+    """``place_many`` is ``place`` key by key, ``hash_shards`` is
+    ``hash_shard``, on every directory, and neither fills a memo."""
+    ring, shard_map = ConsistentHashDirectory(range(4)), ShardMap(range(5), 16)
+    for directory in (
+        ring, shard_map, ExplicitDirectory({key: len(repr(key)) % 3 for key in keys}),
+        CallableDirectory(lambda key: len(repr(key)) % 3),
+    ):
+        assert directory.place_many(keys) == [directory.place(key) for key in keys]
+    assert shard_map.hash_shards(keys) == [shard_map.hash_shard(key) for key in keys]
+    assert not ring._cache and not shard_map._shard_cache
 
 
 def test_explicit_directory_places_listed_keys_only():

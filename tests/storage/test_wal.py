@@ -322,3 +322,16 @@ def test_lsns_are_absolute_across_truncation():
     assert wal.tail_lsn == 3
     assert wal.durable_lsn == 2
     assert wal.mark_durable(3) == 1
+
+
+def test_a_refused_load_leaves_the_store_and_the_log_as_they_were():
+    """Check, insert, log: a held or repeated key refuses the whole load,
+    so the node still replays."""
+    node = Cluster("fwkv", WAL_ON).nodes[0]
+    node.load_many([("a", 1)])
+    store, log = list(node.store.snapshots()), node.wal.records()
+    for refused in ([("z1", 0), ("a", 9)], [("z2", 0), ("z2", 1)]):
+        with pytest.raises(KeyError):
+            node.load_many(refused)
+        assert list(node.store.snapshots()) == store and node.wal.records() == log
+    assert list(replay(node.wal.records(), 3).store.snapshots()) == store

@@ -13,13 +13,9 @@ def make(ro=0.5, keys=100, **kwargs):
 
 
 def test_load_items_covers_key_space():
-    workload = make(keys=50)
-    items = list(workload.load_items())
-    assert len(items) == 50
-    keys = {key for key, _value in items}
-    assert keys == {YCSBWorkload.key(i) for i in range(50)}
-    # The paper's 12-byte values.
-    assert all(len(value) == 12 for _key, value in items)
+    # In key order, each key its ``key(i)``, with the paper's 12-byte values.
+    assert list(make(keys=50).load_items()) == [(f"u{i}", "x" * 12) for i in range(50)]
+    assert [YCSBWorkload.key(i) for i in range(50)] == [f"u{i}" for i in range(50)]
 
 
 def test_mix_matches_read_only_fraction():
