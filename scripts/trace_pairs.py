@@ -110,7 +110,6 @@ def healing_partition():
 
     cluster = build(healing=HealingConfig(
         heartbeat_interval=5e-4, anti_entropy_interval=1e-3,
-        digest_timeout=5e-4,
     ))
     traffic(cluster, range(NUM_NODES), 20e-3)
     Nemesis(cluster).start(isolate_cycle(2, range(NUM_NODES), 4e-3, 6e-3))
@@ -118,15 +117,18 @@ def healing_partition():
 
 
 def checkpoint_truncation():
-    from repro import CheckpointConfig, DurabilityConfig, HealingConfig
+    import repro
+    from repro import DurabilityConfig, HealingConfig
     from repro.faults import Nemesis, isolate_cycle
 
+    # Trees that still have ``CheckpointConfig`` nest the interval in it.
+    if hasattr(repro, "CheckpointConfig"):
+        checkpoint = dict(checkpoint=repro.CheckpointConfig(interval=2e-3))
+    else:
+        checkpoint = dict(checkpoint_interval=2e-3)
     cluster = build(
         durability=DurabilityConfig(wal_enabled=True),
-        healing=HealingConfig(
-            anti_entropy_interval=1e-3, digest_timeout=5e-4,
-            checkpoint=CheckpointConfig(interval=2e-3),
-        ),
+        healing=HealingConfig(anti_entropy_interval=1e-3, **checkpoint),
     )
     traffic(cluster, (0, 1, 3), 25e-3)
     Nemesis(cluster).start(isolate_cycle(2, range(NUM_NODES), 3e-3, 15e-3))

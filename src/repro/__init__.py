@@ -35,7 +35,6 @@ Every ``*Config`` dataclass round-trips through ``to_dict()`` /
 """
 
 from repro.config import (
-    CheckpointConfig,
     ClusterConfig,
     DurabilityConfig,
     HealingConfig,
@@ -51,7 +50,6 @@ from repro.system import PROTOCOLS, Cluster, TxnHandle, TxnResult
 __version__ = "1.4.0"
 
 __all__ = [
-    "CheckpointConfig",
     "Cluster",
     "ClusterConfig",
     "DurabilityConfig",

@@ -178,28 +178,6 @@ class BatchingConfig(ConfigSerde):
 
 
 @dataclass
-class CheckpointConfig(ConfigSerde):
-    """WAL checkpointing and truncation (see docs/self_healing.md).
-
-    A checkpoint is a fingerprinted snapshot of the node's durable state
-    (store chains, ``siteVC``, ``CurrSeqNo``, in-doubt prepares, decision
-    log) appended to the WAL; recovery replays snapshot-then-suffix, so
-    replay cost stops growing with history length.  Records below the
-    newest checkpoint are truncated once the anti-entropy digests show the
-    node's own commit frontier at checkpoint time applied at *every* peer
-    -- the precise-GC condition under which no peer can ever again need a
-    truncated decision or prepare.  A peer that is partitioned or never
-    heard from holds truncation back until it has caught up; there is no
-    lag bound.
-    """
-
-    #: Virtual-seconds period between checkpoint attempts by the healing
-    #: daemon; ``None`` (default) disables automatic checkpointing
-    #: (tests may still call ``CheckpointManager.checkpoint_now``).
-    interval: Optional[float] = None
-
-
-@dataclass
 class HealingConfig(ConfigSerde):
     """Self-healing layer: failure detection, anti-entropy, checkpoints.
 
@@ -219,8 +197,16 @@ class HealingConfig(ConfigSerde):
       exactly the missing per-origin sequence numbers both ways, closing
       healed-partition gaps without a restart and without foreground
       traffic;
-    * **checkpointing** (:class:`CheckpointConfig`, default off) bounds
-      WAL replay cost.
+    * **checkpointing** (default off) bounds WAL replay cost: a
+      checkpoint is a fingerprinted snapshot of the node's durable state
+      (store chains, ``siteVC``, ``CurrSeqNo``, in-doubt prepares,
+      decision log) appended to the WAL, and recovery replays
+      snapshot-then-suffix.  Records below the newest checkpoint are
+      truncated once the anti-entropy digests show the node's own commit
+      frontier at checkpoint time applied at *every* peer -- the
+      precise-GC condition under which no peer can ever again need a
+      truncated decision or prepare.  A partitioned peer holds
+      truncation back until it has caught up; there is no lag bound.
     """
 
     #: Active heartbeat period; ``None`` (default) relies purely on
@@ -231,14 +217,10 @@ class HealingConfig(ConfigSerde):
     heartbeat_interval: Optional[float] = None
     #: Anti-entropy gossip period; ``None`` (default) disables the loop.
     anti_entropy_interval: Optional[float] = None
-    #: Per-attempt reply deadline for gossip digest RPCs when the global
-    #: ``rpc.request_timeout`` is ``None`` (the loop must never hang on a
-    #: dead peer); ignored when a global timeout is configured.
-    digest_timeout: float = 2e-3
-    #: WAL checkpoint/truncation policy.
-    checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
-
-    _nested = {"checkpoint": CheckpointConfig}
+    #: Virtual-seconds period between checkpoint attempts; ``None``
+    #: (default) disables automatic checkpointing (tests may still call
+    #: ``CheckpointManager.checkpoint_now``).
+    checkpoint_interval: Optional[float] = None
 
 
 @dataclass
@@ -296,20 +278,12 @@ class ReplicationConfig(ConfigSerde):
     #: promoted to their freshest backups.  ``None`` (default) never
     #: promotes -- streams still replicate, but ownership is static.
     failover_timeout: Optional[float] = None
-    #: How long a commit waits for its ``decision`` record's
-    #: acknowledgment before going on without it (counted; the record
-    #: stays queued and retransmits, only the *wait* is skipped) -- and
-    #: how long a silent backup can hold a committed prepare's write
-    #: locks past its apply (uncounted).
-    sync_timeout: float = 2e-3
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
         if self.mode != "sync":
             raise ValueError("mode must be 'sync'")
-        if self.sync_timeout <= 0:
-            raise ValueError("sync_timeout must be positive")
         if self.failover_timeout is not None and self.failover_timeout <= 0:
             raise ValueError("failover_timeout must be positive or None")
 
@@ -381,17 +355,11 @@ class ClusterConfig(ConfigSerde):
     #: Disabling Removes entirely lets VAS entries accumulate without
     #: bound (the leak the paper's Figure 6 numbers grow with).
     removes_enabled: bool = True
-    #: Version-chain garbage collection (MVCC protocols).  When a chain
-    #: outgrows ``gc_trigger_length``, versions beyond the newest
-    #: ``gc_keep_versions`` that are older than ``gc_min_age`` and carry no
-    #: VAS registrations are reclaimed.  ``gc_min_age`` must comfortably
-    #: exceed the longest transaction lifetime (standard MVCC vacuuming
-    #: assumption) so no in-flight snapshot can still need a reclaimed
-    #: version.
+    #: Version-chain garbage collection (MVCC protocols; the policy is
+    #: the constants beside ``repro.storage.chain.VersionChain.
+    #: collect_garbage``).  The fault batteries turn it off so their
+    #: lost-write audit sees whole chains.
     gc_enabled: bool = True
-    gc_keep_versions: int = 16
-    gc_trigger_length: int = 32
-    gc_min_age: float = 0.05
     #: Lease on prepared write locks.  A participant that
     #: voted yes normally holds its locks until the coordinator's Decide
     #: arrives; if the coordinator crashes first, those locks would be held

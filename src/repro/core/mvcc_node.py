@@ -43,6 +43,7 @@ from repro.metrics.stats import AbortReason
 from repro.net.message import Envelope, MessageType
 from repro.net.rpc import RpcTimeoutError
 from repro.sim import AllOf, wait_until
+from repro.storage.chain import GC_KEEP_VERSIONS, GC_MIN_AGE, GC_TRIGGER_LENGTH
 from repro.storage.locks import LockTable
 from repro.storage.store import MultiVersionStore
 from repro.storage.version import Version
@@ -468,7 +469,7 @@ class MVCCNode(BaseProtocolNode):
                 # homes and the backups of the own shards written), before
                 # any Decide or the client acknowledgement leaves the node:
                 # the one replication wait of a commit (S3/S4), bounded by
-                # sync_timeout.  Promotion re-creates what a crash took.
+                # SYNC_TIMEOUT.  Promotion re-creates what a crash took.
                 yield from self.replication.replicate_decision(
                     txn.txn_id, txn.seq_no, decide.commit_vc, decide.collected,
                     self.in_doubt.log.by_txn[txn.txn_id].writes,
@@ -938,13 +939,10 @@ class MVCCNode(BaseProtocolNode):
 
     def _maybe_collect_garbage(self, key: Hashable) -> None:
         """Reclaim cold versions once a chain outgrows the trigger length."""
-        config = self.shared.config
-        if not config.gc_enabled:
+        if not self.shared.config.gc_enabled:
             return
         chain = self.store.chain(key)
-        if len(chain) > config.gc_trigger_length:
-            dropped = chain.collect_garbage(
-                config.gc_keep_versions, config.gc_min_age, self.sim.now
-            )
+        if len(chain) > GC_TRIGGER_LENGTH:
+            dropped = chain.collect_garbage(GC_KEEP_VERSIONS, GC_MIN_AGE, self.sim.now)
             if dropped:
                 self.metrics.count("versions_reclaimed", dropped)

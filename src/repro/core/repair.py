@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional
 
+from repro.config import RpcConfig
 from repro.core.wire import (
     DecideBody,
     SyncReplyBody,
@@ -31,6 +32,19 @@ from repro.storage.wal import DecisionRecord
 #: spends on an unreachable coordinator before it falls back to presumed
 #: abort (the RPC layer retries within each round).
 TERMINATION_ATTEMPTS = 5
+#: Single-attempt reply deadline of a repair RPC -- gossip digest, chain
+#: shipment, in-doubt status query -- under the paper's reliable channels.
+REPAIR_TIMEOUT = 2e-3
+
+
+def repair_rpc(endpoint: RpcConfig) -> Optional[RpcConfig]:
+    """The policy a repair RPC runs under: a repair must never hang on a
+    dead peer, so with no global timeout (the paper model) it gets a
+    private single-attempt :data:`REPAIR_TIMEOUT`; with one, ``None``
+    keeps the endpoint's own (detector-capped) policy."""
+    if endpoint.request_timeout is not None:
+        return None
+    return RpcConfig(request_timeout=REPAIR_TIMEOUT, max_attempts=1)
 
 
 class Fence:
@@ -268,7 +282,7 @@ class InDoubtResolver:
         ``entry`` left the prepared table meanwhile (a racing Decide
         won).  A multi-round query paces its rounds by the prepared
         lease; a single-shot caller keeps its own cadence.  Every round
-        is bounded like a gossip digest (``NodeHealing._rpc_config``):
+        is bounded like a gossip digest (:func:`repair_rpc`):
         the paper-model ``request_timeout=None`` cannot hang an asker on
         a dead coordinator.
         """

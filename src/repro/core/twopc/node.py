@@ -16,12 +16,11 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.cluster.node import Node
-from repro.config import RpcConfig
 from repro.core.cost_model import (
     COMMIT_BASE, INSTALL_KEY, LOCK_OP, PREPARE_KEY, READ_HANDLER,
 )
 from repro.core.interfaces import BaseProtocolNode, SharedState
-from repro.core.repair import TERMINATION_ATTEMPTS
+from repro.core.repair import TERMINATION_ATTEMPTS, repair_rpc
 from repro.core.transaction import Transaction
 from repro.core.wire import (
     SimpleDecideBody,
@@ -75,10 +74,7 @@ class TwoPCNode(BaseProtocolNode):
         #: yet -- what a status query answers "committed" to.
         self._committed: set = set()
         #: A status query must not hang on a dead coordinator.
-        rpc = node.rpc.config
-        self._status_rpc = rpc if rpc.request_timeout is not None else RpcConfig(
-            request_timeout=shared.config.healing.digest_timeout, max_attempts=1
-        )
+        self._status_rpc = repair_rpc(node.rpc.config)
 
         node.on(MessageType.READ_REQUEST, self.on_read_request)
         node.on(MessageType.PREPARE, self.on_prepare)

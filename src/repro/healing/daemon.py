@@ -32,10 +32,9 @@ pure function of its seed like everything else in the simulator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.config import RpcConfig
-from repro.core.repair import TERMINATION_ATTEMPTS, reannounce
+from repro.core.repair import TERMINATION_ATTEMPTS, reannounce, repair_rpc
 from repro.core.vector_clock import VectorClock
 from repro.core.wire import HeartbeatBody, SyncReplyBody, SyncRequestBody
 from repro.healing.checkpoint import CheckpointManager
@@ -96,18 +95,8 @@ class NodeHealing:
             owner.node.rpc.detector = self.detector
             owner.node.arrival_hook = self.detector.on_arrival
 
-        # Repair RPCs -- gossip digests, chain shipments, every in-doubt
-        # status query, an expiring lease's included -- must never hang
-        # on a dead peer: under the paper's reliable-channel default (no
-        # global timeout) they get a private single-attempt deadline;
-        # with a global timeout they use the endpoint's own
-        # (detector-capped) policy.
-        if owner.node.rpc.config.request_timeout is None:
-            self._rpc_config: Optional[RpcConfig] = RpcConfig(
-                request_timeout=config.digest_timeout, max_attempts=1
-            )
-        else:
-            self._rpc_config = None
+        # Gossip digests, chain shipments and every in-doubt status query.
+        self._rpc_config = repair_rpc(owner.node.rpc.config)
 
         self.checkpoints = CheckpointManager(owner, self)
 
@@ -133,7 +122,7 @@ class NodeHealing:
             arm(config.heartbeat_interval, self._beat, "heartbeat", self._period)
             arm(config.anti_entropy_interval, self._gossip, "gossip", self._period)
         if self.owner.wal is not None:
-            arm(config.checkpoint.interval, self._checkpoint, "checkpoint")
+            arm(config.checkpoint_interval, self._checkpoint, "checkpoint")
 
     def stop(self) -> None:
         """Wind down the periodic loops (each exits at its next wake-up)."""

@@ -105,7 +105,7 @@ EVENTS: Dict[str, Event] = {
         "sender snapshot_id chains frontier", snapshot_installs=1
     ),
     # Per-shard primary-backup replication; a degraded sync-mode wait hit
-    # ``sync_timeout`` and went async.
+    # ``SYNC_TIMEOUT`` and went async.
     "replication_records_streamed": counted("stream records backups acked"),
     "replication_lag_max": counted(
         "worst stream lag seen (a maximum, kept by its one writer)"

@@ -10,7 +10,7 @@ FIFO streams (:class:`ReplicationStream`; ``docs/replication.md``):
 (:meth:`NodeReplication._decision_targets`) -- and ``apply`` installs a
 commit's versions verbatim.  In ``sync`` mode a commit's acknowledgement
 and every Decide wait once, for its ``decision`` record on all targets
-(bounded by ``sync_timeout``, then *degraded* to asynchronous and
+(bounded by :data:`SYNC_TIMEOUT`, then *degraded* to asynchronous and
 counted); a ``prepare`` record only holds its entry's write locks until
 acknowledged (:meth:`NodeReplication.after_acked`).  Failover
 (:mod:`repro.replication.failover`) promotes the freshest backup of each
@@ -42,6 +42,9 @@ WINDOW = 4
 #: How long a busy stream may hear no progress before it strikes the
 #: failure detector, and its further pause before it resends.
 RETRY_INTERVAL = 1e-3
+#: How long a commit waits for its ``decision`` record's ack (counted) and a
+#: silent backup holds a committed prepare's write locks past its apply.
+SYNC_TIMEOUT = 2e-3
 
 
 class _AckLatch(Event):
@@ -130,7 +133,6 @@ class NodeReplication:
     def __init__(self, owner, cluster_rep: "ClusterReplication") -> None:
         self.owner = owner
         self.cluster_rep = cluster_rep
-        self.config: ReplicationConfig = cluster_rep.config
         self.sim = owner.sim
         self.node_id = owner.node_id
         self.metrics = owner.metrics
@@ -171,7 +173,7 @@ class NodeReplication:
         self-coordinated ``prepare``; holding the ``decision`` behind it
         is what keeps a promotion's presumed abort exact."""
         live = self._all_backups()
-        homes = live[: self.config.replication_factor - 1]
+        homes = live[: self.cluster_rep.config.replication_factor - 1]
         if not writes:
             return homes
         targets = set(homes)
@@ -308,7 +310,7 @@ class NodeReplication:
         stream.waiters.clear()
 
     def _latch(self, targets) -> Optional[_AckLatch]:
-        """One latch, bounded by ``sync_timeout``, over the listed
+        """One latch, bounded by :data:`SYNC_TIMEOUT`, over the listed
         ``(stream, seq)`` records still unacknowledged on an open stream
         (a closed one's backup is gone); ``None`` if there are none."""
         pending = [
@@ -317,7 +319,7 @@ class NodeReplication:
         ]
         if not pending:
             return None
-        latch = _AckLatch(self.sim, len(pending), self.config.sync_timeout)
+        latch = _AckLatch(self.sim, len(pending), SYNC_TIMEOUT)
         for stream, seq in pending:
             insort(stream.waiters, (seq, latch), key=lambda waiter: waiter[0])
         return latch
@@ -334,7 +336,7 @@ class NodeReplication:
 
     def _await_acks(self, targets: List[Tuple[ReplicationStream, int]]):
         """The one replication wait of a commit, its decision's (S3): True
-        when every target acknowledged, False when ``sync_timeout`` expired
+        when every target acknowledged, False when :data:`SYNC_TIMEOUT` expired
         first -- the caller proceeds anyway (the records stay queued and
         retransmit), so a partitioned backup costs latency and redundancy,
         never availability."""
@@ -346,9 +348,7 @@ class NodeReplication:
             if (seq, latch) in stream.waiters:
                 stream.waiters.remove((seq, latch))
                 late.append(stream.backup)
-        self.tracer.emit(
-            self.node_id, "replication_degraded", backups=tuple(late)
-        )
+        self.tracer.emit(self.node_id, "replication_degraded", backups=tuple(late))
         return False
 
     # ------------------------------------------------------------------

@@ -11,6 +11,15 @@ from repro.storage.version import Version
 #: ``(value, vc_tuple, origin, seq, writer_txn, installed_at)``.
 SnapshotVersion = Tuple[object, Tuple[int, ...], int, int, Optional[int], float]
 
+#: The MVCC nodes' garbage-collection policy (:meth:`VersionChain.
+#: collect_garbage`): once a chain outgrows ``GC_TRIGGER_LENGTH``, the
+#: versions beyond the newest ``GC_KEEP_VERSIONS`` installed more than
+#: ``GC_MIN_AGE`` virtual seconds ago go.  The age must comfortably exceed
+#: the longest transaction lifetime (the standard MVCC vacuuming rule).
+GC_KEEP_VERSIONS = 16
+GC_TRIGGER_LENGTH = 32
+GC_MIN_AGE = 0.05
+
 
 class VersionChain:
     """All committed versions of one key, ordered by ascending ``vid``.

@@ -33,11 +33,12 @@ Record vocabulary (one dataclass per protocol step, see DESIGN.md 5.5):
 checkpoint`) keeps replay cost bounded as history grows
 ===================  ===================================================
 
-Replay is **idempotent** and **order-insensitive within a sequence-number
-gap**: per-origin clock advances are buffered until contiguous, records
-at-or-below the rebuilt clock are skipped, and duplicated suffixes are
-no-ops -- the Hypothesis suite in ``tests/storage/test_wal_properties.py``
-pins both properties down.
+Replay is **idempotent**: records at-or-below the rebuilt clock are
+skipped, so duplicated suffixes are no-ops (the Hypothesis suite in
+``tests/storage/test_wal_properties.py`` pins it down).  Clock records
+apply in log order: the live applier logs each origin's advances in
+sequence order and a crash loses only a suffix, so a per-origin gap is a
+malformed log and raises.
 
 Crash semantics: :meth:`WriteAheadLog.freeze` marks the crash instant.
 Appends while frozen are discarded (and counted) -- the in-flight handler
@@ -442,15 +443,11 @@ class ReplayResult:
 def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     """Rebuild a node's durable state from its WAL records.
 
-    Clock-advancing records (``ApplyRecord``/``PropagateRecord``) are
-    applied in per-origin sequence order regardless of their position in
-    the stream: a record at or below the rebuilt ``siteVC`` is skipped
-    (idempotence under duplicated prefixes), and a record above the next
-    expected sequence number is buffered until the gap closes
-    (order-insensitivity within a gap).  Buffered records that never
-    become contiguous -- a malformed or truncated log -- are applied at
-    the end in sequence order, jumping the clock, rather than silently
-    dropped.
+    Clock-advancing records (``ApplyRecord``/``PropagateRecord``) apply
+    in log order: a record at or below the rebuilt ``siteVC`` is skipped
+    (idempotence under duplicated prefixes), and one past the next
+    expected sequence number raises ``ValueError`` naming its origin and
+    seq -- the live applier never logs a gap (Alg. 5 line 16).
     """
     # Imported here, not at module level: ``repro.replication`` imports
     # this module on its way in.
@@ -464,36 +461,6 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
     replayed = 0
     checkpoints = 0
     replication: Dict[int, BackupState] = {}
-    # origin -> {seq_no: record} waiting for its per-origin predecessor.
-    pending: Dict[int, Dict[int, WalRecord]] = {}
-
-    def apply_clock_record(record: WalRecord) -> None:
-        """Apply an admitted clock record."""
-        if isinstance(record, ApplyRecord):
-            commit_vc = VectorClock.frozen(record.commit_vc)
-            for key, value in record.writes:
-                store.install(
-                    key, value, commit_vc, origin=record.origin,
-                    seq=record.seq_no, writer_txn=record.txn_id,
-                )
-            in_doubt.pop(record.txn_id, None)
-        site_vc[record.origin] = record.seq_no
-
-    def admit(record: WalRecord) -> None:
-        """Apply a clock record in order, buffering across gaps."""
-        origin, seq_no = record.origin, record.seq_no
-        if seq_no <= site_vc[origin]:
-            return  # duplicate of an already-applied transition
-        if seq_no > site_vc[origin] + 1:
-            pending.setdefault(origin, {})[seq_no] = record
-            return
-        apply_clock_record(record)
-        waiting = pending.get(origin)
-        while waiting:
-            successor = waiting.pop(site_vc[origin] + 1, None)
-            if successor is None:
-                break
-            apply_clock_record(successor)
 
     for record in records:
         replayed += 1
@@ -510,15 +477,30 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
         elif isinstance(record, AbortRecord):
             in_doubt.pop(record.txn_id, None)
         elif isinstance(record, (ApplyRecord, PropagateRecord)):
-            admit(record)
+            origin, seq_no = record.origin, record.seq_no
+            if seq_no <= site_vc[origin]:
+                continue  # duplicate of an already-applied transition
+            if seq_no > site_vc[origin] + 1:
+                raise ValueError(
+                    f"WAL gap: origin {origin} seq {seq_no} follows "
+                    f"seq {site_vc[origin]}"
+                )
+            if isinstance(record, ApplyRecord):
+                commit_vc = VectorClock.frozen(record.commit_vc)
+                for key, value in record.writes:
+                    store.install(
+                        key, value, commit_vc, origin=origin, seq=seq_no,
+                        writer_txn=record.txn_id,
+                    )
+                in_doubt.pop(record.txn_id, None)
+            site_vc[origin] = seq_no
         elif isinstance(record, CheckpointRecord):
             # Reset to the snapshot.  The preceding records built exactly
             # the state the snapshot captured (checkpoints are taken from
             # live state, after everything below them was applied), so
-            # discarding the rebuilt prefix -- including gap-buffered
-            # clock records at or below the snapshot clock -- loses
-            # nothing; this is what makes a truncated log replay
-            # bit-identically to the full history.
+            # discarding the rebuilt prefix loses nothing; this is what
+            # makes a truncated log replay bit-identically to the full
+            # history.
             checkpoints += 1
             store = restore_store(record)
             site_vc = VectorClock(record.site_vc)
@@ -530,12 +512,11 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
             }
             if record.curr_seq_no > curr_seq_no:
                 curr_seq_no = record.curr_seq_no
-            pending.clear()
         elif isinstance(record, ReplicationRecord):
             # Backup-side stream state, through the live handler's own
-            # interpreter.  Apply installs go straight into the store
-            # (never through ``admit``): a backup's verbatim installs do
-            # not advance its own clock, exactly as live.
+            # interpreter.  Apply installs go straight into the store: a
+            # backup's verbatim installs do not advance its own clock,
+            # exactly as live.
             state = replication.get(record.primary)
             if state is None:
                 state = replication[record.primary] = BackupState()
@@ -543,13 +524,6 @@ def replay(records: Iterable[WalRecord], num_nodes: int) -> ReplayResult:
                 state.apply(record.entry, store)
         else:
             raise TypeError(f"unknown WAL record {record!r}")
-
-    # Drain never-contiguous leftovers (truncated logs) in seq order.
-    for origin in sorted(pending):
-        for seq_no in sorted(pending[origin]):
-            record = pending[origin][seq_no]
-            if seq_no > site_vc[origin]:
-                apply_clock_record(record)
 
     return ReplayResult(
         store=store,

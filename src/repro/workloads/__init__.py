@@ -1,11 +1,7 @@
 """Transactional workloads: YCSB and TPC-C ported to the key-value model."""
 
 from repro.workloads.base import Rollback, TxnContext, TxnProgram, Workload
-from repro.workloads.distributions import (
-    UniformChooser,
-    ZipfianChooser,
-    ZipfKeyGenerator,
-)
+from repro.workloads.distributions import UniformChooser, ZipfKeyGenerator
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
 
@@ -20,5 +16,4 @@ __all__ = [
     "YCSBConfig",
     "YCSBWorkload",
     "ZipfKeyGenerator",
-    "ZipfianChooser",
 ]

@@ -1,4 +1,4 @@
-"""Key-selection distributions (uniform and YCSB-style zipfian)."""
+"""Key-selection distributions (uniform and zipf)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ class UniformChooser:
 
     The paper's evaluation uses a uniform distribution "to highlight the
     performance impact of FW-KV design" (local accesses would be fresh
-    anyway); the zipfian chooser below exists for the skew extension.
+    anyway); the zipf chooser below exists for the skew extension.
     """
 
     def __init__(self, num_items: int) -> None:
@@ -30,67 +30,14 @@ class UniformChooser:
         return rng.sample(range(self.num_items), count)
 
 
-class ZipfianChooser:
-    """The standard YCSB scrambled-zipfian item chooser.
-
-    Popularity follows a zipf law with parameter ``theta``; item ranks are
-    scrambled by a multiplicative hash so popular items spread across the
-    key space (and therefore across nodes).
-    """
-
-    def __init__(self, num_items: int, theta: float = 0.99) -> None:
-        if num_items <= 0:
-            raise ValueError("num_items must be positive")
-        if not 0 < theta < 1:
-            raise ValueError("theta must be in (0, 1)")
-        self.num_items = num_items
-        self.theta = theta
-        self._zetan = self._zeta(num_items, theta)
-        self._zeta2 = self._zeta(2, theta)
-        self._alpha = 1.0 / (1.0 - theta)
-        self._eta = (1 - (2.0 / num_items) ** (1 - theta)) / (
-            1 - self._zeta2 / self._zetan
-        )
-
-    @staticmethod
-    def _zeta(n: int, theta: float) -> float:
-        return sum(1.0 / (i**theta) for i in range(1, n + 1))
-
-    def next(self, rng: random.Random) -> int:
-        u = rng.random()
-        uz = u * self._zetan
-        if uz < 1.0:
-            rank = 0
-        elif uz < 1.0 + 0.5**self.theta:
-            rank = 1
-        else:
-            rank = int(self.num_items * (self._eta * u - self._eta + 1) ** self._alpha)
-            rank = min(rank, self.num_items - 1)
-        # Scramble so hot items are spread over the key space.
-        return (rank * 0x9E3779B97F4A7C15 + 0x123456789) % self.num_items
-
-    def sample(self, rng: random.Random, count: int) -> List[int]:
-        """``count`` distinct indices (rejection sampling)."""
-        if count > self.num_items:
-            raise ValueError("cannot sample more distinct items than exist")
-        chosen: List[int] = []
-        seen = set()
-        while len(chosen) < count:
-            item = self.next(rng)
-            if item not in seen:
-                seen.add(item)
-                chosen.append(item)
-        return chosen
-
-
 class ZipfKeyGenerator:
     """Rank-ordered zipf(s) chooser, exact for any exponent ``s > 0``.
 
-    The sharding skew scenarios need the heavy-tailed ``s >= 1`` regime
-    that :class:`ZipfianChooser`'s YCSB approximation excludes (its
-    ``theta`` must stay below 1), and they need ranks *unscrambled* --
-    item 0 is the hottest -- so a test can reason about exactly how much
-    probability mass the top keys pin on one node.  Sampling is exact
+    Covers both YCSB's ``theta < 1`` regime and the heavy-tailed
+    ``s >= 1`` one.  Ranks stay *unscrambled* -- item 0 is the hottest --
+    so a test can reason about exactly how much probability mass the top
+    keys pin on one node; placement hashes the key text, so the hot keys
+    spread over the nodes without a scramble.  Sampling is exact
     inverse-CDF over the finite item set: one uniform draw, one bisect.
     """
 

@@ -18,11 +18,7 @@ from itertools import repeat
 from typing import Iterable, List, Tuple
 
 from repro.workloads.base import TxnContext, TxnProgram, Workload
-from repro.workloads.distributions import (
-    UniformChooser,
-    ZipfianChooser,
-    ZipfKeyGenerator,
-)
+from repro.workloads.distributions import UniformChooser, ZipfKeyGenerator
 
 READ_ONLY_PROFILE = "ycsb-ro"
 UPDATE_PROFILE = "ycsb-up"
@@ -40,11 +36,9 @@ class YCSBConfig:
     read_only_fraction: float = 0.5
     keys_per_txn: int = 2
     value_size: int = 12
-    #: "uniform" (the paper's setting), "zipfian" (YCSB scrambled,
-    #: theta < 1), or "zipf" (rank-ordered, any s > 0 -- the sharding
-    #: skew scenarios' heavy-tail regime; item 0 is the hottest key).
+    #: "uniform" (the paper's setting) or "zipf" (rank-ordered, any
+    #: s > 0; item 0 is the hottest key).
     distribution: str = "uniform"
-    zipf_theta: float = 0.99
     #: Exponent for the "zipf" distribution.
     zipf_s: float = 1.1
 
@@ -55,7 +49,7 @@ class YCSBConfig:
             raise ValueError("read_only_fraction must be within [0, 1]")
         if self.keys_per_txn <= 0:
             raise ValueError("keys_per_txn must be positive")
-        if self.distribution not in ("uniform", "zipfian", "zipf"):
+        if self.distribution not in ("uniform", "zipf"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
@@ -66,10 +60,8 @@ class YCSBWorkload(Workload):
         self.config = config
         if config.distribution == "uniform":
             self._chooser = UniformChooser(config.num_keys)
-        elif config.distribution == "zipf":
-            self._chooser = ZipfKeyGenerator(config.num_keys, config.zipf_s)
         else:
-            self._chooser = ZipfianChooser(config.num_keys, config.zipf_theta)
+            self._chooser = ZipfKeyGenerator(config.num_keys, config.zipf_s)
 
     @property
     def name(self) -> str:

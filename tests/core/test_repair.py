@@ -15,7 +15,9 @@ from repro import (
     RpcConfig,
 )
 from repro.cluster import ExplicitDirectory, ShardMap
-from repro.core.repair import TERMINATION_ATTEMPTS, Round, reannounce
+from repro.core.repair import (
+    REPAIR_TIMEOUT, TERMINATION_ATTEMPTS, Round, reannounce, repair_rpc,
+)
 from repro.healing.detector import DEAD_AFTER_TIMEOUTS, SUSPECT_MAX_ATTEMPTS
 from repro.storage.wal import DecisionRecord
 from repro.core.wire import PrepareBody
@@ -190,6 +192,13 @@ def test_a_racing_real_decide_wins():
     assert sent == cluster.config.network.rpc.max_attempts
 
 
+def test_repair_rpc_bounds_a_repair_only_in_the_paper_model():
+    """Digests and 2PC status queries share one policy: with no global
+    timeout, one private attempt; with one, the endpoint's own."""
+    assert repair_rpc(RpcConfig()) == RpcConfig(request_timeout=REPAIR_TIMEOUT, max_attempts=1)
+    assert repair_rpc(RpcConfig(request_timeout=1e-3, max_attempts=2)) is None
+
+
 def test_a_lease_never_hangs_on_a_dead_coordinator_without_rpc_timeouts():
     """The paper-model ``request_timeout=None``: a bare status query to a
     coordinator that is gone for good would never return, and the lease
@@ -205,7 +214,7 @@ def test_a_lease_never_hangs_on_a_dead_coordinator_without_rpc_timeouts():
     cluster.run(until=lease / 2)
     assert TXN in node._prepared and node.locks.write_held("x")
     cluster.network.crash(0)  # for good
-    round_cost = cluster.config.healing.digest_timeout + lease
+    round_cost = REPAIR_TIMEOUT + lease
     cluster.run(until=lease + TERMINATION_ATTEMPTS * round_cost + lease)
     assert TXN not in node._prepared and not node.locks.any_locked()
     assert node.store.chain("x").latest.value == 0

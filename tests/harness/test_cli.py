@@ -61,7 +61,7 @@ def test_config_command_round_trips_through_json(capsys, tmp_path):
     echoed = json.loads(capsys.readouterr().out)
     assert echoed["num_nodes"] == 3
     assert echoed["healing"]["anti_entropy_interval"] == 0.0004
-    assert "checkpoint" in echoed["healing"]  # defaults filled in
+    assert "checkpoint_interval" in echoed["healing"]  # defaults filled in
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"num_nodes": 3, "num_shards": 7}')

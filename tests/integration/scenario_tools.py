@@ -2,6 +2,7 @@
 
 from repro import Cluster, ClusterConfig, NetworkConfig
 from repro.cluster import ExplicitDirectory, ShardMap
+from repro.core import mvcc_node
 from repro.sim.rng import make_rng
 
 from tests.harness.oracle import increment_client
@@ -154,3 +155,11 @@ def spawn_increment_clients(
                 cluster, node_id, rng, keys, txns, read_only=read_only,
                 backoff=backoff, pause=pause,
             ))
+
+
+def shrink_gc(monkeypatch, trigger, keep, min_age):
+    """A GC policy that reclaims within a short run (the MVCC node reads
+    the constants at every install)."""
+    monkeypatch.setattr(mvcc_node, "GC_TRIGGER_LENGTH", trigger)
+    monkeypatch.setattr(mvcc_node, "GC_KEEP_VERSIONS", keep)
+    monkeypatch.setattr(mvcc_node, "GC_MIN_AGE", min_age)

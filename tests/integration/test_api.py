@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import repro
 import repro.config
 from repro import (
-    CheckpointConfig,
     Cluster,
     ClusterConfig,
     DurabilityConfig,
@@ -57,7 +56,7 @@ def test_every_public_config_class_is_exported():
     # Inert, accepted only for the frozen ledger registry: not exported.
     del classes["BatchingConfig"]
     assert "BatchingConfig" not in repro.__all__
-    assert len(classes) >= 10  # the known surface; growing is fine
+    assert len(classes) >= 9  # the known surface; growing is fine
     for name, obj in classes.items():
         assert name in repro.__all__, f"{name} missing from repro.__all__"
         assert getattr(repro, name) is obj, f"repro.{name} is a stray alias"
@@ -151,7 +150,6 @@ def test_replication_defaults_off_and_overlays():
     assert cfg.replication.enabled and cfg.replication.replication_factor == 3
     assert cfg.replication.mode == "sync"
     assert cfg.replication.failover_timeout == 4e-3
-    assert cfg.replication.sync_timeout == ReplicationConfig().sync_timeout
 
 
 def test_sharding_defaults_off_and_overlays():
@@ -195,17 +193,12 @@ network_configs = st.builds(
     duplicate_rate=small_floats,
     rpc=rpc_configs,
 )
-checkpoint_configs = st.builds(
-    CheckpointConfig,
-    interval=optional(positive_floats),
-)
 replication_configs = st.builds(
     ReplicationConfig,
     enabled=st.booleans(),
     replication_factor=st.integers(1, 5),
     mode=st.just("sync"),
     failover_timeout=optional(positive_floats),
-    sync_timeout=positive_floats,
 )
 sharding_configs = st.builds(
     ShardingConfig,
@@ -223,7 +216,7 @@ healing_configs = st.builds(
     HealingConfig,
     heartbeat_interval=optional(positive_floats),
     anti_entropy_interval=optional(positive_floats),
-    checkpoint=checkpoint_configs,
+    checkpoint_interval=optional(positive_floats),
 )
 cluster_configs = st.builds(
     ClusterConfig,
@@ -301,7 +294,7 @@ def test_from_dict_accepts_partial_overlay():
     )
     assert cfg.num_nodes == 3
     assert cfg.healing.anti_entropy_interval == 5e-4
-    assert cfg.healing.checkpoint == CheckpointConfig()  # defaults kept
+    assert cfg.healing.checkpoint_interval is None  # defaults kept
     assert cfg.network == NetworkConfig()
 
 

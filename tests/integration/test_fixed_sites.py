@@ -22,6 +22,7 @@ from repro import (
 )
 from repro.cluster import CallableDirectory, ExplicitDirectory
 from repro.cluster.directory import ShardMap
+from repro.core import repair
 from repro.faults import CRASH, CRASH_DURABLE, random_schedule
 from repro.sim.rng import make_rng
 
@@ -110,10 +111,11 @@ def checkpoint(protocol):
 def partition_heal(protocol):
     """The victim is cut off while the others commit; anti-entropy
     closes the gap once the links mend."""
-    cluster, nemesis = build(
-        protocol,
-        healing=HealingConfig(anti_entropy_interval=5e-4, digest_timeout=5e-4),
-    )
+    with pytest.MonkeyPatch.context() as patch:  # read at build
+        patch.setattr(repair, "REPAIR_TIMEOUT", 5e-4)
+        cluster, nemesis = build(
+            protocol, healing=HealingConfig(anti_entropy_interval=5e-4)
+        )
     drive(cluster, plan(8))
     isolate(nemesis, VICTIM, range(NUM_NODES))
     drive(cluster, plan(4, others(), keys_off(cluster, VICTIM, KEYS), "cut"))

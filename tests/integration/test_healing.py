@@ -26,8 +26,9 @@ The scaffold is ``tests.harness.battery``; seeds come from
 
 import pytest
 
-from repro import CheckpointConfig, DurabilityConfig, HealingConfig
+from repro import DurabilityConfig, HealingConfig
 from repro.cluster import ShardMap
+from repro.core import repair
 from repro.faults import CRASH_DURABLE, isolate_cycle
 from repro.healing import ALIVE, DEAD
 from repro.metrics.stats import AbortReason
@@ -106,10 +107,9 @@ def run_isolation_scenario(seed, *, faulty):
     run's victim is comparable bit-for-bit against the control's at the
     post-convergence barrier.
     """
-    healing = HealingConfig(
-        anti_entropy_interval=AE_INTERVAL, digest_timeout=5e-4
-    )
-    cluster, nemesis = build(seed, healing)
+    with pytest.MonkeyPatch.context() as patch:  # read at build
+        patch.setattr(repair, "REPAIR_TIMEOUT", 5e-4)
+        cluster, nemesis = build(seed, HealingConfig(anti_entropy_interval=AE_INTERVAL))
     rng = make_rng(seed, "healing-isolation")
     assert keys_at(cluster, VICTIM, KEYS), "the victim must own keys"
 
@@ -395,14 +395,13 @@ def test_checkpointed_recovery_matches_full_history(seed):
     battery.assert_fixed_width(ckpt["cluster"])
 
 
-def test_automatic_checkpoint_loop_waits_for_enough_records():
+def test_automatic_checkpoint_loop_waits_for_enough_records(monkeypatch):
     """The checkpoint loop takes snapshots only after ``MIN_RECORDS`` new
     WAL appends, and truncates once gossip evidence stabilises them."""
     seed = SEEDS[0]
+    monkeypatch.setattr(repair, "REPAIR_TIMEOUT", 5e-4)
     healing = HealingConfig(
-        anti_entropy_interval=AE_INTERVAL,
-        digest_timeout=5e-4,
-        checkpoint=CheckpointConfig(interval=2e-3),
+        anti_entropy_interval=AE_INTERVAL, checkpoint_interval=2e-3
     )
     cluster, _nemesis = build(seed, healing, wal=True)
     rng = make_rng(seed, "healing-auto-ckpt")

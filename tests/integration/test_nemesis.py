@@ -18,6 +18,7 @@ from tests.harness.oracle import (
     assert_psi,
     increment_client,
 )
+from tests.integration.scenario_tools import shrink_gc
 
 NUM_NODES = 4
 NUM_KEYS = 16
@@ -29,9 +30,6 @@ def build(protocol, seed):
         seed=seed,
         network=NetworkConfig(jitter=5e-6),
         remove_broadcast=False,  # paper-literal cleanup
-        gc_trigger_length=12,
-        gc_keep_versions=6,
-        gc_min_age=4e-3,
     )
     cluster = Cluster(
         protocol, config, directory=ShardMap(range(NUM_NODES), NUM_NODES),
@@ -67,7 +65,8 @@ def client(cluster, node_id, client_id, seed, txns=40):
 
 @pytest.mark.parametrize("protocol", ("fwkv", "walter"))
 @pytest.mark.parametrize("seed", (21, 22))
-def test_nemesis_safety(protocol, seed):
+def test_nemesis_safety(protocol, seed, monkeypatch):
+    shrink_gc(monkeypatch, trigger=12, keep=6, min_age=4e-3)
     cluster = build(protocol, seed)
     for node_id in range(NUM_NODES):
         for client_id in range(2):

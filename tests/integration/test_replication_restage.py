@@ -34,6 +34,7 @@ from repro import RpcConfig
 from repro.core.wire import VoteBody
 from repro.faults import CRASH
 from repro.net.message import MessageType
+from repro.replication.shard import SYNC_TIMEOUT
 from repro.sim.rng import make_rng
 
 from tests.harness.battery import (
@@ -349,7 +350,7 @@ def test_a_committed_prepare_keeps_its_write_locks_until_its_record_is_acked(
     hold,
 ):
     """S5 itself, no crash: the install is not delayed, the lock release
-    is -- to the ``prepare`` record's ack, or ``sync_timeout`` after the
+    is -- to the ``prepare`` record's ack, or ``SYNC_TIMEOUT`` after the
     apply if the backup stays silent that long (nothing is counted)."""
     cluster, nemesis = build(SEEDS[0])
     tap = Tap(cluster, nemesis, [VICTIM], None, hold=hold)
@@ -361,10 +362,9 @@ def test_a_committed_prepare_keeps_its_write_locks_until_its_record_is_acked(
     (txn_id,) = [record.txn_id for record in cluster.history]
     assert victim.store.chain(key).latest.writer_txn == txn_id
     assert victim.locks.lock_for(key).held_by(txn_id) == "w"
-    sync_timeout = cluster.config.replication.sync_timeout
-    cluster.run(until=start + min(hold, sync_timeout))
+    cluster.run(until=start + min(hold, SYNC_TIMEOUT))
     assert victim.locks.lock_for(key).held_by(txn_id) == "w"
-    cluster.run(until=start + min(hold, sync_timeout) + SETTLE / 2)
+    cluster.run(until=start + min(hold, SYNC_TIMEOUT) + SETTLE / 2)
     assert not victim.locks.lock_for(key).is_locked
     assert cluster.metrics.counters["replication_sync_degraded"] == 0
     assert cluster.metrics.aborts == 0

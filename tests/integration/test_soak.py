@@ -10,14 +10,20 @@ import pytest
 from repro import NetworkConfig
 
 from tests.harness.oracle import assert_increments_add_up, assert_psi
-from tests.integration.scenario_tools import modulo_cluster, spawn_increment_clients
+from tests.integration.scenario_tools import (
+    modulo_cluster, shrink_gc, spawn_increment_clients,
+)
+
+
+@pytest.fixture(autouse=True)
+def soak_gc(monkeypatch):
+    shrink_gc(monkeypatch, trigger=10, keep=5, min_age=3e-3)
 
 
 def run_soak(protocol, seed=11):
     keys = [f"k{i}" for i in range(12)]
     cluster = modulo_cluster(
         protocol, keys, NetworkConfig().with_propagate_delay(300e-6), seed=seed,
-        gc_trigger_length=10, gc_keep_versions=5, gc_min_age=3e-3,
     )
     spawn_increment_clients(cluster, keys, "soak", txns=60)
     cluster.run()

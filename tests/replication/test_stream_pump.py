@@ -28,7 +28,8 @@ from repro.faults.schedules import CRASH_DURABLE, RESTART, FaultEvent
 from repro.healing.detector import ALIVE
 from repro.net.message import MessageType
 from repro.replication.backup import BackupState
-from repro.replication.shard import RETRY_INTERVAL, WINDOW, _AckLatch
+from repro.replication import shard
+from repro.replication.shard import RETRY_INTERVAL, SYNC_TIMEOUT, WINDOW, _AckLatch
 from repro.storage.wal import ReplicationRecord
 
 NUM_KEYS = 12
@@ -37,16 +38,14 @@ REPLICATE = MessageType.REPLICATE
 pytestmark = pytest.mark.replication
 
 
-def build(
-    num_nodes=3, *, factor=2, rpc=None, wal=False, network=None, **replication
-):
+def build(num_nodes=3, *, factor=2, rpc=None, wal=False, network=None):
     config = ClusterConfig(
         num_nodes=num_nodes,
         seed=7,
         network=NetworkConfig(rpc=rpc or RpcConfig(), **(network or {})),
         sharding=ShardingConfig(enabled=True, num_shards=NUM_KEYS),
         replication=ReplicationConfig(
-            enabled=True, replication_factor=factor, mode="sync", **replication
+            enabled=True, replication_factor=factor, mode="sync"
         ),
         durability=DurabilityConfig(wal_enabled=wal),
     )
@@ -325,9 +324,8 @@ def test_sync_timeout_degrades_once_and_names_the_pending_backups():
     cut(cluster, 0, 2)
     report = decision_wait(cluster, 0)
     cluster.run(until=5e-3)
-    sync_timeout = cluster.config.replication.sync_timeout
     assert report["wakeups"] == 1
-    assert report["done_at"] == pytest.approx(sync_timeout)
+    assert report["done_at"] == pytest.approx(SYNC_TIMEOUT)
     assert cluster.metrics.counters["replication_sync_degraded"] == 1
     (record,) = cluster.tracer.of_kind("replication_degraded")
     assert record.node == 0 and record.details["backups"] == (2,)
@@ -340,8 +338,9 @@ def test_sync_timeout_degrades_once_and_names_the_pending_backups():
 
 
 @pytest.mark.parametrize("release", ["backup_crash", "retire"])
-def test_closing_stream_releases_the_waiter_before_the_timeout(release):
-    cluster = build(num_nodes=4, factor=3, sync_timeout=50e-3)
+def test_closing_stream_releases_the_waiter_before_the_timeout(release, monkeypatch):
+    monkeypatch.setattr(shard, "SYNC_TIMEOUT", 50e-3)
+    cluster = build(num_nodes=4, factor=3)
     cut(cluster, 0, 2)
     report = decision_wait(cluster, 0)
     if release == "backup_crash":
@@ -357,10 +356,11 @@ def test_closing_stream_releases_the_waiter_before_the_timeout(release):
     assert not live_timers(cluster, _AckLatch.expire)
 
 
-def test_acked_waits_leave_no_timer_behind():
-    """1k sync waits against a far-away ``sync_timeout``: every wait's
+def test_acked_waits_leave_no_timer_behind(monkeypatch):
+    """1k sync waits against a far-away ``SYNC_TIMEOUT``: every wait's
     timer is cancelled on its ack, and the scheduler compacts them."""
-    cluster = build(num_nodes=4, factor=3, sync_timeout=10.0)
+    monkeypatch.setattr(shard, "SYNC_TIMEOUT", 10.0)
+    cluster = build(num_nodes=4, factor=3)
     rep = cluster.node(0).replication
     width = len(cluster.nodes)
 
@@ -379,12 +379,13 @@ def test_acked_waits_leave_no_timer_behind():
 
 @pytest.mark.parametrize("release", ["ack", "close"])
 def test_after_acked_fires_once_on_the_last_ack_or_a_close_never_on_enqueue(
-    release,
+    release, monkeypatch,
 ):
     """S5's primitive: the callback waits for every listed record -- the
     slower stream's included -- or for that stream to close; with nothing
     pending it runs at once; no waiter or timer outlives it."""
-    cluster = build(num_nodes=4, factor=3, sync_timeout=50e-3)
+    monkeypatch.setattr(shard, "SYNC_TIMEOUT", 50e-3)
+    cluster = build(num_nodes=4, factor=3)
     rep = cluster.node(0).replication
     fired = []
     cut(cluster, 0, 2)

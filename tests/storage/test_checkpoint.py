@@ -195,23 +195,14 @@ def test_checkpointed_replay_equals_full_history():
     assert full.checkpoints == truncated.checkpoints == 1
 
 
-def test_checkpoint_reset_discards_gap_buffered_prefix():
-    """Clock records buffered across a gap below the snapshot clock are
-    superseded by the reset, not double-applied after it."""
+def test_replay_after_a_checkpoint_skips_what_its_snapshot_covers():
+    """Clock records the snapshot clock covers, duplicated after the
+    checkpoint around a crash instant, are skipped, not re-installed."""
     prefix = history()
     checkpoint = checkpoint_of(replay(prefix, N), records_below=len(prefix))
-    # A duplicate of an old advance arrives out of order before the
-    # checkpoint (gap-buffered at replay), then the suffix continues.
-    stream = (
-        prefix
-        + [apply_rec(199, 2, 9, [("z", 99)])]  # far-future gap: buffered
-        + [checkpoint]
-        + [apply_rec(106, 1, 4, [("x", 13)])]
-    )
-    result = replay(stream, N)
-    assert result.site_vc[2] == checkpoint.site_vc[2]
-    assert [v.value for v in result.store.chain("z")] == [0, 20]
-    assert [v.value for v in result.store.chain("x")][-1] == 13
+    again = [prefix[1], prefix[2], prefix[-1]]  # x=10 (1, 1), (2, 1), (1, 3)
+    full = replay([checkpoint] + suffix_records(), N)
+    assert_equivalent(full, replay([checkpoint] + again + suffix_records(), N))
 
 
 def test_chained_checkpoints_replay_from_newest():

@@ -263,7 +263,7 @@ def wal_replay():
 INSTALLS = {  # installer -> a run that installs through it
     "_apply_committed_decide": lambda: [
         multi_key_commits(protocol) for protocol in ("fwkv", "walter")],
-    "apply_clock_record": wal_replay,
+    "replay": wal_replay,
     "apply": lambda: multi_key_commits("fwkv", sharding=ShardingConfig(
         enabled=True, num_shards=8), replication=ReplicationConfig(enabled=True)),
     "_promote": lambda: run_coordinator_crash(7, faulty=True, own_shard=True),

@@ -5,7 +5,7 @@ import pytest
 from repro.core import VectorClock
 from repro.storage import VersionChain
 from tests.harness.oracle import assert_psi
-from tests.integration.scenario_tools import make_cluster, retry_update
+from tests.integration.scenario_tools import make_cluster, retry_update, shrink_gc
 
 
 def build_chain(count, now_step=1.0):
@@ -57,14 +57,10 @@ def test_gc_validates_keep_last():
         chain.collect_garbage(keep_last=0, min_age=0.0, now=1.0)
 
 
-def test_gc_bounds_chain_length_under_churn():
+def test_gc_bounds_chain_length_under_churn(monkeypatch):
     """A hot key overwritten hundreds of times keeps a bounded chain."""
     cluster = make_cluster("fwkv", 2, {"hot": 1}, initial={"hot": 0})
-    config = cluster.config
-    # Aggressive GC so the effect shows within a short run.
-    config.gc_trigger_length = 8
-    config.gc_keep_versions = 4
-    config.gc_min_age = 1e-3
+    shrink_gc(monkeypatch, trigger=8, keep=4, min_age=1e-3)
 
     def churn(rounds):
         for i in range(rounds):
@@ -92,16 +88,14 @@ def test_gc_disabled_keeps_everything():
     assert cluster.metrics.counters["versions_reclaimed"] == 0
 
 
-def test_gc_preserves_correctness_under_concurrent_readers():
+def test_gc_preserves_correctness_under_concurrent_readers(monkeypatch):
     """Readers interleaved with churn still observe consistent snapshots,
     and no acknowledged write is reported lost on a trimmed chain."""
     cluster = make_cluster(
         "fwkv", 2, {"a": 1, "b": 1}, initial={"a": 0, "b": 0},
         record_history=True,
     )
-    cluster.config.gc_trigger_length = 6
-    cluster.config.gc_keep_versions = 3
-    cluster.config.gc_min_age = 2e-3
+    shrink_gc(monkeypatch, trigger=6, keep=3, min_age=2e-3)
 
     def churn(rounds):
         for i in range(rounds):

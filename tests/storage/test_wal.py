@@ -102,17 +102,14 @@ def test_replay_decisions_and_curr_seq_no():
     assert result.curr_seq_no == 2
 
 
-def test_replay_gap_buffering():
-    """A record above the next expected seq waits for its predecessor."""
-    records = [
-        LoadRecord.of((("x", 0),)),
-        apply_rec(100, 1, 2, [("x", 2)]),  # arrives before seq 1
-        apply_rec(101, 1, 1, [("x", 1)]),  # closes the gap; both apply
-    ]
-    result = replay(records, N)
-    assert result.site_vc[1] == 2
-    # Chain order follows sequence order, not log order.
-    assert [v.value for v in result.store.chain("x")] == [0, 1, 2]
+def test_replay_raises_on_a_per_origin_gap():
+    """The live applier logs each origin in sequence order and a crash
+    loses only a suffix: a record past the next expected seq is a
+    malformed log, named by its origin and seq."""
+    for gapped in (apply_rec(100, 1, 3, [("x", 3)]), PropagateRecord(1, 4)):
+        records = [LoadRecord.of((("x", 0),)), PropagateRecord(1, 1), gapped]
+        with pytest.raises(ValueError, match=f"origin 1 seq {gapped.seq_no} follows seq 1"):
+            replay(records, N)
 
 
 def test_replay_skips_duplicates():
@@ -125,18 +122,6 @@ def test_replay_skips_duplicates():
     result = replay(records, N)
     assert result.site_vc[1] == 1
     assert [v.value for v in result.store.chain("x")] == [0, 1]
-
-
-def test_replay_drains_never_contiguous_leftovers():
-    """A truncated log's orphaned records still apply, in seq order."""
-    records = [
-        LoadRecord.of((("x", 0),)),
-        apply_rec(100, 1, 3, [("x", 3)]),  # seq 1-2 lost with the tail
-        PropagateRecord(1, 5),
-    ]
-    result = replay(records, N)
-    assert result.site_vc[1] == 5
-    assert [v.value for v in result.store.chain("x")] == [0, 3]
 
 
 def test_replay_rejects_unknown_record():
@@ -201,9 +186,10 @@ def test_version_set_fingerprint_is_vid_agnostic():
 
 def test_replay_commit_vc_preserved():
     vc = (3, 1, 0, 2)
-    result = replay(
-        [LoadRecord.of((("x", 0),)), apply_rec(100, 0, 3, [("x", 9)], vc=vc)], N
-    )
+    result = replay([
+        LoadRecord.of((("x", 0),)), PropagateRecord(0, 1), PropagateRecord(0, 2),
+        apply_rec(100, 0, 3, [("x", 9)], vc=vc),
+    ], N)
     latest = result.store.chain("x").latest
     assert latest.vc.to_tuple() == vc
     assert latest.vc == VectorClock(vc)

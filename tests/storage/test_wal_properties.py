@@ -1,13 +1,10 @@
 """Property tests pinning down the WAL replay contract.
 
-Replay must be *idempotent* (re-applying any already-applied record is a
-no-op, so duplicated log suffixes are harmless) and *order-insensitive
-within a sequence-number gap* (per-origin clock records apply in
-sequence order no matter how the log interleaves them, because records
-above the next expected number are buffered until contiguous).  Both
-properties are what make recovery safe against the real-world log
-shapes -- duplicated appends around a crash instant, interleaved
-per-origin streams -- without any coordination at write time.
+Replay must be *idempotent* (duplicated appends around a crash instant
+are harmless) and *order-insensitive across origins* (any interleaving
+of the per-origin streams rebuilds the same state).  The live applier
+logs each origin in sequence order, so a gap in one origin's sequence is
+a malformed log (``test_wal.py``).
 """
 
 from hypothesis import given, settings
@@ -69,24 +66,24 @@ def test_replay_idempotent_under_duplication(records, data):
     assert store_fingerprint(again.store) == store_fingerprint(base.store)
 
 
+def interleave(records, rnd):
+    """Another interleaving of the origins' streams, each kept in order."""
+    lanes = [record.origin for record in records]
+    rnd.shuffle(lanes)
+    streams = {o: iter([r for r in records if r.origin == o]) for o in set(lanes)}
+    return [next(streams[origin]) for origin in lanes]
+
+
 @given(clock_records(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_replay_order_insensitive_across_gaps(records, rnd):
-    """Any permutation of the clock records rebuilds the same state.
-
-    Shuffling opens arbitrary per-origin gaps; buffering must close them
-    all.  Cross-origin interleaving may assign different per-key vids,
-    so stores compare through the vid-agnostic version-set digest; the
-    clock itself must match exactly.
-    """
+    """Any interleaving of the per-origin streams (gaps in the log, none in
+    an origin's sequence) rebuilds the same clock and, up to per-key
+    vids, the same versions."""
     base = replay([LOAD] + records, N)
-    shuffled = list(records)
-    rnd.shuffle(shuffled)
-    again = replay([LOAD] + shuffled, N)
+    again = replay([LOAD] + interleave(records, rnd), N)
     assert again.site_vc.to_tuple() == base.site_vc.to_tuple()
-    assert version_set_fingerprint(again.store) == (
-        version_set_fingerprint(base.store)
-    )
+    assert version_set_fingerprint(again.store) == version_set_fingerprint(base.store)
     assert again.replayed == base.replayed
 
 
@@ -152,27 +149,24 @@ def decision_records(draw):
 
 @given(clock_records(), decision_records(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_decisions_with_writes_replay_idempotently_and_across_gaps(
-    clocks, decisions, rnd
-):
+def test_decisions_with_writes_replay_idempotently_and_across_gaps(clocks, decisions, rnd):
     """The writes a decision carries are inert at replay: they install
     nothing and move no clock (only recovery's re-stage reads them), so
-    duplicating and permuting a log that holds them rebuilds the same
-    state -- and the same decision table, writes included."""
+    interleaving and duplicating the records of a log that holds them
+    rebuilds the same state and decision table, writes included."""
     base = replay([LOAD] + clocks + decisions, N)
     assert base.decisions == {record.txn_id: record for record in decisions}
     assert store_fingerprint(base.store) == store_fingerprint(
         replay([LOAD] + clocks, N).store
     )
-    mixed = clocks + decisions
-    rnd.shuffle(mixed)
+    mixed = interleave(clocks, rnd)
+    for record in rnd.sample(decisions, len(decisions)):
+        mixed.insert(rnd.randint(0, len(mixed)), record)
     again = replay([LOAD] + mixed + rnd.sample(mixed, len(mixed) // 2), N)
     assert again.decisions == base.decisions
     assert again.curr_seq_no == base.curr_seq_no == len(decisions)
     assert again.site_vc.to_tuple() == base.site_vc.to_tuple()
-    assert version_set_fingerprint(again.store) == (
-        version_set_fingerprint(base.store)
-    )
+    assert version_set_fingerprint(again.store) == version_set_fingerprint(base.store)
 
 
 def test_a_decision_logged_without_writes_replays_with_none():

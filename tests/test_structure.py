@@ -67,72 +67,17 @@ TESTS = Path(__file__).parent
 #: rebalancer and every width branch of the clock algebra.  Lowered -85
 #: by fixed placement: live shard migration, the handoff's default
 #: cutover act and move lists, the migration trace kinds and counters,
-#: and the clock-width guards left behind.
-TOTAL_SRC_LINES = 14785
-#: Lines over every ``*.py`` under ``tests/``.  Raised +102 for the
-#: loaded-key footprint pins, census and chain shape; lowered -17 by the
-#: one read path (the backup-read tests out, owner-read tests in), -343
-#: by the one battery scaffold, -39 by deleting test-only switches and -4
-#: by shared scenario helpers, net of the tombstone-window, columnar-load
-#: and shared-empty-set cases, and -2 by one elastic directory (the ring
-#: mutation tests out, the pinned ring and static-refusal cases in).
-#: Raised +148 for a commit held once per site: the frozen-clock census
-#: over every install path, the ``site == place`` property, the
-#: load-leaves-the-memo-empty case and the tombstone-column differential.
-#: Raised +221 for one cutover for every ownership change: the four
-#: acknowledged-write and read-set regressions across a cutover, the
-#: join-and-leave-beside-the-rebalancer case, the planner properties
-#: and pinned owner tables, and the tightened one-directory check, net of
-#: the ``with_nodes`` property and the ``Mutex`` tests.  Raised for one
-#: in-order applier: the gate's delivery-order property test, the
-#: one-applier structure check and the pinned bounded-retention loss.
-#: Lowered for one Propagate per commit: the AIMD-controller tests, the
-#: window-pinning helpers and the batched-window input of the gate's
-#: property test out; the one-shape check, the one-Propagate-per-commit
-#: and Remove-timer checks and the gate's gap test in.  Lowered for one
-#: truncation rule: the bounded-retention scenario and the checkpoint
-#: transfer cases out; the lagging-peer, floor and shard-transfer cases in.
-#: Raised for the pipelined replication stream: the stream-contract
-#: property, the one-strike-per-deadline case, the one-way-stream
-#: structure check, the wire-8 round trip and the no-overlap check of
-#: ``random_schedule``.  Raised for one message per shard transfer: the
-#: composed-faults grid and its committed table of failing cells, the
-#: 2PC lease and doomed-round cases, the stream's gap and
-#: closed-before-first-batch cases and the duplicate-shipment case, net
-#: of the chunk fixtures and the busy and mid-chunk cases.  Raised for a
-#: view change being one commit: the one-commit structure check, the
-#: wire-10 round trip with codes 20-21 retired, and the cutover onto a
-#: node that left the map.  Raised for a view being its members: the
-#: per-member one-commit checks of a join and a leave with the 1 ms
-#: leave bound, the ids-only view check, the churn test's in-flight
-#: bookkeeping and the decommission crash hooked onto the removal commit.
-#: Lowered for fixed sites: the membership suite, the join/leave and
-#: rebalancer cases of the sharding suite, the planner properties and
-#: pinned owner tables, the mixed-width clock cases and the view wire
-#: case out; the fixed-sites check and the fixed-width asserts in.
-#: Raised for the fixed-width cases: every clock ``num_nodes`` wide after
-#: each scenario that builds, rebuilds or ships clocks, at every cluster
-#: size and under every directory kind; the clock algebra against its
-#: reference at widths 1-8; the shard placement pinned per member set.
-#: Raised for a sim process loading only the simulator: the bare-delay
-#: differential over the wake property's programs, the shared granted
-#: event, the one-pass Remove against one call per id, the unused-import
-#: ratchet, the no-asyncio/ssl/OpenSSL run, the SHA-256 equivalence and
-#: the per-entry wall probe's no-timeout run, net of the ``AnyOf`` tests.
-#: None is redundant: each pins a contract no earlier test states.
-#: Lowered for fixed placement: the sharding suite and the fixed-sites
-#: migration scenario out; the handoff cases re-homed onto a backup
-#: bootstrap or a promotion, the tombstone-TTL case, the durable grid
-#: rows and the fixed-placement check in; the fixed-sites re-bootstrap
-#: scenario (a restarted backup re-shipped, no promotion), a handoff
-#: whose act refuses and a late copy after a streamed version in.
-#: Raised for one batched bulk load: bulk placement against per-key
-#: placement on every directory kind, a chunked load against a key-by-key
-#: one on the ring, replicated and WAL shapes, the one-chunk pull bound, a
-#: refused load leaving store and log as they were, and the set-up phase
-#: split's shape.  None is redundant: no earlier test pins batched
-#: placement, load order across chunks or what a refused load logs.
-TOTAL_TEST_LINES = 18114
+#: and the clock-width guards left behind.  Lowered -120 by knobs only
+#: tests turned becoming constants, one zipf law and one in-order gate.
+TOTAL_SRC_LINES = 14665
+#: Lines over every ``*.py`` under ``tests/``.  A change that raises it
+#: names what each added test pins that no earlier test states; every
+#: raise and cut, with its reason, is in that change's CHANGES.md entry
+#: (the per-change history once kept here lives there).  Last lowered for
+#: knobs becoming constants: the replay gap-buffering and drain cases
+#: out; the gapped-log, post-checkpoint skip, repair-policy and
+#: set-outside-tests cases in; the zipfian cases kept on the zipf law.
+TOTAL_TEST_LINES = 18076
 #: Longest file under ``src/repro`` (``core/mvcc_node.py``; 1063 before
 #: its adaptive Propagate windows went, 993 before fixed sites).
 LONGEST_FILE = 952
@@ -142,8 +87,10 @@ LONGEST_FILE = 952
 #: 580 before fixed sites.
 SHARD_FILE = 574
 #: Fields over all config dataclasses in ``repro.config`` (51 before
-#: ``ShardingConfig.rebalance_interval`` went with the rebalancer).
-CONFIG_FIELDS = 50
+#: ``ShardingConfig.rebalance_interval`` went with the rebalancer; 50
+#: before the test-only knobs became constants and ``CheckpointConfig``
+#: folded into ``HealingConfig.checkpoint_interval``).
+CONFIG_FIELDS = 44
 #: Config fields nothing reads.  ``group_commit_window``, ``batching``
 #: (``BatchingConfig.adaptive``) and ``ReplicationConfig.mode`` (which
 #: must be ``"sync"``) stay accepted only because the frozen
@@ -709,6 +656,41 @@ def test_every_config_field_is_read_by_the_code():
         if field.name not in read
     }
     assert unread == UNREAD_CONFIG_FIELDS, unread
+
+
+#: Config fields nothing outside ``tests/`` sets, each kept for a reason.
+UNSET_CONFIG_FIELDS = {
+    "lock_timeout": "the paper's testbed parameter (1 ms)",
+    "base_latency": "the paper's testbed parameter (~20 us a message)",
+    "loss_rate": "the fault model: probabilistic message loss",
+    "duplicate_rate": "the fault model: probabilistic duplication",
+}
+
+
+def test_every_config_field_is_set_outside_tests():
+    """A field only tests set is a constant at its one reader.  Setting
+    is a keyword argument, a dict key (the figures pass ablations as
+    ``config={...}``) or an attribute assignment, anywhere in ``src/``,
+    ``scripts/``, ``examples/`` or ``benchmarks/`` outside a test."""
+    found = set()
+    for top in (SRC, *(TESTS.parent / name for name in ("scripts", "examples", "benchmarks"))):
+        for path in top.rglob("*.py"):
+            if "tests" in path.relative_to(top).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword):
+                    found.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    found |= {key.value for key in node.keys if isinstance(key, ast.Constant)}
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    found.add(node.attr)
+    unset = {
+        field.name
+        for cls in _config_classes()
+        for field in dataclasses.fields(cls)
+        if field.name not in found
+    }
+    assert unset == set(UNSET_CONFIG_FIELDS), unset
 
 
 def test_metrics_recorder_keeps_hooks_only_for_what_carries_logic():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.workloads import UniformChooser, ZipfianChooser, ZipfKeyGenerator
+from repro.workloads import UniformChooser, ZipfKeyGenerator
 
 
 def test_uniform_covers_range():
@@ -40,38 +40,33 @@ def test_uniform_roughly_flat():
     assert max(counts.values()) / min(counts.values()) < 1.3
 
 
+# The YCSB zipfian regime (theta < 1) that ``ext_skew`` runs at 0.99.
 def test_zipfian_is_skewed():
-    chooser = ZipfianChooser(1000, theta=0.99)
-    rng = random.Random(4)
-    counts = Counter(chooser.next(rng) for _ in range(20_000))
+    gen, rng = ZipfKeyGenerator(1000, s=0.99), random.Random(4)
+    counts = Counter(gen.next(rng) for _ in range(20_000))
     top_share = sum(count for _item, count in counts.most_common(20)) / 20_000
     assert top_share > 0.3, "top 2% of items should absorb >30% of accesses"
 
 
 def test_zipfian_stays_in_range():
-    chooser = ZipfianChooser(50, theta=0.8)
-    rng = random.Random(5)
-    assert all(0 <= chooser.next(rng) < 50 for _ in range(2000))
+    gen, rng = ZipfKeyGenerator(50, s=0.8), random.Random(5)
+    assert all(0 <= gen.next(rng) < 50 for _ in range(2000))
 
 
 def test_zipfian_sample_distinct():
-    chooser = ZipfianChooser(100, theta=0.9)
-    sample = chooser.sample(random.Random(6), 5)
-    assert len(set(sample)) == 5
+    assert len(set(ZipfKeyGenerator(100, s=0.9).sample(random.Random(6), 5))) == 5
 
 
 def test_zipfian_validates_arguments():
     with pytest.raises(ValueError):
-        ZipfianChooser(0)
+        ZipfKeyGenerator(3, s=0.99).sample(random.Random(0), 4)
     with pytest.raises(ValueError):
-        ZipfianChooser(10, theta=1.5)
-    with pytest.raises(ValueError):
-        ZipfianChooser(3).sample(random.Random(0), 4)
+        ZipfKeyGenerator(10, s=-0.99)
 
 
 def test_deterministic_given_seed():
-    a = [ZipfianChooser(100).next(random.Random(7)) for _ in range(1)]
-    b = [ZipfianChooser(100).next(random.Random(7)) for _ in range(1)]
+    a, b = ([ZipfKeyGenerator(100, s=0.99).next(rng) for _ in range(20)]
+            for rng in (random.Random(7), random.Random(7)))
     assert a == b
 
 

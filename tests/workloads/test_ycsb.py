@@ -85,9 +85,9 @@ def test_read_only_program_reads_two_distinct_keys():
 
 
 def test_zipfian_distribution_option():
-    workload = make(keys=1000, distribution="zipfian")
-    rng = random.Random(5)
-    program = workload.generate(rng, 0)
+    """YCSB's zipfian setting is the zipf law at s = 0.99 (``ext_skew``)."""
+    workload = make(keys=1000, distribution="zipf", zipf_s=0.99)
+    program = workload.generate(random.Random(5), 0)
     assert program.profile in (READ_ONLY_PROFILE, UPDATE_PROFILE)
 
 
@@ -100,6 +100,8 @@ def test_config_validation():
         YCSBConfig(num_keys=10, keys_per_txn=0)
     with pytest.raises(ValueError):
         YCSBConfig(num_keys=10, distribution="normal")
+    with pytest.raises(ValueError):  # the scrambled approximation is gone
+        YCSBConfig(num_keys=10, distribution="zipfian")
 
 
 def test_random_value_draws_exactly_what_rng_choice_draws():
